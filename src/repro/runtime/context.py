@@ -20,6 +20,17 @@ from repro.lang.errors import RuntimeProtocolError
 INFO_HANDLE = "<info>"
 
 
+def declared_fields(self) -> dict:
+    """``__getstate__`` for the frozen dataclasses that cache derived
+    values (``_hash`` and the checker's per-state memos) in ``__dict__``:
+    pickle the declared fields only.  A cached hash is valid only under
+    the hash seed of the process that computed it, and every cache
+    attribute would otherwise ride each state the parallel checker
+    ships between workers."""
+    state = self.__dict__
+    return {name: state[name] for name in self.__dataclass_fields__}
+
+
 @dataclass(frozen=True)
 class Message:
     """A protocol message in flight (or being handled).
@@ -43,6 +54,8 @@ class Message:
     payload: tuple = ()
     data: Optional[tuple] = None
     seq: Optional[int] = None
+
+    __getstate__ = declared_fields
 
     def __hash__(self):
         # Messages sit inside channel tuples and deferred queues, so the

@@ -32,6 +32,7 @@ from repro.lang.builtins import T_CONT, T_NODE, T_SHARERS
 from repro.runtime.context import Message
 from repro.runtime.continuation import ContinuationRecord
 from repro.verify.model import AppView, BlockView, GlobalState
+from repro.verify.model import intern_channel, intern_message, intern_view
 
 FINGERPRINT_BITS = 64
 
@@ -93,40 +94,81 @@ def _encode_value(value, out: bytearray) -> None:
             f"{value!r}")
 
 
-def encode_state(state: GlobalState) -> bytes:
-    """The canonical byte encoding a fingerprint digests."""
-    out = bytearray(b"G")
-    for node_blocks in state.blocks:
-        for view in node_blocks:
-            out += b"B"
-            _encode_value(view.state_name, out)
-            _encode_value(view.state_args, out)
-            _encode_value(view.info, out)
-            _encode_value(view.access, out)
-            _encode_value(view.queue, out)
-    for app in state.apps:
-        out += b"A"
-        _encode_value(app.blocked_on, out)
-        _encode_value(app.gen, out)
-    for row in state.channels:
-        for channel in row:
-            out += b"C"
-            _encode_value(channel, out)
+# Per-component encodings, memoised by value exactly like the intern
+# tables in repro.verify.model: process-global, never evicted, one entry
+# per *distinct* BlockView / AppView / non-empty channel (a few hundred
+# behind tens of thousands of states), so they need no size option or
+# eviction policy of their own.  Keyed by value, not identity, so the
+# legacy engine's and the JSON codec's fresh (non-interned) views hit
+# the same entries.
+VIEW_ENCODINGS: dict = {}
+APP_ENCODINGS: dict = {}
+CHANNEL_ENCODINGS: dict = {}
+
+
+def _encoded(prefix: bytes, *values) -> bytes:
+    out = bytearray(prefix)
+    for value in values:
+        _encode_value(value, out)
+    return bytes(out)
+
+
+def _encode_view(view: BlockView) -> bytes:
+    enc = VIEW_ENCODINGS[view] = _encoded(
+        b"B", view.state_name, view.state_args, view.info, view.access,
+        view.queue)
+    return enc
+
+
+def _encode_app(app: AppView) -> bytes:
+    enc = APP_ENCODINGS[app] = _encoded(b"A", app.blocked_on, app.gen)
+    return enc
+
+
+def _encode_channel(channel: tuple) -> bytes:
+    enc = CHANNEL_ENCODINGS[channel] = _encoded(b"C", channel)
+    return enc
+
+
+_EMPTY_CHANNEL = _encoded(b"C", ())
+
+
+def _encode_components(blocks: tuple, apps: tuple, channels: tuple,
+                       faults: tuple) -> bytes:
+    """Join the memoised per-component encodings of one state.  Every
+    component encoding is prefix-free, so the concatenation is exactly
+    what one recursive walk over the whole state would emit; only a
+    component seen for the first time is actually walked."""
+    parts = [b"G"]
+    parts += [VIEW_ENCODINGS.get(view) or _encode_view(view)
+              for node_blocks in blocks for view in node_blocks]
+    parts += [APP_ENCODINGS.get(app) or _encode_app(app) for app in apps]
+    parts += [(CHANNEL_ENCODINGS.get(channel) or _encode_channel(channel))
+              if channel else _EMPTY_CHANNEL
+              for row in channels for channel in row]
     # Remaining fault budget distinguishes otherwise-identical states
     # (a state reached after spending a drop must not merge with the
     # same configuration reached fault-free).  Encoded only when
     # nonzero so fault-free fingerprints -- and every checkpoint written
     # before fault budgets existed -- are byte-identical.
-    if state.faults != (0, 0):
-        out += b"F"
-        _encode_value(tuple(state.faults), out)
-    return bytes(out)
+    if faults != (0, 0):
+        parts.append(_encoded(b"F", tuple(faults)))
+    return b"".join(parts)
+
+
+def encode_state(state: GlobalState) -> bytes:
+    """The canonical byte encoding a fingerprint digests."""
+    return _encode_components(state.blocks, state.apps, state.channels,
+                              state.faults)
+
+
+def _digest(encoding: bytes) -> int:
+    return int.from_bytes(blake2b(encoding, digest_size=8).digest(), "big")
 
 
 def fingerprint(state: GlobalState) -> int:
     """Stable 64-bit fingerprint of a global state."""
-    return int.from_bytes(
-        blake2b(encode_state(state), digest_size=8).digest(), "big")
+    return _digest(encode_state(state))
 
 
 def expected_collisions(entries: int,
@@ -226,15 +268,12 @@ class SymmetryCanonicalizer:
         # handler qualname "State.Message" -> {var -> kind}; built
         # lazily because most states carry no continuation records.
         self._frame_kinds: dict = {}
-
-    # Back-compat: atlas code and tests historically used this name.
-    @property
-    def node_fields(self):
-        return {n for n, k in self.info_kinds.items() if k == "node"}
-
-    @property
-    def sharer_fields(self):
-        return {n for n, k in self.info_kinds.items() if k == "sharers"}
+        # mapping -> (inverse mapping, {view -> renamed view},
+        # {channel -> renamed channel}).  A renaming is a function of
+        # (mapping, component) alone, and the distinct components are
+        # the few hundred in the intern tables, so after warm-up
+        # ``permute`` is one dict hit per component.
+        self._remaps: dict = {}
 
     @property
     def permutations(self) -> int:
@@ -295,14 +334,23 @@ class SymmetryCanonicalizer:
                     mapping, item,
                     kinds[i] if kinds and i < len(kinds) else None)
                 for i, item in enumerate(payload))
-        src = self._map_node(mapping, msg.src)
-        dst = self._map_node(mapping, msg.dst)
-        if payload == msg.payload and src == msg.src and dst == msg.dst:
-            return msg
-        return Message(msg.tag, msg.block, src=src, dst=dst,
-                       payload=payload, data=msg.data)
+        return intern_message(Message(
+            msg.tag, msg.block, src=self._map_node(mapping, msg.src),
+            dst=self._map_node(mapping, msg.dst), payload=payload,
+            data=msg.data))
 
-    def _remap_view(self, mapping: tuple, view: BlockView) -> BlockView:
+    def _remap_tables(self, mapping: tuple) -> tuple:
+        tables = self._remaps.get(mapping)
+        if tables is None:
+            inverse = [0] * self.n_nodes
+            for old, new in enumerate(mapping):
+                inverse[new] = old
+            tables = self._remaps[mapping] = (tuple(inverse), {}, {})
+        return tables
+
+    def _remap_view(self, mapping: tuple, view: BlockView,
+                    memo: dict) -> BlockView:
+        """Rename a view ``memo`` has not seen; the result is interned."""
         info_kinds = self.info_kinds
         info = tuple(
             (name, self._remap_typed(mapping, value,
@@ -317,38 +365,49 @@ class SymmetryCanonicalizer:
                 for i, value in enumerate(state_args))
         queue = tuple(self._remap_message(mapping, msg)
                       for msg in view.queue)
-        return BlockView(view.state_name, state_args, info,
-                         view.access, queue)
+        remapped = memo[view] = intern_view(
+            view.state_name, state_args, info, view.access, queue)
+        return remapped
+
+    def _remap_channel(self, mapping: tuple, channel: tuple,
+                       memo: dict) -> tuple:
+        """Rename a channel ``memo`` has not seen; the result is interned."""
+        remapped = memo[channel] = intern_channel(tuple(
+            self._remap_message(mapping, msg) for msg in channel))
+        return remapped
+
+    def _permuted(self, state: GlobalState, mapping: tuple) -> tuple:
+        """``(blocks, apps, channels)`` of the renamed state."""
+        inverse, views, chans = self._remap_tables(mapping)
+        blocks = tuple([
+            tuple([views.get(view) or self._remap_view(mapping, view, views)
+                   for view in state.blocks[old]])
+            for old in inverse])
+        apps = tuple([state.apps[old] for old in inverse])
+        channels = tuple([
+            tuple([(chans.get(channel)
+                    or self._remap_channel(mapping, channel, chans))
+                   if channel else channel
+                   for channel in [row[old] for old in inverse]])
+            for row in [state.channels[old] for old in inverse]])
+        return blocks, apps, channels
 
     def permute(self, state: GlobalState, mapping: tuple) -> GlobalState:
         """The state with node ``old`` renamed to ``mapping[old]``."""
-        n = self.n_nodes
-        inverse = [0] * n
-        for old, new in enumerate(mapping):
-            inverse[new] = old
-        blocks = tuple(
-            tuple(self._remap_view(mapping, view)
-                  for view in state.blocks[inverse[new]])
-            for new in range(n))
-        apps = tuple(state.apps[inverse[new]] for new in range(n))
-        channels = tuple(
-            tuple(
-                tuple(self._remap_message(mapping, msg)
-                      for msg in state.channels[inverse[i]][inverse[j]])
-                for j in range(n))
-            for i in range(n))
+        blocks, apps, channels = self._permuted(state, mapping)
         return GlobalState(blocks=blocks, apps=apps, channels=channels,
                            faults=state.faults)
 
     def orbit_fingerprint(self, state: GlobalState, fp: int) -> int:
         """The orbit key: min fingerprint over considered permutations.
         ``fp`` is the state's own (identity) fingerprint, passed so a
-        caller that already computed it never pays it twice."""
-        if not self.perms:
-            return fp
+        caller that already computed it never pays it twice.  Each
+        candidate is digested from its renamed components' memoised
+        encodings; no candidate state is built."""
         best = fp
         for mapping in self.perms:
-            candidate = fingerprint(self.permute(state, mapping))
+            candidate = _digest(_encode_components(
+                *self._permuted(state, mapping), state.faults))
             if candidate < best:
                 best = candidate
         return best
@@ -361,8 +420,6 @@ class SymmetryCanonicalizer:
         """The orbit representative (argmin-fingerprint image).  With
         the full group this is idempotent: the representative's own
         canonical state is itself."""
-        if not self.perms:
-            return state
         best, best_fp = state, fingerprint(state)
         for mapping in self.perms:
             candidate = self.permute(state, mapping)

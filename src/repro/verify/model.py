@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.runtime.context import Message, ProtocolContext, RuntimeCounters, ZERO_COSTS
+from repro.runtime.context import declared_fields
 from repro.runtime.protocol import CompiledProtocol
 from repro.tempest.memory import ACCESS_CHANGE_RESULT, AccessTag, fault_event_for
 
@@ -30,6 +31,8 @@ class BlockView:
     info: tuple          # sorted (name, value) pairs
     access: str          # AccessTag.value
     queue: tuple         # deferred Messages
+
+    __getstate__ = declared_fields
 
     def __hash__(self):
         # Views are shared across thousands of states (see the intern
@@ -49,6 +52,8 @@ class AppView:
 
     blocked_on: Optional[int]
     gen: tuple           # event-generator-specific state
+
+    __getstate__ = declared_fields
 
     def __hash__(self):
         cached = self.__dict__.get("_hash")
@@ -109,6 +114,8 @@ class GlobalState:
     # spend on this path; (0, 0) -- the default -- is fault-free
     # checking and keeps fingerprints/checkpoints byte-compatible.
     faults: tuple = (0, 0)
+
+    __getstate__ = declared_fields
 
     def __hash__(self):
         # Hashing recurses over every view, message, and queue; the

@@ -1,0 +1,315 @@
+"""The canonical state encoding, checked against an independent oracle.
+
+``encode_state`` joins per-component byte strings memoised by value
+(``repro.verify.fingerprint``); every fingerprint, checkpoint, atlas
+stream and shard assignment is a function of those bytes.  Until this
+file the only thing pinning them was two engines that share the
+encoder.  Here they are compared byte-for-byte with a reference encoder
+written below *without* importing ``encode_state`` or ``_encode_value``,
+over states of every registered protocol on both successor engines,
+over codec round-trips (fresh, non-interned views: the memo has to be
+correct for them, not just fast), and over every renaming the symmetry
+canonicalizer produces; four hex literals pin the wire format itself.
+"""
+
+import pickle
+import subprocess
+import sys
+from hashlib import blake2b
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import api
+from repro.faults import FaultBudget
+from repro.protocols import PROTOCOLS
+from repro.runtime.context import Message
+from repro.runtime.continuation import ContinuationRecord
+from repro.verify.checker import ModelChecker, _LabelledViolation
+from repro.verify.events import events_for_protocol
+from repro.verify.fingerprint import (
+    SymmetryCanonicalizer,
+    encode_state,
+    fingerprint,
+    state_from_jsonable,
+    state_to_jsonable,
+)
+from repro.verify.invariants import standard_invariants
+from repro.verify.model import AppView, BlockView, GlobalState, initial_global_state
+
+ALL_NAMES = sorted(PROTOCOLS)
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+# -- the oracle ----------------------------------------------------------------
+
+def ref_value(value) -> bytes:
+    if value is None:
+        return b"N"
+    if value is True:
+        return b"T"
+    if value is False:
+        return b"F"
+    if isinstance(value, int):
+        return f"i{value};".encode()
+    if isinstance(value, str):
+        raw = value.encode("utf-8")
+        return f"s{len(raw)}:".encode() + raw
+    if isinstance(value, tuple):
+        return (f"({len(value)}:".encode()
+                + b"".join(ref_value(item) for item in value) + b")")
+    if isinstance(value, frozenset):
+        members = sorted(ref_value(item) for item in value)
+        return f"{{{len(members)}:".encode() + b"".join(members) + b"}"
+    if isinstance(value, Message):
+        return b"m" + ref_value((value.tag, value.block, value.src,
+                                 value.dst, value.payload, value.data))
+    if isinstance(value, ContinuationRecord):
+        return b"c" + ref_value((value.handler, value.site_id, value.saved,
+                                 value.is_static))
+    raise TypeError(type(value).__name__)
+
+
+def ref_state(state) -> bytes:
+    out = [b"G"]
+    for node_blocks in state.blocks:
+        for view in node_blocks:
+            out += [b"B", ref_value(view.state_name),
+                    ref_value(view.state_args), ref_value(view.info),
+                    ref_value(view.access), ref_value(view.queue)]
+    for app in state.apps:
+        out += [b"A", ref_value(app.blocked_on), ref_value(app.gen)]
+    for row in state.channels:
+        for channel in row:
+            out += [b"C", ref_value(channel)]
+    if tuple(state.faults) != (0, 0):
+        out += [b"F", ref_value(tuple(state.faults))]
+    return b"".join(out)
+
+
+def ref_fingerprint(state) -> int:
+    return int.from_bytes(
+        blake2b(ref_state(state), digest_size=8).digest(), "big")
+
+
+# -- reachable-state corpora -----------------------------------------------------
+
+def make_checker(name, nodes, *, reorder=0, faults=None, engine="fast"):
+    return ModelChecker(
+        api.compile_protocol(name), n_nodes=nodes, n_blocks=1,
+        reorder_bound=reorder, events=events_for_protocol(name),
+        invariants=standard_invariants(
+            coherent=not name.startswith("buffered")),
+        fault_budget=faults, engine=engine)
+
+
+def reachable(checker, cap=None):
+    """Breadth-first reachable states, the first ``cap`` of them.  A
+    state whose expansion hits a protocol error (faults provoke them)
+    contributes the successors generated before the error."""
+    initial = initial_global_state(
+        checker.protocol, checker.n_nodes, checker.n_blocks,
+        checker.home_of, checker.events.initial,
+        faults=checker.fault_budget)
+    seen, order, cursor = {initial}, [initial], 0
+    while cursor < len(order) and (cap is None or len(order) < cap):
+        try:
+            for _, successor in checker._successors(order[cursor]):
+                if successor not in seen:
+                    seen.add(successor)
+                    order.append(successor)
+        except _LabelledViolation:
+            pass
+        cursor += 1
+    return order if cap is None else order[:cap]
+
+
+# 2 nodes with reordering and a fault budget (drop/dup successors and the
+# trailing "F" record), 3 nodes FIFO (a real permutation group).
+CONFIGS = (dict(nodes=2, reorder=1, faults=FaultBudget(drop=1, dup=1)),
+           dict(nodes=3))
+CAP = 250
+
+_CORPUS = {}
+
+
+def corpus(name, engine):
+    key = (name, engine)
+    if key not in _CORPUS:
+        _CORPUS[key] = [
+            state for config in CONFIGS
+            for state in reachable(
+                make_checker(name, engine=engine, **config), CAP)]
+    return _CORPUS[key]
+
+
+@pytest.mark.parametrize("engine", ["fast", "legacy"])
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_every_reached_state_encodes_as_the_oracle_says(name, engine):
+    states = corpus(name, engine)
+    assert any(state.faults != (0, 0) for state in states)
+    assert any(len(state.blocks) == 3 for state in states)
+    for state in states:
+        assert encode_state(state) == ref_state(state)
+        assert fingerprint(state) == ref_fingerprint(state)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(ALL_NAMES), st.sampled_from(["fast", "legacy"]),
+       st.integers(min_value=0))
+def test_codec_round_trip_encodes_identically(name, engine, index):
+    states = corpus(name, engine)
+    state = states[index % len(states)]
+    restored = state_from_jsonable(state_to_jsonable(state))
+    # Fresh objects throughout: nothing the memo can key by identity.
+    assert all(mine is not theirs
+               for mine, theirs in zip(restored.blocks, state.blocks))
+    assert restored == state
+    assert encode_state(restored) == ref_state(state)
+
+
+# -- symmetry renamings --------------------------------------------------------
+#
+# 4 nodes / 1 block leaves three free nodes: a group of six with two
+# non-involutions, so inverse and composition are actually exercised.
+
+_SYM_CHECKER = make_checker("stache", 4)
+_SYM_STATES = reachable(_SYM_CHECKER, 300)
+_CANON = SymmetryCanonicalizer(_SYM_CHECKER.protocol, 4, 1, perm_cap=None)
+
+
+def inverse_of(mapping):
+    inverse = [0] * len(mapping)
+    for old, new in enumerate(mapping):
+        inverse[new] = old
+    return tuple(inverse)
+
+
+def test_group_under_test_is_not_just_swaps():
+    assert len(_CANON.perms) == 5
+    assert any(inverse_of(m) != m for m in _CANON.perms)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(min_value=0, max_value=len(_SYM_STATES) - 1))
+def test_every_renaming_encodes_as_the_oracle_says(index):
+    state = _SYM_STATES[index]
+    candidates = [ref_fingerprint(state)]
+    for mapping in _CANON.perms:
+        renamed = _CANON.permute(state, mapping)
+        assert encode_state(renamed) == ref_state(renamed)
+        assert _CANON.permute(renamed, inverse_of(mapping)) == state
+        # A canonicalizer that has never seen this state computes the
+        # renaming from scratch; the memoised answer must be the same.
+        cold = SymmetryCanonicalizer(_SYM_CHECKER.protocol, 4, 1,
+                                     perm_cap=None)
+        assert cold.permute(state, mapping) == renamed
+        assert _CANON.permute(state, mapping) == renamed
+        candidates.append(ref_fingerprint(renamed))
+    # orbit_fingerprint digests renamed components without building the
+    # renamed states; it must still be the minimum over the same bytes.
+    assert _CANON.orbit_fingerprint(state, fingerprint(state)) \
+        == min(candidates)
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_renamed_states_of_every_protocol_encode_as_the_oracle_says(name):
+    checker = make_checker(name, 3)
+    canon = SymmetryCanonicalizer(checker.protocol, 3, 1, perm_cap=None)
+    (swap,) = canon.perms
+    for state in corpus(name, "fast"):
+        if len(state.blocks) != 3:
+            continue
+        renamed = canon.permute(state, swap)
+        assert encode_state(renamed) == ref_state(renamed)
+        assert canon.permute(renamed, swap) == state
+
+
+# -- golden pins ---------------------------------------------------------------
+#
+# Computed at the commit before the encoding became compositional.  A
+# change to any of these is a wire/checkpoint format change: bump
+# CHECKPOINT_VERSION and say so, do not just re-pin.
+
+def seal(keys) -> str:
+    return blake2b(b"".join(key.to_bytes(8, "big") for key in sorted(keys)),
+                   digest_size=16).hexdigest()
+
+
+@pytest.mark.parametrize("name, pinned", [
+    ("stache", "907d5625e7e912ab"),
+    ("lcm", "19de2b0abcc55ba0"),
+    ("lcm_mcc", "19de2b0abcc55ba0"),
+])
+def test_initial_state_fingerprint_is_pinned(name, pinned):
+    (initial,) = reachable(make_checker(name, 3), 1)
+    assert f"{fingerprint(initial):016x}" == pinned
+
+
+def test_lcm_three_node_fingerprint_sets_are_pinned():
+    checker = make_checker("lcm", 3)
+    states = reachable(checker)
+    visited = {fingerprint(state) for state in states}
+    assert len(states) == len(visited) == 7658
+    assert seal(visited) == "b9f6956574bac94c3d80ff4ef4b316c5"
+    canon = SymmetryCanonicalizer(checker.protocol, 3, 1, perm_cap=None)
+    canonical = {canon.canonical_fingerprint(state) for state in states}
+    assert len(canonical) == 3882
+    assert seal(canonical) == "34390c6f934444e64bc7fca890f9532a"
+
+
+# -- the memo is bounded by the intern tables ----------------------------------
+
+_MEMO_PROBE = """
+from repro import api
+from repro.verify.fingerprint import (
+    APP_ENCODINGS, CHANNEL_ENCODINGS, VIEW_ENCODINGS)
+from repro.verify.model import _CHANNEL_INTERN, _VIEW_INTERN
+api.check("lcm", api.CheckOptions(nodes=3, fingerprints=True))
+print(len(VIEW_ENCODINGS), len(_VIEW_INTERN), len(CHANNEL_ENCODINGS),
+      sum(1 for channel in _CHANNEL_INTERN if channel), len(APP_ENCODINGS))
+"""
+
+
+def test_encoding_memo_is_bounded_by_the_intern_tables():
+    """One entry per interned view and per non-empty interned channel:
+    the memo grows with the number of *distinct* components, never with
+    the number of states, so it needs no eviction policy or size option.
+    AppViews are not interned; their handful of values is pinned too.
+    Counted in a fresh process -- the tables are process-global."""
+    out = subprocess.run(
+        [sys.executable, "-c", _MEMO_PROBE], check=True, text=True,
+        capture_output=True, env={"PYTHONPATH": SRC}).stdout
+    view_encs, views, channel_encs, channels, app_encs = map(int, out.split())
+    assert view_encs == views == 373
+    assert channel_encs == channels == 66
+    assert app_encs == 5
+
+
+# -- pickled states carry no caches --------------------------------------------
+
+def test_pickled_state_holds_declared_fields_only():
+    state = corpus("lcm", "fast")[-1]
+    cold = state_from_jsonable(state_to_jsonable(state))
+    size_before = len(pickle.dumps(cold))
+    hash(cold)
+    fingerprint(cold)
+    SymmetryCanonicalizer(api.compile_protocol("lcm"), 3, 1,
+                          perm_cap=None).canonical_fingerprint(cold)
+    assert "_hash" in cold.__dict__ and "_hash" in cold.blocks[0][0].__dict__
+    assert len(pickle.dumps(cold)) == size_before
+
+    shipped = pickle.loads(pickle.dumps(cold))
+    parts = [shipped, *shipped.apps,
+             *(view for row in shipped.blocks for view in row),
+             *(msg for row in shipped.channels for ch in row for msg in ch),
+             *(msg for row in shipped.blocks for view in row
+               for msg in view.queue)]
+    assert {type(part) for part in parts} \
+        >= {GlobalState, AppView, BlockView, Message}
+    for part in parts:
+        assert set(part.__dict__) == set(part.__dataclass_fields__)
+    assert shipped == cold
+    assert fingerprint(shipped) == fingerprint(cold)
