@@ -19,10 +19,8 @@ and Larus.  The package contains:
   value-consistency analyses
 
 The supported entry points are the :mod:`repro.api` facade, re-exported
-here.  The historical top-level re-exports of machinery classes
-(``Machine``, ``ModelChecker``, ``compile_source``, ...) still resolve
-but emit :class:`DeprecationWarning`; import them from their home
-modules or, better, use the facade (migration map in DESIGN.md).
+here.  Machinery classes (``Machine``, ``ModelChecker``,
+``compile_source``, ...) live in their home modules.
 """
 
 from repro.api import (
@@ -58,43 +56,4 @@ __all__ = [
     "CheckError",
 ]
 
-__version__ = "1.1.0"
-
-# Deprecated top-level names, resolved lazily so importing them warns
-# exactly once per site: name -> (home module, attribute, replacement).
-_DEPRECATED = {
-    "parse_program": ("repro.lang.parser", "parse_program",
-                      "repro.lang.parser.parse_program"),
-    "check_program": ("repro.lang.typecheck", "check_program",
-                      "repro.lang.typecheck.check_program"),
-    "compile_source": ("repro.compiler.pipeline", "compile_source",
-                       "repro.api.compile_protocol"),
-    "Machine": ("repro.tempest.machine", "Machine",
-                "repro.api.simulate"),
-    "MachineConfig": ("repro.tempest.machine", "MachineConfig",
-                      "repro.api.SimOptions"),
-    "SimResult": ("repro.tempest.machine", "SimResult",
-                  "repro.api.SimulateResult"),
-    "ModelChecker": ("repro.verify.checker", "ModelChecker",
-                     "repro.api.check"),
-    "PROTOCOLS": ("repro.protocols", "PROTOCOLS",
-                  "repro.protocols.PROTOCOLS"),
-    "load_protocol_source": ("repro.protocols", "load_protocol_source",
-                             "repro.protocols.load_protocol_source"),
-    "compile_named_protocol": ("repro.protocols", "compile_named_protocol",
-                               "repro.api.compile_protocol"),
-}
-
-
-def __getattr__(name: str):
-    if name in _DEPRECATED:
-        import importlib
-        import warnings
-
-        module_name, attribute, replacement = _DEPRECATED[name]
-        warnings.warn(
-            f"importing {name!r} from the top-level repro package is "
-            f"deprecated; use {replacement} instead",
-            DeprecationWarning, stacklevel=2)
-        return getattr(importlib.import_module(module_name), attribute)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__version__ = "2.0.0"

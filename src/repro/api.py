@@ -25,17 +25,13 @@ processes.  Both return the same
 The option records are frozen on purpose: a configuration is a value
 you can build once, share, and trust not to drift mid-run.  Derive
 variants with :func:`dataclasses.replace`.
-
-This module replaced ad-hoc imports of ``Machine``/``ModelChecker``
-from the top-level ``repro`` package; those names still work but emit
-:class:`DeprecationWarning` (see DESIGN.md for the migration map).
 """
 
 from __future__ import annotations
 
 import sys
 import warnings
-from dataclasses import dataclass, field, replace as _dc_replace
+from dataclasses import dataclass
 from typing import IO, Optional, Union
 
 from repro.compiler.pipeline import compile_source
@@ -135,7 +131,7 @@ class ProgressOptions:
 
     ``enabled`` turns on periodic progress lines (to ``stream``, or
     stderr when ``stream`` is None); an explicit ``stream`` enables
-    reporting by itself, matching the old ``progress_stream`` kwarg.
+    reporting by itself.
     """
 
     enabled: bool = False
@@ -143,8 +139,6 @@ class ProgressOptions:
     stream: Optional[IO] = None
 
     def __bool__(self) -> bool:
-        # Old code tested the flat bool `options.progress`; keep that
-        # reading truthful for the grouped record.
         return self.enabled or self.stream is not None
 
     def effective_stream(self) -> Optional[IO]:
@@ -215,22 +209,13 @@ class ArtifactOptions:
     atlas_edge_cap: int = 250_000
 
 
-# Sentinel distinguishing "kwarg not passed" from any real value in the
-# deprecated flat-kwarg shims below.
-_UNSET = object()
-
-
 @dataclass(frozen=True)
 class CheckOptions:
     """Model-checking configuration (one Table 3 cell).
 
     The auxiliary knobs live in grouped sub-records -- ``reduction``,
-    ``progress``, ``checkpoint``, ``artifacts`` -- each a frozen
-    dataclass of its own.  The pre-grouping flat kwargs (``progress=True``,
-    ``progress_every=``, ``checkpoint_out=``, ``resume=``, ``profile=``,
-    ``profile_sample_every=``, ``atlas=``, ``atlas_state_cap=``,
-    ``atlas_edge_cap=``) still construct the same configuration but emit
-    :class:`DeprecationWarning`; see the migration table in DESIGN.md.
+    ``progress``, ``checkpoint``, ``budget``, ``artifacts`` -- each a
+    frozen dataclass of its own.
     """
 
     nodes: int = 2
@@ -252,10 +237,9 @@ class CheckOptions:
     # states, memoized action effects) or "legacy" (the original
     # freeze-per-successor path, kept as a differential oracle).
     engine: str = "fast"
-    # Grouped sub-options.  `progress` also accepts a bare bool (the
-    # pre-grouping spelling) and normalizes it with a warning.
+    # Grouped sub-options.
     reduction: ReductionOptions = ReductionOptions()
-    progress: Union[ProgressOptions, bool] = ProgressOptions()
+    progress: ProgressOptions = ProgressOptions()
     checkpoint: CheckpointOptions = CheckpointOptions()
     budget: BudgetOptions = BudgetOptions()
     artifacts: ArtifactOptions = ArtifactOptions()
@@ -273,83 +257,6 @@ class CheckOptions:
     # budget.  None = classic fault-free checking.
     faults: Optional[FaultBudget] = None
     compile: CompileOptions = CompileOptions()
-    # -- deprecated flat kwargs (DeprecationWarning shims) ---------------
-    # Plain hidden fields, not InitVars: dataclasses.replace() refuses
-    # to copy InitVars, and derived-configuration via replace() is the
-    # documented idiom for these frozen records.  __post_init__ folds
-    # any provided value into its group and resets the shim to _UNSET,
-    # so replace() on an already-normalized record neither re-folds nor
-    # re-warns.
-    progress_every: object = field(default=_UNSET, repr=False,
-                                   compare=False)
-    progress_stream: object = field(default=_UNSET, repr=False,
-                                    compare=False)
-    checkpoint_out: object = field(default=_UNSET, repr=False,
-                                   compare=False)
-    resume: object = field(default=_UNSET, repr=False, compare=False)
-    profile: object = field(default=_UNSET, repr=False, compare=False)
-    profile_sample_every: object = field(default=_UNSET, repr=False,
-                                         compare=False)
-    atlas: object = field(default=_UNSET, repr=False, compare=False)
-    atlas_state_cap: object = field(default=_UNSET, repr=False,
-                                    compare=False)
-    atlas_edge_cap: object = field(default=_UNSET, repr=False,
-                                   compare=False)
-
-    def __post_init__(self):
-        progress_every = self.progress_every
-        progress_stream = self.progress_stream
-        checkpoint_out = self.checkpoint_out
-        resume = self.resume
-        profile = self.profile
-        profile_sample_every = self.profile_sample_every
-        atlas = self.atlas
-        atlas_state_cap = self.atlas_state_cap
-        atlas_edge_cap = self.atlas_edge_cap
-        for shim in ("progress_every", "progress_stream",
-                     "checkpoint_out", "resume", "profile",
-                     "profile_sample_every", "atlas", "atlas_state_cap",
-                     "atlas_edge_cap"):
-            object.__setattr__(self, shim, _UNSET)
-        deprecated = []
-
-        def fold(group_attr, group, updates):
-            changed = {field: value for field, (kwarg, value)
-                       in updates.items() if value is not _UNSET}
-            if changed:
-                deprecated.extend(kwarg for _field, (kwarg, value)
-                                  in updates.items()
-                                  if value is not _UNSET)
-                object.__setattr__(
-                    self, group_attr,
-                    _dc_replace(group, **changed))
-
-        progress = self.progress
-        if isinstance(progress, bool):
-            deprecated.append("progress=<bool>")
-            progress = ProgressOptions(enabled=progress)
-            object.__setattr__(self, "progress", progress)
-        fold("progress", progress, {
-            "every": ("progress_every", progress_every),
-            "stream": ("progress_stream", progress_stream)})
-        fold("checkpoint", self.checkpoint, {
-            "out": ("checkpoint_out", checkpoint_out),
-            "resume": ("resume", resume)})
-        fold("artifacts", self.artifacts, {
-            "profile": ("profile", profile),
-            "profile_sample_every": ("profile_sample_every",
-                                     profile_sample_every),
-            "atlas": ("atlas", atlas),
-            "atlas_state_cap": ("atlas_state_cap", atlas_state_cap),
-            "atlas_edge_cap": ("atlas_edge_cap", atlas_edge_cap)})
-        if deprecated:
-            warnings.warn(
-                "flat CheckOptions kwargs are deprecated ("
-                + ", ".join(sorted(set(deprecated)))
-                + "); use the grouped ProgressOptions / CheckpointOptions"
-                " / ArtifactOptions records instead (migration table in"
-                " DESIGN.md)",
-                DeprecationWarning, stacklevel=3)
 
 
 @dataclass(frozen=True)
@@ -504,65 +411,46 @@ def check(target: Target,
 
             atlas = AtlasRecorder(state_cap=artifacts.atlas_state_cap,
                                   edge_cap=artifacts.atlas_edge_cap)
-        if options.workers == 0:
-            return ModelChecker(
-                protocol,
-                n_nodes=options.nodes,
-                n_blocks=options.addresses,
-                reorder_bound=options.reorder,
-                events=events,
-                invariants=invariants,
-                max_states=options.max_states,
-                channel_cap=options.channel_cap,
-                check_progress=options.liveness,
-                progress_stream=progress_stream,
-                progress_every=progress.every,
-                # Serial checkpoints key the visited set by fingerprint,
-                # so checkpointing implies hash compaction.
-                fingerprint_states=(options.fingerprints
-                                    or checkpointing),
-                fault_budget=options.faults,
-                profiler=profiler,
-                atlas=atlas,
-                engine=options.engine,
-                symmetry=symmetry,
-                por=reduction.por,
-                checkpoint_out=options.checkpoint.out,
-                resume=options.checkpoint.resume,
-                checkpoint_interval_waves=options.checkpoint.interval_waves,
-                checkpoint_interval_seconds=(
-                    options.checkpoint.interval_seconds),
-                checkpoint_keep_last=options.checkpoint.keep_last,
-                deadline_seconds=options.budget.deadline_seconds,
-                max_visited_bytes=options.budget.max_visited_bytes,
-            ).run()
-        return ParallelChecker(
-            protocol,
+        shared = dict(
             n_nodes=options.nodes,
             n_blocks=options.addresses,
             reorder_bound=options.reorder,
             events=events,
             invariants=invariants,
-            workers=options.workers,
             max_states=options.max_states,
             channel_cap=options.channel_cap,
             progress_stream=progress_stream,
             progress_every=progress.every,
-            checkpoint_out=options.checkpoint.out,
-            resume=options.checkpoint.resume,
             fault_budget=options.faults,
             profiler=profiler,
             atlas=atlas,
             engine=options.engine,
             symmetry=symmetry,
-            on_worker_loss=options.on_worker_loss,
-            worker_stall_timeout=options.worker_stall_timeout,
+            checkpoint_out=options.checkpoint.out,
+            resume=options.checkpoint.resume,
             checkpoint_interval_waves=options.checkpoint.interval_waves,
-            checkpoint_interval_seconds=(
-                options.checkpoint.interval_seconds),
+            checkpoint_interval_seconds=options.checkpoint.interval_seconds,
             checkpoint_keep_last=options.checkpoint.keep_last,
             deadline_seconds=options.budget.deadline_seconds,
             max_visited_bytes=options.budget.max_visited_bytes,
+        )
+        if options.workers == 0:
+            return ModelChecker(
+                protocol,
+                check_progress=options.liveness,
+                # Serial checkpoints key the visited set by fingerprint,
+                # so checkpointing implies hash compaction.
+                fingerprint_states=(options.fingerprints
+                                    or checkpointing),
+                por=reduction.por,
+                **shared,
+            ).run()
+        return ParallelChecker(
+            protocol,
+            workers=options.workers,
+            on_worker_loss=options.on_worker_loss,
+            worker_stall_timeout=options.worker_stall_timeout,
+            **shared,
         ).run()
 
     if not reduction.symmetry:

@@ -53,7 +53,6 @@ exploration order or results.
 from __future__ import annotations
 
 import heapq
-import itertools
 import json
 import re
 from collections import defaultdict

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import re
 import signal
-import sys
 import threading
 import time
 import weakref
@@ -26,21 +25,16 @@ from repro.runtime.context import Message
 from repro.runtime.exec import HandlerInterpreter
 from repro.runtime.protocol import CompiledProtocol
 from repro.verify.checkpoint import (
-    CHECKPOINT_KIND,
-    CHECKPOINT_VERSION,
     PERIODIC_SPACING_RATIO,
-    CheckpointError,
     config_echo,
+    decode_checkpoint,
+    encode_checkpoint,
     load_checkpoint,
-    validate_resume,
+    replay_frontier,
     write_checkpoint,
 )
 from repro.verify.events import EventGenerator, StacheEvents
-from repro.verify.fingerprint import (
-    canonical_fingerprint_fn,
-    fingerprint,
-    state_from_jsonable,
-)
+from repro.verify.fingerprint import canonical_fingerprint_fn, fingerprint
 from repro.verify.invariants import Invariant, standard_invariants
 from repro.verify.model import (
     ActionContext,
@@ -113,6 +107,9 @@ def _engine_caches_for(protocol, interpreter_factory,
         caches = per_protocol[key] = ({}, {}, {}, {})
     return caches
 
+
+_DEADLOCK_MESSAGE = ("no rule enabled: all nodes blocked and no messages "
+                     "in flight")
 
 # fault_for_access is a pure function of (access tag value, op kind);
 # memoised because the hot loop consults it per application choice.
@@ -571,19 +568,12 @@ class ModelChecker:
         # CheckResult with stop_reason set.
         self.deadline_seconds = deadline_seconds
         self.max_visited_bytes = max_visited_bytes
-        self._invariant_evals: dict[str, int] = {}
-        self._handler_fires: dict[str, int] = {}
-        self._progress_window: deque = deque(maxlen=8)
         # Fast-engine memo tables (harmless when engine="legacy");
         # shared process-wide between checkers over the same
         # protocol/engine -- see _engine_caches_for.
         (self._action_cache, self._succ_cache, self._state_intern,
          self._invariant_verdicts) = _engine_caches_for(
             protocol, interpreter_factory, n_nodes)
-        # Bound to one invariant-tuple's verdict map by run(); None
-        # outside a fast-engine run (legacy runs and replay clones
-        # evaluate directly).
-        self._inv_verdicts: Optional[dict] = None
         # (state_name, tag) -> handler-fire key or None, so _count_fire
         # stops re-resolving DEFAULT dispatch per expansion:
         self._fire_key_table: dict = {}
@@ -591,6 +581,9 @@ class ModelChecker:
         self._choice_cache: dict = {}
         # (Message, src, dst, index) -> delivery label string:
         self._label_cache: dict = {}
+        # The run counters, the named invariant suite, and (fast engine;
+        # legacy evaluates directly) its verdict map:
+        self._begin_run()
 
     def home_of(self, block: int) -> int:
         return block % self.n_nodes
@@ -1126,10 +1119,53 @@ class ModelChecker:
 
     # -- search -------------------------------------------------------------
 
+    def _begin_run(self) -> None:
+        """Reset the per-run counters and bind the invariant suite.
+        Also runs at construction, so a fresh checker (a replay clone,
+        the parallel template) can step and judge states at once."""
+        self._progress_window: deque = deque(maxlen=8)
+        self._invariant_evals = {}
+        self._handler_fires = {}
+        self._named_invariants = [
+            (self._invariant_name(invariant), invariant)
+            for invariant in self.invariants
+        ]
+        if self.engine == "fast":
+            self._inv_verdicts = self._invariant_verdicts.setdefault(
+                tuple(inv for _name, inv in self._named_invariants), {})
+        else:
+            self._inv_verdicts = None
+
+    def initial_state(self) -> GlobalState:
+        return initial_global_state(
+            self.protocol, self.n_nodes, self.n_blocks, self.home_of,
+            self.events.initial, faults=self.fault_budget)
+
+    def _result(self, *, ok: bool, states: int, transitions: int,
+                max_depth: int, elapsed: float, invariant_evals: dict,
+                handler_fires: dict, violation: Optional[Violation] = None,
+                hit_limit: bool = False, stop_reason: Optional[str] = None,
+                **extra) -> CheckResult:
+        """Every CheckResult is built here, so the configuration-derived
+        fields and the ``exhausted`` / ``canonical_states`` rules have
+        one definition.  The parallel master calls this on its template
+        (with ``workers`` / ``worker_losses`` in ``extra``)."""
+        return CheckResult(
+            protocol_name=self.protocol.name, ok=ok, states_explored=states,
+            transitions=transitions, max_depth=max_depth,
+            elapsed_seconds=elapsed, violation=violation,
+            n_nodes=self.n_nodes, n_blocks=self.n_blocks,
+            reorder_bound=self.reorder_bound, hit_state_limit=hit_limit,
+            invariant_evals=dict(invariant_evals),
+            handler_fires=dict(handler_fires),
+            exhausted=not hit_limit and stop_reason is None,
+            fault_budget=self.fault_budget,
+            canonical_states=states if self.symmetry else None,
+            stop_reason=stop_reason, **extra)
+
     def run(self) -> CheckResult:
-        """Breadth-first exploration from the initial state."""
-        if self.por:
-            return self._run_por()
+        """Breadth-first exploration from the initial state (or from a
+        resumed checkpoint's frontier)."""
         # Ctrl-C parity with the parallel master: when a checkpoint path
         # is configured (and we own the main thread's signal handling),
         # SIGINT is flagged instead of raised, the current state
@@ -1157,24 +1193,17 @@ class ModelChecker:
         prof = self.profiler
         if prof is not None:
             prof.begin()
-        self._progress_window = deque(maxlen=8)
-        self._invariant_evals = {}
-        self._handler_fires = {}
-        self._named_invariants = [
-            (self._invariant_name(invariant), invariant)
-            for invariant in self.invariants
-        ]
-        if self.engine == "fast":
-            self._inv_verdicts = self._invariant_verdicts.setdefault(
-                tuple(inv for _name, inv in self._named_invariants), {})
-        else:
-            self._inv_verdicts = None
+        self._begin_run()
         # The visited set and parent pointers are keyed either by the
         # state itself or, in fingerprint mode, by its 64-bit digest.
         fp = self.fingerprint_fn if self.fingerprint_states else None
         atlas = self.atlas
         if atlas is not None:
             atlas.bind(self.protocol, self.n_nodes, self.n_blocks)
+        # Sleep-set POR rides this loop as a different successor source
+        # plus a re-arrival rule (see _SleepSets); None runs the stock
+        # enumerators and costs the loop one test per successor.
+        por = _SleepSets(self) if self.por else None
         visited: set = set()
         parents: dict = {}
         depth: dict = {}
@@ -1185,115 +1214,25 @@ class ModelChecker:
         hit_limit = False
         stop_reason: Optional[str] = None
         baseline_elapsed = 0.0
-        seed_violations: list = []
-        initial = None
 
         if self.resume:
-            payload = load_checkpoint(self.resume)
-            validate_resume(payload, config_echo(self, self.symmetry),
-                            self.resume)
-            baseline_elapsed = payload["elapsed"]
-            transitions = payload["transitions"]
-            max_depth = payload["max_depth"]
-            self._invariant_evals = dict(payload["invariant_evals"])
-            self._handler_fires = dict(payload["handler_fires"])
-            for fp_hex in payload["visited"]:
-                visited.add(int(fp_hex, 16))
-            for fp_hex, (pfp_hex, label) in payload["parents"].items():
-                parents[int(fp_hex, 16)] = (
-                    None if pfp_hex is None else int(pfp_hex, 16), label)
-            # Re-accept the checkpoint frontier exactly as the parallel
-            # seed op does: the frontier is pre-acceptance in the
-            # on-disk format, so a state proposed twice takes the
-            # canonical minimum (parent fp, label) edge and invariants
-            # run here, at acceptance.
-            best: dict = {}
-            order: list = []
-            for fp_hex, state_json, pfp_hex, label, d in (
-                    payload["frontier"]):
-                sfp = int(fp_hex, 16)
-                if sfp in visited:
-                    continue
-                pfp = None if pfp_hex is None else int(pfp_hex, 16)
-                edge = (pfp if pfp is not None else -1, label or "")
-                current = best.get(sfp)
-                if current is None:
-                    order.append(sfp)
-                    best[sfp] = (edge, state_json, pfp, label, d)
-                elif edge < current[0]:
-                    best[sfp] = (edge, state_json, pfp, label, d)
-            # Null-state frontier entries are reconstructed by replaying
-            # their (parent fp, label) chains.  Sibling frontier states
-            # share almost their whole chain, so replayed ancestors are
-            # cached by fingerprint: each chain replays only the suffix
-            # below its deepest cached ancestor.
-            clone = self.fresh_clone()
-            clone._named_invariants = [
-                (clone._invariant_name(inv), inv)
-                for inv in clone.invariants]
-            replay_cache: dict = {}
-
-            def replayed(sfp, pfp, label):
-                chain = [(sfp, label)]
-                cursor = pfp
-                while cursor is not None and cursor not in replay_cache:
-                    try:
-                        up, lbl = parents[cursor]
-                    except KeyError:
-                        raise CheckpointError(
-                            f"{self.resume}: frontier state "
-                            f"{sfp:016x} has a broken parent chain "
-                            f"(missing ancestor {cursor:016x})") from None
-                    chain.append((cursor, lbl))
-                    cursor = up
-                state = (replay_cache[cursor] if cursor is not None
-                         else initial_global_state(
-                             self.protocol, self.n_nodes, self.n_blocks,
-                             self.home_of, self.events.initial,
-                             faults=self.fault_budget))
-                for node_fp, lbl in reversed(chain):
-                    if lbl and lbl != "<initial>":
-                        try:
-                            state = replay_step(clone, state, lbl)
-                        except TraceReplayError as error:
-                            raise CheckpointError(
-                                f"{self.resume}: frontier replay "
-                                f"failed ({error}); the checkpoint "
-                                "does not match this protocol build"
-                            ) from None
-                    replay_cache[node_fp] = state
-                return state
-
-            for sfp in order:
-                _edge, state_json, pfp, label, d = best[sfp]
-                if state_json is None:
-                    state = replayed(sfp, pfp, label)
-                else:
-                    state = state_from_jsonable(state_json)
-                visited.add(sfp)
-                parents[sfp] = (pfp, label)
-                depth[sfp] = d
-                max_depth = max(max_depth, d)
-                if atlas is not None:
-                    atlas.visit(state, d, fp=sfp)
-                message = self._check_invariants(state)
-                if message is not None:
-                    seed_violations.append((d, message, sfp, state))
-                frontier.append((state, sfp))
+            cut = decode_checkpoint(load_checkpoint(self.resume),
+                                    config_echo(self), self.resume)
+            baseline_elapsed = cut.elapsed
+            transitions = cut.transitions
+            max_depth = cut.max_depth
+            self._invariant_evals = cut.invariant_evals
+            self._handler_fires = cut.handler_fires
+            visited = cut.visited
+            parents = cut.parents
+            states = replay_frontier(self, parents, cut.frontier,
+                                     cut.states, self.resume)
+            seeds = [(states[key], key, pkey, label, d)
+                     for key, (pkey, label, d) in cut.frontier.items()]
         else:
-            initial = initial_global_state(
-                self.protocol, self.n_nodes, self.n_blocks, self.home_of,
-                self.events.initial, faults=self.fault_budget)
-            initial_key = fp(initial) if fp else initial
-            if atlas is not None:
-                atlas.visit(initial, 0,
-                            fp=initial_key if fp is not None else None)
-            visited.add(initial_key)
-            parents[initial_key] = (None, "<initial>")
-            depth[initial_key] = 0
-            frontier.append((initial, initial_key))
-            if self.check_progress:
-                graph[initial] = []
+            initial = self.initial_state()
+            seeds = [(initial, fp(initial) if fp else initial,
+                      None, "<initial>", 0)]
 
         def result(ok: bool, violation: Optional[Violation]) -> CheckResult:
             if fp is not None and violation is not None:
@@ -1304,30 +1243,19 @@ class ModelChecker:
                 self._report_progress(len(visited), len(frontier),
                                       max_depth, transitions, start_time,
                                       final=True)
-            res = CheckResult(
-                protocol_name=self.protocol.name,
-                ok=ok,
-                states_explored=len(visited),
-                transitions=transitions,
+            res = self._result(
+                ok=ok, states=len(visited), transitions=transitions,
                 max_depth=max_depth,
-                elapsed_seconds=baseline_elapsed
+                elapsed=baseline_elapsed
                 + (time.perf_counter() - start_time),
-                violation=violation,
-                n_nodes=self.n_nodes,
-                n_blocks=self.n_blocks,
-                reorder_bound=self.reorder_bound,
-                hit_state_limit=hit_limit,
-                invariant_evals=dict(self._invariant_evals),
-                handler_fires=dict(self._handler_fires),
-                exhausted=not hit_limit and stop_reason is None,
-                fault_budget=self.fault_budget,
-                canonical_states=(len(visited) if self.symmetry
-                                  else None),
-                stop_reason=stop_reason,
-            )
+                invariant_evals=self._invariant_evals,
+                handler_fires=self._handler_fires, violation=violation,
+                hit_limit=hit_limit, stop_reason=stop_reason,
+                pruned_transitions=por.pruned if por is not None else 0)
             if prof is not None:
                 prof.sample(len(visited), len(frontier), max_depth,
-                            transitions)
+                            transitions,
+                            None if por is None else por.pruned)
                 prof.set_visited(
                     entries=len(visited),
                     mode="fingerprint" if fp is not None else "state",
@@ -1339,41 +1267,39 @@ class ModelChecker:
             return res
 
         def trace_to(key, last_label: str) -> list[str]:
-            labels: list[str] = []
-            cursor = key
-            while cursor is not None:
-                parent, label = parents[cursor]
-                if parent is not None:
-                    labels.append(label)
-                cursor = parent
-            labels.reverse()
-            labels.append(last_label)
-            return labels
+            return self._trace_via_parents(key, parents) + [last_label]
 
-        if self.resume:
-            if seed_violations:
-                # Same canonical choice the parallel seed makes: the
-                # minimum (depth, message, fingerprint) violation, so
-                # the verdict is engine- and worker-count independent.
-                d, message, sfp, state = min(
-                    seed_violations, key=lambda v: (v[0], v[1], v[2]))
-                labels: list[str] = []
-                cursor = sfp
-                while cursor is not None:
-                    parent, label = parents[cursor]
-                    if parent is not None:
-                        labels.append(label)
-                    cursor = parent
-                labels.reverse()
-                if not labels:
-                    labels = ["<initial>"]
-                return result(False, Violation(
-                    "invariant", message, labels, state))
-        else:
-            violation = self._check_invariants(initial)
-            if violation is not None:
-                return result(False, Violation(
-                    "invariant", violation, ["<initial>"], initial))
+        # Seeds are accepted exactly as the loop accepts every later
+        # state.  A checkpoint frontier is pre-acceptance in the on-disk
+        # format (the decoder already picked each state's canonical
+        # parent edge), so its invariants run here, as the parallel
+        # seed op runs them.
+        seed_violations: list = []
+        for state, key, pkey, label, d in seeds:
+            visited.add(key)
+            parents[key] = (pkey, label)
+            depth[key] = d
+            max_depth = max(max_depth, d)
+            if atlas is not None:
+                atlas.visit(state, d, fp=key if fp is not None else None)
+            if por is not None:
+                por.admit(key, state)
+            if self.check_progress:
+                graph[state] = []
+            message = self._check_invariants(state)
+            if message is not None:
+                seed_violations.append((d, message, key, state))
+            frontier.append((state, key))
+        if seed_violations:
+            # Same canonical choice the parallel seed makes: the
+            # minimum (depth, message, fingerprint) violation, so the
+            # verdict is engine- and worker-count independent.
+            d, message, key, state = min(seed_violations,
+                                         key=lambda v: v[:3])
+            return result(False, Violation(
+                "invariant", message,
+                self._trace_via_parents(key, parents) or ["<initial>"],
+                state))
 
         # The guard runs once per popped state, only when checkpointing
         # or budgets are armed -- unarmed runs execute the loop the hot
@@ -1393,41 +1319,23 @@ class ModelChecker:
             # per invariant, so subtracting the frontier size converts
             # the counters to the cut's pre-acceptance semantics.
             drained = len(frontier_keys)
-            invariant_evals = {
-                name: max(0, count - drained)
-                for name, count in self._invariant_evals.items()}
-            payload = dict(config_echo(self, self.symmetry))
-            payload.update({
-                "kind": CHECKPOINT_KIND,
-                "v": CHECKPOINT_VERSION,
-                "wave": depth[frontier[0][1]],
-                "transitions": transitions,
-                "max_depth": max_depth,
-                "elapsed": baseline_elapsed
+            payload = encode_checkpoint(
+                config_echo(self),
+                wave=depth[frontier[0][1]],
+                transitions=transitions,
+                max_depth=max_depth,
+                elapsed=baseline_elapsed
                 + (time.perf_counter() - start_time),
-                "invariant_evals": invariant_evals,
-                "handler_fires": dict(self._handler_fires),
-                "visited": [f"{key:016x}" for key in visited
-                            if key not in frontier_keys],
-                "parents": {
-                    f"{key:016x}": [
-                        None if parent is None else f"{parent:016x}",
-                        label]
-                    for key, (parent, label) in parents.items()
-                    if key not in frontier_keys},
-                # Frontier states are stored by reference (null state
-                # slot): the (parent fp, label) chain reconstructs each
-                # one at resume by replay.  Serializing thousands of
-                # concrete frontier states made every periodic write
-                # O(frontier x state size) -- the dominant cost of
-                # checkpointing; the chain reference is a few bytes.
-                "frontier": [
-                    [f"{key:016x}", None,
-                     (None if parents[key][0] is None
-                      else f"{parents[key][0]:016x}"),
-                     parents[key][1], depth[key]]
-                    for _state, key in frontier],
-            })
+                invariant_evals={
+                    name: max(0, count - drained)
+                    for name, count in self._invariant_evals.items()},
+                handler_fires=dict(self._handler_fires),
+                visited=(key for key in visited
+                         if key not in frontier_keys),
+                parents=(item for item in parents.items()
+                         if item[0] not in frontier_keys),
+                frontier=((key, *parents[key], depth[key])
+                          for _state, key in frontier))
             write_checkpoint(self.checkpoint_out, payload,
                              self.checkpoint_keep_last, durable=durable)
             cost = time.perf_counter() - started
@@ -1489,14 +1397,17 @@ class ModelChecker:
             state, key = frontier.popleft()
             found_successor = False
             out_degree = 0
-            sym_keys = [] if certify else None
+            # Sleep sets prune some moves, so under POR the symmetry
+            # comparison recomputes the full successor set (None).
+            sym_keys = [] if certify and por is None else None
             if atlas is not None:
                 atlas.expand(state, fp=key if fp is not None else None)
             try:
                 # Profiled runs wrap the successor generator so the time
                 # spent *generating* (handler dispatch included) is
                 # separated from this loop's per-successor bookkeeping.
-                successors = self._successors(state)
+                successors = (self._successors(state) if por is None
+                              else por.successors(state, key))
                 if prof is not None:
                     successors = prof.timed_successors(successors)
                 for label, successor in successors:
@@ -1525,6 +1436,13 @@ class ModelChecker:
                     if prof is not None:
                         t0 = time.perf_counter()
                     if succ_key in visited:
+                        if por is not None:
+                            # Re-arrival regained transitions that were
+                            # never explored anywhere: re-expand the
+                            # stored representative for exactly those.
+                            again = por.revisit(succ_key, successor)
+                            if again is not None:
+                                frontier.append((again, succ_key))
                         if prof is not None:
                             prof.add_phase("visited",
                                            time.perf_counter() - t0)
@@ -1547,6 +1465,8 @@ class ModelChecker:
                     if self.check_progress:
                         graph.setdefault(successor, [])
                     depth[succ_key] = depth[key] + 1
+                    if por is not None:
+                        por.admit(succ_key, successor)
                     if atlas is not None:
                         atlas.visit(successor, depth[succ_key], fp=succ_fp)
                     if prof is not None:
@@ -1555,7 +1475,8 @@ class ModelChecker:
                                 or len(visited) % prof.sample_every == 0):
                             prof.sample(len(visited), len(frontier),
                                         max(max_depth, depth[succ_key]),
-                                        transitions)
+                                        transitions,
+                                        None if por is None else por.pruned)
                     max_depth = max(max_depth, depth[succ_key])
                     if prof is None:
                         message = self._check_invariants(successor)
@@ -1573,16 +1494,16 @@ class ModelChecker:
                 return result(False, Violation(
                     "error", labelled.message,
                     trace_to(key, labelled.label), state))
-            if sym_keys is not None:
+            if certify:
                 self._certify_symmetry(state, sym_keys)
             if prof is not None:
                 prof.add_out_degree(out_degree)
-            if not found_successor:
-                _, last_label = parents[key]
+            # A state whose every enabled move sleeps yields nothing
+            # here, yet is no deadlock.
+            if not found_successor and (por is None
+                                        or not por.any_enabled):
                 return result(False, Violation(
-                    "deadlock",
-                    "no rule enabled: all nodes blocked and no messages "
-                    "in flight",
+                    "deadlock", _DEADLOCK_MESSAGE,
                     trace_to(key, "<stuck>"), state))
 
         if self.check_progress and not hit_limit and stop_reason is None:
@@ -1591,7 +1512,7 @@ class ModelChecker:
                 return result(False, violation)
         return result(True, None)
 
-    # -- partial-order-reduced search (sleep sets) --------------------------
+    # -- partial-order reduction (sleep sets) -------------------------------
     #
     # Sleep sets (Godefroid) prune *edges*, never states: a transition
     # is skipped at a state only when a commuting reordering of it is
@@ -1617,9 +1538,10 @@ class ModelChecker:
     # visited state with a smaller sleep set re-opens the transitions
     # the difference regained (they were never explored anywhere), so
     # the stored representative is re-enqueued to expand exactly those.
-    # This is why the POR loop -- unlike the fingerprint-mode hot loop
-    # -- retains every visited state, and why it lives in its own
-    # method instead of perturbing run().
+    # This is why a POR run -- unlike the fingerprint-mode hot loop --
+    # retains every visited state (_SleepSets.meta).  The search itself
+    # is run()'s loop: _SleepSets supplies the non-slept successors and
+    # answers the re-arrival question, nothing else differs.
 
     def _enabled_moves(self, state: GlobalState) -> list:
         """Pre-execution enumeration of the non-fault transitions
@@ -1662,300 +1584,6 @@ class ModelChecker:
             return self._legacy_apply_delivery(state, src, dst, index)
         return self._apply_delivery(state, src, dst, index)
 
-    def _run_por(self) -> CheckResult:
-        """Breadth-first exploration with sleep-set pruning."""
-        start_time = time.perf_counter()
-        prof = self.profiler
-        if prof is not None:
-            prof.begin()
-        self._progress_window = deque(maxlen=8)
-        self._invariant_evals = {}
-        self._handler_fires = {}
-        self._named_invariants = [
-            (self._invariant_name(invariant), invariant)
-            for invariant in self.invariants
-        ]
-        if self.engine == "fast":
-            self._inv_verdicts = self._invariant_verdicts.setdefault(
-                tuple(inv for _name, inv in self._named_invariants), {})
-        else:
-            self._inv_verdicts = None
-        initial = initial_global_state(
-            self.protocol, self.n_nodes, self.n_blocks, self.home_of,
-            self.events.initial, faults=self.fault_budget)
-
-        fp = self.fingerprint_fn if self.fingerprint_states else None
-        initial_key = fp(initial) if fp else initial
-        atlas = self.atlas
-        if atlas is not None:
-            atlas.bind(self.protocol, self.n_nodes, self.n_blocks)
-            atlas.visit(initial, 0,
-                        fp=initial_key if fp is not None else None)
-        visited = {initial_key}
-        parents: dict = {initial_key: (None, "<initial>")}
-        depth: dict = {initial_key: 0}
-        # Per-key sleep bookkeeping:
-        # [state, sleep, explored, expanded, slept_labels].
-        # ``state`` is the stored concrete representative (needed to
-        # re-expand on re-arrival), ``sleep`` a frozenset of
-        # (label, actor, kind) entries currently asleep there,
-        # ``explored`` the labels already executed from it, and
-        # ``slept_labels`` the labels currently counted as pruned there
-        # (so ``pruned_transitions`` nets out moves a later re-arrival
-        # woke up and executed, and re-expansion passes do not
-        # double-count).
-        meta: dict = {initial_key: [initial, frozenset(), set(), False,
-                                    set()]}
-        frontier: deque = deque([initial_key])
-        transitions = 0
-        pruned = 0
-        max_depth = 0
-        hit_limit = False
-        stop_reason: Optional[str] = None
-
-        def result(ok: bool, violation: Optional[Violation]) -> CheckResult:
-            if fp is not None and violation is not None:
-                self.verify_violation(violation)
-            if self.progress_stream is not None:
-                self._report_progress(len(visited), len(frontier),
-                                      max_depth, transitions, start_time,
-                                      final=True)
-            res = CheckResult(
-                protocol_name=self.protocol.name,
-                ok=ok,
-                states_explored=len(visited),
-                transitions=transitions,
-                max_depth=max_depth,
-                elapsed_seconds=time.perf_counter() - start_time,
-                violation=violation,
-                n_nodes=self.n_nodes,
-                n_blocks=self.n_blocks,
-                reorder_bound=self.reorder_bound,
-                hit_state_limit=hit_limit,
-                invariant_evals=dict(self._invariant_evals),
-                handler_fires=dict(self._handler_fires),
-                exhausted=not hit_limit and stop_reason is None,
-                fault_budget=self.fault_budget,
-                canonical_states=(len(visited) if self.symmetry
-                                  else None),
-                pruned_transitions=pruned,
-                stop_reason=stop_reason,
-            )
-            if prof is not None:
-                prof.sample(len(visited), len(frontier), max_depth,
-                            transitions, pruned=pruned)
-                prof.set_visited(
-                    entries=len(visited),
-                    mode="fingerprint" if fp is not None else "state",
-                    container_bytes=(sys.getsizeof(visited)
-                                     + sys.getsizeof(parents)))
-                res.profile = prof.build(res)
-            if atlas is not None:
-                res.atlas = atlas.build(res)
-            return res
-
-        def trace_to(key, last_label: str) -> list[str]:
-            labels: list[str] = []
-            cursor = key
-            while cursor is not None:
-                parent, label = parents[cursor]
-                if parent is not None:
-                    labels.append(label)
-                cursor = parent
-            labels.reverse()
-            labels.append(last_label)
-            return labels
-
-        congestion = self._congestion_count
-
-        def child_sleep(actor_u: int, kind_u: str, successor,
-                        sleep, executed) -> frozenset:
-            """The sleep set ``successor`` inherits through move u:
-            still-independent inherited entries plus the earlier
-            siblings u commutes with."""
-            keep = []
-            for (t_label, t_actor, t_kind), t_succ in executed:
-                if t_actor == actor_u:
-                    continue
-                # t must stay enabled (same footprint) after u: an app
-                # op needs the congestion gate open at the successor.
-                if t_kind == "app" and congestion(successor) != 0:
-                    continue
-                # u must stay enabled after t: known only when t's own
-                # successor is on hand (siblings); inherited entries
-                # have none, so an app-op u drops them conservatively.
-                if kind_u == "app" and (t_succ is None
-                                        or congestion(t_succ) != 0):
-                    continue
-                keep.append((t_label, t_actor, t_kind))
-            return frozenset(keep)
-
-        violation = self._check_invariants(initial)
-        if violation is not None:
-            return result(False, Violation(
-                "invariant", violation, ["<initial>"], initial))
-
-        budget_armed = (self.deadline_seconds is not None
-                        or self.max_visited_bytes is not None)
-        while frontier:
-            if budget_armed:
-                # POR rejects checkpointing (pruning state is not
-                # serialized), but budgets still stop the run cleanly
-                # with a stop_reason instead of running unbounded.
-                if (self.deadline_seconds is not None
-                        and time.perf_counter() - start_time
-                        >= self.deadline_seconds):
-                    stop_reason = "deadline"
-                    return result(True, None)
-                if (self.max_visited_bytes is not None
-                        and visited_container_bytes(visited, parents)
-                        > self.max_visited_bytes):
-                    stop_reason = "memory"
-                    return result(True, None)
-            key = frontier.popleft()
-            entry = meta[key]
-            state, sleep, explored = entry[0], entry[1], entry[2]
-            slept_labels = entry[4]
-            entry[3] = True
-            if atlas is not None:
-                atlas.expand(state, fp=key if fp is not None else None)
-            # While fault budget remains the state also has drop/dup
-            # transitions; those commute with nothing, so such states
-            # are expanded unreduced (children start sleep-free).
-            prune_here = state.faults == (0, 0)
-            found_successor = False
-            out_degree = 0
-            # (entry, successor) for every move taken from this state,
-            # in order -- the sibling context child_sleep consults.
-            # Previously-explored labels (re-expansion) join with a
-            # None successor so ordering stays stable.
-            executed: list = []
-
-            def absorb(label: str, successor, child: frozenset):
-                """Shared per-successor bookkeeping; returns a
-                CheckResult to propagate, or None to continue."""
-                nonlocal max_depth, hit_limit
-                succ_key = fp(successor) if fp else successor
-                if atlas is not None:
-                    atlas.edge(label, successor,
-                               fp=succ_key if fp is not None else None)
-                if succ_key in visited:
-                    stored = meta[succ_key]
-                    if stored[0] == successor:
-                        merged = stored[1] & child
-                    else:
-                        # Symmetry merged a different concrete
-                        # representative into this key: the concrete
-                        # diamond argument does not transfer, so the
-                        # stored state falls back to full expansion.
-                        merged = frozenset()
-                    if merged != stored[1]:
-                        stored[1] = merged
-                        if stored[3]:
-                            # Re-arrival regained transitions that were
-                            # never explored anywhere: re-expand the
-                            # stored representative for exactly those.
-                            stored[3] = False
-                            frontier.append(succ_key)
-                    return None
-                if len(visited) >= self.max_states:
-                    hit_limit = True
-                    return result(True, None)
-                visited.add(succ_key)
-                if (self.progress_stream is not None
-                        and len(visited) % self.progress_every == 0):
-                    self._report_progress(len(visited), len(frontier),
-                                          max_depth, transitions,
-                                          start_time)
-                parents[succ_key] = (key, label)
-                depth[succ_key] = depth[key] + 1
-                meta[succ_key] = [successor, child, set(), False, set()]
-                if atlas is not None:
-                    atlas.visit(successor, depth[succ_key],
-                                fp=succ_key if fp is not None else None)
-                if prof is not None and (
-                        depth[succ_key] > max_depth
-                        or len(visited) % prof.sample_every == 0):
-                    prof.sample(len(visited), len(frontier),
-                                max(max_depth, depth[succ_key]),
-                                transitions, pruned=pruned)
-                max_depth = max(max_depth, depth[succ_key])
-                message = self._check_invariants(successor)
-                if message is not None:
-                    return result(False, Violation(
-                        "invariant", message,
-                        trace_to(key, label), successor))
-                frontier.append(succ_key)
-                return None
-
-            try:
-                if prune_here:
-                    for label, actor, kind, payload in \
-                            self._enabled_moves(state):
-                        found_successor = True
-                        if label in explored:
-                            # Executed on an earlier pass over this
-                            # state; keep its slot in the sibling order.
-                            executed.append(((label, actor, kind), None))
-                            continue
-                        if (label, actor, kind) in sleep:
-                            if label not in slept_labels:
-                                slept_labels.add(label)
-                                pruned += 1
-                                if prof is not None:
-                                    prof.add_pruned(1)
-                            continue
-                        try:
-                            successor = self._execute_move(
-                                state, actor, kind, payload)
-                        except CheckerViolation as violation:
-                            raise _LabelledViolation(label,
-                                                     violation.message)
-                        transitions += 1
-                        out_degree += 1
-                        explored.add(label)
-                        if label in slept_labels:
-                            # Woken by a re-arrival after being counted
-                            # as pruned on an earlier pass: net it out.
-                            slept_labels.discard(label)
-                            pruned -= 1
-                            if prof is not None:
-                                prof.add_pruned(-1)
-                        child = child_sleep(actor, kind, successor,
-                                            sleep, executed)
-                        executed.append(((label, actor, kind),
-                                         successor))
-                        res = absorb(label, successor, child)
-                        if res is not None:
-                            return res
-                else:
-                    for label, successor in self._successors(state):
-                        transitions += 1
-                        out_degree += 1
-                        found_successor = True
-                        res = absorb(label, successor, frozenset())
-                        if res is not None:
-                            return res
-            except _LabelledViolation as labelled:
-                return result(False, Violation(
-                    "error", labelled.message,
-                    trace_to(key, labelled.label), state))
-            if self.symmetry:
-                # Sleep sets prune some moves above, so the comparison
-                # recomputes the full successor set from scratch.
-                self._certify_symmetry(state)
-            if prof is not None:
-                prof.add_out_degree(out_degree)
-            if not found_successor:
-                _, last_label = parents[key]
-                return result(False, Violation(
-                    "deadlock",
-                    "no rule enabled: all nodes blocked and no messages "
-                    "in flight",
-                    trace_to(key, "<stuck>"), state))
-
-        return result(True, None)
-
     # -- trace replay -------------------------------------------------------
 
     def fresh_clone(self) -> "ModelChecker":
@@ -1985,17 +1613,13 @@ class ModelChecker:
                 "a fingerprint collision corrupted the violation path"
             ) from None
         if violation.kind == "invariant":
-            clone = self.fresh_clone()
-            clone._invariant_evals = {}
-            clone._named_invariants = self._named_invariants
-            if clone._check_invariants(final) is None:
+            if self.fresh_clone()._check_invariants(final) is None:
                 raise FingerprintCollisionError(
                     "replayed end state satisfies every invariant; a "
                     "fingerprint collision corrupted the violation path")
         if violation.state is None:
             violation.state = final
         return final
-
 
     def _check_progress(self, graph, parents) -> Optional[Violation]:
         """Liveness: from every reachable state, every blocked thread
@@ -2017,13 +1641,13 @@ class ModelChecker:
                 state for state in graph
                 if state.apps[node].blocked_on is None
             }
-            frontier = deque(can_recover)
-            while frontier:
-                state = frontier.popleft()
+            worklist = deque(can_recover)
+            while worklist:
+                state = worklist.popleft()
                 for predecessor in reverse[state]:
                     if predecessor not in can_recover:
                         can_recover.add(predecessor)
-                        frontier.append(predecessor)
+                        worklist.append(predecessor)
             stuck = [s for s in graph if s not in can_recover]
             if stuck:
                 # Report the shallowest witness for a short trace.
@@ -2109,6 +1733,131 @@ class ModelChecker:
         return None
 
 
+class _SleepSets:
+    """Sleep-set POR as the exploration loop sees it: a successor source
+    (:meth:`successors`) and a re-arrival rule (:meth:`admit` for a new
+    key, :meth:`revisit` for a visited one).  The soundness argument is
+    the comment block above ``ModelChecker._enabled_moves``."""
+
+    def __init__(self, checker: ModelChecker):
+        self.checker = checker
+        # Per-key sleep bookkeeping:
+        # [state, sleep, explored, expanded, slept_labels].
+        # ``state`` is the stored concrete representative (needed to
+        # re-expand on re-arrival), ``sleep`` a frozenset of
+        # (label, actor, kind) entries currently asleep there,
+        # ``explored`` the labels already executed from it, and
+        # ``slept_labels`` the labels currently counted as pruned there
+        # (so ``pruned`` nets out moves a later re-arrival woke up and
+        # executed, and re-expansion passes do not double-count).
+        self.meta: dict = {}
+        # Transitions skipped as commuting duplicates, net
+        # (CheckResult.pruned_transitions).
+        self.pruned = 0
+        # Whether the state last expanded had any enabled move at all,
+        # slept and already-explored ones included.
+        self.any_enabled = False
+        # The sleep set the successor just yielded inherits.
+        self._child: frozenset = frozenset()
+
+    def admit(self, key, state) -> None:
+        self.meta[key] = [state, self._child, set(), False, set()]
+
+    def revisit(self, key, successor):
+        """Merge the arriving sleep set into ``key``'s.  Returns the
+        stored representative when it was already expanded and the merge
+        woke transitions up (the caller re-enqueues it), else None."""
+        stored = self.meta[key]
+        if stored[0] == successor:
+            merged = stored[1] & self._child
+        else:
+            # Symmetry merged a different concrete representative into
+            # this key: the concrete diamond argument does not transfer,
+            # so the stored state falls back to full expansion.
+            merged = frozenset()
+        if merged != stored[1]:
+            stored[1] = merged
+            if stored[3]:
+                stored[3] = False
+                return stored[0]
+        return None
+
+    def successors(self, state: GlobalState, key):
+        """Yield (label, successor) for the moves of ``state`` that are
+        neither asleep nor explored on an earlier pass."""
+        checker = self.checker
+        prof = checker.profiler
+        entry = self.meta[key]
+        sleep, explored, slept_labels = entry[1], entry[2], entry[4]
+        entry[3] = True
+        self.any_enabled = False
+        if state.faults != (0, 0):
+            # While fault budget remains the state also has drop/dup
+            # transitions; those commute with nothing, so such states
+            # are expanded unreduced (children start sleep-free).
+            self._child = frozenset()
+            yield from checker._successors(state)
+            return
+        # (entry, successor) for every move taken from this state, in
+        # order -- the sibling context _child_sleep consults.
+        # Previously-explored labels (re-expansion) join with a None
+        # successor so ordering stays stable.
+        executed: list = []
+        for label, actor, kind, payload in checker._enabled_moves(state):
+            self.any_enabled = True
+            if label in explored:
+                # Executed on an earlier pass over this state; keep its
+                # slot in the sibling order.
+                executed.append(((label, actor, kind), None))
+                continue
+            if (label, actor, kind) in sleep:
+                if label not in slept_labels:
+                    slept_labels.add(label)
+                    self.pruned += 1
+                    if prof is not None:
+                        prof.add_pruned(1)
+                continue
+            try:
+                successor = checker._execute_move(state, actor, kind,
+                                                  payload)
+            except CheckerViolation as violation:
+                raise _LabelledViolation(label, violation.message)
+            explored.add(label)
+            if label in slept_labels:
+                # Woken by a re-arrival after being counted as pruned
+                # on an earlier pass: net it out.
+                slept_labels.discard(label)
+                self.pruned -= 1
+                if prof is not None:
+                    prof.add_pruned(-1)
+            self._child = self._child_sleep(actor, kind, successor,
+                                            executed)
+            executed.append(((label, actor, kind), successor))
+            yield label, successor
+
+    def _child_sleep(self, actor_u: int, kind_u: str, successor,
+                     executed) -> frozenset:
+        """The sleep set ``successor`` inherits through move u: the
+        earlier siblings u commutes with."""
+        congestion = self.checker._congestion_count
+        keep = []
+        for (t_label, t_actor, t_kind), t_succ in executed:
+            if t_actor == actor_u:
+                continue
+            # t must stay enabled (same footprint) after u: an app
+            # op needs the congestion gate open at the successor.
+            if t_kind == "app" and congestion(successor) != 0:
+                continue
+            # u must stay enabled after t: known only when t's own
+            # successor is on hand (siblings); re-expansion entries
+            # have none, so an app-op u drops them conservatively.
+            if kind_u == "app" and (t_succ is None
+                                    or congestion(t_succ) != 0):
+                continue
+            keep.append((t_label, t_actor, t_kind))
+        return frozenset(keep)
+
+
 def replay_labels(checker: ModelChecker, labels: list) -> GlobalState:
     """Deterministically re-execute a rule-label sequence.
 
@@ -2119,12 +1868,7 @@ def replay_labels(checker: ModelChecker, labels: list) -> GlobalState:
     :class:`TraceReplayError` when no successor carries the expected
     label -- on a fingerprint-reconstructed trace that means a
     collision."""
-    checker._named_invariants = [
-        (checker._invariant_name(inv), inv) for inv in checker.invariants]
-    state = initial_global_state(
-        checker.protocol, checker.n_nodes, checker.n_blocks,
-        checker.home_of, checker.events.initial,
-        faults=checker.fault_budget)
+    state = checker.initial_state()
     for step, label in enumerate(labels, 1):
         if label in ("<initial>", "<stuck>", "<thread lost>"):
             continue
@@ -2153,10 +1897,10 @@ def replay_step(checker: ModelChecker, state: GlobalState,
 
     The memoized chain replays (checkpoint frontier reconstruction)
     call this per edge below a cached ancestor instead of re-walking
-    whole chains through :func:`replay_labels`.  ``checker`` must have
-    ``_named_invariants`` prepared.  Raises :class:`TraceReplayError`
-    when no successor carries the label or an error rule fires first --
-    either means the chain does not belong to this protocol build."""
+    whole chains through :func:`replay_labels`.  Raises
+    :class:`TraceReplayError` when no successor carries the label or an
+    error rule fires first -- either means the chain does not belong to
+    this protocol build."""
     try:
         for candidate, successor in checker._successors(state):
             if candidate == label:

@@ -1,8 +1,11 @@
-"""Sealed, crash-safe checkpoint I/O shared by both checking engines.
+"""The checkpoint format, shared by both checking engines.
 
 A checkpoint is pure JSON (kind ``teapot-parallel-checkpoint``, v1 --
 the name is historical; the serial checker writes and resumes the same
-format).  This module owns the on-disk concerns both engines share:
+format).  This module is the single owner of that format -- every
+writer goes through :func:`encode_checkpoint`, every resume through
+:func:`decode_checkpoint` and :func:`replay_frontier` -- and of the
+on-disk concerns both engines share:
 
 * **Atomic writes** -- every checkpoint goes through
   :func:`repro.ioutil.atomic_write_json` (tmp + fsync + rename), so a
@@ -27,8 +30,10 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from dataclasses import dataclass
 
 from repro.ioutil import atomic_write_text
+from repro.verify.fingerprint import state_from_jsonable
 
 CHECKPOINT_KIND = "teapot-parallel-checkpoint"
 CHECKPOINT_VERSION = 1
@@ -53,13 +58,14 @@ class CheckpointError(ValueError):
     run."""
 
 
-def seal_payload(payload: dict) -> str:
-    """BLAKE2b digest of the payload's canonical JSON (sorted keys,
-    compact separators), excluding the seal and elapsed fields."""
+def _canonical_and_seal(payload: dict) -> tuple:
+    """The payload's canonical JSON (sorted keys, compact separators,
+    the unsealed fields excluded) and its BLAKE2b digest."""
     body = {key: value for key, value in payload.items()
             if key not in _UNSEALED_KEYS}
     canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
-    return hashlib.blake2b(canonical.encode(), digest_size=16).hexdigest()
+    return canonical, hashlib.blake2b(canonical.encode(),
+                                      digest_size=16).hexdigest()
 
 
 def write_checkpoint(path: str, payload: dict, keep_last: int = 1,
@@ -83,10 +89,7 @@ def write_checkpoint(path: str, payload: dict, keep_last: int = 1,
         older = path if age == 1 else f"{path}.{age - 1}"
         if os.path.exists(older):
             os.replace(older, f"{path}.{age}")
-    body = {key: value for key, value in payload.items()
-            if key not in _UNSEALED_KEYS}
-    canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
-    seal = hashlib.blake2b(canonical.encode(), digest_size=16).hexdigest()
+    canonical, seal = _canonical_and_seal(payload)
     tail = f',"seal":{json.dumps(seal)}'
     if "elapsed" in payload:
         tail += f',"elapsed":{json.dumps(payload["elapsed"])}'
@@ -119,7 +122,7 @@ def load_checkpoint(path: str) -> dict:
             f"expected {CHECKPOINT_VERSION}")
     stored_seal = payload.get("seal")
     if stored_seal is not None:
-        computed = seal_payload(payload)
+        computed = _canonical_and_seal(payload)[1]
         if stored_seal != computed:
             raise CheckpointError(
                 f"{path}: seal mismatch (stored {stored_seal[:12]}..., "
@@ -134,7 +137,7 @@ def load_checkpoint(path: str) -> dict:
     return payload
 
 
-def config_echo(checker, symmetry: bool = False) -> dict:
+def config_echo(checker) -> dict:
     """The configuration fingerprint embedded in every checkpoint.
 
     ``checker`` is a serial :class:`~repro.verify.checker.ModelChecker`
@@ -156,18 +159,183 @@ def config_echo(checker, symmetry: bool = False) -> dict:
     # Same back-compat shape: a symmetry-reduced run's visited set is
     # keyed by canonical fingerprints, so its checkpoints must never
     # resume an unreduced run (or vice versa).
-    if symmetry:
+    if checker.symmetry:
         echo["symmetry"] = True
     return echo
 
 
-def validate_resume(payload: dict, echo: dict, path: str) -> None:
-    """Reject a checkpoint written under a different configuration."""
-    stored = {key: payload.get(key) for key in echo}
-    if stored != echo:
-        diffs = ", ".join(
-            f"{key}: checkpoint={stored[key]!r} run={echo[key]!r}"
-            for key in echo if stored[key] != echo[key])
+# Echo keys that are present only when their feature is on.  A resume
+# must compare them whenever *either* side carries one: a checkpoint
+# with ``symmetry`` resumed by a run without it would dedupe concrete
+# states against canonical fingerprints and silently skip states.
+_OPTIONAL_ECHO_KEYS = ("faults", "symmetry")
+
+
+def _hex(fp) -> "str | None":
+    return None if fp is None else f"{fp:016x}"
+
+
+def _unhex(text) -> "int | None":
+    return None if text is None else int(text, 16)
+
+
+def encode_checkpoint(echo: dict, *, wave: int, transitions: int,
+                      max_depth: int, elapsed: float, invariant_evals: dict,
+                      handler_fires: dict, visited, parents,
+                      frontier) -> dict:
+    """The v1 payload for one clean cut of the exploration.
+
+    ``visited`` iterates the fully expanded states' fingerprints,
+    ``parents`` their ``(fp, (parent fp, label))`` edges, ``frontier``
+    the unaccepted ``(fp, parent fp, label, depth)`` proposals, one per
+    proposing edge (the decoder keeps the canonical one; dedupe and
+    invariants happen at acceptance, on resume)."""
+    return {
+        **echo,
+        "kind": CHECKPOINT_KIND,
+        "v": CHECKPOINT_VERSION,
+        "wave": wave,
+        "transitions": transitions,
+        "max_depth": max_depth,
+        "elapsed": elapsed,
+        "invariant_evals": invariant_evals,
+        "handler_fires": handler_fires,
+        "visited": [f"{fp:016x}" for fp in visited],
+        "parents": {f"{fp:016x}": [_hex(pfp), label]
+                    for fp, (pfp, label) in parents},
+        # Frontier states are stored by reference (null state slot):
+        # the (parent fp, label) chain reconstructs each one at resume
+        # by replay.  Serializing thousands of concrete frontier states
+        # made every periodic write O(frontier x state size) -- the
+        # dominant cost of checkpointing; the chain reference is a few
+        # bytes.
+        "frontier": [[f"{fp:016x}", None, _hex(pfp), label, depth]
+                     for fp, pfp, label, depth in frontier],
+    }
+
+
+def min_edge_fold(records, visited) -> dict:
+    """The canonical parent edge for each freshly proposed state.
+
+    ``records`` are ``(fp, parent fp, label, ...)`` proposals.  States
+    already in ``visited`` are dropped; a state proposed by several
+    edges keeps the record with the minimum ``(parent fp, label)`` (a
+    missing parent sorts first), so the spanning tree is a pure function
+    of the state graph -- independent of partitioning, arrival order,
+    work stealing, and of where a run was cut and resumed.  Returns
+    ``{fp: record}`` in first-proposal order."""
+    best: dict = {}
+    for record in records:
+        fp = record[0]
+        if fp in visited:
+            continue
+        current = best.get(fp)
+        if current is None or _edge(record) < _edge(current):
+            best[fp] = record
+    return best
+
+
+def _edge(record) -> tuple:
+    return (record[1] if record[1] is not None else -1, record[2] or "")
+
+
+@dataclass
+class Cut:
+    """A decoded checkpoint: fingerprints as ints, frontier folded."""
+
+    wave: int
+    transitions: int
+    max_depth: int
+    elapsed: float
+    invariant_evals: dict
+    handler_fires: dict
+    visited: set
+    parents: dict    # fp -> (parent fp | None, label), expanded states
+    frontier: dict   # fp -> (parent fp | None, label, depth), unaccepted
+    states: dict     # fp -> concrete frontier state, where stored inline
+
+
+def decode_checkpoint(payload: dict, echo: dict, path: str) -> Cut:
+    """Validate a loaded payload against the resuming run's ``echo`` and
+    decode it.  A configuration mismatch is a one-line
+    :class:`CheckpointError`."""
+    keys = list(echo) + [key for key in _OPTIONAL_ECHO_KEYS
+                         if key in payload and key not in echo]
+    diffs = ", ".join(
+        f"{key}: checkpoint={payload.get(key)!r} run={echo.get(key)!r}"
+        for key in keys if payload.get(key) != echo.get(key))
+    if diffs:
         raise CheckpointError(
             f"{path}: checkpoint is for a different configuration "
             f"({diffs})")
+    visited = {int(fp, 16) for fp in payload["visited"]}
+    # The frontier is pre-acceptance in the on-disk format: a state may
+    # be proposed by several senders, or already be visited at its owner.
+    frontier = min_edge_fold(
+        ((int(fp, 16), _unhex(pfp), label, depth, state)
+         for fp, state, pfp, label, depth in payload["frontier"]),
+        visited)
+    return Cut(
+        wave=payload["wave"],
+        transitions=payload["transitions"],
+        max_depth=payload["max_depth"],
+        elapsed=payload["elapsed"],
+        invariant_evals=dict(payload["invariant_evals"]),
+        handler_fires=dict(payload["handler_fires"]),
+        visited=visited,
+        parents={int(fp, 16): (_unhex(pfp), label)
+                 for fp, (pfp, label) in payload["parents"].items()},
+        frontier={fp: (pfp, label, depth)
+                  for fp, pfp, label, depth, _state in frontier.values()},
+        states={fp: state_from_jsonable(record[4])
+                for fp, record in frontier.items()
+                if record[4] is not None})
+
+
+def replay_frontier(checker, parents: dict, frontier: dict, states: dict,
+                    where: str) -> dict:
+    """Concrete states for frontier records stored by reference.
+
+    ``frontier`` maps fp -> ``(parent fp, label, ...)``, ``parents``
+    holds the expanded states' edges, and ``states`` the frontier states
+    already on hand; the rest are rebuilt by replaying each record's
+    parent-label chain from the initial state -- the same deterministic
+    replay that validates counterexample traces, so a chain that fails
+    to replay is a real integrity error.  ``checker`` is the resuming
+    run's serial checker (or the parallel template)."""
+    from repro.verify.checker import TraceReplayError, replay_step
+
+    replayer = checker.fresh_clone()
+    found = dict(states)
+    # Sibling frontier states share almost their whole chain, so
+    # replayed ancestors are cached by fingerprint: each chain replays
+    # only the suffix below its deepest cached one (None roots them all).
+    cache: dict = {None: checker.initial_state()}
+    for fp, record in frontier.items():
+        if fp in found:
+            continue
+        chain = [(fp, record[0], record[1])]
+        cursor = record[0]
+        while cursor not in cache:
+            try:
+                up, label = parents[cursor]
+            except KeyError:
+                raise CheckpointError(
+                    f"{where}: frontier state {fp:016x} has a broken "
+                    f"parent chain (missing ancestor {cursor:016x})"
+                ) from None
+            chain.append((cursor, up, label))
+            cursor = up
+        state = cache[cursor]
+        for node_fp, up, label in reversed(chain):
+            if up is not None:      # the root's edge is a marker, not a rule
+                try:
+                    state = replay_step(replayer, state, label)
+                except TraceReplayError as error:
+                    raise CheckpointError(
+                        f"{where}: frontier replay failed ({error}); the "
+                        "checkpoint does not match this protocol build"
+                    ) from None
+            cache[node_fp] = state
+        found[fp] = state
+    return found

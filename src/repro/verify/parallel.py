@@ -97,43 +97,36 @@ from repro.obs.profile import visited_container_bytes
 from repro.runtime.exec import HandlerInterpreter
 from repro.runtime.protocol import CompiledProtocol
 from repro.verify.checker import (
+    _DEADLOCK_MESSAGE,
     CheckResult,
     ModelChecker,
     SymmetryError,
     Violation,
     _LabelledViolation,
-    TraceReplayError,
     _eta_seconds,
     _rolling_rate,
     format_progress_line,
-    replay_step,
 )
 from repro.verify.checkpoint import (
-    CHECKPOINT_KIND,
-    CHECKPOINT_VERSION,
     PERIODIC_SPACING_RATIO,
     CheckpointError,
     config_echo,
+    decode_checkpoint,
+    encode_checkpoint,
     load_checkpoint,
-    validate_resume,
+    min_edge_fold,
+    replay_frontier,
     write_checkpoint,
 )
 from repro.verify.events import EventGenerator
-from repro.verify.fingerprint import state_from_jsonable
 from repro.verify.invariants import Invariant
-from repro.verify.model import initial_global_state
 
 __all__ = [
-    "CHECKPOINT_KIND",
-    "CHECKPOINT_VERSION",
     "CheckpointError",
     "ParallelChecker",
     "WorkerLostError",
     "load_checkpoint",
 ]
-
-_DEADLOCK_MESSAGE = ("no rule enabled: all nodes blocked and no messages "
-                     "in flight")
 
 # Minimum ready-set gap (richest minus poorest worker) before the master
 # relocates expansion tasks.  Below this, the barrier cost of the extra
@@ -150,6 +143,11 @@ _LIVENESS_POLL_SECONDS = 0.05
 # backoff before the spawn is declared failed (transient EAGAIN /
 # fork-bomb-limiter conditions clear quickly or not at all).
 _SPAWN_ATTEMPTS = 3
+
+
+def _add_counts(total: dict, part: dict) -> None:
+    for name, count in part.items():
+        total[name] = total.get(name, 0) + count
 
 
 # Violation kinds sort alphabetically, which happens to put "deadlock"
@@ -187,15 +185,7 @@ def _worker_main(conn, worker_id: int, n_workers: int,
     import signal
 
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    checker._invariant_evals = {}
-    checker._handler_fires = {}
-    checker._named_invariants = [
-        (checker._invariant_name(inv), inv) for inv in checker.invariants]
-    if checker.engine == "fast":
-        checker._inv_verdicts = checker._invariant_verdicts.setdefault(
-            tuple(inv for _name, inv in checker._named_invariants), {})
-    else:
-        checker._inv_verdicts = None
+    checker._begin_run()
     fp_fn = checker.fingerprint_fn
     atlas = checker.atlas
     if atlas is not None:
@@ -249,23 +239,8 @@ def _worker_main(conn, worker_id: int, n_workers: int,
             _, entries = command              # (initial state or a resumed
             started = time.perf_counter()     # checkpoint frontier)
             violations: list = []
-            # A resumed frontier can propose the same state from several
-            # senders; pick the canonical-minimum parent edge so resumed
-            # runs grow the same spanning tree as uninterrupted ones.
-            best: dict = {}
-            order: list = []
-            for sfp, state, pfp, label, depth in entries:
-                if sfp in visited:
-                    continue
-                key = (pfp if pfp is not None else -1, label or "")
-                current = best.get(sfp)
-                if current is None:
-                    order.append(sfp)
-                    best[sfp] = (key, state, pfp, label, depth)
-                elif key < current[0]:
-                    best[sfp] = (key, state, pfp, label, depth)
-            for sfp in order:
-                _key, state, pfp, label, depth = best[sfp]
+            for sfp, pfp, label, depth, state in min_edge_fold(
+                    entries, visited).values():
                 accept(sfp, state, pfp, label, depth, violations)
             conn.send(("done", {
                 "visited": len(visited),
@@ -282,25 +257,11 @@ def _worker_main(conn, worker_id: int, n_workers: int,
             violations = []
             need: dict = defaultdict(list)
             # All of the wave's proposals for this shard arrive in one
-            # batch; a state freshly discovered by several parents takes
-            # the minimum (parent fp, label) edge.  Combined with the
-            # sender-side minimum kept during expansion, the winning
-            # parent is the global minimum over every discovering edge
-            # -- a pure function of the state graph, independent of
-            # partitioning, arrival order, and work stealing.
-            best = {}
-            order = []
-            for sfp, pfp, label, depth, sender in entries:
-                if sfp in visited:
-                    continue
-                current = best.get(sfp)
-                if current is None:
-                    order.append(sfp)
-                    best[sfp] = (pfp, label, depth, sender)
-                elif (pfp, label) < (current[0], current[1]):
-                    best[sfp] = (pfp, label, depth, sender)
-            for sfp in order:
-                pfp, label, depth, sender = best[sfp]
+            # batch, so the owner-side minimum edge -- combined with the
+            # sender-side minimum kept during expansion -- is the global
+            # minimum over every discovering edge.
+            for sfp, pfp, label, depth, sender in min_edge_fold(
+                    entries, visited).values():
                 if sender == worker_id:
                     # Own successor: the state never left this process.
                     accept(sfp, stash[sfp], pfp, label, depth, violations)
@@ -597,156 +558,48 @@ class ParallelChecker:
             fingerprint_states=True, fingerprint_fn=fingerprint_fn,
             fault_budget=fault_budget, profiler=profiler, atlas=atlas,
             engine=engine, symmetry=symmetry)
-        self.symmetry = symmetry
 
     # -- checkpoint plumbing ------------------------------------------------
 
-    def _write_checkpoint(self, path, conns, meta, wave, stats,
+    def _write_checkpoint(self, conns, meta, wave, stats,
                           durable=True) -> None:
-        if self.profiler is not None:
-            started = time.perf_counter()
-            try:
-                self._write_checkpoint_inner(
-                    path, conns, meta, wave, stats, durable)
-            finally:
+        started = time.perf_counter()
+        try:
+            shards = []
+            for i, conn in enumerate(conns):
+                try:
+                    conn.send(("collect",))
+                    shards.append(conn.recv()[1])
+                except (BrokenPipeError, EOFError, OSError):
+                    raise _WorkerLost(i, "checkpoint collect") from None
+            invariant_evals = dict(stats["invariant_evals"])
+            handler_fires = dict(stats["handler_fires"])
+            for shard in shards:
+                _add_counts(invariant_evals, shard["invariant_evals"])
+                _add_counts(handler_fires, shard["handler_fires"])
+            write_checkpoint(self.checkpoint_out, encode_checkpoint(
+                config_echo(self._template),
+                wave=wave,
+                transitions=stats["transitions"],
+                max_depth=stats["max_depth"],
+                elapsed=stats["elapsed"],
+                invariant_evals=invariant_evals,
+                handler_fires=handler_fires,
+                visited=(fp for shard in shards for fp in shard["visited"]),
+                parents=(item for shard in shards
+                         for item in shard["parents"].items()),
+                # Every routed proposal, one per sending shard: the
+                # candidates are pre-acceptance, their states waiting in
+                # the sender stashes.
+                frontier=(record[:4] for batch in meta
+                          for record in batch)),
+                self.checkpoint_keep_last, durable=durable)
+        finally:
+            if self.profiler is not None:
                 self.profiler.add_phase(
                     "checkpoint_io", time.perf_counter() - started)
-            return
-        self._write_checkpoint_inner(path, conns, meta, wave, stats,
-                                     durable)
-
-    def _write_checkpoint_inner(self, path, conns, meta, wave,
-                                stats, durable=True) -> None:
-        visited: list[str] = []
-        parents: dict[str, list] = {}
-        invariant_evals = dict(stats["invariant_evals"])
-        handler_fires = dict(stats["handler_fires"])
-        for i, conn in enumerate(conns):
-            try:
-                conn.send(("collect",))
-                _, shard = conn.recv()
-            except (BrokenPipeError, EOFError, OSError):
-                raise _WorkerLost(i, "checkpoint collect") from None
-            visited.extend(f"{fp:016x}" for fp in shard["visited"])
-            for fp, (pfp, label) in shard["parents"].items():
-                parents[f"{fp:016x}"] = [
-                    None if pfp is None else f"{pfp:016x}", label]
-            for name, count in shard["invariant_evals"].items():
-                invariant_evals[name] = invariant_evals.get(name, 0) + count
-            for name, count in shard["handler_fires"].items():
-                handler_fires[name] = handler_fires.get(name, 0) + count
-        # The pending frontier is stored by reference (null state
-        # slot): each record's (parent fp, label) chain reconstructs
-        # the concrete state at resume by memoized replay.  Fetching
-        # and serializing thousands of concrete stash states made
-        # every periodic write O(frontier x state size).
-        frontier: list = []
-        for batch in meta:
-            for fp, pfp, label, depth, _sender in batch:
-                frontier.append([
-                    f"{fp:016x}", None,
-                    None if pfp is None else f"{pfp:016x}", label, depth])
-        payload = dict(config_echo(self._template, self.symmetry))
-        payload.update({
-            "kind": CHECKPOINT_KIND,
-            "v": CHECKPOINT_VERSION,
-            "wave": wave,
-            "transitions": stats["transitions"],
-            "max_depth": stats["max_depth"],
-            "elapsed": stats["elapsed"],
-            "invariant_evals": invariant_evals,
-            "handler_fires": handler_fires,
-            "visited": visited,
-            "parents": parents,
-            "frontier": frontier,
-        })
-        write_checkpoint(path, payload, self.checkpoint_keep_last,
-                         durable=durable)
-
-    def _write_checkpoint_from_mirror(self, path, mirror) -> None:
-        """Salvage checkpoint: built purely from the master's mirror,
-        for when the worker fleet is no longer trustworthy (recovery
-        budget exhausted).  Pending frontier states are stored by
-        reference, like every other writer's."""
-        pending = mirror["pending"]
-        payload = dict(config_echo(self._template, self.symmetry))
-        payload.update({
-            "kind": CHECKPOINT_KIND,
-            "v": CHECKPOINT_VERSION,
-            "wave": mirror["wave"],
-            "transitions": mirror["transitions"],
-            "max_depth": mirror["max_depth"],
-            "elapsed": mirror["elapsed_at_cut"],
-            "invariant_evals": dict(mirror["invariant_evals"]),
-            "handler_fires": dict(mirror["handler_fires"]),
-            "visited": [f"{fp:016x}" for fp in mirror["visited"]],
-            "parents": {
-                f"{fp:016x}": [
-                    None if pfp is None else f"{pfp:016x}", label]
-                for fp, (pfp, label) in mirror["parents"].items()
-                if fp not in pending},
-            "frontier": [
-                [f"{fp:016x}", None,
-                 None if pfp is None else f"{pfp:016x}", label, depth]
-                for fp, (pfp, label, depth) in pending.items()],
-        })
-        write_checkpoint(path, payload, self.checkpoint_keep_last)
 
     # -- degrade-mode mirror ------------------------------------------------
-
-    def _pending_states(self, mirror) -> dict:
-        """Concrete states for every pending frontier record.
-
-        The seed wave's states are kept in the mirror directly (they
-        arrived as full states); later waves' states lived only in the
-        lost workers' stashes and are reconstructed by replaying each
-        record's parent-label chain from the initial state -- the same
-        deterministic replay that validates counterexample traces, so a
-        chain that fails to replay is a real integrity error."""
-        states = dict(mirror["pending_states"])
-        missing = [fp for fp in mirror["pending"] if fp not in states]
-        if not missing:
-            return states
-        template = self._template
-        replayer = template.fresh_clone()
-        replayer._named_invariants = [
-            (replayer._invariant_name(inv), inv)
-            for inv in replayer.invariants]
-        parents = mirror["parents"]
-        # Sibling frontier states share almost their whole chain, so
-        # replayed ancestors are cached by fingerprint and each chain
-        # replays only the suffix below its deepest cached ancestor.
-        cache: dict = {}
-        initial = initial_global_state(
-            template.protocol, template.n_nodes, template.n_blocks,
-            template.home_of, template.events.initial,
-            faults=template.fault_budget)
-        markers = ("<initial>", "<stuck>", "<thread lost>")
-        for fp in missing:
-            chain: list = []
-            cursor = fp
-            while cursor is not None and cursor not in cache:
-                entry = parents.get(cursor)
-                if entry is None:
-                    raise CheckpointError(
-                        f"recovery mirror parent chain broken at "
-                        f"fingerprint {cursor:016x}")
-                pfp, label = entry
-                chain.append((cursor, label if pfp is not None else None))
-                cursor = pfp
-            state = cache[cursor] if cursor is not None else initial
-            for node_fp, label in reversed(chain):
-                if label is not None and label not in markers:
-                    try:
-                        state = replay_step(replayer, state, label)
-                    except TraceReplayError as error:
-                        raise CheckpointError(
-                            f"frontier replay failed ({error}); the "
-                            "checkpoint does not match this protocol "
-                            "build") from None
-                cache[node_fp] = state
-            states[fp] = state
-        return states
 
     def _advance_mirror(self, mirror, meta, wave, transitions, max_depth,
                         baseline, expand_replies, start) -> None:
@@ -759,19 +612,12 @@ class ParallelChecker:
         owners will apply it at ingest, so the mirror's parent edges
         are the same canonical spanning tree the workers build."""
         mirror["visited"].update(mirror["pending"])
-        mirror["pending"] = {}
         mirror["pending_states"] = {}
-        visited = mirror["visited"]
-        pending: dict = {}
-        for batch in meta:
-            for fp, pfp, label, depth, _sender in batch:
-                if fp in visited:
-                    continue
-                current = pending.get(fp)
-                if current is None or (pfp, label) < (current[0],
-                                                      current[1]):
-                    pending[fp] = (pfp, label, depth)
-        mirror["pending"] = pending
+        pending = mirror["pending"] = {
+            fp: (pfp, label, depth)
+            for fp, pfp, label, depth, _sender in min_edge_fold(
+                (record for batch in meta for record in batch),
+                mirror["visited"]).values()}
         for fp, (pfp, label, _depth) in pending.items():
             mirror["parents"][fp] = (pfp, label)
         mirror["wave"] = wave
@@ -782,13 +628,9 @@ class ParallelChecker:
         invariant_evals = dict(baseline["invariant_evals"])
         handler_fires = dict(baseline["handler_fires"])
         for reply in expand_replies:
-            if not reply:
-                continue
-            for name, count in reply["inv_detail"].items():
-                invariant_evals[name] = (
-                    invariant_evals.get(name, 0) + count)
-            for name, count in reply["fire_detail"].items():
-                handler_fires[name] = handler_fires.get(name, 0) + count
+            if reply:
+                _add_counts(invariant_evals, reply["inv_detail"])
+                _add_counts(handler_fires, reply["fire_detail"])
         mirror["invariant_evals"] = invariant_evals
         mirror["handler_fires"] = handler_fires
 
@@ -850,52 +692,23 @@ class ParallelChecker:
             "elapsed": 0.0, "elapsed_at_cut": 0.0,
         }
         if self.resume:
-            payload = load_checkpoint(self.resume)
-            validate_resume(
-                payload, config_echo(template, self.symmetry), self.resume)
-            for key in ("wave", "transitions", "max_depth",
-                        "invariant_evals", "handler_fires"):
-                mirror[key] = payload[key]
-            mirror["elapsed"] = payload["elapsed"]
-            mirror["elapsed_at_cut"] = payload["elapsed"]
-            mirror["visited"] = {int(fp_hex, 16)
-                                 for fp_hex in payload["visited"]}
-            mirror["parents"] = {
-                int(fp_hex, 16): (
-                    None if pfp_hex is None else int(pfp_hex, 16), label)
-                for fp_hex, (pfp_hex, label) in payload["parents"].items()}
-            # A checkpoint frontier may propose the same state from
-            # several senders; keep the canonical-minimum edge -- the
-            # same rule the worker seed op applies -- so the mirror and
-            # the workers agree on the spanning tree from wave one.
-            for fp_hex, state_json, pfp_hex, label, depth in (
-                    payload["frontier"]):
-                fp = int(fp_hex, 16)
-                pfp = None if pfp_hex is None else int(pfp_hex, 16)
-                edge = (pfp if pfp is not None else -1, label or "")
-                current = mirror["pending"].get(fp)
-                if current is not None:
-                    held = (current[0] if current[0] is not None else -1,
-                            current[1] or "")
-                    if edge >= held:
-                        continue
-                mirror["pending"][fp] = (pfp, label, depth)
-                if state_json is not None:
-                    # Serial writers store frontier states by reference
-                    # (null slot); _pending_states replays those from
-                    # their parent chains when the seed op needs them.
-                    mirror["pending_states"][fp] = state_from_jsonable(
-                        state_json)
-                mirror["parents"][fp] = (pfp, label)
+            cut = decode_checkpoint(load_checkpoint(self.resume),
+                                    config_echo(template), self.resume)
+            mirror.update(
+                wave=cut.wave, transitions=cut.transitions,
+                max_depth=cut.max_depth, elapsed=cut.elapsed,
+                elapsed_at_cut=cut.elapsed,
+                invariant_evals=cut.invariant_evals,
+                handler_fires=cut.handler_fires, visited=cut.visited,
+                parents=cut.parents, pending=cut.frontier,
+                pending_states=cut.states)
         else:
-            initial = initial_global_state(
-                template.protocol, template.n_nodes, template.n_blocks,
-                template.home_of, template.events.initial,
-                faults=template.fault_budget)
+            initial = template.initial_state()
             fp0 = template.fingerprint_fn(initial)
             mirror["pending"][fp0] = (None, "<initial>", 0)
             mirror["pending_states"][fp0] = initial
-            mirror["parents"][fp0] = (None, "<initial>")
+        for fp, (pfp, label, _depth) in mirror["pending"].items():
+            mirror["parents"][fp] = (pfp, label)
 
         n = self.workers
         worker_losses = 0
@@ -926,33 +739,34 @@ class ParallelChecker:
 
     def _salvage(self, mirror, start, worker_losses: int) -> CheckResult:
         """Recovery budget exhausted: persist the mirror's cut and
-        return what was soundly explored up to it."""
-        template = self._template
+        return what was soundly explored up to it.  The checkpoint is
+        built purely from the mirror -- the worker fleet is no longer
+        trustworthy."""
+        pending = mirror["pending"]
         if self.checkpoint_out:
-            self._write_checkpoint_from_mirror(self.checkpoint_out, mirror)
-        return CheckResult(
-            protocol_name=template.protocol.name,
-            ok=True,
-            states_explored=len(mirror["visited"]),
+            write_checkpoint(self.checkpoint_out, encode_checkpoint(
+                config_echo(self._template),
+                wave=mirror["wave"],
+                transitions=mirror["transitions"],
+                max_depth=mirror["max_depth"],
+                elapsed=mirror["elapsed_at_cut"],
+                invariant_evals=dict(mirror["invariant_evals"]),
+                handler_fires=dict(mirror["handler_fires"]),
+                visited=mirror["visited"],
+                parents=(item for item in mirror["parents"].items()
+                         if item[0] not in pending),
+                frontier=((fp, *record)
+                          for fp, record in pending.items())),
+                self.checkpoint_keep_last)
+        return self._template._result(
+            ok=True, states=len(mirror["visited"]),
             transitions=mirror["transitions"],
             max_depth=mirror["max_depth"],
-            elapsed_seconds=mirror["elapsed"]
-            + (time.perf_counter() - start),
-            violation=None,
-            n_nodes=template.n_nodes,
-            n_blocks=template.n_blocks,
-            reorder_bound=template.reorder_bound,
-            hit_state_limit=False,
-            invariant_evals=dict(mirror["invariant_evals"]),
-            handler_fires=dict(mirror["handler_fires"]),
-            exhausted=False,
-            workers=self.workers,
-            fault_budget=template.fault_budget,
-            canonical_states=(len(mirror["visited"]) if self.symmetry
-                              else None),
+            elapsed=mirror["elapsed"] + (time.perf_counter() - start),
             stop_reason="worker_lost",
-            worker_losses=worker_losses,
-        )
+            invariant_evals=mirror["invariant_evals"],
+            handler_fires=mirror["handler_fires"],
+            workers=self.workers, worker_losses=worker_losses)
 
     def _spawn_worker(self, ctx, i: int, n: int):
         """Start one worker process, retrying transient spawn failures
@@ -993,11 +807,17 @@ class ParallelChecker:
             if fp in pending:
                 continue
             loads[fp % n][1][fp] = entry
-        pending_states = self._pending_states(mirror)
+        # The seed wave's states are kept in the mirror directly (they
+        # arrived as full states); later waves' states lived only in
+        # the lost workers' stashes, and a checkpoint stores them by
+        # reference -- both are replayed from their parent chains.
+        pending_states = replay_frontier(
+            template, mirror["parents"], pending,
+            mirror["pending_states"], self.resume or "recovery mirror")
         seeds: list[list] = [[] for _ in range(n)]
         for fp, (pfp, label, depth) in pending.items():
             seeds[fp % n].append(
-                (fp, pending_states[fp], pfp, label, depth))
+                (fp, pfp, label, depth, pending_states[fp]))
 
         if "fork" in multiprocessing.get_all_start_methods():
             ctx = multiprocessing.get_context("fork")
@@ -1204,9 +1024,8 @@ class ParallelChecker:
                 if interrupted:
                     record_partial_wave()
                     if self.checkpoint_out:
-                        self._write_checkpoint(
-                            self.checkpoint_out, conns, meta, wave,
-                            stats_now())
+                        self._write_checkpoint(conns, meta, wave,
+                                               stats_now())
                     stop_reason = "interrupted"
                     break
 
@@ -1239,17 +1058,15 @@ class ParallelChecker:
                 if stop_reason is not None:
                     record_partial_wave()
                     if self.checkpoint_out:
-                        self._write_checkpoint(
-                            self.checkpoint_out, conns, meta, wave,
-                            stats_now())
+                        self._write_checkpoint(conns, meta, wave,
+                                               stats_now())
                     break
                 if total_states >= template.max_states:
                     hit_limit = True
                     record_partial_wave()
                     if self.checkpoint_out:
-                        self._write_checkpoint(
-                            self.checkpoint_out, conns, meta, wave,
-                            stats_now())
+                        self._write_checkpoint(conns, meta, wave,
+                                               stats_now())
                     break
                 if frontier_size == 0:
                     record_partial_wave()
@@ -1271,9 +1088,8 @@ class ParallelChecker:
                         # checkpoints stay durable.  The spacing guard
                         # self-limits checkpoint time to a bounded
                         # wall-time fraction (see PERIODIC_SPACING_RATIO).
-                        self._write_checkpoint(
-                            self.checkpoint_out, conns, meta, wave,
-                            stats_now(), durable=False)
+                        self._write_checkpoint(conns, meta, wave,
+                                               stats_now(), durable=False)
                         last_ckpt_wave = wave
                         last_ckpt_cost = time.perf_counter() - now
                         last_ckpt_time = time.perf_counter()
@@ -1352,11 +1168,8 @@ class ParallelChecker:
             for stats in finish_replies:
                 if not stats:
                     continue
-                for name, count in stats["invariant_evals"].items():
-                    invariant_evals[name] = (
-                        invariant_evals.get(name, 0) + count)
-                for name, count in stats["handler_fires"].items():
-                    handler_fires[name] = handler_fires.get(name, 0) + count
+                _add_counts(invariant_evals, stats["invariant_evals"])
+                _add_counts(handler_fires, stats["handler_fires"])
                 if prof is not None:
                     prof.merge_worker(stats.get("profile"))
                 if self.atlas is not None:
@@ -1374,28 +1187,15 @@ class ParallelChecker:
                     total_states, 0, max_depth, transitions, start,
                     baseline, last_replies, final=True)
 
-            result = CheckResult(
-                protocol_name=template.protocol.name,
-                ok=violation is None,
-                states_explored=total_states,
-                transitions=transitions,
-                max_depth=max_depth,
-                elapsed_seconds=baseline["elapsed"]
+            result = template._result(
+                ok=violation is None, states=total_states,
+                transitions=transitions, max_depth=max_depth,
+                elapsed=baseline["elapsed"]
                 + (time.perf_counter() - start),
-                violation=violation,
-                n_nodes=template.n_nodes,
-                n_blocks=template.n_blocks,
-                reorder_bound=template.reorder_bound,
-                hit_state_limit=hit_limit,
-                invariant_evals=invariant_evals,
-                handler_fires=handler_fires,
-                exhausted=not hit_limit and stop_reason is None,
-                workers=self.workers,
-                fault_budget=template.fault_budget,
-                canonical_states=(total_states if self.symmetry else None),
-                stop_reason=stop_reason,
-                worker_losses=worker_losses,
-            )
+                violation=violation, hit_limit=hit_limit,
+                stop_reason=stop_reason, invariant_evals=invariant_evals,
+                handler_fires=handler_fires, workers=self.workers,
+                worker_losses=worker_losses)
             if prof is not None:
                 result.profile = prof.build(result)
             if self.atlas is not None:

@@ -1,15 +1,14 @@
-"""Tests for the typed repro.api facade and the deprecation shims."""
+"""Tests for the typed repro.api facade (and that the retired
+deprecation shims stay retired)."""
 
 import warnings
 
 import pytest
 
 from repro.api import (
-    ArtifactOptions,
     CheckOptions,
     CheckpointOptions,
     CompileOptions,
-    ProgressOptions,
     ReductionOptions,
     SimOptions,
     check,
@@ -179,15 +178,14 @@ class TestDeprecationShims:
         "MachineConfig", "SimResult", "ModelChecker", "PROTOCOLS",
         "load_protocol_source", "compile_named_protocol",
     ])
-    def test_old_top_level_names_warn_but_work(self, name):
+    def test_old_top_level_names_are_gone(self, name):
+        # The DeprecationWarning shims were retired in 2.0.0: machinery
+        # classes live in their home modules only.
         import repro
 
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            value = getattr(repro, name)
-        assert value is not None
-        assert any(issubclass(w.category, DeprecationWarning)
-                   for w in caught)
+        with pytest.raises(AttributeError):
+            getattr(repro, name)
+        assert name not in repro.__all__
 
     def test_unknown_attribute_raises(self):
         import repro

@@ -1,0 +1,295 @@
+"""One exploration loop, one checkpoint codec.
+
+Sleep-set POR runs inside ``ModelChecker.run()``'s loop (as a successor
+source plus a re-arrival rule) and every checkpoint goes through
+``repro.verify.checkpoint``'s one encoder / decoder / frontier replayer.
+This file pins what that unification must not move:
+
+* the POR pin table recorded before the fold (sibling order decides
+  which moves sleep, so this is where an innocent merge shows);
+* one cut written by three writers (serial, ``workers=2``, the
+  degrade-mode mirror salvage) decodes to the same exploration state;
+* the codec round-trips, folds duplicate proposals to the minimum
+  edge, and reports a broken parent chain in one line;
+* a checkpoint written by the previous release resumes on both engines;
+* a checkpoint never resumes under a different reduction/fault
+  configuration.
+"""
+
+import json
+import os
+import signal
+import warnings
+from pathlib import Path
+
+import pytest
+
+from repro import api
+from repro.api import CheckOptions, CheckpointOptions, ReductionOptions
+from repro.faults import FaultBudget
+from repro.verify import CheckpointError, load_checkpoint
+from repro.verify.checkpoint import (
+    CHECKPOINT_VERSION,
+    Cut,
+    config_echo,
+    decode_checkpoint,
+    encode_checkpoint,
+    replay_frontier,
+    write_checkpoint,
+)
+from test_resilience import make_parallel, make_serial, outcome
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# ---------------------------------------------------------------------------
+# (i) POR pin table, recorded at the parent commit (tests/golden/README)
+# ---------------------------------------------------------------------------
+
+POR_PINS = json.loads((GOLDEN / "por_pins.json").read_text())
+POR_MODES = {
+    "plain": {},
+    "fingerprints": {"fingerprints": True},
+    "symmetry": {},
+    "faults": {"faults": FaultBudget(1, 1)},
+}
+
+
+@pytest.mark.parametrize("row", sorted(POR_PINS))
+def test_por_pin_table(row):
+    name, mode = row.split("/")
+    with warnings.catch_warnings():
+        # lcm_mcc fails symmetry certification and reruns unreduced.
+        warnings.simplefilter("ignore", RuntimeWarning)
+        result = api.check(name, CheckOptions(
+            nodes=3, max_states=8000,
+            reduction=ReductionOptions(por=True,
+                                       symmetry=mode == "symmetry"),
+            **POR_MODES[mode]))
+    got = {"states": result.states_explored,
+           "transitions": result.transitions,
+           "pruned_transitions": result.pruned_transitions,
+           "max_depth": result.max_depth, "ok": result.ok,
+           "hit_state_limit": result.hit_state_limit}
+    if result.violation is not None:
+        got["violation"] = [result.violation.kind, result.violation.message,
+                            list(result.violation.trace)]
+    assert got == POR_PINS[row]
+
+
+# ---------------------------------------------------------------------------
+# (ii) one cut, three writers
+# ---------------------------------------------------------------------------
+
+# lcm at reorder 1 is 528 states over 23 waves; one periodic write at
+# wave 12 is the only checkpoint an exhaustive run leaves (the next is
+# due at wave 24, and a run that exhausts writes none at the end).
+CUT_WAVE = 12
+
+
+class KillFrom:
+    """chaos_hook: SIGKILL a worker at every wave from ``at`` on, so the
+    degrade policy runs out of recoveries with its mirror still at the
+    ``at`` cut and salvages it."""
+
+    def __init__(self, at):
+        self.at = at
+
+    def __call__(self, wave, procs):
+        if wave >= self.at:
+            os.kill(procs[0].pid, signal.SIGKILL)
+
+
+@pytest.fixture(scope="module")
+def three_cuts(tmp_path_factory):
+    root = tmp_path_factory.mktemp("cuts")
+    paths = {who: str(root / f"{who}.json")
+             for who in ("serial", "workers2", "salvage")}
+    make_serial("lcm", reorder=1, checkpoint_out=paths["serial"],
+                checkpoint_interval_waves=CUT_WAVE).run()
+    make_parallel("lcm", 2, reorder=1, checkpoint_out=paths["workers2"],
+                  checkpoint_interval_waves=CUT_WAVE).run()
+    salvaged = make_parallel(
+        "lcm", 2, reorder=1, checkpoint_out=paths["salvage"],
+        on_worker_loss="degrade", chaos_hook=KillFrom(CUT_WAVE)).run()
+    assert salvaged.stop_reason == "worker_lost"
+    assert not salvaged.exhausted and salvaged.worker_losses > 2
+    return paths
+
+
+def test_three_writers_agree_on_one_cut(three_cuts):
+    payloads = {who: load_checkpoint(path)
+                for who, path in three_cuts.items()}
+    echo = config_echo(make_serial("lcm", reorder=1))
+    cuts = {who: decode_checkpoint(payload, echo, who)
+            for who, payload in payloads.items()}
+    serial, workers2, salvage = (cuts[who] for who in (
+        "serial", "workers2", "salvage"))
+    for payload in payloads.values():
+        assert payload["wave"] == CUT_WAVE and payload["v"] == 1
+        assert all(state is None
+                   for _fp, state, *_edge in payload["frontier"])
+    # The two parallel writers describe the cut identically, although
+    # one lists every routed proposal and the other the folded mirror.
+    assert workers2 == Cut(**{**vars(salvage), "elapsed": workers2.elapsed})
+    assert len(payloads["workers2"]["frontier"]) > len(workers2.frontier)
+    assert len(payloads["salvage"]["frontier"]) == len(salvage.frontier)
+    # The serial writer agrees on everything a cut determines.  Two
+    # fields legitimately differ: its parent edges are first-arrival,
+    # not canonical-minimum, and its max_depth already counts the
+    # accepted frontier (the on-disk frontier is pre-acceptance).
+    for field in ("wave", "transitions", "invariant_evals", "handler_fires",
+                  "visited"):
+        assert getattr(serial, field) == getattr(workers2, field), field
+    assert serial.parents.keys() == workers2.parents.keys()
+    assert ({fp: depth for fp, (_p, _l, depth) in serial.frontier.items()}
+            == {fp: depth
+                for fp, (_p, _l, depth) in workers2.frontier.items()})
+    assert serial.max_depth == CUT_WAVE == workers2.max_depth + 1
+
+
+@pytest.mark.parametrize("workers", [0, 2])
+@pytest.mark.parametrize("who", ["serial", "workers2", "salvage"])
+def test_every_writer_resumes_on_every_engine(three_cuts, who, workers):
+    full = make_serial("lcm", reorder=1, fingerprint_states=True).run()
+    if workers:
+        resumed = make_parallel("lcm", workers, reorder=1,
+                                resume=three_cuts[who]).run()
+    else:
+        resumed = make_serial("lcm", reorder=1,
+                              resume=three_cuts[who]).run()
+    assert outcome(resumed) == outcome(full)
+
+
+# ---------------------------------------------------------------------------
+# (iii) the codec
+# ---------------------------------------------------------------------------
+
+ECHO = {"protocol": "P", "n_nodes": 2, "n_blocks": 1, "reorder_bound": 0,
+        "channel_cap": 4, "events": "StacheEvents"}
+
+
+def encode(cut, frontier=None):
+    return encode_checkpoint(
+        ECHO, wave=cut.wave, transitions=cut.transitions,
+        max_depth=cut.max_depth, elapsed=cut.elapsed,
+        invariant_evals=cut.invariant_evals,
+        handler_fires=cut.handler_fires, visited=cut.visited,
+        parents=cut.parents.items(),
+        frontier=frontier if frontier is not None else [
+            (fp, *record) for fp, record in cut.frontier.items()])
+
+
+def sample_cut():
+    return Cut(
+        wave=2, transitions=17, max_depth=1, elapsed=0.25,
+        invariant_evals={"swmr": 3}, handler_fires={"Home_Idle.GET": 2},
+        visited={1, 2, 2 ** 64 - 1},
+        parents={1: (None, "<initial>"), 2: (1, "a"),
+                 2 ** 64 - 1: (1, "b")},
+        frontier={7: (2, "c", 2), 9: (2 ** 64 - 1, "d", 2)},
+        states={})
+
+
+def test_codec_round_trips(tmp_path):
+    cut = sample_cut()
+    assert decode_checkpoint(encode(cut), ECHO, "mem") == cut
+    path = str(tmp_path / "ck.json")
+    write_checkpoint(path, encode(cut))
+    assert decode_checkpoint(load_checkpoint(path), ECHO, path) == cut
+    assert CHECKPOINT_VERSION == 1
+
+
+def test_decoder_keeps_the_minimum_edge():
+    cut = sample_cut()
+    payload = encode(cut, frontier=[
+        (7, 2 ** 64 - 1, "z", 2), (9, 2, "d", 2), (7, 2, "y", 2),
+        (2, 1, "back-edge", 2),        # already visited at its owner
+        (7, 2, "c", 2), (7, 2, "x", 2)])
+    decoded = decode_checkpoint(payload, ECHO, "mem")
+    # Minimum (parent fp, label) wins; first-proposal order is kept;
+    # proposals for visited states are dropped, not re-accepted.
+    assert decoded.frontier == {7: (2, "c", 2), 9: (2, "d", 2)}
+    assert list(decoded.frontier) == [7, 9]
+
+
+def test_broken_parent_chain_is_a_one_line_error():
+    checker = make_serial("stache")
+    with pytest.raises(CheckpointError) as caught:
+        replay_frontier(checker, {5: (4, "x")}, {7: (5, "y", 2)}, {},
+                        "ck.json")
+    message = str(caught.value)
+    assert "\n" not in message
+    assert message.startswith("ck.json: ")
+    assert "broken parent chain" in message and f"{4:016x}" in message
+
+
+def test_foreign_chain_is_a_one_line_error():
+    checker = make_serial("stache")
+    with pytest.raises(CheckpointError) as caught:
+        replay_frontier(checker, {}, {7: (None, "<initial>", 0),
+                                      8: (7, "no such rule", 1)},
+                        {}, "ck.json")
+    assert "\n" not in str(caught.value)
+    assert "does not match this protocol build" in str(caught.value)
+
+
+# ---------------------------------------------------------------------------
+# (iv) a checkpoint written by the previous release
+# ---------------------------------------------------------------------------
+
+PARENT_CHECKPOINT = str(GOLDEN / "checkpoint_v1_parent.json")
+
+
+@pytest.mark.parametrize("workers", [0, 2])
+def test_parent_checkpoint_resumes_undisturbed(workers):
+    full = make_serial("lcm", reorder=1, fingerprint_states=True).run()
+    if workers:
+        # The frontier proposes four states their owners had already
+        # visited; the parent's master re-pended those and hung in the
+        # resulting parent-chain cycle.
+        resumed = make_parallel("lcm", workers, reorder=1,
+                                resume=PARENT_CHECKPOINT).run()
+    else:
+        resumed = make_serial("lcm", reorder=1,
+                              resume=PARENT_CHECKPOINT).run()
+    assert outcome(resumed) == outcome(full)
+
+
+# ---------------------------------------------------------------------------
+# Resume never crosses a reduction / fault configuration
+# ---------------------------------------------------------------------------
+
+FLAGS = {
+    "symmetry": ({"reduction": ReductionOptions(symmetry=True)},
+                 "symmetry: checkpoint=True run=None",
+                 "symmetry: checkpoint=None run=True"),
+    "faults": ({"faults": FaultBudget(1, 0)},
+               "faults: checkpoint=[1, 0] run=None",
+               "faults: checkpoint=None run=[1, 0]"),
+}
+
+
+@pytest.mark.parametrize("workers", [0, 2])
+@pytest.mark.parametrize("flag", sorted(FLAGS))
+def test_resume_refuses_other_reduction_or_fault_config(tmp_path, flag,
+                                                        workers):
+    extra, with_to_without, without_to_with = FLAGS[flag]
+
+    def run(path_key, **options):
+        return api.check("lcm", CheckOptions(
+            nodes=3, workers=workers, max_states=300,
+            checkpoint=CheckpointOptions(**path_key), **options))
+
+    with_flag = str(tmp_path / "with.json")
+    without_flag = str(tmp_path / "without.json")
+    run({"out": with_flag}, **extra)
+    run({"out": without_flag})
+    for path, options, expected in (
+            (with_flag, {}, with_to_without),
+            (without_flag, extra, without_to_with)):
+        with pytest.raises(CheckpointError) as caught:
+            run({"resume": path}, **options)
+        assert expected in str(caught.value)
+        assert "\n" not in str(caught.value)
+    # The matching configuration still resumes.
+    assert run({"resume": with_flag}, **extra).states_explored >= 300

@@ -19,7 +19,12 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.api import ArtifactOptions, CheckOptions, check
+from repro.api import (
+    ArtifactOptions,
+    CheckOptions,
+    ReductionOptions,
+    check,
+)
 from repro.cli import main
 from repro.obs.analyze import TraceError
 from repro.obs.profile import (
@@ -139,6 +144,19 @@ class TestPhaseAccounting:
         # "other" closes the partition: the phases sum to wall time.
         assert sum(profile.phases.values()) == pytest.approx(
             profile.wall_seconds, abs=1e-3)
+
+    def test_por_phases_are_attributed(self):
+        # Sleep-set POR runs inside the one profiled loop; when it had a
+        # loop of its own every phase but "other" read zero.
+        result = check("lcm", CheckOptions(
+            nodes=3, reduction=ReductionOptions(por=True),
+            artifacts=ArtifactOptions(profile=True)))
+        profile = result.profile
+        for phase in ("successors", "visited", "invariants"):
+            assert profile.phases[phase] > 0, phase
+        assert profile.phases["other"] < 0.5 * profile.wall_seconds
+        assert profile.result["pruned_transitions"] == 3519
+        assert profile.timeline[-1]["pruned"] == 3519
 
     def test_serial_dispatch_counts_match_handler_fires(self):
         result = make_serial("lcm_mcc", reorder=1,

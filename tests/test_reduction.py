@@ -27,7 +27,7 @@ certify clean.
 
 import io
 import warnings
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 from hypothesis import given, settings
@@ -434,32 +434,34 @@ def test_summary_reports_reduction_counters():
 # ---------------------------------------------------------------------------
 
 
-def test_flat_kwargs_fold_with_deprecation_warning():
-    stream = io.StringIO()
-    with pytest.warns(DeprecationWarning) as caught:
-        options = CheckOptions(profile=True, atlas=True,
-                               progress_every=5, progress_stream=stream)
-    message = str(caught[0].message)
-    for name in ("profile", "atlas", "progress_every", "progress_stream"):
-        assert name in message
-    assert "DESIGN.md" in message
-    assert options.artifacts == ArtifactOptions(profile=True, atlas=True)
-    assert options.progress == ProgressOptions(every=5, stream=stream)
-    assert options.progress.effective_stream() is stream
+RETIRED_FLAT_KWARGS = {
+    "progress_every": 5, "progress_stream": io.StringIO(),
+    "checkpoint_out": "a.json", "resume": "b.json", "profile": True,
+    "profile_sample_every": 10, "atlas": True, "atlas_state_cap": 10,
+    "atlas_edge_cap": 10,
+}
 
 
-def test_bool_progress_folds_with_deprecation_warning():
-    with pytest.warns(DeprecationWarning, match="progress"):
-        options = CheckOptions(progress=True)
-    assert options.progress == ProgressOptions(enabled=True)
+@pytest.mark.parametrize("kwarg", sorted(RETIRED_FLAT_KWARGS))
+def test_retired_flat_kwargs_raise_type_error(kwarg):
+    # The pre-grouping spellings were shims for two rounds; 2.0.0
+    # removed them, so a stale call fails loudly at construction.
+    with pytest.raises(TypeError, match=kwarg):
+        CheckOptions(**{kwarg: RETIRED_FLAT_KWARGS[kwarg]})
+    assert not hasattr(CheckOptions(), kwarg)
 
 
-def test_checkpoint_shims_fold():
-    with pytest.warns(DeprecationWarning):
-        options = CheckOptions(workers=2, checkpoint_out="a.json",
-                               resume="b.json")
-    assert options.checkpoint == CheckpointOptions(out="a.json",
-                                                   resume="b.json")
+def test_bare_bool_progress_is_not_normalized():
+    # progress=True used to fold into ProgressOptions(enabled=True);
+    # now the field is a plain ProgressOptions and check() rejects
+    # anything else on first use.
+    with pytest.raises(AttributeError):
+        check("stache", progress=True)
+
+
+def test_check_options_field_count():
+    # Nine hidden shim fields went away and nothing was added.
+    assert len(fields(CheckOptions)) == 20
 
 
 def test_grouped_options_warn_nothing():
@@ -475,13 +477,15 @@ def test_grouped_options_warn_nothing():
 
 
 def test_replace_does_not_rewarn():
-    with pytest.warns(DeprecationWarning):
-        options = CheckOptions(profile=True)
+    options = CheckOptions(artifacts=ArtifactOptions(profile=True),
+                           checkpoint=CheckpointOptions(out="c.json"))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         derived = replace(options, nodes=3)
     assert derived.artifacts == ArtifactOptions(profile=True)
+    assert derived.checkpoint == CheckpointOptions(out="c.json")
     assert derived.nodes == 3
+    assert replace(derived, nodes=options.nodes) == options
 
 
 def test_option_groups_are_frozen_values():
