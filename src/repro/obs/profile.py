@@ -25,7 +25,8 @@ fingerprint, and checkpoint content are byte-identical --
 ``tests/test_profile.py`` pins this with golden and property tests.
 When armed it only reads clocks and counts; the exploration order and
 all results are still identical, only host wall time changes
-(``tools/bench_check_profile.py`` records the overhead).
+(``bench/run.py --trace`` records the price as
+``obs.profile_price_ratio``).
 
 Phase semantics differ by engine, on purpose:
 

@@ -81,7 +81,8 @@ class Machine:
         self._wire_seq = 0
         # An Observer whose channels are all off (null sink, no metrics)
         # is dropped here so every emit site takes the uninstrumented
-        # ``obs is None`` fast path -- see BENCH_obs_overhead.json.
+        # ``obs is None`` fast path -- ``bench/run.py --trace`` prices
+        # an armed one as ``obs.sim_trace_price_ratio``.
         observer = self.config.observer
         if observer is not None and not observer.active:
             observer = None

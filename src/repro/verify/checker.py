@@ -58,8 +58,7 @@ _KEEP_GEN = object()
 _NO_ENTRY = object()
 
 # The effects of an action that touched nothing (an application hit:
-# only the event generator advances).  Lets the hit path share the
-# successor memo in _successor_for.
+# only the event generator advances).
 _NO_EFFECTS = ActionEffects((), (), None, (), None)
 
 # Process-global fast-engine caches, shared by every checker over the
@@ -71,24 +70,14 @@ _NO_EFFECTS = ActionEffects((), (), None, (), None)
 #            map -- and the home map is always ``block % n_nodes`` --
 #            so caches are scoped by (interpreter_factory, n_nodes)
 #            under the protocol.
-#   succ     (parent, node, effects, gen, removed) -> successor state.
-#            Replaying effects is itself deterministic, so repeated
-#            explorations of the same graph (bench repeats, trace
-#            replays, parallel workers re-expanding) skip tuple surgery
-#            entirely.
 #   intern   state -> canonical state.  Canonical states carry their
 #            cached hash and make visited-set equality an identity hit.
-#   verdicts invariant-tuple -> {state -> (message, n_evaluated)}.
-#            An invariant is a pure predicate of (state, protocol), and
-#            each run evaluates it once per state anyway, so caching
-#            verdicts across runs changes nothing observable (the
-#            evaluation counts are replayed from n_evaluated).
 #
-# The registry holds protocols via weakrefs (CompiledProtocol is an
-# unhashable mutable-eq dataclass, hence the id keying plus finalizer):
-# a protocol's caches -- and every state/effect they pin -- die with it.
-# Like the compile cache, this assumes compiled protocols are not
-# mutated after use.
+# Both pay within a single run.  The registry holds protocols via
+# weakrefs (CompiledProtocol is an unhashable mutable-eq dataclass,
+# hence the id keying plus finalizer): a protocol's caches -- and every
+# state/effect they pin -- die with it.  Like the compile cache, this
+# assumes compiled protocols are not mutated after use.
 _ENGINE_CACHES: dict = {}
 
 
@@ -104,7 +93,7 @@ def _engine_caches_for(protocol, interpreter_factory,
     key = (interpreter_factory, n_nodes)
     caches = per_protocol.get(key)
     if caches is None:
-        caches = per_protocol[key] = ({}, {}, {}, {})
+        caches = per_protocol[key] = ({}, {})
     return caches
 
 
@@ -571,8 +560,7 @@ class ModelChecker:
         # Fast-engine memo tables (harmless when engine="legacy");
         # shared process-wide between checkers over the same
         # protocol/engine -- see _engine_caches_for.
-        (self._action_cache, self._succ_cache, self._state_intern,
-         self._invariant_verdicts) = _engine_caches_for(
+        self._action_cache, self._state_intern = _engine_caches_for(
             protocol, interpreter_factory, n_nodes)
         # (state_name, tag) -> handler-fire key or None, so _count_fire
         # stops re-resolving DEFAULT dispatch per expansion:
@@ -581,8 +569,7 @@ class ModelChecker:
         self._choice_cache: dict = {}
         # (Message, src, dst, index) -> delivery label string:
         self._label_cache: dict = {}
-        # The run counters, the named invariant suite, and (fast engine;
-        # legacy evaluates directly) its verdict map:
+        # The run counters and the named invariant suite:
         self._begin_run()
 
     def home_of(self, block: int) -> int:
@@ -731,23 +718,6 @@ class ModelChecker:
             object.__setattr__(successor, "_cong", (cap, cong[1] + delta))
         return successor
 
-    def _successor_for(self, state: GlobalState, node: int,
-                       effects, gen, removed) -> GlobalState:
-        """Memoised :meth:`_build_successor`: replaying the same effects
-        on the same parent always yields the same state, so repeat
-        expansions are a dict hit.  ``effects`` is keyed by identity
-        (cached ActionEffects are canonical per input 4-tuple); profiled
-        runs record fresh effects per action, so they build directly."""
-        if self.profiler is not None:
-            return self._build_successor(state, node, effects,
-                                         gen=gen, removed=removed)
-        key = (state, node, effects, gen, removed)
-        successor = self._succ_cache.get(key)
-        if successor is None:
-            successor = self._succ_cache[key] = self._build_successor(
-                state, node, effects, gen=gen, removed=removed)
-        return successor
-
     def _congestion_count(self, state: GlobalState) -> int:
         """How many channels/deferred queues sit at the channel cap.
         Computed once per state and carried forward incrementally by
@@ -787,8 +757,8 @@ class ModelChecker:
                 # generator the successor IS the parent (a self-loop).
                 if new_gen == app.gen:
                     return state
-                return self._successor_for(state, node, _NO_EFFECTS,
-                                           new_gen, None)
+                return self._build_successor(state, node, _NO_EFFECTS,
+                                             new_gen)
             message = intern_message(
                 Message(fault, block, src=node, dst=node))
         else:  # program event (CAS, sync, LCM enter/exit, ...)
@@ -799,7 +769,7 @@ class ModelChecker:
         effects = self._action_effects(state, node, message, block)
         if effects.error is not None:
             raise CheckerViolation(effects.error)
-        return self._successor_for(state, node, effects, new_gen, None)
+        return self._build_successor(state, node, effects, new_gen)
 
     def _apply_delivery(self, state: GlobalState, src: int, dst: int,
                         index: int) -> GlobalState:
@@ -808,8 +778,8 @@ class ModelChecker:
                                        state.apps[dst].blocked_on)
         if effects.error is not None:
             raise CheckerViolation(effects.error)
-        return self._successor_for(state, dst, effects, _KEEP_GEN,
-                                   (src, dst, index))
+        return self._build_successor(state, dst, effects,
+                                     removed=(src, dst, index))
 
     def _delivery_label(self, message: Message, src: int, dst: int,
                         index: int) -> str:
@@ -1130,11 +1100,6 @@ class ModelChecker:
             (self._invariant_name(invariant), invariant)
             for invariant in self.invariants
         ]
-        if self.engine == "fast":
-            self._inv_verdicts = self._invariant_verdicts.setdefault(
-                tuple(inv for _name, inv in self._named_invariants), {})
-        else:
-            self._inv_verdicts = None
 
     def initial_state(self) -> GlobalState:
         return initial_global_state(
@@ -1704,28 +1669,7 @@ class ModelChecker:
 
     def _check_invariants(self, state: GlobalState) -> Optional[str]:
         evals = self._invariant_evals
-        named = self._named_invariants
-        cache = self._inv_verdicts
-        if cache is not None:
-            hit = cache.get(state)
-            if hit is not None:
-                # Replay the verdict *and* the evaluation counts: the
-                # original evaluation stopped after n_evaluated checks.
-                message, n_evaluated = hit
-                for name, _inv in named[:n_evaluated]:
-                    evals[name] = evals.get(name, 0) + 1
-                return message
-            message = None
-            n_evaluated = 0
-            for name, invariant in named:
-                evals[name] = evals.get(name, 0) + 1
-                n_evaluated += 1
-                message = invariant(state, self.protocol)
-                if message is not None:
-                    break
-            cache[state] = (message, n_evaluated)
-            return message
-        for name, invariant in named:
+        for name, invariant in self._named_invariants:
             evals[name] = evals.get(name, 0) + 1
             message = invariant(state, self.protocol)
             if message is not None:

@@ -222,8 +222,8 @@ def min_edge_fold(records, visited) -> dict:
     edges keeps the record with the minimum ``(parent fp, label)`` (a
     missing parent sorts first), so the spanning tree is a pure function
     of the state graph -- independent of partitioning, arrival order,
-    work stealing, and of where a run was cut and resumed.  Returns
-    ``{fp: record}`` in first-proposal order."""
+    and of where a run was cut and resumed.  Returns ``{fp: record}``
+    in first-proposal order."""
     best: dict = {}
     for record in records:
         fp = record[0]

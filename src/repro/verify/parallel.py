@@ -13,11 +13,10 @@ layer), but -- unlike the first-generation engine, which shipped every
 successor *state* to its owner through the master -- the frontier
 exchange is fingerprint-only:
 
-1. ``expand``: each worker expands its accepted states (plus any tasks
-   stolen from a busier peer), keeps the generated successor states in a
-   local *stash*, and hands the master metadata records
-   ``(fp, parent_fp, label, depth)`` batched per owner.  Full states
-   never cross a pipe at this point.
+1. ``expand``: each worker expands its accepted states, keeps the
+   generated successor states in a local *stash*, and hands the master
+   metadata records ``(fp, parent_fp, label, depth)`` batched per owner.
+   Full states never cross a pipe at this point.
 2. The master routes the metadata.  ``ingest``: each owner dedupes the
    candidates against its visited set; fresh own-generated states are
    resolved from the local stash immediately, foreign ones are *staged*
@@ -27,13 +26,6 @@ exchange is fingerprint-only:
    ever serialized -- and delivers them to their owners, which accept
    them (visited set, parent pointer, invariant suite) into the next
    ready set.
-
-Before each ``expand`` the master compares ready-set sizes and, when the
-spread exceeds a threshold, relocates tasks from the richest worker to
-the poorest (``donate``/``take``).  Stolen tasks are expanded by the
-thief -- transition counts, handler coverage, and the successor stash
-travel with the task -- while dedupe and parent pointers stay with the
-shard owner, so stealing changes load balance, never results.
 
 Determinism: the set of states in BFS layer *k* is a property of the
 protocol, not of the partitioning, and every visited state is expanded
@@ -48,7 +40,7 @@ several layer-*k* parents takes the minimum ``(parent fp, label)`` edge
 -- senders keep the per-sender minimum during expansion and owners take
 the minimum over the wave's proposals, so the winning edge is the global
 minimum over every discovering edge, a pure function of the state graph
-rather than of partitioning, arrival order, or stealing.  The
+rather than of partitioning or arrival order.  The
 counterexample trace is rebuilt by walking the sharded parent
 pointers (one owner query per hop) and then replay-validated against a
 fresh serial checker; a fingerprint collision that corrupted the path
@@ -128,11 +120,6 @@ __all__ = [
     "load_checkpoint",
 ]
 
-# Minimum ready-set gap (richest minus poorest worker) before the master
-# relocates expansion tasks.  Below this, the barrier cost of the extra
-# round-trips exceeds the imbalance.
-_STEAL_THRESHOLD = 4
-
 # How long a worker pipe may stay silent before the master re-checks the
 # worker process is alive.  Small enough that a SIGKILLed worker is
 # noticed within a fraction of a second, large enough to stay off the
@@ -196,7 +183,6 @@ def _worker_main(conn, worker_id: int, n_workers: int,
     parents: dict[int, tuple] = {}     # fp -> (parent fp | None, label)
     known: set[int] = set()            # every fp seen/routed (send dedupe)
     ready: list = []                   # (fp, state, depth) awaiting expansion
-    stolen: list = []                  # tasks relocated here for this layer
     staged: dict = {}                  # fp -> (pfp, label, depth) pre-fetch
     stash: dict = {}                   # fp -> state, last expansion's sends
     transitions = 0
@@ -244,7 +230,6 @@ def _worker_main(conn, worker_id: int, n_workers: int,
                 accept(sfp, state, pfp, label, depth, violations)
             conn.send(("done", {
                 "visited": len(visited),
-                "ready": len(ready),
                 "max_depth": max_depth,
                 "violations": violations,
                 "inv_evals": sum(checker._invariant_evals.values()),
@@ -270,7 +255,6 @@ def _worker_main(conn, worker_id: int, n_workers: int,
                     need[sender].append(sfp)
             conn.send(("done", {
                 "need": dict(need),
-                "ready": len(ready),
                 "violations": violations,
                 "seconds": time.perf_counter() - started,
             }))
@@ -288,30 +272,16 @@ def _worker_main(conn, worker_id: int, n_workers: int,
                 accept(sfp, state, pfp, label, depth, violations)
             conn.send(("done", {
                 "visited": len(visited),
-                "ready": len(ready),
                 "max_depth": max_depth,
                 "violations": violations,
                 "inv_evals": sum(checker._invariant_evals.values()),
                 "seconds": time.perf_counter() - started,
             }))
 
-        elif op == "donate":                  # give tasks to a poorer peer
-            _, count = command
-            give = ready[-count:]
-            del ready[-count:]
-            conn.send(("tasks", give))
-
-        elif op == "take":                    # receive relocated tasks
-            _, tasks = command
-            stolen.extend(tasks)
-            conn.send(("taken", len(tasks)))
-
         elif op == "expand":
             _, wave_no = command
             started = time.perf_counter()
-            tasks = ready + stolen
-            ready = []
-            stolen = []
+            tasks, ready = ready, []
             stash = {}
             proposals: dict = {}          # fp -> (parent fp, label, depth)
             route: list = []              # fps in first-generation order
@@ -918,7 +888,6 @@ class ParallelChecker:
             total_states = sum(r["visited"] for r in seed_replies if r)
             max_depth = max([max_depth] + [r["max_depth"]
                                            for r in seed_replies if r])
-            ready_counts = [r["ready"] if r else 0 for r in seed_replies]
             pending_violations = [v for r in seed_replies if r
                                   for v in r["violations"]]
             if prof is not None:
@@ -943,26 +912,6 @@ class ParallelChecker:
                     # hook may SIGKILL/SIGSTOP workers; the next barrier
                     # detects the damage through the liveness polls.
                     self.chaos_hook(wave, procs)
-
-                # Balance the coming expansion: relocate tasks from the
-                # richest ready set to the poorest when the gap is worth
-                # the round-trips.  Based only on deterministic counts,
-                # so results stay run-to-run identical.
-                if n > 1 and not interrupted:
-                    rich = max(range(n), key=lambda i: ready_counts[i])
-                    poor = min(range(n), key=lambda i: ready_counts[i])
-                    gap = ready_counts[rich] - ready_counts[poor]
-                    if gap >= _STEAL_THRESHOLD:
-                        count = gap // 2
-                        ops: list = [None] * n
-                        ops[rich] = ("donate", count)
-                        tasks = call_all(ops, "donate")[rich] or []
-                        if tasks:
-                            ops = [None] * n
-                            ops[poor] = ("take", tasks)
-                            call_all(ops, "take")
-                            ready_counts[rich] -= len(tasks)
-                            ready_counts[poor] += len(tasks)
 
                 wave_no = wave
                 expand_replies = call_all([("expand", wave_no)] * n,
@@ -1134,8 +1083,6 @@ class ParallelChecker:
                 total_states = sum(r["visited"] for r in adopt_replies if r)
                 max_depth = max([max_depth] + [r["max_depth"]
                                                for r in adopt_replies if r])
-                ready_counts = [r["ready"] if r else 0
-                                for r in adopt_replies]
                 pending_violations = (
                     [v for r in ingest_replies if r
                      for v in r["violations"]]

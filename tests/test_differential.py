@@ -50,6 +50,17 @@ def test_serial_engines_agree(name):
     assert outcome(fast) == outcome(legacy)
 
 
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_second_in_process_run_equals_first(name):
+    """The first run records action effects, a repeat replays them (and
+    finds every state interned): counts and coverage must not notice."""
+    from repro.verify import checker
+
+    checker._ENGINE_CACHES.clear()
+    first = check(name, "fast", reorder=1)
+    assert outcome(check(name, "fast", reorder=1)) == outcome(first)
+
+
 @pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("name", ALL_NAMES)
 def test_parallel_engines_agree(name, workers):

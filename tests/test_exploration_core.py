@@ -293,3 +293,22 @@ def test_resume_refuses_other_reduction_or_fault_config(tmp_path, flag,
         assert "\n" not in str(caught.value)
     # The matching configuration still resumes.
     assert run({"resume": with_flag}, **extra).states_explored >= 300
+
+
+# ---------------------------------------------------------------------------
+# (vi) the engine's process-global tables grow with states, not transitions
+# ---------------------------------------------------------------------------
+
+
+def test_engine_tables_hold_no_per_transition_entries():
+    from repro.runtime.exec import HandlerInterpreter
+    from repro.verify import checker
+
+    checker._ENGINE_CACHES.clear()
+    result = api.check("lcm", CheckOptions(nodes=3))
+    protocol = api.compile_protocol("lcm", CheckOptions().compile)
+    tables = checker._engine_caches_for(protocol, HandlerInterpreter, 3)
+    assert result.transitions > 3 * result.states_explored
+    assert tables
+    for table in tables:
+        assert 0 < len(table) <= result.states_explored

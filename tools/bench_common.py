@@ -1,13 +1,11 @@
-"""Shared plumbing for the ``tools/bench_*.py`` writers.
+"""Shared plumbing for ``tools/bench_fault_overhead.py``.
 
-Every BENCH_*.json artifact starts with the same metadata header::
+A BENCH_*.json artifact starts with a metadata header::
 
     {schema, benchmark, cpu_count, platform, python, git_rev, timestamp}
 
-so ``tools/bench_compare.py`` can line two artifacts up, normalize by
-the recorded host facts, and warn when the hosts are not comparable.
-``schema`` versions the header itself, not any benchmark's payload --
-each benchmark keeps its own row layout.
+recording the host the numbers came from.  ``schema`` versions the
+header itself, not the benchmark's payload.
 """
 
 from __future__ import annotations
@@ -26,10 +24,6 @@ from repro.ioutil import atomic_write_json  # noqa: E402
 
 BENCH_SCHEMA = "teapot-bench/1"
 
-# Header keys bench_compare.py treats as host facts, not metrics.
-META_KEYS = ("schema", "benchmark", "cpu_count", "platform", "python",
-             "git_rev", "timestamp")
-
 
 def _git_rev() -> str | None:
     try:
@@ -44,7 +38,7 @@ def _git_rev() -> str | None:
 
 
 def bench_meta(benchmark: str) -> dict:
-    """The unified metadata header every bench writer leads with."""
+    """The metadata header a bench artifact leads with."""
     return {
         "schema": BENCH_SCHEMA,
         "benchmark": benchmark,
@@ -98,6 +92,6 @@ def timing_row(samples) -> dict:
 
 def write_bench(path: str, report: dict) -> None:
     # Atomic (tmp + fsync + rename): a bench run killed mid-write must
-    # not leave a torn BENCH_*.json that bench_compare.py then parses.
+    # not leave a torn BENCH_*.json behind.
     atomic_write_json(path, report, indent=2)
     print(f"wrote {path}")
