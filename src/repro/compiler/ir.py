@@ -15,9 +15,11 @@ point of the generated ``<handler>_after_<L>`` fragment.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Union
 
 from repro.lang import ast
+from repro.lang.builtins import default_value_for
 
 BlockId = int
 
@@ -168,7 +170,7 @@ class HandlerIR:
     def qualified_name(self) -> str:
         return f"{self.state_name}.{self.message_name}"
 
-    @property
+    @cached_property
     def frame_vars(self) -> list[str]:
         """Variables that live in the handler's activation frame.
 
@@ -176,12 +178,23 @@ class HandlerIR:
         handler parameters, locals, state parameters, and captured
         continuations.  Info variables and constants are *not* part of
         the frame -- they are re-fetched from the block record.
+        Computed once: the variable tables are fixed by lowering.
         """
         names = list(self.params)
         names += [n for n in self.locals if n not in names]
         names += [n for n in self.state_params if n not in names]
         names += [n for n in self.cont_vars if n not in names]
         return names
+
+    @cached_property
+    def frame_template(self) -> dict[str, object]:
+        """A fresh activation frame: every frame variable, locals at
+        their type's default value and the rest None.  Engines copy it
+        per activation (entry and resume) and bind parameters over it."""
+        frame: dict[str, object] = dict.fromkeys(self.frame_vars)
+        for name, type_name in self.locals.items():
+            frame[name] = default_value_for(type_name)
+        return frame
 
     def block(self, block_id: BlockId) -> BasicBlock:
         return self.blocks[block_id]

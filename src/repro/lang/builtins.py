@@ -51,6 +51,25 @@ EQUALITY_TYPES = frozenset({
 })
 
 
+# The distinguished "no node" value bound to the builtin constant Nobody.
+NOBODY = -1
+
+
+def default_value_for(type_name: str):
+    """Initial value of an info variable or local of ``type_name``."""
+    if type_name in INT_LIKE_TYPES:
+        return 0
+    if type_name == T_BOOL:
+        return False
+    if type_name == T_NODE:
+        return NOBODY
+    if type_name == T_SHARERS:
+        return frozenset()
+    # Message tags, continuations and abstract module types default to
+    # None; support code must set the latter.
+    return None
+
+
 def types_compatible(expected: str, actual: str) -> bool:
     """Assignment/argument compatibility (int-like types interconvert)."""
     if expected == actual:

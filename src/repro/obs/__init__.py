@@ -23,7 +23,7 @@ a first-class, zero-dependency subsystem:
   parallel wave accounting.
 
 Nothing here is imported on the hot path unless tracing is enabled: the
-simulator and interpreter guard every emit site with a single
+simulator and the handler engine guard every emit site with a single
 ``obs is None`` test, so default runs are cycle- and allocation-
 identical to a build without this package.
 """

@@ -1,6 +1,6 @@
 """The Observer facade: the one object instrumented code talks to.
 
-Hosts (the simulator machine, node contexts, the handler interpreter)
+Hosts (the simulator machine, node contexts, the handler engine)
 hold either ``None`` -- observability off, the default -- or an
 :class:`Observer` bundling a trace sink and an optional metrics
 registry.  Every instrumentation site is a single ``obs is None``

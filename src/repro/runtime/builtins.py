@@ -1,25 +1,22 @@
 """Executable semantics of the prelude routines.
 
-Each entry receives the running :class:`~repro.runtime.exec.HandlerInterpreter`
-and the already-evaluated argument values.  ``SetState`` and ``Suspend``
-are not here: state constructors need unevaluated access to the
-environment, so the interpreter handles them directly.
+Each entry receives the running engine -- anything with ``.ctx`` (the
+host :class:`~repro.runtime.context.ProtocolContext`) and ``.protocol``:
+the compiled-handler engine the simulator and the checker run, or the
+reference interpreter -- and the already-evaluated argument values.
+``Suspend`` and ``Resume`` are not here: they need the activation
+frame, so each engine handles them itself.
 """
 
 from __future__ import annotations
 
-from repro.lang.builtins import T_SHARERS
 from repro.runtime.context import INFO_HANDLE
 from repro.runtime.protocol import NOBODY, StateValue
 
 
 def _sharer_var(interp) -> str:
     """Name of the protocol's (unique) SharerList info variable."""
-    names = [
-        name
-        for name, type_name in interp.protocol.info_vars.items()
-        if type_name == T_SHARERS
-    ]
+    names = interp.protocol.sharer_vars
     if len(names) != 1:
         interp.ctx.error(
             "sharer-set builtins need exactly one SharerList protocol "
@@ -207,8 +204,8 @@ def bi_clear_sharers(interp, args):
     _set_sharers(interp, frozenset())
 
 
-# Routines whose first argument is the INFO handle; the interpreter has
-# already positioned the context at the right block, so the handle itself
+# Routines whose first argument is the INFO handle; the host has already
+# positioned the context at the right block, so the handle itself
 # carries no information.
 _ = INFO_HANDLE
 
@@ -241,8 +238,9 @@ BUILTIN_IMPLS = {
     "ClearSharers": bi_clear_sharers,
 }
 
-# Per-builtin extra cycle charges, applied on top of the per-statement
-# cost by the interpreter (attribute names into CostModel).
+# Per-builtin extra cycle charges (attribute names into CostModel),
+# applied on top of the per-statement cost after the arguments are
+# evaluated and before the routine runs.
 BUILTIN_COSTS = {
     "Send": "send",
     "SendBlk": "send_data",

@@ -150,7 +150,7 @@ class ProtocolContext:
     (:class:`repro.verify.model.CheckerContext`).
 
     A context is positioned at one (node, block) pair while a handler
-    runs; the interpreter reads the current message from
+    runs; the engine reads the current message from
     ``current_message``.
     """
 

@@ -1,4 +1,4 @@
-"""The handler interpreter: executes compiled CFGs atomically.
+"""The handler interpreter: the reference semantics of compiled CFGs.
 
 One ``dispatch`` call runs exactly one protocol action to completion --
 possibly passing through ``Resume`` calls into suspended fragments, and
@@ -6,6 +6,12 @@ possibly ending in a ``Suspend`` that parks a continuation in a
 subroutine state.  This mirrors the paper's execution model: actions are
 atomic with respect to other protocol events, and only the automaton (the
 block state plus parked continuations) persists between actions.
+
+The simulator and the checker do not run this walk: they execute the
+functions :mod:`repro.backends.python_backend` compiles from the same
+CFGs.  The interpreter is the readable statement of what those functions
+must do -- every charge, counter, guard and observer hook, in order --
+and the tests hold the two to identical behaviour.
 """
 
 from __future__ import annotations
@@ -31,7 +37,6 @@ from repro.runtime.protocol import (
     Flavor,
     NOBODY,
     StateValue,
-    default_value_for,
 )
 
 # Safety net against diverging While loops in protocol code.
@@ -88,19 +93,10 @@ class HandlerInterpreter:
                              getattr(self.ctx, "now", 0))
 
     def _initial_env(self, handler: HandlerIR, state_args: tuple) -> dict:
-        env: dict[str, object] = {}
+        env = handler.frame_template.copy()
         # State parameters come from the block's current state value.
-        for (name, _type), value in zip(
-                self._state_param_decls(handler), state_args):
-            env[name] = value
-        for name, type_name in handler.locals.items():
-            env[name] = default_value_for(type_name)
-        for name in handler.cont_vars:
-            env.setdefault(name, None)
+        env.update(zip(handler.state_params, state_args))
         return env
-
-    def _state_param_decls(self, handler: HandlerIR) -> list[tuple[str, str]]:
-        return list(handler.state_params.items())
 
     def _bind_message_params(self, handler: HandlerIR, env: dict,
                              msg, is_default: bool) -> None:
@@ -209,10 +205,7 @@ class HandlerInterpreter:
 
         target_handler, site = self.protocol.suspend_site(
             record.handler, record.site_id)
-        renv: dict[str, object] = {
-            name: None for name in target_handler.frame_vars}
-        for name, type_name in target_handler.locals.items():
-            renv[name] = default_value_for(type_name)
+        renv = target_handler.frame_template.copy()
         # The block id and info handle are re-derived from context rather
         # than captured: a continuation is always resumed by a handler
         # positioned at the same block.

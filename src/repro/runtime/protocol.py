@@ -1,32 +1,29 @@
 """The compiled form of a Teapot protocol.
 
 A :class:`CompiledProtocol` is what every consumer works from: the
-simulator and model checker execute its handler CFGs through the
-interpreter, and the C / Mur-phi / Python back ends pretty-print it.
+Python back end compiles its handler CFGs into the functions the
+simulator and model checker execute, the interpreter walks the same
+CFGs as the reference semantics, and the C / Mur-phi back ends
+pretty-print them.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from enum import Enum, unique
+from functools import cached_property
 from typing import Optional
 
-from repro.lang.builtins import (
-    T_ADDR,
-    T_BOOL,
+from repro.lang.builtins import (  # NOBODY, default_value_for: re-exported
+    NOBODY,
     T_CONT,
-    T_INT,
-    T_MSGTAG,
-    T_NODE,
     T_SHARERS,
-    T_VALUE,
+    default_value_for,
 )
 from repro.lang.errors import CompileError
 from repro.lang.typecheck import CheckedProgram
 from repro.compiler.ir import HandlerIR
-
-# The distinguished "no node" value bound to the builtin constant Nobody.
-NOBODY = -1
 
 
 @dataclass(frozen=True)
@@ -105,24 +102,6 @@ class CompiledStateInfo:
         return self.default
 
 
-def default_value_for(type_name: str):
-    """Initial value of an info variable or local of ``type_name``."""
-    if type_name in (T_INT, T_VALUE, T_ADDR):
-        return 0
-    if type_name == T_BOOL:
-        return False
-    if type_name == T_NODE:
-        return NOBODY
-    if type_name == T_SHARERS:
-        return frozenset()
-    if type_name == T_MSGTAG:
-        return None
-    if type_name == T_CONT:
-        return None
-    # Abstract module types default to None; support code must set them.
-    return None
-
-
 @dataclass
 class CompiledProtocol:
     """A fully compiled protocol, ready to execute or pretty-print."""
@@ -153,6 +132,13 @@ class CompiledProtocol:
             for name, type_name in self.info_vars.items()
         }
 
+    @cached_property
+    def sharer_vars(self) -> tuple[str, ...]:
+        """The SharerList info variables (the sharer-set builtins need
+        exactly one)."""
+        return tuple(name for name, type_name in self.info_vars.items()
+                     if type_name == T_SHARERS)
+
     def handler(self, state_name: str, message: str) -> Optional[HandlerIR]:
         return self.state(state_name).dispatch(message)
 
@@ -180,6 +166,20 @@ class CompiledProtocol:
             f"  inlined resumes: {self.stats.n_inlined_resumes}",
         ]
         return "\n".join(lines)
+
+
+def weak_protocol_entry(registry: dict, protocol: CompiledProtocol, factory):
+    """``registry``'s entry for ``protocol``: built by ``factory()`` on
+    first use, dropped when the protocol is collected.  CompiledProtocol
+    is an unhashable mutable-eq dataclass, hence id keying plus a
+    finalizer rather than a WeakKeyDictionary.  Like the compile cache,
+    this assumes compiled protocols are not mutated after use."""
+    entry = registry.get(id(protocol))
+    if entry is None or entry[0]() is not protocol:
+        ref = weakref.ref(
+            protocol, lambda _r, key=id(protocol): registry.pop(key, None))
+        entry = registry[id(protocol)] = (ref, factory())
+    return entry[1]
 
 
 def resolve_initial_states(

@@ -1,7 +1,7 @@
 """A simulated processor node: protocol engine plus application thread.
 
-Each node owns a :class:`~repro.tempest.memory.BlockStore`, runs compiled
-protocol handlers through the shared interpreter, and executes its
+Each node owns a :class:`~repro.tempest.memory.BlockStore`, runs the
+protocol's compiled handlers, and executes its
 application program (a list of operations produced by
 :mod:`repro.workloads`).  Protocol processing and application execution
 share the node's single processor, serialised by ``busy_until``.
@@ -12,9 +12,9 @@ from __future__ import annotations
 from collections import deque
 from typing import Optional
 
+from repro.backends.python_backend import CompiledEngine
 from repro.lang.errors import RuntimeProtocolError
 from repro.runtime.context import Message, ProtocolContext
-from repro.runtime.exec import HandlerInterpreter
 from repro.tempest.memory import (
     ACCESS_CHANGE_RESULT,
     BlockStore,
@@ -211,7 +211,7 @@ class Node:
             machine.home_of,
         )
         self.ctx = NodeContext(self)
-        self.interp = HandlerInterpreter(protocol, self.ctx)
+        self.engine = CompiledEngine(protocol, self.ctx)
 
     # -- protocol-side execution ----------------------------------------------
 
@@ -302,7 +302,7 @@ class Node:
         record = self.store.record(message.block)
         record.state_changed = False
         self.ctx.begin(message, start)
-        self.interp.dispatch()
+        self.engine.dispatch()
         now = self.ctx.now
 
         # Queue redelivery: each state change re-enables the deferred
@@ -317,7 +317,7 @@ class Node:
                     obs.queue_replay(self.node_id, deferred.block,
                                      deferred.tag, deferred.src, now)
                 self.ctx.begin(deferred, now)
-                self.interp.dispatch()
+                self.engine.dispatch()
                 now = self.ctx.now
         return now
 

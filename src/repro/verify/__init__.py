@@ -12,8 +12,8 @@ with a full event trace, like Mur-phi's counterexamples.
 
 Crucially -- and this is the paper's point -- the checker consumes the
 *same* :class:`~repro.runtime.protocol.CompiledProtocol` the simulator
-executes, through the same interpreter.  The verified artifact is the
-executed artifact.
+executes, by calling the same compiled handler functions.  The verified
+artifact is the executed artifact.
 
 Two engines share that exploration semantics:
 :class:`~repro.verify.checker.ModelChecker` (serial, optionally

@@ -13,17 +13,16 @@ import re
 import signal
 import threading
 import time
-import weakref
 from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import IO, Optional
 
+from repro.backends.python_backend import CompiledEngine
 from repro.faults import FaultBudget
 
 from repro.obs.profile import visited_container_bytes
 from repro.runtime.context import Message
-from repro.runtime.exec import HandlerInterpreter
-from repro.runtime.protocol import CompiledProtocol
+from repro.runtime.protocol import CompiledProtocol, weak_protocol_entry
 from repro.verify.checkpoint import (
     PERIODIC_SPACING_RATIO,
     config_echo,
@@ -73,23 +72,15 @@ _NO_EFFECTS = ActionEffects((), (), None, (), None)
 #   intern   state -> canonical state.  Canonical states carry their
 #            cached hash and make visited-set equality an identity hit.
 #
-# Both pay within a single run.  The registry holds protocols via
-# weakrefs (CompiledProtocol is an unhashable mutable-eq dataclass,
-# hence the id keying plus finalizer): a protocol's caches -- and every
-# state/effect they pin -- die with it.  Like the compile cache, this
-# assumes compiled protocols are not mutated after use.
+# Both pay within a single run.  The registry holds protocols weakly
+# (see weak_protocol_entry): a protocol's caches -- and every
+# state/effect they pin -- die with it.
 _ENGINE_CACHES: dict = {}
 
 
 def _engine_caches_for(protocol, interpreter_factory,
                        n_nodes: int) -> tuple:
-    entry = _ENGINE_CACHES.get(id(protocol))
-    if entry is None or entry[0]() is not protocol:
-        ref = weakref.ref(
-            protocol,
-            lambda _r, key=id(protocol): _ENGINE_CACHES.pop(key, None))
-        entry = _ENGINE_CACHES[id(protocol)] = (ref, {})
-    per_protocol = entry[1]
+    per_protocol = weak_protocol_entry(_ENGINE_CACHES, protocol, dict)
     key = (interpreter_factory, n_nodes)
     caches = per_protocol.get(key)
     if caches is None:
@@ -385,7 +376,7 @@ class ModelChecker:
         invariants: Optional[list[Invariant]] = None,
         max_states: int = 2_000_000,
         channel_cap: int = 4,
-        interpreter_factory=HandlerInterpreter,
+        interpreter_factory=CompiledEngine,
         check_progress: bool = False,
         progress_stream: Optional[IO] = None,
         progress_every: int = 10_000,
@@ -413,9 +404,10 @@ class ModelChecker:
         self.invariants = (
             invariants if invariants is not None else standard_invariants())
         self.max_states = max_states
-        # Pluggable execution engine: the interpreter by default, or the
-        # Python back end's GeneratedProtocolRunner (the test suite uses
-        # this for behavioural-equivalence checks).
+        # The execution engine, built per recorded action: the Python
+        # back end's compiled handlers -- the functions the simulator
+        # executes.  The test suite passes the reference
+        # HandlerInterpreter here for behavioural-equivalence checks.
         self.interpreter_factory = interpreter_factory
         # Application rules are disabled while any channel holds this
         # many messages -- the standard Mur-phi idiom for keeping a model
@@ -898,7 +890,7 @@ class ModelChecker:
     def _count_fire(self, state_name: str, tag: str) -> Optional[str]:
         """Coverage accounting: the handler about to run for ``tag`` in
         ``state_name`` (resolving DEFAULT fallback exactly like the
-        interpreter does).  Counts both initial dispatches and queue
+        engine's dispatch does).  Counts both initial dispatches and queue
         redeliveries, so every arm the exploration exercises is seen.
         Returns the arm key, which the profiler attributes dispatch
         cost to.  Dispatch resolution is memoised per (state, tag) --

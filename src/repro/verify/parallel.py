@@ -85,8 +85,8 @@ import time
 from collections import defaultdict, deque
 from typing import IO, Optional
 
+from repro.backends.python_backend import CompiledEngine
 from repro.obs.profile import visited_container_bytes
-from repro.runtime.exec import HandlerInterpreter
 from repro.runtime.protocol import CompiledProtocol
 from repro.verify.checker import (
     _DEADLOCK_MESSAGE,
@@ -460,7 +460,7 @@ class ParallelChecker:
         workers: Optional[int] = None,
         max_states: int = 2_000_000,
         channel_cap: int = 4,
-        interpreter_factory=HandlerInterpreter,
+        interpreter_factory=CompiledEngine,
         progress_stream: Optional[IO] = None,
         progress_every: int = 10_000,
         checkpoint_out: Optional[str] = None,

@@ -301,13 +301,13 @@ def test_resume_refuses_other_reduction_or_fault_config(tmp_path, flag,
 
 
 def test_engine_tables_hold_no_per_transition_entries():
-    from repro.runtime.exec import HandlerInterpreter
+    from repro.backends import CompiledEngine
     from repro.verify import checker
 
     checker._ENGINE_CACHES.clear()
     result = api.check("lcm", CheckOptions(nodes=3))
     protocol = api.compile_protocol("lcm", CheckOptions().compile)
-    tables = checker._engine_caches_for(protocol, HandlerInterpreter, 3)
+    tables = checker._engine_caches_for(protocol, CompiledEngine, 3)
     assert result.transitions > 3 * result.states_explored
     assert tables
     for table in tables:

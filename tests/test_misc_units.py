@@ -124,7 +124,7 @@ class TestMurphiEmitterDetails:
 class TestPythonBackendOptLevels:
     @pytest.mark.parametrize("level_name", ["O0", "O1", "O2"])
     def test_generated_matches_interpreter_at_every_level(self, level_name):
-        from repro.backends import GeneratedProtocolRunner
+        from repro.backends import CompiledEngine
         from repro.runtime.exec import HandlerInterpreter
         from repro.runtime.protocol import OptLevel
         from helpers import FakeContext
@@ -140,7 +140,7 @@ class TestPythonBackendOptLevels:
             return ctx.state, dict(ctx.info), ctx.sent, \
                 ctx.counters.cont_allocs, ctx.counters.static_cont_uses
 
-        assert drive(HandlerInterpreter) == drive(GeneratedProtocolRunner)
+        assert drive(HandlerInterpreter) == drive(CompiledEngine)
 
 
 class TestSourceLocationFormatting:

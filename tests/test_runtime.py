@@ -33,15 +33,16 @@ End;
 
 
 def run_body(body: str, locals_decl: str = "", params: str = "",
-             payload=(), state=("S", ()), support=None):
+             payload=(), state=("S", ()), support=None,
+             engine_factory=HandlerInterpreter, tag="M"):
     protocol = compile_source(
         EXPR_TEMPLATE.format(body=body, locals=locals_decl, params=params),
         initial_states=("S", "S"))
     ctx = FakeContext(protocol, state=state)
     if support:
         ctx.support.update(support)
-    interp = HandlerInterpreter(protocol, ctx)
-    ctx.deliver(interp, "M", payload=payload)
+    interp = engine_factory(protocol, ctx)
+    ctx.deliver(interp, tag, payload=payload)
     return ctx
 
 
@@ -373,11 +374,11 @@ End;
         assert ctx.info["count"] == 42
 
     def test_generated_python_agrees(self):
-        from repro.backends import GeneratedProtocolRunner
+        from repro.backends import CompiledEngine
         protocol = self._protocol()
         ctx = FakeContext(protocol, state=("S", ()))
         ctx.support["Threshold"] = 41
-        runner = GeneratedProtocolRunner(protocol, ctx)
+        runner = CompiledEngine(protocol, ctx)
         ctx.deliver(runner, "M")
         assert ctx.info["count"] == 42
 
