@@ -383,16 +383,6 @@ def check(target: Target,
             raise ValueError(
                 "checkpoint/resume is incompatible with partial-order "
                 "reduction (sleep-set state is not serialized)")
-    else:
-        if options.liveness:
-            raise ValueError(
-                "liveness checking needs the full state graph and is "
-                "serial-only (CheckOptions.workers must be 0)")
-        if reduction.por:
-            raise ValueError(
-                "partial-order reduction is serial-only: sleep sets need "
-                "globally ordered re-arrival bookkeeping the sharded "
-                "checker does not do (CheckOptions.workers must be 0)")
 
     def run_once(symmetry: bool) -> CheckResult:
         # Observers (profiler/atlas) are stateful accumulators; each
@@ -426,6 +416,8 @@ def check(target: Target,
             atlas=atlas,
             engine=options.engine,
             symmetry=symmetry,
+            check_progress=options.liveness,
+            por=reduction.por,
             checkpoint_out=options.checkpoint.out,
             resume=options.checkpoint.resume,
             checkpoint_interval_waves=options.checkpoint.interval_waves,
@@ -437,14 +429,14 @@ def check(target: Target,
         if options.workers == 0:
             return ModelChecker(
                 protocol,
-                check_progress=options.liveness,
                 # Serial checkpoints key the visited set by fingerprint,
                 # so checkpointing implies hash compaction.
                 fingerprint_states=(options.fingerprints
                                     or checkpointing),
-                por=reduction.por,
                 **shared,
             ).run()
+        # The sharded checker refuses the serial-only modes itself
+        # (liveness, partial-order reduction).
         return ParallelChecker(
             protocol,
             workers=options.workers,

@@ -24,12 +24,11 @@ from repro.obs.profile import visited_container_bytes
 from repro.runtime.context import Message
 from repro.runtime.protocol import CompiledProtocol, weak_protocol_entry
 from repro.verify.checkpoint import (
-    PERIODIC_SPACING_RATIO,
+    CutPolicy,
     config_echo,
-    decode_checkpoint,
     encode_checkpoint,
-    load_checkpoint,
     replay_frontier,
+    starting_cut,
     write_checkpoint,
 )
 from repro.verify.events import EventGenerator, StacheEvents
@@ -307,7 +306,7 @@ class CheckResult:
         )
 
 
-# -- progress-line plumbing (shared by the serial and parallel checkers) --------
+# -- progress-line plumbing (ModelChecker._report_progress) ---------------------
 
 def _rolling_rate(window, elapsed: float, states: int):
     """states/s over the last few progress samples (None until two
@@ -336,25 +335,6 @@ def _fmt_eta(seconds: float) -> str:
     if seconds < 7200:
         return f"{seconds / 60:.0f}m"
     return f"{seconds / 3600:.1f}h"
-
-
-def format_progress_line(name: str, states: int, frontier: int,
-                         depth: int, transitions: int, inv_evals: int,
-                         rate: float, rolling, eta, suffix: str,
-                         extra: str = "") -> str:
-    """One progress line; the serial and parallel checkers both emit
-    exactly this format (the parallel checker appends per-worker rates
-    via ``extra``)."""
-    detail = ""
-    if rolling is not None:
-        detail = f" (rolling {rolling:.0f}/s"
-        if eta is not None:
-            detail += f", eta<={_fmt_eta(eta)} to state cap"
-        detail += ")"
-    return (f"[verify {name}] states={states} frontier={frontier} "
-            f"depth={depth} transitions={transitions} "
-            f"inv_evals={inv_evals} {rate:.0f} states/s"
-            f"{detail}{extra} {suffix}")
 
 
 class ModelChecker:
@@ -522,12 +502,11 @@ class ModelChecker:
         if engine not in ("fast", "legacy"):
             raise ValueError(f"unknown successor engine {engine!r}")
         self.engine = engine
-        # Checkpointing (serial): drain to a clean cut -- every state in
-        # the frontier accepted-but-unexpanded, everything else fully
-        # expanded -- and write the same v1 JSON format the parallel
-        # checker uses, so a serial checkpoint resumes at any worker
-        # count and vice versa.  Requires the fingerprint-keyed visited
-        # set (the on-disk format is fingerprint-keyed).
+        # Checkpointing: stop at a clean cut (see checkpoint.CutPolicy)
+        # and write the same v1 JSON format the parallel checker uses,
+        # so a serial checkpoint resumes at any worker count and vice
+        # versa.  Requires the fingerprint-keyed visited set (the
+        # on-disk format is fingerprint-keyed).
         self.checkpoint_out = checkpoint_out
         self.resume = resume
         self.checkpoint_interval_waves = checkpoint_interval_waves
@@ -544,9 +523,8 @@ class ModelChecker:
                 "survive the fingerprint-keyed checkpoint format")
         # Resource budgets: a wall-clock deadline and a visited-set byte
         # cap (the profiler's container accounting).  Exceeding either
-        # finishes the current state cleanly, writes a resumable
-        # checkpoint when one is configured, and returns a truncated
-        # CheckResult with stop_reason set.
+        # stops at the next clean cut, checkpointed when a path is
+        # configured, with CheckResult.stop_reason set.
         self.deadline_seconds = deadline_seconds
         self.max_visited_bytes = max_visited_bytes
         # Fast-engine memo tables (harmless when engine="legacy");
@@ -967,16 +945,14 @@ class ModelChecker:
         popped); ``api.check`` reruns unreduced.
 
         ``succ_keys``: the representative's successor fingerprints when
-        the caller already computed them (the main BFS loop); ``None``
-        recomputes them (the POR path).  A ``_LabelledViolation`` while
+        the expand step already computed them; ``None`` recomputes them
+        (the POR path).  A ``_LabelledViolation`` while
         recomputing the representative's successors means the run is
         about to FAIL concretely -- certification gaps only matter for
         PASS verdicts, so return early.  A sibling raising when the
         representative did not *is* a mismatch.
         """
         canon = self._canon
-        if canon is None or not canon.perms:
-            return
         fp = self.fingerprint_fn
         if succ_keys is None:
             try:
@@ -1082,16 +1058,20 @@ class ModelChecker:
     # -- search -------------------------------------------------------------
 
     def _begin_run(self) -> None:
-        """Reset the per-run counters and bind the invariant suite.
-        Also runs at construction, so a fresh checker (a replay clone,
-        the parallel template) can step and judge states at once."""
+        """Reset the per-run counters and bind the invariant suite (and
+        the atlas recorder, when one is attached).  Also runs at
+        construction, so a fresh checker (a replay clone, the parallel
+        template) can step and judge states at once."""
         self._progress_window: deque = deque(maxlen=8)
         self._invariant_evals = {}
         self._handler_fires = {}
+        self._max_depth = 0
         self._named_invariants = [
             (self._invariant_name(invariant), invariant)
             for invariant in self.invariants
         ]
+        if self.atlas is not None:
+            self.atlas.bind(self.protocol, self.n_nodes, self.n_blocks)
 
     def initial_state(self) -> GlobalState:
         return initial_global_state(
@@ -1101,12 +1081,14 @@ class ModelChecker:
     def _result(self, *, ok: bool, states: int, transitions: int,
                 max_depth: int, elapsed: float, invariant_evals: dict,
                 handler_fires: dict, violation: Optional[Violation] = None,
-                hit_limit: bool = False, stop_reason: Optional[str] = None,
-                **extra) -> CheckResult:
+                stopped: Optional[str] = None, **extra) -> CheckResult:
         """Every CheckResult is built here, so the configuration-derived
         fields and the ``exhausted`` / ``canonical_states`` rules have
-        one definition.  The parallel master calls this on its template
+        one definition.  ``stopped``: why the search ended early --
+        ``state_limit`` (a plain ``max_states`` truncation) or a
+        ``stop_reason``.  The parallel master calls this on its template
         (with ``workers`` / ``worker_losses`` in ``extra``)."""
+        hit_limit = stopped == "state_limit"
         return CheckResult(
             protocol_name=self.protocol.name, ok=ok, states_explored=states,
             transitions=transitions, max_depth=max_depth,
@@ -1115,10 +1097,10 @@ class ModelChecker:
             reorder_bound=self.reorder_bound, hit_state_limit=hit_limit,
             invariant_evals=dict(invariant_evals),
             handler_fires=dict(handler_fires),
-            exhausted=not hit_limit and stop_reason is None,
+            exhausted=stopped is None,
             fault_budget=self.fault_budget,
             canonical_states=states if self.symmetry else None,
-            stop_reason=stop_reason, **extra)
+            stop_reason=None if hit_limit else stopped, **extra)
 
     def run(self) -> CheckResult:
         """Breadth-first exploration from the initial state (or from a
@@ -1145,131 +1127,217 @@ class ModelChecker:
                 signal.signal(signal.SIGINT, previous)
         return self._run_bfs([False])
 
+    # -- the exploration parts ----------------------------------------------
+
+    def _expand(self, state: GlobalState, key, por=None):
+        """The expand step: yield ``(label, successor, successor key)``
+        for every transition out of ``state`` (whose own key is ``key``).
+
+        Every mode explores the same transition system because this is
+        the one definition of expanding a state: the serial loop and the
+        parallel worker both iterate it and own only what they do with
+        the triples (dedupe, parent pointers, acceptance or routing).
+        Successors come from the stock enumerator or, given ``por``, the
+        sleep-set filter; around them sit the profiler's phases and the
+        atlas's edges, and after the last one the symmetry certification
+        (:class:`SymmetryError`).  An error rule surfaces as the
+        enumerator's :class:`_LabelledViolation` (kind ``error``); a
+        state with no enabled move raises one of kind ``deadlock``."""
+        prof = self.profiler
+        atlas = self.atlas
+        fp = self.fingerprint_fn if self.fingerprint_states else None
+        certify = self._canon is not None and self._canon.perms
+        # Sleep sets prune some moves, so under POR the symmetry
+        # comparison recomputes the full successor set (None).
+        sym_keys = [] if certify and por is None else None
+        out_degree = 0
+        if atlas is not None:
+            atlas.expand(state, fp=key if fp is not None else None)
+        successors = (self._successors(state) if por is None
+                      else por.successors(state, key))
+        if prof is not None:
+            successors = prof.timed_successors(successors)
+        for label, successor in successors:
+            out_degree += 1
+            if prof is None or fp is None:
+                succ_key = fp(successor) if fp else successor
+            else:
+                t0 = time.perf_counter()
+                succ_key = fp(successor)
+                prof.add_phase("fingerprint", time.perf_counter() - t0)
+            if sym_keys is not None:
+                sym_keys.append(succ_key)
+            if atlas is not None:
+                # Every generated successor is an edge, even when its
+                # target was already visited or routed -- recorded
+                # before the consumer's dedupe, which is not an edge
+                # dedupe.  Reuses the fingerprint when one is on hand.
+                atlas.edge(label, successor,
+                           fp=succ_key if fp is not None else None)
+            if prof is None:
+                yield label, successor, succ_key
+                continue
+            # Whatever the consumer does with the triple is the
+            # "visited" phase, less the invariant suite, which _accept
+            # times itself.
+            judged = prof.phases.get("invariants", 0.0)
+            t0 = time.perf_counter()
+            yield label, successor, succ_key
+            spent = time.perf_counter() - t0
+            judged -= prof.phases.get("invariants", 0.0)
+            prof.add_phase("visited", spent + judged)
+        if certify:
+            # Certification expands the orbit siblings: a side
+            # computation, not exploration.  It runs with the coverage
+            # counters and the profiler detached, so handler_fires and
+            # the dispatch table count explored transitions only.
+            fires, self._handler_fires = self._handler_fires, {}
+            self.profiler = None
+            try:
+                self._certify_symmetry(state, sym_keys)
+            finally:
+                self._handler_fires, self.profiler = fires, prof
+        if prof is not None:
+            prof.add_out_degree(out_degree)
+        # A state whose every enabled move sleeps yields nothing here,
+        # yet is no deadlock.
+        if not out_degree and (por is None or not por.any_enabled):
+            raise _LabelledViolation("<stuck>", _DEADLOCK_MESSAGE,
+                                     "deadlock")
+
+    def _accept(self, state: GlobalState, key, depth: int) -> Optional[str]:
+        """The accept step: ``state`` joins the explored set at
+        ``depth``.  Tracks the run's maximum depth, shows the state to
+        the atlas, and runs the (timed) invariant suite; returns the
+        first failed invariant's message, or None.  The caller owns the
+        containers -- visited set, parent pointers, frontier."""
+        if depth > self._max_depth:
+            self._max_depth = depth
+        if self.atlas is not None:
+            self.atlas.visit(state, depth,
+                             fp=key if self.fingerprint_states else None)
+        prof = self.profiler
+        if prof is None:
+            return self._check_invariants(state)
+        t0 = time.perf_counter()
+        message = self._check_invariants(state)
+        prof.add_phase("invariants", time.perf_counter() - t0)
+        return message
+
+    def _finish(self, violation: Optional[Violation], *, frontier: int,
+                progress_extra: str = "", **counts) -> CheckResult:
+        """The end of every run: replay-validate a counterexample built
+        from fingerprints, print the final progress line, and build the
+        :class:`CheckResult` (``counts`` are :meth:`_result`'s keywords;
+        ``elapsed`` includes a resumed checkpoint's) with the observers'
+        artifacts.  The parallel master calls this on its template."""
+        if violation is not None and self.fingerprint_states:
+            # Collision guard: the trace came from fingerprint-keyed
+            # parent pointers; make sure it actually replays.
+            self.verify_violation(violation)
+        if self.progress_stream is not None:
+            self._report_progress(
+                counts["states"], frontier, counts["max_depth"],
+                counts["transitions"], counts["elapsed"],
+                sum(counts["invariant_evals"].values()), final=True,
+                extra=progress_extra)
+        result = self._result(ok=violation is None, violation=violation,
+                              **counts)
+        if self.profiler is not None:
+            result.profile = self.profiler.build(result)
+        if self.atlas is not None:
+            result.atlas = self.atlas.build(result)
+        return result
+
     def _run_bfs(self, interrupt_cell) -> CheckResult:
         start_time = time.perf_counter()
         prof = self.profiler
         if prof is not None:
             prof.begin()
         self._begin_run()
-        # The visited set and parent pointers are keyed either by the
-        # state itself or, in fingerprint mode, by its 64-bit digest.
-        fp = self.fingerprint_fn if self.fingerprint_states else None
-        atlas = self.atlas
-        if atlas is not None:
-            atlas.bind(self.protocol, self.n_nodes, self.n_blocks)
         # Sleep-set POR rides this loop as a different successor source
         # plus a re-arrival rule (see _SleepSets); None runs the stock
         # enumerators and costs the loop one test per successor.
         por = _SleepSets(self) if self.por else None
-        visited: set = set()
-        parents: dict = {}
-        depth: dict = {}
+        # Every run starts from a cut: a resumed checkpoint's, or the
+        # trivial one whose frontier is the initial state.
+        cut = starting_cut(self)
+        transitions = cut.transitions
+        self._max_depth = cut.max_depth
+        self._invariant_evals = cut.invariant_evals
+        self._handler_fires = cut.handler_fires
+        # The visited set and parent pointers are keyed either by the
+        # state itself or, in fingerprint mode, by its 64-bit digest.
+        visited: set = cut.visited
+        parents: dict = cut.parents
+        seeds = replay_frontier(self, parents, cut.frontier, cut.states,
+                                self.resume)
+        # (state, key, depth) entries: accepted, awaiting expansion.
         frontier: deque = deque()
         graph: dict[GlobalState, list[GlobalState]] = {}
-        transitions = 0
-        max_depth = 0
-        hit_limit = False
-        stop_reason: Optional[str] = None
-        baseline_elapsed = 0.0
+        stopped: Optional[str] = None    # see _result
 
-        if self.resume:
-            cut = decode_checkpoint(load_checkpoint(self.resume),
-                                    config_echo(self), self.resume)
-            baseline_elapsed = cut.elapsed
-            transitions = cut.transitions
-            max_depth = cut.max_depth
-            self._invariant_evals = cut.invariant_evals
-            self._handler_fires = cut.handler_fires
-            visited = cut.visited
-            parents = cut.parents
-            states = replay_frontier(self, parents, cut.frontier,
-                                     cut.states, self.resume)
-            seeds = [(states[key], key, pkey, label, d)
-                     for key, (pkey, label, d) in cut.frontier.items()]
-        else:
-            initial = self.initial_state()
-            seeds = [(initial, fp(initial) if fp else initial,
-                      None, "<initial>", 0)]
+        def elapsed() -> float:
+            return cut.elapsed + (time.perf_counter() - start_time)
 
-        def result(ok: bool, violation: Optional[Violation]) -> CheckResult:
-            if fp is not None and violation is not None:
-                # Collision guard: the trace came from fingerprint-keyed
-                # parent pointers; make sure it actually replays.
-                self.verify_violation(violation)
-            if self.progress_stream is not None:
-                self._report_progress(len(visited), len(frontier),
-                                      max_depth, transitions, start_time,
-                                      final=True)
-            res = self._result(
-                ok=ok, states=len(visited), transitions=transitions,
-                max_depth=max_depth,
-                elapsed=baseline_elapsed
-                + (time.perf_counter() - start_time),
-                invariant_evals=self._invariant_evals,
-                handler_fires=self._handler_fires, violation=violation,
-                hit_limit=hit_limit, stop_reason=stop_reason,
-                pruned_transitions=por.pruned if por is not None else 0)
+        def finish(violation: Optional[Violation] = None) -> CheckResult:
+            pruned = por.pruned if por is not None else 0
             if prof is not None:
-                prof.sample(len(visited), len(frontier), max_depth,
-                            transitions,
-                            None if por is None else por.pruned)
+                prof.sample(len(visited), len(frontier), self._max_depth,
+                            transitions, None if por is None else pruned)
                 prof.set_visited(
                     entries=len(visited),
-                    mode="fingerprint" if fp is not None else "state",
+                    mode=("fingerprint" if self.fingerprint_states
+                          else "state"),
                     container_bytes=visited_container_bytes(
                         visited, parents))
-                res.profile = prof.build(res)
-            if atlas is not None:
-                res.atlas = atlas.build(res)
-            return res
+            return self._finish(
+                violation, states=len(visited), frontier=len(frontier),
+                transitions=transitions, max_depth=self._max_depth,
+                elapsed=elapsed(), invariant_evals=self._invariant_evals,
+                handler_fires=self._handler_fires, stopped=stopped,
+                pruned_transitions=pruned)
 
         def trace_to(key, last_label: str) -> list[str]:
             return self._trace_via_parents(key, parents) + [last_label]
 
-        # Seeds are accepted exactly as the loop accepts every later
-        # state.  A checkpoint frontier is pre-acceptance in the on-disk
-        # format (the decoder already picked each state's canonical
-        # parent edge), so its invariants run here, as the parallel
-        # seed op runs them.
-        seed_violations: list = []
-        for state, key, pkey, label, d in seeds:
+        def take(state, key, pkey, label, d) -> Optional[str]:
+            """Take a fresh state into the search: bookkeeping, the accept
+            step and, unless an invariant failed, a frontier slot."""
             visited.add(key)
             parents[key] = (pkey, label)
-            depth[key] = d
-            max_depth = max(max_depth, d)
-            if atlas is not None:
-                atlas.visit(state, d, fp=key if fp is not None else None)
             if por is not None:
-                por.admit(key, state)
+                por.admit(key, state, d)
             if self.check_progress:
-                graph[state] = []
-            message = self._check_invariants(state)
+                graph.setdefault(state, [])
+            message = self._accept(state, key, d)
+            if message is None:
+                frontier.append((state, key, d))
+            return message
+
+        # Seeds are taken exactly as the loop takes every later state.
+        # A checkpoint frontier is pre-acceptance in the on-disk format
+        # (the decoder already picked each state's canonical parent
+        # edge), so its invariants run here, as the parallel seed op
+        # runs them.
+        seed_violations: list = []
+        for key, (pkey, label, d) in cut.frontier.items():
+            message = take(seeds[key], key, pkey, label, d)
             if message is not None:
-                seed_violations.append((d, message, key, state))
-            frontier.append((state, key))
+                seed_violations.append((d, message, key, seeds[key]))
         if seed_violations:
             # Same canonical choice the parallel seed makes: the
             # minimum (depth, message, fingerprint) violation, so the
             # verdict is engine- and worker-count independent.
             d, message, key, state = min(seed_violations,
                                          key=lambda v: v[:3])
-            return result(False, Violation(
+            return finish(Violation(
                 "invariant", message,
                 self._trace_via_parents(key, parents) or ["<initial>"],
                 state))
 
-        # The guard runs once per popped state, only when checkpointing
-        # or budgets are armed -- unarmed runs execute the loop the hot
-        # path always ran.  Stopping at the top of the loop is a clean
-        # cut: every non-frontier visited state is fully expanded, so
-        # the checkpoint resumes to the exact uninterrupted result.
-        guard_armed = (self.checkpoint_out is not None
-                       or self.deadline_seconds is not None
-                       or self.max_visited_bytes is not None)
-
-        def write_ckpt(durable=True):
-            started = time.perf_counter()
-            frontier_keys = {key for _state, key in frontier}
+        def write_ckpt(durable: bool) -> None:
+            frontier_keys = {key for _state, key, _d in frontier}
             # Frontier states are accepted (and invariant-checked) in
             # this loop but pre-acceptance in the on-disk format; every
             # accepted passing state contributed exactly one evaluation
@@ -1278,11 +1346,10 @@ class ModelChecker:
             drained = len(frontier_keys)
             payload = encode_checkpoint(
                 config_echo(self),
-                wave=depth[frontier[0][1]],
+                wave=frontier[0][2],
                 transitions=transitions,
-                max_depth=max_depth,
-                elapsed=baseline_elapsed
-                + (time.perf_counter() - start_time),
+                max_depth=self._max_depth,
+                elapsed=elapsed(),
                 invariant_evals={
                     name: max(0, count - drained)
                     for name, count in self._invariant_evals.items()},
@@ -1291,107 +1358,31 @@ class ModelChecker:
                          if key not in frontier_keys),
                 parents=(item for item in parents.items()
                          if item[0] not in frontier_keys),
-                frontier=((key, *parents[key], depth[key])
-                          for _state, key in frontier))
+                frontier=((key, *parents[key], d)
+                          for _state, key, d in frontier))
             write_checkpoint(self.checkpoint_out, payload,
                              self.checkpoint_keep_last, durable=durable)
-            cost = time.perf_counter() - started
-            if prof is not None:
-                prof.add_phase("checkpoint_io", cost)
-            return cost
 
-        last_ckpt_wave = depth[frontier[0][1]] if frontier else 0
-        last_ckpt_time = start_time
-        last_ckpt_cost = 0.0
-
-        certify = (self.symmetry and self._canon is not None
-                   and self._canon.perms)
+        # The top of the loop is a clean cut (see CutPolicy): every
+        # non-frontier visited state is fully expanded.
+        policy = CutPolicy(self, start_time,
+                           frontier[0][2] if frontier else 0)
         while frontier:
-            if guard_armed:
-                reason = None
-                if len(visited) >= self.max_states:
-                    hit_limit = True
-                    reason = "state_limit"
-                elif interrupt_cell[0]:
-                    reason = "interrupted"
-                elif (self.deadline_seconds is not None
-                      and time.perf_counter() - start_time
-                      >= self.deadline_seconds):
-                    reason = "deadline"
-                elif (self.max_visited_bytes is not None
-                      and visited_container_bytes(visited, parents)
-                      > self.max_visited_bytes):
-                    reason = "memory"
-                if reason is not None:
-                    if self.checkpoint_out is not None:
-                        write_ckpt()
-                    if reason != "state_limit":
-                        stop_reason = reason
-                    return result(True, None)
-                if (self.checkpoint_out is not None
-                        and (self.checkpoint_interval_waves
-                             or self.checkpoint_interval_seconds)):
-                    head_depth = depth[frontier[0][1]]
-                    # perf_counter only when a time interval is armed:
-                    # this branch runs once per popped state.
-                    if (((self.checkpoint_interval_waves
-                          and head_depth - last_ckpt_wave
-                          >= self.checkpoint_interval_waves)
-                         or (self.checkpoint_interval_seconds
-                             and time.perf_counter() - last_ckpt_time
-                             >= self.checkpoint_interval_seconds))
-                            and time.perf_counter() - last_ckpt_time
-                            >= PERIODIC_SPACING_RATIO * last_ckpt_cost):
-                        # Periodic writes skip the fsync: their loss
-                        # window is the next interval, and the final
-                        # (durable) write still lands at every stop.
-                        # The spacing guard self-limits checkpoint time
-                        # to a bounded wall-time fraction (see
-                        # PERIODIC_SPACING_RATIO).
-                        last_ckpt_cost = write_ckpt(durable=False)
-                        last_ckpt_wave = head_depth
-                        last_ckpt_time = time.perf_counter()
-            state, key = frontier.popleft()
-            found_successor = False
-            out_degree = 0
-            # Sleep sets prune some moves, so under POR the symmetry
-            # comparison recomputes the full successor set (None).
-            sym_keys = [] if certify and por is None else None
-            if atlas is not None:
-                atlas.expand(state, fp=key if fp is not None else None)
+            if policy.armed:
+                stopped = policy.stop(
+                    len(visited), interrupt_cell[0],
+                    lambda: visited_container_bytes(visited, parents),
+                    write_ckpt)
+                if stopped is not None:
+                    return finish()
+                policy.write_if_due(frontier[0][2], write_ckpt)
+            state, key, d = frontier.popleft()
             try:
-                # Profiled runs wrap the successor generator so the time
-                # spent *generating* (handler dispatch included) is
-                # separated from this loop's per-successor bookkeeping.
-                successors = (self._successors(state) if por is None
-                              else por.successors(state, key))
-                if prof is not None:
-                    successors = prof.timed_successors(successors)
-                for label, successor in successors:
+                for label, successor, succ_key in self._expand(
+                        state, key, por):
                     transitions += 1
-                    out_degree += 1
-                    found_successor = True
                     if self.check_progress:
                         graph[state].append(successor)
-                    if prof is None or fp is None:
-                        succ_key = fp(successor) if fp else successor
-                    else:
-                        t0 = time.perf_counter()
-                        succ_key = fp(successor)
-                        prof.add_phase("fingerprint",
-                                       time.perf_counter() - t0)
-                    if sym_keys is not None:
-                        sym_keys.append(succ_key)
-                    if atlas is not None:
-                        # Every generated successor is an edge, even when
-                        # its target was already visited -- record before
-                        # the dedup check.  Reuses the fingerprint when
-                        # one is already on hand.
-                        succ_fp = atlas.edge(
-                            label, successor,
-                            fp=succ_key if fp is not None else None)
-                    if prof is not None:
-                        t0 = time.perf_counter()
                     if succ_key in visited:
                         if por is not None:
                             # Re-arrival regained transitions that were
@@ -1399,75 +1390,42 @@ class ModelChecker:
                             # stored representative for exactly those.
                             again = por.revisit(succ_key, successor)
                             if again is not None:
-                                frontier.append((again, succ_key))
-                        if prof is not None:
-                            prof.add_phase("visited",
-                                           time.perf_counter() - t0)
+                                frontier.append(again)
                         continue
                     if (len(visited) >= self.max_states
-                            and not guard_armed):
-                        # Guard-armed runs defer the limit to the next
-                        # pop so truncation lands on a clean cut (every
+                            and not policy.armed):
+                        # Armed runs defer the limit to the next pop so
+                        # truncation lands on a clean cut (every
                         # visited non-frontier state fully expanded)
                         # and the checkpoint resumes exactly.
-                        hit_limit = True
-                        return result(True, None)
-                    visited.add(succ_key)
+                        stopped = "state_limit"
+                        return finish()
+                    count = len(visited) + 1
                     if (self.progress_stream is not None
-                            and len(visited) % self.progress_every == 0):
-                        self._report_progress(len(visited), len(frontier),
-                                              max_depth, transitions,
-                                              start_time)
-                    parents[succ_key] = (key, label)
-                    if self.check_progress:
-                        graph.setdefault(successor, [])
-                    depth[succ_key] = depth[key] + 1
-                    if por is not None:
-                        por.admit(succ_key, successor)
-                    if atlas is not None:
-                        atlas.visit(successor, depth[succ_key], fp=succ_fp)
-                    if prof is not None:
-                        prof.add_phase("visited", time.perf_counter() - t0)
-                        if (depth[succ_key] > max_depth
-                                or len(visited) % prof.sample_every == 0):
-                            prof.sample(len(visited), len(frontier),
-                                        max(max_depth, depth[succ_key]),
-                                        transitions,
-                                        None if por is None else por.pruned)
-                    max_depth = max(max_depth, depth[succ_key])
-                    if prof is None:
-                        message = self._check_invariants(successor)
-                    else:
-                        t0 = time.perf_counter()
-                        message = self._check_invariants(successor)
-                        prof.add_phase("invariants",
-                                       time.perf_counter() - t0)
+                            and count % self.progress_every == 0):
+                        self._report_progress(
+                            count, len(frontier), self._max_depth,
+                            transitions, elapsed(),
+                            sum(self._invariant_evals.values()))
+                    if prof is not None and (
+                            d >= self._max_depth
+                            or count % prof.sample_every == 0):
+                        prof.sample(count, len(frontier),
+                                    max(self._max_depth, d + 1),
+                                    transitions,
+                                    None if por is None else por.pruned)
+                    message = take(successor, succ_key, key, label, d + 1)
                     if message is not None:
-                        return result(False, Violation(
+                        return finish(Violation(
                             "invariant", message,
                             trace_to(key, label), successor))
-                    frontier.append((successor, succ_key))
-            except _LabelledViolation as labelled:
-                return result(False, Violation(
-                    "error", labelled.message,
-                    trace_to(key, labelled.label), state))
-            if certify:
-                self._certify_symmetry(state, sym_keys)
-            if prof is not None:
-                prof.add_out_degree(out_degree)
-            # A state whose every enabled move sleeps yields nothing
-            # here, yet is no deadlock.
-            if not found_successor and (por is None
-                                        or not por.any_enabled):
-                return result(False, Violation(
-                    "deadlock", _DEADLOCK_MESSAGE,
-                    trace_to(key, "<stuck>"), state))
+            except _LabelledViolation as found:
+                return finish(Violation(
+                    found.kind, found.message,
+                    trace_to(key, found.label), state))
 
-        if self.check_progress and not hit_limit and stop_reason is None:
-            violation = self._check_progress(graph, parents)
-            if violation is not None:
-                return result(False, violation)
-        return result(True, None)
+        return finish(self._check_progress(graph, parents)
+                      if self.check_progress else None)
 
     # -- partial-order reduction (sleep sets) -------------------------------
     #
@@ -1635,20 +1593,30 @@ class ModelChecker:
         return labels
 
     def _report_progress(self, states: int, frontier_size: int,
-                         max_depth: int, transitions: int,
-                         start_time: float, final: bool = False) -> None:
-        elapsed = time.perf_counter() - start_time
+                         max_depth: int, transitions: int, elapsed: float,
+                         inv_evals: int, final: bool = False,
+                         extra: str = "") -> None:
+        """Print one progress line (the parallel master appends
+        per-worker rates via ``extra``).  ``elapsed`` is the whole
+        run's -- a resumed checkpoint's baseline plus this process's --
+        because ``states`` includes the checkpoint's visited set; a rate
+        over this process's time alone would overstate the speed."""
         rate = states / elapsed if elapsed > 0 else float(states)
         rolling = _rolling_rate(self._progress_window, elapsed, states)
-        eta = None
-        if not final:
-            eta = _eta_seconds(states, self.max_states, rolling or rate)
-        print(
-            format_progress_line(
-                self.protocol.name, states, frontier_size, max_depth,
-                transitions, sum(self._invariant_evals.values()),
-                rate, rolling, eta, "done" if final else "..."),
-            file=self.progress_stream, flush=True)
+        detail = ""
+        if rolling is not None:
+            detail = f" (rolling {rolling:.0f}/s"
+            eta = None if final else _eta_seconds(states, self.max_states,
+                                                  rolling)
+            if eta is not None:
+                detail += f", eta<={_fmt_eta(eta)} to state cap"
+            detail += ")"
+        print(f"[verify {self.protocol.name}] states={states} "
+              f"frontier={frontier_size} depth={max_depth} "
+              f"transitions={transitions} inv_evals={inv_evals} "
+              f"{rate:.0f} states/s{detail}{extra} "
+              f"{'done' if final else '...'}",
+              file=self.progress_stream, flush=True)
 
     @staticmethod
     def _invariant_name(invariant: Invariant) -> str:
@@ -1678,9 +1646,10 @@ class _SleepSets:
     def __init__(self, checker: ModelChecker):
         self.checker = checker
         # Per-key sleep bookkeeping:
-        # [state, sleep, explored, expanded, slept_labels].
+        # [state, sleep, explored, expanded, slept_labels, depth].
         # ``state`` is the stored concrete representative (needed to
-        # re-expand on re-arrival), ``sleep`` a frozenset of
+        # re-expand on re-arrival, at its first-arrival ``depth``),
+        # ``sleep`` a frozenset of
         # (label, actor, kind) entries currently asleep there,
         # ``explored`` the labels already executed from it, and
         # ``slept_labels`` the labels currently counted as pruned there
@@ -1696,13 +1665,14 @@ class _SleepSets:
         # The sleep set the successor just yielded inherits.
         self._child: frozenset = frozenset()
 
-    def admit(self, key, state) -> None:
-        self.meta[key] = [state, self._child, set(), False, set()]
+    def admit(self, key, state, depth: int) -> None:
+        self.meta[key] = [state, self._child, set(), False, set(), depth]
 
     def revisit(self, key, successor):
         """Merge the arriving sleep set into ``key``'s.  Returns the
-        stored representative when it was already expanded and the merge
-        woke transitions up (the caller re-enqueues it), else None."""
+        stored representative's frontier entry when it was already
+        expanded and the merge woke transitions up (the caller
+        re-enqueues it), else None."""
         stored = self.meta[key]
         if stored[0] == successor:
             merged = stored[1] & self._child
@@ -1715,7 +1685,7 @@ class _SleepSets:
             stored[1] = merged
             if stored[3]:
                 stored[3] = False
-                return stored[0]
+                return stored[0], key, stored[5]
         return None
 
     def successors(self, state: GlobalState, key):
@@ -1849,9 +1819,11 @@ def replay_step(checker: ModelChecker, state: GlobalState,
 
 
 class _LabelledViolation(Exception):
-    """Internal: a CheckerViolation tagged with the rule that raised it."""
+    """Internal: a CheckerViolation tagged with the rule that raised it
+    (kind ``error``), or the expand step's deadlock report."""
 
-    def __init__(self, label: str, message: str):
+    def __init__(self, label: str, message: str, kind: str = "error"):
         super().__init__(message)
         self.label = label
         self.message = message
+        self.kind = kind

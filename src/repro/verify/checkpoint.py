@@ -23,6 +23,8 @@ on-disk concerns both engines share:
 * **Config echo** -- the configuration fingerprint embedded in every
   checkpoint so a resume against a different protocol/topology fails
   loudly rather than exploring nonsense.
+* **The stop/checkpoint policy** -- :class:`CutPolicy`, asked at every
+  clean cut by both engines.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import time
 from dataclasses import dataclass
 
 from repro.ioutil import atomic_write_text
@@ -56,6 +59,88 @@ PERIODIC_SPACING_RATIO = 19.0
 class CheckpointError(ValueError):
     """A checkpoint file is malformed, corrupt, or belongs to another
     run."""
+
+
+class CutPolicy:
+    """When a run stops at, or periodically checkpoints, a clean cut:
+    a point where every visited state is either fully expanded or
+    waiting unexpanded in the frontier, so a checkpoint taken there
+    resumes to the exact uninterrupted result.  The serial checker
+    reaches one before each frontier pop, the parallel master at each
+    wave boundary, and both ask this object -- the one definition of
+    the state cap, Ctrl-C, the deadline, the visited-byte budget and the
+    periodic cadence.  ``checker`` is the serial checker (or parallel
+    template) whose settings apply, ``start`` the ``perf_counter``
+    reading the deadline counts from, ``wave`` the cut the run starts
+    at."""
+
+    def __init__(self, checker, start: float, wave: int):
+        self.checker = checker
+        self.start = start
+        # Whether any stop but the state cap can fire: the serial
+        # checker asks per popped state only when armed, so unarmed
+        # runs execute the loop the hot path always ran.
+        self.armed = (checker.checkpoint_out is not None
+                      or checker.deadline_seconds is not None
+                      or checker.max_visited_bytes is not None)
+        self._last_wave = wave
+        self._last_time = time.perf_counter()
+        self._last_cost = 0.0
+
+    def stop(self, states: int, interrupted: bool, visited_bytes,
+             write) -> "str | None":
+        """Why the run stops at this cut, or None: ``state_limit``
+        (a plain ``max_states`` truncation, not a
+        ``CheckResult.stop_reason``), ``interrupted``, ``deadline`` or
+        ``memory`` (``visited_bytes()`` is the visited set's size).  A
+        stop checkpoints the cut durably through ``write(durable)``, the
+        engine's writer, when a checkpoint path is configured."""
+        checker = self.checker
+        if states >= checker.max_states:
+            reason = "state_limit"
+        elif interrupted:
+            reason = "interrupted"
+        elif (checker.deadline_seconds is not None
+              and time.perf_counter() - self.start
+              >= checker.deadline_seconds):
+            reason = "deadline"
+        elif (checker.max_visited_bytes is not None
+              and visited_bytes() > checker.max_visited_bytes):
+            reason = "memory"
+        else:
+            return None
+        if checker.checkpoint_out is not None:
+            self._write(write, True)
+        return reason
+
+    def write_if_due(self, wave: int, write) -> None:
+        """Checkpoint a cut the run continues from, when a periodic
+        write is due.  Periodic writes skip the fsync: their loss
+        window is the next interval, and a durable write still lands at
+        every stop.  The spacing guard self-limits checkpoint time to a
+        bounded wall-time fraction (see PERIODIC_SPACING_RATIO)."""
+        waves = self.checker.checkpoint_interval_waves
+        seconds = self.checker.checkpoint_interval_seconds
+        if self.checker.checkpoint_out is None or not (waves or seconds):
+            return
+        now = time.perf_counter()
+        since = now - self._last_time
+        if (since < PERIODIC_SPACING_RATIO * self._last_cost
+                or not ((waves and wave - self._last_wave >= waves)
+                        or (seconds and since >= seconds))):
+            return
+        self._last_cost = self._write(write, False)
+        self._last_wave = wave
+        self._last_time = time.perf_counter()
+
+    def _write(self, write, durable: bool) -> float:
+        """Run the engine's writer, timed as ``checkpoint_io``."""
+        started = time.perf_counter()
+        write(durable)
+        cost = time.perf_counter() - started
+        if self.checker.profiler is not None:
+            self.checker.profiler.add_phase("checkpoint_io", cost)
+        return cost
 
 
 def _canonical_and_seal(payload: dict) -> tuple:
@@ -290,6 +375,22 @@ def decode_checkpoint(payload: dict, echo: dict, path: str) -> Cut:
         states={fp: state_from_jsonable(record[4])
                 for fp, record in frontier.items()
                 if record[4] is not None})
+
+
+def starting_cut(checker) -> Cut:
+    """The cut ``checker``'s run starts from: its decoded ``resume``
+    checkpoint, or the trivial cut whose frontier is the initial state
+    -- so a fresh run and a resumed one enter the search the same way."""
+    if checker.resume:
+        return decode_checkpoint(load_checkpoint(checker.resume),
+                                 config_echo(checker), checker.resume)
+    initial = checker.initial_state()
+    key = (checker.fingerprint_fn(initial) if checker.fingerprint_states
+           else initial)
+    return Cut(wave=0, transitions=0, max_depth=0, elapsed=0.0,
+               invariant_evals={}, handler_fires={}, visited=set(),
+               parents={}, frontier={key: (None, "<initial>", 0)},
+               states={key: initial})
 
 
 def replay_frontier(checker, parents: dict, frontier: dict, states: dict,

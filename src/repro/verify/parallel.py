@@ -2,11 +2,16 @@
 
 The serial :class:`~repro.verify.checker.ModelChecker` explores one BFS
 layer at a time on one core, holding every visited state in memory.
-:class:`ParallelChecker` keeps the same exploration semantics but
-hash-partitions the state space across N worker processes: each worker
-*owns* the shard of states whose 64-bit fingerprint satisfies
-``fp % workers == worker_id``, and only the owner ever stores, dedupes,
-invariant-checks, or records parent pointers for a state.
+:class:`ParallelChecker` hash-partitions the state space across N worker
+processes: each worker *owns* the shard of states whose 64-bit
+fingerprint satisfies ``fp % workers == worker_id``, and only the owner
+ever stores, dedupes, invariant-checks, or records parent pointers for
+a state.  The exploration semantics are the serial checker's by
+construction: a worker is a fully configured ``ModelChecker`` (the
+*template*) running that class's expand and accept steps on its shard,
+and the master stops the run by the same
+:class:`~repro.verify.checkpoint.CutPolicy` and ends it in the same
+finish step.  This module adds only the protocol *among* the workers.
 
 Exploration proceeds in deterministic cycles (one cycle = one BFS
 layer), but -- unlike the first-generation engine, which shipped every
@@ -49,15 +54,14 @@ of reporting a bogus trace.
 
 Checkpoints are pure JSON (no pickles; see
 :mod:`repro.verify.fingerprint` for the state codec) and are written at
-layer boundaries when the run truncates at ``max_states``, hits a
-resource budget, is interrupted, or a periodic checkpoint interval
-elapses (``checkpoint_interval_waves`` / ``checkpoint_interval_seconds``,
-rotated through ``checkpoint_keep_last``).  Writes are sealed and atomic
-(:mod:`repro.verify.checkpoint`).  The frontier in a checkpoint is
-materialized by fetching the pending candidates' states from the sender
-stashes, so the on-disk format is unchanged from version 1: entries are
-keyed by fingerprint and a checkpoint written at one worker count can be
-resumed at any other -- or by the serial checker.
+layer boundaries when the policy stops the run there (``max_states``, a
+resource budget, Ctrl-C) or a periodic interval elapses.  Writes are
+sealed, atomic and rotated (:mod:`repro.verify.checkpoint`).  The
+frontier in a checkpoint is the routed proposals, their states stored
+by reference (the parent-label chain), so the on-disk format is
+unchanged from version 1: entries are keyed by fingerprint and a
+checkpoint written at one worker count can be resumed at any other --
+or by the serial checker.
 
 Worker supervision: every barrier exchange polls the worker pipes with
 liveness checks instead of blocking on ``recv``, so a SIGKILLed (or,
@@ -82,36 +86,29 @@ import multiprocessing
 import os
 import pickle
 import time
-from collections import defaultdict, deque
-from typing import IO, Optional
+from collections import defaultdict
+from typing import Optional
 
-from repro.backends.python_backend import CompiledEngine
 from repro.obs.profile import visited_container_bytes
 from repro.runtime.protocol import CompiledProtocol
 from repro.verify.checker import (
-    _DEADLOCK_MESSAGE,
     CheckResult,
     ModelChecker,
     SymmetryError,
     Violation,
     _LabelledViolation,
-    _eta_seconds,
-    _rolling_rate,
-    format_progress_line,
 )
 from repro.verify.checkpoint import (
-    PERIODIC_SPACING_RATIO,
     CheckpointError,
+    CutPolicy,
     config_echo,
-    decode_checkpoint,
     encode_checkpoint,
     load_checkpoint,
     min_edge_fold,
     replay_frontier,
+    starting_cut,
     write_checkpoint,
 )
-from repro.verify.events import EventGenerator
-from repro.verify.invariants import Invariant
 
 __all__ = [
     "CheckpointError",
@@ -145,6 +142,15 @@ def _violation_rank(record):
     return (depth, kind, message, label or "", fp)
 
 
+def _worker_rates(replies) -> str:
+    """The progress line's per-worker suffix: each worker's accepted
+    states per busy second over the last expand."""
+    return " [" + " ".join(
+        f"w{i}={reply['accepted'] / reply['seconds']:.0f}/s"
+        if reply and reply["seconds"] > 0 else f"w{i}=idle"
+        for i, reply in enumerate(replies)) + "]"
+
+
 class WorkerLostError(RuntimeError):
     """A worker process died (or stalled past ``worker_stall_timeout``)
     and the run was configured with ``on_worker_loss="fail"``, or the
@@ -163,7 +169,10 @@ class _WorkerLost(Exception):
 
 def _worker_main(conn, worker_id: int, n_workers: int,
                  checker: ModelChecker) -> None:
-    """One shard owner: dedupe, invariant-check, and expand its states.
+    """One shard owner: the serial checker on a shard, plus a transport.
+    Expansion and acceptance are ``checker``'s ``_expand`` / ``_accept``;
+    this function owns the sharding -- the shard's visited set, parent
+    pointers, send dedupe, stash and minimum-edge proposals.
 
     Runs a small command loop over a duplex pipe; the master is the only
     peer.  SIGINT is ignored so Ctrl-C reaches only the master, which
@@ -173,11 +182,6 @@ def _worker_main(conn, worker_id: int, n_workers: int,
 
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     checker._begin_run()
-    fp_fn = checker.fingerprint_fn
-    atlas = checker.atlas
-    if atlas is not None:
-        atlas.bind(checker.protocol, checker.n_nodes, checker.n_blocks)
-    prof = checker.profiler
 
     visited: set[int] = set()          # fps of states this shard owns
     parents: dict[int, tuple] = {}     # fp -> (parent fp | None, label)
@@ -186,29 +190,25 @@ def _worker_main(conn, worker_id: int, n_workers: int,
     staged: dict = {}                  # fp -> (pfp, label, depth) pre-fetch
     stash: dict = {}                   # fp -> state, last expansion's sends
     transitions = 0
-    max_depth = 0
 
     def accept(sfp, state, pfp, label, depth, violations) -> None:
-        """Take ownership of a fresh state: bookkeeping, invariants,
-        and a slot in the next ready set."""
-        nonlocal max_depth
-        t0 = time.perf_counter() if prof is not None else 0.0
+        """Take ownership of a fresh state: bookkeeping, the checker's
+        accept step, and a slot in the next ready set."""
         visited.add(sfp)
         known.add(sfp)
         parents[sfp] = (pfp, label)
-        if depth > max_depth:
-            max_depth = depth
-        if atlas is not None:
-            atlas.visit(state, depth, fp=sfp)
-        if prof is not None:
-            prof.add_phase("visited", time.perf_counter() - t0)
-            t0 = time.perf_counter()
-        message = checker._check_invariants(state)
-        if prof is not None:
-            prof.add_phase("invariants", time.perf_counter() - t0)
+        message = checker._accept(state, sfp, depth)
         if message is not None:
             violations.append(("invariant", message, depth, sfp, None))
         ready.append((sfp, state, depth))
+
+    def accepted_reply(violations, started) -> tuple:
+        return ("done", {
+            "visited": len(visited),
+            "max_depth": checker._max_depth,
+            "violations": violations,
+            "seconds": time.perf_counter() - started,
+        })
 
     while True:
         command = conn.recv()
@@ -228,13 +228,7 @@ def _worker_main(conn, worker_id: int, n_workers: int,
             for sfp, pfp, label, depth, state in min_edge_fold(
                     entries, visited).values():
                 accept(sfp, state, pfp, label, depth, violations)
-            conn.send(("done", {
-                "visited": len(visited),
-                "max_depth": max_depth,
-                "violations": violations,
-                "inv_evals": sum(checker._invariant_evals.values()),
-                "seconds": time.perf_counter() - started,
-            }))
+            conn.send(accepted_reply(violations, started))
 
         elif op == "ingest":                  # metadata candidates
             _, entries = command
@@ -270,56 +264,22 @@ def _worker_main(conn, worker_id: int, n_workers: int,
             for sfp, state in entries:
                 pfp, label, depth = staged.pop(sfp)
                 accept(sfp, state, pfp, label, depth, violations)
-            conn.send(("done", {
-                "visited": len(visited),
-                "max_depth": max_depth,
-                "violations": violations,
-                "inv_evals": sum(checker._invariant_evals.values()),
-                "seconds": time.perf_counter() - started,
-            }))
+            conn.send(accepted_reply(violations, started))
 
         elif op == "expand":
             _, wave_no = command
             started = time.perf_counter()
             tasks, ready = ready, []
             stash = {}
-            proposals: dict = {}          # fp -> (parent fp, label, depth)
-            route: list = []              # fps in first-generation order
+            # fp -> (parent fp, label, depth), in first-generation order
+            proposals: dict = {}
             outbox: dict = defaultdict(list)
             violations = []
-            certify = (checker.symmetry and checker._canon is not None
-                       and checker._canon.perms)
             symmetry_error = None
             for sfp, state, depth in tasks:
-                found_successor = False
-                out_degree = 0
-                sym_fps = ([] if certify and symmetry_error is None
-                           else None)
-                if atlas is not None:
-                    atlas.expand(state, fp=sfp)
                 try:
-                    successors = checker._successors(state)
-                    if prof is not None:
-                        successors = prof.timed_successors(successors)
-                    for label, successor in successors:
+                    for label, successor, fp in checker._expand(state, sfp):
                         transitions += 1
-                        out_degree += 1
-                        found_successor = True
-                        if prof is None:
-                            fp = fp_fn(successor)
-                        else:
-                            t0 = time.perf_counter()
-                            fp = fp_fn(successor)
-                            prof.add_phase("fingerprint",
-                                           time.perf_counter() - t0)
-                            t0 = time.perf_counter()
-                        if sym_fps is not None:
-                            sym_fps.append(fp)
-                        if atlas is not None:
-                            # An edge per generated successor, even when
-                            # its target was already routed -- the send
-                            # dedupe below is not an edge dedupe.
-                            atlas.edge(label, successor, fp=fp)
                         if fp in stash:
                             # Rediscovered within this wave: keep the
                             # minimum edge so this sender's proposal is
@@ -334,48 +294,28 @@ def _worker_main(conn, worker_id: int, n_workers: int,
                             if (sfp, label) < (proposal[0], proposal[1]):
                                 proposals[fp] = (sfp, label, depth + 1)
                                 stash[fp] = successor
-                            if prof is not None:
-                                prof.add_phase(
-                                    "visited", time.perf_counter() - t0)
-                            continue
-                        if fp in known:
-                            if prof is not None:
-                                prof.add_phase(
-                                    "visited", time.perf_counter() - t0)
-                            continue
-                        known.add(fp)
-                        stash[fp] = successor
-                        proposals[fp] = (sfp, label, depth + 1)
-                        route.append(fp)
-                        if prof is not None:
-                            prof.add_phase("visited",
-                                           time.perf_counter() - t0)
-                except _LabelledViolation as labelled:
-                    violations.append(("error", labelled.message, depth,
-                                       sfp, labelled.label))
-                    continue
-                if sym_fps is not None:
-                    # Certify the symmetry assumption at this expanded
-                    # state (see ModelChecker._certify_symmetry).  The
-                    # wave finishes normally either way so accounting
-                    # stays consistent; the master raises on the reply.
-                    try:
-                        checker._certify_symmetry(state, sym_fps)
-                    except SymmetryError as error:
+                        elif fp not in known:
+                            known.add(fp)
+                            stash[fp] = successor
+                            proposals[fp] = (sfp, label, depth + 1)
+                except _LabelledViolation as found:
+                    # The serial loop returns on its first violation;
+                    # a worker finishes the wave and the master picks
+                    # the canonical minimum.
+                    violations.append((found.kind, found.message, depth,
+                                       sfp, found.label))
+                except SymmetryError as error:
+                    # The wave finishes normally either way so
+                    # accounting stays consistent; the master raises on
+                    # the reply.
+                    if symmetry_error is None:
                         symmetry_error = str(error)
-                if prof is not None:
-                    prof.add_out_degree(out_degree)
-                if not found_successor:
-                    violations.append(("deadlock", _DEADLOCK_MESSAGE,
-                                       depth, sfp, "<stuck>"))
-            for fp in route:
-                psfp, plabel, pdepth = proposals[fp]
-                outbox[fp % n_workers].append((fp, psfp, plabel, pdepth))
+            for fp, proposal in proposals.items():
+                outbox[fp % n_workers].append((fp, *proposal))
             conn.send(("done", {
                 "wave": wave_no,
                 "accepted": len(tasks),
                 "transitions": transitions,
-                "max_depth": max_depth,
                 "outbox": dict(outbox),
                 "violations": violations,
                 "symmetry_error": symmetry_error,
@@ -414,7 +354,8 @@ def _worker_main(conn, worker_id: int, n_workers: int,
                 "handler_fires": dict(checker._handler_fires),
                 "invariant_evals": dict(checker._invariant_evals),
                 "profile": profile_payload,
-                "atlas": atlas.payload() if atlas is not None else None,
+                "atlas": (checker.atlas.payload()
+                          if checker.atlas is not None else None),
             }))
             conn.close()
             return
@@ -423,63 +364,39 @@ def _worker_main(conn, worker_id: int, n_workers: int,
 class ParallelChecker:
     """Hash-partitioned parallel model checker.
 
-    Accepts the same protocol/configuration surface as
-    :class:`~repro.verify.checker.ModelChecker` plus ``workers`` (the
-    number of shard-owning processes), ``checkpoint_out`` (where to dump
-    a resumable JSON checkpoint if the run truncates, hits a budget, or
-    is interrupted -- plus periodically when the interval knobs are
-    set), and ``resume`` (a checkpoint to continue from -- written at
-    any worker count, or by the serial checker).
+    ``ParallelChecker(protocol, workers=N, **checker_options)``: the
+    checker options -- topology, events, invariants, ``max_states``,
+    fault budget, ``symmetry``, progress stream, observers,
+    ``checkpoint_out`` / ``resume`` / the periodic-interval knobs,
+    ``deadline_seconds`` / ``max_visited_bytes`` -- are
+    :class:`~repro.verify.checker.ModelChecker`'s, declared there once
+    and passed through to the template (whose settings the master reads
+    back).  The visited set is always fingerprint-keyed
+    (``fingerprint_states`` is not accepted), and the serial-only modes
+    ``por`` and ``check_progress`` are refused.
 
-    Resilience knobs: ``on_worker_loss`` picks the policy when a worker
-    process dies mid-run (``"fail"`` raises :class:`WorkerLostError`;
-    ``"degrade"`` re-shards the last completed wave onto one fewer
-    worker and continues, verdict-identical), ``worker_stall_timeout``
-    additionally treats a worker silent for that many seconds during a
-    barrier as lost (SIGKILLing it first), and ``deadline_seconds`` /
-    ``max_visited_bytes`` stop the run gracefully at the next wave
-    boundary with ``CheckResult.stop_reason`` set and a resumable
-    checkpoint written.  ``chaos_hook`` (testing) is called as
-    ``hook(wave_no, procs)`` before each wave so fault-injection
-    harnesses can disturb the fleet deterministically.
+    The constructor's own keywords are the fleet's: ``workers`` (the
+    number of shard-owning processes), ``on_worker_loss`` and
+    ``worker_stall_timeout`` (the supervision policy, see the module
+    docstring: ``"fail"`` raises :class:`WorkerLostError`, ``"degrade"``
+    re-shards onto one fewer worker; a worker silent for the timeout
+    during a barrier is SIGKILLed and counted lost), and ``chaos_hook``
+    (testing: called as ``hook(wave_no, procs)`` before each wave so
+    fault-injection harnesses can disturb the fleet deterministically).
 
     ``run()`` returns the same :class:`CheckResult`; on passing runs the
     state count, transition count, depth, and coverage maps match the
-    serial checker exactly.  Requires the ``fork`` start method (worker
-    checkers inherit closures the ``spawn`` pickler cannot carry).
+    serial checker exactly.  Budgets and Ctrl-C stop the run at the next
+    wave boundary with ``stop_reason`` set and a resumable checkpoint
+    written.  Requires the ``fork`` start method (worker checkers
+    inherit closures the ``spawn`` pickler cannot carry).
     """
 
-    def __init__(
-        self,
-        protocol: CompiledProtocol,
-        n_nodes: int = 2,
-        n_blocks: int = 1,
-        reorder_bound: int = 0,
-        events: Optional[EventGenerator] = None,
-        invariants: Optional[list[Invariant]] = None,
-        workers: Optional[int] = None,
-        max_states: int = 2_000_000,
-        channel_cap: int = 4,
-        interpreter_factory=CompiledEngine,
-        progress_stream: Optional[IO] = None,
-        progress_every: int = 10_000,
-        checkpoint_out: Optional[str] = None,
-        resume: Optional[str] = None,
-        fingerprint_fn=None,
-        fault_budget=None,
-        profiler=None,
-        atlas=None,
-        engine: str = "fast",
-        symmetry: bool = False,
-        on_worker_loss: str = "fail",
-        worker_stall_timeout: Optional[float] = None,
-        checkpoint_interval_waves: Optional[int] = None,
-        checkpoint_interval_seconds: Optional[float] = None,
-        checkpoint_keep_last: int = 1,
-        deadline_seconds: Optional[float] = None,
-        max_visited_bytes: Optional[int] = None,
-        chaos_hook=None,
-    ):
+    def __init__(self, protocol: CompiledProtocol, *,
+                 workers: Optional[int] = None,
+                 on_worker_loss: str = "fail",
+                 worker_stall_timeout: Optional[float] = None,
+                 chaos_hook=None, **checker_options):
         if workers is None:
             workers = min(4, os.cpu_count() or 1)
         if workers < 1:
@@ -488,86 +405,60 @@ class ParallelChecker:
             raise ValueError(
                 f"on_worker_loss must be 'fail' or 'degrade', "
                 f"got {on_worker_loss!r}")
+        if checker_options.get("check_progress"):
+            raise ValueError(
+                "liveness checking needs the full state graph and is "
+                "serial-only (CheckOptions.workers must be 0)")
+        if checker_options.get("por"):
+            raise ValueError(
+                "partial-order reduction is serial-only: sleep sets need "
+                "globally ordered re-arrival bookkeeping the sharded "
+                "checker does not do (CheckOptions.workers must be 0)")
         self.workers = workers
-        self.checkpoint_out = checkpoint_out
-        self.resume = resume
         self.on_worker_loss = on_worker_loss
         self.worker_stall_timeout = worker_stall_timeout
-        self.checkpoint_interval_waves = checkpoint_interval_waves
-        self.checkpoint_interval_seconds = checkpoint_interval_seconds
-        self.checkpoint_keep_last = checkpoint_keep_last
-        self.deadline_seconds = deadline_seconds
-        self.max_visited_bytes = max_visited_bytes
         self.chaos_hook = chaos_hook
-        self.progress_stream = progress_stream
-        self.progress_every = max(1, progress_every)
-        # The master keeps this profiler; forked workers inherit the
-        # template's copy of the same object but accumulate into their
-        # own process memory, shipping totals back in the finish reply.
-        self.profiler = profiler
-        # Same inheritance story for the atlas recorder: each forked
-        # worker records its shard's visits and edges privately and
-        # ships bottom-k sketches back in the finish reply; merging
-        # per-worker sketches is exactly the global sketch, so the
-        # built atlas is identical at any worker count.
-        self.atlas = atlas
-        self._progress_window: deque = deque(maxlen=8)
-        # One fully configured serial checker serves as the template the
-        # forked workers inherit, and as the replay engine for validating
-        # reconstructed counterexamples.
+        # The template's profiler and atlas recorder are the master's:
+        # forked workers inherit copies of the same objects but
+        # accumulate into their own process memory, shipping totals
+        # (phase sums; bottom-k sketches, whose merge is exactly the
+        # global sketch) back in the finish reply -- so the built
+        # artifacts are identical at any worker count.
         # Symmetry canonicalization lives entirely in the template's
         # fingerprint_fn: workers shard and dedupe by canonical
         # fingerprint, so the orbit quotient falls out of the existing
         # exchange protocol with no new message kinds.
-        self._template = ModelChecker(
-            protocol, n_nodes=n_nodes, n_blocks=n_blocks,
-            reorder_bound=reorder_bound, events=events,
-            invariants=invariants, max_states=max_states,
-            channel_cap=channel_cap,
-            interpreter_factory=interpreter_factory,
-            fingerprint_states=True, fingerprint_fn=fingerprint_fn,
-            fault_budget=fault_budget, profiler=profiler, atlas=atlas,
-            engine=engine, symmetry=symmetry)
+        self._template = ModelChecker(protocol, fingerprint_states=True,
+                                      **checker_options)
 
     # -- checkpoint plumbing ------------------------------------------------
 
-    def _write_checkpoint(self, conns, meta, wave, stats,
-                          durable=True) -> None:
-        started = time.perf_counter()
-        try:
-            shards = []
-            for i, conn in enumerate(conns):
-                try:
-                    conn.send(("collect",))
-                    shards.append(conn.recv()[1])
-                except (BrokenPipeError, EOFError, OSError):
-                    raise _WorkerLost(i, "checkpoint collect") from None
-            invariant_evals = dict(stats["invariant_evals"])
-            handler_fires = dict(stats["handler_fires"])
-            for shard in shards:
-                _add_counts(invariant_evals, shard["invariant_evals"])
-                _add_counts(handler_fires, shard["handler_fires"])
-            write_checkpoint(self.checkpoint_out, encode_checkpoint(
-                config_echo(self._template),
-                wave=wave,
-                transitions=stats["transitions"],
-                max_depth=stats["max_depth"],
-                elapsed=stats["elapsed"],
-                invariant_evals=invariant_evals,
-                handler_fires=handler_fires,
-                visited=(fp for shard in shards for fp in shard["visited"]),
-                parents=(item for shard in shards
-                         for item in shard["parents"].items()),
-                # Every routed proposal, one per sending shard: the
-                # candidates are pre-acceptance, their states waiting in
-                # the sender stashes.
-                frontier=(record[:4] for batch in meta
-                          for record in batch)),
-                self.checkpoint_keep_last, durable=durable)
-        finally:
-            if self.profiler is not None:
-                self.profiler.add_phase(
-                    "checkpoint_io", time.perf_counter() - started)
+    def _write_checkpoint(self, shards, meta, wave, baseline, transitions,
+                          max_depth, elapsed, durable: bool) -> None:
+        """Checkpoint the cut at a wave boundary from the workers'
+        ``collect`` replies (``shards``) and the routed ``meta``."""
+        template = self._template
+        invariant_evals = dict(baseline["invariant_evals"])
+        handler_fires = dict(baseline["handler_fires"])
+        for shard in shards:
+            _add_counts(invariant_evals, shard["invariant_evals"])
+            _add_counts(handler_fires, shard["handler_fires"])
+        write_checkpoint(template.checkpoint_out, encode_checkpoint(
+            config_echo(template),
+            wave=wave,
+            transitions=transitions,
+            max_depth=max_depth,
+            elapsed=elapsed,
+            invariant_evals=invariant_evals,
+            handler_fires=handler_fires,
+            visited=(fp for shard in shards for fp in shard["visited"]),
+            parents=(item for shard in shards
+                     for item in shard["parents"].items()),
+            # Every routed proposal, one per sending shard: the
+            # candidates are pre-acceptance, their states waiting in
+            # the sender stashes.
+            frontier=(record[:4] for batch in meta for record in batch)),
+            template.checkpoint_keep_last, durable=durable)
 
     # -- degrade-mode mirror ------------------------------------------------
 
@@ -633,10 +524,8 @@ class ParallelChecker:
                 labels.append(label)
             cursor = pfp
         labels.reverse()
-        if kind == "error":
-            labels.append(extra_label)
-        elif kind == "deadlock":
-            labels.append("<stuck>")
+        if extra_label is not None:
+            labels.append(extra_label)  # the error rule, or "<stuck>"
         elif not labels:
             labels = ["<initial>"]     # invariant violated in the initial state
         return Violation(kind, message, labels)
@@ -655,28 +544,16 @@ class ParallelChecker:
         template = self._template
         start = time.perf_counter()
 
+        cut = starting_cut(template)
         mirror = {
-            "visited": set(), "parents": {}, "pending": {},
-            "pending_states": {}, "wave": 0, "transitions": 0,
-            "max_depth": 0, "invariant_evals": {}, "handler_fires": {},
-            "elapsed": 0.0, "elapsed_at_cut": 0.0,
+            "visited": cut.visited, "parents": cut.parents,
+            "pending": cut.frontier, "pending_states": cut.states,
+            "wave": cut.wave, "transitions": cut.transitions,
+            "max_depth": cut.max_depth,
+            "invariant_evals": cut.invariant_evals,
+            "handler_fires": cut.handler_fires,
+            "elapsed": cut.elapsed, "elapsed_at_cut": cut.elapsed,
         }
-        if self.resume:
-            cut = decode_checkpoint(load_checkpoint(self.resume),
-                                    config_echo(template), self.resume)
-            mirror.update(
-                wave=cut.wave, transitions=cut.transitions,
-                max_depth=cut.max_depth, elapsed=cut.elapsed,
-                elapsed_at_cut=cut.elapsed,
-                invariant_evals=cut.invariant_evals,
-                handler_fires=cut.handler_fires, visited=cut.visited,
-                parents=cut.parents, pending=cut.frontier,
-                pending_states=cut.states)
-        else:
-            initial = template.initial_state()
-            fp0 = template.fingerprint_fn(initial)
-            mirror["pending"][fp0] = (None, "<initial>", 0)
-            mirror["pending_states"][fp0] = initial
         for fp, (pfp, label, _depth) in mirror["pending"].items():
             mirror["parents"][fp] = (pfp, label)
 
@@ -712,10 +589,11 @@ class ParallelChecker:
         return what was soundly explored up to it.  The checkpoint is
         built purely from the mirror -- the worker fleet is no longer
         trustworthy."""
+        template = self._template
         pending = mirror["pending"]
-        if self.checkpoint_out:
-            write_checkpoint(self.checkpoint_out, encode_checkpoint(
-                config_echo(self._template),
+        if template.checkpoint_out:
+            write_checkpoint(template.checkpoint_out, encode_checkpoint(
+                config_echo(template),
                 wave=mirror["wave"],
                 transitions=mirror["transitions"],
                 max_depth=mirror["max_depth"],
@@ -727,13 +605,13 @@ class ParallelChecker:
                          if item[0] not in pending),
                 frontier=((fp, *record)
                           for fp, record in pending.items())),
-                self.checkpoint_keep_last)
-        return self._template._result(
+                template.checkpoint_keep_last)
+        return template._result(
             ok=True, states=len(mirror["visited"]),
             transitions=mirror["transitions"],
             max_depth=mirror["max_depth"],
             elapsed=mirror["elapsed"] + (time.perf_counter() - start),
-            stop_reason="worker_lost",
+            stopped="worker_lost",
             invariant_evals=mirror["invariant_evals"],
             handler_fires=mirror["handler_fires"],
             workers=self.workers, worker_losses=worker_losses)
@@ -783,7 +661,7 @@ class ParallelChecker:
         # reference -- both are replayed from their parent chains.
         pending_states = replay_frontier(
             template, mirror["parents"], pending,
-            mirror["pending_states"], self.resume or "recovery mirror")
+            mirror["pending_states"], template.resume or "recovery mirror")
         seeds: list[list] = [[] for _ in range(n)]
         for fp, (pfp, label, depth) in pending.items():
             seeds[fp % n].append(
@@ -861,22 +739,29 @@ class ParallelChecker:
             wave = baseline["wave"]
             transitions = baseline["transitions"]
             max_depth = baseline["max_depth"]
-            hit_limit = False
-            stop_reason: Optional[str] = None
+            stopped: Optional[str] = None
             violation_record = None
-            prof = self.profiler
+            prof = template.profiler
             if prof is not None:
                 prof.begin()
 
-            def stats_now():
-                return {
-                    "transitions": transitions,
-                    "max_depth": max_depth,
-                    "elapsed": baseline["elapsed"]
-                    + (time.perf_counter() - start),
-                    "invariant_evals": dict(baseline["invariant_evals"]),
-                    "handler_fires": dict(baseline["handler_fires"]),
-                }
+            def elapsed() -> float:
+                return baseline["elapsed"] + (time.perf_counter() - start)
+
+            def record_wave(wave_no, wall, *ops) -> None:
+                """One wave in the profile: a worker's busy time is
+                summed over the replies of the ops the wave ran; its
+                accepted count is the expand op's."""
+                if prof is not None:
+                    prof.record_wave(wave_no, wall, [
+                        {"id": i,
+                         "busy_seconds": sum(
+                             (replies[i]["seconds"]
+                              for replies in ops if replies[i]), 0.0),
+                         "accepted": sum(
+                             replies[i].get("accepted", 0)
+                             for replies in ops if replies[i])}
+                        for i in range(n)])
 
             # Seed the first layer: the initial state, or a resumed
             # checkpoint's frontier.  Acceptance (dedupe, parent
@@ -890,19 +775,11 @@ class ParallelChecker:
                                            for r in seed_replies if r])
             pending_violations = [v for r in seed_replies if r
                                   for v in r["violations"]]
-            if prof is not None:
-                prof.record_wave(
-                    wave, time.perf_counter() - seed_started,
-                    [{"id": i,
-                      "busy_seconds": r["seconds"] if r else 0.0,
-                      "accepted": 0}
-                     for i, r in enumerate(seed_replies)])
+            record_wave(wave, time.perf_counter() - seed_started,
+                        seed_replies)
 
-            last_bucket = total_states // self.progress_every
-            last_replies: list = []
-            last_ckpt_wave = baseline["wave"]
-            last_ckpt_time = time.perf_counter()
-            last_ckpt_cost = 0.0
+            last_bucket = total_states // template.progress_every
+            policy = CutPolicy(template, start, baseline["wave"])
 
             while True:
                 cycle_started = time.perf_counter()
@@ -918,11 +795,8 @@ class ParallelChecker:
                                           "expand")
                 wave += 1
                 expand_wall = time.perf_counter() - cycle_started
-                last_replies = expand_replies
                 transitions = baseline["transitions"] + sum(
                     r["transitions"] for r in expand_replies if r)
-                max_depth = max([max_depth] + [r["max_depth"]
-                                               for r in expand_replies if r])
 
                 # Route successor metadata (fingerprints only; the
                 # states wait in the sender stashes).
@@ -943,22 +817,16 @@ class ParallelChecker:
                 if prof is not None:
                     prof.sample(total_states, frontier_size, max_depth,
                                 transitions)
-                if (self.progress_stream is not None
-                        and total_states // self.progress_every
+                if (template.progress_stream is not None
+                        and total_states // template.progress_every
                         > last_bucket):
-                    last_bucket = total_states // self.progress_every
-                    self._report_progress(
+                    last_bucket = total_states // template.progress_every
+                    template._report_progress(
                         total_states, frontier_size, max_depth,
-                        transitions, start, baseline, expand_replies)
-
-                def record_partial_wave():
-                    if prof is not None:
-                        prof.record_wave(
-                            wave_no, expand_wall,
-                            [{"id": i,
-                              "busy_seconds": r["seconds"] if r else 0.0,
-                              "accepted": r["accepted"] if r else 0}
-                             for i, r in enumerate(expand_replies)])
+                        transitions, elapsed(),
+                        sum(baseline["invariant_evals"].values())
+                        + sum(r["inv_evals"] for r in expand_replies if r),
+                        extra=_worker_rates(expand_replies))
 
                 if track:
                     # The layer boundary is a consistent cut: every
@@ -970,19 +838,11 @@ class ParallelChecker:
                         mirror, meta, wave, transitions, max_depth,
                         baseline, expand_replies, start)
 
-                if interrupted:
-                    record_partial_wave()
-                    if self.checkpoint_out:
-                        self._write_checkpoint(conns, meta, wave,
-                                               stats_now())
-                    stop_reason = "interrupted"
-                    break
-
                 violations = pending_violations + [
                     v for r in expand_replies if r for v in r["violations"]]
                 if violations:
                     violation_record = min(violations, key=_violation_rank)
-                    record_partial_wave()
+                    record_wave(wave_no, expand_wall, expand_replies)
                     break
                 # A concrete violation outranks a certification failure
                 # (FAIL verdicts are sound regardless of symmetry); with
@@ -993,55 +853,25 @@ class ParallelChecker:
                     if r and r.get("symmetry_error")]
                 if symmetry_errors:
                     raise SymmetryError(min(symmetry_errors))
-                # Resource budgets stop the run at this clean boundary:
-                # checkpoint the cut, then report why via stop_reason.
-                if (self.deadline_seconds is not None
-                        and time.perf_counter() - start
-                        >= self.deadline_seconds):
-                    stop_reason = "deadline"
-                elif (self.max_visited_bytes is not None
-                      and sum(r["visited_bytes"]
-                              for r in expand_replies if r)
-                      > self.max_visited_bytes):
-                    stop_reason = "memory"
-                if stop_reason is not None:
-                    record_partial_wave()
-                    if self.checkpoint_out:
-                        self._write_checkpoint(conns, meta, wave,
-                                               stats_now())
+                # The wave boundary is a clean cut, where the policy
+                # may stop (and checkpoint) the run.  Violations were
+                # ruled out first: the states that raised them are
+                # already visited, so a checkpoint taken instead of the
+                # verdict would lose them for good.
+                def write(durable: bool) -> None:
+                    self._write_checkpoint(
+                        call_all([("collect",)] * n, "checkpoint collect"),
+                        meta, wave, baseline, transitions, max_depth,
+                        elapsed(), durable)
+
+                stopped = policy.stop(
+                    total_states, interrupted,
+                    lambda: sum(r["visited_bytes"]
+                                for r in expand_replies if r), write)
+                if stopped is not None or frontier_size == 0:
+                    record_wave(wave_no, expand_wall, expand_replies)
                     break
-                if total_states >= template.max_states:
-                    hit_limit = True
-                    record_partial_wave()
-                    if self.checkpoint_out:
-                        self._write_checkpoint(conns, meta, wave,
-                                               stats_now())
-                    break
-                if frontier_size == 0:
-                    record_partial_wave()
-                    break
-                if (self.checkpoint_out is not None
-                        and (self.checkpoint_interval_waves
-                             or self.checkpoint_interval_seconds)):
-                    now = time.perf_counter()
-                    if (((self.checkpoint_interval_waves
-                          and wave - last_ckpt_wave
-                          >= self.checkpoint_interval_waves)
-                         or (self.checkpoint_interval_seconds
-                             and now - last_ckpt_time
-                             >= self.checkpoint_interval_seconds))
-                            and now - last_ckpt_time
-                            >= PERIODIC_SPACING_RATIO * last_ckpt_cost):
-                        # Periodic writes skip the fsync (loss window
-                        # is the next interval); stop-reason and final
-                        # checkpoints stay durable.  The spacing guard
-                        # self-limits checkpoint time to a bounded
-                        # wall-time fraction (see PERIODIC_SPACING_RATIO).
-                        self._write_checkpoint(conns, meta, wave,
-                                               stats_now(), durable=False)
-                        last_ckpt_wave = wave
-                        last_ckpt_cost = time.perf_counter() - now
-                        last_ckpt_time = time.perf_counter()
+                policy.write_if_due(wave, write)
 
                 # Owners dedupe the candidates; fresh own-shard states
                 # resolve locally, foreign ones are staged per sender.
@@ -1088,20 +918,8 @@ class ParallelChecker:
                      for v in r["violations"]]
                     + [v for r in adopt_replies if r
                        for v in r["violations"]])
-                if prof is not None:
-                    prof.record_wave(
-                        wave_no, time.perf_counter() - cycle_started,
-                        [{"id": i,
-                          "busy_seconds": (
-                              (expand_replies[i]["seconds"]
-                               if expand_replies[i] else 0.0)
-                              + (ingest_replies[i]["seconds"]
-                                 if ingest_replies[i] else 0.0)
-                              + (adopt_replies[i]["seconds"]
-                                 if adopt_replies[i] else 0.0)),
-                          "accepted": (expand_replies[i]["accepted"]
-                                       if expand_replies[i] else 0)}
-                         for i in range(n)])
+                record_wave(wave_no, time.perf_counter() - cycle_started,
+                            expand_replies, ingest_replies, adopt_replies)
 
             violation = None
             if violation_record is not None:
@@ -1119,37 +937,18 @@ class ParallelChecker:
                 _add_counts(handler_fires, stats["handler_fires"])
                 if prof is not None:
                     prof.merge_worker(stats.get("profile"))
-                if self.atlas is not None:
-                    self.atlas.merge(stats.get("atlas"))
+                if template.atlas is not None:
+                    template.atlas.merge(stats.get("atlas"))
             for proc in procs:
                 proc.join(timeout=30)
 
-            if violation is not None:
-                # Collision guard: the trace came from fingerprint-keyed
-                # parent pointers sharded across workers; it must replay.
-                template.verify_violation(violation)
-
-            if self.progress_stream is not None:
-                self._report_progress(
-                    total_states, 0, max_depth, transitions, start,
-                    baseline, last_replies, final=True)
-
-            result = template._result(
-                ok=violation is None, states=total_states,
+            return template._finish(
+                violation, states=total_states, frontier=0,
                 transitions=transitions, max_depth=max_depth,
-                elapsed=baseline["elapsed"]
-                + (time.perf_counter() - start),
-                violation=violation, hit_limit=hit_limit,
-                stop_reason=stop_reason, invariant_evals=invariant_evals,
-                handler_fires=handler_fires, workers=self.workers,
-                worker_losses=worker_losses)
-            if prof is not None:
-                result.profile = prof.build(result)
-            if self.atlas is not None:
-                self.atlas.bind(template.protocol, template.n_nodes,
-                                template.n_blocks)
-                result.atlas = self.atlas.build(result)
-            return result
+                elapsed=elapsed(), invariant_evals=invariant_evals,
+                handler_fires=handler_fires, stopped=stopped,
+                progress_extra=_worker_rates(expand_replies),
+                workers=self.workers, worker_losses=worker_losses)
         finally:
             for proc in procs:
                 if proc.is_alive():
@@ -1158,25 +957,3 @@ class ParallelChecker:
                 proc.join(timeout=10)
             for conn in conns:
                 conn.close()
-
-    def _report_progress(self, states, frontier_size, max_depth, transitions,
-                         start, baseline, replies, final=False) -> None:
-        elapsed = baseline["elapsed"] + (time.perf_counter() - start)
-        rate = states / elapsed if elapsed > 0 else float(states)
-        rolling = _rolling_rate(self._progress_window, elapsed, states)
-        eta = None
-        if not final:
-            eta = _eta_seconds(states, self._template.max_states,
-                               rolling if rolling is not None else rate)
-        inv_evals = sum(baseline["invariant_evals"].values()) + sum(
-            reply["inv_evals"] for reply in replies if reply)
-        per_worker = " ".join(
-            f"w{i}={reply['accepted'] / reply['seconds']:.0f}/s"
-            if reply and reply["seconds"] > 0 else f"w{i}=idle"
-            for i, reply in enumerate(replies))
-        print(
-            format_progress_line(
-                self._template.protocol.name, states, frontier_size,
-                max_depth, transitions, inv_evals, rate, rolling, eta,
-                "done" if final else "...", extra=f" [{per_worker}]"),
-            file=self.progress_stream, flush=True)

@@ -16,10 +16,12 @@ This file pins what that unification must not move:
   configuration.
 """
 
+import io
 import json
 import os
 import signal
 import warnings
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -253,6 +255,31 @@ def test_parent_checkpoint_resumes_undisturbed(workers):
         resumed = make_serial("lcm", reorder=1,
                               resume=PARENT_CHECKPOINT).run()
     assert outcome(resumed) == outcome(full)
+
+
+@pytest.mark.parametrize("workers", [0, 2])
+def test_resumed_progress_rate_spans_the_whole_run(tmp_path, workers):
+    """``states`` in a progress line includes the checkpoint's visited
+    set, so the rate divides by the whole run's time: the final line's
+    rate is the result's states over the result's elapsed seconds."""
+    path = str(tmp_path / "ck.json")
+    make_serial("lcm", reorder=1, max_states=300,
+                checkpoint_out=path).run()
+    # Pretend the first leg took a minute (``elapsed`` is outside the
+    # seal): a rate over the resuming process's time alone is then off
+    # by orders of magnitude, whatever the host speed.
+    payload = json.loads(Path(path).read_text())
+    payload["elapsed"] = 60.0
+    Path(path).write_text(json.dumps(payload))
+    stream = io.StringIO()
+    make = (partial(make_parallel, "lcm", workers) if workers
+            else partial(make_serial, "lcm"))
+    resumed = make(reorder=1, resume=path, progress_stream=stream).run()
+    assert resumed.exhausted and resumed.elapsed_seconds > 60.0
+    final = stream.getvalue().splitlines()[-1]
+    assert final.endswith(" done")
+    rate = resumed.states_explored / resumed.elapsed_seconds
+    assert f" {rate:.0f} states/s" in final
 
 
 # ---------------------------------------------------------------------------

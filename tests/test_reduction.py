@@ -86,6 +86,19 @@ def base_outcome(name):
     return _BASE[name]
 
 
+_SYMMETRIC = {}
+
+
+def symmetric_outcome(name):
+    """The serial symmetry-reduced outcome at the sweep config, computed
+    once: the serial test asserts on it and every worker count of the
+    parallel test compares against it."""
+    if name not in _SYMMETRIC:
+        _SYMMETRIC[name] = check(
+            name, reduction=ReductionOptions(symmetry=True), **SWEEP[name])
+    return _SYMMETRIC[name]
+
+
 def replayer(name, *, nodes=2, addresses=1, reorder=0, faults=None):
     """A fresh serial *unreduced* checker mirroring ``api.check``'s
     configuration, for replaying reduced-run counterexamples."""
@@ -131,8 +144,7 @@ def test_symmetry_serial_verdicts_agree(name):
         assert reduced.handler_fires == base.handler_fires
         assert_same_verdict(name, reduced, base, **SWEEP[name])
         return
-    reduced = check(name, reduction=ReductionOptions(symmetry=True),
-                    **SWEEP[name])
+    reduced = symmetric_outcome(name)
     assert_same_verdict(name, reduced, base, **SWEEP[name])
     assert reduced.canonical_states == reduced.states_explored
     assert reduced.states_explored <= base.states_explored
@@ -166,11 +178,30 @@ def test_symmetry_parallel_verdicts_agree(name, workers):
     assert_same_verdict(name, reduced, base, **SWEEP[name])
     # Canonical fingerprints shard deterministically, so the reduced
     # state count is worker-count independent.
-    serial = check(name, reduction=ReductionOptions(symmetry=True),
-                   **SWEEP[name])
+    serial = symmetric_outcome(name)
     assert reduced.states_explored == serial.states_explored
     assert reduced.transitions == serial.transitions
     assert reduced.handler_fires == serial.handler_fires
+
+
+@pytest.mark.parametrize("workers", [0, 2])
+def test_symmetry_certification_is_not_coverage(monkeypatch, workers):
+    """Certification expands orbit siblings as a side computation, so a
+    ``--symmetry`` run's per-arm counts equal those of the same run with
+    certification stubbed out, and the profile's dispatch table still
+    counts exactly the fires."""
+    options = dict(nodes=3, reorder=1, workers=workers,
+                   reduction=ReductionOptions(symmetry=True),
+                   artifacts=ArtifactOptions(profile=True))
+    certified = check("stache", **options)
+    monkeypatch.setattr(ModelChecker, "_certify_symmetry",
+                        lambda self, state, succ_keys: None)
+    stubbed = check("stache", **options)
+    assert certified.handler_fires == stubbed.handler_fires
+    assert certified.states_explored == stubbed.states_explored == 938
+    assert {arm: entry["count"]
+            for arm, entry in certified.profile.dispatch.items()
+            } == certified.handler_fires
 
 
 # ---------------------------------------------------------------------------
