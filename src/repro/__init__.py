@@ -21,20 +21,44 @@ and Larus.  The package contains:
 The supported entry points are the :mod:`repro.api` facade, re-exported
 here.  Machinery classes (``Machine``, ``ModelChecker``,
 ``compile_source``, ...) live in their home modules.
+
+Every package re-exports lazily (:func:`_lazy_exports`): ``teapot
+verify`` starts in a fresh process each time, and importing the
+simulator, the profiler and three back ends it never calls was a third
+of a small run (DESIGN.md, "Cold start").
 """
 
-from repro.api import (
-    CheckOptions,
-    CompileOptions,
-    SimOptions,
-    SimulateResult,
-    check,
-    compile_protocol,
-    simulate,
-)
-from repro.lang.errors import CheckError, LexError, ParseError, TeapotError
-from repro.runtime.protocol import CompiledProtocol, Flavor, OptLevel
-from repro.verify.checker import CheckResult
+import sys
+from importlib import import_module
+
+
+def _lazy_exports(package: str, homes: dict):
+    """PEP 562 ``(__getattr__, __dir__)`` for ``package``.  ``homes``
+    maps a home module to the names re-exported from it; a name is
+    imported from its home on first access and then bound on the
+    package, so it resolves once.
+
+    A name that is also a submodule of ``package`` (``repro.verify``'s
+    ``fingerprint``) cannot be served this way: importing the submodule
+    binds the *module* under that name and ``__getattr__`` is never
+    asked.  Such names are imported eagerly by their package instead.
+    """
+    namespace = vars(sys.modules[package])
+    home_of = {name: home for home, names in homes.items() for name in names}
+
+    def __getattr__(name: str):
+        home = home_of.get(name)
+        if home is None:
+            raise AttributeError(
+                f"module {package!r} has no attribute {name!r}")
+        value = namespace[name] = getattr(import_module(home), name)
+        return value
+
+    def __dir__():
+        return sorted(namespace.keys() | home_of.keys())
+
+    return __getattr__, __dir__
+
 
 __all__ = [
     # The facade.
@@ -57,3 +81,12 @@ __all__ = [
 ]
 
 __version__ = "2.0.0"
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.api": ("compile_protocol", "check", "simulate", "CompileOptions",
+                  "CheckOptions", "SimOptions", "SimulateResult"),
+    "repro.verify.checker": ("CheckResult",),
+    "repro.runtime.protocol": ("CompiledProtocol", "OptLevel", "Flavor"),
+    "repro.lang.errors": ("TeapotError", "LexError", "ParseError",
+                          "CheckError"),
+})

@@ -12,14 +12,16 @@
   deliberately abstracts away).
 """
 
-from repro.analysis.stategraph import StateGraph, build_state_graph
-from repro.analysis.diffstat import protocol_diffstat, DiffStat
-from repro.analysis.loc import count_loc, loc_report
-from repro.analysis.consistency import (
-    ConsistencyReport,
-    check_barrier_consistency,
-    check_read_values,
-)
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.analysis.stategraph": ("StateGraph", "build_state_graph"),
+    "repro.analysis.diffstat": ("protocol_diffstat", "DiffStat"),
+    "repro.analysis.loc": ("count_loc", "loc_report"),
+    "repro.analysis.consistency": ("ConsistencyReport",
+                                   "check_barrier_consistency",
+                                   "check_read_values"),
+})
 
 __all__ = [
     "StateGraph",

@@ -32,19 +32,21 @@ from __future__ import annotations
 import sys
 import warnings
 from dataclasses import dataclass
-from typing import IO, Optional, Union
+from typing import IO, TYPE_CHECKING, Optional, Union
 
-from repro.compiler.pipeline import compile_source
+from repro.compile_cache import compile_file
 from repro.faults import FaultBudget, FaultPlan, FaultRule, RecoveryConfig
 from repro.protocols import PROTOCOLS, compile_named_protocol
 from repro.runtime.protocol import CompiledProtocol, Flavor, OptLevel
-from repro.tempest.machine import Machine, MachineConfig
-from repro.tempest.network import NetworkConfig
-from repro.tempest.stats import MachineStats
-from repro.verify.checker import CheckResult, ModelChecker, SymmetryError
-from repro.verify.events import EventGenerator, events_for_protocol
-from repro.verify.invariants import standard_invariants
-from repro.verify.parallel import ParallelChecker
+
+# Each entry point imports its machinery when called (the front end, the
+# checkers, the simulator): a process runs one of them, and every
+# `teapot` invocation is a new process (DESIGN.md, "Cold start").
+if TYPE_CHECKING:
+    from repro.tempest.machine import Machine
+    from repro.tempest.stats import MachineStats
+    from repro.verify.checker import CheckResult
+    from repro.verify.events import EventGenerator
 
 Target = Union[str, CompiledProtocol]
 
@@ -330,6 +332,10 @@ def compile_protocol(target: Target,
             f"target must be a protocol name, .tea path, source text, or "
             f"CompiledProtocol, not {type(target).__name__}")
     if "\n" in target:
+        # Source text always runs the front end: it has no file for a
+        # cache entry to sit beside.
+        from repro.compiler.pipeline import compile_source
+
         return compile_source(
             target, opt_level=options.opt_level,
             flavor=options.flavor or Flavor.TEAPOT,
@@ -338,18 +344,18 @@ def compile_protocol(target: Target,
     if target in PROTOCOLS:
         return compile_named_protocol(
             target, opt_level=options.opt_level, flavor=options.flavor)
-    with open(target) as handle:
-        source = handle.read()
-    return compile_source(
-        source, opt_level=options.opt_level,
-        flavor=options.flavor or Flavor.TEAPOT,
-        initial_states=options.initial_states,
-        filename=target)
+    return compile_file(target, options.opt_level,
+                        options.flavor or Flavor.TEAPOT,
+                        options.initial_states)
 
 
 def check(target: Target,
           options: CheckOptions = CheckOptions()) -> CheckResult:
     """Model-check a protocol; serial or parallel per ``options.workers``."""
+    from repro.verify.checker import ModelChecker, SymmetryError
+    from repro.verify.events import events_for_protocol
+    from repro.verify.invariants import standard_invariants
+
     protocol = compile_protocol(target, options.compile)
     label = _registry_label(target)
     events = options.events
@@ -437,6 +443,8 @@ def check(target: Target,
             ).run()
         # The sharded checker refuses the serial-only modes itself
         # (liveness, partial-order reduction).
+        from repro.verify.parallel import ParallelChecker
+
         return ParallelChecker(
             protocol,
             workers=options.workers,
@@ -471,6 +479,8 @@ def simulate(target: Target,
     :data:`~repro.workloads.LCM_WORKLOADS`) and ``programs`` (a list of
     per-node thread programs, one per node) must be given.
     """
+    from repro.tempest.machine import Machine, MachineConfig
+    from repro.tempest.network import NetworkConfig
     from repro.workloads import LCM_WORKLOADS, STACHE_WORKLOADS, run_workload
 
     if (workload is None) == (programs is None):

@@ -8,12 +8,13 @@ functions through :class:`CompiledEngine` (the C text is emitted for
 fidelity and golden-tested, but no C toolchain is assumed).
 """
 
-from repro.backends.python_backend import (
-    CompiledEngine,
-    emit_python,
-)
-from repro.backends.c_backend import emit_c
-from repro.backends.murphi_backend import emit_murphi
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.backends.python_backend": ("CompiledEngine", "emit_python"),
+    "repro.backends.c_backend": ("emit_c",),
+    "repro.backends.murphi_backend": ("emit_murphi",),
+})
 
 __all__ = [
     "emit_python",

@@ -21,7 +21,8 @@ every machine and every checker over the same protocol.
 ``emit_python`` (``teapot compile --target python``) prints a module
 header, every handler's function and a table; the engine executes that
 same header and those same function texts, one handler at a time on
-first dispatch.
+first dispatch -- compiled then, or taken from the code objects a
+compile-cache entry stored ahead of time (``protocol.handler_code``).
 """
 
 from __future__ import annotations
@@ -320,10 +321,14 @@ def compiled_handler(protocol: CompiledProtocol,
     code = cache.by_name.get(handler.qualified_name)
     if code is None:
         namespace = cache.namespace
+        stored = protocol.handler_code or {}
         filename = f"<{protocol.name}.py>"
         if not namespace:
-            exec(compile(emit_header(protocol), filename, "exec"), namespace)
-        exec(compile(emit_handler(protocol, handler), filename, "exec"),
+            exec(stored.get("")
+                 or compile(emit_header(protocol), filename, "exec"),
+                 namespace)
+        exec(stored.get(handler.qualified_name)
+             or compile(emit_handler(protocol, handler), filename, "exec"),
              namespace)
         code = cache.by_name[handler.qualified_name] = _HandlerCode(
             namespace[_fn_name(handler)], handler)

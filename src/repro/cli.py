@@ -26,27 +26,25 @@ Subcommands::
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from repro import api
 from repro.api import CheckOptions, CompileOptions, FaultOptions, SimOptions
-from repro.backends import emit_c, emit_murphi, emit_python
 from repro.faults import FaultBudget, FaultPlanError
+from repro.ioutil import read_source
 from repro.lang.errors import (
     RuntimeProtocolError,
     TeapotError,
     format_error_with_context,
 )
-from repro.lang.parser import parse_program
-from repro.lang.typecheck import check_program
 from repro.runtime.protocol import OptLevel
 from repro.protocols import PROTOCOLS
-from repro.verify import (
-    CheckpointError,
-    WorkerLostError,
-    events_for_protocol,
-)
-from repro.analysis import build_state_graph
+
+# A subcommand imports what it runs, inside its function: every
+# invocation is a fresh process, and the parser, the checkers, the
+# simulator and the back ends together cost more to import than a small
+# run takes (DESIGN.md, "Cold start").
 
 
 def _load(target: str, opt_level: OptLevel):
@@ -63,6 +61,8 @@ def _check_options(args, name: str, workers: int = 0,
     (a ``.tea`` path falls back to the Stache event loop), matching the
     historical CLI behaviour.
     """
+    from repro.verify.events import events_for_protocol
+
     return CheckOptions(
         nodes=args.nodes,
         addresses=args.addresses,
@@ -91,22 +91,35 @@ def _add_opt_flags(parser: argparse.ArgumentParser) -> None:
                         help="liveness + constant continuations (default)")
 
 
-def cmd_check(args) -> int:
-    with open(args.file) as handle:
-        source = handle.read()
+def _parse_checked(path: str):
+    """check/fmt: the file's checked program, or None after printing
+    the front end's error with its source line."""
+    from repro.lang.parser import parse_program
+    from repro.lang.typecheck import check_program
+
+    _data, source = read_source(path)
     try:
-        check_program(parse_program(source, args.file))
+        program = parse_program(source, path)
+        check_program(program)
     except TeapotError as error:
         print(format_error_with_context(error, source), file=sys.stderr)
+        return None
+    return program
+
+
+def cmd_check(args) -> int:
+    if _parse_checked(args.file) is None:
         return 1
     print(f"{args.file}: OK")
     return 0
 
 
 def cmd_compile(args) -> int:
+    from repro import backends
+
     protocol, _name = _load(args.file, _opt_level(args))
-    emitters = {"python": emit_python, "c": emit_c, "murphi": emit_murphi}
-    text = emitters[args.target](protocol)
+    # The package resolves the name lazily: only that back end loads.
+    text = getattr(backends, f"emit_{args.target}")(protocol)
     if args.output:
         with open(args.output, "w") as handle:
             handle.write(text)
@@ -119,13 +132,8 @@ def cmd_compile(args) -> int:
 def cmd_fmt(args) -> int:
     from repro.lang.pretty import format_program
 
-    with open(args.file) as handle:
-        source = handle.read()
-    try:
-        program = parse_program(source, args.file)
-        check_program(program)
-    except TeapotError as error:
-        print(format_error_with_context(error, source), file=sys.stderr)
+    program = _parse_checked(args.file)
+    if program is None:
         return 1
     text = format_program(program)
     if args.in_place:
@@ -153,6 +161,8 @@ def _parse_fault_budget(spec) -> "FaultBudget | None":
 
 
 def cmd_verify(args) -> int:
+    from repro import verify
+
     protocol, name = _load(args.protocol, _opt_level(args))
     options = _check_options(
         args, name,
@@ -187,10 +197,13 @@ def cmd_verify(args) -> int:
                   file=sys.stderr)
             return 130
         raise
-    except (CheckpointError, WorkerLostError, ValueError) as error:
+    except (verify.CheckpointError, verify.WorkerLostError,
+            ValueError) as error:
         # Bad checkpoint files, dead workers under --on-worker-loss
         # fail, and rejected option combinations are outcomes, not
-        # crashes: one readable line, no traceback.
+        # crashes: one readable line, no traceback.  (The classes are
+        # looked up when an exception gets here, so a run that raises
+        # nothing never imports verify.parallel for WorkerLostError.)
         print(f"error: {error}", file=sys.stderr)
         return 1
     print(result.summary())
@@ -540,6 +553,8 @@ def cmd_analyze_diff(args) -> int:
 
 
 def cmd_graph(args) -> int:
+    from repro.analysis.stategraph import build_state_graph
+
     protocol, _name = _load(args.protocol, OptLevel.O2)
     graph = build_state_graph(protocol)
     if args.side:
@@ -880,7 +895,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        status = args.fn(args)
+        # Inside the try: a reader that went away is found out here at
+        # the latest, not by whoever flushes after us.
+        sys.stdout.flush()
+        return status
     except TeapotError as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
@@ -889,13 +908,29 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except BrokenPipeError:
         # Reader went away (e.g. `teapot report ... | head`): exit
-        # quietly.  Point stdout at devnull so the interpreter's final
-        # flush does not raise a second time.
-        import os
-
+        # quietly.  Point stdout at devnull so the final flush does not
+        # raise a second time.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
 
 
+def entry() -> None:
+    """The process entry point of ``python -m repro.cli`` and of the
+    ``teapot`` script: :func:`main`, then exit without finalising the
+    interpreter.  A checker run leaves hundreds of thousands of interned
+    states, effects and encodings behind, and freeing them one by one
+    took most of a second after the verdict was already printed
+    (`verify lcm --nodes 3 --reorder 1`: 0.8-0.9 s of 14-15 s).  Nothing
+    is owed at that point: every artifact is written and closed inside
+    its subcommand, worker processes are joined by the checker, and the
+    two streams are flushed here.  An exception out of ``main`` (Ctrl-C,
+    argparse's SystemExit, a bug) never reaches ``os._exit`` and exits
+    the ordinary way."""
+    status = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -6,6 +6,11 @@ at ``Suspend`` points into atomically executable fragments (Figures 9 and
 records, and applies the constant-continuation optimisation (Section 5).
 """
 
-from repro.compiler.pipeline import compile_protocol, compile_source, OptLevel
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.compiler.pipeline": ("compile_protocol", "compile_source",
+                                "OptLevel"),
+})
 
 __all__ = ["compile_protocol", "compile_source", "OptLevel"]

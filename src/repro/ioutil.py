@@ -1,4 +1,5 @@
-"""Crash-safe file writes shared by checkpoints, tools, and benches.
+"""File I/O shared across the repo: crash-safe writes for checkpoints,
+tools and benches, and the one reader of Teapot source files.
 
 Every JSON artifact the repo persists -- checkpoints, fault matrices,
 bench reports -- goes through :func:`atomic_write_json`: serialize to a
@@ -11,6 +12,26 @@ from __future__ import annotations
 
 import json
 import os
+
+from repro.lang.errors import TeapotError
+
+
+def read_source(path: str) -> tuple[bytes, str]:
+    """A Teapot source file as ``(bytes, text)``: read once, decoded as
+    strict UTF-8.  The bytes key the compile cache, the text feeds the
+    front end.  A path that cannot be read (missing, a directory, no
+    permission) or does not decode is a :class:`TeapotError` naming it,
+    which the CLI prints as one ``error:`` line."""
+    try:
+        with open(path, "rb") as handle:
+            data = handle.read()
+        return data, data.decode("utf-8")
+    except OSError as error:
+        raise TeapotError(f"{path}: {error.strerror}") from None
+    except UnicodeDecodeError as error:
+        raise TeapotError(
+            f"{path}: not UTF-8 text ({error.reason} at byte "
+            f"{error.start})") from None
 
 
 def atomic_write_json(path: str, payload, indent=None) -> None:

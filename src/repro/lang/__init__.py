@@ -1,9 +1,14 @@
 """The Teapot language front end: lexer, parser, and semantic checker."""
 
-from repro.lang.lexer import tokenize, Token
-from repro.lang.parser import parse_program
-from repro.lang.typecheck import check_program
-from repro.lang.errors import TeapotError, LexError, ParseError, CheckError
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.lang.lexer": ("tokenize", "Token"),
+    "repro.lang.parser": ("parse_program",),
+    "repro.lang.typecheck": ("check_program",),
+    "repro.lang.errors": ("TeapotError", "LexError", "ParseError",
+                          "CheckError"),
+})
 
 __all__ = [
     "tokenize",

@@ -28,24 +28,17 @@ simulator and the handler engine guard every emit site with a single
 identical to a build without this package.
 """
 
-from repro.obs.metrics import MetricsRegistry, format_metrics
-from repro.obs.observer import Observer
-from repro.obs.profile import (
-    CheckProfile,
-    CheckProfiler,
-    diff_profiles,
-    format_profile,
-    load_profile,
-)
-from repro.obs.sinks import (
-    MIN_SCHEMA_VERSION,
-    SCHEMA_VERSION,
-    ChromeTraceSink,
-    JsonlSink,
-    NullSink,
-    TraceSink,
-    open_sink,
-)
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.obs.metrics": ("MetricsRegistry", "format_metrics"),
+    "repro.obs.observer": ("Observer",),
+    "repro.obs.profile": ("CheckProfile", "CheckProfiler", "diff_profiles",
+                          "format_profile", "load_profile"),
+    "repro.obs.sinks": ("MIN_SCHEMA_VERSION", "SCHEMA_VERSION",
+                        "ChromeTraceSink", "JsonlSink", "NullSink",
+                        "TraceSink", "open_sink"),
+})
 
 __all__ = [
     "CheckProfile",

@@ -16,29 +16,21 @@ Entry points::
     report  = coverage_from_checker(protocol, result, ...)
 """
 
-from repro.obs.analyze.trace import Trace, TraceError, load_trace
-from repro.obs.analyze.order import (
-    causal_edges,
-    happens_before,
-    vector_clocks,
-)
-from repro.obs.analyze.causal import causal_chain, format_causal
-from repro.obs.analyze.critpath import (
-    FaultPath,
-    Segment,
-    fault_paths,
-    format_critical_path,
-)
-from repro.obs.analyze.coverage import (
-    CoverageReport,
-    arm_universe,
-    coverage_from_checker,
-    coverage_from_trace,
-    fault_only_arms,
-    format_fault_only,
-    load_coverage,
-)
-from repro.obs.analyze.diff import diff_coverage, diff_traces
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.obs.analyze.trace": ("Trace", "TraceError", "load_trace"),
+    "repro.obs.analyze.order": ("causal_edges", "happens_before",
+                                "vector_clocks"),
+    "repro.obs.analyze.causal": ("causal_chain", "format_causal"),
+    "repro.obs.analyze.critpath": ("FaultPath", "Segment", "fault_paths",
+                                   "format_critical_path"),
+    "repro.obs.analyze.coverage": ("CoverageReport", "arm_universe",
+                                   "coverage_from_checker",
+                                   "coverage_from_trace", "fault_only_arms",
+                                   "format_fault_only", "load_coverage"),
+    "repro.obs.analyze.diff": ("diff_coverage", "diff_traces"),
+})
 
 __all__ = [
     "Trace",

@@ -47,9 +47,14 @@ together.
 from __future__ import annotations
 
 import json
-import sys
 import time
 from typing import Optional
+
+from repro.obs.analyze.trace import TraceError
+# Re-exported: it lives beside the memory budget it feeds, in a module
+# every check loads (this one is loaded only by profiled runs).
+from repro.verify.checkpoint import visited_container_bytes  # noqa: F401
+from repro.verify.fingerprint import FINGERPRINT_BITS, expected_collisions
 
 PROFILE_KIND = "teapot-check-profile"
 PROFILE_VERSION = 1
@@ -59,23 +64,6 @@ PHASES = ("successors", "invariants", "fingerprint", "visited",
           "checkpoint_io", "other")
 
 _perf = time.perf_counter
-
-
-def visited_container_bytes(visited, parents) -> int:
-    """The checkers' visited-set memory estimate: container overhead of
-    the visited set plus the parent-pointer table.  One definition,
-    three consumers: the profiler's ``visited_bytes`` stat, the serial
-    checker's ``BudgetOptions.max_visited_bytes`` cap, and the parallel
-    workers' per-shard byte reports the master sums for the same cap."""
-    return sys.getsizeof(visited) + sys.getsizeof(parents)
-
-
-# Imported below the helper on purpose: repro.verify.checker imports
-# visited_container_bytes from this module, and these imports re-enter
-# repro.verify -- the helper must already be bound when they do.
-from repro.obs.analyze.trace import TraceError  # noqa: E402
-from repro.verify.fingerprint import (  # noqa: E402
-    FINGERPRINT_BITS, expected_collisions)
 
 
 class CheckProfiler:

@@ -15,11 +15,12 @@ which the test suite exploits for differential testing.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
-from importlib import resources
 from typing import Optional
 
-from repro.compiler.pipeline import compile_source
+from repro.compile_cache import compile_file
+from repro.ioutil import read_source
 from repro.runtime.protocol import CompiledProtocol, Flavor, OptLevel
 
 
@@ -97,22 +98,17 @@ PROTOCOLS = {
 }
 
 
+def _source_path(entry: ProtocolEntry) -> str:
+    return os.path.join(os.path.dirname(__file__), entry.filename)
+
+
 def load_protocol_source(name: str) -> str:
     """Return the Teapot source text of the named protocol."""
     entry = PROTOCOLS.get(name)
     if entry is None:
         known = ", ".join(sorted(PROTOCOLS))
         raise KeyError(f"unknown protocol {name!r}; known: {known}")
-    return (resources.files(__package__) / entry.filename).read_text()
-
-
-# Registered-protocol sources never change within a process, so compiling
-# the same (name, opt level, flavor) twice always yields an equivalent
-# CompiledProtocol.  Cache it: api.check() and the bench/CLI paths compile
-# per call, and compilation otherwise dominates small verification runs.
-# Cached objects are shared -- callers must not mutate them (code that
-# wants a private protocol to patch should go through compile_source).
-_COMPILE_CACHE: dict = {}
+    return read_source(_source_path(entry))[1]
 
 
 def compile_named_protocol(
@@ -120,19 +116,17 @@ def compile_named_protocol(
     opt_level: OptLevel = OptLevel.O2,
     flavor: Optional[Flavor] = None,
 ) -> CompiledProtocol:
-    """Compile a registered protocol by name (memoised per config)."""
+    """Compile a registered protocol by name.
+
+    Goes through :mod:`repro.compile_cache`, like any ``.tea`` path: the
+    same (source, opt level, flavor) yields the same object for the life
+    of the process and is read back from ``__pycache__/`` by the next
+    one.  The objects are shared -- callers must not mutate them (code
+    that wants a private protocol to patch compiles
+    :func:`load_protocol_source`'s text through ``compile_source``).
+    """
     entry = PROTOCOLS[name]
-    resolved_flavor = flavor if flavor is not None else entry.flavor
-    key = (name, opt_level, resolved_flavor)
-    cached = _COMPILE_CACHE.get(key)
-    if cached is not None:
-        return cached
-    compiled = compile_source(
-        load_protocol_source(name),
-        opt_level=opt_level,
-        flavor=resolved_flavor,
-        initial_states=entry.initial_states,
-        filename=entry.filename,
-    )
-    _COMPILE_CACHE[key] = compiled
-    return compiled
+    return compile_file(
+        _source_path(entry), opt_level,
+        flavor if flavor is not None else entry.flavor,
+        entry.initial_states)

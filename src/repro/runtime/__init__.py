@@ -8,9 +8,13 @@ different :class:`~repro.runtime.context.ProtocolContext`.
 :class:`HandlerInterpreter` is their reference semantics.
 """
 
-from repro.runtime.protocol import CompiledProtocol, CompiledStateInfo
-from repro.runtime.continuation import ContinuationRecord
-from repro.runtime.exec import HandlerInterpreter
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.runtime.protocol": ("CompiledProtocol", "CompiledStateInfo"),
+    "repro.runtime.continuation": ("ContinuationRecord",),
+    "repro.runtime.exec": ("HandlerInterpreter",),
+})
 
 __all__ = [
     "CompiledProtocol",

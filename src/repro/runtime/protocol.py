@@ -118,6 +118,11 @@ class CompiledProtocol:
     initial_home_state: str
     initial_cache_state: str
     stats: CompileStats = field(default_factory=CompileStats)
+    # Ahead-of-time code objects of the Python back end, by qualified
+    # handler name (the module header under ""), when this protocol came
+    # through repro.compile_cache; None = compile on first dispatch.
+    handler_code: Optional[dict] = field(
+        default=None, repr=False, compare=False)
 
     def state(self, name: str) -> CompiledStateInfo:
         info = self.states.get(name)

@@ -8,10 +8,14 @@ control, user-level message passing, and per-block protocol dispatch,
 with an explicit cycle cost model.
 """
 
-from repro.tempest.machine import Machine, MachineConfig, SimResult
-from repro.tempest.network import Network, NetworkConfig
-from repro.tempest.memory import AccessTag, BlockStore
-from repro.tempest.stats import MachineStats, NodeStats
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.tempest.machine": ("Machine", "MachineConfig", "SimResult"),
+    "repro.tempest.network": ("Network", "NetworkConfig"),
+    "repro.tempest.memory": ("AccessTag", "BlockStore"),
+    "repro.tempest.stats": ("MachineStats", "NodeStats"),
+})
 
 __all__ = [
     "Machine",

@@ -22,33 +22,25 @@ hash-compacted via :mod:`repro.verify.fingerprint`) and
 hash-partitioned across worker processes, with checkpoint/resume).
 """
 
-from repro.verify.atlas import (
-    AtlasRecorder,
-    OrbitCanonicalizer,
-    StateAtlas,
-    load_atlas,
-)
-from repro.verify.checker import (
-    CheckResult,
-    FingerprintCollisionError,
-    ModelChecker,
-    SymmetryError,
-    TraceReplayError,
-    Violation,
-    replay_labels,
-)
-from repro.verify.checkpoint import CheckpointError, load_checkpoint
+from repro import _lazy_exports
+# Eager on purpose: ``fingerprint`` is both this submodule and the
+# function re-exported from it, so the function must be bound after the
+# submodule is imported (see repro._lazy_exports).
 from repro.verify.fingerprint import encode_state, fingerprint
-from repro.verify.parallel import ParallelChecker, WorkerLostError
-from repro.verify.events import (
-    CasEvents,
-    EventGenerator,
-    EvictEvents,
-    BufferedWriteEvents,
-    LcmEvents,
-    StacheEvents,
-    events_for_protocol,
-)
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.verify.atlas": ("AtlasRecorder", "OrbitCanonicalizer",
+                           "StateAtlas", "load_atlas"),
+    "repro.verify.checker": ("CheckResult", "FingerprintCollisionError",
+                             "ModelChecker", "SymmetryError",
+                             "TraceReplayError", "Violation",
+                             "replay_labels"),
+    "repro.verify.checkpoint": ("CheckpointError", "load_checkpoint"),
+    "repro.verify.parallel": ("ParallelChecker", "WorkerLostError"),
+    "repro.verify.events": ("CasEvents", "EventGenerator", "EvictEvents",
+                            "BufferedWriteEvents", "LcmEvents",
+                            "StacheEvents", "events_for_protocol"),
+})
 
 __all__ = [
     "ModelChecker",

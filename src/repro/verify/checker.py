@@ -19,8 +19,6 @@ from typing import IO, Optional
 
 from repro.backends.python_backend import CompiledEngine
 from repro.faults import FaultBudget
-
-from repro.obs.profile import visited_container_bytes
 from repro.runtime.context import Message
 from repro.runtime.protocol import CompiledProtocol, weak_protocol_entry
 from repro.verify.checkpoint import (
@@ -29,6 +27,7 @@ from repro.verify.checkpoint import (
     encode_checkpoint,
     replay_frontier,
     starting_cut,
+    visited_container_bytes,
     write_checkpoint,
 )
 from repro.verify.events import EventGenerator, StacheEvents

@@ -32,6 +32,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import sys
 import time
 from dataclasses import dataclass
 
@@ -54,6 +55,16 @@ _UNSEALED_KEYS = ("seal", "elapsed")
 # flags are therefore a request, not a promise of cadence; a slow disk
 # widens the spacing instead of stalling the search.
 PERIODIC_SPACING_RATIO = 19.0
+
+
+def visited_container_bytes(visited, parents) -> int:
+    """The checkers' visited-set memory estimate: container overhead of
+    the visited set plus the parent-pointer table.  One definition,
+    three consumers: the profiler's ``visited_bytes`` stat, the serial
+    checker's ``BudgetOptions.max_visited_bytes`` cap (the ``memory``
+    stop of :class:`CutPolicy`), and the parallel workers' per-shard
+    byte reports the master sums for the same cap."""
+    return sys.getsizeof(visited) + sys.getsizeof(parents)
 
 
 class CheckpointError(ValueError):

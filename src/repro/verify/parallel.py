@@ -89,7 +89,6 @@ import time
 from collections import defaultdict
 from typing import Optional
 
-from repro.obs.profile import visited_container_bytes
 from repro.runtime.protocol import CompiledProtocol
 from repro.verify.checker import (
     CheckResult,
@@ -107,6 +106,7 @@ from repro.verify.checkpoint import (
     min_edge_fold,
     replay_frontier,
     starting_cut,
+    visited_container_bytes,
     write_checkpoint,
 )
 

@@ -9,20 +9,16 @@ overhead the tables measure (see DESIGN.md's substitution notes).
 - Table 2 (LCM):    adaptive, stencil, unstruct
 """
 
-from repro.workloads.table1 import (
-    gauss_programs,
-    appbt_programs,
-    shallow_programs,
-    mp3d_programs,
-    STACHE_WORKLOADS,
-)
-from repro.workloads.table2 import (
-    adaptive_programs,
-    stencil_programs,
-    unstruct_programs,
-    LCM_WORKLOADS,
-)
-from repro.workloads.driver import WorkloadResult, run_workload
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.workloads.table1": ("gauss_programs", "appbt_programs",
+                               "shallow_programs", "mp3d_programs",
+                               "STACHE_WORKLOADS"),
+    "repro.workloads.table2": ("adaptive_programs", "stencil_programs",
+                               "unstruct_programs", "LCM_WORKLOADS"),
+    "repro.workloads.driver": ("WorkloadResult", "run_workload"),
+})
 
 __all__ = [
     "gauss_programs",

@@ -202,3 +202,39 @@ class TestDeprecationShims:
             assert repro.check is check
             assert repro.simulate is simulate
         assert not caught
+
+
+LAZY_PACKAGES = [
+    "repro", "repro.verify", "repro.obs", "repro.obs.analyze",
+    "repro.tempest", "repro.backends", "repro.analysis", "repro.workloads",
+    "repro.runtime", "repro.compiler", "repro.lang",
+]
+
+
+@pytest.mark.parametrize("package_name", LAZY_PACKAGES)
+def test_lazy_reexports_are_the_home_objects(package_name):
+    """Every package re-exports lazily (PEP 562): each name in ``__all__``
+    must still resolve to the very object a module below the package
+    holds under that name -- never to a submodule that happens to share
+    the name, as ``repro.verify.fingerprint`` would if it were served
+    lazily -- and ``dir()`` and ``import *`` must list what they always
+    listed."""
+    import importlib
+    import pkgutil
+    import types
+
+    package = importlib.import_module(package_name)
+    modules = [
+        importlib.import_module(info.name)
+        for info in pkgutil.walk_packages(package.__path__,
+                                          package_name + ".")]
+    assert set(package.__all__) <= set(dir(package))
+    star: dict = {}
+    exec(f"from {package_name} import *", star)
+    assert set(package.__all__) <= set(star)
+    for name in package.__all__:
+        value = getattr(package, name)
+        assert not isinstance(value, types.ModuleType), name
+        assert star[name] is value
+        assert any(vars(module).get(name) is value
+                   for module in modules), name

@@ -1,5 +1,10 @@
 """Tests for the ``teapot`` command-line interface."""
 
+import json
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import main
@@ -205,3 +210,118 @@ class TestRunSeedFlags:
         assert "jitter=40" in first
         assert main(args) == 0
         assert capsys.readouterr().out == first
+
+
+class TestUnreadableSource:
+    """Every subcommand that reads a .tea file goes through one reader:
+    a path that cannot be read or decoded is one ``error:`` line and
+    exit status 1, never a traceback."""
+
+    SUBCOMMANDS = ["check", "compile", "fmt", "info", "verify"]
+
+    @pytest.mark.parametrize("subcommand", SUBCOMMANDS)
+    def test_directory(self, subcommand, tmp_path, capsys):
+        assert main([subcommand, str(tmp_path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {tmp_path}: Is a directory\n"
+
+    @pytest.mark.parametrize("subcommand", SUBCOMMANDS)
+    def test_not_utf8(self, subcommand, tmp_path, capsys):
+        path = tmp_path / "latin1.tea"
+        path.write_bytes(MINI_SOURCE.encode() + b"-- caf\xe9\n")
+        assert main([subcommand, str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: {path}: not UTF-8 text (")
+        assert err.count("\n") == 1
+
+
+SRC = os.path.abspath(
+    os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+
+
+def _teapot(*argv, cwd=None, **popen):
+    """A real ``python -m repro.cli`` process: it leaves through
+    ``entry()``, which skips interpreter finalisation.  Returns the
+    process (for its pid and status), its stdout and its stderr."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    process = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", *argv], cwd=cwd, env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, **popen)
+    out, err = process.communicate(timeout=120)
+    return process, out, err
+
+
+class TestExitWithoutFinalisation:
+    """``entry()`` ends the process with ``os._exit``.  Nothing may have
+    been left to interpreter shutdown: every artifact complete on disk,
+    every line of output delivered, no worker process outliving us."""
+
+    def test_every_verify_artifact_is_complete(self, tmp_path):
+        done, _out, err = _teapot(
+            "verify", "stache", "--coverage-out", "c.json", "--profile-out",
+            "p.json", "--atlas-out", "a.json", cwd=tmp_path)
+        assert done.returncode == 0, err
+        assert json.loads((tmp_path / "c.json").read_text())["fired"]
+        assert json.loads((tmp_path / "p.json").read_text())["phases"]
+        assert json.loads((tmp_path / "a.json").read_text())["states"]
+        # The last stderr line is there too.
+        assert "wrote state atlas to a.json" in err
+
+        failed, out, _err = _teapot(
+            "verify", "stache", "--faults", "drop=1", "--trace-out",
+            "t.jsonl", "--fault-plan-out", "w.json", cwd=tmp_path)
+        assert failed.returncode == 1
+        events = [json.loads(line) for line in
+                  (tmp_path / "t.jsonl").read_text().splitlines()]
+        assert events[-1]["ev"] == "violation"
+        assert json.loads((tmp_path / "w.json").read_text())["rules"]
+        assert "DEADLOCK" in out
+
+        cut, _out, err = _teapot("verify", "lcm", "--max-states", "100",
+                                 "--checkpoint-out", "ck.json", cwd=tmp_path)
+        assert cut.returncode == 0, err
+        assert json.loads((tmp_path / "ck.json").read_text())["seal"]
+        resumed, out, err = _teapot("verify", "lcm", "--resume", "ck.json",
+                                    cwd=tmp_path)
+        assert resumed.returncode == 0, err
+        assert "PASS  states=" in out
+
+    def test_run_artifacts_are_complete(self, tmp_path):
+        done, _out, err = _teapot(
+            "run", "stache", "gauss", "--nodes", "4", "--trace", "t.jsonl",
+            "--metrics", "m.json", cwd=tmp_path)
+        assert done.returncode == 0, err
+        lines = (tmp_path / "t.jsonl").read_text().splitlines()
+        assert len(lines) > 100
+        assert all(json.loads(line)["ev"] for line in lines)
+        assert json.loads((tmp_path / "m.json").read_text())["handlers"]
+        assert main(["analyze", "causal", str(tmp_path / "t.jsonl")]) == 0
+
+    def test_piped_stdout_receives_every_line(self, capsys):
+        assert main(["compile", "lcm", "--target", "c"]) == 0
+        expected = capsys.readouterr().out
+        assert len(expected) > 65536         # more than one pipe buffer
+        piped, out, _err = _teapot("compile", "lcm", "--target", "c")
+        assert piped.returncode == 0
+        assert out == expected
+
+    def test_status_and_stderr_survive(self, tmp_path):
+        failed, out, err = _teapot("check", str(tmp_path / "missing.tea"))
+        assert failed.returncode == 1
+        assert out == ""
+        assert err == (
+            f"error: {tmp_path / 'missing.tea'}: No such file or directory\n")
+        usage, _out, err = _teapot("verify")  # argparse exits the usual way
+        assert usage.returncode == 2 and "usage:" in err
+
+    def test_workers_leave_no_process_behind(self):
+        # In its own session, so the group is exactly its descendants.
+        done, out, err = _teapot("verify", "lcm_mcc", "--reorder", "1",
+                                 "--workers", "2", start_new_session=True)
+        assert done.returncode == 0, err
+        assert "workers=2" in out
+        with pytest.raises(ProcessLookupError):
+            # The leader's pid is the group id; an empty group is gone.
+            os.killpg(done.pid, 0)
