@@ -379,16 +379,11 @@ def check(target: Target,
         raise ValueError(
             f"CheckOptions.on_worker_loss must be 'fail' or 'degrade', "
             f"got {options.on_worker_loss!r}")
-    if options.workers == 0:
-        if checkpointing and options.liveness:
-            raise ValueError(
-                "checkpoint/resume and liveness checking are mutually "
-                "exclusive: checkpoints key states by fingerprint, "
-                "liveness needs the concrete state graph")
-        if checkpointing and reduction.por:
-            raise ValueError(
-                "checkpoint/resume is incompatible with partial-order "
-                "reduction (sleep-set state is not serialized)")
+    if options.workers == 0 and checkpointing and options.liveness:
+        raise ValueError(
+            "checkpoint/resume and liveness checking are mutually "
+            "exclusive: checkpoints key states by fingerprint, "
+            "liveness needs the concrete state graph")
 
     def run_once(symmetry: bool) -> CheckResult:
         # Observers (profiler/atlas) are stateful accumulators; each

@@ -190,13 +190,6 @@ def cmd_verify(args) -> int:
     )
     try:
         result = api.check(protocol, options)
-    except KeyboardInterrupt:
-        if args.checkpoint_out:
-            print(f"\ninterrupted; resumable checkpoint written to "
-                  f"{args.checkpoint_out} (continue with --resume)",
-                  file=sys.stderr)
-            return 130
-        raise
     except (verify.CheckpointError, verify.WorkerLostError,
             ValueError) as error:
         # Bad checkpoint files, dead workers under --on-worker-loss
@@ -922,8 +915,9 @@ def entry() -> None:
     took most of a second after the verdict was already printed
     (`verify lcm --nodes 3 --reorder 1`: 0.8-0.9 s of 14-15 s).  Nothing
     is owed at that point: every artifact is written and closed inside
-    its subcommand, worker processes are joined by the checker, and the
-    two streams are flushed here.  An exception out of ``main`` (Ctrl-C,
+    its subcommand, worker processes are killed and joined by the
+    checker on every way out of a run, and the two streams are flushed
+    here.  An exception out of ``main`` (Ctrl-C outside a checker run,
     argparse's SystemExit, a bug) never reaches ``os._exit`` and exits
     the ordinary way."""
     status = main()

@@ -10,8 +10,6 @@ failure.  Exploration is exhaustive up to ``max_states``.
 from __future__ import annotations
 
 import re
-import signal
-import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field, replace
@@ -22,13 +20,12 @@ from repro.faults import FaultBudget
 from repro.runtime.context import Message
 from repro.runtime.protocol import CompiledProtocol, weak_protocol_entry
 from repro.verify.checkpoint import (
+    Cut,
     CutPolicy,
-    config_echo,
-    encode_checkpoint,
+    flag_sigint,
     replay_frontier,
     starting_cut,
     visited_container_bytes,
-    write_checkpoint,
 )
 from repro.verify.events import EventGenerator, StacheEvents
 from repro.verify.fingerprint import canonical_fingerprint_fn, fingerprint
@@ -1104,27 +1101,13 @@ class ModelChecker:
     def run(self) -> CheckResult:
         """Breadth-first exploration from the initial state (or from a
         resumed checkpoint's frontier)."""
-        # Ctrl-C parity with the parallel master: when a checkpoint path
-        # is configured (and we own the main thread's signal handling),
-        # SIGINT is flagged instead of raised, the current state
-        # finishes cleanly, and the guard at the next frontier pop
-        # writes a resumable checkpoint and returns a stop_reason=
-        # "interrupted" result.  Without a checkpoint path the classic
-        # KeyboardInterrupt propagates unchanged.
-        if (self.checkpoint_out is not None
-                and threading.current_thread()
-                is threading.main_thread()):
-            interrupt_cell = [False]
-
-            def _flag_interrupt(_signum, _frame):
-                interrupt_cell[0] = True
-
-            previous = signal.signal(signal.SIGINT, _flag_interrupt)
-            try:
-                return self._run_bfs(interrupt_cell)
-            finally:
-                signal.signal(signal.SIGINT, previous)
-        return self._run_bfs([False])
+        # Ctrl-C parity with the parallel master: with a checkpoint path
+        # SIGINT is flagged, not raised; the current state finishes and
+        # the guard at the next frontier pop writes a resumable
+        # checkpoint and returns stop_reason="interrupted".  Without one
+        # the classic KeyboardInterrupt propagates unchanged.
+        with flag_sigint(self.checkpoint_out is not None) as interrupt_cell:
+            return self._run_bfs(interrupt_cell)
 
     # -- the exploration parts ----------------------------------------------
 
@@ -1317,7 +1300,7 @@ class ModelChecker:
         # Seeds are taken exactly as the loop takes every later state.
         # A checkpoint frontier is pre-acceptance in the on-disk format
         # (the decoder already picked each state's canonical parent
-        # edge), so its invariants run here, as the parallel seed op
+        # edge), so its invariants run here, as the parallel start op
         # runs them.
         seed_violations: list = []
         for key, (pkey, label, d) in cut.frontier.items():
@@ -1325,7 +1308,7 @@ class ModelChecker:
             if message is not None:
                 seed_violations.append((d, message, key, seeds[key]))
         if seed_violations:
-            # Same canonical choice the parallel seed makes: the
+            # Same canonical choice the parallel master makes: the
             # minimum (depth, message, fingerprint) violation, so the
             # verdict is engine- and worker-count independent.
             d, message, key, state = min(seed_violations,
@@ -1336,31 +1319,21 @@ class ModelChecker:
                 state))
 
         def write_ckpt(durable: bool) -> None:
-            frontier_keys = {key for _state, key, _d in frontier}
+            pending = {key: (*parents[key], d) for _state, key, d in frontier}
             # Frontier states are accepted (and invariant-checked) in
             # this loop but pre-acceptance in the on-disk format; every
             # accepted passing state contributed exactly one evaluation
             # per invariant, so subtracting the frontier size converts
-            # the counters to the cut's pre-acceptance semantics.
-            drained = len(frontier_keys)
-            payload = encode_checkpoint(
-                config_echo(self),
-                wave=frontier[0][2],
-                transitions=transitions,
-                max_depth=self._max_depth,
-                elapsed=elapsed(),
+            # the counters to the cut's pre-acceptance semantics.  The
+            # live containers hold the frontier too; the encoder skips it.
+            Cut(wave=frontier[0][2], transitions=transitions,
+                max_depth=self._max_depth, elapsed=elapsed(),
                 invariant_evals={
-                    name: max(0, count - drained)
+                    name: max(0, count - len(pending))
                     for name, count in self._invariant_evals.items()},
-                handler_fires=dict(self._handler_fires),
-                visited=(key for key in visited
-                         if key not in frontier_keys),
-                parents=(item for item in parents.items()
-                         if item[0] not in frontier_keys),
-                frontier=((key, *parents[key], d)
-                          for _state, key, d in frontier))
-            write_checkpoint(self.checkpoint_out, payload,
-                             self.checkpoint_keep_last, durable=durable)
+                handler_fires=self._handler_fires, visited=visited,
+                parents=parents, frontier=pending, states={},
+                ).write(self, durable)
 
         # The top of the loop is a clean cut (see CutPolicy): every
         # non-frontier visited state is fully expanded.

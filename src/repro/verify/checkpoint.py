@@ -2,8 +2,9 @@
 
 A checkpoint is pure JSON (kind ``teapot-parallel-checkpoint``, v1 --
 the name is historical; the serial checker writes and resumes the same
-format).  This module is the single owner of that format -- every
-writer goes through :func:`encode_checkpoint`, every resume through
+format).  This module is the single owner of that format -- a
+:class:`Cut` is the exploration at a clean cut, every writer goes
+through :meth:`Cut.write`, every resume through
 :func:`decode_checkpoint` and :func:`replay_frontier` -- and of the
 on-disk concerns both engines share:
 
@@ -24,7 +25,8 @@ on-disk concerns both engines share:
   checkpoint so a resume against a different protocol/topology fails
   loudly rather than exploring nonsense.
 * **The stop/checkpoint policy** -- :class:`CutPolicy`, asked at every
-  clean cut by both engines.
+  clean cut by both engines, and :func:`flag_sigint`, the one way
+  either engine takes a Ctrl-C.
 """
 
 from __future__ import annotations
@@ -32,8 +34,11 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import signal
 import sys
+import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from repro.ioutil import atomic_write_text
@@ -41,6 +46,10 @@ from repro.verify.fingerprint import state_from_jsonable
 
 CHECKPOINT_KIND = "teapot-parallel-checkpoint"
 CHECKPOINT_VERSION = 1
+
+# A cut's counting fields, by their names in a Cut and on disk.
+_COUNTED = ("wave", "transitions", "max_depth", "elapsed",
+            "invariant_evals", "handler_fires")
 
 # Keys excluded from the seal: the seal itself, and the one field two
 # byte-identical explorations legitimately disagree on (wall time).
@@ -154,6 +163,32 @@ class CutPolicy:
         return cost
 
 
+@contextmanager
+def flag_sigint(wanted: bool = True):
+    """Ctrl-C as both engines take it.  For the life of the block
+    SIGINT sets the yielded ``cell[0]`` instead of raising, so no
+    ``KeyboardInterrupt`` can land inside a state's expansion or a
+    message to a worker; the run acts on the flag only where it asks
+    :meth:`CutPolicy.stop`, its next clean cut, and a second Ctrl-C just
+    sets it again.  Unless ``wanted``, and off the main thread (which
+    alone may install a handler), the cell stays False and SIGINT
+    raises as usual."""
+    cell = [False]
+    if not (wanted
+            and threading.current_thread() is threading.main_thread()):
+        yield cell
+        return
+
+    def flag(_signum, _frame):
+        cell[0] = True
+
+    previous = signal.signal(signal.SIGINT, flag)
+    try:
+        yield cell
+    finally:
+        signal.signal(signal.SIGINT, previous)
+
+
 def _canonical_and_seal(payload: dict) -> tuple:
     """The payload's canonical JSON (sorted keys, compact separators,
     the unsealed fields excluded) and its BLAKE2b digest."""
@@ -224,9 +259,7 @@ def load_checkpoint(path: str) -> dict:
                 f"{path}: seal mismatch (stored {stored_seal[:12]}..., "
                 f"computed {computed[:12]}...); the checkpoint was "
                 "corrupted or edited after it was written")
-    for key in ("wave", "transitions", "max_depth", "elapsed",
-                "invariant_evals", "handler_fires", "visited", "parents",
-                "frontier"):
+    for key in (*_COUNTED, "visited", "parents", "frontier"):
         if key not in payload:
             raise CheckpointError(
                 f"{path}: checkpoint is missing the {key!r} field")
@@ -275,41 +308,6 @@ def _unhex(text) -> "int | None":
     return None if text is None else int(text, 16)
 
 
-def encode_checkpoint(echo: dict, *, wave: int, transitions: int,
-                      max_depth: int, elapsed: float, invariant_evals: dict,
-                      handler_fires: dict, visited, parents,
-                      frontier) -> dict:
-    """The v1 payload for one clean cut of the exploration.
-
-    ``visited`` iterates the fully expanded states' fingerprints,
-    ``parents`` their ``(fp, (parent fp, label))`` edges, ``frontier``
-    the unaccepted ``(fp, parent fp, label, depth)`` proposals, one per
-    proposing edge (the decoder keeps the canonical one; dedupe and
-    invariants happen at acceptance, on resume)."""
-    return {
-        **echo,
-        "kind": CHECKPOINT_KIND,
-        "v": CHECKPOINT_VERSION,
-        "wave": wave,
-        "transitions": transitions,
-        "max_depth": max_depth,
-        "elapsed": elapsed,
-        "invariant_evals": invariant_evals,
-        "handler_fires": handler_fires,
-        "visited": [f"{fp:016x}" for fp in visited],
-        "parents": {f"{fp:016x}": [_hex(pfp), label]
-                    for fp, (pfp, label) in parents},
-        # Frontier states are stored by reference (null state slot):
-        # the (parent fp, label) chain reconstructs each one at resume
-        # by replay.  Serializing thousands of concrete frontier states
-        # made every periodic write O(frontier x state size) -- the
-        # dominant cost of checkpointing; the chain reference is a few
-        # bytes.
-        "frontier": [[f"{fp:016x}", None, _hex(pfp), label, depth]
-                     for fp, pfp, label, depth in frontier],
-    }
-
-
 def min_edge_fold(records, visited) -> dict:
     """The canonical parent edge for each freshly proposed state.
 
@@ -337,7 +335,13 @@ def _edge(record) -> tuple:
 
 @dataclass
 class Cut:
-    """A decoded checkpoint: fingerprints as ints, frontier folded."""
+    """The exploration at a clean cut: ``visited`` is fully expanded,
+    ``frontier`` waits unaccepted (before dedupe and invariants, one
+    canonical edge per state), the counters are what reaching the cut
+    cost.  A run starts from one (:func:`starting_cut`: a decoded
+    checkpoint or the initial state), the parallel master carries one
+    from wave to wave (:meth:`advance`), and every checkpoint of either
+    engine is one written out (:meth:`write`).  Fingerprints are ints."""
 
     wave: int
     transitions: int
@@ -349,6 +353,55 @@ class Cut:
     parents: dict    # fp -> (parent fp | None, label), expanded states
     frontier: dict   # fp -> (parent fp | None, label, depth), unaccepted
     states: dict     # fp -> concrete frontier state, where stored inline
+
+    def advance(self, proposals) -> None:
+        """Move the containers to the next cut in place: the old
+        frontier, accepted and expanded, joins ``visited`` and its edges
+        ``parents``; the ``(fp, parent fp, label, depth, ...)``
+        ``proposals`` its expansion routed, folded as their owners will
+        fold them (:func:`min_edge_fold`), are the new frontier, their
+        states held elsewhere.  The counting fields are the caller's."""
+        self.visited.update(self.frontier)
+        for fp, (pfp, label, _depth) in self.frontier.items():
+            self.parents[fp] = (pfp, label)
+        self.frontier = {
+            fp: (pfp, label, depth) for fp, pfp, label, depth, *_rest
+            in min_edge_fold(proposals, self.visited).values()}
+        self.states = {}
+
+    def encode(self, echo: dict) -> dict:
+        """The v1 payload.  ``visited`` and ``parents`` may be a
+        writer's live containers, already holding the frontier (the
+        serial loop accepts a state when it queues it): frontier keys
+        are skipped there, so no writer copies a container to drop them."""
+        frontier = self.frontier
+        return {
+            **echo,
+            "kind": CHECKPOINT_KIND,
+            "v": CHECKPOINT_VERSION,
+            **{key: getattr(self, key) for key in _COUNTED},
+            "visited": [f"{fp:016x}" for fp in self.visited
+                        if fp not in frontier],
+            "parents": {f"{fp:016x}": [_hex(pfp), label]
+                        for fp, (pfp, label) in self.parents.items()
+                        if fp not in frontier},
+            # Frontier states are stored by reference (null state slot):
+            # the (parent fp, label) chain reconstructs each one at resume
+            # by replay.  Serializing thousands of concrete frontier states
+            # made every periodic write O(frontier x state size) -- the
+            # dominant cost of checkpointing; the chain reference is a few
+            # bytes.
+            "frontier": [[f"{fp:016x}", None, _hex(pfp), label, depth]
+                         for fp, (pfp, label, depth) in frontier.items()],
+        }
+
+    def write(self, checker, durable: bool = True) -> None:
+        """Write this cut as ``checker``'s checkpoint (its path,
+        rotation depth and configuration echo): the one writer behind
+        every checkpoint of either engine."""
+        write_checkpoint(checker.checkpoint_out,
+                         self.encode(config_echo(checker)),
+                         checker.checkpoint_keep_last, durable=durable)
 
 
 def decode_checkpoint(payload: dict, echo: dict, path: str) -> Cut:

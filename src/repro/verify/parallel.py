@@ -14,23 +14,35 @@ and the master stops the run by the same
 finish step.  This module adds only the protocol *among* the workers.
 
 Exploration proceeds in deterministic cycles (one cycle = one BFS
-layer), but -- unlike the first-generation engine, which shipped every
-successor *state* to its owner through the master -- the frontier
-exchange is fingerprint-only:
+layer) of *barriers*: the master sends every worker one op and reads
+one reply each (:meth:`_Fleet.call_all`, the only way the two sides
+talk).  Unlike the first-generation engine, which shipped every
+successor *state* to its owner through the master, the frontier
+exchange is fingerprint-only.  The ops, and what each reply carries:
 
-1. ``expand``: each worker expands its accepted states, keeps the
-   generated successor states in a local *stash*, and hands the master
-   metadata records ``(fp, parent_fp, label, depth)`` batched per owner.
-   Full states never cross a pipe at this point.
-2. The master routes the metadata.  ``ingest``: each owner dedupes the
-   candidates against its visited set; fresh own-generated states are
-   resolved from the local stash immediately, foreign ones are *staged*
-   and their fingerprints listed per sender.
-3. ``fetch``/``adopt``: the master collects the needed states from the
-   senders' stashes -- only states that survived owner-side dedupe are
-   ever serialized -- and delivers them to their owners, which accept
-   them (visited set, parent pointer, invariant suite) into the next
-   ready set.
+``start``    Once per fleet: the worker loads its shard of the starting
+             cut, stages its frontier's spelled-out edges and adopts
+             the frontier states.  Reply: as ``adopt``.
+``expand``   Expands its accepted states, keeping the successors in a
+             local *stash*.  Reply: metadata records ``(fp, parent_fp,
+             label, depth)`` batched per owner -- no full state crosses
+             a pipe here -- and, in this reply alone, all the master
+             counts or judges: the violations, transitions, invariant
+             evaluations and handler fires since the last expand reply,
+             and the shard's size, bytes and depth.
+``ingest``   The owner dedupes the metadata routed to it against its
+             visited set: fresh own-generated states resolve from the
+             stash at once, foreign ones are *staged*.  Reply: the
+             fingerprints needed, per sender.
+``fetch``    Serves needed states from the stash -- only states that
+             survived owner-side dedupe are ever serialized.
+``adopt``    Accepts the delivered states (visited set, parent pointer,
+             invariant suite) into the next ready set.  Reply: busy
+             seconds, as from every timed op.
+``parent``   One hop of a counterexample's trace walk: the parent edge.
+``collect``  For a checkpoint taken without a mirror: the shard's
+             visited set and parent edges, nothing else.
+``finish``   The run is over: the worker's profile and atlas payloads.
 
 Determinism: the set of states in BFS layer *k* is a property of the
 protocol, not of the partitioning, and every visited state is expanded
@@ -55,13 +67,15 @@ of reporting a bogus trace.
 Checkpoints are pure JSON (no pickles; see
 :mod:`repro.verify.fingerprint` for the state codec) and are written at
 layer boundaries when the policy stops the run there (``max_states``, a
-resource budget, Ctrl-C) or a periodic interval elapses.  Writes are
-sealed, atomic and rotated (:mod:`repro.verify.checkpoint`).  The
-frontier in a checkpoint is the routed proposals, their states stored
-by reference (the parent-label chain), so the on-disk format is
-unchanged from version 1: entries are keyed by fingerprint and a
-checkpoint written at one worker count can be resumed at any other --
-or by the serial checker.
+resource budget, Ctrl-C) or a periodic interval elapses.  Each is the
+master's :class:`~repro.verify.checkpoint.Cut` written out (sealed,
+atomic, rotated: :mod:`repro.verify.checkpoint`) -- the mirror as it
+stands under ``"degrade"``, the owners' containers after one
+``collect`` barrier otherwise.  Its frontier is the routed proposals,
+folded to one edge per state, their states stored by reference (the
+parent-label chain), so the on-disk format is unchanged from version 1:
+entries are keyed by fingerprint and a checkpoint written at one worker
+count can be resumed at any other -- or by the serial checker.
 
 Worker supervision: every barrier exchange polls the worker pipes with
 liveness checks instead of blocking on ``recv``, so a SIGKILLed (or,
@@ -78,6 +92,21 @@ cut is consistent and the exchange is deterministic, the recovered run
 reaches the identical verdict, state count, transition count, coverage
 maps, and counterexample trace as an undisturbed run; only the
 observability artifacts (profile, atlas) degrade to best-effort.
+
+Ctrl-C is not an exception here.  The master flags SIGINT for the life
+of its fleets (:func:`~repro.verify.checkpoint.flag_sigint`; workers
+ignore it), so nothing asynchronous lands inside a message -- no
+half-sent op re-sent, no consumed reply awaited again -- and acts on
+the flag only where it asks ``CutPolicy.stop``: the next wave boundary,
+as the serial loop does at its next pop.  The run stops there, with or
+without a checkpoint path; a second Ctrl-C is not special.
+
+No process outlives the run.  Leaving the fleet's ``with`` block, by
+any way out, kills and joins whatever was spawned.  A master that dies
+without leaving it (``kill -9``) is noticed: each worker closes the
+copies of the master's pipe ends it inherited through ``fork``, so the
+death ends the file under its next ``recv`` (or breaks the pipe under
+its ``send``) and it returns.
 """
 
 from __future__ import annotations
@@ -85,8 +114,11 @@ from __future__ import annotations
 import multiprocessing
 import os
 import pickle
+import signal
 import time
-from collections import defaultdict
+from contextlib import AbstractContextManager
+from dataclasses import replace
+from itertools import chain
 from typing import Optional
 
 from repro.runtime.protocol import CompiledProtocol
@@ -99,15 +131,14 @@ from repro.verify.checker import (
 )
 from repro.verify.checkpoint import (
     CheckpointError,
+    Cut,
     CutPolicy,
-    config_echo,
-    encode_checkpoint,
+    flag_sigint,
     load_checkpoint,
     min_edge_fold,
     replay_frontier,
     starting_cut,
     visited_container_bytes,
-    write_checkpoint,
 )
 
 __all__ = [
@@ -147,7 +178,7 @@ def _worker_rates(replies) -> str:
     states per busy second over the last expand."""
     return " [" + " ".join(
         f"w{i}={reply['accepted'] / reply['seconds']:.0f}/s"
-        if reply and reply["seconds"] > 0 else f"w{i}=idle"
+        if reply["seconds"] > 0 else f"w{i}=idle"
         for i, reply in enumerate(replies)) + "]"
 
 
@@ -158,16 +189,12 @@ class WorkerLostError(RuntimeError):
 
 
 class _WorkerLost(Exception):
-    """Internal: a worker went silent mid-barrier.  Caught by the
-    master's recovery loop, never escapes :meth:`ParallelChecker.run`."""
-
-    def __init__(self, worker_id: int, phase: str):
-        self.worker_id = worker_id
-        self.phase = phase
-        super().__init__(f"worker {worker_id} lost during {phase}")
+    """Internal: ``_WorkerLost(worker id, phase)``, a worker went silent
+    mid-barrier.  Caught by the master's recovery loop, never escapes
+    :meth:`ParallelChecker.run`."""
 
 
-def _worker_main(conn, worker_id: int, n_workers: int,
+def _worker_main(conn, master_ends, worker_id: int, n_workers: int,
                  checker: ModelChecker) -> None:
     """One shard owner: the serial checker on a shard, plus a transport.
     Expansion and acceptance are ``checker``'s ``_expand`` / ``_accept``;
@@ -177,10 +204,13 @@ def _worker_main(conn, worker_id: int, n_workers: int,
     Runs a small command loop over a duplex pipe; the master is the only
     peer.  SIGINT is ignored so Ctrl-C reaches only the master, which
     finishes the layer and checkpoints before shutting workers down.
+    ``master_ends`` -- the master's ends of this worker's pipe and of
+    its elder siblings', inherited through ``fork`` -- are closed, so
+    that the master's death closes the last copy (module docstring).
     """
-    import signal
-
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    for end in master_ends:
+        end.close()
     checker._begin_run()
 
     visited: set[int] = set()          # fps of states this shard owns
@@ -189,9 +219,9 @@ def _worker_main(conn, worker_id: int, n_workers: int,
     ready: list = []                   # (fp, state, depth) awaiting expansion
     staged: dict = {}                  # fp -> (pfp, label, depth) pre-fetch
     stash: dict = {}                   # fp -> state, last expansion's sends
-    transitions = 0
+    violations: list = []              # found since the last expand reply
 
-    def accept(sfp, state, pfp, label, depth, violations) -> None:
+    def accept(sfp, state, pfp, label, depth) -> None:
         """Take ownership of a fresh state: bookkeeping, the checker's
         accept step, and a slot in the next ready set."""
         visited.add(sfp)
@@ -202,79 +232,55 @@ def _worker_main(conn, worker_id: int, n_workers: int,
             violations.append(("invariant", message, depth, sfp, None))
         ready.append((sfp, state, depth))
 
-    def accepted_reply(violations, started) -> tuple:
-        return ("done", {
-            "visited": len(visited),
-            "max_depth": checker._max_depth,
-            "violations": violations,
-            "seconds": time.perf_counter() - started,
-        })
-
     while True:
-        command = conn.recv()
-        op = command[0]
+        try:
+            op, *args = conn.recv()
+        except (EOFError, OSError):
+            return                            # the master is gone
+        started = time.perf_counter()
 
-        if op == "load":                      # resume: restore this shard
-            _, fps, loaded_parents = command
+        if op == "start":                     # this shard of the fleet's
+            fps, edges, staged, entries = args    # starting cut
             visited.update(fps)
             known.update(fps)
-            parents.update(loaded_parents)
-            conn.send(("loaded", len(visited)))
+            parents.update(edges)
+            # The frontier (the initial state, a resumed checkpoint's,
+            # a recovery mirror's) arrives as full states with their
+            # canonical edges spelled out: staged, they are adopted
+            # exactly as every later layer's fetched states are.
+            op, args = "adopt", (entries,)
 
-        elif op == "seed":                    # full-state candidates
-            _, entries = command              # (initial state or a resumed
-            started = time.perf_counter()     # checkpoint frontier)
-            violations: list = []
-            for sfp, pfp, label, depth, state in min_edge_fold(
-                    entries, visited).values():
-                accept(sfp, state, pfp, label, depth, violations)
-            conn.send(accepted_reply(violations, started))
+        if op == "adopt":                     # fetched foreign states
+            for sfp, state in args[0]:
+                accept(sfp, state, *staged.pop(sfp))
+            reply = {"seconds": time.perf_counter() - started}
 
         elif op == "ingest":                  # metadata candidates
-            _, entries = command
-            started = time.perf_counter()
-            violations = []
-            need: dict = defaultdict(list)
+            need: dict = {}
             # All of the wave's proposals for this shard arrive in one
             # batch, so the owner-side minimum edge -- combined with the
             # sender-side minimum kept during expansion -- is the global
             # minimum over every discovering edge.
             for sfp, pfp, label, depth, sender in min_edge_fold(
-                    entries, visited).values():
+                    args[0], visited).values():
                 if sender == worker_id:
                     # Own successor: the state never left this process.
-                    accept(sfp, stash[sfp], pfp, label, depth, violations)
+                    accept(sfp, stash[sfp], pfp, label, depth)
                 else:
                     staged[sfp] = (pfp, label, depth)
-                    need[sender].append(sfp)
-            conn.send(("done", {
-                "need": dict(need),
-                "violations": violations,
-                "seconds": time.perf_counter() - started,
-            }))
+                    need.setdefault(sender, []).append(sfp)
+            reply = {"need": need, "seconds": time.perf_counter() - started}
 
         elif op == "fetch":                   # serve states from the stash
-            _, wanted = command
-            conn.send(("states", [(fp, stash[fp]) for fp in wanted]))
-
-        elif op == "adopt":                   # fetched foreign states
-            _, entries = command
-            started = time.perf_counter()
-            violations = []
-            for sfp, state in entries:
-                pfp, label, depth = staged.pop(sfp)
-                accept(sfp, state, pfp, label, depth, violations)
-            conn.send(accepted_reply(violations, started))
+            reply = [stash[fp] for fp in args[0]]    # in request order
 
         elif op == "expand":
-            _, wave_no = command
-            started = time.perf_counter()
             tasks, ready = ready, []
             stash = {}
             # fp -> (parent fp, label, depth), in first-generation order
             proposals: dict = {}
-            outbox: dict = defaultdict(list)
-            violations = []
+            outbox: dict = {}
+            transitions = 0
             symmetry_error = None
             for sfp, state, depth in tasks:
                 try:
@@ -311,38 +317,35 @@ def _worker_main(conn, worker_id: int, n_workers: int,
                     if symmetry_error is None:
                         symmetry_error = str(error)
             for fp, proposal in proposals.items():
-                outbox[fp % n_workers].append((fp, *proposal))
-            conn.send(("done", {
-                "wave": wave_no,
+                outbox.setdefault(fp % n_workers, []).append((fp, *proposal))
+            # Everything the master counts or judges rides this reply
+            # and no other: every stop it makes (a verdict, a
+            # checkpoint, a recovery cut) follows an expand barrier, so
+            # what it has summed is final whenever it is read.
+            reply = {
                 "accepted": len(tasks),
-                "transitions": transitions,
-                "outbox": dict(outbox),
+                "outbox": outbox,
                 "violations": violations,
                 "symmetry_error": symmetry_error,
-                "inv_evals": sum(checker._invariant_evals.values()),
-                # Cumulative per-name maps and the shard's container
-                # bytes ride on every expand reply: the master needs
-                # them to snapshot a consistent cut (degrade-mode
-                # mirror) and to enforce the visited-byte budget.
-                "inv_detail": dict(checker._invariant_evals),
-                "fire_detail": dict(checker._handler_fires),
+                "transitions": transitions,
+                "invariant_evals": checker._invariant_evals,
+                "handler_fires": checker._handler_fires,
+                "visited": len(visited),
+                "max_depth": checker._max_depth,
+                # For the visited-byte budget.
                 "visited_bytes": visited_container_bytes(visited, parents),
                 "seconds": time.perf_counter() - started,
-            }))
+            }
+            violations = []
+            checker._invariant_evals, checker._handler_fires = {}, {}
 
         elif op == "parent":                  # one hop of a trace walk
-            conn.send(("parent", parents.get(command[1])))
+            reply = parents.get(args[0])
 
         elif op == "collect":                 # checkpoint contribution
-            conn.send(("state", {
-                "visited": list(visited),
-                "parents": {fp: list(entry)
-                            for fp, entry in parents.items()},
-                "handler_fires": dict(checker._handler_fires),
-                "invariant_evals": dict(checker._invariant_evals),
-            }))
+            reply = (visited, parents)
 
-        elif op == "finish":
+        elif op == "finish":                  # hand over the artifacts
             profile_payload = None
             if checker.profiler is not None:
                 checker.profiler.set_visited(
@@ -350,15 +353,115 @@ def _worker_main(conn, worker_id: int, n_workers: int,
                     container_bytes=visited_container_bytes(
                         visited, parents))
                 profile_payload = checker.profiler.worker_payload()
-            conn.send(("stats", {
-                "handler_fires": dict(checker._handler_fires),
-                "invariant_evals": dict(checker._invariant_evals),
+            reply = {
                 "profile": profile_payload,
                 "atlas": (checker.atlas.payload()
                           if checker.atlas is not None else None),
-            }))
+            }
+
+        try:
+            conn.send(reply)
+        except OSError:
+            return                            # the master is gone
+
+
+class _Fleet(AbstractContextManager):
+    """The worker processes of one exploration attempt and the one way
+    the master talks to them.  A context manager: :meth:`start`, called
+    inside the block, spawns the workers, and whatever ends the block
+    -- a result, a lost worker, a spawn that failed partway -- kills and
+    joins every process started and closes every pipe, so no way out
+    (and no ``os._exit`` after it) leaves a worker behind."""
+
+    def __init__(self, template: ModelChecker, n: int,
+                 stall_timeout: Optional[float]):
+        self.template = template
+        self.n = n
+        self.stall_timeout = stall_timeout
+        self.conns: list = []
+        self.procs: list = []
+
+    def __exit__(self, *_exc) -> None:
+        for proc in self.procs:
+            if proc.is_alive():
+                # SIGKILL, not SIGTERM: a worker has nothing to clean
+                # up, and a stopped one would leave SIGTERM pending.
+                proc.kill()
+        for proc in self.procs:
+            proc.join(timeout=10)
+        for conn in self.conns:
             conn.close()
-            return
+
+    def start(self, ops) -> list:
+        """Spawn the ``n`` workers and run the fleet's first barrier:
+        ``ops[i]`` is worker i's ``start`` op."""
+        if "fork" in multiprocessing.get_all_start_methods():
+            ctx = multiprocessing.get_context("fork")
+        else:  # pragma: no cover - non-Linux fallback
+            ctx = multiprocessing.get_context("spawn")
+        for i in range(self.n):
+            self._spawn(ctx, i)
+        return self.call_all(ops, "start")
+
+    def _spawn(self, ctx, i: int) -> None:
+        """Start worker ``i``, retrying transient spawn failures with
+        exponential backoff."""
+        for attempt in range(_SPAWN_ATTEMPTS):
+            try:
+                master_end, worker_end = ctx.Pipe()
+                proc = ctx.Process(
+                    target=_worker_main, daemon=True,
+                    args=(worker_end, [*self.conns, master_end], i, self.n,
+                          self.template))
+                proc.start()
+                break
+            except OSError as error:  # pragma: no cover - env-dependent
+                last_error = error
+                time.sleep(0.05 * 2 ** attempt)
+        else:  # pragma: no cover
+            raise WorkerLostError(
+                f"could not spawn worker {i} after {_SPAWN_ATTEMPTS} "
+                f"attempts: {last_error}")
+        worker_end.close()
+        self.conns.append(master_end)
+        self.procs.append(proc)
+
+    def call_all(self, ops, phase: str) -> list:
+        """Send ``ops[i]`` to worker i (None skips) and collect one
+        reply each, polling with liveness checks so a dead or wedged
+        worker raises :class:`_WorkerLost` instead of hanging the
+        barrier.  The master flags SIGINT, so nothing asynchronous
+        lands in here: every message is sent once, every reply read
+        once, and the master always reaches the next layer boundary
+        with consistent worker state."""
+        for i, op in enumerate(ops):
+            if op is None:
+                continue
+            if not self.procs[i].is_alive():
+                raise _WorkerLost(i, phase)
+            try:
+                self.conns[i].send(op)
+            except OSError:
+                raise _WorkerLost(i, phase) from None
+        replies: list = [None] * self.n
+        for i, conn in enumerate(self.conns):
+            waited = 0.0
+            while ops[i] is not None:
+                try:
+                    if conn.poll(_LIVENESS_POLL_SECONDS):
+                        replies[i] = conn.recv()
+                        break
+                except (EOFError, OSError):
+                    raise _WorkerLost(i, phase) from None
+                waited += _LIVENESS_POLL_SECONDS
+                if not self.procs[i].is_alive():
+                    raise _WorkerLost(i, phase)
+                if (self.stall_timeout is not None
+                        and waited >= self.stall_timeout):
+                    self.procs[i].kill()
+                    raise _WorkerLost(
+                        i, f"{phase} (stalled >{self.stall_timeout:g}s)")
+        return replies
 
 
 class ParallelChecker:
@@ -387,8 +490,10 @@ class ParallelChecker:
     ``run()`` returns the same :class:`CheckResult`; on passing runs the
     state count, transition count, depth, and coverage maps match the
     serial checker exactly.  Budgets and Ctrl-C stop the run at the next
-    wave boundary with ``stop_reason`` set and a resumable checkpoint
-    written.  Requires the ``fork`` start method (worker checkers
+    wave boundary with ``stop_reason`` set and, when a checkpoint path
+    is configured, a resumable checkpoint written.  No way out of
+    ``run()`` -- a result, an error, a lost worker -- leaves a worker
+    process behind.  Requires the ``fork`` start method (worker checkers
     inherit closures the ``spawn`` pickler cannot carry).
     """
 
@@ -431,91 +536,27 @@ class ParallelChecker:
         self._template = ModelChecker(protocol, fingerprint_states=True,
                                       **checker_options)
 
-    # -- checkpoint plumbing ------------------------------------------------
-
-    def _write_checkpoint(self, shards, meta, wave, baseline, transitions,
-                          max_depth, elapsed, durable: bool) -> None:
-        """Checkpoint the cut at a wave boundary from the workers'
-        ``collect`` replies (``shards``) and the routed ``meta``."""
-        template = self._template
-        invariant_evals = dict(baseline["invariant_evals"])
-        handler_fires = dict(baseline["handler_fires"])
-        for shard in shards:
-            _add_counts(invariant_evals, shard["invariant_evals"])
-            _add_counts(handler_fires, shard["handler_fires"])
-        write_checkpoint(template.checkpoint_out, encode_checkpoint(
-            config_echo(template),
-            wave=wave,
-            transitions=transitions,
-            max_depth=max_depth,
-            elapsed=elapsed,
-            invariant_evals=invariant_evals,
-            handler_fires=handler_fires,
-            visited=(fp for shard in shards for fp in shard["visited"]),
-            parents=(item for shard in shards
-                     for item in shard["parents"].items()),
-            # Every routed proposal, one per sending shard: the
-            # candidates are pre-acceptance, their states waiting in
-            # the sender stashes.
-            frontier=(record[:4] for batch in meta for record in batch)),
-            template.checkpoint_keep_last, durable=durable)
-
-    # -- degrade-mode mirror ------------------------------------------------
-
-    def _advance_mirror(self, mirror, meta, wave, transitions, max_depth,
-                        baseline, expand_replies, start) -> None:
-        """Snapshot the consistent cut at this wave barrier.
-
-        Called right after routing: every previously pending state has
-        now been accepted and expanded (fold it into the mirror's
-        visited set), and ``meta`` holds the next wave's candidates.
-        The owner-side minimum-edge rule is applied here exactly as the
-        owners will apply it at ingest, so the mirror's parent edges
-        are the same canonical spanning tree the workers build."""
-        mirror["visited"].update(mirror["pending"])
-        mirror["pending_states"] = {}
-        pending = mirror["pending"] = {
-            fp: (pfp, label, depth)
-            for fp, pfp, label, depth, _sender in min_edge_fold(
-                (record for batch in meta for record in batch),
-                mirror["visited"]).values()}
-        for fp, (pfp, label, _depth) in pending.items():
-            mirror["parents"][fp] = (pfp, label)
-        mirror["wave"] = wave
-        mirror["transitions"] = transitions
-        mirror["max_depth"] = max_depth
-        mirror["elapsed_at_cut"] = (mirror["elapsed"]
-                                    + (time.perf_counter() - start))
-        invariant_evals = dict(baseline["invariant_evals"])
-        handler_fires = dict(baseline["handler_fires"])
-        for reply in expand_replies:
-            if reply:
-                _add_counts(invariant_evals, reply["inv_detail"])
-                _add_counts(handler_fires, reply["fire_detail"])
-        mirror["invariant_evals"] = invariant_evals
-        mirror["handler_fires"] = handler_fires
-
     # -- trace reconstruction -----------------------------------------------
 
-    def _trace_for(self, conns, record, n: int, mirror=None) -> Violation:
+    def _trace_for(self, fleet: _Fleet, record,
+                   cut: Optional[Cut] = None) -> Violation:
         kind, message, depth, fp, extra_label = record
         labels: list[str] = []
         cursor = fp
         while cursor is not None:
-            if mirror is not None:
+            if cut is not None:
                 # Degrade mode: walk the master's mirror instead of
                 # querying the (possibly already disturbed) workers --
                 # trace construction itself must survive a loss.  The
                 # mirror's edges are the same canonical minimum the
                 # owners stored, so the trace is identical.
-                entry = mirror["parents"].get(cursor)
+                entry = cut.parents.get(cursor)
             else:
-                conn = conns[cursor % n]
-                try:
-                    conn.send(("parent", cursor))
-                    _, entry = conn.recv()
-                except (BrokenPipeError, EOFError, OSError):
-                    raise _WorkerLost(cursor % n, "trace walk") from None
+                # One supervised barrier per hop, like every other op:
+                # an owner that stopped answering is a typed loss.
+                ops: list = [None] * fleet.n
+                ops[cursor % fleet.n] = ("parent", cursor)
+                entry = fleet.call_all(ops, "trace walk")[cursor % fleet.n]
             if entry is None:
                 raise CheckpointError(
                     f"parent chain broken at fingerprint {cursor:016x}")
@@ -535,6 +576,12 @@ class ParallelChecker:
     def run(self) -> CheckResult:
         """Explore, supervising the worker fleet.
 
+        One :class:`Cut` carries the run.  Its counting fields move
+        at every wave boundary; under ``"degrade"`` its containers too
+        (the *mirror*: a checkpoint is the cut written out, a recovery
+        a fresh fleet started from it), while under ``"fail"`` they stay
+        with the owners until a checkpoint collects them.
+
         Worker losses surface here: under ``on_worker_loss="fail"`` the
         first loss raises :class:`WorkerLostError`; under ``"degrade"``
         the run restarts from the mirror's last consistent cut on one
@@ -543,243 +590,122 @@ class ParallelChecker:
         with ``stop_reason="worker_lost"``."""
         template = self._template
         start = time.perf_counter()
-
         cut = starting_cut(template)
-        mirror = {
-            "visited": cut.visited, "parents": cut.parents,
-            "pending": cut.frontier, "pending_states": cut.states,
-            "wave": cut.wave, "transitions": cut.transitions,
-            "max_depth": cut.max_depth,
-            "invariant_evals": cut.invariant_evals,
-            "handler_fires": cut.handler_fires,
-            "elapsed": cut.elapsed, "elapsed_at_cut": cut.elapsed,
-        }
-        for fp, (pfp, label, _depth) in mirror["pending"].items():
-            mirror["parents"][fp] = (pfp, label)
-
-        n = self.workers
+        origin = start - cut.elapsed      # the whole run's clock
         worker_losses = 0
-        # Each loss sheds a worker; allow a few extra attempts at the
-        # one-worker floor before declaring the environment hostile.
-        max_recoveries = self.workers + 4
-        last_loss: Optional[_WorkerLost] = None
-        while True:
-            try:
-                return self._explore(n, mirror, start, worker_losses)
-            except WorkerLostError:
-                if last_loss is None:
-                    raise     # could not even start the first fleet
-                return self._salvage(mirror, start, worker_losses)
-            except _WorkerLost as loss:
-                last_loss = loss
-                worker_losses += 1
-                if self.on_worker_loss != "degrade":
-                    raise WorkerLostError(
-                        f"worker {loss.worker_id} died during "
-                        f"{loss.phase}; rerun with "
-                        f"on_worker_loss='degrade' (CLI: --on-worker-loss "
-                        f"degrade) to re-shard onto the survivors and "
-                        f"continue") from None
-                if worker_losses > max_recoveries:
-                    return self._salvage(mirror, start, worker_losses)
-                n = max(1, n - 1)
-
-    def _salvage(self, mirror, start, worker_losses: int) -> CheckResult:
-        """Recovery budget exhausted: persist the mirror's cut and
-        return what was soundly explored up to it.  The checkpoint is
-        built purely from the mirror -- the worker fleet is no longer
-        trustworthy."""
-        template = self._template
-        pending = mirror["pending"]
-        if template.checkpoint_out:
-            write_checkpoint(template.checkpoint_out, encode_checkpoint(
-                config_echo(template),
-                wave=mirror["wave"],
-                transitions=mirror["transitions"],
-                max_depth=mirror["max_depth"],
-                elapsed=mirror["elapsed_at_cut"],
-                invariant_evals=dict(mirror["invariant_evals"]),
-                handler_fires=dict(mirror["handler_fires"]),
-                visited=mirror["visited"],
-                parents=(item for item in mirror["parents"].items()
-                         if item[0] not in pending),
-                frontier=((fp, *record)
-                          for fp, record in pending.items())),
-                template.checkpoint_keep_last)
-        return template._result(
-            ok=True, states=len(mirror["visited"]),
-            transitions=mirror["transitions"],
-            max_depth=mirror["max_depth"],
-            elapsed=mirror["elapsed"] + (time.perf_counter() - start),
-            stopped="worker_lost",
-            invariant_evals=mirror["invariant_evals"],
-            handler_fires=mirror["handler_fires"],
-            workers=self.workers, worker_losses=worker_losses)
-
-    def _spawn_worker(self, ctx, i: int, n: int):
-        """Start one worker process, retrying transient spawn failures
-        with exponential backoff."""
-        last_error = None
-        for attempt in range(_SPAWN_ATTEMPTS):
-            if attempt:
-                time.sleep(0.05 * (2 ** (attempt - 1)))
-            try:
-                parent_conn, child_conn = ctx.Pipe()
-                proc = ctx.Process(target=_worker_main,
-                                   args=(child_conn, i, n, self._template),
-                                   daemon=True)
-                proc.start()
-                child_conn.close()
-                return parent_conn, proc
-            except OSError as error:  # pragma: no cover - env-dependent
-                last_error = error
-        raise WorkerLostError(
-            f"could not spawn worker {i} after {_SPAWN_ATTEMPTS} "
-            f"attempts: {last_error}")
-
-    def _explore(self, n: int, mirror, start, worker_losses: int
-                 ) -> CheckResult:
-        template = self._template
-        track = self.on_worker_loss == "degrade"
-
-        baseline = {key: (dict(mirror[key]) if isinstance(mirror[key], dict)
-                          else mirror[key])
-                    for key in ("wave", "transitions", "max_depth",
-                                "elapsed", "invariant_evals",
-                                "handler_fires")}
-        pending = mirror["pending"]
-        loads: list[tuple[list, dict]] = [([], {}) for _ in range(n)]
-        for fp in mirror["visited"]:
-            loads[fp % n][0].append(fp)
-        for fp, entry in mirror["parents"].items():
-            if fp in pending:
-                continue
-            loads[fp % n][1][fp] = entry
-        # The seed wave's states are kept in the mirror directly (they
-        # arrived as full states); later waves' states lived only in
-        # the lost workers' stashes, and a checkpoint stores them by
-        # reference -- both are replayed from their parent chains.
-        pending_states = replay_frontier(
-            template, mirror["parents"], pending,
-            mirror["pending_states"], template.resume or "recovery mirror")
-        seeds: list[list] = [[] for _ in range(n)]
-        for fp, (pfp, label, depth) in pending.items():
-            seeds[fp % n].append(
-                (fp, pfp, label, depth, pending_states[fp]))
-
-        if "fork" in multiprocessing.get_all_start_methods():
-            ctx = multiprocessing.get_context("fork")
-        else:  # pragma: no cover - non-Linux fallback
-            ctx = multiprocessing.get_context("spawn")
-
-        conns = []
-        procs = []
-        for i in range(n):
-            parent_conn, proc = self._spawn_worker(ctx, i, n)
-            conns.append(parent_conn)
-            procs.append(proc)
-
-        interrupted = False
-
-        def call_all(ops, phase: str):
-            """Send ``ops[i]`` to worker i (None skips) and collect one
-            reply each, polling with liveness checks so a dead or
-            wedged worker raises :class:`_WorkerLost` instead of
-            hanging the barrier.  A Ctrl-C mid-phase flags
-            ``interrupted`` and still drains the phase, so the master
-            always reaches the next layer boundary with consistent
-            worker state."""
-            nonlocal interrupted
-            replies: list = [None] * n
-            got = [False] * n
-            sent = [False] * n
-            waited = [0.0] * n
+        # Ctrl-C is flagged, and acted on at the next wave boundary.
+        with flag_sigint() as interrupted:
             while True:
                 try:
-                    for i, conn in enumerate(conns):
-                        if ops[i] is None or sent[i]:
-                            continue
-                        if not procs[i].is_alive():
-                            raise _WorkerLost(i, phase)
-                        try:
-                            conn.send(ops[i])
-                        except (BrokenPipeError, OSError):
-                            raise _WorkerLost(i, phase) from None
-                        sent[i] = True
-                    for i, conn in enumerate(conns):
-                        if ops[i] is None or got[i]:
-                            continue
-                        while not got[i]:
-                            try:
-                                if conn.poll(_LIVENESS_POLL_SECONDS):
-                                    replies[i] = conn.recv()[1]
-                                    got[i] = True
-                                    break
-                            except (EOFError, OSError):
-                                raise _WorkerLost(i, phase) from None
-                            waited[i] += _LIVENESS_POLL_SECONDS
-                            if not procs[i].is_alive():
-                                raise _WorkerLost(i, phase)
-                            if (self.worker_stall_timeout is not None
-                                    and waited[i]
-                                    >= self.worker_stall_timeout):
-                                procs[i].kill()
-                                raise _WorkerLost(
-                                    i, f"{phase} (stalled "
-                                    f">{self.worker_stall_timeout:g}s)")
-                    return replies
-                except KeyboardInterrupt:
-                    interrupted = True
+                    return self._explore(cut, start, origin, interrupted,
+                                         worker_losses)
+                except WorkerLostError:
+                    if not worker_losses:
+                        raise     # could not even start the first fleet
+                    break
+                except _WorkerLost as loss:
+                    worker_losses += 1
+                    if self.on_worker_loss != "degrade":
+                        raise WorkerLostError(
+                            "worker {} died during {}; rerun with "
+                            "on_worker_loss='degrade' (CLI: "
+                            "--on-worker-loss degrade) to re-shard onto "
+                            "the survivors and continue".format(*loss.args)
+                        ) from None
+                    # Each loss sheds a worker; allow a few extra
+                    # attempts at the one-worker floor before declaring
+                    # the environment hostile.
+                    if worker_losses > self.workers + 4:
+                        break
+            # Recovery budget exhausted: persist the mirror's cut and
+            # return what was soundly explored up to it.  Both come
+            # purely from the mirror -- the worker fleet is no longer
+            # trustworthy.
+            if template.checkpoint_out:
+                cut.write(template)
+            return template._result(
+                ok=True, states=len(cut.visited),
+                transitions=cut.transitions, max_depth=cut.max_depth,
+                elapsed=time.perf_counter() - origin,
+                stopped="worker_lost", invariant_evals=cut.invariant_evals,
+                handler_fires=cut.handler_fires, workers=self.workers,
+                worker_losses=worker_losses)
 
-        try:
-            if mirror["visited"]:
-                call_all([("load", loads[i][0], loads[i][1])
-                          for i in range(n)], "load")
+    def _explore(self, cut: Cut, start: float, origin: float, interrupted,
+                 worker_losses: int) -> CheckResult:
+        """One fleet's attempt to take the run from ``cut`` to its
+        result; :class:`_WorkerLost` ends it with ``cut`` at the last
+        wave boundary reached (under ``"degrade"``)."""
+        template = self._template
+        track = self.on_worker_loss == "degrade"
+        n = max(1, self.workers - worker_losses)
 
-            wave = baseline["wave"]
-            transitions = baseline["transitions"]
-            max_depth = baseline["max_depth"]
-            stopped: Optional[str] = None
-            violation_record = None
-            prof = template.profiler
+        # Shard the cut: worker i starts from ("start", its visited
+        # fingerprints, their edges, its frontier edges, its frontier
+        # states).  The starting cut's frontier states arrived inline;
+        # a later cut's lived only in the lost workers' stashes, and a
+        # checkpoint stores them by reference -- both are replayed from
+        # their parent chains.
+        starts: list = [("start", [], {}, {}, []) for _ in range(n)]
+        for fp in cut.visited:
+            starts[fp % n][1].append(fp)
+        for fp, edge in cut.parents.items():
+            starts[fp % n][2][fp] = edge
+        states = replay_frontier(
+            template, cut.parents, cut.frontier, cut.states,
+            template.resume or "recovery mirror")
+        for fp, edge in cut.frontier.items():
+            starts[fp % n][3][fp] = edge
+            starts[fp % n][4].append((fp, states[fp]))
+
+        stopped: Optional[str] = None
+        violation = None
+        prof = template.profiler
+        if prof is not None:
+            prof.begin()
+
+        def record_wave(wave_no, wall, *ops) -> None:
+            """One wave in the profile: a worker's busy time is summed
+            over the replies of the ops the wave ran; its accepted
+            count is the expand op's."""
             if prof is not None:
-                prof.begin()
+                prof.record_wave(wave_no, wall, [
+                    {"id": i,
+                     "busy_seconds": sum(replies[i]["seconds"]
+                                         for replies in ops),
+                     "accepted": sum(replies[i].get("accepted", 0)
+                                     for replies in ops)}
+                    for i in range(n)])
 
-            def elapsed() -> float:
-                return baseline["elapsed"] + (time.perf_counter() - start)
+        with _Fleet(template, n, self.worker_stall_timeout) as fleet:
+            def write(durable: bool) -> None:
+                here = cut
+                if not track:
+                    # No mirror: for the write the owners' containers,
+                    # which already hold the old frontier, stand in for
+                    # the master's -- the one barrier a checkpoint costs.
+                    shards = fleet.call_all([("collect",)] * n,
+                                            "checkpoint collect")
+                    here = replace(
+                        cut, frontier={},
+                        visited=set().union(*(v for v, _edges in shards)),
+                        parents={fp: edge for _v, edges in shards
+                                 for fp, edge in edges.items()})
+                    here.advance(chain.from_iterable(meta))
+                here.write(template, durable)
 
-            def record_wave(wave_no, wall, *ops) -> None:
-                """One wave in the profile: a worker's busy time is
-                summed over the replies of the ops the wave ran; its
-                accepted count is the expand op's."""
-                if prof is not None:
-                    prof.record_wave(wave_no, wall, [
-                        {"id": i,
-                         "busy_seconds": sum(
-                             (replies[i]["seconds"]
-                              for replies in ops if replies[i]), 0.0),
-                         "accepted": sum(
-                             replies[i].get("accepted", 0)
-                             for replies in ops if replies[i])}
-                        for i in range(n)])
-
-            # Seed the first layer: the initial state, or a resumed
-            # checkpoint's frontier.  Acceptance (dedupe, parent
-            # pointers, invariants) happens at the owner exactly as it
-            # will for every later layer.
-            seed_started = time.perf_counter()
-            seed_replies = call_all([("seed", seeds[i]) for i in range(n)],
-                                    "seed")
-            total_states = sum(r["visited"] for r in seed_replies if r)
-            max_depth = max([max_depth] + [r["max_depth"]
-                                           for r in seed_replies if r])
-            pending_violations = [v for r in seed_replies if r
-                                  for v in r["violations"]]
-            record_wave(wave, time.perf_counter() - seed_started,
-                        seed_replies)
-
-            last_bucket = total_states // template.progress_every
-            policy = CutPolicy(template, start, baseline["wave"])
+            # Start the fleet on the first layer: the initial state, or
+            # a resumed checkpoint's frontier.  Acceptance (dedupe,
+            # parent pointers, invariants) happens at the owner exactly
+            # as it will for every later layer.
+            start_began = time.perf_counter()
+            start_replies = fleet.start(starts)
+            record_wave(cut.wave, time.perf_counter() - start_began,
+                        start_replies)
+            policy = CutPolicy(template, start, cut.wave)
+            # The cut's frontier is folded: every state of it is fresh.
+            last_bucket = ((len(cut.visited) + len(cut.frontier))
+                           // template.progress_every)
 
             while True:
                 cycle_started = time.perf_counter()
@@ -788,172 +714,140 @@ class ParallelChecker:
                     # Fault-injection point for the chaos harness: the
                     # hook may SIGKILL/SIGSTOP workers; the next barrier
                     # detects the damage through the liveness polls.
-                    self.chaos_hook(wave, procs)
+                    self.chaos_hook(cut.wave, fleet.procs)
 
-                wave_no = wave
-                expand_replies = call_all([("expand", wave_no)] * n,
-                                          "expand")
-                wave += 1
+                expand_replies = fleet.call_all([("expand",)] * n, "expand")
                 expand_wall = time.perf_counter() - cycle_started
-                transitions = baseline["transitions"] + sum(
-                    r["transitions"] for r in expand_replies if r)
 
+                # The layer boundary is a consistent cut: every accepted
+                # state is expanded, every pending candidate is routed
+                # metadata with its state stashed at the sender.  Bring
+                # ``cut`` to it -- the one place the workers' counters
+                # reach the master -- in one stretch no worker loss can
+                # interrupt, so a recovery finds it whole.
+                wave_no = cut.wave
+                cut.wave += 1
+                cut.elapsed = time.perf_counter() - origin
+                total_states = sum(r["visited"] for r in expand_replies)
                 # Route successor metadata (fingerprints only; the
                 # states wait in the sender stashes).
                 meta: list[list] = [[] for _ in range(n)]
-                frontier_size = 0
                 for sender, reply in enumerate(expand_replies):
-                    if not reply:
-                        continue
+                    cut.transitions += reply["transitions"]
+                    cut.max_depth = max(cut.max_depth, reply["max_depth"])
+                    for field in ("invariant_evals", "handler_fires"):
+                        _add_counts(getattr(cut, field), reply[field])
                     for owner, batch in reply["outbox"].items():
                         meta[owner].extend(
                             (fp, pfp, label, depth, sender)
                             for fp, pfp, label, depth in batch)
-                        frontier_size += len(batch)
                         if prof is not None:
                             prof.add_cross_shard(
                                 len(batch), len(pickle.dumps(batch)))
+                frontier_size = sum(map(len, meta))
+                if track:
+                    # The mirror: a later loss recovers exactly here,
+                    # and a checkpoint needs no barrier.
+                    cut.advance(chain.from_iterable(meta))
 
                 if prof is not None:
-                    prof.sample(total_states, frontier_size, max_depth,
-                                transitions)
+                    prof.sample(total_states, frontier_size, cut.max_depth,
+                                cut.transitions)
                 if (template.progress_stream is not None
                         and total_states // template.progress_every
                         > last_bucket):
                     last_bucket = total_states // template.progress_every
                     template._report_progress(
-                        total_states, frontier_size, max_depth,
-                        transitions, elapsed(),
-                        sum(baseline["invariant_evals"].values())
-                        + sum(r["inv_evals"] for r in expand_replies if r),
+                        total_states, frontier_size, cut.max_depth,
+                        cut.transitions, cut.elapsed,
+                        sum(cut.invariant_evals.values()),
                         extra=_worker_rates(expand_replies))
 
-                if track:
-                    # The layer boundary is a consistent cut: every
-                    # accepted state is expanded, every pending
-                    # candidate is in ``meta`` with its state stashed
-                    # at the sender.  Snapshot it so a later worker
-                    # loss can recover exactly here.
-                    self._advance_mirror(
-                        mirror, meta, wave, transitions, max_depth,
-                        baseline, expand_replies, start)
-
-                violations = pending_violations + [
-                    v for r in expand_replies if r for v in r["violations"]]
-                if violations:
-                    violation_record = min(violations, key=_violation_rank)
-                    record_wave(wave_no, expand_wall, expand_replies)
-                    break
-                # A concrete violation outranks a certification failure
-                # (FAIL verdicts are sound regardless of symmetry); with
-                # none this wave, a failed certification aborts the run
-                # -- the enclosing ``finally`` tears the workers down.
+                violations = [v for r in expand_replies
+                              for v in r["violations"]]
                 symmetry_errors = [
                     r["symmetry_error"] for r in expand_replies
-                    if r and r.get("symmetry_error")]
-                if symmetry_errors:
+                    if r["symmetry_error"]]
+                if violations:
+                    violation = self._trace_for(
+                        fleet, min(violations, key=_violation_rank),
+                        cut if track else None)
+                elif symmetry_errors:
+                    # A concrete violation outranks a certification
+                    # failure (FAIL verdicts are sound regardless of
+                    # symmetry); with none this wave, a failed
+                    # certification aborts the run -- leaving the
+                    # ``with`` tears the workers down.
                     raise SymmetryError(min(symmetry_errors))
-                # The wave boundary is a clean cut, where the policy
-                # may stop (and checkpoint) the run.  Violations were
-                # ruled out first: the states that raised them are
-                # already visited, so a checkpoint taken instead of the
-                # verdict would lose them for good.
-                def write(durable: bool) -> None:
-                    self._write_checkpoint(
-                        call_all([("collect",)] * n, "checkpoint collect"),
-                        meta, wave, baseline, transitions, max_depth,
-                        elapsed(), durable)
-
-                stopped = policy.stop(
-                    total_states, interrupted,
-                    lambda: sum(r["visited_bytes"]
-                                for r in expand_replies if r), write)
-                if stopped is not None or frontier_size == 0:
+                else:
+                    # The wave boundary is a clean cut, where the policy
+                    # may stop (and checkpoint) the run.  Violations
+                    # were ruled out first: the states that raised them
+                    # are already visited, so a checkpoint taken instead
+                    # of the verdict would lose them for good.
+                    stopped = policy.stop(
+                        total_states, interrupted[0],
+                        lambda: sum(r["visited_bytes"]
+                                    for r in expand_replies), write)
+                if violations or stopped is not None or frontier_size == 0:
                     record_wave(wave_no, expand_wall, expand_replies)
                     break
-                policy.write_if_due(wave, write)
+                policy.write_if_due(cut.wave, write)
 
                 # Owners dedupe the candidates; fresh own-shard states
                 # resolve locally, foreign ones are staged per sender.
-                ingest_replies = call_all(
+                ingest_replies = fleet.call_all(
                     [("ingest", meta[i]) for i in range(n)], "ingest")
 
                 # Fetch only the states that survived dedupe, then hand
                 # them to their owners.
                 need_by_sender: list[list] = [[] for _ in range(n)]
                 for owner, reply in enumerate(ingest_replies):
-                    if not reply:
-                        continue
                     for sender, fps in reply["need"].items():
                         need_by_sender[sender].append((owner, fps))
-                fetch_ops: list = [
-                    ("fetch", [fp for _owner, fps in need_by_sender[i]
-                               for fp in fps])
-                    if need_by_sender[i] else None
-                    for i in range(n)]
-                fetch_replies = call_all(fetch_ops, "fetch")
+                fetch_replies = fleet.call_all(
+                    [("fetch", [fp for _owner, fps in needs for fp in fps])
+                     if needs else None for needs in need_by_sender],
+                    "fetch")
                 adopt_batches: list[list] = [[] for _ in range(n)]
-                for sender in range(n):
-                    if fetch_ops[sender] is None or not fetch_replies[sender]:
-                        continue
-                    fetched = dict(fetch_replies[sender])
-                    for owner, fps in need_by_sender[sender]:
-                        adopt_batches[owner].extend(
-                            (fp, fetched[fp]) for fp in fps)
+                for sender, needs in enumerate(need_by_sender):
+                    # The reply lists the states in request order; each
+                    # zip takes its owner's share off the front.
+                    states = iter(fetch_replies[sender] or ())
+                    for owner, fps in needs:
+                        adopt_batches[owner].extend(zip(fps, states))
                 if prof is not None:
                     for batch in adopt_batches:
                         if batch:
                             # Entries were already counted at routing;
                             # this adds the state-shipping bytes.
                             prof.add_cross_shard(0, len(pickle.dumps(batch)))
-                adopt_replies = call_all(
+                adopt_replies = fleet.call_all(
                     [("adopt", adopt_batches[i]) for i in range(n)],
                     "adopt")
-
-                total_states = sum(r["visited"] for r in adopt_replies if r)
-                max_depth = max([max_depth] + [r["max_depth"]
-                                               for r in adopt_replies if r])
-                pending_violations = (
-                    [v for r in ingest_replies if r
-                     for v in r["violations"]]
-                    + [v for r in adopt_replies if r
-                       for v in r["violations"]])
                 record_wave(wave_no, time.perf_counter() - cycle_started,
                             expand_replies, ingest_replies, adopt_replies)
 
-            violation = None
-            if violation_record is not None:
-                violation = self._trace_for(
-                    conns, violation_record, n,
-                    mirror=mirror if track else None)
-
-            invariant_evals = dict(baseline["invariant_evals"])
-            handler_fires = dict(baseline["handler_fires"])
-            finish_replies = call_all([("finish",)] * n, "finish")
-            for stats in finish_replies:
-                if not stats:
-                    continue
-                _add_counts(invariant_evals, stats["invariant_evals"])
-                _add_counts(handler_fires, stats["handler_fires"])
+            try:
+                finished = fleet.call_all([("finish",)] * n, "finish")
+            except _WorkerLost:
+                # The result is decided, and the mirror is already past
+                # a violating state: a recovery could only lose the
+                # verdict.  The artifacts go without this fleet's share.
+                if not track:
+                    raise
+                finished = []
+            for stats in finished:
                 if prof is not None:
-                    prof.merge_worker(stats.get("profile"))
+                    prof.merge_worker(stats["profile"])
                 if template.atlas is not None:
-                    template.atlas.merge(stats.get("atlas"))
-            for proc in procs:
-                proc.join(timeout=30)
+                    template.atlas.merge(stats["atlas"])
 
-            return template._finish(
-                violation, states=total_states, frontier=0,
-                transitions=transitions, max_depth=max_depth,
-                elapsed=elapsed(), invariant_evals=invariant_evals,
-                handler_fires=handler_fires, stopped=stopped,
-                progress_extra=_worker_rates(expand_replies),
-                workers=self.workers, worker_losses=worker_losses)
-        finally:
-            for proc in procs:
-                if proc.is_alive():
-                    proc.terminate()
-            for proc in procs:
-                proc.join(timeout=10)
-            for conn in conns:
-                conn.close()
+        return template._finish(
+            violation, states=total_states, frontier=0,
+            transitions=cut.transitions, max_depth=cut.max_depth,
+            elapsed=time.perf_counter() - origin,
+            invariant_evals=cut.invariant_evals,
+            handler_fires=cut.handler_fires, stopped=stopped,
+            progress_extra=_worker_rates(expand_replies),
+            workers=self.workers, worker_losses=worker_losses)

@@ -2,8 +2,10 @@
 
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -241,16 +243,38 @@ SRC = os.path.abspath(
     os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
 
-def _teapot(*argv, cwd=None, **popen):
+def _start_teapot(*argv, **popen):
     """A real ``python -m repro.cli`` process: it leaves through
-    ``entry()``, which skips interpreter finalisation.  Returns the
-    process (for its pid and status), its stdout and its stderr."""
+    ``entry()``, which skips interpreter finalisation."""
     env = dict(os.environ, PYTHONPATH=SRC)
-    process = subprocess.Popen(
-        [sys.executable, "-m", "repro.cli", *argv], cwd=cwd, env=env,
+    return subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", *argv], env=env,
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, **popen)
+
+
+def _teapot(*argv, **popen):
+    """Run one to its end.  Returns the process (for its pid and
+    status), its stdout and its stderr."""
+    process = _start_teapot(*argv, **popen)
     out, err = process.communicate(timeout=120)
     return process, out, err
+
+
+def _session_is_empty(leader, within=0.0):
+    """Whether the session ``leader`` (a reaped process started with
+    ``start_new_session``) led has no process left -- its pid is the
+    group id, and an empty group is gone -- polling up to ``within``
+    seconds.  Whatever is left is killed, so a failure leaks nothing."""
+    deadline = time.monotonic() + within
+    while True:
+        try:
+            os.killpg(leader.pid, 0)
+        except ProcessLookupError:
+            return True
+        if time.monotonic() >= deadline:
+            os.killpg(leader.pid, signal.SIGKILL)
+            return False
+        time.sleep(0.05)
 
 
 class TestExitWithoutFinalisation:
@@ -322,6 +346,38 @@ class TestExitWithoutFinalisation:
                                  "--workers", "2", start_new_session=True)
         assert done.returncode == 0, err
         assert "workers=2" in out
-        with pytest.raises(ProcessLookupError):
-            # The leader's pid is the group id; an empty group is gone.
-            os.killpg(done.pid, 0)
+        assert _session_is_empty(done)
+
+    def test_sigint_drains_the_wave_and_leaves_a_checkpoint(self, tmp_path):
+        from repro.verify import load_checkpoint
+
+        run = _start_teapot(
+            "verify", "lcm", "--nodes", "3", "--workers", "2",
+            "--checkpoint-out", "ck.json", "--progress",
+            "--progress-every", "500", cwd=tmp_path, start_new_session=True)
+        first = run.stderr.readline()       # the fleet is up and exploring
+        os.killpg(run.pid, signal.SIGINT)   # Ctrl-C reaches the whole group
+        out, err = run.communicate(timeout=120)
+        assert first.startswith("[verify LCM] states=")
+        assert run.returncode == 130, err
+        assert "PASS (stopped: interrupted)" in out
+        assert "the completed wave was drained first" in err
+        assert "Traceback" not in err
+        cut = load_checkpoint(str(tmp_path / "ck.json"))
+        assert 0 < len(cut["visited"]) < 7658 and cut["frontier"]
+        assert _session_is_empty(run)
+
+    def test_workers_do_not_outlive_a_killed_master(self):
+        # ~14 s of exploration; both workers are mid-wave at 1 s.
+        run = _start_teapot("verify", "lcm", "--nodes", "3", "--reorder", "1",
+                            "--workers", "2", start_new_session=True)
+        time.sleep(1.0)
+        run.kill()
+        run.wait(timeout=30)
+        # Each worker leaves at its next recv or send, a wave away at
+        # most: a second or two here, allowed ten times that.  (At the
+        # parent commit both slept on under init: each held a copy of
+        # the master's end of its own pipe, so its recv never saw the
+        # end of file.)
+        assert _session_is_empty(run, within=20.0)
+        run.communicate(timeout=30)          # both streams now end

@@ -11,8 +11,11 @@ gated in CI.  Contract under test:
   :class:`CheckpointError`, never a wrong answer;
 * deadline/byte budgets stop gracefully with ``stop_reason`` set and a
   checkpoint that resumes to the exact uninterrupted result;
-* serial SIGINT drains the wave, checkpoints, and reports
-  ``stop_reason='interrupted'``.
+* SIGINT, on either engine, is acted on at the next clean cut: the run
+  reports ``stop_reason='interrupted'``, leaves a checkpoint that
+  resumes exactly when a path is set, and no worker process;
+* a worker that stops answering (SIGSTOP) is a typed loss at every
+  barrier, the counterexample's trace walk included.
 """
 
 import json
@@ -65,18 +68,20 @@ def outcome(result):
 
 
 class KillWorker:
-    """chaos_hook: SIGKILL one worker the first time wave ``at`` starts."""
+    """chaos_hook: signal one worker (SIGKILL unless ``sig`` says
+    otherwise) the first time wave ``at`` starts."""
 
-    def __init__(self, at, victim=0):
+    def __init__(self, at, victim=0, sig=signal.SIGKILL):
         self.at = at
         self.victim = victim
+        self.sig = sig
         self.fired = False
 
     def __call__(self, wave, procs):
         if self.fired or wave != self.at:
             return
         self.fired = True
-        os.kill(procs[self.victim % len(procs)].pid, signal.SIGKILL)
+        os.kill(procs[self.victim % len(procs)].pid, self.sig)
 
 
 class TestWorkerLoss:
@@ -256,6 +261,118 @@ class TestSerialInterrupt:
         resumed = make_serial("lcm", reorder=1, resume=path,
                               checkpoint_out=path).run()
         assert outcome(resumed) == outcome(full)
+
+
+class InterruptMaster:
+    """chaos_hook: one real SIGINT to this process -- the master -- as
+    wave ``at`` starts.  Keeps the fleet it last saw."""
+
+    def __init__(self, at):
+        self.at = at
+        self.procs = ()
+
+    def __call__(self, wave, procs):
+        self.procs = procs
+        if wave == self.at:
+            self.at = None
+            os.kill(os.getpid(), signal.SIGINT)
+
+
+class TestParallelInterrupt:
+    # lcm at reorder 1 is 528 states over 23 waves.
+    @pytest.mark.parametrize("policy", ["fail", "degrade"])
+    @pytest.mark.parametrize("checkpointed", [False, True],
+                             ids=["no_path", "path"])
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_sigint_stops_at_the_wave_boundary(self, tmp_path, workers,
+                                               checkpointed, policy):
+        path = str(tmp_path / "ck.json") if checkpointed else None
+        hook = InterruptMaster(5)
+        handler = signal.getsignal(signal.SIGINT)
+        # At the parent commit the KeyboardInterrupt escaped run().
+        stopped = make_parallel(
+            "lcm", workers, reorder=1, checkpoint_out=path,
+            on_worker_loss=policy, chaos_hook=hook).run()
+        assert hook.at is None
+        assert stopped.stop_reason == "interrupted"
+        assert stopped.ok and not stopped.exhausted
+        assert signal.getsignal(signal.SIGINT) is handler
+        assert len(hook.procs) == workers
+        assert not any(proc.is_alive() for proc in hook.procs)
+        if not checkpointed:
+            return
+        full = outcome(make_serial("lcm", reorder=1,
+                                   fingerprint_states=True).run())
+        assert stopped.states_explored < full[1]
+        assert outcome(make_serial("lcm", reorder=1,
+                                   resume=path).run()) == full
+        assert outcome(make_parallel("lcm", 5 - workers, reorder=1,
+                                     resume=path).run()) == full
+
+
+class TestStalledWorker:
+    def test_mid_wave_stall_recovers_under_degrade(self):
+        baseline = outcome(make_parallel("lcm", 2, reorder=1).run())
+        disturbed = make_parallel(
+            "lcm", 2, reorder=1, on_worker_loss="degrade",
+            worker_stall_timeout=0.5,
+            chaos_hook=KillWorker(3, sig=signal.SIGSTOP)).run()
+        assert outcome(disturbed) == baseline
+        assert disturbed.worker_losses == 1
+
+    def test_stall_during_the_trace_walk_is_a_typed_loss(self):
+        """Under ``fail`` the trace is walked through the owners; one
+        that stops answering after the violating wave must raise like
+        any other barrier (the parent blocked in ``recv`` for good)."""
+        checker = make_parallel("lcm_mcc", 2, n_blocks=2, reorder=1,
+                                worker_stall_timeout=0.5)
+        fleet = signal_worker_at_verdict(checker, signal.SIGSTOP)
+
+        def hung(_signum, _frame):
+            raise TimeoutError("the trace walk hung on a stopped worker")
+
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(30)
+        try:
+            with pytest.raises(WorkerLostError,
+                               match=r"trace walk \(stalled >0\.5s\)"):
+                checker.run()
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+            for proc in fleet["procs"]:
+                if proc.is_alive():     # only where the test has failed
+                    proc.kill()
+        assert not any(proc.is_alive() for proc in fleet["procs"])
+
+    def test_loss_after_the_verdict_keeps_the_verdict(self):
+        """Under ``degrade`` the trace comes from the mirror, so the
+        loss shows at the ``finish`` barrier -- where it may cost
+        artifacts, not the verdict.  (The parent recovered from a
+        mirror already past the violating state and explored on to
+        another deadlock, 7,418 states in instead of 1,000.)"""
+        baseline = make_parallel("lcm_mcc", 2, n_blocks=2, reorder=1).run()
+        checker = make_parallel("lcm_mcc", 2, n_blocks=2, reorder=1,
+                                on_worker_loss="degrade")
+        signal_worker_at_verdict(checker, signal.SIGKILL)
+        assert outcome(checker.run()) == outcome(baseline)
+
+
+def signal_worker_at_verdict(checker, sig):
+    """Arrange for worker 0 to get ``sig`` once the violating wave has
+    been judged: ``_trace_for``, the next thing the master does, is
+    wrapped to send it first.  Returns a dict whose ``"procs"`` is the
+    fleet (the ``chaos_hook`` hands it over)."""
+    fleet = {}
+    checker.chaos_hook = lambda _wave, procs: fleet.update(procs=procs)
+    walk = checker._trace_for
+
+    def signal_then_walk(*args, **kwargs):
+        os.kill(fleet["procs"][0].pid, sig)
+        return walk(*args, **kwargs)
+
+    checker._trace_for = signal_then_walk
+    return fleet
 
 
 class TestCheckpointHygiene:

@@ -17,6 +17,16 @@ real checking runs and asserts the recovery contract:
   the wrong kind, binary garbage): every variant must fail with a
   one-line :class:`CheckpointError` -- a typed, actionable refusal,
   never a traceback and never a silently wrong resume.
+* **interrupt** -- one SIGINT per run to a real ``teapot verify lcm
+  --nodes 3 --workers 2``, the delay swept across the whole run, with
+  and without ``--checkpoint-out``: wherever the signal finds the
+  checker running, the run must exit 130 with the drained-wave note (or
+  0 with the full verdict, when the wave it landed in was the last),
+  print no traceback, and -- with a path -- leave a checkpoint that
+  resumes to the pinned verdict.  Wherever it lands, the run must end
+  and leave no process behind.
+* **orphan** -- SIGKILL the master of a real parallel run: its workers
+  must notice and leave within seconds.
 
 Used by the non-gating ``chaos`` CI job.
 
@@ -32,11 +42,13 @@ from __future__ import annotations
 import argparse
 import os
 import signal
+import subprocess
 import sys
 import tempfile
 import time
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+sys.path.insert(0, SRC)
 
 from repro.ioutil import atomic_write_json  # noqa: E402
 from repro.protocols import compile_named_protocol  # noqa: E402
@@ -211,6 +223,129 @@ def run_corruption_matrix(tmpdir: str) -> dict:
     return cells
 
 
+# The interrupt sweep's run (bench's ``workers2_mid`` model, progress
+# on so the harness can tell when the checker is running) and the
+# verdict any resume of it must print.
+SWEEP_ARGV = ["verify", "lcm", "--nodes", "3", "--workers", "2",
+              "--progress", "--progress-every", "500"]
+SWEEP_VERDICT = "PASS  states=7658 transitions=29216 depth=21"
+SWEEP_DELAYS = 40
+
+
+def start_teapot(argv, **popen) -> subprocess.Popen:
+    """A real ``python -m repro.cli`` process leading its own session,
+    so the session is exactly the process and its workers."""
+    return subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=SRC), start_new_session=True,
+        **popen)
+
+
+def session_empty(leader: subprocess.Popen, within: float) -> bool:
+    """Whether the (reaped) ``leader``'s session empties within
+    ``within`` seconds; whatever is left after that is killed."""
+    deadline = time.monotonic() + within
+    while True:
+        try:
+            os.killpg(leader.pid, 0)
+        except ProcessLookupError:
+            return True
+        if time.monotonic() >= deadline:
+            os.killpg(leader.pid, signal.SIGKILL)
+            return False
+        time.sleep(0.05)
+
+
+def run_interrupt_cell(delay: float, checkpointed: bool,
+                       tmpdir: str) -> dict:
+    """One run, one SIGINT ``delay`` seconds after it was started."""
+    path = os.path.join(tmpdir, "sweep_ck.json")
+    if os.path.exists(path):
+        os.remove(path)
+    argv = SWEEP_ARGV + (["--checkpoint-out", path] if checkpointed else [])
+    out_path = os.path.join(tmpdir, "sweep_out.txt")
+    err_path = os.path.join(tmpdir, "sweep_err.txt")
+    with open(out_path, "w") as out, open(err_path, "w") as err:
+        run = start_teapot(argv, stdout=out, stderr=err)
+        time.sleep(delay)
+        with open(out_path) as out_now, open(err_path) as err_now:
+            # In scope: ParallelChecker.run() is executing -- a progress
+            # line is out, the verdict line is not.
+            in_scope = ("[verify " in err_now.read()
+                        and "states=" not in out_now.read())
+        if run.poll() is None:
+            os.kill(run.pid, signal.SIGINT)
+        try:
+            status = run.wait(timeout=60)
+        except subprocess.TimeoutExpired:
+            status = "hang"
+            run.kill()
+            run.wait()
+    with open(out_path) as out, open(err_path) as err:
+        stdout, stderr = out.read(), err.read()
+    problems = []
+    if status == "hang":
+        problems.append("hung")
+    if not session_empty(run, within=5.0):
+        problems.append("left a process behind")
+    if "_worker_main" in stderr:
+        problems.append("worker traceback")
+    if "died during" in stderr:
+        problems.append("false worker loss")
+    if "checkpoint is at" in stderr and not os.path.exists(path):
+        problems.append("names a checkpoint that is not on disk")
+    if in_scope:
+        if "Traceback" in stderr:
+            problems.append("traceback")
+        if status == 130:
+            if "the completed wave was drained first" not in stderr:
+                problems.append("exit 130 without the drained-wave note")
+        elif status != 0 or SWEEP_VERDICT not in stdout:
+            problems.append(f"exit {status}")
+    if checkpointed and os.path.exists(path):
+        resumed = start_teapot(
+            ["verify", "lcm", "--nodes", "3", "--resume", path],
+            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
+        verdict, _ = resumed.communicate(timeout=120)
+        if resumed.returncode != 0 or SWEEP_VERDICT not in verdict:
+            problems.append("checkpoint does not resume to the verdict")
+    return {"delay": round(delay, 3), "in_scope": in_scope,
+            "status": status,
+            "verdict": "ok" if not problems else "; ".join(problems)}
+
+
+def run_interrupt_sweep(tmpdir: str) -> dict:
+    """SWEEP_DELAYS evenly spaced delays across one undisturbed run's
+    wall time, each with and without a checkpoint path."""
+    started = time.perf_counter()
+    start_teapot(SWEEP_ARGV, stdout=subprocess.DEVNULL,
+                 stderr=subprocess.DEVNULL).wait(timeout=120)
+    wall = time.perf_counter() - started
+    cells = {}
+    for checkpointed in (True, False):
+        for step in range(1, SWEEP_DELAYS + 1):
+            key = (f"sigint@{step}/{SWEEP_DELAYS} "
+                   f"{'ckpt' if checkpointed else 'plain'}")
+            cells[key] = run_interrupt_cell(
+                wall * step / SWEEP_DELAYS, checkpointed, tmpdir)
+    return cells
+
+
+def run_orphan_cell() -> dict:
+    """SIGKILL the master 1 s into a ~15 s parallel run; the workers
+    must be gone within 5 s."""
+    run = start_teapot(["verify", "lcm", "--nodes", "3", "--reorder", "1",
+                        "--workers", "2"], stdout=subprocess.DEVNULL,
+                       stderr=subprocess.DEVNULL)
+    time.sleep(1.0)
+    run.kill()
+    run.wait()
+    started = time.perf_counter()
+    empty = session_empty(run, within=5.0)
+    return {"verdict": "ok" if empty else "workers outlived the master",
+            "seconds": round(time.perf_counter() - started, 3)}
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("-o", "--output", default="CHAOS_CHECK.json")
@@ -231,8 +366,8 @@ def main() -> int:
     kill_waves = [int(w) for w in args.kill_waves.split(",")]
 
     failures = []
-    report = {"benchmark": "chaos harness: kill/stall/corrupt the "
-                           "checker", "cells": {}}
+    report = {"benchmark": "chaos harness: kill/stall/corrupt/interrupt/"
+                           "orphan the checker", "cells": {}}
 
     for name in names:
         baseline = outcome(make_parallel(name, 2).run())
@@ -263,6 +398,26 @@ def main() -> int:
             failures.append(f"corrupt:{label} -> {cell['verdict']}")
         print(f"corrupt  {label:18s} {cell['verdict']}")
 
+    with tempfile.TemporaryDirectory() as tmpdir:
+        sweep = run_interrupt_sweep(tmpdir)
+    report["interrupt"] = sweep
+    for key, cell in sweep.items():
+        if cell["verdict"] != "ok":
+            failures.append(f"interrupt:{key} -> {cell['verdict']}")
+    tally = {status: sum(1 for cell in sweep.values()
+                         if cell["in_scope"] and cell["status"] == status)
+             for status in (130, 0)}
+    print(f"interrupt {len(sweep)} runs, "
+          f"{sum(cell['in_scope'] for cell in sweep.values())} with the "
+          f"checker running (exit 130: {tally[130]}, exit 0: {tally[0]}), "
+          f"{sum(cell['verdict'] != 'ok' for cell in sweep.values())} wrong")
+
+    report["orphan"] = orphan = run_orphan_cell()
+    if orphan["verdict"] != "ok":
+        failures.append(f"orphan -> {orphan['verdict']}")
+    print(f"orphan   kill -9 master      {orphan['verdict']} "
+          f"({orphan['seconds']}s)")
+
     report["failures"] = failures
     atomic_write_json(args.output, report, indent=2)
     print(f"wrote {args.output}")
@@ -270,7 +425,9 @@ def main() -> int:
         print(f"CHAOS FAILURES: {', '.join(failures)}", file=sys.stderr)
         return 1
     print("chaos matrix green: every disturbed run recovered exactly; "
-          "every corrupt checkpoint was refused with a one-line error")
+          "every corrupt checkpoint was refused with a one-line error; "
+          "every interrupt stopped at a wave boundary; no worker "
+          "outlived its master")
     return 0
 
 
