@@ -1,22 +1,32 @@
 """The Python back end: the execution engine of compiled protocols.
 
-Each handler becomes one Python function over ``(rt, env, pc)``: ``rt``
-is the :class:`CompiledEngine` driving it, ``env`` the activation frame,
-``pc`` the basic block to start at (the entry, or a suspend site's
-resume block).  Control flow is a program-counter trampoline, so suspend
-points inside loops and conditionals split exactly as in the
-interpreter.  The function carries the interpreter's whole semantics:
-before every operation ``rt.step`` counts it against
-``MAX_OPS_PER_ACTION`` and charges ``statement``; a builtin's
-``BUILTIN_COSTS`` charge sits between the evaluation of its arguments
-and the call; names are resolved when the text is emitted.  What is the
-same for every handler -- dispatch, frame construction, suspend and
-resume, with their charges, counters and observer hooks -- lives in
+Each handler becomes one Python function over ``(rt, ops, bound,
+site)``: ``rt`` is the :class:`CompiledEngine` driving it, ``ops`` the
+operations the action has executed so far, ``site`` the suspend site to
+resume at (``None``: the entry) and ``bound`` what the frame is bound
+from -- the block's state arguments at entry, a continuation record's
+saved pairs at a resume.  The activation frame is the function's locals
+(``v_<name>``), set in a prologue; control flow is a program-counter
+trampoline, so suspend points inside loops and conditionals split
+exactly as in the interpreter.
+
+The function carries the interpreter's whole semantics (DESIGN.md,
+"Execution engine").  Every operation counts itself against
+``MAX_OPS_PER_ACTION`` inline, the count travelling by value into
+``rt.resume`` and back and out through ``return``.  The ``statement``
+and ``BUILTIN_COSTS`` charges are summed and made ahead of the next
+*timed* point -- whatever can read ``ctx.now`` or end the action: a
+context call other than ``get_info`` / ``set_info`` / ``home_node``, a
+builtin or operator that can reach ``ctx.error``, a support call,
+``Resume``, ``Suspend``, the guard's trip -- or at the block's end.
+Names are resolved when the text is emitted, and a prelude routine that
+is one context call is emitted as that call.  What every handler shares
+(dispatch, suspend, resume: charges, counters, observer hooks) lives in
 :class:`CompiledEngine`.
 
 Cost values are per machine, so the emitted code never contains one: it
-reads them through ``rt`` at run time, and one compiled function serves
-every machine and every checker over the same protocol.
+reads them through ``ctx.costs`` at run time, and one compiled function
+serves every machine and every checker over the same protocol.
 
 ``emit_python`` (``teapot compile --target python``) prints a module
 header, every handler's function and a table; the engine executes that
@@ -41,9 +51,8 @@ from repro.compiler.ir import (
     TSuspend,
 )
 from repro.runtime.builtins import BUILTIN_COSTS, BUILTIN_IMPLS
-from repro.runtime.context import INFO_HANDLE, ProtocolContext
+from repro.runtime.context import MAX_OPS_PER_ACTION, ProtocolContext
 from repro.runtime.continuation import ContinuationRecord, make_continuation
-from repro.runtime.exec import MAX_OPS_PER_ACTION
 from repro.runtime.protocol import (
     CompiledProtocol,
     Flavor,
@@ -56,6 +65,25 @@ _COMPARISONS = {
 # Teapot operator -> Python operator ("/", "%", And, Or are emitted
 # specially).
 _OPERATORS = {**_COMPARISONS, "+": "+", "-": "-", "*": "*"}
+
+# Prelude routines that are one context call, as ``runtime.builtins``
+# makes it (the arguments it ignores dropped).
+_DIRECT = {
+    "Send": lambda a: (f"ctx.send(int({a[0]}), {a[1]}, {a[2]}, "
+                       f"{_tuple(a[3:])}, False)"),
+    "SendBlk": lambda a: (f"ctx.send(int({a[0]}), {a[1]}, {a[2]}, "
+                          f"{_tuple(a[3:])}, True)"),
+    "AccessChange": lambda a: f"ctx.access_change({a[0]}, {a[1]})",
+    "RecvData": lambda a: f"ctx.recv_data({a[0]}, {a[1]})",
+    "WakeUp": lambda a: f"ctx.wakeup({a[0]})",
+    "Enqueue": lambda a: "ctx.enqueue_current()",
+    "HomeNode": lambda a: f"ctx.home_node({a[0]})",
+}
+# Builtins that are not timed points; the sharer-set ones only in a
+# protocol with exactly one SharerList variable (``_sharer_var``).
+_UNTIMED = {"HomeNode", "IsHome", "Msg_To_Str", "NodeToInt", "IntToNode"}
+_UNTIMED_SHARERS = {"IsEmptySharers", "CountSharers", "HasSharer",
+                    "AddSharer", "DelSharer", "ClearSharers"}
 
 
 def _fn_name(handler: HandlerIR) -> str:
@@ -75,19 +103,58 @@ def _is_bool(expr: ast.Expr) -> bool:
     return isinstance(expr, ast.BoolLit)
 
 
-class _ExprEmitter:
-    """Compiles Teapot expressions to Python expression strings."""
+class _BlockEmitter:
+    """Compiles one handler's basic blocks to Python lines, holding back
+    the charges their operations owe until a timed point."""
 
     def __init__(self, protocol: CompiledProtocol, handler: HandlerIR):
         self.protocol = protocol
         self.handler = handler
         self.frame = set(handler.frame_vars)
+        self.direct = _DIRECT
+        self.untimed = _UNTIMED
+        if len(protocol.sharer_vars) == 1:
+            sharers = f"len(ctx.get_info({protocol.sharer_vars[0]!r}))"
+            self.direct = {**_DIRECT, "CountSharers": lambda a: sharers,
+                           "IsEmptySharers": lambda a: f"({sharers} == 0)"}
+            self.untimed = _UNTIMED | _UNTIMED_SHARERS
+        self.lines: list[str] = []
+        self.statements = 0          # ``statement`` charges owed
+        self.extras: list[str] = []  # BUILTIN_COSTS attributes owed
+        self.timed = False    # did this operation's text reach a timed point?
 
-    def emit(self, expr: ast.Expr) -> str:
+    def owed(self) -> str:
+        count = self.statements
+        terms = ["S" if count == 1 else f"{count} * S"] if count else []
+        return " + ".join(terms + [f"costs.{x}" for x in self.extras])
+
+    def flush(self) -> None:
+        if self.statements or self.extras:
+            self.lines.append(f"ctx.charge({self.owed()})")
+            self.statements = 0
+            self.extras = []
+
+    def step(self) -> None:
+        """An operation starts: the guard; its ``statement`` is owed."""
+        self.lines += [
+            "ops += 1",
+            f"if ops > MAX_OPS_PER_ACTION: rt.diverged("
+            f"{self.handler.qualified_name!r}, {self.owed() or 0})"]
+        self.statements += 1
+        self.timed = False
+
+    def line(self, text: str) -> None:
+        if self.timed:
+            self.flush()
+        self.lines.append(text)
+
+    # -- expressions --------------------------------------------------------
+
+    def expr(self, expr: ast.Expr) -> str:
         if isinstance(expr, (ast.IntLit, ast.BoolLit, ast.StrLit)):
             return repr(expr.value)
         if isinstance(expr, ast.NameRef):
-            return self._emit_name(expr.name)
+            return self._name(expr.name)
         if isinstance(expr, ast.CallExpr):
             if expr.name in BUILTIN_COSTS:
                 # Only procedures carry a charge, and the type checker
@@ -95,48 +162,63 @@ class _ExprEmitter:
                 raise CompileError(
                     f"procedure {expr.name!r} used as a value in "
                     f"{self.handler.qualified_name}")
-            return self.emit_call(expr.name, self.emit_args(expr.args))
+            return self.call(expr.name, expr.args, self.texts(expr.args))
         if isinstance(expr, ast.StateExpr):
-            args = _tuple([self.emit(a) for a in expr.args])
-            return f"StateValue({expr.name!r}, {args})"
+            return f"StateValue({self.state(expr)})"
         if isinstance(expr, ast.BinOp):
-            return self._emit_binop(expr)
+            return self._binop(expr)
         if isinstance(expr, ast.UnOp):
-            operand = self.emit(expr.operand)
+            operand = self.expr(expr.operand)
             return f"(not {operand})" if expr.op == "Not" else f"(-{operand})"
         raise CompileError(f"cannot emit expression {expr!r}")
 
-    def emit_args(self, args: list[ast.Expr]) -> str:
-        return f"[{', '.join(self.emit(a) for a in args)}]"
+    def texts(self, args: list[ast.Expr]) -> list[str]:
+        return [self.expr(arg) for arg in args]
 
-    def emit_call(self, name: str, args: str) -> str:
-        if name in BUILTIN_IMPLS:
-            return f"BI_{name}(rt, {args})"
-        return f"ctx.support_call({name!r}, {args})"
+    def state(self, expr: ast.StateExpr) -> str:
+        """``'Name', (arguments)``: what StateValue and set_state take."""
+        return f"{expr.name!r}, {_tuple(self.texts(expr.args))}"
 
-    def _emit_bool(self, expr: ast.Expr) -> str:
-        text = self.emit(expr)
+    def call(self, name: str, args: list[ast.Expr], texts: list[str]) -> str:
+        listed = f"[{', '.join(texts)}]"
+        if name not in BUILTIN_IMPLS:
+            self.timed = True
+            return f"ctx.support_call({name!r}, {listed})"
+        text = f"BI_{name}(rt, {listed})"
+        # A direct call drops the arguments the routine ignores: only
+        # where evaluating them (and all before them) is untimed.
+        if not self.timed:
+            if name in self.direct:
+                text = self.direct[name](texts)
+            elif name == "SetState" and isinstance(args[1], ast.StateExpr):
+                # A literal state needs no StateValue to be taken apart.
+                text = f"ctx.set_state({self.state(args[1])})"
+        if name not in self.untimed:
+            self.timed = True
+        return text
+
+    def _bool(self, expr: ast.Expr) -> str:
+        text = self.expr(expr)
         return text if _is_bool(expr) else f"bool({text})"
 
-    def _emit_binop(self, expr: ast.BinOp) -> str:
+    def _binop(self, expr: ast.BinOp) -> str:
         op = expr.op
         if op in ("And", "Or"):
-            return (f"({self._emit_bool(expr.left)} {op.lower()} "
-                    f"{self._emit_bool(expr.right)})")
-        left = self.emit(expr.left)
-        right = self.emit(expr.right)
-        if op == "/":
-            return f"rt.div({left}, {right})"
-        if op == "%":
-            return f"rt.mod({left}, {right})"
+            return (f"({self._bool(expr.left)} {op.lower()} "
+                    f"{self._bool(expr.right)})")
+        left = self.expr(expr.left)
+        right = self.expr(expr.right)
+        if op in ("/", "%"):
+            self.timed = True    # a zero divisor is a protocol error
+            return f"{'div' if op == '/' else 'mod'}(ctx, {left}, {right})"
         if op not in _OPERATORS:
             raise CompileError(f"unknown operator {op!r}")
         return f"({left} {_OPERATORS[op]} {right})"
 
-    def _emit_name(self, name: str) -> str:
+    def _name(self, name: str) -> str:
         # Same resolution order as HandlerInterpreter._eval_name.
         if name in self.frame:
-            return f"env[{name!r}]"
+            return f"v_{name}"
         if name in self.protocol.info_vars:
             return f"ctx.get_info({name!r})"
         if name in self.protocol.consts:
@@ -146,94 +228,146 @@ class _ExprEmitter:
         if name == "Nobody":
             return "NOBODY"
         if name == "MessageTag":
-            return "ctx.current_message.tag"
+            return "msg.tag"
         if name.startswith("Blk_") or name in self.protocol.messages:
             return repr(name)
         if name in self.protocol.checked.consts:
+            self.timed = True
             return f"ctx.support_const({name!r})"
         raise CompileError(
             f"cannot resolve name {name!r} in {self.handler.qualified_name}")
 
+    # -- operations and terminators -------------------------------------------
 
-def _emit_op(emitter: _ExprEmitter, op) -> list[str]:
-    qualified = emitter.handler.qualified_name
-    if isinstance(op, IAssign):
-        value = emitter.emit(op.value)
-        if op.target in emitter.frame:
-            return [f"env[{op.target!r}] = {value}"]
-        if op.target in emitter.protocol.info_vars:
-            return [f"ctx.set_info({op.target!r}, {value})"]
-        raise CompileError(
-            f"assignment to unknown variable {op.target!r} in {qualified}")
-    if isinstance(op, ICall):
-        args = emitter.emit_args(op.args)
-        cost = BUILTIN_COSTS.get(op.name)
-        if cost is None:
-            return [emitter.emit_call(op.name, args)]
-        return [f"args = {args}",
-                f"ctx.charge(ctx.costs.{cost})",
-                emitter.emit_call(op.name, "args")]
-    if isinstance(op, IResume):
-        direct = op.direct_site is not None
-        return [f"rt.resume({emitter.emit(op.cont)}, {direct!r}, "
-                f"{qualified!r})"]
-    if isinstance(op, IPrint):
-        return [f"ctx.debug_print({emitter.emit_args(op.args)})"]
-    raise CompileError(f"cannot emit op {op!r}")
+    def op(self, op) -> None:
+        qualified = self.handler.qualified_name
+        self.step()
+        if isinstance(op, IAssign):
+            value = self.expr(op.value)
+            if op.target in self.frame:
+                self.line(f"v_{op.target} = {value}")
+            elif op.target in self.protocol.info_vars:
+                self.line(f"ctx.set_info({op.target!r}, {value})")
+            else:
+                raise CompileError(
+                    f"assignment to unknown variable {op.target!r} in "
+                    f"{qualified}")
+        elif isinstance(op, ICall):
+            cost = BUILTIN_COSTS.get(op.name)
+            texts = self.texts(op.args)
+            if cost is not None and self.timed:
+                # A timed argument: the routine's own charge falls
+                # between the arguments and the call.
+                self.line(f"args = [{', '.join(texts)}]")
+                self.lines += [f"ctx.charge(costs.{cost})",
+                               f"BI_{op.name}(rt, args)"]
+            else:
+                if cost is not None:
+                    self.extras.append(cost)
+                self.line(self.call(op.name, op.args, texts))
+        elif isinstance(op, IResume):
+            cont = self.expr(op.cont)
+            self.timed = True
+            self.line(f"ops = rt.resume({cont}, "
+                      f"{op.direct_site is not None!r}, {qualified!r}, ops)")
+        elif isinstance(op, IPrint):
+            self.timed = True
+            self.line(f"ctx.debug_print([{', '.join(self.texts(op.args))}])")
+        else:
+            raise CompileError(f"cannot emit op {op!r}")
+
+    def terminator(self, block_id: int, term) -> None:
+        """The block's last lines.  A jump to a later block falls through
+        the ``if pc ==`` chain to its target; only a backward jump
+        restarts the chain."""
+        handler = self.handler
+        if isinstance(term, TBranch):
+            self.step()
+            cond = self.expr(term.cond)
+            self.flush()
+            self.lines.append(f"pc = {term.true_target} if {cond} "
+                              f"else {term.false_target}")
+            if min(term.true_target, term.false_target) <= block_id:
+                self.lines.append("continue")
+            return
+        self.flush()
+        if isinstance(term, TGoto):
+            self.lines.append(f"pc = {term.target}")
+            if term.target <= block_id:
+                self.lines.append("continue")
+        elif isinstance(term, TReturn):
+            self.lines.append("return ops")
+        elif isinstance(term, TSuspend):
+            site = handler.suspend_sites[term.site_id]
+            saved = _tuple([
+                f"({name!r}, {f'v_{name}' if name in self.frame else None})"
+                for name in site.save_set])
+            static = site.is_static and not site.save_set
+            self.lines += [
+                f"v_{site.cont_name} = rt.suspend("
+                f"{handler.qualified_name!r}, {site.site_id}, {saved}, "
+                f"{static!r}, {site.target.name!r})",
+                f"ctx.set_state({self.state(site.target)})",
+                "return ops",
+            ]
+        else:
+            raise CompileError(f"cannot emit terminator {term!r}")
 
 
-def _emit_terminator(emitter: _ExprEmitter, block_id: int,
-                     term) -> list[str]:
-    """The block's last lines.  A jump to a later block falls through
-    the ``if pc ==`` chain to its target; only a backward jump restarts
-    the chain."""
-    handler = emitter.handler
-    qualified = handler.qualified_name
-    if isinstance(term, TGoto):
-        lines = [f"pc = {term.target}"]
-        return lines if term.target > block_id else lines + ["continue"]
-    if isinstance(term, TBranch):
-        lines = [f"rt.step({qualified!r})",
-                 f"pc = {term.true_target} if {emitter.emit(term.cond)} "
-                 f"else {term.false_target}"]
-        forward = min(term.true_target, term.false_target) > block_id
-        return lines if forward else lines + ["continue"]
-    if isinstance(term, TReturn):
-        return ["return"]
-    if isinstance(term, TSuspend):
-        site = handler.suspend_sites[term.site_id]
-        saved = _tuple([f"({name!r}, env[{name!r}])"
-                        for name in site.save_set])
-        static = site.is_static and not site.save_set
-        target_args = _tuple([emitter.emit(a) for a in site.target.args])
-        return [
-            f"env[{site.cont_name!r}] = rt.suspend({qualified!r}, "
-            f"{site.site_id}, {saved}, {static!r}, {site.target.name!r})",
-            f"ctx.set_state({site.target.name!r}, {target_args})",
-            "return",
-        ]
-    raise CompileError(f"cannot emit terminator {term!r}")
+def _prologue(handler: HandlerIR) -> list[str]:
+    """Bind the frame in the interpreter's order: ``frame_template``
+    defaults, then the state arguments and the message (entry) or the
+    record's saved pairs (resume)."""
+    by_default: dict[str, list[str]] = {}
+    for name, default in handler.frame_template.items():
+        if name not in handler.params[:2]:      # bound on every path
+            by_default.setdefault(repr(default), []).append(f"v_{name}")
+    lines = [f"{' = '.join(names)} = {default}"
+             for default, names in by_default.items()]
+    block, info, src = (f"v_{name}" for name in handler.params[:3])
+    rebound = [f"    {block} = msg.block", f"    {info} = INFO_HANDLE"]
+    lines += ["if site is None:", f"    pc = {handler.entry}"]
+    if handler.state_params:
+        params = _tuple([f"v_{name}" for name in handler.state_params])
+        lines.append(f"    if bound: {params} = bound")
+    lines += rebound + [f"    {src} = msg.src"]
+    # A DEFAULT handler serves many tags: the payload stays unbound.
+    if handler.message_name != "DEFAULT" and handler.params[3:]:
+        lines += ["    payload = msg.payload", "    n = len(payload)"]
+        lines += [f"    v_{name} = payload[{index}] if n > {index} else None"
+                  for index, name in enumerate(handler.params[3:])]
+    for site in handler.suspend_sites:
+        # The block id and info handle are re-derived from context rather
+        # than captured: a continuation is always resumed by a handler
+        # positioned at the same block.
+        lines += [f"elif site == {site.site_id}:",
+                  f"    pc = {site.resume_block}"] + rebound
+        if site.save_set:
+            pairs = _tuple([f"(_, v_{name})" for name in site.save_set])
+            lines.append(f"    {pairs} = bound")
+    return lines + ["else:", "    raise RuntimeError(f'bad site {site}')"]
 
 
 def emit_handler(protocol: CompiledProtocol, handler: HandlerIR) -> str:
     """The Python function for one handler (all of its fragments)."""
-    emitter = _ExprEmitter(protocol, handler)
-    qualified = handler.qualified_name
     lines = [
-        f"def {_fn_name(handler)}(rt, env, pc={handler.entry}):",
-        f'    """{qualified}"""',
+        f"def {_fn_name(handler)}(rt, ops, bound, site=None):",
+        f'    """{handler.qualified_name}"""',
         "    ctx = rt.ctx",
-        "    while True:",
+        "    costs = ctx.costs",
+        "    S = costs.statement",
+        "    msg = ctx.current_message",
     ]
-    for block_id in sorted(handler.blocks):
-        block = handler.blocks[block_id]
-        lines.append(f"        if pc == {block_id}:")
-        body: list[str] = []
+    lines.extend(f"    {line}" for line in _prologue(handler))
+    lines.append("    while True:")
+    emitter = _BlockEmitter(protocol, handler)
+    for block_id, block in sorted(handler.blocks.items()):
+        emitter.lines = []
         for op in block.ops:
-            body.append(f"rt.step({qualified!r})")
-            body.extend(_emit_op(emitter, op))
-        body.extend(_emit_terminator(emitter, block_id, block.terminator))
-        lines.extend(f"            {line}" for line in body)
+            emitter.op(op)
+        emitter.terminator(block_id, block.terminator)
+        lines.append(f"        if pc == {block_id}:")
+        lines.extend(f"            {line}" for line in emitter.lines)
     lines.append("        raise RuntimeError(f'bad pc {pc}')")
     return "\n".join(lines) + "\n\n\n"
 
@@ -247,7 +381,8 @@ def emit_header(protocol: CompiledProtocol) -> str:
         f"optimisation level: {protocol.opt_level.name}",
         '"""',
         "",
-        "from repro.runtime.builtins import BUILTIN_IMPLS",
+        "from repro.runtime.builtins import BUILTIN_IMPLS, div, mod",
+        "from repro.runtime.context import INFO_HANDLE, MAX_OPS_PER_ACTION",
         "from repro.runtime.protocol import NOBODY, StateValue",
         "",
     ]
@@ -272,27 +407,6 @@ def emit_python(protocol: CompiledProtocol) -> str:
     return "".join(parts)
 
 
-class _HandlerCode:
-    """One compiled handler: its function, and what dispatch and resume
-    need to build its activation frame."""
-
-    __slots__ = ("fn", "message_name", "frame", "state_params", "params",
-                 "payload_params", "resume_blocks")
-
-    def __init__(self, fn, handler: HandlerIR):
-        self.fn = fn
-        self.message_name = handler.message_name
-        self.frame = handler.frame_template
-        self.state_params = tuple(handler.state_params)
-        self.params = handler.params
-        # A DEFAULT handler serves many tags: the payload stays unbound.
-        self.payload_params = (
-            () if handler.message_name == "DEFAULT"
-            else tuple(enumerate(handler.params[3:])))
-        self.resume_blocks = [
-            site.resume_block for site in handler.suspend_sites]
-
-
 class _ProtocolCode:
     """The compiled handlers of one protocol, filled on demand."""
 
@@ -300,8 +414,8 @@ class _ProtocolCode:
 
     def __init__(self):
         self.namespace: dict = {}    # globals of the handler functions
-        self.by_name: dict = {}      # qualified name -> _HandlerCode
-        self.by_tag: dict = {}       # (state name, tag) -> _HandlerCode
+        self.by_name: dict = {}      # qualified name -> handler function
+        self.by_tag: dict = {}       # (state name, tag) -> the same
 
 
 # Compiled code is a function of the protocol alone (never of a machine
@@ -314,12 +428,12 @@ def _protocol_code(protocol: CompiledProtocol) -> _ProtocolCode:
     return weak_protocol_entry(_PROTOCOL_CODE, protocol, _ProtocolCode)
 
 
-def compiled_handler(protocol: CompiledProtocol,
-                     handler: HandlerIR) -> _HandlerCode:
-    """``handler``'s compiled form, compiling it on first use."""
+def compiled_handler(protocol: CompiledProtocol, handler: HandlerIR):
+    """``handler``'s function, compiled on first use; ``message_name``
+    on it is the name its dispatches are reported under."""
     cache = _protocol_code(protocol)
-    code = cache.by_name.get(handler.qualified_name)
-    if code is None:
+    fn = cache.by_name.get(handler.qualified_name)
+    if fn is None:
         namespace = cache.namespace
         stored = protocol.handler_code or {}
         filename = f"<{protocol.name}.py>"
@@ -330,9 +444,10 @@ def compiled_handler(protocol: CompiledProtocol,
         exec(stored.get(handler.qualified_name)
              or compile(emit_handler(protocol, handler), filename, "exec"),
              namespace)
-        code = cache.by_name[handler.qualified_name] = _HandlerCode(
-            namespace[_fn_name(handler)], handler)
-    return code
+        fn = cache.by_name[handler.qualified_name] = namespace[
+            _fn_name(handler)]
+        fn.message_name = handler.message_name
+    return fn
 
 
 class CompiledEngine:
@@ -348,8 +463,6 @@ class CompiledEngine:
         self.ctx = ctx
         self._code = _protocol_code(protocol)
         self._teapot = protocol.flavor is Flavor.TEAPOT
-        self._ops = 0
-        self._statement = 0
 
     # -- dispatch ---------------------------------------------------------
 
@@ -358,10 +471,10 @@ class CompiledEngine:
         ctx = self.ctx
         msg = ctx.current_message
         state_name, state_args = ctx.get_state()
-        code = self._code.by_tag.get((state_name, msg.tag))
-        if code is None:
-            code = self._resolve(state_name, msg)
-            if code is None:
+        fn = self._code.by_tag.get((state_name, msg.tag))
+        if fn is None:
+            fn = self._resolve(state_name, msg)
+            if fn is None:
                 return
 
         ctx.counters.handler_dispatches += 1
@@ -369,32 +482,17 @@ class CompiledEngine:
         if obs is not None:
             start = getattr(ctx, "now", 0)
             obs.handler_entry(ctx.node, msg.block, state_name,
-                              code.message_name, msg.src, start)
+                              fn.message_name, msg.src, start)
         costs = ctx.costs
         cycles = costs.dispatch
         if self._teapot:
             cycles += costs.indirect_call
         ctx.charge(cycles)
 
-        env = code.frame.copy()
-        if state_args:
-            # State parameters come from the block's current state value.
-            env.update(zip(code.state_params, state_args))
-        params = code.params
-        env[params[0]] = msg.block
-        env[params[1]] = INFO_HANDLE
-        env[params[2]] = msg.src
-        payload = msg.payload
-        for index, name in code.payload_params:
-            env[name] = payload[index] if index < len(payload) else None
-
-        self._ops = 0
-        self._statement = costs.statement
-        code.fn(self, env)
+        fn(self, 0, state_args)
         if obs is not None:
             obs.handler_exit(ctx.node, msg.block, state_name,
-                             code.message_name, start,
-                             getattr(ctx, "now", 0))
+                             fn.message_name, start, getattr(ctx, "now", 0))
 
     def _resolve(self, state_name: str, msg):
         """First dispatch of ``msg.tag`` in ``state_name``: find the
@@ -410,33 +508,18 @@ class CompiledEngine:
                 f"unexpected message {msg.tag} to state {state_name} "
                 f"(block {msg.block}, from node {msg.src})")
             return None
-        code = compiled_handler(self.protocol, handler)
-        self._code.by_tag[state_name, msg.tag] = code
-        return code
+        fn = compiled_handler(self.protocol, handler)
+        self._code.by_tag[state_name, msg.tag] = fn
+        return fn
 
     # -- called by the compiled functions -----------------------------------
 
-    def step(self, qualified: str) -> None:
-        """Before each operation: the diverging-loop guard, then the
-        per-statement charge."""
-        self._ops += 1
-        if self._ops > MAX_OPS_PER_ACTION:
-            raise RuntimeProtocolError(
-                f"handler {qualified} exceeded "
-                f"{MAX_OPS_PER_ACTION} operations; diverging loop?")
-        self.ctx.charge(self._statement)
-
-    def div(self, left, right):
-        if right == 0:
-            self.ctx.error("division by zero in protocol code")
-            return 0
-        return int(left / right)
-
-    def mod(self, left, right):
-        if right == 0:
-            self.ctx.error("modulo by zero in protocol code")
-            return 0
-        return left % right
+    def diverged(self, qualified: str, owed: int) -> None:
+        """The guard tripped: charge what the code still owed, and fail."""
+        self.ctx.charge(owed)
+        raise RuntimeProtocolError(
+            f"handler {qualified} exceeded "
+            f"{MAX_OPS_PER_ACTION} operations; diverging loop?")
 
     def suspend(self, qualified: str, site_id: int, saved: tuple,
                 is_static: bool, to_state: str) -> ContinuationRecord:
@@ -450,8 +533,8 @@ class CompiledEngine:
         else:
             costs = ctx.costs
             counters.cont_allocs += 1
-            ctx.charge(costs.cont_alloc)
-            ctx.charge(costs.save_restore_word * len(saved))
+            ctx.charge(costs.cont_alloc
+                       + costs.save_restore_word * len(saved))
         record = make_continuation(qualified, site_id, saved, is_static)
         obs = ctx.obs
         if obs is not None:
@@ -461,44 +544,37 @@ class CompiledEngine:
                         to_state, getattr(ctx, "now", 0))
         return record
 
-    def resume(self, record, direct: bool, qualified: str) -> None:
+    def resume(self, record, direct: bool, qualified: str, ops: int) -> int:
         """Run the fragment ``record`` points at, like a call: when it
-        finishes (or suspends again), control returns to the caller."""
+        finishes (or suspends again), control returns to the caller,
+        and with it the action's operation count."""
         ctx = self.ctx
         if not isinstance(record, ContinuationRecord):
             ctx.error(
                 f"Resume applied to a non-continuation value {record!r} "
                 f"in {qualified}")
-            return
+            return ops
         costs = ctx.costs
         counters = ctx.counters
         counters.resumes += 1
+        cycles = costs.save_restore_word * len(record.saved)
         if direct:
             counters.direct_resumes += 1
-            ctx.charge(costs.resume_direct)
+            cycles += costs.resume_direct
         else:
-            ctx.charge(costs.resume)
+            cycles += costs.resume
         if not record.is_static:
             counters.cont_frees += 1
-            ctx.charge(costs.cont_free)
-        ctx.charge(costs.save_restore_word * len(record.saved))
-
-        block = ctx.current_message.block
+            cycles += costs.cont_free
+        ctx.charge(cycles)
         obs = ctx.obs
         if obs is not None:
-            obs.resume(ctx.node, block, record.handler, record.site_id,
-                       direct, getattr(ctx, "now", 0))
+            obs.resume(ctx.node, ctx.current_message.block, record.handler,
+                       record.site_id, direct, getattr(ctx, "now", 0))
 
-        code = self._code.by_name.get(record.handler)
-        if code is None:
+        fn = self._code.by_name.get(record.handler)
+        if fn is None:
             handler, _site = self.protocol.suspend_site(
                 record.handler, record.site_id)
-            code = compiled_handler(self.protocol, handler)
-        env = code.frame.copy()
-        # The block id and info handle are re-derived from context rather
-        # than captured: a continuation is always resumed by a handler
-        # positioned at the same block.
-        env[code.params[0]] = block
-        env[code.params[1]] = INFO_HANDLE
-        env.update(record.saved)
-        code.fn(self, env, code.resume_blocks[record.site_id])
+            fn = compiled_handler(self.protocol, handler)
+        return fn(self, ops, record.saved, record.site_id)

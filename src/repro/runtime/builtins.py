@@ -32,6 +32,26 @@ def _set_sharers(interp, sharers: frozenset) -> None:
     interp.ctx.set_info(_sharer_var(interp), sharers)
 
 
+# -- integer division ---------------------------------------------------------
+# C's pair, on integers only: the quotient truncates toward zero and the
+# remainder takes the dividend's sign, so (a / b) * b + a % b = a.
+
+
+def div(ctx, left, right):
+    if right == 0:
+        ctx.error("division by zero in protocol code")
+        return 0
+    quotient = abs(left) // abs(right)
+    return quotient if (left < 0) == (right < 0) else -quotient
+
+
+def mod(ctx, left, right):
+    if right == 0:
+        ctx.error("modulo by zero in protocol code")
+        return 0
+    return left - right * div(ctx, left, right)
+
+
 # -- messaging ---------------------------------------------------------------
 
 

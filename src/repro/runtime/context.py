@@ -14,6 +14,9 @@ from typing import Optional
 
 from repro.lang.errors import RuntimeProtocolError
 
+# Safety net against diverging While loops in protocol code.
+MAX_OPS_PER_ACTION = 200_000
+
 # Sentinel bound to a handler's INFO parameter.  Expressions only pass it
 # to builtins (SetState, Enqueue, sharer operations), which operate on
 # the context's current block instead.
@@ -31,7 +34,10 @@ def declared_fields(self) -> dict:
     return {name: state[name] for name in self.__dataclass_fields__}
 
 
-@dataclass(frozen=True)
+_bind_setattr = object.__setattr__.__get__
+
+
+@dataclass(frozen=True, init=False)
 class Message:
     """A protocol message in flight (or being handled).
 
@@ -54,6 +60,22 @@ class Message:
     payload: tuple = ()
     data: Optional[tuple] = None
     seq: Optional[int] = None
+
+    def __init__(self, tag, block, src, dst, payload=(), data=None,
+                 seq=None):
+        # The generated constructor looks ``object.__setattr__`` up once
+        # per field; the simulator builds a Message per send and per
+        # fault, so bind it once.  Plain attribute stores in declaration
+        # order keep ``__dict__`` key-sharing (a ``__dict__.update``
+        # would double the instance's size).
+        put = _bind_setattr(self)
+        put("tag", tag)
+        put("block", block)
+        put("src", src)
+        put("dst", dst)
+        put("payload", payload)
+        put("data", data)
+        put("seq", seq)
 
     __getstate__ = declared_fields
 
@@ -150,19 +172,15 @@ class ProtocolContext:
     (:class:`repro.verify.model.CheckerContext`).
 
     A context is positioned at one (node, block) pair while a handler
-    runs; the engine reads the current message from
-    ``current_message``.
+    runs; the engine reads the node id from ``node`` and the message
+    being handled from ``current_message`` (attributes or properties,
+    as the host prefers).
     """
 
     # -- identity ------------------------------------------------------------
 
-    @property
-    def node(self) -> int:
-        raise NotImplementedError
-
-    @property
-    def current_message(self) -> Message:
-        raise NotImplementedError
+    node: int
+    current_message: Message
 
     def home_node(self, block: int) -> int:
         raise NotImplementedError

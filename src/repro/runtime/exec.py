@@ -29,8 +29,12 @@ from repro.compiler.ir import (
     TReturn,
     TSuspend,
 )
-from repro.runtime.builtins import BUILTIN_COSTS, BUILTIN_IMPLS
-from repro.runtime.context import INFO_HANDLE, ProtocolContext
+from repro.runtime.builtins import BUILTIN_COSTS, BUILTIN_IMPLS, div, mod
+from repro.runtime.context import (
+    INFO_HANDLE,
+    MAX_OPS_PER_ACTION,  # re-exported: the limit lives with the context
+    ProtocolContext,
+)
 from repro.runtime.continuation import ContinuationRecord, make_continuation
 from repro.runtime.protocol import (
     CompiledProtocol,
@@ -38,9 +42,6 @@ from repro.runtime.protocol import (
     NOBODY,
     StateValue,
 )
-
-# Safety net against diverging While loops in protocol code.
-MAX_OPS_PER_ACTION = 200_000
 
 
 class HandlerInterpreter:
@@ -311,15 +312,9 @@ class HandlerInterpreter:
         if op == "*":
             return left * right
         if op == "/":
-            if right == 0:
-                self.ctx.error("division by zero in protocol code")
-                return 0
-            return int(left / right)
+            return div(self.ctx, left, right)
         if op == "%":
-            if right == 0:
-                self.ctx.error("modulo by zero in protocol code")
-                return 0
-            return left % right
+            return mod(self.ctx, left, right)
         if op == "=":
             return left == right
         if op == "!=":

@@ -100,6 +100,9 @@ class Machine:
             Node(self, node_id, protocol, programs[node_id])
             for node_id in range(self.config.n_nodes)
         ]
+        # Nodes still running a program: the size of the barrier group.
+        # A node takes itself out when its program ends.
+        self.unfinished = sum(not node.finished for node in self.nodes)
 
     # -- topology ---------------------------------------------------------
 
@@ -173,8 +176,7 @@ class Machine:
         """Returns True if this arrival releases the barrier (caller
         continues synchronously); otherwise the node waits."""
         self._barrier_waiting.append((node_id, at_time))
-        active = [n for n in self.nodes if not n.finished]
-        if len(self._barrier_waiting) < len(active):
+        if len(self._barrier_waiting) < self.unfinished:
             return False
         release_time = max(t for _n, t in self._barrier_waiting)
         for waiting_id, arrive_time in self._barrier_waiting:

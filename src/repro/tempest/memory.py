@@ -95,12 +95,14 @@ class BlockStore:
         self._records: dict[int, BlockRecord] = {}
 
     def record(self, block: int) -> BlockRecord:
-        if not (0 <= block < self.n_blocks):
-            raise RuntimeProtocolError(
-                f"block {block} out of range (0..{self.n_blocks - 1})")
         existing = self._records.get(block)
         if existing is not None:
             return existing
+        # An out-of-range block never gets a record, so checking on the
+        # miss path alone still refuses every one.
+        if not (0 <= block < self.n_blocks):
+            raise RuntimeProtocolError(
+                f"block {block} out of range (0..{self.n_blocks - 1})")
         state_name, info, access = self._initial_state_for(self.node, block)
         record = BlockRecord(
             block=block,

@@ -28,42 +28,32 @@ class NodeContext(ProtocolContext):
 
     def __init__(self, node: "Node"):
         self._node = node
-        self._message: Optional[Message] = None
+        self.node = node.node_id
+        self.current_message: Optional[Message] = None
+        self._record = None     # the current message's BlockRecord
         self.now = 0
         self.counters = node.stats.counters
         self.costs = node.machine.config.costs
         self.obs = node.machine.obs
 
-    def begin(self, message: Message, start_time: int) -> None:
-        """Position the context for one protocol action."""
-        self._message = message
+    def begin(self, message: Message, record, start_time: int) -> None:
+        """Position the context for one protocol action on ``record``,
+        the block record of ``message.block``."""
+        self.current_message = message
+        self._record = record
         self.now = start_time
-
-    # -- identity ---------------------------------------------------------
-
-    @property
-    def node(self) -> int:
-        return self._node.node_id
-
-    @property
-    def current_message(self) -> Message:
-        assert self._message is not None
-        return self._message
 
     def home_node(self, block: int) -> int:
         return self._node.machine.home_of(block)
 
     # -- block record --------------------------------------------------------
 
-    def _record(self):
-        return self._node.store.record(self.current_message.block)
-
     def get_state(self) -> tuple[str, tuple]:
-        record = self._record()
+        record = self._record
         return record.state_name, record.state_args
 
     def set_state(self, state_name: str, args: tuple) -> None:
-        record = self._record()
+        record = self._record
         obs = self.obs
         if obs is not None and (
                 (state_name, args) != (record.state_name, record.state_args)):
@@ -72,10 +62,10 @@ class NodeContext(ProtocolContext):
         record.set_state(state_name, args)
 
     def get_info(self, name: str):
-        return self._record().info[name]
+        return self._record.info[name]
 
     def set_info(self, name: str, value) -> None:
-        self._record().info[name] = value
+        self._record.info[name] = value
 
     # -- Tempest mechanisms ------------------------------------------------------
 
@@ -129,7 +119,7 @@ class NodeContext(ProtocolContext):
 
     def enqueue_current(self) -> None:
         self.counters.queue_allocs += 1
-        record = self._record()
+        record = self._record
         record.defer(self.current_message)
         obs = self.obs
         if obs is not None:
@@ -301,7 +291,7 @@ class Node:
         any state change.  Returns the finishing time."""
         record = self.store.record(message.block)
         record.state_changed = False
-        self.ctx.begin(message, start)
+        self.ctx.begin(message, record, start)
         self.engine.dispatch()
         now = self.ctx.now
 
@@ -316,7 +306,7 @@ class Node:
                 if obs is not None:
                     obs.queue_replay(self.node_id, deferred.block,
                                      deferred.tag, deferred.src, now)
-                self.ctx.begin(deferred, now)
+                self.ctx.begin(deferred, record, now)
                 self.engine.dispatch()
                 now = self.ctx.now
         return now
@@ -344,22 +334,25 @@ class Node:
         op = self._pending_access
         if op is None:
             return
-        kind = op[0]
         record = self.store.record(block)
-        fault = fault_event_for(record.access, kind == "write")
-        if fault is not None:
+        if fault_event_for(record.access, op[0] == "write") is not None:
             return  # access still insufficient: the op will re-fault
         self._pending_access = None
-        if kind == "write":
+        self._hit(op, record)
+
+    def _hit(self, op: tuple, record) -> None:
+        """A load or store its access tag allows: count it, store or log
+        word 0 where the op asks for that, and advance the program."""
+        if op[0] == "write":
             self.stats.write_hits += 1
-            if len(op) > 2:
+            if len(op) > 2:  # ('write', block, value): store word 0
                 data = list(record.data)
                 data[0] = op[2]
                 record.data = tuple(data)
         else:
             self.stats.read_hits += 1
             if len(op) > 2 and op[2] == "log":
-                self.observed.append((block, record.data[0]))
+                self.observed.append((record.block, record.data[0]))
         self.pc += 1
 
     # -- application-side execution ----------------------------------------------
@@ -402,19 +395,8 @@ class Node:
                 record = self.store.record(block)
                 fault = fault_event_for(record.access, kind == "write")
                 if fault is None:
-                    cost = costs.write_hit if kind == "write" else costs.read_hit
-                    now += cost
-                    if kind == "write":
-                        self.stats.write_hits += 1
-                        if len(op) > 2:  # ('write', block, value): store word 0
-                            data = list(record.data)
-                            data[0] = op[2]
-                            record.data = tuple(data)
-                    else:
-                        self.stats.read_hits += 1
-                        if len(op) > 2 and op[2] == "log":
-                            self.observed.append((block, record.data[0]))
-                    self.pc += 1
+                    now += costs.write_hit if kind == "write" else costs.read_hit
+                    self._hit(op, record)
                     continue
                 self._pending_access = op
                 now = self._take_fault(fault, block, (), now)
@@ -443,6 +425,7 @@ class Node:
                 raise RuntimeProtocolError(
                     f"unknown application operation {op!r}")
         self.finished = True
+        self.machine.unfinished -= 1
         self.busy_until = now
         self.stats.finish_time = now
 

@@ -290,7 +290,9 @@ def test_cache_hit_verify_import_budget():
                 if name.startswith("<") and name.endswith(".py>")]
     ours = [name for name in report["modules"]
             if name == "repro" or name.startswith("repro.")]
-    assert len(ours) <= 40, ours     # 63 before the imports were lazy
+    # 63 before the imports were lazy, 37 while the engine imported the
+    # reference interpreter for one constant.
+    assert len(ours) <= 36, ours
     for stranger in (
             "repro.tempest.machine", "repro.tempest.node",
             "repro.verify.parallel", "repro.verify.atlas",
@@ -300,14 +302,14 @@ def test_cache_hit_verify_import_budget():
             "repro.lang.lexer", "repro.lang.parser", "repro.lang.pretty",
             "repro.compiler.lower", "repro.compiler.liveness",
             "repro.compiler.constcont", "repro.compiler.pipeline",
-            "multiprocessing"):
+            "repro.runtime.exec", "multiprocessing"):
         assert stranger not in report["modules"], stranger
 
 
 @pytest.mark.parametrize("argv,strangers", [
     (["run", "stache", "gauss", "--nodes", "4"],
      ["repro.verify.parallel", "repro.verify.atlas", "repro.obs.profile",
-      "multiprocessing"]),
+      "repro.runtime.exec", "multiprocessing"]),
     (["list"],
      ["repro.tempest.machine", "repro.verify.parallel", "repro.lang.parser",
       "repro.compiler.pipeline"]),

@@ -25,6 +25,7 @@ from repro.protocols import (
 )
 from repro.runtime.context import CostModel
 from repro.runtime.exec import MAX_OPS_PER_ACTION, HandlerInterpreter
+from repro.runtime.protocol import OptLevel
 from repro.tempest.machine import Machine, MachineConfig
 from repro.verify import ModelChecker, checker, events_for_protocol
 from repro.verify.fingerprint import fingerprint
@@ -414,6 +415,24 @@ End;
         assert str(raised.value) == (
             "unexpected message OTHER to state S (block 0, from node 1)")
 
+    @pytest.mark.parametrize("expr,expected", [
+        ("(0 - 7) / 2", -3),
+        ("(0 - 7) % 2", -1),
+        ("7 % (0 - 2)", 1),
+        ("7 / (0 - 2)", -3),
+        ("(0 - 7) / (0 - 2)", 3),
+        # Through a float this reads 33333333333333332.
+        ("100000000000000000 / 3", 33333333333333333),
+        ("((0 - 7) / 2) * 2 + (0 - 7) % 2", -7),
+        ("(7 / (0 - 2)) * (0 - 2) + 7 % (0 - 2)", 7),
+    ])
+    def test_division_truncates_modulo_follows(self, engine_factory, expr,
+                                                expected):
+        """The quotient truncates toward zero and the remainder takes
+        the dividend's sign, as in the C the other back end prints."""
+        ctx = run_body(f"count := {expr};", engine_factory=engine_factory)
+        assert ctx.info["count"] == expected
+
 
 def test_dispatch_errors_reach_violation_messages_unchanged():
     """The checker copies the dispatch error text into Violation.message:
@@ -430,3 +449,232 @@ def test_dispatch_errors_reach_violation_messages_unchanged():
     assert kind == "error"
     assert re.fullmatch(r"unexpected message \w+ to state \w+ "
                         r"\(block 0, from node \d\)", message)
+
+
+# ---------------------------------------------------------------------------
+# Coalesced charges: nothing that can read the clock can tell them from
+# the interpreter's one-charge-per-operation
+# ---------------------------------------------------------------------------
+
+PRIME_COSTS = CostModel(
+    dispatch=2, indirect_call=3, statement=5, send=7, send_data=11,
+    msg_latency=13, access_change=17, recv_data=19, cont_alloc=23,
+    cont_free=29, save_restore_word=31, resume=37, resume_direct=41,
+    queue_alloc=43, queue_free=47, fault_trap=53, wakeup=59, read_hit=61,
+    write_hit=67)
+
+
+class ClockedContext(FakeContext):
+    """Logs ``(method, cycles charged so far)`` at every context call
+    that may read the clock -- all but ``get_info`` / ``set_info`` /
+    ``home_node``, which no host gives a notion of time (and ``charge``
+    itself) -- so any charge made on the wrong side of one shows."""
+
+    CLOCKED = ("get_state", "set_state", "send", "access_change",
+               "recv_data", "read_word", "write_word", "enqueue_current",
+               "retry_queued", "wakeup", "error", "debug_print",
+               "support_call", "support_const")
+
+    def __init__(self, protocol, **kwargs):
+        super().__init__(protocol, **kwargs)
+        self.costs = PRIME_COSTS
+        self.log = []
+
+
+def _clocked(name):
+    inner = getattr(FakeContext, name)
+
+    def method(self, *args, **kwargs):
+        self.log.append((name, self.charged))
+        return inner(self, *args, **kwargs)
+    return method
+
+
+for _name in ClockedContext.CLOCKED:
+    setattr(ClockedContext, _name, _clocked(_name))
+
+CLOCKED_SOURCE = """
+Module Support
+Begin
+  Function Pick(n : NODE) : NODE;
+  Const LIMIT : INT;
+End;
+
+Protocol C
+Begin
+  Var count : INT;
+  Var owner : NODE;
+  Var sharers : SharerList;
+  State S {};
+  State W { c : CONT; base : INT } Transient;
+  Message M;
+  Message R;
+  Message OUT;
+End;
+
+State C.S{}
+Begin
+  Message M (id : ID; Var info : INFO; src : NODE; word : INT)
+  Var k : INT;
+  Begin
+    k := word + 1;
+    count := count + k;
+    Send(src, M, id, k + count);
+    k := k * 2;
+    AddSharer(info, src);
+    AccessChange(id, Blk_Upgrade_RO);
+    count := count + CountSharers(info);
+    owner := HomeNode(id);
+    SendBlk(Pick(src), OUT, id);
+    SetState(info, S{});
+    If (k > LIMIT) Then
+      k := k - LIMIT;
+    Endif;
+    While (k < 40) Do
+      k := k + 7;
+      Print(k);
+    End;
+    Suspend(L, W{L, k});
+    count := count + k;
+    WakeUp(id);
+    If (IsEmptySharers(info)) Then
+      Enqueue(MessageTag, id, info, src);
+    Endif;
+  End;
+End;
+
+State C.W{c : CONT; base : INT}
+Begin
+  Message R (id : ID; Var info : INFO; src : NODE)
+  Begin
+    count := count + base;
+    RecvData(id, Blk_Upgrade_RW);
+    count := count + 1;
+    Resume(c);
+    count := count * 3;
+    ClearSharers(info);
+    SetState(info, S{});
+  End;
+End;
+"""
+
+
+def run_clocked(engine_factory, opt_level):
+    protocol = compile_source(CLOCKED_SOURCE, opt_level=opt_level,
+                              initial_states=("S", "S"))
+    ctx = ClockedContext(protocol, state=("S", ()))
+    ctx.support.update(Pick=lambda node: node + 1, LIMIT=3)
+    engine = engine_factory(protocol, ctx)
+    ctx.deliver(engine, "M", src=2, payload=(4,))
+    ctx.deliver(engine, "R", src=3, data=(9, 9, 9, 9))
+    return ctx
+
+
+@pytest.mark.parametrize("opt_level", list(OptLevel), ids=lambda o: o.name)
+def test_every_clock_reader_sees_the_interpreters_time(opt_level):
+    reference = run_clocked(HandlerInterpreter, opt_level)
+    compiled = run_clocked(CompiledEngine, opt_level)
+    assert compiled.log == reference.log
+    assert compiled.charged == reference.charged
+    assert vars(compiled.counters) == vars(reference.counters)
+    assert (compiled.state, compiled.info, compiled.sent, compiled.printed,
+            compiled.access_changes, compiled.woken) == (
+        reference.state, reference.info, reference.sent, reference.printed,
+        reference.access_changes, reference.woken)
+    # The body took every kind of step the rule names.
+    assert {"send", "set_state", "access_change", "support_call",
+            "support_const", "debug_print", "recv_data",
+            "wakeup"} <= {name for name, _ in compiled.log}
+    assert compiled.counters.suspends == compiled.counters.resumes == 1
+    # And the compiled text did hold charges back (nothing above could
+    # tell): three operations' worth ahead of the Send, a timed argument
+    # splitting SendBlk's statement charge from its own.
+    text = python_backend.emit_handler(
+        compiled.protocol, compiled.protocol.handlers["S", "M"])
+    assert "ctx.charge(3 * S + costs.send)\n" in text
+    assert "ctx.charge(3 * S + costs.access_change)\n" in text
+    assert ("ctx.charge(3 * S)\n"
+            "            args = [ctx.support_call('Pick', [v_src]), 'OUT', "
+            "v_id]\n"
+            "            ctx.charge(costs.send_data)\n"
+            "            BI_SendBlk(rt, args)\n") in text
+
+
+@pytest.mark.parametrize("engine_factory", ENGINES)
+@pytest.mark.parametrize("body,message", [
+    ("owner := PopSharer(info);", "PopSharer on an empty sharer set"),
+    ("count := MsgWord(count);",
+     "MsgWord(2) out of range for payload ()"),
+    ("count := 7 / (count - 2);", "division by zero in protocol code"),
+    ("count := 7 % (count - 2);", "modulo by zero in protocol code"),
+    ("owner := NthSharer(info, count);",
+     "NthSharer(2) out of range for 0 sharers"),
+    ('Error("stop at %s", count);', "stop at 2"),
+])
+def test_errors_after_uncharged_operations(engine_factory, body, message):
+    """Two untimed operations are still owed when the third fails: the
+    failure must find them charged, as under the interpreter."""
+    protocol = compile_source(
+        EXPR_TEMPLATE.format(
+            body=f"count := 1;\n    count := count + 1;\n    {body}",
+            locals="", params=""),
+        initial_states=("S", "S"))
+    ctx = ClockedContext(protocol, state=("S", ()))
+    with pytest.raises(RuntimeProtocolError) as raised:
+        ctx.deliver(engine_factory(protocol, ctx), "M")
+    assert str(raised.value) == message
+    costs = PRIME_COSTS
+    assert ctx.charged == (costs.dispatch + costs.indirect_call
+                           + 3 * costs.statement)
+    assert ctx.log == [("get_state", 0), ("error", ctx.charged)]
+
+
+@pytest.mark.parametrize("engine_factory", ENGINES)
+def test_operation_budget_spans_a_resumed_fragment(engine_factory):
+    """The guard counts per action: a loop that diverges in a resumed
+    fragment has the resuming handler's operations against it too."""
+    protocol = compile_source("""
+Protocol D
+Begin
+  Var count : INT;
+  State S {};
+  State W { c : CONT } Transient;
+  Message M;
+  Message R;
+End;
+
+State D.S{}
+Begin
+  Message M (id : ID; Var info : INFO; src : NODE)
+  Begin
+    Suspend(L, W{L});
+    While (True) Do count := count + 1; End;
+  End;
+End;
+
+State D.W{c : CONT}
+Begin
+  Message R (id : ID; Var info : INFO; src : NODE)
+  Begin
+    count := 0 - 1;
+    Resume(c);
+  End;
+End;
+""", initial_states=("S", "S"))
+    ctx = ClockedContext(protocol, state=("S", ()))
+    engine = engine_factory(protocol, ctx)
+    ctx.deliver(engine, "M")
+    ctx.charged = 0
+    with pytest.raises(RuntimeProtocolError) as raised:
+        ctx.deliver(engine, "R")
+    assert str(raised.value) == (
+        f"handler S.M exceeded {MAX_OPS_PER_ACTION} operations; "
+        "diverging loop?")
+    costs = PRIME_COSTS
+    assert ctx.counters.direct_resumes == 1
+    assert ctx.charged == (costs.dispatch + costs.indirect_call
+                           + costs.resume_direct
+                           + MAX_OPS_PER_ACTION * costs.statement)
+    # R's two operations, then branch + assignment per iteration, the
+    # last branch being operation MAX_OPS_PER_ACTION itself.
+    assert ctx.info["count"] == -1 + (MAX_OPS_PER_ACTION - 2) // 2

@@ -1,5 +1,10 @@
 """Assorted unit tests: messages, counters, stats, traces, emitters."""
 
+import pickle
+import tracemalloc
+from dataclasses import FrozenInstanceError, dataclass
+from typing import Optional
+
 import pytest
 
 from repro.runtime.context import CostModel, Message, RuntimeCounters, \
@@ -27,6 +32,62 @@ class TestMessage:
         assert {message: 1}[Message("M", 0, 0, 1)] == 1
         with pytest.raises(Exception):
             message.tag = "N"
+
+    def test_hand_written_constructor_keeps_the_dataclass_contract(self):
+        message = Message("M", 4, src=1, dst=2, payload=(7,), data=(1, 2),
+                          seq=9)
+        assert message == Message("M", 4, 1, 2, (7,), (1, 2), 9)
+        assert hash(message) == hash(Message("M", 4, 1, 2, (7,), (1, 2), 9))
+        assert message != Message("M", 4, 1, 2, (7,), (1, 2), 10)
+        assert (message.payload, message.data, message.seq) == (
+            (7,), (1, 2), 9)
+        plain = Message("M", 4, src=1, dst=2)
+        assert (plain.payload, plain.data, plain.seq) == ((), None, None)
+        for name in ("tag", "block", "src", "dst", "payload", "data", "seq"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(message, name, None)
+        with pytest.raises(FrozenInstanceError):
+            del message.tag
+        with pytest.raises(TypeError):
+            Message("M", 4, 1)              # dst is required
+
+    def test_pickles_its_declared_fields_only(self):
+        message = Message("M", 4, src=1, dst=2, payload=(7,))
+        hash(message)                       # caches _hash in __dict__
+        assert list(message.__getstate__()) == [
+            "tag", "block", "src", "dst", "payload", "data", "seq"]
+        copy = pickle.loads(pickle.dumps(message))
+        assert copy == message and "_hash" not in vars(copy)
+        assert repr(copy) == repr(message) == "<msg M blk=4 1->2 payload=(7,)>"
+
+    def test_instances_are_no_larger_than_the_generated_constructors(self):
+        """The constructor must leave ``__dict__`` key-sharing: one that
+        fills it with ``update`` doubles every message in flight."""
+        @dataclass(frozen=True)
+        class Generated:
+            tag: str
+            block: int
+            src: int
+            dst: int
+            payload: tuple = ()
+            data: Optional[tuple] = None
+            seq: Optional[int] = None
+
+        def bytes_each(cls, count=2000):
+            # Both types' shared keys include the cached hash, whatever
+            # ran before this test.
+            object.__setattr__(cls("M", 0, 1, 2), "_hash", 0)
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                keep = [cls("M", 0, 1, 2) for _ in range(count)]
+                used = tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+            assert len(keep) == count
+            return used / count
+
+        assert bytes_each(Message) <= bytes_each(Generated)
 
 
 class TestCounters:

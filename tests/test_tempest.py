@@ -144,6 +144,34 @@ class TestMachine:
         machine.run()
         assert all(node.finished for node in machine.nodes)
 
+    def test_barrier_group_is_the_unfinished_nodes(self):
+        # Node 0 never starts and node 1 ends between the two barriers,
+        # so the first barrier gathers three nodes and the second two.
+        # Cycle counts as at commit 1b3fb9e, which rebuilt the list of
+        # unfinished nodes at every arrival.
+        programs = [
+            [],
+            [("compute", 300), ("barrier",), ("compute", 50)],
+            [("compute", 100), ("barrier",), ("compute", 700),
+             ("barrier",), ("read", 0)],
+            [("compute", 40), ("barrier",), ("compute", 20), ("barrier",)],
+        ]
+        machine = Machine(compile_mini(), programs,
+                          MachineConfig(n_nodes=4, n_blocks=1))
+        assert machine.unfinished == 3
+        assert machine.run().cycles == 2265
+        assert machine.unfinished == 0
+        stats = [node.stats for node in machine.nodes]
+        assert [s.finish_time for s in stats] == [0, 350, 2265, 1000]
+        # Released at 300 (node 1 arrives last), then at 1000 (node 2).
+        assert [s.barrier_wait_cycles for s in stats] == [0, 0, 200, 940]
+
+    def test_a_lone_unfinished_node_passes_its_barrier_at_once(self):
+        machine = Machine(compile_mini(), [[], [("barrier",)], []],
+                          MachineConfig(n_nodes=3, n_blocks=1))
+        assert machine.run().cycles == 0
+        assert machine.nodes[1].stats.barrier_wait_cycles == 0
+
     def test_event_op_blocks_until_wakeup(self):
         # GET_REQ is not an app event; use read faults instead: node 1
         # reads a block homed at 0, which requires a round trip.
