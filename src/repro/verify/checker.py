@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 import time
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import IO, Optional
 
 from repro.backends.python_backend import CompiledEngine
@@ -64,12 +64,14 @@ _NO_EFFECTS = ActionEffects((), (), None, (), None)
 #            map -- and the home map is always ``block % n_nodes`` --
 #            so caches are scoped by (interpreter_factory, n_nodes)
 #            under the protocol.
-#   intern   state -> canonical state.  Canonical states carry their
-#            cached hash and make visited-set equality an identity hit.
+#   intern   state -> canonical state, filled by symmetry-reduced runs
+#            only: the canonical fingerprint is memoised on the state
+#            object, so reaching a state again must find that object.
+#            Every other run holds a state once, in its visited set
+#            (or, keyed by fingerprint, in its frontier alone).
 #
-# Both pay within a single run.  The registry holds protocols weakly
-# (see weak_protocol_entry): a protocol's caches -- and every
-# state/effect they pin -- die with it.
+# The registry holds protocols weakly (see weak_protocol_entry): a
+# protocol's caches -- and every state/effect they pin -- die with it.
 _ENGINE_CACHES: dict = {}
 
 
@@ -637,9 +639,9 @@ class ModelChecker:
         if effects.views:
             row = list(blocks[node])
             for block, view in effects.views:
-                before = row[block]
-                if (len(view.queue) >= cap) != (len(before.queue) >= cap):
-                    delta += 1 if len(view.queue) >= cap else -1
+                grew = len(view.queue) >= cap
+                if grew != (len(row[block].queue) >= cap):
+                    delta += 1 if grew else -1
                 row[block] = view
             blocks = blocks[:node] + (tuple(row),) + blocks[node + 1:]
         apps = state.apps
@@ -647,41 +649,45 @@ class ModelChecker:
         new_gen = app.gen if gen is _KEEP_GEN else gen
         if new_gen != app.gen or effects.blocked_after != app.blocked_on:
             apps = apps[:node] + (
-                AppView(blocked_on=effects.blocked_after, gen=new_gen),
-            ) + apps[node + 1:]
+                AppView(effects.blocked_after, new_gen),) + apps[node + 1:]
         channels = state.channels
-        if removed is not None or effects.sends:
-            changed: dict = {}
+        sends = effects.sends
+        if removed is not None or sends:
+            rows = list(channels)
+            row = list(rows[node])       # the sender's outgoing channels
+            dirty = set()                # destinations edited in ``row``
             if removed is not None:
                 src, dst, index = removed
-                channel = channels[src][dst]
-                changed[(src, dst)] = channel[:index] + channel[index + 1:]
-            for message in effects.sends:
-                key = (node, message.dst)
-                base = changed.get(key)
-                if base is None:
-                    base = channels[node][message.dst]
-                changed[key] = base + (message,)
-            rows = list(channels)
-            touched_rows: dict = {}
-            for (src, dst), channel in changed.items():
-                before = channels[src][dst]
-                if (len(channel) >= cap) != (len(before) >= cap):
-                    delta += 1 if len(channel) >= cap else -1
-                row = touched_rows.get(src)
-                if row is None:
-                    row = touched_rows[src] = list(rows[src])
-                row[dst] = intern_channel(channel)
-            for src, row in touched_rows.items():
-                rows[src] = tuple(row)
+                channel = rows[src][dst]
+                if len(channel) == cap:
+                    delta -= 1
+                channel = channel[:index] + channel[index + 1:]
+                if src == node:
+                    row[dst] = channel
+                    dirty.add(dst)
+                else:
+                    theirs = rows[src]
+                    rows[src] = (theirs[:dst] + (intern_channel(channel),)
+                                 + theirs[dst + 1:])
+            for message in sends:
+                dst = message.dst
+                channel = row[dst] = row[dst] + (message,)
+                if len(channel) == cap:
+                    delta += 1
+                dirty.add(dst)
+            if dirty:
+                for dst in dirty:
+                    row[dst] = intern_channel(row[dst])
+                rows[node] = tuple(row)
             channels = tuple(rows)
-        successor = GlobalState(blocks=blocks, apps=apps,
-                                channels=channels, faults=state.faults)
-        successor = self._state_intern.setdefault(successor, successor)
-        cong = state.__dict__.get("_cong")
-        if (cong is not None and cong[0] == cap
-                and "_cong" not in successor.__dict__):
-            object.__setattr__(successor, "_cong", (cap, cong[1] + delta))
+        successor = GlobalState(blocks, apps, channels, state.faults)
+        if self._canon is not None:
+            # The canonical fingerprint is memoised on the state object:
+            # a state reached again has to be the object that holds it.
+            successor = self._state_intern.setdefault(successor, successor)
+        cong = state._cong
+        if cong is not None and cong[0] == cap:
+            successor._cong = cong if not delta else (cap, cong[1] + delta)
         return successor
 
     def _congestion_count(self, state: GlobalState) -> int:
@@ -690,7 +696,7 @@ class ModelChecker:
         :meth:`_build_successor`, instead of rescanning every channel
         and queue on each expansion."""
         cap = self.channel_cap
-        cached = state.__dict__.get("_cong")
+        cached = state._cong
         if cached is not None and cached[0] == cap:
             return cached[1]
         count = 0
@@ -702,7 +708,7 @@ class ModelChecker:
             for view in node_blocks:
                 if len(view.queue) >= cap:
                     count += 1
-        object.__setattr__(state, "_cong", (cap, count))
+        state._cong = (cap, count)
         return count
 
     def _apply_app_op(self, state: GlobalState, node: int, op: tuple,
@@ -797,29 +803,8 @@ class ModelChecker:
                     except CheckerViolation as violation:
                         raise _LabelledViolation(label, violation.message)
                     yield label, successor
-        # Fault transitions: lose or duplicate any in-flight message,
-        # while budget remains (see _legacy_successors for the notes).
-        drops, dups = state.faults
-        if drops or dups:
-            for src in range(self.n_nodes):
-                for dst in range(self.n_nodes):
-                    channel = state.channel(src, dst)
-                    for index, msg in enumerate(channel):
-                        where = (f"{msg.tag} {src}->{dst}[{index}] "
-                                 f"blk={msg.block}")
-                        if drops:
-                            yield (f"drop {where}", replace(
-                                state,
-                                channels=self._edit_channel(
-                                    state, src, dst,
-                                    channel[:index] + channel[index + 1:]),
-                                faults=(drops - 1, dups)))
-                        if dups:
-                            yield (f"dup {where}", replace(
-                                state,
-                                channels=self._edit_channel(
-                                    state, src, dst, channel + (msg,)),
-                                faults=(drops, dups - 1)))
+        if state.faults != (0, 0):
+            yield from self._fault_successors(state)
 
     # -- rule application (legacy engine) -----------------------------------
     #
@@ -1014,42 +999,29 @@ class ModelChecker:
                     except CheckerViolation as violation:
                         raise _LabelledViolation(label, violation.message)
                     yield label, successor
-        # Fault transitions: lose or duplicate any in-flight message,
-        # while budget remains.  Pure channel edits -- no handler runs --
-        # so they cannot raise.  Note these never fire on an empty
-        # network, so fault budgets cannot mask a real deadlock (a state
-        # with all nodes blocked and no messages in flight still has no
-        # successor).
-        drops, dups = state.faults
-        if drops or dups:
-            for src in range(self.n_nodes):
-                for dst in range(self.n_nodes):
-                    channel = state.channel(src, dst)
-                    for index, msg in enumerate(channel):
-                        where = f"{msg.tag} {src}->{dst}[{index}] blk={msg.block}"
-                        if drops:
-                            yield (f"drop {where}", replace(
-                                state,
-                                channels=self._edit_channel(
-                                    state, src, dst,
-                                    channel[:index] + channel[index + 1:]),
-                                faults=(drops - 1, dups)))
-                        if dups:
-                            yield (f"dup {where}", replace(
-                                state,
-                                channels=self._edit_channel(
-                                    state, src, dst, channel + (msg,)),
-                                faults=(drops, dups - 1)))
+        if state.faults != (0, 0):
+            yield from self._fault_successors(state)
 
     @staticmethod
-    def _edit_channel(state: GlobalState, src: int, dst: int,
-                      new_channel: tuple) -> tuple:
-        """The state's channels tuple with one channel replaced.
-        Rebuilds only the affected row; the other rows are shared."""
-        channels = state.channels
-        row = channels[src]
-        new_row = row[:dst] + (intern_channel(new_channel),) + row[dst + 1:]
-        return channels[:src] + (new_row,) + channels[src + 1:]
+    def _fault_successors(state: GlobalState):
+        """Fault transitions, the same for both engines: lose or
+        duplicate any in-flight message, while budget remains.  Pure
+        channel edits -- no handler runs -- so they cannot raise.  Note
+        these never fire on an empty network, so fault budgets cannot
+        mask a real deadlock (a state with all nodes blocked and no
+        messages in flight still has no successor)."""
+        drops, dups = state.faults
+        for src, row in enumerate(state.channels):
+            for dst, channel in enumerate(row):
+                for index, msg in enumerate(channel):
+                    where = f"{msg.tag} {src}->{dst}[{index}] blk={msg.block}"
+                    if drops:
+                        yield f"drop {where}", state.with_channel(
+                            src, dst, channel[:index] + channel[index + 1:],
+                            (drops - 1, dups))
+                    if dups:
+                        yield f"dup {where}", state.with_channel(
+                            src, dst, channel + (msg,), (drops, dups - 1))
 
     # -- search -------------------------------------------------------------
 
@@ -1129,58 +1101,65 @@ class ModelChecker:
         atlas = self.atlas
         fp = self.fingerprint_fn if self.fingerprint_states else None
         certify = self._canon is not None and self._canon.perms
-        # Sleep sets prune some moves, so under POR the symmetry
-        # comparison recomputes the full successor set (None).
-        sym_keys = [] if certify and por is None else None
         out_degree = 0
-        if atlas is not None:
-            atlas.expand(state, fp=key if fp is not None else None)
         successors = (self._successors(state) if por is None
                       else por.successors(state, key))
-        if prof is not None:
-            successors = prof.timed_successors(successors)
-        for label, successor in successors:
-            out_degree += 1
-            if prof is None or fp is None:
-                succ_key = fp(successor) if fp else successor
-            else:
-                t0 = time.perf_counter()
-                succ_key = fp(successor)
-                prof.add_phase("fingerprint", time.perf_counter() - t0)
-            if sym_keys is not None:
-                sym_keys.append(succ_key)
+        if prof is None and atlas is None and not certify:
+            # No observer (decided once per state, not per successor):
+            # the triples are the enumerator's pairs plus the key.
+            for label, successor in successors:
+                out_degree += 1
+                yield label, successor, fp(successor) if fp else successor
+        else:
+            # Sleep sets prune some moves, so under POR the symmetry
+            # comparison recomputes the full successor set (None).
+            sym_keys = [] if certify and por is None else None
             if atlas is not None:
-                # Every generated successor is an edge, even when its
-                # target was already visited or routed -- recorded
-                # before the consumer's dedupe, which is not an edge
-                # dedupe.  Reuses the fingerprint when one is on hand.
-                atlas.edge(label, successor,
-                           fp=succ_key if fp is not None else None)
-            if prof is None:
+                atlas.expand(state, fp=key if fp is not None else None)
+            if prof is not None:
+                successors = prof.timed_successors(successors)
+            for label, successor in successors:
+                out_degree += 1
+                if prof is None or fp is None:
+                    succ_key = fp(successor) if fp else successor
+                else:
+                    t0 = time.perf_counter()
+                    succ_key = fp(successor)
+                    prof.add_phase("fingerprint", time.perf_counter() - t0)
+                if sym_keys is not None:
+                    sym_keys.append(succ_key)
+                if atlas is not None:
+                    # Every generated successor is an edge, even when its
+                    # target was already visited or routed -- recorded
+                    # before the consumer's dedupe, which is not an edge
+                    # dedupe.  Reuses the fingerprint when one is on hand.
+                    atlas.edge(label, successor,
+                               fp=succ_key if fp is not None else None)
+                if prof is None:
+                    yield label, successor, succ_key
+                    continue
+                # Whatever the consumer does with the triple is the
+                # "visited" phase, less the invariant suite, which _accept
+                # times itself.
+                judged = prof.phases.get("invariants", 0.0)
+                t0 = time.perf_counter()
                 yield label, successor, succ_key
-                continue
-            # Whatever the consumer does with the triple is the
-            # "visited" phase, less the invariant suite, which _accept
-            # times itself.
-            judged = prof.phases.get("invariants", 0.0)
-            t0 = time.perf_counter()
-            yield label, successor, succ_key
-            spent = time.perf_counter() - t0
-            judged -= prof.phases.get("invariants", 0.0)
-            prof.add_phase("visited", spent + judged)
-        if certify:
-            # Certification expands the orbit siblings: a side
-            # computation, not exploration.  It runs with the coverage
-            # counters and the profiler detached, so handler_fires and
-            # the dispatch table count explored transitions only.
-            fires, self._handler_fires = self._handler_fires, {}
-            self.profiler = None
-            try:
-                self._certify_symmetry(state, sym_keys)
-            finally:
-                self._handler_fires, self.profiler = fires, prof
-        if prof is not None:
-            prof.add_out_degree(out_degree)
+                spent = time.perf_counter() - t0
+                judged -= prof.phases.get("invariants", 0.0)
+                prof.add_phase("visited", spent + judged)
+            if certify:
+                # Certification expands the orbit siblings: a side
+                # computation, not exploration.  It runs with the coverage
+                # counters and the profiler detached, so handler_fires and
+                # the dispatch table count explored transitions only.
+                fires, self._handler_fires = self._handler_fires, {}
+                self.profiler = None
+                try:
+                    self._certify_symmetry(state, sym_keys)
+                finally:
+                    self._handler_fires, self.profiler = fires, prof
+            if prof is not None:
+                prof.add_out_degree(out_degree)
         # A state whose every enabled move sleeps yields nothing here,
         # yet is no deadlock.
         if not out_degree and (por is None or not por.any_enabled):

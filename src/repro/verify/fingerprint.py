@@ -434,18 +434,17 @@ def canonical_fingerprint_fn(protocol, n_nodes: int, n_blocks: int):
 
     Returns a ``state -> int`` callable computing the min fingerprint
     over the full home-fixing free-node permutation group, caching the
-    result on the (frozen, interned) state object the same way the
-    checker caches congestion counts -- repeat lookups of one state are
-    an attribute read.
+    result in the state's ``_canon_fp`` slot (the checker interns states
+    under symmetry reduction so that a state reached again is the object
+    that holds it) -- repeat lookups of one state are an attribute read.
     """
     canon = SymmetryCanonicalizer(protocol, n_nodes, n_blocks,
                                   perm_cap=None)
 
     def canonical_fp(state: GlobalState, _canon=canon) -> int:
-        cached = state.__dict__.get("_canon_fp")
+        cached = state._canon_fp
         if cached is None:
-            cached = _canon.canonical_fingerprint(state)
-            object.__setattr__(state, "_canon_fp", cached)
+            cached = state._canon_fp = _canon.canonical_fingerprint(state)
         return cached
 
     canonical_fp.canonicalizer = canon

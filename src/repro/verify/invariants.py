@@ -52,20 +52,8 @@ def single_writer(state: GlobalState,
     return None
 
 
-# The factories below memoise their closures per limit so that two
-# calls with the same limit return the *same* function object.  The
-# checker's cross-run invariant-verdict cache is keyed by the invariant
-# tuple; stable identities let every `standard_invariants()` caller
-# share it.
-_FACTORY_CACHE: dict = {}
-
-
 def bounded_queues(limit: int = 16) -> Invariant:
     """Deferred queues must stay bounded (else redelivery never drains)."""
-    cached = _FACTORY_CACHE.get(("queues", limit))
-    if cached is not None:
-        return cached
-
     def check(state: GlobalState,
               protocol: CompiledProtocol) -> Optional[str]:
         for node, node_blocks in enumerate(state.blocks):
@@ -75,16 +63,11 @@ def bounded_queues(limit: int = 16) -> Invariant:
                             f"grew past {limit} messages")
         return None
 
-    _FACTORY_CACHE[("queues", limit)] = check
     return check
 
 
 def bounded_channels(limit: int = 16) -> Invariant:
     """Network channels must stay bounded (request storms are bugs)."""
-    cached = _FACTORY_CACHE.get(("channels", limit))
-    if cached is not None:
-        return cached
-
     def check(state: GlobalState,
               protocol: CompiledProtocol) -> Optional[str]:
         for src, row in enumerate(state.channels):
@@ -94,7 +77,6 @@ def bounded_channels(limit: int = 16) -> Invariant:
                             f"{limit} messages")
         return None
 
-    _FACTORY_CACHE[("channels", limit)] = check
     return check
 
 

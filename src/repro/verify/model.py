@@ -13,54 +13,90 @@ data values" -- is the default here too; block data is not modelled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from repro.runtime.context import Message, ProtocolContext, RuntimeCounters, ZERO_COSTS
-from repro.runtime.context import declared_fields
 from repro.runtime.protocol import CompiledProtocol
 from repro.tempest.memory import ACCESS_CHANGE_RESULT, AccessTag, fault_event_for
 
 
-@dataclass(frozen=True)
-class BlockView:
+class _Record:
+    """What the three state records share.  They are plain ``__slots__``
+    classes, immutable by convention: a field or a cached value is one
+    slot read, no per-instance dictionary exists to grow, and assigning
+    an undeclared name raises.  ``FIELDS`` are the declared values; every
+    other slot is a cache derived from them."""
+
+    __slots__ = ()
+    FIELDS: tuple = ()
+
+    def __reduce__(self):
+        # Pickle the declared fields only and rebuild through __init__:
+        # a cached hash is valid only under the hash seed of the process
+        # that computed it, and no memo should ride the states the
+        # parallel checker ships between workers.
+        return type(self), tuple(getattr(self, name) for name in self.FIELDS)
+
+    def __repr__(self):
+        return "{}({})".format(type(self).__name__, ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self.FIELDS))
+
+
+class BlockView(_Record):
     """One node's frozen view of one block."""
 
-    state_name: str
-    state_args: tuple
-    info: tuple          # sorted (name, value) pairs
-    access: str          # AccessTag.value
-    queue: tuple         # deferred Messages
+    FIELDS = ("state_name", "state_args", "info", "access", "queue")
+    __slots__ = FIELDS + ("_hash",)
 
-    __getstate__ = declared_fields
+    def __init__(self, state_name: str, state_args: tuple, info: tuple,
+                 access: str, queue: tuple):
+        self.state_name = state_name
+        self.state_args = state_args
+        self.info = info          # sorted (name, value) pairs
+        self.access = access      # AccessTag.value
+        self.queue = queue        # deferred Messages
+        # Every view is hashed (the intern table below, then each state
+        # holding it), so the hash is computed here, once.
+        self._hash = hash((state_name, state_args, info, access, queue))
 
     def __hash__(self):
-        # Views are shared across thousands of states (see the intern
-        # table below) and hashed on every visited-set insert; compute
-        # once on the same basis as the dataclass-generated hash.
-        cached = self.__dict__.get("_hash")
-        if cached is None:
-            cached = hash((self.state_name, self.state_args, self.info,
-                           self.access, self.queue))
-            object.__setattr__(self, "_hash", cached)
-        return cached
+        return self._hash
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not BlockView:
+            return NotImplemented
+        return (self._hash == other._hash
+                and self.state_name == other.state_name
+                and self.state_args == other.state_args
+                and self.info == other.info
+                and self.access == other.access
+                and self.queue == other.queue)
 
 
-@dataclass(frozen=True)
-class AppView:
+class AppView(_Record):
     """One node's frozen application status."""
 
-    blocked_on: Optional[int]
-    gen: tuple           # event-generator-specific state
+    FIELDS = ("blocked_on", "gen")
+    __slots__ = FIELDS + ("_hash",)
 
-    __getstate__ = declared_fields
+    def __init__(self, blocked_on: Optional[int], gen: tuple):
+        self.blocked_on = blocked_on
+        self.gen = gen            # event-generator-specific state
+        self._hash = hash((blocked_on, gen))
 
     def __hash__(self):
-        cached = self.__dict__.get("_hash")
-        if cached is None:
-            cached = hash((self.blocked_on, self.gen))
-            object.__setattr__(self, "_hash", cached)
-        return cached
+        return self._hash
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not AppView:
+            return NotImplemented
+        return (self._hash == other._hash
+                and self.blocked_on == other.blocked_on
+                and self.gen == other.gen)
 
 
 # -- interning -------------------------------------------------------------
@@ -87,9 +123,7 @@ def intern_view(state_name: str, state_args: tuple, info: tuple,
     key = (state_name, state_args, info, access, queue)
     view = _VIEW_INTERN.get(key)
     if view is None:
-        view = _VIEW_INTERN[key] = BlockView(
-            state_name=state_name, state_args=state_args, info=info,
-            access=access, queue=queue)
+        view = _VIEW_INTERN[key] = BlockView(*key)
     return view
 
 
@@ -103,32 +137,55 @@ def intern_channel(channel: tuple) -> tuple:
     return _CHANNEL_INTERN.setdefault(channel, channel)
 
 
-@dataclass(frozen=True)
-class GlobalState:
+class GlobalState(_Record):
     """A hashable snapshot of the entire verified system."""
 
-    blocks: tuple        # blocks[node][block] -> BlockView
-    apps: tuple          # apps[node] -> AppView
-    channels: tuple      # channels[src][dst] -> tuple[Message, ...]
-    # Remaining fault budget (drops, dups) the exploration may still
-    # spend on this path; (0, 0) -- the default -- is fault-free
-    # checking and keeps fingerprints/checkpoints byte-compatible.
-    faults: tuple = (0, 0)
+    FIELDS = ("blocks", "apps", "channels", "faults")
+    # Caches: the hash (a fingerprint-keyed run never asks for it), the
+    # checker's (channel_cap, congestion count) and, under symmetry
+    # reduction, the canonical fingerprint.
+    __slots__ = FIELDS + ("_hash", "_cong", "_canon_fp")
 
-    __getstate__ = declared_fields
+    def __init__(self, blocks: tuple, apps: tuple, channels: tuple,
+                 faults: tuple = (0, 0)):
+        self.blocks = blocks      # blocks[node][block] -> BlockView
+        self.apps = apps          # apps[node] -> AppView
+        self.channels = channels  # channels[src][dst] -> tuple[Message, ...]
+        # Remaining fault budget (drops, dups) the exploration may still
+        # spend on this path; (0, 0) -- the default -- is fault-free
+        # checking and keeps fingerprints/checkpoints byte-compatible.
+        self.faults = faults
+        self._hash = self._cong = self._canon_fp = None
 
     def __hash__(self):
-        # Hashing recurses over every view, message, and queue; the
-        # checker's visited set (and any observer keyed by state) asks
-        # for it several times per snapshot, so compute once.  Same
-        # basis as the dataclass-generated hash, hence the same
-        # equal-implies-equal-hash contract.
-        cached = self.__dict__.get("_hash")
+        # Hashing recurses over every view, message, and queue, and the
+        # visited set, the parent pointers and any observer keyed by
+        # state each ask for it: compute once.
+        cached = self._hash
         if cached is None:
-            cached = hash((self.blocks, self.apps, self.channels,
-                           self.faults))
-            object.__setattr__(self, "_hash", cached)
+            cached = self._hash = hash((self.blocks, self.apps,
+                                        self.channels, self.faults))
         return cached
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not GlobalState:
+            return NotImplemented
+        return (self.blocks == other.blocks and self.apps == other.apps
+                and self.channels == other.channels
+                and self.faults == other.faults)
+
+    def with_channel(self, src: int, dst: int, channel: tuple,
+                     faults: tuple) -> "GlobalState":
+        """This state after a drop/dup fault transition: one channel
+        replaced (only its row is rebuilt, the others are shared) and
+        ``faults`` budget left.  No handler runs, nothing else moves."""
+        rows = self.channels
+        row = rows[src]
+        row = row[:dst] + (intern_channel(channel),) + row[dst + 1:]
+        return GlobalState(self.blocks, self.apps,
+                           rows[:src] + (row,) + rows[src + 1:], faults)
 
     def channel(self, src: int, dst: int) -> tuple:
         return self.channels[src][dst]
@@ -231,14 +288,14 @@ class CheckerViolation(Exception):
         self.message = message
 
 
-class CheckerContext(ProtocolContext):
-    """ProtocolContext over a MutableState (no costs, no data values)."""
+class _ModelContext(ProtocolContext):
+    """What the checker's two contexts share: the message in hand, no
+    costs, no data values, and errors that abort the rule.  Where the
+    block records live -- so every record access -- is each context's
+    own: the legacy one stays an independent reference for the fast."""
 
-    def __init__(self, protocol: CompiledProtocol, state: MutableState,
-                 node: int, home_of):
+    def __init__(self, protocol: CompiledProtocol, home_of):
         self.protocol = protocol
-        self.state = state
-        self._node = node
         self._home_of = home_of
         self._message: Optional[Message] = None
         self.counters = RuntimeCounters()
@@ -248,12 +305,6 @@ class CheckerContext(ProtocolContext):
     def begin(self, message: Message) -> None:
         self._message = message
 
-    # -- identity ---------------------------------------------------------
-
-    @property
-    def node(self) -> int:
-        return self._node
-
     @property
     def current_message(self) -> Message:
         assert self._message is not None
@@ -261,6 +312,51 @@ class CheckerContext(ProtocolContext):
 
     def home_node(self, block: int) -> int:
         return self._home_of(block)
+
+    def recv_data(self, block: int, mode: str) -> None:
+        if self.current_message.data is None:
+            self.error(
+                f"RecvData but message {self.current_message.tag} "
+                "carries no data")
+            return
+        self.access_change(block, mode)
+
+    def read_word(self, block: int, addr: int):
+        return 0  # data values are not modelled (Section 7)
+
+    def write_word(self, block: int, addr: int, value) -> None:
+        pass
+
+    def error(self, message: str) -> None:
+        raise CheckerViolation(message)
+
+    def debug_print(self, values: list) -> None:
+        pass
+
+    def support_call(self, name: str, args: list):
+        raise CheckerViolation(
+            f"support routine {name!r} has no checker model")
+
+    def support_const(self, name: str):
+        raise CheckerViolation(
+            f"abstract constant {name!r} has no checker model")
+
+    def charge(self, cycles: int) -> None:
+        pass
+
+
+class CheckerContext(_ModelContext):
+    """ProtocolContext over a MutableState (no costs, no data values)."""
+
+    def __init__(self, protocol: CompiledProtocol, state: MutableState,
+                 node: int, home_of):
+        super().__init__(protocol, home_of)
+        self.state = state
+        self._node = node
+
+    @property
+    def node(self) -> int:
+        return self._node
 
     # -- block record --------------------------------------------------------
 
@@ -300,20 +396,6 @@ class CheckerContext(ProtocolContext):
             return
         self.state.record(self._node, block)["access"] = tag.value
 
-    def recv_data(self, block: int, mode: str) -> None:
-        if self.current_message.data is None:
-            self.error(
-                f"RecvData but message {self.current_message.tag} "
-                "carries no data")
-            return
-        self.access_change(block, mode)
-
-    def read_word(self, block: int, addr: int):
-        return 0  # data values are not modelled (Section 7)
-
-    def write_word(self, block: int, addr: int, value) -> None:
-        pass
-
     def enqueue_current(self) -> None:
         self.counters.queue_allocs += 1
         self._record()["queue"].append(self.current_message)
@@ -326,23 +408,6 @@ class CheckerContext(ProtocolContext):
         if app["blocked_on"] == block:
             app["blocked_on"] = None
             self.woken.append(block)
-
-    def error(self, message: str) -> None:
-        raise CheckerViolation(message)
-
-    def debug_print(self, values: list) -> None:
-        pass
-
-    def support_call(self, name: str, args: list):
-        raise CheckerViolation(
-            f"support routine {name!r} has no checker model")
-
-    def support_const(self, name: str):
-        raise CheckerViolation(
-            f"abstract constant {name!r} has no checker model")
-
-    def charge(self, cycles: int) -> None:
-        pass
 
 
 class ActionScratch:
@@ -426,8 +491,8 @@ class ActionScratch:
         apps = self.parent.apps
         if self.blocked_on != self._parent_app.blocked_on:
             apps = apps[:node] + (
-                AppView(blocked_on=self.blocked_on,
-                        gen=self._parent_app.gen),) + apps[node + 1:]
+                AppView(self.blocked_on, self._parent_app.gen),
+            ) + apps[node + 1:]
         channels = self.parent.channels
         if self.sends:
             appended: dict = {}
@@ -437,8 +502,7 @@ class ActionScratch:
             for dst, extra in appended.items():
                 row[dst] = intern_channel(row[dst] + tuple(extra))
             channels = channels[:node] + (tuple(row),) + channels[node + 1:]
-        return GlobalState(blocks=blocks, apps=apps, channels=channels,
-                           faults=self.parent.faults)
+        return GlobalState(blocks, apps, channels, self.parent.faults)
 
 
 class ActionEffects:
@@ -462,34 +526,18 @@ class ActionEffects:
         self.error = error              # CheckerViolation message, or None
 
 
-class ActionContext(ProtocolContext):
+class ActionContext(_ModelContext):
     """ProtocolContext over an :class:`ActionScratch` (the fast engine's
     counterpart of :class:`CheckerContext`; identical semantics)."""
 
     def __init__(self, protocol: CompiledProtocol, scratch: ActionScratch,
                  home_of):
-        self.protocol = protocol
+        super().__init__(protocol, home_of)
         self.scratch = scratch
-        self._home_of = home_of
-        self._message: Optional[Message] = None
-        self.counters = RuntimeCounters()
-        self.costs = ZERO_COSTS
-        self.woken: list[int] = []
-
-    def begin(self, message: Message) -> None:
-        self._message = message
 
     @property
     def node(self) -> int:
         return self.scratch.node
-
-    @property
-    def current_message(self) -> Message:
-        assert self._message is not None
-        return self._message
-
-    def home_node(self, block: int) -> int:
-        return self._home_of(block)
 
     def _record(self) -> dict:
         return self.scratch.record(self._message.block)
@@ -525,20 +573,6 @@ class ActionContext(ProtocolContext):
             return
         self.scratch.record(block)["access"] = tag.value
 
-    def recv_data(self, block: int, mode: str) -> None:
-        if self.current_message.data is None:
-            self.error(
-                f"RecvData but message {self.current_message.tag} "
-                "carries no data")
-            return
-        self.access_change(block, mode)
-
-    def read_word(self, block: int, addr: int):
-        return 0  # data values are not modelled (Section 7)
-
-    def write_word(self, block: int, addr: int, value) -> None:
-        pass
-
     def enqueue_current(self) -> None:
         self.counters.queue_allocs += 1
         self._record()["queue"].append(self.current_message)
@@ -550,23 +584,6 @@ class ActionContext(ProtocolContext):
         if self.scratch.blocked_on == block:
             self.scratch.blocked_on = None
             self.woken.append(block)
-
-    def error(self, message: str) -> None:
-        raise CheckerViolation(message)
-
-    def debug_print(self, values: list) -> None:
-        pass
-
-    def support_call(self, name: str, args: list):
-        raise CheckerViolation(
-            f"support routine {name!r} has no checker model")
-
-    def support_const(self, name: str):
-        raise CheckerViolation(
-            f"abstract constant {name!r} has no checker model")
-
-    def charge(self, cycles: int) -> None:
-        pass
 
 
 def initial_global_state(protocol: CompiledProtocol, n_nodes: int,
@@ -588,15 +605,11 @@ def initial_global_state(protocol: CompiledProtocol, n_nodes: int,
                 tuple(sorted(protocol.initial_info().items())),
                 access, ()))
         blocks.append(tuple(node_blocks))
-    apps = tuple(
-        AppView(blocked_on=None, gen=gen_initial(node))
-        for node in range(n_nodes)
-    )
+    apps = tuple(AppView(None, gen_initial(node)) for node in range(n_nodes))
     channels = tuple(
         tuple(() for _dst in range(n_nodes)) for _src in range(n_nodes)
     )
-    return GlobalState(blocks=tuple(blocks), apps=apps, channels=channels,
-                       faults=faults)
+    return GlobalState(tuple(blocks), apps, channels, faults)
 
 
 def fault_for_access(access_value: str, is_write: bool) -> Optional[str]:

@@ -25,10 +25,13 @@ from functools import partial
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import api
 from repro.api import CheckOptions, CheckpointOptions, ReductionOptions
 from repro.faults import FaultBudget
+from repro.runtime.context import Message
 from repro.verify import CheckpointError, load_checkpoint
 from repro.verify.checkpoint import (
     CHECKPOINT_VERSION,
@@ -37,6 +40,14 @@ from repro.verify.checkpoint import (
     decode_checkpoint,
     replay_frontier,
     write_checkpoint,
+)
+from repro.verify.checker import ModelChecker
+from repro.verify.model import (
+    ActionEffects,
+    AppView,
+    BlockView,
+    GlobalState,
+    intern_view,
 )
 from test_resilience import make_parallel, make_serial, outcome
 
@@ -323,7 +334,8 @@ def test_resume_refuses_other_reduction_or_fault_config(tmp_path, flag,
 
 
 # ---------------------------------------------------------------------------
-# (vi) the engine's process-global tables grow with states, not transitions
+# (vi) the engine's process-global tables grow with states, not transitions,
+#      and a state is interned only where something rides the interned object
 # ---------------------------------------------------------------------------
 
 
@@ -331,11 +343,128 @@ def test_engine_tables_hold_no_per_transition_entries():
     from repro.backends import CompiledEngine
     from repro.verify import checker
 
-    checker._ENGINE_CACHES.clear()
-    result = api.check("lcm", CheckOptions(nodes=3))
     protocol = api.compile_protocol("lcm", CheckOptions().compile)
-    tables = checker._engine_caches_for(protocol, CompiledEngine, 3)
-    assert result.transitions > 3 * result.states_explored
-    assert tables
-    for table in tables:
-        assert 0 < len(table) <= result.states_explored
+
+    def interned_after(**options):
+        checker._ENGINE_CACHES.clear()
+        result = api.check("lcm", CheckOptions(nodes=3, **options))
+        effects, intern = checker._engine_caches_for(
+            protocol, CompiledEngine, 3)
+        assert result.transitions > 3 * result.states_explored
+        assert 0 < len(effects) <= result.states_explored
+        return len(intern), result.states_explored
+
+    # A full-state run holds each state in its visited set, a
+    # fingerprint-keyed one in its frontier only; neither interns.
+    interned, concrete_states = interned_after()
+    assert interned == 0
+    assert interned_after(fingerprints=True)[0] == 0
+    # Symmetry reduction memoises the canonical fingerprint on the state
+    # object, so it interns -- the concrete states it builds (orbit
+    # siblings' successors included), never one entry per transition.
+    interned, canonical_states = interned_after(
+        reduction=ReductionOptions(symmetry=True))
+    assert canonical_states < concrete_states
+    assert 0 < interned <= concrete_states
+
+
+# ---------------------------------------------------------------------------
+# (vii) the state records: slotted, keyword-constructible, and a successor's
+#       carried congestion count is the from-scratch one
+# ---------------------------------------------------------------------------
+
+CAP = 2
+N = 3
+_MSG = partial(Message, "REQ", 0)
+_FILL = st.integers(min_value=0, max_value=CAP + 1)
+
+
+def _channel(src, dst, length):
+    return tuple(_MSG(src=src, dst=dst, payload=(i,)) for i in range(length))
+
+
+def _view(queue_len):
+    return intern_view("Cache_Invalid", (), (), "Invalid",
+                       _channel(0, 0, queue_len))
+
+
+@settings(max_examples=200, deadline=None)
+@given(fills=st.lists(_FILL, min_size=N * N, max_size=N * N),
+       queues=st.lists(_FILL, min_size=N, max_size=N),
+       node=st.integers(0, N - 1), queue_after=st.none() | _FILL,
+       send_to=st.lists(st.integers(0, N - 1), max_size=3),
+       remove=st.none() | st.tuples(st.integers(0, N - 1),
+                                    st.integers(0, CAP)))
+def test_carried_congestion_count_equals_a_recount(
+        fills, queues, node, queue_after, send_to, remove):
+    """Every way a channel or queue can cross ``channel_cap`` in one
+    action -- the delivered message leaving a full channel, sends
+    refilling that same channel (``node`` to itself), two sends to one
+    destination, a deferred queue growing or draining past the cap --
+    against a recount of the successor from nothing."""
+    checker = ModelChecker(api.compile_protocol("stache"), n_nodes=N,
+                           channel_cap=CAP)
+    parent = GlobalState(
+        blocks=tuple((_view(queues[n]),) for n in range(N)),
+        apps=tuple(AppView(None, ()) for _ in range(N)),
+        channels=tuple(tuple(_channel(s, d, fills[s * N + d])
+                             for d in range(N)) for s in range(N)))
+    expected = [[list(channel) for channel in row] for row in parent.channels]
+    removed = None
+    if remove is not None and remove[1] < len(parent.channels[remove[0]][node]):
+        removed = (remove[0], node, remove[1])
+        del expected[remove[0]][node][remove[1]]
+    sends = tuple(_MSG(src=node, dst=dst, payload=(9,)) for dst in send_to)
+    for message in sends:
+        expected[node][message.dst].append(message)
+    views = () if queue_after is None else ((0, _view(queue_after)),)
+    effects = ActionEffects(views, sends, None, (), None)
+
+    checker._congestion_count(parent)
+    successor = checker._build_successor(parent, node, effects,
+                                         removed=removed)
+    assert successor.channels == tuple(
+        tuple(tuple(channel) for channel in row) for row in expected)
+    if queue_after is not None:
+        assert len(successor.blocks[node][0].queue) == queue_after
+    recount = sum(len(channel) >= CAP
+                  for row in successor.channels for channel in row)
+    recount += sum(len(row[0].queue) >= CAP for row in successor.blocks)
+    assert successor._cong == (CAP, recount)
+    twin = GlobalState(successor.blocks, successor.apps, successor.channels)
+    assert twin._cong is None
+    assert checker._congestion_count(twin) == recount
+
+
+def test_state_records_take_keywords_and_print_their_fields():
+    view = BlockView(state_name="Home_Idle", state_args=(1,),
+                     info=(("owner", 0),), access="ReadWrite", queue=())
+    app = AppView(blocked_on=None, gen=(0, 1))
+    state = GlobalState(blocks=((view,),), apps=(app,), channels=(((),),),
+                        faults=(1, 0))
+    assert repr(view) == ("BlockView(state_name='Home_Idle', "
+                          "state_args=(1,), info=(('owner', 0),), "
+                          "access='ReadWrite', queue=())")
+    assert repr(app) == "AppView(blocked_on=None, gen=(0, 1))"
+    assert repr(state) == (f"GlobalState(blocks=(({view!r},),), "
+                           f"apps=({app!r},), channels=(((),),), "
+                           "faults=(1, 0))")
+    assert GlobalState(((view,),), (app,), (((),),)).faults == (0, 0)
+    assert state == GlobalState(((BlockView("Home_Idle", (1,),
+                                            (("owner", 0),), "ReadWrite",
+                                            ()),),),
+                                (AppView(None, (0, 1)),), (((),),), (1, 0))
+    assert view != app and state != view
+
+
+@pytest.mark.parametrize("record", [
+    BlockView("Home_Idle", (), (), "ReadWrite", ()),
+    AppView(None, ()),
+    GlobalState((), (), ()),
+], ids=lambda record: type(record).__name__)
+def test_state_records_grow_no_dict(record):
+    assert not hasattr(record, "__dict__")
+    with pytest.raises(AttributeError):
+        record.memo = 1
+    with pytest.raises(AttributeError):
+        object.__setattr__(record, "_fingerprint", 1)

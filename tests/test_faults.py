@@ -453,7 +453,7 @@ class TestCheckerFaults:
 
     # Pinned explored-space sizes under each fault budget, verified
     # identical on the fast and legacy engines.  Fault successors run
-    # through ``_edit_channel`` (the single-row channel-matrix rebuild),
+    # through ``GlobalState.with_channel`` (the single-row rebuild),
     # so any edit that perturbs the rebuilt state -- or dedupes it
     # differently -- shows up here as a count shift.
     FAULT_SPACE = {

@@ -12,6 +12,8 @@ correct for them, not just fast), and over every renaming the symmetry
 canonicalizer produces; four hex literals pin the wire format itself.
 """
 
+import json
+import os
 import pickle
 import subprocess
 import sys
@@ -290,26 +292,55 @@ def test_encoding_memo_is_bounded_by_the_intern_tables():
 
 # -- pickled states carry no caches --------------------------------------------
 
+_PICKLE_PROBE = """
+import json, pickle, sys
+from repro.verify.fingerprint import state_from_jsonable
+state = state_from_jsonable(json.load(sys.stdin))
+hash(state)                      # a cached hash exists before pickling
+sys.stdout.buffer.write(pickle.dumps(state))
+"""
+
+
 def test_pickled_state_holds_declared_fields_only():
     state = corpus("lcm", "fast")[-1]
-    cold = state_from_jsonable(state_to_jsonable(state))
+    payload = state_to_jsonable(state)
+    cold = state_from_jsonable(payload)
     size_before = len(pickle.dumps(cold))
     hash(cold)
     fingerprint(cold)
     SymmetryCanonicalizer(api.compile_protocol("lcm"), 3, 1,
                           perm_cap=None).canonical_fingerprint(cold)
-    assert "_hash" in cold.__dict__ and "_hash" in cold.blocks[0][0].__dict__
+    assert cold._hash is not None
     assert len(pickle.dumps(cold)) == size_before
 
     shipped = pickle.loads(pickle.dumps(cold))
-    parts = [shipped, *shipped.apps,
-             *(view for row in shipped.blocks for view in row),
-             *(msg for row in shipped.channels for ch in row for msg in ch),
-             *(msg for row in shipped.blocks for view in row
-               for msg in view.queue)]
-    assert {type(part) for part in parts} \
-        >= {GlobalState, AppView, BlockView, Message}
-    for part in parts:
-        assert set(part.__dict__) == set(part.__dataclass_fields__)
+    records = [shipped, *shipped.apps,
+               *(view for row in shipped.blocks for view in row)]
+    messages = [*(msg for row in shipped.channels for ch in row for msg in ch),
+                *(msg for row in shipped.blocks for view in row
+                  for msg in view.queue)]
+    assert {type(part) for part in records} == {GlobalState, AppView,
+                                                BlockView}
+    for part in records:
+        # Slotted: the caches have a slot each and nothing else can grow.
+        assert not hasattr(part, "__dict__")
+    assert shipped._hash is shipped._cong is shipped._canon_fp is None
+    assert messages
+    for msg in messages:
+        assert set(msg.__dict__) == set(msg.__dataclass_fields__)
     assert shipped == cold
     assert fingerprint(shipped) == fingerprint(cold)
+
+    # A hash computed under another seed must not cross the process
+    # boundary: the child hashes its state before pickling it.
+    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    foreign = pickle.loads(subprocess.run(
+        [sys.executable, "-c", _PICKLE_PROBE], check=True,
+        input=json.dumps(payload).encode(), capture_output=True,
+        env={"PYTHONPATH": SRC, "PYTHONHASHSEED": seed}).stdout)
+    twin = state_from_jsonable(payload)
+    assert foreign == twin and foreign is not twin
+    assert hash(foreign) == hash(twin)
+    assert foreign in {twin}
+    assert all(hash(theirs) == hash(ours)
+               for theirs, ours in zip(foreign.blocks[0], twin.blocks[0]))
