@@ -235,10 +235,6 @@ class CheckOptions:
     # The parallel checker always fingerprints, as does symmetry
     # reduction (the orbit quotient is keyed by canonical fingerprint).
     fingerprints: bool = False
-    # Successor engine: "fast" (mutate-and-undo journals, interned
-    # states, memoized action effects) or "legacy" (the original
-    # freeze-per-successor path, kept as a differential oracle).
-    engine: str = "fast"
     # Grouped sub-options.
     reduction: ReductionOptions = ReductionOptions()
     progress: ProgressOptions = ProgressOptions()
@@ -373,8 +369,10 @@ def check(target: Target,
     reduction = options.reduction
     checkpointing = bool(options.checkpoint.out
                          or options.checkpoint.resume)
-    if options.workers < 0:
-        raise ValueError("CheckOptions.workers must be >= 0")
+    for name, floor in (("nodes", 1), ("addresses", 1), ("reorder", 0),
+                        ("workers", 0)):
+        if getattr(options, name) < floor:
+            raise ValueError(f"CheckOptions.{name} must be >= {floor}")
     if options.on_worker_loss not in ("fail", "degrade"):
         raise ValueError(
             f"CheckOptions.on_worker_loss must be 'fail' or 'degrade', "
@@ -415,7 +413,6 @@ def check(target: Target,
             fault_budget=options.faults,
             profiler=profiler,
             atlas=atlas,
-            engine=options.engine,
             symmetry=symmetry,
             check_progress=options.liveness,
             por=reduction.por,
@@ -484,6 +481,8 @@ def simulate(target: Target,
 
     n_nodes = options.nodes
     if workload is not None:
+        if n_nodes < 1:
+            raise ValueError("SimOptions.nodes must be >= 1")
         table = {**STACHE_WORKLOADS, **LCM_WORKLOADS}
         if workload not in table:
             raise ValueError(

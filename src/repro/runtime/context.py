@@ -169,7 +169,7 @@ class ProtocolContext:
 
     Concrete implementations: the simulator node
     (:class:`repro.tempest.node.NodeContext`) and the model checker
-    (:class:`repro.verify.model.CheckerContext`).
+    (:class:`repro.verify.model.ActionContext`).
 
     A context is positioned at one (node, block) pair while a handler
     runs; the engine reads the node id from ``node`` and the message

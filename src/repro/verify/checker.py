@@ -35,10 +35,8 @@ from repro.verify.model import (
     ActionEffects,
     ActionScratch,
     AppView,
-    CheckerContext,
     CheckerViolation,
     GlobalState,
-    MutableState,
     fault_for_access,
     initial_global_state,
     intern_channel,
@@ -55,7 +53,7 @@ _NO_ENTRY = object()
 # only the event generator advances).
 _NO_EFFECTS = ActionEffects((), (), None, (), None)
 
-# Process-global fast-engine caches, shared by every checker over the
+# Process-global engine caches, shared by every checker over the
 # same compiled protocol:
 #
 #   effects  (node, BlockView, Message, blocked_on) -> ActionEffects.
@@ -363,7 +361,6 @@ class ModelChecker:
         fault_budget=None,
         profiler=None,
         atlas=None,
-        engine: str = "fast",
         symmetry: bool = False,
         por: bool = False,
         checkpoint_out: Optional[str] = None,
@@ -494,12 +491,6 @@ class ModelChecker:
         # test_atlas.py pins byte-identical verdicts, fingerprint
         # streams, and checkpoints either way).
         self.atlas = atlas
-        # Successor engine: "fast" (mutate-and-undo journal + effect
-        # replay, the default) or "legacy" (the pre-refactor
-        # copy-the-world path, kept as the differential-test reference).
-        if engine not in ("fast", "legacy"):
-            raise ValueError(f"unknown successor engine {engine!r}")
-        self.engine = engine
         # Checkpointing: stop at a clean cut (see checkpoint.CutPolicy)
         # and write the same v1 JSON format the parallel checker uses,
         # so a serial checkpoint resumes at any worker count and vice
@@ -525,9 +516,8 @@ class ModelChecker:
         # configured, with CheckResult.stop_reason set.
         self.deadline_seconds = deadline_seconds
         self.max_visited_bytes = max_visited_bytes
-        # Fast-engine memo tables (harmless when engine="legacy");
-        # shared process-wide between checkers over the same
-        # protocol/engine -- see _engine_caches_for.
+        # Memo tables shared process-wide between checkers over the
+        # same protocol/engine -- see _engine_caches_for.
         self._action_cache, self._state_intern = _engine_caches_for(
             protocol, interpreter_factory, n_nodes)
         # (state_name, tag) -> handler-fire key or None, so _count_fire
@@ -543,19 +533,20 @@ class ModelChecker:
     def home_of(self, block: int) -> int:
         return block % self.n_nodes
 
-    # -- rule application (fast engine) -------------------------------------
+    # -- rule application ---------------------------------------------------
     #
-    # The default engine never deep-copies a state.  One atomic action is
-    # a deterministic function of (node, the acting block's view, the
+    # The engine never deep-copies a state.  One atomic action is a
+    # deterministic function of (node, the acting block's view, the
     # message, the node's blocked-on marker): every read a handler can
     # make goes through the ProtocolContext block-record accessors on the
     # current message's block, and every write lands on the acting node
-    # (see ActionScratch).  So the checker journals an action once via
-    # mutate-and-undo (ActionScratch + ActionContext), distils it to an
-    # ActionEffects, and caches it under that 4-tuple; subsequent
-    # expansions replay the effects as tuple surgery on interned
-    # substructures -- no MutableState copy, no handler dispatch, no
-    # full-state freeze.
+    # (see ActionScratch).  So the checker journals an action once in a
+    # copy-on-first-touch journal (ActionScratch + ActionContext),
+    # distils it to an ActionEffects, and caches it under that 4-tuple;
+    # subsequent expansions replay the effects as tuple surgery on
+    # interned substructures -- no whole-state copy, no handler dispatch,
+    # no full-state freeze.  (The copy-the-world path this replaced is
+    # the differential oracle, tests/reference_checker.py.)
 
     def _action_effects(self, state: GlobalState, node: int,
                         message: Message, blocked_before) -> ActionEffects:
@@ -771,8 +762,17 @@ class ModelChecker:
                 self.events.choices(gen, node, self.n_blocks))
         return choices
 
-    def _fast_successors(self, state: GlobalState):
-        """Yield (label, successor) pairs; CheckerViolation propagates."""
+    def _successors(self, state: GlobalState, admit=None):
+        """Yield (label, successor) pairs for the moves out of ``state``;
+        a protocol error surfaces as :class:`_LabelledViolation`.
+
+        The one enumeration of a state's moves -- application choices
+        while uncongested, then deliveries inside the reorder window,
+        then fault transitions -- behind exploration, sleep sets, trace
+        replay and symmetry certification.  ``admit(label, actor,
+        kind)``, when given, is asked before a non-fault move executes
+        (``kind`` is ``"app"`` or ``"deliver"``, ``actor`` the node it
+        acts on); a refused move runs no handler and yields nothing."""
         # Application events (gated while the network or a deferred queue
         # is congested, to keep the model finite -- see channel_cap).
         if self._congestion_count(state) == 0:
@@ -781,6 +781,9 @@ class ModelChecker:
                 if app.blocked_on is not None:
                     continue
                 for choice in self._choices(node, app.gen):
+                    if admit is not None and not admit(choice.label, node,
+                                                       "app"):
+                        continue
                     try:
                         successor = self._apply_app_op(
                             state, node, choice.op, choice.new_gen)
@@ -797,6 +800,9 @@ class ModelChecker:
                 for index in range(limit):
                     label = self._delivery_label(
                         channel[index], src, dst, index)
+                    if admit is not None and not admit(label, dst,
+                                                       "deliver"):
+                        continue
                     try:
                         successor = self._apply_delivery(
                             state, src, dst, index)
@@ -805,46 +811,6 @@ class ModelChecker:
                     yield label, successor
         if state.faults != (0, 0):
             yield from self._fault_successors(state)
-
-    # -- rule application (legacy engine) -----------------------------------
-    #
-    # The pre-refactor copy-the-world engine: build a full MutableState
-    # working copy per successor, run the action against it, freeze the
-    # whole thing back.  Kept (a) as the reference the differential
-    # harness pins the fast engine against, and (b) as documentation of
-    # the semantics the fast engine must preserve.  Delete once the fast
-    # engine has soaked.
-
-    def _run_action(self, mutable: MutableState, node: int,
-                    message: Message) -> CheckerContext:
-        """One atomic protocol action: dispatch plus queue redelivery."""
-        prof = self.profiler
-        ctx = CheckerContext(self.protocol, mutable, node, self.home_of)
-        interp = self.interpreter_factory(self.protocol, ctx)
-        record = mutable.record(node, message.block)
-        record["state_changed"] = False
-        key = self._count_fire(record["state_name"], message.tag)
-        ctx.begin(message)
-        if prof is None:
-            interp.dispatch()
-        else:
-            t0 = time.perf_counter()
-            interp.dispatch()
-            prof.add_dispatch(key, time.perf_counter() - t0)
-        while record["state_changed"] and record["queue"]:
-            record["state_changed"] = False
-            drained = record["queue"]
-            record["queue"] = []
-            for deferred in drained:
-                key = self._count_fire(record["state_name"], deferred.tag)
-                ctx.begin(deferred)
-                if prof is None:
-                    interp.dispatch()
-                else:
-                    t0 = time.perf_counter()
-                    interp.dispatch()
-                    prof.add_dispatch(key, time.perf_counter() - t0)
-        return ctx
 
     def _count_fire(self, state_name: str, tag: str) -> Optional[str]:
         """Coverage accounting: the handler about to run for ``tag`` in
@@ -867,45 +833,6 @@ class ModelChecker:
         fires = self._handler_fires
         fires[key] = fires.get(key, 0) + 1
         return key
-
-    def _legacy_apply_app_op(self, state: GlobalState, node: int, op: tuple,
-                             new_gen: tuple) -> Optional[GlobalState]:
-        """Issue an application operation; returns the successor state."""
-        mutable = MutableState(state, self.n_nodes, self.n_blocks)
-        mutable.apps[node]["gen"] = new_gen
-        kind = op[0]
-        if kind in ("read", "write"):
-            block = op[1]
-            access = mutable.record(node, block)["access"]
-            fault = fault_for_access(access, kind == "write")
-            if fault is None:
-                return mutable.freeze()  # hit: only the generator advanced
-            mutable.apps[node]["blocked_on"] = block
-            message = Message(fault, block, src=node, dst=node)
-        else:  # program event (CAS, sync, LCM enter/exit, ...)
-            _kind, tag, block = op[0], op[1], op[2]
-            payload = op[3] if len(op) > 3 else ()
-            mutable.apps[node]["blocked_on"] = block
-            message = Message(tag, block, src=node, dst=node,
-                              payload=payload)
-        self._run_action(mutable, node, message)
-        return mutable.freeze()
-
-    def _legacy_apply_delivery(self, state: GlobalState, src: int, dst: int,
-                               index: int) -> GlobalState:
-        mutable = MutableState(state, self.n_nodes, self.n_blocks)
-        message = mutable.channels[src][dst].pop(index)
-        self._run_action(mutable, dst, message)
-        return mutable.freeze()
-
-    def _successors(self, state: GlobalState):
-        """Yield (label, successor) pairs; CheckerViolation propagates
-        (wrapped as _LabelledViolation).  Dispatches to the configured
-        engine; both produce identical labels, successor states, and
-        handler-fire counts, in identical order."""
-        if self.engine == "legacy":
-            return self._legacy_successors(state)
-        return self._fast_successors(state)
 
     def _certify_symmetry(self, state: GlobalState, succ_keys=None) -> None:
         """Certify the node-symmetry assumption at one expanded state.
@@ -960,56 +887,14 @@ class ModelChecker:
                     "one specific sharer), so symmetry reduction would "
                     "silently skip reachable states")
 
-    def _legacy_successors(self, state: GlobalState):
-        """Yield (label, successor) pairs; CheckerViolation propagates."""
-        # Application events (gated while the network or a deferred queue
-        # is congested, to keep the model finite -- see channel_cap).
-        congested = any(
-            len(channel) >= self.channel_cap
-            for row in state.channels for channel in row
-        ) or any(
-            len(view.queue) >= self.channel_cap
-            for node_blocks in state.blocks for view in node_blocks
-        )
-        for node in range(self.n_nodes):
-            if congested:
-                break
-            app = state.apps[node]
-            if app.blocked_on is not None:
-                continue
-            for choice in self.events.choices(app.gen, node, self.n_blocks):
-                try:
-                    successor = self._legacy_apply_app_op(
-                        state, node, choice.op, choice.new_gen)
-                except CheckerViolation as violation:
-                    raise _LabelledViolation(choice.label, violation.message)
-                yield choice.label, successor
-        # Message deliveries (with bounded reordering).
-        for src in range(self.n_nodes):
-            for dst in range(self.n_nodes):
-                channel = state.channel(src, dst)
-                limit = min(len(channel), self.reorder_bound + 1)
-                for index in range(limit):
-                    label = (f"deliver {channel[index].tag} "
-                             f"{src}->{dst}[{index}] blk="
-                             f"{channel[index].block}")
-                    try:
-                        successor = self._legacy_apply_delivery(
-                            state, src, dst, index)
-                    except CheckerViolation as violation:
-                        raise _LabelledViolation(label, violation.message)
-                    yield label, successor
-        if state.faults != (0, 0):
-            yield from self._fault_successors(state)
-
     @staticmethod
     def _fault_successors(state: GlobalState):
-        """Fault transitions, the same for both engines: lose or
-        duplicate any in-flight message, while budget remains.  Pure
-        channel edits -- no handler runs -- so they cannot raise.  Note
-        these never fire on an empty network, so fault budgets cannot
-        mask a real deadlock (a state with all nodes blocked and no
-        messages in flight still has no successor)."""
+        """Fault transitions: lose or duplicate any in-flight message,
+        while budget remains.  Pure channel edits -- no handler runs --
+        so they cannot raise.  Note these never fire on an empty
+        network, so fault budgets cannot mask a real deadlock (a state
+        with all nodes blocked and no messages in flight still has no
+        successor)."""
         drops, dups = state.faults
         for src, row in enumerate(state.channels):
             for dst, channel in enumerate(row):
@@ -1091,7 +976,7 @@ class ModelChecker:
         the one definition of expanding a state: the serial loop and the
         parallel worker both iterate it and own only what they do with
         the triples (dedupe, parent pointers, acceptance or routing).
-        Successors come from the stock enumerator or, given ``por``, the
+        Successors come from :meth:`_successors` or, given ``por``, its
         sleep-set filter; around them sit the profiler's phases and the
         atlas's edges, and after the last one the symmetry certification
         (:class:`SymmetryError`).  An error rule surfaces as the
@@ -1378,90 +1263,18 @@ class ModelChecker:
         return finish(self._check_progress(graph, parents)
                       if self.check_progress else None)
 
-    # -- partial-order reduction (sleep sets) -------------------------------
-    #
-    # Sleep sets (Godefroid) prune *edges*, never states: a transition
-    # is skipped at a state only when a commuting reordering of it is
-    # explored from a sibling or was already covered on the path that
-    # put it to sleep, so every reachable state -- and with it every
-    # invariant verdict, error rule, and deadlock -- is still reached.
-    # Two transitions here are treated as independent only when they
-    # act on different nodes (an application op by p, or a delivery
-    # *into* p, acts on p), neither is a fault transition, and the
-    # congestion gate stays open across the reordering: an application
-    # op is only enabled while no channel or deferred queue sits at the
-    # cap, so a sibling's successor must be congestion-free before an
-    # app op may commute past it.  Disjoint actors give disjoint
-    # footprints in this model: one action writes only its actor's
-    # views/app row and appends to its actor's outgoing channels, and
-    # append-at-tail commutes with consume-at-index on a shared channel
-    # (the reorder window only grows).  States reached while fault
-    # budget remains are expanded in full -- fault transitions touch
-    # arbitrary channels and share the global budget, so no commuting
-    # argument applies to them.
-    #
-    # BFS revisits need the classical re-arrival rule: reaching a
-    # visited state with a smaller sleep set re-opens the transitions
-    # the difference regained (they were never explored anywhere), so
-    # the stored representative is re-enqueued to expand exactly those.
-    # This is why a POR run -- unlike the fingerprint-mode hot loop --
-    # retains every visited state (_SleepSets.meta).  The search itself
-    # is run()'s loop: _SleepSets supplies the non-slept successors and
-    # answers the re-arrival question, nothing else differs.
-
-    def _enabled_moves(self, state: GlobalState) -> list:
-        """Pre-execution enumeration of the non-fault transitions
-        enabled at ``state``: (label, actor, kind, payload) tuples, in
-        exactly the order the stock enumerators execute them.  Labels
-        are known before any handler runs, so a slept transition costs
-        nothing."""
-        moves = []
-        if self._congestion_count(state) == 0:
-            for node in range(self.n_nodes):
-                app = state.apps[node]
-                if app.blocked_on is not None:
-                    continue
-                for choice in self._choices(node, app.gen):
-                    moves.append((choice.label, node, "app", choice))
-        reorder = self.reorder_bound
-        for src in range(self.n_nodes):
-            row = state.channels[src]
-            for dst in range(self.n_nodes):
-                channel = row[dst]
-                limit = min(len(channel), reorder + 1)
-                for index in range(limit):
-                    label = self._delivery_label(
-                        channel[index], src, dst, index)
-                    moves.append((label, dst, "deliver",
-                                  (src, dst, index)))
-        return moves
-
-    def _execute_move(self, state: GlobalState, actor: int, kind: str,
-                      payload) -> GlobalState:
-        """Run one enumerated move through the configured engine."""
-        if kind == "app":
-            if self.engine == "legacy":
-                return self._legacy_apply_app_op(
-                    state, actor, payload.op, payload.new_gen)
-            return self._apply_app_op(state, actor, payload.op,
-                                      payload.new_gen)
-        src, dst, index = payload
-        if self.engine == "legacy":
-            return self._legacy_apply_delivery(state, src, dst, index)
-        return self._apply_delivery(state, src, dst, index)
-
     # -- trace replay -------------------------------------------------------
 
     def fresh_clone(self) -> "ModelChecker":
         """A checker with the same configuration but pristine counters
         (replays must not inflate this run's coverage numbers)."""
-        return ModelChecker(
+        return type(self)(
             self.protocol, n_nodes=self.n_nodes, n_blocks=self.n_blocks,
             reorder_bound=self.reorder_bound, events=self.events,
             invariants=self.invariants, max_states=self.max_states,
             channel_cap=self.channel_cap,
             interpreter_factory=self.interpreter_factory,
-            fault_budget=self.fault_budget, engine=self.engine)
+            fault_budget=self.fault_budget)
 
     def verify_violation(self, violation: Violation) -> GlobalState:
         """Replay-validate a counterexample built from fingerprints.
@@ -1471,15 +1284,16 @@ class ModelChecker:
         final replayed state; raises :class:`FingerprintCollisionError`
         if the trace diverges (the signature of a fingerprint collision
         having corrupted the parent pointers)."""
+        replayer = self.fresh_clone()
         try:
-            final = replay_labels(self.fresh_clone(), violation.trace)
+            final = replay_labels(replayer, violation.trace)
         except TraceReplayError as error:
             raise FingerprintCollisionError(
                 f"counterexample failed replay validation: {error}; "
                 "a fingerprint collision corrupted the violation path"
             ) from None
         if violation.kind == "invariant":
-            if self.fresh_clone()._check_invariants(final) is None:
+            if replayer._check_invariants(final) is None:
                 raise FingerprintCollisionError(
                     "replayed end state satisfies every invariant; a "
                     "fingerprint collision corrupted the violation path")
@@ -1588,11 +1402,43 @@ class ModelChecker:
         return None
 
 
+# -- partial-order reduction (sleep sets) -----------------------------------
+#
+# Sleep sets (Godefroid) prune *edges*, never states: a transition
+# is skipped at a state only when a commuting reordering of it is
+# explored from a sibling or was already covered on the path that
+# put it to sleep, so every reachable state -- and with it every
+# invariant verdict, error rule, and deadlock -- is still reached.
+# Two transitions here are treated as independent only when they
+# act on different nodes (an application op by p, or a delivery
+# *into* p, acts on p), neither is a fault transition, and the
+# congestion gate stays open across the reordering: an application
+# op is only enabled while no channel or deferred queue sits at the
+# cap, so a sibling's successor must be congestion-free before an
+# app op may commute past it.  Disjoint actors give disjoint
+# footprints in this model: one action writes only its actor's
+# views/app row and appends to its actor's outgoing channels, and
+# append-at-tail commutes with consume-at-index on a shared channel
+# (the reorder window only grows).  States reached while fault
+# budget remains are expanded in full -- fault transitions touch
+# arbitrary channels and share the global budget, so no commuting
+# argument applies to them.
+#
+# BFS revisits need the classical re-arrival rule: reaching a
+# visited state with a smaller sleep set re-opens the transitions
+# the difference regained (they were never explored anywhere), so
+# the stored representative is re-enqueued to expand exactly those.
+# This is why a POR run -- unlike the fingerprint-mode hot loop --
+# retains every visited state (_SleepSets.meta).  The search itself
+# is run()'s loop: _SleepSets supplies the non-slept successors and
+# answers the re-arrival question, nothing else differs.
+
+
 class _SleepSets:
     """Sleep-set POR as the exploration loop sees it: a successor source
     (:meth:`successors`) and a re-arrival rule (:meth:`admit` for a new
     key, :meth:`revisit` for a visited one).  The soundness argument is
-    the comment block above ``ModelChecker._enabled_moves``."""
+    the comment block above."""
 
     def __init__(self, checker: ModelChecker):
         self.checker = checker
@@ -1641,7 +1487,8 @@ class _SleepSets:
 
     def successors(self, state: GlobalState, key):
         """Yield (label, successor) for the moves of ``state`` that are
-        neither asleep nor explored on an earlier pass."""
+        neither asleep nor explored on an earlier pass: the checker's
+        own enumeration, asked move by move before anything executes."""
         checker = self.checker
         prof = checker.profiler
         entry = self.meta[key]
@@ -1660,25 +1507,27 @@ class _SleepSets:
         # Previously-explored labels (re-expansion) join with a None
         # successor so ordering stays stable.
         executed: list = []
-        for label, actor, kind, payload in checker._enabled_moves(state):
+        move = None     # the (label, actor, kind) admit last let through
+
+        def admit(label, actor, kind) -> bool:
+            nonlocal move
             self.any_enabled = True
             if label in explored:
                 # Executed on an earlier pass over this state; keep its
                 # slot in the sibling order.
                 executed.append(((label, actor, kind), None))
-                continue
+                return False
             if (label, actor, kind) in sleep:
                 if label not in slept_labels:
                     slept_labels.add(label)
                     self.pruned += 1
                     if prof is not None:
                         prof.add_pruned(1)
-                continue
-            try:
-                successor = checker._execute_move(state, actor, kind,
-                                                  payload)
-            except CheckerViolation as violation:
-                raise _LabelledViolation(label, violation.message)
+                return False
+            move = (label, actor, kind)
+            return True
+
+        for label, successor in checker._successors(state, admit):
             explored.add(label)
             if label in slept_labels:
                 # Woken by a re-arrival after being counted as pruned
@@ -1687,9 +1536,9 @@ class _SleepSets:
                 self.pruned -= 1
                 if prof is not None:
                     prof.add_pruned(-1)
-            self._child = self._child_sleep(actor, kind, successor,
+            self._child = self._child_sleep(move[1], move[2], successor,
                                             executed)
-            executed.append(((label, actor, kind), successor))
+            executed.append((move, successor))
             yield label, successor
 
     def _child_sleep(self, actor_u: int, kind_u: str, successor,
@@ -1718,32 +1567,24 @@ class _SleepSets:
 def replay_labels(checker: ModelChecker, labels: list) -> GlobalState:
     """Deterministically re-execute a rule-label sequence.
 
-    Walks the trace from the initial state, at each step taking the
-    successor whose label matches.  ``<initial>``/``<stuck>``/``<thread
-    lost>`` markers are skipped; a label that names an error rule is
-    confirmed by the :class:`CheckerViolation` it raises.  Raises
-    :class:`TraceReplayError` when no successor carries the expected
-    label -- on a fingerprint-reconstructed trace that means a
-    collision."""
+    Walks the trace from the initial state, one :func:`replay_step` per
+    label.  ``<initial>``/``<stuck>``/``<thread lost>`` markers are
+    skipped; a final label that names an error rule is confirmed by the
+    error it raises.  Raises :class:`TraceReplayError` (prefixed
+    ``step N:``) when a step fails -- on a fingerprint-reconstructed
+    trace that means a collision."""
     state = checker.initial_state()
     for step, label in enumerate(labels, 1):
         if label in ("<initial>", "<stuck>", "<thread lost>"):
             continue
         try:
-            for candidate, successor in checker._successors(state):
-                if candidate == label:
-                    state = successor
-                    break
-            else:
-                raise TraceReplayError(
-                    f"step {step}: no successor labelled {label!r}")
-        except _LabelledViolation as labelled:
-            if labelled.label == label and step == len(labels):
+            state = replay_step(checker, state, label)
+        except TraceReplayError as error:
+            fired = error.__cause__
+            if (fired is not None and fired.label == label
+                    and step == len(labels)):
                 return state  # the trace's final error rule, confirmed
-            raise TraceReplayError(
-                f"step {step}: rule {labelled.label!r} raised "
-                f"{labelled.message!r} while looking for {label!r}"
-            ) from None
+            raise TraceReplayError(f"step {step}: {error}") from None
     return state
 
 
@@ -1752,12 +1593,12 @@ def replay_step(checker: ModelChecker, state: GlobalState,
     """One deterministic replay step: the successor of ``state`` whose
     rule label is ``label``.
 
-    The memoized chain replays (checkpoint frontier reconstruction)
-    call this per edge below a cached ancestor instead of re-walking
-    whole chains through :func:`replay_labels`.  Raises
+    :func:`replay_labels` is a loop over this; the memoized chain
+    replays (checkpoint frontier reconstruction) call it per edge below
+    a cached ancestor instead of re-walking whole chains.  Raises
     :class:`TraceReplayError` when no successor carries the label or an
-    error rule fires first -- either means the chain does not belong to
-    this protocol build."""
+    error rule fires first (chained as ``__cause__``) -- either means
+    the chain does not belong to this protocol build."""
     try:
         for candidate, successor in checker._successors(state):
             if candidate == label:
@@ -1765,7 +1606,7 @@ def replay_step(checker: ModelChecker, state: GlobalState,
     except _LabelledViolation as labelled:
         raise TraceReplayError(
             f"rule {labelled.label!r} raised {labelled.message!r} "
-            f"while looking for {label!r}") from None
+            f"while looking for {label!r}") from labelled
     raise TraceReplayError(f"no successor labelled {label!r}")
 
 

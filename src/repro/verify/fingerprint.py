@@ -99,8 +99,7 @@ def _encode_value(value, out: bytearray) -> None:
 # per *distinct* BlockView / AppView / non-empty channel (a few hundred
 # behind tens of thousands of states), so they need no size option or
 # eviction policy of their own.  Keyed by value, not identity, so the
-# legacy engine's and the JSON codec's fresh (non-interned) views hit
-# the same entries.
+# JSON codec's fresh (non-interned) views hit the same entries.
 VIEW_ENCODINGS: dict = {}
 APP_ENCODINGS: dict = {}
 CHANNEL_ENCODINGS: dict = {}

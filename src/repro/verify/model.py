@@ -3,8 +3,10 @@
 A :class:`GlobalState` is an immutable, hashable snapshot of the whole
 machine: every node's view of every block (protocol state, info record,
 access tag, deferred queue), every network channel's contents, and every
-node's application status.  Rules execute against a :class:`MutableState`
-working copy through :class:`CheckerContext`, then freeze the result.
+node's application status.  A rule executes against an
+:class:`ActionScratch` -- a copy-on-first-touch journal over the frozen
+parent -- through :class:`ActionContext`; the checker distils the journal
+into an :class:`ActionEffects` and replays it onto the parent.
 
 The paper's configuration -- "a minimal machine with 2 processor nodes
 and 2 shared memory addresses ... our verifications did not test actual
@@ -221,65 +223,6 @@ class GlobalState(_Record):
         return text
 
 
-class MutableState:
-    """A working copy of a :class:`GlobalState` that rules mutate."""
-
-    def __init__(self, state: GlobalState, n_nodes: int, n_blocks: int):
-        self.n_nodes = n_nodes
-        self.n_blocks = n_blocks
-        self.block_state = [
-            [
-                {
-                    "state_name": view.state_name,
-                    "state_args": view.state_args,
-                    "info": dict(view.info),
-                    "access": view.access,
-                    "queue": list(view.queue),
-                    "state_changed": False,
-                }
-                for view in node_blocks
-            ]
-            for node_blocks in state.blocks
-        ]
-        self.apps = [
-            {"blocked_on": app.blocked_on, "gen": app.gen}
-            for app in state.apps
-        ]
-        self.channels = [
-            [list(channel) for channel in row] for row in state.channels
-        ]
-        self.faults = state.faults
-
-    def freeze(self) -> GlobalState:
-        return GlobalState(
-            blocks=tuple(
-                tuple(
-                    BlockView(
-                        state_name=rec["state_name"],
-                        state_args=rec["state_args"],
-                        info=tuple(sorted(rec["info"].items())),
-                        access=rec["access"],
-                        queue=tuple(rec["queue"]),
-                    )
-                    for rec in node_blocks
-                )
-                for node_blocks in self.block_state
-            ),
-            apps=tuple(
-                AppView(blocked_on=app["blocked_on"], gen=app["gen"])
-                for app in self.apps
-            ),
-            channels=tuple(
-                tuple(tuple(channel) for channel in row)
-                for row in self.channels
-            ),
-            faults=self.faults,
-        )
-
-    def record(self, node: int, block: int) -> dict:
-        return self.block_state[node][block]
-
-
 class CheckerViolation(Exception):
     """Raised inside a rule when a protocol error fires; aborts the rule."""
 
@@ -288,140 +231,16 @@ class CheckerViolation(Exception):
         self.message = message
 
 
-class _ModelContext(ProtocolContext):
-    """What the checker's two contexts share: the message in hand, no
-    costs, no data values, and errors that abort the rule.  Where the
-    block records live -- so every record access -- is each context's
-    own: the legacy one stays an independent reference for the fast."""
-
-    def __init__(self, protocol: CompiledProtocol, home_of):
-        self.protocol = protocol
-        self._home_of = home_of
-        self._message: Optional[Message] = None
-        self.counters = RuntimeCounters()
-        self.costs = ZERO_COSTS
-        self.woken: list[int] = []
-
-    def begin(self, message: Message) -> None:
-        self._message = message
-
-    @property
-    def current_message(self) -> Message:
-        assert self._message is not None
-        return self._message
-
-    def home_node(self, block: int) -> int:
-        return self._home_of(block)
-
-    def recv_data(self, block: int, mode: str) -> None:
-        if self.current_message.data is None:
-            self.error(
-                f"RecvData but message {self.current_message.tag} "
-                "carries no data")
-            return
-        self.access_change(block, mode)
-
-    def read_word(self, block: int, addr: int):
-        return 0  # data values are not modelled (Section 7)
-
-    def write_word(self, block: int, addr: int, value) -> None:
-        pass
-
-    def error(self, message: str) -> None:
-        raise CheckerViolation(message)
-
-    def debug_print(self, values: list) -> None:
-        pass
-
-    def support_call(self, name: str, args: list):
-        raise CheckerViolation(
-            f"support routine {name!r} has no checker model")
-
-    def support_const(self, name: str):
-        raise CheckerViolation(
-            f"abstract constant {name!r} has no checker model")
-
-    def charge(self, cycles: int) -> None:
-        pass
-
-
-class CheckerContext(_ModelContext):
-    """ProtocolContext over a MutableState (no costs, no data values)."""
-
-    def __init__(self, protocol: CompiledProtocol, state: MutableState,
-                 node: int, home_of):
-        super().__init__(protocol, home_of)
-        self.state = state
-        self._node = node
-
-    @property
-    def node(self) -> int:
-        return self._node
-
-    # -- block record --------------------------------------------------------
-
-    def _record(self) -> dict:
-        return self.state.record(self._node, self.current_message.block)
-
-    def get_state(self) -> tuple[str, tuple]:
-        record = self._record()
-        return record["state_name"], record["state_args"]
-
-    def set_state(self, state_name: str, args: tuple) -> None:
-        record = self._record()
-        if (state_name, args) != (record["state_name"], record["state_args"]):
-            record["state_changed"] = True
-        record["state_name"] = state_name
-        record["state_args"] = args
-
-    def get_info(self, name: str):
-        return self._record()["info"][name]
-
-    def set_info(self, name: str, value) -> None:
-        self._record()["info"][name] = value
-
-    # -- Tempest mechanisms ------------------------------------------------------
-
-    def send(self, dst: int, tag: str, block: int, payload: tuple,
-             with_data: bool) -> None:
-        self.counters.messages_sent += 1
-        message = Message(tag, block, src=self._node, dst=dst,
-                          payload=payload, data=() if with_data else None)
-        self.state.channels[self._node][dst].append(message)
-
-    def access_change(self, block: int, mode: str) -> None:
-        tag = ACCESS_CHANGE_RESULT.get(mode)
-        if tag is None:
-            self.error(f"unknown access mode {mode!r}")
-            return
-        self.state.record(self._node, block)["access"] = tag.value
-
-    def enqueue_current(self) -> None:
-        self.counters.queue_allocs += 1
-        self._record()["queue"].append(self.current_message)
-
-    def retry_queued(self, block: int) -> None:
-        self.state.record(self._node, block)["state_changed"] = True
-
-    def wakeup(self, block: int) -> None:
-        app = self.state.apps[self._node]
-        if app["blocked_on"] == block:
-            app["blocked_on"] = None
-            self.woken.append(block)
-
-
 class ActionScratch:
-    """Mutate-and-undo working set for ONE node's atomic action.
+    """Copy-on-first-touch journal of ONE node's atomic action.
 
-    The legacy engine copied the *entire* global state into a
-    :class:`MutableState` and froze the whole thing back per successor.
-    An ``ActionScratch`` instead journals exactly what one action
-    touches: block records of the acting node are copied lazily on first
-    touch (the journal is the ``records`` map itself), sends accumulate
-    in order, and the node's blocked-on marker is a scalar.  ``undo()``
-    drops the journal, restoring the scratch to the parent state;
-    ``effects()`` distils the journal into an :class:`ActionEffects`
-    that can be replayed onto any structurally-equal parent.
+    Journals exactly what one action touches, over a frozen parent it
+    never writes: block records of the acting node are copied lazily on
+    first touch (the journal is the ``records`` map itself), sends
+    accumulate in order, and the node's blocked-on marker is a scalar.
+    The checker builds one per recorded action and distils it into an
+    :class:`ActionEffects` that can be replayed onto any parent sharing
+    the action's inputs.
 
     Handlers can only ever read or write the acting node's own records
     and application status (every read goes through
@@ -431,16 +250,14 @@ class ActionScratch:
     sound.
     """
 
-    __slots__ = ("parent", "node", "records", "blocked_on", "sends",
-                 "_parent_blocks", "_parent_app")
+    __slots__ = ("node", "records", "blocked_on", "sends",
+                 "_parent_blocks")
 
     def __init__(self, parent: GlobalState, node: int):
-        self.parent = parent
         self.node = node
         self._parent_blocks = parent.blocks[node]
-        self._parent_app = parent.apps[node]
         self.records: dict = {}      # block -> working dict (the journal)
-        self.blocked_on = self._parent_app.blocked_on
+        self.blocked_on = parent.apps[node].blocked_on
         self.sends: list = []        # Messages in send order
 
     def record(self, block: int) -> dict:
@@ -457,12 +274,6 @@ class ActionScratch:
             }
         return rec
 
-    def undo(self) -> None:
-        """Drop every journalled change; the scratch reads as the parent."""
-        self.records.clear()
-        self.sends.clear()
-        self.blocked_on = self._parent_app.blocked_on
-
     def changed_views(self) -> tuple:
         """Interned ``(block, BlockView)`` pairs for journalled records
         whose frozen view differs from the parent's."""
@@ -476,33 +287,6 @@ class ActionScratch:
             if view != self._parent_blocks[block]:
                 out.append((block, view))
         return tuple(out)
-
-    def freeze(self) -> GlobalState:
-        """The full successor state implied by the journal (test/debug
-        surface; the checker replays :meth:`effects` incrementally)."""
-        node = self.node
-        blocks = self.parent.blocks
-        changed = self.changed_views()
-        if changed:
-            row = list(blocks[node])
-            for block, view in changed:
-                row[block] = view
-            blocks = blocks[:node] + (tuple(row),) + blocks[node + 1:]
-        apps = self.parent.apps
-        if self.blocked_on != self._parent_app.blocked_on:
-            apps = apps[:node] + (
-                AppView(self.blocked_on, self._parent_app.gen),
-            ) + apps[node + 1:]
-        channels = self.parent.channels
-        if self.sends:
-            appended: dict = {}
-            for message in self.sends:
-                appended.setdefault(message.dst, []).append(message)
-            row = list(channels[node])
-            for dst, extra in appended.items():
-                row[dst] = intern_channel(row[dst] + tuple(extra))
-            channels = channels[:node] + (tuple(row),) + channels[node + 1:]
-        return GlobalState(blocks, apps, channels, self.parent.faults)
 
 
 class ActionEffects:
@@ -526,18 +310,34 @@ class ActionEffects:
         self.error = error              # CheckerViolation message, or None
 
 
-class ActionContext(_ModelContext):
-    """ProtocolContext over an :class:`ActionScratch` (the fast engine's
-    counterpart of :class:`CheckerContext`; identical semantics)."""
+class ActionContext(ProtocolContext):
+    """ProtocolContext over an :class:`ActionScratch`: the message in
+    hand, no costs, no data values, and errors that abort the rule."""
 
     def __init__(self, protocol: CompiledProtocol, scratch: ActionScratch,
                  home_of):
-        super().__init__(protocol, home_of)
+        self.protocol = protocol
         self.scratch = scratch
+        self._home_of = home_of
+        self._message: Optional[Message] = None
+        self.counters = RuntimeCounters()
+        self.costs = ZERO_COSTS
+        self.woken: list[int] = []
+
+    def begin(self, message: Message) -> None:
+        self._message = message
 
     @property
     def node(self) -> int:
         return self.scratch.node
+
+    @property
+    def current_message(self) -> Message:
+        assert self._message is not None
+        return self._message
+
+    def home_node(self, block: int) -> int:
+        return self._home_of(block)
 
     def _record(self) -> dict:
         return self.scratch.record(self._message.block)
@@ -566,12 +366,26 @@ class ActionContext(_ModelContext):
             tag, block, src=self.scratch.node, dst=dst,
             payload=payload, data=() if with_data else None)))
 
+    def recv_data(self, block: int, mode: str) -> None:
+        if self.current_message.data is None:
+            self.error(
+                f"RecvData but message {self.current_message.tag} "
+                "carries no data")
+            return
+        self.access_change(block, mode)
+
     def access_change(self, block: int, mode: str) -> None:
         tag = ACCESS_CHANGE_RESULT.get(mode)
         if tag is None:
             self.error(f"unknown access mode {mode!r}")
             return
         self.scratch.record(block)["access"] = tag.value
+
+    def read_word(self, block: int, addr: int):
+        return 0  # data values are not modelled (Section 7)
+
+    def write_word(self, block: int, addr: int, value) -> None:
+        pass
 
     def enqueue_current(self) -> None:
         self.counters.queue_allocs += 1
@@ -584,6 +398,23 @@ class ActionContext(_ModelContext):
         if self.scratch.blocked_on == block:
             self.scratch.blocked_on = None
             self.woken.append(block)
+
+    def error(self, message: str) -> None:
+        raise CheckerViolation(message)
+
+    def debug_print(self, values: list) -> None:
+        pass
+
+    def support_call(self, name: str, args: list):
+        raise CheckerViolation(
+            f"support routine {name!r} has no checker model")
+
+    def support_const(self, name: str):
+        raise CheckerViolation(
+            f"abstract constant {name!r} has no checker model")
+
+    def charge(self, cycles: int) -> None:
+        pass
 
 
 def initial_global_state(protocol: CompiledProtocol, n_nodes: int,

@@ -83,6 +83,14 @@ class TestCheck:
         with pytest.raises(ValueError):
             check("stache", CheckOptions(workers=-1))
 
+    @pytest.mark.parametrize("name,value", [
+        ("nodes", 0), ("addresses", 0), ("reorder", -1)])
+    def test_rejects_bad_topology(self, name, value):
+        # reorder=-1 used to PASS with 3 states: no delivery was ever
+        # enabled, a silently weaker model.
+        with pytest.raises(ValueError, match=f"CheckOptions.{name} must"):
+            check("stache", CheckOptions(**{name: value}))
+
     def test_serial_checkpoint_supported(self, tmp_path):
         # Serial checkpointing: a truncated run writes a resumable
         # checkpoint; resuming reaches the uninterrupted state count.
@@ -146,6 +154,10 @@ class TestSimulate:
     def test_unknown_workload_rejected(self):
         with pytest.raises(ValueError):
             simulate("stache", workload="no_such_workload")
+
+    def test_rejects_zero_nodes(self):
+        with pytest.raises(ValueError, match="SimOptions.nodes must"):
+            simulate("stache", workload="gauss", options=SimOptions(nodes=0))
 
     def test_seed_reproducibility(self):
         opts = SimOptions(nodes=4, seed=7, jitter=50)

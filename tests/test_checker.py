@@ -18,9 +18,10 @@ from repro.verify.invariants import (
     single_writer,
     standard_invariants,
 )
-from repro.verify.model import MutableState, initial_global_state
+from repro.verify.model import initial_global_state
 
 from helpers import MINI_SOURCE, compile_mini
+from reference_checker import MutableState
 
 
 def check(name, n_nodes=2, n_blocks=1, reorder=0, **kwargs):

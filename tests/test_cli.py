@@ -109,6 +109,25 @@ class TestVerify:
         assert "trace:" in out
 
 
+class TestBadTopology:
+    """A node, address or reorder count outside the model's domain is
+    one ``error:`` line and exit status 1 -- not a traceback, and not a
+    PASS over a model in which nothing can be delivered."""
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "stache", "--nodes", "0"],
+        ["verify", "stache", "--addresses", "0"],
+        ["verify", "stache", "--reorder", "-1"],
+        ["run", "stache", "gauss", "--nodes", "0"],
+    ], ids=lambda argv: f"{argv[0]}{argv[-2]}")
+    def test_one_error_line(self, argv, capsys):
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"{argv[-2][2:]} must be >=" in err
+
+
 class TestGraphAndList:
     def test_graph_text(self, capsys):
         assert main(["graph", "stache", "--side", "Home_"]) == 0

@@ -1,22 +1,38 @@
-"""Differential harness: the legacy engine is the fast engine's oracle.
+"""Differential harness: the test-side reference checker is the
+engine's oracle.
 
-The exploration hot path was rewritten from freeze-per-successor
-(``MutableState`` -> mutate -> ``freeze()``) to mutate-and-undo journals
-with interned states and memoized action effects.  The legacy path is
-kept in-tree (``engine="legacy"``) precisely so this harness can pin the
-two engines against each other: verdict, state count, transition count,
-depth, handler coverage, invariant evaluations, violation traces, atlas
-fingerprint streams, and checkpoint bytes must all be identical, for
-every registered protocol, serial and at every worker count.
+``src/`` has one successor engine (copy-on-first-touch journals,
+interned substructures, memoized action effects).  The copy-the-world
+path it replaced lives in ``tests/reference_checker.py`` so this harness
+can pin the two against each other: verdict, state count, transition
+count, depth, handler coverage, invariant evaluations, violation traces,
+atlas fingerprint streams, and checkpoint payloads must all be
+identical, for every registered protocol.  The reference runs serially;
+the parallel loop treats the successor function as a black box, so each
+worker count is pinned against the serial engine instead.
 """
 
+import functools
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from reference_checker import (
+    ENGINES,
+    ReferenceChecker,
+    checker_for,
+    reachable,
+)
 from repro import api
 from repro.faults import FaultBudget
 from repro.protocols import PROTOCOLS
+from repro.verify.atlas import AtlasRecorder
+from repro.verify.checker import (
+    ModelChecker,
+    _LabelledViolation,
+    replay_labels,
+)
 
 ALL_NAMES = sorted(PROTOCOLS)
 
@@ -38,16 +54,16 @@ def outcome(result):
     }
 
 
-def check(name, engine, workers=0, **kwargs):
-    return api.check(name, api.CheckOptions(
-        workers=workers, engine=engine, **kwargs))
+@functools.lru_cache(maxsize=None)
+def serial_outcome(cls, name, reorder):
+    return outcome(checker_for(cls, name, reorder=reorder).run())
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)
 def test_serial_engines_agree(name):
-    legacy = check(name, "legacy", reorder=1)
-    fast = check(name, "fast", reorder=1)
-    assert outcome(fast) == outcome(legacy)
+    for reorder in (0, 1):
+        assert (serial_outcome(ModelChecker, name, reorder)
+                == serial_outcome(ReferenceChecker, name, reorder))
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)
@@ -57,56 +73,62 @@ def test_second_in_process_run_equals_first(name):
     from repro.verify import checker
 
     checker._ENGINE_CACHES.clear()
-    first = check(name, "fast", reorder=1)
-    assert outcome(check(name, "fast", reorder=1)) == outcome(first)
+    first = api.check(name, api.CheckOptions(reorder=1))
+    assert (outcome(api.check(name, api.CheckOptions(reorder=1)))
+            == outcome(first))
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("name", ALL_NAMES)
 def test_parallel_engines_agree(name, workers):
-    legacy = check(name, "legacy", workers=workers)
-    fast = check(name, "fast", workers=workers)
-    assert outcome(fast) == outcome(legacy)
-    # And the parallel run agrees with the serial fast engine.
-    assert outcome(fast) == outcome(check(name, "fast"))
+    """Every worker count agrees with the serial engine, which
+    ``test_serial_engines_agree`` holds to the reference (and
+    ``api.check``'s defaults to ``checker_for``'s)."""
+    parallel = api.check(name, api.CheckOptions(workers=workers))
+    assert outcome(parallel) == serial_outcome(ModelChecker, name, 0)
 
 
 @pytest.mark.parametrize("workers", [0, 1, 2, 3])
 def test_violation_traces_agree(workers):
-    """lcm_mcc with two addresses at reorder 1 fails; the counterexample
-    must not depend on the engine (worker-count independence is
-    test_parallel's job)."""
-    legacy = check("lcm_mcc", "legacy", addresses=2, reorder=1,
-                   workers=workers)
-    fast = check("lcm_mcc", "fast", addresses=2, reorder=1,
-                 workers=workers)
-    assert not fast.ok and not legacy.ok
-    assert outcome(fast) == outcome(legacy)
+    """lcm_mcc with two addresses at reorder 1 fails.  The serial
+    counterexample must not depend on the engine; at every worker count
+    (which may report another deadlock -- worker-count independence is
+    test_parallel's job) the reported trace must replay on the reference
+    to the reported state, and the reference must find it stuck too."""
+    found = api.check("lcm_mcc", api.CheckOptions(
+        addresses=2, reorder=1, workers=workers))
+    reference = checker_for(ReferenceChecker, "lcm_mcc", addresses=2,
+                            reorder=1)
+    assert not found.ok and found.violation.kind == "deadlock"
+    if workers == 0:
+        assert outcome(found) == outcome(reference.run())
+    final = replay_labels(reference, found.violation.trace)
+    assert final == found.violation.state
+    assert list(reference._successors(final)) == []
 
 
 @pytest.mark.parametrize("name", ["stache", "lcm_mcc"])
 def test_atlas_fingerprint_streams_agree(name):
-    legacy = check(name, "legacy", reorder=1,
-                   artifacts=api.ArtifactOptions(atlas=True))
-    fast = check(name, "fast", reorder=1,
-                 artifacts=api.ArtifactOptions(atlas=True))
-    assert fast.atlas is not None and legacy.atlas is not None
-    assert fast.atlas.states == legacy.atlas.states
-    assert fast.atlas.edges == legacy.atlas.edges
+    reference, fast = (
+        checker_for(cls, name, reorder=1, atlas=AtlasRecorder()).run()
+        for cls in (ReferenceChecker, ModelChecker))
+    assert fast.atlas is not None and reference.atlas is not None
+    assert fast.atlas.states == reference.atlas.states
+    assert fast.atlas.edges == reference.atlas.edges
 
 
 @pytest.mark.parametrize("engine_pair",
                          [("legacy", "fast")], ids=["legacy-vs-fast"])
 def test_checkpoint_bytes_agree(tmp_path, engine_pair):
-    """A truncated parallel run checkpoints the same visited set,
-    parent pointers, and frontier under either engine; only the elapsed
-    wall time may differ."""
+    """A truncated run checkpoints the same visited set, parent
+    pointers, and frontier under either engine; only the elapsed wall
+    time may differ."""
     payloads = []
     for engine in engine_pair:
         path = tmp_path / f"{engine}.json"
-        result = check("lcm_mcc", engine, reorder=1, workers=2,
-                       max_states=100,
-                       checkpoint=api.CheckpointOptions(out=str(path)))
+        result = checker_for(
+            ENGINES[engine], "lcm_mcc", reorder=1, max_states=100,
+            fingerprint_states=True, checkpoint_out=str(path)).run()
         assert result.hit_state_limit
         with open(path) as handle:
             payload = json.load(handle)
@@ -122,6 +144,56 @@ def test_checkpoint_bytes_agree(tmp_path, engine_pair):
 def test_fault_bounded_engines_agree(budget):
     """Fault transitions exercise the channel-matrix edit path (the
     single-row rebuild); both engines must explore the same space."""
-    legacy = check("stache", "legacy", faults=budget)
-    fast = check("stache", "fast", faults=budget)
-    assert outcome(fast) == outcome(legacy)
+    reference, fast = (
+        outcome(checker_for(cls, "stache", faults=budget).run())
+        for cls in (ReferenceChecker, ModelChecker))
+    assert fast == reference
+
+
+# Reachable states with fault budget left on some of them, so every kind
+# of move (application, delivery, drop, dup) appears in the pool.
+POOL = [
+    (checker, state)
+    for name in ("stache", "lcm_mcc")
+    for checker in [checker_for(ModelChecker, name, reorder=1,
+                                faults=FaultBudget(drop=1, dup=1))]
+    for state in reachable(checker, 80)]
+
+
+def labels_of(successors):
+    """The labels a successor generator yields, and the label of the
+    error rule that ended it (None when it ran out)."""
+    labels = []
+    try:
+        for label, _ in successors:
+            labels.append(label)
+    except _LabelledViolation as error:
+        return labels, error.label
+    return labels, None
+
+
+@settings(max_examples=80, deadline=None)
+@given(index=st.integers(min_value=0, max_value=len(POOL) - 1))
+def test_admit_sees_the_enumeration_and_gates_execution(index):
+    """``_successors(state, admit)`` asks ``admit`` about exactly the
+    non-fault moves, in the order it runs them, before each runs -- what
+    sleep sets rely on -- and a refused move runs no handler."""
+    checker, state = POOL[index]
+    labels, error = labels_of(checker._successors(state))
+    faults = [label for label, _ in checker._fault_successors(state)]
+    asked = []
+
+    def admit_all(label, actor, kind):
+        assert kind in ("app", "deliver") and 0 <= actor < checker.n_nodes
+        asked.append(label)
+        return True
+
+    assert labels_of(checker._successors(state, admit_all)) == (labels, error)
+    if error is None:
+        assert asked + faults == labels
+    else:
+        assert asked == labels + [error]
+    fires = dict(checker._handler_fires)
+    assert labels_of(checker._successors(
+        state, lambda label, actor, kind: False)) == (faults, None)
+    assert checker._handler_fires == fires

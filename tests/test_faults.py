@@ -16,6 +16,7 @@ import os
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from reference_checker import ReferenceChecker, checker_for
 from repro.api import (
     CheckOptions,
     FaultOptions,
@@ -452,10 +453,10 @@ class TestCheckerFaults:
         assert final.messages_in_flight() == 0
 
     # Pinned explored-space sizes under each fault budget, verified
-    # identical on the fast and legacy engines.  Fault successors run
-    # through ``GlobalState.with_channel`` (the single-row rebuild),
-    # so any edit that perturbs the rebuilt state -- or dedupes it
-    # differently -- shows up here as a count shift.
+    # identical on the engine and its test-side reference.  Fault
+    # successors run through ``GlobalState.with_channel`` (the
+    # single-row rebuild), so any edit that perturbs the rebuilt state
+    # -- or dedupes it differently -- shows up here as a count shift.
     FAULT_SPACE = {
         ("stache", (1, 0)): (False, 43, 77),
         ("stache", (0, 1)): (False, 45, 72),
@@ -468,11 +469,11 @@ class TestCheckerFaults:
     @pytest.mark.parametrize("name,budget", sorted(FAULT_SPACE))
     def test_fault_bounded_space_is_pinned(self, name, budget):
         expected = self.FAULT_SPACE[(name, budget)]
-        for engine in ("fast", "legacy"):
-            result = check(name, CheckOptions(
-                faults=FaultBudget(*budget), engine=engine))
+        for cls in (ModelChecker, ReferenceChecker):
+            result = checker_for(cls, name,
+                                 faults=FaultBudget(*budget)).run()
             assert (result.ok, result.states_explored,
-                    result.transitions) == expected, engine
+                    result.transitions) == expected, cls
 
 
 # ---------------------------------------------------------------------------

@@ -24,13 +24,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference_checker import ENGINES, checker_for, reachable
 from repro import api
 from repro.faults import FaultBudget
 from repro.protocols import PROTOCOLS
 from repro.runtime.context import Message
 from repro.runtime.continuation import ContinuationRecord
-from repro.verify.checker import ModelChecker, _LabelledViolation
-from repro.verify.events import events_for_protocol
 from repro.verify.fingerprint import (
     SymmetryCanonicalizer,
     encode_state,
@@ -38,8 +37,7 @@ from repro.verify.fingerprint import (
     state_from_jsonable,
     state_to_jsonable,
 )
-from repro.verify.invariants import standard_invariants
-from repro.verify.model import AppView, BlockView, GlobalState, initial_global_state
+from repro.verify.model import AppView, BlockView, GlobalState
 
 ALL_NAMES = sorted(PROTOCOLS)
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -99,33 +97,8 @@ def ref_fingerprint(state) -> int:
 # -- reachable-state corpora -----------------------------------------------------
 
 def make_checker(name, nodes, *, reorder=0, faults=None, engine="fast"):
-    return ModelChecker(
-        api.compile_protocol(name), n_nodes=nodes, n_blocks=1,
-        reorder_bound=reorder, events=events_for_protocol(name),
-        invariants=standard_invariants(
-            coherent=not name.startswith("buffered")),
-        fault_budget=faults, engine=engine)
-
-
-def reachable(checker, cap=None):
-    """Breadth-first reachable states, the first ``cap`` of them.  A
-    state whose expansion hits a protocol error (faults provoke them)
-    contributes the successors generated before the error."""
-    initial = initial_global_state(
-        checker.protocol, checker.n_nodes, checker.n_blocks,
-        checker.home_of, checker.events.initial,
-        faults=checker.fault_budget)
-    seen, order, cursor = {initial}, [initial], 0
-    while cursor < len(order) and (cap is None or len(order) < cap):
-        try:
-            for _, successor in checker._successors(order[cursor]):
-                if successor not in seen:
-                    seen.add(successor)
-                    order.append(successor)
-        except _LabelledViolation:
-            pass
-        cursor += 1
-    return order if cap is None else order[:cap]
+    return checker_for(ENGINES[engine], name, nodes=nodes, reorder=reorder,
+                       faults=faults)
 
 
 # 2 nodes with reordering and a fault budget (drop/dup successors and the

@@ -1,15 +1,16 @@
-"""Property tests for the fast engine's mutate-and-undo journal.
+"""Property tests for the engine's copy-on-first-touch journal.
 
-The serial rewrite replaced copy-the-world successor construction with
+Successor construction runs each action against an
 :class:`~repro.verify.model.ActionScratch`: a per-action journal over a
-frozen parent ``GlobalState``.  Its soundness rests on two properties
-this file drives with hypothesis across real reachable states:
+frozen parent ``GlobalState``, built fresh for every recorded action.
+Its soundness rests on two properties this file drives with hypothesis
+across real reachable states:
 
-- *undo is total*: after any mutation sequence, ``undo()`` makes the
-  scratch read back as the parent exactly (structurally equal, same
-  cached hash, same fingerprint);
 - *the parent is inviolate*: no mutation sequence, frozen or not, may
-  leak through the lazy copy-on-first-touch journal into the parent.
+  leak through the lazy copy-on-first-touch journal into the parent;
+- *replay equals materialisation*: the checker's tuple-surgery replay of
+  the distilled effects builds the successor the journal implies
+  (:func:`freeze`, the slow reference below).
 """
 
 from hypothesis import given, settings, strategies as st
@@ -18,9 +19,15 @@ from repro.protocols import compile_named_protocol
 from repro.runtime.context import Message
 from repro.tempest.memory import AccessTag
 from repro.verify.checker import _KEEP_GEN, ModelChecker
-from repro.verify.fingerprint import fingerprint, state_to_jsonable
-from repro.verify.model import ActionEffects, ActionScratch, \
-    initial_global_state
+from repro.verify.fingerprint import state_to_jsonable
+from repro.verify.model import (
+    ActionEffects,
+    ActionScratch,
+    AppView,
+    GlobalState,
+    initial_global_state,
+    intern_channel,
+)
 
 
 def reachable(name, limit=40, reorder=1):
@@ -108,24 +115,32 @@ def apply_op(scratch, op):
         scratch.blocked_on = op[1]
 
 
-@settings(max_examples=80, deadline=None)
-@given(index=st.integers(min_value=0, max_value=len(POOL) - 1),
-       node=NODES, ops=OPS)
-def test_apply_then_undo_restores_parent(index, node, ops):
-    _checker, state = POOL[index]
-    before_hash = hash(state)
-    before_fp = fingerprint(state)
-    scratch = ActionScratch(state, node)
-    for op in ops:
-        apply_op(scratch, op)
-    scratch.undo()
-    assert scratch.changed_views() == ()
-    assert scratch.sends == []
-    assert scratch.blocked_on == state.apps[node].blocked_on
-    frozen = scratch.freeze()
-    assert frozen == state
-    assert hash(frozen) == before_hash
-    assert fingerprint(frozen) == before_fp
+def freeze(scratch, parent) -> GlobalState:
+    """The full successor state a journal over ``parent`` implies, built
+    the slow way: the reference for the checker's incremental replay."""
+    node = scratch.node
+    blocks = parent.blocks
+    changed = scratch.changed_views()
+    if changed:
+        row = list(blocks[node])
+        for block, view in changed:
+            row[block] = view
+        blocks = blocks[:node] + (tuple(row),) + blocks[node + 1:]
+    apps = parent.apps
+    app = apps[node]
+    if scratch.blocked_on != app.blocked_on:
+        apps = apps[:node] + (
+            AppView(scratch.blocked_on, app.gen),) + apps[node + 1:]
+    channels = parent.channels
+    if scratch.sends:
+        appended: dict = {}
+        for message in scratch.sends:
+            appended.setdefault(message.dst, []).append(message)
+        row = list(channels[node])
+        for dst, extra in appended.items():
+            row[dst] = intern_channel(row[dst] + tuple(extra))
+        channels = channels[:node] + (tuple(row),) + channels[node + 1:]
+    return GlobalState(blocks, apps, channels, parent.faults)
 
 
 @settings(max_examples=80, deadline=None)
@@ -138,7 +153,7 @@ def test_mutations_never_leak_into_parent(index, node, ops):
     scratch = ActionScratch(state, node)
     for op in ops:
         apply_op(scratch, op)
-    scratch.freeze()        # materializing the successor must not help
+    freeze(scratch, state)  # materializing the successor must not help
     assert state_to_jsonable(state) == snapshot
     assert hash(state) == before_hash
 
@@ -147,7 +162,7 @@ def test_mutations_never_leak_into_parent(index, node, ops):
 @given(index=st.integers(min_value=0, max_value=len(POOL) - 1),
        node=NODES, ops=OPS)
 def test_freeze_matches_incremental_replay(index, node, ops):
-    """``freeze()`` (the slow reference) and the checker's tuple-surgery
+    """:func:`freeze` (the slow reference) and the checker's tuple-surgery
     replay of the distilled effects must build the same successor."""
     checker, state = POOL[index]
     scratch = ActionScratch(state, node)
@@ -155,7 +170,7 @@ def test_freeze_matches_incremental_replay(index, node, ops):
         apply_op(scratch, op)
     effects = ActionEffects(scratch.changed_views(), tuple(scratch.sends),
                             scratch.blocked_on, (), None)
-    frozen = scratch.freeze()
+    frozen = freeze(scratch, state)
     replayed = checker._build_successor(state, node, effects,
                                         _KEEP_GEN, None)
     assert replayed == frozen
