@@ -370,7 +370,7 @@ def check(target: Target,
     checkpointing = bool(options.checkpoint.out
                          or options.checkpoint.resume)
     for name, floor in (("nodes", 1), ("addresses", 1), ("reorder", 0),
-                        ("workers", 0)):
+                        ("workers", 0), ("channel_cap", 1)):
         if getattr(options, name) < floor:
             raise ValueError(f"CheckOptions.{name} must be >= {floor}")
     if options.on_worker_loss not in ("fail", "degrade"):

@@ -412,15 +412,20 @@ def cmd_analyze_coverage(args) -> int:
         load_trace,
     )
 
+    def check(protocol, name, **extra):
+        # A rejected option (--nodes 0) is one line, as in `verify`.
+        try:
+            return api.check(protocol, _check_options(args, name, **extra))
+        except ValueError as error:
+            raise TeapotError(str(error)) from None
+
     if args.verify and args.faults:
         # Fault-only coverage: explore fault-free and fault-bounded,
         # then flag the arms only the faulted exploration reaches.
         protocol, name = _load(args.verify, OptLevel.O2)
-        base = coverage_from_checker(
-            protocol, api.check(protocol, _check_options(args, name)))
+        base = coverage_from_checker(protocol, check(protocol, name))
         budget = _parse_fault_budget(args.faults)
-        faulted_result = api.check(
-            protocol, _check_options(args, name, faults=budget))
+        faulted_result = check(protocol, name, faults=budget)
         faulted = coverage_from_checker(protocol, faulted_result)
         if not faulted_result.ok:
             print(f"note: faulted exploration FAILED "
@@ -435,7 +440,7 @@ def cmd_analyze_coverage(args) -> int:
         return 0
     if args.verify:
         protocol, name = _load(args.verify, OptLevel.O2)
-        result = api.check(protocol, _check_options(args, name))
+        result = check(protocol, name)
         report = coverage_from_checker(protocol, result)
         if not result.ok:
             print(f"note: exploration FAILED "

@@ -31,6 +31,16 @@ from repro.verify.events import EventGenerator, StacheEvents
 from repro.verify.fingerprint import canonical_fingerprint_fn, fingerprint
 from repro.verify.invariants import Invariant, standard_invariants
 from repro.verify.model import (
+    APP_IDS,
+    APPENDED,
+    APPS,
+    CHANNEL_LEN,
+    MESSAGE_IDS,
+    MESSAGES,
+    Memo,
+    QUEUE_LEN,
+    REMOVED,
+    VIEWS,
     ActionContext,
     ActionEffects,
     ActionScratch,
@@ -39,8 +49,6 @@ from repro.verify.model import (
     GlobalState,
     fault_for_access,
     initial_global_state,
-    intern_channel,
-    intern_message,
 )
 
 # Sentinels: "leave the app generator alone" for _build_successor, and
@@ -53,34 +61,20 @@ _NO_ENTRY = object()
 # only the event generator advances).
 _NO_EFFECTS = ActionEffects((), (), None, (), None)
 
-# Process-global engine caches, shared by every checker over the
-# same compiled protocol:
-#
-#   effects  (node, BlockView, Message, blocked_on) -> ActionEffects.
-#            An action's effects are a pure function of those inputs
-#            *given* the protocol, the execution engine, and the home
-#            map -- and the home map is always ``block % n_nodes`` --
-#            so caches are scoped by (interpreter_factory, n_nodes)
-#            under the protocol.
-#   intern   state -> canonical state, filled by symmetry-reduced runs
-#            only: the canonical fingerprint is memoised on the state
-#            object, so reaching a state again must find that object.
-#            Every other run holds a state once, in its visited set
-#            (or, keyed by fingerprint, in its frontier alone).
-#
-# The registry holds protocols weakly (see weak_protocol_entry): a
-# protocol's caches -- and every state/effect they pin -- die with it.
+# The process-global effects cache, shared by every checker over the
+# same compiled protocol: (node, view id, message id, blocked_on) ->
+# ActionEffects.  An action's effects are a pure function of those
+# inputs *given* the protocol, the execution engine, and the home map --
+# and the home map is always ``block % n_nodes`` -- so caches are scoped
+# by (interpreter_factory, n_nodes) under the protocol.  The registry
+# holds protocols weakly (see weak_protocol_entry): a protocol's cache
+# dies with it.
 _ENGINE_CACHES: dict = {}
 
 
-def _engine_caches_for(protocol, interpreter_factory,
-                       n_nodes: int) -> tuple:
+def _effects_cache_for(protocol, interpreter_factory, n_nodes: int) -> dict:
     per_protocol = weak_protocol_entry(_ENGINE_CACHES, protocol, dict)
-    key = (interpreter_factory, n_nodes)
-    caches = per_protocol.get(key)
-    if caches is None:
-        caches = per_protocol[key] = ({}, {})
-    return caches
+    return per_protocol.setdefault((interpreter_factory, n_nodes), {})
 
 
 _DEADLOCK_MESSAGE = ("no rule enabled: all nodes blocked and no messages "
@@ -89,6 +83,11 @@ _DEADLOCK_MESSAGE = ("no rule enabled: all nodes blocked and no messages "
 # fault_for_access is a pure function of (access tag value, op kind);
 # memoised because the hot loop consults it per application choice.
 _FAULT_MEMO: dict = {}
+
+# (node, tag, block, payload) -> id of the message an application
+# operation hands its own node.
+_OP_MESSAGES = Memo(lambda key: MESSAGE_IDS[Message(
+    key[1], key[2], src=key[0], dst=key[0], payload=key[3])])
 
 
 class TraceReplayError(Exception):
@@ -516,17 +515,24 @@ class ModelChecker:
         # configured, with CheckResult.stop_reason set.
         self.deadline_seconds = deadline_seconds
         self.max_visited_bytes = max_visited_bytes
-        # Memo tables shared process-wide between checkers over the
-        # same protocol/engine -- see _engine_caches_for.
-        self._action_cache, self._state_intern = _engine_caches_for(
+        # Where a state's app and channel ids start (GlobalState's
+        # layout) and the slot past its last channel:
+        self._app0 = n_nodes * n_blocks
+        self._chan0 = self._app0 + n_nodes
+        self._end = self._chan0 + n_nodes * n_nodes
+        # The memo shared process-wide between checkers over the same
+        # protocol/engine -- see _effects_cache_for.
+        self._action_cache = _effects_cache_for(
             protocol, interpreter_factory, n_nodes)
         # (state_name, tag) -> handler-fire key or None, so _count_fire
         # stops re-resolving DEFAULT dispatch per expansion:
         self._fire_key_table: dict = {}
-        # (node, gen) -> tuple of event-generator choices:
-        self._choice_cache: dict = {}
-        # (Message, src, dst, index) -> delivery label string:
-        self._label_cache: dict = {}
+        # (node, app id) -> the event-generator choices open to that
+        # application status (none while it is blocked):
+        self._choice_cache = Memo(self._choices)
+        # (channel slot, channel id, index) -> that delivery's (label,
+        # dst, block, message id, channel id afterwards):
+        self._delivery_cache = Memo(self._delivery)
         # The run counters and the named invariant suite:
         self._begin_run()
 
@@ -542,21 +548,23 @@ class ModelChecker:
     # current message's block, and every write lands on the acting node
     # (see ActionScratch).  So the checker journals an action once in a
     # copy-on-first-touch journal (ActionScratch + ActionContext),
-    # distils it to an ActionEffects, and caches it under that 4-tuple;
-    # subsequent expansions replay the effects as tuple surgery on
-    # interned substructures -- no whole-state copy, no handler dispatch,
-    # no full-state freeze.  (The copy-the-world path this replaced is
-    # the differential oracle, tests/reference_checker.py.)
+    # distils it to an ActionEffects, and caches it under that 4-tuple
+    # (as ids: four small ints); subsequent expansions replay the effects
+    # as one id stored per touched slot of a copy of the parent's ids --
+    # no decoding, no handler dispatch, no full-state freeze.  (The
+    # copy-the-world path this replaced is the differential oracle,
+    # tests/reference_checker.py.)
 
-    def _action_effects(self, state: GlobalState, node: int,
-                        message: Message, blocked_before) -> ActionEffects:
-        """Cached outcome of dispatching ``message`` on ``node``.
+    def _action_effects(self, state: GlobalState, node: int, block: int,
+                        mid: int, blocked_before) -> ActionEffects:
+        """Cached outcome of dispatching message ``mid`` (about
+        ``block``) on ``node``.
 
         Bumps ``handler_fires`` exactly as executing the action would
         (the recording path counts while it runs; the replay path counts
         from the recorded fire sequence)."""
         if self.profiler is None:
-            key = (node, state.blocks[node][message.block], message,
+            key = (node, state[node * self.n_blocks + block], mid,
                    blocked_before)
             cache = self._action_cache
             effects = cache.get(key)
@@ -565,13 +573,13 @@ class ModelChecker:
                 for fire in effects.fires:
                     fires[fire] = fires.get(fire, 0) + 1
                 return effects
-            effects = self._record_action(state, node, message,
-                                          blocked_before)
-            cache[key] = effects
+            effects = cache[key] = self._record_action(
+                state, node, MESSAGES[mid], blocked_before)
             return effects
         # Profiled runs execute every action for real so per-dispatch
         # costs stay attributable; a cache hit would report zero time.
-        return self._record_action(state, node, message, blocked_before)
+        return self._record_action(state, node, MESSAGES[mid],
+                                   blocked_before)
 
     def _record_action(self, state: GlobalState, node: int,
                        message: Message, blocked_before) -> ActionEffects:
@@ -621,146 +629,83 @@ class ModelChecker:
     def _build_successor(self, state: GlobalState, node: int,
                          effects: ActionEffects, gen=_KEEP_GEN,
                          removed=None) -> GlobalState:
-        """Replay recorded effects onto ``state``: rebuild only the rows
-        an action touched, reuse every untouched tuple, and carry the
-        congestion count forward incrementally."""
-        cap = self.channel_cap
-        delta = 0
-        blocks = state.blocks
-        if effects.views:
-            row = list(blocks[node])
-            for block, view in effects.views:
-                grew = len(view.queue) >= cap
-                if grew != (len(row[block].queue) >= cap):
-                    delta += 1 if grew else -1
-                row[block] = view
-            blocks = blocks[:node] + (tuple(row),) + blocks[node + 1:]
-        apps = state.apps
-        app = apps[node]
+        """Replay recorded effects onto ``state``: copy its ids and
+        store one per slot the action touched.  ``removed`` is the
+        delivered message's ``(channel slot, channel id afterwards)``."""
+        ids = list(state)
+        base = node * self.n_blocks
+        for block, vid in effects.views:
+            ids[base + block] = vid
+        slot = self._app0 + node
+        app = APPS[ids[slot]]
         new_gen = app.gen if gen is _KEEP_GEN else gen
         if new_gen != app.gen or effects.blocked_after != app.blocked_on:
-            apps = apps[:node] + (
-                AppView(effects.blocked_after, new_gen),) + apps[node + 1:]
-        channels = state.channels
-        sends = effects.sends
-        if removed is not None or sends:
-            rows = list(channels)
-            row = list(rows[node])       # the sender's outgoing channels
-            dirty = set()                # destinations edited in ``row``
-            if removed is not None:
-                src, dst, index = removed
-                channel = rows[src][dst]
-                if len(channel) == cap:
-                    delta -= 1
-                channel = channel[:index] + channel[index + 1:]
-                if src == node:
-                    row[dst] = channel
-                    dirty.add(dst)
-                else:
-                    theirs = rows[src]
-                    rows[src] = (theirs[:dst] + (intern_channel(channel),)
-                                 + theirs[dst + 1:])
-            for message in sends:
-                dst = message.dst
-                channel = row[dst] = row[dst] + (message,)
-                if len(channel) == cap:
-                    delta += 1
-                dirty.add(dst)
-            if dirty:
-                for dst in dirty:
-                    row[dst] = intern_channel(row[dst])
-                rows[node] = tuple(row)
-            channels = tuple(rows)
-        successor = GlobalState(blocks, apps, channels, state.faults)
-        if self._canon is not None:
-            # The canonical fingerprint is memoised on the state object:
-            # a state reached again has to be the object that holds it.
-            successor = self._state_intern.setdefault(successor, successor)
-        cong = state._cong
-        if cong is not None and cong[0] == cap:
-            successor._cong = cong if not delta else (cap, cong[1] + delta)
-        return successor
+            key = (effects.blocked_after, new_gen)
+            # An equal plain tuple finds an AppView's id; only a new
+            # status builds the record.
+            aid = APP_IDS.get(key)
+            ids[slot] = APP_IDS[AppView(*key)] if aid is None else aid
+        if removed is not None:
+            # Before the sends: an action may refill the very channel it
+            # was delivered from (a node messaging itself).
+            ids[removed[0]] = removed[1]
+        base = self._chan0 + node * self.n_nodes   # the sender's row
+        for dst, mid in effects.sends:
+            ids[base + dst] = APPENDED[ids[base + dst], mid]
+        return tuple.__new__(GlobalState, ids)
 
-    def _congestion_count(self, state: GlobalState) -> int:
-        """How many channels/deferred queues sit at the channel cap.
-        Computed once per state and carried forward incrementally by
-        :meth:`_build_successor`, instead of rescanning every channel
-        and queue on each expansion."""
+    def _congested(self, state: GlobalState) -> bool:
+        """Whether any channel or deferred queue sits at the channel
+        cap: asked once per expanded state, answered from the per-id
+        length tables."""
         cap = self.channel_cap
-        cached = state._cong
-        if cached is not None and cached[0] == cap:
-            return cached[1]
-        count = 0
-        for row in state.channels:
-            for channel in row:
-                if len(channel) >= cap:
-                    count += 1
-        for node_blocks in state.blocks:
-            for view in node_blocks:
-                if len(view.queue) >= cap:
-                    count += 1
-        state._cong = (cap, count)
-        return count
+        return (max(map(QUEUE_LEN.__getitem__, state[:self._app0])) >= cap
+                or max(map(CHANNEL_LEN.__getitem__,
+                           state[self._chan0:self._end])) >= cap)
 
     def _apply_app_op(self, state: GlobalState, node: int, op: tuple,
                       new_gen: tuple) -> Optional[GlobalState]:
         """Issue an application operation; returns the successor state."""
         kind = op[0]
-        app = state.apps[node]
         if kind in ("read", "write"):
             block = op[1]
-            access = state.blocks[node][block].access
+            access = VIEWS[state[node * self.n_blocks + block]].access
             fkey = (access, kind)
-            fault = _FAULT_MEMO.get(fkey, _NO_ENTRY)
-            if fault is _NO_ENTRY:
-                fault = _FAULT_MEMO[fkey] = fault_for_access(
+            tag = _FAULT_MEMO.get(fkey, _NO_ENTRY)
+            if tag is _NO_ENTRY:
+                tag = _FAULT_MEMO[fkey] = fault_for_access(
                     access, kind == "write")
-            if fault is None:
+            if tag is None:
                 # Hit: only the generator advanced.  With an unchanged
                 # generator the successor IS the parent (a self-loop).
-                if new_gen == app.gen:
+                if new_gen == APPS[state[self._app0 + node]].gen:
                     return state
                 return self._build_successor(state, node, _NO_EFFECTS,
                                              new_gen)
-            message = intern_message(
-                Message(fault, block, src=node, dst=node))
+            payload = ()
         else:  # program event (CAS, sync, LCM enter/exit, ...)
-            _kind, tag, block = op[0], op[1], op[2]
+            tag, block = op[1], op[2]
             payload = op[3] if len(op) > 3 else ()
-            message = intern_message(
-                Message(tag, block, src=node, dst=node, payload=payload))
-        effects = self._action_effects(state, node, message, block)
+        effects = self._action_effects(
+            state, node, block, _OP_MESSAGES[node, tag, block, payload],
+            block)
         if effects.error is not None:
             raise CheckerViolation(effects.error)
         return self._build_successor(state, node, effects, new_gen)
 
-    def _apply_delivery(self, state: GlobalState, src: int, dst: int,
-                        index: int) -> GlobalState:
-        message = state.channels[src][dst][index]
-        effects = self._action_effects(state, dst, message,
-                                       state.apps[dst].blocked_on)
-        if effects.error is not None:
-            raise CheckerViolation(effects.error)
-        return self._build_successor(state, dst, effects,
-                                     removed=(src, dst, index))
+    def _delivery(self, key: tuple) -> tuple:
+        slot, cid, index = key
+        src, dst = divmod(slot - self._chan0, self.n_nodes)
+        after, mid = REMOVED[cid, index]
+        message = MESSAGES[mid]
+        return (f"deliver {message.tag} {src}->{dst}[{index}] "
+                f"blk={message.block}", dst, message.block, mid, after)
 
-    def _delivery_label(self, message: Message, src: int, dst: int,
-                        index: int) -> str:
-        key = (message, src, dst, index)
-        label = self._label_cache.get(key)
-        if label is None:
-            label = (f"deliver {message.tag} {src}->{dst}[{index}] "
-                     f"blk={message.block}")
-            self._label_cache[key] = label
-        return label
-
-    def _choices(self, node: int, gen: tuple) -> tuple:
-        key = (node, gen)
-        choices = self._choice_cache.get(key)
-        if choices is None:
-            choices = self._choice_cache[key] = tuple(
-                self.events.choices(gen, node, self.n_blocks))
-        return choices
+    def _choices(self, key: tuple) -> tuple:
+        node, app = key[0], APPS[key[1]]
+        if app.blocked_on is not None:
+            return ()
+        return tuple(self.events.choices(app.gen, node, self.n_blocks))
 
     def _successors(self, state: GlobalState, admit=None):
         """Yield (label, successor) pairs for the moves out of ``state``;
@@ -773,14 +718,13 @@ class ModelChecker:
         kind)``, when given, is asked before a non-fault move executes
         (``kind`` is ``"app"`` or ``"deliver"``, ``actor`` the node it
         acts on); a refused move runs no handler and yields nothing."""
+        app0 = self._app0
         # Application events (gated while the network or a deferred queue
         # is congested, to keep the model finite -- see channel_cap).
-        if self._congestion_count(state) == 0:
+        if not self._congested(state):
+            choices = self._choice_cache
             for node in range(self.n_nodes):
-                app = state.apps[node]
-                if app.blocked_on is not None:
-                    continue
-                for choice in self._choices(node, app.gen):
+                for choice in choices[node, state[app0 + node]]:
                     if admit is not None and not admit(choice.label, node,
                                                        "app"):
                         continue
@@ -792,24 +736,24 @@ class ModelChecker:
                                                  violation.message)
                     yield choice.label, successor
         # Message deliveries (with bounded reordering).
-        for src in range(self.n_nodes):
-            row = state.channels[src]
-            for dst in range(self.n_nodes):
-                channel = row[dst]
-                limit = min(len(channel), self.reorder_bound + 1)
-                for index in range(limit):
-                    label = self._delivery_label(
-                        channel[index], src, dst, index)
-                    if admit is not None and not admit(label, dst,
-                                                       "deliver"):
-                        continue
-                    try:
-                        successor = self._apply_delivery(
-                            state, src, dst, index)
-                    except CheckerViolation as violation:
-                        raise _LabelledViolation(label, violation.message)
-                    yield label, successor
-        if state.faults != (0, 0):
+        window = self.reorder_bound + 1
+        deliveries = self._delivery_cache
+        for slot in range(self._chan0, self._end):
+            cid = state[slot]
+            if not cid:
+                continue
+            for index in range(min(CHANNEL_LEN[cid], window)):
+                label, dst, block, mid, after = deliveries[slot, cid, index]
+                if admit is not None and not admit(label, dst, "deliver"):
+                    continue
+                effects = self._action_effects(
+                    state, dst, block, mid,
+                    APPS[state[app0 + dst]].blocked_on)
+                if effects.error is not None:
+                    raise _LabelledViolation(label, effects.error)
+                yield label, self._build_successor(
+                    state, dst, effects, removed=(slot, after))
+        if state[-4] or state[-3]:
             yield from self._fault_successors(state)
 
     def _count_fire(self, state_name: str, tag: str) -> Optional[str]:
@@ -1545,20 +1489,19 @@ class _SleepSets:
                      executed) -> frozenset:
         """The sleep set ``successor`` inherits through move u: the
         earlier siblings u commutes with."""
-        congestion = self.checker._congestion_count
+        congested = self.checker._congested
         keep = []
         for (t_label, t_actor, t_kind), t_succ in executed:
             if t_actor == actor_u:
                 continue
             # t must stay enabled (same footprint) after u: an app
             # op needs the congestion gate open at the successor.
-            if t_kind == "app" and congestion(successor) != 0:
+            if t_kind == "app" and congested(successor):
                 continue
             # u must stay enabled after t: known only when t's own
             # successor is on hand (siblings); re-expansion entries
             # have none, so an app-op u drops them conservatively.
-            if kind_u == "app" and (t_succ is None
-                                    or congestion(t_succ) != 0):
+            if kind_u == "app" and (t_succ is None or congested(t_succ)):
                 continue
             keep.append((t_label, t_actor, t_kind))
         return frozenset(keep)

@@ -31,8 +31,20 @@ from typing import Optional
 from repro.lang.builtins import T_CONT, T_NODE, T_SHARERS
 from repro.runtime.context import Message
 from repro.runtime.continuation import ContinuationRecord
-from repro.verify.model import AppView, BlockView, GlobalState
-from repro.verify.model import intern_channel, intern_message, intern_view
+from repro.verify.model import (
+    APPS,
+    CHANNEL_IDS,
+    CHANNELS,
+    VIEW_IDS,
+    VIEWS,
+    AppView,
+    BlockView,
+    GlobalState,
+    Memo,
+    app_ids,
+    channel_ids,
+    view_ids,
+)
 
 FINGERPRINT_BITS = 64
 
@@ -94,17 +106,6 @@ def _encode_value(value, out: bytearray) -> None:
             f"{value!r}")
 
 
-# Per-component encodings, memoised by value exactly like the intern
-# tables in repro.verify.model: process-global, never evicted, one entry
-# per *distinct* BlockView / AppView / non-empty channel (a few hundred
-# behind tens of thousands of states), so they need no size option or
-# eviction policy of their own.  Keyed by value, not identity, so the
-# JSON codec's fresh (non-interned) views hit the same entries.
-VIEW_ENCODINGS: dict = {}
-APP_ENCODINGS: dict = {}
-CHANNEL_ENCODINGS: dict = {}
-
-
 def _encoded(prefix: bytes, *values) -> bytes:
     out = bytearray(prefix)
     for value in values:
@@ -112,53 +113,49 @@ def _encoded(prefix: bytes, *values) -> bytes:
     return bytes(out)
 
 
-def _encode_view(view: BlockView) -> bytes:
-    enc = VIEW_ENCODINGS[view] = _encoded(
-        b"B", view.state_name, view.state_args, view.info, view.access,
-        view.queue)
-    return enc
+# Per-component encodings, indexed by the component ids of
+# repro.verify.model and grown from its tables when a state holds an id
+# past their end: they cannot outgrow the id tables, so they need no
+# size option or eviction policy of their own.
+VIEW_ENC: list = []
+APP_ENC: list = []
+CHANNEL_ENC: list = []
 
 
-def _encode_app(app: AppView) -> bytes:
-    enc = APP_ENCODINGS[app] = _encoded(b"A", app.blocked_on, app.gen)
-    return enc
+def _grow_encodings() -> None:
+    VIEW_ENC.extend(_encoded(b"B", *view)
+                    for view in VIEWS[len(VIEW_ENC):])
+    APP_ENC.extend(_encoded(b"A", *app) for app in APPS[len(APP_ENC):])
+    CHANNEL_ENC.extend(_encoded(b"C", channel)
+                       for channel in CHANNELS[len(CHANNEL_ENC):])
 
 
-def _encode_channel(channel: tuple) -> bytes:
-    enc = CHANNEL_ENCODINGS[channel] = _encoded(b"C", channel)
-    return enc
-
-
-_EMPTY_CHANNEL = _encoded(b"C", ())
-
-
-def _encode_components(blocks: tuple, apps: tuple, channels: tuple,
-                       faults: tuple) -> bytes:
-    """Join the memoised per-component encodings of one state.  Every
-    component encoding is prefix-free, so the concatenation is exactly
-    what one recursive walk over the whole state would emit; only a
-    component seen for the first time is actually walked."""
+def _encode_ids(ids) -> bytes:
+    """Join the per-id encodings of one state's ids (a GlobalState, or
+    a list in its layout).  Every component encoding is prefix-free, so
+    the concatenation is exactly what one recursive walk over the whole
+    decoded state would emit."""
     parts = [b"G"]
-    parts += [VIEW_ENCODINGS.get(view) or _encode_view(view)
-              for node_blocks in blocks for view in node_blocks]
-    parts += [APP_ENCODINGS.get(app) or _encode_app(app) for app in apps]
-    parts += [(CHANNEL_ENCODINGS.get(channel) or _encode_channel(channel))
-              if channel else _EMPTY_CHANNEL
-              for row in channels for channel in row]
+    parts += map(VIEW_ENC.__getitem__, view_ids(ids))
+    parts += map(APP_ENC.__getitem__, app_ids(ids))
+    parts += map(CHANNEL_ENC.__getitem__, channel_ids(ids))
     # Remaining fault budget distinguishes otherwise-identical states
     # (a state reached after spending a drop must not merge with the
     # same configuration reached fault-free).  Encoded only when
     # nonzero so fault-free fingerprints -- and every checkpoint written
     # before fault budgets existed -- are byte-identical.
-    if faults != (0, 0):
-        parts.append(_encoded(b"F", tuple(faults)))
+    if ids[-4] or ids[-3]:
+        parts.append(_encoded(b"F", (ids[-4], ids[-3])))
     return b"".join(parts)
 
 
 def encode_state(state: GlobalState) -> bytes:
     """The canonical byte encoding a fingerprint digests."""
-    return _encode_components(state.blocks, state.apps, state.channels,
-                              state.faults)
+    try:
+        return _encode_ids(state)
+    except IndexError:      # an id newer than the encoding lists
+        _grow_encodings()
+        return _encode_ids(state)
 
 
 def _digest(encoding: bytes) -> int:
@@ -230,6 +227,7 @@ class SymmetryCanonicalizer:
     def __init__(self, protocol, n_nodes: int, n_blocks: int,
                  perm_cap: Optional[int] = DEFAULT_PERM_CAP):
         self.n_nodes = n_nodes
+        self.n_blocks = n_blocks
         homes = {block % n_nodes for block in range(n_blocks)}
         self.free_nodes = [n for n in range(n_nodes) if n not in homes]
         free = self.free_nodes
@@ -267,12 +265,13 @@ class SymmetryCanonicalizer:
         # handler qualname "State.Message" -> {var -> kind}; built
         # lazily because most states carry no continuation records.
         self._frame_kinds: dict = {}
-        # mapping -> (inverse mapping, {view -> renamed view},
-        # {channel -> renamed channel}).  A renaming is a function of
-        # (mapping, component) alone, and the distinct components are
-        # the few hundred in the intern tables, so after warm-up
-        # ``permute`` is one dict hit per component.
-        self._remaps: dict = {}
+        # mapping -> (the renamed state's view / app / channel slots in
+        # the original, {view id -> renamed view's id}, {channel id ->
+        # renamed channel's id}).  A renaming is a function of (mapping,
+        # component) alone, and the distinct components are the few
+        # hundred in the id tables, so after warm-up ``permute`` is one
+        # dict hit per component.
+        self._remaps = Memo(self._remap_tables)
 
     @property
     def permutations(self) -> int:
@@ -333,23 +332,29 @@ class SymmetryCanonicalizer:
                     mapping, item,
                     kinds[i] if kinds and i < len(kinds) else None)
                 for i, item in enumerate(payload))
-        return intern_message(Message(
+        return Message(
             msg.tag, msg.block, src=self._map_node(mapping, msg.src),
             dst=self._map_node(mapping, msg.dst), payload=payload,
-            data=msg.data))
+            data=msg.data)
 
     def _remap_tables(self, mapping: tuple) -> tuple:
-        tables = self._remaps.get(mapping)
-        if tables is None:
-            inverse = [0] * self.n_nodes
-            for old, new in enumerate(mapping):
-                inverse[new] = old
-            tables = self._remaps[mapping] = (tuple(inverse), {}, {})
-        return tables
+        n, n_blocks = self.n_nodes, self.n_blocks
+        inverse = [0] * n
+        for old, new in enumerate(mapping):
+            inverse[new] = old
+        chan0 = n * (n_blocks + 1)
+        return (
+            [old * n_blocks + block
+             for old in inverse for block in range(n_blocks)],
+            [n * n_blocks + old for old in inverse],
+            [chan0 + src * n + dst for src in inverse for dst in inverse],
+            Memo(lambda vid: self._remap_view(mapping, VIEWS[vid])),
+            Memo(lambda cid: CHANNEL_IDS[tuple([
+                self._remap_message(mapping, msg)
+                for msg in CHANNELS[cid]])]))
 
-    def _remap_view(self, mapping: tuple, view: BlockView,
-                    memo: dict) -> BlockView:
-        """Rename a view ``memo`` has not seen; the result is interned."""
+    def _remap_view(self, mapping: tuple, view: BlockView) -> int:
+        """The id of ``view`` renamed."""
         info_kinds = self.info_kinds
         info = tuple(
             (name, self._remap_typed(mapping, value,
@@ -364,38 +369,22 @@ class SymmetryCanonicalizer:
                 for i, value in enumerate(state_args))
         queue = tuple(self._remap_message(mapping, msg)
                       for msg in view.queue)
-        remapped = memo[view] = intern_view(
-            view.state_name, state_args, info, view.access, queue)
-        return remapped
+        return VIEW_IDS[BlockView(view.state_name, state_args, info,
+                                  view.access, queue)]
 
-    def _remap_channel(self, mapping: tuple, channel: tuple,
-                       memo: dict) -> tuple:
-        """Rename a channel ``memo`` has not seen; the result is interned."""
-        remapped = memo[channel] = intern_channel(tuple(
-            self._remap_message(mapping, msg) for msg in channel))
-        return remapped
-
-    def _permuted(self, state: GlobalState, mapping: tuple) -> tuple:
-        """``(blocks, apps, channels)`` of the renamed state."""
-        inverse, views, chans = self._remap_tables(mapping)
-        blocks = tuple([
-            tuple([views.get(view) or self._remap_view(mapping, view, views)
-                   for view in state.blocks[old]])
-            for old in inverse])
-        apps = tuple([state.apps[old] for old in inverse])
-        channels = tuple([
-            tuple([(chans.get(channel)
-                    or self._remap_channel(mapping, channel, chans))
-                   if channel else channel
-                   for channel in [row[old] for old in inverse]])
-            for row in [state.channels[old] for old in inverse]])
-        return blocks, apps, channels
+    def _permuted(self, state: GlobalState, mapping: tuple) -> list:
+        """The renamed state's ids, in GlobalState's layout."""
+        views, apps, channels, view_ids, channel_ids = self._remaps[mapping]
+        slot = state.__getitem__
+        ids = list(map(view_ids.__getitem__, map(slot, views)))
+        ids += map(slot, apps)
+        ids += map(channel_ids.__getitem__, map(slot, channels))
+        ids += state[-4:]
+        return ids
 
     def permute(self, state: GlobalState, mapping: tuple) -> GlobalState:
         """The state with node ``old`` renamed to ``mapping[old]``."""
-        blocks, apps, channels = self._permuted(state, mapping)
-        return GlobalState(blocks=blocks, apps=apps, channels=channels,
-                           faults=state.faults)
+        return tuple.__new__(GlobalState, self._permuted(state, mapping))
 
     def orbit_fingerprint(self, state: GlobalState, fp: int) -> int:
         """The orbit key: min fingerprint over considered permutations.
@@ -405,8 +394,7 @@ class SymmetryCanonicalizer:
         encodings; no candidate state is built."""
         best = fp
         for mapping in self.perms:
-            candidate = _digest(_encode_components(
-                *self._permuted(state, mapping), state.faults))
+            candidate = _digest(encode_state(self._permuted(state, mapping)))
             if candidate < best:
                 best = candidate
         return best
@@ -432,19 +420,16 @@ def canonical_fingerprint_fn(protocol, n_nodes: int, n_blocks: int):
     """The symmetry-reduced fingerprint function exploration keys by.
 
     Returns a ``state -> int`` callable computing the min fingerprint
-    over the full home-fixing free-node permutation group, caching the
-    result in the state's ``_canon_fp`` slot (the checker interns states
-    under symmetry reduction so that a state reached again is the object
-    that holds it) -- repeat lookups of one state are an attribute read.
+    over the full home-fixing free-node permutation group, memoised by
+    state (a state hashes in C, so a repeat lookup is one dict hit); the
+    memo lives and dies with the callable.
     """
     canon = SymmetryCanonicalizer(protocol, n_nodes, n_blocks,
                                   perm_cap=None)
+    memo = Memo(canon.canonical_fingerprint)
 
-    def canonical_fp(state: GlobalState, _canon=canon) -> int:
-        cached = state._canon_fp
-        if cached is None:
-            cached = state._canon_fp = _canon.canonical_fingerprint(state)
-        return cached
+    def canonical_fp(state: GlobalState) -> int:
+        return memo[state]
 
     canonical_fp.canonicalizer = canon
     return canonical_fp

@@ -13,11 +13,32 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from repro.runtime.protocol import CompiledProtocol
+from repro.runtime.protocol import CompiledProtocol, weak_protocol_entry
 from repro.tempest.memory import AccessTag
-from repro.verify.model import GlobalState
+from repro.verify.model import (
+    CHANNEL_LEN,
+    QUEUE_LEN,
+    VIEWS,
+    GlobalState,
+    Memo,
+    channel_ids,
+    view_ids,
+)
 
 Invariant = Callable[[GlobalState, CompiledProtocol], Optional[str]]
+
+
+def _coherence_fact(vid: int) -> str:
+    view = VIEWS[vid]
+    if "LCM" in view.state_name:
+        return "exempt"
+    return {AccessTag.READ_WRITE.value: "writer",
+            AccessTag.READ_ONLY.value: "reader"}.get(view.access, "")
+
+
+# view id -> "exempt" | "writer" | "reader" | "": all single_writer asks
+# of a view, asked once per distinct view.
+_COHERENCE = Memo(_coherence_fact)
 
 
 def single_writer(state: GlobalState,
@@ -27,28 +48,21 @@ def single_writer(state: GlobalState,
     Blocks whose home sits in an LCM phase state are exempt: controlled
     inconsistency is the point of the phase.
     """
-    n_blocks = len(state.blocks[0])
-    n_nodes = len(state.blocks)
+    n_blocks = state[-1]
+    facts = list(map(_COHERENCE.__getitem__, view_ids(state)))
     for block in range(n_blocks):
-        exempt = any(
-            "LCM" in state.blocks[node][block].state_name
-            for node in range(n_nodes)
-        )
-        if exempt:
+        column = facts[block::n_blocks]     # the block's view on every node
+        writers = column.count("writer")
+        if not writers or "exempt" in column:
             continue
-        writers = []
-        readers = []
-        for node in range(n_nodes):
-            access = state.blocks[node][block].access
-            if access == AccessTag.READ_WRITE.value:
-                writers.append(node)
-            elif access == AccessTag.READ_ONLY.value:
-                readers.append(node)
-        if len(writers) > 1:
-            return (f"block {block}: multiple writers on nodes {writers}")
-        if writers and readers:
-            return (f"block {block}: writer on node {writers[0]} "
-                    f"coexists with readers on {readers}")
+        nodes = {fact: [node for node, has in enumerate(column) if has == fact]
+                 for fact in ("writer", "reader")}
+        if writers > 1:
+            return (f"block {block}: multiple writers on nodes "
+                    f"{nodes['writer']}")
+        if nodes["reader"]:
+            return (f"block {block}: writer on node {nodes['writer'][0]} "
+                    f"coexists with readers on {nodes['reader']}")
     return None
 
 
@@ -56,6 +70,10 @@ def bounded_queues(limit: int = 16) -> Invariant:
     """Deferred queues must stay bounded (else redelivery never drains)."""
     def check(state: GlobalState,
               protocol: CompiledProtocol) -> Optional[str]:
+        # Answered from the per-id length table; a failing state is
+        # decoded to say where.
+        if max(map(QUEUE_LEN.__getitem__, view_ids(state))) <= limit:
+            return None
         for node, node_blocks in enumerate(state.blocks):
             for block, view in enumerate(node_blocks):
                 if len(view.queue) > limit:
@@ -70,6 +88,8 @@ def bounded_channels(limit: int = 16) -> Invariant:
     """Network channels must stay bounded (request storms are bugs)."""
     def check(state: GlobalState,
               protocol: CompiledProtocol) -> Optional[str]:
+        if max(map(CHANNEL_LEN.__getitem__, channel_ids(state))) <= limit:
+            return None
         for src, row in enumerate(state.channels):
             for dst, channel in enumerate(row):
                 if len(channel) > limit:
@@ -78,6 +98,21 @@ def bounded_channels(limit: int = 16) -> Invariant:
         return None
 
     return check
+
+
+# protocol -> {view id -> whether that view parks a continuation in a
+# stable state}: a fact about one view, asked once per distinct view.
+_LEAKS: dict = {}
+
+
+def _leak_memo(states: dict) -> Memo:
+    def leaks(vid: int) -> bool:
+        view = VIEWS[vid]
+        info = states.get(view.state_name)
+        return bool(info is not None and not info.transient
+                    and view.state_args)
+
+    return Memo(leaks)
 
 
 def no_parked_continuation_leak(state: GlobalState,
@@ -89,16 +124,16 @@ def no_parked_continuation_leak(state: GlobalState,
     footnote: "all Suspends must eventually be Resumed ... to prevent
     memory leaks").
     """
-    for node, node_blocks in enumerate(state.blocks):
-        for block, view in enumerate(node_blocks):
-            info = protocol.states.get(view.state_name)
-            if info is None or info.transient:
-                continue
-            if view.state_args:
-                return (f"node {node} block {block}: stable state "
-                        f"{view.state_name} holds arguments "
-                        f"{view.state_args!r}")
-    return None
+    leaks = weak_protocol_entry(_LEAKS, protocol,
+                                lambda: _leak_memo(protocol.states))
+    n_blocks = state[-1]
+    vids = view_ids(state)
+    if not any(map(leaks.__getitem__, vids)):
+        return None
+    slot = next(slot for slot, vid in enumerate(vids) if leaks[vid])
+    view = VIEWS[vids[slot]]
+    return (f"node {slot // n_blocks} block {slot % n_blocks}: stable state "
+            f"{view.state_name} holds arguments {view.state_args!r}")
 
 
 def standard_invariants(coherent: bool = True) -> list[Invariant]:

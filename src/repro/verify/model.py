@@ -3,10 +3,13 @@
 A :class:`GlobalState` is an immutable, hashable snapshot of the whole
 machine: every node's view of every block (protocol state, info record,
 access tag, deferred queue), every network channel's contents, and every
-node's application status.  A rule executes against an
-:class:`ActionScratch` -- a copy-on-first-touch journal over the frozen
-parent -- through :class:`ActionContext`; the checker distils the journal
-into an :class:`ActionEffects` and replays it onto the parent.
+node's application status.  It is stored as a flat tuple of small ints,
+one interned id per component (see the tables below), so hashing,
+comparing and copying a state are ``tuple``'s own C code.  A rule
+executes against an :class:`ActionScratch` -- a copy-on-first-touch
+journal over the frozen parent -- through :class:`ActionContext`; the
+checker distils the journal into an :class:`ActionEffects` and replays
+it onto the parent.
 
 The paper's configuration -- "a minimal machine with 2 processor nodes
 and 2 shared memory addresses ... our verifications did not test actual
@@ -15,186 +18,191 @@ data values" -- is the default here too; block data is not modelled.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from repro.runtime.context import Message, ProtocolContext, RuntimeCounters, ZERO_COSTS
 from repro.runtime.protocol import CompiledProtocol
 from repro.tempest.memory import ACCESS_CHANGE_RESULT, AccessTag, fault_event_for
 
 
-class _Record:
-    """What the three state records share.  They are plain ``__slots__``
-    classes, immutable by convention: a field or a cached value is one
-    slot read, no per-instance dictionary exists to grow, and assigning
-    an undeclared name raises.  ``FIELDS`` are the declared values; every
-    other slot is a cache derived from them."""
-
-    __slots__ = ()
-    FIELDS: tuple = ()
-
-    def __reduce__(self):
-        # Pickle the declared fields only and rebuild through __init__:
-        # a cached hash is valid only under the hash seed of the process
-        # that computed it, and no memo should ride the states the
-        # parallel checker ships between workers.
-        return type(self), tuple(getattr(self, name) for name in self.FIELDS)
-
-    def __repr__(self):
-        return "{}({})".format(type(self).__name__, ", ".join(
-            f"{name}={getattr(self, name)!r}" for name in self.FIELDS))
-
-
-class BlockView(_Record):
+class BlockView(NamedTuple):
     """One node's frozen view of one block."""
 
-    FIELDS = ("state_name", "state_args", "info", "access", "queue")
-    __slots__ = FIELDS + ("_hash",)
-
-    def __init__(self, state_name: str, state_args: tuple, info: tuple,
-                 access: str, queue: tuple):
-        self.state_name = state_name
-        self.state_args = state_args
-        self.info = info          # sorted (name, value) pairs
-        self.access = access      # AccessTag.value
-        self.queue = queue        # deferred Messages
-        # Every view is hashed (the intern table below, then each state
-        # holding it), so the hash is computed here, once.
-        self._hash = hash((state_name, state_args, info, access, queue))
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not BlockView:
-            return NotImplemented
-        return (self._hash == other._hash
-                and self.state_name == other.state_name
-                and self.state_args == other.state_args
-                and self.info == other.info
-                and self.access == other.access
-                and self.queue == other.queue)
+    state_name: str
+    state_args: tuple
+    info: tuple           # sorted (name, value) pairs
+    access: str           # AccessTag.value
+    queue: tuple          # deferred Messages
 
 
-class AppView(_Record):
+class AppView(NamedTuple):
     """One node's frozen application status."""
 
-    FIELDS = ("blocked_on", "gen")
-    __slots__ = FIELDS + ("_hash",)
-
-    def __init__(self, blocked_on: Optional[int], gen: tuple):
-        self.blocked_on = blocked_on
-        self.gen = gen            # event-generator-specific state
-        self._hash = hash((blocked_on, gen))
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not AppView:
-            return NotImplemented
-        return (self._hash == other._hash
-                and self.blocked_on == other.blocked_on
-                and self.gen == other.gen)
+    blocked_on: Optional[int]
+    gen: tuple            # event-generator-specific state
 
 
-# -- interning -------------------------------------------------------------
+# -- component ids ---------------------------------------------------------
 #
-# The exploration hot loop builds millions of views, messages, and
-# channel tuples whose values recur constantly (a protocol has a handful
-# of reachable block configurations, and the same messages fly between
-# the same nodes on every path).  Interning canonicalizes each immutable
-# substructure to one shared object, so successor states share storage
-# with their parents, equality checks hit the identity fast path inside
-# tuple comparison, and cached hashes are computed once per distinct
-# value instead of once per state.  The tables are process-global and
-# never evicted: the working set is bounded by the number of *distinct*
-# substructures, which is tiny compared to the number of states.
-
-_VIEW_INTERN: dict = {}
-_MESSAGE_INTERN: dict = {}
-_CHANNEL_INTERN: dict = {}
+# The exploration builds millions of states out of a few hundred
+# distinct parts (a protocol has a handful of reachable block
+# configurations, and the same messages fly between the same nodes on
+# every path).  Each distinct part gets a small int id the first time it
+# is seen (after Holzmann's COLLAPSE) and a state holds ids only.  The
+# tables are process-global and never evicted: they are bounded by the
+# number of *distinct* parts, which is tiny beside the number of states.
+#
+# Ids mean something in this process only -- another process fills its
+# tables in another order -- so nothing that leaves the process carries
+# one: a pickle ships the decoded fields (GlobalState.__reduce__), and
+# fingerprints and checkpoints are functions of the decoded values.
 
 
-def intern_view(state_name: str, state_args: tuple, info: tuple,
-                access: str, queue: tuple) -> BlockView:
-    """The canonical BlockView for these field values."""
-    key = (state_name, state_args, info, access, queue)
-    view = _VIEW_INTERN.get(key)
-    if view is None:
-        view = _VIEW_INTERN[key] = BlockView(*key)
-    return view
+class Memo(dict):
+    """A dict that computes a missing entry with ``fill(key)`` and keeps
+    it.  A hit is one C-level subscript: no Python frame runs."""
+
+    __slots__ = ("fill",)
+
+    def __init__(self, fill):
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
 
 
-def intern_message(message: Message) -> Message:
-    """The canonical Message equal to ``message``."""
-    return _MESSAGE_INTERN.setdefault(message, message)
+VIEWS: list = []          # view id -> BlockView
+QUEUE_LEN: list = []      # view id -> len(view.queue)
+APPS: list = []           # app id -> AppView
+CHANNELS: list = []       # channel id -> tuple of Messages
+CHANNEL_LEN: list = []    # channel id -> len(channel)
+MESSAGES: list = []       # message id -> Message
 
 
-def intern_channel(channel: tuple) -> tuple:
-    """The canonical tuple equal to ``channel`` (a message sequence)."""
-    return _CHANNEL_INTERN.setdefault(channel, channel)
+def _ids_into(values: list, lens: Optional[list] = None,
+              sized=lambda value: value) -> Memo:
+    """value -> id, the next index of ``values`` on first sight (with
+    ``len(sized(value))`` recorded in ``lens``)."""
+    def assign(value) -> int:
+        values.append(value)
+        if lens is not None:
+            lens.append(len(sized(value)))
+        return len(values) - 1
+
+    return Memo(assign)
 
 
-class GlobalState(_Record):
-    """A hashable snapshot of the entire verified system."""
+VIEW_IDS = _ids_into(VIEWS, QUEUE_LEN, lambda view: view.queue)
+APP_IDS = _ids_into(APPS)
+CHANNEL_IDS = _ids_into(CHANNELS, CHANNEL_LEN)
+MESSAGE_IDS = _ids_into(MESSAGES)
+CHANNEL_IDS[()]     # the empty channel is id 0, so a set slot is a busy one
+# (channel id, message id) -> id of that channel with the message sent:
+APPENDED = Memo(lambda key: CHANNEL_IDS[
+    CHANNELS[key[0]] + (MESSAGES[key[1]],)])
 
-    FIELDS = ("blocks", "apps", "channels", "faults")
-    # Caches: the hash (a fingerprint-keyed run never asks for it), the
-    # checker's (channel_cap, congestion count) and, under symmetry
-    # reduction, the canonical fingerprint.
-    __slots__ = FIELDS + ("_hash", "_cong", "_canon_fp")
 
-    def __init__(self, blocks: tuple, apps: tuple, channels: tuple,
-                 faults: tuple = (0, 0)):
-        self.blocks = blocks      # blocks[node][block] -> BlockView
-        self.apps = apps          # apps[node] -> AppView
-        self.channels = channels  # channels[src][dst] -> tuple[Message, ...]
-        # Remaining fault budget (drops, dups) the exploration may still
-        # spend on this path; (0, 0) -- the default -- is fault-free
-        # checking and keeps fingerprints/checkpoints byte-compatible.
-        self.faults = faults
-        self._hash = self._cong = self._canon_fp = None
+def _removed(key: tuple) -> tuple:
+    channel, index = CHANNELS[key[0]], key[1]
+    return (CHANNEL_IDS[channel[:index] + channel[index + 1:]],
+            MESSAGE_IDS[channel[index]])
 
-    def __hash__(self):
-        # Hashing recurses over every view, message, and queue, and the
-        # visited set, the parent pointers and any observer keyed by
-        # state each ask for it: compute once.
-        cached = self._hash
-        if cached is None:
-            cached = self._hash = hash((self.blocks, self.apps,
-                                        self.channels, self.faults))
-        return cached
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not GlobalState:
-            return NotImplemented
-        return (self.blocks == other.blocks and self.apps == other.apps
-                and self.channels == other.channels
-                and self.faults == other.faults)
+# (channel id, index) -> (id of that channel with the index-th message
+# taken out, that message's id):
+REMOVED = Memo(_removed)
+
+
+# The three runs of ids in a state's layout (see GlobalState), of a
+# state or of a list laid out like one.
+
+def view_ids(ids):
+    return ids[:ids[-2] * ids[-1]]
+
+
+def app_ids(ids):
+    return ids[ids[-2] * ids[-1]:ids[-2] * (ids[-1] + 1)]
+
+
+def channel_ids(ids):
+    return ids[ids[-2] * (ids[-1] + 1):-4]
+
+
+class GlobalState(tuple):
+    """A hashable snapshot of the entire verified system::
+
+        ( view ids, node-major          n_nodes * n_blocks
+        , app ids                       n_nodes
+        , channel ids, src-major        n_nodes * n_nodes
+        , drops, dups, n_nodes, n_blocks )
+
+    ``drops, dups`` is the fault budget the exploration may still spend
+    on this path; (0, 0) is fault-free checking.  ``blocks`` / ``apps`` /
+    ``channels`` / ``faults`` decode the ids back to the nested tuples
+    of records the keyword constructor takes.  The engine builds
+    successors with ``tuple.__new__(GlobalState, ids)`` instead.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, blocks: tuple, apps: tuple, channels: tuple,
+                faults: tuple = (0, 0)):
+        ids = [VIEW_IDS[view] for row in blocks for view in row]
+        ids += [APP_IDS[app] for app in apps]
+        ids += [CHANNEL_IDS[channel] for row in channels for channel in row]
+        ids += (*faults, len(blocks), len(blocks[0]) if blocks else 0)
+        return tuple.__new__(cls, ids)
+
+    def __reduce__(self):
+        return GlobalState, (self.blocks, self.apps, self.channels,
+                             self.faults)
+
+    def __repr__(self):
+        return (f"GlobalState(blocks={self.blocks!r}, apps={self.apps!r}, "
+                f"channels={self.channels!r}, faults={self.faults!r})")
+
+    def _rows(self, values: list, start: int, width: int) -> tuple:
+        """``n_nodes`` rows of ``width`` decoded slots from ``start``."""
+        return tuple([      # (``or 1``: a machine of no nodes has no rows)
+            tuple(map(values.__getitem__, self[at:at + width]))
+            for at in range(start, start + self[-2] * width, width or 1)])
+
+    @property
+    def blocks(self) -> tuple:
+        """blocks[node][block] -> BlockView"""
+        return self._rows(VIEWS, 0, self[-1])
+
+    @property
+    def apps(self) -> tuple:
+        """apps[node] -> AppView"""
+        return tuple(map(APPS.__getitem__, app_ids(self)))
+
+    @property
+    def channels(self) -> tuple:
+        """channels[src][dst] -> tuple[Message, ...]"""
+        return self._rows(CHANNELS, self[-2] * (self[-1] + 1), self[-2])
+
+    @property
+    def faults(self) -> tuple:
+        return self[-4:-2]
 
     def with_channel(self, src: int, dst: int, channel: tuple,
                      faults: tuple) -> "GlobalState":
         """This state after a drop/dup fault transition: one channel
-        replaced (only its row is rebuilt, the others are shared) and
-        ``faults`` budget left.  No handler runs, nothing else moves."""
-        rows = self.channels
-        row = rows[src]
-        row = row[:dst] + (intern_channel(channel),) + row[dst + 1:]
-        return GlobalState(self.blocks, self.apps,
-                           rows[:src] + (row,) + rows[src + 1:], faults)
+        replaced and ``faults`` budget left.  No handler runs, nothing
+        else moves."""
+        n_nodes = self[-2]
+        ids = list(self)
+        ids[n_nodes * (self[-1] + 1 + src) + dst] = CHANNEL_IDS[channel]
+        ids[-4:-2] = faults
+        return tuple.__new__(GlobalState, ids)
 
     def channel(self, src: int, dst: int) -> tuple:
-        return self.channels[src][dst]
+        return CHANNELS[self[self[-2] * (self[-1] + 1 + src) + dst]]
 
     def messages_in_flight(self) -> int:
-        return sum(
-            len(channel) for row in self.channels for channel in row)
+        return sum(map(CHANNEL_LEN.__getitem__, channel_ids(self)))
 
     def fingerprint(self) -> int:
         """Stable 64-bit digest of this state (hash compaction /
@@ -275,12 +283,12 @@ class ActionScratch:
         return rec
 
     def changed_views(self) -> tuple:
-        """Interned ``(block, BlockView)`` pairs for journalled records
-        whose frozen view differs from the parent's."""
+        """``(block, BlockView)`` pairs for journalled records whose
+        frozen view differs from the parent's."""
         out = []
         for block in sorted(self.records):
             rec = self.records[block]
-            view = intern_view(
+            view = BlockView(
                 rec["state_name"], rec["state_args"],
                 tuple(sorted(rec["info"].items())),
                 rec["access"], tuple(rec["queue"]))
@@ -296,15 +304,19 @@ class ActionEffects:
     block's view, the message, the node's blocked-on marker)``; this
     object records everything it did so the checker can apply the same
     transition to any parent sharing those inputs without running a
-    single handler.
+    single handler.  Built from the journal's views and messages, held
+    as the ids a successor stores.
     """
 
     __slots__ = ("views", "sends", "blocked_after", "fires", "error")
 
     def __init__(self, views: tuple, sends: tuple, blocked_after,
                  fires: tuple, error: Optional[str]):
-        self.views = views              # ((block, BlockView after), ...)
-        self.sends = sends              # Messages in send order
+        # ((block, id of the BlockView after), ...)
+        self.views = tuple([(block, VIEW_IDS[view]) for block, view in views])
+        # ((dst, message id), ...) in send order
+        self.sends = tuple([(message.dst, MESSAGE_IDS[message])
+                            for message in sends])
         self.blocked_after = blocked_after
         self.fires = fires              # handler-fire keys, in order
         self.error = error              # CheckerViolation message, or None
@@ -362,9 +374,9 @@ class ActionContext(ProtocolContext):
     def send(self, dst: int, tag: str, block: int, payload: tuple,
              with_data: bool) -> None:
         self.counters.messages_sent += 1
-        self.scratch.sends.append(intern_message(Message(
+        self.scratch.sends.append(Message(
             tag, block, src=self.scratch.node, dst=dst,
-            payload=payload, data=() if with_data else None)))
+            payload=payload, data=() if with_data else None))
 
     def recv_data(self, block: int, mode: str) -> None:
         if self.current_message.data is None:
@@ -431,7 +443,7 @@ def initial_global_state(protocol: CompiledProtocol, n_nodes: int,
             else:
                 state_name = protocol.initial_cache_state
                 access = AccessTag.INVALID.value
-            node_blocks.append(intern_view(
+            node_blocks.append(BlockView(
                 state_name, (),
                 tuple(sorted(protocol.initial_info().items())),
                 access, ()))

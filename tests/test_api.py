@@ -84,10 +84,13 @@ class TestCheck:
             check("stache", CheckOptions(workers=-1))
 
     @pytest.mark.parametrize("name,value", [
-        ("nodes", 0), ("addresses", 0), ("reorder", -1)])
+        ("nodes", 0), ("addresses", 0), ("reorder", -1),
+        ("channel_cap", 0)])
     def test_rejects_bad_topology(self, name, value):
         # reorder=-1 used to PASS with 3 states: no delivery was ever
-        # enabled, a silently weaker model.
+        # enabled, a silently weaker model.  channel_cap=0 used to FAIL
+        # with a <stuck> initial state: every empty channel already sat
+        # at the cap, so no application rule was ever enabled.
         with pytest.raises(ValueError, match=f"CheckOptions.{name} must"):
             check("stache", CheckOptions(**{name: value}))
 

@@ -119,6 +119,7 @@ class TestBadTopology:
         ["verify", "stache", "--addresses", "0"],
         ["verify", "stache", "--reorder", "-1"],
         ["run", "stache", "gauss", "--nodes", "0"],
+        ["analyze", "coverage", "--verify", "lcm", "--nodes", "0"],
     ], ids=lambda argv: f"{argv[0]}{argv[-2]}")
     def test_one_error_line(self, argv, capsys):
         assert main(argv) == 1

@@ -30,6 +30,7 @@ from hypothesis import strategies as st
 
 from repro import api
 from repro.api import CheckOptions, CheckpointOptions, ReductionOptions
+from repro.compiler.pipeline import compile_source
 from repro.faults import FaultBudget
 from repro.runtime.context import Message
 from repro.verify import CheckpointError, load_checkpoint
@@ -41,14 +42,16 @@ from repro.verify.checkpoint import (
     replay_frontier,
     write_checkpoint,
 )
-from repro.verify.checker import ModelChecker
+from repro.verify import model
+from repro.verify.checker import ModelChecker, _LabelledViolation
+from repro.verify.fingerprint import SymmetryCanonicalizer
 from repro.verify.model import (
     ActionEffects,
     AppView,
     BlockView,
     GlobalState,
-    intern_view,
 )
+from reference_checker import ReferenceChecker, checker_for, reachable
 from test_resilience import make_parallel, make_serial, outcome
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -334,8 +337,8 @@ def test_resume_refuses_other_reduction_or_fault_config(tmp_path, flag,
 
 
 # ---------------------------------------------------------------------------
-# (vi) the engine's process-global tables grow with states, not transitions,
-#      and a state is interned only where something rides the interned object
+# (vi) the engine's process-global tables grow with distinct components (and
+#      the effects table with states), never with transitions
 # ---------------------------------------------------------------------------
 
 
@@ -345,32 +348,48 @@ def test_engine_tables_hold_no_per_transition_entries():
 
     protocol = api.compile_protocol("lcm", CheckOptions().compile)
 
-    def interned_after(**options):
+    def table_sizes():
+        return [len(table) for table in (
+            model.VIEWS, model.APPS, model.CHANNELS, model.MESSAGES,
+            model.APPENDED, model.REMOVED)]
+
+    def run(**options):
         checker._ENGINE_CACHES.clear()
         result = api.check("lcm", CheckOptions(nodes=3, **options))
-        effects, intern = checker._engine_caches_for(
-            protocol, CompiledEngine, 3)
+        effects = checker._effects_cache_for(protocol, CompiledEngine, 3)
         assert result.transitions > 3 * result.states_explored
         assert 0 < len(effects) <= result.states_explored
-        return len(intern), result.states_explored
+        return result.states_explored
 
-    # A full-state run holds each state in its visited set, a
-    # fingerprint-keyed one in its frontier only; neither interns.
-    interned, concrete_states = interned_after()
-    assert interned == 0
-    assert interned_after(fingerprints=True)[0] == 0
-    # Symmetry reduction memoises the canonical fingerprint on the state
-    # object, so it interns -- the concrete states it builds (orbit
-    # siblings' successors included), never one entry per transition.
-    interned, canonical_states = interned_after(
-        reduction=ReductionOptions(symmetry=True))
-    assert canonical_states < concrete_states
-    assert 0 < interned <= concrete_states
+    concrete_states = run()
+    # One entry per distinct component: each id decodes to the value it
+    # was assigned for, and the length tables say what they index.
+    for values, ids in ((model.VIEWS, model.VIEW_IDS),
+                        (model.APPS, model.APP_IDS),
+                        (model.CHANNELS, model.CHANNEL_IDS),
+                        (model.MESSAGES, model.MESSAGE_IDS)):
+        assert len(values) == len(ids) == len(set(values))
+        assert all(ids[value] == ident for ident, value in enumerate(values))
+    assert model.CHANNELS[0] == ()
+    assert model.QUEUE_LEN == [len(view.queue) for view in model.VIEWS]
+    assert model.CHANNEL_LEN == [len(channel) for channel in model.CHANNELS]
+    # The channel-edit memos are keyed by (channel, message) and
+    # (channel, index), so distinct channels bound them.
+    assert 0 < len(model.APPENDED) <= len(model.CHANNELS) * len(model.MESSAGES)
+    assert 0 < len(model.REMOVED) <= (len(model.CHANNELS)
+                                      * max(model.CHANNEL_LEN))
+    # A repeat of the run meets nothing new, keyed by state or by
+    # fingerprint; neither does the symmetry-reduced run, whose renamed
+    # components are other reachable components of a symmetric protocol.
+    sizes = table_sizes()
+    assert run() == run(fingerprints=True) == concrete_states
+    assert run(reduction=ReductionOptions(symmetry=True)) < concrete_states
+    assert table_sizes() == sizes
 
 
 # ---------------------------------------------------------------------------
-# (vii) the state records: slotted, keyword-constructible, and a successor's
-#       carried congestion count is the from-scratch one
+# (vii) the state records: a flat tuple of component ids, keyword-
+#       constructible, and the congestion gate is a recount
 # ---------------------------------------------------------------------------
 
 CAP = 2
@@ -384,8 +403,8 @@ def _channel(src, dst, length):
 
 
 def _view(queue_len):
-    return intern_view("Cache_Invalid", (), (), "Invalid",
-                       _channel(0, 0, queue_len))
+    return BlockView("Cache_Invalid", (), (), "Invalid",
+                     _channel(0, 0, queue_len))
 
 
 @settings(max_examples=200, deadline=None)
@@ -401,7 +420,8 @@ def test_carried_congestion_count_equals_a_recount(
     action -- the delivered message leaving a full channel, sends
     refilling that same channel (``node`` to itself), two sends to one
     destination, a deferred queue growing or draining past the cap --
-    against a recount of the successor from nothing."""
+    and on both sides of it the gate the engine reads off the per-id
+    length tables equals a recount over the decoded lists."""
     checker = ModelChecker(api.compile_protocol("stache"), n_nodes=N,
                            channel_cap=CAP)
     parent = GlobalState(
@@ -412,49 +432,67 @@ def test_carried_congestion_count_equals_a_recount(
     expected = [[list(channel) for channel in row] for row in parent.channels]
     removed = None
     if remove is not None and remove[1] < len(parent.channels[remove[0]][node]):
-        removed = (remove[0], node, remove[1])
-        del expected[remove[0]][node][remove[1]]
+        slot = N * (1 + 1 + remove[0]) + node
+        label, dst, block, mid, after = checker._delivery_cache[
+            slot, parent[slot], remove[1]]
+        taken = expected[remove[0]][node].pop(remove[1])
+        assert (dst, block, model.MESSAGES[mid]) == (node, 0, taken)
+        assert label == f"deliver REQ {remove[0]}->{node}[{remove[1]}] blk=0"
+        removed = (slot, after)
     sends = tuple(_MSG(src=node, dst=dst, payload=(9,)) for dst in send_to)
     for message in sends:
         expected[node][message.dst].append(message)
     views = () if queue_after is None else ((0, _view(queue_after)),)
     effects = ActionEffects(views, sends, None, (), None)
 
-    checker._congestion_count(parent)
+    def recount(state):
+        return (sum(len(channel) >= CAP
+                    for row in state.channels for channel in row)
+                + sum(len(row[0].queue) >= CAP for row in state.blocks))
+
+    assert checker._congested(parent) == (recount(parent) > 0)
     successor = checker._build_successor(parent, node, effects,
                                          removed=removed)
     assert successor.channels == tuple(
         tuple(tuple(channel) for channel in row) for row in expected)
     if queue_after is not None:
         assert len(successor.blocks[node][0].queue) == queue_after
-    recount = sum(len(channel) >= CAP
-                  for row in successor.channels for channel in row)
-    recount += sum(len(row[0].queue) >= CAP for row in successor.blocks)
-    assert successor._cong == (CAP, recount)
-    twin = GlobalState(successor.blocks, successor.apps, successor.channels)
-    assert twin._cong is None
-    assert checker._congestion_count(twin) == recount
+    assert checker._congested(successor) == (recount(successor) > 0)
 
 
 def test_state_records_take_keywords_and_print_their_fields():
-    view = BlockView(state_name="Home_Idle", state_args=(1,),
-                     info=(("owner", 0),), access="ReadWrite", queue=())
-    app = AppView(blocked_on=None, gen=(0, 1))
+    # (Values no other test's components equal: ids are assigned by
+    # ``==``, under which 0 is False and 1 is True.)
+    view = BlockView(state_name="Home_Idle", state_args=(7,),
+                     info=(("owner", 5),), access="ReadWrite", queue=())
+    app = AppView(blocked_on=None, gen=(3, 4))
     state = GlobalState(blocks=((view,),), apps=(app,), channels=(((),),),
                         faults=(1, 0))
     assert repr(view) == ("BlockView(state_name='Home_Idle', "
-                          "state_args=(1,), info=(('owner', 0),), "
+                          "state_args=(7,), info=(('owner', 5),), "
                           "access='ReadWrite', queue=())")
-    assert repr(app) == "AppView(blocked_on=None, gen=(0, 1))"
+    assert repr(app) == "AppView(blocked_on=None, gen=(3, 4))"
     assert repr(state) == (f"GlobalState(blocks=(({view!r},),), "
                            f"apps=({app!r},), channels=(((),),), "
                            "faults=(1, 0))")
     assert GlobalState(((view,),), (app,), (((),),)).faults == (0, 0)
-    assert state == GlobalState(((BlockView("Home_Idle", (1,),
-                                            (("owner", 0),), "ReadWrite",
+    assert state == GlobalState(((BlockView("Home_Idle", (7,),
+                                            (("owner", 5),), "ReadWrite",
                                             ()),),),
-                                (AppView(None, (0, 1)),), (((),),), (1, 0))
+                                (AppView(None, (3, 4)),), (((),),), (1, 0))
     assert view != app and state != view
+    # The state itself is the ids: view, app, channel (0 = empty), then
+    # drops, dups, n_nodes, n_blocks; hash and equality are tuple's own.
+    assert isinstance(state, tuple) and len(state) == 3 + 4
+    assert all(type(ident) is int for ident in state)
+    assert tuple(state) == (model.VIEW_IDS[view], model.APP_IDS[app], 0,
+                            1, 0, 1, 1)
+    assert GlobalState.__hash__ is tuple.__hash__
+    assert GlobalState.__eq__ is tuple.__eq__
+    assert (state.blocks, state.apps, state.channels, state.faults) == (
+        ((view,),), (app,), (((),),), (1, 0))
+    assert type(state.blocks[0][0]) is BlockView
+    assert type(state.apps[0]) is AppView
 
 
 @pytest.mark.parametrize("record", [
@@ -468,3 +506,156 @@ def test_state_records_grow_no_dict(record):
         record.memo = 1
     with pytest.raises(AttributeError):
         object.__setattr__(record, "_fingerprint", 1)
+
+
+# ---------------------------------------------------------------------------
+# (viii) ids against decoded records: re-interning is the identity, the
+#        engine's successors are the reference's, renaming is a group action
+# ---------------------------------------------------------------------------
+
+# No registered protocol sends a message to the node it runs on; this
+# one does nothing else.  A faulting cache node PINGs itself, the PING's
+# handler PONGs on the same channel it was delivered from.
+_LOOP_SOURCE = """
+Protocol Loop
+Begin
+  State Home_Idle {};
+  State Cache_Invalid {};
+  Message PING;
+  Message PONG;
+End;
+
+State Loop.Home_Idle{}
+Begin
+  Message DEFAULT (id : ID; Var info : INFO; src : NODE)
+  Begin
+    Error("invalid msg %s to Home_Idle", Msg_To_Str(MessageTag));
+  End;
+End;
+
+State Loop.Cache_Invalid{}
+Begin
+  Message RD_FAULT (id : ID; Var info : INFO; src : NODE)
+  Begin
+    Send(MyNode, PING, id);
+  End;
+
+  Message WR_FAULT (id : ID; Var info : INFO; src : NODE)
+  Begin
+    Send(MyNode, PING, id);
+    Send(MyNode, PING, id);
+  End;
+
+  Message PING (id : ID; Var info : INFO; src : NODE)
+  Begin
+    Send(MyNode, PONG, id);
+  End;
+
+  Message PONG (id : ID; Var info : INFO; src : NODE)
+  Begin
+    WakeUp(id);
+  End;
+End;
+"""
+_LOOP = compile_source(_LOOP_SOURCE,
+                       initial_states=("Home_Idle", "Cache_Invalid"))
+
+# (fast checker, reference checker, reachable states): 3 nodes, reorder
+# 1, with and without a fault budget (so drop/dup moves are in the pool).
+_POOLS = [
+    (fast, ReferenceChecker(_LOOP, n_nodes=3, reorder_bound=1),
+     reachable(fast, 150))
+    for fast in [ModelChecker(_LOOP, n_nodes=3, reorder_bound=1)]] + [
+    (fast, checker_for(ReferenceChecker, name, nodes=3, reorder=1,
+                       faults=budget), reachable(fast, 150))
+    for name in ("stache", "lcm", "lcm_mcc")
+    for budget in (None, FaultBudget(drop=1, dup=1))
+    for fast in [checker_for(ModelChecker, name, nodes=3, reorder=1,
+                             faults=budget)]]
+_DRAW = st.tuples(st.integers(0, len(_POOLS) - 1), st.integers(min_value=0))
+
+
+def _moves(successors):
+    """The (label, successor) pairs a generator yields, and the label of
+    the error rule that ended it (None when it ran out)."""
+    moves = []
+    try:
+        for move in successors:
+            moves.append(move)
+    except _LabelledViolation as error:
+        return moves, (error.label, error.message)
+    return moves, None
+
+
+def _decoded(state):
+    return state.blocks, state.apps, state.channels, state.faults
+
+
+@settings(max_examples=150, deadline=None)
+@given(_DRAW)
+def test_interning_the_decoded_fields_gives_the_same_ids(draw):
+    _fast, _reference, states = _POOLS[draw[0]]
+    state = states[draw[1] % len(states)]
+    again = GlobalState(*_decoded(state))
+    assert again == state and tuple(again) == tuple(state)
+    assert hash(again) == hash(state) and again in {state}
+    assert len(state) == 3 * 1 + 3 + 3 * 3 + 4
+    assert all(type(ident) is int for ident in state)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_DRAW)
+def test_engine_successors_decode_to_the_references(draw):
+    fast, reference, states = _POOLS[draw[0]]
+    state = states[draw[1] % len(states)]
+    mine, my_error = _moves(fast._successors(state))
+    theirs, their_error = _moves(
+        reference._successors(GlobalState(*_decoded(state))))
+    assert my_error == their_error
+    assert [label for label, _ in mine] == [label for label, _ in theirs]
+    for (label, successor), (_label, expected) in zip(mine, theirs):
+        assert _decoded(successor) == _decoded(expected), label
+        assert successor == expected and tuple(successor) == tuple(expected)
+
+
+def test_successor_pool_covers_every_kind_of_channel_edit():
+    """What the property above has to have seen to mean anything: drop
+    and dup moves, and a delivery out of a node's channel to itself
+    whose handler sends on that same channel (remove, then append)."""
+    labels, refilled = set(), 0
+    for fast, _reference, states in _POOLS:
+        for state in states:
+            for label, successor in _moves(fast._successors(state))[0]:
+                kind, _tag, route, *_ = label.split() + [""]
+                labels.add(kind)
+                src, _, rest = route.partition("->")
+                if kind == "deliver" and rest.split("[")[0] == src:
+                    node = int(src)
+                    refilled += (len(successor.channel(node, node))
+                                 >= len(state.channel(node, node)))
+    assert {"deliver", "drop", "dup"} <= labels
+    assert refilled > 0
+
+
+_SYM = checker_for(ModelChecker, "stache", nodes=4)
+_SYM_STATES = reachable(_SYM, 300)
+_CANON = SymmetryCanonicalizer(_SYM.protocol, 4, 1, perm_cap=None)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, len(_SYM_STATES) - 1))
+def test_renaming_is_a_group_action_on_id_tuples(index):
+    state = _SYM_STATES[index]
+    identity = tuple(range(4))
+    group = [identity, *_CANON.perms]
+    assert len(group) == 6
+    key = _CANON.canonical_fingerprint(state)
+    assert _CANON.permute(state, identity) == state
+    for mapping in group:
+        inverse = tuple(sorted(range(4), key=mapping.__getitem__))
+        assert inverse in group
+        image = _CANON.permute(state, mapping)
+        assert type(image) is GlobalState and len(image) == len(state)
+        assert _CANON.permute(image, inverse) == state
+        assert _CANON.canonical_fingerprint(image) == key
+        assert GlobalState(*_decoded(image)) == image

@@ -239,81 +239,95 @@ def test_lcm_three_node_fingerprint_sets_are_pinned():
 
 _MEMO_PROBE = """
 from repro import api
-from repro.verify.fingerprint import (
-    APP_ENCODINGS, CHANNEL_ENCODINGS, VIEW_ENCODINGS)
-from repro.verify.model import _CHANNEL_INTERN, _VIEW_INTERN
+from repro.verify.fingerprint import APP_ENC, CHANNEL_ENC, VIEW_ENC
+from repro.verify.model import APPS, CHANNELS, VIEWS
 api.check("lcm", api.CheckOptions(nodes=3, fingerprints=True))
-print(len(VIEW_ENCODINGS), len(_VIEW_INTERN), len(CHANNEL_ENCODINGS),
-      sum(1 for channel in _CHANNEL_INTERN if channel), len(APP_ENCODINGS))
+print(len(VIEW_ENC), len(VIEWS), len(CHANNEL_ENC), len(CHANNELS),
+      len(APP_ENC), len(APPS))
 """
 
 
 def test_encoding_memo_is_bounded_by_the_intern_tables():
-    """One entry per interned view and per non-empty interned channel:
-    the memo grows with the number of *distinct* components, never with
-    the number of states, so it needs no eviction policy or size option.
-    AppViews are not interned; their handful of values is pinned too.
+    """The encodings are lists indexed by component id, grown from the
+    id tables: one entry per distinct view, channel (the empty one is
+    id 0) and application status, never one per state, so they need no
+    eviction policy or size option and cannot outgrow the id tables.
     Counted in a fresh process -- the tables are process-global."""
     out = subprocess.run(
         [sys.executable, "-c", _MEMO_PROBE], check=True, text=True,
         capture_output=True, env={"PYTHONPATH": SRC}).stdout
-    view_encs, views, channel_encs, channels, app_encs = map(int, out.split())
+    view_encs, views, channel_encs, channels, app_encs, apps = map(
+        int, out.split())
     assert view_encs == views == 373
-    assert channel_encs == channels == 66
-    assert app_encs == 5
+    assert channel_encs == channels == 66 + 1
+    assert app_encs == apps == 5
 
 
-# -- pickled states carry no caches --------------------------------------------
+# -- pickled states carry no ids -----------------------------------------------
+#
+# An id means something in one process only.  The child below runs under
+# another hash seed and fills its id tables in another order (it builds
+# the states of a different protocol first, then this state's parts back
+# to front), so the same state is a different tuple of ints there.
 
 _PICKLE_PROBE = """
 import json, pickle, sys
+from reference_checker import checker_for, reachable
+from repro.verify.checker import ModelChecker
 from repro.verify.fingerprint import state_from_jsonable
-state = state_from_jsonable(json.load(sys.stdin))
-hash(state)                      # a cached hash exists before pickling
-sys.stdout.buffer.write(pickle.dumps(state))
+from repro.verify.model import GlobalState
+reachable(checker_for(ModelChecker, "stache", nodes=3), 200)
+payload = json.load(sys.stdin)
+flipped = {"blocks": payload["blocks"][::-1], "apps": payload["apps"][::-1],
+           "channels": [row[::-1] for row in payload["channels"][::-1]]}
+state_from_jsonable(flipped)
+state = state_from_jsonable(payload)
+sys.stdout.buffer.write(pickle.dumps((tuple(state), state)))
 """
 
 
 def test_pickled_state_holds_declared_fields_only():
     state = corpus("lcm", "fast")[-1]
+    assert any(state.channels[src][dst] for src in range(3)
+               for dst in range(3))
     payload = state_to_jsonable(state)
     cold = state_from_jsonable(payload)
+    assert cold == state and tuple(cold) == tuple(state)
+
+    # The pickle is the class plus the four decoded fields: no id, and
+    # nothing a hash, a fingerprint or a canonicalisation left behind.
+    assert cold.__reduce__() == (GlobalState, (cold.blocks, cold.apps,
+                                               cold.channels, cold.faults))
     size_before = len(pickle.dumps(cold))
     hash(cold)
     fingerprint(cold)
     SymmetryCanonicalizer(api.compile_protocol("lcm"), 3, 1,
                           perm_cap=None).canonical_fingerprint(cold)
-    assert cold._hash is not None
     assert len(pickle.dumps(cold)) == size_before
 
     shipped = pickle.loads(pickle.dumps(cold))
-    records = [shipped, *shipped.apps,
-               *(view for row in shipped.blocks for view in row)]
-    messages = [*(msg for row in shipped.channels for ch in row for msg in ch),
-                *(msg for row in shipped.blocks for view in row
-                  for msg in view.queue)]
-    assert {type(part) for part in records} == {GlobalState, AppView,
-                                                BlockView}
-    for part in records:
-        # Slotted: the caches have a slot each and nothing else can grow.
+    records = [*shipped.apps, *(view for row in shipped.blocks for view in row)]
+    assert type(shipped) is GlobalState
+    assert {type(part) for part in records} == {AppView, BlockView}
+    for part in [shipped, *records]:
         assert not hasattr(part, "__dict__")
-    assert shipped._hash is shipped._cong is shipped._canon_fp is None
-    assert messages
-    for msg in messages:
-        assert set(msg.__dict__) == set(msg.__dataclass_fields__)
+    # The messages inside were hashed on the way into the id tables;
+    # their cached hashes stay behind too.
+    assert b"_hash" not in pickle.dumps(cold)
     assert shipped == cold
     assert fingerprint(shipped) == fingerprint(cold)
 
-    # A hash computed under another seed must not cross the process
-    # boundary: the child hashes its state before pickling it.
+    # Another process, another hash seed, another id assignment.
     seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
-    foreign = pickle.loads(subprocess.run(
+    their_ids, foreign = pickle.loads(subprocess.run(
         [sys.executable, "-c", _PICKLE_PROBE], check=True,
         input=json.dumps(payload).encode(), capture_output=True,
-        env={"PYTHONPATH": SRC, "PYTHONHASHSEED": seed}).stdout)
-    twin = state_from_jsonable(payload)
-    assert foreign == twin and foreign is not twin
-    assert hash(foreign) == hash(twin)
-    assert foreign in {twin}
-    assert all(hash(theirs) == hash(ours)
-               for theirs, ours in zip(foreign.blocks[0], twin.blocks[0]))
+        env={"PYTHONPATH": os.pathsep.join([SRC, str(Path(__file__).parent)]),
+             "PYTHONHASHSEED": seed}).stdout)
+    assert their_ids != tuple(state)
+    assert foreign == state and foreign is not state
+    assert tuple(foreign) == tuple(state)
+    assert hash(foreign) == hash(state)
+    assert foreign in {state}
+    assert fingerprint(foreign) == fingerprint(state)
+    assert encode_state(foreign) == ref_state(state)

@@ -26,7 +26,6 @@ from repro.verify.model import (
     AppView,
     GlobalState,
     initial_global_state,
-    intern_channel,
 )
 
 
@@ -138,7 +137,7 @@ def freeze(scratch, parent) -> GlobalState:
             appended.setdefault(message.dst, []).append(message)
         row = list(channels[node])
         for dst, extra in appended.items():
-            row[dst] = intern_channel(row[dst] + tuple(extra))
+            row[dst] = row[dst] + tuple(extra)
         channels = channels[:node] + (tuple(row),) + channels[node + 1:]
     return GlobalState(blocks, apps, channels, parent.faults)
 
