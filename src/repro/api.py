@@ -36,6 +36,7 @@ from typing import IO, TYPE_CHECKING, Optional, Union
 
 from repro.compile_cache import compile_file
 from repro.faults import FaultBudget, FaultPlan, FaultRule, RecoveryConfig
+from repro.ioutil import check_output_paths
 from repro.protocols import PROTOCOLS, compile_named_protocol
 from repro.runtime.protocol import CompiledProtocol, Flavor, OptLevel
 
@@ -377,6 +378,9 @@ def check(target: Target,
         raise ValueError(
             f"CheckOptions.on_worker_loss must be 'fail' or 'degrade', "
             f"got {options.on_worker_loss!r}")
+    # A deadline run that cannot write its checkpoint at the cut has
+    # lost the exploration: refuse before the first state.
+    check_output_paths(ValueError, options.checkpoint.out)
     if options.workers == 0 and checkpointing and options.liveness:
         raise ValueError(
             "checkpoint/resume and liveness checking are mutually "
@@ -500,6 +504,7 @@ def simulate(target: Target,
         fifo=(options.jitter == 0) if options.fifo is None else options.fifo,
         seed=options.seed if options.seed is not None else 12345,
     )
+    check_output_paths(ValueError, options.trace, options.metrics)
     observer = None
     registry = None
     if options.trace or options.metrics:

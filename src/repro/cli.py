@@ -32,7 +32,7 @@ import sys
 from repro import api
 from repro.api import CheckOptions, CompileOptions, FaultOptions, SimOptions
 from repro.faults import FaultBudget, FaultPlanError
-from repro.ioutil import read_source
+from repro.ioutil import atomic_write_text, check_output_paths, read_source
 from repro.lang.errors import (
     RuntimeProtocolError,
     TeapotError,
@@ -117,12 +117,12 @@ def cmd_check(args) -> int:
 def cmd_compile(args) -> int:
     from repro import backends
 
+    check_output_paths(TeapotError, args.output)
     protocol, _name = _load(args.file, _opt_level(args))
     # The package resolves the name lazily: only that back end loads.
     text = getattr(backends, f"emit_{args.target}")(protocol)
     if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(text)
+        atomic_write_text(args.output, text)
         print(f"wrote {args.output} ({len(text.splitlines())} lines)")
     else:
         print(text, end="")
@@ -137,8 +137,7 @@ def cmd_fmt(args) -> int:
         return 1
     text = format_program(program)
     if args.in_place:
-        with open(args.file, "w") as handle:
-            handle.write(text)
+        atomic_write_text(args.file, text)
         print(f"formatted {args.file}")
     else:
         print(text, end="")
@@ -163,6 +162,10 @@ def _parse_fault_budget(spec) -> "FaultBudget | None":
 def cmd_verify(args) -> int:
     from repro import verify
 
+    # Before exploring, not after; --checkpoint-out is api.check's to
+    # refuse (API callers set it too).
+    check_output_paths(TeapotError, args.profile_out, args.atlas_out,
+                       args.coverage_out, args.trace_out, args.fault_plan_out)
     protocol, name = _load(args.protocol, _opt_level(args))
     options = _check_options(
         args, name,
@@ -352,21 +355,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_report(args) -> int:
-    import json
-
     from repro.obs.metrics import format_metrics, load_metrics
 
-    try:
-        payload = load_metrics(args.file)
-    except FileNotFoundError:
-        raise TeapotError(f"{args.file}: no such file") from None
-    except IsADirectoryError:
-        raise TeapotError(f"{args.file}: is a directory") from None
-    except json.JSONDecodeError as error:
-        raise TeapotError(
-            f"{args.file}: not valid JSON ({error.msg} at line "
-            f"{error.lineno}); expected a `run --metrics` export"
-        ) from None
+    payload = load_metrics(args.file)
     try:
         print(format_metrics(payload))
     except (KeyError, TypeError, AttributeError):
@@ -411,6 +402,8 @@ def cmd_analyze_coverage(args) -> int:
         format_fault_only,
         load_trace,
     )
+
+    check_output_paths(TeapotError, args.output)
 
     def check(protocol, name, **extra):
         # A rejected option (--nodes 0) is one line, as in `verify`.
@@ -495,58 +488,43 @@ def cmd_analyze_atlas(args) -> int:
 
 
 def cmd_analyze_diff(args) -> int:
-    import re
+    from repro.ioutil import parse_json_object, read_text
+    from repro.obs.analyze import Trace, TraceError, diff_coverage, diff_traces
+    from repro.obs.analyze.coverage import COVERAGE_KIND, CoverageReport
+    from repro.obs.analyze.trace import parse_events
+    from repro.obs.profile import PROFILE_KIND, CheckProfile, diff_profiles
+    from repro.verify.atlas import ATLAS_KIND, StateAtlas, diff_atlases
 
-    from repro.obs.analyze import (
-        TraceError,
-        diff_coverage,
-        diff_traces,
-        load_coverage,
-        load_trace,
-    )
-    from repro.obs.profile import diff_profiles, load_profile
-    from repro.verify.atlas import diff_atlases, load_atlas
+    # What diff compares, by the payload's kind.  A JSONL trace is no
+    # single JSON object and carries none.
+    kinds = {COVERAGE_KIND: (CoverageReport, diff_coverage),
+             PROFILE_KIND: (CheckProfile, diff_profiles),
+             ATLAS_KIND: (StateAtlas, diff_atlases)}
 
-    def sniff(path: str) -> str:
+    def load(path: str):
+        text = read_text(path, TraceError)
         try:
-            with open(path) as handle:
-                head = handle.read(4096)
-        except FileNotFoundError:
-            raise TraceError(f"{path}: no such file") from None
-        except OSError as error:
-            raise TraceError(f"{path}: {error.strerror}") from None
-        if '"kind"' in head and '"teapot-coverage"' in head:
-            return "coverage"
-        if '"kind"' in head and '"teapot-check-profile"' in head:
-            return "check-profile"
-        if '"kind"' in head and '"teapot-state-atlas"' in head:
-            return "state-atlas"
-        if '"kind"' in head and '"teapot-' in head:
-            match = re.search(r'"kind"\s*:\s*"([^"]+)"', head)
-            found = match.group(1) if match else "unknown"
+            payload = parse_json_object(text, path, TraceError, "artifact")
+        except TraceError:
+            payload = {}        # the trace loader says what is wrong
+        kind = payload.get("kind")
+        if not (isinstance(kind, str) and kind.startswith("teapot-")):
+            return "trace", diff_traces, Trace(parse_events(text, path), path)
+        if kind not in kinds:
             raise TraceError(
-                f"{path}: unrecognised artifact kind {found!r}; diff "
+                f"{path}: unrecognised artifact kind {kind!r}; diff "
                 "compares traces, coverage reports, check profiles, and "
                 "state atlases")
-        return "trace"
+        artifact, diff = kinds[kind]
+        return (kind.removeprefix("teapot-"), diff,
+                artifact.from_json(payload, path))
 
-    kind_a, kind_b = sniff(args.a), sniff(args.b)
+    (kind_a, diff, a), (kind_b, _diff, b) = load(args.a), load(args.b)
     if kind_a != kind_b:
         raise TraceError(
             f"cannot diff a {kind_a} ({args.a}) against a {kind_b} "
             f"({args.b})")
-    if kind_a == "coverage":
-        print(diff_coverage(load_coverage(args.a),
-                            load_coverage(args.b)), end="")
-    elif kind_a == "check-profile":
-        print(diff_profiles(load_profile(args.a),
-                            load_profile(args.b)), end="")
-    elif kind_a == "state-atlas":
-        print(diff_atlases(load_atlas(args.a), load_atlas(args.b)),
-              end="")
-    else:
-        print(diff_traces(load_trace(args.a), load_trace(args.b)),
-              end="")
+    print(diff(a, b), end="")
     return 0
 
 
@@ -898,10 +876,7 @@ def main(argv: list[str] | None = None) -> int:
         # the latest, not by whoever flushes after us.
         sys.stdout.flush()
         return status
-    except TeapotError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as error:
+    except (TeapotError, FileNotFoundError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
     except BrokenPipeError:

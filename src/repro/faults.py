@@ -36,10 +36,11 @@ See docs/ROBUSTNESS.md for the full model.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, field
 from typing import Optional
+
+from repro.ioutil import atomic_write_json, check_envelope, read_json
 
 FAULT_ACTIONS = ("drop", "dup", "delay")
 
@@ -270,12 +271,8 @@ class FaultPlan:
 
     @classmethod
     def from_json(cls, payload: dict, path: str = "<plan>") -> "FaultPlan":
-        if not isinstance(payload, dict) or payload.get("kind") != PLAN_KIND:
-            raise FaultPlanError(f"{path}: not a teapot fault plan")
-        if payload.get("v") != PLAN_VERSION:
-            raise FaultPlanError(
-                f"{path}: fault-plan version {payload.get('v')!r}, "
-                f"expected {PLAN_VERSION}")
+        check_envelope(payload, path, FaultPlanError, "fault plan",
+                       "verify --fault-plan-out", PLAN_KIND, PLAN_VERSION, "v")
         try:
             rules = tuple(
                 FaultRule(**entry) for entry in payload.get("rules", ()))
@@ -288,19 +285,12 @@ class FaultPlan:
                    max_faults=payload.get("max_faults"))
 
     def save(self, path: str) -> None:
-        with open(path, "w") as handle:
-            json.dump(self.to_json(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        atomic_write_json(path, self.to_json(), indent=2, sort_keys=True)
 
     @classmethod
     def load(cls, path: str) -> "FaultPlan":
-        try:
-            with open(path) as handle:
-                payload = json.load(handle)
-        except json.JSONDecodeError as error:
-            raise FaultPlanError(
-                f"{path}: not valid JSON ({error.msg})") from None
-        return cls.from_json(payload, path)
+        return cls.from_json(read_json(path, FaultPlanError, "fault plan"),
+                             path)
 
 
 @dataclass(frozen=True)

@@ -16,10 +16,10 @@ them.  They are listed separately so they stay visible.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from repro.compiler.ir import ICall
+from repro.ioutil import atomic_write_json, check_envelope, read_json
 from repro.obs.analyze.trace import Trace, TraceError
 from repro.runtime.protocol import CompiledProtocol
 
@@ -53,8 +53,8 @@ def arm_universe(protocol: CompiledProtocol
 class CoverageReport:
     """Per-arm fire counts against a protocol's full arm universe."""
 
-    protocol: str
-    source: str                     # e.g. "trace:run.jsonl" or "checker"
+    protocol: str = "?"
+    source: str = "?"               # e.g. "trace:run.jsonl" or "checker"
     config: dict = field(default_factory=dict)
     fired: dict = field(default_factory=dict)   # "State.MSG" -> count
     arms: list = field(default_factory=list)    # coverable universe
@@ -116,61 +116,25 @@ class CoverageReport:
     # -- persistence -------------------------------------------------------
 
     def to_json(self) -> dict:
-        return {
-            "kind": COVERAGE_KIND,
-            "version": COVERAGE_VERSION,
-            "protocol": self.protocol,
-            "source": self.source,
-            "config": self.config,
-            "fired": self.fired,
-            "arms": self.arms,
-            "guards": self.guards,
-        }
+        return {"kind": COVERAGE_KIND, "version": COVERAGE_VERSION,
+                **vars(self)}
 
     def save(self, path: str) -> None:
-        with open(path, "w") as handle:
-            json.dump(self.to_json(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        atomic_write_json(path, self.to_json(), indent=2, sort_keys=True)
 
     @classmethod
     def from_json(cls, payload: dict, path: str = "<coverage>"
                   ) -> "CoverageReport":
-        if payload.get("kind") != COVERAGE_KIND:
-            raise TraceError(
-                f"{path}: not a coverage report (kind="
-                f"{payload.get('kind')!r})")
-        if payload.get("version") != COVERAGE_VERSION:
-            raise TraceError(
-                f"{path}: coverage report version "
-                f"{payload.get('version')!r}, expected {COVERAGE_VERSION}")
-        return cls(
-            protocol=payload.get("protocol", "?"),
-            source=payload.get("source", "?"),
-            config=dict(payload.get("config", {})),
-            fired=dict(payload.get("fired", {})),
-            arms=list(payload.get("arms", [])),
-            guards=list(payload.get("guards", [])),
-        )
+        check_envelope(payload, path, TraceError, "coverage report",
+                       "verify --coverage-out", COVERAGE_KIND, COVERAGE_VERSION)
+        return cls(**{name: payload[name] for name in cls.__dataclass_fields__
+                      if name in payload})
 
 
 def load_coverage(path: str) -> CoverageReport:
     """Read a saved coverage report, with friendly errors."""
-    try:
-        with open(path) as handle:
-            text = handle.read()
-    except FileNotFoundError:
-        raise TraceError(f"{path}: no such file") from None
-    except OSError as error:
-        raise TraceError(f"{path}: {error.strerror}") from None
-    if not text.strip():
-        raise TraceError(f"{path}: empty file")
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as error:
-        raise TraceError(f"{path}: not valid JSON ({error.msg})") from None
-    if not isinstance(payload, dict):
-        raise TraceError(f"{path}: not a coverage report (not an object)")
-    return CoverageReport.from_json(payload, path)
+    return CoverageReport.from_json(
+        read_json(path, TraceError, "coverage report"), path)
 
 
 def coverage_from_trace(trace: Trace,

@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 from typing import Optional
 
+from repro.ioutil import read_text
 from repro.lang.errors import TeapotError
 from repro.obs.sinks import MIN_SCHEMA_VERSION, SCHEMA_VERSION
 
@@ -52,17 +53,10 @@ _LOCATION_FIELD = {
 }
 
 
-def load_events(path: str) -> list[dict]:
-    """Read and validate one JSONL trace file."""
-    try:
-        with open(path) as handle:
-            lines = handle.readlines()
-    except FileNotFoundError:
-        raise TraceError(f"{path}: no such file") from None
-    except OSError as error:
-        raise TraceError(f"{path}: {error.strerror}") from None
+def parse_events(text: str, path: str) -> list[dict]:
+    """Validate the JSONL trace ``text`` read from ``path``."""
     events: list[dict] = []
-    for lineno, line in enumerate(lines, 1):
+    for lineno, line in enumerate(text.split("\n"), 1):
         if not line.strip():
             continue
         try:
@@ -252,4 +246,4 @@ class Trace:
 
 def load_trace(path: str) -> Trace:
     """Load and index one JSONL trace."""
-    return Trace(load_events(path), path)
+    return Trace(parse_events(read_text(path, TraceError), path), path)

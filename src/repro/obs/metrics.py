@@ -10,10 +10,11 @@ reported number.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.ioutil import atomic_write_json, read_json
+from repro.lang.errors import TeapotError
 from repro.runtime.context import RuntimeCounters
 
 # Cycle histograms use power-of-two buckets; bucket i counts dispatches
@@ -142,9 +143,7 @@ class MetricsRegistry:
         }
 
     def save(self, path: str) -> None:
-        with open(path, "w") as handle:
-            json.dump(self.to_json(), handle, indent=2, sort_keys=False)
-            handle.write("\n")
+        atomic_write_json(path, self.to_json(), indent=2)
 
     def report(self) -> str:
         return format_metrics(self.to_json())
@@ -197,5 +196,6 @@ def format_metrics(data: dict) -> str:
 
 
 def load_metrics(path: str) -> dict:
-    with open(path) as handle:
-        return json.load(handle)
+    """A ``run --metrics`` export (it carries no ``kind``: its shape is
+    judged by :func:`format_metrics`), or a one-line TeapotError."""
+    return read_json(path, TeapotError, "metrics export")

@@ -46,14 +46,12 @@ together.
 
 from __future__ import annotations
 
-import json
 import time
+from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.ioutil import atomic_write_json, check_envelope, read_json
 from repro.obs.analyze.trace import TraceError
-# Re-exported: it lives beside the memory budget it feeds, in a module
-# every check loads (this one is loaded only by profiled runs).
-from repro.verify.checkpoint import visited_container_bytes  # noqa: F401
 from repro.verify.fingerprint import FINGERPRINT_BITS, expected_collisions
 
 PROFILE_KIND = "teapot-check-profile"
@@ -294,9 +292,11 @@ class CheckProfiler:
             result=result_section,
             phases=phases,
             timeline=list(self.timeline),
-            dispatch={key: {"count": entry[0],
-                            "seconds": round(entry[1], 6)}
-                      for key, entry in self.dispatch.items()},
+            # count: the arm's fires, cache replays included; seconds:
+            # the dispatches really executed (one per effects-cache miss).
+            dispatch={key: {"count": count, "seconds": round(
+                          self.dispatch.get(key, (0, 0.0))[1], 6)}
+                      for key, count in result.handler_fires.items()},
             out_degree={str(k): v
                         for k, v in sorted(self.out_degree.items())},
             visited=visited,
@@ -304,104 +304,48 @@ class CheckProfiler:
         )
 
 
+@dataclass(eq=False)
 class CheckProfile:
-    """The schema-versioned JSON profile artifact."""
+    """The schema-versioned JSON profile artifact; the fields are the
+    payload's keys after the ``kind``/``version`` header, in order."""
 
-    def __init__(self, protocol: str, nodes: int, addresses: int,
-                 reorder: int, workers: int, wall_seconds: float,
-                 result: dict, phases: dict, timeline: list,
-                 dispatch: dict, out_degree: dict, visited: dict,
-                 parallel: Optional[dict] = None):
-        self.protocol = protocol
-        self.nodes = nodes
-        self.addresses = addresses
-        self.reorder = reorder
-        self.workers = workers
-        self.wall_seconds = wall_seconds
-        self.result = result
-        self.phases = phases
-        self.timeline = timeline
-        self.dispatch = dispatch
-        self.out_degree = out_degree
-        self.visited = visited
-        self.parallel = parallel
+    protocol: str = "?"
+    nodes: int = 0
+    addresses: int = 0
+    reorder: int = 0
+    workers: int = 0
+    wall_seconds: float = 0.0
+    result: dict = field(default_factory=dict)
+    phases: dict = field(default_factory=dict)
+    timeline: list = field(default_factory=list)
+    dispatch: dict = field(default_factory=dict)
+    out_degree: dict = field(default_factory=dict)
+    visited: dict = field(default_factory=dict)
+    parallel: Optional[dict] = None     # omitted from serial profiles
 
     def to_json(self) -> dict:
-        payload = {
-            "kind": PROFILE_KIND,
-            "version": PROFILE_VERSION,
-            "protocol": self.protocol,
-            "nodes": self.nodes,
-            "addresses": self.addresses,
-            "reorder": self.reorder,
-            "workers": self.workers,
-            "wall_seconds": self.wall_seconds,
-            "result": self.result,
-            "phases": self.phases,
-            "timeline": self.timeline,
-            "dispatch": self.dispatch,
-            "out_degree": self.out_degree,
-            "visited": self.visited,
-        }
-        if self.parallel is not None:
-            payload["parallel"] = self.parallel
+        payload = {"kind": PROFILE_KIND, "version": PROFILE_VERSION,
+                   **vars(self)}
+        if self.parallel is None:
+            del payload["parallel"]
         return payload
 
     def save(self, path: str) -> None:
-        # Insertion order, not sort_keys: the kind/version header must
-        # stay in the first bytes so `analyze diff` can sniff the file.
-        with open(path, "w") as handle:
-            json.dump(self.to_json(), handle, indent=2)
-            handle.write("\n")
+        atomic_write_json(path, self.to_json(), indent=2)
 
     @classmethod
     def from_json(cls, payload: dict, path: str = "<profile>"
                   ) -> "CheckProfile":
-        if payload.get("kind") != PROFILE_KIND:
-            raise TraceError(
-                f"{path}: not a check profile (kind="
-                f"{payload.get('kind')!r}); expected a `verify "
-                f"--profile-out` export")
-        if payload.get("version") != PROFILE_VERSION:
-            raise TraceError(
-                f"{path}: check profile version "
-                f"{payload.get('version')!r}, expected {PROFILE_VERSION} "
-                "-- regenerate with this build's `verify --profile-out`")
-        return cls(
-            protocol=payload.get("protocol", "?"),
-            nodes=payload.get("nodes", 0),
-            addresses=payload.get("addresses", 0),
-            reorder=payload.get("reorder", 0),
-            workers=payload.get("workers", 0),
-            wall_seconds=payload.get("wall_seconds", 0.0),
-            result=dict(payload.get("result", {})),
-            phases=dict(payload.get("phases", {})),
-            timeline=list(payload.get("timeline", [])),
-            dispatch=dict(payload.get("dispatch", {})),
-            out_degree=dict(payload.get("out_degree", {})),
-            visited=dict(payload.get("visited", {})),
-            parallel=payload.get("parallel"),
-        )
+        check_envelope(payload, path, TraceError, "check profile",
+                       "verify --profile-out", PROFILE_KIND, PROFILE_VERSION)
+        return cls(**{name: payload[name] for name in cls.__dataclass_fields__
+                      if name in payload})
 
 
 def load_profile(path: str) -> CheckProfile:
     """Read a saved check profile, with friendly one-line errors."""
-    try:
-        with open(path) as handle:
-            text = handle.read()
-    except FileNotFoundError:
-        raise TraceError(f"{path}: no such file") from None
-    except OSError as error:
-        raise TraceError(f"{path}: {error.strerror}") from None
-    if not text.strip():
-        raise TraceError(f"{path}: empty file")
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as error:
-        raise TraceError(f"{path}: not valid JSON ({error.msg})") from None
-    if not isinstance(payload, dict):
-        raise TraceError(f"{path}: not a check profile (not an object)")
-    return CheckProfile.from_json(payload, path)
+    return CheckProfile.from_json(
+        read_json(path, TraceError, "check profile"), path)
 
 
 # -- rendering ------------------------------------------------------------------

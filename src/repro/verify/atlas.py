@@ -53,12 +53,13 @@ exploration order or results.
 from __future__ import annotations
 
 import heapq
-import json
 import re
 from collections import defaultdict
+from dataclasses import dataclass, field
 from hashlib import blake2b
 from typing import Optional
 
+from repro.ioutil import atomic_write_json, check_envelope, read_json
 from repro.obs.analyze.trace import TraceError
 from repro.verify.fingerprint import (
     DEFAULT_PERM_CAP,
@@ -317,26 +318,27 @@ class AtlasRecorder:
         )
 
 
+@dataclass(eq=False)
 class StateAtlas:
-    """The schema-versioned JSON atlas artifact."""
+    """The schema-versioned JSON atlas artifact; the fields are the
+    payload's keys after the ``kind``/``version`` header, in order."""
 
-    def __init__(self, protocol: str, nodes: int, addresses: int,
-                 reorder: int, workers: int, result: dict,
-                 truncation: dict, orbit: dict, state_meta: dict,
-                 states: dict, edges: list,
-                 fault_budget: tuple = (0, 0)):
-        self.protocol = protocol
-        self.nodes = nodes
-        self.addresses = addresses
-        self.reorder = reorder
-        self.workers = workers
-        self.result = result
-        self.truncation = truncation
-        self.orbit = orbit
-        self.state_meta = state_meta
-        self.states = states        # fp hex -> annotation
-        self.edges = edges          # [src, dst, tag, sender, receiver,
-        self.fault_budget = tuple(fault_budget)  # kind, block, label]
+    protocol: str = "?"
+    nodes: int = 0
+    addresses: int = 0
+    reorder: int = 0
+    workers: int = 0
+    result: dict = field(default_factory=dict)
+    truncation: dict = field(default_factory=dict)
+    orbit: dict = field(default_factory=dict)
+    state_meta: dict = field(default_factory=dict)
+    states: dict = field(default_factory=dict)   # fp hex -> annotation
+    # Each edge: [src, dst, tag, sender, receiver, kind, block, label].
+    edges: list = field(default_factory=list)
+    fault_budget: tuple = (0, 0)        # omitted from fault-free atlases
+
+    def __post_init__(self):
+        self.fault_budget = tuple(self.fault_budget)
 
     @property
     def sampled(self) -> bool:
@@ -354,79 +356,28 @@ class StateAtlas:
         return text + ")"
 
     def to_json(self) -> dict:
-        payload = {
-            "kind": ATLAS_KIND,
-            "version": ATLAS_VERSION,
-            "protocol": self.protocol,
-            "nodes": self.nodes,
-            "addresses": self.addresses,
-            "reorder": self.reorder,
-            "workers": self.workers,
-            "result": self.result,
-            "truncation": self.truncation,
-            "orbit": self.orbit,
-            "state_meta": self.state_meta,
-            "states": self.states,
-            "edges": self.edges,
-        }
-        if self.fault_budget != (0, 0):
-            payload["fault_budget"] = list(self.fault_budget)
+        payload = {"kind": ATLAS_KIND, "version": ATLAS_VERSION,
+                   **vars(self), "fault_budget": list(self.fault_budget)}
+        if self.fault_budget == (0, 0):
+            del payload["fault_budget"]
         return payload
 
     def save(self, path: str) -> None:
-        # Insertion order and compact separators: the kind/version
-        # header must stay in the first bytes so `analyze diff` can
-        # sniff the file, and an atlas can hold 10^5 edges.
-        with open(path, "w") as handle:
-            json.dump(self.to_json(), handle, separators=(",", ":"))
-            handle.write("\n")
+        # Compact separators: an atlas can hold 10^5 edges.
+        atomic_write_json(path, self.to_json(), separators=(",", ":"))
 
     @classmethod
     def from_json(cls, payload: dict, path: str = "<atlas>") -> "StateAtlas":
-        if payload.get("kind") != ATLAS_KIND:
-            raise TraceError(
-                f"{path}: not a state atlas (kind="
-                f"{payload.get('kind')!r}); expected a `verify "
-                f"--atlas-out` export")
-        if payload.get("version") != ATLAS_VERSION:
-            raise TraceError(
-                f"{path}: state atlas version "
-                f"{payload.get('version')!r}, expected {ATLAS_VERSION} "
-                "-- regenerate with this build's `verify --atlas-out`")
-        return cls(
-            protocol=payload.get("protocol", "?"),
-            nodes=payload.get("nodes", 0),
-            addresses=payload.get("addresses", 0),
-            reorder=payload.get("reorder", 0),
-            workers=payload.get("workers", 0),
-            result=dict(payload.get("result", {})),
-            truncation=dict(payload.get("truncation", {})),
-            orbit=dict(payload.get("orbit", {})),
-            state_meta=dict(payload.get("state_meta", {})),
-            states=dict(payload.get("states", {})),
-            edges=[list(record) for record in payload.get("edges", [])],
-            fault_budget=tuple(payload.get("fault_budget", (0, 0))),
-        )
+        check_envelope(payload, path, TraceError, "state atlas",
+                       "verify --atlas-out", ATLAS_KIND, ATLAS_VERSION)
+        return cls(**{name: payload[name] for name in cls.__dataclass_fields__
+                      if name in payload})
 
 
 def load_atlas(path: str) -> StateAtlas:
     """Read a saved state atlas, with friendly one-line errors."""
-    try:
-        with open(path) as handle:
-            text = handle.read()
-    except FileNotFoundError:
-        raise TraceError(f"{path}: no such file") from None
-    except OSError as error:
-        raise TraceError(f"{path}: {error.strerror}") from None
-    if not text.strip():
-        raise TraceError(f"{path}: empty file")
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as error:
-        raise TraceError(f"{path}: not valid JSON ({error.msg})") from None
-    if not isinstance(payload, dict):
-        raise TraceError(f"{path}: not a state atlas (not an object)")
-    return StateAtlas.from_json(payload, path)
+    return StateAtlas.from_json(
+        read_json(path, TraceError, "state atlas"), path)
 
 
 # -- structural analysis --------------------------------------------------------

@@ -563,23 +563,18 @@ class ModelChecker:
         Bumps ``handler_fires`` exactly as executing the action would
         (the recording path counts while it runs; the replay path counts
         from the recorded fire sequence)."""
-        if self.profiler is None:
-            key = (node, state[node * self.n_blocks + block], mid,
-                   blocked_before)
-            cache = self._action_cache
-            effects = cache.get(key)
-            if effects is not None:
-                fires = self._handler_fires
-                for fire in effects.fires:
-                    fires[fire] = fires.get(fire, 0) + 1
-                return effects
-            effects = cache[key] = self._record_action(
-                state, node, MESSAGES[mid], blocked_before)
+        key = (node, state[node * self.n_blocks + block], mid,
+               blocked_before)
+        cache = self._action_cache
+        effects = cache.get(key)
+        if effects is not None:
+            fires = self._handler_fires
+            for fire in effects.fires:
+                fires[fire] = fires.get(fire, 0) + 1
             return effects
-        # Profiled runs execute every action for real so per-dispatch
-        # costs stay attributable; a cache hit would report zero time.
-        return self._record_action(state, node, MESSAGES[mid],
-                                   blocked_before)
+        effects = cache[key] = self._record_action(
+            state, node, MESSAGES[mid], blocked_before)
+        return effects
 
     def _record_action(self, state: GlobalState, node: int,
                        message: Message, blocked_before) -> ActionEffects:

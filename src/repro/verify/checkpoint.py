@@ -9,7 +9,7 @@ through :meth:`Cut.write`, every resume through
 on-disk concerns both engines share:
 
 * **Atomic writes** -- every checkpoint goes through
-  :func:`repro.ioutil.atomic_write_json` (tmp + fsync + rename), so a
+  :func:`repro.ioutil.atomic_write_text` (tmp + fsync + rename), so a
   crash mid-write can never leave a parseable-but-partial file.
 * **A payload seal** -- a BLAKE2b digest over the canonical JSON of the
   payload (excluding the ``seal`` field itself and the volatile
@@ -41,7 +41,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 
-from repro.ioutil import atomic_write_text
+from repro.ioutil import atomic_write_text, check_envelope, read_json
 from repro.verify.fingerprint import state_from_jsonable
 
 CHECKPOINT_KIND = "teapot-parallel-checkpoint"
@@ -233,24 +233,10 @@ def load_checkpoint(path: str) -> dict:
     Every failure mode is a one-line :class:`CheckpointError`: not
     JSON (truncated or binary-corrupted), wrong kind, unknown version,
     or a seal mismatch (bit-flipped payload)."""
-    try:
-        with open(path) as handle:
-            payload = json.load(handle)
-    except json.JSONDecodeError as error:
-        raise CheckpointError(
-            f"{path}: truncated or corrupt checkpoint "
-            f"(not valid JSON: {error.msg} at line {error.lineno})"
-        ) from None
-    except UnicodeDecodeError:
-        raise CheckpointError(
-            f"{path}: truncated or corrupt checkpoint (not UTF-8 text)"
-        ) from None
-    if not isinstance(payload, dict) or payload.get("kind") != CHECKPOINT_KIND:
-        raise CheckpointError(f"{path}: not a teapot parallel checkpoint")
-    if payload.get("v") != CHECKPOINT_VERSION:
-        raise CheckpointError(
-            f"{path}: checkpoint version {payload.get('v')!r}, "
-            f"expected {CHECKPOINT_VERSION}")
+    payload = check_envelope(
+        read_json(path, CheckpointError, "checkpoint"), path,
+        CheckpointError, "checkpoint", "verify --checkpoint-out",
+        CHECKPOINT_KIND, CHECKPOINT_VERSION, version_key="v")
     stored_seal = payload.get("seal")
     if stored_seal is not None:
         computed = _canonical_and_seal(payload)[1]

@@ -259,6 +259,234 @@ class TestUnreadableSource:
         assert err.count("\n") == 1
 
 
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+
+# Every command that reads a persisted artifact: argv around the path
+# under test, and a payload of the right kind but a version from the
+# future (None: the kind carries no version).
+ARTIFACT_READERS = {
+    "check-profile": (lambda p, good: ["analyze", "check-profile", p],
+                      {"kind": "teapot-check-profile", "version": 99}),
+    "atlas": (lambda p, good: ["analyze", "atlas", p],
+              {"kind": "teapot-state-atlas", "version": 99}),
+    "diff-a": (lambda p, good: ["analyze", "diff", p, good],
+               {"kind": "teapot-coverage", "version": 99}),
+    "diff-b": (lambda p, good: ["analyze", "diff", good, p],
+               {"kind": "teapot-coverage", "version": 99}),
+    "causal": (lambda p, good: ["analyze", "causal", p],
+               {"ev": "send", "v": 99}),
+    "critical-path": (lambda p, good: ["analyze", "critical-path", p],
+                      {"ev": "send", "v": 99}),
+    "coverage-trace": (lambda p, good: ["analyze", "coverage", "--trace", p,
+                                        "--protocol", "stache"],
+                       {"ev": "send", "v": 99}),
+    "report": (lambda p, good: ["report", p], None),
+    "fault-plan": (lambda p, good: ["run", "stache", "gauss", "--nodes", "2",
+                                    "--fault-plan", p],
+                   {"kind": "teapot-fault-plan", "v": 99}),
+    "resume": (lambda p, good: ["verify", "stache", "--resume", p],
+               {"kind": "teapot-parallel-checkpoint", "v": 99}),
+}
+
+BAD_ARTIFACTS = {
+    "missing": None,
+    "directory": None,
+    "not-utf8": b'{"kind": "caf\xe9"}\n',
+    "empty": b"",
+    "invalid-json": b"{nope\n",
+    "json-array": b"[1, 2]\n",
+    # No reader's kind, no trace event, no metrics row.
+    "wrong-kind": b'{"kind": "teapot-stranger", "version": 1, "v": 1, '
+                  b'"handlers": [1]}\n',
+}
+
+
+class TestUnreadableArtifact:
+    """Every command that reads an artifact goes through one reader:
+    whatever is wrong with the file is one ``error: <path>...`` line
+    and exit status 1, never a traceback."""
+
+    @pytest.mark.parametrize("damage", [*BAD_ARTIFACTS, "wrong-version"])
+    @pytest.mark.parametrize("reader", ARTIFACT_READERS)
+    def test_one_error_line(self, reader, damage, tmp_path, capsys):
+        argv, future = ARTIFACT_READERS[reader]
+        path = tmp_path / "artifact"
+        if damage == "wrong-version":
+            if future is None:
+                pytest.skip("the kind carries no version")
+            path.write_text(json.dumps(future))
+        elif damage == "directory":
+            path.mkdir()
+        elif damage != "missing":
+            path.write_bytes(BAD_ARTIFACTS[damage])
+        good = os.path.join(GOLDEN, "coverage_v1_parent.json")
+        assert main(argv(str(path), good)) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: {path}"), err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        if damage == "wrong-version":
+            assert "version" in err
+
+
+class TestArtifactEnvelope:
+    """What the writers put on disk: the bytes of each kind, that they
+    load back, and that a failed write costs nothing."""
+
+    @pytest.fixture(scope="class")
+    def artifacts(self):
+        """kind -> (object with to_json/save, loader, json.dumps keywords)"""
+        from repro import api
+        from repro.faults import FaultPlan, FaultRule
+        from repro.obs.analyze import coverage_from_checker, load_coverage
+        from repro.obs.metrics import MetricsRegistry, load_metrics
+        from repro.obs.profile import load_profile
+        from repro.verify.atlas import load_atlas
+
+        protocol = api.compile_protocol("lcm_mcc")
+        result = api.check(protocol, api.CheckOptions(
+            faults=api.FaultBudget(drop=1), workers=2,
+            artifacts=api.ArtifactOptions(profile=True, atlas=True)))
+        registry = MetricsRegistry("lcm_mcc")
+        registry.record_dispatch("Home", "GET", 12)
+        plan = FaultPlan(rules=(FaultRule(action="drop", tag="A"),), seed=3)
+        return {
+            "profile": (result.profile, load_profile, {"indent": 2}),
+            "atlas": (result.atlas, load_atlas,
+                      {"separators": (",", ":")}),
+            "coverage": (coverage_from_checker(protocol, result),
+                         load_coverage, {"indent": 2, "sort_keys": True}),
+            "plan": (plan, FaultPlan.load, {"indent": 2, "sort_keys": True}),
+            "metrics": (registry, load_metrics, {"indent": 2}),
+        }
+
+    @pytest.mark.parametrize(
+        "kind", ["profile", "atlas", "coverage", "plan", "metrics"])
+    def test_save_bytes_and_round_trip(self, artifacts, kind, tmp_path):
+        artifact, load, keywords = artifacts[kind]
+        path = tmp_path / f"{kind}.json"
+        artifact.save(str(path))
+        payload = artifact.to_json()
+        assert path.read_text() == json.dumps(payload, **keywords) + "\n"
+        assert os.listdir(tmp_path) == [path.name]      # no .tmp left
+        loaded = load(str(path))
+        if kind == "metrics":       # no kind, no class: the dict itself
+            assert loaded == payload
+            return
+        assert loaded.to_json() == payload
+        assert list(payload)[0] == "kind"
+        assert list(payload)[1] == ("v" if kind == "plan" else "version")
+        if "sort_keys" not in keywords:
+            assert path.read_text().lstrip("{ \n").startswith('"kind"')
+
+    def test_checkpoint_round_trip(self, tmp_path):
+        from repro.verify.checkpoint import load_checkpoint, write_checkpoint
+
+        with open(os.path.join(GOLDEN, "checkpoint_v1_parent.json")) as f:
+            parent = json.load(f)
+        path = str(tmp_path / "ck.json")
+        write_checkpoint(path, {k: v for k, v in parent.items()
+                                if k != "seal"})
+        assert load_checkpoint(path) == parent      # same seal, too
+        assert os.listdir(tmp_path) == ["ck.json"]
+
+    def test_files_written_by_the_parent_commit_still_load(self):
+        from repro.faults import FaultPlan
+        from repro.obs.analyze import load_coverage
+        from repro.verify.checkpoint import load_checkpoint
+
+        plan = FaultPlan.load(os.path.join(GOLDEN,
+                                           "fault_plan_v1_parent.json"))
+        assert [rule.tag for rule in plan.rules] == ["GET_RO_RESP"]
+        report = load_coverage(os.path.join(GOLDEN,
+                                            "coverage_v1_parent.json"))
+        assert report.protocol == "Stache" and report.covered == 24
+        assert report.config["states"] == 47
+        checkpoint = load_checkpoint(
+            os.path.join(GOLDEN, "checkpoint_v1_parent.json"))
+        assert len(checkpoint["frontier"]) == 33
+
+    @pytest.mark.parametrize("failure", ["serialize", "write"])
+    def test_failed_write_keeps_the_old_file(self, failure, tmp_path,
+                                             monkeypatch):
+        from repro import ioutil
+        from repro.obs.analyze import CoverageReport
+
+        path = tmp_path / "cov.json"
+        CoverageReport(protocol="P", source="checker").save(str(path))
+        before = path.read_bytes()
+        report = CoverageReport(protocol="Q", source="checker")
+        if failure == "serialize":
+            report.config["unserializable"] = {1, 2}
+            expected = TypeError
+        else:
+            def full_disk(_fd):
+                raise OSError(28, "No space left on device")
+            monkeypatch.setattr(ioutil.os, "fsync", full_disk)
+            expected = OSError
+        with pytest.raises(expected):
+            report.save(str(path))
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["cov.json"]
+
+
+class TestOutputLocations:
+    """A destination that cannot be written is refused before the run
+    that would fill it, not after."""
+
+    VERIFY_FLAGS = ["--checkpoint-out", "--profile-out", "--atlas-out",
+                    "--coverage-out", "--trace-out", "--fault-plan-out"]
+
+    @pytest.mark.parametrize("argv", [
+        *(["verify", "lcm", "--reorder", "1", "--max-states", "200", flag]
+          for flag in VERIFY_FLAGS),
+        ["run", "stache", "gauss", "--nodes", "2", "--metrics"],
+        ["run", "stache", "gauss", "--nodes", "2", "--trace"],
+        ["analyze", "coverage", "--verify", "stache", "-o"],
+        ["compile", "stache", "-o"],
+    ], ids=lambda argv: " ".join(argv[:1] + argv[-1:]))
+    def test_missing_directory(self, argv, tmp_path, capsys):
+        path = tmp_path / "nowhere" / "out.json"
+        assert main([*argv, str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""            # nothing was explored or simulated
+        assert err == f"error: {path}: No such file or directory\n"
+
+    @pytest.mark.skipif(os.geteuid() == 0, reason="root writes anywhere")
+    def test_unwritable_directory(self, tmp_path, capsys):
+        locked = tmp_path / "locked"
+        locked.mkdir(mode=0o555)
+        path = locked / "p.json"
+        assert main(["verify", "stache", "--profile-out", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: Permission denied\n")
+
+    def test_a_directory_is_no_destination(self, tmp_path, capsys):
+        assert main(["verify", "stache", "--atlas-out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path}: Is a directory\n")
+
+    def test_api_callers_get_a_value_error(self, tmp_path):
+        from repro import api
+
+        path = str(tmp_path / "nowhere" / "ck.json")
+        with pytest.raises(ValueError, match="nowhere/ck.json: No such"):
+            api.check("stache", api.CheckOptions(
+                checkpoint=api.CheckpointOptions(out=path)))
+        with pytest.raises(ValueError, match="nowhere/ck.json: No such"):
+            api.simulate("stache", workload="gauss", options=api.SimOptions(
+                nodes=2, metrics=path))
+
+    def test_fmt_in_place_replaces_the_file_atomically(self, mini_file,
+                                                       capsys):
+        assert main(["fmt", mini_file]) == 0
+        formatted = capsys.readouterr().out
+        assert main(["fmt", mini_file, "-i"]) == 0
+        with open(mini_file) as handle:
+            assert handle.read() == formatted
+        assert os.listdir(os.path.dirname(mini_file)) == ["mini.tea"]
+
+
 SRC = os.path.abspath(
     os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 

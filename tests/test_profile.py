@@ -165,6 +165,20 @@ class TestPhaseAccounting:
                          for entry in result.profile.dispatch.values())
         assert dispatched == sum(result.handler_fires.values())
 
+    def test_profiled_run_uses_the_action_effects_cache(self):
+        # The profiler observes the engine users run: dispatches are
+        # executed (and timed) once per cache miss, counted per fire.
+        profiler = CheckProfiler()
+        checker = make_serial("lcm_mcc", reorder=1, profiler=profiler)
+        checker._action_cache.clear()   # shared process-wide: start cold
+        result = checker.run()
+        executed = sum(count for count, _seconds
+                       in profiler.dispatch.values())
+        assert 0 < executed < sum(result.handler_fires.values())
+        assert 0 < len(checker._action_cache) <= executed
+        assert all(entry["seconds"] > 0
+                   for entry in result.profile.dispatch.values())
+
     def test_serial_timeline_monotonic_and_final(self):
         result = make_serial("lcm_mcc", reorder=1,
                              profiler=CheckProfiler(sample_every=50)).run()
