@@ -28,7 +28,11 @@ from repro.verify.checkpoint import (
     visited_container_bytes,
 )
 from repro.verify.events import EventGenerator, StacheEvents
-from repro.verify.fingerprint import canonical_fingerprint_fn, fingerprint
+from repro.verify.fingerprint import (
+    SLOT_TERMS,
+    SymmetryCanonicalizer,
+    fingerprint,
+)
 from repro.verify.invariants import Invariant, standard_invariants
 from repro.verify.model import (
     APP_IDS,
@@ -51,11 +55,8 @@ from repro.verify.model import (
     initial_global_state,
 )
 
-# Sentinels: "leave the app generator alone" for _build_successor, and
-# "no cached entry" for the dispatch table (None is a valid cached value
-# there, meaning "no handler for this tag").
+# Sentinel: "leave the app generator alone" for _build_successor.
 _KEEP_GEN = object()
-_NO_ENTRY = object()
 
 # The effects of an action that touched nothing (an application hit:
 # only the event generator advances).
@@ -65,24 +66,24 @@ _NO_EFFECTS = ActionEffects((), (), None, (), None)
 # same compiled protocol: (node, view id, message id, blocked_on) ->
 # ActionEffects.  An action's effects are a pure function of those
 # inputs *given* the protocol, the execution engine, and the home map --
-# and the home map is always ``block % n_nodes`` -- so caches are scoped
-# by (interpreter_factory, n_nodes) under the protocol.  The registry
-# holds protocols weakly (see weak_protocol_entry): a protocol's cache
-# dies with it.
+# and the home map is always ``block % n_nodes`` -- and are held as slots
+# of the layout, so caches are scoped by (interpreter_factory, n_nodes,
+# n_blocks) under the protocol.  The registry holds protocols weakly
+# (see weak_protocol_entry): a protocol's cache dies with it.
 _ENGINE_CACHES: dict = {}
 
 
-def _effects_cache_for(protocol, interpreter_factory, n_nodes: int) -> dict:
+def _effects_cache_for(protocol, interpreter_factory, *layout) -> dict:
     per_protocol = weak_protocol_entry(_ENGINE_CACHES, protocol, dict)
-    return per_protocol.setdefault((interpreter_factory, n_nodes), {})
+    return per_protocol.setdefault((interpreter_factory, *layout), {})
 
 
 _DEADLOCK_MESSAGE = ("no rule enabled: all nodes blocked and no messages "
                      "in flight")
 
-# fault_for_access is a pure function of (access tag value, op kind);
-# memoised because the hot loop consults it per application choice.
-_FAULT_MEMO: dict = {}
+# (access tag value, "read" | "write") -> the fault that access raises,
+# or None: the hot loop asks per application choice.
+_ACCESS_FAULTS = Memo(lambda key: fault_for_access(key[0], key[1] == "write"))
 
 # (node, tag, block, payload) -> id of the message an application
 # operation hands its own node.
@@ -356,7 +357,6 @@ class ModelChecker:
         progress_stream: Optional[IO] = None,
         progress_every: int = 10_000,
         fingerprint_states: bool = False,
-        fingerprint_fn=None,
         fault_budget=None,
         profiler=None,
         atlas=None,
@@ -408,7 +408,7 @@ class ModelChecker:
         # repro.verify.fingerprint).  Incompatible with check_progress,
         # which must record the full state graph.
         self.fingerprint_states = fingerprint_states
-        self.fingerprint_fn = fingerprint_fn or fingerprint
+        self.fingerprint_fn = fingerprint
         if fingerprint_states and check_progress:
             raise ValueError(
                 "fingerprint_states and check_progress are mutually "
@@ -428,31 +428,26 @@ class ModelChecker:
                     "symmetry reduction and the liveness check are "
                     "mutually exclusive: starvation witnesses need the "
                     "full (unquotiented) state graph")
-            base_fn = self.fingerprint_fn
-            if base_fn is fingerprint:
-                canonical = canonical_fingerprint_fn(
-                    protocol, n_nodes, n_blocks)
-                self._canon = canonical.canonicalizer
-            else:
-                # Compose with a caller-supplied base hash (tests):
-                # min of the base over the full permutation group.
-                canon = canonical_fingerprint_fn(
-                    protocol, n_nodes, n_blocks).canonicalizer
-                self._canon = canon
-
-                def canonical(state, _canon=canon, _base=base_fn):
-                    best = _base(state)
-                    for mapping in _canon.perms:
-                        candidate = _base(_canon.permute(state, mapping))
-                        if candidate < best:
-                            best = candidate
-                    return best
-            self.fingerprint_fn = canonical
+            # (The full group: a capped one is not closed.  Memoised by
+            # state, which hashes in C: a repeat is one dict hit.)
+            self._canon = SymmetryCanonicalizer(protocol, n_nodes, n_blocks,
+                                                perm_cap=None)
+            self.fingerprint_fn = Memo(
+                self._canon.canonical_fingerprint).__getitem__
             # Canonical keys are ints in every serial mode; violations
             # get the same replay validation fingerprint mode has.
             self.fingerprint_states = True
         else:
             self._canon = None
+        # Where the visited key is the state's own fingerprint (not a
+        # minimum over renamings) a successor's is its parent's with the
+        # terms of the slots the move stored swapped: the per-slot term
+        # tables, and the XOR of the swapped terms that whatever built
+        # the last successor left for _expand (None: left nothing).
+        self._slot_terms = (SLOT_TERMS[n_nodes, n_blocks]
+                            if self.fingerprint_states and not symmetry
+                            else None)
+        self._delta: Optional[int] = None
         # Partial-order reduction (sleep sets): prune transitions whose
         # commuting reorderings are explored elsewhere.  Sleep sets
         # preserve the reachable state *set* (only redundant edges are
@@ -491,7 +486,7 @@ class ModelChecker:
         # streams, and checkpoints either way).
         self.atlas = atlas
         # Checkpointing: stop at a clean cut (see checkpoint.CutPolicy)
-        # and write the same v1 JSON format the parallel checker uses,
+        # and write the same v2 JSON format the parallel checker uses,
         # so a serial checkpoint resumes at any worker count and vice
         # versa.  Requires the fingerprint-keyed visited set (the
         # on-disk format is fingerprint-keyed).
@@ -523,10 +518,10 @@ class ModelChecker:
         # The memo shared process-wide between checkers over the same
         # protocol/engine -- see _effects_cache_for.
         self._action_cache = _effects_cache_for(
-            protocol, interpreter_factory, n_nodes)
+            protocol, interpreter_factory, n_nodes, n_blocks)
         # (state_name, tag) -> handler-fire key or None, so _count_fire
         # stops re-resolving DEFAULT dispatch per expansion:
-        self._fire_key_table: dict = {}
+        self._fire_keys = Memo(self._fire_key)
         # (node, app id) -> the event-generator choices open to that
         # application status (none while it is blocked):
         self._choice_cache = Memo(self._choices)
@@ -587,66 +582,71 @@ class ModelChecker:
         fires: list = []
         try:
             record = scratch.record(message.block)
-            record["state_changed"] = False
-            key = self._count_fire(record["state_name"], message.tag)
-            if key is not None:
-                fires.append(key)
-            ctx.begin(message)
-            if prof is None:
-                interp.dispatch()
-            else:
-                t0 = time.perf_counter()
-                interp.dispatch()
-                prof.add_dispatch(key, time.perf_counter() - t0)
-            while record["state_changed"] and record["queue"]:
+            batch = [message]   # then the deferred queue, while it retries
+            while batch:
                 record["state_changed"] = False
-                drained = record["queue"]
-                record["queue"] = []
-                for deferred in drained:
+                for delivered in batch:
                     key = self._count_fire(record["state_name"],
-                                           deferred.tag)
+                                           delivered.tag)
                     if key is not None:
                         fires.append(key)
-                    ctx.begin(deferred)
+                    ctx.begin(delivered)
                     if prof is None:
                         interp.dispatch()
                     else:
                         t0 = time.perf_counter()
                         interp.dispatch()
                         prof.add_dispatch(key, time.perf_counter() - t0)
+                batch = []
+                if record["state_changed"] and record["queue"]:
+                    batch, record["queue"] = record["queue"], []
         except CheckerViolation as violation:
             return ActionEffects((), (), blocked_before, tuple(fires),
                                  violation.message)
-        return ActionEffects(scratch.changed_views(),
-                             tuple(scratch.sends), scratch.blocked_on,
-                             tuple(fires), None)
+        return ActionEffects(
+            scratch.changed_views(), tuple(scratch.sends),
+            scratch.blocked_on, tuple(fires), None,
+            (node * self.n_blocks, self._chan0 + node * self.n_nodes))
 
     def _build_successor(self, state: GlobalState, node: int,
                          effects: ActionEffects, gen=_KEEP_GEN,
                          removed=None) -> GlobalState:
         """Replay recorded effects onto ``state``: copy its ids and
         store one per slot the action touched.  ``removed`` is the
-        delivered message's ``(channel slot, channel id afterwards)``."""
+        delivered message's ``(channel slot, channel id afterwards, the
+        XOR of the two's terms)`` from :meth:`_delivery`."""
         ids = list(state)
-        base = node * self.n_blocks
-        for block, vid in effects.views:
-            ids[base + block] = vid
-        slot = self._app0 + node
-        app = APPS[ids[slot]]
+        for slot, vid in effects.views:
+            ids[slot] = vid
+        at = self._app0 + node
+        app = APPS[ids[at]]
         new_gen = app.gen if gen is _KEEP_GEN else gen
         if new_gen != app.gen or effects.blocked_after != app.blocked_on:
             key = (effects.blocked_after, new_gen)
             # An equal plain tuple finds an AppView's id; only a new
             # status builds the record.
             aid = APP_IDS.get(key)
-            ids[slot] = APP_IDS[AppView(*key)] if aid is None else aid
+            ids[at] = APP_IDS[AppView(*key)] if aid is None else aid
         if removed is not None:
             # Before the sends: an action may refill the very channel it
             # was delivered from (a node messaging itself).
             ids[removed[0]] = removed[1]
-        base = self._chan0 + node * self.n_nodes   # the sender's row
-        for dst, mid in effects.sends:
-            ids[base + dst] = APPENDED[ids[base + dst], mid]
+        for slot, mid in effects.sends:
+            ids[slot] = APPENDED[ids[slot], mid]
+        terms = self._slot_terms
+        if terms is not None:
+            # Each stored slot's old term out and new term in, once a
+            # slot (a refilled channel is not as the delivery left it).
+            delta = 0
+            if removed is not None and ids[removed[0]] == removed[1]:
+                delta = removed[2]
+            if ids[at] != state[at]:
+                delta ^= terms[at][state[at]] ^ terms[at][ids[at]]
+            for slot, vid in effects.views:
+                delta ^= terms[slot][state[slot]] ^ terms[slot][vid]
+            for slot in effects.sent:
+                delta ^= terms[slot][state[slot]] ^ terms[slot][ids[slot]]
+            self._delta = delta
         return tuple.__new__(GlobalState, ids)
 
     def _congested(self, state: GlobalState) -> bool:
@@ -665,15 +665,12 @@ class ModelChecker:
         if kind in ("read", "write"):
             block = op[1]
             access = VIEWS[state[node * self.n_blocks + block]].access
-            fkey = (access, kind)
-            tag = _FAULT_MEMO.get(fkey, _NO_ENTRY)
-            if tag is _NO_ENTRY:
-                tag = _FAULT_MEMO[fkey] = fault_for_access(
-                    access, kind == "write")
+            tag = _ACCESS_FAULTS[access, kind]
             if tag is None:
                 # Hit: only the generator advanced.  With an unchanged
                 # generator the successor IS the parent (a self-loop).
                 if new_gen == APPS[state[self._app0 + node]].gen:
+                    self._delta = 0
                     return state
                 return self._build_successor(state, node, _NO_EFFECTS,
                                              new_gen)
@@ -693,8 +690,11 @@ class ModelChecker:
         src, dst = divmod(slot - self._chan0, self.n_nodes)
         after, mid = REMOVED[cid, index]
         message = MESSAGES[mid]
+        terms = self._slot_terms
+        swap = 0 if terms is None else terms[slot][cid] ^ terms[slot][after]
         return (f"deliver {message.tag} {src}->{dst}[{index}] "
-                f"blk={message.block}", dst, message.block, mid, after)
+                f"blk={message.block}", dst, message.block, mid,
+                (slot, after, swap))
 
     def _choices(self, key: tuple) -> tuple:
         node, app = key[0], APPS[key[1]]
@@ -738,7 +738,7 @@ class ModelChecker:
             if not cid:
                 continue
             for index in range(min(CHANNEL_LEN[cid], window)):
-                label, dst, block, mid, after = deliveries[slot, cid, index]
+                label, dst, block, mid, removed = deliveries[slot, cid, index]
                 if admit is not None and not admit(label, dst, "deliver"):
                     continue
                 effects = self._action_effects(
@@ -746,8 +746,8 @@ class ModelChecker:
                     APPS[state[app0 + dst]].blocked_on)
                 if effects.error is not None:
                     raise _LabelledViolation(label, effects.error)
-                yield label, self._build_successor(
-                    state, dst, effects, removed=(slot, after))
+                yield label, self._build_successor(state, dst, effects,
+                                                   removed=removed)
         if state[-4] or state[-3]:
             yield from self._fault_successors(state)
 
@@ -759,19 +759,16 @@ class ModelChecker:
         Returns the arm key, which the profiler attributes dispatch
         cost to.  Dispatch resolution is memoised per (state, tag) --
         the protocol's handler tables never change mid-run."""
-        table = self._fire_key_table
-        key = table.get((state_name, tag), _NO_ENTRY)
-        if key is _NO_ENTRY:
-            state = self.protocol.states.get(state_name)
-            handler = state.dispatch(tag) if state is not None else None
-            key = (None if handler is None
-                   else f"{state_name}.{handler.message_name}")
-            table[(state_name, tag)] = key
-        if key is None:
-            return None
-        fires = self._handler_fires
-        fires[key] = fires.get(key, 0) + 1
+        key = self._fire_keys[state_name, tag]
+        if key is not None:
+            fires = self._handler_fires
+            fires[key] = fires.get(key, 0) + 1
         return key
+
+    def _fire_key(self, at: tuple) -> Optional[str]:
+        state = self.protocol.states.get(at[0])
+        handler = state.dispatch(at[1]) if state is not None else None
+        return handler and f"{at[0]}.{handler.message_name}"
 
     def _certify_symmetry(self, state: GlobalState, succ_keys=None) -> None:
         """Certify the node-symmetry assumption at one expanded state.
@@ -826,26 +823,35 @@ class ModelChecker:
                     "one specific sharer), so symmetry reduction would "
                     "silently skip reachable states")
 
-    @staticmethod
-    def _fault_successors(state: GlobalState):
+    def _fault_successors(self, state: GlobalState):
         """Fault transitions: lose or duplicate any in-flight message,
-        while budget remains.  Pure channel edits -- no handler runs --
-        so they cannot raise.  Note these never fire on an empty
-        network, so fault budgets cannot mask a real deadlock (a state
-        with all nodes blocked and no messages in flight still has no
-        successor)."""
-        drops, dups = state.faults
-        for src, row in enumerate(state.channels):
-            for dst, channel in enumerate(row):
-                for index, msg in enumerate(channel):
-                    where = f"{msg.tag} {src}->{dst}[{index}] blk={msg.block}"
-                    if drops:
-                        yield f"drop {where}", state.with_channel(
-                            src, dst, channel[:index] + channel[index + 1:],
-                            (drops - 1, dups))
-                    if dups:
-                        yield f"dup {where}", state.with_channel(
-                            src, dst, channel + (msg,), (drops, dups - 1))
+        while budget remains.  Pure edits of two slots, a channel and a
+        budget -- no handler runs -- so they cannot raise.  Note these
+        never fire on an empty network, so fault budgets cannot mask a
+        real deadlock (a state with all nodes blocked and no messages in
+        flight still has no successor)."""
+        terms = self._slot_terms
+        for slot in range(self._chan0, self._end):
+            src, dst = divmod(slot - self._chan0, self.n_nodes)
+            cid = state[slot]
+            for index in range(CHANNEL_LEN[cid]):
+                dropped, mid = REMOVED[cid, index]
+                message = MESSAGES[mid]
+                for kind, budget in (("drop", -4), ("dup", -3)):
+                    if not state[budget]:
+                        continue
+                    ids = list(state)
+                    ids[slot] = (dropped if kind == "drop"
+                                 else APPENDED[cid, mid])
+                    ids[budget] -= 1
+                    if terms is not None:
+                        self._delta = (
+                            terms[slot][cid] ^ terms[slot][ids[slot]]
+                            ^ terms[budget][state[budget]]
+                            ^ terms[budget][ids[budget]])
+                    yield (f"{kind} {message.tag} {src}->{dst}[{index}] "
+                           f"blk={message.block}",
+                           tuple.__new__(GlobalState, ids))
 
     # -- search -------------------------------------------------------------
 
@@ -928,12 +934,19 @@ class ModelChecker:
         out_degree = 0
         successors = (self._successors(state) if por is None
                       else por.successors(state, key))
+        self._delta = None
         if prof is None and atlas is None and not certify:
             # No observer (decided once per state, not per successor):
-            # the triples are the enumerator's pairs plus the key.
+            # the triples are the enumerator's pairs plus the key, this
+            # state's with the swapped terms where the builder left them.
             for label, successor in successors:
                 out_degree += 1
-                yield label, successor, fp(successor) if fp else successor
+                if fp is None:
+                    yield label, successor, successor
+                    continue
+                delta, self._delta = self._delta, None
+                yield label, successor, (fp(successor) if delta is None
+                                         else key ^ delta)
         else:
             # Sleep sets prune some moves, so under POR the symmetry
             # comparison recomputes the full successor set (None).
@@ -944,8 +957,13 @@ class ModelChecker:
                 successors = prof.timed_successors(successors)
             for label, successor in successors:
                 out_degree += 1
-                if prof is None or fp is None:
-                    succ_key = fp(successor) if fp else successor
+                delta, self._delta = self._delta, None
+                if fp is None:
+                    succ_key = successor
+                elif delta is not None:
+                    succ_key = key ^ delta
+                elif prof is None:
+                    succ_key = fp(successor)
                 else:
                     t0 = time.perf_counter()
                     succ_key = fp(successor)

@@ -1,8 +1,10 @@
 """The checkpoint format, shared by both checking engines.
 
-A checkpoint is pure JSON (kind ``teapot-parallel-checkpoint``, v1 --
+A checkpoint is pure JSON (kind ``teapot-parallel-checkpoint``, v2 --
 the name is historical; the serial checker writes and resumes the same
-format).  This module is the single owner of that format -- a
+format; v1 had the same shape but keyed states by a BLAKE2b over the
+whole encoding, so its keys mean nothing to this build and a v1 file is
+refused).  This module is the single owner of that format -- a
 :class:`Cut` is the exploration at a clean cut, every writer goes
 through :meth:`Cut.write`, every resume through
 :func:`decode_checkpoint` and :func:`replay_frontier` -- and of the
@@ -16,8 +18,8 @@ on-disk concerns both engines share:
   ``elapsed`` wall-clock, which legitimately differs between otherwise
   identical runs).  :func:`load_checkpoint` verifies it, turning
   bit-flips and truncation into a one-line :class:`CheckpointError`
-  instead of a resumed-from-garbage run.  Checkpoints written before
-  the seal existed (no ``seal`` key) still load.
+  instead of a resumed-from-garbage run.  (A payload with no ``seal``
+  key loads unverified.)
 * **Rotation** -- ``keep_last`` > 1 shifts ``path`` -> ``path.1`` ->
   ``path.2`` ... before each write, keeping a bounded history of the
   newest checkpoints.
@@ -45,7 +47,7 @@ from repro.ioutil import atomic_write_text, check_envelope, read_json
 from repro.verify.fingerprint import state_from_jsonable
 
 CHECKPOINT_KIND = "teapot-parallel-checkpoint"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 # A cut's counting fields, by their names in a Cut and on disk.
 _COUNTED = ("wave", "transitions", "max_depth", "elapsed",
@@ -356,7 +358,7 @@ class Cut:
         self.states = {}
 
     def encode(self, echo: dict) -> dict:
-        """The v1 payload.  ``visited`` and ``parents`` may be a
+        """The v2 payload.  ``visited`` and ``parents`` may be a
         writer's live containers, already holding the frontier (the
         serial loop accepts a state when it queues it): frontier keys
         are skipped there, so no writer copies a container to drop them."""

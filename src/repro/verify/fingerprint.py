@@ -1,15 +1,16 @@
 """64-bit state fingerprints and a portable state codec.
 
 The checker's visited set traditionally stores whole
-:class:`~repro.verify.model.GlobalState` objects.  A fingerprint is an
-8-byte BLAKE2b digest of a *canonical encoding* of the state, so the
-visited set shrinks to a set of small ints (an order of magnitude less
-memory -- the classic Stern/Dill hash-compaction trade) and, crucially,
-the value is stable across processes and across runs: it does not
-depend on ``PYTHONHASHSEED``, object identity, or pickle memoisation.
-That stability is what lets the parallel checker hash-partition the
-state space across worker processes and what makes checkpoint files
-resumable.
+:class:`~repro.verify.model.GlobalState` objects.  A fingerprint is the
+XOR over the state's slots of an 8-byte BLAKE2b digest of (slot, the
+*canonical encoding* of the component held there), so the visited set
+shrinks to a set of small ints (an order of magnitude less memory -- the
+classic Stern/Dill hash-compaction trade), a successor's fingerprint is
+its parent's with the few terms a move touched swapped (Zobrist hashing)
+and, crucially, the value is stable across processes and runs: it does
+not depend on ``PYTHONHASHSEED``, object identity, id-assignment order
+or pickle memoisation.  That stability is what lets the parallel checker
+hash-partition the state space and makes checkpoint files resumable.
 
 The trade-off of compaction is that two distinct states could collide
 and one of them would be silently merged (probability ~ n^2 / 2^65 for
@@ -25,7 +26,10 @@ checkpoint format, so checkpoints contain no pickles.
 from __future__ import annotations
 
 import itertools
+import math
+from functools import partial, reduce
 from hashlib import blake2b
+from operator import getitem, xor
 from typing import Optional
 
 from repro.lang.builtins import T_CONT, T_NODE, T_SHARERS
@@ -82,16 +86,8 @@ def _encode_value(value, out: bytearray) -> None:
         out += b")"
     elif isinstance(value, frozenset):
         # Canonical order: sort members by their own encoding.
-        parts = []
-        for item in value:
-            buf = bytearray()
-            _encode_value(item, buf)
-            parts.append(bytes(buf))
-        parts.sort()
-        out += b"{%d:" % len(parts)
-        for part in parts:
-            out += part
-        out += b"}"
+        parts = sorted(_encoded(b"", item) for item in value)
+        out += b"{%d:" % len(parts) + b"".join(parts) + b"}"
     elif isinstance(value, Message):
         out += b"m"
         _encode_value((value.tag, value.block, value.src, value.dst,
@@ -130,41 +126,59 @@ def _grow_encodings() -> None:
                        for channel in CHANNELS[len(CHANNEL_ENC):])
 
 
-def _encode_ids(ids) -> bytes:
-    """Join the per-id encodings of one state's ids (a GlobalState, or
-    a list in its layout).  Every component encoding is prefix-free, so
-    the concatenation is exactly what one recursive walk over the whole
-    decoded state would emit."""
-    parts = [b"G"]
-    parts += map(VIEW_ENC.__getitem__, view_ids(ids))
-    parts += map(APP_ENC.__getitem__, app_ids(ids))
-    parts += map(CHANNEL_ENC.__getitem__, channel_ids(ids))
+def encode_state(state: GlobalState) -> bytes:
+    """The canonical byte encoding of a state: the auditable rendering
+    whose per-component parts a fingerprint's terms digest.  Every
+    component encoding is prefix-free, so the concatenation is exactly
+    what one recursive walk over the whole decoded state would emit."""
+    try:
+        parts = [b"G", *map(VIEW_ENC.__getitem__, view_ids(state)),
+                 *map(APP_ENC.__getitem__, app_ids(state)),
+                 *map(CHANNEL_ENC.__getitem__, channel_ids(state))]
+    except IndexError:      # an id newer than the encoding lists
+        _grow_encodings()
+        return encode_state(state)
     # Remaining fault budget distinguishes otherwise-identical states
     # (a state reached after spending a drop must not merge with the
     # same configuration reached fault-free).  Encoded only when
-    # nonzero so fault-free fingerprints -- and every checkpoint written
-    # before fault budgets existed -- are byte-identical.
-    if ids[-4] or ids[-3]:
-        parts.append(_encoded(b"F", (ids[-4], ids[-3])))
+    # nonzero, so a fault-free state's bytes are what they always were.
+    if state[-4] or state[-3]:
+        parts.append(_encoded(b"F", tuple(state[-4:-2])))
     return b"".join(parts)
-
-
-def encode_state(state: GlobalState) -> bytes:
-    """The canonical byte encoding a fingerprint digests."""
-    try:
-        return _encode_ids(state)
-    except IndexError:      # an id newer than the encoding lists
-        _grow_encodings()
-        return _encode_ids(state)
 
 
 def _digest(encoding: bytes) -> int:
     return int.from_bytes(blake2b(encoding, digest_size=8).digest(), "big")
 
 
+def _slot_term(slot: int, encodings, cid: int) -> int:
+    if encodings is None:
+        return _digest(_encoded(b"", slot, cid))
+    if cid >= len(encodings):
+        _grow_encodings()
+    return _digest(_encoded(b"", slot) + encodings[cid])
+
+
+def _slot_terms(dims: tuple) -> list:
+    """One table per slot of a ``dims`` = (n_nodes, n_blocks) state:
+    component id (the last four slots: the int itself) -> BLAKE2b-8 of
+    the slot index and that component's encoding.  A function of decoded
+    values, filled per (slot, id) seen: no table outgrows its id table."""
+    n_nodes, n_blocks = dims
+    kinds = ([VIEW_ENC] * (n_nodes * n_blocks) + [APP_ENC] * n_nodes
+             + [CHANNEL_ENC] * (n_nodes * n_nodes) + [None] * 4)
+    return [Memo(partial(_slot_term, slot, encodings))
+            for slot, encodings in enumerate(kinds)]
+
+
+SLOT_TERMS = Memo(_slot_terms)
+
+
 def fingerprint(state: GlobalState) -> int:
-    """Stable 64-bit fingerprint of a global state."""
-    return _digest(encode_state(state))
+    """Stable 64-bit fingerprint of a global state: the XOR of its
+    slots' terms, one C-level pass.  This is the definition; the checker
+    derives a successor's from its parent's (``_build_successor``)."""
+    return reduce(xor, map(getitem, SLOT_TERMS[state[-2:]], state))
 
 
 def expected_collisions(entries: int,
@@ -235,15 +249,11 @@ class SymmetryCanonicalizer:
         if len(free) < 2:
             self.method = "identity"
         else:
-            count = 1
-            for i in range(2, len(free) + 1):
-                count *= i
-            self.method = ("exact" if perm_cap is None or count <= perm_cap
+            self.method = ("exact" if perm_cap is None
+                           or math.factorial(len(free)) <= perm_cap
                            else "capped")
-            images = itertools.permutations(free)
-            if self.method == "capped":
-                images = itertools.islice(images, perm_cap)
-            for image in images:
+            for image in itertools.islice(itertools.permutations(free),
+                                          perm_cap):
                 if image == tuple(free):
                     continue            # the identity is the state itself
                 mapping = list(range(n_nodes))
@@ -264,13 +274,15 @@ class SymmetryCanonicalizer:
             for name, info in protocol.states.items()}
         # handler qualname "State.Message" -> {var -> kind}; built
         # lazily because most states carry no continuation records.
-        self._frame_kinds: dict = {}
-        # mapping -> (the renamed state's view / app / channel slots in
-        # the original, {view id -> renamed view's id}, {channel id ->
-        # renamed channel's id}).  A renaming is a function of (mapping,
-        # component) alone, and the distinct components are the few
-        # hundred in the id tables, so after warm-up ``permute`` is one
-        # dict hit per component.
+        self._frame_kinds = Memo(self._frame_kinds_for)
+        # mapping -> (the slot of the original each slot of the renamed
+        # state comes from; per such slot, {id -> that component
+        # renamed's id}; per slot of the *original*, {id -> the term of
+        # that component renamed, at the slot it moves to}).  A renaming
+        # is a function of (mapping, component) alone and the distinct
+        # components are few, so after warm-up ``permute`` is one dict
+        # hit per component, as is the renamed state's fingerprint: the
+        # XOR of the original's slots through the last tables.
         self._remaps = Memo(self._remap_tables)
 
     @property
@@ -286,23 +298,20 @@ class SymmetryCanonicalizer:
         return value
 
     def _frame_kinds_for(self, handler: str) -> dict:
-        kinds = self._frame_kinds.get(handler)
-        if kinds is None:
-            state_name, _, message_name = handler.partition(".")
-            ir = self._protocol.handlers.get((state_name, message_name))
-            kinds = {}
-            if ir is not None:
-                for table in (ir.state_params, ir.locals, ir.param_types):
-                    for name, type_name in table.items():
-                        kind = _node_kind(type_name)
-                        if kind is not None:
-                            kinds[name] = kind
-            self._frame_kinds[handler] = kinds
+        state_name, _, message_name = handler.partition(".")
+        ir = self._protocol.handlers.get((state_name, message_name))
+        kinds = {}
+        if ir is not None:
+            for table in (ir.state_params, ir.locals, ir.param_types):
+                for name, type_name in table.items():
+                    kind = _node_kind(type_name)
+                    if kind is not None:
+                        kinds[name] = kind
         return kinds
 
     def _remap_cont(self, mapping: tuple,
                     record: ContinuationRecord) -> ContinuationRecord:
-        kinds = self._frame_kinds_for(record.handler)
+        kinds = self._frame_kinds[record.handler]
         saved = tuple(
             (name, self._remap_typed(mapping, value, kinds.get(name)))
             for name, value in record.saved)
@@ -343,15 +352,22 @@ class SymmetryCanonicalizer:
         for old, new in enumerate(mapping):
             inverse[new] = old
         chan0 = n * (n_blocks + 1)
-        return (
-            [old * n_blocks + block
-             for old in inverse for block in range(n_blocks)],
-            [n * n_blocks + old for old in inverse],
-            [chan0 + src * n + dst for src in inverse for dst in inverse],
-            Memo(lambda vid: self._remap_view(mapping, VIEWS[vid])),
-            Memo(lambda cid: CHANNEL_IDS[tuple([
-                self._remap_message(mapping, msg)
-                for msg in CHANNELS[cid]])]))
+        views = Memo(lambda vid: self._remap_view(mapping, VIEWS[vid]))
+        channels = Memo(lambda cid: CHANNEL_IDS[tuple([
+            self._remap_message(mapping, msg) for msg in CHANNELS[cid]])])
+        sources = ([old * n_blocks + block
+                    for old in inverse for block in range(n_blocks)]
+                   + [n * n_blocks + old for old in inverse]
+                   + [chan0 + src * n + dst
+                      for src in inverse for dst in inverse])
+        apps = Memo(lambda aid: aid)    # hold no node id: only move
+        renames = [views] * (n * n_blocks) + [apps] * n + [channels] * (n * n)
+        terms = SLOT_TERMS[n, n_blocks]
+        renamed_terms = list(terms)     # the last four slots stay put
+        for term, source, renamed in zip(terms, sources, renames):
+            renamed_terms[source] = Memo(
+                lambda cid, term=term, renamed=renamed: term[renamed[cid]])
+        return sources, renames, renamed_terms
 
     def _remap_view(self, mapping: tuple, view: BlockView) -> int:
         """The id of ``view`` renamed."""
@@ -372,67 +388,41 @@ class SymmetryCanonicalizer:
         return VIEW_IDS[BlockView(view.state_name, state_args, info,
                                   view.access, queue)]
 
-    def _permuted(self, state: GlobalState, mapping: tuple) -> list:
-        """The renamed state's ids, in GlobalState's layout."""
-        views, apps, channels, view_ids, channel_ids = self._remaps[mapping]
-        slot = state.__getitem__
-        ids = list(map(view_ids.__getitem__, map(slot, views)))
-        ids += map(slot, apps)
-        ids += map(channel_ids.__getitem__, map(slot, channels))
-        ids += state[-4:]
-        return ids
-
     def permute(self, state: GlobalState, mapping: tuple) -> GlobalState:
         """The state with node ``old`` renamed to ``mapping[old]``."""
-        return tuple.__new__(GlobalState, self._permuted(state, mapping))
+        sources, renames, _terms = self._remaps[mapping]
+        ids = map(getitem, renames, map(state.__getitem__, sources))
+        return tuple.__new__(GlobalState, [*ids, *state[-4:]])
+
+    def _least(self, state: GlobalState, fp: int) -> tuple:
+        """``(key, mapping)`` of the renaming with the least fingerprint
+        (``None``: the state itself, whose fingerprint ``fp`` is).  A
+        candidate's key is one C-level pass over its mapping's term
+        tables: no renamed state is built and nothing is digested."""
+        best, least = fp, None
+        for mapping in self.perms:
+            candidate = reduce(xor, map(getitem, self._remaps[mapping][2],
+                                        state))
+            if candidate < best:
+                best, least = candidate, mapping
+        return best, least
 
     def orbit_fingerprint(self, state: GlobalState, fp: int) -> int:
         """The orbit key: min fingerprint over considered permutations.
         ``fp`` is the state's own (identity) fingerprint, passed so a
-        caller that already computed it never pays it twice.  Each
-        candidate is digested from its renamed components' memoised
-        encodings; no candidate state is built."""
-        best = fp
-        for mapping in self.perms:
-            candidate = _digest(encode_state(self._permuted(state, mapping)))
-            if candidate < best:
-                best = candidate
-        return best
+        caller that already computed it never pays it twice."""
+        return self._least(state, fp)[0]
 
     def canonical_fingerprint(self, state: GlobalState) -> int:
         """The visited-set key symmetry reduction explores under."""
-        return self.orbit_fingerprint(state, fingerprint(state))
+        return self._least(state, fingerprint(state))[0]
 
     def canonical_state(self, state: GlobalState) -> GlobalState:
         """The orbit representative (argmin-fingerprint image).  With
         the full group this is idempotent: the representative's own
         canonical state is itself."""
-        best, best_fp = state, fingerprint(state)
-        for mapping in self.perms:
-            candidate = self.permute(state, mapping)
-            candidate_fp = fingerprint(candidate)
-            if candidate_fp < best_fp:
-                best, best_fp = candidate, candidate_fp
-        return best
-
-
-def canonical_fingerprint_fn(protocol, n_nodes: int, n_blocks: int):
-    """The symmetry-reduced fingerprint function exploration keys by.
-
-    Returns a ``state -> int`` callable computing the min fingerprint
-    over the full home-fixing free-node permutation group, memoised by
-    state (a state hashes in C, so a repeat lookup is one dict hit); the
-    memo lives and dies with the callable.
-    """
-    canon = SymmetryCanonicalizer(protocol, n_nodes, n_blocks,
-                                  perm_cap=None)
-    memo = Memo(canon.canonical_fingerprint)
-
-    def canonical_fp(state: GlobalState) -> int:
-        return memo[state]
-
-    canonical_fp.canonicalizer = canon
-    return canonical_fp
+        mapping = self._least(state, fingerprint(state))[1]
+        return state if mapping is None else self.permute(state, mapping)
 
 
 # -- JSON codec (checkpoints) ---------------------------------------------------

@@ -187,17 +187,6 @@ class GlobalState(tuple):
     def faults(self) -> tuple:
         return self[-4:-2]
 
-    def with_channel(self, src: int, dst: int, channel: tuple,
-                     faults: tuple) -> "GlobalState":
-        """This state after a drop/dup fault transition: one channel
-        replaced and ``faults`` budget left.  No handler runs, nothing
-        else moves."""
-        n_nodes = self[-2]
-        ids = list(self)
-        ids[n_nodes * (self[-1] + 1 + src) + dst] = CHANNEL_IDS[channel]
-        ids[-4:-2] = faults
-        return tuple.__new__(GlobalState, ids)
-
     def channel(self, src: int, dst: int) -> tuple:
         return CHANNELS[self[self[-2] * (self[-1] + 1 + src) + dst]]
 
@@ -305,18 +294,21 @@ class ActionEffects:
     object records everything it did so the checker can apply the same
     transition to any parent sharing those inputs without running a
     single handler.  Built from the journal's views and messages, held
-    as the ids a successor stores.
+    as the slots and ids a successor stores: ``row`` is the acting
+    node's ``(first view slot, first outgoing channel slot)``.
     """
 
-    __slots__ = ("views", "sends", "blocked_after", "fires", "error")
+    __slots__ = ("views", "sends", "sent", "blocked_after", "fires", "error")
 
     def __init__(self, views: tuple, sends: tuple, blocked_after,
-                 fires: tuple, error: Optional[str]):
-        # ((block, id of the BlockView after), ...)
-        self.views = tuple([(block, VIEW_IDS[view]) for block, view in views])
-        # ((dst, message id), ...) in send order
-        self.sends = tuple([(message.dst, MESSAGE_IDS[message])
+                 fires: tuple, error: Optional[str], row: tuple = (0, 0)):
+        # ((view slot, id of the BlockView after), ...)
+        self.views = tuple([(row[0] + block, VIEW_IDS[view])
+                            for block, view in views])
+        # ((channel slot, message id), ...) in send order
+        self.sends = tuple([(row[1] + message.dst, MESSAGE_IDS[message])
                             for message in sends])
+        self.sent = tuple({slot for slot, _mid in self.sends})  # each once
         self.blocked_after = blocked_after
         self.fires = fires              # handler-fire keys, in order
         self.error = error              # CheckerViolation message, or None

@@ -356,3 +356,19 @@ def reachable(checker: ModelChecker, cap: Optional[int] = None) -> list:
             pass
         cursor += 1
     return order if cap is None else order[:cap]
+
+
+def record_expansions(checker: ModelChecker) -> list:
+    """Arm ``checker`` to log the ``(label, successor key)`` of every
+    triple its expand step yields -- the key stream of the engine users
+    run, incremental keys included -- and return the (live) log."""
+    log: list = []
+    expand = checker._expand
+
+    def recording(state, key, por=None):
+        for label, successor, succ_key in expand(state, key, por):
+            log.append((label, succ_key))
+            yield label, successor, succ_key
+
+    checker._expand = recording
+    return log

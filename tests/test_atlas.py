@@ -52,6 +52,8 @@ from repro.verify.atlas import (
 from repro.verify.invariants import standard_invariants
 from repro.verify.model import initial_global_state
 
+from reference_checker import record_expansions
+
 
 def make_serial(name="stache", nodes=2, reorder=0, atlas=None, **kwargs):
     protocol = compile_named_protocol(name)
@@ -96,21 +98,15 @@ class TestOffModeIsFree:
         assert armed.atlas is not None
 
     def test_serial_fingerprint_stream_identical(self):
-        def recording_fp(log):
-            def fp(state):
-                value = fingerprint(state)
-                log.append(value)
-                return value
-            return fp
-
-        plain_log, armed_log = [], []
-        plain = make_serial(reorder=1, fingerprint_states=True,
-                            fingerprint_fn=recording_fp(plain_log)).run()
-        armed = make_serial(reorder=1, fingerprint_states=True,
-                            fingerprint_fn=recording_fp(armed_log),
-                            atlas=AtlasRecorder()).run()
-        assert outcome(plain) == outcome(armed)
-        assert plain_log == armed_log         # same stream, same order
+        plain_checker = make_serial(reorder=1, fingerprint_states=True)
+        armed_checker = make_serial(reorder=1, fingerprint_states=True,
+                                   atlas=AtlasRecorder())
+        plain_log = record_expansions(plain_checker)
+        armed_log = record_expansions(armed_checker)
+        plain = plain_checker.run()
+        assert outcome(plain) == outcome(armed_checker.run())
+        assert plain_log == armed_log          # same stream, same order
+        assert len(plain_log) == plain.transitions
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_parallel_outcome_identical(self, workers):

@@ -382,7 +382,7 @@ class TestArtifactEnvelope:
     def test_checkpoint_round_trip(self, tmp_path):
         from repro.verify.checkpoint import load_checkpoint, write_checkpoint
 
-        with open(os.path.join(GOLDEN, "checkpoint_v1_parent.json")) as f:
+        with open(os.path.join(GOLDEN, "checkpoint_v2_parent.json")) as f:
             parent = json.load(f)
         path = str(tmp_path / "ck.json")
         write_checkpoint(path, {k: v for k, v in parent.items()
@@ -403,8 +403,20 @@ class TestArtifactEnvelope:
         assert report.protocol == "Stache" and report.covered == 24
         assert report.config["states"] == 47
         checkpoint = load_checkpoint(
-            os.path.join(GOLDEN, "checkpoint_v1_parent.json"))
-        assert len(checkpoint["frontier"]) == 33
+            os.path.join(GOLDEN, "checkpoint_v2_parent.json"))
+        assert len(checkpoint["frontier"]) == 22
+
+    def test_v1_checkpoint_is_refused_in_one_line(self, capsys):
+        """Its keys are another fingerprint's: exit 1, both versions
+        named, no traceback."""
+        path = os.path.join(GOLDEN, "checkpoint_v1_parent.json")
+        assert main(["verify", "lcm", "--reorder", "1",
+                     "--resume", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: {path}: checkpoint version 1, expected 2 -- "
+            "regenerate with `verify --checkpoint-out`\n")
+        assert "states=" not in captured.out
 
     @pytest.mark.parametrize("failure", ["serialize", "write"])
     def test_failed_write_keeps_the_old_file(self, failure, tmp_path,

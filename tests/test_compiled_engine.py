@@ -28,11 +28,11 @@ from repro.runtime.exec import MAX_OPS_PER_ACTION, HandlerInterpreter
 from repro.runtime.protocol import OptLevel
 from repro.tempest.machine import Machine, MachineConfig
 from repro.verify import ModelChecker, checker, events_for_protocol
-from repro.verify.fingerprint import fingerprint
 from repro.verify.invariants import standard_invariants
 from repro.workloads import LCM_WORKLOADS, STACHE_WORKLOADS
 
 from helpers import MINI_SOURCE, FakeContext
+from reference_checker import record_expansions
 from test_runtime import EXPR_TEMPLATE, run_body
 
 ALL_NAMES = sorted(PROTOCOLS)
@@ -49,19 +49,13 @@ def explore(protocol, label, factory, **kwargs):
     # Record every action afresh instead of replaying the effects an
     # earlier run in this process cached.
     checker._ENGINE_CACHES.clear()
-    seen = set()
-
-    def collecting_fingerprint(state):
-        value = fingerprint(state)
-        seen.add(value)
-        return value
-
-    result = ModelChecker(
+    model_checker = ModelChecker(
         protocol, events=events_for_protocol(label),
         invariants=standard_invariants(
             coherent=not label.startswith("buffered")),
-        interpreter_factory=factory, fingerprint_states=True,
-        fingerprint_fn=collecting_fingerprint, **kwargs).run()
+        interpreter_factory=factory, fingerprint_states=True, **kwargs)
+    stream = record_expansions(model_checker)
+    result = model_checker.run()
     violation = result.violation
     return {
         "ok": result.ok,
@@ -72,7 +66,7 @@ def explore(protocol, label, factory, **kwargs):
         "invariant_evals": dict(result.invariant_evals),
         "violation": violation and (violation.kind, violation.message,
                                     tuple(violation.trace)),
-        "fingerprints": seen,
+        "fingerprints": stream,
     }
 
 

@@ -44,7 +44,7 @@ from repro.verify.checkpoint import (
 )
 from repro.verify import model
 from repro.verify.checker import ModelChecker, _LabelledViolation
-from repro.verify.fingerprint import SymmetryCanonicalizer
+from repro.verify.fingerprint import SymmetryCanonicalizer, fingerprint
 from repro.verify.model import (
     ActionEffects,
     AppView,
@@ -140,7 +140,7 @@ def test_three_writers_agree_on_one_cut(three_cuts):
     serial, workers2, salvage = (cuts[who] for who in (
         "serial", "workers2", "salvage"))
     for payload in payloads.values():
-        assert payload["wave"] == CUT_WAVE and payload["v"] == 1
+        assert payload["wave"] == CUT_WAVE and payload["v"] == 2
         assert all(state is None
                    for _fp, state, *_edge in payload["frontier"])
     # The two parallel writers describe the cut identically: one folds
@@ -212,7 +212,7 @@ def test_codec_round_trips(tmp_path):
     path = str(tmp_path / "ck.json")
     write_checkpoint(path, encode(cut))
     assert decode_checkpoint(load_checkpoint(path), ECHO, path) == cut
-    assert CHECKPOINT_VERSION == 1
+    assert CHECKPOINT_VERSION == 2
 
 
 def test_decoder_keeps_the_minimum_edge():
@@ -250,25 +250,55 @@ def test_foreign_chain_is_a_one_line_error():
 
 
 # ---------------------------------------------------------------------------
-# (iv) a checkpoint written by the previous release
+# (iv) committed checkpoints: the previous format is refused, this one resumes
 # ---------------------------------------------------------------------------
 
-PARENT_CHECKPOINT = str(GOLDEN / "checkpoint_v1_parent.json")
+V1_CHECKPOINT = str(GOLDEN / "checkpoint_v1_parent.json")
+V2_CHECKPOINT = str(GOLDEN / "checkpoint_v2_parent.json")
+
+
+@pytest.mark.parametrize("workers", [0, 2])
+def test_v1_checkpoint_is_refused(workers):
+    """v1 keyed states by a digest of the whole encoding: resuming one
+    would dedupe against keys no state of this build has."""
+    make = (partial(make_parallel, "lcm", workers) if workers
+            else partial(make_serial, "lcm"))
+    with pytest.raises(CheckpointError) as caught:
+        make(reorder=1, resume=V1_CHECKPOINT).run()
+    assert str(caught.value) == (
+        f"{V1_CHECKPOINT}: checkpoint version 1, expected 2 -- regenerate "
+        "with `verify --checkpoint-out`")
+
+
+def _resume_matches_full_run(workers, path):
+    full = make_serial("lcm", reorder=1, fingerprint_states=True).run()
+    make = (partial(make_parallel, "lcm", workers) if workers
+            else partial(make_serial, "lcm"))
+    assert outcome(make(reorder=1, resume=path).run()) == outcome(full)
 
 
 @pytest.mark.parametrize("workers", [0, 2])
 def test_parent_checkpoint_resumes_undisturbed(workers):
-    full = make_serial("lcm", reorder=1, fingerprint_states=True).run()
-    if workers:
-        # The frontier proposes four states their owners had already
-        # visited; the parent's master re-pended those and hung in the
-        # resulting parent-chain cycle.
-        resumed = make_parallel("lcm", workers, reorder=1,
-                                resume=PARENT_CHECKPOINT).run()
-    else:
-        resumed = make_serial("lcm", reorder=1,
-                              resume=PARENT_CHECKPOINT).run()
-    assert outcome(resumed) == outcome(full)
+    _resume_matches_full_run(workers, V2_CHECKPOINT)
+
+
+@pytest.mark.parametrize("workers", [0, 2])
+def test_unfolded_frontier_resumes_undisturbed(tmp_path, workers):
+    """The shape v1 writers left (33 proposals for 26 states in the v1
+    golden): several proposals for one state, and proposals for states
+    their owners had already visited -- a master that re-pended those
+    hung in the resulting parent-chain cycle.  The decoder folds both
+    away."""
+    payload = load_checkpoint(V2_CHECKPOINT)
+    first, depth = payload["frontier"][0], payload["frontier"][0][4]
+    payload["frontier"] += [
+        [first[0], None, "f" * 16, "zz: a greater edge", depth],
+        *([fp, None, *payload["parents"][fp], depth]
+          for fp in sorted(payload["visited"])[:4])]
+    path = str(tmp_path / "unfolded.json")
+    write_checkpoint(path, {key: value for key, value in payload.items()
+                            if key != "seal"})
+    _resume_matches_full_run(workers, path)
 
 
 @pytest.mark.parametrize("workers", [0, 2])
@@ -356,7 +386,7 @@ def test_engine_tables_hold_no_per_transition_entries():
     def run(**options):
         checker._ENGINE_CACHES.clear()
         result = api.check("lcm", CheckOptions(nodes=3, **options))
-        effects = checker._effects_cache_for(protocol, CompiledEngine, 3)
+        effects = checker._effects_cache_for(protocol, CompiledEngine, 3, 1)
         assert result.transitions > 3 * result.states_explored
         assert 0 < len(effects) <= result.states_explored
         return result.states_explored
@@ -421,9 +451,10 @@ def test_carried_congestion_count_equals_a_recount(
     refilling that same channel (``node`` to itself), two sends to one
     destination, a deferred queue growing or draining past the cap --
     and on both sides of it the gate the engine reads off the per-id
-    length tables equals a recount over the decoded lists."""
+    length tables equals a recount over the decoded lists, and the key
+    delta the builder leaves is the one between the two fingerprints."""
     checker = ModelChecker(api.compile_protocol("stache"), n_nodes=N,
-                           channel_cap=CAP)
+                           channel_cap=CAP, fingerprint_states=True)
     parent = GlobalState(
         blocks=tuple((_view(queues[n]),) for n in range(N)),
         apps=tuple(AppView(None, ()) for _ in range(N)),
@@ -433,17 +464,17 @@ def test_carried_congestion_count_equals_a_recount(
     removed = None
     if remove is not None and remove[1] < len(parent.channels[remove[0]][node]):
         slot = N * (1 + 1 + remove[0]) + node
-        label, dst, block, mid, after = checker._delivery_cache[
+        label, dst, block, mid, removed = checker._delivery_cache[
             slot, parent[slot], remove[1]]
         taken = expected[remove[0]][node].pop(remove[1])
         assert (dst, block, model.MESSAGES[mid]) == (node, 0, taken)
         assert label == f"deliver REQ {remove[0]}->{node}[{remove[1]}] blk=0"
-        removed = (slot, after)
     sends = tuple(_MSG(src=node, dst=dst, payload=(9,)) for dst in send_to)
     for message in sends:
         expected[node][message.dst].append(message)
     views = () if queue_after is None else ((0, _view(queue_after)),)
-    effects = ActionEffects(views, sends, None, (), None)
+    effects = ActionEffects(views, sends, None, (), None,
+                            (node, N * (1 + 1 + node)))
 
     def recount(state):
         return (sum(len(channel) >= CAP
@@ -458,6 +489,8 @@ def test_carried_congestion_count_equals_a_recount(
     if queue_after is not None:
         assert len(successor.blocks[node][0].queue) == queue_after
     assert checker._congested(successor) == (recount(successor) > 0)
+    # The same stores, as the terms the builder swapped for _expand.
+    assert fingerprint(parent) ^ checker._delta == fingerprint(successor)
 
 
 def test_state_records_take_keywords_and_print_their_fields():
@@ -616,6 +649,44 @@ def test_engine_successors_decode_to_the_references(draw):
     for (label, successor), (_label, expected) in zip(mine, theirs):
         assert _decoded(successor) == _decoded(expected), label
         assert successor == expected and tuple(successor) == tuple(expected)
+
+
+def _kinds_of_keyed_moves(checker) -> set:
+    """Run ``checker`` holding every key its expand step yields to the
+    successor's fingerprint; the kinds of move that were seen."""
+    expand, kinds = checker._expand, set()
+
+    def checking(state, key, por=None):
+        for label, successor, succ_key in expand(state, key, por):
+            assert succ_key == fingerprint(successor), label
+            kinds.add(label.split()[0])
+            if successor is state:
+                assert succ_key == key
+                kinds.add("self-loop")
+            if label.startswith("deliver PING"):
+                node = int(label.split()[2][0])     # "n->n[i]"
+                if successor.channel(node, node):
+                    kinds.add("refill")
+            yield label, successor, succ_key
+
+    checker._expand = checking
+    assert checker.run().ok
+    return kinds
+
+
+@pytest.mark.parametrize("por", [False, True])
+def test_self_sends_self_loops_and_faults_carry_their_key(por):
+    """Incremental keys at the edges: the fixture's PONG refills the
+    channel its PING was just taken from, a repeated read hit leaves the
+    state as it is (delta 0), and drop/dup store a channel and a budget
+    slot.  Under POR the delta rides through the sleep-set filter."""
+    kinds = _kinds_of_keyed_moves(ModelChecker(
+        _LOOP, n_nodes=2, reorder_bound=1, fingerprint_states=True,
+        por=por, fault_budget=None if por else (1, 1)))
+    assert kinds >= ({"deliver", "refill"} if por
+                     else {"deliver", "refill", "drop", "dup"})
+    assert "self-loop" in _kinds_of_keyed_moves(checker_for(
+        ModelChecker, "stache", nodes=2, fingerprint_states=True, por=por))
 
 
 def test_successor_pool_covers_every_kind_of_channel_edit():

@@ -454,8 +454,8 @@ class TestCheckerFaults:
 
     # Pinned explored-space sizes under each fault budget, verified
     # identical on the engine and its test-side reference.  Fault
-    # successors run through ``GlobalState.with_channel`` (the
-    # single-row rebuild), so any edit that perturbs the rebuilt state
+    # successors run through ``ModelChecker._faulted`` (two stored
+    # slots), so any edit that perturbs the rebuilt state
     # -- or dedupes it differently -- shows up here as a count shift.
     FAULT_SPACE = {
         ("stache", (1, 0)): (False, 43, 77),

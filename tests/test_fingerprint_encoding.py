@@ -1,15 +1,18 @@
-"""The canonical state encoding, checked against an independent oracle.
+"""The canonical state encoding and the slot-wise fingerprint, checked
+against an independent oracle.
 
-``encode_state`` joins per-component byte strings memoised by value
-(``repro.verify.fingerprint``); every fingerprint, checkpoint, atlas
-stream and shard assignment is a function of those bytes.  Until this
-file the only thing pinning them was two engines that share the
-encoder.  Here they are compared byte-for-byte with a reference encoder
-written below *without* importing ``encode_state`` or ``_encode_value``,
-over states of every registered protocol on both successor engines,
-over codec round-trips (fresh, non-interned views: the memo has to be
-correct for them, not just fast), and over every renaming the symmetry
-canonicalizer produces; four hex literals pin the wire format itself.
+``encode_state`` joins per-component byte strings memoised by id
+(``repro.verify.fingerprint``); a fingerprint is the XOR over a state's
+slots of BLAKE2b-8(slot index + that component's bytes), and every
+checkpoint, atlas stream and shard assignment is a function of it.
+Until this file the only thing pinning them was two engines that share
+the encoder.  Here they are compared byte-for-byte with a reference
+written below *without* importing ``_digest``, ``_encode_value`` or the
+slot tables, over states of every registered protocol on both successor
+engines, over codec round-trips (fresh, non-interned views: the memo
+has to be correct for them, not just fast), over every renaming the
+symmetry canonicalizer produces, and over every key the expand step
+derives incrementally; hex literals pin the wire format itself.
 """
 
 import json
@@ -30,6 +33,7 @@ from repro.faults import FaultBudget
 from repro.protocols import PROTOCOLS
 from repro.runtime.context import Message
 from repro.runtime.continuation import ContinuationRecord
+from repro.verify.checker import SymmetryError
 from repro.verify.fingerprint import (
     SymmetryCanonicalizer,
     encode_state,
@@ -89,16 +93,37 @@ def ref_state(state) -> bytes:
     return b"".join(out)
 
 
+def ref_slots(state) -> list:
+    """One byte string per slot of the state, in layout order: block
+    views node-major, application statuses, channels src-major, then
+    drops, dups, n_nodes and n_blocks as plain ints."""
+    out = [b"B" + ref_value(view.state_name) + ref_value(view.state_args)
+           + ref_value(view.info) + ref_value(view.access)
+           + ref_value(view.queue)
+           for node_blocks in state.blocks for view in node_blocks]
+    out += [b"A" + ref_value(app.blocked_on) + ref_value(app.gen)
+            for app in state.apps]
+    out += [b"C" + ref_value(channel)
+            for row in state.channels for channel in row]
+    dims = (len(state.blocks), len(state.blocks[0]) if state.blocks else 0)
+    return out + [ref_value(number) for number in (*state.faults, *dims)]
+
+
 def ref_fingerprint(state) -> int:
-    return int.from_bytes(
-        blake2b(ref_state(state), digest_size=8).digest(), "big")
+    key = 0
+    for slot, component in enumerate(ref_slots(state)):
+        key ^= int.from_bytes(
+            blake2b(ref_value(slot) + component, digest_size=8).digest(),
+            "big")
+    return key
 
 
 # -- reachable-state corpora -----------------------------------------------------
 
-def make_checker(name, nodes, *, reorder=0, faults=None, engine="fast"):
+def make_checker(name, nodes, *, reorder=0, faults=None, engine="fast",
+                 **kwargs):
     return checker_for(ENGINES[engine], name, nodes=nodes, reorder=reorder,
-                       faults=faults)
+                       faults=faults, **kwargs)
 
 
 # 2 nodes with reordering and a fault budget (drop/dup successors and the
@@ -202,11 +227,76 @@ def test_renamed_states_of_every_protocol_encode_as_the_oracle_says(name):
         assert canon.permute(renamed, swap) == state
 
 
+# -- incrementally derived keys ---------------------------------------------------
+#
+# Where the visited key is the state's own fingerprint the expand step
+# hands out ``parent key ^ swapped terms`` instead of fingerprinting the
+# successor.  Every triple of every mode must carry exactly the key the
+# from-scratch definition gives -- also on the reference engine, whose
+# successors leave no swapped terms behind.  (The self-messaging fixture
+# and the hand-built refills are in tests/test_exploration_core.py.)
+
+KEYED_MODES = {
+    "plain": {},
+    "reorder": dict(reorder=1),
+    "faults": dict(reorder=1, faults=FaultBudget(1, 1)),
+    "por": dict(por=True),
+    "legacy": dict(engine="legacy"),
+}
+
+
+def assert_expansions_keyed_by(checker, expected_key, cap=400):
+    """Run ``checker`` (capped) and hold every key its expand step
+    yields, and every key it is entered with, to ``expected_key``."""
+    expand = checker._expand
+
+    def checking(state, key, por=None):
+        assert key == expected_key(state)
+        for label, successor, succ_key in expand(state, key, por):
+            assert succ_key == expected_key(successor), label
+            yield label, successor, succ_key
+
+    checker._expand = checking
+    checker.max_states = cap
+    assert checker.run().transitions > 40
+
+
+@pytest.mark.parametrize("mode", sorted(KEYED_MODES))
+@pytest.mark.parametrize("nodes", [2, 3])
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_every_expanded_key_is_the_successors_fingerprint(name, nodes, mode):
+    assert_expansions_keyed_by(
+        make_checker(name, nodes, fingerprint_states=True,
+                     **KEYED_MODES[mode]), fingerprint)
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_every_expanded_key_under_symmetry_is_canonical(name):
+    checker = make_checker(name, 3, symmetry=True)
+    canon = checker._canon
+    seen = {}
+
+    def canonical(state):
+        representative = canon.canonical_state(state)
+        assert canon.canonical_state(representative) == representative
+        seen[state] = key = canon.canonical_fingerprint(state)
+        assert key == fingerprint(representative) \
+            == canon.canonical_fingerprint(representative)
+        return key
+
+    try:
+        assert_expansions_keyed_by(checker, canonical)
+    except SymmetryError:
+        assert name == "lcm_mcc"    # not node-symmetric: certification
+    assert len(set(seen.values())) < len(seen)      # orbits did merge
+
+
 # -- golden pins ---------------------------------------------------------------
 #
-# Computed at the commit before the encoding became compositional.  A
-# change to any of these is a wire/checkpoint format change: bump
-# CHECKPOINT_VERSION and say so, do not just re-pin.
+# The v2 format (slot-wise keys, CHECKPOINT_VERSION 2), computed with
+# ``ref_fingerprint`` above -- the reference side, not what production
+# printed.  A change to any of these is a wire/checkpoint format change:
+# bump CHECKPOINT_VERSION and say so, do not just re-pin.
 
 def seal(keys) -> str:
     return blake2b(b"".join(key.to_bytes(8, "big") for key in sorted(keys)),
@@ -214,9 +304,9 @@ def seal(keys) -> str:
 
 
 @pytest.mark.parametrize("name, pinned", [
-    ("stache", "907d5625e7e912ab"),
-    ("lcm", "19de2b0abcc55ba0"),
-    ("lcm_mcc", "19de2b0abcc55ba0"),
+    ("stache", "82634e798c9681b0"),
+    ("lcm", "6a0f7aa03b2a37da"),
+    ("lcm_mcc", "6a0f7aa03b2a37da"),
 ])
 def test_initial_state_fingerprint_is_pinned(name, pinned):
     (initial,) = reachable(make_checker(name, 3), 1)
@@ -228,22 +318,32 @@ def test_lcm_three_node_fingerprint_sets_are_pinned():
     states = reachable(checker)
     visited = {fingerprint(state) for state in states}
     assert len(states) == len(visited) == 7658
-    assert seal(visited) == "b9f6956574bac94c3d80ff4ef4b316c5"
+    assert seal(visited) == "e540dea93ab9a0048a1f24adbaaf6c9a"
     canon = SymmetryCanonicalizer(checker.protocol, 3, 1, perm_cap=None)
     canonical = {canon.canonical_fingerprint(state) for state in states}
     assert len(canonical) == 3882
-    assert seal(canonical) == "34390c6f934444e64bc7fca890f9532a"
+    assert seal(canonical) == "82197e47dda1d20dd57fd4cbc4286d9c"
 
 
 # -- the memo is bounded by the intern tables ----------------------------------
 
 _MEMO_PROBE = """
+from reference_checker import checker_for, reachable
 from repro import api
-from repro.verify.fingerprint import APP_ENC, CHANNEL_ENC, VIEW_ENC
+from repro.verify.checker import ModelChecker
+from repro.verify.fingerprint import (APP_ENC, CHANNEL_ENC, SLOT_TERMS,
+                                      VIEW_ENC)
 from repro.verify.model import APPS, CHANNELS, VIEWS
 api.check("lcm", api.CheckOptions(nodes=3, fingerprints=True))
 print(len(VIEW_ENC), len(VIEWS), len(CHANNEL_ENC), len(CHANNELS),
       len(APP_ENC), len(APPS))
+states = reachable(checker_for(ModelChecker, "lcm", nodes=3))
+(terms,) = SLOT_TERMS.values()
+ids = [VIEWS] * 3 + [APPS] * 3 + [CHANNELS] * 9
+print(len(terms), all(len(term) <= len(table)
+                      for term, table in zip(terms, ids)),
+      all(set(term) == {state[slot] for state in states}
+          for slot, term in enumerate(terms)))
 """
 
 
@@ -251,16 +351,23 @@ def test_encoding_memo_is_bounded_by_the_intern_tables():
     """The encodings are lists indexed by component id, grown from the
     id tables: one entry per distinct view, channel (the empty one is
     id 0) and application status, never one per state, so they need no
-    eviction policy or size option and cannot outgrow the id tables.
+    eviction policy or size option and cannot outgrow the id tables;
+    the slot-wise term tables are filled per (slot, id) seen.
     Counted in a fresh process -- the tables are process-global."""
-    out = subprocess.run(
+    counts, slots = subprocess.run(
         [sys.executable, "-c", _MEMO_PROBE], check=True, text=True,
-        capture_output=True, env={"PYTHONPATH": SRC}).stdout
+        capture_output=True, env={"PYTHONPATH": os.pathsep.join(
+            [SRC, str(Path(__file__).parent)])}).stdout.splitlines()
     view_encs, views, channel_encs, channels, app_encs, apps = map(
-        int, out.split())
+        int, counts.split())
     assert view_encs == views == 373
     assert channel_encs == channels == 66 + 1
     assert app_encs == apps == 5
+    # The per-slot term tables of the one layout the run used: none
+    # longer than its id table, and each holding exactly the ids some
+    # reachable state has at that slot -- incremental keys look up no
+    # intermediate value.
+    assert slots == "19 True True"
 
 
 # -- pickled states carry no ids -----------------------------------------------
@@ -282,7 +389,8 @@ flipped = {"blocks": payload["blocks"][::-1], "apps": payload["apps"][::-1],
            "channels": [row[::-1] for row in payload["channels"][::-1]]}
 state_from_jsonable(flipped)
 state = state_from_jsonable(payload)
-sys.stdout.buffer.write(pickle.dumps((tuple(state), state)))
+sys.stdout.buffer.write(pickle.dumps((tuple(state), state,
+                                      state.fingerprint())))
 """
 
 
@@ -319,7 +427,7 @@ def test_pickled_state_holds_declared_fields_only():
 
     # Another process, another hash seed, another id assignment.
     seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
-    their_ids, foreign = pickle.loads(subprocess.run(
+    their_ids, foreign, their_key = pickle.loads(subprocess.run(
         [sys.executable, "-c", _PICKLE_PROBE], check=True,
         input=json.dumps(payload).encode(), capture_output=True,
         env={"PYTHONPATH": os.pathsep.join([SRC, str(Path(__file__).parent)]),
@@ -329,5 +437,7 @@ def test_pickled_state_holds_declared_fields_only():
     assert tuple(foreign) == tuple(state)
     assert hash(foreign) == hash(state)
     assert foreign in {state}
-    assert fingerprint(foreign) == fingerprint(state)
+    # The key is a function of decoded values: the same 64 bits there.
+    assert their_key == fingerprint(foreign) == fingerprint(state) \
+        == ref_fingerprint(state)
     assert encode_state(foreign) == ref_state(state)

@@ -42,9 +42,10 @@ from repro.verify import (
     ModelChecker,
     ParallelChecker,
     events_for_protocol,
-    fingerprint,
 )
 from repro.verify.invariants import standard_invariants
+
+from reference_checker import record_expansions
 
 
 def make_serial(name="stache", reorder=0, profiler=None, **kwargs):
@@ -82,21 +83,15 @@ class TestOffModeIsFree:
         assert prof.profile is not None
 
     def test_serial_fingerprint_stream_identical(self):
-        def recording_fp(log):
-            def fp(state):
-                value = fingerprint(state)
-                log.append(value)
-                return value
-            return fp
-
-        plain_log, prof_log = [], []
-        plain = make_serial(reorder=1, fingerprint_states=True,
-                            fingerprint_fn=recording_fp(plain_log)).run()
-        prof = make_serial(reorder=1, fingerprint_states=True,
-                           fingerprint_fn=recording_fp(prof_log),
-                           profiler=CheckProfiler()).run()
-        assert outcome(plain) == outcome(prof)
+        plain_checker = make_serial(reorder=1, fingerprint_states=True)
+        prof_checker = make_serial(reorder=1, fingerprint_states=True,
+                                   profiler=CheckProfiler())
+        plain_log = record_expansions(plain_checker)
+        prof_log = record_expansions(prof_checker)
+        plain = plain_checker.run()
+        assert outcome(plain) == outcome(prof_checker.run())
         assert plain_log == prof_log          # same stream, same order
+        assert len(plain_log) == plain.transitions
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_parallel_outcome_identical(self, workers):

@@ -167,8 +167,10 @@ def test_freeze_matches_incremental_replay(index, node, ops):
     scratch = ActionScratch(state, node)
     for op in ops:
         apply_op(scratch, op)
-    effects = ActionEffects(scratch.changed_views(), tuple(scratch.sends),
-                            scratch.blocked_on, (), None)
+    effects = ActionEffects(
+        scratch.changed_views(), tuple(scratch.sends), scratch.blocked_on,
+        (), None, (node * checker.n_blocks,
+                   checker._chan0 + node * checker.n_nodes))
     frozen = freeze(scratch, state)
     replayed = checker._build_successor(state, node, effects,
                                         _KEEP_GEN, None)
