@@ -454,10 +454,11 @@ def check(target: Target,
     try:
         return run_once(True)
     except SymmetryError as error:
-        # The protocol failed the per-state symmetry certification
-        # (it makes a node-identity-dependent choice, so quotienting
-        # would be unsound).  Warn and fall back to the exact,
-        # unreduced exploration; POR (independently sound) stays on.
+        # A recorded action (or a node's application choices) failed
+        # symmetry certification: the model makes a node-identity-
+        # dependent choice, so quotienting would be unsound.  Warn and
+        # fall back to the exact, unreduced exploration; POR
+        # (independently sound) stays on.
         warnings.warn(
             f"{error}; re-running without symmetry reduction",
             RuntimeWarning, stacklevel=2)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 import time
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import IO, Optional
 
@@ -68,8 +68,10 @@ _NO_EFFECTS = ActionEffects((), (), None, (), None)
 # inputs *given* the protocol, the execution engine, and the home map --
 # and the home map is always ``block % n_nodes`` -- and are held as slots
 # of the layout, so caches are scoped by (interpreter_factory, n_nodes,
-# n_blocks) under the protocol.  The registry holds protocols weakly
-# (see weak_protocol_entry): a protocol's cache dies with it.
+# n_blocks) under the protocol, and by symmetry reduction: a reduced
+# run's cache holds symmetry-certified entries only.  The registry holds
+# protocols weakly (see weak_protocol_entry): a protocol's cache dies
+# with it.
 _ENGINE_CACHES: dict = {}
 
 
@@ -109,8 +111,8 @@ class SymmetryError(RuntimeError):
     """The protocol failed the symmetry-reduction certification.
 
     Symmetry reduction is exact only when the transition relation
-    commutes with the node-permutation group: every orbit sibling of a
-    reachable state must reach the same successor orbits.  Murphi's
+    commutes with the node-permutation group: the successors of a
+    renamed state must be the renamed successors.  Murphi's
     scalarset type discipline proves that statically; Teapot has no
     such discipline, and builtins like ``PopSharer``/``NthSharer``
     return ``min``/*n*-th of a sharer set -- a deterministic choice no
@@ -121,11 +123,23 @@ class SymmetryError(RuntimeError):
     protocol that acts on the *identity* of one popped sharer --
     lcm_mcc's copy-forward delegation, say -- genuinely is not
     node-symmetric, and quotienting it would silently skip reachable
-    orbits.  So the checker certifies the assumption on every state it
-    expands and raises this error the moment a state's permuted image
-    disagrees on successor orbits; ``api.check`` responds by rerunning
-    the model unreduced.
+    orbits.  So a reduced run certifies the assumption where it records
+    an action (and a node's application choices): each renamed image
+    must do the renamed thing (``ModelChecker._certify``).  Every move
+    out of a renamed state is the renamed input of a move out of the
+    state, so certified actions and choices make each state's successors
+    equivariant.  This error is raised at the first image that disagrees;
+    ``api.check`` responds by rerunning the model unreduced.
     """
+
+
+def _asymmetric(what: str, mapping: tuple) -> SymmetryError:
+    return SymmetryError(
+        f"symmetry certification failed: {what} under node permutation "
+        f"{mapping}.  The model makes a node-asymmetric choice (e.g. "
+        "PopSharer/NthSharer acting on the identity of one specific "
+        "sharer, or events offered to some nodes only), so symmetry "
+        "reduction would silently skip reachable states")
 
 
 # Fault transitions the checker injects: "drop TAG s->d[i] blk=B" and
@@ -518,9 +532,9 @@ class ModelChecker:
         # The memo shared process-wide between checkers over the same
         # protocol/engine -- see _effects_cache_for.
         self._action_cache = _effects_cache_for(
-            protocol, interpreter_factory, n_nodes, n_blocks)
-        # (state_name, tag) -> handler-fire key or None, so _count_fire
-        # stops re-resolving DEFAULT dispatch per expansion:
+            protocol, interpreter_factory, n_nodes, n_blocks, symmetry)
+        # (state_name, tag) -> handler-fire key or None, so recording an
+        # action stops re-resolving DEFAULT dispatch per dispatch:
         self._fire_keys = Memo(self._fire_key)
         # (node, app id) -> the event-generator choices open to that
         # application status (none while it is blocked):
@@ -553,28 +567,58 @@ class ModelChecker:
     def _action_effects(self, state: GlobalState, node: int, block: int,
                         mid: int, blocked_before) -> ActionEffects:
         """Cached outcome of dispatching message ``mid`` (about
-        ``block``) on ``node``.
-
-        Bumps ``handler_fires`` exactly as executing the action would
-        (the recording path counts while it runs; the replay path counts
-        from the recorded fire sequence)."""
+        ``block``) on ``node``; bumps ``handler_fires`` by the recorded
+        fire sequence, as executing the action would."""
         key = (node, state[node * self.n_blocks + block], mid,
                blocked_before)
         cache = self._action_cache
         effects = cache.get(key)
-        if effects is not None:
-            fires = self._handler_fires
-            for fire in effects.fires:
-                fires[fire] = fires.get(fire, 0) + 1
-            return effects
-        effects = cache[key] = self._record_action(
-            state, node, MESSAGES[mid], blocked_before)
+        if effects is None:
+            effects = self._record_action(state, node, MESSAGES[mid],
+                                          blocked_before, self.profiler)
+            if self._canon is None:
+                cache[key] = effects
+            else:
+                cache.update(self._certify(state, key, effects))
+        fires = self._handler_fires
+        for fire in effects.fires:
+            fires[fire] = fires.get(fire, 0) + 1
         return effects
 
+    def _certify(self, state: GlobalState, key: tuple,
+                 effects: ActionEffects) -> dict:
+        """Certify a freshly recorded action under each renaming in the
+        group: recorded from the renamed state, the renamed action must
+        raise as it does, fire the same arms and build the renamed
+        successor -- the same views, blocked-on marker and sends in
+        order per channel (a pop-all loop's order *across* channels,
+        ``min(sharers)`` first, is no renaming's).  Returns the action
+        and its images, certified by group closure, for the cache;
+        image recordings count no fires and no profiler time."""
+        canon = self._canon
+        certified = {key: effects}
+        for mapping in canon.perms:
+            image = canon.rename_action(key, mapping)
+            renamed = canon.permute(state, mapping)
+            theirs = certified.get(image)
+            if theirs is None:
+                theirs = certified[image] = self._record_action(
+                    renamed, image[0], MESSAGES[image[2]], key[3])
+            if ((effects.error is None, effects.fires, canon.permute(
+                    self._build_successor(state, key[0], effects), mapping))
+                    != (theirs.error is None, theirs.fires,
+                        self._build_successor(renamed, image[0], theirs))):
+                raise _asymmetric(
+                    f"{MESSAGES[key[2]].tag} on node {key[0]} in state "
+                    f"{VIEWS[key[1]].state_name} and its image differ",
+                    mapping)
+        return certified
+
     def _record_action(self, state: GlobalState, node: int,
-                       message: Message, blocked_before) -> ActionEffects:
-        """Journal one atomic action (dispatch plus queue redelivery)."""
-        prof = self.profiler
+                       message: Message, blocked_before,
+                       prof=None) -> ActionEffects:
+        """Journal one atomic action (dispatch plus queue redelivery),
+        timing each dispatch on ``prof`` when one is given."""
         scratch = ActionScratch(state, node)
         scratch.blocked_on = blocked_before
         ctx = ActionContext(self.protocol, scratch, self.home_of)
@@ -586,8 +630,8 @@ class ModelChecker:
             while batch:
                 record["state_changed"] = False
                 for delivered in batch:
-                    key = self._count_fire(record["state_name"],
-                                           delivered.tag)
+                    key = self._fire_keys[record["state_name"],
+                                          delivered.tag]
                     if key is not None:
                         fires.append(key)
                     ctx.begin(delivered)
@@ -700,7 +744,30 @@ class ModelChecker:
         node, app = key[0], APPS[key[1]]
         if app.blocked_on is not None:
             return ()
+        canon = self._canon
+        for mapping in canon.perms if canon is not None else ():
+            # Certified like an action: renamed node, renamed moves.
+            if (self._outline_choices(node, app.gen, mapping)
+                    != self._outline_choices(mapping[node], app.gen,
+                                             canon.identity)):
+                raise _asymmetric(f"the application choices of nodes "
+                                  f"{node} and {mapping[node]} differ",
+                                  mapping)
         return tuple(self.events.choices(app.gen, node, self.n_blocks))
+
+    def _outline_choices(self, node: int, gen: tuple,
+                         mapping: tuple) -> Counter:
+        """``node``'s application choices renamed by ``mapping``: reads
+        and writes as they are, events by their (node-naming) messages."""
+        outline: Counter = Counter()
+        for choice in self.events.choices(gen, node, self.n_blocks):
+            op = choice.op
+            if op[0] not in ("read", "write"):
+                op = self._canon.rename_message(_OP_MESSAGES[
+                    node, op[1], op[2], op[3] if len(op) > 3 else ()],
+                    mapping)
+            outline[op, choice.new_gen] += 1
+        return outline
 
     def _successors(self, state: GlobalState, admit=None):
         """Yield (label, successor) pairs for the moves out of ``state``;
@@ -708,11 +775,11 @@ class ModelChecker:
 
         The one enumeration of a state's moves -- application choices
         while uncongested, then deliveries inside the reorder window,
-        then fault transitions -- behind exploration, sleep sets, trace
-        replay and symmetry certification.  ``admit(label, actor,
-        kind)``, when given, is asked before a non-fault move executes
-        (``kind`` is ``"app"`` or ``"deliver"``, ``actor`` the node it
-        acts on); a refused move runs no handler and yields nothing."""
+        then fault transitions -- behind exploration, sleep sets and
+        trace replay.  ``admit(label, actor, kind)``, when given, is
+        asked before a non-fault move executes (``kind`` is ``"app"`` or
+        ``"deliver"``, ``actor`` the node it acts on); a refused move
+        runs no handler and yields nothing."""
         app0 = self._app0
         # Application events (gated while the network or a deferred queue
         # is congested, to keep the model finite -- see channel_cap).
@@ -751,77 +818,14 @@ class ModelChecker:
         if state[-4] or state[-3]:
             yield from self._fault_successors(state)
 
-    def _count_fire(self, state_name: str, tag: str) -> Optional[str]:
-        """Coverage accounting: the handler about to run for ``tag`` in
-        ``state_name`` (resolving DEFAULT fallback exactly like the
-        engine's dispatch does).  Counts both initial dispatches and queue
-        redeliveries, so every arm the exploration exercises is seen.
-        Returns the arm key, which the profiler attributes dispatch
-        cost to.  Dispatch resolution is memoised per (state, tag) --
-        the protocol's handler tables never change mid-run."""
-        key = self._fire_keys[state_name, tag]
-        if key is not None:
-            fires = self._handler_fires
-            fires[key] = fires.get(key, 0) + 1
-        return key
-
     def _fire_key(self, at: tuple) -> Optional[str]:
+        """Coverage accounting: the arm key (``"State.MESSAGE"``) of the
+        handler that runs for tag ``at[1]`` in state ``at[0]``, resolving
+        DEFAULT fallback exactly like the engine's dispatch does -- or
+        None.  Initial dispatches and queue redeliveries both count."""
         state = self.protocol.states.get(at[0])
         handler = state.dispatch(at[1]) if state is not None else None
         return handler and f"{at[0]}.{handler.message_name}"
-
-    def _certify_symmetry(self, state: GlobalState, succ_keys=None) -> None:
-        """Certify the node-symmetry assumption at one expanded state.
-
-        Quotienting by the permutation group is exact only if the
-        transition relation commutes with it; Teapot (unlike Murphi's
-        scalarsets) cannot prove that statically, so the checker proves
-        it dynamically: at every state it expands, the canonical
-        successor-fingerprint *multiset* of each orbit sibling
-        (``permute(state, m)`` for each group element) must equal the
-        representative's own.  By induction over the BFS -- combined
-        with group closure, which makes any state sharing the
-        representative's canonical key a sibling -- per-expansion
-        equality guarantees the quotiented run reaches every canonical
-        key the unreduced run would.  A mismatch raises
-        :class:`SymmetryError` (the protocol makes a node-identity-
-        dependent choice, e.g. acting on *which* sharer ``PopSharer``
-        popped); ``api.check`` reruns unreduced.
-
-        ``succ_keys``: the representative's successor fingerprints when
-        the expand step already computed them; ``None`` recomputes them
-        (the POR path).  A ``_LabelledViolation`` while
-        recomputing the representative's successors means the run is
-        about to FAIL concretely -- certification gaps only matter for
-        PASS verdicts, so return early.  A sibling raising when the
-        representative did not *is* a mismatch.
-        """
-        canon = self._canon
-        fp = self.fingerprint_fn
-        if succ_keys is None:
-            try:
-                succ_keys = [fp(successor)
-                             for _, successor in self._successors(state)]
-            except _LabelledViolation:
-                return
-        mine = sorted(succ_keys)
-        for mapping in canon.perms:
-            sibling = canon.permute(state, mapping)
-            try:
-                theirs = sorted(
-                    fp(successor)
-                    for _, successor in self._successors(sibling))
-            except _LabelledViolation:
-                theirs = None
-            if theirs != mine:
-                raise SymmetryError(
-                    "symmetry certification failed: state with canonical "
-                    f"fingerprint {fp(state)} and its orbit sibling under "
-                    f"node permutation {mapping} reach different successor "
-                    "orbits.  The protocol makes a node-asymmetric choice "
-                    "(e.g. PopSharer/NthSharer acting on the identity of "
-                    "one specific sharer), so symmetry reduction would "
-                    "silently skip reachable states")
 
     def _fault_successors(self, state: GlobalState):
         """Fault transitions: lose or duplicate any in-flight message,
@@ -923,19 +927,17 @@ class ModelChecker:
         the triples (dedupe, parent pointers, acceptance or routing).
         Successors come from :meth:`_successors` or, given ``por``, its
         sleep-set filter; around them sit the profiler's phases and the
-        atlas's edges, and after the last one the symmetry certification
-        (:class:`SymmetryError`).  An error rule surfaces as the
-        enumerator's :class:`_LabelledViolation` (kind ``error``); a
-        state with no enabled move raises one of kind ``deadlock``."""
+        atlas's edges.  An error rule surfaces as the enumerator's
+        :class:`_LabelledViolation` (kind ``error``); a state with no
+        enabled move raises one of kind ``deadlock``."""
         prof = self.profiler
         atlas = self.atlas
         fp = self.fingerprint_fn if self.fingerprint_states else None
-        certify = self._canon is not None and self._canon.perms
         out_degree = 0
         successors = (self._successors(state) if por is None
                       else por.successors(state, key))
         self._delta = None
-        if prof is None and atlas is None and not certify:
+        if prof is None and atlas is None:
             # No observer (decided once per state, not per successor):
             # the triples are the enumerator's pairs plus the key, this
             # state's with the swapped terms where the builder left them.
@@ -948,9 +950,6 @@ class ModelChecker:
                 yield label, successor, (fp(successor) if delta is None
                                          else key ^ delta)
         else:
-            # Sleep sets prune some moves, so under POR the symmetry
-            # comparison recomputes the full successor set (None).
-            sym_keys = [] if certify and por is None else None
             if atlas is not None:
                 atlas.expand(state, fp=key if fp is not None else None)
             if prof is not None:
@@ -968,8 +967,6 @@ class ModelChecker:
                     t0 = time.perf_counter()
                     succ_key = fp(successor)
                     prof.add_phase("fingerprint", time.perf_counter() - t0)
-                if sym_keys is not None:
-                    sym_keys.append(succ_key)
                 if atlas is not None:
                     # Every generated successor is an edge, even when its
                     # target was already visited or routed -- recorded
@@ -989,17 +986,6 @@ class ModelChecker:
                 spent = time.perf_counter() - t0
                 judged -= prof.phases.get("invariants", 0.0)
                 prof.add_phase("visited", spent + judged)
-            if certify:
-                # Certification expands the orbit siblings: a side
-                # computation, not exploration.  It runs with the coverage
-                # counters and the profiler detached, so handler_fires and
-                # the dispatch table count explored transitions only.
-                fires, self._handler_fires = self._handler_fires, {}
-                self.profiler = None
-                try:
-                    self._certify_symmetry(state, sym_keys)
-                finally:
-                    self._handler_fires, self.profiler = fires, prof
             if prof is not None:
                 prof.add_out_degree(out_degree)
         # A state whose every enabled move sleeps yields nothing here,

@@ -299,13 +299,14 @@ def _unhex(text) -> "int | None":
 def min_edge_fold(records, visited) -> dict:
     """The canonical parent edge for each freshly proposed state.
 
-    ``records`` are ``(fp, parent fp, label, ...)`` proposals.  States
-    already in ``visited`` are dropped; a state proposed by several
-    edges keeps the record with the minimum ``(parent fp, label)`` (a
-    missing parent sorts first), so the spanning tree is a pure function
-    of the state graph -- independent of partitioning, arrival order,
-    and of where a run was cut and resumed.  Returns ``{fp: record}``
-    in first-proposal order."""
+    ``records`` are ``(fp, parent fp, label, depth, ...)`` proposals.
+    States already in ``visited`` are dropped; a state proposed by
+    several edges keeps the record with the minimum ``(depth, parent fp,
+    label)`` (a missing parent sorts first), so the spanning tree is a
+    pure function of the state graph -- independent of partitioning,
+    arrival order, and of where a run was cut and resumed, even mid-layer
+    (the shallowest edge is BFS's).  Returns ``{fp: record}`` in
+    first-proposal order."""
     best: dict = {}
     for record in records:
         fp = record[0]
@@ -318,7 +319,8 @@ def min_edge_fold(records, visited) -> dict:
 
 
 def _edge(record) -> tuple:
-    return (record[1] if record[1] is not None else -1, record[2] or "")
+    return (record[3], record[1] if record[1] is not None else -1,
+            record[2] or "")
 
 
 @dataclass

@@ -39,6 +39,8 @@ from repro.verify.model import (
     APPS,
     CHANNEL_IDS,
     CHANNELS,
+    MESSAGE_IDS,
+    MESSAGES,
     VIEW_IDS,
     VIEWS,
     AppView,
@@ -278,12 +280,13 @@ class SymmetryCanonicalizer:
         # mapping -> (the slot of the original each slot of the renamed
         # state comes from; per such slot, {id -> that component
         # renamed's id}; per slot of the *original*, {id -> the term of
-        # that component renamed, at the slot it moves to}).  A renaming
-        # is a function of (mapping, component) alone and the distinct
-        # components are few, so after warm-up ``permute`` is one dict
-        # hit per component, as is the renamed state's fingerprint: the
-        # XOR of the original's slots through the last tables.
+        # that component renamed, at the slot it moves to}; {message id
+        # -> its renaming's id}).  Renaming is a function of (mapping,
+        # component) and the distinct components are few, so after
+        # warm-up ``permute`` is a dict hit per component, as is the
+        # renamed state's key: the XOR of the third tables' entries.
         self._remaps = Memo(self._remap_tables)
+        self.identity = tuple(range(n_nodes))
 
     @property
     def permutations(self) -> int:
@@ -353,6 +356,8 @@ class SymmetryCanonicalizer:
             inverse[new] = old
         chan0 = n * (n_blocks + 1)
         views = Memo(lambda vid: self._remap_view(mapping, VIEWS[vid]))
+        messages = Memo(lambda mid: MESSAGE_IDS[
+            self._remap_message(mapping, MESSAGES[mid])])
         channels = Memo(lambda cid: CHANNEL_IDS[tuple([
             self._remap_message(mapping, msg) for msg in CHANNELS[cid]])])
         sources = ([old * n_blocks + block
@@ -367,7 +372,7 @@ class SymmetryCanonicalizer:
         for term, source, renamed in zip(terms, sources, renames):
             renamed_terms[source] = Memo(
                 lambda cid, term=term, renamed=renamed: term[renamed[cid]])
-        return sources, renames, renamed_terms
+        return sources, renames, renamed_terms, messages
 
     def _remap_view(self, mapping: tuple, view: BlockView) -> int:
         """The id of ``view`` renamed."""
@@ -390,9 +395,18 @@ class SymmetryCanonicalizer:
 
     def permute(self, state: GlobalState, mapping: tuple) -> GlobalState:
         """The state with node ``old`` renamed to ``mapping[old]``."""
-        sources, renames, _terms = self._remaps[mapping]
+        sources, renames, _terms, _messages = self._remaps[mapping]
         ids = map(getitem, renames, map(state.__getitem__, sources))
         return tuple.__new__(GlobalState, [*ids, *state[-4:]])
+
+    def rename_action(self, key: tuple, mapping: tuple) -> tuple:
+        """An effects-cache key ``(node, view id, message id,
+        blocked_on)`` with nodes renamed (``blocked_on`` is a block)."""
+        _sources, renames, _terms, messages = self._remaps[mapping]
+        return mapping[key[0]], renames[0][key[1]], messages[key[2]], key[3]
+
+    def rename_message(self, mid: int, mapping: tuple) -> int:
+        return self._remaps[mapping][3][mid]
 
     def _least(self, state: GlobalState, fp: int) -> tuple:
         """``(key, mapping)`` of the renaming with the least fingerprint

@@ -53,11 +53,14 @@ deadlocks at expansion), every worker still finishes the layer and the
 master picks the canonical minimum by ``(depth, kind, message, label,
 fingerprint)``, so the reported violation is worker-count independent
 too.  Parent pointers are canonical as well: a state discovered by
-several layer-*k* parents takes the minimum ``(parent fp, label)`` edge
--- senders keep the per-sender minimum during expansion and owners take
-the minimum over the wave's proposals, so the winning edge is the global
-minimum over every discovering edge, a pure function of the state graph
-rather than of partitioning or arrival order.  The
+several parents in one wave takes the minimum ``(depth, parent fp,
+label)`` edge -- senders keep the per-sender minimum during expansion and
+owners take the minimum over the wave's proposals, so the winning edge
+is the global minimum over every discovering edge, a pure function of
+the state graph rather than of partitioning or arrival order.  Depth
+comes first because a wave is not always one BFS layer: a serial
+checkpoint cut mid-layer resumes with states of two depths in its first
+wave, and the shallower edge is the one BFS takes.  The
 counterexample trace is rebuilt by walking the sharded parent
 pointers (one owner query per hop) and then replay-validated against a
 fresh serial checker; a fingerprint collision that corrupted the path
@@ -296,8 +299,9 @@ def _worker_main(conn, master_ends, worker_id: int, n_workers: int,
                             # concrete orbit members, and the stored
                             # state must be the winning edge's successor
                             # or the replayed trace diverges.
-                            proposal = proposals[fp]
-                            if (sfp, label) < (proposal[0], proposal[1]):
+                            pfp, plabel, pdepth = proposals[fp]
+                            if (depth + 1, sfp, label) < (pdepth, pfp,
+                                                          plabel):
                                 proposals[fp] = (sfp, label, depth + 1)
                                 stash[fp] = successor
                         elif fp not in known:

@@ -215,6 +215,15 @@ class ReferenceChecker(ModelChecker):
     copy-the-world path.  Labels, successor states and handler-fire
     counts must equal the stock engine's, in the same order."""
 
+    def _count_fire(self, state_name: str, tag: str) -> Optional[str]:
+        """Count the arm about to run for ``tag`` in ``state_name`` as
+        it runs, and return its key for the profiler."""
+        key = self._fire_keys[state_name, tag]
+        if key is not None:
+            fires = self._handler_fires
+            fires[key] = fires.get(key, 0) + 1
+        return key
+
     def _run_action(self, mutable: MutableState, node: int,
                     message: Message) -> CheckerContext:
         """One atomic protocol action: dispatch plus queue redelivery."""

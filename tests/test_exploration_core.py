@@ -176,6 +176,22 @@ def test_every_writer_resumes_on_every_engine(three_cuts, who, workers):
     assert outcome(resumed) == outcome(full)
 
 
+@pytest.mark.parametrize("workers", [0, 2])
+def test_mid_layer_serial_cut_resumes_at_bfs_depth(tmp_path, workers):
+    """A serial run stopped by ``max_states`` stops mid-layer, so its
+    frontier holds states of two depths; resumed in parallel they are one
+    wave, and a state both depths reach must take the shallower edge or
+    the reported depth comes out one too deep."""
+    path = str(tmp_path / "ck.json")
+    api.check("lcm", CheckOptions(nodes=3, max_states=3000,
+                                  checkpoint=CheckpointOptions(out=path)))
+    assert len({row[4] for row in load_checkpoint(path)["frontier"]}) == 2
+    resumed = api.check("lcm", CheckOptions(
+        nodes=3, workers=workers, checkpoint=CheckpointOptions(resume=path)))
+    assert (resumed.states_explored, resumed.transitions,
+            resumed.max_depth) == (7658, 29216, 21)
+
+
 # ---------------------------------------------------------------------------
 # (iii) the codec
 # ---------------------------------------------------------------------------
@@ -220,10 +236,11 @@ def test_decoder_keeps_the_minimum_edge():
     payload = encode(cut, frontier=[
         (7, 2 ** 64 - 1, "z", 2), (9, 2, "d", 2), (7, 2, "y", 2),
         (2, 1, "back-edge", 2),        # already visited at its owner
-        (7, 2, "c", 2), (7, 2, "x", 2)])
+        (7, 2, "c", 2), (7, 2, "x", 2),
+        (9, 1, "a", 3)])               # a lesser parent, one layer deeper
     decoded = decode_checkpoint(payload, ECHO, "mem")
-    # Minimum (parent fp, label) wins; first-proposal order is kept;
-    # proposals for visited states are dropped, not re-accepted.
+    # Minimum (depth, parent fp, label) wins; first-proposal order is
+    # kept; proposals for visited states are dropped, not re-accepted.
     assert decoded.frontier == {7: (2, "c", 2), 9: (2, "d", 2)}
     assert list(decoded.frontier) == [7, 9]
 
@@ -386,7 +403,10 @@ def test_engine_tables_hold_no_per_transition_entries():
     def run(**options):
         checker._ENGINE_CACHES.clear()
         result = api.check("lcm", CheckOptions(nodes=3, **options))
-        effects = checker._effects_cache_for(protocol, CompiledEngine, 3, 1)
+        # A symmetry-reduced run keeps its certified entries apart.
+        effects = checker._effects_cache_for(
+            protocol, CompiledEngine, 3, 1,
+            result.canonical_states is not None)
         assert result.transitions > 3 * result.states_explored
         assert 0 < len(effects) <= result.states_explored
         return result.states_explored

@@ -18,14 +18,16 @@ behaviour, while the ten 3-node rows exercise a real quotient.
 One registered protocol is genuinely *not* node-symmetric: lcm_mcc's
 GET_LCM_COPY_REQ handler delegates copy-serving to ``PopSharer``'s
 pick of one holder -- ``min(sharers)``, a choice no function can make
-permutation-equivariant.  The checker's per-state certification
-(``ModelChecker._certify_symmetry``) catches this and ``api.check``
-falls back to the exact unreduced exploration with a RuntimeWarning;
-this file pins both the fallback and that the other twelve protocols
-certify clean.
+permutation-equivariant.  The checker certifies every action it
+records, and every node's application choices, against their renamed
+images (``ModelChecker._certify``); it catches this and ``api.check``
+falls back to the exact unreduced exploration with a RuntimeWarning.
+This file pins the fallback, that the other twelve protocols certify
+clean, and that an asymmetric event generator is caught too.
 """
 
 import io
+import re
 import warnings
 from dataclasses import FrozenInstanceError, fields, replace
 
@@ -45,7 +47,7 @@ from repro.faults import FaultBudget
 from repro.protocols import PROTOCOLS
 from repro.verify.atlas import orbit_summary
 from repro.verify.checker import ModelChecker, replay_labels
-from repro.verify.events import events_for_protocol
+from repro.verify.events import StacheEvents, events_for_protocol
 from repro.verify.fingerprint import SymmetryCanonicalizer, fingerprint
 from repro.verify.invariants import standard_invariants
 from repro.verify.model import initial_global_state
@@ -184,21 +186,40 @@ def test_symmetry_parallel_verdicts_agree(name, workers):
     assert reduced.handler_fires == serial.handler_fires
 
 
+# Per-arm fires of ``stache --nodes 3 --reorder 1 --symmetry``: the
+# dispatches of its explored transitions, 2,841 in all.  A certification
+# recording counted in would raise some arm above its pin.
+STACHE_R1_SYMMETRY_FIRES = {
+    "Cache_Inv_To_RO.DEFAULT": 48, "Cache_Inv_To_RO.GET_RO_RESP": 104,
+    "Cache_Inv_To_RW.DEFAULT": 33, "Cache_Inv_To_RW.GET_RW_RESP": 70,
+    "Cache_Invalid.RD_FAULT": 153, "Cache_Invalid.WR_FAULT": 153,
+    "Cache_RO.INV_REQ": 96, "Cache_RO.WR_RO_FAULT": 56,
+    "Cache_RO_To_RW.DEFAULT": 66, "Cache_RO_To_RW.GET_RW_RESP": 70,
+    "Cache_RO_To_RW.INV_REQ": 111, "Cache_RO_To_RW.UPGRADE_ACK": 70,
+    "Cache_RW.PUT_REQ": 132, "Home_Await_InvAck.DEFAULT": 312,
+    "Home_Await_InvAck.INV_ACK": 381, "Home_Await_Put.DEFAULT": 334,
+    "Home_Await_Put.PUT_RESP": 195, "Home_Excl.GET_RO_REQ": 33,
+    "Home_Excl.GET_RW_REQ": 33, "Home_Excl.RD_FAULT": 33,
+    "Home_Excl.UPGRADE_REQ": 21, "Home_Excl.WR_FAULT": 33,
+    "Home_Excl.WR_RO_FAULT": 31, "Home_Idle.GET_RO_REQ": 69,
+    "Home_Idle.GET_RW_REQ": 69, "Home_Idle.UPGRADE_REQ": 48,
+    "Home_RS.GET_RO_REQ": 17, "Home_RS.GET_RW_REQ": 17,
+    "Home_RS.RD_FAULT": 6, "Home_RS.UPGRADE_REQ": 18,
+    "Home_RS.WR_FAULT": 6, "Home_RS.WR_RO_FAULT": 23,
+}
+
+
 @pytest.mark.parametrize("workers", [0, 2])
-def test_symmetry_certification_is_not_coverage(monkeypatch, workers):
-    """Certification expands orbit siblings as a side computation, so a
-    ``--symmetry`` run's per-arm counts equal those of the same run with
-    certification stubbed out, and the profile's dispatch table still
-    counts exactly the fires."""
-    options = dict(nodes=3, reorder=1, workers=workers,
-                   reduction=ReductionOptions(symmetry=True),
-                   artifacts=ArtifactOptions(profile=True))
-    certified = check("stache", **options)
-    monkeypatch.setattr(ModelChecker, "_certify_symmetry",
-                        lambda self, state, succ_keys: None)
-    stubbed = check("stache", **options)
-    assert certified.handler_fires == stubbed.handler_fires
-    assert certified.states_explored == stubbed.states_explored == 938
+def test_symmetry_certification_is_not_coverage(workers):
+    """Certification records each action's renamed images off the
+    books: a ``--symmetry`` run's per-arm counts are its explored
+    transitions' dispatches alone, and the profile's dispatch table
+    counts exactly those fires."""
+    certified = check("stache", nodes=3, reorder=1, workers=workers,
+                      reduction=ReductionOptions(symmetry=True),
+                      artifacts=ArtifactOptions(profile=True))
+    assert certified.states_explored == 938
+    assert certified.handler_fires == STACHE_R1_SYMMETRY_FIRES
     assert {arm: entry["count"]
             for arm, entry in certified.profile.dispatch.items()
             } == certified.handler_fires
@@ -336,17 +357,57 @@ def test_certification_raises_on_asymmetric_protocol():
     node-identity-dependent choice.  Quotienting it would silently skip
     reachable orbits (the asymmetric pick means some orbit members'
     successors land in orbits the representative's never reach), so the
-    raw checker must refuse rather than return an undercount."""
+    raw checker must refuse rather than return an undercount -- even
+    after an unreduced run in the same process filled the effects cache
+    with the same actions, uncertified."""
     from repro.verify.checker import SymmetryError
 
     checker = replayer("lcm_mcc", nodes=3)
+    assert checker.run().ok
     checker_sym = ModelChecker(
         checker.protocol, n_nodes=3, n_blocks=1,
         events=events_for_protocol("lcm_mcc"),
         invariants=standard_invariants(),
         symmetry=True)
-    with pytest.raises(SymmetryError, match="PopSharer"):
+    with pytest.raises(SymmetryError, match="PopSharer") as caught:
         checker_sym.run()
+    # The action that failed: its message tag, node and the renaming.
+    assert re.match(r"symmetry certification failed: [A-Z_]+ on node \d "
+                    r"in state \w+ and its image differ under node "
+                    r"permutation \(0, 2, 1\)", str(caught.value))
+
+
+class NodeTwoNeverWrites(StacheEvents):
+    """Loads and stores, except that node 2 issues no stores: no renaming
+    that moves node 2 maps the event loop onto itself."""
+
+    def choices(self, gen, node, n_blocks):
+        return [choice for choice in super().choices(gen, node, n_blocks)
+                if node != 2 or choice.op[0] != "write"]
+
+
+@pytest.mark.parametrize("name,states", [("stache", 249), ("dash", 348)])
+def test_certification_catches_an_asymmetric_event_loop(name, states):
+    events = NodeTwoNeverWrites()
+    with pytest.warns(RuntimeWarning, match="symmetry certification failed"):
+        reduced = check(name, nodes=3, events=events,
+                        reduction=ReductionOptions(symmetry=True))
+    assert reduced.canonical_states is None
+    assert (reduced.states_explored
+            == check(name, nodes=3, events=events).states_explored
+            == states)
+
+
+@pytest.mark.parametrize("name,canonical", [("stache", 3549),
+                                            ("stache_nack", 3242)])
+def test_certification_holds_for_a_group_of_six(name, canonical):
+    """Four nodes leave three free, so six renamings: images under
+    3-cycles, not only swaps, must agree."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        reduced = check(name, nodes=4,
+                        reduction=ReductionOptions(symmetry=True))
+    assert reduced.canonical_states == reduced.states_explored == canonical
 
 
 def test_certification_fallback_is_exact():
