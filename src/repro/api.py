@@ -117,15 +117,11 @@ class ReductionOptions:
     ``symmetry`` canonicalizes every state under permutation of the
     free (non-home) caching nodes before the visited-set lookup, so one
     representative per orbit is explored; counterexample traces stay
-    concrete and replay on an unreduced checker.  ``por`` prunes
-    commuting independent transitions with sleep sets; it preserves the
-    reachable state set exactly, so verdicts, deadlocks, and invariant
-    coverage are unchanged.  Both are sound for safety checking and
-    rejected under ``liveness``; ``por`` is serial-only.
+    concrete and replay on an unreduced checker.  It is sound for
+    safety checking and rejected under ``liveness``.
     """
 
     symmetry: bool = False
-    por: bool = False
 
 
 @dataclass(frozen=True)
@@ -381,11 +377,6 @@ def check(target: Target,
     # A deadline run that cannot write its checkpoint at the cut has
     # lost the exploration: refuse before the first state.
     check_output_paths(ValueError, options.checkpoint.out)
-    if options.workers == 0 and checkpointing and options.liveness:
-        raise ValueError(
-            "checkpoint/resume and liveness checking are mutually "
-            "exclusive: checkpoints key states by fingerprint, "
-            "liveness needs the concrete state graph")
 
     def run_once(symmetry: bool) -> CheckResult:
         # Observers (profiler/atlas) are stateful accumulators; each
@@ -419,7 +410,6 @@ def check(target: Target,
             atlas=atlas,
             symmetry=symmetry,
             check_progress=options.liveness,
-            por=reduction.por,
             checkpoint_out=options.checkpoint.out,
             resume=options.checkpoint.resume,
             checkpoint_interval_waves=options.checkpoint.interval_waves,
@@ -437,8 +427,8 @@ def check(target: Target,
                                     or checkpointing),
                 **shared,
             ).run()
-        # The sharded checker refuses the serial-only modes itself
-        # (liveness, partial-order reduction).
+        # The sharded checker refuses the serial-only liveness check
+        # itself.
         from repro.verify.parallel import ParallelChecker
 
         return ParallelChecker(
@@ -457,8 +447,7 @@ def check(target: Target,
         # A recorded action (or a node's application choices) failed
         # symmetry certification: the model makes a node-identity-
         # dependent choice, so quotienting would be unsound.  Warn and
-        # fall back to the exact, unreduced exploration; POR
-        # (independently sound) stays on.
+        # fall back to the exact, unreduced exploration.
         warnings.warn(
             f"{error}; re-running without symmetry reduction",
             RuntimeWarning, stacklevel=2)

@@ -172,8 +172,7 @@ def cmd_verify(args) -> int:
         workers=args.workers,
         liveness=args.liveness,
         fingerprints=args.fingerprints,
-        reduction=api.ReductionOptions(symmetry=args.symmetry,
-                                       por=args.por),
+        reduction=api.ReductionOptions(symmetry=args.symmetry),
         progress=api.ProgressOptions(enabled=args.progress,
                                      every=args.progress_every),
         checkpoint=api.CheckpointOptions(
@@ -615,13 +614,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "(canonical fingerprints; implies hash "
                         "compaction; counterexamples stay concrete and "
                         "replay unreduced); sound for safety, rejected "
-                        "with --liveness")
-    p.add_argument("--por", action=argparse.BooleanOptionalAction,
-                   default=False,
-                   help="partial-order reduction: prune commuting "
-                        "independent transitions with sleep sets "
-                        "(preserves the reachable state set, so the "
-                        "verdict is unchanged); serial only, rejected "
                         "with --liveness")
     p.add_argument("--checkpoint-out", metavar="PATH",
                    help="write a sealed, resumable JSON checkpoint if "

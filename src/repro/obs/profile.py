@@ -87,7 +87,6 @@ class CheckProfiler:
         self.cross_shard_entries = 0
         self.cross_shard_bytes = 0
         self.worker_totals: dict[int, dict] = {}
-        self.pruned = 0
         self._t0: Optional[float] = None
 
     # -- recording (checker-facing) -----------------------------------------
@@ -111,10 +110,6 @@ class CheckProfiler:
     def add_out_degree(self, degree: int) -> None:
         self.out_degree[degree] = self.out_degree.get(degree, 0) + 1
 
-    def add_pruned(self, count: int) -> None:
-        """Transitions skipped by partial-order reduction."""
-        self.pruned += count
-
     def timed_successors(self, generator):
         """Wrap a ``_successors`` generator so the time spent *inside*
         it (handler dispatch included) lands in the ``successors``
@@ -131,21 +126,16 @@ class CheckProfiler:
             yield item
 
     def sample(self, states: int, frontier: int, depth: int,
-               transitions: int, pruned: Optional[int] = None) -> None:
+               transitions: int) -> None:
         t = (_perf() - self._t0) if self._t0 is not None else 0.0
-        point = {
+        self.timeline.append({
             "t": round(t, 6),
             "states": states,
             "frontier": frontier,
             "depth": depth,
             "transitions": transitions,
             "states_per_s": round(states / t, 1) if t > 0 else 0.0,
-        }
-        # Reduction timeline (POR runs only): omitted entirely for
-        # unreduced runs so existing profile artifacts are unchanged.
-        if pruned is not None:
-            point["pruned"] = pruned
-        self.timeline.append(point)
+        })
 
     def set_visited(self, entries: int, mode: str,
                     container_bytes: int = 0) -> None:
@@ -196,7 +186,6 @@ class CheckProfiler:
         for degree, count in payload["out_degree"].items():
             degree = int(degree)
             self.out_degree[degree] = self.out_degree.get(degree, 0) + count
-        self.pruned += payload.get("pruned", 0)
         stats = self.visited_stats or {"entries": 0, "mode": "fingerprint",
                                        "container_bytes": 0}
         stats["entries"] = stats.get("entries", 0) + payload["visited_entries"]
@@ -214,7 +203,6 @@ class CheckProfiler:
             "out_degree": {str(k): v for k, v in self.out_degree.items()},
             "visited_entries": self.visited_stats.get("entries", 0),
             "visited_bytes": self.visited_stats.get("container_bytes", 0),
-            "pruned": self.pruned,
         }
 
     # -- building the artifact ----------------------------------------------
@@ -280,8 +268,6 @@ class CheckProfiler:
         # unreduced profiles are byte-identical to previous builds.
         if getattr(result, "canonical_states", None) is not None:
             result_section["canonical_states"] = result.canonical_states
-        if getattr(result, "pruned_transitions", 0):
-            result_section["pruned_transitions"] = result.pruned_transitions
         return CheckProfile(
             protocol=result.protocol_name,
             nodes=result.n_nodes,

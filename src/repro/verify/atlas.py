@@ -1,8 +1,8 @@
 """The state-space atlas: what the explored graph *looks like*.
 
-The ROADMAP's top item -- symmetry + partial-order reduction -- is a bet
-about the *structure* of the reachable state space: that most states are
-node-permutations of each other and most interleavings commute.  This
+Symmetry and partial-order reduction are bets about the *structure* of
+the reachable state space: that most states are node-permutations of
+each other and most interleavings commute.  This
 module is the measurement layer that turns the bet into numbers, the
 same way :mod:`repro.obs.profile` did for hot-loop time:
 
@@ -557,8 +557,8 @@ def por_estimate(atlas: StateAtlas, max_pairs: int = 20_000) -> dict:
     Labels are normalized to (tag, sender, receiver, kind, block) --
     delivery indices shift when the other message leaves the channel
     first, so the raw label cannot match across the diamond.  The
-    commuting fraction approximates how many interleavings an ample/
-    sleep-set reduction could avoid exploring.
+    commuting fraction bounds how many interleavings an ample-set
+    reduction could avoid exploring.
     """
     out: dict[str, list] = defaultdict(list)
     for record in atlas.edges:

@@ -272,13 +272,10 @@ class CheckResult:
     # When the run recorded an atlas: the StateAtlas artifact
     # (repro.verify.atlas), else None.
     atlas: Optional[object] = None
-    # Reduction telemetry.  canonical_states: with symmetry reduction
-    # on, the number of orbit representatives explored (equals
-    # states_explored -- the visited set *is* canonical); None when
-    # symmetry was off.  pruned_transitions: transitions the sleep-set
-    # POR skipped as commuting duplicates; 0 when POR was off.
+    # Reduction telemetry: with symmetry reduction on, the number of
+    # orbit representatives explored (equals states_explored -- the
+    # visited set *is* canonical); None when symmetry was off.
     canonical_states: Optional[int] = None
-    pruned_transitions: int = 0
     # Why the run stopped before exhausting the space: "deadline" /
     # "memory" (BudgetOptions), "interrupted" (Ctrl-C drained at a
     # clean cut), "worker_lost" (parallel degrade recovery gave up), or
@@ -303,9 +300,7 @@ class CheckResult:
                       f"+dup:{self.fault_budget[1]}")
         reduction = ""
         if self.canonical_states is not None:
-            reduction += f" canonical-states={self.canonical_states}"
-        if self.pruned_transitions:
-            reduction += f" pruned-transitions={self.pruned_transitions}"
+            reduction = f" canonical-states={self.canonical_states}"
         return (
             f"{self.protocol_name}: {status}  states={self.states_explored} "
             f"transitions={self.transitions}{reduction} "
@@ -375,7 +370,6 @@ class ModelChecker:
         profiler=None,
         atlas=None,
         symmetry: bool = False,
-        por: bool = False,
         checkpoint_out: Optional[str] = None,
         resume: Optional[str] = None,
         checkpoint_interval_waves: Optional[int] = None,
@@ -409,6 +403,18 @@ class ModelChecker:
         # bugs -- e.g. a nacked request that is never retried -- that
         # no safety invariant sees.
         self.check_progress = check_progress
+        # That graph is of concrete states, so the check refuses every
+        # mode that keys the visited set by a fingerprint instead --
+        # naming the one the caller set (checkpointing implies
+        # fingerprints).
+        keyed = ("checkpoint/resume" if checkpoint_out or resume
+                 else "symmetry reduction" if symmetry
+                 else "fingerprints" if fingerprint_states else None)
+        if check_progress and keyed is not None:
+            raise ValueError(
+                f"liveness checking cannot run with {keyed}: it needs the "
+                "concrete state graph, which a fingerprint-keyed visited "
+                "set does not hold")
         # Progress *reporting* (distinct from the liveness check above):
         # when a stream is given, print a states/sec line every
         # ``progress_every`` states plus one final line, so long runs
@@ -419,14 +425,9 @@ class ModelChecker:
         # 64-bit fingerprints instead of whole states.  Memory per
         # visited state drops by an order of magnitude; any violation
         # trace is replay-validated to guard against collisions (see
-        # repro.verify.fingerprint).  Incompatible with check_progress,
-        # which must record the full state graph.
+        # repro.verify.fingerprint).
         self.fingerprint_states = fingerprint_states
         self.fingerprint_fn = fingerprint
-        if fingerprint_states and check_progress:
-            raise ValueError(
-                "fingerprint_states and check_progress are mutually "
-                "exclusive: the liveness check records full states")
         # Symmetry reduction: key the visited set by the minimum
         # fingerprint over the home-fixing free-node permutation group
         # (see repro.verify.fingerprint.SymmetryCanonicalizer), so one
@@ -437,11 +438,6 @@ class ModelChecker:
         # unreduced checker as-is (fresh_clone drops reduction flags).
         self.symmetry = symmetry
         if symmetry:
-            if check_progress:
-                raise ValueError(
-                    "symmetry reduction and the liveness check are "
-                    "mutually exclusive: starvation witnesses need the "
-                    "full (unquotiented) state graph")
             # (The full group: a capped one is not closed.  Memoised by
             # state, which hashes in C: a repeat is one dict hit.)
             self._canon = SymmetryCanonicalizer(protocol, n_nodes, n_blocks,
@@ -462,20 +458,6 @@ class ModelChecker:
                             if self.fingerprint_states and not symmetry
                             else None)
         self._delta: Optional[int] = None
-        # Partial-order reduction (sleep sets): prune transitions whose
-        # commuting reorderings are explored elsewhere.  Sleep sets
-        # preserve the reachable state *set* (only redundant edges are
-        # pruned), so verdicts, violation reachability, and deadlock
-        # detection are unchanged -- the gating differential suite pins
-        # this per protocol.  Serial-only: the parallel engine's
-        # per-wave dedupe discards the sleep bookkeeping re-arrivals
-        # need (see docs/VERIFICATION.md).
-        self.por = por
-        if por and check_progress:
-            raise ValueError(
-                "partial-order reduction and the liveness check are "
-                "mutually exclusive: pruned edges would be starvation "
-                "false-positives in the recorded graph")
         # Fault-bounded exploration: in addition to every delivery, the
         # checker may *drop* or *duplicate* any in-flight message, up to
         # the budget.  Accepts a FaultBudget or a (drops, dups) tuple;
@@ -513,11 +495,6 @@ class ModelChecker:
             raise ValueError(
                 "serial checkpoint/resume requires fingerprint_states="
                 "True (the checkpoint format is fingerprint-keyed)")
-        if (checkpoint_out or resume) and por:
-            raise ValueError(
-                "checkpoint/resume and partial-order reduction are "
-                "mutually exclusive: sleep-set bookkeeping does not "
-                "survive the fingerprint-keyed checkpoint format")
         # Resource budgets: a wall-clock deadline and a visited-set byte
         # cap (the profiler's container accounting).  Exceeding either
         # stops at the next clean cut, checkpointed when a path is
@@ -769,17 +746,13 @@ class ModelChecker:
             outline[op, choice.new_gen] += 1
         return outline
 
-    def _successors(self, state: GlobalState, admit=None):
+    def _successors(self, state: GlobalState):
         """Yield (label, successor) pairs for the moves out of ``state``;
         a protocol error surfaces as :class:`_LabelledViolation`.
 
         The one enumeration of a state's moves -- application choices
         while uncongested, then deliveries inside the reorder window,
-        then fault transitions -- behind exploration, sleep sets and
-        trace replay.  ``admit(label, actor, kind)``, when given, is
-        asked before a non-fault move executes (``kind`` is ``"app"`` or
-        ``"deliver"``, ``actor`` the node it acts on); a refused move
-        runs no handler and yields nothing."""
+        then fault transitions -- behind exploration and trace replay."""
         app0 = self._app0
         # Application events (gated while the network or a deferred queue
         # is congested, to keep the model finite -- see channel_cap).
@@ -787,9 +760,6 @@ class ModelChecker:
             choices = self._choice_cache
             for node in range(self.n_nodes):
                 for choice in choices[node, state[app0 + node]]:
-                    if admit is not None and not admit(choice.label, node,
-                                                       "app"):
-                        continue
                     try:
                         successor = self._apply_app_op(
                             state, node, choice.op, choice.new_gen)
@@ -806,8 +776,6 @@ class ModelChecker:
                 continue
             for index in range(min(CHANNEL_LEN[cid], window)):
                 label, dst, block, mid, removed = deliveries[slot, cid, index]
-                if admit is not None and not admit(label, dst, "deliver"):
-                    continue
                 effects = self._action_effects(
                     state, dst, block, mid,
                     APPS[state[app0 + dst]].blocked_on)
@@ -917,7 +885,7 @@ class ModelChecker:
 
     # -- the exploration parts ----------------------------------------------
 
-    def _expand(self, state: GlobalState, key, por=None):
+    def _expand(self, state: GlobalState, key):
         """The expand step: yield ``(label, successor, successor key)``
         for every transition out of ``state`` (whose own key is ``key``).
 
@@ -925,17 +893,16 @@ class ModelChecker:
         the one definition of expanding a state: the serial loop and the
         parallel worker both iterate it and own only what they do with
         the triples (dedupe, parent pointers, acceptance or routing).
-        Successors come from :meth:`_successors` or, given ``por``, its
-        sleep-set filter; around them sit the profiler's phases and the
-        atlas's edges.  An error rule surfaces as the enumerator's
-        :class:`_LabelledViolation` (kind ``error``); a state with no
-        enabled move raises one of kind ``deadlock``."""
+        Successors come from :meth:`_successors`; around them sit the
+        profiler's phases and the atlas's edges.  An error rule surfaces
+        as the enumerator's :class:`_LabelledViolation` (kind
+        ``error``); a state with no enabled move raises one of kind
+        ``deadlock``."""
         prof = self.profiler
         atlas = self.atlas
         fp = self.fingerprint_fn if self.fingerprint_states else None
         out_degree = 0
-        successors = (self._successors(state) if por is None
-                      else por.successors(state, key))
+        successors = self._successors(state)
         self._delta = None
         if prof is None and atlas is None:
             # No observer (decided once per state, not per successor):
@@ -988,9 +955,7 @@ class ModelChecker:
                 prof.add_phase("visited", spent + judged)
             if prof is not None:
                 prof.add_out_degree(out_degree)
-        # A state whose every enabled move sleeps yields nothing here,
-        # yet is no deadlock.
-        if not out_degree and (por is None or not por.any_enabled):
+        if not out_degree:
             raise _LabelledViolation("<stuck>", _DEADLOCK_MESSAGE,
                                      "deadlock")
 
@@ -1044,10 +1009,6 @@ class ModelChecker:
         if prof is not None:
             prof.begin()
         self._begin_run()
-        # Sleep-set POR rides this loop as a different successor source
-        # plus a re-arrival rule (see _SleepSets); None runs the stock
-        # enumerators and costs the loop one test per successor.
-        por = _SleepSets(self) if self.por else None
         # Every run starts from a cut: a resumed checkpoint's, or the
         # trivial one whose frontier is the initial state.
         cut = starting_cut(self)
@@ -1070,10 +1031,9 @@ class ModelChecker:
             return cut.elapsed + (time.perf_counter() - start_time)
 
         def finish(violation: Optional[Violation] = None) -> CheckResult:
-            pruned = por.pruned if por is not None else 0
             if prof is not None:
                 prof.sample(len(visited), len(frontier), self._max_depth,
-                            transitions, None if por is None else pruned)
+                            transitions)
                 prof.set_visited(
                     entries=len(visited),
                     mode=("fingerprint" if self.fingerprint_states
@@ -1084,8 +1044,7 @@ class ModelChecker:
                 violation, states=len(visited), frontier=len(frontier),
                 transitions=transitions, max_depth=self._max_depth,
                 elapsed=elapsed(), invariant_evals=self._invariant_evals,
-                handler_fires=self._handler_fires, stopped=stopped,
-                pruned_transitions=pruned)
+                handler_fires=self._handler_fires, stopped=stopped)
 
         def trace_to(key, last_label: str) -> list[str]:
             return self._trace_via_parents(key, parents) + [last_label]
@@ -1095,8 +1054,6 @@ class ModelChecker:
             step and, unless an invariant failed, a frontier slot."""
             visited.add(key)
             parents[key] = (pkey, label)
-            if por is not None:
-                por.admit(key, state, d)
             if self.check_progress:
                 graph.setdefault(state, [])
             message = self._accept(state, key, d)
@@ -1157,19 +1114,11 @@ class ModelChecker:
                 policy.write_if_due(frontier[0][2], write_ckpt)
             state, key, d = frontier.popleft()
             try:
-                for label, successor, succ_key in self._expand(
-                        state, key, por):
+                for label, successor, succ_key in self._expand(state, key):
                     transitions += 1
                     if self.check_progress:
                         graph[state].append(successor)
                     if succ_key in visited:
-                        if por is not None:
-                            # Re-arrival regained transitions that were
-                            # never explored anywhere: re-expand the
-                            # stored representative for exactly those.
-                            again = por.revisit(succ_key, successor)
-                            if again is not None:
-                                frontier.append(again)
                         continue
                     if (len(visited) >= self.max_states
                             and not policy.armed):
@@ -1191,8 +1140,7 @@ class ModelChecker:
                             or count % prof.sample_every == 0):
                         prof.sample(count, len(frontier),
                                     max(self._max_depth, d + 1),
-                                    transitions,
-                                    None if por is None else por.pruned)
+                                    transitions)
                     message = take(successor, succ_key, key, label, d + 1)
                     if message is not None:
                         return finish(Violation(
@@ -1343,167 +1291,6 @@ class ModelChecker:
             if message is not None:
                 return message
         return None
-
-
-# -- partial-order reduction (sleep sets) -----------------------------------
-#
-# Sleep sets (Godefroid) prune *edges*, never states: a transition
-# is skipped at a state only when a commuting reordering of it is
-# explored from a sibling or was already covered on the path that
-# put it to sleep, so every reachable state -- and with it every
-# invariant verdict, error rule, and deadlock -- is still reached.
-# Two transitions here are treated as independent only when they
-# act on different nodes (an application op by p, or a delivery
-# *into* p, acts on p), neither is a fault transition, and the
-# congestion gate stays open across the reordering: an application
-# op is only enabled while no channel or deferred queue sits at the
-# cap, so a sibling's successor must be congestion-free before an
-# app op may commute past it.  Disjoint actors give disjoint
-# footprints in this model: one action writes only its actor's
-# views/app row and appends to its actor's outgoing channels, and
-# append-at-tail commutes with consume-at-index on a shared channel
-# (the reorder window only grows).  States reached while fault
-# budget remains are expanded in full -- fault transitions touch
-# arbitrary channels and share the global budget, so no commuting
-# argument applies to them.
-#
-# BFS revisits need the classical re-arrival rule: reaching a
-# visited state with a smaller sleep set re-opens the transitions
-# the difference regained (they were never explored anywhere), so
-# the stored representative is re-enqueued to expand exactly those.
-# This is why a POR run -- unlike the fingerprint-mode hot loop --
-# retains every visited state (_SleepSets.meta).  The search itself
-# is run()'s loop: _SleepSets supplies the non-slept successors and
-# answers the re-arrival question, nothing else differs.
-
-
-class _SleepSets:
-    """Sleep-set POR as the exploration loop sees it: a successor source
-    (:meth:`successors`) and a re-arrival rule (:meth:`admit` for a new
-    key, :meth:`revisit` for a visited one).  The soundness argument is
-    the comment block above."""
-
-    def __init__(self, checker: ModelChecker):
-        self.checker = checker
-        # Per-key sleep bookkeeping:
-        # [state, sleep, explored, expanded, slept_labels, depth].
-        # ``state`` is the stored concrete representative (needed to
-        # re-expand on re-arrival, at its first-arrival ``depth``),
-        # ``sleep`` a frozenset of
-        # (label, actor, kind) entries currently asleep there,
-        # ``explored`` the labels already executed from it, and
-        # ``slept_labels`` the labels currently counted as pruned there
-        # (so ``pruned`` nets out moves a later re-arrival woke up and
-        # executed, and re-expansion passes do not double-count).
-        self.meta: dict = {}
-        # Transitions skipped as commuting duplicates, net
-        # (CheckResult.pruned_transitions).
-        self.pruned = 0
-        # Whether the state last expanded had any enabled move at all,
-        # slept and already-explored ones included.
-        self.any_enabled = False
-        # The sleep set the successor just yielded inherits.
-        self._child: frozenset = frozenset()
-
-    def admit(self, key, state, depth: int) -> None:
-        self.meta[key] = [state, self._child, set(), False, set(), depth]
-
-    def revisit(self, key, successor):
-        """Merge the arriving sleep set into ``key``'s.  Returns the
-        stored representative's frontier entry when it was already
-        expanded and the merge woke transitions up (the caller
-        re-enqueues it), else None."""
-        stored = self.meta[key]
-        if stored[0] == successor:
-            merged = stored[1] & self._child
-        else:
-            # Symmetry merged a different concrete representative into
-            # this key: the concrete diamond argument does not transfer,
-            # so the stored state falls back to full expansion.
-            merged = frozenset()
-        if merged != stored[1]:
-            stored[1] = merged
-            if stored[3]:
-                stored[3] = False
-                return stored[0], key, stored[5]
-        return None
-
-    def successors(self, state: GlobalState, key):
-        """Yield (label, successor) for the moves of ``state`` that are
-        neither asleep nor explored on an earlier pass: the checker's
-        own enumeration, asked move by move before anything executes."""
-        checker = self.checker
-        prof = checker.profiler
-        entry = self.meta[key]
-        sleep, explored, slept_labels = entry[1], entry[2], entry[4]
-        entry[3] = True
-        self.any_enabled = False
-        if state.faults != (0, 0):
-            # While fault budget remains the state also has drop/dup
-            # transitions; those commute with nothing, so such states
-            # are expanded unreduced (children start sleep-free).
-            self._child = frozenset()
-            yield from checker._successors(state)
-            return
-        # (entry, successor) for every move taken from this state, in
-        # order -- the sibling context _child_sleep consults.
-        # Previously-explored labels (re-expansion) join with a None
-        # successor so ordering stays stable.
-        executed: list = []
-        move = None     # the (label, actor, kind) admit last let through
-
-        def admit(label, actor, kind) -> bool:
-            nonlocal move
-            self.any_enabled = True
-            if label in explored:
-                # Executed on an earlier pass over this state; keep its
-                # slot in the sibling order.
-                executed.append(((label, actor, kind), None))
-                return False
-            if (label, actor, kind) in sleep:
-                if label not in slept_labels:
-                    slept_labels.add(label)
-                    self.pruned += 1
-                    if prof is not None:
-                        prof.add_pruned(1)
-                return False
-            move = (label, actor, kind)
-            return True
-
-        for label, successor in checker._successors(state, admit):
-            explored.add(label)
-            if label in slept_labels:
-                # Woken by a re-arrival after being counted as pruned
-                # on an earlier pass: net it out.
-                slept_labels.discard(label)
-                self.pruned -= 1
-                if prof is not None:
-                    prof.add_pruned(-1)
-            self._child = self._child_sleep(move[1], move[2], successor,
-                                            executed)
-            executed.append((move, successor))
-            yield label, successor
-
-    def _child_sleep(self, actor_u: int, kind_u: str, successor,
-                     executed) -> frozenset:
-        """The sleep set ``successor`` inherits through move u: the
-        earlier siblings u commutes with."""
-        congested = self.checker._congested
-        keep = []
-        for (t_label, t_actor, t_kind), t_succ in executed:
-            if t_actor == actor_u:
-                continue
-            # t must stay enabled (same footprint) after u: an app
-            # op needs the congestion gate open at the successor.
-            if t_kind == "app" and congested(successor):
-                continue
-            # u must stay enabled after t: known only when t's own
-            # successor is on hand (siblings); re-expansion entries
-            # have none, so an app-op u drops them conservatively.
-            if kind_u == "app" and (t_succ is None or congested(t_succ)):
-                continue
-            keep.append((t_label, t_actor, t_kind))
-        return frozenset(keep)
 
 
 def replay_labels(checker: ModelChecker, labels: list) -> GlobalState:

@@ -479,8 +479,8 @@ class ParallelChecker:
     :class:`~repro.verify.checker.ModelChecker`'s, declared there once
     and passed through to the template (whose settings the master reads
     back).  The visited set is always fingerprint-keyed
-    (``fingerprint_states`` is not accepted), and the serial-only modes
-    ``por`` and ``check_progress`` are refused.
+    (``fingerprint_states`` is not accepted), and the serial-only
+    ``check_progress`` is refused.
 
     The constructor's own keywords are the fleet's: ``workers`` (the
     number of shard-owning processes), ``on_worker_loss`` and
@@ -518,11 +518,6 @@ class ParallelChecker:
             raise ValueError(
                 "liveness checking needs the full state graph and is "
                 "serial-only (CheckOptions.workers must be 0)")
-        if checker_options.get("por"):
-            raise ValueError(
-                "partial-order reduction is serial-only: sleep sets need "
-                "globally ordered re-arrival bookkeeping the sharded "
-                "checker does not do (CheckOptions.workers must be 0)")
         self.workers = workers
         self.on_worker_loss = on_worker_loss
         self.worker_stall_timeout = worker_stall_timeout

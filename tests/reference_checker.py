@@ -285,7 +285,7 @@ class ReferenceChecker(ModelChecker):
         self._run_action(mutable, dst, message)
         return mutable.freeze()
 
-    def _successors(self, state: GlobalState, admit=None):
+    def _successors(self, state: GlobalState):
         """Yield (label, successor) pairs; CheckerViolation propagates
         (wrapped as _LabelledViolation)."""
         # Application events (gated while the network or a deferred queue
@@ -304,8 +304,6 @@ class ReferenceChecker(ModelChecker):
             if app.blocked_on is not None:
                 continue
             for choice in self.events.choices(app.gen, node, self.n_blocks):
-                if admit is not None and not admit(choice.label, node, "app"):
-                    continue
                 try:
                     successor = self._apply_app_op(
                         state, node, choice.op, choice.new_gen)
@@ -321,8 +319,6 @@ class ReferenceChecker(ModelChecker):
                     label = (f"deliver {channel[index].tag} "
                              f"{src}->{dst}[{index}] blk="
                              f"{channel[index].block}")
-                    if admit is not None and not admit(label, dst, "deliver"):
-                        continue
                     try:
                         successor = self._apply_delivery(
                             state, src, dst, index)
@@ -374,8 +370,8 @@ def record_expansions(checker: ModelChecker) -> list:
     log: list = []
     expand = checker._expand
 
-    def recording(state, key, por=None):
-        for label, successor, succ_key in expand(state, key, por):
+    def recording(state, key):
+        for label, successor, succ_key in expand(state, key):
             log.append((label, succ_key))
             yield label, successor, succ_key
 

@@ -109,23 +109,28 @@ class TestCheck:
                                 checkpoint=CheckpointOptions(resume=path)))
         assert resumed.states_explored == full.states_explored
 
-    def test_rejects_checkpoint_with_liveness(self, tmp_path):
-        with pytest.raises(ValueError):
-            check("stache",
-                  CheckOptions(liveness=True,
-                               checkpoint=CheckpointOptions(
-                                   out=str(tmp_path / "c.json"))))
-
-    def test_rejects_checkpoint_with_por(self, tmp_path):
-        with pytest.raises(ValueError):
-            check("stache",
-                  CheckOptions(reduction=ReductionOptions(por=True),
-                               checkpoint=CheckpointOptions(
-                                   out=str(tmp_path / "c.json"))))
-
-    def test_rejects_liveness_with_workers(self):
-        with pytest.raises(ValueError):
-            check("stache", CheckOptions(workers=2, liveness=True))
+    @pytest.mark.parametrize("mode,options", [
+        ("fingerprints", dict(fingerprints=True)),
+        ("symmetry", dict(reduction=ReductionOptions(symmetry=True))),
+        ("checkpoint/resume", dict(checkpoint=CheckpointOptions(out="c"))),
+        ("checkpoint/resume", dict(checkpoint=CheckpointOptions(resume="c"))),
+        ("workers", dict(workers=2)),
+    ], ids=["fingerprints", "symmetry", "checkpoint-out", "resume",
+            "workers"])
+    def test_liveness_refuses_every_keyed_mode(self, tmp_path, monkeypatch,
+                                                mode, options):
+        # Liveness needs the concrete state graph; every mode that keys
+        # states by fingerprint (or shards them) is refused before any
+        # state is explored, in one line that names both.
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(ValueError) as caught:
+            check("stache", CheckOptions(liveness=True, **options))
+        message = str(caught.value)
+        assert "liveness" in message and mode in message
+        assert not any(other in message for other in (
+            "fingerprints", "symmetry", "checkpoint", "workers")
+            if other not in mode)
+        assert "\n" not in message
 
 
 class TestSimulate:

@@ -129,6 +129,32 @@ class TestBadTopology:
         assert f"{argv[-2][2:]} must be >=" in err
 
 
+class TestRefusedModes:
+    @pytest.mark.parametrize("flags,mode", [
+        (["--symmetry"], "symmetry"),
+        (["--fingerprints"], "fingerprints"),
+        (["--checkpoint-out", "c.json"], "checkpoint/resume"),
+        (["--resume", "c.json"], "checkpoint/resume"),
+        (["--workers", "2"], "workers"),
+    ], ids=["symmetry", "fingerprints", "checkpoint-out", "resume",
+            "workers"])
+    def test_liveness_with_a_keyed_mode_is_one_error_line(
+            self, tmp_path, monkeypatch, capsys, flags, mode):
+        monkeypatch.chdir(tmp_path)
+        assert main(["verify", "stache", "--liveness", *flags]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "liveness" in err and mode in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_removed_por_flag_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as caught:
+            main(["verify", "lcm", "--por"])
+        assert caught.value.code == 2
+        assert "unrecognized arguments: --por" in capsys.readouterr().err
+
+
 class TestGraphAndList:
     def test_graph_text(self, capsys):
         assert main(["graph", "stache", "--side", "Home_"]) == 0

@@ -16,23 +16,13 @@ import functools
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from reference_checker import (
-    ENGINES,
-    ReferenceChecker,
-    checker_for,
-    reachable,
-)
+from reference_checker import ENGINES, ReferenceChecker, checker_for
 from repro import api
 from repro.faults import FaultBudget
 from repro.protocols import PROTOCOLS
 from repro.verify.atlas import AtlasRecorder
-from repro.verify.checker import (
-    ModelChecker,
-    _LabelledViolation,
-    replay_labels,
-)
+from repro.verify.checker import ModelChecker, replay_labels
 
 ALL_NAMES = sorted(PROTOCOLS)
 
@@ -148,52 +138,3 @@ def test_fault_bounded_engines_agree(budget):
         outcome(checker_for(cls, "stache", faults=budget).run())
         for cls in (ReferenceChecker, ModelChecker))
     assert fast == reference
-
-
-# Reachable states with fault budget left on some of them, so every kind
-# of move (application, delivery, drop, dup) appears in the pool.
-POOL = [
-    (checker, state)
-    for name in ("stache", "lcm_mcc")
-    for checker in [checker_for(ModelChecker, name, reorder=1,
-                                faults=FaultBudget(drop=1, dup=1))]
-    for state in reachable(checker, 80)]
-
-
-def labels_of(successors):
-    """The labels a successor generator yields, and the label of the
-    error rule that ended it (None when it ran out)."""
-    labels = []
-    try:
-        for label, _ in successors:
-            labels.append(label)
-    except _LabelledViolation as error:
-        return labels, error.label
-    return labels, None
-
-
-@settings(max_examples=80, deadline=None)
-@given(index=st.integers(min_value=0, max_value=len(POOL) - 1))
-def test_admit_sees_the_enumeration_and_gates_execution(index):
-    """``_successors(state, admit)`` asks ``admit`` about exactly the
-    non-fault moves, in the order it runs them, before each runs -- what
-    sleep sets rely on -- and a refused move runs no handler."""
-    checker, state = POOL[index]
-    labels, error = labels_of(checker._successors(state))
-    faults = [label for label, _ in checker._fault_successors(state)]
-    asked = []
-
-    def admit_all(label, actor, kind):
-        assert kind in ("app", "deliver") and 0 <= actor < checker.n_nodes
-        asked.append(label)
-        return True
-
-    assert labels_of(checker._successors(state, admit_all)) == (labels, error)
-    if error is None:
-        assert asked + faults == labels
-    else:
-        assert asked == labels + [error]
-    fires = dict(checker._handler_fires)
-    assert labels_of(checker._successors(
-        state, lambda label, actor, kind: False)) == (faults, None)
-    assert checker._handler_fires == fires

@@ -1,12 +1,13 @@
 """One exploration loop, one checkpoint codec.
 
-Sleep-set POR runs inside ``ModelChecker.run()``'s loop (as a successor
-source plus a re-arrival rule) and every checkpoint goes through
-``repro.verify.checkpoint``'s one encoder / decoder / frontier replayer.
-This file pins what that unification must not move:
+Every mode explores through ``ModelChecker.run()``'s loop and every
+checkpoint goes through ``repro.verify.checkpoint``'s one encoder /
+decoder / frontier replayer.  This file pins what that unification must
+not move:
 
-* the POR pin table recorded before the fold (sibling order decides
-  which moves sleep, so this is where an innocent merge shows);
+* the mode pin table: 13 protocols x {plain, fingerprints, symmetry,
+  faults}, violation traces included (where a change to the unreduced
+  engine shows first);
 * one cut written by three writers (serial, ``workers=2``, the
   degrade-mode mirror salvage) decodes to the same exploration state;
 * the codec round-trips, folds duplicate proposals to the minimum
@@ -57,11 +58,11 @@ from test_resilience import make_parallel, make_serial, outcome
 GOLDEN = Path(__file__).parent / "golden"
 
 # ---------------------------------------------------------------------------
-# (i) POR pin table, recorded at the parent commit (tests/golden/README)
+# (i) mode pin table, recorded at a fixed commit (tests/golden/README)
 # ---------------------------------------------------------------------------
 
-POR_PINS = json.loads((GOLDEN / "por_pins.json").read_text())
-POR_MODES = {
+MODE_PINS = json.loads((GOLDEN / "mode_pins.json").read_text())
+MODES = {
     "plain": {},
     "fingerprints": {"fingerprints": True},
     "symmetry": {},
@@ -69,26 +70,24 @@ POR_MODES = {
 }
 
 
-@pytest.mark.parametrize("row", sorted(POR_PINS))
-def test_por_pin_table(row):
+@pytest.mark.parametrize("row", sorted(MODE_PINS))
+def test_mode_pin_table(row):
     name, mode = row.split("/")
     with warnings.catch_warnings():
         # lcm_mcc fails symmetry certification and reruns unreduced.
         warnings.simplefilter("ignore", RuntimeWarning)
         result = api.check(name, CheckOptions(
             nodes=3, max_states=8000,
-            reduction=ReductionOptions(por=True,
-                                       symmetry=mode == "symmetry"),
-            **POR_MODES[mode]))
+            reduction=ReductionOptions(symmetry=mode == "symmetry"),
+            **MODES[mode]))
     got = {"states": result.states_explored,
            "transitions": result.transitions,
-           "pruned_transitions": result.pruned_transitions,
            "max_depth": result.max_depth, "ok": result.ok,
            "hit_state_limit": result.hit_state_limit}
     if result.violation is not None:
         got["violation"] = [result.violation.kind, result.violation.message,
                             list(result.violation.trace)]
-    assert got == POR_PINS[row]
+    assert got == MODE_PINS[row]
 
 
 # ---------------------------------------------------------------------------
@@ -676,8 +675,8 @@ def _kinds_of_keyed_moves(checker) -> set:
     successor's fingerprint; the kinds of move that were seen."""
     expand, kinds = checker._expand, set()
 
-    def checking(state, key, por=None):
-        for label, successor, succ_key in expand(state, key, por):
+    def checking(state, key):
+        for label, successor, succ_key in expand(state, key):
             assert succ_key == fingerprint(successor), label
             kinds.add(label.split()[0])
             if successor is state:
@@ -694,19 +693,18 @@ def _kinds_of_keyed_moves(checker) -> set:
     return kinds
 
 
-@pytest.mark.parametrize("por", [False, True])
-def test_self_sends_self_loops_and_faults_carry_their_key(por):
+@pytest.mark.parametrize("reorder", [0, 1])
+def test_self_sends_self_loops_and_faults_carry_their_key(reorder):
     """Incremental keys at the edges: the fixture's PONG refills the
     channel its PING was just taken from, a repeated read hit leaves the
     state as it is (delta 0), and drop/dup store a channel and a budget
-    slot.  Under POR the delta rides through the sleep-set filter."""
+    slot -- on FIFO and on reordering channels."""
     kinds = _kinds_of_keyed_moves(ModelChecker(
-        _LOOP, n_nodes=2, reorder_bound=1, fingerprint_states=True,
-        por=por, fault_budget=None if por else (1, 1)))
-    assert kinds >= ({"deliver", "refill"} if por
-                     else {"deliver", "refill", "drop", "dup"})
+        _LOOP, n_nodes=2, reorder_bound=reorder, fingerprint_states=True,
+        fault_budget=(1, 1)))
+    assert kinds >= {"deliver", "refill", "drop", "dup"}
     assert "self-loop" in _kinds_of_keyed_moves(checker_for(
-        ModelChecker, "stache", nodes=2, fingerprint_states=True, por=por))
+        ModelChecker, "stache", nodes=2, fingerprint_states=True))
 
 
 def test_successor_pool_covers_every_kind_of_channel_edit():

@@ -174,12 +174,11 @@ class TestParallelDeterminism:
             assert f"workers={workers}" in result.summary() or workers == 1
 
     @pytest.mark.parametrize("option,match", [
-        ("por", "partial-order reduction is serial-only"),
         ("check_progress", "liveness checking .* is serial-only"),
     ])
     def test_serial_only_modes_are_refused(self, option, match):
         # Checker options pass through to the template, so the sharded
-        # checker must refuse these itself, as api.check's callers see.
+        # checker must refuse this itself, as api.check's callers see.
         with pytest.raises(ValueError, match=match):
             make_parallel("stache", 2, **{option: True})
 

@@ -15,6 +15,7 @@ The profiler's contract has two halves:
 
 import json
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,6 +27,7 @@ from repro.api import (
     check,
 )
 from repro.cli import main
+from repro.faults import FaultBudget
 from repro.obs.analyze import TraceError
 from repro.obs.profile import (
     PHASES,
@@ -140,18 +142,24 @@ class TestPhaseAccounting:
         assert sum(profile.phases.values()) == pytest.approx(
             profile.wall_seconds, abs=1e-3)
 
-    def test_por_phases_are_attributed(self):
-        # Sleep-set POR runs inside the one profiled loop; when it had a
-        # loop of its own every phase but "other" read zero.
+    @pytest.mark.parametrize("options", [
+        dict(fingerprints=True),
+        dict(reduction=ReductionOptions(symmetry=True)),
+        dict(faults=FaultBudget(drop=1)),
+    ], ids=["fingerprints", "symmetry", "faults"])
+    def test_every_mode_is_attributed_to_its_phases(self, options):
+        # Every mode runs inside the one profiled loop; a mode with a
+        # loop of its own would leave each phase but "other" at zero.
         result = check("lcm", CheckOptions(
-            nodes=3, reduction=ReductionOptions(por=True),
-            artifacts=ArtifactOptions(profile=True)))
+            nodes=3, artifacts=ArtifactOptions(profile=True), **options))
         profile = result.profile
         for phase in ("successors", "visited", "invariants"):
             assert profile.phases[phase] > 0, phase
         assert profile.phases["other"] < 0.5 * profile.wall_seconds
-        assert profile.result["pruned_transitions"] == 3519
-        assert profile.timeline[-1]["pruned"] == 3519
+        assert (profile.result["transitions"] == result.transitions
+                == profile.timeline[-1]["transitions"])
+        assert (profile.result["states"] == result.states_explored
+                == profile.timeline[-1]["states"])
 
     def test_serial_dispatch_counts_match_handler_fires(self):
         result = make_serial("lcm_mcc", reorder=1,
@@ -342,6 +350,23 @@ class TestCli:
         capsys.readouterr()
         assert main(["analyze", "diff", str(a), str(b)]) == 0
         assert "states/s" in capsys.readouterr().out
+
+    def test_profile_from_a_retired_mode_still_reads(self, tmp_path, capsys):
+        # Written by `verify lcm_mcc --reorder 1 --por --profile-out`
+        # before sleep-set POR was removed: its result and timeline carry
+        # pruned-transition keys no later build writes, and are ignored.
+        old = str(Path(__file__).parent / "golden" / "profile_por_parent.json")
+        assert load_profile(old).result["pruned_transitions"] == 234
+        assert main(["analyze", "check-profile", old]) == 0
+        out = capsys.readouterr().out
+        assert "check profile: LCMMcc" in out and "states=789" in out
+        fresh = tmp_path / "fresh.json"
+        assert main(["verify", "lcm_mcc", "--reorder", "1",
+                     "--profile-out", str(fresh)]) == 0
+        capsys.readouterr()
+        assert main(["analyze", "diff", old, str(fresh)]) == 0
+        captured = capsys.readouterr()
+        assert "states/s" in captured.out and captured.err == ""
 
     def test_check_profile_friendly_errors(self, tmp_path, capsys):
         assert main(["analyze", "check-profile",

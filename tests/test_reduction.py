@@ -1,13 +1,15 @@
-"""Reduction differential harness: symmetry/POR never change a verdict.
+"""Reduction differential harness: symmetry and hash compaction never
+change a verdict.
 
 Symmetry reduction explores concrete states but dedupes on the minimum
-fingerprint over the home-fixing free-node permutation group; sleep-set
-partial-order reduction prunes commuting independent transitions.  Both
-are sound *reductions*, not approximations, so the contract this file
-pins is absolute: for every registered protocol, the reduced and
-unreduced checkers return the same verdict, and any reduced-run
-counterexample replays step-for-step on a fresh unreduced checker --
-serial and at workers 1-3, with and without fault budgets.
+fingerprint over the home-fixing free-node permutation group; hash
+compaction (``fingerprints``) dedupes on each state's own 64-bit
+fingerprint.  Both are sound *reductions* at these sizes, not
+approximations, so the contract this file pins is absolute: for every
+registered protocol, the reduced and unreduced checkers return the same
+verdict, and any reduced-run counterexample replays step-for-step on a
+fresh unreduced checker -- serial and (symmetry) at workers 1-3, with
+and without fault budgets.
 
 The three protocols whose 3-node spaces run to 100k+ states
 (``lcm_sm``, ``stache_cas``, ``stache_cas_sm``) are swept at the
@@ -226,60 +228,22 @@ def test_symmetry_certification_is_not_coverage(workers):
 
 
 # ---------------------------------------------------------------------------
-# POR differential: serial, all protocols
+# Hash-compaction differential: serial, all protocols
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)
-def test_por_serial_agrees_and_preserves_states(name):
+def test_fingerprints_agree_and_preserve_the_exploration(name):
     base = base_outcome(name)
-    por = check(name, reduction=ReductionOptions(por=True),
-                **SWEEP[name])
-    assert_same_verdict(name, por, base, **SWEEP[name])
-    if base.ok:
-        # Sleep sets prune *edges*, never states: on an exhaustive run
-        # the reachable set is preserved exactly, and every skipped
-        # edge is accounted for in pruned_transitions.
-        assert por.states_explored == base.states_explored
-        assert por.transitions + por.pruned_transitions == base.transitions
-
-
-def test_por_prunes_on_most_protocols():
-    pruning = [name for name in ALL_NAMES
-               if check(name, reorder=1,
-                        reduction=ReductionOptions(por=True)
-                        ).pruned_transitions > 0]
-    assert len(pruning) >= len(ALL_NAMES) // 2 + 1, pruning
-
-
-@pytest.mark.parametrize("name", ["stache", "lcm", "stache_sm"])
-def test_symmetry_plus_por_agree(name):
-    base = base_outcome(name)
-    both = check(
-        name, reduction=ReductionOptions(symmetry=True, por=True),
-        **SWEEP[name])
-    assert_same_verdict(name, both, base, **SWEEP[name])
-    sym = check(name, reduction=ReductionOptions(symmetry=True),
-                **SWEEP[name])
-    assert both.states_explored == sym.states_explored
-    assert (both.transitions + both.pruned_transitions
-            == sym.transitions)
-
-
-def test_symmetry_fallback_keeps_por():
-    """When certification rejects the quotient, only symmetry is
-    dropped: the rerun still prunes with sleep sets."""
-    base = base_outcome("lcm_mcc")
-    with pytest.warns(RuntimeWarning,
-                      match="symmetry certification failed"):
-        both = check("lcm_mcc",
-                     reduction=ReductionOptions(symmetry=True, por=True),
-                     **SWEEP["lcm_mcc"])
-    assert both.canonical_states is None
-    assert both.states_explored == base.states_explored
-    assert both.pruned_transitions > 0
-    assert (both.transitions + both.pruned_transitions
-            == base.transitions)
+    compact = check(name, fingerprints=True, **SWEEP[name])
+    assert_same_verdict(name, compact, base, **SWEEP[name])
+    # Keys are the states' own fingerprints, collision-free at these
+    # sizes: the same states, edges and dispatches, in the same order.
+    assert compact.states_explored == base.states_explored
+    assert compact.transitions == base.transitions
+    assert compact.max_depth == base.max_depth
+    assert compact.handler_fires == base.handler_fires
+    assert compact.canonical_states is None
 
 
 # ---------------------------------------------------------------------------
@@ -296,13 +260,12 @@ FAULT_CASES = [("stache", FaultBudget(drop=1)),
                          ids=[f"{n}-{b.drop}d{b.dup}u"
                               for n, b in FAULT_CASES])
 @pytest.mark.parametrize("reduction", [
-    ReductionOptions(symmetry=True),
-    ReductionOptions(por=True),
-    ReductionOptions(symmetry=True, por=True),
-], ids=["sym", "por", "both"])
+    dict(reduction=ReductionOptions(symmetry=True)),
+    dict(fingerprints=True),
+], ids=["sym", "fp"])
 def test_fault_budget_violations_survive_reduction(name, budget, reduction):
     base = check(name, nodes=3, faults=budget)
-    reduced = check(name, nodes=3, faults=budget, reduction=reduction)
+    reduced = check(name, nodes=3, faults=budget, **reduction)
     assert_same_verdict(name, reduced, base, nodes=3, faults=budget)
     assert reduced.fault_budget == base.fault_budget
 
@@ -327,7 +290,11 @@ def test_fault_budget_symmetry_parallel(workers):
 # successor relation changed (full count) or the canonicalizer's orbit
 # partition changed (canonical count).
 PINNED = {
+    "buffered_write": (2136, 1077),
+    "dash": (1431, 722),
     "stache": (847, 430),
+    "stache_evict": (1904, 962),
+    "stache_nack": (1032, 525),
     "stache_sm": (2085, 1049),
     "lcm": (7658, 3882),
 }
@@ -489,36 +456,13 @@ def test_canonical_fingerprint_is_permutation_invariant(index, which):
 # ---------------------------------------------------------------------------
 
 
-def test_symmetry_excludes_liveness():
-    with pytest.raises(ValueError, match="symmetry"):
-        check("stache", liveness=True,
-              reduction=ReductionOptions(symmetry=True))
-
-
-def test_por_excludes_liveness():
-    with pytest.raises(ValueError, match="liveness"):
-        check("stache", liveness=True,
-              reduction=ReductionOptions(por=True))
-
-
-def test_por_is_serial_only():
-    with pytest.raises(ValueError, match="serial-only"):
-        check("stache", workers=2,
-              reduction=ReductionOptions(por=True))
-
-
 def test_summary_reports_reduction_counters():
     reduced = check("stache", nodes=3,
                     reduction=ReductionOptions(symmetry=True))
     assert "canonical-states=430" in reduced.summary()
-    por = check("stache", reorder=1,
-                reduction=ReductionOptions(por=True))
-    assert f"pruned-transitions={por.pruned_transitions}" in por.summary()
     plain = check("stache")
     assert "canonical-states" not in plain.summary()
-    assert "pruned-transitions" not in plain.summary()
     assert plain.canonical_states is None
-    assert plain.pruned_transitions == 0
 
 
 # ---------------------------------------------------------------------------
@@ -585,8 +529,8 @@ def test_option_groups_are_frozen_values():
     group = ReductionOptions(symmetry=True)
     with pytest.raises(FrozenInstanceError):
         group.symmetry = False
-    assert replace(group, por=True) == ReductionOptions(
-        symmetry=True, por=True)
+    assert replace(group, symmetry=False) == ReductionOptions()
+    assert [f.name for f in fields(ReductionOptions)] == ["symmetry"]
     assert not ProgressOptions()
     assert ProgressOptions(enabled=True)
     assert ProgressOptions(stream=io.StringIO())
