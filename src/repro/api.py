@@ -238,14 +238,6 @@ class CheckOptions:
     checkpoint: CheckpointOptions = CheckpointOptions()
     budget: BudgetOptions = BudgetOptions()
     artifacts: ArtifactOptions = ArtifactOptions()
-    # Worker-loss policy for parallel runs: "fail" raises
-    # WorkerLostError on the first dead worker; "degrade" re-shards the
-    # last completed wave onto the survivors and continues,
-    # verdict-identical (docs/ROBUSTNESS.md).
-    on_worker_loss: str = "fail"
-    # With a timeout, a worker silent for that many seconds during a
-    # barrier is treated as lost (killed first); None = wait forever.
-    worker_stall_timeout: Optional[float] = None
     events: Optional[EventGenerator] = None
     # Fault-bounded exploration: in every state the checker may also
     # drop or duplicate any in-flight message, up to this per-path
@@ -370,10 +362,6 @@ def check(target: Target,
                         ("workers", 0), ("channel_cap", 1)):
         if getattr(options, name) < floor:
             raise ValueError(f"CheckOptions.{name} must be >= {floor}")
-    if options.on_worker_loss not in ("fail", "degrade"):
-        raise ValueError(
-            f"CheckOptions.on_worker_loss must be 'fail' or 'degrade', "
-            f"got {options.on_worker_loss!r}")
     # A deadline run that cannot write its checkpoint at the cut has
     # lost the exploration: refuse before the first state.
     check_output_paths(ValueError, options.checkpoint.out)
@@ -432,12 +420,7 @@ def check(target: Target,
         from repro.verify.parallel import ParallelChecker
 
         return ParallelChecker(
-            protocol,
-            workers=options.workers,
-            on_worker_loss=options.on_worker_loss,
-            worker_stall_timeout=options.worker_stall_timeout,
-            **shared,
-        ).run()
+            protocol, workers=options.workers, **shared).run()
 
     if not reduction.symmetry:
         return run_once(False)

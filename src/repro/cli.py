@@ -184,8 +184,6 @@ def cmd_verify(args) -> int:
         budget=api.BudgetOptions(
             deadline_seconds=args.deadline,
             max_visited_bytes=args.max_visited_bytes),
-        on_worker_loss=args.on_worker_loss,
-        worker_stall_timeout=args.worker_stall_timeout,
         faults=_parse_fault_budget(args.faults),
         artifacts=api.ArtifactOptions(profile=bool(args.profile_out),
                                       atlas=bool(args.atlas_out)),
@@ -194,11 +192,11 @@ def cmd_verify(args) -> int:
         result = api.check(protocol, options)
     except (verify.CheckpointError, verify.WorkerLostError,
             ValueError) as error:
-        # Bad checkpoint files, dead workers under --on-worker-loss
-        # fail, and rejected option combinations are outcomes, not
-        # crashes: one readable line, no traceback.  (The classes are
-        # looked up when an exception gets here, so a run that raises
-        # nothing never imports verify.parallel for WorkerLostError.)
+        # Bad checkpoint files, dead workers and rejected option
+        # combinations are outcomes, not crashes: one readable line, no
+        # traceback.  (The classes are looked up when an exception gets
+        # here, so a run that raises nothing never imports
+        # verify.parallel for WorkerLostError.)
         print(f"error: {error}", file=sys.stderr)
         return 1
     print(result.summary())
@@ -211,10 +209,6 @@ def cmd_verify(args) -> int:
                         f"(--deadline {args.deadline})",
             "memory": "visited-set byte budget reached "
                       f"(--max-visited-bytes {args.max_visited_bytes})",
-            "worker_lost": f"gave up re-sharding after "
-                           f"{result.worker_losses} worker "
-                           "losses; result covers the last "
-                           "consistent cut",
         }.get(stop, stop)
         note = f"note: stopped early: {reason}"
         if args.checkpoint_out:
@@ -649,19 +643,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="memory budget: stop gracefully once the "
                         "visited-set containers exceed this many bytes "
                         "(same graceful path as --deadline)")
-    p.add_argument("--on-worker-loss", choices=("fail", "degrade"),
-                   default="fail",
-                   help="with --workers: what to do when a worker "
-                        "process dies mid-run; 'fail' (default) raises "
-                        "a one-line error, 'degrade' re-shards the "
-                        "last completed wave onto the survivors and "
-                        "continues to the identical verdict")
-    p.add_argument("--worker-stall-timeout", type=float, default=None,
-                   metavar="SECONDS",
-                   help="with --workers: treat a worker that has not "
-                        "answered for this long as lost (killed and "
-                        "handled per --on-worker-loss); default: wait "
-                        "forever")
     p.add_argument("--faults", metavar="SPEC",
                    help="fault-bounded exploration: also drop/duplicate "
                         "in-flight messages, up to a per-path budget "

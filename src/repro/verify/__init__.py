@@ -29,8 +29,7 @@ from repro import _lazy_exports
 from repro.verify.fingerprint import encode_state, fingerprint
 
 __getattr__, __dir__ = _lazy_exports(__name__, {
-    "repro.verify.atlas": ("AtlasRecorder", "OrbitCanonicalizer",
-                           "StateAtlas", "load_atlas"),
+    "repro.verify.atlas": ("AtlasRecorder", "StateAtlas", "load_atlas"),
     "repro.verify.checker": ("CheckResult", "FingerprintCollisionError",
                              "ModelChecker", "SymmetryError",
                              "TraceReplayError", "Violation",
@@ -57,7 +56,6 @@ __all__ = [
     "fingerprint",
     "encode_state",
     "AtlasRecorder",
-    "OrbitCanonicalizer",
     "StateAtlas",
     "load_atlas",
     "EventGenerator",

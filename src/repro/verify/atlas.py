@@ -77,12 +77,6 @@ ATLAS_VERSION = 1
 DEFAULT_STATE_CAP = 100_000
 DEFAULT_EDGE_CAP = 250_000
 
-# Historical name: the atlas grew the canonicalizer as a private orbit
-# estimator; it was promoted to repro.verify.fingerprint when symmetry
-# reduction landed in the checkers.  Kept as an alias because tests and
-# downstream analysis code import it from here.
-OrbitCanonicalizer = SymmetryCanonicalizer
-
 # Checker rule labels (see ModelChecker._successors): deliveries and
 # fault transitions carry the full message signature; application rules
 # are "n{node}: {tag} b{block}".
@@ -178,7 +172,7 @@ class AtlasRecorder:
         self.perm_cap = perm_cap
         self._states = _BottomK(state_cap)
         self._edges = _BottomK(edge_cap)
-        self._canon: Optional[OrbitCanonicalizer] = None
+        self._canon: Optional[SymmetryCanonicalizer] = None
         self._state_meta: dict[str, dict] = {}
         self._src_fp: Optional[int] = None
         # When the engine runs without hash compaction it has no
@@ -197,8 +191,8 @@ class AtlasRecorder:
         by whichever engine owns this recorder)."""
         if self._canon is not None:
             return
-        self._canon = OrbitCanonicalizer(protocol, n_nodes, n_blocks,
-                                         perm_cap=self.perm_cap)
+        self._canon = SymmetryCanonicalizer(protocol, n_nodes, n_blocks,
+                                            perm_cap=self.perm_cap)
         self._state_meta = {
             name: {"transient": bool(info.transient)}
             for name, info in protocol.states.items()}

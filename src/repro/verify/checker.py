@@ -278,14 +278,10 @@ class CheckResult:
     canonical_states: Optional[int] = None
     # Why the run stopped before exhausting the space: "deadline" /
     # "memory" (BudgetOptions), "interrupted" (Ctrl-C drained at a
-    # clean cut), "worker_lost" (parallel degrade recovery gave up), or
-    # None for a normal completion / plain max_states truncation.  A
-    # set stop_reason implies exhausted=False and, when checkpointing
-    # was configured, a resumable checkpoint on disk.
+    # clean cut), or None for a normal completion / plain max_states
+    # truncation.  A set stop_reason implies exhausted=False and, when
+    # checkpointing was configured, a resumable checkpoint on disk.
     stop_reason: Optional[str] = None
-    # Parallel only: workers that died and were recovered from under
-    # on_worker_loss="degrade" (0 for an undisturbed run).
-    worker_losses: int = 0
 
     def summary(self) -> str:
         status = "PASS" if self.ok else "FAIL"
@@ -857,7 +853,7 @@ class ModelChecker:
         one definition.  ``stopped``: why the search ended early --
         ``state_limit`` (a plain ``max_states`` truncation) or a
         ``stop_reason``.  The parallel master calls this on its template
-        (with ``workers`` / ``worker_losses`` in ``extra``)."""
+        (with ``workers`` in ``extra``)."""
         hit_limit = stopped == "state_limit"
         return CheckResult(
             protocol_name=self.protocol.name, ok=ok, states_explored=states,

@@ -40,8 +40,8 @@ exchange is fingerprint-only.  The ops, and what each reply carries:
              invariant suite) into the next ready set.  Reply: busy
              seconds, as from every timed op.
 ``parent``   One hop of a counterexample's trace walk: the parent edge.
-``collect``  For a checkpoint taken without a mirror: the shard's
-             visited set and parent edges, nothing else.
+``collect``  For a checkpoint: the shard's visited set and parent
+             edges, nothing else.
 ``finish``   The run is over: the worker's profile and atlas payloads.
 
 Determinism: the set of states in BFS layer *k* is a property of the
@@ -72,29 +72,22 @@ Checkpoints are pure JSON (no pickles; see
 layer boundaries when the policy stops the run there (``max_states``, a
 resource budget, Ctrl-C) or a periodic interval elapses.  Each is the
 master's :class:`~repro.verify.checkpoint.Cut` written out (sealed,
-atomic, rotated: :mod:`repro.verify.checkpoint`) -- the mirror as it
-stands under ``"degrade"``, the owners' containers after one
-``collect`` barrier otherwise.  Its frontier is the routed proposals,
-folded to one edge per state, their states stored by reference (the
-parent-label chain), so the on-disk format is unchanged from version 1:
-entries are keyed by fingerprint and a checkpoint written at one worker
-count can be resumed at any other -- or by the serial checker.
+atomic, rotated: :mod:`repro.verify.checkpoint`), its containers the
+owners' after one ``collect`` barrier.  Its frontier is the routed
+proposals, folded to one edge per state, their states stored by
+reference (the parent-label chain), in the v2 format the serial checker
+writes too: entries are keyed by fingerprint and a checkpoint written
+at one worker count can be resumed at any other -- or by the serial
+checker.
 
 Worker supervision: every barrier exchange polls the worker pipes with
-liveness checks instead of blocking on ``recv``, so a SIGKILLed (or,
-with ``worker_stall_timeout``, a wedged) worker surfaces as a typed
-loss instead of a hang.  Under ``on_worker_loss="fail"`` (the default)
-the loss raises :class:`WorkerLostError`.  Under ``"degrade"`` the
-master additionally maintains a *mirror* of the exploration at each
-wave barrier -- the synchronous cut where every accepted state is
-expanded and every pending candidate is routed metadata -- and recovers
-by tearing the fleet down, re-sharding the mirror onto one fewer
-worker, reconstructing the pending frontier states by replaying their
-canonical parent-label chains, and re-entering the loop.  Because the
-cut is consistent and the exchange is deterministic, the recovered run
-reaches the identical verdict, state count, transition count, coverage
-maps, and counterexample trace as an undisturbed run; only the
-observability artifacts (profile, atlas) degrade to best-effort.
+liveness checks instead of blocking on ``recv``, so a worker that died
+(``kill -9``, the OOM killer) raises :class:`WorkerLostError` at the
+barrier -- the counterexample's trace walk included -- instead of
+hanging it.  The error is one line naming the worker, the barrier and,
+when this run wrote one, the newest checkpoint.  The master keeps no
+copy of the exploration: that checkpoint is the way back, resumed at
+any worker count or serially.
 
 Ctrl-C is not an exception here.  The master flags SIGINT for the life
 of its fleets (:func:`~repro.verify.checkpoint.flag_sigint`; workers
@@ -115,7 +108,6 @@ its ``send``) and it returns.
 from __future__ import annotations
 
 import multiprocessing
-import os
 import pickle
 import signal
 import time
@@ -186,15 +178,9 @@ def _worker_rates(replies) -> str:
 
 
 class WorkerLostError(RuntimeError):
-    """A worker process died (or stalled past ``worker_stall_timeout``)
-    and the run was configured with ``on_worker_loss="fail"``, or the
-    degrade policy ran out of recovery attempts."""
-
-
-class _WorkerLost(Exception):
-    """Internal: ``_WorkerLost(worker id, phase)``, a worker went silent
-    mid-barrier.  Caught by the master's recovery loop, never escapes
-    :meth:`ParallelChecker.run`."""
+    """A worker process died, or could not be spawned: the run is over,
+    and the newest checkpoint it wrote, if any, is where a rerun
+    resumes."""
 
 
 def _worker_main(conn, master_ends, worker_id: int, n_workers: int,
@@ -247,8 +233,8 @@ def _worker_main(conn, master_ends, worker_id: int, n_workers: int,
             visited.update(fps)
             known.update(fps)
             parents.update(edges)
-            # The frontier (the initial state, a resumed checkpoint's,
-            # a recovery mirror's) arrives as full states with their
+            # The frontier (the initial state, or a resumed
+            # checkpoint's) arrives as full states with their
             # canonical edges spelled out: staged, they are adopted
             # exactly as every later layer's fetched states are.
             op, args = "adopt", (entries,)
@@ -324,8 +310,8 @@ def _worker_main(conn, master_ends, worker_id: int, n_workers: int,
                 outbox.setdefault(fp % n_workers, []).append((fp, *proposal))
             # Everything the master counts or judges rides this reply
             # and no other: every stop it makes (a verdict, a
-            # checkpoint, a recovery cut) follows an expand barrier, so
-            # what it has summed is final whenever it is read.
+            # checkpoint) follows an expand barrier, so what it has
+            # summed is final whenever it is read.
             reply = {
                 "accepted": len(tasks),
                 "outbox": outbox,
@@ -370,20 +356,20 @@ def _worker_main(conn, master_ends, worker_id: int, n_workers: int,
 
 
 class _Fleet(AbstractContextManager):
-    """The worker processes of one exploration attempt and the one way
-    the master talks to them.  A context manager: :meth:`start`, called
-    inside the block, spawns the workers, and whatever ends the block
-    -- a result, a lost worker, a spawn that failed partway -- kills and
-    joins every process started and closes every pipe, so no way out
-    (and no ``os._exit`` after it) leaves a worker behind."""
+    """The worker processes of one run and the one way the master talks
+    to them.  A context manager: :meth:`start`, called inside the block,
+    spawns the workers, and whatever ends the block -- a result, a lost
+    worker, a spawn that failed partway -- kills and joins every process
+    started and closes every pipe, so no way out (and no ``os._exit``
+    after it) leaves a worker behind."""
 
-    def __init__(self, template: ModelChecker, n: int,
-                 stall_timeout: Optional[float]):
+    def __init__(self, template: ModelChecker, n: int):
         self.template = template
         self.n = n
-        self.stall_timeout = stall_timeout
         self.conns: list = []
         self.procs: list = []
+        # The newest checkpoint the run wrote, named when a worker dies.
+        self.checkpoint: Optional[str] = None
 
     def __exit__(self, *_exc) -> None:
         for proc in self.procs:
@@ -432,40 +418,41 @@ class _Fleet(AbstractContextManager):
 
     def call_all(self, ops, phase: str) -> list:
         """Send ``ops[i]`` to worker i (None skips) and collect one
-        reply each, polling with liveness checks so a dead or wedged
-        worker raises :class:`_WorkerLost` instead of hanging the
-        barrier.  The master flags SIGINT, so nothing asynchronous
-        lands in here: every message is sent once, every reply read
-        once, and the master always reaches the next layer boundary
-        with consistent worker state."""
+        reply each, polling with liveness checks so a dead worker raises
+        :class:`WorkerLostError` instead of hanging the barrier.  The
+        master flags SIGINT, so nothing asynchronous lands in here:
+        every message is sent once, every reply read once, and the
+        master always reaches the next layer boundary with consistent
+        worker state."""
         for i, op in enumerate(ops):
             if op is None:
                 continue
             if not self.procs[i].is_alive():
-                raise _WorkerLost(i, phase)
+                raise self._lost(i, phase)
             try:
                 self.conns[i].send(op)
             except OSError:
-                raise _WorkerLost(i, phase) from None
+                raise self._lost(i, phase) from None
         replies: list = [None] * self.n
         for i, conn in enumerate(self.conns):
-            waited = 0.0
             while ops[i] is not None:
                 try:
                     if conn.poll(_LIVENESS_POLL_SECONDS):
                         replies[i] = conn.recv()
                         break
                 except (EOFError, OSError):
-                    raise _WorkerLost(i, phase) from None
-                waited += _LIVENESS_POLL_SECONDS
+                    raise self._lost(i, phase) from None
                 if not self.procs[i].is_alive():
-                    raise _WorkerLost(i, phase)
-                if (self.stall_timeout is not None
-                        and waited >= self.stall_timeout):
-                    self.procs[i].kill()
-                    raise _WorkerLost(
-                        i, f"{phase} (stalled >{self.stall_timeout:g}s)")
+                    raise self._lost(i, phase)
         return replies
+
+    def _lost(self, i: int, phase: str) -> WorkerLostError:
+        """The one line a dead worker ends the run with."""
+        message = f"worker {i} died during {phase}"
+        if self.checkpoint is not None:
+            message += (f"; the newest checkpoint is {self.checkpoint} "
+                        f"(continue with --resume {self.checkpoint})")
+        return WorkerLostError(message)
 
 
 class ParallelChecker:
@@ -480,48 +467,29 @@ class ParallelChecker:
     and passed through to the template (whose settings the master reads
     back).  The visited set is always fingerprint-keyed
     (``fingerprint_states`` is not accepted), and the serial-only
-    ``check_progress`` is refused.
-
-    The constructor's own keywords are the fleet's: ``workers`` (the
-    number of shard-owning processes), ``on_worker_loss`` and
-    ``worker_stall_timeout`` (the supervision policy, see the module
-    docstring: ``"fail"`` raises :class:`WorkerLostError`, ``"degrade"``
-    re-shards onto one fewer worker; a worker silent for the timeout
-    during a barrier is SIGKILLed and counted lost), and ``chaos_hook``
-    (testing: called as ``hook(wave_no, procs)`` before each wave so
-    fault-injection harnesses can disturb the fleet deterministically).
+    ``check_progress`` is refused.  The constructor's one keyword of its
+    own is ``workers``, the number of shard-owning processes.
 
     ``run()`` returns the same :class:`CheckResult`; on passing runs the
     state count, transition count, depth, and coverage maps match the
     serial checker exactly.  Budgets and Ctrl-C stop the run at the next
     wave boundary with ``stop_reason`` set and, when a checkpoint path
-    is configured, a resumable checkpoint written.  No way out of
-    ``run()`` -- a result, an error, a lost worker -- leaves a worker
-    process behind.  Requires the ``fork`` start method (worker checkers
-    inherit closures the ``spawn`` pickler cannot carry).
+    is configured, a resumable checkpoint written.  A dead worker raises
+    :class:`WorkerLostError`.  No way out of ``run()`` -- a result, an
+    error, a lost worker -- leaves a worker process behind.  Requires
+    the ``fork`` start method (worker checkers inherit closures the
+    ``spawn`` pickler cannot carry).
     """
 
-    def __init__(self, protocol: CompiledProtocol, *,
-                 workers: Optional[int] = None,
-                 on_worker_loss: str = "fail",
-                 worker_stall_timeout: Optional[float] = None,
-                 chaos_hook=None, **checker_options):
-        if workers is None:
-            workers = min(4, os.cpu_count() or 1)
+    def __init__(self, protocol: CompiledProtocol, *, workers: int,
+                 **checker_options):
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        if on_worker_loss not in ("fail", "degrade"):
-            raise ValueError(
-                f"on_worker_loss must be 'fail' or 'degrade', "
-                f"got {on_worker_loss!r}")
         if checker_options.get("check_progress"):
             raise ValueError(
                 "liveness checking needs the full state graph and is "
                 "serial-only (CheckOptions.workers must be 0)")
         self.workers = workers
-        self.on_worker_loss = on_worker_loss
-        self.worker_stall_timeout = worker_stall_timeout
-        self.chaos_hook = chaos_hook
         # The template's profiler and atlas recorder are the master's:
         # forked workers inherit copies of the same objects but
         # accumulate into their own process memory, shipping totals
@@ -537,25 +505,16 @@ class ParallelChecker:
 
     # -- trace reconstruction -----------------------------------------------
 
-    def _trace_for(self, fleet: _Fleet, record,
-                   cut: Optional[Cut] = None) -> Violation:
+    def _trace_for(self, fleet: _Fleet, record) -> Violation:
         kind, message, depth, fp, extra_label = record
         labels: list[str] = []
         cursor = fp
         while cursor is not None:
-            if cut is not None:
-                # Degrade mode: walk the master's mirror instead of
-                # querying the (possibly already disturbed) workers --
-                # trace construction itself must survive a loss.  The
-                # mirror's edges are the same canonical minimum the
-                # owners stored, so the trace is identical.
-                entry = cut.parents.get(cursor)
-            else:
-                # One supervised barrier per hop, like every other op:
-                # an owner that stopped answering is a typed loss.
-                ops: list = [None] * fleet.n
-                ops[cursor % fleet.n] = ("parent", cursor)
-                entry = fleet.call_all(ops, "trace walk")[cursor % fleet.n]
+            # One supervised barrier per hop, like every other op: an
+            # owner that died is a typed loss.
+            ops: list = [None] * fleet.n
+            ops[cursor % fleet.n] = ("parent", cursor)
+            entry = fleet.call_all(ops, "trace walk")[cursor % fleet.n]
             if entry is None:
                 raise CheckpointError(
                     f"parent chain broken at fingerprint {cursor:016x}")
@@ -573,86 +532,39 @@ class ParallelChecker:
     # -- the master loop ----------------------------------------------------
 
     def run(self) -> CheckResult:
-        """Explore, supervising the worker fleet.
-
-        One :class:`Cut` carries the run.  Its counting fields move
-        at every wave boundary; under ``"degrade"`` its containers too
-        (the *mirror*: a checkpoint is the cut written out, a recovery
-        a fresh fleet started from it), while under ``"fail"`` they stay
-        with the owners until a checkpoint collects them.
-
-        Worker losses surface here: under ``on_worker_loss="fail"`` the
-        first loss raises :class:`WorkerLostError`; under ``"degrade"``
-        the run restarts from the mirror's last consistent cut on one
-        fewer worker, and -- if losses keep coming past the recovery
-        budget -- salvages a checkpoint and returns a truncated result
-        with ``stop_reason="worker_lost"``."""
+        """Explore from the starting cut -- the initial state or a
+        resumed checkpoint -- to the result.  Ctrl-C is flagged for the
+        whole run and acted on at the next wave boundary."""
         template = self._template
         start = time.perf_counter()
         cut = starting_cut(template)
-        origin = start - cut.elapsed      # the whole run's clock
-        worker_losses = 0
-        # Ctrl-C is flagged, and acted on at the next wave boundary.
         with flag_sigint() as interrupted:
-            while True:
-                try:
-                    return self._explore(cut, start, origin, interrupted,
-                                         worker_losses)
-                except WorkerLostError:
-                    if not worker_losses:
-                        raise     # could not even start the first fleet
-                    break
-                except _WorkerLost as loss:
-                    worker_losses += 1
-                    if self.on_worker_loss != "degrade":
-                        raise WorkerLostError(
-                            "worker {} died during {}; rerun with "
-                            "on_worker_loss='degrade' (CLI: "
-                            "--on-worker-loss degrade) to re-shard onto "
-                            "the survivors and continue".format(*loss.args)
-                        ) from None
-                    # Each loss sheds a worker; allow a few extra
-                    # attempts at the one-worker floor before declaring
-                    # the environment hostile.
-                    if worker_losses > self.workers + 4:
-                        break
-            # Recovery budget exhausted: persist the mirror's cut and
-            # return what was soundly explored up to it.  Both come
-            # purely from the mirror -- the worker fleet is no longer
-            # trustworthy.
-            if template.checkpoint_out:
-                cut.write(template)
-            return template._result(
-                ok=True, states=len(cut.visited),
-                transitions=cut.transitions, max_depth=cut.max_depth,
-                elapsed=time.perf_counter() - origin,
-                stopped="worker_lost", invariant_evals=cut.invariant_evals,
-                handler_fires=cut.handler_fires, workers=self.workers,
-                worker_losses=worker_losses)
+            return self._explore(cut, start, start - cut.elapsed,
+                                 interrupted)
 
-    def _explore(self, cut: Cut, start: float, origin: float, interrupted,
-                 worker_losses: int) -> CheckResult:
-        """One fleet's attempt to take the run from ``cut`` to its
-        result; :class:`_WorkerLost` ends it with ``cut`` at the last
-        wave boundary reached (under ``"degrade"``)."""
+    def _explore(self, cut: Cut, start: float, origin: float,
+                 interrupted) -> CheckResult:
+        """Take the run from ``cut`` to its result on one fleet.
+
+        ``cut`` carries the run: its counting fields move at every wave
+        boundary, while its containers stay with the owners until a
+        checkpoint collects them.  ``origin`` is the whole run's clock,
+        a resumed checkpoint's elapsed time included."""
         template = self._template
-        track = self.on_worker_loss == "degrade"
-        n = max(1, self.workers - worker_losses)
+        n = self.workers
 
         # Shard the cut: worker i starts from ("start", its visited
         # fingerprints, their edges, its frontier edges, its frontier
-        # states).  The starting cut's frontier states arrived inline;
-        # a later cut's lived only in the lost workers' stashes, and a
-        # checkpoint stores them by reference -- both are replayed from
-        # their parent chains.
+        # states).  The initial state arrives inline; a checkpoint
+        # stores its frontier by reference, replayed from the parent
+        # chains.
         starts: list = [("start", [], {}, {}, []) for _ in range(n)]
         for fp in cut.visited:
             starts[fp % n][1].append(fp)
         for fp, edge in cut.parents.items():
             starts[fp % n][2][fp] = edge
-        states = replay_frontier(
-            template, cut.parents, cut.frontier, cut.states,
-            template.resume or "recovery mirror")
+        states = replay_frontier(template, cut.parents, cut.frontier,
+                                 cut.states, template.resume)
         for fp, edge in cut.frontier.items():
             starts[fp % n][3][fp] = edge
             starts[fp % n][4].append((fp, states[fp]))
@@ -676,22 +588,21 @@ class ParallelChecker:
                                      for replies in ops)}
                     for i in range(n)])
 
-        with _Fleet(template, n, self.worker_stall_timeout) as fleet:
+        with _Fleet(template, n) as fleet:
             def write(durable: bool) -> None:
-                here = cut
-                if not track:
-                    # No mirror: for the write the owners' containers,
-                    # which already hold the old frontier, stand in for
-                    # the master's -- the one barrier a checkpoint costs.
-                    shards = fleet.call_all([("collect",)] * n,
-                                            "checkpoint collect")
-                    here = replace(
-                        cut, frontier={},
-                        visited=set().union(*(v for v, _edges in shards)),
-                        parents={fp: edge for _v, edges in shards
-                                 for fp, edge in edges.items()})
-                    here.advance(chain.from_iterable(meta))
+                # For the write the owners' containers, which already
+                # hold the old frontier, stand in for the master's --
+                # the one barrier a checkpoint costs.
+                shards = fleet.call_all([("collect",)] * n,
+                                        "checkpoint collect")
+                here = replace(
+                    cut, frontier={},
+                    visited=set().union(*(v for v, _edges in shards)),
+                    parents={fp: edge for _v, edges in shards
+                             for fp, edge in edges.items()})
+                here.advance(chain.from_iterable(meta))
                 here.write(template, durable)
+                fleet.checkpoint = template.checkpoint_out
 
             # Start the fleet on the first layer: the initial state, or
             # a resumed checkpoint's frontier.  Acceptance (dedupe,
@@ -708,22 +619,14 @@ class ParallelChecker:
 
             while True:
                 cycle_started = time.perf_counter()
-
-                if self.chaos_hook is not None:
-                    # Fault-injection point for the chaos harness: the
-                    # hook may SIGKILL/SIGSTOP workers; the next barrier
-                    # detects the damage through the liveness polls.
-                    self.chaos_hook(cut.wave, fleet.procs)
-
                 expand_replies = fleet.call_all([("expand",)] * n, "expand")
                 expand_wall = time.perf_counter() - cycle_started
 
                 # The layer boundary is a consistent cut: every accepted
                 # state is expanded, every pending candidate is routed
                 # metadata with its state stashed at the sender.  Bring
-                # ``cut`` to it -- the one place the workers' counters
-                # reach the master -- in one stretch no worker loss can
-                # interrupt, so a recovery finds it whole.
+                # ``cut``'s counters to it -- the one place the workers'
+                # counters reach the master.
                 wave_no = cut.wave
                 cut.wave += 1
                 cut.elapsed = time.perf_counter() - origin
@@ -744,10 +647,6 @@ class ParallelChecker:
                             prof.add_cross_shard(
                                 len(batch), len(pickle.dumps(batch)))
                 frontier_size = sum(map(len, meta))
-                if track:
-                    # The mirror: a later loss recovers exactly here,
-                    # and a checkpoint needs no barrier.
-                    cut.advance(chain.from_iterable(meta))
 
                 if prof is not None:
                     prof.sample(total_states, frontier_size, cut.max_depth,
@@ -769,8 +668,7 @@ class ParallelChecker:
                     if r["symmetry_error"]]
                 if violations:
                     violation = self._trace_for(
-                        fleet, min(violations, key=_violation_rank),
-                        cut if track else None)
+                        fleet, min(violations, key=_violation_rank))
                 elif symmetry_errors:
                     # A concrete violation outranks a certification
                     # failure (FAIL verdicts are sound regardless of
@@ -827,16 +725,7 @@ class ParallelChecker:
                 record_wave(wave_no, time.perf_counter() - cycle_started,
                             expand_replies, ingest_replies, adopt_replies)
 
-            try:
-                finished = fleet.call_all([("finish",)] * n, "finish")
-            except _WorkerLost:
-                # The result is decided, and the mirror is already past
-                # a violating state: a recovery could only lose the
-                # verdict.  The artifacts go without this fleet's share.
-                if not track:
-                    raise
-                finished = []
-            for stats in finished:
+            for stats in fleet.call_all([("finish",)] * n, "finish"):
                 if prof is not None:
                     prof.merge_worker(stats["profile"])
                 if template.atlas is not None:
@@ -849,4 +738,4 @@ class ParallelChecker:
             invariant_evals=cut.invariant_evals,
             handler_fires=cut.handler_fires, stopped=stopped,
             progress_extra=_worker_rates(expand_replies),
-            workers=self.workers, worker_losses=worker_losses)
+            workers=self.workers)

@@ -27,7 +27,6 @@ from repro.protocols import compile_named_protocol
 from repro.verify import (
     AtlasRecorder,
     ModelChecker,
-    OrbitCanonicalizer,
     ParallelChecker,
     StateAtlas,
     events_for_protocol,
@@ -49,6 +48,7 @@ from repro.verify.atlas import (
     residence_heatmap,
     scc_decomposition,
 )
+from repro.verify.fingerprint import SymmetryCanonicalizer
 from repro.verify.invariants import standard_invariants
 from repro.verify.model import initial_global_state
 
@@ -431,20 +431,20 @@ class TestOrbitEstimator:
 
     def test_canonicalizer_homes_fixed(self):
         protocol = compile_named_protocol("stache")
-        assert OrbitCanonicalizer(protocol, 2, 1).method == "identity"
-        canon = OrbitCanonicalizer(protocol, 3, 1)
+        assert SymmetryCanonicalizer(protocol, 2, 1).method == "identity"
+        canon = SymmetryCanonicalizer(protocol, 3, 1)
         assert canon.method == "exact"
         assert canon.free_nodes == [1, 2]
         assert len(canon.perms) == 1
         # All three nodes homed: nothing is free to permute.
-        assert OrbitCanonicalizer(protocol, 3, 3).method == "identity"
+        assert SymmetryCanonicalizer(protocol, 3, 3).method == "identity"
 
     def test_permute_is_involution_on_swap(self):
         protocol = compile_named_protocol("stache")
         events = events_for_protocol("stache")
         state = initial_global_state(
             protocol, 3, 1, lambda block: block % 3, events.initial)
-        canon = OrbitCanonicalizer(protocol, 3, 1)
+        canon = SymmetryCanonicalizer(protocol, 3, 1)
         mapping = canon.perms[0]                   # the 1<->2 swap
         swapped = canon.permute(state, mapping)
         assert canon.permute(swapped, mapping) == state

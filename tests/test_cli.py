@@ -148,11 +148,14 @@ class TestRefusedModes:
         assert "liveness" in err and mode in err
         assert list(tmp_path.iterdir()) == []
 
-    def test_removed_por_flag_is_a_usage_error(self, capsys):
+    @pytest.mark.parametrize("removed", [
+        "--por", "--on-worker-loss degrade", "--worker-stall-timeout 5"])
+    def test_removed_flag_is_a_usage_error(self, capsys, removed):
         with pytest.raises(SystemExit) as caught:
-            main(["verify", "lcm", "--por"])
+            main(["verify", "lcm", "--workers", "2", *removed.split()])
         assert caught.value.code == 2
-        assert "unrecognized arguments: --por" in capsys.readouterr().err
+        assert (f"unrecognized arguments: {removed}"
+                in capsys.readouterr().err)
 
 
 class TestGraphAndList:

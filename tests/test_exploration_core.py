@@ -8,8 +8,9 @@ not move:
 * the mode pin table: 13 protocols x {plain, fingerprints, symmetry,
   faults}, violation traces included (where a change to the unreduced
   engine shows first);
-* one cut written by three writers (serial, ``workers=2``, the
-  degrade-mode mirror salvage) decodes to the same exploration state;
+* one cut written three ways (serial, ``workers=2``, and a
+  ``workers=2`` run that lost a worker after writing) decodes to the
+  same exploration state;
 * the codec round-trips, folds duplicate proposals to the minimum
   edge, and reports a broken parent chain in one line;
 * a checkpoint written by the previous release resumes on both engines;
@@ -19,8 +20,7 @@ not move:
 
 import io
 import json
-import os
-import signal
+import re
 import warnings
 from functools import partial
 from pathlib import Path
@@ -34,7 +34,7 @@ from repro.api import CheckOptions, CheckpointOptions, ReductionOptions
 from repro.compiler.pipeline import compile_source
 from repro.faults import FaultBudget
 from repro.runtime.context import Message
-from repro.verify import CheckpointError, load_checkpoint
+from repro.verify import CheckpointError, WorkerLostError, load_checkpoint
 from repro.verify.checkpoint import (
     CHECKPOINT_VERSION,
     Cut,
@@ -53,7 +53,13 @@ from repro.verify.model import (
     GlobalState,
 )
 from reference_checker import ReferenceChecker, checker_for, reachable
-from test_resilience import make_parallel, make_serial, outcome
+from test_resilience import (
+    KillWorker,
+    before_expand,
+    make_parallel,
+    make_serial,
+    outcome,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -100,33 +106,21 @@ def test_mode_pin_table(row):
 CUT_WAVE = 12
 
 
-class KillFrom:
-    """chaos_hook: SIGKILL a worker at every wave from ``at`` on, so the
-    degrade policy runs out of recoveries with its mirror still at the
-    ``at`` cut and salvages it."""
-
-    def __init__(self, at):
-        self.at = at
-
-    def __call__(self, wave, procs):
-        if wave >= self.at:
-            os.kill(procs[0].pid, signal.SIGKILL)
-
-
 @pytest.fixture(scope="module")
 def three_cuts(tmp_path_factory):
     root = tmp_path_factory.mktemp("cuts")
     paths = {who: str(root / f"{who}.json")
-             for who in ("serial", "workers2", "salvage")}
+             for who in ("serial", "workers2", "killed")}
     make_serial("lcm", reorder=1, checkpoint_out=paths["serial"],
                 checkpoint_interval_waves=CUT_WAVE).run()
     make_parallel("lcm", 2, reorder=1, checkpoint_out=paths["workers2"],
                   checkpoint_interval_waves=CUT_WAVE).run()
-    salvaged = make_parallel(
-        "lcm", 2, reorder=1, checkpoint_out=paths["salvage"],
-        on_worker_loss="degrade", chaos_hook=KillFrom(CUT_WAVE)).run()
-    assert salvaged.stop_reason == "worker_lost"
-    assert not salvaged.exhausted and salvaged.worker_losses > 2
+    # A worker dies as the wave after the write starts: the run ends in
+    # one error line naming the file, and the write is what it leaves.
+    with before_expand(KillWorker(CUT_WAVE)), pytest.raises(
+            WorkerLostError, match=re.escape(paths["killed"])):
+        make_parallel("lcm", 2, reorder=1, checkpoint_out=paths["killed"],
+                      checkpoint_interval_waves=CUT_WAVE).run()
     return paths
 
 
@@ -136,18 +130,16 @@ def test_three_writers_agree_on_one_cut(three_cuts):
     echo = config_echo(make_serial("lcm", reorder=1))
     cuts = {who: decode_checkpoint(payload, echo, who)
             for who, payload in payloads.items()}
-    serial, workers2, salvage = (cuts[who] for who in (
-        "serial", "workers2", "salvage"))
+    serial, workers2, killed = (cuts[who] for who in (
+        "serial", "workers2", "killed"))
     for payload in payloads.values():
         assert payload["wave"] == CUT_WAVE and payload["v"] == 2
         assert all(state is None
                    for _fp, state, *_edge in payload["frontier"])
-    # The two parallel writers describe the cut identically: one folds
-    # the routed proposals against the owners' containers when it
-    # writes, the other wrote the mirror folded at every wave.
-    assert workers2 == Cut(**{**vars(salvage), "elapsed": workers2.elapsed})
+    # A run that loses a worker after its write leaves the cut an
+    # undisturbed run writes there, its proposals folded on disk.
+    assert workers2 == Cut(**{**vars(killed), "elapsed": workers2.elapsed})
     assert len(payloads["workers2"]["frontier"]) == len(workers2.frontier)
-    assert len(payloads["salvage"]["frontier"]) == len(salvage.frontier)
     # The serial writer agrees on everything a cut determines.  Two
     # fields legitimately differ: its parent edges are first-arrival,
     # not canonical-minimum, and its max_depth already counts the
@@ -163,7 +155,7 @@ def test_three_writers_agree_on_one_cut(three_cuts):
 
 
 @pytest.mark.parametrize("workers", [0, 2])
-@pytest.mark.parametrize("who", ["serial", "workers2", "salvage"])
+@pytest.mark.parametrize("who", ["serial", "workers2", "killed"])
 def test_every_writer_resumes_on_every_engine(three_cuts, who, workers):
     full = make_serial("lcm", reorder=1, fingerprint_states=True).run()
     if workers:

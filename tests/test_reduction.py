@@ -496,9 +496,9 @@ def test_bare_bool_progress_is_not_normalized():
 
 
 def test_check_options_field_count():
-    # Nine hidden shim fields went away, then ``engine``; nothing was
-    # added.
-    assert len(fields(CheckOptions)) == 19
+    # Nine hidden shim fields went away, then ``engine``, then the
+    # worker-loss policy and stall timeout; nothing was added.
+    assert len(fields(CheckOptions)) == 17
 
 
 def test_grouped_options_warn_nothing():

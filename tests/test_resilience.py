@@ -1,29 +1,36 @@
-"""Resilient checking: worker-crash recovery, sealed checkpoints,
+"""Resilient checking: worker-loss detection, sealed checkpoints,
 resource budgets, and graceful interruption.
 
-The deterministic core of the chaos harness (``tools/chaos_check.py``),
-gated in CI.  Contract under test:
+Contract under test:
 
-* a SIGKILLed worker under ``on_worker_loss='degrade'`` re-shards the
-  last completed wave onto the survivors and finishes with the exact
-  undisturbed outcome;
+* a SIGKILLed worker is one :class:`WorkerLostError` at the next
+  barrier -- the counterexample's trace walk included -- naming the
+  worker, the barrier and the newest checkpoint the run wrote; no
+  worker outlives the run, and the checkpoint resumes to the
+  undisturbed outcome serially or at any worker count;
 * every corrupted checkpoint is refused with a one-line
   :class:`CheckpointError`, never a wrong answer;
 * deadline/byte budgets stop gracefully with ``stop_reason`` set and a
   checkpoint that resumes to the exact uninterrupted result;
 * SIGINT, on either engine, is acted on at the next clean cut: the run
   reports ``stop_reason='interrupted'``, leaves a checkpoint that
-  resumes exactly when a path is set, and no worker process;
-* a worker that stops answering (SIGSTOP) is a typed loss at every
-  barrier, the counterexample's trace walk included.
+  resumes exactly when a path is set, and no worker process.
+
+The parallel cases disturb the fleet through :func:`before_expand`, a
+seam on the one way the master talks to its workers.
 """
 
+import itertools
 import json
 import os
+import re
 import signal
+from contextlib import contextmanager
+from unittest import mock
 
 import pytest
 
+from repro.cli import main
 from repro.protocols import compile_named_protocol
 from repro.verify import (
     CheckpointError,
@@ -34,6 +41,7 @@ from repro.verify import (
     load_checkpoint,
 )
 from repro.verify.invariants import standard_invariants
+from repro.verify.parallel import _Fleet
 
 
 def make_serial(name, n_nodes=2, n_blocks=1, reorder=0, **kwargs):
@@ -67,56 +75,130 @@ def outcome(result):
                      tuple(result.violation.trace))
 
 
-class KillWorker:
-    """chaos_hook: signal one worker (SIGKILL unless ``sig`` says
-    otherwise) the first time wave ``at`` starts."""
+@contextmanager
+def before_expand(hook):
+    """Test seam on ``_Fleet.call_all``: inside the block,
+    ``hook(wave, procs)`` runs before each ``expand`` barrier, ``wave``
+    counting them from 0 (a fresh run's wave index)."""
+    waves = itertools.count()
+    call_all = _Fleet.call_all
 
-    def __init__(self, at, victim=0, sig=signal.SIGKILL):
+    def seam(fleet, ops, phase):
+        if phase == "expand":
+            hook(next(waves), fleet.procs)
+        return call_all(fleet, ops, phase)
+
+    with mock.patch.object(_Fleet, "call_all", seam):
+        yield
+
+
+class KillWorker:
+    """Hook: SIGKILL worker ``victim`` as wave ``at`` starts (never, for
+    ``at=None``).  Keeps the fleet it last saw."""
+
+    def __init__(self, at, victim=0):
         self.at = at
         self.victim = victim
-        self.sig = sig
-        self.fired = False
+        self.procs = ()
 
     def __call__(self, wave, procs):
-        if self.fired or wave != self.at:
-            return
-        self.fired = True
-        os.kill(procs[self.victim % len(procs)].pid, self.sig)
+        self.procs = procs
+        if wave == self.at:
+            self.kill()
+
+    def kill(self):
+        os.kill(self.procs[self.victim].pid, signal.SIGKILL)
+
+
+def lost_line(phase, checkpoint):
+    return (f"worker 0 died during {phase}; the newest checkpoint is "
+            f"{checkpoint} (continue with --resume {checkpoint})")
 
 
 class TestWorkerLoss:
-    # stache at reorder 0 explores 33 states over 10 waves; every wave
-    # index is a distinct kill site for the consistent-cut recovery.
+    def test_loss_is_one_typed_error(self):
+        hook = KillWorker(1)
+        with before_expand(hook), pytest.raises(
+                WorkerLostError, match=r"^worker 0 died during expand$"):
+            make_parallel("stache", 2).run()
+        assert not any(proc.is_alive() for proc in hook.procs)
+
+    # stache at reorder 0 runs 10 expand barriers at every worker count;
+    # each is a distinct moment for a worker to die, and the victim
+    # rotates so the line must name the right one.
     @pytest.mark.parametrize("wave", list(range(10)))
     @pytest.mark.parametrize("workers", [2, 3, 4])
-    def test_kill_at_every_wave_recovers_exactly(self, workers, wave):
-        baseline = outcome(make_parallel("stache", workers).run())
-        disturbed = make_parallel(
-            "stache", workers, on_worker_loss="degrade",
-            chaos_hook=KillWorker(wave)).run()
-        assert outcome(disturbed) == baseline
-        assert disturbed.worker_losses == 1
+    def test_kill_at_every_wave_is_one_typed_error(self, workers, wave):
+        victim = wave % workers
+        hook = KillWorker(wave, victim)
+        with before_expand(hook), pytest.raises(WorkerLostError) as lost:
+            make_parallel("stache", workers).run()
+        assert str(lost.value) == f"worker {victim} died during expand"
+        assert len(hook.procs) == workers
+        assert not any(proc.is_alive() for proc in hook.procs)
 
-    def test_kill_mid_failing_run_preserves_trace(self):
-        baseline = make_parallel("lcm_mcc", 2, n_blocks=2,
-                                 reorder=1).run()
-        assert not baseline.ok
-        disturbed = make_parallel(
-            "lcm_mcc", 2, n_blocks=2, reorder=1,
-            on_worker_loss="degrade", chaos_hook=KillWorker(3)).run()
-        assert outcome(disturbed) == outcome(baseline)
+    @pytest.mark.parametrize("keyword", [
+        "on_worker_loss", "worker_stall_timeout", "chaos_hook"])
+    def test_removed_recovery_keywords_are_refused(self, keyword):
+        with pytest.raises(TypeError, match=keyword):
+            make_parallel("stache", 2, **{keyword: None})
 
-    def test_fail_policy_raises_actionable_error(self):
-        checker = make_parallel("stache", 2, chaos_hook=KillWorker(1))
-        with pytest.raises(WorkerLostError, match="degrade"):
+    # lcm at reorder 1 is 528 states over 23 waves.  A write is due
+    # every 4 waves; the first lands at wave 4, later ones as the
+    # write-cost guard allows.
+    @pytest.mark.parametrize("wave", [5, 12, 20])
+    def test_the_named_checkpoint_resumes_exactly(self, tmp_path, wave):
+        path = str(tmp_path / "ck.json")
+        hook = KillWorker(wave)
+        with before_expand(hook), pytest.raises(WorkerLostError) as lost:
+            make_parallel("lcm", 2, reorder=1, checkpoint_out=path,
+                          checkpoint_interval_waves=4).run()
+        assert str(lost.value) == lost_line("expand", path)
+        assert not any(proc.is_alive() for proc in hook.procs)
+        assert 4 <= load_checkpoint(path)["wave"] <= wave
+        full = outcome(make_serial("lcm", reorder=1,
+                                   fingerprint_states=True).run())
+        assert outcome(make_serial("lcm", reorder=1,
+                                   resume=path).run()) == full
+        for workers in (2, 3):
+            assert outcome(make_parallel("lcm", workers, reorder=1,
+                                         resume=path).run()) == full
+
+    def test_kill_during_the_trace_walk_is_a_typed_loss(self):
+        """The trace is walked through the owners, one barrier per hop;
+        an owner that dies after the violating wave must raise like any
+        other barrier, not leave the master blocked in ``recv``."""
+        checker = make_parallel("lcm_mcc", 2, n_blocks=2, reorder=1)
+        hook = KillWorker(None)
+        walk = checker._trace_for
+
+        def kill_then_walk(*args):
+            hook.kill()
+            return walk(*args)
+
+        checker._trace_for = kill_then_walk
+        with before_expand(hook), pytest.raises(
+                WorkerLostError, match=r"^worker 0 died during trace walk$"):
             checker.run()
+        assert not any(proc.is_alive() for proc in hook.procs)
 
-    def test_losses_surface_in_result(self):
-        result = make_parallel("stache", 3, on_worker_loss="degrade",
-                               chaos_hook=KillWorker(2)).run()
-        assert result.worker_losses == 1
-        assert result.stop_reason is None
-        assert result.exhausted
+    def test_cli_prints_one_line_and_leaves_a_resumable_checkpoint(
+            self, tmp_path, capsys):
+        path = str(tmp_path / "ck.json")
+        argv = ["verify", "lcm", "--reorder", "1", "--workers", "2"]
+        assert main(argv) == 0
+        verdict = re.search(r"PASS  states=\S+ transitions=\S+",
+                            capsys.readouterr().out).group()
+        hook = KillWorker(12)
+        with before_expand(hook):
+            status = main([*argv, "--checkpoint-out", path,
+                           "--checkpoint-every-waves", "4"])
+        out, err = capsys.readouterr()
+        assert status == 1 and out == ""
+        assert err == f"error: {lost_line('expand', path)}\n"
+        assert not any(proc.is_alive() for proc in hook.procs)
+        assert main([*argv, "--resume", path]) == 0
+        assert verdict in capsys.readouterr().out
 
 
 class TestCheckpointCorruption:
@@ -264,8 +346,8 @@ class TestSerialInterrupt:
 
 
 class InterruptMaster:
-    """chaos_hook: one real SIGINT to this process -- the master -- as
-    wave ``at`` starts.  Keeps the fleet it last saw."""
+    """Hook: one real SIGINT to this process -- the master -- as wave
+    ``at`` starts.  Keeps the fleet it last saw."""
 
     def __init__(self, at):
         self.at = at
@@ -280,19 +362,18 @@ class InterruptMaster:
 
 class TestParallelInterrupt:
     # lcm at reorder 1 is 528 states over 23 waves.
-    @pytest.mark.parametrize("policy", ["fail", "degrade"])
     @pytest.mark.parametrize("checkpointed", [False, True],
                              ids=["no_path", "path"])
     @pytest.mark.parametrize("workers", [2, 3])
     def test_sigint_stops_at_the_wave_boundary(self, tmp_path, workers,
-                                               checkpointed, policy):
+                                               checkpointed):
         path = str(tmp_path / "ck.json") if checkpointed else None
         hook = InterruptMaster(5)
         handler = signal.getsignal(signal.SIGINT)
         # At the parent commit the KeyboardInterrupt escaped run().
-        stopped = make_parallel(
-            "lcm", workers, reorder=1, checkpoint_out=path,
-            on_worker_loss=policy, chaos_hook=hook).run()
+        with before_expand(hook):
+            stopped = make_parallel("lcm", workers, reorder=1,
+                                    checkpoint_out=path).run()
         assert hook.at is None
         assert stopped.stop_reason == "interrupted"
         assert stopped.ok and not stopped.exhausted
@@ -308,71 +389,6 @@ class TestParallelInterrupt:
                                    resume=path).run()) == full
         assert outcome(make_parallel("lcm", 5 - workers, reorder=1,
                                      resume=path).run()) == full
-
-
-class TestStalledWorker:
-    def test_mid_wave_stall_recovers_under_degrade(self):
-        baseline = outcome(make_parallel("lcm", 2, reorder=1).run())
-        disturbed = make_parallel(
-            "lcm", 2, reorder=1, on_worker_loss="degrade",
-            worker_stall_timeout=0.5,
-            chaos_hook=KillWorker(3, sig=signal.SIGSTOP)).run()
-        assert outcome(disturbed) == baseline
-        assert disturbed.worker_losses == 1
-
-    def test_stall_during_the_trace_walk_is_a_typed_loss(self):
-        """Under ``fail`` the trace is walked through the owners; one
-        that stops answering after the violating wave must raise like
-        any other barrier (the parent blocked in ``recv`` for good)."""
-        checker = make_parallel("lcm_mcc", 2, n_blocks=2, reorder=1,
-                                worker_stall_timeout=0.5)
-        fleet = signal_worker_at_verdict(checker, signal.SIGSTOP)
-
-        def hung(_signum, _frame):
-            raise TimeoutError("the trace walk hung on a stopped worker")
-
-        previous = signal.signal(signal.SIGALRM, hung)
-        signal.alarm(30)
-        try:
-            with pytest.raises(WorkerLostError,
-                               match=r"trace walk \(stalled >0\.5s\)"):
-                checker.run()
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
-            for proc in fleet["procs"]:
-                if proc.is_alive():     # only where the test has failed
-                    proc.kill()
-        assert not any(proc.is_alive() for proc in fleet["procs"])
-
-    def test_loss_after_the_verdict_keeps_the_verdict(self):
-        """Under ``degrade`` the trace comes from the mirror, so the
-        loss shows at the ``finish`` barrier -- where it may cost
-        artifacts, not the verdict.  (The parent recovered from a
-        mirror already past the violating state and explored on to
-        another deadlock, 7,418 states in instead of 1,000.)"""
-        baseline = make_parallel("lcm_mcc", 2, n_blocks=2, reorder=1).run()
-        checker = make_parallel("lcm_mcc", 2, n_blocks=2, reorder=1,
-                                on_worker_loss="degrade")
-        signal_worker_at_verdict(checker, signal.SIGKILL)
-        assert outcome(checker.run()) == outcome(baseline)
-
-
-def signal_worker_at_verdict(checker, sig):
-    """Arrange for worker 0 to get ``sig`` once the violating wave has
-    been judged: ``_trace_for``, the next thing the master does, is
-    wrapped to send it first.  Returns a dict whose ``"procs"`` is the
-    fleet (the ``chaos_hook`` hands it over)."""
-    fleet = {}
-    checker.chaos_hook = lambda _wave, procs: fleet.update(procs=procs)
-    walk = checker._trace_for
-
-    def signal_then_walk(*args, **kwargs):
-        os.kill(fleet["procs"][0].pid, sig)
-        return walk(*args, **kwargs)
-
-    checker._trace_for = signal_then_walk
-    return fleet
 
 
 class TestCheckpointHygiene:
