@@ -17,7 +17,7 @@ space, and all four protocols verify clean.
 
 import pytest
 
-from repro.protocols import compile_named_protocol
+from repro.protocols import PROTOCOLS, compile_named_protocol
 from repro.verify import ModelChecker, ParallelChecker, events_for_protocol
 from repro.verify.invariants import standard_invariants
 
@@ -32,13 +32,13 @@ TABLE3_CONFIGS = [
 
 def verify(name, nodes, addrs, reorder, workers=0):
     protocol = compile_named_protocol(name)
-    coherent = not name.startswith("buffered")
     cls = ModelChecker if workers == 0 else ParallelChecker
     extra = {} if workers == 0 else {"workers": workers}
     checker = cls(
         protocol, n_nodes=nodes, n_blocks=addrs, reorder_bound=reorder,
         events=events_for_protocol(name),
-        invariants=standard_invariants(coherent=coherent), **extra)
+        invariants=standard_invariants(coherent=PROTOCOLS[name].coherent),
+        **extra)
     return checker.run()
 
 

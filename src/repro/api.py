@@ -13,7 +13,11 @@ functions over three frozen option records::
 ``.tea`` file, raw Teapot source text (anything containing a newline),
 or an already-compiled :class:`~repro.runtime.protocol.CompiledProtocol`
 (returned unchanged), so the other entry points compose: ``check`` and
-``simulate`` take the same ``target`` union.
+``simulate`` take the same ``target`` union.  Whatever form the target
+takes, ``check`` explores it with the event loop and invariants of the
+registry entry whose source declares it
+(:func:`~repro.protocols.entry_declaring`); an unregistered protocol
+gets the Stache loop and all four invariants.
 
 ``check`` dispatches on :attr:`CheckOptions.workers`: ``0`` (the
 default) runs the in-process serial
@@ -37,7 +41,7 @@ from typing import IO, TYPE_CHECKING, Optional, Union
 from repro.compile_cache import compile_file
 from repro.faults import FaultBudget, FaultPlan, FaultRule, RecoveryConfig
 from repro.ioutil import check_output_paths
-from repro.protocols import PROTOCOLS, compile_named_protocol
+from repro.protocols import PROTOCOLS, compile_named_protocol, entry_declaring
 from repro.runtime.protocol import CompiledProtocol, Flavor, OptLevel
 
 # Each entry point imports its machinery when called (the front end, the
@@ -225,7 +229,8 @@ class CheckOptions:
     workers: int = 0
     # Liveness (starvation) checking; serial-only, needs the full graph.
     liveness: bool = False
-    # None = infer from the protocol (buffered-write relaxes coherence).
+    # None = the registry's setting for the protocol (buffered-write
+    # relaxes coherence).
     coherent: Optional[bool] = None
     channel_cap: int = 4
     # Serial hash compaction: key the visited set by 64-bit fingerprints.
@@ -238,6 +243,7 @@ class CheckOptions:
     checkpoint: CheckpointOptions = CheckpointOptions()
     budget: BudgetOptions = BudgetOptions()
     artifacts: ArtifactOptions = ArtifactOptions()
+    # None = the event loop the registry declares for the protocol.
     events: Optional[EventGenerator] = None
     # Fault-bounded exploration: in every state the checker may also
     # drop or duplicate any in-flight message, up to this per-path
@@ -294,13 +300,6 @@ class SimulateResult:
         return self.stats.fault_time_fraction
 
 
-def _registry_label(target: Target) -> str:
-    """The name used for events/invariant inference (CLI semantics)."""
-    if isinstance(target, str):
-        return target
-    return target.name
-
-
 def compile_protocol(target: Target,
                      options: CompileOptions = CompileOptions(),
                      ) -> CompiledProtocol:
@@ -338,19 +337,21 @@ def check(target: Target,
           options: CheckOptions = CheckOptions()) -> CheckResult:
     """Model-check a protocol; serial or parallel per ``options.workers``."""
     from repro.verify.checker import ModelChecker, SymmetryError
-    from repro.verify.events import events_for_protocol
+    from repro.verify.events import StacheEvents, events_for_protocol
     from repro.verify.invariants import standard_invariants
 
     protocol = compile_protocol(target, options.compile)
-    label = _registry_label(target)
+    # The check setup belongs to the registry entry whose source declares
+    # this protocol, however the target was given (name, path, source
+    # text, compiled object, an edited copy of a registered source); an
+    # unregistered protocol gets the Stache loop and all four invariants.
+    entry = entry_declaring(protocol.name)
     events = options.events
     if events is None:
-        events = events_for_protocol(label if label in PROTOCOLS
-                                     else "stache")
+        events = events_for_protocol(entry.name) if entry else StacheEvents()
     coherent = options.coherent
     if coherent is None:
-        coherent = not (label.lower().startswith("buffered")
-                        or protocol.name.lower().startswith("buffered"))
+        coherent = entry is None or entry.coherent
     invariants = standard_invariants(coherent=coherent)
     progress = options.progress
     progress_stream = progress.effective_stream()

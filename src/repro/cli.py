@@ -14,7 +14,8 @@ Subcommands::
     teapot report <metrics.json>         pretty-print a metrics export
     teapot analyze causal <trace>        causal chain ending at an event
     teapot analyze critical-path <trace> per-fault wait decomposition
-    teapot analyze coverage ...          handler coverage (trace/verify)
+    teapot analyze coverage <file>       handler coverage of a saved report
+                                         or a trace
     teapot analyze check-profile <p>     render a verify --profile-out file
     teapot analyze atlas <atlas>         render a verify --atlas-out file
     teapot analyze diff <a> <b>          compare traces/coverage/profiles/
@@ -49,29 +50,7 @@ from repro.protocols import PROTOCOLS
 
 def _load(target: str, opt_level: OptLevel):
     """Compile a registered protocol name or a .tea file path."""
-    options = CompileOptions(opt_level=opt_level)
-    return api.compile_protocol(target, options), target
-
-
-def _check_options(args, name: str, workers: int = 0,
-                   **extra) -> CheckOptions:
-    """CLI verify/coverage flags -> a CheckOptions record.
-
-    Events and coherence follow the registry *name* the user typed
-    (a ``.tea`` path falls back to the Stache event loop), matching the
-    historical CLI behaviour.
-    """
-    from repro.verify.events import events_for_protocol
-
-    return CheckOptions(
-        nodes=args.nodes,
-        addresses=args.addresses,
-        reorder=args.reorder,
-        max_states=args.max_states,
-        workers=workers,
-        events=events_for_protocol(name if name in PROTOCOLS else "stache"),
-        coherent=not name.startswith("buffered"),
-        **extra)
+    return api.compile_protocol(target, CompileOptions(opt_level=opt_level))
 
 
 def _opt_level(args) -> OptLevel:
@@ -118,7 +97,7 @@ def cmd_compile(args) -> int:
     from repro import backends
 
     check_output_paths(TeapotError, args.output)
-    protocol, _name = _load(args.file, _opt_level(args))
+    protocol = _load(args.file, _opt_level(args))
     # The package resolves the name lazily: only that back end loads.
     text = getattr(backends, f"emit_{args.target}")(protocol)
     if args.output:
@@ -145,7 +124,7 @@ def cmd_fmt(args) -> int:
 
 
 def cmd_info(args) -> int:
-    protocol, _name = _load(args.file, _opt_level(args))
+    protocol = _load(args.file, _opt_level(args))
     print(protocol.describe())
     return 0
 
@@ -166,9 +145,12 @@ def cmd_verify(args) -> int:
     # refuse (API callers set it too).
     check_output_paths(TeapotError, args.profile_out, args.atlas_out,
                        args.coverage_out, args.trace_out, args.fault_plan_out)
-    protocol, name = _load(args.protocol, _opt_level(args))
-    options = _check_options(
-        args, name,
+    protocol = _load(args.protocol, _opt_level(args))
+    options = CheckOptions(
+        nodes=args.nodes,
+        addresses=args.addresses,
+        reorder=args.reorder,
+        max_states=args.max_states,
         workers=args.workers,
         liveness=args.liveness,
         fingerprints=args.fingerprints,
@@ -294,7 +276,7 @@ def _fault_options(args) -> "FaultOptions | None":
 
 
 def cmd_run(args) -> int:
-    protocol, _name = _load(args.protocol, _opt_level(args))
+    protocol = _load(args.protocol, _opt_level(args))
     faults = _fault_options(args)
     options = SimOptions(
         nodes=args.nodes,
@@ -388,62 +370,21 @@ def cmd_analyze_critpath(args) -> int:
 
 
 def cmd_analyze_coverage(args) -> int:
-    from repro.obs.analyze import (
-        TraceError,
-        coverage_from_checker,
-        coverage_from_trace,
-        format_fault_only,
-        load_trace,
-    )
+    from repro.obs.analyze import TraceError, coverage_from_trace
 
     check_output_paths(TeapotError, args.output)
-
-    def check(protocol, name, **extra):
-        # A rejected option (--nodes 0) is one line, as in `verify`.
-        try:
-            return api.check(protocol, _check_options(args, name, **extra))
-        except ValueError as error:
-            raise TeapotError(str(error)) from None
-
-    if args.verify and args.faults:
-        # Fault-only coverage: explore fault-free and fault-bounded,
-        # then flag the arms only the faulted exploration reaches.
-        protocol, name = _load(args.verify, OptLevel.O2)
-        base = coverage_from_checker(protocol, check(protocol, name))
-        budget = _parse_fault_budget(args.faults)
-        faulted_result = check(protocol, name, faults=budget)
-        faulted = coverage_from_checker(protocol, faulted_result)
-        if not faulted_result.ok:
-            print(f"note: faulted exploration FAILED "
-                  f"({faulted_result.violation.kind}); its coverage is "
-                  "of the states reached before the violation",
-                  file=sys.stderr)
-        print(format_fault_only(base, faulted, args.faults), end="")
-        if args.output:
-            faulted.save(args.output)
-            print(f"wrote faulted coverage report to {args.output}",
-                  file=sys.stderr)
-        return 0
-    if args.verify:
-        protocol, name = _load(args.verify, OptLevel.O2)
-        result = check(protocol, name)
-        report = coverage_from_checker(protocol, result)
-        if not result.ok:
-            print(f"note: exploration FAILED "
-                  f"({result.violation.kind}); coverage below is of "
-                  "the states reached before the violation",
-                  file=sys.stderr)
-    elif args.trace:
+    kind, report = _read_artifact(args.file)
+    if kind == "trace":
         if not args.protocol:
             raise TraceError(
-                "analyze coverage --trace needs --protocol to know the "
-                "arm universe")
-        protocol, _name = _load(args.protocol, OptLevel.O2)
-        report = coverage_from_trace(load_trace(args.trace), protocol)
-    else:
+                f"{args.file}: a trace; analyze coverage needs --protocol "
+                "to know the arm universe")
+        report = coverage_from_trace(report, _load(args.protocol,
+                                                   OptLevel.O2))
+    elif kind != "coverage":
         raise TraceError(
-            "analyze coverage needs --verify PROTOCOL or "
-            "--trace FILE --protocol PROTOCOL")
+            f"{args.file}: a {kind}, not a coverage report (`verify "
+            "--coverage-out`) or a trace (`run --trace`)")
     print(report.format(), end="")
     if args.output:
         report.save(args.output)
@@ -480,51 +421,54 @@ def cmd_analyze_atlas(args) -> int:
     return 0
 
 
-def cmd_analyze_diff(args) -> int:
+def _read_artifact(path: str):
+    """An analyze input as (kind, object), by its payload's kind: a
+    coverage report, check profile or state atlas -- or a JSONL trace,
+    which is no single JSON object and carries none."""
     from repro.ioutil import parse_json_object, read_text
-    from repro.obs.analyze import Trace, TraceError, diff_coverage, diff_traces
+    from repro.obs.analyze import Trace, TraceError
     from repro.obs.analyze.coverage import COVERAGE_KIND, CoverageReport
     from repro.obs.analyze.trace import parse_events
-    from repro.obs.profile import PROFILE_KIND, CheckProfile, diff_profiles
-    from repro.verify.atlas import ATLAS_KIND, StateAtlas, diff_atlases
+    from repro.obs.profile import PROFILE_KIND, CheckProfile
+    from repro.verify.atlas import ATLAS_KIND, StateAtlas
 
-    # What diff compares, by the payload's kind.  A JSONL trace is no
-    # single JSON object and carries none.
-    kinds = {COVERAGE_KIND: (CoverageReport, diff_coverage),
-             PROFILE_KIND: (CheckProfile, diff_profiles),
-             ATLAS_KIND: (StateAtlas, diff_atlases)}
+    text = read_text(path, TraceError)
+    try:
+        payload = parse_json_object(text, path, TraceError, "artifact")
+    except TraceError:
+        payload = {}        # the trace loader says what is wrong
+    kind = payload.get("kind")
+    if not (isinstance(kind, str) and kind.startswith("teapot-")):
+        return "trace", Trace(parse_events(text, path), path)
+    kinds = {COVERAGE_KIND: CoverageReport, PROFILE_KIND: CheckProfile,
+             ATLAS_KIND: StateAtlas}
+    if kind not in kinds:
+        raise TraceError(
+            f"{path}: unrecognised artifact kind {kind!r}; analyze reads "
+            "traces, coverage reports, check profiles, and state atlases")
+    return kind.removeprefix("teapot-"), kinds[kind].from_json(payload, path)
 
-    def load(path: str):
-        text = read_text(path, TraceError)
-        try:
-            payload = parse_json_object(text, path, TraceError, "artifact")
-        except TraceError:
-            payload = {}        # the trace loader says what is wrong
-        kind = payload.get("kind")
-        if not (isinstance(kind, str) and kind.startswith("teapot-")):
-            return "trace", diff_traces, Trace(parse_events(text, path), path)
-        if kind not in kinds:
-            raise TraceError(
-                f"{path}: unrecognised artifact kind {kind!r}; diff "
-                "compares traces, coverage reports, check profiles, and "
-                "state atlases")
-        artifact, diff = kinds[kind]
-        return (kind.removeprefix("teapot-"), diff,
-                artifact.from_json(payload, path))
 
-    (kind_a, diff, a), (kind_b, _diff, b) = load(args.a), load(args.b)
+def cmd_analyze_diff(args) -> int:
+    from repro.obs.analyze import TraceError, diff_coverage, diff_traces
+    from repro.obs.profile import diff_profiles
+    from repro.verify.atlas import diff_atlases
+
+    diffs = {"trace": diff_traces, "coverage": diff_coverage,
+             "check-profile": diff_profiles, "state-atlas": diff_atlases}
+    (kind_a, a), (kind_b, b) = _read_artifact(args.a), _read_artifact(args.b)
     if kind_a != kind_b:
         raise TraceError(
             f"cannot diff a {kind_a} ({args.a}) against a {kind_b} "
             f"({args.b})")
-    print(diff(a, b), end="")
+    print(diffs[kind_a](a, b), end="")
     return 0
 
 
 def cmd_graph(args) -> int:
     from repro.analysis.stategraph import build_state_graph
 
-    protocol, _name = _load(args.protocol, OptLevel.O2)
+    protocol = _load(args.protocol, OptLevel.O2)
     graph = build_state_graph(protocol)
     if args.side:
         graph = graph.restricted_to(args.side)
@@ -757,24 +701,12 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(fn=cmd_analyze_critpath)
 
     q = analyses.add_parser(
-        "coverage", help="handler/transition coverage of a trace or of "
-                         "a checker exploration")
-    q.add_argument("--trace", metavar="PATH",
-                   help="count handler_entry events of this trace")
+        "coverage", help="render handler coverage: a saved report "
+                         "(`verify --coverage-out`) or a trace's")
+    q.add_argument("file", help="coverage report JSON or JSONL trace")
     q.add_argument("--protocol", metavar="NAME|FILE",
-                   help="protocol defining the arm universe "
-                        "(required with --trace)")
-    q.add_argument("--verify", metavar="NAME|FILE",
-                   help="run the model checker and report which arms "
-                        "the exhaustive exploration fired")
-    q.add_argument("--nodes", type=int, default=2)
-    q.add_argument("--addresses", type=int, default=1)
-    q.add_argument("--reorder", type=int, default=0)
-    q.add_argument("--max-states", type=int, default=2_000_000)
-    q.add_argument("--faults", metavar="SPEC",
-                   help="with --verify: also explore under this fault "
-                        "budget (e.g. drop=1,dup=1) and flag arms "
-                        "reachable only when faults are injected")
+                   help="with a trace: the protocol defining the arm "
+                        "universe")
     q.add_argument("-o", "--output", metavar="PATH",
                    help="also save the report as JSON (for diff)")
     q.add_argument("--strict", action="store_true",

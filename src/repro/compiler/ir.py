@@ -161,7 +161,6 @@ class HandlerIR:
     locals: dict[str, str]            # local name -> type
     state_params: dict[str, str]      # enclosing state's params
     cont_vars: tuple[str, ...]        # names bound by Suspend
-    var_kinds: dict[str, str]         # every name -> symbol kind (resolution)
     blocks: dict[BlockId, BasicBlock]
     entry: BlockId
     suspend_sites: list[SuspendSite]

@@ -54,7 +54,6 @@ class _Lowerer:
 
         scope = self.checked.handler_scopes[
             (self.state.state_name, self.handler.message_name)]
-        var_kinds = {s.name: s.kind.value for s in scope.symbols()}
         cont_vars = tuple(
             s.name for s in scope.symbols() if s.kind is SymbolKind.CONT)
 
@@ -66,7 +65,6 @@ class _Lowerer:
             locals={d.name: d.type_name for d in self.handler.local_decls},
             state_params={p.name: p.type_name for p in self.state.params},
             cont_vars=cont_vars,
-            var_kinds=var_kinds,
             blocks=self.blocks,
             entry=entry.block_id,
             suspend_sites=self.suspend_sites,

@@ -27,8 +27,7 @@ __getattr__, __dir__ = _lazy_exports(__name__, {
                                    "format_critical_path"),
     "repro.obs.analyze.coverage": ("CoverageReport", "arm_universe",
                                    "coverage_from_checker",
-                                   "coverage_from_trace", "fault_only_arms",
-                                   "format_fault_only", "load_coverage"),
+                                   "coverage_from_trace", "load_coverage"),
     "repro.obs.analyze.diff": ("diff_coverage", "diff_traces"),
 })
 
@@ -49,8 +48,6 @@ __all__ = [
     "arm_universe",
     "coverage_from_trace",
     "coverage_from_checker",
-    "fault_only_arms",
-    "format_fault_only",
     "load_coverage",
     "diff_traces",
     "diff_coverage",

@@ -23,8 +23,9 @@ from repro.ioutil import atomic_write_json, check_envelope, read_json
 from repro.obs.analyze.trace import Trace, TraceError
 from repro.runtime.protocol import CompiledProtocol
 
-# On-disk format marker for saved coverage reports (analyze coverage -o,
-# analyze diff).  Independent of the trace SCHEMA_VERSION.
+# On-disk format marker for saved coverage reports (verify --coverage-out,
+# analyze coverage -o; read by analyze coverage and analyze diff).
+# Independent of the trace SCHEMA_VERSION.
 COVERAGE_KIND = "teapot-coverage"
 COVERAGE_VERSION = 1
 
@@ -181,37 +182,3 @@ def coverage_from_checker(protocol: CompiledProtocol, result
         arms=arms,
         guards=guards,
     )
-
-
-def fault_only_arms(base: CoverageReport,
-                    faulted: CoverageReport) -> list[str]:
-    """Arms (including error guards) that fired under a fault budget but
-    never in the fault-free exploration -- code that exists purely to
-    handle lossy/duplicating networks, or guards a fault can trip."""
-    if base.protocol != faulted.protocol:
-        raise TraceError(
-            f"cannot compare coverage of {base.protocol} against "
-            f"{faulted.protocol}")
-    return sorted(
-        arm for arm, count in faulted.fired.items()
-        if count and not base.fired.get(arm))
-
-
-def format_fault_only(base: CoverageReport, faulted: CoverageReport,
-                      budget: str) -> str:
-    """Human-readable fault-only coverage comparison."""
-    only = fault_only_arms(base, faulted)
-    lines = [
-        f"protocol: {base.protocol}",
-        f"fault-free exploration: {base.headline()}",
-        f"under {budget}: {faulted.headline()}",
-    ]
-    if only:
-        lines.append(f"arms reachable only under faults ({len(only)}):")
-        for arm in only:
-            marker = "  [error guard]" if arm in faulted.guards else ""
-            lines.append(f"  {arm}{marker}")
-    else:
-        lines.append("no arm fired under faults that the fault-free "
-                     "exploration missed")
-    return "\n".join(lines) + "\n"

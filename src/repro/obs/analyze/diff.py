@@ -104,7 +104,11 @@ def diff_coverage(a: CoverageReport, b: CoverageReport) -> str:
         f"{b.covered}/{len(b.arms)} arms",
         "",
     ]
-    gained = sorted(set(a.unreached) - set(b.unreached))
+    # An error guard is never in the denominator, but one that fires only
+    # in B -- a fault budget tripped it, say -- is code B newly reaches.
+    gained = sorted([*(set(a.unreached) - set(b.unreached)),
+                     *(f"{guard}  [error guard]" for guard in b.guards
+                       if b.fired.get(guard) and not a.fired.get(guard))])
     lost = sorted(set(b.unreached) - set(a.unreached))
     if gained:
         lines.append("newly covered in B:")

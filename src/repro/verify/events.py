@@ -21,6 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.protocols import PROTOCOLS
+
 # An operation is ('read', blk) | ('write', blk) | ('event', tag, blk,
 # payload); blocking behaviour is decided by the checker.
 Op = tuple
@@ -128,13 +130,5 @@ class LcmEvents(EventGenerator):
 
 
 def events_for_protocol(name: str) -> EventGenerator:
-    """The conventional event loop for a registered protocol name."""
-    if name.startswith("lcm"):
-        return LcmEvents()
-    if name.startswith("stache_cas"):
-        return CasEvents()
-    if name.startswith("stache_evict"):
-        return EvictEvents()
-    if name.startswith("buffered"):
-        return BufferedWriteEvents()
-    return StacheEvents()
+    """The event loop the registry declares for protocol ``name``."""
+    return globals()[PROTOCOLS[name].events]()

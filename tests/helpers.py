@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 
 from repro.compiler.pipeline import compile_source
+from repro.protocols import PROTOCOLS
 from repro.runtime.context import (
     Message,
     ProtocolContext,
@@ -12,6 +13,8 @@ from repro.runtime.context import (
     ZERO_COSTS,
 )
 from repro.runtime.protocol import CompiledProtocol, OptLevel
+from repro.verify.events import events_for_protocol
+from repro.verify.invariants import standard_invariants
 
 # A minimal migratory-token protocol exercising Suspend/Resume (with a
 # suspend inside a conditional), used across the unit tests.
@@ -154,6 +157,14 @@ def compile_mini(opt_level: OptLevel = OptLevel.O2) -> CompiledProtocol:
         opt_level=opt_level,
         initial_states=("Home_Idle", "Cache_Invalid"),
     )
+
+
+def check_setup(name: str) -> dict:
+    """The ``events`` and ``invariants`` a checker gets for the registered
+    protocol ``name`` -- its registry entry's, as in ``api.check``."""
+    return dict(
+        events=events_for_protocol(name),
+        invariants=standard_invariants(coherent=PROTOCOLS[name].coherent))
 
 
 class FakeContext(ProtocolContext):

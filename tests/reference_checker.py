@@ -28,8 +28,6 @@ from repro.runtime.context import (
 from repro.runtime.protocol import CompiledProtocol
 from repro.tempest.memory import ACCESS_CHANGE_RESULT
 from repro.verify.checker import ModelChecker, _LabelledViolation
-from repro.verify.events import events_for_protocol
-from repro.verify.invariants import standard_invariants
 from repro.verify.model import (
     AppView,
     BlockView,
@@ -37,6 +35,8 @@ from repro.verify.model import (
     GlobalState,
     fault_for_access,
 )
+
+from helpers import check_setup
 
 
 class MutableState:
@@ -339,9 +339,7 @@ def checker_for(cls, name: str, *, nodes: int = 2, addresses: int = 1,
     ``api.check`` would pick for it."""
     return cls(
         compile_named_protocol(name), n_nodes=nodes, n_blocks=addresses,
-        reorder_bound=reorder, events=events_for_protocol(name),
-        invariants=standard_invariants(
-            coherent=not name.startswith("buffered")),
+        reorder_bound=reorder, **check_setup(name),
         fault_budget=faults, **kwargs)
 
 

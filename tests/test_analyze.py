@@ -491,34 +491,53 @@ class TestAnalyzeCLI:
                      "--per-fault", "1"]) == 0
         assert "critical path:" in capsys.readouterr().out
 
-    def test_coverage_verify_mini(self, tmp_path, capsys):
+    def saved_mini_coverage(self, tmp_path, *flags):
+        """`verify mini.tea ... --coverage-out`: the saved report's path."""
         tea = tmp_path / "mini.tea"
         tea.write_text(MINI_SOURCE)
+        saved = str(tmp_path / "verified.json")
+        assert main(["verify", str(tea), *flags,
+                     "--coverage-out", saved]) == 0
+        return saved
+
+    def test_coverage_renders_saved_report(self, tmp_path, capsys):
+        saved = self.saved_mini_coverage(tmp_path, "--reorder", "1")
         out_json = str(tmp_path / "cov.json")
-        assert main(["analyze", "coverage", "--verify", str(tea),
-                     "--nodes", "2", "--reorder", "1",
+        capsys.readouterr()
+        assert main(["analyze", "coverage", saved, "--strict",
                      "-o", out_json]) == 0
         out = capsys.readouterr().out
         assert "handler coverage: 10/10 arms fired (100.0%)" in out
-        assert os.path.exists(out_json)
+        assert "source: checker" in out
+        assert load_coverage(out_json) == load_coverage(saved)
 
     def test_coverage_strict_fails_on_unreached(self, tmp_path,
                                                 capsys):
-        tea = tmp_path / "mini.tea"
-        tea.write_text(MINI_SOURCE)
-        assert main(["analyze", "coverage", "--verify", str(tea),
-                     "--nodes", "2", "--strict"]) == 1
+        saved = self.saved_mini_coverage(tmp_path)
+        capsys.readouterr()
+        assert main(["analyze", "coverage", saved]) == 0
+        assert main(["analyze", "coverage", saved, "--strict"]) == 1
         assert "never fired:" in capsys.readouterr().out
 
     def test_coverage_trace_needs_protocol(self, capsys):
-        assert main(["analyze", "coverage",
-                     "--trace", GOLDEN_TRACE]) == 1
-        assert "error:" in capsys.readouterr().err
+        assert main(["analyze", "coverage", GOLDEN_TRACE]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: {GOLDEN_TRACE}: a trace; analyze coverage "
+                       "needs --protocol to know the arm universe\n")
 
     def test_coverage_of_golden_trace(self, capsys):
-        assert main(["analyze", "coverage", "--trace", GOLDEN_TRACE,
+        assert main(["analyze", "coverage", GOLDEN_TRACE,
                      "--protocol", "stache"]) == 0
         assert "handler coverage:" in capsys.readouterr().out
+
+    def test_coverage_refuses_other_artifacts(self, tmp_path, capsys):
+        profile = str(tmp_path / "p.json")
+        assert main(["verify", "stache", "--profile-out", profile]) == 0
+        capsys.readouterr()
+        assert main(["analyze", "coverage", profile]) == 1
+        err = capsys.readouterr().err
+        assert "a check-profile, not a coverage report" in err
+        assert err.count("\n") == 1
 
     def test_diff_coverage_files(self, tmp_path, capsys):
         a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")

@@ -17,9 +17,9 @@ from repro.protocols import (
 )
 from repro.runtime.exec import HandlerInterpreter
 from repro.runtime.protocol import OptLevel
-from repro.verify import ModelChecker, events_for_protocol
+from repro.verify import ModelChecker
 
-from helpers import FakeContext, compile_mini
+from helpers import FakeContext, check_setup, compile_mini
 
 
 class TestPythonBackend:
@@ -49,15 +49,11 @@ class TestPythonBackend:
         """The generated Python (the default engine) and the reference
         interpreter explore identical state spaces -- strong behavioural
         equivalence."""
-        from repro.verify.invariants import standard_invariants
         protocol = compile_named_protocol(name)
-        events = events_for_protocol(name)
-        invariants = standard_invariants(
-            coherent=not name.startswith("buffered"))
         a = ModelChecker(protocol, 2, 1, reorder_bound=1,
-                         events=events, invariants=invariants).run()
-        b = ModelChecker(protocol, 2, 1, reorder_bound=1, events=events,
-                         invariants=invariants,
+                         **check_setup(name)).run()
+        b = ModelChecker(protocol, 2, 1, reorder_bound=1,
+                         **check_setup(name),
                          interpreter_factory=HandlerInterpreter).run()
         assert a.ok and b.ok
         assert (a.states_explored, a.transitions) == \

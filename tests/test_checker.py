@@ -20,17 +20,14 @@ from repro.verify.invariants import (
 )
 from repro.verify.model import initial_global_state
 
-from helpers import MINI_SOURCE, compile_mini
+from helpers import MINI_SOURCE, check_setup, compile_mini
 from reference_checker import MutableState
 
 
 def check(name, n_nodes=2, n_blocks=1, reorder=0, **kwargs):
-    protocol = compile_named_protocol(name)
-    coherent = not name.startswith("buffered")
     checker = ModelChecker(
-        protocol, n_nodes=n_nodes, n_blocks=n_blocks, reorder_bound=reorder,
-        events=events_for_protocol(name),
-        invariants=standard_invariants(coherent=coherent), **kwargs)
+        compile_named_protocol(name), n_nodes=n_nodes, n_blocks=n_blocks,
+        reorder_bound=reorder, **check_setup(name), **kwargs)
     return checker.run()
 
 

@@ -119,7 +119,6 @@ class TestBadTopology:
         ["verify", "stache", "--addresses", "0"],
         ["verify", "stache", "--reorder", "-1"],
         ["run", "stache", "gauss", "--nodes", "0"],
-        ["analyze", "coverage", "--verify", "lcm", "--nodes", "0"],
     ], ids=lambda argv: f"{argv[0]}{argv[-2]}")
     def test_one_error_line(self, argv, capsys):
         assert main(argv) == 1
@@ -148,11 +147,20 @@ class TestRefusedModes:
         assert "liveness" in err and mode in err
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("removed", [
-        "--por", "--on-worker-loss degrade", "--worker-stall-timeout 5"])
-    def test_removed_flag_is_a_usage_error(self, capsys, removed):
+    @pytest.mark.parametrize("argv,removed", [
+        ("verify lcm --workers 2 --por", "--por"),
+        ("verify lcm --workers 2 --on-worker-loss degrade",
+         "--on-worker-loss degrade"),
+        ("verify lcm --workers 2 --worker-stall-timeout 5",
+         "--worker-stall-timeout 5"),
+        # analyze coverage reads files; the checker is `verify`'s.
+        ("analyze coverage --verify stache", "--verify"),
+        ("analyze coverage --trace t.jsonl", "--trace"),
+    ], ids=["--por", "--on-worker-loss degrade", "--worker-stall-timeout 5",
+            "coverage --verify", "coverage --trace"])
+    def test_removed_flag_is_a_usage_error(self, capsys, argv, removed):
         with pytest.raises(SystemExit) as caught:
-            main(["verify", "lcm", "--workers", "2", *removed.split()])
+            main(argv.split())
         assert caught.value.code == 2
         assert (f"unrecognized arguments: {removed}"
                 in capsys.readouterr().err)
@@ -306,7 +314,9 @@ ARTIFACT_READERS = {
                {"ev": "send", "v": 99}),
     "critical-path": (lambda p, good: ["analyze", "critical-path", p],
                       {"ev": "send", "v": 99}),
-    "coverage-trace": (lambda p, good: ["analyze", "coverage", "--trace", p,
+    "coverage": (lambda p, good: ["analyze", "coverage", p],
+                 {"kind": "teapot-coverage", "version": 99}),
+    "coverage-trace": (lambda p, good: ["analyze", "coverage", p,
                                         "--protocol", "stache"],
                        {"ev": "send", "v": 99}),
     "report": (lambda p, good: ["report", p], None),
@@ -483,7 +493,8 @@ class TestOutputLocations:
           for flag in VERIFY_FLAGS),
         ["run", "stache", "gauss", "--nodes", "2", "--metrics"],
         ["run", "stache", "gauss", "--nodes", "2", "--trace"],
-        ["analyze", "coverage", "--verify", "stache", "-o"],
+        ["analyze", "coverage",
+         os.path.join(GOLDEN, "coverage_v1_parent.json"), "-o"],
         ["compile", "stache", "-o"],
     ], ids=lambda argv: " ".join(argv[:1] + argv[-1:]))
     def test_missing_directory(self, argv, tmp_path, capsys):

@@ -27,11 +27,10 @@ from repro.runtime.context import CostModel
 from repro.runtime.exec import MAX_OPS_PER_ACTION, HandlerInterpreter
 from repro.runtime.protocol import OptLevel
 from repro.tempest.machine import Machine, MachineConfig
-from repro.verify import ModelChecker, checker, events_for_protocol
-from repro.verify.invariants import standard_invariants
+from repro.verify import ModelChecker, checker
 from repro.workloads import LCM_WORKLOADS, STACHE_WORKLOADS
 
-from helpers import MINI_SOURCE, FakeContext
+from helpers import MINI_SOURCE, FakeContext, check_setup
 from reference_checker import record_expansions
 from test_runtime import EXPR_TEMPLATE, run_body
 
@@ -50,9 +49,7 @@ def explore(protocol, label, factory, **kwargs):
     # earlier run in this process cached.
     checker._ENGINE_CACHES.clear()
     model_checker = ModelChecker(
-        protocol, events=events_for_protocol(label),
-        invariants=standard_invariants(
-            coherent=not label.startswith("buffered")),
+        protocol, **check_setup(label),
         interpreter_factory=factory, fingerprint_states=True, **kwargs)
     stream = record_expansions(model_checker)
     result = model_checker.run()

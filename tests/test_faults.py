@@ -519,13 +519,22 @@ class TestCliFaults:
         assert code == 1
         assert "--faults" in capsys.readouterr().err
 
-    def test_coverage_fault_only(self, capsys):
-        code = main(["analyze", "coverage", "--verify", "stache",
-                     "--faults", "dup=1"])
-        captured = capsys.readouterr()
-        assert code == 0
-        assert "arms reachable only under faults" in captured.out
-        assert "[error guard]" in captured.out
+    def test_coverage_fault_only(self, tmp_path, capsys):
+        """The arms only a fault budget reaches: two saved explorations
+        and a diff.  The faulted run FAILs (a duplicate trips an error
+        guard) and still writes its coverage."""
+        base, faulted = str(tmp_path / "a.json"), str(tmp_path / "b.json")
+        assert main(["verify", "stache", "--coverage-out", base]) == 0
+        assert main(["verify", "stache", "--faults", "dup=1",
+                     "--coverage-out", faulted]) == 1
+        capsys.readouterr()
+        assert main(["analyze", "diff", base, faulted]) == 0
+        out = capsys.readouterr().out
+        gained = out.split("newly covered in B:\n")[1].split("\n")
+        assert gained[:4] == ["  Cache_RO.DEFAULT  [error guard]",
+                              "  Home_Excl.GET_RW_REQ",
+                              "  Home_RS.GET_RO_REQ",
+                              "no longer covered in B:"]
 
     def test_run_metrics_show_retries(self, tmp_path, capsys):
         plan_path = tmp_path / "plan.json"

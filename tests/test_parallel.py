@@ -10,7 +10,6 @@ from repro.verify import (
     ModelChecker,
     ParallelChecker,
     TraceReplayError,
-    events_for_protocol,
     fingerprint,
     replay_labels,
 )
@@ -20,29 +19,24 @@ from repro.verify.fingerprint import (
     state_from_jsonable,
     state_to_jsonable,
 )
-from repro.verify.invariants import standard_invariants
 from repro.verify.model import initial_global_state
 from repro.verify.parallel import CheckpointError, load_checkpoint
+
+from helpers import check_setup
 
 
 def make_serial(name, n_nodes=2, n_blocks=1, reorder=0, **kwargs):
     protocol = compile_named_protocol(name)
     return ModelChecker(
         protocol, n_nodes=n_nodes, n_blocks=n_blocks, reorder_bound=reorder,
-        events=events_for_protocol(name),
-        invariants=standard_invariants(
-            coherent=not name.startswith("buffered")),
-        **kwargs)
+        **check_setup(name), **kwargs)
 
 
 def make_parallel(name, workers, n_nodes=2, n_blocks=1, reorder=0, **kwargs):
     protocol = compile_named_protocol(name)
     return ParallelChecker(
         protocol, n_nodes=n_nodes, n_blocks=n_blocks, reorder_bound=reorder,
-        events=events_for_protocol(name),
-        invariants=standard_invariants(
-            coherent=not name.startswith("buffered")),
-        workers=workers, **kwargs)
+        **check_setup(name), workers=workers, **kwargs)
 
 
 def initial_state_of(name, n_nodes=2, n_blocks=1):

@@ -386,8 +386,8 @@ class TestCli:
         assert main(["verify", "lcm_mcc", "--reorder", "1",
                      "--profile-out", str(profile)]) == 0
         coverage = tmp_path / "cov.json"
-        assert main(["analyze", "coverage", "--verify", "lcm_mcc",
-                     "-o", str(coverage)]) == 0
+        assert main(["verify", "lcm_mcc",
+                     "--coverage-out", str(coverage)]) == 0
         capsys.readouterr()
         assert main(["analyze", "diff", str(profile), str(coverage)]) == 1
         assert "cannot diff" in capsys.readouterr().err

@@ -49,10 +49,11 @@ from repro.faults import FaultBudget
 from repro.protocols import PROTOCOLS
 from repro.verify.atlas import orbit_summary
 from repro.verify.checker import ModelChecker, replay_labels
-from repro.verify.events import StacheEvents, events_for_protocol
+from repro.verify.events import StacheEvents
 from repro.verify.fingerprint import SymmetryCanonicalizer, fingerprint
-from repro.verify.invariants import standard_invariants
 from repro.verify.model import initial_global_state
+
+from helpers import check_setup
 
 ALL_NAMES = sorted(PROTOCOLS)
 
@@ -106,13 +107,10 @@ def symmetric_outcome(name):
 def replayer(name, *, nodes=2, addresses=1, reorder=0, faults=None):
     """A fresh serial *unreduced* checker mirroring ``api.check``'s
     configuration, for replaying reduced-run counterexamples."""
-    coherent = not name.lower().startswith("buffered")
     return ModelChecker(
         api.compile_protocol(name),
         n_nodes=nodes, n_blocks=addresses, reorder_bound=reorder,
-        events=events_for_protocol(name),
-        invariants=standard_invariants(coherent=coherent),
-        fault_budget=faults)
+        **check_setup(name), fault_budget=faults)
 
 
 def assert_same_verdict(name, reduced, base, **replay_config):
@@ -332,9 +330,7 @@ def test_certification_raises_on_asymmetric_protocol():
     checker = replayer("lcm_mcc", nodes=3)
     assert checker.run().ok
     checker_sym = ModelChecker(
-        checker.protocol, n_nodes=3, n_blocks=1,
-        events=events_for_protocol("lcm_mcc"),
-        invariants=standard_invariants(),
+        checker.protocol, n_nodes=3, n_blocks=1, **check_setup("lcm_mcc"),
         symmetry=True)
     with pytest.raises(SymmetryError, match="PopSharer") as caught:
         checker_sym.run()
