@@ -155,19 +155,16 @@ class CheckpointOptions:
     """Resumable JSON checkpoints, on either engine (docs/ROBUSTNESS.md,
     "Resilient checking").
 
-    ``out`` names where to dump a sealed checkpoint whenever the run
-    stops early -- ``max_states`` truncation, a resource budget, or an
-    interrupt -- and ``resume`` continues from one (written at any
-    worker count, serial included; the formats are identical).
-    ``interval_waves`` / ``interval_seconds`` additionally write
-    periodic checkpoints at wave boundaries while the run is healthy,
-    and ``keep_last`` rotates that many most-recent files
-    (``out``, ``out.1``, ...)."""
+    ``out`` names where a sealed checkpoint goes: durably whenever the
+    run stops early -- ``max_states`` truncation, a resource budget, or
+    an interrupt -- and, while it runs, as snapshots at clean cuts paced
+    to under 5% of wall time, so a killed run leaves one too.
+    ``resume`` continues from one (written at any worker count, serial
+    included; the formats are identical), and ``keep_last`` rotates
+    that many most-recent files (``out``, ``out.1``, ...)."""
 
     out: Optional[str] = None
     resume: Optional[str] = None
-    interval_waves: Optional[int] = None
-    interval_seconds: Optional[float] = None
     keep_last: int = 1
 
 
@@ -175,20 +172,19 @@ class CheckpointOptions:
 class BudgetOptions:
     """Resource budgets for a check (docs/ROBUSTNESS.md).
 
-    When a budget trips, the run finishes the current wave (a clean,
-    resumable cut), writes a checkpoint if ``CheckpointOptions.out`` is
-    set, and returns with ``CheckResult.stop_reason`` of ``"deadline"``
-    or ``"memory"`` and ``exhausted=False`` -- never a wrong verdict.
+    When a budget trips, the run stops at its next clean cut (before
+    the serial loop's next pop, at the parallel master's next wave
+    boundary), writes a checkpoint if ``CheckpointOptions.out`` is set,
+    and returns with ``CheckResult.stop_reason`` of ``"deadline"`` or
+    ``"memory"`` and ``exhausted=False`` -- never a wrong verdict.
     ``deadline_seconds`` bounds this process's wall-clock time;
-    ``max_visited_bytes`` caps the visited-set container bytes (the
-    profiler's byte accounting; summed across shards when parallel)."""
+    ``max_rss_mb`` caps the peak resident set in MB (``ru_maxrss``, read
+    at most once per BFS layer, so a run can overshoot by what one layer
+    allocates; in parallel the master's plus every worker's, where pages
+    a forked worker shares with the master count twice)."""
 
     deadline_seconds: Optional[float] = None
-    max_visited_bytes: Optional[int] = None
-
-    def __bool__(self) -> bool:
-        return (self.deadline_seconds is not None
-                or self.max_visited_bytes is not None)
+    max_rss_mb: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -401,11 +397,9 @@ def check(target: Target,
             check_progress=options.liveness,
             checkpoint_out=options.checkpoint.out,
             resume=options.checkpoint.resume,
-            checkpoint_interval_waves=options.checkpoint.interval_waves,
-            checkpoint_interval_seconds=options.checkpoint.interval_seconds,
             checkpoint_keep_last=options.checkpoint.keep_last,
             deadline_seconds=options.budget.deadline_seconds,
-            max_visited_bytes=options.budget.max_visited_bytes,
+            max_rss_mb=options.budget.max_rss_mb,
         )
         if options.workers == 0:
             return ModelChecker(

@@ -160,12 +160,9 @@ def cmd_verify(args) -> int:
         checkpoint=api.CheckpointOptions(
             out=args.checkpoint_out,
             resume=args.resume,
-            interval_waves=args.checkpoint_every_waves,
-            interval_seconds=args.checkpoint_every_seconds,
             keep_last=args.checkpoint_keep),
-        budget=api.BudgetOptions(
-            deadline_seconds=args.deadline,
-            max_visited_bytes=args.max_visited_bytes),
+        budget=api.BudgetOptions(deadline_seconds=args.deadline,
+                                 max_rss_mb=args.max_rss_mb),
         faults=_parse_fault_budget(args.faults),
         artifacts=api.ArtifactOptions(profile=bool(args.profile_out),
                                       atlas=bool(args.atlas_out)),
@@ -185,12 +182,11 @@ def cmd_verify(args) -> int:
     stop = result.stop_reason
     if stop is not None:
         reason = {
-            "interrupted": "interrupted (SIGINT); the completed wave "
-                           "was drained first",
+            "interrupted": "interrupted (SIGINT) at the next clean cut",
             "deadline": f"wall-clock budget reached "
                         f"(--deadline {args.deadline})",
-            "memory": "visited-set byte budget reached "
-                      f"(--max-visited-bytes {args.max_visited_bytes})",
+            "memory": "peak RSS budget reached "
+                      f"(--max-rss-mb {args.max_rss_mb})",
         }.get(stop, stop)
         note = f"note: stopped early: {reason}"
         if args.checkpoint_out:
@@ -556,22 +552,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint-out", metavar="PATH",
                    help="write a sealed, resumable JSON checkpoint if "
                         "the run truncates at --max-states, hits a "
-                        "--deadline/--max-visited-bytes budget, or is "
-                        "interrupted (serial or --workers; writes are "
-                        "atomic and BLAKE2b-sealed)")
+                        "--deadline/--max-rss-mb budget, or is "
+                        "interrupted, and snapshots while it runs, "
+                        "paced to under 5%% of wall time (serial or "
+                        "--workers; writes are atomic and "
+                        "BLAKE2b-sealed)")
     p.add_argument("--resume", metavar="PATH",
                    help="continue from a checkpoint (written serially "
                         "or at any worker count; the final verdict and "
                         "state count match an uninterrupted run)")
-    p.add_argument("--checkpoint-every-waves", type=int, default=None,
-                   metavar="N",
-                   help="with --checkpoint-out: also checkpoint every N "
-                        "completed BFS waves, not just at truncation")
-    p.add_argument("--checkpoint-every-seconds", type=float,
-                   default=None, metavar="S",
-                   help="with --checkpoint-out: also checkpoint when S "
-                        "seconds have passed since the last one "
-                        "(written at the next wave boundary)")
     p.add_argument("--checkpoint-keep", type=int, default=1,
                    metavar="N",
                    help="keep the last N checkpoints, rotating older "
@@ -579,14 +568,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--deadline", type=float, default=None,
                    metavar="SECONDS",
                    help="wall-clock budget: stop gracefully after this "
-                        "many seconds, finish the current wave, write "
+                        "many seconds at the next clean cut, write "
                         "any --checkpoint-out, and report "
                         "stop_reason=deadline instead of dying mid-run")
-    p.add_argument("--max-visited-bytes", type=int, default=None,
-                   metavar="BYTES",
-                   help="memory budget: stop gracefully once the "
-                        "visited-set containers exceed this many bytes "
-                        "(same graceful path as --deadline)")
+    p.add_argument("--max-rss-mb", type=float, default=None,
+                   metavar="MB",
+                   help="memory budget: stop gracefully once the peak "
+                        "resident set (ru_maxrss, read once per BFS "
+                        "layer; with --workers the master's plus the "
+                        "workers') exceeds MB (same graceful path as "
+                        "--deadline)")
     p.add_argument("--faults", metavar="SPEC",
                    help="fault-bounded exploration: also drop/duplicate "
                         "in-flight messages, up to a per-path budget "
@@ -612,8 +603,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "write the state-atlas JSON (render with "
                         "`teapot analyze atlas`: SCC/deadlock-basin "
                         "structure, depth profile, residence heatmap, "
-                        "symmetry-orbit estimate, POR headroom); off = "
-                        "zero overhead")
+                        "symmetry-orbit estimate); off = zero overhead")
     _add_opt_flags(p)
     p.set_defaults(fn=cmd_verify)
 
@@ -725,9 +715,9 @@ def build_parser() -> argparse.ArgumentParser:
     q = analyses.add_parser(
         "atlas", help="render a `verify --atlas-out` export: SCCs and "
                       "deadlock basins, depth/degree profiles, the "
-                      "residence heatmap, the symmetry-orbit estimate, "
-                      "and POR headroom; or export the explored graph "
-                      "as DOT/GraphML")
+                      "residence heatmap and the symmetry-orbit "
+                      "estimate; or export the explored graph as "
+                      "DOT/GraphML")
     q.add_argument("atlas", help="JSON file from verify --atlas-out")
     q.add_argument("--top", type=int, default=10, metavar="N",
                    help="rows in the report tables (default 10)")

@@ -116,20 +116,21 @@ def atomic_write_json(path: str, payload, **dumps) -> None:
     atomic_write_text(path, json.dumps(payload, **dumps) + "\n")
 
 
-def atomic_write_text(path: str, text: str, fsync: bool = True) -> None:
-    """Write ``text`` to ``path`` atomically (tmp + fsync + rename).  The
+def atomic_write_text(path: str, text, fsync: bool = True) -> None:
+    """Write ``text`` -- a string, or an iterable of pieces written as
+    they come -- to ``path`` atomically (tmp + fsync + rename).  The
     temp file lives next to the target so the rename never crosses a
     filesystem boundary, and is removed if the write raises.
 
     ``fsync=False`` keeps the rename atomicity (a crashed *process*
     still leaves either the old complete file or the new one) but skips
-    the page-cache flush, for high-frequency writers whose durability
-    window is the next write anyway -- periodic checkpoints fire many
-    times a second and the fsync was a third of their cost."""
+    the page-cache flush, for writers whose durability window is the
+    next write anyway -- checkpoint snapshots, where the fsync was a
+    third of a write's cost."""
     tmp = f"{path}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.writelines([text] if isinstance(text, str) else text)
             handle.flush()
             if fsync:
                 os.fsync(handle.fileno())

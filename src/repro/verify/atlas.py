@@ -1,9 +1,8 @@
 """The state-space atlas: what the explored graph *looks like*.
 
-Symmetry and partial-order reduction are bets about the *structure* of
-the reachable state space: that most states are node-permutations of
-each other and most interleavings commute.  This
-module is the measurement layer that turns the bet into numbers, the
+Symmetry reduction is a bet about the *structure* of the reachable
+state space: that most states are node-permutations of each other.
+This module is the measurement layer that turns the bet into numbers, the
 same way :mod:`repro.obs.profile` did for hot-loop time:
 
 - :class:`AtlasRecorder` -- the armed recorder both checkers thread
@@ -18,10 +17,9 @@ same way :mod:`repro.obs.profile` did for hot-loop time:
 - analysis -- SCC decomposition with terminal-SCC (deadlock-basin)
   identification, depth/diameter profile, in/out-degree distributions,
   a per-(node, protocol-state) residence heatmap split
-  transient-vs-stable, the **symmetry-orbit estimator** (states
+  transient-vs-stable, and the **symmetry-orbit estimator** (states
   canonicalized under caching-node permutation, reusing
-  :mod:`repro.verify.fingerprint`'s canonical encoding), and a sampled
-  commuting-transition-pair estimate of POR headroom.
+  :mod:`repro.verify.fingerprint`'s canonical encoding).
 
 Sampling must not break engine invariance.  Above the caps a classic
 reservoir would keep an arrival-order-dependent sample -- and arrival
@@ -541,61 +539,6 @@ def orbit_summary(atlas: StateAtlas) -> dict:
     }
 
 
-def por_estimate(atlas: StateAtlas, max_pairs: int = 20_000) -> dict:
-    """Sampled commuting-transition-pair (diamond) estimate of POR
-    headroom.
-
-    For state s with edges a: s->sa and b: s->sb (distinct
-    index-normalized labels), the pair *commutes* when some t closes
-    the diamond: sa -t-> via b's normalized label and sb -t-> via a's.
-    Labels are normalized to (tag, sender, receiver, kind, block) --
-    delivery indices shift when the other message leaves the channel
-    first, so the raw label cannot match across the diamond.  The
-    commuting fraction bounds how many interleavings an ample-set
-    reduction could avoid exploring.
-    """
-    out: dict[str, list] = defaultdict(list)
-    for record in atlas.edges:
-        out[record[0]].append((tuple(record[2:7]), record[1]))
-    checked = 0
-    commuting = 0
-    capped = False
-    for src in sorted(out):
-        successors = out[src]
-        if len(successors) < 2:
-            continue
-        for i in range(len(successors)):
-            for j in range(i + 1, len(successors)):
-                key_a, mid_a = successors[i]
-                key_b, mid_b = successors[j]
-                if key_a == key_b:
-                    continue
-                # Both mid-states need recorded out-edges to witness
-                # the diamond; absent ones (terminal or sampled away)
-                # count as non-commuting, keeping the estimate
-                # conservative.
-                checked += 1
-                closes_a = {dst for key, dst in out.get(mid_a, ())
-                            if key == key_b}
-                closes_b = {dst for key, dst in out.get(mid_b, ())
-                            if key == key_a}
-                if closes_a & closes_b:
-                    commuting += 1
-                if checked >= max_pairs:
-                    capped = True
-                    break
-            if capped:
-                break
-        if capped:
-            break
-    return {
-        "checked_pairs": checked,
-        "commuting_pairs": commuting,
-        "fraction": (commuting / checked) if checked else 0.0,
-        "capped": capped,
-    }
-
-
 # -- rendering ------------------------------------------------------------------
 
 def format_atlas(atlas: StateAtlas, top: int = 10) -> str:
@@ -692,13 +635,6 @@ def format_atlas(atlas: StateAtlas, top: int = 10) -> str:
             "  note: fewer than two permutable (non-home) nodes at this "
             "config; every orbit is a singleton.  Re-run with --nodes 3 "
             "or more for a meaningful ratio.")
-
-    por = por_estimate(atlas)
-    capped = " (pair cap hit)" if por["capped"] else ""
-    lines.append(
-        f"POR headroom (diamond estimate): {por['fraction']:.1%} of "
-        f"{por['checked_pairs']} sampled transition pairs "
-        f"commute{capped}")
     return "\n".join(lines) + "\n"
 
 

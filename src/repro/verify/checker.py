@@ -277,8 +277,8 @@ class CheckResult:
     # visited set *is* canonical); None when symmetry was off.
     canonical_states: Optional[int] = None
     # Why the run stopped before exhausting the space: "deadline" /
-    # "memory" (BudgetOptions), "interrupted" (Ctrl-C drained at a
-    # clean cut), or None for a normal completion / plain max_states
+    # "memory" (BudgetOptions), "interrupted" (Ctrl-C, acted on at the
+    # next clean cut), or None for a normal completion / plain max_states
     # truncation.  A set stop_reason implies exhausted=False and, when
     # checkpointing was configured, a resumable checkpoint on disk.
     stop_reason: Optional[str] = None
@@ -368,11 +368,9 @@ class ModelChecker:
         symmetry: bool = False,
         checkpoint_out: Optional[str] = None,
         resume: Optional[str] = None,
-        checkpoint_interval_waves: Optional[int] = None,
-        checkpoint_interval_seconds: Optional[float] = None,
         checkpoint_keep_last: int = 1,
         deadline_seconds: Optional[float] = None,
-        max_visited_bytes: Optional[int] = None,
+        max_rss_mb: Optional[float] = None,
     ):
         self.protocol = protocol
         self.n_nodes = n_nodes
@@ -477,26 +475,20 @@ class ModelChecker:
         # test_atlas.py pins byte-identical verdicts, fingerprint
         # streams, and checkpoints either way).
         self.atlas = atlas
-        # Checkpointing: stop at a clean cut (see checkpoint.CutPolicy)
-        # and write the same v2 JSON format the parallel checker uses,
-        # so a serial checkpoint resumes at any worker count and vice
-        # versa.  Requires the fingerprint-keyed visited set (the
-        # on-disk format is fingerprint-keyed).
+        # Checkpointing (checkpoint.CutPolicy) in the parallel checker's
+        # v2 format, so a serial checkpoint resumes at any worker count
+        # and vice versa; the format is fingerprint-keyed.
         self.checkpoint_out = checkpoint_out
         self.resume = resume
-        self.checkpoint_interval_waves = checkpoint_interval_waves
-        self.checkpoint_interval_seconds = checkpoint_interval_seconds
         self.checkpoint_keep_last = checkpoint_keep_last
         if (checkpoint_out or resume) and not self.fingerprint_states:
             raise ValueError(
                 "serial checkpoint/resume requires fingerprint_states="
                 "True (the checkpoint format is fingerprint-keyed)")
-        # Resource budgets: a wall-clock deadline and a visited-set byte
-        # cap (the profiler's container accounting).  Exceeding either
-        # stops at the next clean cut, checkpointed when a path is
-        # configured, with CheckResult.stop_reason set.
+        # Resource budgets (checkpoint.CutPolicy): wall-clock seconds
+        # and peak RSS in MB.
         self.deadline_seconds = deadline_seconds
-        self.max_visited_bytes = max_visited_bytes
+        self.max_rss_mb = max_rss_mb
         # Where a state's app and channel ids start (GlobalState's
         # layout) and the slot past its last channel:
         self._app0 = n_nodes * n_blocks
@@ -871,12 +863,9 @@ class ModelChecker:
     def run(self) -> CheckResult:
         """Breadth-first exploration from the initial state (or from a
         resumed checkpoint's frontier)."""
-        # Ctrl-C parity with the parallel master: with a checkpoint path
-        # SIGINT is flagged, not raised; the current state finishes and
-        # the guard at the next frontier pop writes a resumable
-        # checkpoint and returns stop_reason="interrupted".  Without one
-        # the classic KeyboardInterrupt propagates unchanged.
-        with flag_sigint(self.checkpoint_out is not None) as interrupt_cell:
+        # SIGINT is flagged, not raised: the policy acts on it at the
+        # next frontier pop (checkpoint.CutPolicy).
+        with flag_sigint() as interrupt_cell:
             return self._run_bfs(interrupt_cell)
 
     # -- the exploration parts ----------------------------------------------
@@ -1097,17 +1086,12 @@ class ModelChecker:
 
         # The top of the loop is a clean cut (see CutPolicy): every
         # non-frontier visited state is fully expanded.
-        policy = CutPolicy(self, start_time,
-                           frontier[0][2] if frontier else 0)
+        policy = CutPolicy(self, start_time)
         while frontier:
-            if policy.armed:
-                stopped = policy.stop(
-                    len(visited), interrupt_cell[0],
-                    lambda: visited_container_bytes(visited, parents),
-                    write_ckpt)
-                if stopped is not None:
-                    return finish()
-                policy.write_if_due(frontier[0][2], write_ckpt)
+            stopped = policy.at_cut(len(visited), frontier[0][2],
+                                    interrupt_cell[0], write_ckpt)
+            if stopped is not None:
+                return finish()
             state, key, d = frontier.popleft()
             try:
                 for label, successor, succ_key in self._expand(state, key):
@@ -1116,14 +1100,6 @@ class ModelChecker:
                         graph[state].append(successor)
                     if succ_key in visited:
                         continue
-                    if (len(visited) >= self.max_states
-                            and not policy.armed):
-                        # Armed runs defer the limit to the next pop so
-                        # truncation lands on a clean cut (every
-                        # visited non-frontier state fully expanded)
-                        # and the checkpoint resumes exactly.
-                        stopped = "state_limit"
-                        return finish()
                     count = len(visited) + 1
                     if (self.progress_stream is not None
                             and count % self.progress_every == 0):

@@ -10,16 +10,15 @@ through :meth:`Cut.write`, every resume through
 :func:`decode_checkpoint` and :func:`replay_frontier` -- and of the
 on-disk concerns both engines share:
 
-* **Atomic writes** -- every checkpoint goes through
-  :func:`repro.ioutil.atomic_write_text` (tmp + fsync + rename), so a
-  crash mid-write can never leave a parseable-but-partial file.
+* **Atomic, streamed writes** -- every checkpoint goes through
+  :func:`repro.ioutil.atomic_write_text` (tmp + fsync + rename) a batch
+  of states at a time, so a crash mid-write can never leave a
+  parseable-but-partial file, nor a write hold the whole encoding.
 * **A payload seal** -- a BLAKE2b digest over the canonical JSON of the
   payload (excluding the ``seal`` field itself and the volatile
-  ``elapsed`` wall-clock, which legitimately differs between otherwise
-  identical runs).  :func:`load_checkpoint` verifies it, turning
-  bit-flips and truncation into a one-line :class:`CheckpointError`
-  instead of a resumed-from-garbage run.  (A payload with no ``seal``
-  key loads unverified.)
+  ``elapsed`` wall-clock).  :func:`load_checkpoint` verifies it, turning
+  bit-flips and truncation into a one-line :class:`CheckpointError`.
+  (A payload with no ``seal`` key loads unverified.)
 * **Rotation** -- ``keep_last`` > 1 shifts ``path`` -> ``path.1`` ->
   ``path.2`` ... before each write, keeping a bounded history of the
   newest checkpoints.
@@ -27,8 +26,8 @@ on-disk concerns both engines share:
   checkpoint so a resume against a different protocol/topology fails
   loudly rather than exploring nonsense.
 * **The stop/checkpoint policy** -- :class:`CutPolicy`, asked at every
-  clean cut by both engines, and :func:`flag_sigint`, the one way
-  either engine takes a Ctrl-C.
+  clean cut of every run, and :func:`flag_sigint`, the one way any run
+  takes a Ctrl-C.
 """
 
 from __future__ import annotations
@@ -36,12 +35,16 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import resource
 import signal
 import sys
 import threading
 import time
+from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import chain, islice
+from types import GeneratorType
 
 from repro.ioutil import atomic_write_text, check_envelope, read_json
 from repro.verify.fingerprint import state_from_jsonable
@@ -57,103 +60,101 @@ _COUNTED = ("wave", "transitions", "max_depth", "elapsed",
 # byte-identical explorations legitimately disagree on (wall time).
 _UNSEALED_KEYS = ("seal", "elapsed")
 
-# Periodic checkpoints self-limit: a scheduled write is deferred until
-# the time since the last write is at least this multiple of that
-# write's measured cost, capping checkpoint time at <= 1/(1+ratio) =
-# 5% of wall regardless of state-space size or filesystem speed --
-# half the 10% budget the CI bench gate enforces, so the measured
-# overhead clears the gate even under scheduling noise.  The interval
-# flags are therefore a request, not a promise of cadence; a slow disk
-# widens the spacing instead of stalling the search.
+# A checkpointed run paces its own snapshots: one is due at a clean cut
+# once the time since the last write is at least this multiple of what
+# the new one should cost (the last one's, grown with the visited set),
+# so checkpoint I/O stays under 1/(1+ratio) = 5% of wall time whatever
+# the state-space size or filesystem speed.  A slow disk widens the
+# spacing instead of stalling the search; where a write costs more than
+# 1/ratio of the exploration since the last, none is due again.  The
+# first cut is due at once (no write has a cost yet), so a run killed
+# early still leaves a checkpoint.
 PERIODIC_SPACING_RATIO = 19.0
 
 
 def visited_container_bytes(visited, parents) -> int:
-    """The checkers' visited-set memory estimate: container overhead of
-    the visited set plus the parent-pointer table.  One definition,
-    three consumers: the profiler's ``visited_bytes`` stat, the serial
-    checker's ``BudgetOptions.max_visited_bytes`` cap (the ``memory``
-    stop of :class:`CutPolicy`), and the parallel workers' per-shard
-    byte reports the master sums for the same cap."""
+    """The profiler's ``visited_bytes`` stat: the container overhead of
+    the visited set and parent table (the memory budget measures RSS)."""
     return sys.getsizeof(visited) + sys.getsizeof(parents)
 
 
+def peak_rss_mb() -> float:
+    """This process's peak resident set in MB: ``ru_maxrss`` (KiB on
+    Linux), the number ``bench/`` reports as ``peak_rss_mb``."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
 class CheckpointError(ValueError):
-    """A checkpoint file is malformed, corrupt, or belongs to another
-    run."""
+    """A checkpoint file is malformed, corrupt, or another run's."""
 
 
 class CutPolicy:
-    """When a run stops at, or periodically checkpoints, a clean cut:
-    a point where every visited state is either fully expanded or
-    waiting unexpanded in the frontier, so a checkpoint taken there
-    resumes to the exact uninterrupted result.  The serial checker
-    reaches one before each frontier pop, the parallel master at each
-    wave boundary, and both ask this object -- the one definition of
-    the state cap, Ctrl-C, the deadline, the visited-byte budget and the
-    periodic cadence.  ``checker`` is the serial checker (or parallel
-    template) whose settings apply, ``start`` the ``perf_counter``
-    reading the deadline counts from, ``wave`` the cut the run starts
-    at."""
+    """When a run stops at, or snapshots, a clean cut: a point where
+    every visited state is fully expanded or waits unexpanded in the
+    frontier, so a checkpoint taken there resumes to the exact
+    uninterrupted result.  Every run asks at every one (serially before
+    each pop, in parallel at each wave boundary): the one definition of
+    the state cap, Ctrl-C, the deadline, the memory budget and the
+    snapshot cadence.  ``checker`` (or the parallel template) holds the
+    settings, ``start`` is when the deadline's clock started."""
 
-    def __init__(self, checker, start: float, wave: int):
+    def __init__(self, checker, start: float):
         self.checker = checker
         self.start = start
-        # Whether any stop but the state cap can fire: the serial
-        # checker asks per popped state only when armed, so unarmed
-        # runs execute the loop the hot path always ran.
-        self.armed = (checker.checkpoint_out is not None
-                      or checker.deadline_seconds is not None
-                      or checker.max_visited_bytes is not None)
-        self._last_wave = wave
+        self._max_states = checker.max_states
+        self._deadline = checker.deadline_seconds
+        self._max_rss_mb = checker.max_rss_mb
+        self._path = checker.checkpoint_out
+        self._rss_wave = None       # the wave whose RSS was last read
         self._last_time = time.perf_counter()
-        self._last_cost = 0.0
+        self._last = (0, 0.0)       # the last snapshot's (states, cost)
+        self._per_state = 0.0       # the cost of a state, between the two
 
-    def stop(self, states: int, interrupted: bool, visited_bytes,
-             write) -> "str | None":
-        """Why the run stops at this cut, or None: ``state_limit``
-        (a plain ``max_states`` truncation, not a
+    def at_cut(self, states: int, wave: int, interrupted: bool, write,
+               others_rss_mb: float = 0.0) -> "str | None":
+        """Why the run stops at this cut, or None: ``state_limit`` (a
+        plain ``max_states`` truncation, not a
         ``CheckResult.stop_reason``), ``interrupted``, ``deadline`` or
-        ``memory`` (``visited_bytes()`` is the visited set's size).  A
-        stop checkpoints the cut durably through ``write(durable)``, the
-        engine's writer, when a checkpoint path is configured."""
-        checker = self.checker
-        if states >= checker.max_states:
+        ``memory`` -- this process's peak RSS, read once per ``wave``,
+        plus ``others_rss_mb`` (the parallel workers') past the budget.
+        With a checkpoint path the cut is written through
+        ``write(durable)``, the engine's writer: durably at a stop,
+        otherwise when a snapshot is due (:meth:`_due`)."""
+        if states >= self._max_states:
             reason = "state_limit"
         elif interrupted:
             reason = "interrupted"
-        elif (checker.deadline_seconds is not None
-              and time.perf_counter() - self.start
-              >= checker.deadline_seconds):
+        elif (self._deadline is not None
+              and time.perf_counter() - self.start >= self._deadline):
             reason = "deadline"
-        elif (checker.max_visited_bytes is not None
-              and visited_bytes() > checker.max_visited_bytes):
+        elif (self._max_rss_mb is not None and wave != self._rss_wave
+              and self._over_rss(wave, others_rss_mb)):
             reason = "memory"
         else:
+            if self._path is not None and self._due(states):
+                cost = self._write(write, False)
+                if 0 < self._last[0] < states:
+                    self._per_state = max(0.0, (cost - self._last[1])
+                                          / (states - self._last[0]))
+                self._last = (states, cost)
+                self._last_time = time.perf_counter()
             return None
-        if checker.checkpoint_out is not None:
+        if self._path is not None:
             self._write(write, True)
         return reason
 
-    def write_if_due(self, wave: int, write) -> None:
-        """Checkpoint a cut the run continues from, when a periodic
-        write is due.  Periodic writes skip the fsync: their loss
-        window is the next interval, and a durable write still lands at
-        every stop.  The spacing guard self-limits checkpoint time to a
-        bounded wall-time fraction (see PERIODIC_SPACING_RATIO)."""
-        waves = self.checker.checkpoint_interval_waves
-        seconds = self.checker.checkpoint_interval_seconds
-        if self.checker.checkpoint_out is None or not (waves or seconds):
-            return
-        now = time.perf_counter()
-        since = now - self._last_time
-        if (since < PERIODIC_SPACING_RATIO * self._last_cost
-                or not ((waves and wave - self._last_wave >= waves)
-                        or (seconds and since >= seconds))):
-            return
-        self._last_cost = self._write(write, False)
-        self._last_wave = wave
-        self._last_time = time.perf_counter()
+    def _over_rss(self, wave: int, others_rss_mb: float) -> bool:
+        self._rss_wave = wave
+        return peak_rss_mb() + others_rss_mb > self._max_rss_mb
+
+    def _due(self, states: int) -> bool:
+        """Whether this cut gets a snapshot (non-durable): once the time
+        since the last write is PERIODIC_SPACING_RATIO times what this
+        one should cost -- the last one's, plus the states since at the
+        cost per state between the last two."""
+        estimate = self._last[1] + self._per_state * (states - self._last[0])
+        return (time.perf_counter() - self._last_time
+                >= PERIODIC_SPACING_RATIO * estimate)
 
     def _write(self, write, durable: bool) -> float:
         """Run the engine's writer, timed as ``checkpoint_io``."""
@@ -166,18 +167,14 @@ class CutPolicy:
 
 
 @contextmanager
-def flag_sigint(wanted: bool = True):
-    """Ctrl-C as both engines take it.  For the life of the block
-    SIGINT sets the yielded ``cell[0]`` instead of raising, so no
-    ``KeyboardInterrupt`` can land inside a state's expansion or a
-    message to a worker; the run acts on the flag only where it asks
-    :meth:`CutPolicy.stop`, its next clean cut, and a second Ctrl-C just
-    sets it again.  Unless ``wanted``, and off the main thread (which
-    alone may install a handler), the cell stays False and SIGINT
-    raises as usual."""
+def flag_sigint():
+    """Ctrl-C as every run takes it: for the life of the block SIGINT
+    sets the yielded ``cell[0]`` instead of raising, so no
+    ``KeyboardInterrupt`` lands inside an expansion or a worker message;
+    the run acts on it at its next :meth:`CutPolicy.at_cut`.  Off the
+    main thread (which alone may install a handler) SIGINT raises."""
     cell = [False]
-    if not (wanted
-            and threading.current_thread() is threading.main_thread()):
+    if threading.current_thread() is not threading.main_thread():
         yield cell
         return
 
@@ -191,14 +188,39 @@ def flag_sigint(wanted: bool = True):
         signal.signal(signal.SIGINT, previous)
 
 
-def _canonical_and_seal(payload: dict) -> tuple:
-    """The payload's canonical JSON (sorted keys, compact separators,
-    the unsealed fields excluded) and its BLAKE2b digest."""
-    body = {key: value for key, value in payload.items()
-            if key not in _UNSEALED_KEYS}
-    canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
-    return canonical, hashlib.blake2b(canonical.encode(),
-                                      digest_size=16).hexdigest()
+def _sealed_text(payload: dict, seal):
+    """The file text of ``payload`` in pieces: its canonical JSON (sorted
+    keys, compact separators, no unsealed fields) fed to the BLAKE2b
+    ``seal`` as it goes, then the seal and ``elapsed``.  A generator
+    value yields its own encoding (:func:`_json_batches`)."""
+    opening = "{"
+    for key in sorted(payload.keys() - set(_UNSEALED_KEYS)):
+        value = payload[key]
+        for piece in chain([f"{opening}{json.dumps(key)}:"], value
+                           if isinstance(value, GeneratorType) else
+                           [json.dumps(value, sort_keys=True,
+                                       separators=(",", ":"))]):
+            seal.update(piece.encode())
+            yield piece
+        opening = ","
+    seal.update(b"}")
+    yield f',"seal":"{seal.hexdigest()}"'
+    if "elapsed" in payload:
+        yield f',"elapsed":{json.dumps(payload["elapsed"])}'
+    yield "}\n"
+
+
+def _json_batches(brackets: str, encode, items):
+    """A JSON array or object (``brackets`` ``"[]"`` / ``"{}"``) of
+    ``items``, 4,096 at a time, ``encode(batch)`` the list or dict of
+    their entries."""
+    items = iter(items)
+    yield brackets[0]
+    comma = ""
+    while batch := list(islice(items, 4096)):
+        yield comma + json.dumps(encode(batch), separators=(",", ":"))[1:-1]
+        comma = ","
+    yield brackets[1]
 
 
 def write_checkpoint(path: str, payload: dict, keep_last: int = 1,
@@ -208,25 +230,16 @@ def write_checkpoint(path: str, payload: dict, keep_last: int = 1,
     With ``keep_last=N`` the previous checkpoint survives as
     ``path.1`` (and older ones as ``path.2`` ... ``path.N-1``).
 
-    The payload is serialized exactly once: the canonical JSON the seal
-    is computed over *is* the file body, with the unsealed fields
-    (``seal``, ``elapsed``) spliced onto the end.  Periodic checkpoints
-    fire many times per run, and serializing a large visited set twice
-    (once to seal, once to write) was the single biggest cost.
-
-    ``durable=False`` skips the fsync (rename atomicity is kept):
-    right for *periodic* checkpoints, whose loss window is the next
-    interval; final and stop-reason checkpoints should stay durable."""
+    The canonical JSON the seal is computed over *is* the file body,
+    streamed (:func:`_sealed_text`).  ``durable=False`` skips the fsync
+    (rename atomicity is kept), for snapshots."""
     keep_last = max(1, int(keep_last))
     for age in range(keep_last - 1, 0, -1):
         older = path if age == 1 else f"{path}.{age - 1}"
         if os.path.exists(older):
             os.replace(older, f"{path}.{age}")
-    canonical, seal = _canonical_and_seal(payload)
-    tail = f',"seal":{json.dumps(seal)}'
-    if "elapsed" in payload:
-        tail += f',"elapsed":{json.dumps(payload["elapsed"])}'
-    atomic_write_text(path, f"{canonical[:-1]}{tail}}}\n", fsync=durable)
+    atomic_write_text(path, _sealed_text(payload, hashlib.blake2b(
+        digest_size=16)), fsync=durable)
 
 
 def load_checkpoint(path: str) -> dict:
@@ -241,7 +254,9 @@ def load_checkpoint(path: str) -> dict:
         CHECKPOINT_KIND, CHECKPOINT_VERSION, version_key="v")
     stored_seal = payload.get("seal")
     if stored_seal is not None:
-        computed = _canonical_and_seal(payload)[1]
+        seal = hashlib.blake2b(digest_size=16)
+        deque(_sealed_text(payload, seal), maxlen=0)
+        computed = seal.hexdigest()
         if stored_seal != computed:
             raise CheckpointError(
                 f"{path}: seal mismatch (stored {stored_seal[:12]}..., "
@@ -360,29 +375,35 @@ class Cut:
         self.states = {}
 
     def encode(self, echo: dict) -> dict:
-        """The v2 payload.  ``visited`` and ``parents`` may be a
+        """The v2 payload, its containers as generators of their JSON
+        (:func:`_json_batches`).  ``visited`` and ``parents`` may be a
         writer's live containers, already holding the frontier (the
         serial loop accepts a state when it queues it): frontier keys
-        are skipped there, so no writer copies a container to drop them."""
-        frontier = self.frontier
+        are skipped there, so no writer copies a container."""
+        frontier, parents = self.frontier, self.parents
         return {
             **echo,
             "kind": CHECKPOINT_KIND,
             "v": CHECKPOINT_VERSION,
             **{key: getattr(self, key) for key in _COUNTED},
-            "visited": [f"{fp:016x}" for fp in self.visited
-                        if fp not in frontier],
-            "parents": {f"{fp:016x}": [_hex(pfp), label]
-                        for fp, (pfp, label) in self.parents.items()
-                        if fp not in frontier},
+            "visited": _json_batches(
+                "[]", lambda fps: [f"{fp:016x}" for fp in fps],
+                (fp for fp in self.visited if fp not in frontier)),
+            # Sorted as the seal's canonical JSON sorts keys: 64-bit
+            # fingerprints' 16-digit hex sorts as the ints do.
+            "parents": _json_batches(
+                "{}", lambda fps: {f"{fp:016x}": [_hex(pfp), label]
+                                   for fp in fps
+                                   for pfp, label in [parents[fp]]},
+                sorted(fp for fp in parents if fp not in frontier)),
             # Frontier states are stored by reference (null state slot):
-            # the (parent fp, label) chain reconstructs each one at resume
-            # by replay.  Serializing thousands of concrete frontier states
-            # made every periodic write O(frontier x state size) -- the
-            # dominant cost of checkpointing; the chain reference is a few
-            # bytes.
-            "frontier": [[f"{fp:016x}", None, _hex(pfp), label, depth]
-                         for fp, (pfp, label, depth) in frontier.items()],
+            # the (parent fp, label) chain rebuilds each one at resume by
+            # replay, a few bytes where the state would be hundreds.
+            "frontier": _json_batches(
+                "[]", lambda rows: [[f"{fp:016x}", None, _hex(pfp), label,
+                                     depth]
+                                    for fp, (pfp, label, depth) in rows],
+                frontier.items()),
         }
 
     def write(self, checker, durable: bool = True) -> None:

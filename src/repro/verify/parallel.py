@@ -29,7 +29,7 @@ exchange is fingerprint-only.  The ops, and what each reply carries:
              a pipe here -- and, in this reply alone, all the master
              counts or judges: the violations, transitions, invariant
              evaluations and handler fires since the last expand reply,
-             and the shard's size, bytes and depth.
+             and the shard's size and depth and the worker's peak RSS.
 ``ingest``   The owner dedupes the metadata routed to it against its
              visited set: fresh own-generated states resolve from the
              stash at once, foreign ones are *staged*.  Reply: the
@@ -70,7 +70,7 @@ of reporting a bogus trace.
 Checkpoints are pure JSON (no pickles; see
 :mod:`repro.verify.fingerprint` for the state codec) and are written at
 layer boundaries when the policy stops the run there (``max_states``, a
-resource budget, Ctrl-C) or a periodic interval elapses.  Each is the
+resource budget, Ctrl-C) or a snapshot is due.  Each is the
 master's :class:`~repro.verify.checkpoint.Cut` written out (sealed,
 atomic, rotated: :mod:`repro.verify.checkpoint`), its containers the
 owners' after one ``collect`` barrier.  Its frontier is the routed
@@ -131,6 +131,7 @@ from repro.verify.checkpoint import (
     flag_sigint,
     load_checkpoint,
     min_edge_fold,
+    peak_rss_mb,
     replay_frontier,
     starting_cut,
     visited_container_bytes,
@@ -322,8 +323,8 @@ def _worker_main(conn, master_ends, worker_id: int, n_workers: int,
                 "handler_fires": checker._handler_fires,
                 "visited": len(visited),
                 "max_depth": checker._max_depth,
-                # For the visited-byte budget.
-                "visited_bytes": visited_container_bytes(visited, parents),
+                # For the memory budget.
+                "rss_mb": peak_rss_mb(),
                 "seconds": time.perf_counter() - started,
             }
             violations = []
@@ -461,8 +462,8 @@ class ParallelChecker:
     ``ParallelChecker(protocol, workers=N, **checker_options)``: the
     checker options -- topology, events, invariants, ``max_states``,
     fault budget, ``symmetry``, progress stream, observers,
-    ``checkpoint_out`` / ``resume`` / the periodic-interval knobs,
-    ``deadline_seconds`` / ``max_visited_bytes`` -- are
+    ``checkpoint_out`` / ``resume`` / ``checkpoint_keep_last``,
+    ``deadline_seconds`` / ``max_rss_mb`` -- are
     :class:`~repro.verify.checker.ModelChecker`'s, declared there once
     and passed through to the template (whose settings the master reads
     back).  The visited set is always fingerprint-keyed
@@ -472,13 +473,14 @@ class ParallelChecker:
 
     ``run()`` returns the same :class:`CheckResult`; on passing runs the
     state count, transition count, depth, and coverage maps match the
-    serial checker exactly.  Budgets and Ctrl-C stop the run at the next
-    wave boundary with ``stop_reason`` set and, when a checkpoint path
-    is configured, a resumable checkpoint written.  A dead worker raises
-    :class:`WorkerLostError`.  No way out of ``run()`` -- a result, an
-    error, a lost worker -- leaves a worker process behind.  Requires
-    the ``fork`` start method (worker checkers inherit closures the
-    ``spawn`` pickler cannot carry).
+    serial checker exactly.  The state cap, budgets and Ctrl-C stop the
+    run at the next wave boundary (so a truncated run can hold more
+    states than a serial one).  The memory budget is the master's peak
+    RSS plus every worker's: pages a forked worker still shares with the
+    master count in both, so the cap errs early.  A dead worker raises
+    :class:`WorkerLostError`.  No way out of ``run()`` leaves a worker
+    process behind.  Requires the ``fork`` start method (worker checkers
+    inherit closures the ``spawn`` pickler cannot carry).
     """
 
     def __init__(self, protocol: CompiledProtocol, *, workers: int,
@@ -612,7 +614,7 @@ class ParallelChecker:
             start_replies = fleet.start(starts)
             record_wave(cut.wave, time.perf_counter() - start_began,
                         start_replies)
-            policy = CutPolicy(template, start, cut.wave)
+            policy = CutPolicy(template, start)
             # The cut's frontier is folded: every state of it is fresh.
             last_bucket = ((len(cut.visited) + len(cut.frontier))
                            // template.progress_every)
@@ -676,20 +678,19 @@ class ParallelChecker:
                     # certification aborts the run -- leaving the
                     # ``with`` tears the workers down.
                     raise SymmetryError(min(symmetry_errors))
-                else:
+                elif frontier_size:
                     # The wave boundary is a clean cut, where the policy
                     # may stop (and checkpoint) the run.  Violations
                     # were ruled out first: the states that raised them
                     # are already visited, so a checkpoint taken instead
-                    # of the verdict would lose them for good.
-                    stopped = policy.stop(
-                        total_states, interrupted[0],
-                        lambda: sum(r["visited_bytes"]
-                                    for r in expand_replies), write)
+                    # of the verdict would lose them for good.  A run
+                    # whose frontier emptied is exhausted, as serially.
+                    stopped = policy.at_cut(
+                        total_states, cut.wave, interrupted[0], write,
+                        sum(r["rss_mb"] for r in expand_replies))
                 if violations or stopped is not None or frontier_size == 0:
                     record_wave(wave_no, expand_wall, expand_replies)
                     break
-                policy.write_if_due(cut.wave, write)
 
                 # Owners dedupe the candidates; fresh own-shard states
                 # resolve locally, foreign ones are staged per sender.

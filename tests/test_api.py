@@ -6,6 +6,7 @@ import warnings
 import pytest
 
 from repro.api import (
+    BudgetOptions,
     CheckOptions,
     CheckpointOptions,
     CompileOptions,
@@ -93,6 +94,16 @@ class TestCheck:
         # at the cap, so no application rule was ever enabled.
         with pytest.raises(ValueError, match=f"CheckOptions.{name} must"):
             check("stache", CheckOptions(**{name: value}))
+
+    @pytest.mark.parametrize("group,name", [
+        (CheckpointOptions, "interval_waves"),
+        (CheckpointOptions, "interval_seconds"),
+        (BudgetOptions, "max_visited_bytes")])
+    def test_removed_option_fields_are_refused(self, group, name):
+        # Snapshots pace themselves, and the memory budget is
+        # BudgetOptions.max_rss_mb.
+        with pytest.raises(TypeError, match=name):
+            group(**{name: 1})
 
     def test_serial_checkpoint_supported(self, tmp_path):
         # Serial checkpointing: a truncated run writes a resumable

@@ -44,7 +44,6 @@ from repro.verify.atlas import (
     format_atlas,
     orbit_summary,
     parse_edge_label,
-    por_estimate,
     residence_heatmap,
     scc_decomposition,
 )
@@ -358,45 +357,6 @@ class TestStructuralAnalysis:
         assert "Cache_Inv_To_RO" in heat["transient_states"]
         assert 0 < heat["transient_fraction"] < 1
 
-    def test_por_diamond_commutes(self):
-        # s -a-> x, s -b-> y, x -b-> t, y -a-> t: a full diamond.
-        atlas = synthetic_atlas(
-            {"s": 0, "x": 1, "y": 1, "t": 2},
-            [("s", "x", "n0: read b0"), ("s", "y", "n1: read b0"),
-             ("x", "t", "n1: read b0"), ("y", "t", "n0: read b0")])
-        estimate = por_estimate(atlas)
-        assert estimate["checked_pairs"] == 1
-        assert estimate["commuting_pairs"] == 1
-        assert estimate["fraction"] == 1.0
-        assert not estimate["capped"]
-
-    def test_por_open_diamond_does_not_commute(self):
-        atlas = synthetic_atlas(
-            {"s": 0, "x": 1, "y": 1},
-            [("s", "x", "n0: read b0"), ("s", "y", "n1: read b0")])
-        estimate = por_estimate(atlas)
-        assert estimate["checked_pairs"] == 1
-        assert estimate["commuting_pairs"] == 0
-
-    def test_por_normalizes_delivery_indices(self):
-        # Delivering [0] then the (shifted) other message closes the
-        # diamond even though the raw labels carry different indices.
-        atlas = synthetic_atlas(
-            {"s": 0, "x": 1, "y": 1, "t": 2},
-            [("s", "x", "deliver GET 0->1[0] blk=0"),
-             ("s", "y", "deliver PUT 1->0[0] blk=0"),
-             ("x", "t", "deliver PUT 1->0[0] blk=0"),
-             ("y", "t", "deliver GET 0->1[0] blk=0")])
-        assert por_estimate(atlas)["fraction"] == 1.0
-
-    def test_real_run_por_fraction_sane(self):
-        atlas = check("stache", CheckOptions(
-            nodes=3, reorder=0,
-            artifacts=ArtifactOptions(atlas=True))).atlas
-        estimate = por_estimate(atlas)
-        assert estimate["checked_pairs"] > 100
-        assert 0.0 < estimate["fraction"] < 1.0
-
 
 class TestOrbitEstimator:
     def test_two_nodes_identity(self):
@@ -600,7 +560,7 @@ class TestFormat:
         assert "residence heatmap" in text
         assert "transient residence:" in text
         assert "collapse ratio 1.97x" in text
-        assert "POR headroom" in text
+        assert "POR" not in text
 
     def test_sampled_report_flags_truncation(self):
         atlas = check("stache", CheckOptions(
@@ -630,7 +590,6 @@ class TestCli:
         out = capsys.readouterr().out
         assert "state atlas: Stache" in out
         assert "symmetry orbits (estimator):" in out
-        assert "POR headroom" in out
 
     def test_analyze_atlas_exports(self, tmp_path, capsys):
         path = tmp_path / "atlas.json"

@@ -156,8 +156,16 @@ class TestRefusedModes:
         # analyze coverage reads files; the checker is `verify`'s.
         ("analyze coverage --verify stache", "--verify"),
         ("analyze coverage --trace t.jsonl", "--trace"),
+        # Snapshots pace themselves; the memory budget is --max-rss-mb.
+        ("verify lcm --checkpoint-every-waves 4",
+         "--checkpoint-every-waves 4"),
+        ("verify lcm --checkpoint-every-seconds 5",
+         "--checkpoint-every-seconds 5"),
+        ("verify lcm --max-visited-bytes 4096", "--max-visited-bytes 4096"),
     ], ids=["--por", "--on-worker-loss degrade", "--worker-stall-timeout 5",
-            "coverage --verify", "coverage --trace"])
+            "coverage --verify", "coverage --trace",
+            "--checkpoint-every-waves", "--checkpoint-every-seconds",
+            "--max-visited-bytes"])
     def test_removed_flag_is_a_usage_error(self, capsys, argv, removed):
         with pytest.raises(SystemExit) as caught:
             main(argv.split())
@@ -648,24 +656,91 @@ class TestExitWithoutFinalisation:
         assert "workers=2" in out
         assert _session_is_empty(done)
 
-    def test_sigint_drains_the_wave_and_leaves_a_checkpoint(self, tmp_path):
+    @pytest.mark.parametrize("flags", [
+        [], ["--checkpoint-out", "ck.json"],
+        ["--workers", "2", "--checkpoint-out", "ck.json"],
+    ], ids=["serial", "serial-checkpoint", "workers2-checkpoint"])
+    def test_sigint_stops_at_a_clean_cut(self, tmp_path, flags):
         from repro.verify import load_checkpoint
 
         run = _start_teapot(
-            "verify", "lcm", "--nodes", "3", "--workers", "2",
-            "--checkpoint-out", "ck.json", "--progress",
+            "verify", "lcm", "--nodes", "3", *flags, "--progress",
             "--progress-every", "500", cwd=tmp_path, start_new_session=True)
-        first = run.stderr.readline()       # the fleet is up and exploring
+        first = run.stderr.readline()       # the checker is exploring
         os.killpg(run.pid, signal.SIGINT)   # Ctrl-C reaches the whole group
         out, err = run.communicate(timeout=120)
         assert first.startswith("[verify LCM] states=")
         assert run.returncode == 130, err
         assert "PASS (stopped: interrupted)" in out
-        assert "the completed wave was drained first" in err
+        notes = [line for line in err.splitlines()
+                 if line.startswith("note: ")]
+        assert len(notes) == 1
+        assert notes[0].startswith(
+            "note: stopped early: interrupted (SIGINT) at the next clean "
+            "cut")
         assert "Traceback" not in err
+        assert _session_is_empty(run)
+        if "--checkpoint-out" not in flags:
+            assert list(tmp_path.iterdir()) == []
+            return
         cut = load_checkpoint(str(tmp_path / "ck.json"))
         assert 0 < len(cut["visited"]) < 7658 and cut["frontier"]
-        assert _session_is_empty(run)
+        resumed, out, err = _teapot("verify", "lcm", "--nodes", "3",
+                                    "--resume", "ck.json", cwd=tmp_path)
+        assert resumed.returncode == 0, err
+        assert "PASS  states=7658 transitions=29216 depth=21" in out
+
+    def test_a_killed_checkpointed_run_leaves_a_checkpoint(self, tmp_path):
+        """``--checkpoint-out`` snapshots a run as it goes -- the first
+        clean cut at once, later ones paced by their own cost -- so a run
+        SIGKILLed mid-exploration leaves a checkpoint that resumes to the
+        full verdict."""
+        path = tmp_path / "ck.json"
+        run = _start_teapot("verify", "lcm", "--nodes", "3",
+                            "--checkpoint-out", "ck.json", cwd=tmp_path)
+        deadline = time.monotonic() + 60
+        while not path.exists() and time.monotonic() < deadline:
+            time.sleep(0.005)
+        run.kill()
+        run.communicate(timeout=30)
+        assert run.returncode == -signal.SIGKILL
+        resumed, out, err = _teapot("verify", "lcm", "--nodes", "3",
+                                    "--resume", "ck.json", cwd=tmp_path)
+        assert resumed.returncode == 0, err
+        assert "PASS  states=7658 transitions=29216 depth=21" in out
+
+    def test_rss_budget_stops_the_run_near_its_cap(self, tmp_path):
+        """``--max-rss-mb`` bounds the peak resident set the kernel
+        reports for the process, to within what one BFS layer allocates
+        (checkpoint writes come on top: docs/ROBUSTNESS.md)."""
+        # A launcher of its own, because a child's ru_maxrss starts at
+        # the peak of the process it was spawned from, and this one's
+        # is far above any cap here.  Its child's peak comes from
+        # os.wait4: RUSAGE_CHILDREN is the maximum over every child.
+        launcher = (
+            "import os, subprocess, sys; run = subprocess.Popen("
+            "sys.argv[1:]); _pid, status, usage = os.wait4(run.pid, 0); "
+            "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)")
+
+        def peak(*argv):
+            done = subprocess.run(
+                [sys.executable, "-c", launcher, sys.executable, "-m",
+                 "repro.cli", *argv], env=dict(os.environ, PYTHONPATH=SRC),
+                capture_output=True, text=True, cwd=tmp_path, timeout=120)
+            *out, last = done.stdout.splitlines()
+            status, kib = map(int, last.split())
+            return status, "\n".join(out), done.stderr, kib / 1024
+
+        *_, started = peak("verify", "lcm", "--max-states", "1")
+        cap = round(started) + 15
+        status, out, err, used = peak(
+            "verify", "lcm", "--nodes", "3", "--reorder", "1",
+            "--max-rss-mb", str(cap))
+        assert status == 0, err
+        assert "PASS (stopped: memory)" in out
+        assert "peak RSS budget reached" in err
+        # Read once per BFS layer (~3 MB past the cap, measured).
+        assert cap < used <= cap + 8
 
     def test_workers_do_not_outlive_a_killed_master(self):
         # ~14 s of exploration; both workers are mid-wave at 1 s.

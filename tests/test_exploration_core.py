@@ -22,15 +22,22 @@ import io
 import json
 import re
 import warnings
+from contextlib import contextmanager
 from functools import partial
 from pathlib import Path
+from types import GeneratorType
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import api
-from repro.api import CheckOptions, CheckpointOptions, ReductionOptions
+from repro.api import (
+    BudgetOptions,
+    CheckOptions,
+    CheckpointOptions,
+    ReductionOptions,
+)
 from repro.compiler.pipeline import compile_source
 from repro.faults import FaultBudget
 from repro.runtime.context import Message
@@ -38,6 +45,7 @@ from repro.verify import CheckpointError, WorkerLostError, load_checkpoint
 from repro.verify.checkpoint import (
     CHECKPOINT_VERSION,
     Cut,
+    CutPolicy,
     config_echo,
     decode_checkpoint,
     replay_frontier,
@@ -100,10 +108,29 @@ def test_mode_pin_table(row):
 # (ii) one cut, three writers
 # ---------------------------------------------------------------------------
 
-# lcm at reorder 1 is 528 states over 23 waves; one periodic write at
-# wave 12 is the only checkpoint an exhaustive run leaves (the next is
-# due at wave 24, and a run that exhausts writes none at the end).
+# lcm at reorder 1 is 528 states over 23 waves.  Each writer below
+# snapshots wave 12 and no other cut, so that snapshot is the only
+# checkpoint an exhaustive run leaves (one that exhausts writes none at
+# the end).
 CUT_WAVE = 12
+
+
+@contextmanager
+def snapshot_only_at(wave):
+    """Inside the block a run's one snapshot is the first clean cut of
+    ``wave`` (the policy's pacing, patched)."""
+    at_cut, written = CutPolicy.at_cut, []
+
+    def snapshot_at_wave(policy, states, at, interrupted, write, *rest):
+        if at == wave and not written:
+            written.append(at)
+            write(False)
+        return at_cut(policy, states, at, interrupted, write, *rest)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(CutPolicy, "_due", lambda _policy, _states: False)
+        patch.setattr(CutPolicy, "at_cut", snapshot_at_wave)
+        yield
 
 
 @pytest.fixture(scope="module")
@@ -111,16 +138,17 @@ def three_cuts(tmp_path_factory):
     root = tmp_path_factory.mktemp("cuts")
     paths = {who: str(root / f"{who}.json")
              for who in ("serial", "workers2", "killed")}
-    make_serial("lcm", reorder=1, checkpoint_out=paths["serial"],
-                checkpoint_interval_waves=CUT_WAVE).run()
-    make_parallel("lcm", 2, reorder=1, checkpoint_out=paths["workers2"],
-                  checkpoint_interval_waves=CUT_WAVE).run()
+    with snapshot_only_at(CUT_WAVE):
+        make_serial("lcm", reorder=1, checkpoint_out=paths["serial"]).run()
+    with snapshot_only_at(CUT_WAVE):
+        make_parallel("lcm", 2, reorder=1,
+                      checkpoint_out=paths["workers2"]).run()
     # A worker dies as the wave after the write starts: the run ends in
     # one error line naming the file, and the write is what it leaves.
-    with before_expand(KillWorker(CUT_WAVE)), pytest.raises(
-            WorkerLostError, match=re.escape(paths["killed"])):
-        make_parallel("lcm", 2, reorder=1, checkpoint_out=paths["killed"],
-                      checkpoint_interval_waves=CUT_WAVE).run()
+    with snapshot_only_at(CUT_WAVE), before_expand(KillWorker(CUT_WAVE)), \
+            pytest.raises(WorkerLostError, match=re.escape(paths["killed"])):
+        make_parallel("lcm", 2, reorder=1,
+                      checkpoint_out=paths["killed"]).run()
     return paths
 
 
@@ -183,6 +211,35 @@ def test_mid_layer_serial_cut_resumes_at_bfs_depth(tmp_path, workers):
             resumed.max_depth) == (7658, 29216, 21)
 
 
+def test_every_serial_run_truncates_at_the_same_cut(tmp_path):
+    """One state-cap rule: whatever else is set, a serial run stops at
+    the first clean cut at or past ``max_states``.  A plain run, a keyed
+    one, one with a deadline that never fires and a checkpointed one
+    agree, and the checkpoint resumes to the full count."""
+    path = str(tmp_path / "ck.json")
+    runs = {
+        "plain": {},
+        "fingerprints": {"fingerprints": True},
+        "deadline": {"budget": BudgetOptions(deadline_seconds=600)},
+        "checkpoint": {"checkpoint": CheckpointOptions(out=path)},
+    }
+
+    def line(**options):
+        result = api.check("lcm", CheckOptions(nodes=3, max_states=3000,
+                                              **options))
+        return (result.states_explored, result.transitions,
+                result.max_depth, result.hit_state_limit)
+
+    assert {name: line(**options) for name, options in runs.items()} == {
+        name: (3002, 10083, 10, True) for name in runs}
+    resumed = api.check("lcm", CheckOptions(
+        nodes=3, checkpoint=CheckpointOptions(resume=path)))
+    assert (resumed.states_explored, resumed.transitions) == (7658, 29216)
+    symmetry = ReductionOptions(symmetry=True)
+    assert line(reduction=symmetry) == line(
+        reduction=symmetry, budget=BudgetOptions(deadline_seconds=600))
+
+
 # ---------------------------------------------------------------------------
 # (iii) the codec
 # ---------------------------------------------------------------------------
@@ -194,8 +251,11 @@ ECHO = {"protocol": "P", "n_nodes": 2, "n_blocks": 1, "reorder_bound": 0,
 def encode(cut, frontier=None):
     """``cut``'s payload; ``frontier`` replaces its rows with raw
     ``(fp, parent fp, label, depth)`` proposals, duplicates and all --
-    what a writer that does not fold leaves on disk."""
-    payload = cut.encode(ECHO)
+    what a writer that does not fold leaves on disk.  The containers,
+    which the encoder streams, are parsed back as a loader sees them."""
+    payload = {key: json.loads("".join(value))
+               if isinstance(value, GeneratorType) else value
+               for key, value in cut.encode(ECHO).items()}
     if frontier is not None:
         payload["frontier"] = [[f"{fp:016x}", None, f"{pfp:016x}", label, d]
                                for fp, pfp, label, d in frontier]

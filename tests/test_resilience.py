@@ -10,9 +10,9 @@ Contract under test:
   undisturbed outcome serially or at any worker count;
 * every corrupted checkpoint is refused with a one-line
   :class:`CheckpointError`, never a wrong answer;
-* deadline/byte budgets stop gracefully with ``stop_reason`` set and a
+* deadline/RSS budgets stop gracefully with ``stop_reason`` set and a
   checkpoint that resumes to the exact uninterrupted result;
-* SIGINT, on either engine, is acted on at the next clean cut: the run
+* SIGINT, on every run, is acted on at the next clean cut: the run
   reports ``stop_reason='interrupted'``, leaves a checkpoint that
   resumes exactly when a path is set, and no worker process.
 
@@ -143,19 +143,18 @@ class TestWorkerLoss:
         with pytest.raises(TypeError, match=keyword):
             make_parallel("stache", 2, **{keyword: None})
 
-    # lcm at reorder 1 is 528 states over 23 waves.  A write is due
-    # every 4 waves; the first lands at wave 4, later ones as the
-    # write-cost guard allows.
+    # lcm at reorder 1 is 528 states over 23 waves.  The first
+    # snapshot lands at the first wave boundary, later ones as the
+    # policy's pacing allows.
     @pytest.mark.parametrize("wave", [5, 12, 20])
     def test_the_named_checkpoint_resumes_exactly(self, tmp_path, wave):
         path = str(tmp_path / "ck.json")
         hook = KillWorker(wave)
         with before_expand(hook), pytest.raises(WorkerLostError) as lost:
-            make_parallel("lcm", 2, reorder=1, checkpoint_out=path,
-                          checkpoint_interval_waves=4).run()
+            make_parallel("lcm", 2, reorder=1, checkpoint_out=path).run()
         assert str(lost.value) == lost_line("expand", path)
         assert not any(proc.is_alive() for proc in hook.procs)
-        assert 4 <= load_checkpoint(path)["wave"] <= wave
+        assert 1 <= load_checkpoint(path)["wave"] <= wave
         full = outcome(make_serial("lcm", reorder=1,
                                    fingerprint_states=True).run())
         assert outcome(make_serial("lcm", reorder=1,
@@ -191,8 +190,7 @@ class TestWorkerLoss:
                             capsys.readouterr().out).group()
         hook = KillWorker(12)
         with before_expand(hook):
-            status = main([*argv, "--checkpoint-out", path,
-                           "--checkpoint-every-waves", "4"])
+            status = main([*argv, "--checkpoint-out", path])
         out, err = capsys.readouterr()
         assert status == 1 and out == ""
         assert err == f"error: {lost_line('expand', path)}\n"
@@ -273,13 +271,16 @@ class TestBudgets:
         assert outcome(resumed) == outcome(full)
         assert resumed.exhausted
 
-    def test_serial_byte_cap_truncates_and_resumes_exactly(
+    # This process's peak RSS is far above 1 MB, so the cap fires at
+    # the first cut; a run that grows into its cap is the subprocess
+    # test in tests/test_cli.py.
+    def test_serial_rss_cap_truncates_and_resumes_exactly(
             self, tmp_path):
         path = str(tmp_path / "ck.json")
         full = make_serial("lcm", reorder=1,
                            fingerprint_states=True).run()
         stopped = make_serial("lcm", reorder=1, checkpoint_out=path,
-                              max_visited_bytes=4096).run()
+                              max_rss_mb=1).run()
         assert stopped.stop_reason == "memory"
         assert not stopped.exhausted
         resumed = make_serial("lcm", reorder=1, resume=path,
@@ -298,13 +299,13 @@ class TestBudgets:
         resumed = make_parallel("lcm", 3, reorder=1, resume=path).run()
         assert outcome(resumed) == outcome(full)
 
-    def test_parallel_byte_cap_truncates_and_resumes_exactly(
+    def test_parallel_rss_cap_truncates_and_resumes_exactly(
             self, tmp_path):
         path = str(tmp_path / "ck.json")
         full = make_parallel("lcm", 2, reorder=1).run()
         stopped = make_parallel("lcm", 2, reorder=1,
                                 checkpoint_out=path,
-                                max_visited_bytes=4096).run()
+                                max_rss_mb=1).run()
         assert stopped.stop_reason == "memory"
         resumed = make_parallel("lcm", 2, reorder=1, resume=path).run()
         assert outcome(resumed) == outcome(full)
@@ -317,8 +318,11 @@ class TestBudgets:
 
 
 class TestSerialInterrupt:
-    def test_sigint_drains_wave_and_checkpoints(self, tmp_path):
-        path = str(tmp_path / "ck.json")
+    # With or without a path, no KeyboardInterrupt escapes run().
+    @pytest.mark.parametrize("checkpointed", [False, True],
+                             ids=["no_path", "path"])
+    def test_sigint_stops_at_the_next_pop(self, tmp_path, checkpointed):
+        path = str(tmp_path / "ck.json") if checkpointed else None
         full = make_serial("lcm", reorder=1,
                            fingerprint_states=True).run()
 
@@ -334,12 +338,18 @@ class TestSerialInterrupt:
             def flush(self):
                 pass
 
-        stopped = make_serial("lcm", reorder=1, checkpoint_out=path,
+        handler = signal.getsignal(signal.SIGINT)
+        stopped = make_serial("lcm", reorder=1, fingerprint_states=True,
+                              checkpoint_out=path,
                               progress_stream=InterruptStream(),
                               progress_every=50).run()
         assert fired
         assert stopped.stop_reason == "interrupted"
         assert not stopped.exhausted
+        assert stopped.states_explored < full.states_explored
+        assert signal.getsignal(signal.SIGINT) is handler
+        if not checkpointed:
+            return
         resumed = make_serial("lcm", reorder=1, resume=path,
                               checkpoint_out=path).run()
         assert outcome(resumed) == outcome(full)
@@ -392,15 +402,46 @@ class TestParallelInterrupt:
 
 
 class TestCheckpointHygiene:
+    # A snapshot costs 2 ms plus a price per visited state, and exploring
+    # a state costs 30 us.  At 1 us a state snapshots go on all run, ever
+    # further apart; at 3 us (10% of the exploration, lcm --nodes 3
+    # --reorder 1's ratio) none can cost under 5% once the run has grown,
+    # so they stop.  Spacing by the *last* write's cost instead would
+    # spend 7.2% and 6.5% of these runs in 11 and 6 writes.
+    @pytest.mark.parametrize("price,last", [(1e-6, 178_873), (3e-6, 1270)])
+    def test_snapshots_hold_checkpoint_io_under_five_percent(
+            self, monkeypatch, price, last):
+        from types import SimpleNamespace
+
+        from repro.verify import checkpoint
+
+        clock = SimpleNamespace(now=0.0)
+        clock.perf_counter = lambda: clock.now
+        monkeypatch.setattr(checkpoint, "time", clock)
+        policy = checkpoint.CutPolicy(SimpleNamespace(
+            max_states=10 ** 9, deadline_seconds=None, max_rss_mb=None,
+            checkpoint_out="ck.json", profiler=None), 0.0)
+        spent, at = [], []
+
+        def write(_durable):
+            spent.append(0.002 + price * states)
+            at.append(states)
+            clock.now += spent[-1]
+
+        for states in range(1, 300_000):
+            clock.now += 30e-6
+            assert policy.at_cut(states, 0, False, write) is None
+        assert at[0] == 1 and at[-1] == last
+        assert sum(spent) <= clock.now / 20
+
     def test_rotation_keeps_last_n(self, tmp_path):
         path = str(tmp_path / "ck.json")
         make_serial("lcm", reorder=1, checkpoint_out=path,
-                    checkpoint_interval_waves=1,
                     checkpoint_keep_last=3, max_states=100).run()
-        # At least the final write plus one rotated periodic write
-        # (cost-based spacing may defer further periodic writes on a
-        # run this small); never more than keep_last files; waves
-        # monotone non-decreasing from oldest to newest.
+        # At least the final write plus the first cut's snapshot (the
+        # cost-based spacing decides how many more a run this small
+        # gets); never more than keep_last files; waves monotone
+        # non-decreasing from oldest to newest.
         assert os.path.exists(path)
         assert os.path.exists(path + ".1")
         assert not os.path.exists(path + ".3")
@@ -413,7 +454,7 @@ class TestCheckpointHygiene:
     def test_no_partial_tmp_left_behind(self, tmp_path):
         path = str(tmp_path / "ck.json")
         make_serial("lcm", reorder=1, checkpoint_out=path,
-                    checkpoint_interval_waves=2, max_states=200).run()
+                    max_states=200).run()
         assert not os.path.exists(path + ".tmp")
 
     def test_checkpoint_is_sealed_json(self, tmp_path):
@@ -430,7 +471,7 @@ class TestCheckpointHygiene:
         full = make_serial("lcm", reorder=1,
                            fingerprint_states=True).run()
         make_serial("lcm", reorder=1, checkpoint_out=path,
-                    checkpoint_interval_waves=2, max_states=300).run()
+                    max_states=300).run()
         resumed = make_serial("lcm", reorder=1, resume=path,
                               checkpoint_out=path).run()
         assert outcome(resumed) == outcome(full)

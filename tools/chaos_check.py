@@ -3,7 +3,7 @@
 One SIGINT per run to a real ``teapot verify lcm --nodes 3 --workers
 2``, the delay swept across the whole run, with and without
 ``--checkpoint-out``: wherever the signal finds the checker running,
-the run must exit 130 with the drained-wave note (or 0 with the full
+the run must exit 130 with the interrupt note (or 0 with the full
 verdict, when the wave it landed in was the last), print no traceback,
 and -- with a path -- leave a checkpoint that resumes to the pinned
 verdict.  Wherever it lands, the run must end and leave no process
@@ -108,8 +108,8 @@ def run_interrupt_cell(delay: float, checkpointed: bool,
         if "Traceback" in stderr:
             problems.append("traceback")
         if status == 130:
-            if "the completed wave was drained first" not in stderr:
-                problems.append("exit 130 without the drained-wave note")
+            if "interrupted (SIGINT) at the next clean cut" not in stderr:
+                problems.append("exit 130 without the interrupt note")
         elif status != 0 or SWEEP_VERDICT not in stdout:
             problems.append(f"exit {status}")
     if checkpointed and os.path.exists(path):

@@ -5,15 +5,14 @@ Explores every registered protocol at a small, fixed configuration
 caching nodes are interchangeable, so the symmetry-orbit estimator has
 something to collapse), records the full atlas, and writes one summary
 row per protocol: state/transition counts, terminal-SCC structure,
-deadlocks, diameter, the orbit-collapse ratio, and the sampled POR
-headroom.  Protocols whose 3-node space is too large to explore in a
-tool run are bounded by ``--max-states``; their rows say
-``exhausted: false`` and describe the explored prefix.
+deadlocks, diameter and the orbit-collapse ratio.  Protocols whose
+3-node space is too large to explore in a tool run are bounded by
+``--max-states``; their rows say ``exhausted: false`` and describe the
+explored prefix.
 
 The committed artifact is the ROADMAP's evidence base for the
-symmetry/POR reduction item: the ``orbit_ratio`` column bounds what
-symmetry reduction could save, and ``por_commuting_fraction`` bounds
-what partial-order reduction could prune.
+symmetry reduction item: the ``orbit_ratio`` column bounds what
+symmetry reduction could save.
 
 Usage::
 
@@ -40,11 +39,7 @@ from repro.api import (  # noqa: E402
     check,
 )
 from repro.protocols import PROTOCOLS  # noqa: E402
-from repro.verify.atlas import (  # noqa: E402
-    analyze_structure,
-    orbit_summary,
-    por_estimate,
-)
+from repro.verify.atlas import analyze_structure, orbit_summary  # noqa: E402
 
 INDEX_KIND = "teapot-state-atlas-index"
 INDEX_VERSION = 1
@@ -65,7 +60,6 @@ def atlas_row(name: str, max_states: int, atlas_dir: str | None) -> dict:
         atlas.save(os.path.join(atlas_dir, f"{name}.json"))
     structure = analyze_structure(atlas)
     orbit = orbit_summary(atlas)
-    por = por_estimate(atlas)
     row = {
         "verdict": "PASS" if result.ok else "FAIL",
         "exhausted": bool(result.exhausted),
@@ -79,8 +73,6 @@ def atlas_row(name: str, max_states: int, atlas_dir: str | None) -> dict:
         "orbit_method": orbit["method"],
         "orbits": orbit["orbits"],
         "orbit_ratio": round(orbit["ratio"], 4),
-        "por_checked_pairs": por["checked_pairs"],
-        "por_commuting_fraction": round(por["fraction"], 4),
     }
     if atlas.sampled:
         row["atlas_sampled"] = True
@@ -122,7 +114,6 @@ def atlas_row(name: str, max_states: int, atlas_dir: str | None) -> dict:
           f"orbit_ratio={row['orbit_ratio']:.2f}x "
           f"achieved={row['achieved_ratio']:.2f}x "
           f"terminal_sccs={row['terminal_sccs']} "
-          f"por={row['por_commuting_fraction']:.2f} "
           f"({elapsed:.1f}s{bounded})")
     return row
 
@@ -164,9 +155,8 @@ def main() -> int:
                 "(ReductionOptions(symmetry=True)) actually collapses "
                 "-- orbit_cross_check pins the two equal on exhausted "
                 "runs, or records the certification fallback for "
-                "protocols that are not node-symmetric; "
-                "por_commuting_fraction bounds partial-order "
-                "reduction (see docs/OBSERVABILITY.md).  Rows with "
+                "protocols that are not node-symmetric (see "
+                "docs/OBSERVABILITY.md).  Rows with "
                 "exhausted: false describe a bounded prefix -- their "
                 "terminal/deadlock counts include the unexpanded "
                 "frontier and overstate the true graph.",
