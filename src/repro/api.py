@@ -122,7 +122,8 @@ class ReductionOptions:
     free (non-home) caching nodes before the visited-set lookup, so one
     representative per orbit is explored; counterexample traces stay
     concrete and replay on an unreduced checker.  It is sound for
-    safety checking and rejected under ``liveness``.
+    safety checking and for ``liveness``, which then runs over (orbit
+    representative, node) pairs.
     """
 
     symmetry: bool = False

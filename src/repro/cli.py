@@ -180,6 +180,10 @@ def cmd_verify(args) -> int:
         return 1
     print(result.summary())
     stop = result.stop_reason
+    # Starvation is judged over the whole explored graph, so a run that
+    # ends early never asks it.
+    skipped = ("; the starvation check (--liveness) did not run"
+               if args.liveness and not result.exhausted else "")
     if stop is not None:
         reason = {
             "interrupted": "interrupted (SIGINT) at the next clean cut",
@@ -188,7 +192,7 @@ def cmd_verify(args) -> int:
             "memory": "peak RSS budget reached "
                       f"(--max-rss-mb {args.max_rss_mb})",
         }.get(stop, stop)
-        note = f"note: stopped early: {reason}"
+        note = f"note: stopped early: {reason}{skipped}"
         if args.checkpoint_out:
             note += (f"; a resumable checkpoint is at "
                      f"{args.checkpoint_out} (continue with --resume "
@@ -200,7 +204,7 @@ def cmd_verify(args) -> int:
         note = (f"note: exploration truncated at "
                 f"{result.states_explored} states "
                 f"(--max-states {args.max_states}): PASS covers only "
-                "the explored prefix, not the full state space")
+                f"the explored prefix, not the full state space{skipped}")
         if args.checkpoint_out:
             note += f"; resume with --resume {args.checkpoint_out}"
         print(note)
@@ -531,7 +535,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="states between progress lines (default 10000)")
     p.add_argument("--liveness", action="store_true",
                    help="also check liveness: every blocked thread can "
-                        "reach a wake-up (catches starvation); serial only")
+                        "reach a wake-up (catches starvation); serial, in "
+                        "any reduction mode, not with checkpoints")
     p.add_argument("--workers", type=int, default=0, metavar="N",
                    help="explore with N shard-owning worker processes "
                         "(0 = serial, the default); verdict and state "
@@ -547,8 +552,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "per orbit under free-caching-node permutation "
                         "(canonical fingerprints; implies hash "
                         "compaction; counterexamples stay concrete and "
-                        "replay unreduced); sound for safety, rejected "
-                        "with --liveness")
+                        "replay unreduced); sound for safety and "
+                        "--liveness")
     p.add_argument("--checkpoint-out", metavar="PATH",
                    help="write a sealed, resumable JSON checkpoint if "
                         "the run truncates at --max-states, hits a "

@@ -13,6 +13,7 @@ import re
 import time
 from collections import Counter, deque
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import IO, Optional
 
 from repro.backends.python_backend import CompiledEngine
@@ -391,24 +392,17 @@ class ModelChecker:
         # gated, so this cannot introduce spurious deadlocks.
         self.channel_cap = channel_cap
         # Progress checking (a liveness extension beyond the paper's
-        # safety checks): record the full transition graph and verify
-        # that from every reachable state, every blocked thread can
-        # still reach a state where it runs again.  Catches starvation
-        # bugs -- e.g. a nacked request that is never retried -- that
-        # no safety invariant sees.
+        # safety checks): record the explored graph over the run's own
+        # keys and verify that from every reachable state, every blocked
+        # thread can still reach a state where it runs again
+        # (repro.verify.starvation).  Catches starvation bugs -- e.g. a
+        # nacked request that is never retried -- that no safety
+        # invariant sees.  The checkpoint format carries no edges.
         self.check_progress = check_progress
-        # That graph is of concrete states, so the check refuses every
-        # mode that keys the visited set by a fingerprint instead --
-        # naming the one the caller set (checkpointing implies
-        # fingerprints).
-        keyed = ("checkpoint/resume" if checkpoint_out or resume
-                 else "symmetry reduction" if symmetry
-                 else "fingerprints" if fingerprint_states else None)
-        if check_progress and keyed is not None:
-            raise ValueError(
-                f"liveness checking cannot run with {keyed}: it needs the "
-                "concrete state graph, which a fingerprint-keyed visited "
-                "set does not hold")
+        if check_progress and (checkpoint_out or resume):
+            raise ValueError("liveness checking cannot run with "
+                             "checkpoint/resume: a checkpoint does not "
+                             "carry the explored graph")
         # Progress *reporting* (distinct from the liveness check above):
         # when a stream is given, print a states/sec line every
         # ``progress_every`` states plus one final line, so long runs
@@ -443,6 +437,14 @@ class ModelChecker:
             self.fingerprint_states = True
         else:
             self._canon = None
+        # Liveness under symmetry also reads each state's argmin renaming
+        # (starvation.KeyGraph), memoised with its key.
+        self._renaming = None
+        if symmetry and check_progress:
+            least = Memo(lambda state: self._canon.least(
+                state, fingerprint(state)))
+            self.fingerprint_fn = lambda state: least[state][0]
+            self._renaming = lambda state: least[state][1]
         # Where the visited key is the state's own fingerprint (not a
         # minimum over renamings) a successor's is its parent's with the
         # terms of the slots the move stored swapped: the per-slot term
@@ -970,9 +972,11 @@ class ModelChecker:
         :class:`CheckResult` (``counts`` are :meth:`_result`'s keywords;
         ``elapsed`` includes a resumed checkpoint's) with the observers'
         artifacts.  The parallel master calls this on its template."""
-        if violation is not None and self.fingerprint_states:
+        if (violation is not None and self.fingerprint_states
+                and violation.kind != "starvation"):
             # Collision guard: the trace came from fingerprint-keyed
-            # parent pointers; make sure it actually replays.
+            # parent pointers; make sure it actually replays (_starvation
+            # replayed its own witness).
             self.verify_violation(violation)
         if self.progress_stream is not None:
             self._report_progress(
@@ -1009,7 +1013,14 @@ class ModelChecker:
                                 self.resume)
         # (state, key, depth) entries: accepted, awaiting expansion.
         frontier: deque = deque()
-        graph: dict[GlobalState, list[GlobalState]] = {}
+        # Liveness's record of the explored graph, over these same keys
+        # (imported by the runs that check it).
+        graph = None
+        if self.check_progress:
+            from repro.verify.starvation import KeyGraph
+            graph = KeyGraph(self._canon and [self._canon.identity,
+                                              *self._canon.perms])
+        renaming = self._renaming or (lambda _state: None)
         stopped: Optional[str] = None    # see _result
 
         def elapsed() -> float:
@@ -1039,8 +1050,11 @@ class ModelChecker:
             step and, unless an invariant failed, a frontier slot."""
             visited.add(key)
             parents[key] = (pkey, label)
-            if self.check_progress:
-                graph.setdefault(state, [])
+            if graph is not None:
+                graph.state(key, sum(
+                    1 << node for node, aid in enumerate(
+                        state[self._app0:self._chan0])
+                    if APPS[aid].blocked_on is not None), renaming(state))
             message = self._accept(state, key, d)
             if message is None:
                 frontier.append((state, key, d))
@@ -1096,8 +1110,8 @@ class ModelChecker:
             try:
                 for label, successor, succ_key in self._expand(state, key):
                     transitions += 1
-                    if self.check_progress:
-                        graph[state].append(successor)
+                    if graph is not None:
+                        graph.edge(succ_key, renaming(successor))
                     if succ_key in visited:
                         continue
                     count = len(visited) + 1
@@ -1122,9 +1136,11 @@ class ModelChecker:
                 return finish(Violation(
                     found.kind, found.message,
                     trace_to(key, found.label), state))
+            if graph is not None:
+                graph.end()
 
-        return finish(self._check_progress(graph, parents)
-                      if self.check_progress else None)
+        stuck = graph.stuck(self.n_nodes) if graph is not None else None
+        return finish(stuck and self._starvation(*stuck, graph, parents))
 
     # -- trace replay -------------------------------------------------------
 
@@ -1164,49 +1180,25 @@ class ModelChecker:
             violation.state = final
         return final
 
-    def _check_progress(self, graph, parents) -> Optional[Violation]:
-        """Liveness: from every reachable state, every blocked thread
-        must be able to reach a state where it is running again.
-
-        Computed per node by backward reachability from the states where
-        that node is unblocked; any reachable state outside that set is
-        a starvation witness (the thread can *never* be woken along any
-        continuation of the run)."""
-        # Reverse adjacency once.
-        reverse: dict[GlobalState, list[GlobalState]] = {
-            state: [] for state in graph}
-        for state, successors in graph.items():
-            for successor in successors:
-                reverse[successor].append(state)
-
-        for node in range(self.n_nodes):
-            can_recover = {
-                state for state in graph
-                if state.apps[node].blocked_on is None
-            }
-            worklist = deque(can_recover)
-            while worklist:
-                state = worklist.popleft()
-                for predecessor in reverse[state]:
-                    if predecessor not in can_recover:
-                        can_recover.add(predecessor)
-                        worklist.append(predecessor)
-            stuck = [s for s in graph if s not in can_recover]
-            if stuck:
-                # Report the shallowest witness for a short trace.
-                witness = min(
-                    stuck,
-                    key=lambda s: len(self._trace_via_parents(s, parents)))
-                trace = self._trace_via_parents(witness, parents)
-                return Violation(
-                    "starvation",
-                    f"node {node} is blocked on block "
-                    f"{witness.apps[node].blocked_on} and no reachable "
-                    "continuation of the run ever wakes it",
-                    trace + ["<thread lost>"],
-                    witness,
-                )
-        return None
+    def _starvation(self, node: int, index: int, graph,
+                    parents) -> Violation:
+        """The verdict for the analysis's stuck ``(node, index)``: the
+        trace to that key by its parent pointers.  A keyed witness is
+        replayed (the collision guard) to the state whose named node
+        must be blocked."""
+        key = next(islice(graph.index, index, None))
+        trace = self._trace_via_parents(key, parents) + ["<thread lost>"]
+        witness = (self.verify_violation(Violation("starvation", "", trace))
+                   if self.fingerprint_states else key)
+        blocked_on = witness.apps[node].blocked_on
+        if blocked_on is None:
+            raise FingerprintCollisionError(
+                f"replayed starvation witness runs node {node}; a "
+                "fingerprint collision corrupted the explored graph")
+        return Violation(
+            "starvation", f"node {node} is blocked on block {blocked_on} "
+            "and no reachable continuation of the run ever wakes it",
+            trace, witness)
 
     @staticmethod
     def _trace_via_parents(state, parents) -> list[str]:

@@ -408,7 +408,7 @@ class SymmetryCanonicalizer:
     def rename_message(self, mid: int, mapping: tuple) -> int:
         return self._remaps[mapping][3][mid]
 
-    def _least(self, state: GlobalState, fp: int) -> tuple:
+    def least(self, state: GlobalState, fp: int) -> tuple:
         """``(key, mapping)`` of the renaming with the least fingerprint
         (``None``: the state itself, whose fingerprint ``fp`` is).  A
         candidate's key is one C-level pass over its mapping's term
@@ -425,17 +425,17 @@ class SymmetryCanonicalizer:
         """The orbit key: min fingerprint over considered permutations.
         ``fp`` is the state's own (identity) fingerprint, passed so a
         caller that already computed it never pays it twice."""
-        return self._least(state, fp)[0]
+        return self.least(state, fp)[0]
 
     def canonical_fingerprint(self, state: GlobalState) -> int:
         """The visited-set key symmetry reduction explores under."""
-        return self._least(state, fingerprint(state))[0]
+        return self.least(state, fingerprint(state))[0]
 
     def canonical_state(self, state: GlobalState) -> GlobalState:
         """The orbit representative (argmin-fingerprint image).  With
         the full group this is idempotent: the representative's own
         canonical state is itself."""
-        mapping = self._least(state, fingerprint(state))[1]
+        mapping = self.least(state, fingerprint(state))[1]
         return state if mapping is None else self.permute(state, mapping)
 
 

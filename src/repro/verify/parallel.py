@@ -489,8 +489,8 @@ class ParallelChecker:
             raise ValueError("workers must be >= 1")
         if checker_options.get("check_progress"):
             raise ValueError(
-                "liveness checking needs the full state graph and is "
-                "serial-only (CheckOptions.workers must be 0)")
+                "liveness checking reads the graph one process explored "
+                "and is serial-only (CheckOptions.workers must be 0)")
         self.workers = workers
         # The template's profiler and atlas recorder are the master's:
         # forked workers inherit copies of the same objects but

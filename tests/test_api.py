@@ -10,7 +10,6 @@ from repro.api import (
     CheckOptions,
     CheckpointOptions,
     CompileOptions,
-    ReductionOptions,
     SimOptions,
     check,
     compile_protocol,
@@ -121,18 +120,16 @@ class TestCheck:
         assert resumed.states_explored == full.states_explored
 
     @pytest.mark.parametrize("mode,options", [
-        ("fingerprints", dict(fingerprints=True)),
-        ("symmetry", dict(reduction=ReductionOptions(symmetry=True))),
         ("checkpoint/resume", dict(checkpoint=CheckpointOptions(out="c"))),
         ("checkpoint/resume", dict(checkpoint=CheckpointOptions(resume="c"))),
         ("workers", dict(workers=2)),
-    ], ids=["fingerprints", "symmetry", "checkpoint-out", "resume",
-            "workers"])
+    ], ids=["checkpoint-out", "resume", "workers"])
     def test_liveness_refuses_every_keyed_mode(self, tmp_path, monkeypatch,
                                                 mode, options):
-        # Liveness needs the concrete state graph; every mode that keys
-        # states by fingerprint (or shards them) is refused before any
-        # state is explored, in one line that names both.
+        # Liveness runs on the keys of every serial mode
+        # (tests/golden/liveness_pins.json) but not across checkpoints,
+        # which carry no edges, or worker processes: those are refused
+        # before any state is explored, in one line that names both.
         monkeypatch.chdir(tmp_path)
         with pytest.raises(ValueError) as caught:
             check("stache", CheckOptions(liveness=True, **options))

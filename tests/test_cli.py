@@ -130,13 +130,10 @@ class TestBadTopology:
 
 class TestRefusedModes:
     @pytest.mark.parametrize("flags,mode", [
-        (["--symmetry"], "symmetry"),
-        (["--fingerprints"], "fingerprints"),
         (["--checkpoint-out", "c.json"], "checkpoint/resume"),
         (["--resume", "c.json"], "checkpoint/resume"),
         (["--workers", "2"], "workers"),
-    ], ids=["symmetry", "fingerprints", "checkpoint-out", "resume",
-            "workers"])
+    ], ids=["checkpoint-out", "resume", "workers"])
     def test_liveness_with_a_keyed_mode_is_one_error_line(
             self, tmp_path, monkeypatch, capsys, flags, mode):
         monkeypatch.chdir(tmp_path)

@@ -1,0 +1,168 @@
+"""Liveness (``--liveness``) on the keys every serial mode already has.
+
+The starvation check reads the graph a run explored over that run's own
+keys -- whole states, fingerprints, or canonical fingerprints under
+symmetry reduction (``repro.verify.starvation``).  Pinned here:
+
+* ``tests/golden/liveness_pins.json`` (recorded by the commit that still
+  kept a concrete-state graph; see tests/golden/README): plain and
+  fingerprint runs reproduce every row byte for byte, and symmetry runs
+  reach the same verdict over the state count symmetry explores without
+  liveness;
+* the analysis function on hand-built graphs;
+* a keyed witness that does not replay to a blocked node is a collision;
+* a run that stops early says the starvation check did not run.
+"""
+
+import json
+import warnings
+from array import array
+from functools import lru_cache
+from pathlib import Path
+
+import pytest
+
+from repro import api
+from repro.api import CheckOptions, ReductionOptions
+from repro.cli import main
+from repro.protocols import load_protocol_source
+from repro.verify import starvation
+from repro.verify.checker import FingerprintCollisionError
+from repro.verify.starvation import stuck_thread
+
+PINS = json.loads(
+    (Path(__file__).parent / "golden" / "liveness_pins.json").read_text())
+
+
+@lru_cache(maxsize=None)
+def target(row: str):
+    """A pin row's protocol: a registered name, or ``stache.tea:N``,
+    stache with line N deleted."""
+    if ":" not in row:
+        return row
+    lines = load_protocol_source("stache").splitlines(keepends=True)
+    line = int(row.split(":")[1])
+    return api.compile_protocol("".join(lines[:line - 1] + lines[line:]))
+
+
+def run(row: str, **options):
+    pin = PINS[row]
+    with warnings.catch_warnings():
+        # A protocol failing symmetry certification reruns unreduced.
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return api.check(target(row), CheckOptions(
+            nodes=pin["nodes"], addresses=pin["addresses"],
+            reorder=pin["reorder"], **options))
+
+
+def as_row(row: str, result) -> dict:
+    violation = result.violation
+    return {
+        **{key: PINS[row][key] for key in ("nodes", "addresses", "reorder")},
+        "verdict": "PASS" if result.ok else "FAIL",
+        "kind": violation and violation.kind,
+        "message": violation and violation.message,
+        "trace": violation and list(violation.trace),
+        "states": result.states_explored,
+        "transitions": result.transitions,
+        "depth": result.max_depth,
+    }
+
+
+@pytest.mark.parametrize("row", sorted(PINS))
+@pytest.mark.parametrize("fingerprints", [False, True],
+                         ids=["plain", "fingerprints"])
+def test_pinned_rows_reproduce(row, fingerprints):
+    result = run(row, liveness=True, fingerprints=fingerprints)
+    assert as_row(row, result) == PINS[row]
+
+
+@pytest.mark.parametrize("row", sorted(PINS))
+def test_symmetry_reaches_the_pinned_verdict(row):
+    symmetric = ReductionOptions(symmetry=True)
+    result = run(row, liveness=True, reduction=symmetric)
+    pin = PINS[row]
+    assert (result.ok, result.violation and result.violation.kind) == (
+        pin["verdict"] == "PASS", pin["kind"])
+    assert (result.states_explored
+            == run(row, reduction=symmetric).states_explored)
+
+
+def test_the_pins_hold_the_starvation_kills():
+    # 13 line deletions in stache.tea that pass safety checking and
+    # strand a thread; the dropped DelSharer at line 140 survives both.
+    kinds = {row: PINS[row]["kind"] for row in PINS if ":" in row}
+    assert kinds.pop("stache.tea:140") is None
+    assert len(kinds) == 13 and set(kinds.values()) == {"starvation"}
+
+
+# -- the analysis on hand-built graphs ----------------------------------------
+
+def graph(*successors):
+    """CSR arrays for a graph given as one successor list per state."""
+    offsets, targets = array("q", [0]), array("q")
+    for out in successors:
+        targets.extend(out)
+        offsets.append(len(targets))
+    return offsets, targets
+
+
+SWAP = [(0, 1), (1, 0)]
+
+
+def test_a_blocked_self_loop_is_stuck():
+    # 0 -> 1, and 1 (node 0 blocked) only loops on itself.
+    assert stuck_thread(1, array("q", [0, 1]), *graph([1], [1])) == (0, 1)
+
+
+def test_a_cycle_that_never_wakes_is_stuck():
+    # 1 <-> 2 with node 1 blocked throughout; node 0 always runs.
+    blocked = array("q", [0, 2, 2])
+    assert stuck_thread(2, blocked, *graph([1], [2], [1])) == (1, 1)
+
+
+def test_a_wakeup_through_a_renaming_edge():
+    # State 1 blocks node 0 forever and runs node 1.  Node 0 of state 0
+    # lands there blocked, unless the edge renames it to node 1.
+    blocked = array("q", [1, 1])
+    offsets, targets = graph([1], [1])
+    assert stuck_thread(2, blocked, offsets, targets) == (0, 0)
+    assert stuck_thread(2, blocked, offsets, targets,
+                        array("B", [1, 0]), SWAP) == (0, 1)
+    # With state 1 running node 0 instead, the swap is what strands it.
+    blocked = array("q", [1, 2])
+    assert stuck_thread(2, blocked, offsets, targets) == (1, 1)
+    assert stuck_thread(2, blocked, offsets, targets,
+                        array("B", [1, 0]), SWAP) == (0, 0)
+
+
+def test_the_lowest_stuck_index_is_reported():
+    # 0 fans out to a waking branch (1 -> 4) and two stuck sinks (2, 3).
+    blocked = array("q", [0, 1, 1, 1, 0])
+    assert stuck_thread(1, blocked,
+                        *graph([1, 3, 2], [4], [2], [3], [4])) == (0, 2)
+    assert stuck_thread(1, array("q", [0, 1, 0]),
+                        *graph([1], [2], [2])) is None
+
+
+# -- keyed witnesses and early stops ------------------------------------------
+
+def test_a_keyed_witness_that_runs_its_node_is_a_collision(monkeypatch):
+    # The analysis names the initial state, where every node runs: the
+    # replayed witness disagrees, as after a fingerprint collision.
+    monkeypatch.setattr(starvation.KeyGraph, "stuck",
+                        lambda _graph, _nodes: (0, 0))
+    with pytest.raises(FingerprintCollisionError, match="runs node 0"):
+        api.check("stache", CheckOptions(liveness=True, fingerprints=True))
+
+
+@pytest.mark.parametrize("argv", [
+    ["--max-states", "500"],
+    ["--deadline", "0.000001"],
+], ids=["truncated", "stopped"])
+def test_an_early_stop_says_liveness_did_not_run(argv, capsys):
+    assert main(["verify", "stache_nack", "--nodes", "3", "--liveness",
+                 *argv]) == 0
+    out, err = capsys.readouterr()
+    assert "PASS" in out
+    assert "the starvation check (--liveness) did not run" in out + err

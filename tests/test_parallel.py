@@ -115,10 +115,16 @@ class TestSerialFingerprintMode:
         assert compact.violation.trace == full.violation.trace
         assert compact.violation.state is not None
 
-    def test_incompatible_with_liveness(self):
-        with pytest.raises(ValueError):
-            make_serial("stache", fingerprint_states=True,
-                        check_progress=True)
+    def test_combines_with_liveness(self):
+        # Liveness reads the fingerprint keys: same verdict, same space.
+        full = make_serial("stache_nack", reorder=1,
+                           check_progress=True).run()
+        compact = make_serial("stache_nack", reorder=1,
+                              fingerprint_states=True,
+                              check_progress=True).run()
+        assert compact.ok and full.ok
+        assert ((compact.states_explored, compact.transitions)
+                == (full.states_explored, full.transitions))
 
 
 class TestCollisionDetection:
