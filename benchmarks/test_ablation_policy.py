@@ -142,7 +142,7 @@ def test_ablation_nack_policy(benchmark, report):
         nack = compile_named_protocol("stache_nack")
         careful = ModelChecker(nack, n_nodes=3, n_blocks=1,
                                events=StacheEvents(),
-                               check_progress=True).run()
+                               liveness=True).run()
 
         # 2. Drop the read-retry: requests are lost, readers hang.
         source = load_protocol_source("stache_nack")
@@ -159,7 +159,7 @@ def test_ablation_nack_policy(benchmark, report):
             initial_states=("Home_Idle", "Cache_Invalid"))
         careless = ModelChecker(broken, n_nodes=3, n_blocks=1,
                                 events=StacheEvents(),
-                                check_progress=True).run()
+                                liveness=True).run()
 
         # 3. Retry traffic under contention, versus queueing.
         rng = random.Random(7)

@@ -33,7 +33,6 @@ variants with :func:`dataclasses.replace`.
 
 from __future__ import annotations
 
-import sys
 import warnings
 from dataclasses import dataclass
 from typing import IO, TYPE_CHECKING, Optional, Union
@@ -130,28 +129,6 @@ class ReductionOptions:
 
 
 @dataclass(frozen=True)
-class ProgressOptions:
-    """Progress reporting while a check runs.
-
-    ``enabled`` turns on periodic progress lines (to ``stream``, or
-    stderr when ``stream`` is None); an explicit ``stream`` enables
-    reporting by itself.
-    """
-
-    enabled: bool = False
-    every: int = 10_000
-    stream: Optional[IO] = None
-
-    def __bool__(self) -> bool:
-        return self.enabled or self.stream is not None
-
-    def effective_stream(self) -> Optional[IO]:
-        if self.stream is not None:
-            return self.stream
-        return sys.stderr if self.enabled else None
-
-
-@dataclass(frozen=True)
 class CheckpointOptions:
     """Resumable JSON checkpoints, on either engine (docs/ROBUSTNESS.md,
     "Resilient checking").
@@ -195,18 +172,13 @@ class ArtifactOptions:
     ``profile`` arms an exploration profiler (repro.obs.profile) and
     attaches a CheckProfile to ``CheckResult.profile``; ``atlas``
     records the explored state graph (repro.verify.atlas) onto
-    ``CheckResult.atlas``.  Both are observably free when off: the
-    checkers run their uninstrumented code paths.
+    ``CheckResult.atlas``, exact up to the recorder's default caps and
+    a uniform sample above them.  Both are observably free when off:
+    the checkers run their uninstrumented code paths.
     """
 
     profile: bool = False
-    # Extra timeline samples every this many states inside large layers.
-    profile_sample_every: int = 2000
     atlas: bool = False
-    # Bottom-k sketch caps: the atlas is exact below these and a
-    # uniform digest-keyed sample (with logged truncation) above.
-    atlas_state_cap: int = 100_000
-    atlas_edge_cap: int = 250_000
 
 
 @dataclass(frozen=True)
@@ -214,8 +186,11 @@ class CheckOptions:
     """Model-checking configuration (one Table 3 cell).
 
     The auxiliary knobs live in grouped sub-records -- ``reduction``,
-    ``progress``, ``checkpoint``, ``budget``, ``artifacts`` -- each a
-    frozen dataclass of its own.
+    ``checkpoint``, ``budget``, ``artifacts`` -- each a frozen
+    dataclass of its own.  ``progress`` is a stream: every run records a
+    timeline (``CheckResult.timeline``), and with a stream its points
+    are printed there as progress lines, about one a second (the CLI's
+    ``--progress`` passes stderr); None keeps the run quiet.
     """
 
     nodes: int = 2
@@ -236,7 +211,7 @@ class CheckOptions:
     fingerprints: bool = False
     # Grouped sub-options.
     reduction: ReductionOptions = ReductionOptions()
-    progress: ProgressOptions = ProgressOptions()
+    progress: Optional[IO] = None
     checkpoint: CheckpointOptions = CheckpointOptions()
     budget: BudgetOptions = BudgetOptions()
     artifacts: ArtifactOptions = ArtifactOptions()
@@ -350,9 +325,6 @@ def check(target: Target,
     if coherent is None:
         coherent = entry is None or entry.coherent
     invariants = standard_invariants(coherent=coherent)
-    progress = options.progress
-    progress_stream = progress.effective_stream()
-
     reduction = options.reduction
     checkpointing = bool(options.checkpoint.out
                          or options.checkpoint.resume)
@@ -373,14 +345,12 @@ def check(target: Target,
         if artifacts.profile:
             from repro.obs.profile import CheckProfiler
 
-            profiler = CheckProfiler(
-                sample_every=artifacts.profile_sample_every)
+            profiler = CheckProfiler()
         atlas = None
         if artifacts.atlas:
             from repro.verify.atlas import AtlasRecorder
 
-            atlas = AtlasRecorder(state_cap=artifacts.atlas_state_cap,
-                                  edge_cap=artifacts.atlas_edge_cap)
+            atlas = AtlasRecorder()
         shared = dict(
             n_nodes=options.nodes,
             n_blocks=options.addresses,
@@ -389,13 +359,12 @@ def check(target: Target,
             invariants=invariants,
             max_states=options.max_states,
             channel_cap=options.channel_cap,
-            progress_stream=progress_stream,
-            progress_every=progress.every,
+            progress_stream=options.progress,
             fault_budget=options.faults,
             profiler=profiler,
             atlas=atlas,
             symmetry=symmetry,
-            check_progress=options.liveness,
+            liveness=options.liveness,
             checkpoint_out=options.checkpoint.out,
             resume=options.checkpoint.resume,
             checkpoint_keep_last=options.checkpoint.keep_last,

@@ -155,8 +155,7 @@ def cmd_verify(args) -> int:
         liveness=args.liveness,
         fingerprints=args.fingerprints,
         reduction=api.ReductionOptions(symmetry=args.symmetry),
-        progress=api.ProgressOptions(enabled=args.progress,
-                                     every=args.progress_every),
+        progress=sys.stderr if args.progress else None,
         checkpoint=api.CheckpointOptions(
             out=args.checkpoint_out,
             resume=args.resume,
@@ -530,9 +529,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--progress", action="store_true",
                    help="print states/sec progress lines (with frontier/"
                         "visited sizes and invariant evaluation counts) "
-                        "to stderr while exploring")
-    p.add_argument("--progress-every", type=int, default=10_000,
-                   help="states between progress lines (default 10000)")
+                        "to stderr while exploring, one per BFS layer "
+                        "at most about once a second")
     p.add_argument("--liveness", action="store_true",
                    help="also check liveness: every blocked thread can "
                         "reach a wake-up (catches starvation); serial, in "

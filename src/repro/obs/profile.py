@@ -6,17 +6,19 @@ module is the measurement layer every checker-performance change is
 judged against, the same way :mod:`repro.obs` is for the simulator:
 
 - :class:`CheckProfiler` -- the armed recorder the checkers thread
-  through their hot loops.  It accumulates (a) a states/s + frontier
-  timeline sampled per BFS depth (serial) or per wave (parallel),
-  (b) per-phase wall-time attribution -- successor generation,
-  invariant evaluation, fingerprint/encode, visited-set bookkeeping,
-  checkpoint I/O -- (c) per-(state, message) dispatch cost and
-  successor out-degree histograms, (d) parallel wave accounting
-  (per-worker busy/barrier-wait, cross-shard traffic, queue imbalance),
-  and (e) visited-set memory estimates.
+  through their hot loops.  It accumulates (a) per-phase wall-time
+  attribution -- successor generation, invariant evaluation,
+  fingerprint/encode, visited-set bookkeeping, checkpoint I/O -- (b)
+  per-(state, message) dispatch cost and successor out-degree
+  histograms, (c) parallel wave accounting (per-worker
+  busy/barrier-wait, cross-shard traffic, queue imbalance), and (d)
+  visited-set memory estimates.
 - :class:`CheckProfile` -- the schema-versioned JSON artifact
   (``teapot verify --profile-out``), rendered by ``teapot analyze
-  check-profile`` and diffable with ``teapot analyze diff``.
+  check-profile`` and diffable with ``teapot analyze diff``.  Its
+  states/s + frontier ``timeline`` is the run's own
+  (``CheckResult.timeline``: a point per BFS layer, or wave), which
+  every run records and ``--progress`` prints.
 
 The profiler is strictly an observer.  When it is absent (the default,
 ``profiler=None``) the checkers run the exact code they always ran:
@@ -67,32 +69,23 @@ _perf = time.perf_counter
 class CheckProfiler:
     """Armed recorder for one exploration run.
 
-    The checkers call the ``add_*``/``sample`` methods only when a
-    profiler was passed; a fresh instance should be used per run (the
-    counters are cumulative).
+    The checkers call the ``add_*`` methods only when a profiler was
+    passed; a fresh instance should be used per run (the counters are
+    cumulative).
     """
 
-    def __init__(self, sample_every: int = 2000):
-        # A timeline sample is recorded whenever the BFS depth grows
-        # (one per layer/wave) and additionally every ``sample_every``
-        # newly visited states inside large layers.
-        self.sample_every = max(1, sample_every)
+    def __init__(self):
         self.phases: dict[str, float] = {}
         self.dispatch: dict[str, list] = {}   # arm -> [count, seconds]
         self.out_degree: dict[int, int] = {}  # successors -> state count
-        self.timeline: list[dict] = []
         self.visited_stats: dict = {}
         # Parallel-only accounting, populated by the master loop.
         self.waves: list[dict] = []
         self.cross_shard_entries = 0
         self.cross_shard_bytes = 0
         self.worker_totals: dict[int, dict] = {}
-        self._t0: Optional[float] = None
 
     # -- recording (checker-facing) -----------------------------------------
-
-    def begin(self) -> None:
-        self._t0 = _perf()
 
     def add_phase(self, name: str, seconds: float) -> None:
         self.phases[name] = self.phases.get(name, 0.0) + seconds
@@ -124,18 +117,6 @@ class CheckProfiler:
                 return
             add("successors", _perf() - t0)
             yield item
-
-    def sample(self, states: int, frontier: int, depth: int,
-               transitions: int) -> None:
-        t = (_perf() - self._t0) if self._t0 is not None else 0.0
-        self.timeline.append({
-            "t": round(t, 6),
-            "states": states,
-            "frontier": frontier,
-            "depth": depth,
-            "transitions": transitions,
-            "states_per_s": round(states / t, 1) if t > 0 else 0.0,
-        })
 
     def set_visited(self, entries: int, mode: str,
                     container_bytes: int = 0) -> None:
@@ -277,7 +258,7 @@ class CheckProfiler:
             wall_seconds=round(wall, 6),
             result=result_section,
             phases=phases,
-            timeline=list(self.timeline),
+            timeline=result.timeline,
             # count: the arm's fires, cache replays included; seconds:
             # the dispatches really executed (one per effects-cache miss).
             dispatch={key: {"count": count, "seconds": round(

@@ -51,7 +51,6 @@ exploration order or results.
 from __future__ import annotations
 
 import heapq
-import re
 from collections import defaultdict
 from dataclasses import dataclass, field
 from hashlib import blake2b
@@ -59,6 +58,7 @@ from typing import Optional
 
 from repro.ioutil import atomic_write_json, check_envelope, read_json
 from repro.obs.analyze.trace import TraceError
+from repro.verify.checker import parse_label
 from repro.verify.fingerprint import (
     DEFAULT_PERM_CAP,
     SymmetryCanonicalizer,
@@ -74,26 +74,6 @@ ATLAS_VERSION = 1
 # registered protocol exceeds these; Table-3-sized configs do not.
 DEFAULT_STATE_CAP = 100_000
 DEFAULT_EDGE_CAP = 250_000
-
-# Checker rule labels (see ModelChecker._successors): deliveries and
-# fault transitions carry the full message signature; application rules
-# are "n{node}: {tag} b{block}".
-_EDGE_LABEL = re.compile(
-    r"^(deliver|drop|dup) (\S+) (\d+)->(\d+)\[(\d+)\] blk=(\d+)$")
-_APP_LABEL = re.compile(r"^n(\d+): (.+?) b(\d+)$")
-
-
-def parse_edge_label(label: str) -> tuple:
-    """``(tag, sender, receiver, kind, block)`` from a rule label."""
-    match = _EDGE_LABEL.match(label)
-    if match is not None:
-        return (match.group(2), int(match.group(3)), int(match.group(4)),
-                match.group(1), int(match.group(6)))
-    match = _APP_LABEL.match(label)
-    if match is not None:
-        node = int(match.group(1))
-        return match.group(2), node, node, "app", int(match.group(3))
-    return label, None, None, "other", None
 
 
 class _BottomK:
@@ -273,7 +253,7 @@ class AtlasRecorder:
             states[f"{fp:016x}"] = annotation
         edges = []
         for src, dst, label in self._edges.entries.values():
-            tag, sender, receiver, kind, block = parse_edge_label(label)
+            kind, tag, sender, receiver, _index, block = parse_label(label)
             edges.append([f"{src:016x}", f"{dst:016x}", tag, sender,
                           receiver, kind, block, label])
         edges.sort(key=lambda record: (record[0], record[1], record[7]))

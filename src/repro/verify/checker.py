@@ -14,7 +14,7 @@ import time
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import IO, Optional
+from typing import IO, NamedTuple, Optional
 
 from repro.backends.python_backend import CompiledEngine
 from repro.faults import FaultBudget
@@ -143,10 +143,41 @@ def _asymmetric(what: str, mapping: tuple) -> SymmetryError:
         "reduction would silently skip reachable states")
 
 
-# Fault transitions the checker injects: "drop TAG s->d[i] blk=B" and
-# "dup TAG s->d[i] blk=B" (same shape as delivery labels).
-_FAULT_LABEL = re.compile(
-    r"^(drop|dup) (\S+) (\d+)->(\d+)\[(\d+)\] blk=(\d+)$")
+# The rule labels: a delivery or an injected fault names its message,
+# "deliver|drop|dup TAG s->d[i] blk=B" (_message_label); an application
+# rule, as the event generators spell it, is "n{node}: {op} b{block}".
+_LABEL = re.compile(r"^(?:(deliver|drop|dup) (\S+) (\d+)->(\d+)\[(\d+)\] "
+                    r"blk=(\d+)|n(\d+): (.+?) b(\d+))$")
+
+
+class Label(NamedTuple):
+    """A rule label read back (:func:`parse_label`)."""
+
+    kind: str                # "deliver" | "drop" | "dup" | "app" | "other"
+    tag: str                 # message tag, application op, or the label
+    src: Optional[int]       # sender (an application rule's node)
+    dst: Optional[int]       # receiver (the same node)
+    index: Optional[int]     # position in the channel
+    block: Optional[int]
+
+
+def _message_label(kind: str, message: Message, src: int, dst: int,
+                   index: int) -> str:
+    return (f"{kind} {message.tag} {src}->{dst}[{index}] "
+            f"blk={message.block}")
+
+
+def parse_label(label: str) -> Label:
+    """The one reading of a rule label; a marker such as ``<initial>``
+    is kind ``other``."""
+    match = _LABEL.match(label)
+    if match is None:
+        return Label("other", label, None, None, None, None)
+    kind, tag, src, dst, index, block, node, op, at = match.groups()
+    if kind is None:
+        node = int(node)
+        return Label("app", op, node, node, None, int(at))
+    return Label(kind, tag, int(src), int(dst), int(index), int(block))
 
 
 @dataclass
@@ -169,20 +200,11 @@ class Violation:
     def fault_schedule(self) -> list[dict]:
         """The fault transitions along the trace, in order: one dict per
         injected drop/dup with its step number and message signature."""
-        schedule = []
-        for step, label in enumerate(self.trace, 1):
-            match = _FAULT_LABEL.match(label)
-            if match is not None:
-                schedule.append({
-                    "step": step,
-                    "action": match.group(1),
-                    "tag": match.group(2),
-                    "src": int(match.group(3)),
-                    "dst": int(match.group(4)),
-                    "index": int(match.group(5)),
-                    "block": int(match.group(6)),
-                })
-        return schedule
+        return [{"step": step, "action": rule.kind, "tag": rule.tag,
+                 "src": rule.src, "dst": rule.dst, "index": rule.index,
+                 "block": rule.block}
+                for step, rule in enumerate(map(parse_label, self.trace), 1)
+                if rule.kind in ("drop", "dup")]
 
     def to_fault_plan(self):
         """A scripted :class:`repro.faults.FaultPlan` approximating this
@@ -283,6 +305,11 @@ class CheckResult:
     # truncation.  A set stop_reason implies exhausted=False and, when
     # checkpointing was configured, a resumable checkpoint on disk.
     stop_reason: Optional[str] = None
+    # The run's timeline (checkpoint.CutPolicy): one point -- t (the
+    # whole run's seconds), states, frontier, depth, transitions,
+    # states_per_s -- at the first cut of every BFS layer (parallel:
+    # wave), then the final one at the result's counts.
+    timeline: list = field(default_factory=list)
 
     def summary(self) -> str:
         status = "PASS" if self.ok else "FAIL"
@@ -308,37 +335,6 @@ class CheckResult:
         )
 
 
-# -- progress-line plumbing (ModelChecker._report_progress) ---------------------
-
-def _rolling_rate(window, elapsed: float, states: int):
-    """states/s over the last few progress samples (None until two
-    samples exist).  ``window`` is a bounded deque of (elapsed, states)
-    pairs this call appends to."""
-    window.append((elapsed, states))
-    if len(window) < 2:
-        return None
-    dt = window[-1][0] - window[0][0]
-    ds = window[-1][1] - window[0][1]
-    return ds / dt if dt > 0 else None
-
-
-def _eta_seconds(states: int, max_states: int, rate) -> "float | None":
-    """Upper-bound ETA: time to reach the --max-states cap at the
-    current rate.  A search whose frontier empties sooner finishes
-    sooner, so this is a ceiling, not a prediction."""
-    if not rate or rate <= 0 or states >= max_states:
-        return None
-    return (max_states - states) / rate
-
-
-def _fmt_eta(seconds: float) -> str:
-    if seconds < 120:
-        return f"{seconds:.0f}s"
-    if seconds < 7200:
-        return f"{seconds / 60:.0f}m"
-    return f"{seconds / 3600:.1f}h"
-
-
 class ModelChecker:
     """Exhaustively checks a compiled protocol.
 
@@ -359,9 +355,8 @@ class ModelChecker:
         max_states: int = 2_000_000,
         channel_cap: int = 4,
         interpreter_factory=CompiledEngine,
-        check_progress: bool = False,
+        liveness: bool = False,
         progress_stream: Optional[IO] = None,
-        progress_every: int = 10_000,
         fingerprint_states: bool = False,
         fault_budget=None,
         profiler=None,
@@ -391,24 +386,23 @@ class ModelChecker:
         # with non-blocking operations finite.  Deliveries are never
         # gated, so this cannot introduce spurious deadlocks.
         self.channel_cap = channel_cap
-        # Progress checking (a liveness extension beyond the paper's
+        # Liveness checking (an extension beyond the paper's
         # safety checks): record the explored graph over the run's own
         # keys and verify that from every reachable state, every blocked
         # thread can still reach a state where it runs again
         # (repro.verify.starvation).  Catches starvation bugs -- e.g. a
         # nacked request that is never retried -- that no safety
         # invariant sees.  The checkpoint format carries no edges.
-        self.check_progress = check_progress
-        if check_progress and (checkpoint_out or resume):
+        self.liveness = liveness
+        if liveness and (checkpoint_out or resume):
             raise ValueError("liveness checking cannot run with "
                              "checkpoint/resume: a checkpoint does not "
                              "carry the explored graph")
-        # Progress *reporting* (distinct from the liveness check above):
-        # when a stream is given, print a states/sec line every
-        # ``progress_every`` states plus one final line, so long runs
-        # are diagnosable while they execute.
+        # Progress lines: when a stream is given, the run's timeline
+        # points are printed there as they are taken, at most about one
+        # a second (checkpoint.CutPolicy), so long runs are diagnosable
+        # while they execute.
         self.progress_stream = progress_stream
-        self.progress_every = max(1, progress_every)
         # Hash compaction: key the visited set (and parent pointers) by
         # 64-bit fingerprints instead of whole states.  Memory per
         # visited state drops by an order of magnitude; any violation
@@ -440,7 +434,7 @@ class ModelChecker:
         # Liveness under symmetry also reads each state's argmin renaming
         # (starvation.KeyGraph), memoised with its key.
         self._renaming = None
-        if symmetry and check_progress:
+        if symmetry and liveness:
             least = Memo(lambda state: self._canon.least(
                 state, fingerprint(state)))
             self.fingerprint_fn = lambda state: least[state][0]
@@ -703,9 +697,8 @@ class ModelChecker:
         message = MESSAGES[mid]
         terms = self._slot_terms
         swap = 0 if terms is None else terms[slot][cid] ^ terms[slot][after]
-        return (f"deliver {message.tag} {src}->{dst}[{index}] "
-                f"blk={message.block}", dst, message.block, mid,
-                (slot, after, swap))
+        return (_message_label("deliver", message, src, dst, index), dst,
+                message.block, mid, (slot, after, swap))
 
     def _choices(self, key: tuple) -> tuple:
         node, app = key[0], APPS[key[1]]
@@ -811,8 +804,7 @@ class ModelChecker:
                             terms[slot][cid] ^ terms[slot][ids[slot]]
                             ^ terms[budget][state[budget]]
                             ^ terms[budget][ids[budget]])
-                    yield (f"{kind} {message.tag} {src}->{dst}[{index}] "
-                           f"blk={message.block}",
+                    yield (_message_label(kind, message, src, dst, index),
                            tuple.__new__(GlobalState, ids))
 
     # -- search -------------------------------------------------------------
@@ -822,7 +814,6 @@ class ModelChecker:
         the atlas recorder, when one is attached).  Also runs at
         construction, so a fresh checker (a replay clone, the parallel
         template) can step and judge states at once."""
-        self._progress_window: deque = deque(maxlen=8)
         self._invariant_evals = {}
         self._handler_fires = {}
         self._max_depth = 0
@@ -965,27 +956,27 @@ class ModelChecker:
         prof.add_phase("invariants", time.perf_counter() - t0)
         return message
 
-    def _finish(self, violation: Optional[Violation], *, frontier: int,
-                progress_extra: str = "", **counts) -> CheckResult:
+    def _finish(self, violation: Optional[Violation], *,
+                policy: CutPolicy, frontier: int, progress_extra: str = "",
+                **counts) -> CheckResult:
         """The end of every run: replay-validate a counterexample built
-        from fingerprints, print the final progress line, and build the
-        :class:`CheckResult` (``counts`` are :meth:`_result`'s keywords;
-        ``elapsed`` includes a resumed checkpoint's) with the observers'
-        artifacts.  The parallel master calls this on its template."""
+        from fingerprints, take the timeline's final point (and progress
+        line) from ``policy``, and build the :class:`CheckResult`
+        (``counts`` are :meth:`_result`'s keywords; ``elapsed`` includes
+        a resumed checkpoint's) with the observers' artifacts.  The
+        parallel master calls this on its template."""
         if (violation is not None and self.fingerprint_states
                 and violation.kind != "starvation"):
             # Collision guard: the trace came from fingerprint-keyed
             # parent pointers; make sure it actually replays (_starvation
             # replayed its own witness).
             self.verify_violation(violation)
-        if self.progress_stream is not None:
-            self._report_progress(
-                counts["states"], frontier, counts["max_depth"],
-                counts["transitions"], counts["elapsed"],
-                sum(counts["invariant_evals"].values()), final=True,
-                extra=progress_extra)
+        timeline = policy.finish(
+            counts["states"], frontier, counts["max_depth"],
+            counts["transitions"], counts["invariant_evals"],
+            counts["elapsed"], progress_extra)
         result = self._result(ok=violation is None, violation=violation,
-                              **counts)
+                              timeline=timeline, **counts)
         if self.profiler is not None:
             result.profile = self.profiler.build(result)
         if self.atlas is not None:
@@ -995,12 +986,12 @@ class ModelChecker:
     def _run_bfs(self, interrupt_cell) -> CheckResult:
         start_time = time.perf_counter()
         prof = self.profiler
-        if prof is not None:
-            prof.begin()
         self._begin_run()
         # Every run starts from a cut: a resumed checkpoint's, or the
         # trivial one whose frontier is the initial state.
         cut = starting_cut(self)
+        # Asked at every clean cut; it keeps the run's clock and timeline.
+        policy = CutPolicy(self, start_time, cut.elapsed)
         transitions = cut.transitions
         self._max_depth = cut.max_depth
         self._invariant_evals = cut.invariant_evals
@@ -1016,20 +1007,15 @@ class ModelChecker:
         # Liveness's record of the explored graph, over these same keys
         # (imported by the runs that check it).
         graph = None
-        if self.check_progress:
+        if self.liveness:
             from repro.verify.starvation import KeyGraph
             graph = KeyGraph(self._canon and [self._canon.identity,
                                               *self._canon.perms])
         renaming = self._renaming or (lambda _state: None)
         stopped: Optional[str] = None    # see _result
 
-        def elapsed() -> float:
-            return cut.elapsed + (time.perf_counter() - start_time)
-
         def finish(violation: Optional[Violation] = None) -> CheckResult:
             if prof is not None:
-                prof.sample(len(visited), len(frontier), self._max_depth,
-                            transitions)
                 prof.set_visited(
                     entries=len(visited),
                     mode=("fingerprint" if self.fingerprint_states
@@ -1037,9 +1023,10 @@ class ModelChecker:
                     container_bytes=visited_container_bytes(
                         visited, parents))
             return self._finish(
-                violation, states=len(visited), frontier=len(frontier),
-                transitions=transitions, max_depth=self._max_depth,
-                elapsed=elapsed(), invariant_evals=self._invariant_evals,
+                violation, policy=policy, states=len(visited),
+                frontier=len(frontier), transitions=transitions,
+                max_depth=self._max_depth, elapsed=policy.elapsed(),
+                invariant_evals=self._invariant_evals,
                 handler_fires=self._handler_fires, stopped=stopped)
 
         def trace_to(key, last_label: str) -> list[str]:
@@ -1090,7 +1077,7 @@ class ModelChecker:
             # the counters to the cut's pre-acceptance semantics.  The
             # live containers hold the frontier too; the encoder skips it.
             Cut(wave=frontier[0][2], transitions=transitions,
-                max_depth=self._max_depth, elapsed=elapsed(),
+                max_depth=self._max_depth, elapsed=policy.elapsed(),
                 invariant_evals={
                     name: max(0, count - len(pending))
                     for name, count in self._invariant_evals.items()},
@@ -1100,9 +1087,10 @@ class ModelChecker:
 
         # The top of the loop is a clean cut (see CutPolicy): every
         # non-frontier visited state is fully expanded.
-        policy = CutPolicy(self, start_time)
+        evals = self._invariant_evals
         while frontier:
-            stopped = policy.at_cut(len(visited), frontier[0][2],
+            stopped = policy.at_cut(len(visited), len(frontier),
+                                    frontier[0][2], transitions, evals,
                                     interrupt_cell[0], write_ckpt)
             if stopped is not None:
                 return finish()
@@ -1114,19 +1102,6 @@ class ModelChecker:
                         graph.edge(succ_key, renaming(successor))
                     if succ_key in visited:
                         continue
-                    count = len(visited) + 1
-                    if (self.progress_stream is not None
-                            and count % self.progress_every == 0):
-                        self._report_progress(
-                            count, len(frontier), self._max_depth,
-                            transitions, elapsed(),
-                            sum(self._invariant_evals.values()))
-                    if prof is not None and (
-                            d >= self._max_depth
-                            or count % prof.sample_every == 0):
-                        prof.sample(count, len(frontier),
-                                    max(self._max_depth, d + 1),
-                                    transitions)
                     message = take(successor, succ_key, key, label, d + 1)
                     if message is not None:
                         return finish(Violation(
@@ -1211,32 +1186,6 @@ class ModelChecker:
             cursor = parent
         labels.reverse()
         return labels
-
-    def _report_progress(self, states: int, frontier_size: int,
-                         max_depth: int, transitions: int, elapsed: float,
-                         inv_evals: int, final: bool = False,
-                         extra: str = "") -> None:
-        """Print one progress line (the parallel master appends
-        per-worker rates via ``extra``).  ``elapsed`` is the whole
-        run's -- a resumed checkpoint's baseline plus this process's --
-        because ``states`` includes the checkpoint's visited set; a rate
-        over this process's time alone would overstate the speed."""
-        rate = states / elapsed if elapsed > 0 else float(states)
-        rolling = _rolling_rate(self._progress_window, elapsed, states)
-        detail = ""
-        if rolling is not None:
-            detail = f" (rolling {rolling:.0f}/s"
-            eta = None if final else _eta_seconds(states, self.max_states,
-                                                  rolling)
-            if eta is not None:
-                detail += f", eta<={_fmt_eta(eta)} to state cap"
-            detail += ")"
-        print(f"[verify {self.protocol.name}] states={states} "
-              f"frontier={frontier_size} depth={max_depth} "
-              f"transitions={transitions} inv_evals={inv_evals} "
-              f"{rate:.0f} states/s{detail}{extra} "
-              f"{'done' if final else '...'}",
-              file=self.progress_stream, flush=True)
 
     @staticmethod
     def _invariant_name(invariant: Invariant) -> str:

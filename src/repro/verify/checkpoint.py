@@ -27,7 +27,8 @@ on-disk concerns both engines share:
   loudly rather than exploring nonsense.
 * **The stop/checkpoint policy** -- :class:`CutPolicy`, asked at every
   clean cut of every run, and :func:`flag_sigint`, the one way any run
-  takes a Ctrl-C.
+  takes a Ctrl-C.  The policy also keeps the run's clock and timeline,
+  which progress lines print.
 """
 
 from __future__ import annotations
@@ -71,6 +72,10 @@ _UNSEALED_KEYS = ("seal", "elapsed")
 # early still leaves a checkpoint.
 PERIODIC_SPACING_RATIO = 19.0
 
+# Progress lines print the run's timeline: its first point, its last,
+# and in between a point at least this many seconds after the last line.
+PROGRESS_SPACING_SECONDS = 1.0
+
 
 def visited_container_bytes(visited, parents) -> int:
     """The profiler's ``visited_bytes`` stat: the container overhead of
@@ -94,32 +99,54 @@ class CutPolicy:
     frontier, so a checkpoint taken there resumes to the exact
     uninterrupted result.  Every run asks at every one (serially before
     each pop, in parallel at each wave boundary): the one definition of
-    the state cap, Ctrl-C, the deadline, the memory budget and the
-    snapshot cadence.  ``checker`` (or the parallel template) holds the
-    settings, ``start`` is when the deadline's clock started."""
+    the state cap, Ctrl-C, the deadline, the memory budget, the
+    snapshot cadence -- and of the run's timeline, one point at the
+    first cut of every BFS layer or wave plus a final one
+    (:meth:`finish`), the points ``--progress`` prints and the profile
+    keeps.  ``checker`` (or the parallel template) holds the settings,
+    ``start`` is when this process's clock (the deadline's) started and
+    ``elapsed`` what a resumed checkpoint had already spent: the run's
+    clock (:meth:`elapsed`) spans both."""
 
-    def __init__(self, checker, start: float):
+    def __init__(self, checker, start: float, elapsed: float = 0.0):
         self.checker = checker
         self.start = start
+        self.timeline: list[dict] = []
+        self._origin = start - elapsed
         self._max_states = checker.max_states
         self._deadline = checker.deadline_seconds
         self._max_rss_mb = checker.max_rss_mb
         self._path = checker.checkpoint_out
-        self._rss_wave = None       # the wave whose RSS was last read
+        self._depth = None          # the layer of the last point
+        self._printed = None        # the last point printed
         self._last_time = time.perf_counter()
         self._last = (0, 0.0)       # the last snapshot's (states, cost)
         self._per_state = 0.0       # the cost of a state, between the two
 
-    def at_cut(self, states: int, wave: int, interrupted: bool, write,
-               others_rss_mb: float = 0.0) -> "str | None":
+    def elapsed(self) -> float:
+        """The whole run's time so far, a resumed checkpoint's included."""
+        return time.perf_counter() - self._origin
+
+    def at_cut(self, states: int, frontier: int, depth: int,
+               transitions: int, evals: dict, interrupted: bool, write,
+               others_rss_mb: float = 0.0, extra: str = "") -> "str | None":
         """Why the run stops at this cut, or None: ``state_limit`` (a
         plain ``max_states`` truncation, not a
         ``CheckResult.stop_reason``), ``interrupted``, ``deadline`` or
-        ``memory`` -- this process's peak RSS, read once per ``wave``,
-        plus ``others_rss_mb`` (the parallel workers') past the budget.
-        With a checkpoint path the cut is written through
-        ``write(durable)``, the engine's writer: durably at a stop,
-        otherwise when a snapshot is due (:meth:`_due`)."""
+        ``memory`` -- this process's peak RSS, read once per layer, plus
+        ``others_rss_mb`` (the parallel workers') past the budget.
+        ``depth`` is the layer (wave) the cut opens; the first cut at a
+        new one adds a timeline point of ``states``, ``frontier`` and
+        ``transitions`` (``evals``, the invariant evaluation counts, and
+        ``extra``, a suffix, are for its progress line).  With a
+        checkpoint path the cut is written through ``write(durable)``,
+        the engine's writer: durably at a stop, otherwise when a
+        snapshot is due (:meth:`_due`)."""
+        new_layer = depth != self._depth
+        if new_layer:
+            self._depth = depth
+            self._point(states, frontier, depth, transitions,
+                        self.elapsed(), evals, extra)
         if states >= self._max_states:
             reason = "state_limit"
         elif interrupted:
@@ -127,8 +154,8 @@ class CutPolicy:
         elif (self._deadline is not None
               and time.perf_counter() - self.start >= self._deadline):
             reason = "deadline"
-        elif (self._max_rss_mb is not None and wave != self._rss_wave
-              and self._over_rss(wave, others_rss_mb)):
+        elif (self._max_rss_mb is not None and new_layer
+              and peak_rss_mb() + others_rss_mb > self._max_rss_mb):
             reason = "memory"
         else:
             if self._path is not None and self._due(states):
@@ -143,9 +170,48 @@ class CutPolicy:
             self._write(write, True)
         return reason
 
-    def _over_rss(self, wave: int, others_rss_mb: float) -> bool:
-        self._rss_wave = wave
-        return peak_rss_mb() + others_rss_mb > self._max_rss_mb
+    def finish(self, states: int, frontier: int, depth: int,
+               transitions: int, evals: dict, elapsed: float,
+               extra: str = "") -> list:
+        """The run's final point, at the result's counts and ``elapsed``
+        (so its rate is the result's); returns the timeline."""
+        self._point(states, frontier, depth, transitions, elapsed, evals,
+                    extra, final=True)
+        return self.timeline
+
+    def _point(self, states: int, frontier: int, depth: int,
+               transitions: int, t: float, evals: dict, extra: str,
+               final: bool = False) -> None:
+        """Add a timeline point; print it as a progress line when it is
+        the first, the last, or PROGRESS_SPACING_SECONDS after the last
+        line printed."""
+        point = {"t": round(t, 6), "states": states, "frontier": frontier,
+                 "depth": depth, "transitions": transitions,
+                 "states_per_s": round(states / t, 1) if t > 0 else 0.0}
+        self.timeline.append(point)
+        stream = self.checker.progress_stream
+        last = self._printed
+        if stream is None or not (
+                final or last is None
+                or point["t"] - last["t"] >= PROGRESS_SPACING_SECONDS):
+            return
+        self._printed = point
+        rate = states / t if t > 0 else float(states)
+        detail = ""
+        if last is not None and point["t"] > last["t"]:
+            # The rolling rate: over the points since the last line.
+            rolling = (states - last["states"]) / (point["t"] - last["t"])
+            detail = f" (rolling {rolling:.0f}/s"
+            if not final and 0 < rolling and states < self._max_states:
+                # A ceiling: a frontier that empties sooner ends sooner.
+                eta = (self._max_states - states) / rolling
+                detail += f", eta<={_fmt_eta(eta)} to state cap"
+            detail += ")"
+        print(f"[verify {self.checker.protocol.name}] states={states} "
+              f"frontier={frontier} depth={depth} "
+              f"transitions={transitions} inv_evals={sum(evals.values())} "
+              f"{rate:.0f} states/s{detail}{extra} "
+              f"{'done' if final else '...'}", file=stream, flush=True)
 
     def _due(self, states: int) -> bool:
         """Whether this cut gets a snapshot (non-durable): once the time
@@ -164,6 +230,14 @@ class CutPolicy:
         if self.checker.profiler is not None:
             self.checker.profiler.add_phase("checkpoint_io", cost)
         return cost
+
+
+def _fmt_eta(seconds: float) -> str:
+    if seconds < 120:
+        return f"{seconds:.0f}s"
+    if seconds < 7200:
+        return f"{seconds / 60:.0f}m"
+    return f"{seconds / 3600:.1f}h"
 
 
 @contextmanager

@@ -93,7 +93,7 @@ Ctrl-C is not an exception here.  The master flags SIGINT for the life
 of its fleets (:func:`~repro.verify.checkpoint.flag_sigint`; workers
 ignore it), so nothing asynchronous lands inside a message -- no
 half-sent op re-sent, no consumed reply awaited again -- and acts on
-the flag only where it asks ``CutPolicy.stop``: the next wave boundary,
+the flag only where it asks ``CutPolicy.at_cut``: the next wave boundary,
 as the serial loop does at its next pop.  The run stops there, with or
 without a checkpoint path; a second Ctrl-C is not special.
 
@@ -468,7 +468,7 @@ class ParallelChecker:
     and passed through to the template (whose settings the master reads
     back).  The visited set is always fingerprint-keyed
     (``fingerprint_states`` is not accepted), and the serial-only
-    ``check_progress`` is refused.  The constructor's one keyword of its
+    ``liveness`` is refused.  The constructor's one keyword of its
     own is ``workers``, the number of shard-owning processes.
 
     ``run()`` returns the same :class:`CheckResult`; on passing runs the
@@ -487,7 +487,7 @@ class ParallelChecker:
                  **checker_options):
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        if checker_options.get("check_progress"):
+        if checker_options.get("liveness"):
             raise ValueError(
                 "liveness checking reads the graph one process explored "
                 "and is serial-only (CheckOptions.workers must be 0)")
@@ -540,18 +540,18 @@ class ParallelChecker:
         template = self._template
         start = time.perf_counter()
         cut = starting_cut(template)
+        policy = CutPolicy(template, start, cut.elapsed)
         with flag_sigint() as interrupted:
-            return self._explore(cut, start, start - cut.elapsed,
-                                 interrupted)
+            return self._explore(cut, policy, interrupted)
 
-    def _explore(self, cut: Cut, start: float, origin: float,
+    def _explore(self, cut: Cut, policy: CutPolicy,
                  interrupted) -> CheckResult:
         """Take the run from ``cut`` to its result on one fleet.
 
         ``cut`` carries the run: its counting fields move at every wave
         boundary, while its containers stay with the owners until a
-        checkpoint collects them.  ``origin`` is the whole run's clock,
-        a resumed checkpoint's elapsed time included."""
+        checkpoint collects them.  ``policy`` is asked at each boundary
+        and keeps the whole run's clock."""
         template = self._template
         n = self.workers
 
@@ -574,8 +574,6 @@ class ParallelChecker:
         stopped: Optional[str] = None
         violation = None
         prof = template.profiler
-        if prof is not None:
-            prof.begin()
 
         def record_wave(wave_no, wall, *ops) -> None:
             """One wave in the profile: a worker's busy time is summed
@@ -614,10 +612,6 @@ class ParallelChecker:
             start_replies = fleet.start(starts)
             record_wave(cut.wave, time.perf_counter() - start_began,
                         start_replies)
-            policy = CutPolicy(template, start)
-            # The cut's frontier is folded: every state of it is fresh.
-            last_bucket = ((len(cut.visited) + len(cut.frontier))
-                           // template.progress_every)
 
             while True:
                 cycle_started = time.perf_counter()
@@ -631,7 +625,7 @@ class ParallelChecker:
                 # counters reach the master.
                 wave_no = cut.wave
                 cut.wave += 1
-                cut.elapsed = time.perf_counter() - origin
+                cut.elapsed = policy.elapsed()
                 total_states = sum(r["visited"] for r in expand_replies)
                 # Route successor metadata (fingerprints only; the
                 # states wait in the sender stashes).
@@ -649,19 +643,6 @@ class ParallelChecker:
                             prof.add_cross_shard(
                                 len(batch), len(pickle.dumps(batch)))
                 frontier_size = sum(map(len, meta))
-
-                if prof is not None:
-                    prof.sample(total_states, frontier_size, cut.max_depth,
-                                cut.transitions)
-                if (template.progress_stream is not None
-                        and total_states // template.progress_every
-                        > last_bucket):
-                    last_bucket = total_states // template.progress_every
-                    template._report_progress(
-                        total_states, frontier_size, cut.max_depth,
-                        cut.transitions, cut.elapsed,
-                        sum(cut.invariant_evals.values()),
-                        extra=_worker_rates(expand_replies))
 
                 violations = [v for r in expand_replies
                               for v in r["violations"]]
@@ -686,8 +667,11 @@ class ParallelChecker:
                     # of the verdict would lose them for good.  A run
                     # whose frontier emptied is exhausted, as serially.
                     stopped = policy.at_cut(
-                        total_states, cut.wave, interrupted[0], write,
-                        sum(r["rss_mb"] for r in expand_replies))
+                        total_states, frontier_size, cut.wave,
+                        cut.transitions, cut.invariant_evals,
+                        interrupted[0], write,
+                        sum(r["rss_mb"] for r in expand_replies),
+                        _worker_rates(expand_replies))
                 if violations or stopped is not None or frontier_size == 0:
                     record_wave(wave_no, expand_wall, expand_replies)
                     break
@@ -733,9 +717,9 @@ class ParallelChecker:
                     template.atlas.merge(stats["atlas"])
 
         return template._finish(
-            violation, states=total_states, frontier=0,
-            transitions=cut.transitions, max_depth=cut.max_depth,
-            elapsed=time.perf_counter() - origin,
+            violation, policy=policy, states=total_states,
+            frontier=frontier_size, transitions=cut.transitions,
+            max_depth=cut.max_depth, elapsed=policy.elapsed(),
             invariant_evals=cut.invariant_evals,
             handler_fires=cut.handler_fires, stopped=stopped,
             progress_extra=_worker_rates(expand_replies),

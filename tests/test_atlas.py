@@ -16,14 +16,16 @@ The atlas contract has three legs:
 
 import json
 import re
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.api import ArtifactOptions, CheckOptions, check
 from repro.cli import main
+from repro.faults import FaultBudget
 from repro.obs.analyze import TraceError
-from repro.protocols import compile_named_protocol
+from repro.protocols import PROTOCOLS, compile_named_protocol
 from repro.verify import (
     AtlasRecorder,
     ModelChecker,
@@ -43,10 +45,10 @@ from repro.verify.atlas import (
     diff_atlases,
     format_atlas,
     orbit_summary,
-    parse_edge_label,
     residence_heatmap,
     scc_decomposition,
 )
+from repro.verify.checker import Label, parse_label
 from repro.verify.fingerprint import SymmetryCanonicalizer
 from repro.verify.invariants import standard_invariants
 from repro.verify.model import initial_global_state
@@ -172,12 +174,10 @@ class TestEngineInvariance:
         *sampled* atlas is identical at any worker count."""
         keys = {}
         for workers in (0, 2, 3):
-            result = check("stache", CheckOptions(
-                nodes=3, reorder=0, workers=workers,
-                artifacts=ArtifactOptions(atlas=True,
-                                          atlas_state_cap=100,
-                                          atlas_edge_cap=300)))
-            atlas = result.atlas
+            make = (partial(make_parallel, workers=workers) if workers
+                    else make_serial)
+            atlas = make("stache", nodes=3, atlas=AtlasRecorder(
+                state_cap=100, edge_cap=300)).run().atlas
             assert atlas.sampled
             assert atlas.truncation["states_kept"] == 100
             assert atlas.truncation["edges_kept"] == 300
@@ -292,7 +292,7 @@ def synthetic_atlas(depths, edges, nodes=1, state_name="S",
         }
     records = []
     for src, dst, label in edges:
-        tag, sender, receiver, kind, block = parse_edge_label(label)
+        kind, tag, sender, receiver, _index, block = parse_label(label)
         records.append([src, dst, tag, sender, receiver, kind, block,
                         label])
     return StateAtlas(
@@ -456,16 +456,28 @@ class TestBottomK:
 
 class TestLabelParsing:
     @pytest.mark.parametrize("label,expected", [
-        ("deliver GET 0->1[0] blk=0", ("GET", 0, 1, "deliver", 0)),
-        ("drop PUT_DATA 2->0[3] blk=1", ("PUT_DATA", 2, 0, "drop", 1)),
-        ("dup ACK 1->1[0] blk=2", ("ACK", 1, 1, "dup", 2)),
-        ("n0: read b0", ("read", 0, 0, "app", 0)),
-        ("n2: lcm-write b1", ("lcm-write", 2, 2, "app", 1)),
-        ("n1: cas b0", ("cas", 1, 1, "app", 0)),
-        ("<initial>", ("<initial>", None, None, "other", None)),
+        ("deliver GET 0->1[0] blk=0", ("deliver", "GET", 0, 1, 0, 0)),
+        ("drop PUT_DATA 2->0[3] blk=1", ("drop", "PUT_DATA", 2, 0, 3, 1)),
+        ("dup ACK 1->1[0] blk=2", ("dup", "ACK", 1, 1, 0, 2)),
+        ("n0: read b0", ("app", "read", 0, 0, None, 0)),
+        ("n2: lcm-write b1", ("app", "lcm-write", 2, 2, None, 1)),
+        ("n1: cas b0", ("app", "cas", 1, 1, None, 0)),
+        ("<initial>", ("other", "<initial>", None, None, None, None)),
     ])
     def test_parse(self, label, expected):
-        assert parse_edge_label(label) == expected
+        assert parse_label(label) == Label(*expected)
+
+    @pytest.mark.parametrize("name", sorted(PROTOCOLS))
+    def test_every_generated_label_parses(self, name):
+        """The checker's one grammar reads back every label it and the
+        event generators build: each edge of a faulted atlas is a
+        delivery, a fault or an application rule, never ``other``."""
+        atlas = check(name, CheckOptions(
+            nodes=2, faults=FaultBudget(drop=1, dup=1),
+            artifacts=ArtifactOptions(atlas=True))).atlas
+        assert not atlas.sampled
+        assert ({edge[5] for edge in atlas.edges}
+                == {"deliver", "drop", "dup", "app"})
 
 
 class TestExports:
@@ -563,10 +575,8 @@ class TestFormat:
         assert "POR" not in text
 
     def test_sampled_report_flags_truncation(self):
-        atlas = check("stache", CheckOptions(
-            nodes=3, reorder=0,
-            artifacts=ArtifactOptions(atlas=True, atlas_state_cap=50,
-                                      atlas_edge_cap=100))).atlas
+        atlas = make_serial("stache", nodes=3, atlas=AtlasRecorder(
+            state_cap=50, edge_cap=100)).run().atlas
         text = format_atlas(atlas)
         assert "coverage: SAMPLED" in text
         assert "kept 50/847 states" in text

@@ -308,7 +308,7 @@ class TestProgressChecking:
 
     def test_healthy_protocols_pass_progress(self):
         for name in ("stache", "stache_nack", "dash"):
-            result = check(name, reorder=1, check_progress=True)
+            result = check(name, reorder=1, liveness=True)
             assert result.ok, (name, result.violation)
 
     def test_lost_retry_is_starvation_not_deadlock(self):
@@ -330,7 +330,7 @@ class TestProgressChecking:
         # ...but the thread is silently lost, which progress catches.
         progress = ModelChecker(broken, n_nodes=3, n_blocks=1,
                                 events=StacheEvents(),
-                                check_progress=True).run()
+                                liveness=True).run()
         assert not progress.ok
         assert progress.violation.kind == "starvation"
         assert "ever wakes" in progress.violation.message
@@ -338,7 +338,7 @@ class TestProgressChecking:
 
     def test_progress_does_not_change_safety_results(self):
         plain = check("stache", reorder=1)
-        with_progress = check("stache", reorder=1, check_progress=True)
+        with_progress = check("stache", reorder=1, liveness=True)
         assert plain.states_explored == with_progress.states_explored
         assert plain.ok and with_progress.ok
 

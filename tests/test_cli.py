@@ -159,10 +159,12 @@ class TestRefusedModes:
         ("verify lcm --checkpoint-every-seconds 5",
          "--checkpoint-every-seconds 5"),
         ("verify lcm --max-visited-bytes 4096", "--max-visited-bytes 4096"),
+        # Progress lines print the run's timeline, about one a second.
+        ("verify lcm --progress --progress-every 20", "--progress-every 20"),
     ], ids=["--por", "--on-worker-loss degrade", "--worker-stall-timeout 5",
             "coverage --verify", "coverage --trace",
             "--checkpoint-every-waves", "--checkpoint-every-seconds",
-            "--max-visited-bytes"])
+            "--max-visited-bytes", "--progress-every"])
     def test_removed_flag_is_a_usage_error(self, capsys, argv, removed):
         with pytest.raises(SystemExit) as caught:
             main(argv.split())
@@ -662,7 +664,7 @@ class TestExitWithoutFinalisation:
 
         run = _start_teapot(
             "verify", "lcm", "--nodes", "3", *flags, "--progress",
-            "--progress-every", "500", cwd=tmp_path, start_new_session=True)
+            cwd=tmp_path, start_new_session=True)
         first = run.stderr.readline()       # the checker is exploring
         os.killpg(run.pid, signal.SIGINT)   # Ctrl-C reaches the whole group
         out, err = run.communicate(timeout=120)

@@ -15,7 +15,9 @@ not move:
   edge, and reports a broken parent chain in one line;
 * a checkpoint written by the previous release resumes on both engines;
 * a checkpoint never resumes under a different reduction/fault
-  configuration.
+  configuration;
+* every run records one timeline at its clean cuts, whatever it
+  observes, and progress lines print its points.
 """
 
 import io
@@ -51,7 +53,7 @@ from repro.verify.checkpoint import (
     replay_frontier,
     write_checkpoint,
 )
-from repro.verify import model
+from repro.verify import checkpoint, model
 from repro.verify.checker import ModelChecker, _LabelledViolation
 from repro.verify.fingerprint import SymmetryCanonicalizer, fingerprint
 from repro.verify.model import (
@@ -121,11 +123,13 @@ def snapshot_only_at(wave):
     ``wave`` (the policy's pacing, patched)."""
     at_cut, written = CutPolicy.at_cut, []
 
-    def snapshot_at_wave(policy, states, at, interrupted, write, *rest):
+    def snapshot_at_wave(policy, states, frontier, at, transitions, evals,
+                         interrupted, write, *rest):
         if at == wave and not written:
             written.append(at)
             write(False)
-        return at_cut(policy, states, at, interrupted, write, *rest)
+        return at_cut(policy, states, frontier, at, transitions, evals,
+                      interrupted, write, *rest)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(CutPolicy, "_due", lambda _policy, _states: False)
@@ -392,6 +396,129 @@ def test_resumed_progress_rate_spans_the_whole_run(tmp_path, workers):
     assert final.endswith(" done")
     rate = resumed.states_explored / resumed.elapsed_seconds
     assert f" {rate:.0f} states/s" in final
+    # One clock: the timeline (the profile's) reads the same rate.
+    assert resumed.timeline[-1]["states_per_s"] == round(rate, 1)
+    assert all(point["t"] > 60.0 for point in resumed.timeline)
+
+
+# ---------------------------------------------------------------------------
+# One run timeline: a point at the first cut of every layer (wave)
+# ---------------------------------------------------------------------------
+
+
+def untimed(timeline):
+    """The points less their clock readings (``t``, ``states_per_s``)."""
+    return [{key: value for key, value in point.items()
+             if key not in ("t", "states_per_s")} for point in timeline]
+
+
+@pytest.fixture(scope="module")
+def lcm_timelines():
+    """``verify lcm --nodes 3`` plain, keyed, profiled and atlas-armed."""
+    return {name: api.check("lcm", CheckOptions(nodes=3, **options))
+            for name, options in {
+                "plain": {},
+                "fingerprints": {"fingerprints": True},
+                "profiled": {"artifacts": api.ArtifactOptions(profile=True)},
+                "atlas": {"artifacts": api.ArtifactOptions(atlas=True)},
+            }.items()}
+
+
+def test_timeline_point_rules(lcm_timelines):
+    result = lcm_timelines["plain"]
+    timeline = result.timeline
+    last = timeline[-1]
+    assert (last["states"], last["transitions"], last["depth"],
+            last["frontier"]) == (result.states_explored, result.transitions,
+                                  result.max_depth, 0)
+    for key in ("states", "transitions", "t"):
+        values = [point[key] for point in timeline]
+        assert values == sorted(values), key
+    # One point per BFS layer, the initial state's first, then the final.
+    assert [point["depth"] for point in timeline[:-1]] == list(
+        range(result.max_depth + 1))
+    assert timeline[0] == {**timeline[0], "states": 1, "frontier": 1,
+                           "transitions": 0}
+
+
+def test_timeline_is_the_same_whatever_observes_the_run(lcm_timelines):
+    plain = untimed(lcm_timelines["plain"].timeline)
+    for name, result in lcm_timelines.items():
+        assert untimed(result.timeline) == plain, name
+    profiled = lcm_timelines["profiled"]
+    assert profiled.profile.timeline is profiled.timeline
+
+
+def test_resumed_timeline_continues_the_uninterrupted_one(tmp_path,
+                                                          lcm_timelines):
+    path = str(tmp_path / "ck.json")
+    api.check("lcm", CheckOptions(nodes=3, max_states=3000,
+                                  checkpoint=CheckpointOptions(out=path)))
+    saved = load_checkpoint(path)
+    resumed = api.check("lcm", CheckOptions(
+        nodes=3, checkpoint=CheckpointOptions(resume=path)))
+    # The resumed run's first point opens its resume layer (mid-layer,
+    # so its counts are the cut's); from the next layer on its points
+    # are the uninterrupted run's, on the whole run's clock.
+    first = resumed.timeline[0]
+    assert first["depth"] == saved["wave"]
+    assert first["t"] >= saved["elapsed"]
+    full = untimed(lcm_timelines["plain"].timeline)
+    assert untimed(resumed.timeline)[1:] == full[saved["wave"] + 1:]
+
+
+def test_parallel_timeline_has_one_point_per_wave(lcm_timelines):
+    """A point at each wave boundary -- after layer d is expanded, as
+    wave d+1 opens -- plus the final one: the serial run's states, one
+    layer on."""
+    serial = lcm_timelines["plain"].timeline
+    result = api.check("lcm", CheckOptions(
+        nodes=3, workers=2, artifacts=api.ArtifactOptions(profile=True)))
+    timeline = result.timeline
+    depths = [point["depth"] for point in timeline[:-1]]
+    assert depths == list(range(1, len(timeline)))
+    assert depths[-1] in (result.max_depth, result.max_depth + 1)
+    # The profile's waves: the start barrier, then every expand; the
+    # last expand's boundary is the final point.
+    assert len(timeline) == result.profile.parallel["waves"] - 1
+    layers = {point["depth"]: point for point in serial[:-1]}
+    for point in timeline[:-1]:
+        assert point["states"] == layers[point["depth"] - 1]["states"]
+        assert point["transitions"] == layers.get(
+            point["depth"], serial[-1])["transitions"]
+    assert timeline[-1] == {**timeline[-1], "frontier": 0,
+                            "states": result.states_explored,
+                            "transitions": result.transitions,
+                            "depth": result.max_depth}
+
+
+@pytest.mark.parametrize("spacing", [0.0, "quarter", float("inf")])
+def test_progress_lines_are_spaced_by_the_timeline_clock(monkeypatch,
+                                                         spacing):
+    """A point is printed when it is the first, the last, or at least
+    PROGRESS_SPACING_SECONDS after the last line printed."""
+    stream = io.StringIO()
+    if spacing == "quarter":
+        # A spacing inside this run, so some points print and some not.
+        probe = make_serial("lcm", n_nodes=3).run()
+        spacing = probe.timeline[-1]["t"] / 4
+    monkeypatch.setattr(checkpoint, "PROGRESS_SPACING_SECONDS", spacing)
+    result = make_serial("lcm", n_nodes=3, progress_stream=stream).run()
+    timeline = result.timeline
+    expected = []
+    for point in timeline:
+        if (not expected or point is timeline[-1]
+                or point["t"] - expected[-1]["t"] >= spacing):
+            expected.append(point)
+    lines = stream.getvalue().splitlines()
+    assert [int(re.search(r"states=(\d+)", line).group(1))
+            for line in lines] == [point["states"] for point in expected]
+    assert all(line.endswith(" ...") for line in lines[:-1])
+    assert lines[-1].endswith(" done")
+    if spacing == 0.0:
+        assert len(lines) == len(timeline)
+    if spacing == float("inf"):
+        assert len(lines) == 2
 
 
 # ---------------------------------------------------------------------------

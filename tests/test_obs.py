@@ -440,14 +440,22 @@ class TestCheckerObservability:
 
     def test_progress_stream_reports_rates_and_evals(self):
         stream = io.StringIO()
-        result = self._checker(progress_stream=stream,
-                               progress_every=20).run()
+        result = self._checker(progress_stream=stream).run()
         assert result.ok
         lines = stream.getvalue().splitlines()
-        assert len(lines) >= 2  # periodic lines plus the final one
-        assert all("states=" in line and "states/s" in line
-                   for line in lines)
-        assert "done" in lines[-1]
+        # A sub-second run prints its first timeline point and its last.
+        first, last = result.timeline[0], result.timeline[-1]
+        assert len(lines) == 2
+        assert lines[0].startswith(
+            f"[verify Stache] states={first['states']} frontier=1 "
+            "depth=0 transitions=0 inv_evals=4 ")
+        assert lines[0].endswith(" ...")
+        assert (f"states={result.states_explored} frontier=0 "
+                f"depth={result.max_depth} "
+                f"transitions={result.transitions} ") in lines[-1]
+        assert last["states"] == result.states_explored
+        assert all("states/s" in line for line in lines)
+        assert lines[-1].endswith(" done")
         assert result.invariant_evals
         assert all(count >= result.states_explored
                    for count in result.invariant_evals.values())

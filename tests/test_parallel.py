@@ -118,10 +118,10 @@ class TestSerialFingerprintMode:
     def test_combines_with_liveness(self):
         # Liveness reads the fingerprint keys: same verdict, same space.
         full = make_serial("stache_nack", reorder=1,
-                           check_progress=True).run()
+                           liveness=True).run()
         compact = make_serial("stache_nack", reorder=1,
                               fingerprint_states=True,
-                              check_progress=True).run()
+                              liveness=True).run()
         assert compact.ok and full.ok
         assert ((compact.states_explored, compact.transitions)
                 == (full.states_explored, full.transitions))
@@ -174,7 +174,7 @@ class TestParallelDeterminism:
             assert f"workers={workers}" in result.summary() or workers == 1
 
     @pytest.mark.parametrize("option,match", [
-        ("check_progress", "liveness checking .* is serial-only"),
+        ("liveness", "liveness checking .* is serial-only"),
     ])
     def test_serial_only_modes_are_refused(self, option, match):
         # Checker options pass through to the template, so the sharded

@@ -118,17 +118,26 @@ class TestOffModeIsFree:
         assert plain == prof
 
     @settings(max_examples=10, deadline=None)
-    @given(reorder=st.integers(min_value=0, max_value=1),
-           fingerprints=st.booleans(),
-           sample_every=st.integers(min_value=1, max_value=50))
+    @given(name=st.sampled_from(["stache", "lcm", "lcm_mcc"]),
+           reorder=st.integers(min_value=0, max_value=1),
+           fingerprints=st.booleans())
     def test_property_armed_never_changes_exploration(
-            self, reorder, fingerprints, sample_every):
-        plain = make_serial(reorder=reorder,
+            self, name, reorder, fingerprints):
+        plain = make_serial(name, reorder=reorder,
                             fingerprint_states=fingerprints).run()
-        prof = make_serial(
-            reorder=reorder, fingerprint_states=fingerprints,
-            profiler=CheckProfiler(sample_every=sample_every)).run()
+        prof = make_serial(name, reorder=reorder,
+                           fingerprint_states=fingerprints,
+                           profiler=CheckProfiler()).run()
         assert outcome(plain) == outcome(prof)
+        # The profile's timeline is the run's, point for point.
+        assert prof.profile.timeline is prof.timeline
+
+        def untimed(result):
+            return [{k: v for k, v in point.items()
+                     if k not in ("t", "states_per_s")}
+                    for point in result.timeline]
+
+        assert untimed(plain) == untimed(prof)
 
 
 class TestPhaseAccounting:
@@ -184,7 +193,7 @@ class TestPhaseAccounting:
 
     def test_serial_timeline_monotonic_and_final(self):
         result = make_serial("lcm_mcc", reorder=1,
-                             profiler=CheckProfiler(sample_every=50)).run()
+                             profiler=CheckProfiler()).run()
         timeline = result.profile.timeline
         assert len(timeline) >= 2
         states = [point["states"] for point in timeline]

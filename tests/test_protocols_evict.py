@@ -98,7 +98,7 @@ class TestEvictionVerification:
         result = ModelChecker(protocol, n_nodes=nodes, n_blocks=addrs,
                               reorder_bound=reorder,
                               events=EvictEvents(),
-                              check_progress=(nodes == 2)).run()
+                              liveness=(nodes == 2)).run()
         assert result.ok, result.violation and result.violation.format_trace()
 
     def test_gratuitous_request_queueing_is_load_bearing(self):

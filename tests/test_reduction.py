@@ -42,7 +42,6 @@ from repro.api import (
     ArtifactOptions,
     CheckOptions,
     CheckpointOptions,
-    ProgressOptions,
     ReductionOptions,
 )
 from repro.faults import FaultBudget
@@ -483,12 +482,17 @@ def test_retired_flat_kwargs_raise_type_error(kwarg):
     assert not hasattr(CheckOptions(), kwarg)
 
 
-def test_bare_bool_progress_is_not_normalized():
-    # progress=True used to fold into ProgressOptions(enabled=True);
-    # now the field is a plain ProgressOptions and check() rejects
-    # anything else on first use.
-    with pytest.raises(AttributeError):
-        check("stache", progress=True)
+def test_progress_is_a_stream():
+    # CheckOptions.progress is where progress lines go (the CLI passes
+    # stderr); None, the default, prints nothing.  Either way the run
+    # records its timeline.
+    stream = io.StringIO()
+    loud = check("stache", progress=stream)
+    quiet = check("stache")
+    lines = stream.getvalue().splitlines()
+    assert lines[0].startswith("[verify Stache] states=1 ")
+    assert lines[-1].endswith(" done")
+    assert len(quiet.timeline) == len(loud.timeline) >= 2
 
 
 def test_check_options_field_count():
@@ -502,11 +506,10 @@ def test_grouped_options_warn_nothing():
         warnings.simplefilter("error")
         options = CheckOptions(
             reduction=ReductionOptions(symmetry=True),
-            progress=ProgressOptions(enabled=True, every=7),
             checkpoint=CheckpointOptions(out="c.json"),
             artifacts=ArtifactOptions(profile=True))
     assert options.reduction.symmetry
-    assert options.progress.every == 7
+    assert options.checkpoint.out == "c.json"
 
 
 def test_replace_does_not_rewarn():
@@ -527,6 +530,4 @@ def test_option_groups_are_frozen_values():
         group.symmetry = False
     assert replace(group, symmetry=False) == ReductionOptions()
     assert [f.name for f in fields(ReductionOptions)] == ["symmetry"]
-    assert not ProgressOptions()
-    assert ProgressOptions(enabled=True)
-    assert ProgressOptions(stream=io.StringIO())
+    assert [f.name for f in fields(ArtifactOptions)] == ["profile", "atlas"]

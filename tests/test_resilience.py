@@ -326,7 +326,8 @@ class TestSerialInterrupt:
         full = make_serial("lcm", reorder=1,
                            fingerprint_states=True).run()
 
-        # Deliver a real SIGINT mid-exploration via the progress hook.
+        # Deliver a real SIGINT mid-exploration via the progress hook:
+        # the first progress line is the run's first timeline point.
         fired = []
 
         class InterruptStream:
@@ -341,8 +342,7 @@ class TestSerialInterrupt:
         handler = signal.getsignal(signal.SIGINT)
         stopped = make_serial("lcm", reorder=1, fingerprint_states=True,
                               checkpoint_out=path,
-                              progress_stream=InterruptStream(),
-                              progress_every=50).run()
+                              progress_stream=InterruptStream()).run()
         assert fired
         assert stopped.stop_reason == "interrupted"
         assert not stopped.exhausted
@@ -420,7 +420,8 @@ class TestCheckpointHygiene:
         monkeypatch.setattr(checkpoint, "time", clock)
         policy = checkpoint.CutPolicy(SimpleNamespace(
             max_states=10 ** 9, deadline_seconds=None, max_rss_mb=None,
-            checkpoint_out="ck.json", profiler=None), 0.0)
+            checkpoint_out="ck.json", profiler=None, progress_stream=None),
+            0.0)
         spent, at = [], []
 
         def write(_durable):
@@ -430,7 +431,7 @@ class TestCheckpointHygiene:
 
         for states in range(1, 300_000):
             clock.now += 30e-6
-            assert policy.at_cut(states, 0, False, write) is None
+            assert policy.at_cut(states, 0, 0, 0, {}, False, write) is None
         assert at[0] == 1 and at[-1] == last
         assert sum(spent) <= clock.now / 20
 

@@ -37,7 +37,7 @@ from repro.ioutil import atomic_write_json  # noqa: E402
 # on so the harness can tell when the checker is running) and the
 # verdict any resume of it must print.
 SWEEP_ARGV = ["verify", "lcm", "--nodes", "3", "--workers", "2",
-              "--progress", "--progress-every", "500"]
+              "--progress"]
 SWEEP_VERDICT = "PASS  states=7658 transitions=29216 depth=21"
 SWEEP_DELAYS = 40
 
