@@ -14,15 +14,17 @@ The function carries the interpreter's whole semantics (DESIGN.md,
 "Execution engine").  Every operation counts itself against
 ``MAX_OPS_PER_ACTION`` inline, the count travelling by value into
 ``rt.resume`` and back and out through ``return``.  The ``statement``
-and ``BUILTIN_COSTS`` charges are summed and made ahead of the next
-*timed* point -- whatever can read ``ctx.now`` or end the action: a
-context call other than ``get_info`` / ``set_info`` / ``home_node``, a
-builtin or operator that can reach ``ctx.error``, a support call,
-``Resume``, ``Suspend``, the guard's trip -- or at the block's end.
-Names are resolved when the text is emitted, and a prelude routine that
-is one context call is emitted as that call.  What every handler shares
-(dispatch, suspend, resume: charges, counters, observer hooks) lives in
-:class:`CompiledEngine`.
+and ``BUILTIN_COSTS`` charges are summed and added to the clock
+(``ctx.now += ...``) ahead of the next *timed* point -- whatever can
+read ``ctx.now`` or end the action: a context call other than
+``get_info`` / ``set_info`` / ``home_node``, a builtin or operator that
+can reach ``ctx.error``, a support call, ``Resume``, ``Suspend``, the
+guard's trip -- or at the block's end.  Names are resolved when the text
+is emitted; a prelude routine that is one context call is emitted as
+that call, and in a protocol with one ``SharerList`` variable the
+sharer-set reads and updates as ``get_info`` / ``set_info``
+expressions.  What every handler shares (dispatch, suspend, resume:
+charges, counters, observer hooks) lives in :class:`CompiledEngine`.
 
 Cost values are per machine, so the emitted code never contains one: it
 reads them through ``ctx.costs`` at run time, and one compiled function
@@ -114,9 +116,17 @@ class _BlockEmitter:
         self.direct = _DIRECT
         self.untimed = _UNTIMED
         if len(protocol.sharer_vars) == 1:
-            sharers = f"len(ctx.get_info({protocol.sharer_vars[0]!r}))"
-            self.direct = {**_DIRECT, "CountSharers": lambda a: sharers,
-                           "IsEmptySharers": lambda a: f"({sharers} == 0)"}
+            var = repr(protocol.sharer_vars[0])
+            get = f"ctx.get_info({var})"
+            self.direct = {
+                **_DIRECT,
+                "CountSharers": lambda a: f"len({get})",
+                "IsEmptySharers": lambda a: f"(len({get}) == 0)",
+                "HasSharer": lambda a: f"(int({a[1]}) in {get})",
+                "AddSharer": lambda a: (
+                    f"ctx.set_info({var}, {get} | {{int({a[1]})}})"),
+                "DelSharer": lambda a: (
+                    f"ctx.set_info({var}, {get} - {{int({a[1]})}})")}
             self.untimed = _UNTIMED | _UNTIMED_SHARERS
         self.lines: list[str] = []
         self.statements = 0          # ``statement`` charges owed
@@ -130,7 +140,7 @@ class _BlockEmitter:
 
     def flush(self) -> None:
         if self.statements or self.extras:
-            self.lines.append(f"ctx.charge({self.owed()})")
+            self.lines.append(f"ctx.now += {self.owed()}")
             self.statements = 0
             self.extras = []
 
@@ -259,7 +269,7 @@ class _BlockEmitter:
                 # A timed argument: the routine's own charge falls
                 # between the arguments and the call.
                 self.line(f"args = [{', '.join(texts)}]")
-                self.lines += [f"ctx.charge(costs.{cost})",
+                self.lines += [f"ctx.now += costs.{cost}",
                                f"BI_{op.name}(rt, args)"]
             else:
                 if cost is not None:
@@ -462,7 +472,9 @@ class CompiledEngine:
         self.protocol = protocol
         self.ctx = ctx
         self._code = _protocol_code(protocol)
-        self._teapot = protocol.flavor is Flavor.TEAPOT
+        costs = ctx.costs
+        self._dispatch_cycles = costs.dispatch + (
+            costs.indirect_call if protocol.flavor is Flavor.TEAPOT else 0)
 
     # -- dispatch ---------------------------------------------------------
 
@@ -480,19 +492,15 @@ class CompiledEngine:
         ctx.counters.handler_dispatches += 1
         obs = ctx.obs
         if obs is not None:
-            start = getattr(ctx, "now", 0)
+            start = ctx.now
             obs.handler_entry(ctx.node, msg.block, state_name,
                               fn.message_name, msg.src, start)
-        costs = ctx.costs
-        cycles = costs.dispatch
-        if self._teapot:
-            cycles += costs.indirect_call
-        ctx.charge(cycles)
+        ctx.now += self._dispatch_cycles
 
         fn(self, 0, state_args)
         if obs is not None:
             obs.handler_exit(ctx.node, msg.block, state_name,
-                             fn.message_name, start, getattr(ctx, "now", 0))
+                             fn.message_name, start, ctx.now)
 
     def _resolve(self, state_name: str, msg):
         """First dispatch of ``msg.tag`` in ``state_name``: find the
@@ -516,7 +524,7 @@ class CompiledEngine:
 
     def diverged(self, qualified: str, owed: int) -> None:
         """The guard tripped: charge what the code still owed, and fail."""
-        self.ctx.charge(owed)
+        self.ctx.now += owed
         raise RuntimeProtocolError(
             f"handler {qualified} exceeded "
             f"{MAX_OPS_PER_ACTION} operations; diverging loop?")
@@ -533,15 +541,14 @@ class CompiledEngine:
         else:
             costs = ctx.costs
             counters.cont_allocs += 1
-            ctx.charge(costs.cont_alloc
-                       + costs.save_restore_word * len(saved))
+            ctx.now += costs.cont_alloc + costs.save_restore_word * len(saved)
         record = make_continuation(qualified, site_id, saved, is_static)
         obs = ctx.obs
         if obs is not None:
             obs.suspend(ctx.node, ctx.current_message.block, qualified,
                         site_id, is_static,
                         tuple(name for name, _value in saved),
-                        to_state, getattr(ctx, "now", 0))
+                        to_state, ctx.now)
         return record
 
     def resume(self, record, direct: bool, qualified: str, ops: int) -> int:
@@ -566,11 +573,11 @@ class CompiledEngine:
         if not record.is_static:
             counters.cont_frees += 1
             cycles += costs.cont_free
-        ctx.charge(cycles)
+        ctx.now += cycles
         obs = ctx.obs
         if obs is not None:
             obs.resume(ctx.node, ctx.current_message.block, record.handler,
-                       record.site_id, direct, getattr(ctx, "now", 0))
+                       record.site_id, direct, ctx.now)
 
         fn = self._code.by_name.get(record.handler)
         if fn is None:

@@ -71,7 +71,7 @@ def bi_nack(interp, args):
     ctx.counters.nacks += 1
     obs = ctx.obs
     if obs is not None:
-        obs.nack(ctx.node, block, tag, int(dst), getattr(ctx, "now", 0))
+        obs.nack(ctx.node, block, tag, int(dst), ctx.now)
     ctx.send(int(dst), tag, block, (), with_data=False)
 
 

@@ -260,5 +260,7 @@ class ProtocolContext:
     # ``obs is None`` test, so the default path stays uninstrumented.
     obs = None
 
-    def charge(self, cycles: int) -> None:
-        """Account ``cycles`` of protocol processing time (may be a no-op)."""
+    # The action's clock, in cycles: engines account protocol processing
+    # time by adding to it (``ctx.now += cycles``); a host that keeps no
+    # time simply never reads it.
+    now = 0

@@ -73,14 +73,14 @@ class HandlerInterpreter:
         self.ctx.counters.handler_dispatches += 1
         obs = self.ctx.obs
         if obs is not None:
-            start = getattr(self.ctx, "now", 0)
+            start = self.ctx.now
             obs.handler_entry(self.ctx.node, msg.block, state_name,
                               handler.message_name, msg.src, start)
         costs = self.ctx.costs
         cycles = costs.dispatch
         if self.protocol.flavor is Flavor.TEAPOT:
             cycles += costs.indirect_call
-        self.ctx.charge(cycles)
+        self.ctx.now += cycles
 
         env = self._initial_env(handler, state_args)
         is_default = handler.message_name == "DEFAULT"
@@ -90,8 +90,7 @@ class HandlerInterpreter:
         self._run(handler, env, handler.entry)
         if obs is not None:
             obs.handler_exit(self.ctx.node, msg.block, state_name,
-                             handler.message_name, start,
-                             getattr(self.ctx, "now", 0))
+                             handler.message_name, start, self.ctx.now)
 
     def _initial_env(self, handler: HandlerIR, state_args: tuple) -> dict:
         env = handler.frame_template.copy()
@@ -120,14 +119,14 @@ class HandlerInterpreter:
             block = handler.blocks[block_id]
             for op in block.ops:
                 self._step_guard(handler)
-                self.ctx.charge(costs.statement)
+                self.ctx.now += costs.statement
                 self._exec_op(handler, env, op)
             term = block.terminator
             if isinstance(term, TGoto):
                 block_id = term.target
             elif isinstance(term, TBranch):
                 self._step_guard(handler)
-                self.ctx.charge(costs.statement)
+                self.ctx.now += costs.statement
                 cond = self._eval(handler, env, term.cond)
                 block_id = term.true_target if cond else term.false_target
             elif isinstance(term, TSuspend):
@@ -174,7 +173,7 @@ class HandlerInterpreter:
             return self.ctx.support_call(name, values)
         extra = BUILTIN_COSTS.get(name)
         if extra is not None:
-            self.ctx.charge(getattr(self.ctx.costs, extra))
+            self.ctx.now += getattr(self.ctx.costs, extra)
         return impl(self, values)
 
     def _exec_resume(self, handler: HandlerIR, env: dict, op: IResume) -> None:
@@ -189,20 +188,19 @@ class HandlerInterpreter:
         counters.resumes += 1
         if op.direct_site is not None:
             counters.direct_resumes += 1
-            self.ctx.charge(costs.resume_direct)
+            self.ctx.now += costs.resume_direct
         else:
-            self.ctx.charge(costs.resume)
+            self.ctx.now += costs.resume
         if not record.is_static:
             counters.cont_frees += 1
-            self.ctx.charge(costs.cont_free)
-        self.ctx.charge(costs.save_restore_word * len(record.saved))
+            self.ctx.now += costs.cont_free
+        self.ctx.now += costs.save_restore_word * len(record.saved)
 
         obs = self.ctx.obs
         if obs is not None:
             obs.resume(self.ctx.node, self.ctx.current_message.block,
                        record.handler, record.site_id,
-                       op.direct_site is not None,
-                       getattr(self.ctx, "now", 0))
+                       op.direct_site is not None, self.ctx.now)
 
         target_handler, site = self.protocol.suspend_site(
             record.handler, record.site_id)
@@ -230,8 +228,8 @@ class HandlerInterpreter:
             counters.static_cont_uses += 1
         else:
             counters.cont_allocs += 1
-            self.ctx.charge(costs.cont_alloc)
-            self.ctx.charge(costs.save_restore_word * len(saved))
+            self.ctx.now += costs.cont_alloc
+            self.ctx.now += costs.save_restore_word * len(saved)
 
         record = make_continuation(
             handler.qualified_name, site.site_id, saved, is_static)
@@ -241,7 +239,7 @@ class HandlerInterpreter:
             obs.suspend(self.ctx.node, self.ctx.current_message.block,
                         handler.qualified_name, site.site_id, is_static,
                         tuple(name for name, _value in saved),
-                        site.target.name, getattr(self.ctx, "now", 0))
+                        site.target.name, self.ctx.now)
         args = tuple(self._eval(handler, env, a) for a in site.target.args)
         self.ctx.set_state(site.target.name, args)
 

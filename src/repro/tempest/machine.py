@@ -127,9 +127,9 @@ class Machine:
         heapq.heappush(self._events, (time, self._seq, kind, payload))
         return self._seq
 
-    def next_wire_seq(self) -> Optional[int]:
-        if not self._stamp_seqs:
-            return None
+    def next_wire_seq(self) -> int:
+        """The next wire sequence number; senders ask only when
+        ``_stamp_seqs`` is on."""
         self._wire_seq += 1
         return self._wire_seq
 
@@ -139,7 +139,8 @@ class Machine:
         obs = self.obs
         if network.plan is None:
             arrival = network.arrival_time(message, send_time)
-            seq = self._push(arrival, "deliver", message)
+            self._seq = seq = self._seq + 1
+            heapq.heappush(self._events, (arrival, seq, "deliver", message))
             if obs is not None:
                 obs.send(seq, message.tag, message.block, message.src,
                          message.dst, message.data is not None, send_time,
@@ -168,7 +169,8 @@ class Machine:
             self._event_queue_hwm = len(self._events)
 
     def schedule_app(self, node_id: int, at_time: int) -> None:
-        self._push(at_time, "app", node_id)
+        self._seq += 1
+        heapq.heappush(self._events, (at_time, self._seq, "app", node_id))
 
     # -- barriers ----------------------------------------------------------------
 
@@ -200,14 +202,18 @@ class Machine:
 
         processed = 0
         obs = self.obs
-        while self._events:
+        events = self._events
+        nodes = self.nodes
+        max_events = self.config.max_events
+        heappop = heapq.heappop
+        while events:
             processed += 1
-            if processed > self.config.max_events:
+            if processed > max_events:
                 raise SimulationLimitError(
-                    f"simulation exceeded {self.config.max_events} events "
-                    f"at cycle {self._events[0][0]} with "
-                    f"{len(self._events)} events pending; livelock?")
-            time, seq, kind, payload = heapq.heappop(self._events)
+                    f"simulation exceeded {max_events} events "
+                    f"at cycle {events[0][0]} with "
+                    f"{len(events)} events pending; livelock?")
+            time, seq, kind, payload = heappop(events)
             if kind == "deliver":
                 message: Message = payload
                 if obs is not None:
@@ -218,13 +224,12 @@ class Machine:
                                 reorder=seq < hwm)
                     if seq > hwm:
                         self._delivered_seq_hwm[channel] = seq
-                self.nodes[message.dst].handle_message(message, time)
+                nodes[message.dst].handle_message(message, time)
             elif kind == "app":
-                self.nodes[payload].run_app(time)
+                nodes[payload].run_app(time)
             elif kind == "watchdog":
                 node_id, block, epoch, attempt = payload
-                self.nodes[node_id].watchdog_fire(block, epoch, attempt,
-                                                  time)
+                nodes[node_id].watchdog_fire(block, epoch, attempt, time)
             else:  # pragma: no cover - exhaustive over event kinds
                 raise RuntimeProtocolError(f"unknown event {kind!r}")
 

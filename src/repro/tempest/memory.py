@@ -49,9 +49,9 @@ def fault_event_for(tag: AccessTag, is_write: bool) -> Optional[str]:
         if tag is AccessTag.READ_ONLY:
             return "WR_RO_FAULT"
         return "WR_FAULT"
-    if tag.allows_read():
-        return None
-    return "RD_FAULT"
+    if tag is AccessTag.INVALID:
+        return "RD_FAULT"
+    return None
 
 
 @dataclass
@@ -67,12 +67,6 @@ class BlockRecord:
     deferred: list = field(default_factory=list)  # queued Messages
     state_changed: bool = False  # set by SetState; drives queue redelivery
 
-    def set_state(self, name: str, args: tuple) -> None:
-        if (name, args) != (self.state_name, self.state_args):
-            self.state_changed = True
-        self.state_name = name
-        self.state_args = args
-
     def defer(self, message: Message) -> None:
         self.deferred.append(message)
 
@@ -82,40 +76,39 @@ class BlockRecord:
         return drained
 
 
-class BlockStore:
-    """All block records of one node, created lazily."""
+class BlockStore(dict):
+    """All block records of one node, keyed by block and created on
+    first use: the store is the dict, so a hit costs no Python frame."""
 
     def __init__(self, node: int, n_blocks: int, block_words: int,
                  initial_state_for, home_of):
+        super().__init__()
         self.node = node
         self.n_blocks = n_blocks
         self.block_words = block_words
         self._initial_state_for = initial_state_for
         self._home_of = home_of
-        self._records: dict[int, BlockRecord] = {}
 
-    def record(self, block: int) -> BlockRecord:
-        existing = self._records.get(block)
-        if existing is not None:
-            return existing
+    record = dict.__getitem__
+
+    def __missing__(self, block: int) -> BlockRecord:
         # An out-of-range block never gets a record, so checking on the
         # miss path alone still refuses every one.
         if not (0 <= block < self.n_blocks):
             raise RuntimeProtocolError(
                 f"block {block} out of range (0..{self.n_blocks - 1})")
         state_name, info, access = self._initial_state_for(self.node, block)
-        record = BlockRecord(
+        record = self[block] = BlockRecord(
             block=block,
             state_name=state_name,
             info=info,
             access=access,
             data=(0,) * self.block_words,
         )
-        self._records[block] = record
         return record
 
     def records(self) -> list[BlockRecord]:
-        return [self._records[b] for b in sorted(self._records)]
+        return [self[b] for b in sorted(self)]
 
     def is_home(self, block: int) -> bool:
         return self._home_of(block) == self.node

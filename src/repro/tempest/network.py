@@ -50,7 +50,9 @@ class Network:
         arrival = send_time + delay
         if self.config.fifo:
             channel = (message.src, message.dst)
-            arrival = max(arrival, self._last_arrival.get(channel, 0) + 1)
+            clamp = self._last_arrival.get(channel, 0) + 1
+            if clamp > arrival:
+                arrival = clamp
             self._last_arrival[channel] = arrival
         self.messages_carried += 1
         return arrival

@@ -10,6 +10,7 @@ share the node's single processor, serialised by ``busy_until``.
 from __future__ import annotations
 
 from collections import deque
+from heapq import heappush
 from typing import Optional
 
 from repro.backends.python_backend import CompiledEngine
@@ -36,13 +37,6 @@ class NodeContext(ProtocolContext):
         self.costs = node.machine.config.costs
         self.obs = node.machine.obs
 
-    def begin(self, message: Message, record, start_time: int) -> None:
-        """Position the context for one protocol action on ``record``,
-        the block record of ``message.block``."""
-        self.current_message = message
-        self._record = record
-        self.now = start_time
-
     def home_node(self, block: int) -> int:
         return self._node.machine.home_of(block)
 
@@ -54,12 +48,14 @@ class NodeContext(ProtocolContext):
 
     def set_state(self, state_name: str, args: tuple) -> None:
         record = self._record
-        obs = self.obs
-        if obs is not None and (
-                (state_name, args) != (record.state_name, record.state_args)):
-            obs.state_change(self.node, record.block, record.state_name,
-                             state_name, args, self.now)
-        record.set_state(state_name, args)
+        if state_name != record.state_name or args != record.state_args:
+            record.state_changed = True
+            obs = self.obs
+            if obs is not None:
+                obs.state_change(self.node, record.block, record.state_name,
+                                 state_name, args, self.now)
+        record.state_name = state_name
+        record.state_args = args
 
     def get_info(self, name: str):
         return self._record.info[name]
@@ -71,18 +67,20 @@ class NodeContext(ProtocolContext):
 
     def send(self, dst: int, tag: str, block: int, payload: tuple,
              with_data: bool) -> None:
+        node = self._node
+        counters = self.counters
         data = None
         if with_data:
-            data = self._node.store.record(block).data
-            self.counters.data_messages_sent += 1
-        self.counters.messages_sent += 1
-        node = self._node
-        message = Message(tag, block, src=node.node_id, dst=dst,
-                          payload=payload, data=data,
-                          seq=node.machine.next_wire_seq())
+            data = node.store.record(block).data
+            counters.data_messages_sent += 1
+        counters.messages_sent += 1
+        machine = node.machine
+        message = Message(tag, block, node.node_id, dst, payload, data,
+                          machine.next_wire_seq() if machine._stamp_seqs
+                          else None)
         if node.recovery is not None:
             node.record_output(message)
-        node.machine.inject(message, self.now)
+        machine.inject(message, self.now)
 
     def access_change(self, block: int, mode: str) -> None:
         tag = ACCESS_CHANGE_RESULT.get(mode)
@@ -159,11 +157,6 @@ class NodeContext(ProtocolContext):
             return super().support_const(name)
         return registry[name]
 
-    # -- accounting -----------------------------------------------------------
-
-    def charge(self, cycles: int) -> None:
-        self.now += cycles
-
 
 class Node:
     """One simulated processor."""
@@ -216,7 +209,9 @@ class Node:
                 self._absorb_duplicate(cached, arrive_time)
                 return
             self._remember(key)
-        start = max(arrive_time, self.busy_until)
+        start = self.busy_until
+        if arrive_time > start:
+            start = arrive_time
         end = self._protocol_action(message, start)
         self.busy_until = end
         self.stats.protocol_cycles += end - start
@@ -291,9 +286,12 @@ class Node:
         any state change.  Returns the finishing time."""
         record = self.store.record(message.block)
         record.state_changed = False
-        self.ctx.begin(message, record, start)
+        ctx = self.ctx
+        ctx.current_message = message
+        ctx._record = record
+        ctx.now = start
         self.engine.dispatch()
-        now = self.ctx.now
+        now = ctx.now
 
         # Queue redelivery: each state change re-enables the deferred
         # messages queued while the block sat in an intermediate state.
@@ -302,13 +300,15 @@ class Node:
             for deferred in record.drain_deferred():
                 self.stats.counters.queue_frees += 1
                 now += self.machine.config.costs.queue_free
-                obs = self.ctx.obs
+                obs = ctx.obs
                 if obs is not None:
                     obs.queue_replay(self.node_id, deferred.block,
                                      deferred.tag, deferred.src, now)
-                self.ctx.begin(deferred, record, now)
+                ctx.current_message = deferred
+                ctx._record = record
+                ctx.now = now
                 self.engine.dispatch()
-                now = self.ctx.now
+                now = ctx.now
         return now
 
     def request_wakeup(self, block: int, at_time: int) -> None:
@@ -363,7 +363,9 @@ class Node:
             return
         if self.blocked_on is not None:
             return  # still waiting on a fault
-        now = max(start_time, self.busy_until)
+        now = self.busy_until
+        if start_time > now:
+            now = start_time
         if self.wake_pending:
             self.wake_pending = False
             self.stats.fault_wait_cycles += max(0, now - self.fault_start)
@@ -388,7 +390,10 @@ class Node:
                 self.stats.app_cycles += op[1]
                 self.pc += 1
                 self.busy_until = now
-                self.machine.schedule_app(self.node_id, now + op[1])
+                machine = self.machine
+                machine._seq = seq = machine._seq + 1
+                heappush(machine._events,
+                         (now + op[1], seq, "app", self.node_id))
                 return
             elif kind in ("read", "write"):
                 block = op[1]

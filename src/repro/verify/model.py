@@ -417,9 +417,6 @@ class ActionContext(ProtocolContext):
         raise CheckerViolation(
             f"abstract constant {name!r} has no checker model")
 
-    def charge(self, cycles: int) -> None:
-        pass
-
 
 def initial_global_state(protocol: CompiledProtocol, n_nodes: int,
                          n_blocks: int, home_of, gen_initial,

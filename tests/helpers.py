@@ -184,7 +184,6 @@ class FakeContext(ProtocolContext):
         self.access_changes: list = []
         self.printed: list = []
         self.data = [0, 0, 0, 0]
-        self.charged = 0
         self.msg: Message | None = None
         self._node = node
         self.support: dict = {}
@@ -251,9 +250,6 @@ class FakeContext(ProtocolContext):
         if name not in self.support:
             return super().support_const(name)
         return self.support[name]
-
-    def charge(self, cycles):
-        self.charged += cycles
 
     # test convenience -----------------------------------------------------
 

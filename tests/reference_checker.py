@@ -206,9 +206,6 @@ class CheckerContext(ProtocolContext):
         raise CheckerViolation(
             f"abstract constant {name!r} has no checker model")
 
-    def charge(self, cycles: int) -> None:
-        pass
-
 
 class ReferenceChecker(ModelChecker):
     """A :class:`ModelChecker` whose successors come from the

@@ -389,7 +389,7 @@ End;
             f"handler S.M exceeded {MAX_OPS_PER_ACTION} operations; "
             "diverging loop?")
         # The guard fires before the offending operation is charged.
-        assert ctx.charged == (costs.dispatch + costs.indirect_call
+        assert ctx.now == (costs.dispatch + costs.indirect_call
                                + MAX_OPS_PER_ACTION * costs.statement)
         assert ctx.info["count"] == MAX_OPS_PER_ACTION // 2
 
@@ -456,10 +456,10 @@ PRIME_COSTS = CostModel(
 
 
 class ClockedContext(FakeContext):
-    """Logs ``(method, cycles charged so far)`` at every context call
-    that may read the clock -- all but ``get_info`` / ``set_info`` /
-    ``home_node``, which no host gives a notion of time (and ``charge``
-    itself) -- so any charge made on the wrong side of one shows."""
+    """Logs ``(method, ctx.now)`` at every context call that may read
+    the clock -- all but ``get_info`` / ``set_info`` / ``home_node``,
+    which no host gives a notion of time -- so any charge made on the
+    wrong side of one shows."""
 
     CLOCKED = ("get_state", "set_state", "send", "access_change",
                "recv_data", "read_word", "write_word", "enqueue_current",
@@ -476,7 +476,7 @@ def _clocked(name):
     inner = getattr(FakeContext, name)
 
     def method(self, *args, **kwargs):
-        self.log.append((name, self.charged))
+        self.log.append((name, self.now))
         return inner(self, *args, **kwargs)
     return method
 
@@ -566,7 +566,7 @@ def test_every_clock_reader_sees_the_interpreters_time(opt_level):
     reference = run_clocked(HandlerInterpreter, opt_level)
     compiled = run_clocked(CompiledEngine, opt_level)
     assert compiled.log == reference.log
-    assert compiled.charged == reference.charged
+    assert compiled.now == reference.now
     assert vars(compiled.counters) == vars(reference.counters)
     assert (compiled.state, compiled.info, compiled.sent, compiled.printed,
             compiled.access_changes, compiled.woken) == (
@@ -582,12 +582,12 @@ def test_every_clock_reader_sees_the_interpreters_time(opt_level):
     # splitting SendBlk's statement charge from its own.
     text = python_backend.emit_handler(
         compiled.protocol, compiled.protocol.handlers["S", "M"])
-    assert "ctx.charge(3 * S + costs.send)\n" in text
-    assert "ctx.charge(3 * S + costs.access_change)\n" in text
-    assert ("ctx.charge(3 * S)\n"
+    assert "ctx.now += 3 * S + costs.send\n" in text
+    assert "ctx.now += 3 * S + costs.access_change\n" in text
+    assert ("ctx.now += 3 * S\n"
             "            args = [ctx.support_call('Pick', [v_src]), 'OUT', "
             "v_id]\n"
-            "            ctx.charge(costs.send_data)\n"
+            "            ctx.now += costs.send_data\n"
             "            BI_SendBlk(rt, args)\n") in text
 
 
@@ -615,9 +615,9 @@ def test_errors_after_uncharged_operations(engine_factory, body, message):
         ctx.deliver(engine_factory(protocol, ctx), "M")
     assert str(raised.value) == message
     costs = PRIME_COSTS
-    assert ctx.charged == (costs.dispatch + costs.indirect_call
+    assert ctx.now == (costs.dispatch + costs.indirect_call
                            + 3 * costs.statement)
-    assert ctx.log == [("get_state", 0), ("error", ctx.charged)]
+    assert ctx.log == [("get_state", 0), ("error", ctx.now)]
 
 
 @pytest.mark.parametrize("engine_factory", ENGINES)
@@ -655,7 +655,7 @@ End;
     ctx = ClockedContext(protocol, state=("S", ()))
     engine = engine_factory(protocol, ctx)
     ctx.deliver(engine, "M")
-    ctx.charged = 0
+    ctx.now = 0
     with pytest.raises(RuntimeProtocolError) as raised:
         ctx.deliver(engine, "R")
     assert str(raised.value) == (
@@ -663,7 +663,7 @@ End;
         "diverging loop?")
     costs = PRIME_COSTS
     assert ctx.counters.direct_resumes == 1
-    assert ctx.charged == (costs.dispatch + costs.indirect_call
+    assert ctx.now == (costs.dispatch + costs.indirect_call
                            + costs.resume_direct
                            + MAX_OPS_PER_ACTION * costs.statement)
     # R's two operations, then branch + assignment per iteration, the

@@ -309,7 +309,7 @@ class TestCostAccounting:
     def test_teapot_flavor_charges_indirection(self):
         from repro.runtime.context import CostModel
 
-        def charged_for(opt_level, flavor_name):
+        def cycles_for(opt_level, flavor_name):
             from repro.runtime.protocol import Flavor
             protocol = compile_mini(opt_level)
             protocol.flavor = (Flavor.TEAPOT if flavor_name == "teapot"
@@ -318,10 +318,10 @@ class TestCostAccounting:
             ctx.costs = CostModel()
             interp = HandlerInterpreter(protocol, ctx)
             ctx.deliver(interp, "GET_REQ", src=1)
-            return ctx.charged
+            return ctx.now
 
-        assert charged_for(OptLevel.O2, "teapot") > \
-            charged_for(OptLevel.O2, "baseline")
+        assert cycles_for(OptLevel.O2, "teapot") > \
+            cycles_for(OptLevel.O2, "baseline")
 
     def test_o0_saves_more_than_o2(self):
         from repro.runtime.context import CostModel
@@ -332,9 +332,9 @@ class TestCostAccounting:
             ctx.costs = CostModel()
             interp = HandlerInterpreter(protocol, ctx)
             ctx.deliver(interp, "GET_REQ", src=1)   # grant (no suspend)
-            before = ctx.charged
+            before = ctx.now
             ctx.deliver(interp, "GET_REQ", src=2)   # recall: suspends
-            return ctx.charged - before
+            return ctx.now - before
 
         assert alloc_cost(OptLevel.O0) > alloc_cost(OptLevel.O2)
 
