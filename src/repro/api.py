@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from typing import IO, TYPE_CHECKING, Optional, Union
 
 from repro.compile_cache import compile_file
-from repro.faults import FaultBudget, FaultPlan, FaultRule, RecoveryConfig
+from repro.faults import FaultBudget, FaultPlan, FaultRule
 from repro.ioutil import check_output_paths
 from repro.protocols import PROTOCOLS, compile_named_protocol, entry_declaring
 from repro.runtime.protocol import CompiledProtocol, Flavor, OptLevel
@@ -77,20 +77,16 @@ class FaultOptions:
     one exported from a checker counterexample via
     ``Violation.to_fault_plan().save(path)`` -- in which case the plan
     file wins and the rates are ignored.  ``watchdog=True`` layers the
-    timeout/retry/dedup recovery protocol on top (see
-    docs/ROBUSTNESS.md); without it a dropped message typically
-    deadlocks the run, by design.
+    timeout/retry/dedup recovery protocol on top, at the constants in
+    :mod:`repro.tempest.node` (see docs/ROBUSTNESS.md); without it a
+    dropped message typically deadlocks the run, by design.
     """
 
     drop: float = 0.0          # per-message drop probability
     dup: float = 0.0           # per-message duplication probability
     seed: int = 0              # fault RNG seed (independent of --seed)
-    max_faults: Optional[int] = None
     plan: Optional[str] = None  # path to a teapot-fault-plan JSON file
     watchdog: bool = False     # enable the timeout/retry recovery layer
-    timeout: int = 4000        # cycles before the first retry
-    backoff: float = 2.0       # timeout multiplier per attempt
-    retries: int = 5           # retry attempts before giving up
 
     def build_plan(self) -> Optional[FaultPlan]:
         if self.plan is not None:
@@ -100,16 +96,9 @@ class FaultOptions:
             rules.append(FaultRule(action="drop", rate=self.drop))
         if self.dup:
             rules.append(FaultRule(action="dup", rate=self.dup))
-        if not rules and self.max_faults is None:
+        if not rules:
             return None
-        return FaultPlan(rules=tuple(rules), seed=self.seed,
-                         max_faults=self.max_faults)
-
-    def build_recovery(self) -> Optional[RecoveryConfig]:
-        if not self.watchdog:
-            return None
-        return RecoveryConfig(timeout=self.timeout, backoff=self.backoff,
-                              max_retries=self.retries)
+        return FaultPlan(rules=tuple(rules), seed=self.seed)
 
 
 @dataclass(frozen=True)
@@ -235,11 +224,9 @@ class SimOptions:
     # every zero-fault run at the same seed/jitter is byte-identical,
     # which the golden-trace tests enforce) and allow up to ``jitter``
     # cycles of random extra latency.  jitter > 0 drops per-channel
-    # FIFO unless ``fifo`` pins it, so reordering is reproducible from
-    # the seed alone.
+    # FIFO, so reordering is reproducible from the seed alone.
     seed: Optional[int] = None
     jitter: int = 0
-    fifo: Optional[bool] = None
     trace: Optional[str] = None
     trace_format: str = "jsonl"
     metrics: Optional[str] = None
@@ -439,7 +426,7 @@ def simulate(target: Target,
 
     network = NetworkConfig(
         jitter=options.jitter,
-        fifo=(options.jitter == 0) if options.fifo is None else options.fifo,
+        fifo=options.jitter == 0,
         seed=options.seed if options.seed is not None else 12345,
     )
     check_output_paths(ValueError, options.trace, options.metrics)
@@ -452,14 +439,12 @@ def simulate(target: Target,
             registry = MetricsRegistry(protocol.name)
         observer = Observer(open_sink(options.trace, options.trace_format),
                             registry)
-    fault_plan = None
-    recovery = None
-    if options.faults is not None:
-        fault_plan = options.faults.build_plan()
-        recovery = options.faults.build_recovery()
+    faults = options.faults
+    fault_plan = faults.build_plan() if faults is not None else None
     config = MachineConfig(n_nodes=n_nodes, n_blocks=n_blocks,
                            network=network, observer=observer,
-                           faults=fault_plan, recovery=recovery)
+                           faults=fault_plan,
+                           watchdog=faults is not None and faults.watchdog)
     try:
         if workload is not None:
             row = run_workload(protocol, workload, programs, n_blocks,

@@ -143,11 +143,7 @@ def _emit_fragment(out: io.StringIO, protocol: CompiledProtocol,
     for var in handler.frame_vars:
         if var in declared:
             continue
-        type_name = (handler.locals.get(var)
-                     or handler.state_params.get(var)
-                     or handler.param_types.get(var)
-                     or "CONT")
-        out.write(f"    {_c_type(type_name)} {var};\n")
+        out.write(f"    {_c_type(_var_type(handler, var))} {var};\n")
     if entry_block != handler.entry:
         out.write("    /* restore the continuation environment */\n")
         for index, var in enumerate(restore):

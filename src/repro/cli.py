@@ -3,7 +3,7 @@
 Subcommands::
 
     teapot check <file.tea>              parse and type-check
-    teapot compile <file.tea> [--target python|c|murphi] [-O0|-O1|-O2]
+    teapot compile <file.tea> [--target python|c|murphi] [-O{0,1,2}]
     teapot fmt <file.tea> [-i]           canonical pretty-printing
     teapot info <file.tea>               compiled-protocol summary
     teapot verify <name|file.tea> [...]  model-check (--progress reporting,
@@ -54,20 +54,14 @@ def _load(target: str, opt_level: OptLevel):
 
 
 def _opt_level(args) -> OptLevel:
-    if args.O0:
-        return OptLevel.O0
-    if args.O1:
-        return OptLevel.O1
-    return OptLevel.O2
+    return OptLevel(args.O)
 
 
 def _add_opt_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("-O0", action="store_true",
-                        help="no optimisation (save the whole frame)")
-    parser.add_argument("-O1", action="store_true",
-                        help="live-variable analysis only")
-    parser.add_argument("-O2", action="store_true",
-                        help="liveness + constant continuations (default)")
+    parser.add_argument("-O", type=int, choices=(0, 1, 2), default=2,
+                        help="0: no optimisation (save the whole frame); "
+                             "1: live-variable analysis only; 2: liveness "
+                             "+ constant continuations (default)")
 
 
 def _parse_checked(path: str):
@@ -257,20 +251,14 @@ def cmd_verify(args) -> int:
 
 def _fault_options(args) -> "FaultOptions | None":
     """run's fault flags -> a FaultOptions record (None when all off)."""
-    injecting = (args.fault_plan or args.drop or args.dup
-                 or args.max_faults is not None)
-    if not injecting and not args.watchdog:
+    if not (args.fault_plan or args.drop or args.dup or args.watchdog):
         return None
     return FaultOptions(
         drop=args.drop,
         dup=args.dup,
         seed=args.fault_seed,
-        max_faults=args.max_faults,
         plan=args.fault_plan,
         watchdog=args.watchdog,
-        timeout=args.timeout,
-        backoff=args.backoff,
-        retries=args.retries,
     )
 
 
@@ -636,20 +624,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fault-seed", type=int, default=0, metavar="N",
                    help="fault RNG seed, independent of --seed (the "
                         "delay RNG never sees fault decisions)")
-    p.add_argument("--max-faults", type=int, default=None, metavar="N",
-                   help="cap the total number of injected faults")
     p.add_argument("--watchdog", action="store_true",
                    help="enable the timeout/retry/dedup recovery layer "
-                        "(see docs/ROBUSTNESS.md); without it a dropped "
-                        "message typically deadlocks the run")
-    p.add_argument("--timeout", type=int, default=4000, metavar="CYCLES",
-                   help="watchdog: cycles before the first retry "
-                        "(default 4000)")
-    p.add_argument("--backoff", type=float, default=2.0, metavar="F",
-                   help="watchdog: timeout multiplier per attempt "
-                        "(default 2.0)")
-    p.add_argument("--retries", type=int, default=5, metavar="N",
-                   help="watchdog: attempts before giving up (default 5)")
+                        "(fixed timing, see docs/ROBUSTNESS.md); without "
+                        "it a dropped message typically deadlocks the run")
     p.add_argument("--trace", metavar="PATH",
                    help="write a structured event trace of the run")
     p.add_argument("--trace-format", choices=("jsonl", "chrome"),

@@ -27,11 +27,13 @@ instead of a schedule it carries *budgets* (how many drops/duplicates
 the exploration may spend), and the checker explores every way of
 spending them.
 
-:class:`RecoveryConfig` configures the Tempest node layer's answer: a
-watchdog that re-issues an outstanding access fault's request messages
-with exponential backoff, and an at-least-once dedup layer that absorbs
-duplicate deliveries by replaying the outputs of the first delivery.
-See docs/ROBUSTNESS.md for the full model.
+The Tempest node layer's answer is a switch, ``MachineConfig.watchdog``
+(``teapot run --watchdog``): a watchdog that re-issues an outstanding
+access fault's request messages with exponential backoff, and an
+at-least-once dedup layer that absorbs duplicate deliveries by
+replaying the outputs of the first delivery.  Its timing constants
+live in :mod:`repro.tempest.node`.  See docs/ROBUSTNESS.md for the
+full model.
 """
 
 from __future__ import annotations
@@ -331,31 +333,3 @@ class FaultBudget:
                 raise FaultPlanError(
                     f"bad fault budget count {value!r}") from None
         return cls(**budget)
-
-
-@dataclass(frozen=True)
-class RecoveryConfig:
-    """The node layer's timeout/retry/dedup answer to a lossy network.
-
-    An application thread blocked on an access fault for ``timeout``
-    cycles has its captured request messages re-injected (same wire
-    sequence numbers); each further retry waits ``backoff`` times
-    longer, up to ``max_retries`` attempts.  With ``dedup`` on, a
-    delivery whose ``(src, seq)`` was already processed is absorbed and
-    the outputs of the first processing are re-sent instead, so
-    retries are idempotent end to end.
-    """
-
-    timeout: int = 4000
-    backoff: float = 2.0
-    max_retries: int = 5
-    dedup: bool = True
-    dedup_cache: int = 65536         # max remembered (src, seq) entries
-
-    def __post_init__(self):
-        if self.timeout <= 0:
-            raise FaultPlanError("recovery timeout must be positive")
-        if self.backoff < 1.0:
-            raise FaultPlanError("recovery backoff must be >= 1")
-        if self.max_retries < 0:
-            raise FaultPlanError("max_retries must be >= 0")

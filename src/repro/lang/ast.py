@@ -352,10 +352,6 @@ class StateDef:
                 return handler
         return None
 
-    @property
-    def default_handler(self) -> Optional[Handler]:
-        return self.handler_for(DEFAULT_MESSAGE)
-
 
 @dataclass
 class Program:
@@ -400,24 +396,3 @@ def walk_stmts(stmts: list[Stmt]):
             yield from walk_stmts(stmt.else_body)
         elif isinstance(stmt, While):
             yield from walk_stmts(stmt.body)
-
-
-def stmt_exprs(stmt: Stmt) -> list[Expr]:
-    """The immediate expressions of a statement (not recursive into bodies)."""
-    if isinstance(stmt, Assign):
-        return [stmt.value]
-    if isinstance(stmt, CallStmt):
-        return list(stmt.args)
-    if isinstance(stmt, If):
-        return [stmt.cond]
-    if isinstance(stmt, While):
-        return [stmt.cond]
-    if isinstance(stmt, Suspend):
-        return [stmt.target]
-    if isinstance(stmt, Resume):
-        return [stmt.cont]
-    if isinstance(stmt, Return):
-        return [stmt.value] if stmt.value is not None else []
-    if isinstance(stmt, PrintStmt):
-        return list(stmt.args)
-    return []

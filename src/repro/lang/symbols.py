@@ -67,9 +67,6 @@ class Scope:
             )
         self._symbols[symbol.name] = symbol
 
-    def lookup_local(self, name: str) -> Optional[Symbol]:
-        return self._symbols.get(name)
-
     def lookup(self, name: str) -> Optional[Symbol]:
         scope: Optional[Scope] = self
         while scope is not None:

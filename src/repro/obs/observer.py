@@ -24,7 +24,6 @@ class Observer:
                  metrics: Optional[MetricsRegistry] = None):
         self.sink = NULL_SINK if sink is None else sink
         self.metrics = metrics
-        self._send_seq = 0
         # The (state, message) of the handler currently executing; used
         # to attribute queue/nack/error dispositions.  Protocol actions
         # are atomic, so one slot suffices even with many nodes.
@@ -90,10 +89,6 @@ class Observer:
                             "direct": direct})
 
     # -- messages ----------------------------------------------------------
-
-    def next_send_seq(self) -> int:
-        self._send_seq += 1
-        return self._send_seq
 
     def send(self, seq: int, tag: str, block: int, src: int, dst: int,
              with_data: bool, t: int, arrival: int) -> None:

@@ -164,6 +164,13 @@ class RuntimeCounters:
             setattr(self, name, getattr(self, name) + getattr(other, name))
 
 
+def home_node(block: int, n_nodes: int) -> int:
+    """The home node of ``block``: homes are striped across the nodes.
+    The simulator and the checker both ask here, so the executed and the
+    verified protocol agree on every block's home."""
+    return block % n_nodes
+
+
 class ProtocolContext:
     """Abstract host interface for one handler activation.
 

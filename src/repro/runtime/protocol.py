@@ -153,10 +153,6 @@ class CompiledProtocol:
         handler = self.handlers[(state_name, message_name)]
         return handler, handler.suspend_sites[site_id]
 
-    @property
-    def subroutine_states(self) -> list[str]:
-        return [s.name for s in self.states.values() if s.is_subroutine]
-
     def describe(self) -> str:
         """A short human-readable summary (used by the CLI)."""
         lines = [

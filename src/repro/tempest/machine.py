@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
-from repro.faults import FaultPlan, RecoveryConfig
+from repro.faults import FaultPlan
 from repro.lang.errors import RuntimeProtocolError, SimulationLimitError
 from repro.obs import Observer
-from repro.runtime.context import CostModel, Message
+from repro.runtime.context import CostModel, Message, home_node
 from repro.runtime.protocol import CompiledProtocol
 from repro.tempest.memory import AccessTag
 from repro.tempest.network import Network, NetworkConfig
@@ -28,13 +28,9 @@ class MachineConfig:
 
     n_nodes: int = 8
     n_blocks: int = 64
-    block_words: int = 4
     costs: CostModel = field(default_factory=CostModel)
     network: NetworkConfig = field(default_factory=NetworkConfig)
     max_events: int = 5_000_000
-    capture_prints: bool = False
-    # Optional custom home mapping (block -> node); default is striping.
-    home_map: Optional[Callable[[int], int]] = None
     # Observability: None (the default) runs fully uninstrumented and is
     # guaranteed cycle-identical to a build without repro.obs.
     observer: Optional[Observer] = None
@@ -43,9 +39,10 @@ class MachineConfig:
     # messages get wire sequence numbers and the network may drop,
     # duplicate, delay, or stall-defer them.
     faults: Optional[FaultPlan] = None
-    # Timeout/retry/dedup recovery at the node layer; independent of
-    # ``faults`` (retries also help on merely-slow networks).
-    recovery: Optional[RecoveryConfig] = None
+    # Timeout/retry/dedup recovery at the node layer (its constants are
+    # in repro.tempest.node); independent of ``faults`` (retries also
+    # help on merely-slow networks).
+    watchdog: bool = False
 
 
 @dataclass
@@ -77,7 +74,7 @@ class Machine:
         # on; otherwise messages keep seq=None and the whole fault path
         # is dead code.
         self._stamp_seqs = (self.config.faults is not None
-                            or self.config.recovery is not None)
+                            or self.config.watchdog)
         self._wire_seq = 0
         # An Observer whose channels are all off (null sink, no metrics)
         # is dropped here so every emit site takes the uninstrumented
@@ -87,7 +84,7 @@ class Machine:
         if observer is not None and not observer.active:
             observer = None
         self.obs = observer
-        self.printed: list = []
+        self.printed: list = []   # (node, time, values) per handler Print
         self._events: list = []
         self._seq = 0
         self._barrier_waiting: list[tuple[int, int]] = []  # (node, time)
@@ -107,14 +104,12 @@ class Machine:
     # -- topology ---------------------------------------------------------
 
     def home_of(self, block: int) -> int:
-        if self.config.home_map is not None:
-            return self.config.home_map(block)
-        return block % self.config.n_nodes
+        return home_node(block, self.config.n_nodes)
 
     def initial_state_for(self, node: int, block: int):
         """(state, info, access) for a block record created on ``node``."""
         protocol = self.protocol
-        if self.home_of(block) == node:
+        if home_node(block, self.config.n_nodes) == node:
             return (protocol.initial_home_state, protocol.initial_info(),
                     AccessTag.READ_WRITE)
         return (protocol.initial_cache_state, protocol.initial_info(),
@@ -288,12 +283,7 @@ class Machine:
         stats.messages = self.network.messages_carried
         obs = self.obs
         if obs is not None and obs.metrics is not None:
-            obs.metrics.ingest_counters(stats.counters)
-            obs.metrics.gauge("execution_cycles", stats.execution_cycles)
-            obs.metrics.gauge("messages", stats.messages)
-            obs.metrics.gauge("faults", stats.total_faults)
-            obs.metrics.gauge("fault_time_fraction",
-                              round(stats.fault_time_fraction, 4))
+            stats.write_metrics(obs.metrics)
             obs.metrics.gauge("event_queue_hwm", self._event_queue_hwm)
         return stats
 

@@ -16,6 +16,9 @@ from typing import Optional
 from repro.lang.errors import RuntimeProtocolError
 from repro.runtime.context import Message
 
+# Words per shared block: every record's data is this many words.
+BLOCK_WORDS = 4
+
 
 @unique
 class AccessTag(Enum):
@@ -24,12 +27,6 @@ class AccessTag(Enum):
     INVALID = "inv"
     READ_ONLY = "ro"
     READ_WRITE = "rw"
-
-    def allows_read(self) -> bool:
-        return self is not AccessTag.INVALID
-
-    def allows_write(self) -> bool:
-        return self is AccessTag.READ_WRITE
 
 
 # AccessChange request constants (the Blk_* builtins) -> resulting tag.
@@ -80,14 +77,11 @@ class BlockStore(dict):
     """All block records of one node, keyed by block and created on
     first use: the store is the dict, so a hit costs no Python frame."""
 
-    def __init__(self, node: int, n_blocks: int, block_words: int,
-                 initial_state_for, home_of):
+    def __init__(self, node: int, n_blocks: int, initial_state_for):
         super().__init__()
         self.node = node
         self.n_blocks = n_blocks
-        self.block_words = block_words
         self._initial_state_for = initial_state_for
-        self._home_of = home_of
 
     record = dict.__getitem__
 
@@ -103,12 +97,9 @@ class BlockStore(dict):
             state_name=state_name,
             info=info,
             access=access,
-            data=(0,) * self.block_words,
+            data=(0,) * BLOCK_WORDS,
         )
         return record
 
     def records(self) -> list[BlockRecord]:
         return [self[b] for b in sorted(self)]
-
-    def is_home(self, block: int) -> bool:
-        return self._home_of(block) == self.node

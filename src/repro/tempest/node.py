@@ -15,13 +15,26 @@ from typing import Optional
 
 from repro.backends.python_backend import CompiledEngine
 from repro.lang.errors import RuntimeProtocolError
-from repro.runtime.context import Message, ProtocolContext
+from repro.runtime.context import Message, ProtocolContext, home_node
 from repro.tempest.memory import (
     ACCESS_CHANGE_RESULT,
     BlockStore,
     fault_event_for,
 )
 from repro.tempest.stats import NodeStats
+
+# The watchdog (``MachineConfig.watchdog``): an application thread
+# blocked on an access fault for WATCHDOG_TIMEOUT cycles has its captured
+# request messages re-injected (same wire sequence numbers); each further
+# retry waits WATCHDOG_BACKOFF times longer, up to WATCHDOG_RETRIES
+# attempts.  A delivery whose (src, seq) was already processed is
+# absorbed and the outputs of the first processing are re-sent instead,
+# so retries are idempotent end to end; the newest DEDUP_CACHE (src, seq)
+# pairs are remembered.
+WATCHDOG_TIMEOUT = 4000
+WATCHDOG_BACKOFF = 2.0
+WATCHDOG_RETRIES = 5
+DEDUP_CACHE = 65536
 
 
 class NodeContext(ProtocolContext):
@@ -36,9 +49,10 @@ class NodeContext(ProtocolContext):
         self.counters = node.stats.counters
         self.costs = node.machine.config.costs
         self.obs = node.machine.obs
+        self._n_nodes = node.machine.config.n_nodes
 
     def home_node(self, block: int) -> int:
-        return self._node.machine.home_of(block)
+        return home_node(block, self._n_nodes)
 
     # -- block record --------------------------------------------------------
 
@@ -78,7 +92,7 @@ class NodeContext(ProtocolContext):
         message = Message(tag, block, node.node_id, dst, payload, data,
                           machine.next_wire_seq() if machine._stamp_seqs
                           else None)
-        if node.recovery is not None:
+        if node.watchdog:
             node.record_output(message)
         machine.inject(message, self.now)
 
@@ -140,9 +154,8 @@ class NodeContext(ProtocolContext):
             f"[node {self._node.node_id} t={self.now}] {message}")
 
     def debug_print(self, values: list) -> None:
-        if self._node.machine.config.capture_prints:
-            self._node.machine.printed.append(
-                (self._node.node_id, self.now, tuple(values)))
+        self._node.machine.printed.append(
+            (self._node.node_id, self.now, tuple(values)))
 
     def support_call(self, name: str, args: list):
         registry = self._node.machine.support
@@ -178,21 +191,16 @@ class Node:
         self.finished = not program
         self.observed: list[tuple[int, object]] = []  # logged read values
         self.stats = NodeStats(node_id)
-        # Timeout/retry/dedup recovery (None = all of it disabled).
-        self.recovery = machine.config.recovery
+        # Timeout/retry/dedup recovery (off = all of it disabled).
+        self.watchdog = machine.config.watchdog
         self.retries_exhausted = False
         self._fault_epoch = 0                  # distinguishes fault instances
         self._fault_requests: dict[int, list] = {}   # block -> captured sends
         # At-least-once dedup: (src, seq) -> outputs of first processing.
         self._reply_cache: dict[tuple[int, int], list] = {}
         self._reply_order: deque = deque()
-        self.store = BlockStore(
-            node_id,
-            machine.config.n_blocks,
-            machine.config.block_words,
-            machine.initial_state_for,
-            machine.home_of,
-        )
+        self.store = BlockStore(node_id, machine.config.n_blocks,
+                                machine.initial_state_for)
         self.ctx = NodeContext(self)
         self.engine = CompiledEngine(protocol, self.ctx)
 
@@ -200,9 +208,7 @@ class Node:
 
     def handle_message(self, message: Message, arrive_time: int) -> None:
         """Run one delivered message (plus any queue redelivery) atomically."""
-        recovery = self.recovery
-        if (recovery is not None and recovery.dedup
-                and message.seq is not None):
+        if self.watchdog and message.seq is not None:
             key = (message.src, message.seq)
             cached = self._reply_cache.get(key)
             if cached is not None:
@@ -222,7 +228,7 @@ class Node:
         finally replayed from the block's queue)."""
         self._reply_cache[key] = []
         self._reply_order.append(key)
-        if len(self._reply_order) > self.recovery.dedup_cache:
+        if len(self._reply_order) > DEDUP_CACHE:
             self._reply_cache.pop(self._reply_order.popleft(), None)
 
     def _absorb_duplicate(self, cached: list, arrive_time: int) -> None:
@@ -249,10 +255,9 @@ class Node:
                 self._fault_requests.setdefault(
                     cur.block, []).append(message)
             return
-        if self.recovery.dedup:
-            cached = self._reply_cache.get((cur.src, cur.seq))
-            if cached is not None:
-                cached.append(message)
+        cached = self._reply_cache.get((cur.src, cur.seq))
+        if cached is not None:
+            cached.append(message)
 
     def watchdog_fire(self, block: int, epoch: int, attempt: int,
                       now: int) -> None:
@@ -261,13 +266,12 @@ class Node:
         if (self.finished or self.blocked_on != block
                 or self._fault_epoch != epoch):
             return
-        recovery = self.recovery
         self.stats.counters.timeouts += 1
         obs = self.machine.obs
         if obs is not None:
             obs.timeout(self.node_id, block, attempt,
                         now - self.fault_start, now)
-        if attempt > recovery.max_retries:
+        if attempt > WATCHDOG_RETRIES:
             self.retries_exhausted = True
             return
         state_name = self.store.record(block).state_name
@@ -277,7 +281,7 @@ class Node:
                 obs.retry(self.node_id, block, message.tag, message.dst,
                           attempt, now, state=state_name)
             self.machine.inject(message, now)
-        delay = int(recovery.timeout * (recovery.backoff ** attempt))
+        delay = int(WATCHDOG_TIMEOUT * (WATCHDOG_BACKOFF ** attempt))
         self.machine._push(now + delay, "watchdog",
                            (self.node_id, block, epoch, attempt + 1))
 
@@ -447,8 +451,7 @@ class Node:
         self.blocked_on = block
         self.fault_start = now
         self.fault_block = block
-        recovery = self.recovery
-        if recovery is not None:
+        if self.watchdog:
             self._fault_epoch += 1
             self._fault_requests[block] = []
             self.retries_exhausted = False
@@ -469,7 +472,7 @@ class Node:
             if obs is not None:
                 obs.fault_end(self.node_id, block, self.fault_start, end,
                               sync=True)
-        elif self.blocked_on is not None and recovery is not None:
-            self.machine._push(end + recovery.timeout, "watchdog",
+        elif self.blocked_on is not None and self.watchdog:
+            self.machine._push(end + WATCHDOG_TIMEOUT, "watchdog",
                                (self.node_id, block, self._fault_epoch, 1))
         return end

@@ -98,10 +98,15 @@ class MachineStats:
         from repro.obs.metrics import MetricsRegistry
 
         registry = MetricsRegistry(protocol)
+        self.write_metrics(registry)
+        return registry
+
+    def write_metrics(self, registry) -> None:
+        """Write the run totals -- counters and the Table 1/2 gauges --
+        into ``registry``."""
         registry.ingest_counters(self.counters)
         registry.gauge("execution_cycles", self.execution_cycles)
         registry.gauge("messages", self.messages)
         registry.gauge("faults", self.total_faults)
         registry.gauge("fault_time_fraction",
                        round(self.fault_time_fraction, 4))
-        return registry

@@ -143,11 +143,9 @@ class AtlasRecorder:
     """
 
     def __init__(self, state_cap: int = DEFAULT_STATE_CAP,
-                 edge_cap: int = DEFAULT_EDGE_CAP,
-                 perm_cap: int = DEFAULT_PERM_CAP):
+                 edge_cap: int = DEFAULT_EDGE_CAP):
         self.state_cap = state_cap
         self.edge_cap = edge_cap
-        self.perm_cap = perm_cap
         self._states = _BottomK(state_cap)
         self._edges = _BottomK(edge_cap)
         self._canon: Optional[SymmetryCanonicalizer] = None
@@ -170,7 +168,7 @@ class AtlasRecorder:
         if self._canon is not None:
             return
         self._canon = SymmetryCanonicalizer(protocol, n_nodes, n_blocks,
-                                            perm_cap=self.perm_cap)
+                                            perm_cap=DEFAULT_PERM_CAP)
         self._state_meta = {
             name: {"transient": bool(info.transient)}
             for name, info in protocol.states.items()}

@@ -18,7 +18,7 @@ from typing import IO, NamedTuple, Optional
 
 from repro.backends.python_backend import CompiledEngine
 from repro.faults import FaultBudget
-from repro.runtime.context import Message
+from repro.runtime.context import Message, home_node
 from repro.runtime.protocol import CompiledProtocol, weak_protocol_entry
 from repro.verify.checkpoint import (
     Cut,
@@ -67,12 +67,12 @@ _NO_EFFECTS = ActionEffects((), (), None, (), None)
 # same compiled protocol: (node, view id, message id, blocked_on) ->
 # ActionEffects.  An action's effects are a pure function of those
 # inputs *given* the protocol, the execution engine, and the home map --
-# and the home map is always ``block % n_nodes`` -- and are held as slots
-# of the layout, so caches are scoped by (interpreter_factory, n_nodes,
-# n_blocks) under the protocol, and by symmetry reduction: a reduced
-# run's cache holds symmetry-certified entries only.  The registry holds
-# protocols weakly (see weak_protocol_entry): a protocol's cache dies
-# with it.
+# and the home map is always ``home_node`` (the simulator's too) -- and
+# are held as slots of the layout, so caches are scoped by
+# (interpreter_factory, n_nodes, n_blocks) under the protocol, and by
+# symmetry reduction: a reduced run's cache holds symmetry-certified
+# entries only.  The registry holds protocols weakly (see
+# weak_protocol_entry): a protocol's cache dies with it.
 _ENGINE_CACHES: dict = {}
 
 
@@ -507,7 +507,7 @@ class ModelChecker:
         self._begin_run()
 
     def home_of(self, block: int) -> int:
-        return block % self.n_nodes
+        return home_node(block, self.n_nodes)
 
     # -- rule application ---------------------------------------------------
     #
@@ -826,7 +826,7 @@ class ModelChecker:
 
     def initial_state(self) -> GlobalState:
         return initial_global_state(
-            self.protocol, self.n_nodes, self.n_blocks, self.home_of,
+            self.protocol, self.n_nodes, self.n_blocks,
             self.events.initial, faults=self.fault_budget)
 
     def _result(self, *, ok: bool, states: int, transitions: int,

@@ -33,7 +33,7 @@ from operator import getitem, xor
 from typing import Optional
 
 from repro.lang.builtins import T_CONT, T_NODE, T_SHARERS
-from repro.runtime.context import Message
+from repro.runtime.context import Message, home_node
 from repro.runtime.continuation import ContinuationRecord
 from repro.verify.model import (
     APPS,
@@ -244,7 +244,7 @@ class SymmetryCanonicalizer:
                  perm_cap: Optional[int] = DEFAULT_PERM_CAP):
         self.n_nodes = n_nodes
         self.n_blocks = n_blocks
-        homes = {block % n_nodes for block in range(n_blocks)}
+        homes = {home_node(block, n_nodes) for block in range(n_blocks)}
         self.free_nodes = [n for n in range(n_nodes) if n not in homes]
         free = self.free_nodes
         self.perms: list[tuple] = []

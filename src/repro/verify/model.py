@@ -20,7 +20,8 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from repro.runtime.context import Message, ProtocolContext, RuntimeCounters, ZERO_COSTS
+from repro.runtime.context import (
+    Message, ProtocolContext, RuntimeCounters, ZERO_COSTS, home_node)
 from repro.runtime.protocol import CompiledProtocol
 from repro.tempest.memory import ACCESS_CHANGE_RESULT, AccessTag, fault_event_for
 
@@ -419,14 +420,14 @@ class ActionContext(ProtocolContext):
 
 
 def initial_global_state(protocol: CompiledProtocol, n_nodes: int,
-                         n_blocks: int, home_of, gen_initial,
+                         n_blocks: int, gen_initial,
                          faults: tuple = (0, 0)) -> GlobalState:
     """Build the starting state: home blocks idle/RW, caches invalid."""
     blocks = []
     for node in range(n_nodes):
         node_blocks = []
         for block in range(n_blocks):
-            if home_of(block) == node:
+            if home_node(block, n_nodes) == node:
                 state_name = protocol.initial_home_state
                 access = AccessTag.READ_WRITE.value
             else:

@@ -123,18 +123,6 @@ def mp3d_programs(n_nodes: int = 16, iterations: int = 4,
     return programs
 
 
-def _blocks_for(name: str, n_nodes: int) -> int:
-    if name == "gauss":
-        return n_nodes * 2
-    if name == "appbt":
-        return n_nodes * 2
-    if name == "shallow":
-        return n_nodes
-    if name == "mp3d":
-        return n_nodes
-    raise KeyError(name)
-
-
 STACHE_WORKLOADS = {
     "gauss": (gauss_programs, lambda n: n * 2),
     "appbt": (appbt_programs, lambda n: n * 2),

@@ -402,8 +402,7 @@ class TestOrbitEstimator:
     def test_permute_is_involution_on_swap(self):
         protocol = compile_named_protocol("stache")
         events = events_for_protocol("stache")
-        state = initial_global_state(
-            protocol, 3, 1, lambda block: block % 3, events.initial)
+        state = initial_global_state(protocol, 3, 1, events.initial)
         canon = SymmetryCanonicalizer(protocol, 3, 1)
         mapping = canon.perms[0]                   # the 1<->2 swap
         swapped = canon.permute(state, mapping)

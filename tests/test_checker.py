@@ -222,8 +222,7 @@ class TestEventGenerators:
 class TestGlobalState:
     def _initial(self):
         protocol = compile_mini()
-        return protocol, initial_global_state(
-            protocol, 2, 1, lambda b: 0, lambda n: ())
+        return protocol, initial_global_state(protocol, 2, 1, lambda n: ())
 
     def test_initial_state_shape(self):
         protocol, state = self._initial()
@@ -253,7 +252,7 @@ class TestInvariants:
     def _state_with_access(self, accesses):
         protocol = compile_mini()
         state = initial_global_state(protocol, len(accesses), 1,
-                                     lambda b: 0, lambda n: ())
+                                     lambda n: ())
         mutable = MutableState(state, len(accesses), 1)
         for node, access in enumerate(accesses):
             mutable.record(node, 0)["access"] = access
@@ -273,8 +272,7 @@ class TestInvariants:
 
     def test_bounded_queues_triggers(self):
         protocol = compile_mini()
-        state = initial_global_state(protocol, 2, 1, lambda b: 0,
-                                     lambda n: ())
+        state = initial_global_state(protocol, 2, 1, lambda n: ())
         mutable = MutableState(state, 2, 1)
         from repro.runtime.context import Message
         mutable.record(0, 0)["queue"] = [
@@ -283,8 +281,7 @@ class TestInvariants:
 
     def test_continuation_leak_detected(self):
         protocol = compile_mini()
-        state = initial_global_state(protocol, 2, 1, lambda b: 0,
-                                     lambda n: ())
+        state = initial_global_state(protocol, 2, 1, lambda n: ())
         mutable = MutableState(state, 2, 1)
         mutable.record(0, 0)["state_args"] = ("oops",)
         message = no_parked_continuation_leak(mutable.freeze(), protocol)

@@ -58,9 +58,13 @@ class TestCompile:
         assert main(["compile", mini_file, "--target", "c"]) == 0
         assert "STATE_Home_Idle" in capsys.readouterr().out
 
-    def test_opt_level_flag(self, capsys):
-        assert main(["info", "stache", "-O1"]) == 0
-        assert "opt=O1" in capsys.readouterr().out
+    @pytest.mark.parametrize("flags,level", [
+        (["-O0"], "O0"), (["-O1"], "O1"), (["-O2"], "O2"),
+        (["-O", "1"], "O1"), ([], "O2"),
+    ], ids=["-O0", "-O1", "-O2", "-O 1", "default"])
+    def test_opt_level_flag(self, capsys, flags, level):
+        assert main(["info", "stache", *flags]) == 0
+        assert f"opt={level}" in capsys.readouterr().out
 
 
 class TestVerify:
@@ -161,10 +165,16 @@ class TestRefusedModes:
         ("verify lcm --max-visited-bytes 4096", "--max-visited-bytes 4096"),
         # Progress lines print the run's timeline, about one a second.
         ("verify lcm --progress --progress-every 20", "--progress-every 20"),
+        # The watchdog is a switch; its timing is constant.
+        ("run stache gauss --timeout 1", "--timeout 1"),
+        ("run stache gauss --backoff 1", "--backoff 1"),
+        ("run stache gauss --retries 1", "--retries 1"),
+        ("run stache gauss --max-faults 1", "--max-faults 1"),
     ], ids=["--por", "--on-worker-loss degrade", "--worker-stall-timeout 5",
             "coverage --verify", "coverage --trace",
             "--checkpoint-every-waves", "--checkpoint-every-seconds",
-            "--max-visited-bytes", "--progress-every"])
+            "--max-visited-bytes", "--progress-every", "--timeout",
+            "--backoff", "--retries", "--max-faults"])
     def test_removed_flag_is_a_usage_error(self, capsys, argv, removed):
         with pytest.raises(SystemExit) as caught:
             main(argv.split())

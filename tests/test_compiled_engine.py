@@ -15,7 +15,7 @@ import pytest
 
 from repro.backends import CompiledEngine, emit_python, python_backend
 from repro.compiler.pipeline import compile_source
-from repro.faults import FaultBudget, FaultPlan, FaultRule, RecoveryConfig
+from repro.faults import FaultBudget, FaultPlan, FaultRule
 from repro.lang.errors import RuntimeProtocolError
 from repro.obs import JsonlSink, Observer
 from repro.protocols import (
@@ -182,7 +182,7 @@ def lossy_network():
                             FaultRule("dup", rate=0.04),
                             FaultRule("delay", rate=0.04, delay=700)),
                      seed=5, max_faults=8)
-    return dict(faults=plan, recovery=RecoveryConfig(timeout=3000))
+    return dict(faults=plan, watchdog=True)
 
 
 def simulate(protocol, programs, n_blocks, reference, observed=True,

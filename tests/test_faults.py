@@ -30,7 +30,6 @@ from repro.faults import (
     FaultPlan,
     FaultPlanError,
     FaultRule,
-    RecoveryConfig,
     StallWindow,
 )
 from repro.lang.errors import RuntimeProtocolError
@@ -57,10 +56,10 @@ def drop_rule(**kwargs):
     return FaultRule(action="drop", **kwargs)
 
 
-def run_gauss(protocol, n_nodes=2, faults=None, recovery=None,
+def run_gauss(protocol, n_nodes=2, faults=None, watchdog=False,
               iterations=2, seed=3):
     config = MachineConfig(n_nodes=n_nodes, n_blocks=2 * n_nodes + 1,
-                           faults=faults, recovery=recovery)
+                           faults=faults, watchdog=watchdog)
     machine = Machine(protocol, gauss_programs(
         n_nodes=n_nodes, iterations=iterations, blocks_per_node=2,
         seed=seed), config)
@@ -201,8 +200,7 @@ class TestDeterminism:
     def test_armed_idle_plan_keeps_cycles_identical(self):
         protocol = compile_named_protocol("stache")
         base = run_gauss(protocol)
-        armed = run_gauss(protocol, faults=FaultPlan(),
-                          recovery=RecoveryConfig())
+        armed = run_gauss(protocol, faults=FaultPlan(), watchdog=True)
         assert armed.cycles == base.cycles
 
     def test_zero_fault_jittered_trace_matches_golden(self, tmp_path):
@@ -222,10 +220,9 @@ class TestDeterminism:
         protocol = compile_named_protocol("stache")
         checker = ModelChecker(protocol)
         plain = initial_global_state(
-            protocol, 2, 1, checker.home_of, checker.events.initial)
+            protocol, 2, 1, checker.events.initial)
         budgeted = initial_global_state(
-            protocol, 2, 1, checker.home_of, checker.events.initial,
-            faults=(1, 0))
+            protocol, 2, 1, checker.events.initial, faults=(1, 0))
         assert plain.faults == (0, 0)
         assert fingerprint(plain) != fingerprint(budgeted)
         assert "faults" not in state_to_jsonable(plain)
@@ -254,8 +251,7 @@ class TestSimulatorFaults:
         protocol = compile_named_protocol("stache")
         plan = FaultPlan(rules=(drop_rule(tag="GET_RO_RESP",
                                           occurrence=1),))
-        result = run_gauss(protocol, faults=plan,
-                           recovery=RecoveryConfig(timeout=2000))
+        result = run_gauss(protocol, faults=plan, watchdog=True)
         counters = result.stats.counters
         assert counters.timeouts >= 1
         assert counters.retries >= 1
@@ -265,8 +261,7 @@ class TestSimulatorFaults:
         protocol = compile_named_protocol("stache")
         plan = FaultPlan(rules=(FaultRule(action="dup", tag="GET_RW_REQ",
                                           occurrence=1),))
-        result = run_gauss(protocol, faults=plan,
-                           recovery=RecoveryConfig())
+        result = run_gauss(protocol, faults=plan, watchdog=True)
         assert result.stats.counters.dups_absorbed >= 1
 
     def test_duplicate_without_recovery_breaks_protocol(self):
@@ -283,9 +278,7 @@ class TestSimulatorFaults:
         plan = FaultPlan(rules=(drop_rule(tag="GET_RO_REQ", src=1,
                                           rate=1.0),))
         with pytest.raises(RuntimeProtocolError) as excinfo:
-            run_gauss(protocol, faults=plan,
-                      recovery=RecoveryConfig(timeout=500, backoff=1.0,
-                                              max_retries=2))
+            run_gauss(protocol, faults=plan, watchdog=True)
         report = str(excinfo.value)
         assert "retries exhausted" in report
         assert "fault ledger" in report
@@ -304,8 +297,7 @@ class TestSimulatorFaults:
                       (drop_rule(occurrence=2),
                        FaultRule(action="dup", occurrence=4))):
             plan = FaultPlan(rules=rules)
-            result = run_gauss(protocol, faults=plan,
-                               recovery=RecoveryConfig(timeout=2000))
+            result = run_gauss(protocol, faults=plan, watchdog=True)
             assert result.cycles > 0
 
     def test_fault_events_are_traced(self, tmp_path):
@@ -320,8 +312,7 @@ class TestSimulatorFaults:
 
         observer = Observer(JsonlSink(str(trace)))
         config = MachineConfig(n_nodes=2, n_blocks=5, faults=plan,
-                               recovery=RecoveryConfig(timeout=2000),
-                               observer=observer)
+                               watchdog=True, observer=observer)
         machine = Machine(protocol, gauss_programs(
             n_nodes=2, iterations=2, blocks_per_node=2, seed=3), config)
         machine.run()
@@ -386,7 +377,7 @@ class TestCheckerFaults:
             run_gauss(stache, faults=violation.to_fault_plan())
         assert "fault ledger: 1 dropped" in str(excinfo.value)
         result = run_gauss(stache, faults=violation.to_fault_plan(),
-                           recovery=RecoveryConfig(timeout=2000))
+                           watchdog=True)
         assert result.stats.counters.retries >= 1
 
     def test_dup_budget_finds_error_witness(self, stache):

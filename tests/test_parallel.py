@@ -43,7 +43,7 @@ def initial_state_of(name, n_nodes=2, n_blocks=1):
     checker = make_serial(name, n_nodes=n_nodes, n_blocks=n_blocks)
     return initial_global_state(
         checker.protocol, checker.n_nodes, checker.n_blocks,
-        checker.home_of, checker.events.initial)
+        checker.events.initial)
 
 
 class TestFingerprint:

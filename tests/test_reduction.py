@@ -406,7 +406,7 @@ def _reachable_states(name, cap=200):
     checker = replayer(name, nodes=3)
     initial = initial_global_state(
         checker.protocol, checker.n_nodes, checker.n_blocks,
-        checker.home_of, checker.events.initial)
+        checker.events.initial)
     seen, frontier, order = {initial}, [initial], [initial]
     while frontier and len(order) < cap:
         state = frontier.pop(0)

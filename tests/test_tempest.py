@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro.compiler.pipeline import compile_source
 from repro.lang.errors import RuntimeProtocolError
-from repro.runtime.context import Message
+from repro.runtime.context import Message, home_node
 from repro.tempest.machine import Machine, MachineConfig
 from repro.tempest.memory import (
     ACCESS_CHANGE_RESULT,
@@ -11,8 +12,10 @@ from repro.tempest.memory import (
     fault_event_for,
 )
 from repro.tempest.network import Network, NetworkConfig
+from repro.verify.checker import ModelChecker
+from repro.verify.fingerprint import SymmetryCanonicalizer
 
-from helpers import compile_mini, random_sharing_programs
+from helpers import MINI_SOURCE, compile_mini, random_sharing_programs
 
 
 class TestAccessControl:
@@ -32,12 +35,6 @@ class TestAccessControl:
             "Blk_Invalidate", "Blk_Upgrade_RO", "Blk_Upgrade_RW",
             "Blk_Downgrade_RO",
         }
-
-    def test_permissions(self):
-        assert not AccessTag.INVALID.allows_read()
-        assert AccessTag.READ_ONLY.allows_read()
-        assert not AccessTag.READ_ONLY.allows_write()
-        assert AccessTag.READ_WRITE.allows_write()
 
 
 class TestNetwork:
@@ -112,12 +109,36 @@ class TestMachine:
         assert machine.home_of(4) == 1
         assert machine.home_of(5) == 2
 
-    def test_custom_home_map(self):
+    @pytest.mark.parametrize("n_nodes", [1, 2, 3, 4, 5])
+    def test_simulator_and_checker_share_the_home_rule(self, n_nodes):
+        # The verified protocol is the executed one only if both engines
+        # put every block's home on the same node.
         protocol = compile_mini()
-        machine = Machine(protocol, [[], []],
-                          MachineConfig(n_nodes=2, n_blocks=4,
-                                        home_map=lambda b: 1))
-        assert machine.home_of(0) == 1
+        for n_blocks in range(1, 9):
+            machine = Machine(protocol, [[]] * n_nodes, MachineConfig(
+                n_nodes=n_nodes, n_blocks=n_blocks))
+            checker = ModelChecker(protocol, n_nodes=n_nodes,
+                                   n_blocks=n_blocks)
+            homes = [home_node(block, n_nodes) for block in range(n_blocks)]
+            assert [machine.home_of(b) for b in range(n_blocks)] == homes
+            assert [checker.home_of(b) for b in range(n_blocks)] == homes
+            canon = SymmetryCanonicalizer(protocol, n_nodes, n_blocks)
+            assert canon.free_nodes == [
+                node for node in range(n_nodes) if node not in homes]
+
+    def test_handler_print_lands_in_printed(self):
+        source = MINI_SOURCE.replace(
+            "    Send(HomeNode(id), GET_REQ, id);\n",
+            '    Print("rd", src);\n    Send(HomeNode(id), GET_REQ, id);\n',
+            1)
+        protocol = compile_source(
+            source, initial_states=("Home_Idle", "Cache_Invalid"))
+        machine = Machine(protocol, [[], [("read", 0)]],
+                          MachineConfig(n_nodes=2, n_blocks=1))
+        cycles = machine.run().cycles
+        [(node, at, values)] = machine.printed
+        assert (node, values) == (1, ("rd", 1))
+        assert 0 < at < cycles
 
     def test_barriers_synchronise(self):
         protocol = compile_mini()

@@ -35,8 +35,7 @@ def reachable(name, limit=40, reorder=1):
                            n_blocks=1, reorder_bound=reorder)
     state = initial_global_state(
         checker.protocol, checker.n_nodes, checker.n_blocks,
-        checker.home_of, checker.events.initial,
-        faults=checker.fault_budget)
+        checker.events.initial, faults=checker.fault_budget)
     pool = [state]
     seen = {state}
     frontier = [state]

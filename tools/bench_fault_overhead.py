@@ -23,7 +23,7 @@ import time
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from bench_common import bench_meta, timing_row, write_bench  # noqa: E402
-from repro.faults import FaultPlan, RecoveryConfig  # noqa: E402
+from repro.faults import FaultPlan  # noqa: E402
 from repro.protocols import compile_named_protocol  # noqa: E402
 from repro.tempest.machine import Machine, MachineConfig  # noqa: E402
 from repro.workloads import STACHE_WORKLOADS  # noqa: E402
@@ -32,9 +32,9 @@ N_NODES = 8
 REPEATS = 5
 
 
-def run_once(protocol, programs, n_blocks, faults, recovery):
+def run_once(protocol, programs, n_blocks, faults, watchdog):
     config = MachineConfig(n_nodes=N_NODES, n_blocks=n_blocks,
-                           faults=faults, recovery=recovery)
+                           faults=faults, watchdog=watchdog)
     machine = Machine(protocol, programs, config)
     start = time.perf_counter()
     result = machine.run()
@@ -42,7 +42,7 @@ def run_once(protocol, programs, n_blocks, faults, recovery):
     return result.cycles, elapsed
 
 
-def bench(make_faults, make_recovery):
+def bench(make_faults, watchdog):
     """Wall-time samples over REPEATS; returns (cycles, samples)."""
     factory, blocks_fn = STACHE_WORKLOADS["gauss"]
     protocol = compile_named_protocol("stache")
@@ -52,7 +52,7 @@ def bench(make_faults, make_recovery):
         programs = factory(n_nodes=N_NODES)
         run_cycles, elapsed = run_once(
             protocol, programs, blocks_fn(N_NODES),
-            make_faults(), make_recovery())
+            make_faults(), watchdog)
         if cycles is None:
             cycles = run_cycles
         elif cycles != run_cycles:
@@ -69,14 +69,14 @@ def main() -> int:
     args = parser.parse_args()
 
     configs = {
-        "no_fault_layer": (lambda: None, lambda: None),
-        "plan_armed_idle": (lambda: FaultPlan(), lambda: None),
-        "recovery_armed": (lambda: None, lambda: RecoveryConfig()),
+        "no_fault_layer": (lambda: None, False),
+        "plan_armed_idle": (lambda: FaultPlan(), False),
+        "recovery_armed": (lambda: None, True),
     }
     rows = {}
     cycles_seen = set()
-    for name, (make_faults, make_recovery) in configs.items():
-        cycles, samples = bench(make_faults, make_recovery)
+    for name, (make_faults, watchdog) in configs.items():
+        cycles, samples = bench(make_faults, watchdog)
         cycles_seen.add(cycles)
         row = timing_row(samples)
         row["cycles"] = cycles
