@@ -37,8 +37,8 @@ import warnings
 from dataclasses import dataclass
 from typing import IO, TYPE_CHECKING, Optional, Union
 
+from repro import _lazy_exports
 from repro.compile_cache import compile_file
-from repro.faults import FaultBudget, FaultPlan, FaultRule
 from repro.ioutil import check_output_paths
 from repro.protocols import PROTOCOLS, compile_named_protocol, entry_declaring
 from repro.runtime.protocol import CompiledProtocol, Flavor, OptLevel
@@ -47,12 +47,18 @@ from repro.runtime.protocol import CompiledProtocol, Flavor, OptLevel
 # checkers, the simulator): a process runs one of them, and every
 # `teapot` invocation is a new process (DESIGN.md, "Cold start").
 if TYPE_CHECKING:
+    from repro.faults import FaultBudget, FaultPlan
     from repro.tempest.machine import Machine
     from repro.tempest.stats import MachineStats
     from repro.verify.checker import CheckResult
     from repro.verify.events import EventGenerator
 
 Target = Union[str, CompiledProtocol]
+
+# The fault types, for API callers; only a run with faults imports them.
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.faults": ("FaultBudget", "FaultPlan", "FaultRule"),
+})
 
 
 @dataclass(frozen=True)
@@ -89,6 +95,8 @@ class FaultOptions:
     watchdog: bool = False     # enable the timeout/retry recovery layer
 
     def build_plan(self) -> Optional[FaultPlan]:
+        from repro.faults import FaultPlan, FaultRule
+
         if self.plan is not None:
             return FaultPlan.load(self.plan)
         rules = []

@@ -386,12 +386,13 @@ def emit_murphi(protocol: CompiledProtocol, n_nodes: int = 2,
         out.write(f"  case S_{state_name}:\n")
         out.write("    switch msg.tag\n")
         for message_name in sorted(state.handlers):
-            handler = state.handlers[message_name]
+            handler = protocol.handler_ir(state.handlers[message_name])
             out.write(f"    case M_{message_name}:\n")
             out.write(f"      {_proc_name(handler)}(n, a, msg);\n")
         if state.default is not None:
+            default = protocol.handler_ir(state.default)
             out.write("    else\n")
-            out.write(f"      {_proc_name(state.default)}(n, a, msg);\n")
+            out.write(f"      {_proc_name(default)}(n, a, msg);\n")
         else:
             out.write("    else\n")
             out.write('      error "message with no handler";\n')

@@ -1,4 +1,4 @@
-"""The Python back end: the execution engine of compiled protocols.
+"""The Python back end: the code the execution engine runs.
 
 Each handler becomes one Python function over ``(rt, ops, bound,
 site)``: ``rt`` is the :class:`CompiledEngine` driving it, ``ops`` the
@@ -24,7 +24,8 @@ is emitted; a prelude routine that is one context call is emitted as
 that call, and in a protocol with one ``SharerList`` variable the
 sharer-set reads and updates as ``get_info`` / ``set_info``
 expressions.  What every handler shares (dispatch, suspend, resume:
-charges, counters, observer hooks) lives in :class:`CompiledEngine`.
+charges, counters, observer hooks) lives in
+:class:`~repro.runtime.engine.CompiledEngine`.
 
 Cost values are per machine, so the emitted code never contains one: it
 reads them through ``ctx.costs`` at run time, and one compiled function
@@ -32,15 +33,17 @@ serves every machine and every checker over the same protocol.
 
 ``emit_python`` (``teapot compile --target python``) prints a module
 header, every handler's function and a table; the engine executes that
-same header and those same function texts, one handler at a time on
-first dispatch -- compiled then, or taken from the code objects a
-compile-cache entry stored ahead of time (``protocol.handler_code``).
+same header and those same function texts (:func:`compile_part`), one
+handler at a time on first dispatch -- compiled then, or taken from the
+code objects a compile-cache entry stored ahead of time
+(``protocol.handler_code``).  Only a miss reads the IR, so only a miss
+imports this module.
 """
 
 from __future__ import annotations
 
 from repro.lang import ast
-from repro.lang.errors import CompileError, RuntimeProtocolError
+from repro.lang.errors import CompileError
 from repro.compiler.ir import (
     HandlerIR,
     IAssign,
@@ -53,13 +56,7 @@ from repro.compiler.ir import (
     TSuspend,
 )
 from repro.runtime.builtins import BUILTIN_COSTS, BUILTIN_IMPLS
-from repro.runtime.context import MAX_OPS_PER_ACTION, ProtocolContext
-from repro.runtime.continuation import ContinuationRecord, make_continuation
-from repro.runtime.protocol import (
-    CompiledProtocol,
-    Flavor,
-    weak_protocol_entry,
-)
+from repro.runtime.protocol import CompiledProtocol
 
 _COMPARISONS = {
     "=": "==", "!=": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">=",
@@ -417,171 +414,10 @@ def emit_python(protocol: CompiledProtocol) -> str:
     return "".join(parts)
 
 
-class _ProtocolCode:
-    """The compiled handlers of one protocol, filled on demand."""
-
-    __slots__ = ("namespace", "by_name", "by_tag")
-
-    def __init__(self):
-        self.namespace: dict = {}    # globals of the handler functions
-        self.by_name: dict = {}      # qualified name -> handler function
-        self.by_tag: dict = {}       # (state name, tag) -> the same
-
-
-# Compiled code is a function of the protocol alone (never of a machine
-# or its cost model), so it is shared process-wide and dies with the
-# protocol, like the checker's engine caches.
-_PROTOCOL_CODE: dict = {}
-
-
-def _protocol_code(protocol: CompiledProtocol) -> _ProtocolCode:
-    return weak_protocol_entry(_PROTOCOL_CODE, protocol, _ProtocolCode)
-
-
-def compiled_handler(protocol: CompiledProtocol, handler: HandlerIR):
-    """``handler``'s function, compiled on first use; ``message_name``
-    on it is the name its dispatches are reported under."""
-    cache = _protocol_code(protocol)
-    fn = cache.by_name.get(handler.qualified_name)
-    if fn is None:
-        namespace = cache.namespace
-        stored = protocol.handler_code or {}
-        filename = f"<{protocol.name}.py>"
-        if not namespace:
-            exec(stored.get("")
-                 or compile(emit_header(protocol), filename, "exec"),
-                 namespace)
-        exec(stored.get(handler.qualified_name)
-             or compile(emit_handler(protocol, handler), filename, "exec"),
-             namespace)
-        fn = cache.by_name[handler.qualified_name] = namespace[
-            _fn_name(handler)]
-        fn.message_name = handler.message_name
-    return fn
-
-
-class CompiledEngine:
-    """Executes a protocol's compiled handlers against a host context.
-
-    The execution engine of the simulator and the checker; the same
-    interface as :class:`~repro.runtime.exec.HandlerInterpreter`, whose
-    methods are the reference for everything here.
-    """
-
-    def __init__(self, protocol: CompiledProtocol, ctx: ProtocolContext):
-        self.protocol = protocol
-        self.ctx = ctx
-        self._code = _protocol_code(protocol)
-        costs = ctx.costs
-        self._dispatch_cycles = costs.dispatch + (
-            costs.indirect_call if protocol.flavor is Flavor.TEAPOT else 0)
-
-    # -- dispatch ---------------------------------------------------------
-
-    def dispatch(self) -> None:
-        """Handle the context's current message as one atomic action."""
-        ctx = self.ctx
-        msg = ctx.current_message
-        state_name, state_args = ctx.get_state()
-        fn = self._code.by_tag.get((state_name, msg.tag))
-        if fn is None:
-            fn = self._resolve(state_name, msg)
-            if fn is None:
-                return
-
-        ctx.counters.handler_dispatches += 1
-        obs = ctx.obs
-        if obs is not None:
-            start = ctx.now
-            obs.handler_entry(ctx.node, msg.block, state_name,
-                              fn.message_name, msg.src, start)
-        ctx.now += self._dispatch_cycles
-
-        fn(self, 0, state_args)
-        if obs is not None:
-            obs.handler_exit(ctx.node, msg.block, state_name,
-                             fn.message_name, start, ctx.now)
-
-    def _resolve(self, state_name: str, msg):
-        """First dispatch of ``msg.tag`` in ``state_name``: find the
-        handler (DEFAULT fallback included) and compile it."""
-        state = self.protocol.states.get(state_name)
-        if state is None:
-            self.ctx.error(
-                f"block {msg.block} is in unknown state {state_name!r}")
-            return None
-        handler = state.dispatch(msg.tag)
-        if handler is None:
-            self.ctx.error(
-                f"unexpected message {msg.tag} to state {state_name} "
-                f"(block {msg.block}, from node {msg.src})")
-            return None
-        fn = compiled_handler(self.protocol, handler)
-        self._code.by_tag[state_name, msg.tag] = fn
-        return fn
-
-    # -- called by the compiled functions -----------------------------------
-
-    def diverged(self, qualified: str, owed: int) -> None:
-        """The guard tripped: charge what the code still owed, and fail."""
-        self.ctx.now += owed
-        raise RuntimeProtocolError(
-            f"handler {qualified} exceeded "
-            f"{MAX_OPS_PER_ACTION} operations; diverging loop?")
-
-    def suspend(self, qualified: str, site_id: int, saved: tuple,
-                is_static: bool, to_state: str) -> ContinuationRecord:
-        """Capture a continuation at a suspend site; the caller binds it
-        and then enters ``to_state``."""
-        ctx = self.ctx
-        counters = ctx.counters
-        counters.suspends += 1
-        if is_static:
-            counters.static_cont_uses += 1
-        else:
-            costs = ctx.costs
-            counters.cont_allocs += 1
-            ctx.now += costs.cont_alloc + costs.save_restore_word * len(saved)
-        record = make_continuation(qualified, site_id, saved, is_static)
-        obs = ctx.obs
-        if obs is not None:
-            obs.suspend(ctx.node, ctx.current_message.block, qualified,
-                        site_id, is_static,
-                        tuple(name for name, _value in saved),
-                        to_state, ctx.now)
-        return record
-
-    def resume(self, record, direct: bool, qualified: str, ops: int) -> int:
-        """Run the fragment ``record`` points at, like a call: when it
-        finishes (or suspends again), control returns to the caller,
-        and with it the action's operation count."""
-        ctx = self.ctx
-        if not isinstance(record, ContinuationRecord):
-            ctx.error(
-                f"Resume applied to a non-continuation value {record!r} "
-                f"in {qualified}")
-            return ops
-        costs = ctx.costs
-        counters = ctx.counters
-        counters.resumes += 1
-        cycles = costs.save_restore_word * len(record.saved)
-        if direct:
-            counters.direct_resumes += 1
-            cycles += costs.resume_direct
-        else:
-            cycles += costs.resume
-        if not record.is_static:
-            counters.cont_frees += 1
-            cycles += costs.cont_free
-        ctx.now += cycles
-        obs = ctx.obs
-        if obs is not None:
-            obs.resume(ctx.node, ctx.current_message.block, record.handler,
-                       record.site_id, direct, ctx.now)
-
-        fn = self._code.by_name.get(record.handler)
-        if fn is None:
-            handler, _site = self.protocol.suspend_site(
-                record.handler, record.site_id)
-            fn = compiled_handler(self.protocol, handler)
-        return fn(self, ops, record.saved, record.site_id)
+def compile_part(protocol: CompiledProtocol, qualified: str):
+    """The code object of handler ``qualified``'s function (``""``: the
+    module header), compiled from exactly the text ``emit_python``
+    prints for it."""
+    text = (emit_handler(protocol, protocol.handler_ir(qualified))
+            if qualified else emit_header(protocol))
+    return compile(text, f"<{protocol.name}.py>", "exec")

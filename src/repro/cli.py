@@ -32,7 +32,6 @@ import sys
 
 from repro import api
 from repro.api import CheckOptions, CompileOptions, FaultOptions, SimOptions
-from repro.faults import FaultBudget, FaultPlanError
 from repro.ioutil import atomic_write_text, check_output_paths, read_source
 from repro.lang.errors import (
     RuntimeProtocolError,
@@ -126,6 +125,8 @@ def cmd_info(args) -> int:
 def _parse_fault_budget(spec) -> "FaultBudget | None":
     if not spec:
         return None
+    from repro.faults import FaultBudget, FaultPlanError
+
     try:
         return FaultBudget.parse(spec)
     except (FaultPlanError, ValueError) as error:

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.lang import ast
-from repro.lang.builtins import T_CONT
+from repro.lang.types import T_CONT
 from repro.compiler.ir import HandlerIR, IResume, TSuspend
 
 # A lattice over sets of suspend-site ids; None = unknown provenance (top).

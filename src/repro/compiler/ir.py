@@ -19,7 +19,7 @@ from functools import cached_property
 from typing import Optional, Union
 
 from repro.lang import ast
-from repro.lang.builtins import default_value_for
+from repro.lang.types import default_value_for
 
 BlockId = int
 
@@ -223,3 +223,14 @@ class HandlerIR:
             visit(block_id)
         order.reverse()
         return [self.blocks[b] for b in order]
+
+
+def is_error_guard(handler: HandlerIR) -> bool:
+    """True when the handler's whole body is a single ``Error`` call:
+    it exists to make unexpected messages loud, so coverage counts it
+    apart (``CompiledProtocol.guards``)."""
+    entry = handler.blocks[handler.entry]
+    if len(entry.ops) != 1 or entry.successors():
+        return False
+    op = entry.ops[0]
+    return isinstance(op, ICall) and op.name == "Error"

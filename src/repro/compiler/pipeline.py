@@ -13,6 +13,7 @@ from repro.lang.ast import DEFAULT_MESSAGE
 from repro.lang.parser import parse_program
 from repro.lang.typecheck import CheckedProgram, check_program
 from repro.compiler.constcont import apply_constcont
+from repro.compiler.ir import is_error_guard
 from repro.compiler.liveness import apply_liveness, apply_save_all
 from repro.compiler.lower import lower_program
 from repro.runtime.protocol import (
@@ -21,6 +22,7 @@ from repro.runtime.protocol import (
     CompileStats,
     Flavor,
     OptLevel,
+    ProtocolIR,
     resolve_initial_states,
 )
 
@@ -57,15 +59,15 @@ def compile_protocol(
 
     states: dict[str, CompiledStateInfo] = {}
     for sig in checked.states.values():
-        state_handlers: dict[str, object] = {}
+        state_handlers: dict[str, str] = {}
         default = None
         for (state_name, message_name), handler in handlers.items():
             if state_name != sig.name:
                 continue
             if message_name == DEFAULT_MESSAGE:
-                default = handler
+                default = handler.qualified_name
             else:
-                state_handlers[message_name] = handler
+                state_handlers[message_name] = handler.qualified_name
         states[sig.name] = CompiledStateInfo(
             name=sig.name,
             params=[(p.name, p.type_name) for p in sig.params],
@@ -82,11 +84,14 @@ def compile_protocol(
 
     home, cache = resolve_initial_states(states, initial_states)
 
+    arms: list[str] = []
+    guards: list[str] = []
+    for handler in handlers.values():
+        (guards if is_error_guard(handler) else arms).append(
+            handler.qualified_name)
     return CompiledProtocol(
         name=checked.protocol_name,
-        checked=checked,
         states=states,
-        handlers=handlers,
         messages=dict(checked.messages),
         info_vars=dict(checked.info_vars),
         consts=_const_values(checked),
@@ -94,7 +99,15 @@ def compile_protocol(
         flavor=flavor,
         initial_home_state=home,
         initial_cache_state=cache,
+        arms=tuple(sorted(arms)),
+        guards=tuple(sorted(guards)),
+        frame_types={
+            handler.qualified_name: (*handler.state_params.items(),
+                                     *handler.locals.items(),
+                                     *handler.param_types.items())
+            for handler in handlers.values() if handler.suspend_sites},
         stats=stats,
+        ir_part=ProtocolIR(checked, handlers),
     )
 
 

@@ -27,11 +27,15 @@ from repro.lang.builtins import (
     BUILTIN_CONSTS,
     BUILTIN_FUNCTIONS,
     BUILTIN_PROCEDURES,
-    BUILTIN_TYPES,
     BuiltinSignature,
-    EQUALITY_TYPES,
     FAULT_EVENTS,
     HANDLER_PARAM_TYPES,
+)
+from repro.lang.errors import CheckError
+from repro.lang.symbols import Scope, Symbol, SymbolKind
+from repro.lang.types import (
+    BUILTIN_TYPES,
+    EQUALITY_TYPES,
     INT_LIKE_TYPES,
     T_BOOL,
     T_CONT,
@@ -39,8 +43,6 @@ from repro.lang.builtins import (
     T_STRING,
     types_compatible,
 )
-from repro.lang.errors import CheckError
-from repro.lang.symbols import Scope, Symbol, SymbolKind
 
 _ARITH_OPS = {"+", "-", "*", "/", "%"}
 _COMPARE_OPS = {"<", "<=", ">", ">="}

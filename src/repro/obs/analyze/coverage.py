@@ -17,11 +17,15 @@ them.  They are listed separately so they stay visible.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from repro.compiler.ir import ICall
 from repro.ioutil import atomic_write_json, check_envelope, read_json
-from repro.obs.analyze.trace import Trace, TraceError
 from repro.runtime.protocol import CompiledProtocol
+
+# Only trace-sourced reports and reading a saved one need the trace
+# module: ``verify``'s coverage line does not load it.
+if TYPE_CHECKING:
+    from repro.obs.analyze.trace import Trace
 
 # On-disk format marker for saved coverage reports (verify --coverage-out,
 # analyze coverage -o; read by analyze coverage and analyze diff).
@@ -30,24 +34,11 @@ COVERAGE_KIND = "teapot-coverage"
 COVERAGE_VERSION = 1
 
 
-def is_error_guard(handler) -> bool:
-    """True when the handler's whole body is a single ``Error`` call."""
-    entry = handler.blocks[handler.entry]
-    if len(entry.ops) != 1 or entry.successors():
-        return False
-    op = entry.ops[0]
-    return isinstance(op, ICall) and op.name == "Error"
-
-
 def arm_universe(protocol: CompiledProtocol
                  ) -> tuple[list[str], list[str]]:
-    """(coverable arms, error guards), each as sorted "State.MSG" keys."""
-    arms: list[str] = []
-    guards: list[str] = []
-    for (state_name, message_name), handler in protocol.handlers.items():
-        key = f"{state_name}.{message_name}"
-        (guards if is_error_guard(handler) else arms).append(key)
-    return sorted(arms), sorted(guards)
+    """(coverable arms, error guards), each as sorted "State.MSG" keys,
+    as the compiler tabled them (``repro.compiler.ir.is_error_guard``)."""
+    return list(protocol.arms), list(protocol.guards)
 
 
 @dataclass
@@ -126,6 +117,8 @@ class CoverageReport:
     @classmethod
     def from_json(cls, payload: dict, path: str = "<coverage>"
                   ) -> "CoverageReport":
+        from repro.obs.analyze.trace import TraceError
+
         check_envelope(payload, path, TraceError, "coverage report",
                        "verify --coverage-out", COVERAGE_KIND, COVERAGE_VERSION)
         return cls(**{name: payload[name] for name in cls.__dataclass_fields__
@@ -134,6 +127,8 @@ class CoverageReport:
 
 def load_coverage(path: str) -> CoverageReport:
     """Read a saved coverage report, with friendly errors."""
+    from repro.obs.analyze.trace import TraceError
+
     return CoverageReport.from_json(
         read_json(path, TraceError, "coverage report"), path)
 
@@ -141,6 +136,8 @@ def load_coverage(path: str) -> CoverageReport:
 def coverage_from_trace(trace: Trace,
                         protocol: CompiledProtocol) -> CoverageReport:
     """Count each handler_entry of a simulator trace against the arms."""
+    from repro.obs.analyze.trace import TraceError
+
     arms, guards = arm_universe(protocol)
     known = set(arms) | set(guards)
     fired: dict[str, int] = {}

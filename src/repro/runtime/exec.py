@@ -9,7 +9,7 @@ block state plus parked continuations) persists between actions.
 
 The simulator and the checker do not run this walk: they execute the
 functions :mod:`repro.backends.python_backend` compiles from the same
-CFGs.  The interpreter is the readable statement of what those functions
+CFGs (:mod:`repro.runtime.engine`).  The interpreter is the readable statement of what those functions
 must do -- every charge, counter, guard and observer hook, in order --
 and the tests hold the two to identical behaviour.
 """
@@ -63,12 +63,13 @@ class HandlerInterpreter:
             self.ctx.error(
                 f"block {msg.block} is in unknown state {state_name!r}")
             return
-        handler = state.dispatch(msg.tag)
-        if handler is None:
+        qualified = state.dispatch(msg.tag)
+        if qualified is None:
             self.ctx.error(
                 f"unexpected message {msg.tag} to state {state_name} "
                 f"(block {msg.block}, from node {msg.src})")
             return
+        handler = self.protocol.handler_ir(qualified)
 
         self.ctx.counters.handler_dispatches += 1
         obs = self.ctx.obs

@@ -1,29 +1,38 @@
 """The compiled form of a Teapot protocol.
 
-A :class:`CompiledProtocol` is what every consumer works from: the
-Python back end compiles its handler CFGs into the functions the
-simulator and model checker execute, the interpreter walks the same
-CFGs as the reference semantics, and the C / Mur-phi back ends
-pretty-print them.
+A :class:`CompiledProtocol` is what every consumer works from, in two
+parts.  Its *run tables* are plain data computed at compile time: each
+state's parameters, transient flag and (state, tag) -> handler table,
+the coverage arm universe, the typed frames of the handlers that can
+park a continuation, and the code objects of the Python back end's
+handler functions.  The simulator and the model checker read only
+these.  Its *IR* (:class:`ProtocolIR`: the checked AST and every
+handler's CFG) is what the C / Mur-phi / Python emitters, ``analysis/``
+and the reference interpreter walk.  A protocol read from the compile
+cache loads its IR on first access, so a run that only executes never
+imports the AST, IR or type-checker modules (DESIGN.md, "Cold start").
 """
 
 from __future__ import annotations
 
+import marshal
 import weakref
 from dataclasses import dataclass, field
 from enum import Enum, unique
 from functools import cached_property
-from typing import Optional
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Union
 
-from repro.lang.builtins import (  # NOBODY, default_value_for: re-exported
+from repro.lang.errors import CompileError
+from repro.lang.types import (  # NOBODY, default_value_for: re-exported
     NOBODY,
     T_CONT,
     T_SHARERS,
     default_value_for,
 )
-from repro.lang.errors import CompileError
-from repro.lang.typecheck import CheckedProgram
-from repro.compiler.ir import HandlerIR
+
+if TYPE_CHECKING:
+    from repro.lang.typecheck import CheckedProgram
+    from repro.compiler.ir import HandlerIR, SuspendSite
 
 
 @dataclass(frozen=True)
@@ -82,24 +91,34 @@ class CompileStats:
 
 @dataclass
 class CompiledStateInfo:
-    """One protocol state with its compiled handlers."""
+    """One protocol state: its parameters and who receives each tag."""
 
     name: str
     params: list[tuple[str, str]]        # (name, type)
     transient: bool
-    handlers: dict[str, HandlerIR]
-    default: Optional[HandlerIR] = None
+    # Message -> the qualified name ("State.MSG") of this state's own
+    # handler for it; every other tag goes to ``default``, the DEFAULT
+    # handler's qualified name (None: the state has none).  The IR of
+    # either is ``CompiledProtocol.handler_ir(qualified)``.
+    handlers: dict[str, str]
+    default: Optional[str] = None
 
     @property
     def is_subroutine(self) -> bool:
         return any(t == T_CONT for _n, t in self.params)
 
-    def dispatch(self, message: str) -> Optional[HandlerIR]:
-        """The handler that receives ``message`` in this state."""
-        handler = self.handlers.get(message)
-        if handler is not None:
-            return handler
-        return self.default
+    def dispatch(self, message: str) -> Optional[str]:
+        """The qualified name of the handler that receives ``message``
+        in this state."""
+        return self.handlers.get(message, self.default)
+
+
+class ProtocolIR(NamedTuple):
+    """What the front end and the middle end built: the IR-bearing part
+    of a compiled protocol."""
+
+    checked: CheckedProgram
+    handlers: dict[tuple[str, str], HandlerIR]
 
 
 @dataclass
@@ -107,9 +126,7 @@ class CompiledProtocol:
     """A fully compiled protocol, ready to execute or pretty-print."""
 
     name: str
-    checked: CheckedProgram
     states: dict[str, CompiledStateInfo]
-    handlers: dict[tuple[str, str], HandlerIR]
     messages: dict[str, tuple[str, ...]]
     info_vars: dict[str, str]
     consts: dict[str, object]
@@ -117,12 +134,52 @@ class CompiledProtocol:
     flavor: Flavor
     initial_home_state: str
     initial_cache_state: str
+    # The coverage arm universe as sorted qualified names: the error
+    # guards (handlers whose whole body is one Error call) apart.
+    arms: tuple[str, ...]
+    guards: tuple[str, ...]
+    # Qualified name -> the (name, type) pairs of the handler's state
+    # parameters, locals and message parameters, in that order, for
+    # every handler with a suspend site: what symmetry reads to rename
+    # the values a continuation record saved.
+    frame_types: dict[str, tuple[tuple[str, str], ...]]
     stats: CompileStats = field(default_factory=CompileStats)
     # Ahead-of-time code objects of the Python back end, by qualified
     # handler name (the module header under ""), when this protocol came
     # through repro.compile_cache; None = compile on first dispatch.
     handler_code: Optional[dict] = field(
         default=None, repr=False, compare=False)
+    # The IR, or a callable that returns it (the compile cache's second
+    # section), called on first access to ``ir``.
+    ir_part: Union[ProtocolIR, Callable[[], ProtocolIR], None] = field(
+        default=None, repr=False, compare=False)
+
+    @property
+    def ir(self) -> ProtocolIR:
+        part = self.ir_part
+        if not isinstance(part, ProtocolIR):
+            part = self.ir_part = part()
+        return part
+
+    @property
+    def checked(self) -> CheckedProgram:
+        return self.ir.checked
+
+    @property
+    def handlers(self) -> dict[tuple[str, str], HandlerIR]:
+        return self.ir.handlers
+
+    def __getstate__(self) -> dict:
+        # Code objects do not pickle; their marshal form does.
+        state = dict(self.__dict__)
+        if self.handler_code is not None:
+            state["handler_code"] = marshal.dumps(self.handler_code)
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        if state["handler_code"] is not None:
+            state["handler_code"] = marshal.loads(state["handler_code"])
+        self.__dict__.update(state)
 
     def state(self, name: str) -> CompiledStateInfo:
         info = self.states.get(name)
@@ -144,13 +201,14 @@ class CompiledProtocol:
         return tuple(name for name, type_name in self.info_vars.items()
                      if type_name == T_SHARERS)
 
-    def handler(self, state_name: str, message: str) -> Optional[HandlerIR]:
-        return self.state(state_name).dispatch(message)
+    def handler_ir(self, qualified_handler: str) -> HandlerIR:
+        state_name, _, message_name = qualified_handler.partition(".")
+        return self.handlers[state_name, message_name]
 
-    def suspend_site(self, qualified_handler: str, site_id: int):
+    def suspend_site(self, qualified_handler: str, site_id: int
+                     ) -> tuple[HandlerIR, SuspendSite]:
         """Look up a suspend site by the handler's qualified name."""
-        state_name, message_name = qualified_handler.split(".", 1)
-        handler = self.handlers[(state_name, message_name)]
+        handler = self.handler_ir(qualified_handler)
         return handler, handler.suspend_sites[site_id]
 
     def describe(self) -> str:

@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from repro.faults import FaultPlan
 from repro.lang.errors import RuntimeProtocolError, SimulationLimitError
 from repro.obs import Observer
 from repro.runtime.context import CostModel, Message, home_node
@@ -20,6 +19,9 @@ from repro.tempest.memory import AccessTag
 from repro.tempest.network import Network, NetworkConfig
 from repro.tempest.node import Node
 from repro.tempest.stats import MachineStats
+
+if TYPE_CHECKING:    # a plan is built by whoever runs with faults
+    from repro.faults import FaultPlan
 
 
 @dataclass

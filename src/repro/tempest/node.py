@@ -13,9 +13,9 @@ from collections import deque
 from heapq import heappush
 from typing import Optional
 
-from repro.backends.python_backend import CompiledEngine
 from repro.lang.errors import RuntimeProtocolError
 from repro.runtime.context import Message, ProtocolContext, home_node
+from repro.runtime.engine import CompiledEngine
 from repro.tempest.memory import (
     ACCESS_CHANGE_RESULT,
     BlockStore,

@@ -16,9 +16,8 @@ from dataclasses import dataclass, field
 from itertools import islice
 from typing import IO, NamedTuple, Optional
 
-from repro.backends.python_backend import CompiledEngine
-from repro.faults import FaultBudget
 from repro.runtime.context import Message, home_node
+from repro.runtime.engine import CompiledEngine
 from repro.runtime.protocol import CompiledProtocol, weak_protocol_entry
 from repro.verify.checkpoint import (
     Cut,
@@ -454,7 +453,7 @@ class ModelChecker:
         # None / (0, 0) disables fault transitions entirely.
         if fault_budget is None:
             self.fault_budget = (0, 0)
-        elif isinstance(fault_budget, FaultBudget):
+        elif hasattr(fault_budget, "as_tuple"):     # a FaultBudget
             self.fault_budget = fault_budget.as_tuple()
         else:
             self.fault_budget = tuple(fault_budget)
@@ -775,8 +774,7 @@ class ModelChecker:
         DEFAULT fallback exactly like the engine's dispatch does -- or
         None.  Initial dispatches and queue redeliveries both count."""
         state = self.protocol.states.get(at[0])
-        handler = state.dispatch(at[1]) if state is not None else None
-        return handler and f"{at[0]}.{handler.message_name}"
+        return state.dispatch(at[1]) if state is not None else None
 
     def _fault_successors(self, state: GlobalState):
         """Fault transitions: lose or duplicate any in-flight message,

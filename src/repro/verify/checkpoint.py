@@ -33,7 +33,6 @@ on-disk concerns both engines share:
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import resource
@@ -46,6 +45,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain, islice
 from types import GeneratorType
+
+from _blake2 import blake2b     # hashlib's, without its OpenSSL load
 
 from repro.ioutil import atomic_write_text, check_envelope, read_json
 from repro.verify.fingerprint import state_from_jsonable
@@ -312,7 +313,7 @@ def write_checkpoint(path: str, payload: dict, keep_last: int = 1,
         older = path if age == 1 else f"{path}.{age - 1}"
         if os.path.exists(older):
             os.replace(older, f"{path}.{age}")
-    atomic_write_text(path, _sealed_text(payload, hashlib.blake2b(
+    atomic_write_text(path, _sealed_text(payload, blake2b(
         digest_size=16)), fsync=durable)
 
 
@@ -328,7 +329,7 @@ def load_checkpoint(path: str) -> dict:
         CHECKPOINT_KIND, CHECKPOINT_VERSION, version_key="v")
     stored_seal = payload.get("seal")
     if stored_seal is not None:
-        seal = hashlib.blake2b(digest_size=16)
+        seal = blake2b(digest_size=16)
         deque(_sealed_text(payload, seal), maxlen=0)
         computed = seal.hexdigest()
         if stored_seal != computed:

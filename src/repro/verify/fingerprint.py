@@ -28,11 +28,12 @@ from __future__ import annotations
 import itertools
 import math
 from functools import partial, reduce
-from hashlib import blake2b
 from operator import getitem, xor
 from typing import Optional
 
-from repro.lang.builtins import T_CONT, T_NODE, T_SHARERS
+from _blake2 import blake2b     # hashlib's, without its OpenSSL load
+
+from repro.lang.types import T_CONT, T_NODE, T_SHARERS
 from repro.runtime.context import Message, home_node
 from repro.runtime.continuation import ContinuationRecord
 from repro.verify.model import (
@@ -209,7 +210,7 @@ def expected_collisions(entries: int,
 # NODE/SharerList-typed info fields and message payload parameters,
 # NODE/SharerList-typed parameterized-state args
 # (CompiledStateInfo.params), and suspended-continuation frames (saved
-# variables typed via the handler's IR tables, recursing through
+# variables typed via CompiledProtocol.frame_types, recursing through
 # CONT-typed captures).  Application views are permuted as whole rows;
 # event-generator states are node-free by construction (choices are
 # generated per node).  The gating differential suite pins reduced and
@@ -301,15 +302,11 @@ class SymmetryCanonicalizer:
         return value
 
     def _frame_kinds_for(self, handler: str) -> dict:
-        state_name, _, message_name = handler.partition(".")
-        ir = self._protocol.handlers.get((state_name, message_name))
         kinds = {}
-        if ir is not None:
-            for table in (ir.state_params, ir.locals, ir.param_types):
-                for name, type_name in table.items():
-                    kind = _node_kind(type_name)
-                    if kind is not None:
-                        kinds[name] = kind
+        for name, type_name in self._protocol.frame_types.get(handler, ()):
+            kind = _node_kind(type_name)
+            if kind is not None:
+                kinds[name] = kind
         return kinds
 
     def _remap_cont(self, mapping: tuple,

@@ -37,7 +37,7 @@ from repro.obs.analyze import (
     load_trace,
     vector_clocks,
 )
-from repro.obs.analyze.coverage import is_error_guard
+from repro.compiler.ir import is_error_guard
 from repro.compiler.pipeline import compile_source
 from repro.protocols import compile_named_protocol
 from repro.runtime.protocol import OptLevel

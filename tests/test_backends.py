@@ -3,7 +3,6 @@
 import pytest
 
 from repro.backends import (
-    CompiledEngine,
     emit_c,
     emit_murphi,
     emit_python,
@@ -15,6 +14,7 @@ from repro.protocols import (
     compile_named_protocol,
     load_protocol_source,
 )
+from repro.runtime.engine import CompiledEngine
 from repro.runtime.exec import HandlerInterpreter
 from repro.runtime.protocol import OptLevel
 from repro.verify import ModelChecker

@@ -1,6 +1,8 @@
 """The compile cache (``repro.compile_cache``): an entry read back from
-disk must be indistinguishable from a fresh run of the front end, and
-anything but a complete entry under the right key must be a silent miss.
+disk must be indistinguishable from a fresh run of the front end,
+anything but a complete first section under the right key must be a
+silent miss, and a damaged IR section must be rebuilt, as silently, when
+something asks for the IR.
 
 Entries are written beside copies of the ``.tea`` files under
 ``tmp_path``; nothing here looks at, or depends on, the entries other
@@ -9,7 +11,9 @@ tests leave in ``src/repro/protocols/__pycache__/``.
 
 import json
 import os
+import pickle
 import random
+import re
 import shutil
 import subprocess
 import sys
@@ -18,10 +22,12 @@ import pytest
 
 from repro import compile_cache
 from repro.backends import emit_c, emit_murphi, emit_python
+from repro.cli import main
 from repro.compile_cache import compile_file
 from repro.compiler import pipeline
 from repro.protocols import PROTOCOLS, _source_path
-from repro.runtime.protocol import Flavor, OptLevel
+from repro.runtime.exec import HandlerInterpreter
+from repro.runtime.protocol import Flavor, OptLevel, ProtocolIR
 from repro.workloads import LCM_WORKLOADS, STACHE_WORKLOADS
 
 from test_compiled_engine import CompiledEngine, explore, simulate
@@ -59,6 +65,12 @@ class Cache:
             self.path, opt_level,
             flavor if flavor is not None else self.entry.flavor,
             initial_states or self.entry.initial_states)
+
+    def compile_as_cli(self):
+        """What ``teapot <subcommand> <path>`` compiles: the defaults,
+        initial states inferred (another key than ``compile()``'s)."""
+        self.monkeypatch.setattr(compile_cache, "_LOADED", {})
+        return compile_file(self.path)
 
     def slot(self, opt_level=OptLevel.O2):
         return self.directory / (
@@ -177,15 +189,27 @@ def test_other_toolchain_or_interpreter_rebuilds(cache, part, value):
 
 def test_toolchain_stamp_covers_the_compiler_sources():
     stamp = compile_cache._toolchain_stamp().decode()
-    for file in ("lang/parser.py", "lang/typecheck.py", "compiler/lower.py",
-                 "compiler/constcont.py", "backends/python_backend.py",
-                 "runtime/protocol.py"):
+    for file in ("lang/parser.py", "lang/typecheck.py", "lang/types.py",
+                 "compiler/lower.py", "compiler/constcont.py",
+                 "backends/python_backend.py", "runtime/protocol.py",
+                 # The emitter bakes costs.<attr> per BUILTIN_COSTS entry
+                 # and one BI_<name> per BUILTIN_IMPLS key into the code.
+                 "runtime/builtins.py",
+                 # What runs the code, and what lays the entry out.
+                 "runtime/engine.py", "compile_cache.py"):
         assert repr(os.path.normpath(file)) in stamp
 
 
 # ---------------------------------------------------------------------------
 # Corruption: silently rebuilt and overwritten
 # ---------------------------------------------------------------------------
+
+
+def _tables_end(blob):
+    """Where an entry's first section (the run tables) ends and its
+    second (the IR) begins."""
+    start = 16 + compile_cache._LENGTH             # a 128-bit key
+    return start + int.from_bytes(blob[16:start], "little")
 
 
 def _other_key(cache):
@@ -197,7 +221,7 @@ def _other_key(cache):
 
 @pytest.mark.parametrize("damage", [
     lambda cache, blob: b"",
-    lambda cache, blob: blob[:len(blob) // 2],
+    lambda cache, blob: blob[:_tables_end(blob) // 2],
     lambda cache, blob: blob[:16] + random.Random(1).randbytes(4096),
     lambda cache, blob: random.Random(2).randbytes(4096),
     lambda cache, blob: _other_key(cache),
@@ -228,6 +252,90 @@ def test_unwritable_location_compiles_without_a_cache(tmp_path, monkeypatch,
         "__pycache__", "stache.tea"]
     assert (tmp_path / "__pycache__").read_text() == "in the way"
     assert capfd.readouterr() == ("", "")
+
+
+# ---------------------------------------------------------------------------
+# Two sections: a run reads the tables, an IR consumer the IR
+# ---------------------------------------------------------------------------
+
+
+def _check(protocol):
+    from repro.api import CheckOptions, check
+
+    return check(protocol, CheckOptions(nodes=2, reorder=1))
+
+
+@pytest.mark.parametrize("consumer", ["compile --target c",
+                                      "HandlerInterpreter"])
+@pytest.mark.parametrize("damage", [
+    lambda blob: blob[:(_tables_end(blob) + len(blob)) // 2],
+    lambda blob: blob[:_tables_end(blob)] + random.Random(3).randbytes(4096),
+], ids=["truncated", "garbled"])
+def test_damaged_ir_section_is_rebuilt_when_asked(cache, damage, consumer,
+                                                  capsys):
+    built = cache.compile_as_cli()
+    fresh = {"c": emit_c(built),
+             "explored": explore(built, "stache", HandlerInterpreter,
+                                 n_nodes=2)}
+    slot = cache.slot()
+    slot.write_bytes(damage(slot.read_bytes()))
+    capsys.readouterr()
+
+    # The run tables still load, and a run reads nothing else: verify
+    # passes on this very entry without rebuilding it.
+    protocol = cache.compile_as_cli()
+    result = _check(protocol)
+    assert result.ok and result.exhausted
+    assert cache.rebuilds == 1
+    assert not isinstance(protocol.ir_part, ProtocolIR)
+
+    # An IR consumer rebuilds the section without a word.
+    if consumer == "HandlerInterpreter":
+        assert explore(protocol, "stache", HandlerInterpreter,
+                       n_nodes=2) == fresh["explored"]
+    else:
+        compile_cache._LOADED.clear()
+        assert main(["compile", cache.path, "--target", "c"]) == 0
+        assert capsys.readouterr() == (fresh["c"], "")
+    assert cache.rebuilds == 2
+    # ... and rewrote the entry: whole again.
+    again = cache.compile_as_cli()
+    assert emit_c(again) == fresh["c"] and cache.rebuilds == 2
+
+
+def test_verify_reads_alike_from_a_hit_and_from_source(cache, tmp_path,
+                                                       capsys):
+    """The verdict, the coverage line and the --coverage-out report are
+    byte-identical whether the front end ran or the entry was read (the
+    emitted texts are held alike in test_hit_is_what_the_front_end_builds)."""
+    def verify(report):
+        compile_cache._LOADED.clear()
+        assert main(["verify", cache.path, "--nodes", "2", "--reorder", "1",
+                     "--coverage-out", str(report)]) == 0
+        verdict, coverage = capsys.readouterr().out.splitlines()
+        return (re.sub(r" time=\S+", "", verdict), coverage,
+                report.read_bytes())
+
+    from_source = verify(tmp_path / "source.json")
+    assert cache.rebuilds == 1
+    from_hit = verify(tmp_path / "hit.json")
+    assert cache.rebuilds == 1
+    assert from_hit == from_source
+    assert from_hit[0].startswith("Stache: PASS")
+
+
+def test_a_hit_protocol_pickles(cache):
+    """The sharded checker's ``spawn`` start method pickles the
+    protocol: code objects travel marshalled, the IR section as bytes."""
+    cache.compile()
+    hit = cache.compile()
+    explored = explore(hit, "stache", CompiledEngine, n_nodes=2)
+    assert not isinstance(hit.ir_part, ProtocolIR)     # a run read no IR
+    shipped = pickle.loads(pickle.dumps(hit))
+    assert shipped.handler_code.keys() == hit.handler_code.keys()
+    assert explore(shipped, "stache", CompiledEngine, n_nodes=2) == explored
+    assert emit_c(shipped) == emit_c(hit)
+    assert cache.rebuilds == 1
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +379,10 @@ print(json.dumps({"status": status, "modules": sorted(sys.modules),
                   "compiled": compiled}), file=sys.stderr)
 """
 VERIFY = ["verify", "lcm_mcc", "--nodes", "2", "--reorder", "1"]
+# What only the front end, an IR consumer, a run with faults or a
+# trace-sourced report reads: a cache hit that runs loads none of it.
+NOT_ON_A_HIT = ("repro.lang.ast", "repro.lang.typecheck", "repro.lang.symbols",
+                "repro.compiler.ir", "repro.faults", "repro.obs.analyze.trace")
 
 
 def _report(argv):
@@ -291,18 +403,36 @@ def test_cache_hit_verify_import_budget():
     ours = [name for name in report["modules"]
             if name == "repro" or name.startswith("repro.")]
     # 63 before the imports were lazy, 37 while the engine imported the
-    # reference interpreter for one constant.
-    assert len(ours) <= 36, ours
+    # reference interpreter for one constant, 36 while a hit unpickled
+    # the AST and the handler IR.
+    assert len(ours) <= 27, ours
     for stranger in (
             "repro.tempest.machine", "repro.tempest.node",
             "repro.verify.parallel", "repro.verify.atlas",
             "repro.obs.profile", "repro.obs.metrics",
             "repro.backends.c_backend", "repro.backends.murphi_backend",
+            "repro.backends.python_backend",
             "repro.analysis.stategraph", "repro.workloads",
             "repro.lang.lexer", "repro.lang.parser", "repro.lang.pretty",
             "repro.compiler.lower", "repro.compiler.liveness",
             "repro.compiler.constcont", "repro.compiler.pipeline",
-            "repro.runtime.exec", "multiprocessing"):
+            "repro.runtime.exec", "multiprocessing", *NOT_ON_A_HIT):
+        assert stranger not in report["modules"], stranger
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "lcm", "--nodes", "3", "--symmetry"],
+    ["run", "stache", "gauss", "--nodes", "4"],
+], ids=["verify-symmetry", "run"])
+def test_cache_hit_loads_no_front_end(argv):
+    """Symmetry renames continuation frames by their typed names, and
+    the simulator dispatches through the same tables: both from the run
+    tables alone."""
+    _report(argv)
+    report = _report(argv)
+    assert not [name for name in report["compiled"]
+                if name.startswith("<") and name.endswith(".py>")]
+    for stranger in NOT_ON_A_HIT:
         assert stranger not in report["modules"], stranger
 
 

@@ -13,7 +13,7 @@ import re
 
 import pytest
 
-from repro.backends import CompiledEngine, emit_python, python_backend
+from repro.backends import emit_python, python_backend
 from repro.compiler.pipeline import compile_source
 from repro.faults import FaultBudget, FaultPlan, FaultRule
 from repro.lang.errors import RuntimeProtocolError
@@ -25,6 +25,7 @@ from repro.protocols import (
 )
 from repro.runtime.context import CostModel
 from repro.runtime.exec import MAX_OPS_PER_ACTION, HandlerInterpreter
+from repro.runtime.engine import _PROTOCOL_CODE, CompiledEngine, compiled_handler
 from repro.runtime.protocol import OptLevel
 from repro.tempest.machine import Machine, MachineConfig
 from repro.verify import ModelChecker, checker
@@ -306,11 +307,10 @@ def test_emitted_module_is_what_the_engine_compiles(name, monkeypatch):
                         raising=False)
     keys = sorted(protocol.handlers)
     for key in keys:
-        code = python_backend.compiled_handler(
-            protocol, protocol.handlers[key])
+        qualified = protocol.handlers[key].qualified_name
+        code = compiled_handler(protocol, qualified)
         # A second request is a cache hit, not a second compilation.
-        assert python_backend.compiled_handler(
-            protocol, protocol.handlers[key]) is code
+        assert compiled_handler(protocol, qualified) is code
     monkeypatch.undo()
 
     assert len(compiled_texts) == 1 + len(keys)     # header + handlers
@@ -329,7 +329,7 @@ def test_handlers_compile_on_first_dispatch_only():
         MINI_SOURCE, initial_states=("Home_Idle", "Cache_Invalid"))
     ctx = FakeContext(protocol)
     engine = CompiledEngine(protocol, ctx)
-    code = python_backend._PROTOCOL_CODE[id(protocol)][1]
+    code = _PROTOCOL_CODE[id(protocol)][1]
     assert not code.by_name
     ctx.deliver(engine, "GET_REQ", src=1)
     assert set(code.by_name) == {"Home_Idle.GET_REQ"}

@@ -568,7 +568,7 @@ def test_resume_refuses_other_reduction_or_fault_config(tmp_path, flag,
 
 
 def test_engine_tables_hold_no_per_transition_entries():
-    from repro.backends import CompiledEngine
+    from repro.runtime import CompiledEngine
     from repro.verify import checker
 
     protocol = api.compile_protocol("lcm", CheckOptions().compile)

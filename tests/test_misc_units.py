@@ -185,7 +185,7 @@ class TestMurphiEmitterDetails:
 class TestPythonBackendOptLevels:
     @pytest.mark.parametrize("level_name", ["O0", "O1", "O2"])
     def test_generated_matches_interpreter_at_every_level(self, level_name):
-        from repro.backends import CompiledEngine
+        from repro.runtime import CompiledEngine
         from repro.runtime.exec import HandlerInterpreter
         from repro.runtime.protocol import OptLevel
         from helpers import FakeContext

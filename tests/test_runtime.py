@@ -374,7 +374,7 @@ End;
         assert ctx.info["count"] == 42
 
     def test_generated_python_agrees(self):
-        from repro.backends import CompiledEngine
+        from repro.runtime import CompiledEngine
         protocol = self._protocol()
         ctx = FakeContext(protocol, state=("S", ()))
         ctx.support["Threshold"] = 41
