@@ -402,8 +402,7 @@ def cmd_analyze_atlas(args) -> int:
     if args.dot or args.graphml:
         render = atlas_to_dot if args.dot else atlas_to_graphml
         print(render(atlas, max_depth=args.max_depth,
-                     protocol_state=args.protocol_state,
-                     collapse_orbits=args.collapse_orbits))
+                     protocol_state=args.protocol_state))
         return 0
     print(format_atlas(atlas, top=args.top), end="")
     return 0
@@ -594,8 +593,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="record every explored state and transition and "
                         "write the state-atlas JSON (render with "
                         "`teapot analyze atlas`: SCC/deadlock-basin "
-                        "structure, depth profile, residence heatmap, "
-                        "symmetry-orbit estimate); off = zero overhead")
+                        "structure, depth profile, residence "
+                        "heatmap); off = zero overhead")
     _add_opt_flags(p)
     p.set_defaults(fn=cmd_verify)
 
@@ -696,29 +695,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = analyses.add_parser(
         "atlas", help="render a `verify --atlas-out` export: SCCs and "
-                      "deadlock basins, depth/degree profiles, the "
-                      "residence heatmap and the symmetry-orbit "
-                      "estimate; or export the explored graph as "
-                      "DOT/GraphML")
+                      "deadlock basins, depth/degree profiles and the "
+                      "residence heatmap; or export the explored graph "
+                      "as DOT/GraphML")
     q.add_argument("atlas", help="JSON file from verify --atlas-out")
     q.add_argument("--top", type=int, default=10, metavar="N",
                    help="rows in the report tables (default 10)")
-    q.add_argument("--dot", action="store_true",
-                   help="emit the *explored* global state graph as "
-                        "Graphviz instead of the report (for the "
-                        "syntactic per-machine graph, see `teapot graph "
-                        "--dot`)")
-    q.add_argument("--graphml", action="store_true",
-                   help="emit the explored graph as GraphML instead of "
-                        "the report")
+    export = q.add_mutually_exclusive_group()
+    export.add_argument("--dot", action="store_true",
+                        help="emit the *explored* global state graph as "
+                             "Graphviz instead of the report (for the "
+                             "syntactic per-machine graph, see `teapot "
+                             "graph --dot`)")
+    export.add_argument("--graphml", action="store_true",
+                        help="emit the explored graph as GraphML instead "
+                             "of the report")
     q.add_argument("--max-depth", type=int, default=None, metavar="D",
                    help="export filter: only states at BFS depth <= D")
     q.add_argument("--protocol-state", metavar="NAME",
                    help="export filter: only states where some node is "
                         "in this protocol state (e.g. Home_Excl)")
-    q.add_argument("--collapse-orbits", action="store_true",
-                   help="export one node per symmetry orbit (collapses "
-                        "node-permutation-equivalent states)")
     q.set_defaults(fn=cmd_analyze_atlas)
 
     q = analyses.add_parser(

@@ -1,25 +1,24 @@
 """The state-space atlas: what the explored graph *looks like*.
 
-Symmetry reduction is a bet about the *structure* of the reachable
-state space: that most states are node-permutations of each other.
-This module is the measurement layer that turns the bet into numbers, the
-same way :mod:`repro.obs.profile` did for hot-loop time:
+This module is the measurement layer for the explored graph's
+structure, the same way :mod:`repro.obs.profile` is for hot-loop time:
 
 - :class:`AtlasRecorder` -- the armed recorder both checkers thread
   through their hot loops.  It streams every explored transition
   ``(src_fingerprint, dst_fingerprint, label)`` and annotates every
-  visited state (BFS depth, per-node protocol-state vector, network and
-  deferred-queue occupancy, nonzero fault budget, symmetry-orbit key).
+  visited state (BFS depth, per-node protocol-state vector, nonzero
+  fault budget).
 - :class:`StateAtlas` -- the schema-versioned JSON artifact (kind
-  ``teapot-state-atlas`` v1; ``teapot verify --atlas-out``), rendered by
+  ``teapot-state-atlas`` v2; ``teapot verify --atlas-out``), rendered by
   ``teapot analyze atlas``, diffable with ``teapot analyze diff``, and
   exportable as filtered DOT/GraphML for small configs.
 - analysis -- SCC decomposition with terminal-SCC (deadlock-basin)
-  identification, depth/diameter profile, in/out-degree distributions,
-  a per-(node, protocol-state) residence heatmap split
-  transient-vs-stable, and the **symmetry-orbit estimator** (states
-  canonicalized under caching-node permutation, reusing
-  :mod:`repro.verify.fingerprint`'s canonical encoding).
+  identification, depth/diameter profile, in/out-degree distributions
+  and a per-(node, protocol-state) residence heatmap split
+  transient-vs-stable.
+
+The atlas estimates no symmetry collapse: ``verify --symmetry``
+measures it (its ``canonical-states`` count).
 
 Sampling must not break engine invariance.  Above the caps a classic
 reservoir would keep an arrival-order-dependent sample -- and arrival
@@ -29,17 +28,6 @@ Fingerprints are uniform, so bottom-k is an unbiased uniform sample,
 it is order-independent, and merging per-worker bottom-k sketches
 yields exactly the global bottom-k.  A completed exploration therefore
 produces the identical atlas at any worker count, truncated or not.
-
-The orbit key is computed by the *production* symmetry canonicalizer
-(:class:`repro.verify.fingerprint.SymmetryCanonicalizer` -- the same
-complete typed remap ``CheckOptions.reduction.symmetry`` explores
-under), so the atlas's estimated collapse ratio and the reduced run's
-achieved ratio agree exactly on exhausted explorations
-(``tools/state_atlas.py`` cross-checks them).  The one estimation
-concession is the permutation cap: beyond ``DEFAULT_PERM_CAP`` free
-permutations the sketch considers a prefix of the group and the ratio
-becomes approximate; nothing is pruned by it here, so a capped map can
-only misestimate the ratio, never corrupt a verdict.
 
 Like the profiler, the recorder is a pure observer: absent (the
 default) the checkers run the exact code they always ran -- verdicts,
@@ -59,15 +47,11 @@ from typing import Optional
 from repro.ioutil import atomic_write_json, check_envelope, read_json
 from repro.obs.analyze.trace import TraceError
 from repro.verify.checker import parse_label
-from repro.verify.fingerprint import (
-    DEFAULT_PERM_CAP,
-    SymmetryCanonicalizer,
-    fingerprint,
-)
+from repro.verify.fingerprint import fingerprint
 from repro.verify.model import GlobalState
 
 ATLAS_KIND = "teapot-state-atlas"
-ATLAS_VERSION = 1
+ATLAS_VERSION = 2
 
 # Bottom-k sketch caps: exact below, uniform-sampled (with logged
 # truncation) above.  A 3-node reordered exploration of the largest
@@ -148,7 +132,6 @@ class AtlasRecorder:
         self.edge_cap = edge_cap
         self._states = _BottomK(state_cap)
         self._edges = _BottomK(edge_cap)
-        self._canon: Optional[SymmetryCanonicalizer] = None
         self._state_meta: dict[str, dict] = {}
         self._src_fp: Optional[int] = None
         # When the engine runs without hash compaction it has no
@@ -162,13 +145,9 @@ class AtlasRecorder:
 
     # -- recording (checker-facing) -----------------------------------------
 
-    def bind(self, protocol, n_nodes: int, n_blocks: int) -> None:
-        """Attach the protocol config (idempotent; called at run start
-        by whichever engine owns this recorder)."""
-        if self._canon is not None:
-            return
-        self._canon = SymmetryCanonicalizer(protocol, n_nodes, n_blocks,
-                                            perm_cap=DEFAULT_PERM_CAP)
+    def bind(self, protocol) -> None:
+        """Attach the protocol's state metadata (idempotent; called at
+        run start by whichever engine owns this recorder)."""
         self._state_meta = {
             name: {"transient": bool(info.transient)}
             for name, info in protocol.states.items()}
@@ -185,7 +164,7 @@ class AtlasRecorder:
               fp: Optional[int] = None) -> int:
         """Record a newly visited state with its BFS depth."""
         fp = self._fp_of(state, fp)
-        self._states.offer(fp, lambda: self._annotate(state, depth, fp))
+        self._states.offer(fp, lambda: self._annotate(state, depth))
         return fp
 
     def expand(self, state: GlobalState, fp: Optional[int] = None) -> None:
@@ -202,16 +181,11 @@ class AtlasRecorder:
         self._edges.offer(_edge_digest(src, fp, label), record)
         return fp
 
-    def _annotate(self, state: GlobalState, depth: int, fp: int) -> dict:
+    def _annotate(self, state: GlobalState, depth: int) -> dict:
         annotation = {
             "depth": depth,
             "vector": [[view.state_name for view in node_blocks]
                        for node_blocks in state.blocks],
-            "inflight": state.messages_in_flight(),
-            "queued": sum(len(view.queue)
-                          for node_blocks in state.blocks
-                          for view in node_blocks),
-            "orbit": self._canon.orbit_fingerprint(state, fp),
         }
         if state.faults != (0, 0):
             annotation["faults"] = list(state.faults)
@@ -244,18 +218,14 @@ class AtlasRecorder:
     def build(self, result) -> "StateAtlas":
         """Finalize into a :class:`StateAtlas` for a finished
         :class:`~repro.verify.checker.CheckResult`."""
-        states = {}
-        for fp in sorted(self._states.entries):
-            annotation = dict(self._states.entries[fp])
-            annotation["orbit"] = f"{annotation['orbit']:016x}"
-            states[f"{fp:016x}"] = annotation
+        states = {f"{fp:016x}": self._states.entries[fp]
+                  for fp in sorted(self._states.entries)}
         edges = []
         for src, dst, label in self._edges.entries.values():
             kind, tag, sender, receiver, _index, block = parse_label(label)
             edges.append([f"{src:016x}", f"{dst:016x}", tag, sender,
                           receiver, kind, block, label])
         edges.sort(key=lambda record: (record[0], record[1], record[7]))
-        canon = self._canon
         return StateAtlas(
             protocol=result.protocol_name,
             nodes=result.n_nodes,
@@ -276,11 +246,6 @@ class AtlasRecorder:
                 "edges_kept": len(self._edges.entries),
                 "sampled": self.truncated,
             },
-            orbit={
-                "method": canon.method if canon else "identity",
-                "free_nodes": list(canon.free_nodes) if canon else [],
-                "permutations": canon.permutations if canon else 1,
-            },
             state_meta=dict(self._state_meta),
             states=states,
             edges=edges,
@@ -300,7 +265,6 @@ class StateAtlas:
     workers: int = 0
     result: dict = field(default_factory=dict)
     truncation: dict = field(default_factory=dict)
-    orbit: dict = field(default_factory=dict)
     state_meta: dict = field(default_factory=dict)
     states: dict = field(default_factory=dict)   # fp hex -> annotation
     # Each edge: [src, dst, tag, sender, receiver, kind, block, label].
@@ -498,25 +462,6 @@ def residence_heatmap(atlas: StateAtlas) -> dict:
     }
 
 
-def orbit_summary(atlas: StateAtlas) -> dict:
-    """The symmetry-orbit estimate: distinct orbit keys over kept
-    states and the collapse ratio a symmetry reduction could reach."""
-    orbits: dict[str, int] = defaultdict(int)
-    for annotation in atlas.states.values():
-        orbits[annotation["orbit"]] += 1
-    states = len(atlas.states)
-    count = len(orbits)
-    return {
-        "states": states,
-        "orbits": count,
-        "ratio": (states / count) if count else 1.0,
-        "largest_orbit": max(orbits.values(), default=0),
-        "method": atlas.orbit.get("method", "identity"),
-        "free_nodes": atlas.orbit.get("free_nodes", []),
-        "permutations": atlas.orbit.get("permutations", 1),
-    }
-
-
 # -- rendering ------------------------------------------------------------------
 
 def format_atlas(atlas: StateAtlas, top: int = 10) -> str:
@@ -551,11 +496,11 @@ def format_atlas(atlas: StateAtlas, top: int = 10) -> str:
         lines.append(
             f"depth: diameter={structure['diameter']}, frontier width "
             f"peaks at {peak} (depth {profile.index(peak)})")
-        shown = profile if len(profile) <= 2 * top else (
-            profile[:2 * top - 1] + [profile[-1]])
-        widths = " ".join(str(w) for w in shown[:2 * top - 1])
-        if len(profile) > 2 * top:
-            widths += f" ... {profile[-1]}"
+        if len(profile) <= 2 * top:
+            widths = " ".join(map(str, profile))
+        else:
+            widths = (" ".join(map(str, profile[:2 * top - 1]))
+                      + f" ... {profile[-1]}")
         lines.append(f"  states per depth: {widths}")
     out_deg, in_deg = structure["out_degree"], structure["in_degree"]
     lines.append(
@@ -600,19 +545,6 @@ def format_atlas(atlas: StateAtlas, top: int = 10) -> str:
         f"  transient residence: {heat['transient_fraction']:.1%} of all "
         "(node, state) observations -- the FSM-to-PDA suspend states, "
         "measured")
-
-    orbit = orbit_summary(atlas)
-    lines.append(
-        f"symmetry orbits (estimator): {orbit['states']} states -> "
-        f"{orbit['orbits']} orbits, collapse ratio {orbit['ratio']:.2f}x "
-        f"(largest orbit {orbit['largest_orbit']}; "
-        f"{orbit['permutations']} permutation(s) of free nodes "
-        f"{orbit['free_nodes']}, method {orbit['method']})")
-    if orbit["method"] == "identity":
-        lines.append(
-            "  note: fewer than two permutable (non-home) nodes at this "
-            "config; every orbit is a singleton.  Re-run with --nodes 3 "
-            "or more for a meaningful ratio.")
     return "\n".join(lines) + "\n"
 
 
@@ -656,11 +588,6 @@ def diff_atlases(a: StateAtlas, b: StateAtlas, top: int = 5) -> str:
         f"(+{len(edges_b - edges_a)} appeared, "
         f"-{len(edges_a - edges_b)} vanished)")
 
-    orbit_a, orbit_b = orbit_summary(a), orbit_summary(b)
-    lines.append(
-        f"orbits: {orbit_a['orbits']} -> {orbit_b['orbits']}  "
-        f"(collapse ratio {orbit_a['ratio']:.2f}x -> "
-        f"{orbit_b['ratio']:.2f}x)")
     structure_a, structure_b = analyze_structure(a), analyze_structure(b)
     lines.append(
         f"terminal SCCs: {structure_a['terminal_sccs']} -> "
@@ -687,13 +614,8 @@ def _filtered_states(atlas: StateAtlas, max_depth: Optional[int] = None,
     return kept
 
 
-def _vector_label(annotation: dict) -> str:
-    return " | ".join(
-        "/".join(names) for names in annotation["vector"])
-
-
 def _export_graph(atlas: StateAtlas, max_depth: Optional[int],
-                  protocol_state: Optional[str], collapse_orbits: bool):
+                  protocol_state: Optional[str]):
     """The (nodes, edges) the DOT and GraphML exports share."""
     kept = _filtered_states(atlas, max_depth, protocol_state)
     transient = {name for name, meta in atlas.state_meta.items()
@@ -703,48 +625,13 @@ def _export_graph(atlas: StateAtlas, max_depth: Optional[int],
         return any(name in transient
                    for names in annotation["vector"] for name in names)
 
-    if collapse_orbits:
-        groups: dict[str, list[str]] = defaultdict(list)
-        for fp in sorted(kept):
-            groups[kept[fp]["orbit"]].append(fp)
-        orbit_of = {fp: orbit for orbit, fps in groups.items()
-                    for fp in fps}
-        nodes = []
-        for orbit, fps in sorted(groups.items()):
-            representative = kept[min(fps)]
-            label = _vector_label(representative)
-            if len(fps) > 1:
-                label += f"  (x{len(fps)})"
-            nodes.append((orbit, {
-                "label": label,
-                "depth": min(kept[fp]["depth"] for fp in fps),
-                "size": len(fps),
-                "shape": "box" if is_transient(representative)
-                else "ellipse",
-            }))
-        seen = set()
-        edges = []
-        for record in atlas.edges:
-            src, dst = record[0], record[1]
-            if src not in orbit_of or dst not in orbit_of:
-                continue
-            key = (orbit_of[src], orbit_of[dst], record[2], record[5])
-            if key in seen or key[0] == key[1]:
-                continue
-            seen.add(key)
-            attrs = {"label": record[2], "kind": record[5]}
-            if record[5] in ("drop", "dup"):
-                attrs["style"] = "dashed"
-            edges.append((key[0], key[1], attrs))
-        return nodes, edges
-
     nodes = []
     for fp in sorted(kept):
         annotation = kept[fp]
         attrs = {
-            "label": f"d{annotation['depth']}  {_vector_label(annotation)}",
+            "label": f"d{annotation['depth']}  " + " | ".join(
+                "/".join(names) for names in annotation["vector"]),
             "depth": annotation["depth"],
-            "orbit": annotation["orbit"],
             "shape": "box" if is_transient(annotation) else "ellipse",
         }
         if annotation["depth"] == 0:
@@ -762,23 +649,19 @@ def _export_graph(atlas: StateAtlas, max_depth: Optional[int],
 
 
 def atlas_to_dot(atlas: StateAtlas, max_depth: Optional[int] = None,
-                 protocol_state: Optional[str] = None,
-                 collapse_orbits: bool = False) -> str:
+                 protocol_state: Optional[str] = None) -> str:
     """Filtered Graphviz export of the explored graph (small configs)."""
     from repro.analysis.graphio import dot_graph
 
-    nodes, edges = _export_graph(atlas, max_depth, protocol_state,
-                                 collapse_orbits)
+    nodes, edges = _export_graph(atlas, max_depth, protocol_state)
     return dot_graph(f"{atlas.protocol} atlas", nodes, edges,
                      extra_lines=("node [fontsize=10];",))
 
 
 def atlas_to_graphml(atlas: StateAtlas, max_depth: Optional[int] = None,
-                     protocol_state: Optional[str] = None,
-                     collapse_orbits: bool = False) -> str:
+                     protocol_state: Optional[str] = None) -> str:
     """Filtered GraphML export (yEd / Gephi / NetworkX importable)."""
     from repro.analysis.graphio import graphml_graph
 
-    nodes, edges = _export_graph(atlas, max_depth, protocol_state,
-                                 collapse_orbits)
+    nodes, edges = _export_graph(atlas, max_depth, protocol_state)
     return graphml_graph(f"{atlas.protocol} atlas", nodes, edges)

@@ -419,10 +419,9 @@ class ModelChecker:
         # unreduced checker as-is (fresh_clone drops reduction flags).
         self.symmetry = symmetry
         if symmetry:
-            # (The full group: a capped one is not closed.  Memoised by
-            # state, which hashes in C: a repeat is one dict hit.)
-            self._canon = SymmetryCanonicalizer(protocol, n_nodes, n_blocks,
-                                                perm_cap=None)
+            # (Memoised by state, which hashes in C: a repeat is one
+            # dict hit.)
+            self._canon = SymmetryCanonicalizer(protocol, n_nodes, n_blocks)
             self.fingerprint_fn = Memo(
                 self._canon.canonical_fingerprint).__getitem__
             # Canonical keys are ints in every serial mode; violations
@@ -820,7 +819,7 @@ class ModelChecker:
             for invariant in self.invariants
         ]
         if self.atlas is not None:
-            self.atlas.bind(self.protocol, self.n_nodes, self.n_blocks)
+            self.atlas.bind(self.protocol)
 
     def initial_state(self) -> GlobalState:
         return initial_global_state(

@@ -26,7 +26,6 @@ checkpoint format, so checkpoints contain no pickles.
 from __future__ import annotations
 
 import itertools
-import math
 from functools import partial, reduce
 from operator import getitem, xor
 from typing import Optional
@@ -54,15 +53,6 @@ from repro.verify.model import (
 )
 
 FINGERPRINT_BITS = 64
-
-# Free-node permutations considered per state by the *estimator* (the
-# atlas's orbit statistics); 6! = 720 keeps it exact through 6
-# permutable caching nodes.  The production canonicalizer the checker
-# uses passes ``perm_cap=None`` (the full group): a capped group is not
-# closed under composition, so capped canonicalization would not be
-# idempotent and two states in one orbit could map to different keys.
-DEFAULT_PERM_CAP = 720
-
 
 class StateCodecError(TypeError):
     """A value inside a GlobalState that the codec does not model."""
@@ -229,40 +219,32 @@ def _node_kind(type_name: str) -> Optional[str]:
 class SymmetryCanonicalizer:
     """Canonicalize states under home-fixing caching-node permutation.
 
-    The canonical key of a state is the minimum fingerprint over the
-    considered permutations of the *free* (non-home) nodes; states in
-    one orbit share a key.  With fewer than two free nodes only the
-    identity remains and every orbit is a singleton (ratio 1.0) --
-    interesting ratios need a third node (see ``tools/state_atlas.py``).
+    The canonical key of a state is the minimum fingerprint over every
+    permutation of the *free* (non-home) nodes; states in one orbit
+    share a key.  With fewer than two free nodes only the identity
+    remains and every orbit is a singleton.
 
-    ``perm_cap`` bounds the group for estimation use (the atlas);
-    ``perm_cap=None`` keeps the full group, which is what exploration
-    requires: only a full (closed) group makes canonicalization
-    idempotent and orbit-invariant.
+    ``perm_cap`` bounds the number of permutations enumerated; leave it
+    ``None`` (the full group).  Only a full (closed) group makes
+    canonicalization idempotent and orbit-invariant.
     """
 
     def __init__(self, protocol, n_nodes: int, n_blocks: int,
-                 perm_cap: Optional[int] = DEFAULT_PERM_CAP):
+                 perm_cap: Optional[int] = None):
         self.n_nodes = n_nodes
         self.n_blocks = n_blocks
         homes = {home_node(block, n_nodes) for block in range(n_blocks)}
         self.free_nodes = [n for n in range(n_nodes) if n not in homes]
         free = self.free_nodes
         self.perms: list[tuple] = []
-        if len(free) < 2:
-            self.method = "identity"
-        else:
-            self.method = ("exact" if perm_cap is None
-                           or math.factorial(len(free)) <= perm_cap
-                           else "capped")
-            for image in itertools.islice(itertools.permutations(free),
-                                          perm_cap):
-                if image == tuple(free):
-                    continue            # the identity is the state itself
-                mapping = list(range(n_nodes))
-                for old, new in zip(free, image):
-                    mapping[old] = new
-                self.perms.append(tuple(mapping))
+        for image in itertools.islice(itertools.permutations(free),
+                                      perm_cap):
+            if image == tuple(free):
+                continue                # the identity is the state itself
+            mapping = list(range(n_nodes))
+            for old, new in zip(free, image):
+                mapping[old] = new
+            self.perms.append(tuple(mapping))
         # Where node ids live, per the protocol's own declarations.
         self._protocol = protocol
         self.info_kinds = {
@@ -417,12 +399,6 @@ class SymmetryCanonicalizer:
             if candidate < best:
                 best, least = candidate, mapping
         return best, least
-
-    def orbit_fingerprint(self, state: GlobalState, fp: int) -> int:
-        """The orbit key: min fingerprint over considered permutations.
-        ``fp`` is the state's own (identity) fingerprint, passed so a
-        caller that already computed it never pays it twice."""
-        return self.least(state, fp)[0]
 
     def canonical_fingerprint(self, state: GlobalState) -> int:
         """The visited-set key symmetry reduction explores under."""

@@ -6,12 +6,12 @@ The atlas contract has three legs:
    explore the identical state space: verdict, counts, handler fires,
    the exact fingerprint stream, and checkpoint bytes all match.
 2. **Engine-invariant.**  A completed exploration produces the
-   identical atlas -- node set, edge multiset, orbit keys -- at any
-   worker count, with or without sketch truncation (bottom-k sampling
+   identical atlas -- node set and edge multiset -- at any worker
+   count, with or without sketch truncation (bottom-k sampling
    is arrival-order independent and merges exactly).
 3. **The analysis is right.**  SCC/terminal/deadlock structure, the
-   residence heatmap, the orbit estimator, and the POR diamond check
-   are pinned on graphs small enough to verify by hand.
+   depth profile and the residence heatmap are pinned on graphs small
+   enough to verify by hand.
 """
 
 import json
@@ -44,7 +44,6 @@ from repro.verify.atlas import (
     atlas_to_graphml,
     diff_atlases,
     format_atlas,
-    orbit_summary,
     residence_heatmap,
     scc_decomposition,
 )
@@ -81,11 +80,10 @@ def outcome(result):
 
 
 def atlas_key(atlas):
-    """The identity the engine-invariance contract pins: node set,
-    edge multiset, orbit multiset."""
+    """The identity the engine-invariance contract pins: node set and
+    edge multiset."""
     return (set(atlas.states),
-            sorted(tuple(record) for record in atlas.edges),
-            sorted(ann["orbit"] for ann in atlas.states.values()))
+            sorted(tuple(record) for record in atlas.edges))
 
 
 class TestOffModeIsFree:
@@ -222,10 +220,7 @@ class TestArtifact:
             assert len(fp_hex) == 16
             assert ann["depth"] >= 0
             assert len(ann["vector"]) == 3        # one row per node
-            assert len(ann["orbit"]) == 16
-            assert ann["inflight"] >= 0
-            assert ann["queued"] >= 0
-            assert "faults" not in ann            # zero budget elided
+            assert set(ann) == {"depth", "vector"}  # zero budget elided
         roots = [a for a in atlas.states.values() if a["depth"] == 0]
         assert len(roots) == 1
         for record in atlas.edges:
@@ -253,6 +248,14 @@ class TestArtifact:
         with pytest.raises(TraceError, match="not a state atlas"):
             load_atlas(str(path))
 
+    def test_rejects_v1_in_one_line(self, tmp_path, capsys):
+        path = tmp_path / "v1.json"
+        path.write_text(json.dumps({"kind": ATLAS_KIND, "version": 1}))
+        assert main(["analyze", "atlas", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "state atlas version 1, expected 2" in err
+        assert err.count("\n") == 1
+
     def test_rejects_wrong_version(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(
@@ -277,19 +280,14 @@ class TestArtifact:
             load_atlas(str(array))
 
 
-def synthetic_atlas(depths, edges, nodes=1, state_name="S",
-                    orbits=None):
+def synthetic_atlas(depths, edges, nodes=1, state_name="S"):
     """A hand-built atlas over single-letter state ids for pinning the
     structural analysis: ``depths`` maps id -> BFS depth, ``edges`` is
     (src, dst, label) triples."""
     states = {}
     for ident, depth in depths.items():
-        states[ident] = {
-            "depth": depth,
-            "vector": [[state_name]] * nodes,
-            "inflight": 0, "queued": 0,
-            "orbit": (orbits or {}).get(ident, ident),
-        }
+        states[ident] = {"depth": depth,
+                         "vector": [[state_name]] * nodes}
     records = []
     for src, dst, label in edges:
         kind, tag, sender, receiver, _index, block = parse_label(label)
@@ -305,8 +303,6 @@ def synthetic_atlas(depths, edges, nodes=1, state_name="S",
                     "states_kept": len(states),
                     "edges_seen": len(records),
                     "edges_kept": len(records), "sampled": False},
-        orbit={"method": "identity", "free_nodes": [],
-               "permutations": 1},
         state_meta={state_name: {"transient": False}},
         states=states, edges=records)
 
@@ -358,46 +354,18 @@ class TestStructuralAnalysis:
         assert 0 < heat["transient_fraction"] < 1
 
 
-class TestOrbitEstimator:
-    def test_two_nodes_identity(self):
-        atlas = check("stache", CheckOptions(
-            nodes=2, reorder=1,
-            artifacts=ArtifactOptions(atlas=True))).atlas
-        summary = orbit_summary(atlas)
-        # With one home and one caching node there is nothing to
-        # permute: every orbit is a singleton.
-        assert summary["method"] == "identity"
-        assert summary["ratio"] == 1.0
-        assert summary["orbits"] == summary["states"] == 47
-
-    def test_three_nodes_collapse(self):
-        atlas = check("stache", CheckOptions(
-            nodes=3, reorder=0,
-            artifacts=ArtifactOptions(atlas=True))).atlas
-        summary = orbit_summary(atlas)
-        assert summary["method"] == "exact"
-        assert summary["free_nodes"] == [1, 2]
-        assert summary["permutations"] == 2
-        # Nodes 1 and 2 are interchangeable, so a real collapse shows.
-        assert summary["ratio"] > 1.4
-        assert summary["largest_orbit"] == 2
-        # Orbit keys are canonical fingerprints (min over the node
-        # permutations); states sharing a key share an orbit, and the
-        # counts reconcile.
-        orbit_keys = [ann["orbit"] for ann in atlas.states.values()]
-        assert all(len(key) == 16 for key in orbit_keys)
-        assert len(set(orbit_keys)) == summary["orbits"]
-        assert len(orbit_keys) == summary["states"] == 847
-
+class TestCanonicalizer:
     def test_canonicalizer_homes_fixed(self):
         protocol = compile_named_protocol("stache")
-        assert SymmetryCanonicalizer(protocol, 2, 1).method == "identity"
+        # One home and one caching node: nothing to permute.
+        assert SymmetryCanonicalizer(protocol, 2, 1).perms == []
         canon = SymmetryCanonicalizer(protocol, 3, 1)
-        assert canon.method == "exact"
         assert canon.free_nodes == [1, 2]
-        assert len(canon.perms) == 1
+        assert canon.perms == [(0, 2, 1)]
         # All three nodes homed: nothing is free to permute.
-        assert SymmetryCanonicalizer(protocol, 3, 3).method == "identity"
+        homed = SymmetryCanonicalizer(protocol, 3, 3)
+        assert homed.free_nodes == []
+        assert homed.perms == []
 
     def test_permute_is_involution_on_swap(self):
         protocol = compile_named_protocol("stache")
@@ -409,8 +377,8 @@ class TestOrbitEstimator:
         assert canon.permute(swapped, mapping) == state
         # The initial state is symmetric: the swap fixes it.
         assert swapped == state
-        assert canon.orbit_fingerprint(state, fingerprint(state)) \
-            == fingerprint(state)
+        assert canon.least(state, fingerprint(state)) \
+            == (fingerprint(state), None)
 
 
 class TestBottomK:
@@ -510,16 +478,6 @@ class TestExports:
         assert 0 < len(keep) < len(atlas.states)
         assert all(fp in excl for fp in keep)
 
-    def test_dot_collapse_orbits(self):
-        atlas = self.build()
-        collapsed = atlas_to_dot(atlas, collapse_orbits=True)
-        n_orbits = len({ann["orbit"] for ann in atlas.states.values()})
-        # One node line per orbit (each line ends with "];").
-        assert collapsed.count("(x2)") > 0
-        node_lines = [line for line in collapsed.splitlines()
-                      if "label=" in line and "->" not in line]
-        assert len(node_lines) == n_orbits
-
     def test_graphml_well_formed(self):
         import xml.etree.ElementTree as ET
 
@@ -548,7 +506,6 @@ class TestDiff:
         text = diff_atlases(fifo, reordered)
         assert "states: 33 -> 47" in text
         assert "appeared" in text and "vanished" in text
-        assert "orbits:" in text
         assert "terminal SCCs:" in text
         assert "configurations differ" in text
         same = diff_atlases(fifo, fifo)
@@ -570,7 +527,7 @@ class TestFormat:
         assert "deadlock states (out-degree 0): none" in text
         assert "residence heatmap" in text
         assert "transient residence:" in text
-        assert "collapse ratio 1.97x" in text
+        assert "orbit" not in text
         assert "POR" not in text
 
     def test_sampled_report_flags_truncation(self):
@@ -580,11 +537,17 @@ class TestFormat:
         assert "coverage: SAMPLED" in text
         assert "kept 50/847 states" in text
 
-    def test_identity_config_notes_missing_symmetry(self):
-        atlas = check("stache", CheckOptions(
-            nodes=2, reorder=1,
-            artifacts=ArtifactOptions(atlas=True))).atlas
-        assert "fewer than two permutable" in format_atlas(atlas)
+    @pytest.mark.parametrize("layers,widths", [
+        (20, " ".join(str(w) for w in range(1, 21))),
+        (21, " ".join(str(w) for w in range(1, 20)) + " ... 21"),
+    ])
+    def test_depth_profile_keeps_last_layer(self, layers, widths):
+        """Up to ``2 * top`` layers every width prints; past that the
+        first ``2 * top - 1`` and then ``... last``."""
+        # Layer d holds d + 1 states, so every width is distinct.
+        depths = {f"{d}.{i}": d for d in range(layers) for i in range(d + 1)}
+        text = format_atlas(synthetic_atlas(depths, []))
+        assert f"  states per depth: {widths}\n" in text
 
 
 class TestCli:
@@ -598,7 +561,7 @@ class TestCli:
         assert main(["analyze", "atlas", str(path)]) == 0
         out = capsys.readouterr().out
         assert "state atlas: Stache" in out
-        assert "symmetry orbits (estimator):" in out
+        assert "orbit" not in out
 
     def test_analyze_atlas_exports(self, tmp_path, capsys):
         path = tmp_path / "atlas.json"
@@ -608,8 +571,7 @@ class TestCli:
         assert main(["analyze", "atlas", str(path), "--dot",
                      "--max-depth", "3"]) == 0
         assert capsys.readouterr().out.startswith('digraph "Stache')
-        assert main(["analyze", "atlas", str(path), "--graphml",
-                     "--collapse-orbits"]) == 0
+        assert main(["analyze", "atlas", str(path), "--graphml"]) == 0
         assert "<graphml" in capsys.readouterr().out
 
     def test_atlas_on_failing_run(self, tmp_path, capsys):
@@ -655,7 +617,7 @@ class TestDiffKindSniffing:
     @pytest.mark.parametrize("kind,needle", [
         ("coverage", "arms"),
         ("check-profile", "states/s"),
-        ("state-atlas", "orbits:"),
+        ("state-atlas", "terminal SCCs:"),
     ])
     def test_same_kind_diffs(self, artifacts, capsys, kind, needle):
         path = str(artifacts[kind])

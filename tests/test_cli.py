@@ -170,17 +170,29 @@ class TestRefusedModes:
         ("run stache gauss --backoff 1", "--backoff 1"),
         ("run stache gauss --retries 1", "--retries 1"),
         ("run stache gauss --max-faults 1", "--max-faults 1"),
+        # The collapse is what `verify --symmetry` measures.
+        ("analyze atlas a.json --collapse-orbits", "--collapse-orbits"),
     ], ids=["--por", "--on-worker-loss degrade", "--worker-stall-timeout 5",
             "coverage --verify", "coverage --trace",
             "--checkpoint-every-waves", "--checkpoint-every-seconds",
             "--max-visited-bytes", "--progress-every", "--timeout",
-            "--backoff", "--retries", "--max-faults"])
+            "--backoff", "--retries", "--max-faults", "--collapse-orbits"])
     def test_removed_flag_is_a_usage_error(self, capsys, argv, removed):
         with pytest.raises(SystemExit) as caught:
             main(argv.split())
         assert caught.value.code == 2
         assert (f"unrecognized arguments: {removed}"
                 in capsys.readouterr().err)
+
+    def test_atlas_exports_are_exclusive(self, capsys):
+        """One export per run: --dot with --graphml is a usage error,
+        not DOT with --graphml ignored."""
+        with pytest.raises(SystemExit) as caught:
+            main(["analyze", "atlas", "a.json", "--dot", "--graphml"])
+        assert caught.value.code == 2
+        err = capsys.readouterr().err
+        assert ("argument --graphml: not allowed with argument --dot"
+                in err)
 
 
 class TestGraphAndList:

@@ -2,17 +2,13 @@
 
 Explores every registered protocol at a small, fixed configuration
 (3 nodes, 1 address, FIFO delivery -- the smallest config where the
-caching nodes are interchangeable, so the symmetry-orbit estimator has
-something to collapse), records the full atlas, and writes one summary
-row per protocol: state/transition counts, terminal-SCC structure,
-deadlocks, diameter and the orbit-collapse ratio.  Protocols whose
+caching nodes are interchangeable), records the full atlas, and writes
+one summary row per protocol: state/transition counts, terminal-SCC
+structure, deadlocks, diameter, and the collapse a ``--symmetry`` run
+achieves (``reduced_states``, ``achieved_ratio``).  Protocols whose
 3-node space is too large to explore in a tool run are bounded by
 ``--max-states``; their rows say ``exhausted: false`` and describe the
 explored prefix.
-
-The committed artifact is the ROADMAP's evidence base for the
-symmetry reduction item: the ``orbit_ratio`` column bounds what
-symmetry reduction could save.
 
 Usage::
 
@@ -39,10 +35,10 @@ from repro.api import (  # noqa: E402
     check,
 )
 from repro.protocols import PROTOCOLS  # noqa: E402
-from repro.verify.atlas import analyze_structure, orbit_summary  # noqa: E402
+from repro.verify.atlas import analyze_structure  # noqa: E402
 
 INDEX_KIND = "teapot-state-atlas-index"
-INDEX_VERSION = 1
+INDEX_VERSION = 2
 
 NODES = 3
 ADDRESSES = 1
@@ -59,7 +55,6 @@ def atlas_row(name: str, max_states: int, atlas_dir: str | None) -> dict:
     if atlas_dir:
         atlas.save(os.path.join(atlas_dir, f"{name}.json"))
     structure = analyze_structure(atlas)
-    orbit = orbit_summary(atlas)
     row = {
         "verdict": "PASS" if result.ok else "FAIL",
         "exhausted": bool(result.exhausted),
@@ -70,23 +65,16 @@ def atlas_row(name: str, max_states: int, atlas_dir: str | None) -> dict:
         "sccs": structure["sccs"],
         "terminal_sccs": structure["terminal_sccs"],
         "deadlock_states": len(structure["deadlock_states"]),
-        "orbit_method": orbit["method"],
-        "orbits": orbit["orbits"],
-        "orbit_ratio": round(orbit["ratio"], 4),
     }
     if atlas.sampled:
         row["atlas_sampled"] = True
         row["atlas_truncation"] = dict(atlas.truncation)
 
-    # Re-run under the production symmetry canonicalizer and cross-check
-    # the estimator: on an exhausted run the reduced checker visits
-    # exactly one representative per orbit, so the achieved state count
-    # must equal the estimated orbit count -- a divergence means the
-    # atlas remap and the checker canonicalizer disagree.  A protocol
-    # that fails the checker's symmetry *certification* (a node-
-    # asymmetric choice like lcm_mcc's PopSharer copy-delegation) falls
-    # back to an unreduced run inside api.check; the row records that
-    # instead of a bogus 1.00x "collapse".
+    # The collapse symmetry reduction achieves, as `verify --symmetry`
+    # measures it.  A protocol that fails the checker's symmetry
+    # certification (a node-asymmetric choice like lcm_mcc's PopSharer
+    # copy-delegation) falls back to an unreduced run inside api.check,
+    # so its ratio is 1.00x.
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         reduced = check(name, CheckOptions(
@@ -96,22 +84,9 @@ def atlas_row(name: str, max_states: int, atlas_dir: str | None) -> dict:
     row["reduced_states"] = reduced.states_explored
     row["achieved_ratio"] = round(
         row["states"] / reduced.states_explored, 4)
-    if reduced.canonical_states is None:
-        row["orbit_cross_check"] = (
-            "not node-symmetric: certification failed, unreduced "
-            "fallback (asymmetric choice, e.g. PopSharer); the orbit "
-            "estimate is an upper bound no sound quotient can achieve")
-    elif row["exhausted"] and reduced.exhausted:
-        row["orbit_cross_check"] = (
-            "exact" if reduced.states_explored == orbit["orbits"]
-            else f"MISMATCH: estimated {orbit['orbits']} orbits, "
-                 f"checker visited {reduced.states_explored}")
-    else:
-        row["orbit_cross_check"] = "skipped (bounded run)"
 
     bounded = "" if row["exhausted"] else " bounded"
     print(f"{name:16s} states={row['states']:>7d} "
-          f"orbit_ratio={row['orbit_ratio']:.2f}x "
           f"achieved={row['achieved_ratio']:.2f}x "
           f"terminal_sccs={row['terminal_sccs']} "
           f"({elapsed:.1f}s{bounded})")
@@ -150,13 +125,11 @@ def main() -> int:
                    "reorder": REORDER, "max_states": args.max_states},
         "note": "one row per registered protocol at the smallest "
                 "config with interchangeable caching nodes; "
-                "orbit_ratio bounds symmetry reduction and "
-                "achieved_ratio is what the production canonicalizer "
-                "(ReductionOptions(symmetry=True)) actually collapses "
-                "-- orbit_cross_check pins the two equal on exhausted "
-                "runs, or records the certification fallback for "
-                "protocols that are not node-symmetric (see "
-                "docs/OBSERVABILITY.md).  Rows with "
+                "reduced_states and achieved_ratio are what a "
+                "--symmetry run explores and collapses (1.0 for a "
+                "protocol that fails symmetry certification and falls "
+                "back to an unreduced run; see docs/VERIFICATION.md).  "
+                "Rows with "
                 "exhausted: false describe a bounded prefix -- their "
                 "terminal/deadlock counts include the unexpanded "
                 "frontier and overstate the true graph.",
