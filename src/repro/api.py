@@ -169,9 +169,9 @@ class ArtifactOptions:
     ``profile`` arms an exploration profiler (repro.obs.profile) and
     attaches a CheckProfile to ``CheckResult.profile``; ``atlas``
     records the explored state graph (repro.verify.atlas) onto
-    ``CheckResult.atlas``, exact up to the recorder's default caps and
-    a uniform sample above them.  Both are observably free when off:
-    the checkers run their uninstrumented code paths.
+    ``CheckResult.atlas``, exactly: every visited state and explored
+    transition, bounded by the run's own bounds.  Both are observably
+    free when off: the checkers run their uninstrumented code paths.
     """
 
     profile: bool = False

@@ -63,6 +63,14 @@ def _add_opt_flags(parser: argparse.ArgumentParser) -> None:
                              "+ constant continuations (default)")
 
 
+def _top(text: str) -> int:
+    """``--top N``: a row count, so an integer >= 1."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def _parse_checked(path: str):
     """check/fmt: the file's checked program, or None after printing
     the front end's error with its source line."""
@@ -217,15 +225,8 @@ def cmd_verify(args) -> int:
               f"{args.profile_out}`)", file=sys.stderr)
     if args.atlas_out and result.atlas is not None:
         result.atlas.save(args.atlas_out)
-        note = (f"wrote state atlas to {args.atlas_out} (render with "
-                f"`teapot analyze atlas {args.atlas_out}`)")
-        if result.atlas.sampled:
-            trunc = result.atlas.truncation
-            note += (f"; truncated to a uniform sample: kept "
-                     f"{trunc['states_kept']}/{trunc['states_seen']} "
-                     f"states, {trunc['edges_kept']}/"
-                     f"{trunc['edges_seen']} edges")
-        print(note, file=sys.stderr)
+        print(f"wrote state atlas to {args.atlas_out} (render with "
+              f"`teapot analyze atlas {args.atlas_out}`)", file=sys.stderr)
     if args.progress and result.invariant_evals:
         evals = "  ".join(f"{name}={count}" for name, count
                           in result.invariant_evals.items())
@@ -689,7 +690,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "phase attribution, top dispatch costs, "
                               "timeline, parallel imbalance")
     q.add_argument("profile", help="JSON file from verify --profile-out")
-    q.add_argument("--top", type=int, default=10, metavar="N",
+    q.add_argument("--top", type=_top, default=10, metavar="N",
                    help="rows in the dispatch-cost table (default 10)")
     q.set_defaults(fn=cmd_analyze_check_profile)
 
@@ -699,7 +700,7 @@ def build_parser() -> argparse.ArgumentParser:
                       "residence heatmap; or export the explored graph "
                       "as DOT/GraphML")
     q.add_argument("atlas", help="JSON file from verify --atlas-out")
-    q.add_argument("--top", type=int, default=10, metavar="N",
+    q.add_argument("--top", type=_top, default=10, metavar="N",
                    help="rows in the report tables (default 10)")
     export = q.add_mutually_exclusive_group()
     export.add_argument("--dot", action="store_true",

@@ -9,7 +9,7 @@ structure, the same way :mod:`repro.obs.profile` is for hot-loop time:
   visited state (BFS depth, per-node protocol-state vector, nonzero
   fault budget).
 - :class:`StateAtlas` -- the schema-versioned JSON artifact (kind
-  ``teapot-state-atlas`` v2; ``teapot verify --atlas-out``), rendered by
+  ``teapot-state-atlas`` v3; ``teapot verify --atlas-out``), rendered by
   ``teapot analyze atlas``, diffable with ``teapot analyze diff``, and
   exportable as filtered DOT/GraphML for small configs.
 - analysis -- SCC decomposition with terminal-SCC (deadlock-basin)
@@ -20,14 +20,15 @@ structure, the same way :mod:`repro.obs.profile` is for hot-loop time:
 The atlas estimates no symmetry collapse: ``verify --symmetry``
 measures it (its ``canonical-states`` count).
 
-Sampling must not break engine invariance.  Above the caps a classic
-reservoir would keep an arrival-order-dependent sample -- and arrival
-order differs per worker count -- so the recorder keeps a *bottom-k
-sketch* instead: the k records with the smallest content digests.
-Fingerprints are uniform, so bottom-k is an unbiased uniform sample,
-it is order-independent, and merging per-worker bottom-k sketches
-yields exactly the global bottom-k.  A completed exploration therefore
-produces the identical atlas at any worker count, truncated or not.
+The recording is exact at every size: every visited state and every
+transition the recorder is shown.  ``--max-states`` and
+``--max-rss-mb`` bound it, as they bound the exploration.  A state
+that was visited but never expanded -- the frontier of a bounded or
+failing run -- carries ``"frontier": true``, and the analysis counts
+no such state as a deadlock.  Each state is owned and expanded by one
+process, so the parallel engine's per-worker recordings merge by plain
+union, and a completed exploration produces the identical atlas at any
+worker count.
 
 Like the profiler, the recorder is a pure observer: absent (the
 default) the checkers run the exact code they always ran -- verdicts,
@@ -38,10 +39,8 @@ exploration order or results.
 
 from __future__ import annotations
 
-import heapq
 from collections import defaultdict
 from dataclasses import dataclass, field
-from hashlib import blake2b
 from typing import Optional
 
 from repro.ioutil import atomic_write_json, check_envelope, read_json
@@ -51,67 +50,7 @@ from repro.verify.fingerprint import fingerprint
 from repro.verify.model import GlobalState
 
 ATLAS_KIND = "teapot-state-atlas"
-ATLAS_VERSION = 2
-
-# Bottom-k sketch caps: exact below, uniform-sampled (with logged
-# truncation) above.  A 3-node reordered exploration of the largest
-# registered protocol exceeds these; Table-3-sized configs do not.
-DEFAULT_STATE_CAP = 100_000
-DEFAULT_EDGE_CAP = 250_000
-
-
-class _BottomK:
-    """The k entries with the smallest integer keys, mergeable.
-
-    Keys here are 64-bit BLAKE2b digests, i.e. uniform, so "smallest k"
-    is an unbiased uniform sample that does not depend on insertion
-    order -- the property that keeps truncated atlases identical across
-    engines and worker counts (a classic RNG reservoir would not be).
-    """
-
-    __slots__ = ("cap", "entries", "_heap", "seen")
-
-    def __init__(self, cap: int):
-        self.cap = max(1, int(cap))
-        self.entries: dict[int, object] = {}
-        self._heap: list[int] = []      # negated keys: a max-heap
-        self.seen = 0
-
-    def offer(self, key: int, value_fn) -> bool:
-        """Count one observation and keep it if its key qualifies.
-        ``value_fn`` is only called when the entry is kept."""
-        self.seen += 1
-        return self._insert(key, value_fn)
-
-    def _insert(self, key: int, value_fn) -> bool:
-        if key in self.entries:
-            return False
-        if len(self.entries) < self.cap:
-            heapq.heappush(self._heap, -key)
-        elif key >= -self._heap[0]:
-            return False
-        else:
-            del self.entries[-heapq.heapreplace(self._heap, -key)]
-        self.entries[key] = value_fn() if callable(value_fn) else value_fn
-        return True
-
-    def merge(self, seen: int, items) -> None:
-        """Fold another sketch's (seen count, kept items) in; the merge
-        of per-worker bottom-k sketches is exactly the global bottom-k."""
-        self.seen += seen
-        for key, value in items:
-            self._insert(int(key), value)
-
-    @property
-    def truncated(self) -> bool:
-        return self.seen > len(self.entries)
-
-
-def _edge_digest(src_fp: int, dst_fp: int, label: str) -> int:
-    """Content digest keying the edge sketch (order-independent)."""
-    return int.from_bytes(
-        blake2b(src_fp.to_bytes(8, "big") + dst_fp.to_bytes(8, "big")
-                + label.encode("utf-8"), digest_size=8).digest(), "big")
+ATLAS_VERSION = 3
 
 
 class AtlasRecorder:
@@ -126,14 +65,17 @@ class AtlasRecorder:
     :meth:`merge` on the master.
     """
 
-    def __init__(self, state_cap: int = DEFAULT_STATE_CAP,
-                 edge_cap: int = DEFAULT_EDGE_CAP):
-        self.state_cap = state_cap
-        self.edge_cap = edge_cap
-        self._states = _BottomK(state_cap)
-        self._edges = _BottomK(edge_cap)
+    def __init__(self):
         self._state_meta: dict[str, dict] = {}
-        self._src_fp: Optional[int] = None
+        self._states: dict[str, dict] = {}      # fp hex -> annotation
+        self._edges: list[list] = []            # [src hex, dst hex, label]
+        # One hex string per state, shared by every edge naming it, and
+        # one ``vector`` list per distinct set of block views: the exact
+        # graph names each state in several edges, and many states
+        # share their views.
+        self._hex: dict[int, str] = {}
+        self._vectors: dict[tuple, list] = {}
+        self._src: Optional[str] = None
         # When the engine runs without hash compaction it has no
         # fingerprint to pass, and every state reaches us several
         # times (once visited, once per incoming edge, once expanded).
@@ -152,80 +94,64 @@ class AtlasRecorder:
             name: {"transient": bool(info.transient)}
             for name, info in protocol.states.items()}
 
-    def _fp_of(self, state: GlobalState, fp: Optional[int]) -> int:
-        if fp is not None:
-            return fp
-        cached = self._fp_cache.get(state)
-        if cached is None:
-            cached = self._fp_cache[state] = fingerprint(state)
-        return cached
+    def _hex_of(self, state: GlobalState, fp: Optional[int]) -> str:
+        if fp is None:
+            fp = self._fp_cache.get(state)
+            if fp is None:
+                fp = self._fp_cache[state] = fingerprint(state)
+        text = self._hex.get(fp)
+        if text is None:
+            text = self._hex[fp] = f"{fp:016x}"
+        return text
 
     def visit(self, state: GlobalState, depth: int,
-              fp: Optional[int] = None) -> int:
-        """Record a newly visited state with its BFS depth."""
-        fp = self._fp_of(state, fp)
-        self._states.offer(fp, lambda: self._annotate(state, depth))
-        return fp
-
-    def expand(self, state: GlobalState, fp: Optional[int] = None) -> None:
-        """Set the source of the :meth:`edge` calls that follow."""
-        self._src_fp = self._fp_of(state, fp)
-
-    def edge(self, label: str, successor: GlobalState,
-             fp: Optional[int] = None) -> int:
-        """Record one transition out of the current source; returns the
-        successor's fingerprint so callers can reuse it."""
-        fp = self._fp_of(successor, fp)
-        src = self._src_fp
-        record = (src, fp, label)
-        self._edges.offer(_edge_digest(src, fp, label), record)
-        return fp
-
-    def _annotate(self, state: GlobalState, depth: int) -> dict:
-        annotation = {
-            "depth": depth,
-            "vector": [[view.state_name for view in node_blocks]
-                       for node_blocks in state.blocks],
-        }
+              fp: Optional[int] = None) -> None:
+        """Record a newly visited state with its BFS depth; it is
+        ``frontier`` until :meth:`expand` names it."""
+        views = state[:state[-2] * state[-1]]     # the view ids lead
+        vector = self._vectors.get(views)
+        if vector is None:
+            vector = self._vectors[views] = [
+                [view.state_name for view in node_blocks]
+                for node_blocks in state.blocks]
+        annotation = {"depth": depth, "vector": vector}
         if state.faults != (0, 0):
             annotation["faults"] = list(state.faults)
-        return annotation
+        annotation["frontier"] = True
+        self._states[self._hex_of(state, fp)] = annotation
+
+    def expand(self, state: GlobalState, fp: Optional[int] = None) -> None:
+        """Mark a visited state expanded and set it as the source of the
+        :meth:`edge` calls that follow."""
+        self._src = self._hex_of(state, fp)
+        del self._states[self._src]["frontier"]
+
+    def edge(self, label: str, successor: GlobalState,
+             fp: Optional[int] = None) -> None:
+        """Record one transition out of the current source."""
+        self._edges.append([self._src, self._hex_of(successor, fp), label])
 
     # -- parallel plumbing --------------------------------------------------
 
     def payload(self) -> dict:
-        """This (worker-side) recorder's sketches, for the finish reply."""
-        return {
-            "states_seen": self._states.seen,
-            "states": list(self._states.entries.items()),
-            "edges_seen": self._edges.seen,
-            "edges": list(self._edges.entries.items()),
-        }
+        """This (worker-side) recorder's part, for the finish reply."""
+        return {"states": self._states, "edges": self._edges}
 
     def merge(self, payload: Optional[dict]) -> None:
-        """Fold one worker's sketches into this master recorder."""
-        if not payload:
-            return
-        self._states.merge(payload["states_seen"], payload["states"])
-        self._edges.merge(payload["edges_seen"], payload["edges"])
+        """Fold one worker's part into this master recorder: each state
+        is one worker's, so the union is the whole graph."""
+        if payload:
+            self._states.update(payload["states"])
+            self._edges += payload["edges"]
 
     # -- building the artifact ----------------------------------------------
-
-    @property
-    def truncated(self) -> bool:
-        return self._states.truncated or self._edges.truncated
 
     def build(self, result) -> "StateAtlas":
         """Finalize into a :class:`StateAtlas` for a finished
         :class:`~repro.verify.checker.CheckResult`."""
-        states = {f"{fp:016x}": self._states.entries[fp]
-                  for fp in sorted(self._states.entries)}
-        edges = []
-        for src, dst, label in self._edges.entries.values():
-            kind, tag, sender, receiver, _index, block = parse_label(label)
-            edges.append([f"{src:016x}", f"{dst:016x}", tag, sender,
-                          receiver, kind, block, label])
-        edges.sort(key=lambda record: (record[0], record[1], record[7]))
+        # Fixed-width hex sorts as the fingerprints do; an edge sorts by
+        # (src, dst, label), its own fields in order.
+        self._edges.sort()
         return StateAtlas(
             protocol=result.protocol_name,
             nodes=result.n_nodes,
@@ -239,16 +165,9 @@ class AtlasRecorder:
                 "max_depth": result.max_depth,
                 "exhausted": result.exhausted,
             },
-            truncation={
-                "states_seen": self._states.seen,
-                "states_kept": len(self._states.entries),
-                "edges_seen": self._edges.seen,
-                "edges_kept": len(self._edges.entries),
-                "sampled": self.truncated,
-            },
             state_meta=dict(self._state_meta),
-            states=states,
-            edges=edges,
+            states={key: self._states[key] for key in sorted(self._states)},
+            edges=self._edges,
             fault_budget=tuple(result.fault_budget),
         )
 
@@ -264,19 +183,14 @@ class StateAtlas:
     reorder: int = 0
     workers: int = 0
     result: dict = field(default_factory=dict)
-    truncation: dict = field(default_factory=dict)
     state_meta: dict = field(default_factory=dict)
     states: dict = field(default_factory=dict)   # fp hex -> annotation
-    # Each edge: [src, dst, tag, sender, receiver, kind, block, label].
+    # Each edge: [src, dst, label]; parse_label reads the label.
     edges: list = field(default_factory=list)
     fault_budget: tuple = (0, 0)        # omitted from fault-free atlases
 
     def __post_init__(self):
         self.fault_budget = tuple(self.fault_budget)
-
-    @property
-    def sampled(self) -> bool:
-        return bool(self.truncation.get("sampled"))
 
     def config_line(self) -> str:
         engine = ("serial" if self.workers <= 1
@@ -317,7 +231,7 @@ def load_atlas(path: str) -> StateAtlas:
 # -- structural analysis --------------------------------------------------------
 
 def scc_decomposition(atlas: StateAtlas) -> list[list[str]]:
-    """Strongly connected components of the kept subgraph (iterative
+    """Strongly connected components of the recorded graph (iterative
     Tarjan; returned in reverse topological order, members sorted)."""
     nodes = set(atlas.states)
     adjacency: dict[str, list[str]] = defaultdict(list)
@@ -372,13 +286,14 @@ def scc_decomposition(atlas: StateAtlas) -> list[list[str]]:
 
 
 def analyze_structure(atlas: StateAtlas) -> dict:
-    """SCC/terminal/deadlock/degree/depth summary of the kept graph.
+    """SCC/terminal/deadlock/degree/depth summary of the recorded graph.
 
     A *terminal* SCC has no edge leaving it: once entered, the run
     stays there forever, so terminal SCCs are the exploration's
     deadlock basins (singleton, no successors) and recurrent classes
-    (everything else).  On a sampled atlas these are properties of the
-    kept subgraph, flagged as such by the caller.
+    (everything else).  An unexpanded ``frontier`` state has no
+    recorded successors because it was never expanded, not because it
+    has none: it is neither a deadlock nor a terminal SCC.
     """
     nodes = set(atlas.states)
     out_degree = {node: 0 for node in nodes}
@@ -395,12 +310,18 @@ def analyze_structure(atlas: StateAtlas) -> dict:
     has_exit = [False] * len(sccs)
     for record in atlas.edges:
         src, dst = record[0], record[1]
-        if src in component_of and dst in component_of:
-            if component_of[src] != component_of[dst]:
-                has_exit[component_of[src]] = True
-    terminal = [sccs[i] for i in range(len(sccs)) if not has_exit[i]]
+        # An edge out of the recorded states (to a successor a bounded
+        # parallel run routed but never accepted) leaves its SCC too.
+        if src in component_of and component_of[src] != component_of.get(
+                dst):
+            has_exit[component_of[src]] = True
+    frontier = {node for node, annotation in atlas.states.items()
+                if annotation.get("frontier")}
+    # A frontier state has no out-edges, so its SCC is itself alone.
+    terminal = [sccs[i] for i in range(len(sccs))
+                if not has_exit[i] and sccs[i][0] not in frontier]
     deadlocks = sorted(node for node, degree in out_degree.items()
-                       if degree == 0)
+                       if degree == 0 and node not in frontier)
 
     depths = defaultdict(int)
     for annotation in atlas.states.values():
@@ -424,6 +345,7 @@ def analyze_structure(atlas: StateAtlas) -> dict:
         "terminal_sizes": sorted((len(c) for c in terminal), reverse=True),
         "terminal_members": terminal,
         "deadlock_states": deadlocks,
+        "frontier_states": len(frontier),
         "out_degree": {"mean": mean(out_degree),
                        "max": max(out_degree.values(), default=0),
                        "histogram": histogram(out_degree)},
@@ -436,7 +358,7 @@ def analyze_structure(atlas: StateAtlas) -> dict:
 
 
 def residence_heatmap(atlas: StateAtlas) -> dict:
-    """Per-(node, protocol-state) residence counts over kept states,
+    """Per-(node, protocol-state) residence counts over recorded states,
     split transient vs stable via the embedded state metadata."""
     counts: dict[tuple[int, str], int] = defaultdict(int)
     for annotation in atlas.states.values():
@@ -476,18 +398,9 @@ def format_atlas(atlas: StateAtlas, top: int = 10) -> str:
         f"transitions={result.get('transitions')} "
         f"depth={result.get('max_depth')}",
     ]
-    trunc = atlas.truncation
-    if atlas.sampled:
-        lines.append(
-            f"coverage: SAMPLED -- kept {trunc.get('states_kept')}/"
-            f"{trunc.get('states_seen')} states, "
-            f"{trunc.get('edges_kept')}/{trunc.get('edges_seen')} edges "
-            "(bottom-k by digest; structural numbers below describe the "
-            "kept subgraph)")
-    else:
-        lines.append(
-            f"coverage: exact -- {trunc.get('states_kept')} states, "
-            f"{trunc.get('edges_kept')} edges recorded")
+    lines.append(
+        f"coverage: exact -- {len(atlas.states)} states, "
+        f"{len(atlas.edges)} edges recorded")
 
     structure = analyze_structure(atlas)
     profile = structure["depth_profile"]
@@ -522,6 +435,9 @@ def format_atlas(atlas: StateAtlas, top: int = 10) -> str:
             f"deadlock states (out-degree 0): {len(deadlocks)}: {shown}")
     else:
         lines.append("deadlock states (out-degree 0): none")
+    if structure["frontier_states"]:
+        lines.append(
+            f"unexpanded frontier: {structure['frontier_states']}")
 
     heat = residence_heatmap(atlas)
     lines.append(
@@ -556,9 +472,6 @@ def diff_atlases(a: StateAtlas, b: StateAtlas, top: int = 5) -> str:
             b.protocol, b.nodes, b.addresses, b.reorder):
         lines.append("note: configurations differ; deltas compare "
                      "different explorations")
-    if a.sampled or b.sampled:
-        lines.append("note: at least one atlas is sampled; appeared/"
-                     "vanished counts reflect the kept subgraphs")
 
     states_a, states_b = set(a.states), set(b.states)
     appeared = sorted(states_b - states_a)
@@ -581,8 +494,8 @@ def diff_atlases(a: StateAtlas, b: StateAtlas, top: int = 5) -> str:
         if len(fps) > top:
             lines.append(f"    ... {len(fps) - top} more {label}")
 
-    edges_a = {tuple(record[:2]) + (record[7],) for record in a.edges}
-    edges_b = {tuple(record[:2]) + (record[7],) for record in b.edges}
+    edges_a = set(map(tuple, a.edges))
+    edges_b = set(map(tuple, b.edges))
     lines.append(
         f"edges: {len(edges_a)} -> {len(edges_b)}  "
         f"(+{len(edges_b - edges_a)} appeared, "
@@ -641,8 +554,9 @@ def _export_graph(atlas: StateAtlas, max_depth: Optional[int],
     for record in atlas.edges:
         if record[0] not in kept or record[1] not in kept:
             continue
-        attrs = {"label": record[2], "kind": record[5]}
-        if record[5] in ("drop", "dup"):
+        kind, tag, *_rest = parse_label(record[2])
+        attrs = {"label": tag, "kind": kind}
+        if kind in ("drop", "dup"):
             attrs["style"] = "dashed"
         edges.append((record[0], record[1], attrs))
     return nodes, edges

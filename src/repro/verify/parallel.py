@@ -495,9 +495,9 @@ class ParallelChecker:
         # The template's profiler and atlas recorder are the master's:
         # forked workers inherit copies of the same objects but
         # accumulate into their own process memory, shipping totals
-        # (phase sums; bottom-k sketches, whose merge is exactly the
-        # global sketch) back in the finish reply -- so the built
-        # artifacts are identical at any worker count.
+        # (phase sums; each worker's exact part of the atlas, whose
+        # union is the whole graph) back in the finish reply -- so the
+        # built artifacts are identical at any worker count.
         # Symmetry canonicalization lives entirely in the template's
         # fingerprint_fn: workers shard and dedupe by canonical
         # fingerprint, so the orbit quotient falls out of the existing

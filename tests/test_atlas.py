@@ -5,10 +5,11 @@ The atlas contract has three legs:
 1. **Off is free.**  A run with no recorder and a run with one armed
    explore the identical state space: verdict, counts, handler fires,
    the exact fingerprint stream, and checkpoint bytes all match.
-2. **Engine-invariant.**  A completed exploration produces the
-   identical atlas -- node set and edge multiset -- at any worker
-   count, with or without sketch truncation (bottom-k sampling
-   is arrival-order independent and merges exactly).
+2. **Exact and engine-invariant.**  The atlas holds every visited
+   state and every explored transition, and a completed exploration
+   produces the identical atlas -- node set and edge multiset -- at any
+   worker count (each worker's part is its own states' expansions, so
+   the parts merge by union).
 3. **The analysis is right.**  SCC/terminal/deadlock structure, the
    depth profile and the residence heatmap are pinned on graphs small
    enough to verify by hand.
@@ -38,7 +39,6 @@ from repro.verify import (
 from repro.verify.atlas import (
     ATLAS_KIND,
     ATLAS_VERSION,
-    _BottomK,
     analyze_structure,
     atlas_to_dot,
     atlas_to_graphml,
@@ -130,16 +130,14 @@ class TestOffModeIsFree:
     @settings(max_examples=8, deadline=None)
     @given(reorder=st.integers(min_value=0, max_value=1),
            fingerprints=st.booleans(),
-           state_cap=st.integers(min_value=1, max_value=200),
-           edge_cap=st.integers(min_value=1, max_value=200))
+           max_states=st.integers(min_value=1, max_value=60))
     def test_property_armed_never_changes_exploration(
-            self, reorder, fingerprints, state_cap, edge_cap):
-        plain = make_serial(reorder=reorder,
+            self, reorder, fingerprints, max_states):
+        plain = make_serial(reorder=reorder, max_states=max_states,
                             fingerprint_states=fingerprints).run()
         armed = make_serial(
-            reorder=reorder, fingerprint_states=fingerprints,
-            atlas=AtlasRecorder(state_cap=state_cap,
-                                edge_cap=edge_cap)).run()
+            reorder=reorder, max_states=max_states,
+            fingerprint_states=fingerprints, atlas=AtlasRecorder()).run()
         assert outcome(plain) == outcome(armed)
 
 
@@ -163,26 +161,49 @@ class TestEngineInvariance:
                 nodes=nodes, reorder=reorder, workers=workers,
                 artifacts=ArtifactOptions(atlas=True)))
             assert result.ok
-            assert not result.atlas.sampled
+            assert len(result.atlas.states) == result.states_explored
+            assert len(result.atlas.edges) == result.transitions
             keys[workers] = atlas_key(result.atlas)
         assert keys[0] == keys[1] == keys[2] == keys[3]
 
-    def test_truncated_sample_identical_across_engines(self):
-        """Bottom-k is order-independent and merges exactly, so even a
-        *sampled* atlas is identical at any worker count."""
+    def test_exact_atlas_identical_across_engines(self):
+        """Every state and every transition, whatever the worker
+        count: the per-worker parts merge by union."""
         keys = {}
         for workers in (0, 2, 3):
             make = (partial(make_parallel, workers=workers) if workers
                     else make_serial)
-            atlas = make("stache", nodes=3, atlas=AtlasRecorder(
-                state_cap=100, edge_cap=300)).run().atlas
-            assert atlas.sampled
-            assert atlas.truncation["states_kept"] == 100
-            assert atlas.truncation["edges_kept"] == 300
-            assert atlas.truncation["states_seen"] == 847
-            assert atlas.truncation["edges_seen"] == 2122
+            atlas = make("stache", nodes=3, atlas=AtlasRecorder()
+                         ).run().atlas
+            assert len(atlas.states) == 847
+            assert len(atlas.edges) == 2122
             keys[workers] = atlas_key(atlas)
         assert keys[0] == keys[2] == keys[3]
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_bounded_run_has_no_deadlock_or_basin(self, workers):
+        """A bounded run stops with states it never expanded.  Serially
+        they are visited and carry ``frontier`` (as many as the last
+        timeline point leaves to expand); in parallel the cut falls
+        after a wave's expansion, so they are routed candidates, never
+        accepted, that appear only as edge targets.  Neither kind is a
+        deadlock state or a terminal SCC."""
+        result = check("lcm", CheckOptions(
+            nodes=3, max_states=2000, workers=workers,
+            artifacts=ArtifactOptions(atlas=True)))
+        assert not result.exhausted
+        atlas = result.atlas
+        assert len(atlas.states) == result.states_explored
+        assert len(atlas.edges) == result.transitions
+        frontier = {fp for fp, ann in atlas.states.items()
+                    if ann.get("frontier")}
+        assert len(frontier) == (0 if workers
+                                 else result.timeline[-1]["frontier"])
+        assert not frontier & {record[0] for record in atlas.edges}
+        structure = analyze_structure(atlas)
+        assert structure["frontier_states"] == len(frontier)
+        assert structure["deadlock_states"] == []
+        assert structure["terminal_sccs"] == 0
 
     def test_full_artifact_identical_modulo_workers(self):
         serial = check("stache", CheckOptions(
@@ -220,13 +241,15 @@ class TestArtifact:
             assert len(fp_hex) == 16
             assert ann["depth"] >= 0
             assert len(ann["vector"]) == 3        # one row per node
-            assert set(ann) == {"depth", "vector"}  # zero budget elided
+            # Zero budget elided; an exhausted run has no frontier.
+            assert set(ann) == {"depth", "vector"}
         roots = [a for a in atlas.states.values() if a["depth"] == 0]
         assert len(roots) == 1
         for record in atlas.edges:
-            src, dst, tag, sender, receiver, kind, block, label = record
+            src, dst, label = record
             assert src in atlas.states and dst in atlas.states
-            assert kind in ("app", "deliver", "drop", "dup", "other")
+            assert parse_label(label).kind in (
+                "app", "deliver", "drop", "dup", "other")
 
     def test_fault_budget_annotations(self):
         from repro.faults import FaultBudget
@@ -239,7 +262,8 @@ class TestArtifact:
         assert atlas is not None
         assert atlas.fault_budget == (1, 0)
         assert any("faults" in ann for ann in atlas.states.values())
-        assert any(record[5] == "drop" for record in atlas.edges)
+        assert any(parse_label(record[2]).kind == "drop"
+                   for record in atlas.edges)
         assert "FAIL" in format_atlas(atlas)
 
     def test_rejects_wrong_kind(self, tmp_path):
@@ -248,12 +272,15 @@ class TestArtifact:
         with pytest.raises(TraceError, match="not a state atlas"):
             load_atlas(str(path))
 
-    def test_rejects_v1_in_one_line(self, tmp_path, capsys):
-        path = tmp_path / "v1.json"
-        path.write_text(json.dumps({"kind": ATLAS_KIND, "version": 1}))
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_rejects_old_version_in_one_line(self, tmp_path, capsys,
+                                             version):
+        path = tmp_path / f"v{version}.json"
+        path.write_text(json.dumps({"kind": ATLAS_KIND,
+                                    "version": version}))
         assert main(["analyze", "atlas", str(path)]) == 1
         err = capsys.readouterr().err
-        assert "state atlas version 1, expected 2" in err
+        assert f"state atlas version {version}, expected 3" in err
         assert err.count("\n") == 1
 
     def test_rejects_wrong_version(self, tmp_path):
@@ -288,21 +315,13 @@ def synthetic_atlas(depths, edges, nodes=1, state_name="S"):
     for ident, depth in depths.items():
         states[ident] = {"depth": depth,
                          "vector": [[state_name]] * nodes}
-    records = []
-    for src, dst, label in edges:
-        kind, tag, sender, receiver, _index, block = parse_label(label)
-        records.append([src, dst, tag, sender, receiver, kind, block,
-                        label])
+    records = [list(edge) for edge in edges]
     return StateAtlas(
         protocol="Synthetic", nodes=nodes, addresses=1, reorder=0,
         workers=1,
         result={"ok": True, "states": len(states),
                 "transitions": len(records), "max_depth":
                 max(depths.values(), default=0), "exhausted": True},
-        truncation={"states_seen": len(states),
-                    "states_kept": len(states),
-                    "edges_seen": len(records),
-                    "edges_kept": len(records), "sampled": False},
         state_meta={state_name: {"transient": False}},
         states=states, edges=records)
 
@@ -381,46 +400,6 @@ class TestCanonicalizer:
             == (fingerprint(state), None)
 
 
-class TestBottomK:
-    def test_keeps_smallest_keys(self):
-        sketch = _BottomK(4)
-        for key in (9, 3, 7, 1, 8, 5, 2, 6):
-            sketch.offer(key, key * 10)
-        assert sorted(sketch.entries) == [1, 2, 3, 5]
-        assert sketch.entries[1] == 10
-        assert sketch.seen == 8
-        assert sketch.truncated
-
-    def test_order_independent(self):
-        keys = list(range(50))
-        forward, backward = _BottomK(10), _BottomK(10)
-        for key in keys:
-            forward.offer(key, None)
-        for key in reversed(keys):
-            backward.offer(key, None)
-        assert set(forward.entries) == set(backward.entries)
-
-    def test_merge_equals_global(self):
-        keys = [(i * 37) % 101 for i in range(101)]
-        whole = _BottomK(12)
-        left, right = _BottomK(12), _BottomK(12)
-        for i, key in enumerate(keys):
-            whole.offer(key, None)
-            (left if i % 2 else right).offer(key, None)
-        merged = _BottomK(12)
-        merged.merge(left.seen, left.entries.items())
-        merged.merge(right.seen, right.entries.items())
-        assert set(merged.entries) == set(whole.entries)
-        assert merged.seen == whole.seen
-
-    def test_value_fn_lazy(self):
-        sketch = _BottomK(1)
-        calls = []
-        sketch.offer(5, lambda: calls.append("kept"))
-        sketch.offer(9, lambda: calls.append("rejected"))
-        assert calls == ["kept"]
-
-
 class TestLabelParsing:
     @pytest.mark.parametrize("label,expected", [
         ("deliver GET 0->1[0] blk=0", ("deliver", "GET", 0, 1, 0, 0)),
@@ -442,8 +421,7 @@ class TestLabelParsing:
         atlas = check(name, CheckOptions(
             nodes=2, faults=FaultBudget(drop=1, dup=1),
             artifacts=ArtifactOptions(atlas=True))).atlas
-        assert not atlas.sampled
-        assert ({edge[5] for edge in atlas.edges}
+        assert ({parse_label(edge[2]).kind for edge in atlas.edges}
                 == {"deliver", "drop", "dup", "app"})
 
 
@@ -529,13 +507,19 @@ class TestFormat:
         assert "transient residence:" in text
         assert "orbit" not in text
         assert "POR" not in text
+        assert "unexpanded frontier" not in text
 
-    def test_sampled_report_flags_truncation(self):
-        atlas = make_serial("stache", nodes=3, atlas=AtlasRecorder(
-            state_cap=50, edge_cap=100)).run().atlas
+    def test_bounded_run_frontier_is_not_deadlock(self):
+        """The unexpanded frontier of a ``--max-states`` run is
+        reported as such, not as deadlock states."""
+        atlas = check("stache_cas", CheckOptions(
+            nodes=3, max_states=25_000,
+            artifacts=ArtifactOptions(atlas=True))).atlas
         text = format_atlas(atlas)
-        assert "coverage: SAMPLED" in text
-        assert "kept 50/847 states" in text
+        assert "coverage: exact -- 25000 states, 59085 edges" in text
+        assert "deadlock states (out-degree 0): none\n" in text
+        assert "unexpanded frontier: 3897\n" in text
+        assert "; terminal 0 []" in text
 
     @pytest.mark.parametrize("layers,widths", [
         (20, " ".join(str(w) for w in range(1, 21))),
@@ -582,7 +566,14 @@ class TestCli:
         assert main(["analyze", "atlas", str(path)]) == 0
         out = capsys.readouterr().out
         assert "verdict: FAIL" in out
-        assert "deadlock states (out-degree 0):" in out
+        # The one deadlock is the violation's state; the states the run
+        # never expanded are the frontier, not deadlocks.
+        violation = check("stache", CheckOptions(
+            faults=FaultBudget(drop=1))).violation
+        assert violation.kind == "deadlock"
+        stuck = f"{fingerprint(violation.state):016x}"
+        assert f"deadlock states (out-degree 0): 1: {stuck}\n" in out
+        assert "unexpanded frontier: 15\n" in out
 
     def test_atlas_friendly_errors(self, tmp_path, capsys):
         assert main(["analyze", "atlas",

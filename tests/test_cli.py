@@ -194,6 +194,17 @@ class TestRefusedModes:
         assert ("argument --graphml: not allowed with argument --dot"
                 in err)
 
+    @pytest.mark.parametrize("analysis", ["atlas", "check-profile"])
+    @pytest.mark.parametrize("top", ["0", "-2", "x"])
+    def test_top_below_one_is_a_usage_error(self, capsys, analysis, top):
+        """``--top N`` counts report rows: fewer than one is refused
+        before the artifact is read."""
+        with pytest.raises(SystemExit) as caught:
+            main(["analyze", analysis, "a.json", "--top", top])
+        assert caught.value.code == 2
+        assert (f"argument --top: expected an integer >= 1, got '{top}'"
+                in capsys.readouterr().err)
+
 
 class TestGraphAndList:
     def test_graph_text(self, capsys):
