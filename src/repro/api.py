@@ -168,10 +168,12 @@ class ArtifactOptions:
 
     ``profile`` arms an exploration profiler (repro.obs.profile) and
     attaches a CheckProfile to ``CheckResult.profile``; ``atlas``
-    records the explored state graph (repro.verify.atlas) onto
+    attaches the explored state graph (repro.verify.atlas) as
     ``CheckResult.atlas``, exactly: every visited state and explored
-    transition, bounded by the run's own bounds.  Both are observably
-    free when off: the checkers run their uninstrumented code paths.
+    transition, bounded by the run's own bounds.  Read off the graph
+    ``liveness`` reads, it refuses ``workers`` and ``resume`` too.  Both
+    are observably free when off: the checkers run their uninstrumented
+    code paths.
     """
 
     profile: bool = False
@@ -324,28 +326,29 @@ def check(target: Target,
     checkpointing = bool(options.checkpoint.out
                          or options.checkpoint.resume)
     for name, floor in (("nodes", 1), ("addresses", 1), ("reorder", 0),
-                        ("workers", 0), ("channel_cap", 1)):
+                        ("workers", 0), ("channel_cap", 1),
+                        ("max_states", 1)):
         if getattr(options, name) < floor:
             raise ValueError(f"CheckOptions.{name} must be >= {floor}")
+    if options.checkpoint.keep_last < 1:
+        raise ValueError("CheckpointOptions.keep_last must be >= 1")
+    for name in ("deadline_seconds", "max_rss_mb"):
+        budget = getattr(options.budget, name)
+        if budget is not None and budget <= 0:
+            raise ValueError(f"BudgetOptions.{name} must be > 0")
     # A deadline run that cannot write its checkpoint at the cut has
     # lost the exploration: refuse before the first state.
     check_output_paths(ValueError, options.checkpoint.out)
 
     def run_once(symmetry: bool) -> CheckResult:
-        # Observers (profiler/atlas) are stateful accumulators; each
-        # attempt gets fresh ones so a symmetry-certification fallback
-        # rerun does not double-record.
-        artifacts = options.artifacts
+        # The profiler is a stateful accumulator; each attempt gets a
+        # fresh one so a symmetry-certification fallback rerun does not
+        # double-record.
         profiler = None
-        if artifacts.profile:
+        if options.artifacts.profile:
             from repro.obs.profile import CheckProfiler
 
             profiler = CheckProfiler()
-        atlas = None
-        if artifacts.atlas:
-            from repro.verify.atlas import AtlasRecorder
-
-            atlas = AtlasRecorder()
         shared = dict(
             n_nodes=options.nodes,
             n_blocks=options.addresses,
@@ -357,7 +360,7 @@ def check(target: Target,
             progress_stream=options.progress,
             fault_budget=options.faults,
             profiler=profiler,
-            atlas=atlas,
+            atlas=options.artifacts.atlas,
             symmetry=symmetry,
             liveness=options.liveness,
             checkpoint_out=options.checkpoint.out,
@@ -376,7 +379,7 @@ def check(target: Target,
                 **shared,
             ).run()
         # The sharded checker refuses the serial-only liveness check
-        # itself.
+        # and atlas itself.
         from repro.verify.parallel import ParallelChecker
 
         return ParallelChecker(

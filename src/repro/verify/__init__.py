@@ -29,7 +29,7 @@ from repro import _lazy_exports
 from repro.verify.fingerprint import encode_state, fingerprint
 
 __getattr__, __dir__ = _lazy_exports(__name__, {
-    "repro.verify.atlas": ("AtlasRecorder", "StateAtlas", "load_atlas"),
+    "repro.verify.atlas": ("StateAtlas", "load_atlas"),
     "repro.verify.checker": ("CheckResult", "FingerprintCollisionError",
                              "ModelChecker", "SymmetryError",
                              "TraceReplayError", "Violation",
@@ -55,7 +55,6 @@ __all__ = [
     "load_checkpoint",
     "fingerprint",
     "encode_state",
-    "AtlasRecorder",
     "StateAtlas",
     "load_atlas",
     "EventGenerator",

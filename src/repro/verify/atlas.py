@@ -3,11 +3,11 @@
 This module is the measurement layer for the explored graph's
 structure, the same way :mod:`repro.obs.profile` is for hot-loop time:
 
-- :class:`AtlasRecorder` -- the armed recorder both checkers thread
-  through their hot loops.  It streams every explored transition
-  ``(src_fingerprint, dst_fingerprint, label)`` and annotates every
-  visited state (BFS depth, per-node protocol-state vector, nonzero
-  fault budget).
+- :func:`build_atlas` -- reads the atlas off the graph a serial run
+  records over its own keys (:class:`repro.verify.starvation.KeyGraph`,
+  the one ``--liveness`` reads): every explored transition and every
+  visited state's BFS depth, per-node protocol-state vector and
+  nonzero fault budget.
 - :class:`StateAtlas` -- the schema-versioned JSON artifact (kind
   ``teapot-state-atlas`` v3; ``teapot verify --atlas-out``), rendered by
   ``teapot analyze atlas``, diffable with ``teapot analyze diff``, and
@@ -17,28 +17,20 @@ structure, the same way :mod:`repro.obs.profile` is for hot-loop time:
   and a per-(node, protocol-state) residence heatmap split
   transient-vs-stable.
 
-The atlas estimates no symmetry collapse: ``verify --symmetry``
-measures it (its ``canonical-states`` count).
-
-The recording is exact at every size: every visited state and every
-transition the recorder is shown.  ``--max-states`` and
-``--max-rss-mb`` bound it, as they bound the exploration.  A state
-that was visited but never expanded -- the frontier of a bounded or
-failing run -- carries ``"frontier": true``, and the analysis counts
-no such state as a deadlock.  Each state is owned and expanded by one
-process, so the parallel engine's per-worker recordings merge by plain
-union, and a completed exploration produces the identical atlas at any
-worker count.
-
-Like the profiler, the recorder is a pure observer: absent (the
-default) the checkers run the exact code they always ran -- verdicts,
-fingerprint streams, and checkpoint bytes are byte-identical
-(``tests/test_atlas.py`` pins this); armed, it never influences
-exploration order or results.
+The atlas is exact at every size and estimates no symmetry collapse
+(``verify --symmetry`` measures it).  ``--max-states`` and
+``--max-rss-mb`` bound it as they bound the exploration; a state that
+was visited but never expanded -- the frontier of a bounded or failing
+run -- carries ``"frontier": true`` and is never counted a deadlock.
+Like liveness it reads one process's whole run, so it is serial-only
+and never resumes.  Armed, it never changes exploration order or
+results; unarmed, the graph keeps no labels or notes
+(``tests/test_atlas.py`` pins both).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Optional
@@ -47,129 +39,59 @@ from repro.ioutil import atomic_write_json, check_envelope, read_json
 from repro.obs.analyze.trace import TraceError
 from repro.verify.checker import parse_label
 from repro.verify.fingerprint import fingerprint
-from repro.verify.model import GlobalState
+from repro.verify.model import VIEWS
 
 ATLAS_KIND = "teapot-state-atlas"
 ATLAS_VERSION = 3
 
 
-class AtlasRecorder:
-    """Armed recorder for one exploration run (see module docstring).
-
-    The checkers call :meth:`visit`/:meth:`expand`/:meth:`edge` only
-    when a recorder was passed; where a 64-bit fingerprint is already
-    on hand (fingerprint mode, the parallel engine) they pass it so the
-    recorder never recomputes one it can reuse.  For the parallel
-    engine, forked workers inherit the template's recorder, accumulate
-    privately, and ship :meth:`payload` back in the finish reply for
-    :meth:`merge` on the master.
-    """
-
-    def __init__(self):
-        self._state_meta: dict[str, dict] = {}
-        self._states: dict[str, dict] = {}      # fp hex -> annotation
-        self._edges: list[list] = []            # [src hex, dst hex, label]
-        # One hex string per state, shared by every edge naming it, and
-        # one ``vector`` list per distinct set of block views: the exact
-        # graph names each state in several edges, and many states
-        # share their views.
-        self._hex: dict[int, str] = {}
-        self._vectors: dict[tuple, list] = {}
-        self._src: Optional[str] = None
-        # When the engine runs without hash compaction it has no
-        # fingerprint to pass, and every state reaches us several
-        # times (once visited, once per incoming edge, once expanded).
-        # Hashing is the dominant recording cost, so compute each
-        # state's fingerprint exactly once.  GlobalState is frozen and
-        # hashable; the engine's visited set already keeps every state
-        # alive, so this adds one dict slot per state, not a copy.
-        self._fp_cache: dict = {}
-
-    # -- recording (checker-facing) -----------------------------------------
-
-    def bind(self, protocol) -> None:
-        """Attach the protocol's state metadata (idempotent; called at
-        run start by whichever engine owns this recorder)."""
-        self._state_meta = {
-            name: {"transient": bool(info.transient)}
-            for name, info in protocol.states.items()}
-
-    def _hex_of(self, state: GlobalState, fp: Optional[int]) -> str:
-        if fp is None:
-            fp = self._fp_cache.get(state)
-            if fp is None:
-                fp = self._fp_cache[state] = fingerprint(state)
-        text = self._hex.get(fp)
-        if text is None:
-            text = self._hex[fp] = f"{fp:016x}"
-        return text
-
-    def visit(self, state: GlobalState, depth: int,
-              fp: Optional[int] = None) -> None:
-        """Record a newly visited state with its BFS depth; it is
-        ``frontier`` until :meth:`expand` names it."""
-        views = state[:state[-2] * state[-1]]     # the view ids lead
-        vector = self._vectors.get(views)
-        if vector is None:
-            vector = self._vectors[views] = [
-                [view.state_name for view in node_blocks]
-                for node_blocks in state.blocks]
-        annotation = {"depth": depth, "vector": vector}
-        if state.faults != (0, 0):
-            annotation["faults"] = list(state.faults)
-        annotation["frontier"] = True
-        self._states[self._hex_of(state, fp)] = annotation
-
-    def expand(self, state: GlobalState, fp: Optional[int] = None) -> None:
-        """Mark a visited state expanded and set it as the source of the
-        :meth:`edge` calls that follow."""
-        self._src = self._hex_of(state, fp)
-        del self._states[self._src]["frontier"]
-
-    def edge(self, label: str, successor: GlobalState,
-             fp: Optional[int] = None) -> None:
-        """Record one transition out of the current source."""
-        self._edges.append([self._src, self._hex_of(successor, fp), label])
-
-    # -- parallel plumbing --------------------------------------------------
-
-    def payload(self) -> dict:
-        """This (worker-side) recorder's part, for the finish reply."""
-        return {"states": self._states, "edges": self._edges}
-
-    def merge(self, payload: Optional[dict]) -> None:
-        """Fold one worker's part into this master recorder: each state
-        is one worker's, so the union is the whole graph."""
-        if payload:
-            self._states.update(payload["states"])
-            self._edges += payload["edges"]
-
-    # -- building the artifact ----------------------------------------------
-
-    def build(self, result) -> "StateAtlas":
-        """Finalize into a :class:`StateAtlas` for a finished
-        :class:`~repro.verify.checker.CheckResult`."""
-        # Fixed-width hex sorts as the fingerprints do; an edge sorts by
-        # (src, dst, label), its own fields in order.
-        self._edges.sort()
-        return StateAtlas(
-            protocol=result.protocol_name,
-            nodes=result.n_nodes,
-            addresses=result.n_blocks,
-            reorder=result.reorder_bound,
-            workers=result.workers,
-            result={
-                "ok": result.ok,
-                "states": result.states_explored,
+def build_atlas(result, graph, protocol) -> "StateAtlas":
+    """The :class:`StateAtlas` of a finished serial run's ``result``,
+    read off the labelled KeyGraph it recorded: a state is named by its
+    key's hex (a full-state key is fingerprinted here), its depth comes
+    from its acceptance index (BFS accepts layer by layer; the timeline's
+    first point per depth counts the states up to there), and the rows
+    :meth:`KeyGraph.end` never closed are the frontier."""
+    names = [f"{key if isinstance(key, int) else fingerprint(key):016x}"
+             for key in graph.index]
+    ends: dict[int, int] = {}           # depth -> states up to its end
+    for point in result.timeline:
+        ends.setdefault(point["depth"], point["states"])
+    bounds = list(ends.values())
+    # One (vector, fault budget) per distinct note -- block view ids,
+    # node-major, then the budget -- shared by the states carrying it.
+    width = result.n_blocks
+    notes = [([[VIEWS[view].state_name for view in note[at:at + width]]
+               for at in range(0, len(note) - 2, width)], note[-2:])
+             for note in graph.note_ids]
+    expanded = len(graph.offsets) - 1
+    states = {}
+    for k, name in enumerate(names):
+        vector, faults = notes[graph.notes[k]]
+        annotation = {"depth": bisect_right(bounds, k), "vector": vector}
+        if faults != (0, 0):
+            annotation["faults"] = list(faults)
+        if k >= expanded:
+            annotation["frontier"] = True
+        states[name] = annotation
+    offsets, targets, labels = graph.offsets, graph.targets, graph.labels
+    # Fixed-width hex sorts as the fingerprints do; an edge sorts by
+    # (src, dst, label), its own fields in order.
+    edges = sorted([names[k], names[targets[e]], labels[e]]
+                   for k in range(expanded)
+                   for e in range(offsets[k], offsets[k + 1]))
+    return StateAtlas(
+        protocol=result.protocol_name, nodes=result.n_nodes,
+        addresses=width, reorder=result.reorder_bound,
+        workers=result.workers,
+        result={"ok": result.ok, "states": result.states_explored,
                 "transitions": result.transitions,
                 "max_depth": result.max_depth,
-                "exhausted": result.exhausted,
-            },
-            state_meta=dict(self._state_meta),
-            states={key: self._states[key] for key in sorted(self._states)},
-            edges=self._edges,
-            fault_budget=tuple(result.fault_budget),
-        )
+                "exhausted": result.exhausted},
+        state_meta={name: {"transient": bool(info.transient)}
+                    for name, info in protocol.states.items()},
+        states={name: states[name] for name in sorted(states)},
+        edges=edges, fault_budget=tuple(result.fault_budget))
 
 
 @dataclass(eq=False)

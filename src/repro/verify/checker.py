@@ -292,7 +292,7 @@ class CheckResult:
     # (repro.obs.profile), else None.
     profile: Optional[object] = None
     # When the run recorded an atlas: the StateAtlas artifact
-    # (repro.verify.atlas), else None.
+    # (repro.verify.atlas, read off the run's KeyGraph), else None.
     atlas: Optional[object] = None
     # Reduction telemetry: with symmetry reduction on, the number of
     # orbit representatives explored (equals states_explored -- the
@@ -334,13 +334,31 @@ class CheckResult:
         )
 
 
+def refuse_graph_modes(*, workers: int = 0, liveness: bool = False,
+                       atlas: bool = False, checkpoint_out=None, resume=None,
+                       **_options) -> None:
+    """Refuse, in one line, liveness checking or the state atlas where
+    the explored graph (starvation.KeyGraph) would not be one process's
+    record of one whole run: with workers, or resumed (or, for
+    liveness, written) across a checkpoint, which carries no edges."""
+    mode = "liveness checking" if liveness else "the state atlas"
+    if (liveness or atlas) and workers:
+        raise ValueError(f"{mode} reads the graph one process explored and "
+                         "is serial-only (CheckOptions.workers must be 0)")
+    if liveness and (checkpoint_out or resume) or atlas and resume:
+        keyed = "checkpoint/resume" if liveness else "resume"
+        raise ValueError(f"{mode} cannot run with {keyed}: a checkpoint "
+                         "does not carry the explored graph")
+
+
 class ModelChecker:
     """Exhaustively checks a compiled protocol.
 
     Parameters mirror Table 3's configurations: number of nodes, number
     of shared addresses, and the network reordering bound (0 = FIFO
     channels; k allows a message to be delivered ahead of up to k
-    earlier messages on its channel).
+    earlier messages on its channel).  ``liveness`` and ``atlas`` read
+    the one graph the run records (:func:`refuse_graph_modes`).
     """
 
     def __init__(
@@ -359,7 +377,7 @@ class ModelChecker:
         fingerprint_states: bool = False,
         fault_budget=None,
         profiler=None,
-        atlas=None,
+        atlas: bool = False,
         symmetry: bool = False,
         checkpoint_out: Optional[str] = None,
         resume: Optional[str] = None,
@@ -393,10 +411,11 @@ class ModelChecker:
         # nacked request that is never retried -- that no safety
         # invariant sees.  The checkpoint format carries no edges.
         self.liveness = liveness
-        if liveness and (checkpoint_out or resume):
-            raise ValueError("liveness checking cannot run with "
-                             "checkpoint/resume: a checkpoint does not "
-                             "carry the explored graph")
+        # The state atlas (repro.verify.atlas), read off the same graph
+        # at the end of the run.
+        self.atlas = atlas
+        refuse_graph_modes(liveness=liveness, atlas=atlas,
+                           checkpoint_out=checkpoint_out, resume=resume)
         # Progress lines: when a stream is given, the run's timeline
         # points are printed there as they are taken, at most about one
         # a second (checkpoint.CutPolicy), so long runs are diagnosable
@@ -462,13 +481,6 @@ class ModelChecker:
         # reads clocks -- verdicts, state counts, fingerprints, and
         # checkpoints are identical either way (tests/test_profile.py).
         self.profiler = profiler
-        # State-space atlas recording (repro.verify.atlas.AtlasRecorder),
-        # or None.  Same pure-observer contract as the profiler: absent,
-        # the hot loop runs the exact code it always ran; armed, it only
-        # records what the exploration already computes (tests/
-        # test_atlas.py pins byte-identical verdicts, fingerprint
-        # streams, and checkpoints either way).
-        self.atlas = atlas
         # Checkpointing (checkpoint.CutPolicy) in the parallel checker's
         # v2 format, so a serial checkpoint resumes at any worker count
         # and vice versa; the format is fingerprint-keyed.
@@ -807,10 +819,9 @@ class ModelChecker:
     # -- search -------------------------------------------------------------
 
     def _begin_run(self) -> None:
-        """Reset the per-run counters and bind the invariant suite (and
-        the atlas recorder, when one is attached).  Also runs at
-        construction, so a fresh checker (a replay clone, the parallel
-        template) can step and judge states at once."""
+        """Reset the per-run counters and bind the invariant suite.
+        Also runs at construction, so a fresh checker (a replay clone,
+        the parallel template) can step and judge states at once."""
         self._invariant_evals = {}
         self._handler_fires = {}
         self._max_depth = 0
@@ -818,8 +829,6 @@ class ModelChecker:
             (self._invariant_name(invariant), invariant)
             for invariant in self.invariants
         ]
-        if self.atlas is not None:
-            self.atlas.bind(self.protocol)
 
     def initial_state(self) -> GlobalState:
         return initial_global_state(
@@ -869,18 +878,16 @@ class ModelChecker:
         parallel worker both iterate it and own only what they do with
         the triples (dedupe, parent pointers, acceptance or routing).
         Successors come from :meth:`_successors`; around them sit the
-        profiler's phases and the atlas's edges.  An error rule surfaces
-        as the enumerator's :class:`_LabelledViolation` (kind
-        ``error``); a state with no enabled move raises one of kind
-        ``deadlock``."""
+        profiler's phases.  An error rule surfaces as the enumerator's
+        :class:`_LabelledViolation` (kind ``error``); a state with no
+        enabled move raises one of kind ``deadlock``."""
         prof = self.profiler
-        atlas = self.atlas
         fp = self.fingerprint_fn if self.fingerprint_states else None
         out_degree = 0
         successors = self._successors(state)
         self._delta = None
-        if prof is None and atlas is None:
-            # No observer (decided once per state, not per successor):
+        if prof is None:
+            # No profiler (decided once per state, not per successor):
             # the triples are the enumerator's pairs plus the key, this
             # state's with the swapped terms where the builder left them.
             for label, successor in successors:
@@ -892,33 +899,17 @@ class ModelChecker:
                 yield label, successor, (fp(successor) if delta is None
                                          else key ^ delta)
         else:
-            if atlas is not None:
-                atlas.expand(state, fp=key if fp is not None else None)
-            if prof is not None:
-                successors = prof.timed_successors(successors)
-            for label, successor in successors:
+            for label, successor in prof.timed_successors(successors):
                 out_degree += 1
                 delta, self._delta = self._delta, None
                 if fp is None:
                     succ_key = successor
                 elif delta is not None:
                     succ_key = key ^ delta
-                elif prof is None:
-                    succ_key = fp(successor)
                 else:
                     t0 = time.perf_counter()
                     succ_key = fp(successor)
                     prof.add_phase("fingerprint", time.perf_counter() - t0)
-                if atlas is not None:
-                    # Every generated successor is an edge, even when its
-                    # target was already visited or routed -- recorded
-                    # before the consumer's dedupe, which is not an edge
-                    # dedupe.  Reuses the fingerprint when one is on hand.
-                    atlas.edge(label, successor,
-                               fp=succ_key if fp is not None else None)
-                if prof is None:
-                    yield label, successor, succ_key
-                    continue
                 # Whatever the consumer does with the triple is the
                 # "visited" phase, less the invariant suite, which _accept
                 # times itself.
@@ -928,23 +919,19 @@ class ModelChecker:
                 spent = time.perf_counter() - t0
                 judged -= prof.phases.get("invariants", 0.0)
                 prof.add_phase("visited", spent + judged)
-            if prof is not None:
-                prof.add_out_degree(out_degree)
+            prof.add_out_degree(out_degree)
         if not out_degree:
             raise _LabelledViolation("<stuck>", _DEADLOCK_MESSAGE,
                                      "deadlock")
 
-    def _accept(self, state: GlobalState, key, depth: int) -> Optional[str]:
+    def _accept(self, state: GlobalState, depth: int) -> Optional[str]:
         """The accept step: ``state`` joins the explored set at
-        ``depth``.  Tracks the run's maximum depth, shows the state to
-        the atlas, and runs the (timed) invariant suite; returns the
-        first failed invariant's message, or None.  The caller owns the
-        containers -- visited set, parent pointers, frontier."""
+        ``depth``.  Tracks the run's maximum depth and runs the (timed)
+        invariant suite; returns the first failed invariant's message,
+        or None.  The caller owns the containers -- visited set, parent
+        pointers, frontier, recorded graph."""
         if depth > self._max_depth:
             self._max_depth = depth
-        if self.atlas is not None:
-            self.atlas.visit(state, depth,
-                             fp=key if self.fingerprint_states else None)
         prof = self.profiler
         if prof is None:
             return self._check_invariants(state)
@@ -960,8 +947,8 @@ class ModelChecker:
         from fingerprints, take the timeline's final point (and progress
         line) from ``policy``, and build the :class:`CheckResult`
         (``counts`` are :meth:`_result`'s keywords; ``elapsed`` includes
-        a resumed checkpoint's) with the observers' artifacts.  The
-        parallel master calls this on its template."""
+        a resumed checkpoint's) with the profile.  The parallel master
+        calls this on its template."""
         if (violation is not None and self.fingerprint_states
                 and violation.kind != "starvation"):
             # Collision guard: the trace came from fingerprint-keyed
@@ -976,8 +963,6 @@ class ModelChecker:
                               timeline=timeline, **counts)
         if self.profiler is not None:
             result.profile = self.profiler.build(result)
-        if self.atlas is not None:
-            result.atlas = self.atlas.build(result)
         return result
 
     def _run_bfs(self, interrupt_cell) -> CheckResult:
@@ -1001,14 +986,19 @@ class ModelChecker:
                                 self.resume)
         # (state, key, depth) entries: accepted, awaiting expansion.
         frontier: deque = deque()
-        # Liveness's record of the explored graph, over these same keys
-        # (imported by the runs that check it).
+        # The explored graph over these same keys, for liveness (with
+        # renamings under symmetry) and the atlas (with each edge's
+        # label and each state's block views and fault budget).
         graph = None
-        if self.liveness:
+        if self.liveness or self.atlas:
             from repro.verify.starvation import KeyGraph
-            graph = KeyGraph(self._canon and [self._canon.identity,
-                                              *self._canon.perms])
+            graph = KeyGraph(
+                [self._canon.identity, *self._canon.perms]
+                if self.liveness and self._canon else None,
+                labelled=self.atlas)
         renaming = self._renaming or (lambda _state: None)
+        note = ((lambda state: state[:self._app0] + state[-4:-2])
+                if self.atlas else (lambda _state: None))
         stopped: Optional[str] = None    # see _result
 
         def finish(violation: Optional[Violation] = None) -> CheckResult:
@@ -1019,12 +1009,16 @@ class ModelChecker:
                           else "state"),
                     container_bytes=visited_container_bytes(
                         visited, parents))
-            return self._finish(
+            result = self._finish(
                 violation, policy=policy, states=len(visited),
                 frontier=len(frontier), transitions=transitions,
                 max_depth=self._max_depth, elapsed=policy.elapsed(),
                 invariant_evals=self._invariant_evals,
                 handler_fires=self._handler_fires, stopped=stopped)
+            if self.atlas:
+                from repro.verify.atlas import build_atlas
+                result.atlas = build_atlas(result, graph, self.protocol)
+            return result
 
         def trace_to(key, last_label: str) -> list[str]:
             return self._trace_via_parents(key, parents) + [last_label]
@@ -1038,8 +1032,9 @@ class ModelChecker:
                 graph.state(key, sum(
                     1 << node for node, aid in enumerate(
                         state[self._app0:self._chan0])
-                    if APPS[aid].blocked_on is not None), renaming(state))
-            message = self._accept(state, key, d)
+                    if APPS[aid].blocked_on is not None), renaming(state),
+                    note(state))
+            message = self._accept(state, d)
             if message is None:
                 frontier.append((state, key, d))
             return message
@@ -1092,26 +1087,29 @@ class ModelChecker:
             if stopped is not None:
                 return finish()
             state, key, d = frontier.popleft()
+            violation = None
             try:
                 for label, successor, succ_key in self._expand(state, key):
                     transitions += 1
                     if graph is not None:
-                        graph.edge(succ_key, renaming(successor))
+                        graph.edge(succ_key, renaming(successor), label)
                     if succ_key in visited:
                         continue
                     message = take(successor, succ_key, key, label, d + 1)
                     if message is not None:
-                        return finish(Violation(
-                            "invariant", message,
-                            trace_to(key, label), successor))
+                        violation = Violation("invariant", message,
+                                              trace_to(key, label), successor)
+                        break
             except _LabelledViolation as found:
-                return finish(Violation(
-                    found.kind, found.message,
-                    trace_to(key, found.label), state))
+                violation = Violation(found.kind, found.message,
+                                      trace_to(key, found.label), state)
+            # Cut short by a violation or not, the state was expanded.
             if graph is not None:
                 graph.end()
+            if violation is not None:
+                return finish(violation)
 
-        stuck = graph.stuck(self.n_nodes) if graph is not None else None
+        stuck = graph.stuck(self.n_nodes) if self.liveness else None
         return finish(stuck and self._starvation(*stuck, graph, parents))
 
     # -- trace replay -------------------------------------------------------

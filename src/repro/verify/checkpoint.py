@@ -308,7 +308,6 @@ def write_checkpoint(path: str, payload: dict, keep_last: int = 1,
     The canonical JSON the seal is computed over *is* the file body,
     streamed (:func:`_sealed_text`).  ``durable=False`` skips the fsync
     (rename atomicity is kept), for snapshots."""
-    keep_last = max(1, int(keep_last))
     for age in range(keep_last - 1, 0, -1):
         older = path if age == 1 else f"{path}.{age - 1}"
         if os.path.exists(older):

@@ -42,7 +42,7 @@ exchange is fingerprint-only.  The ops, and what each reply carries:
 ``parent``   One hop of a counterexample's trace walk: the parent edge.
 ``collect``  For a checkpoint: the shard's visited set and parent
              edges, nothing else.
-``finish``   The run is over: the worker's profile and atlas payloads.
+``finish``   The run is over: the worker's profile payload.
 
 Determinism: the set of states in BFS layer *k* is a property of the
 protocol, not of the partitioning, and every visited state is expanded
@@ -123,6 +123,7 @@ from repro.verify.checker import (
     SymmetryError,
     Violation,
     _LabelledViolation,
+    refuse_graph_modes,
 )
 from repro.verify.checkpoint import (
     CheckpointError,
@@ -217,7 +218,7 @@ def _worker_main(conn, master_ends, worker_id: int, n_workers: int,
         visited.add(sfp)
         known.add(sfp)
         parents[sfp] = (pfp, label)
-        message = checker._accept(state, sfp, depth)
+        message = checker._accept(state, depth)
         if message is not None:
             violations.append(("invariant", message, depth, sfp, None))
         ready.append((sfp, state, depth))
@@ -336,19 +337,14 @@ def _worker_main(conn, master_ends, worker_id: int, n_workers: int,
         elif op == "collect":                 # checkpoint contribution
             reply = (visited, parents)
 
-        elif op == "finish":                  # hand over the artifacts
-            profile_payload = None
+        elif op == "finish":                  # hand over the profile
+            reply = None
             if checker.profiler is not None:
                 checker.profiler.set_visited(
                     entries=len(visited), mode="fingerprint",
                     container_bytes=visited_container_bytes(
                         visited, parents))
-                profile_payload = checker.profiler.worker_payload()
-            reply = {
-                "profile": profile_payload,
-                "atlas": (checker.atlas.payload()
-                          if checker.atlas is not None else None),
-            }
+                reply = checker.profiler.worker_payload()
 
         try:
             conn.send(reply)
@@ -461,15 +457,16 @@ class ParallelChecker:
 
     ``ParallelChecker(protocol, workers=N, **checker_options)``: the
     checker options -- topology, events, invariants, ``max_states``,
-    fault budget, ``symmetry``, progress stream, observers,
+    fault budget, ``symmetry``, progress stream, profiler,
     ``checkpoint_out`` / ``resume`` / ``checkpoint_keep_last``,
     ``deadline_seconds`` / ``max_rss_mb`` -- are
     :class:`~repro.verify.checker.ModelChecker`'s, declared there once
     and passed through to the template (whose settings the master reads
     back).  The visited set is always fingerprint-keyed
     (``fingerprint_states`` is not accepted), and the serial-only
-    ``liveness`` is refused.  The constructor's one keyword of its
-    own is ``workers``, the number of shard-owning processes.
+    ``liveness`` and ``atlas``, which read one process's graph, are
+    refused.  The constructor's one keyword of its own is ``workers``,
+    the number of shard-owning processes.
 
     ``run()`` returns the same :class:`CheckResult`; on passing runs the
     state count, transition count, depth, and coverage maps match the
@@ -487,17 +484,11 @@ class ParallelChecker:
                  **checker_options):
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        if checker_options.get("liveness"):
-            raise ValueError(
-                "liveness checking reads the graph one process explored "
-                "and is serial-only (CheckOptions.workers must be 0)")
+        refuse_graph_modes(workers=workers, **checker_options)
         self.workers = workers
-        # The template's profiler and atlas recorder are the master's:
-        # forked workers inherit copies of the same objects but
-        # accumulate into their own process memory, shipping totals
-        # (phase sums; each worker's exact part of the atlas, whose
-        # union is the whole graph) back in the finish reply -- so the
-        # built artifacts are identical at any worker count.
+        # The template's profiler is the master's: forked workers
+        # inherit copies of it but accumulate into their own process
+        # memory, shipping phase sums back in the finish reply.
         # Symmetry canonicalization lives entirely in the template's
         # fingerprint_fn: workers shard and dedupe by canonical
         # fingerprint, so the orbit quotient falls out of the existing
@@ -710,11 +701,9 @@ class ParallelChecker:
                 record_wave(wave_no, time.perf_counter() - cycle_started,
                             expand_replies, ingest_replies, adopt_replies)
 
-            for stats in fleet.call_all([("finish",)] * n, "finish"):
+            for payload in fleet.call_all([("finish",)] * n, "finish"):
                 if prof is not None:
-                    prof.merge_worker(stats["profile"])
-                if template.atlas is not None:
-                    template.atlas.merge(stats["atlas"])
+                    prof.merge_worker(payload)
 
         return template._finish(
             violation, policy=policy, states=total_states,

@@ -2,35 +2,33 @@
 
 The atlas contract has three legs:
 
-1. **Off is free.**  A run with no recorder and a run with one armed
+1. **Off is free.**  A run with the atlas armed and one without
    explore the identical state space: verdict, counts, handler fires,
    the exact fingerprint stream, and checkpoint bytes all match.
-2. **Exact and engine-invariant.**  The atlas holds every visited
-   state and every explored transition, and a completed exploration
-   produces the identical atlas -- node set and edge multiset -- at any
-   worker count (each worker's part is its own states' expansions, so
-   the parts merge by union).
+2. **Exact and pinned.**  The atlas, read off the graph the serial run
+   records (starvation.KeyGraph), holds every visited state and every
+   explored transition; its bytes are pinned on three configurations.
+   Like liveness it reads one process's whole run, so ``--workers``
+   and ``--resume`` are refused (``test_cli.py::TestRefusedModes``).
 3. **The analysis is right.**  SCC/terminal/deadlock structure, the
    depth profile and the residence heatmap are pinned on graphs small
    enough to verify by hand.
 """
 
+import hashlib
 import json
 import re
-from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.api import ArtifactOptions, CheckOptions, check
+from repro.api import ArtifactOptions, CheckOptions, ReductionOptions, check
 from repro.cli import main
 from repro.faults import FaultBudget
 from repro.obs.analyze import TraceError
 from repro.protocols import PROTOCOLS, compile_named_protocol
 from repro.verify import (
-    AtlasRecorder,
     ModelChecker,
-    ParallelChecker,
     StateAtlas,
     events_for_protocol,
     fingerprint,
@@ -55,7 +53,7 @@ from repro.verify.model import initial_global_state
 from reference_checker import record_expansions
 
 
-def make_serial(name="stache", nodes=2, reorder=0, atlas=None, **kwargs):
+def make_serial(name="stache", nodes=2, reorder=0, atlas=False, **kwargs):
     protocol = compile_named_protocol(name)
     return ModelChecker(
         protocol, n_nodes=nodes, n_blocks=1, reorder_bound=reorder,
@@ -64,26 +62,9 @@ def make_serial(name="stache", nodes=2, reorder=0, atlas=None, **kwargs):
         atlas=atlas, **kwargs)
 
 
-def make_parallel(name="stache", nodes=2, reorder=0, workers=2,
-                  atlas=None, **kwargs):
-    protocol = compile_named_protocol(name)
-    return ParallelChecker(
-        protocol, n_nodes=nodes, n_blocks=1, reorder_bound=reorder,
-        events=events_for_protocol(name),
-        invariants=standard_invariants(coherent=True),
-        workers=workers, atlas=atlas, **kwargs)
-
-
 def outcome(result):
     return (result.ok, result.states_explored, result.transitions,
             result.max_depth, result.handler_fires, result.invariant_evals)
-
-
-def atlas_key(atlas):
-    """The identity the engine-invariance contract pins: node set and
-    edge multiset."""
-    return (set(atlas.states),
-            sorted(tuple(record) for record in atlas.edges))
 
 
 class TestOffModeIsFree:
@@ -91,7 +72,7 @@ class TestOffModeIsFree:
 
     def test_serial_outcome_identical(self):
         plain = make_serial(reorder=1).run()
-        armed = make_serial(reorder=1, atlas=AtlasRecorder()).run()
+        armed = make_serial(reorder=1, atlas=True).run()
         assert outcome(plain) == outcome(armed)
         assert plain.atlas is None
         assert armed.atlas is not None
@@ -99,7 +80,7 @@ class TestOffModeIsFree:
     def test_serial_fingerprint_stream_identical(self):
         plain_checker = make_serial(reorder=1, fingerprint_states=True)
         armed_checker = make_serial(reorder=1, fingerprint_states=True,
-                                   atlas=AtlasRecorder())
+                                   atlas=True)
         plain_log = record_expansions(plain_checker)
         armed_log = record_expansions(armed_checker)
         plain = plain_checker.run()
@@ -107,24 +88,16 @@ class TestOffModeIsFree:
         assert plain_log == armed_log          # same stream, same order
         assert len(plain_log) == plain.transitions
 
-    @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_parallel_outcome_identical(self, workers):
-        plain = make_parallel(reorder=1, workers=workers).run()
-        armed = make_parallel(reorder=1, workers=workers,
-                              atlas=AtlasRecorder()).run()
-        assert outcome(plain) == outcome(armed)
-        assert armed.atlas is not None
-
     def test_checkpoint_bytes_identical(self, tmp_path):
         def checkpoint(atlas, path):
-            make_parallel("lcm_mcc", reorder=1, workers=2,
-                          max_states=100, atlas=atlas,
-                          checkpoint_out=str(path)).run()
+            make_serial("lcm_mcc", reorder=1, max_states=100, atlas=atlas,
+                        fingerprint_states=True,
+                        checkpoint_out=str(path)).run()
             text = path.read_text()
             return re.sub(r'"elapsed":\s*[0-9.e-]+', '"elapsed":0', text)
 
-        plain = checkpoint(None, tmp_path / "plain.json")
-        armed = checkpoint(AtlasRecorder(), tmp_path / "armed.json")
+        plain = checkpoint(False, tmp_path / "plain.json")
+        armed = checkpoint(True, tmp_path / "armed.json")
         assert plain == armed
 
     @settings(max_examples=8, deadline=None)
@@ -137,59 +110,18 @@ class TestOffModeIsFree:
                             fingerprint_states=fingerprints).run()
         armed = make_serial(
             reorder=reorder, max_states=max_states,
-            fingerprint_states=fingerprints, atlas=AtlasRecorder()).run()
+            fingerprint_states=fingerprints, atlas=True).run()
         assert outcome(plain) == outcome(armed)
 
 
-# The seeded protocol/config matrix for the serial/parallel agreement
-# property: small enough to explore at four worker counts per example.
-_AGREEMENT_CONFIGS = [
-    ("stache", 2, 0), ("stache", 2, 1), ("stache", 3, 0),
-    ("stache_cas", 2, 0), ("stache_cas", 2, 1),
-    ("lcm", 2, 0), ("lcm", 2, 1),
-]
-
-
-class TestEngineInvariance:
-    @settings(max_examples=6, deadline=None)
-    @given(config=st.sampled_from(_AGREEMENT_CONFIGS))
-    def test_property_atlas_identical_across_worker_counts(self, config):
-        name, nodes, reorder = config
-        keys = {}
-        for workers in (0, 1, 2, 3):
-            result = check(name, CheckOptions(
-                nodes=nodes, reorder=reorder, workers=workers,
-                artifacts=ArtifactOptions(atlas=True)))
-            assert result.ok
-            assert len(result.atlas.states) == result.states_explored
-            assert len(result.atlas.edges) == result.transitions
-            keys[workers] = atlas_key(result.atlas)
-        assert keys[0] == keys[1] == keys[2] == keys[3]
-
-    def test_exact_atlas_identical_across_engines(self):
-        """Every state and every transition, whatever the worker
-        count: the per-worker parts merge by union."""
-        keys = {}
-        for workers in (0, 2, 3):
-            make = (partial(make_parallel, workers=workers) if workers
-                    else make_serial)
-            atlas = make("stache", nodes=3, atlas=AtlasRecorder()
-                         ).run().atlas
-            assert len(atlas.states) == 847
-            assert len(atlas.edges) == 2122
-            keys[workers] = atlas_key(atlas)
-        assert keys[0] == keys[2] == keys[3]
-
-    @pytest.mark.parametrize("workers", [0, 2])
-    def test_bounded_run_has_no_deadlock_or_basin(self, workers):
-        """A bounded run stops with states it never expanded.  Serially
-        they are visited and carry ``frontier`` (as many as the last
-        timeline point leaves to expand); in parallel the cut falls
-        after a wave's expansion, so they are routed candidates, never
-        accepted, that appear only as edge targets.  Neither kind is a
-        deadlock state or a terminal SCC."""
+class TestExactRecording:
+    def test_bounded_run_has_no_deadlock_or_basin(self):
+        """A bounded run stops with states it never expanded: they are
+        visited and carry ``frontier`` (as many as the last timeline
+        point leaves to expand), and none is a deadlock state or a
+        terminal SCC."""
         result = check("lcm", CheckOptions(
-            nodes=3, max_states=2000, workers=workers,
+            nodes=3, max_states=2000,
             artifacts=ArtifactOptions(atlas=True)))
         assert not result.exhausted
         atlas = result.atlas
@@ -197,23 +129,30 @@ class TestEngineInvariance:
         assert len(atlas.edges) == result.transitions
         frontier = {fp for fp, ann in atlas.states.items()
                     if ann.get("frontier")}
-        assert len(frontier) == (0 if workers
-                                 else result.timeline[-1]["frontier"])
+        assert len(frontier) == result.timeline[-1]["frontier"]
         assert not frontier & {record[0] for record in atlas.edges}
         structure = analyze_structure(atlas)
         assert structure["frontier_states"] == len(frontier)
         assert structure["deadlock_states"] == []
         assert structure["terminal_sccs"] == 0
 
-    def test_full_artifact_identical_modulo_workers(self):
-        serial = check("stache", CheckOptions(
-            nodes=3, reorder=0,
-            artifacts=ArtifactOptions(atlas=True))).atlas.to_json()
-        parallel = check("stache", CheckOptions(
-            nodes=3, reorder=0, workers=2,
-            artifacts=ArtifactOptions(atlas=True))).atlas.to_json()
-        serial["workers"] = parallel["workers"]
-        assert serial == parallel
+    @pytest.mark.parametrize("options,digest", [
+        (dict(nodes=2, reorder=1),
+         "7385a2223ead1576a65d3a32eca94ca38e480b0b7156c6dcc9ca52173e257757"),
+        (dict(nodes=3, faults=FaultBudget(drop=1)),
+         "739c2f046a4f930e8203aba44ac3d719c2e6a9c7e2057278fcbfc9a3d83dc7f2"),
+        (dict(nodes=3, liveness=True,
+              reduction=ReductionOptions(symmetry=True)),
+         "967b03b4f0cee5ffe65689dbfecfe8998f5bf48c0e846d217e310a39b0ecbc52"),
+    ], ids=["reorder1", "drop1-frontier", "symmetry-liveness"])
+    def test_artifact_bytes_pinned(self, options, digest):
+        """The whole v3 payload, byte for byte: a passing run, a
+        failing one with a frontier, and a canonical-keyed run whose
+        graph liveness reads too."""
+        atlas = check("stache", CheckOptions(
+            artifacts=ArtifactOptions(atlas=True), **options)).atlas
+        text = json.dumps(atlas.to_json(), separators=(",", ":"))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestArtifact:

@@ -114,22 +114,33 @@ class TestVerify:
 
 
 class TestBadTopology:
-    """A node, address or reorder count outside the model's domain is
-    one ``error:`` line and exit status 1 -- not a traceback, and not a
-    PASS over a model in which nothing can be delivered."""
+    """A node, address or reorder count outside the model's domain, or
+    a budget that allows no run, is one ``error:`` line and exit status
+    1 -- not a traceback, and not a PASS over a model in which nothing
+    can be delivered or a run that stopped before it began."""
+
+    # Where the refusal names the option's API field, not the flag.
+    FIELDS = {"--max-states": "max_states", "--deadline": "deadline_seconds",
+              "--max-rss-mb": "max_rss_mb", "--checkpoint-keep": "keep_last"}
 
     @pytest.mark.parametrize("argv", [
         ["verify", "stache", "--nodes", "0"],
         ["verify", "stache", "--addresses", "0"],
         ["verify", "stache", "--reorder", "-1"],
         ["run", "stache", "gauss", "--nodes", "0"],
+        ["verify", "stache", "--deadline", "-1"],
+        ["verify", "stache", "--max-rss-mb", "-5"],
+        ["verify", "stache", "--max-states", "0"],
+        ["verify", "stache", "--checkpoint-keep", "0"],
     ], ids=lambda argv: f"{argv[0]}{argv[-2]}")
     def test_one_error_line(self, argv, capsys):
         assert main(argv) == 1
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert f"{argv[-2][2:]} must be >=" in err
+        field = self.FIELDS.get(argv[-2], argv[-2][2:])
+        # A count's floor is ">= N", a budget's "> 0".
+        assert f"{field} must be >" in err
 
 
 class TestRefusedModes:
@@ -146,6 +157,24 @@ class TestRefusedModes:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "liveness" in err and mode in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flags,mode", [
+        (["--resume", "c.json"], "resume"),
+        (["--workers", "2"], "workers"),
+    ], ids=["resume", "workers"])
+    def test_atlas_with_a_keyed_mode_is_one_error_line(
+            self, tmp_path, monkeypatch, capsys, flags, mode):
+        """The atlas reads the graph liveness reads, so it refuses what
+        liveness refuses but writing a checkpoint: a run resumed from
+        one would record only its own part."""
+        monkeypatch.chdir(tmp_path)
+        assert main(["verify", "stache", "--nodes", "3",
+                     "--atlas-out", "a.json", *flags]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "atlas" in err and mode in err
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("argv,removed", [
@@ -425,13 +454,17 @@ class TestArtifactEnvelope:
         protocol = api.compile_protocol("lcm_mcc")
         result = api.check(protocol, api.CheckOptions(
             faults=api.FaultBudget(drop=1), workers=2,
-            artifacts=api.ArtifactOptions(profile=True, atlas=True)))
+            artifacts=api.ArtifactOptions(profile=True)))
+        # The atlas is serial-only.
+        atlas = api.check(protocol, api.CheckOptions(
+            faults=api.FaultBudget(drop=1),
+            artifacts=api.ArtifactOptions(atlas=True))).atlas
         registry = MetricsRegistry("lcm_mcc")
         registry.record_dispatch("Home", "GET", 12)
         plan = FaultPlan(rules=(FaultRule(action="drop", tag="A"),), seed=3)
         return {
             "profile": (result.profile, load_profile, {"indent": 2}),
-            "atlas": (result.atlas, load_atlas,
+            "atlas": (atlas, load_atlas,
                       {"separators": (",", ":")}),
             "coverage": (coverage_from_checker(protocol, result),
                          load_coverage, {"indent": 2, "sort_keys": True}),

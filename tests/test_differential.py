@@ -21,7 +21,6 @@ from reference_checker import ENGINES, ReferenceChecker, checker_for
 from repro import api
 from repro.faults import FaultBudget
 from repro.protocols import PROTOCOLS
-from repro.verify.atlas import AtlasRecorder
 from repro.verify.checker import ModelChecker, replay_labels
 
 ALL_NAMES = sorted(PROTOCOLS)
@@ -100,7 +99,7 @@ def test_violation_traces_agree(workers):
 @pytest.mark.parametrize("name", ["stache", "lcm_mcc"])
 def test_atlas_fingerprint_streams_agree(name):
     reference, fast = (
-        checker_for(cls, name, reorder=1, atlas=AtlasRecorder()).run()
+        checker_for(cls, name, reorder=1, atlas=True).run()
         for cls in (ReferenceChecker, ModelChecker))
     assert fast.atlas is not None and reference.atlas is not None
     assert fast.atlas.states == reference.atlas.states
