@@ -417,12 +417,19 @@ def simulate(target: Target,
 
     if (workload is None) == (programs is None):
         raise ValueError("pass exactly one of workload= or programs=")
+    # Each refusal is an input that describes no machine.
+    if workload is not None and options.nodes < 1:
+        raise ValueError("SimOptions.nodes must be >= 1")
+    if programs is not None and not programs:
+        raise ValueError("programs= must hold one program per node")
+    if options.blocks is not None and options.blocks < 1:
+        raise ValueError("SimOptions.blocks must be >= 1")
+    if options.jitter < 0:
+        raise ValueError("SimOptions.jitter must be >= 0")
     protocol = compile_protocol(target, options.compile)
 
     n_nodes = options.nodes
     if workload is not None:
-        if n_nodes < 1:
-            raise ValueError("SimOptions.nodes must be >= 1")
         table = {**STACHE_WORKLOADS, **LCM_WORKLOADS}
         if workload not in table:
             raise ValueError(

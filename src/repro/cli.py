@@ -63,12 +63,17 @@ def _add_opt_flags(parser: argparse.ArgumentParser) -> None:
                              "+ constant continuations (default)")
 
 
+def _count(text: str, floor: int = 0) -> int:
+    """``--per-fault N`` / ``--max-depth D``: an integer >= ``floor``."""
+    if not text.isdecimal() or int(text) < floor:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer >= {floor}, got {text!r}")
+    return int(text)
+
+
 def _top(text: str) -> int:
     """``--top N``: a row count, so an integer >= 1."""
-    if not text.isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer >= 1, got {text!r}")
-    return int(text)
+    return _count(text, 1)
 
 
 def _parse_checked(path: str):
@@ -399,7 +404,15 @@ def cmd_analyze_atlas(args) -> int:
         load_atlas,
     )
 
+    if not (args.dot or args.graphml) and (
+            args.max_depth is not None or args.protocol_state is not None):
+        args.usage_error("--max-depth and --protocol-state filter an "
+                         "export: add --dot or --graphml")
     atlas = load_atlas(args.atlas)
+    if args.protocol_state not in (None, *atlas.state_meta):
+        raise TeapotError(
+            f"{args.atlas}: {atlas.protocol} has no protocol state "
+            f"{args.protocol_state!r}")
     if args.dot or args.graphml:
         render = atlas_to_dot if args.dot else atlas_to_graphml
         print(render(atlas, max_depth=args.max_depth,
@@ -668,7 +681,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "handler/queue/network leg each fault's "
                               "latency was spent in")
     q.add_argument("trace", help="JSONL trace from run --trace")
-    q.add_argument("--per-fault", type=int, default=0, metavar="N",
+    q.add_argument("--per-fault", type=_count, default=0, metavar="N",
                    help="also expand the N longest-waiting faults")
     q.set_defaults(fn=cmd_analyze_critpath)
 
@@ -711,12 +724,12 @@ def build_parser() -> argparse.ArgumentParser:
     export.add_argument("--graphml", action="store_true",
                         help="emit the explored graph as GraphML instead "
                              "of the report")
-    q.add_argument("--max-depth", type=int, default=None, metavar="D",
+    q.add_argument("--max-depth", type=_count, default=None, metavar="D",
                    help="export filter: only states at BFS depth <= D")
     q.add_argument("--protocol-state", metavar="NAME",
                    help="export filter: only states where some node is "
                         "in this protocol state (e.g. Home_Excl)")
-    q.set_defaults(fn=cmd_analyze_atlas)
+    q.set_defaults(fn=cmd_analyze_atlas, usage_error=q.error)
 
     q = analyses.add_parser(
         "diff", help="compare two traces, coverage reports, check "

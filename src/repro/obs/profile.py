@@ -1,49 +1,35 @@
 """Checker-side profiling: where the exploration hot loop spends time.
 
-The ROADMAP's biggest open item is making exploration 10-50x faster,
-but an aggregate states/s number cannot say *what* to optimise.  This
-module is the measurement layer every checker-performance change is
-judged against, the same way :mod:`repro.obs` is for the simulator:
-
-- :class:`CheckProfiler` -- the armed recorder the checkers thread
-  through their hot loops.  It accumulates (a) per-phase wall-time
-  attribution -- successor generation, invariant evaluation,
-  fingerprint/encode, visited-set bookkeeping, checkpoint I/O -- (b)
-  per-(state, message) dispatch cost and successor out-degree
-  histograms, (c) parallel wave accounting (per-worker
-  busy/barrier-wait, cross-shard traffic, queue imbalance), and (d)
+- :class:`CheckProfiler` -- the armed recorder a checker threads through
+  its run: per-phase wall time, per-arm dispatch cost, the successor
+  out-degree histogram, parallel wave accounting (per-worker
+  busy/barrier-wait, cross-shard traffic, queue imbalance) and
   visited-set memory estimates.
 - :class:`CheckProfile` -- the schema-versioned JSON artifact
   (``teapot verify --profile-out``), rendered by ``teapot analyze
   check-profile`` and diffable with ``teapot analyze diff``.  Its
   states/s + frontier ``timeline`` is the run's own
-  (``CheckResult.timeline``: a point per BFS layer, or wave), which
-  every run records and ``--progress`` prints.
+  (``CheckResult.timeline``), which ``--progress`` prints.
 
-The profiler is strictly an observer.  When it is absent (the default,
-``profiler=None``) the checkers run the exact code they always ran:
-verdict, state count, transitions, depth, ``handler_fires``, every
-fingerprint, and checkpoint content are byte-identical --
-``tests/test_profile.py`` pins this with golden and property tests.
-When armed it only reads clocks and counts; the exploration order and
-all results are still identical, only host wall time changes
-(``bench/run.py --trace`` records the price as
-``obs.profile_price_ratio``).
+The profiler is strictly an observer of the engine users run.  Armed,
+it only reads clocks and counts: verdict, counts, ``handler_fires``,
+every fingerprint and checkpoint are identical to an unprofiled run's
+(``tests/test_profile.py``), which records its own action effects just
+the same; only host wall time changes (``bench/run.py --trace``
+records the price as ``obs.profile_price_ratio``).
 
-Phase semantics differ by engine, on purpose:
-
-- **serial** -- the phase times partition ``run()`` wall time; the
-  unattributed remainder is reported as ``other``.
-- **parallel** -- the compute phases are summed *across workers* (they
-  partition total worker-busy time, not wall time), and the wall-clock
-  story lives in the ``parallel`` section: per-worker busy and
-  barrier-wait sum to the total wave time, and master routing +
-  checkpoint I/O account for the rest of the wall.
-
-Dispatch cost is a sub-attribution of the ``successors`` phase (every
-handler runs while a successor is being generated), so the dispatch
-table and the phase table answer different questions and do not sum
-together.
+The phases: ``successors`` is the time spent inside the expand step's
+iterator (handler dispatch included) less ``fingerprint``, every call
+of the checker's fingerprint function; ``visited`` is the caller's time
+per move less ``invariants``, the accept step's suite; ``checkpoint_io``
+is snapshot writing and ``other`` the rest.  Serial phases partition
+``run()`` wall time.  Parallel compute phases are summed *across
+workers* (they partition worker-busy time, not wall time), and the
+``parallel`` section tells the wall-clock story: per-worker busy and
+barrier-wait sum to the total wave time, and master routing +
+checkpoint I/O account for the rest.  Dispatch cost is a
+sub-attribution of ``successors``, so the dispatch and phase tables do
+not sum together.
 """
 
 from __future__ import annotations
@@ -103,20 +89,44 @@ class CheckProfiler:
     def add_out_degree(self, degree: int) -> None:
         self.out_degree[degree] = self.out_degree.get(degree, 0) + 1
 
-    def timed_successors(self, generator):
-        """Wrap a ``_successors`` generator so the time spent *inside*
-        it (handler dispatch included) lands in the ``successors``
-        phase while the caller's per-successor bookkeeping does not."""
-        add = self.add_phase
-        while True:
+    def timed_phase(self, name: str, fn):
+        """``fn``, adding the time of each call to phase ``name``."""
+        def timed_fn(*args):
             t0 = _perf()
+            value = fn(*args)
+            self.add_phase(name, _perf() - t0)
+            return value
+        return timed_fn
+
+    def timed(self, moves):
+        """Pass an expand step's ``moves`` through, taking three numbers
+        from it: the time spent *inside* the iterator (handler dispatch
+        included) less its fingerprinting is ``successors``; the
+        caller's time per move less the invariant suite (both timed
+        where they run) is ``visited``; and the number of moves is the
+        state's out-degree, recorded when the iterator ends -- or raises
+        the deadlock of a state with none, at 0."""
+        phases, add = self.phases, self.add_phase
+        degree = 0
+        while True:
+            hashed, t0 = phases.get("fingerprint", 0.0), _perf()
             try:
-                item = next(generator)
+                move = next(moves)
             except StopIteration:
-                add("successors", _perf() - t0)
-                return
-            add("successors", _perf() - t0)
-            yield item
+                break
+            except Exception as stop:
+                if getattr(stop, "kind", None) == "deadlock":
+                    self.add_out_degree(0)
+                raise
+            finally:
+                add("successors", _perf() - t0 + hashed
+                    - phases.get("fingerprint", 0.0))
+            degree += 1
+            judged, t0 = phases.get("invariants", 0.0), _perf()
+            yield move
+            add("visited", _perf() - t0 + judged
+                - phases.get("invariants", 0.0))
+        self.add_out_degree(degree)
 
     def set_visited(self, entries: int, mode: str,
                     container_bytes: int = 0) -> None:

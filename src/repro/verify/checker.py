@@ -18,7 +18,7 @@ from typing import IO, NamedTuple, Optional
 
 from repro.runtime.context import Message, home_node
 from repro.runtime.engine import CompiledEngine
-from repro.runtime.protocol import CompiledProtocol, weak_protocol_entry
+from repro.runtime.protocol import CompiledProtocol
 from repro.verify.checkpoint import (
     Cut,
     CutPolicy,
@@ -61,24 +61,6 @@ _KEEP_GEN = object()
 # The effects of an action that touched nothing (an application hit:
 # only the event generator advances).
 _NO_EFFECTS = ActionEffects((), (), None, (), None)
-
-# The process-global effects cache, shared by every checker over the
-# same compiled protocol: (node, view id, message id, blocked_on) ->
-# ActionEffects.  An action's effects are a pure function of those
-# inputs *given* the protocol, the execution engine, and the home map --
-# and the home map is always ``home_node`` (the simulator's too) -- and
-# are held as slots of the layout, so caches are scoped by
-# (interpreter_factory, n_nodes, n_blocks) under the protocol, and by
-# symmetry reduction: a reduced run's cache holds symmetry-certified
-# entries only.  The registry holds protocols weakly (see
-# weak_protocol_entry): a protocol's cache dies with it.
-_ENGINE_CACHES: dict = {}
-
-
-def _effects_cache_for(protocol, interpreter_factory, *layout) -> dict:
-    per_protocol = weak_protocol_entry(_ENGINE_CACHES, protocol, dict)
-    return per_protocol.setdefault((interpreter_factory, *layout), {})
-
 
 _DEADLOCK_MESSAGE = ("no rule enabled: all nodes blocked and no messages "
                      "in flight")
@@ -476,11 +458,14 @@ class ModelChecker:
         else:
             self.fault_budget = tuple(fault_budget)
         # Exploration profiling (repro.obs.profile.CheckProfiler), or
-        # None.  The profiler is a pure observer: with it absent the
-        # hot loop runs the exact code it always ran, and armed it only
-        # reads clocks -- verdicts, state counts, fingerprints, and
-        # checkpoints are identical either way (tests/test_profile.py).
+        # None.  The profiler is a pure observer: armed, it wraps the
+        # same expand loop (see _expand) and the fingerprint function
+        # and only reads clocks -- verdicts, state counts, fingerprints,
+        # and checkpoints are identical either way (tests/test_profile.py).
         self.profiler = profiler
+        if profiler is not None:
+            self.fingerprint_fn = profiler.timed_phase(
+                "fingerprint", self.fingerprint_fn)
         # Checkpointing (checkpoint.CutPolicy) in the parallel checker's
         # v2 format, so a serial checkpoint resumes at any worker count
         # and vice versa; the format is fingerprint-keyed.
@@ -500,10 +485,6 @@ class ModelChecker:
         self._app0 = n_nodes * n_blocks
         self._chan0 = self._app0 + n_nodes
         self._end = self._chan0 + n_nodes * n_nodes
-        # The memo shared process-wide between checkers over the same
-        # protocol/engine -- see _effects_cache_for.
-        self._action_cache = _effects_cache_for(
-            protocol, interpreter_factory, n_nodes, n_blocks, symmetry)
         # (state_name, tag) -> handler-fire key or None, so recording an
         # action stops re-resolving DEFAULT dispatch per dispatch:
         self._fire_keys = Memo(self._fire_key)
@@ -822,6 +803,10 @@ class ModelChecker:
         """Reset the per-run counters and bind the invariant suite.
         Also runs at construction, so a fresh checker (a replay clone,
         the parallel template) can step and judge states at once."""
+        # (node, view id, message id, blocked_on) -> the ActionEffects
+        # this run recorded (under symmetry, certified with its images):
+        # every run records its own and drops them when it ends.
+        self._action_cache = {}
         self._invariant_evals = {}
         self._handler_fires = {}
         self._max_depth = 0
@@ -870,27 +855,27 @@ class ModelChecker:
     # -- the exploration parts ----------------------------------------------
 
     def _expand(self, state: GlobalState, key):
-        """The expand step: yield ``(label, successor, successor key)``
-        for every transition out of ``state`` (whose own key is ``key``).
+        """The expand step: an iterator of ``(label, successor, successor
+        key)`` for every transition out of ``state`` (whose own key is
+        ``key``).
 
         Every mode explores the same transition system because this is
         the one definition of expanding a state: the serial loop and the
         parallel worker both iterate it and own only what they do with
         the triples (dedupe, parent pointers, acceptance or routing).
-        Successors come from :meth:`_successors`; around them sit the
-        profiler's phases.  An error rule surfaces as the enumerator's
-        :class:`_LabelledViolation` (kind ``error``); a state with no
-        enabled move raises one of kind ``deadlock``."""
-        prof = self.profiler
+        Successors come from :meth:`_successors`; an armed profiler
+        wraps the same iterator (``CheckProfiler.timed``).  An error
+        rule surfaces as the enumerator's :class:`_LabelledViolation`
+        (kind ``error``); a state with no enabled move raises one of
+        kind ``deadlock``."""
         fp = self.fingerprint_fn if self.fingerprint_states else None
-        out_degree = 0
-        successors = self._successors(state)
-        self._delta = None
-        if prof is None:
-            # No profiler (decided once per state, not per successor):
-            # the triples are the enumerator's pairs plus the key, this
+
+        def moves():
+            # The triples are the enumerator's pairs plus the key, this
             # state's with the swapped terms where the builder left them.
-            for label, successor in successors:
+            out_degree = 0
+            self._delta = None
+            for label, successor in self._successors(state):
                 out_degree += 1
                 if fp is None:
                     yield label, successor, successor
@@ -898,31 +883,12 @@ class ModelChecker:
                 delta, self._delta = self._delta, None
                 yield label, successor, (fp(successor) if delta is None
                                          else key ^ delta)
-        else:
-            for label, successor in prof.timed_successors(successors):
-                out_degree += 1
-                delta, self._delta = self._delta, None
-                if fp is None:
-                    succ_key = successor
-                elif delta is not None:
-                    succ_key = key ^ delta
-                else:
-                    t0 = time.perf_counter()
-                    succ_key = fp(successor)
-                    prof.add_phase("fingerprint", time.perf_counter() - t0)
-                # Whatever the consumer does with the triple is the
-                # "visited" phase, less the invariant suite, which _accept
-                # times itself.
-                judged = prof.phases.get("invariants", 0.0)
-                t0 = time.perf_counter()
-                yield label, successor, succ_key
-                spent = time.perf_counter() - t0
-                judged -= prof.phases.get("invariants", 0.0)
-                prof.add_phase("visited", spent + judged)
-            prof.add_out_degree(out_degree)
-        if not out_degree:
-            raise _LabelledViolation("<stuck>", _DEADLOCK_MESSAGE,
-                                     "deadlock")
+            if not out_degree:
+                raise _LabelledViolation("<stuck>", _DEADLOCK_MESSAGE,
+                                         "deadlock")
+
+        prof = self.profiler
+        return moves() if prof is None else prof.timed(moves())
 
     def _accept(self, state: GlobalState, depth: int) -> Optional[str]:
         """The accept step: ``state`` joins the explored set at

@@ -175,6 +175,22 @@ class TestSimulate:
         with pytest.raises(ValueError, match="SimOptions.nodes must"):
             simulate("stache", workload="gauss", options=SimOptions(nodes=0))
 
+    @pytest.mark.parametrize("field,value", [
+        ("blocks", 0), ("blocks", -1), ("jitter", -5)])
+    @pytest.mark.parametrize("workload", [True, False],
+                             ids=["workload", "programs"])
+    def test_rejects_options_that_describe_no_machine(self, field, value,
+                                                      workload):
+        inputs = ({"workload": "gauss"} if workload
+                  else {"programs": [[("read", 0, "log")]]})
+        with pytest.raises(ValueError, match=f"SimOptions.{field} must"):
+            simulate("stache", **inputs,
+                     options=SimOptions(nodes=2, **{field: value}))
+
+    def test_rejects_empty_programs(self):
+        with pytest.raises(ValueError, match="one program per node"):
+            simulate("stache", programs=[])
+
     def test_seed_reproducibility(self):
         opts = SimOptions(nodes=4, seed=7, jitter=50)
         first = simulate("stache", workload="gauss", options=opts)

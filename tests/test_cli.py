@@ -128,6 +128,7 @@ class TestBadTopology:
         ["verify", "stache", "--addresses", "0"],
         ["verify", "stache", "--reorder", "-1"],
         ["run", "stache", "gauss", "--nodes", "0"],
+        ["run", "stache", "gauss", "--jitter", "-5"],
         ["verify", "stache", "--deadline", "-1"],
         ["verify", "stache", "--max-rss-mb", "-5"],
         ["verify", "stache", "--max-states", "0"],
@@ -233,6 +234,48 @@ class TestRefusedModes:
         assert caught.value.code == 2
         assert (f"argument --top: expected an integer >= 1, got '{top}'"
                 in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("argv", [
+        "critical-path t.jsonl --per-fault -1",
+        "critical-path t.jsonl --per-fault x",
+        "atlas a.json --dot --max-depth -1",
+        "atlas a.json --graphml --max-depth 1.5",
+    ])
+    def test_negative_count_is_a_usage_error(self, capsys, argv):
+        """``--per-fault`` and ``--max-depth`` count faults and BFS
+        layers: a negative count is refused before the file is read."""
+        with pytest.raises(SystemExit) as caught:
+            main(["analyze", *argv.split()])
+        assert caught.value.code == 2
+        flag, value = argv.split()[-2:]
+        assert (f"argument {flag}: expected an integer >= 0, got '{value}'"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("flags", [
+        ["--max-depth", "3"], ["--protocol-state", "Home_Excl"]])
+    def test_atlas_filter_without_export_is_a_usage_error(self, capsys,
+                                                          flags):
+        """The filters narrow an export; without --dot or --graphml they
+        are refused, not ignored while the full report prints."""
+        with pytest.raises(SystemExit) as caught:
+            main(["analyze", "atlas", "a.json", *flags])
+        assert caught.value.code == 2
+        assert "add --dot or --graphml" in capsys.readouterr().err
+
+    def test_atlas_unknown_protocol_state_is_one_error_line(self, tmp_path,
+                                                            capsys):
+        path = tmp_path / "a.json"
+        assert main(["verify", "stache", "--atlas-out", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["analyze", "atlas", str(path), "--dot",
+                     "--protocol-state", "NoSuchState"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "no protocol state 'NoSuchState'" in err
+        assert main(["analyze", "atlas", str(path), "--dot",
+                     "--protocol-state", "Home_Excl"]) == 0
+        assert "Home_Excl" in capsys.readouterr().out
 
 
 class TestGraphAndList:

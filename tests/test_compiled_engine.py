@@ -28,7 +28,7 @@ from repro.runtime.exec import MAX_OPS_PER_ACTION, HandlerInterpreter
 from repro.runtime.engine import _PROTOCOL_CODE, CompiledEngine, compiled_handler
 from repro.runtime.protocol import OptLevel
 from repro.tempest.machine import Machine, MachineConfig
-from repro.verify import ModelChecker, checker
+from repro.verify import ModelChecker
 from repro.workloads import LCM_WORKLOADS, STACHE_WORKLOADS
 
 from helpers import MINI_SOURCE, FakeContext, check_setup
@@ -46,9 +46,6 @@ ENGINES = [HandlerInterpreter, CompiledEngine]
 
 def explore(protocol, label, factory, **kwargs):
     """One exhaustive run; everything the two engines must agree on."""
-    # Record every action afresh instead of replaying the effects an
-    # earlier run in this process cached.
-    checker._ENGINE_CACHES.clear()
     model_checker = ModelChecker(
         protocol, **check_setup(label),
         interpreter_factory=factory, fingerprint_states=True, **kwargs)

@@ -57,11 +57,8 @@ def test_serial_engines_agree(name):
 
 @pytest.mark.parametrize("name", ALL_NAMES)
 def test_second_in_process_run_equals_first(name):
-    """The first run records action effects, a repeat replays them (and
-    finds every state interned): counts and coverage must not notice."""
-    from repro.verify import checker
-
-    checker._ENGINE_CACHES.clear()
+    """A repeat records its action effects again and finds every state
+    interned: counts and coverage must not notice."""
     first = api.check(name, api.CheckOptions(reorder=1))
     assert (outcome(api.check(name, api.CheckOptions(reorder=1)))
             == outcome(first))

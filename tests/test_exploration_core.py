@@ -62,6 +62,7 @@ from repro.verify.model import (
     BlockView,
     GlobalState,
 )
+from helpers import check_setup
 from reference_checker import ReferenceChecker, checker_for, reachable
 from test_resilience import (
     KillWorker,
@@ -568,9 +569,6 @@ def test_resume_refuses_other_reduction_or_fault_config(tmp_path, flag,
 
 
 def test_engine_tables_hold_no_per_transition_entries():
-    from repro.runtime import CompiledEngine
-    from repro.verify import checker
-
     protocol = api.compile_protocol("lcm", CheckOptions().compile)
 
     def table_sizes():
@@ -579,14 +577,13 @@ def test_engine_tables_hold_no_per_transition_entries():
             model.APPENDED, model.REMOVED)]
 
     def run(**options):
-        checker._ENGINE_CACHES.clear()
-        result = api.check("lcm", CheckOptions(nodes=3, **options))
-        # A symmetry-reduced run keeps its certified entries apart.
-        effects = checker._effects_cache_for(
-            protocol, CompiledEngine, 3, 1,
-            result.canonical_states is not None)
+        # The run's own effects cache, which a symmetry-reduced run fills
+        # with certified entries.
+        model_checker = ModelChecker(protocol, n_nodes=3,
+                                     **check_setup("lcm"), **options)
+        result = model_checker.run()
         assert result.transitions > 3 * result.states_explored
-        assert 0 < len(effects) <= result.states_explored
+        assert 0 < len(model_checker._action_cache) <= result.states_explored
         return result.states_explored
 
     concrete_states = run()
@@ -610,8 +607,8 @@ def test_engine_tables_hold_no_per_transition_entries():
     # fingerprint; neither does the symmetry-reduced run, whose renamed
     # components are other reachable components of a symmetric protocol.
     sizes = table_sizes()
-    assert run() == run(fingerprints=True) == concrete_states
-    assert run(reduction=ReductionOptions(symmetry=True)) < concrete_states
+    assert run() == run(fingerprint_states=True) == concrete_states
+    assert run(symmetry=True) < concrete_states
     assert table_sizes() == sizes
 
 

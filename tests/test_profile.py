@@ -45,6 +45,7 @@ from repro.verify import (
     ParallelChecker,
     events_for_protocol,
 )
+from repro.verify.checker import _LabelledViolation
 from repro.verify.invariants import standard_invariants
 
 from reference_checker import record_expansions
@@ -182,7 +183,6 @@ class TestPhaseAccounting:
         # executed (and timed) once per cache miss, counted per fire.
         profiler = CheckProfiler()
         checker = make_serial("lcm_mcc", reorder=1, profiler=profiler)
-        checker._action_cache.clear()   # shared process-wide: start cold
         result = checker.run()
         executed = sum(count for count, _seconds
                        in profiler.dispatch.values())
@@ -190,6 +190,17 @@ class TestPhaseAccounting:
         assert 0 < len(checker._action_cache) <= executed
         assert all(entry["seconds"] > 0
                    for entry in result.profile.dispatch.values())
+
+    def test_profiled_repeat_times_every_dispatch(self):
+        # Each run records its own action effects: a profiled check that
+        # follows an unprofiled one of the same model still executes,
+        # and times, a dispatch of every arm it fires.
+        check("lcm", CheckOptions(nodes=3))
+        result = check("lcm", CheckOptions(
+            nodes=3, artifacts=ArtifactOptions(profile=True)))
+        dispatch = result.profile.dispatch
+        assert len(dispatch) == len(result.handler_fires) > 0
+        assert all(entry["seconds"] > 0 for entry in dispatch.values())
 
     def test_serial_timeline_monotonic_and_final(self):
         result = make_serial("lcm_mcc", reorder=1,
@@ -403,11 +414,24 @@ class TestCli:
 
 
 class TestProfilerUnit:
-    def test_timed_successors_passthrough(self):
+    def test_timed_passthrough(self):
         profiler = CheckProfiler()
-        items = [("a", 1), ("b", 2)]
-        assert list(profiler.timed_successors(iter(items))) == items
+        items = [("a", 1, 1), ("b", 2, 2)]
+        assert list(profiler.timed(iter(items))) == items
         assert profiler.phases["successors"] > 0
+        assert profiler.phases["visited"] > 0
+        assert profiler.out_degree == {2: 1}
+
+        def failing(kind):
+            raise _LabelledViolation("<stuck>", "no rule enabled", kind)
+            yield
+
+        for kind in ("deadlock", "error"):
+            with pytest.raises(_LabelledViolation):
+                list(profiler.timed(failing(kind)))
+        # A deadlocked state is expanded at out-degree 0; an error rule
+        # cuts its state's expansion short, which is not counted.
+        assert profiler.out_degree == {2: 1, 0: 1}
 
     def test_dispatch_skips_anonymous(self):
         profiler = CheckProfiler()

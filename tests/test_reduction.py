@@ -333,9 +333,9 @@ def test_certification_raises_on_asymmetric_protocol():
     node-identity-dependent choice.  Quotienting it would silently skip
     reachable orbits (the asymmetric pick means some orbit members'
     successors land in orbits the representative's never reach), so the
-    raw checker must refuse rather than return an undercount -- even
-    after an unreduced run in the same process filled the effects cache
-    with the same actions, uncertified."""
+    raw checker must refuse rather than return an undercount -- also
+    after an unreduced run of the same model, since every run records
+    (and a reduced one certifies) its own action effects."""
     from repro.verify.checker import SymmetryError
 
     checker = replayer("lcm_mcc", nodes=3)
