@@ -21,9 +21,9 @@ gets the Stache loop and all four invariants.
 
 ``check`` dispatches on :attr:`CheckOptions.workers`: ``0`` (the
 default) runs the in-process serial
-:class:`~repro.verify.checker.ModelChecker`; ``>= 1`` runs the sharded
-:class:`~repro.verify.parallel.ParallelChecker` across that many worker
-processes.  Both return the same
+:class:`~repro.verify.checker.ModelChecker`; ``>= 1`` runs the same
+search with its states expanded in that many worker processes
+(:class:`~repro.verify.parallel.ParallelChecker`).  Both return the same
 :class:`~repro.verify.checker.CheckResult`.
 
 The option records are frozen on purpose: a configuration is a value
@@ -33,6 +33,7 @@ variants with :func:`dataclasses.replace`.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import IO, TYPE_CHECKING, Optional, Union
@@ -148,15 +149,15 @@ class BudgetOptions:
     """Resource budgets for a check (docs/ROBUSTNESS.md).
 
     When a budget trips, the run stops at its next clean cut (before
-    the serial loop's next pop, at the parallel master's next wave
-    boundary), writes a checkpoint if ``CheckpointOptions.out`` is set,
+    the loop's next pop, at any worker count), writes a checkpoint if ``CheckpointOptions.out`` is set,
     and returns with ``CheckResult.stop_reason`` of ``"deadline"`` or
     ``"memory"`` and ``exhausted=False`` -- never a wrong verdict.
     ``deadline_seconds`` bounds this process's wall-clock time;
     ``max_rss_mb`` caps the peak resident set in MB (``ru_maxrss``, read
     at most once per BFS layer, so a run can overshoot by what one layer
-    allocates; in parallel the master's plus every worker's, where pages
-    a forked worker shares with the master count twice)."""
+    allocates; with workers the master's plus each worker's as of its
+    last reply, where pages a forked worker shares with the master count
+    twice).  A budget is a finite number > 0."""
 
     deadline_seconds: Optional[float] = None
     max_rss_mb: Optional[float] = None
@@ -334,7 +335,9 @@ def check(target: Target,
         raise ValueError("CheckpointOptions.keep_last must be >= 1")
     for name in ("deadline_seconds", "max_rss_mb"):
         budget = getattr(options.budget, name)
-        if budget is not None and budget <= 0:
+        # A NaN or infinite budget compares false with every reading,
+        # so it would never fire: only a finite number > 0 is one.
+        if budget is not None and not 0 < budget < math.inf:
             raise ValueError(f"BudgetOptions.{name} must be > 0")
     # A deadline run that cannot write its checkpoint at the cut has
     # lost the exploration: refuse before the first state.
@@ -378,7 +381,7 @@ def check(target: Target,
                                     or checkpointing),
                 **shared,
             ).run()
-        # The sharded checker refuses the serial-only liveness check
+        # The worker checker refuses the serial-only liveness check
         # and atlas itself.
         from repro.verify.parallel import ParallelChecker
 

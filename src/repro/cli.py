@@ -538,9 +538,10 @@ def build_parser() -> argparse.ArgumentParser:
                         "reach a wake-up (catches starvation); serial, in "
                         "any reduction mode, not with checkpoints")
     p.add_argument("--workers", type=int, default=0, metavar="N",
-                   help="explore with N shard-owning worker processes "
-                        "(0 = serial, the default); verdict and state "
-                        "count are identical at any worker count")
+                   help="expand states in N worker processes (0 = "
+                        "serial, the default); the search, its stops "
+                        "and its checkpoints are the serial run's at "
+                        "any worker count")
     p.add_argument("--fingerprints", action="store_true",
                    help="serial hash compaction: key the visited set by "
                         "64-bit state fingerprints (an order of "
@@ -559,8 +560,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "the run truncates at --max-states, hits a "
                         "--deadline/--max-rss-mb budget, or is "
                         "interrupted, and snapshots while it runs, "
-                        "paced to under 5%% of wall time (serial or "
-                        "--workers; writes are atomic and "
+                        "paced to under 5%% of wall time (the same "
+                        "file at any --workers; writes are atomic and "
                         "BLAKE2b-sealed)")
     p.add_argument("--resume", metavar="PATH",
                    help="continue from a checkpoint (written serially "
@@ -580,9 +581,9 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="MB",
                    help="memory budget: stop gracefully once the peak "
                         "resident set (ru_maxrss, read once per BFS "
-                        "layer; with --workers the master's plus the "
-                        "workers') exceeds MB (same graceful path as "
-                        "--deadline)")
+                        "layer; with --workers the master's plus each "
+                        "worker's as of its last reply) exceeds MB "
+                        "(same graceful path as --deadline)")
     p.add_argument("--faults", metavar="SPEC",
                    help="fault-bounded exploration: also drop/duplicate "
                         "in-flight messages, up to a per-path budget "

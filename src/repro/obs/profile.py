@@ -23,13 +23,14 @@ iterator (handler dispatch included) less ``fingerprint``, every call
 of the checker's fingerprint function; ``visited`` is the caller's time
 per move less ``invariants``, the accept step's suite; ``checkpoint_io``
 is snapshot writing and ``other`` the rest.  Serial phases partition
-``run()`` wall time.  Parallel compute phases are summed *across
-workers* (they partition worker-busy time, not wall time), and the
-``parallel`` section tells the wall-clock story: per-worker busy and
-barrier-wait sum to the total wave time, and master routing +
-checkpoint I/O account for the rest.  Dispatch cost is a
-sub-attribution of ``successors``, so the dispatch and phase tables do
-not sum together.
+``run()`` wall time.  With workers, the compute phases are summed
+*across workers* (they partition worker-busy time, not wall time), and
+the ``parallel`` section tells the wall-clock story: a wave is one
+``expand`` barrier (one BFS layer), per-worker busy and barrier-wait
+sum to the total wave time, and the master's loop
+(``master_routing_seconds``) + checkpoint I/O account for the rest.
+Dispatch cost is a sub-attribution of ``successors``, so the dispatch
+and phase tables do not sum together.
 """
 
 from __future__ import annotations
@@ -137,12 +138,12 @@ class CheckProfiler:
 
     # -- recording (parallel master-facing) ---------------------------------
 
-    def record_wave(self, wave: int, wall_seconds: float,
-                    workers: list[dict]) -> None:
+    def record_wave(self, wall_seconds: float, workers: list[dict]) -> None:
         """One completed wave: master round-trip wall time plus each
-        worker's self-reported busy time and accepted-state count."""
+        worker's self-reported busy time and the states it expanded
+        (``accepted``)."""
         self.waves.append({
-            "wave": wave,
+            "wave": len(self.waves),
             "wall_seconds": round(wall_seconds, 6),
             "workers": workers,
         })
@@ -157,32 +158,22 @@ class CheckProfiler:
             totals["accepted"] += entry["accepted"]
 
     def add_cross_shard(self, entries: int, payload_bytes: int) -> None:
-        """Fingerprint-only exchange: ``entries`` counts routed metadata
-        candidates (``entries=0`` for an adopt batch that ships states),
-        ``payload_bytes`` covers both metadata and adopted states."""
+        """One wave's exchange: ``entries`` counts the successor
+        proposals the workers sent back, ``payload_bytes`` the pickled
+        bytes of the wave's ops and replies."""
         self.cross_shard_entries += entries
         self.cross_shard_bytes += payload_bytes
 
-    def merge_worker(self, payload: Optional[dict]) -> None:
-        """Fold one worker's phase/dispatch/out-degree accumulations
-        (shipped in its ``finish`` reply) into this master profiler."""
-        if not payload:
-            return
+    def merge_worker(self, payload: dict) -> None:
+        """Fold one worker's phase and dispatch accumulations (shipped
+        in its ``finish`` reply) into this master profiler; the visited
+        set and the out-degrees are the master's loop's."""
         for name, seconds in payload["phases"].items():
             self.add_phase(name, seconds)
         for key, (count, seconds) in payload["dispatch"].items():
             entry = self.dispatch.setdefault(key, [0, 0.0])
             entry[0] += count
             entry[1] += seconds
-        for degree, count in payload["out_degree"].items():
-            degree = int(degree)
-            self.out_degree[degree] = self.out_degree.get(degree, 0) + count
-        stats = self.visited_stats or {"entries": 0, "mode": "fingerprint",
-                                       "container_bytes": 0}
-        stats["entries"] = stats.get("entries", 0) + payload["visited_entries"]
-        stats["container_bytes"] = (stats.get("container_bytes", 0)
-                                    + payload["visited_bytes"])
-        self.visited_stats = stats
 
     def worker_payload(self) -> dict:
         """This (worker-side) profiler's accumulations, for the finish
@@ -191,9 +182,6 @@ class CheckProfiler:
             "phases": dict(self.phases),
             "dispatch": {key: list(entry)
                          for key, entry in self.dispatch.items()},
-            "out_degree": {str(k): v for k, v in self.out_degree.items()},
-            "visited_entries": self.visited_stats.get("entries", 0),
-            "visited_bytes": self.visited_stats.get("container_bytes", 0),
         }
 
     # -- building the artifact ----------------------------------------------
@@ -437,8 +425,8 @@ def format_profile(profile: CheckProfile, top: int = 10) -> str:
                 f"accepted={worker['accepted']}")
         cross = par["cross_shard"]
         lines.append(
-            f"  cross-shard: {cross['entries']} candidates routed, "
-            f"~{cross['bytes'] / 1024:.1f} KiB (metadata + adopted states)")
+            f"  cross-shard: {cross['entries']} proposals, "
+            f"~{cross['bytes'] / 1024:.1f} KiB pickled (ops + replies)")
     return "\n".join(lines) + "\n"
 
 

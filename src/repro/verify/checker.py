@@ -23,6 +23,7 @@ from repro.verify.checkpoint import (
     Cut,
     CutPolicy,
     flag_sigint,
+    peak_rss_mb,
     replay_frontier,
     starting_cut,
     visited_container_bytes,
@@ -288,8 +289,8 @@ class CheckResult:
     stop_reason: Optional[str] = None
     # The run's timeline (checkpoint.CutPolicy): one point -- t (the
     # whole run's seconds), states, frontier, depth, transitions,
-    # states_per_s -- at the first cut of every BFS layer (parallel:
-    # wave), then the final one at the result's counts.
+    # states_per_s -- at the first cut of every BFS layer, then the
+    # final one at the result's counts.
     timeline: list = field(default_factory=list)
 
     def summary(self) -> str:
@@ -466,9 +467,8 @@ class ModelChecker:
         if profiler is not None:
             self.fingerprint_fn = profiler.timed_phase(
                 "fingerprint", self.fingerprint_fn)
-        # Checkpointing (checkpoint.CutPolicy) in the parallel checker's
-        # v2 format, so a serial checkpoint resumes at any worker count
-        # and vice versa; the format is fingerprint-keyed.
+        # Checkpointing (checkpoint.CutPolicy): a checkpoint resumes at
+        # any worker count or serially; the format is fingerprint-keyed.
         self.checkpoint_out = checkpoint_out
         self.resume = resume
         self.checkpoint_keep_last = checkpoint_keep_last
@@ -801,8 +801,8 @@ class ModelChecker:
 
     def _begin_run(self) -> None:
         """Reset the per-run counters and bind the invariant suite.
-        Also runs at construction, so a fresh checker (a replay clone,
-        the parallel template) can step and judge states at once."""
+        Also runs at construction, so a fresh checker (a replay clone)
+        can step and judge states at once."""
         # (node, view id, message id, blocked_on) -> the ActionEffects
         # this run recorded (under symmetry, certified with its images):
         # every run records its own and drops them when it ends.
@@ -828,8 +828,7 @@ class ModelChecker:
         fields and the ``exhausted`` / ``canonical_states`` rules have
         one definition.  ``stopped``: why the search ended early --
         ``state_limit`` (a plain ``max_states`` truncation) or a
-        ``stop_reason``.  The parallel master calls this on its template
-        (with ``workers`` in ``extra``)."""
+        ``stop_reason``; ``extra`` are further fields (``workers``)."""
         hit_limit = stopped == "state_limit"
         return CheckResult(
             protocol_name=self.protocol.name, ok=ok, states_explored=states,
@@ -860,11 +859,9 @@ class ModelChecker:
         ``key``).
 
         Every mode explores the same transition system because this is
-        the one definition of expanding a state: the serial loop and the
-        parallel worker both iterate it and own only what they do with
-        the triples (dedupe, parent pointers, acceptance or routing).
-        Successors come from :meth:`_successors`; an armed profiler
-        wraps the same iterator (``CheckProfiler.timed``).  An error
+        the one definition of expanding a state (a worker process runs
+        it too).  Successors come from :meth:`_successors`; an armed
+        profiler wraps the same iterator (``CheckProfiler.timed``).  An error
         rule surfaces as the enumerator's :class:`_LabelledViolation`
         (kind ``error``); a state with no enabled move raises one of
         kind ``deadlock``."""
@@ -890,11 +887,11 @@ class ModelChecker:
         prof = self.profiler
         return moves() if prof is None else prof.timed(moves())
 
-    def _accept(self, state: GlobalState, depth: int) -> Optional[str]:
-        """The accept step: ``state`` joins the explored set at
-        ``depth``.  Tracks the run's maximum depth and runs the (timed)
-        invariant suite; returns the first failed invariant's message,
-        or None.  The caller owns the containers -- visited set, parent
+    def _accept(self, state: GlobalState, key, depth: int) -> Optional[str]:
+        """The accept step: ``state``, keyed ``key``, joins the explored
+        set at ``depth``.  Tracks the run's maximum depth and runs the
+        (timed) invariant suite; returns the first failed invariant's
+        message, or None.  The caller owns the containers -- visited set, parent
         pointers, frontier, recorded graph."""
         if depth > self._max_depth:
             self._max_depth = depth
@@ -906,15 +903,17 @@ class ModelChecker:
         prof.add_phase("invariants", time.perf_counter() - t0)
         return message
 
+    def _rss_mb(self) -> float:
+        """The peak RSS the memory budget holds the run to."""
+        return peak_rss_mb()
+
     def _finish(self, violation: Optional[Violation], *,
-                policy: CutPolicy, frontier: int, progress_extra: str = "",
-                **counts) -> CheckResult:
+                policy: CutPolicy, frontier: int, **counts) -> CheckResult:
         """The end of every run: replay-validate a counterexample built
         from fingerprints, take the timeline's final point (and progress
         line) from ``policy``, and build the :class:`CheckResult`
         (``counts`` are :meth:`_result`'s keywords; ``elapsed`` includes
-        a resumed checkpoint's) with the profile.  The parallel master
-        calls this on its template."""
+        a resumed checkpoint's) with the profile."""
         if (violation is not None and self.fingerprint_states
                 and violation.kind != "starvation"):
             # Collision guard: the trace came from fingerprint-keyed
@@ -924,7 +923,7 @@ class ModelChecker:
         timeline = policy.finish(
             counts["states"], frontier, counts["max_depth"],
             counts["transitions"], counts["invariant_evals"],
-            counts["elapsed"], progress_extra)
+            counts["elapsed"])
         result = self._result(ok=violation is None, violation=violation,
                               timeline=timeline, **counts)
         if self.profiler is not None:
@@ -939,7 +938,7 @@ class ModelChecker:
         # trivial one whose frontier is the initial state.
         cut = starting_cut(self)
         # Asked at every clean cut; it keeps the run's clock and timeline.
-        policy = CutPolicy(self, start_time, cut.elapsed)
+        policy = self._policy = CutPolicy(self, start_time, cut.elapsed)
         transitions = cut.transitions
         self._max_depth = cut.max_depth
         self._invariant_evals = cut.invariant_evals
@@ -1000,7 +999,7 @@ class ModelChecker:
                         state[self._app0:self._chan0])
                     if APPS[aid].blocked_on is not None), renaming(state),
                     note(state))
-            message = self._accept(state, d)
+            message = self._accept(state, key, d)
             if message is None:
                 frontier.append((state, key, d))
             return message
@@ -1008,23 +1007,14 @@ class ModelChecker:
         # Seeds are taken exactly as the loop takes every later state.
         # A checkpoint frontier is pre-acceptance in the on-disk format
         # (the decoder already picked each state's canonical parent
-        # edge), so its invariants run here, as the parallel start op
-        # runs them.
-        seed_violations: list = []
+        # edge), so its invariants run here.
         for key, (pkey, label, d) in cut.frontier.items():
             message = take(seeds[key], key, pkey, label, d)
             if message is not None:
-                seed_violations.append((d, message, key, seeds[key]))
-        if seed_violations:
-            # Same canonical choice the parallel master makes: the
-            # minimum (depth, message, fingerprint) violation, so the
-            # verdict is engine- and worker-count independent.
-            d, message, key, state = min(seed_violations,
-                                         key=lambda v: v[:3])
-            return finish(Violation(
-                "invariant", message,
-                self._trace_via_parents(key, parents) or ["<initial>"],
-                state))
+                return finish(Violation(
+                    "invariant", message,
+                    self._trace_via_parents(key, parents) or ["<initial>"],
+                    seeds[key]))
 
         def write_ckpt(durable: bool) -> None:
             pending = {key: (*parents[key], d) for _state, key, d in frontier}
@@ -1222,3 +1212,6 @@ class _LabelledViolation(Exception):
         self.label = label
         self.message = message
         self.kind = kind
+
+    def __reduce__(self):
+        return type(self), (self.label, self.message, self.kind)

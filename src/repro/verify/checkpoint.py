@@ -1,14 +1,13 @@
-"""The checkpoint format, shared by both checking engines.
+"""The checkpoint format, one for every run at any worker count.
 
 A checkpoint is pure JSON (kind ``teapot-parallel-checkpoint``, v2 --
-the name is historical; the serial checker writes and resumes the same
-format; v1 had the same shape but keyed states by a BLAKE2b over the
-whole encoding, so its keys mean nothing to this build and a v1 file is
-refused).  This module is the single owner of that format -- a
-:class:`Cut` is the exploration at a clean cut, every writer goes
-through :meth:`Cut.write`, every resume through
+the name is historical; v1 had the same shape but keyed states by a
+BLAKE2b over the whole encoding, so its keys mean nothing to this build
+and a v1 file is refused).  This module is the single owner of that
+format -- a :class:`Cut` is the exploration at a clean cut, every
+writer goes through :meth:`Cut.write`, every resume through
 :func:`decode_checkpoint` and :func:`replay_frontier` -- and of the
-on-disk concerns both engines share:
+on-disk concerns every run shares:
 
 * **Atomic, streamed writes** -- every checkpoint goes through
   :func:`repro.ioutil.atomic_write_text` (tmp + fsync + rename) a batch
@@ -98,16 +97,16 @@ class CutPolicy:
     """When a run stops at, or snapshots, a clean cut: a point where
     every visited state is fully expanded or waits unexpanded in the
     frontier, so a checkpoint taken there resumes to the exact
-    uninterrupted result.  Every run asks at every one (serially before
-    each pop, in parallel at each wave boundary): the one definition of
-    the state cap, Ctrl-C, the deadline, the memory budget, the
-    snapshot cadence -- and of the run's timeline, one point at the
-    first cut of every BFS layer or wave plus a final one
-    (:meth:`finish`), the points ``--progress`` prints and the profile
-    keeps.  ``checker`` (or the parallel template) holds the settings,
-    ``start`` is when this process's clock (the deadline's) started and
-    ``elapsed`` what a resumed checkpoint had already spent: the run's
-    clock (:meth:`elapsed`) spans both."""
+    uninterrupted result.  Every run asks before each pop, at any
+    worker count: the one definition of the state cap, Ctrl-C, the
+    deadline, the memory budget, the snapshot cadence -- and of the
+    run's timeline, one point at the first cut of every BFS layer plus
+    a final one (:meth:`finish`), the points ``--progress`` prints and
+    the profile keeps.  ``checker`` holds the settings, ``start`` is
+    when this process's clock (the deadline's) started and ``elapsed``
+    what a resumed checkpoint had already spent: the run's clock
+    (:meth:`elapsed`) spans both.  ``written`` is the newest checkpoint
+    the run wrote, or None."""
 
     def __init__(self, checker, start: float, elapsed: float = 0.0):
         self.checker = checker
@@ -118,6 +117,7 @@ class CutPolicy:
         self._deadline = checker.deadline_seconds
         self._max_rss_mb = checker.max_rss_mb
         self._path = checker.checkpoint_out
+        self.written = None
         self._depth = None          # the layer of the last point
         self._printed = None        # the last point printed
         self._last_time = time.perf_counter()
@@ -129,25 +129,24 @@ class CutPolicy:
         return time.perf_counter() - self._origin
 
     def at_cut(self, states: int, frontier: int, depth: int,
-               transitions: int, evals: dict, interrupted: bool, write,
-               others_rss_mb: float = 0.0, extra: str = "") -> "str | None":
+               transitions: int, evals: dict, interrupted: bool,
+               write) -> "str | None":
         """Why the run stops at this cut, or None: ``state_limit`` (a
         plain ``max_states`` truncation, not a
         ``CheckResult.stop_reason``), ``interrupted``, ``deadline`` or
-        ``memory`` -- this process's peak RSS, read once per layer, plus
-        ``others_rss_mb`` (the parallel workers') past the budget.
-        ``depth`` is the layer (wave) the cut opens; the first cut at a
-        new one adds a timeline point of ``states``, ``frontier`` and
-        ``transitions`` (``evals``, the invariant evaluation counts, and
-        ``extra``, a suffix, are for its progress line).  With a
+        ``memory`` -- the checker's peak RSS (``_rss_mb``), read once per
+        layer, past the budget.  ``depth`` is the layer the cut opens;
+        the first cut at a new one adds a timeline point of ``states``,
+        ``frontier`` and ``transitions`` (``evals``, the invariant
+        evaluation counts, are for its progress line).  With a
         checkpoint path the cut is written through ``write(durable)``,
-        the engine's writer: durably at a stop, otherwise when a
-        snapshot is due (:meth:`_due`)."""
+        the run's writer: durably at a stop, otherwise when a snapshot
+        is due (:meth:`_due`)."""
         new_layer = depth != self._depth
         if new_layer:
             self._depth = depth
             self._point(states, frontier, depth, transitions,
-                        self.elapsed(), evals, extra)
+                        self.elapsed(), evals)
         if states >= self._max_states:
             reason = "state_limit"
         elif interrupted:
@@ -156,7 +155,7 @@ class CutPolicy:
               and time.perf_counter() - self.start >= self._deadline):
             reason = "deadline"
         elif (self._max_rss_mb is not None and new_layer
-              and peak_rss_mb() + others_rss_mb > self._max_rss_mb):
+              and self.checker._rss_mb() > self._max_rss_mb):
             reason = "memory"
         else:
             if self._path is not None and self._due(states):
@@ -172,16 +171,15 @@ class CutPolicy:
         return reason
 
     def finish(self, states: int, frontier: int, depth: int,
-               transitions: int, evals: dict, elapsed: float,
-               extra: str = "") -> list:
+               transitions: int, evals: dict, elapsed: float) -> list:
         """The run's final point, at the result's counts and ``elapsed``
         (so its rate is the result's); returns the timeline."""
         self._point(states, frontier, depth, transitions, elapsed, evals,
-                    extra, final=True)
+                    final=True)
         return self.timeline
 
     def _point(self, states: int, frontier: int, depth: int,
-               transitions: int, t: float, evals: dict, extra: str,
+               transitions: int, t: float, evals: dict,
                final: bool = False) -> None:
         """Add a timeline point; print it as a progress line when it is
         the first, the last, or PROGRESS_SPACING_SECONDS after the last
@@ -211,7 +209,7 @@ class CutPolicy:
         print(f"[verify {self.checker.protocol.name}] states={states} "
               f"frontier={frontier} depth={depth} "
               f"transitions={transitions} inv_evals={sum(evals.values())} "
-              f"{rate:.0f} states/s{detail}{extra} "
+              f"{rate:.0f} states/s{detail} "
               f"{'done' if final else '...'}", file=stream, flush=True)
 
     def _due(self, states: int) -> bool:
@@ -224,10 +222,11 @@ class CutPolicy:
                 >= PERIODIC_SPACING_RATIO * estimate)
 
     def _write(self, write, durable: bool) -> float:
-        """Run the engine's writer, timed as ``checkpoint_io``."""
+        """Run the run's writer, timed as ``checkpoint_io``."""
         started = time.perf_counter()
         write(durable)
         cost = time.perf_counter() - started
+        self.written = self._path
         if self.checker.profiler is not None:
             self.checker.profiler.add_phase("checkpoint_io", cost)
         return cost
@@ -346,9 +345,7 @@ def load_checkpoint(path: str) -> dict:
 def config_echo(checker) -> dict:
     """The configuration fingerprint embedded in every checkpoint.
 
-    ``checker`` is a serial :class:`~repro.verify.checker.ModelChecker`
-    (the parallel engine passes its template, which carries the same
-    fields)."""
+    ``checker`` is the run's :class:`~repro.verify.checker.ModelChecker`."""
     echo = {
         "protocol": checker.protocol.name,
         "n_nodes": checker.n_nodes,
@@ -391,10 +388,9 @@ def min_edge_fold(records, visited) -> dict:
     ``records`` are ``(fp, parent fp, label, depth, ...)`` proposals.
     States already in ``visited`` are dropped; a state proposed by
     several edges keeps the record with the minimum ``(depth, parent fp,
-    label)`` (a missing parent sorts first), so the spanning tree is a
-    pure function of the state graph -- independent of partitioning,
-    arrival order, and of where a run was cut and resumed, even mid-layer
-    (the shallowest edge is BFS's).  Returns ``{fp: record}`` in
+    label)`` (a missing parent sorts first): a frontier written by an
+    earlier build may list a state once per proposing edge, and the
+    shallowest edge is BFS's.  Returns ``{fp: record}`` in
     first-proposal order."""
     best: dict = {}
     for record in records:
@@ -418,9 +414,8 @@ class Cut:
     ``frontier`` waits unaccepted (before dedupe and invariants, one
     canonical edge per state), the counters are what reaching the cut
     cost.  A run starts from one (:func:`starting_cut`: a decoded
-    checkpoint or the initial state), the parallel master carries one
-    from wave to wave (:meth:`advance`), and every checkpoint of either
-    engine is one written out (:meth:`write`).  Fingerprints are ints."""
+    checkpoint or the initial state), and every checkpoint is one
+    written out (:meth:`write`).  Fingerprints are ints."""
 
     wave: int
     transitions: int
@@ -432,21 +427,6 @@ class Cut:
     parents: dict    # fp -> (parent fp | None, label), expanded states
     frontier: dict   # fp -> (parent fp | None, label, depth), unaccepted
     states: dict     # fp -> concrete frontier state, where stored inline
-
-    def advance(self, proposals) -> None:
-        """Move the containers to the next cut in place: the old
-        frontier, accepted and expanded, joins ``visited`` and its edges
-        ``parents``; the ``(fp, parent fp, label, depth, ...)``
-        ``proposals`` its expansion routed, folded as their owners will
-        fold them (:func:`min_edge_fold`), are the new frontier, their
-        states held elsewhere.  The counting fields are the caller's."""
-        self.visited.update(self.frontier)
-        for fp, (pfp, label, _depth) in self.frontier.items():
-            self.parents[fp] = (pfp, label)
-        self.frontier = {
-            fp: (pfp, label, depth) for fp, pfp, label, depth, *_rest
-            in min_edge_fold(proposals, self.visited).values()}
-        self.states = {}
 
     def encode(self, echo: dict) -> dict:
         """The v2 payload, its containers as generators of their JSON
@@ -483,7 +463,7 @@ class Cut:
     def write(self, checker, durable: bool = True) -> None:
         """Write this cut as ``checker``'s checkpoint (its path,
         rotation depth and configuration echo): the one writer behind
-        every checkpoint of either engine."""
+        every checkpoint."""
         write_checkpoint(checker.checkpoint_out,
                          self.encode(config_echo(checker)),
                          checker.checkpoint_keep_last, durable=durable)
@@ -552,7 +532,7 @@ def replay_frontier(checker, parents: dict, frontier: dict, states: dict,
     parent-label chain from the initial state -- the same deterministic
     replay that validates counterexample traces, so a chain that fails
     to replay is a real integrity error.  ``checker`` is the resuming
-    run's serial checker (or the parallel template)."""
+    run's checker."""
     from repro.verify.checker import TraceReplayError, replay_step
 
     replayer = checker.fresh_clone()

@@ -94,6 +94,17 @@ class TestCheck:
         with pytest.raises(ValueError, match=f"CheckOptions.{name} must"):
             check("stache", CheckOptions(**{name: value}))
 
+    @pytest.mark.parametrize("value", [
+        0, -1, float("nan"), float("inf")])
+    @pytest.mark.parametrize("name", ["deadline_seconds", "max_rss_mb"])
+    def test_rejects_budgets_that_never_fire(self, name, value):
+        # nan <= 0 is false and so is elapsed >= nan: a NaN budget used
+        # to run to completion as if it were unset.
+        with pytest.raises(ValueError,
+                           match=f"^BudgetOptions.{name} must be > 0$"):
+            check("stache", CheckOptions(
+                budget=BudgetOptions(**{name: value})))
+
     @pytest.mark.parametrize("group,name", [
         (CheckpointOptions, "interval_waves"),
         (CheckpointOptions, "interval_seconds"),

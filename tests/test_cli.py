@@ -133,7 +133,10 @@ class TestBadTopology:
         ["verify", "stache", "--max-rss-mb", "-5"],
         ["verify", "stache", "--max-states", "0"],
         ["verify", "stache", "--checkpoint-keep", "0"],
-    ], ids=lambda argv: f"{argv[0]}{argv[-2]}")
+        ["verify", "stache", "--deadline", "nan"],
+        ["verify", "stache", "--max-rss-mb", "nan"],
+    ], ids=lambda argv: f"{argv[0]}{argv[-2]}"
+       + ("-nan" if argv[-1] == "nan" else ""))
     def test_one_error_line(self, argv, capsys):
         assert main(argv) == 1
         out, err = capsys.readouterr()

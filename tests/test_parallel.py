@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.obs.profile import CheckProfiler
 from repro.protocols import compile_named_protocol
 from repro.verify import (
     FingerprintCollisionError,
@@ -173,6 +174,18 @@ class TestParallelDeterminism:
             assert result.workers == workers
             assert f"workers={workers}" in result.summary() or workers == 1
 
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_workers_share_the_expansion(self, workers):
+        # A state may be expanded by any worker that proposed it, so the
+        # one initial state does not leave every layer with one worker.
+        result = ParallelChecker(
+            compile_named_protocol("lcm"), n_nodes=3, **check_setup("lcm"),
+            workers=workers, profiler=CheckProfiler()).run()
+        expanded = [w["accepted"]
+                    for w in result.profile.parallel["workers"]]
+        assert sum(expanded) == result.states_explored == 7658
+        assert min(expanded) >= 7658 / (2 * workers)
+
     @pytest.mark.parametrize("option,match", [
         ("liveness", "liveness checking .* is serial-only"),
     ])
@@ -183,26 +196,48 @@ class TestParallelDeterminism:
             make_parallel("stache", 2, **{option: True})
 
     def test_violations_are_worker_count_independent(self):
-        outcomes = []
+        # Serial is the reference: every worker count reports its whole
+        # violation, trace and end state included.
+        serial = make_serial("lcm_mcc", n_blocks=2, reorder=1).run()
+        assert not serial.ok
+        expected = (serial.violation.kind, serial.violation.message,
+                    serial.violation.trace, serial.violation.state)
         for workers in (1, 2, 4):
             result = make_parallel("lcm_mcc", workers, n_blocks=2,
                                    reorder=1).run()
             assert not result.ok
             # The trace was replay-validated internally; its end state
             # was attached by the replay.
-            assert result.violation.state is not None
-            outcomes.append((result.states_explored,
-                             result.violation.kind,
-                             result.violation.message,
-                             len(result.violation.trace)))
-        assert len(set(outcomes)) == 1
+            assert (result.violation.kind, result.violation.message,
+                    result.violation.trace,
+                    result.violation.state) == expected
+
+    def test_reduced_violations_are_worker_count_independent(self):
+        # Under symmetry a key is an orbit: a worker may expand only the
+        # concrete state the loop took, or the trace stops replaying.
+        serial = make_serial("lcm", n_nodes=3, symmetry=True,
+                             fault_budget=(1, 0)).run()
+        assert serial.violation.kind == "deadlock"
+        for workers in (1, 2, 4):
+            result = make_parallel("lcm", workers, n_nodes=3, symmetry=True,
+                                   fault_budget=(1, 0)).run()
+            assert (result.states_explored, result.violation.message,
+                    result.violation.trace) == (
+                serial.states_explored, serial.violation.message,
+                serial.violation.trace)
 
     def test_truncation_is_flagged(self):
-        result = make_parallel("lcm", 2, reorder=1, max_states=100).run()
-        assert result.ok
-        assert result.hit_state_limit
-        assert not result.exhausted
-        assert "state limit" in result.summary()
+        serial = make_serial("lcm", reorder=1, max_states=100).run()
+        for workers in (1, 2, 4):
+            result = make_parallel("lcm", workers, reorder=1,
+                                   max_states=100).run()
+            assert result.ok
+            assert result.hit_state_limit
+            assert not result.exhausted
+            assert "state limit" in result.summary()
+            # The state cap stops a worker run where it stops serially.
+            assert ((result.states_explored, result.transitions)
+                    == (serial.states_explored, serial.transitions))
 
 
 class TestCheckpointResume:

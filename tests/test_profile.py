@@ -233,9 +233,10 @@ class TestPhaseAccounting:
                          if name != "checkpoint_io")
         assert attributed == pytest.approx(
             par["busy_seconds_total"], abs=1e-3)
-        # Both workers accepted work on this row.
+        # Both workers accepted work on this row, each state once.
         assert sum(w["accepted"] for w in par["workers"]) \
             == result.states_explored
+        assert all(w["accepted"] > 0 for w in par["workers"])
         assert par["cross_shard"]["entries"] > 0
         assert par["cross_shard"]["bytes"] > 0
 
@@ -444,16 +445,13 @@ class TestProfilerUnit:
     def test_merge_worker_accumulates(self):
         profiler = CheckProfiler()
         payload = {"phases": {"successors": 1.0},
-                   "dispatch": {"Home.GET": [3, 0.5]},
-                   "out_degree": {"2": 4},
-                   "visited_entries": 10, "visited_bytes": 100}
+                   "dispatch": {"Home.GET": [3, 0.5]}}
         profiler.merge_worker(payload)
         profiler.merge_worker(payload)
-        profiler.merge_worker(None)           # a worker with no profiler
         assert profiler.phases["successors"] == pytest.approx(2.0)
         assert profiler.dispatch["Home.GET"] == [6, 1.0]
-        assert profiler.out_degree[2] == 8
-        assert profiler.visited_stats["entries"] == 20
+        # The visited set and the out-degrees are the master's to record.
+        assert profiler.visited_stats == {} and profiler.out_degree == {}
 
     def test_from_json_defaults_missing_fields(self):
         profile = CheckProfile.from_json(

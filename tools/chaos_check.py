@@ -4,7 +4,7 @@ One SIGINT per run to a real ``teapot verify lcm --nodes 3 --workers
 2``, the delay swept across the whole run, with and without
 ``--checkpoint-out``: wherever the signal finds the checker running,
 the run must exit 130 with the interrupt note (or 0 with the full
-verdict, when the wave it landed in was the last), print no traceback,
+verdict, when the state it landed before was the last), print no traceback,
 and -- with a path -- leave a checkpoint that resumes to the pinned
 verdict.  Wherever it lands, the run must end and leave no process
 behind.
@@ -98,7 +98,7 @@ def run_interrupt_cell(delay: float, checkpointed: bool,
         problems.append("hung")
     if not session_empty(run, within=5.0):
         problems.append("left a process behind")
-    if "_worker_main" in stderr:
+    if "_serve" in stderr:
         problems.append("worker traceback")
     if "died during" in stderr:
         problems.append("false worker loss")
@@ -165,7 +165,7 @@ def main() -> int:
     if failures:
         print(f"CHAOS FAILURES: {', '.join(failures)}", file=sys.stderr)
         return 1
-    print("every interrupt stopped at a wave boundary and left no "
+    print("every interrupt stopped at a clean cut and left no "
           "process behind")
     return 0
 
