@@ -21,8 +21,11 @@ records the price as ``obs.profile_price_ratio``).
 The phases: ``successors`` is the time spent inside the expand step's
 iterator (handler dispatch included) less ``fingerprint``, every call
 of the checker's fingerprint function; ``visited`` is the caller's time
-per move less ``invariants``, the accept step's suite; ``checkpoint_io``
-is snapshot writing and ``other`` the rest.  Serial phases partition
+per move less ``invariants``, the accept step's judging (the whole
+suite on a state where a fact at a slot its move wrote changed, and on
+a seed; elsewhere the evaluation counts and any invariant without
+facts; ``full_suite_states`` counts the former); ``checkpoint_io`` is
+snapshot writing and ``other`` the rest.  Serial phases partition
 ``run()`` wall time.  With workers, the compute phases are summed
 *across workers* (they partition worker-busy time, not wall time), and
 the ``parallel`` section tells the wall-clock story: a wave is one
@@ -65,6 +68,7 @@ class CheckProfiler:
         self.phases: dict[str, float] = {}
         self.dispatch: dict[str, list] = {}   # arm -> [count, seconds]
         self.out_degree: dict[int, int] = {}  # successors -> state count
+        self.full_suites = 0    # accepted states the whole suite judged
         self.visited_stats: dict = {}
         # Parallel-only accounting, populated by the master loop.
         self.waves: list[dict] = []
@@ -105,8 +109,8 @@ class CheckProfiler:
         included) less its fingerprinting is ``successors``; the
         caller's time per move less the invariant suite (both timed
         where they run) is ``visited``; and the number of moves is the
-        state's out-degree, recorded when the iterator ends -- or raises
-        the deadlock of a state with none, at 0."""
+        state's out-degree, recorded when the iterator ends (0 for a
+        deadlocked state) but not when an error rule cuts it short."""
         phases, add = self.phases, self.add_phase
         degree = 0
         while True:
@@ -115,10 +119,6 @@ class CheckProfiler:
                 move = next(moves)
             except StopIteration:
                 break
-            except Exception as stop:
-                if getattr(stop, "kind", None) == "deadlock":
-                    self.add_out_degree(0)
-                raise
             finally:
                 add("successors", _perf() - t0 + hashed
                     - phases.get("fingerprint", 0.0))
@@ -174,6 +174,7 @@ class CheckProfiler:
             entry = self.dispatch.setdefault(key, [0, 0.0])
             entry[0] += count
             entry[1] += seconds
+        self.full_suites += payload["full_suites"]
 
     def worker_payload(self) -> dict:
         """This (worker-side) profiler's accumulations, for the finish
@@ -182,6 +183,7 @@ class CheckProfiler:
             "phases": dict(self.phases),
             "dispatch": {key: list(entry)
                          for key, entry in self.dispatch.items()},
+            "full_suites": self.full_suites,
         }
 
     # -- building the artifact ----------------------------------------------
@@ -256,6 +258,7 @@ class CheckProfiler:
             wall_seconds=round(wall, 6),
             result=result_section,
             phases=phases,
+            full_suite_states=self.full_suites,
             timeline=result.timeline,
             # count: the arm's fires, cache replays included; seconds:
             # the dispatches really executed (one per effects-cache miss).
@@ -282,6 +285,9 @@ class CheckProfile:
     wall_seconds: float = 0.0
     result: dict = field(default_factory=dict)
     phases: dict = field(default_factory=dict)
+    # Accepted states the whole invariant suite judged: the seeds and
+    # those where a fact at a slot the move wrote changed.
+    full_suite_states: int = 0
     timeline: list = field(default_factory=list)
     dispatch: dict = field(default_factory=dict)
     out_degree: dict = field(default_factory=dict)
@@ -354,6 +360,9 @@ def format_profile(profile: CheckProfile, top: int = 10) -> str:
         share = seconds / phase_total
         lines.append(f"  {name:14s} {_fmt_seconds(seconds):>9s}  "
                      f"{share:6.1%}  {_bar(share)}")
+        if name == "invariants":
+            lines[-1] += (f"  (full suite on {profile.full_suite_states} "
+                          f"of {result.get('states')} states)")
 
     if profile.dispatch:
         ranked = sorted(profile.dispatch.items(),

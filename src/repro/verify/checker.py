@@ -94,25 +94,19 @@ class SymmetryError(RuntimeError):
     """The protocol failed the symmetry-reduction certification.
 
     Symmetry reduction is exact only when the transition relation
-    commutes with the node-permutation group: the successors of a
-    renamed state must be the renamed successors.  Murphi's
-    scalarset type discipline proves that statically; Teapot has no
-    such discipline, and builtins like ``PopSharer``/``NthSharer``
-    return ``min``/*n*-th of a sharer set -- a deterministic choice no
-    function can make permutation-equivariant (for the swap fixing a
-    two-element set, the image of the choice would have to be the
-    other element).  Usually the choice washes out (pop-all
-    invalidation loops reach the same state in any order), but a
-    protocol that acts on the *identity* of one popped sharer --
-    lcm_mcc's copy-forward delegation, say -- genuinely is not
-    node-symmetric, and quotienting it would silently skip reachable
-    orbits.  So a reduced run certifies the assumption where it records
-    an action (and a node's application choices): each renamed image
-    must do the renamed thing (``ModelChecker._certify``).  Every move
-    out of a renamed state is the renamed input of a move out of the
-    state, so certified actions and choices make each state's successors
-    equivariant.  This error is raised at the first image that disagrees;
-    ``api.check`` responds by rerunning the model unreduced.
+    commutes with the node-permutation group.  Murphi's scalarset types
+    prove that statically; Teapot has none, and ``PopSharer``/
+    ``NthSharer`` return ``min``/*n*-th of a sharer set, a choice no
+    function can make permutation-equivariant.  Usually it washes out
+    (pop-all loops reach the same state in any order), but a protocol
+    acting on the *identity* of one popped sharer (lcm_mcc's
+    copy-forward delegation) is not node-symmetric, and quotienting it
+    would skip reachable orbits.  So a reduced run certifies each
+    action and each node's application choices where it records them:
+    every renamed image must do the renamed thing
+    (``ModelChecker._certify``), which makes each state's successors
+    equivariant.  Raised at the first image that disagrees;
+    ``api.check`` then reruns the model unreduced.
     """
 
 
@@ -257,40 +251,33 @@ class CheckResult:
     n_blocks: int = 1
     reorder_bound: int = 0
     hit_state_limit: bool = False
-    # Per-invariant evaluation counts (invariant name -> evaluations).
+    # Invariant name -> the states it judged (run or passed by facts).
     invariant_evals: dict = field(default_factory=dict)
-    # Per-handler fire counts over the whole exploration:
-    # "State.MESSAGE" -> number of dispatches (initial deliveries plus
-    # queue redeliveries).  Raw material for `teapot analyze coverage`.
+    # "State.MESSAGE" -> dispatches (deliveries plus queue redeliveries)
+    # over the whole exploration, for `teapot analyze coverage`.
     handler_fires: dict = field(default_factory=dict)
     # False when max_states truncated the search: ok=True then means
     # "no violation within the explored prefix", not a verdict.
     exhausted: bool = True
     # How many worker processes explored (1 = the serial checker).
     workers: int = 1
-    # The fault budget (drops, dups) the exploration was allowed to
-    # spend on each path; (0, 0) is classic fault-free checking.
+    # The (drops, dups) each path may spend; (0, 0) is fault-free.
     fault_budget: tuple = (0, 0)
-    # When the run was profiled: the CheckProfile artifact
-    # (repro.obs.profile), else None.
+    # A profiled run's CheckProfile (repro.obs.profile), else None.
     profile: Optional[object] = None
-    # When the run recorded an atlas: the StateAtlas artifact
-    # (repro.verify.atlas, read off the run's KeyGraph), else None.
+    # A recorded atlas (repro.verify.atlas, off the KeyGraph), else None.
     atlas: Optional[object] = None
-    # Reduction telemetry: with symmetry reduction on, the number of
-    # orbit representatives explored (equals states_explored -- the
-    # visited set *is* canonical); None when symmetry was off.
+    # Under symmetry, the orbit representatives explored (equals
+    # states_explored: the visited set *is* canonical), else None.
     canonical_states: Optional[int] = None
-    # Why the run stopped before exhausting the space: "deadline" /
-    # "memory" (BudgetOptions), "interrupted" (Ctrl-C, acted on at the
-    # next clean cut), or None for a normal completion / plain max_states
-    # truncation.  A set stop_reason implies exhausted=False and, when
-    # checkpointing was configured, a resumable checkpoint on disk.
+    # Why the run stopped early: "deadline" / "memory" (BudgetOptions),
+    # "interrupted" (Ctrl-C, at the next clean cut), or None (done, or
+    # plain max_states truncation).  A set stop_reason implies
+    # exhausted=False and, with checkpointing, a checkpoint to resume.
     stop_reason: Optional[str] = None
-    # The run's timeline (checkpoint.CutPolicy): one point -- t (the
-    # whole run's seconds), states, frontier, depth, transitions,
-    # states_per_s -- at the first cut of every BFS layer, then the
-    # final one at the result's counts.
+    # The run's timeline (checkpoint.CutPolicy): a point -- t (the whole
+    # run's seconds), states, frontier, depth, transitions, states_per_s
+    # -- at the first cut of every BFS layer, then the final counts.
     timeline: list = field(default_factory=list)
 
     def summary(self) -> str:
@@ -376,49 +363,37 @@ class ModelChecker:
         self.invariants = (
             invariants if invariants is not None else standard_invariants())
         self.max_states = max_states
-        # The execution engine, built per recorded action: the Python
-        # back end's compiled handlers -- the functions the simulator
-        # executes.  The test suite passes the reference
-        # HandlerInterpreter here for behavioural-equivalence checks.
+        # The engine built per recorded action: the compiled handlers
+        # the simulator executes (tests pass the HandlerInterpreter).
         self.interpreter_factory = interpreter_factory
         # Application rules are disabled while any channel holds this
         # many messages -- the standard Mur-phi idiom for keeping a model
         # with non-blocking operations finite.  Deliveries are never
         # gated, so this cannot introduce spurious deadlocks.
         self.channel_cap = channel_cap
-        # Liveness checking (an extension beyond the paper's
-        # safety checks): record the explored graph over the run's own
-        # keys and verify that from every reachable state, every blocked
-        # thread can still reach a state where it runs again
-        # (repro.verify.starvation).  Catches starvation bugs -- e.g. a
-        # nacked request that is never retried -- that no safety
-        # invariant sees.  The checkpoint format carries no edges.
+        # Liveness (beyond the paper): record the explored graph over
+        # the run's keys and verify every blocked thread can still run
+        # again from every reachable state (repro.verify.starvation),
+        # e.g. a nacked request never retried.
         self.liveness = liveness
         # The state atlas (repro.verify.atlas), read off the same graph
         # at the end of the run.
         self.atlas = atlas
         refuse_graph_modes(liveness=liveness, atlas=atlas,
                            checkpoint_out=checkpoint_out, resume=resume)
-        # Progress lines: when a stream is given, the run's timeline
-        # points are printed there as they are taken, at most about one
-        # a second (checkpoint.CutPolicy), so long runs are diagnosable
-        # while they execute.
+        # Progress lines: the run's timeline points, printed there as
+        # they are taken, about one a second (checkpoint.CutPolicy).
         self.progress_stream = progress_stream
-        # Hash compaction: key the visited set (and parent pointers) by
-        # 64-bit fingerprints instead of whole states.  Memory per
-        # visited state drops by an order of magnitude; any violation
-        # trace is replay-validated to guard against collisions (see
-        # repro.verify.fingerprint).
+        # Hash compaction: key the visited set and parent pointers by
+        # 64-bit fingerprints (repro.verify.fingerprint); a violation
+        # trace is replay-validated against collisions.
         self.fingerprint_states = fingerprint_states
         self.fingerprint_fn = fingerprint
         # Symmetry reduction: key the visited set by the minimum
-        # fingerprint over the home-fixing free-node permutation group
-        # (see repro.verify.fingerprint.SymmetryCanonicalizer), so one
-        # representative per orbit is explored.  Exploration itself
-        # stays concrete -- successors of the first-discovered
-        # representative -- so the parent-pointer chain is a real path
-        # from the initial state and every witness trace replays on an
-        # unreduced checker as-is (fresh_clone drops reduction flags).
+        # fingerprint over the home-fixing node permutations
+        # (fingerprint.SymmetryCanonicalizer), one representative per
+        # orbit.  Exploration stays concrete, so parent chains are real
+        # paths and witnesses replay unreduced (fresh_clone).
         self.symmetry = symmetry
         if symmetry:
             # (Memoised by state, which hashes in C: a repeat is one
@@ -442,12 +417,10 @@ class ModelChecker:
         # Where the visited key is the state's own fingerprint (not a
         # minimum over renamings) a successor's is its parent's with the
         # terms of the slots the move stored swapped: the per-slot term
-        # tables, and the XOR of the swapped terms that whatever built
-        # the last successor left for _expand (None: left nothing).
+        # tables, which the successor builder XORs into its key delta.
         self._slot_terms = (SLOT_TERMS[n_nodes, n_blocks]
                             if self.fingerprint_states and not symmetry
                             else None)
-        self._delta: Optional[int] = None
         # Fault-bounded exploration: in addition to every delivery, the
         # checker may *drop* or *duplicate* any in-flight message, up to
         # the budget.  Accepts a FaultBudget or a (drops, dups) tuple;
@@ -459,10 +432,8 @@ class ModelChecker:
         else:
             self.fault_budget = tuple(fault_budget)
         # Exploration profiling (repro.obs.profile.CheckProfiler), or
-        # None.  The profiler is a pure observer: armed, it wraps the
-        # same expand loop (see _expand) and the fingerprint function
-        # and only reads clocks -- verdicts, state counts, fingerprints,
-        # and checkpoints are identical either way (tests/test_profile.py).
+        # None: a pure observer that wraps the expand step's iterator
+        # and the fingerprint function and only reads clocks.
         self.profiler = profiler
         if profiler is not None:
             self.fingerprint_fn = profiler.timed_phase(
@@ -491,6 +462,17 @@ class ModelChecker:
         # (node, app id) -> the event-generator choices open to that
         # application status (none while it is blocked):
         self._choice_cache = Memo(self._choices)
+        # View / channel id -> the suite's facts there (invariants.py);
+        # (channel id, message id) -> (id sent on, whether a fact changed).
+        facts = self._facts = [inv.facts(protocol) for inv in self.invariants
+                               if hasattr(inv, "facts")]
+        views = [view for view, _channel in facts if view]
+        chans = [channel for _view, channel in facts if channel]
+        self._view_facts = Memo(lambda vid: tuple([f(vid) for f in views]))
+        self._channel_facts = cf = Memo(
+            lambda cid: tuple([f(cid) for f in chans]))
+        self._appended = Memo(lambda key: (APPENDED[key],
+                                           cf[key[0]] != cf[APPENDED[key]]))
         # (channel slot, channel id, index) -> that delivery's (label,
         # dst, block, message id, channel id afterwards):
         self._delivery_cache = Memo(self._delivery)
@@ -502,19 +484,15 @@ class ModelChecker:
 
     # -- rule application ---------------------------------------------------
     #
-    # The engine never deep-copies a state.  One atomic action is a
-    # deterministic function of (node, the acting block's view, the
-    # message, the node's blocked-on marker): every read a handler can
-    # make goes through the ProtocolContext block-record accessors on the
-    # current message's block, and every write lands on the acting node
-    # (see ActionScratch).  So the checker journals an action once in a
-    # copy-on-first-touch journal (ActionScratch + ActionContext),
-    # distils it to an ActionEffects, and caches it under that 4-tuple
-    # (as ids: four small ints); subsequent expansions replay the effects
-    # as one id stored per touched slot of a copy of the parent's ids --
-    # no decoding, no handler dispatch, no full-state freeze.  (The
-    # copy-the-world path this replaced is the differential oracle,
-    # tests/reference_checker.py.)
+    # One atomic action is a deterministic function of (node, the acting
+    # block's view, the message, the node's blocked-on marker): a handler
+    # reads and writes the acting node's records only (ActionScratch).
+    # So the checker journals an action once (ActionScratch +
+    # ActionContext), distils it to an ActionEffects cached under that
+    # 4-tuple of ids, with the invariant verdict of the views it writes,
+    # and replays it as one id stored per touched slot of a copy of the
+    # parent's ids.  (The copy-the-world path this replaced is the
+    # differential oracle, tests/reference_checker.py.)
 
     def _action_effects(self, state: GlobalState, node: int, block: int,
                         mid: int, blocked_before) -> ActionEffects:
@@ -557,9 +535,9 @@ class ModelChecker:
                 theirs = certified[image] = self._record_action(
                     renamed, image[0], MESSAGES[image[2]], key[3])
             if ((effects.error is None, effects.fires, canon.permute(
-                    self._build_successor(state, key[0], effects), mapping))
+                    self._build_successor(state, key[0], effects)[1], mapping))
                     != (theirs.error is None, theirs.fires,
-                        self._build_successor(renamed, image[0], theirs))):
+                        self._build_successor(renamed, image[0], theirs)[1])):
                 raise _asymmetric(
                     f"{MESSAGES[key[2]].tag} on node {key[0]} in state "
                     f"{VIEWS[key[1]].state_name} and its image differ",
@@ -599,18 +577,25 @@ class ModelChecker:
         except CheckerViolation as violation:
             return ActionEffects((), (), blocked_before, tuple(fires),
                                  violation.message)
-        return ActionEffects(
+        effects = ActionEffects(
             scratch.changed_views(), tuple(scratch.sends),
             scratch.blocked_on, tuple(fires), None,
             (node * self.n_blocks, self._chan0 + node * self.n_nodes))
+        # The verdict, once per entry (its key holds the old view id):
+        facts = self._view_facts
+        effects.judge = any(facts[state[slot]] != facts[vid]
+                            for slot, vid in effects.views)
+        return effects
 
     def _build_successor(self, state: GlobalState, node: int,
                          effects: ActionEffects, gen=_KEEP_GEN,
-                         removed=None) -> GlobalState:
+                         removed=None, label=None) -> tuple:
         """Replay recorded effects onto ``state``: copy its ids and
         store one per slot the action touched.  ``removed`` is the
         delivered message's ``(channel slot, channel id afterwards, the
-        XOR of the two's terms)`` from :meth:`_delivery`."""
+        two's terms XORed, whether a channel fact changed)``.  Returns
+        the move: ``label``, the successor, its key delta (the stored
+        slots' terms swapped; None without term tables), ``judge``."""
         ids = list(state)
         for slot, vid in effects.views:
             ids[slot] = vid
@@ -623,13 +608,17 @@ class ModelChecker:
             # status builds the record.
             aid = APP_IDS.get(key)
             ids[at] = APP_IDS[AppView(*key)] if aid is None else aid
+        judge = effects.judge
         if removed is not None:
             # Before the sends: an action may refill the very channel it
             # was delivered from (a node messaging itself).
             ids[removed[0]] = removed[1]
+            judge = judge or removed[3]
+        appended = self._appended
         for slot, mid in effects.sends:
-            ids[slot] = APPENDED[ids[slot], mid]
-        terms = self._slot_terms
+            ids[slot], grew = appended[ids[slot], mid]
+            judge = judge or grew
+        terms, delta = self._slot_terms, None
         if terms is not None:
             # Each stored slot's old term out and new term in, once a
             # slot (a refilled channel is not as the delivery left it).
@@ -642,8 +631,7 @@ class ModelChecker:
                 delta ^= terms[slot][state[slot]] ^ terms[slot][vid]
             for slot in effects.sent:
                 delta ^= terms[slot][state[slot]] ^ terms[slot][ids[slot]]
-            self._delta = delta
-        return tuple.__new__(GlobalState, ids)
+        return label, tuple.__new__(GlobalState, ids), delta, judge
 
     def _congested(self, state: GlobalState) -> bool:
         """Whether any channel or deferred queue sits at the channel
@@ -654,9 +642,10 @@ class ModelChecker:
                 or max(map(CHANNEL_LEN.__getitem__,
                            state[self._chan0:self._end])) >= cap)
 
-    def _apply_app_op(self, state: GlobalState, node: int, op: tuple,
-                      new_gen: tuple) -> Optional[GlobalState]:
-        """Issue an application operation; returns the successor state."""
+    def _apply_app_op(self, state: GlobalState, node: int, choice) -> tuple:
+        """Issue an application choice; returns its move as
+        :meth:`_build_successor` does."""
+        op, new_gen, label = choice.op, choice.new_gen, choice.label
         kind = op[0]
         if kind in ("read", "write"):
             block = op[1]
@@ -666,10 +655,9 @@ class ModelChecker:
                 # Hit: only the generator advanced.  With an unchanged
                 # generator the successor IS the parent (a self-loop).
                 if new_gen == APPS[state[self._app0 + node]].gen:
-                    self._delta = 0
-                    return state
+                    return label, state, 0, False
                 return self._build_successor(state, node, _NO_EFFECTS,
-                                             new_gen)
+                                             new_gen, label=label)
             payload = ()
         else:  # program event (CAS, sync, LCM enter/exit, ...)
             tag, block = op[1], op[2]
@@ -679,17 +667,19 @@ class ModelChecker:
             block)
         if effects.error is not None:
             raise CheckerViolation(effects.error)
-        return self._build_successor(state, node, effects, new_gen)
+        return self._build_successor(state, node, effects, new_gen,
+                                     label=label)
 
     def _delivery(self, key: tuple) -> tuple:
         slot, cid, index = key
         src, dst = divmod(slot - self._chan0, self.n_nodes)
         after, mid = REMOVED[cid, index]
         message = MESSAGES[mid]
-        terms = self._slot_terms
+        terms, facts = self._slot_terms, self._channel_facts
         swap = 0 if terms is None else terms[slot][cid] ^ terms[slot][after]
         return (_message_label("deliver", message, src, dst, index), dst,
-                message.block, mid, (slot, after, swap))
+                message.block, mid,
+                (slot, after, swap, facts[cid] != facts[after]))
 
     def _choices(self, key: tuple) -> tuple:
         node, app = key[0], APPS[key[1]]
@@ -721,8 +711,9 @@ class ModelChecker:
         return outline
 
     def _successors(self, state: GlobalState):
-        """Yield (label, successor) pairs for the moves out of ``state``;
-        a protocol error surfaces as :class:`_LabelledViolation`.
+        """Yield ``(label, successor, key delta, judge)`` for the moves
+        out of ``state`` (:meth:`_build_successor`); a protocol error
+        surfaces as :class:`_LabelledViolation`.
 
         The one enumeration of a state's moves -- application choices
         while uncongested, then deliveries inside the reorder window,
@@ -735,12 +726,11 @@ class ModelChecker:
             for node in range(self.n_nodes):
                 for choice in choices[node, state[app0 + node]]:
                     try:
-                        successor = self._apply_app_op(
-                            state, node, choice.op, choice.new_gen)
+                        move = self._apply_app_op(state, node, choice)
                     except CheckerViolation as violation:
                         raise _LabelledViolation(choice.label,
                                                  violation.message)
-                    yield choice.label, successor
+                    yield move
         # Message deliveries (with bounded reordering).
         window = self.reorder_bound + 1
         deliveries = self._delivery_cache
@@ -755,8 +745,8 @@ class ModelChecker:
                     APPS[state[app0 + dst]].blocked_on)
                 if effects.error is not None:
                     raise _LabelledViolation(label, effects.error)
-                yield label, self._build_successor(state, dst, effects,
-                                                   removed=removed)
+                yield self._build_successor(state, dst, effects,
+                                            removed=removed, label=label)
         if state[-4] or state[-3]:
             yield from self._fault_successors(state)
 
@@ -775,7 +765,7 @@ class ModelChecker:
         never fire on an empty network, so fault budgets cannot mask a
         real deadlock (a state with all nodes blocked and no messages in
         flight still has no successor)."""
-        terms = self._slot_terms
+        terms, facts, delta = self._slot_terms, self._channel_facts, None
         for slot in range(self._chan0, self._end):
             src, dst = divmod(slot - self._chan0, self.n_nodes)
             cid = state[slot]
@@ -790,12 +780,12 @@ class ModelChecker:
                                  else APPENDED[cid, mid])
                     ids[budget] -= 1
                     if terms is not None:
-                        self._delta = (
-                            terms[slot][cid] ^ terms[slot][ids[slot]]
-                            ^ terms[budget][state[budget]]
-                            ^ terms[budget][ids[budget]])
+                        delta = (terms[slot][cid] ^ terms[slot][ids[slot]]
+                                 ^ terms[budget][state[budget]]
+                                 ^ terms[budget][ids[budget]])
                     yield (_message_label(kind, message, src, dst, index),
-                           tuple.__new__(GlobalState, ids))
+                           tuple.__new__(GlobalState, ids), delta,
+                           facts[cid] != facts[ids[slot]])
 
     # -- search -------------------------------------------------------------
 
@@ -810,10 +800,11 @@ class ModelChecker:
         self._invariant_evals = {}
         self._handler_fires = {}
         self._max_depth = 0
+        # (name, invariant, whether it has facts): a successor whose
+        # written slots kept every fact is judged by the others only.
         self._named_invariants = [
-            (self._invariant_name(invariant), invariant)
-            for invariant in self.invariants
-        ]
+            (self._invariant_name(invariant), invariant,
+             hasattr(invariant, "facts")) for invariant in self.invariants]
 
     def initial_state(self) -> GlobalState:
         return initial_global_state(
@@ -854,52 +845,28 @@ class ModelChecker:
     # -- the exploration parts ----------------------------------------------
 
     def _expand(self, state: GlobalState, key):
-        """The expand step: an iterator of ``(label, successor, successor
-        key)`` for every transition out of ``state`` (whose own key is
-        ``key``).
+        """The expand step, the moves the loop iterates out of ``state``
+        (keyed ``key``): :meth:`_successors`, wrapped by an armed
+        profiler (``CheckProfiler.timed``); a worker runs it too."""
+        moves = self._successors(state)
+        return moves if self.profiler is None else self.profiler.timed(moves)
 
-        Every mode explores the same transition system because this is
-        the one definition of expanding a state (a worker process runs
-        it too).  Successors come from :meth:`_successors`; an armed
-        profiler wraps the same iterator (``CheckProfiler.timed``).  An error
-        rule surfaces as the enumerator's :class:`_LabelledViolation`
-        (kind ``error``); a state with no enabled move raises one of
-        kind ``deadlock``."""
-        fp = self.fingerprint_fn if self.fingerprint_states else None
-
-        def moves():
-            # The triples are the enumerator's pairs plus the key, this
-            # state's with the swapped terms where the builder left them.
-            out_degree = 0
-            self._delta = None
-            for label, successor in self._successors(state):
-                out_degree += 1
-                if fp is None:
-                    yield label, successor, successor
-                    continue
-                delta, self._delta = self._delta, None
-                yield label, successor, (fp(successor) if delta is None
-                                         else key ^ delta)
-            if not out_degree:
-                raise _LabelledViolation("<stuck>", _DEADLOCK_MESSAGE,
-                                         "deadlock")
-
-        prof = self.profiler
-        return moves() if prof is None else prof.timed(moves())
-
-    def _accept(self, state: GlobalState, key, depth: int) -> Optional[str]:
+    def _accept(self, state: GlobalState, key, depth: int,
+                judge=True) -> Optional[str]:
         """The accept step: ``state``, keyed ``key``, joins the explored
-        set at ``depth``.  Tracks the run's maximum depth and runs the
-        (timed) invariant suite; returns the first failed invariant's
-        message, or None.  The caller owns the containers -- visited set, parent
-        pointers, frontier, recorded graph."""
+        set at ``depth``.  Tracks the maximum depth and runs the (timed)
+        invariant suite -- in full where ``judge`` (a fact changed at a
+        slot the move wrote; a seed), else those without facts; returns
+        the first failure's message, or None.  The caller owns the
+        containers: visited set, parent pointers, frontier, graph."""
         if depth > self._max_depth:
             self._max_depth = depth
         prof = self.profiler
         if prof is None:
-            return self._check_invariants(state)
+            return self._check_invariants(state, judge)
+        prof.full_suites += judge or not self._facts
         t0 = time.perf_counter()
-        message = self._check_invariants(state)
+        message = self._check_invariants(state, judge)
         prof.add_phase("invariants", time.perf_counter() - t0)
         return message
 
@@ -962,6 +929,7 @@ class ModelChecker:
                 if self.liveness and self._canon else None,
                 labelled=self.atlas)
         renaming = self._renaming or (lambda _state: None)
+        fp = self.fingerprint_fn if self.fingerprint_states else None
         note = ((lambda state: state[:self._app0] + state[-4:-2])
                 if self.atlas else (lambda _state: None))
         stopped: Optional[str] = None    # see _result
@@ -988,7 +956,7 @@ class ModelChecker:
         def trace_to(key, last_label: str) -> list[str]:
             return self._trace_via_parents(key, parents) + [last_label]
 
-        def take(state, key, pkey, label, d) -> Optional[str]:
+        def take(state, key, pkey, label, d, judge=True) -> Optional[str]:
             """Take a fresh state into the search: bookkeeping, the accept
             step and, unless an invariant failed, a frontier slot."""
             visited.add(key)
@@ -999,7 +967,7 @@ class ModelChecker:
                         state[self._app0:self._chan0])
                     if APPS[aid].blocked_on is not None), renaming(state),
                     note(state))
-            message = self._accept(state, key, d)
+            message = self._accept(state, key, d, judge)
             if message is None:
                 frontier.append((state, key, d))
             return message
@@ -1043,21 +1011,29 @@ class ModelChecker:
             if stopped is not None:
                 return finish()
             state, key, d = frontier.popleft()
-            violation = None
+            violation, before = None, transitions
             try:
-                for label, successor, succ_key in self._expand(state, key):
+                for label, successor, delta, judge in self._expand(state, key):
                     transitions += 1
+                    # The state, its parent's key with the move's delta,
+                    # or its fingerprint from scratch:
+                    succ_key = (successor if fp is None else fp(successor)
+                                if delta is None else key ^ delta)
                     if graph is not None:
                         graph.edge(succ_key, renaming(successor), label)
                     if succ_key in visited:
                         continue
-                    message = take(successor, succ_key, key, label, d + 1)
+                    message = take(successor, succ_key, key, label, d + 1,
+                                   judge)
                     if message is not None:
                         violation = Violation("invariant", message,
                                               trace_to(key, label), successor)
                         break
+                if transitions == before:
+                    violation = Violation("deadlock", _DEADLOCK_MESSAGE,
+                                          trace_to(key, "<stuck>"), state)
             except _LabelledViolation as found:
-                violation = Violation(found.kind, found.message,
+                violation = Violation("error", found.message,
                                       trace_to(key, found.label), state)
             # Cut short by a violation or not, the state was expanded.
             if graph is not None:
@@ -1147,13 +1123,17 @@ class ModelChecker:
             return qualname.split(".")[0]
         return type(invariant).__name__
 
-    def _check_invariants(self, state: GlobalState) -> Optional[str]:
+    def _check_invariants(self, state: GlobalState,
+                          full=True) -> Optional[str]:
+        """The suite in order, each invariant counted as judging
+        ``state``; unless ``full``, those with facts pass unrun."""
         evals = self._invariant_evals
-        for name, invariant in self._named_invariants:
+        for name, invariant, has_facts in self._named_invariants:
             evals[name] = evals.get(name, 0) + 1
-            message = invariant(state, self.protocol)
-            if message is not None:
-                return message
+            if full or not has_facts:
+                message = invariant(state, self.protocol)
+                if message is not None:
+                    return message
         return None
 
 
@@ -1193,7 +1173,7 @@ def replay_step(checker: ModelChecker, state: GlobalState,
     error rule fires first (chained as ``__cause__``) -- either means
     the chain does not belong to this protocol build."""
     try:
-        for candidate, successor in checker._successors(state):
+        for candidate, successor, *_move in checker._successors(state):
             if candidate == label:
                 return successor
     except _LabelledViolation as labelled:
@@ -1204,14 +1184,12 @@ def replay_step(checker: ModelChecker, state: GlobalState,
 
 
 class _LabelledViolation(Exception):
-    """Internal: a CheckerViolation tagged with the rule that raised it
-    (kind ``error``), or the expand step's deadlock report."""
+    """Internal: a CheckerViolation tagged with the rule that raised it."""
 
-    def __init__(self, label: str, message: str, kind: str = "error"):
+    def __init__(self, label: str, message: str):
         super().__init__(message)
         self.label = label
         self.message = message
-        self.kind = kind
 
     def __reduce__(self):
-        return type(self), (self.label, self.message, self.kind)
+        return type(self), (self.label, self.message)

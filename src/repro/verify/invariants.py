@@ -7,6 +7,11 @@ messages and explicit ``Error`` calls surface through the handler itself
 (as :class:`~repro.verify.model.CheckerViolation`); deadlock is detected
 by the search.  This module supplies the *additional* assertions:
 access-tag coherence and resource-boundedness.
+
+Each is a function of per-id facts and declares them:
+``check.facts(protocol)`` is ``(view fact, channel fact)``, each ``id ->
+fact`` or None.  The checker runs it on a successor only where a fact at
+a slot the move wrote changed; a plain function runs on every state.
 """
 
 from __future__ import annotations
@@ -66,6 +71,9 @@ def single_writer(state: GlobalState,
     return None
 
 
+single_writer.facts = lambda protocol: (_COHERENCE.__getitem__, None)
+
+
 def bounded_queues(limit: int = 16) -> Invariant:
     """Deferred queues must stay bounded (else redelivery never drains)."""
     def check(state: GlobalState,
@@ -81,6 +89,7 @@ def bounded_queues(limit: int = 16) -> Invariant:
                             f"grew past {limit} messages")
         return None
 
+    check.facts = lambda protocol: (lambda vid: QUEUE_LEN[vid] > limit, None)
     return check
 
 
@@ -97,6 +106,8 @@ def bounded_channels(limit: int = 16) -> Invariant:
                             f"{limit} messages")
         return None
 
+    check.facts = lambda protocol: (None,
+                                    lambda cid: CHANNEL_LEN[cid] > limit)
     return check
 
 
@@ -105,14 +116,16 @@ def bounded_channels(limit: int = 16) -> Invariant:
 _LEAKS: dict = {}
 
 
-def _leak_memo(states: dict) -> Memo:
+def _leaks(protocol: CompiledProtocol) -> Memo:
+    states = protocol.states    # (not the protocol: the entry is weak)
+
     def leaks(vid: int) -> bool:
         view = VIEWS[vid]
         info = states.get(view.state_name)
         return bool(info is not None and not info.transient
                     and view.state_args)
 
-    return Memo(leaks)
+    return weak_protocol_entry(_LEAKS, protocol, lambda: Memo(leaks))
 
 
 def no_parked_continuation_leak(state: GlobalState,
@@ -124,8 +137,7 @@ def no_parked_continuation_leak(state: GlobalState,
     footnote: "all Suspends must eventually be Resumed ... to prevent
     memory leaks").
     """
-    leaks = weak_protocol_entry(_LEAKS, protocol,
-                                lambda: _leak_memo(protocol.states))
+    leaks = _leaks(protocol)
     n_blocks = state[-1]
     vids = view_ids(state)
     if not any(map(leaks.__getitem__, vids)):
@@ -134,6 +146,10 @@ def no_parked_continuation_leak(state: GlobalState,
     view = VIEWS[vids[slot]]
     return (f"node {slot // n_blocks} block {slot % n_blocks}: stable state "
             f"{view.state_name} holds arguments {view.state_args!r}")
+
+
+no_parked_continuation_leak.facts = lambda protocol: (
+    _leaks(protocol).__getitem__, None)
 
 
 def standard_invariants(coherent: bool = True) -> list[Invariant]:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
+from repro.protocols import entry_declaring
 from repro.runtime.context import (
     Message, ProtocolContext, RuntimeCounters, ZERO_COSTS, home_node)
 from repro.runtime.protocol import CompiledProtocol
@@ -45,18 +46,14 @@ class AppView(NamedTuple):
 
 # -- component ids ---------------------------------------------------------
 #
-# The exploration builds millions of states out of a few hundred
-# distinct parts (a protocol has a handful of reachable block
-# configurations, and the same messages fly between the same nodes on
-# every path).  Each distinct part gets a small int id the first time it
-# is seen (after Holzmann's COLLAPSE) and a state holds ids only.  The
-# tables are process-global and never evicted: they are bounded by the
-# number of *distinct* parts, which is tiny beside the number of states.
-#
-# Ids mean something in this process only -- another process fills its
-# tables in another order -- so nothing that leaves the process carries
-# one: a pickle ships the decoded fields (GlobalState.__reduce__), and
-# fingerprints and checkpoints are functions of the decoded values.
+# Millions of states are built out of a few hundred distinct parts.
+# Each part gets a small int id when first seen (after Holzmann's
+# COLLAPSE) and a state holds ids only.  The process-global tables are
+# never evicted: they are bounded by the number of distinct parts.  Ids
+# mean something in this process only, so nothing that leaves it
+# carries one: a pickle ships the decoded fields
+# (GlobalState.__reduce__), and fingerprints and checkpoints are
+# functions of the decoded values.
 
 
 class Memo(dict):
@@ -236,16 +233,11 @@ class ActionScratch:
     never writes: block records of the acting node are copied lazily on
     first touch (the journal is the ``records`` map itself), sends
     accumulate in order, and the node's blocked-on marker is a scalar.
-    The checker builds one per recorded action and distils it into an
-    :class:`ActionEffects` that can be replayed onto any parent sharing
-    the action's inputs.
-
-    Handlers can only ever read or write the acting node's own records
-    and application status (every read goes through
-    ``ProtocolContext.get_state``/``get_info`` on the current message's
-    block, and every write lands on ``record(self.node, block)``), which
-    is what makes the journal -- and the effect cache built on it --
-    sound.
+    The checker distils it into an :class:`ActionEffects` that replays
+    onto any parent sharing the action's inputs.  Handlers read and
+    write only the acting node's records and application status (the
+    ``ProtocolContext`` accessors take the current message's block),
+    which makes the journal and the effect cache built on it sound.
     """
 
     __slots__ = ("node", "records", "blocked_on", "sends",
@@ -296,10 +288,12 @@ class ActionEffects:
     transition to any parent sharing those inputs without running a
     single handler.  Built from the journal's views and messages, held
     as the slots and ids a successor stores: ``row`` is the acting
-    node's ``(first view slot, first outgoing channel slot)``.
+    node's ``(first view slot, first outgoing channel slot)``.  ``judge``
+    is the checker's: whether a written view changed an invariant fact.
     """
 
-    __slots__ = ("views", "sends", "sent", "blocked_after", "fires", "error")
+    __slots__ = ("views", "sends", "sent", "blocked_after", "fires", "error",
+                 "judge")
 
     def __init__(self, views: tuple, sends: tuple, blocked_after,
                  fires: tuple, error: Optional[str], row: tuple = (0, 0)):
@@ -313,15 +307,22 @@ class ActionEffects:
         self.blocked_after = blocked_after
         self.fires = fires              # handler-fire keys, in order
         self.error = error              # CheckerViolation message, or None
+        self.judge = False
 
 
 class ActionContext(ProtocolContext):
     """ProtocolContext over an :class:`ActionScratch`: the message in
-    hand, no costs, no data values, and errors that abort the rule."""
+    hand, no costs, no data values, and errors that abort the rule.
+    Data is present only where access is, and RecvData is the one way
+    to gain it -- unless the protocol's registry entry relaxes
+    coherence (``coherent=False``: Buffered-Write allocates on a write
+    without a fetch)."""
 
     def __init__(self, protocol: CompiledProtocol, scratch: ActionScratch,
                  home_of):
         self.protocol = protocol
+        entry = entry_declaring(protocol.name)
+        self.data_presence = entry is None or entry.coherent
         self.scratch = scratch
         self._home_of = home_of
         self._message: Optional[Message] = None
@@ -377,14 +378,19 @@ class ActionContext(ProtocolContext):
                 f"RecvData but message {self.current_message.tag} "
                 "carries no data")
             return
-        self.access_change(block, mode)
+        self.access_change(block, mode, fetched=True)
 
-    def access_change(self, block: int, mode: str) -> None:
+    def access_change(self, block: int, mode: str,
+                      fetched: bool = False) -> None:
         tag = ACCESS_CHANGE_RESULT.get(mode)
         if tag is None:
             self.error(f"unknown access mode {mode!r}")
             return
-        self.scratch.record(block)["access"] = tag.value
+        record = self.scratch.record(block)
+        if (self.data_presence and not fetched and record["access"]
+                == AccessTag.INVALID.value and mode.startswith("Blk_Upgrade")):
+            self.error(f"AccessChange({mode}) on block {block} without data")
+        record["access"] = tag.value
 
     def read_word(self, block: int, addr: int):
         return 0  # data values are not modelled (Section 7)

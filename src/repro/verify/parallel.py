@@ -14,17 +14,17 @@ layer), in frontier order, to a worker that holds that state, in one
 ``expand`` barrier (:meth:`_Fleet.call_all`); :meth:`_dispatch` says
 which.  A worker expands its states in order with the serial expand
 step, proposes each successor key once (its own seen set), runs the
-serial accept step's invariant suite on what it proposes and stashes
-the successor, until the next dispatch.  Its reply gives, per state:
-the ``(label, key, verdict)`` list, the number of repeats, the handler
-fires, and any error, deadlock or
-:class:`~repro.verify.checker.SymmetryError` at its position.
+serial accept step on what it proposes, with the move's judge flag, and
+stashes the successor, until the next dispatch.  Its reply gives, per
+state: the ``(label, key, verdict)`` list, the number of repeats, the
+handler fires, and any error or symmetry failure at its position.
 
 **Play-back.**  The master's expand step hands a reply to the loop: the
-proposals, then each repeat as a move to the expanded state's own key
-(a repeat is a key this worker proposed before, visited by now, as the
-expanded state is), then the error.  Its accept step counts the
-invariant evaluations a verdict stands for and queues the key.  So the
+proposals, each judged by its proposer and verdict, then each repeat as
+a move to the expanded state's own key (a key this worker proposed
+before, visited by now, as the expanded state is), then the error.  Its
+accept step counts the invariant evaluations a verdict stands for and
+queues the key.  So the
 verdict, counts, coverage, counterexample trace, the state count of a
 run stopped by ``max_states``, a budget or Ctrl-C, and every checkpoint
 are the serial run's at any worker count.  Only keys, labels and
@@ -205,29 +205,25 @@ class ParallelChecker(ModelChecker):
         for fire, count in fires.items():
             handler_fires[fire] = handler_fires.get(fire, 0) + count
         for label, succ_key, verdict in proposals:
-            self._proposal = (worker, verdict)
-            yield label, None, succ_key
-        for _ in range(repeats):
-            yield None, None, key
-        # The profile's out-degree, as the serial expand step records it.
-        if self.profiler is not None and (
-                error is None or getattr(error, "kind", 0) == "deadlock"):
-            self.profiler.add_out_degree(len(proposals) + repeats)
+            yield label, None, key ^ succ_key, (worker, verdict)
+        yield from [(None, None, 0, None)] * repeats
         if error is not None:
             raise error
+        if self.profiler is not None:     # as the serial expand step does
+            self.profiler.add_out_degree(len(proposals) + repeats)
 
-    def _accept(self, state, key, depth: int):
+    def _accept(self, state, key, depth: int, judge=True):
         if state is not None:                 # a seed, judged here
-            held, message = state, super()._accept(state, key, depth)
+            held, message = state, super()._accept(state, key, depth, judge)
         else:
             if depth > self._max_depth:
                 self._max_depth = depth
-            held, verdict = self._proposal    # the proposing worker
+            held, verdict = judge             # see _expand
             judged = self._named_invariants
             if verdict is not None:           # (evaluated, message)
                 judged = judged[:verdict[0]]
             evals = self._invariant_evals
-            for name, _invariant in judged:
+            for name, *_invariant in judged:
                 evals[name] = evals.get(name, 0) + 1
             message = verdict and verdict[1]
         if message is None:
@@ -300,12 +296,13 @@ class ParallelChecker(ModelChecker):
 
     def _serve(self, conn, master_ends) -> None:
         """A worker's life: this checker, forked, running the serial
-        expand and accept steps on the states it is sent, SIGINT
-        ignored.  ``master_ends``, the master's pipe ends it inherited,
-        are closed so that the master's death closes the last copy."""
+        expand and accept steps on the states it is sent, SIGINT ignored,
+        the master's pipe ends closed (its death then closes the last)."""
         signal.signal(signal.SIGINT, signal.SIG_IGN)
         for end in master_ends:
             end.close()
+        if self.profiler is not None:   # forked with the master's counts
+            self.profiler.__init__()
         expand, accept = super()._expand, super()._accept
         seen: set = set()      # every key this worker proposed
         stash: dict = {}       # key -> state, the last dispatch's proposals
@@ -325,7 +322,10 @@ class ParallelChecker(ModelChecker):
                     self._handler_fires = fires = {}
                     proposals, repeats, error = [], 0, None
                     try:
-                        for label, successor, succ_key in expand(state, key):
+                        for label, successor, delta, judge in expand(
+                                state, key):
+                            succ_key = (self.fingerprint_fn(successor)
+                                        if delta is None else key ^ delta)
                             if succ_key in seen:
                                 repeats += 1
                                 continue
@@ -334,7 +334,7 @@ class ParallelChecker(ModelChecker):
                             # The verdict: None, or the number of
                             # invariants evaluated and the message.
                             self._invariant_evals = evals = {}
-                            message = accept(successor, succ_key, depth=0)
+                            message = accept(successor, succ_key, 0, judge)
                             proposals.append((label, succ_key, None if (
                                 message is None) else (
                                     sum(evals.values()), message)))

@@ -11,6 +11,9 @@ cache, no interning), and its own :class:`CheckerContext` written
 directly on ``ProtocolContext``.  What it inherits is everything
 *around* a successor -- the search loop, invariants, fault transitions,
 counters, observers -- which treats ``_successors`` as a black box.
+Its moves name no written slots, so each successor is keyed from
+scratch and judged by the whole invariant suite: the stock engine's
+slot-local judging is pinned against it.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 import time
 from typing import Optional
 
-from repro.protocols import compile_named_protocol
+from repro.protocols import compile_named_protocol, entry_declaring
 from repro.runtime.context import (
     Message,
     ProtocolContext,
@@ -26,7 +29,7 @@ from repro.runtime.context import (
     ZERO_COSTS,
 )
 from repro.runtime.protocol import CompiledProtocol
-from repro.tempest.memory import ACCESS_CHANGE_RESULT
+from repro.tempest.memory import ACCESS_CHANGE_RESULT, AccessTag
 from repro.verify.checker import ModelChecker, _LabelledViolation
 from repro.verify.model import (
     AppView,
@@ -99,11 +102,14 @@ class MutableState:
 
 
 class CheckerContext(ProtocolContext):
-    """ProtocolContext over a MutableState (no costs, no data values)."""
+    """ProtocolContext over a MutableState (no costs, no data values).
+    Where ``data_presence`` holds, a block gains data only by RecvData,
+    so upgrading an invalid block's access by AccessChange is an error."""
 
     def __init__(self, protocol: CompiledProtocol, state: MutableState,
-                 node: int, home_of):
+                 node: int, home_of, data_presence: bool):
         self.protocol = protocol
+        self.data_presence = data_presence
         self.state = state
         self._node = node
         self._home_of = home_of
@@ -164,9 +170,16 @@ class CheckerContext(ProtocolContext):
                 f"RecvData but message {self.current_message.tag} "
                 "carries no data")
             return
-        self.access_change(block, mode)
+        self._set_access(block, mode)
 
     def access_change(self, block: int, mode: str) -> None:
+        access = self.state.record(self._node, block)["access"]
+        if (self.data_presence and access == AccessTag.INVALID.value
+                and mode in ("Blk_Upgrade_RO", "Blk_Upgrade_RW")):
+            self.error(f"AccessChange({mode}) on block {block} without data")
+        self._set_access(block, mode)
+
+    def _set_access(self, block: int, mode: str) -> None:
         tag = ACCESS_CHANGE_RESULT.get(mode)
         if tag is None:
             self.error(f"unknown access mode {mode!r}")
@@ -225,7 +238,9 @@ class ReferenceChecker(ModelChecker):
                     message: Message) -> CheckerContext:
         """One atomic protocol action: dispatch plus queue redelivery."""
         prof = self.profiler
-        ctx = CheckerContext(self.protocol, mutable, node, self.home_of)
+        entry = entry_declaring(self.protocol.name)
+        ctx = CheckerContext(self.protocol, mutable, node, self.home_of,
+                             entry is None or entry.coherent)
         interp = self.interpreter_factory(self.protocol, ctx)
         record = mutable.record(node, message.block)
         record["state_changed"] = False
@@ -283,8 +298,9 @@ class ReferenceChecker(ModelChecker):
         return mutable.freeze()
 
     def _successors(self, state: GlobalState):
-        """Yield (label, successor) pairs; CheckerViolation propagates
-        (wrapped as _LabelledViolation)."""
+        """Yield ``(label, successor, None, True)``: no key delta, judged
+        in full; CheckerViolation propagates (wrapped as
+        _LabelledViolation)."""
         # Application events (gated while the network or a deferred queue
         # is congested, to keep the model finite -- see channel_cap).
         congested = any(
@@ -306,7 +322,7 @@ class ReferenceChecker(ModelChecker):
                         state, node, choice.op, choice.new_gen)
                 except CheckerViolation as violation:
                     raise _LabelledViolation(choice.label, violation.message)
-                yield choice.label, successor
+                yield choice.label, successor, None, True
         # Message deliveries (with bounded reordering).
         for src in range(self.n_nodes):
             for dst in range(self.n_nodes):
@@ -321,9 +337,10 @@ class ReferenceChecker(ModelChecker):
                             state, src, dst, index)
                     except CheckerViolation as violation:
                         raise _LabelledViolation(label, violation.message)
-                    yield label, successor
+                    yield label, successor, None, True
         if state.faults != (0, 0):
-            yield from self._fault_successors(state)
+            for label, successor, *_move in self._fault_successors(state):
+                yield label, successor, None, True
 
 
 # Parametrised tests select a successor engine by these names.
@@ -348,7 +365,7 @@ def reachable(checker: ModelChecker, cap: Optional[int] = None) -> list:
     seen, order, cursor = {initial}, [initial], 0
     while cursor < len(order) and (cap is None or len(order) < cap):
         try:
-            for _, successor in checker._successors(order[cursor]):
+            for _, successor, *_move in checker._successors(order[cursor]):
                 if successor not in seen:
                     seen.add(successor)
                     order.append(successor)
@@ -358,17 +375,28 @@ def reachable(checker: ModelChecker, cap: Optional[int] = None) -> list:
     return order if cap is None else order[:cap]
 
 
+def successor_key(checker: ModelChecker, key, successor, delta):
+    """The key the search gives a move's successor out of a state keyed
+    ``key``: the state itself, the parent's key with the move's delta,
+    or the checker's fingerprint of it."""
+    if not checker.fingerprint_states:
+        return successor
+    return checker.fingerprint_fn(successor) if delta is None else key ^ delta
+
+
 def record_expansions(checker: ModelChecker) -> list:
-    """Arm ``checker`` to log the ``(label, successor key)`` of every
-    triple its expand step yields -- the key stream of the engine users
-    run, incremental keys included -- and return the (live) log."""
+    """Arm ``checker`` to log the ``(label, successor key, judge)`` of
+    every move its expand step yields -- the key stream of the engine
+    users run, incremental keys included -- and return the (live) log."""
     log: list = []
     expand = checker._expand
 
     def recording(state, key):
-        for label, successor, succ_key in expand(state, key):
-            log.append((label, succ_key))
-            yield label, successor, succ_key
+        for move in expand(state, key):
+            label, successor, delta, judge = move
+            log.append((label, successor_key(checker, key, successor, delta),
+                        judge))
+            yield move
 
     checker._expand = recording
     return log

@@ -127,10 +127,13 @@ class TestFallbackAndOverrides:
         assert list(lcm.invariant_evals) == [
             "single_writer", "bounded_queues", "bounded_channels",
             "no_parked_continuation_leak"]
-        # Buffered-write's multiple writers are then a violation.
+        # Buffered-write's write-allocate without a fetch then breaks
+        # data presence at its first write, before its multiple writers
+        # can break single_writer.
         buffered = api.check(unlisted("buffered_write"))
         assert not buffered.ok
-        assert "multiple writers" in buffered.violation.message
+        assert buffered.violation.message == (
+            "AccessChange(Blk_Upgrade_RW) on block 0 without data")
 
     def test_options_override_the_registry(self):
         stache_loop = api.CheckOptions(events=StacheEvents())

@@ -21,7 +21,7 @@ from repro.verify.invariants import (
 from repro.verify.model import initial_global_state
 
 from helpers import MINI_SOURCE, check_setup, compile_mini
-from reference_checker import MutableState
+from reference_checker import ENGINES, MutableState
 
 
 def check(name, n_nodes=2, n_blocks=1, reorder=0, **kwargs):
@@ -180,6 +180,41 @@ class TestViolationDetection:
         assert result.hit_state_limit
         assert result.ok  # truncated, not failed
         assert "state limit" in result.summary()
+
+
+class TestDataPresence:
+    """Data values are not modelled, but where a block's data is: a
+    block gains it only by RecvData, so an AccessChange that upgrades an
+    invalid block is an error, in both successor engines."""
+
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_stache_upgrade_of_a_forgotten_sharer_has_no_data(self, engine):
+        # stache.tea:140: the home does not drop an upgrading sharer from
+        # its list, so it invalidates that very cache, then grants it
+        # write access on UPGRADE_ACK.  Safety and liveness both miss it.
+        source = load_protocol_source("stache")
+        mutant = source.replace("      DelSharer(info, src);\n", "", 1)
+        assert mutant != source
+        result = ENGINES[engine](
+            compile_source(mutant,
+                           initial_states=("Home_Idle", "Cache_Invalid")),
+            n_nodes=3, **check_setup("stache")).run()
+        violation = result.violation
+        assert (result.ok, result.states_explored, violation.kind,
+                violation.message, violation.trace[-1]) == (
+            False, 373, "error",
+            "AccessChange(Blk_Upgrade_RW) on block 0 without data",
+            "deliver UPGRADE_ACK 0->1[0] blk=0")
+
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_buffered_write_allocates_without_a_fetch(self, engine):
+        # Its design: a buffered write takes write access at once and
+        # the ownership reply carries no data.  The registry's
+        # coherent=False relaxes data presence with single_writer.
+        result = ENGINES[engine](
+            compile_named_protocol("buffered_write"), n_nodes=3,
+            reorder_bound=1, **check_setup("buffered_write")).run()
+        assert result.ok and result.states_explored == 4690
 
 
 class TestEventGenerators:

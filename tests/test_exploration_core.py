@@ -654,15 +654,15 @@ def test_carried_congestion_count_equals_a_recount(
                 + sum(len(row[0].queue) >= CAP for row in state.blocks))
 
     assert checker._congested(parent) == (recount(parent) > 0)
-    successor = checker._build_successor(parent, node, effects,
-                                         removed=removed)
+    _label, successor, delta, _judge = checker._build_successor(
+        parent, node, effects, removed=removed)
     assert successor.channels == tuple(
         tuple(tuple(channel) for channel in row) for row in expected)
     if queue_after is not None:
         assert len(successor.blocks[node][0].queue) == queue_after
     assert checker._congested(successor) == (recount(successor) > 0)
-    # The same stores, as the terms the builder swapped for _expand.
-    assert fingerprint(parent) ^ checker._delta == fingerprint(successor)
+    # The same stores, as the key delta the builder returns with them.
+    assert fingerprint(parent) ^ delta == fingerprint(successor)
 
 
 def test_state_records_take_keywords_and_print_their_fields():
@@ -781,12 +781,12 @@ _DRAW = st.tuples(st.integers(0, len(_POOLS) - 1), st.integers(min_value=0))
 
 
 def _moves(successors):
-    """The (label, successor) pairs a generator yields, and the label of
-    the error rule that ended it (None when it ran out)."""
+    """The (label, successor) pairs of the moves a generator yields, and
+    the label of the error rule that ended it (None when it ran out)."""
     moves = []
     try:
         for move in successors:
-            moves.append(move)
+            moves.append(move[:2])
     except _LabelledViolation as error:
         return moves, (error.label, error.message)
     return moves, None
@@ -824,12 +824,15 @@ def test_engine_successors_decode_to_the_references(draw):
 
 
 def _kinds_of_keyed_moves(checker) -> set:
-    """Run ``checker`` holding every key its expand step yields to the
+    """Run ``checker`` holding the key of every move its expand step
+    yields -- its parent's with the move's key delta -- to the
     successor's fingerprint; the kinds of move that were seen."""
     expand, kinds = checker._expand, set()
 
     def checking(state, key):
-        for label, successor, succ_key in expand(state, key):
+        for move in expand(state, key):
+            label, successor, delta, _judge = move
+            succ_key = key ^ delta
             assert succ_key == fingerprint(successor), label
             kinds.add(label.split()[0])
             if successor is state:
@@ -839,7 +842,7 @@ def _kinds_of_keyed_moves(checker) -> set:
                 node = int(label.split()[2][0])     # "n->n[i]"
                 if successor.channel(node, node):
                     kinds.add("refill")
-            yield label, successor, succ_key
+            yield move
 
     checker._expand = checking
     assert checker.run().ok

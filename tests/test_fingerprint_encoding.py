@@ -27,7 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference_checker import ENGINES, checker_for, reachable
+from reference_checker import ENGINES, checker_for, reachable, successor_key
 from repro import api
 from repro.faults import FaultBudget
 from repro.protocols import PROTOCOLS
@@ -247,15 +247,18 @@ KEYED_MODES = {
 
 
 def assert_expansions_keyed_by(checker, expected_key, cap=400):
-    """Run ``checker`` (capped) and hold every key its expand step
-    yields, and every key it is entered with, to ``expected_key``."""
+    """Run ``checker`` (capped) and hold the key of every move its
+    expand step yields, as the loop takes it, and every key it is
+    entered with, to ``expected_key``."""
     expand = checker._expand
 
     def checking(state, key):
         assert key == expected_key(state)
-        for label, successor, succ_key in expand(state, key):
-            assert succ_key == expected_key(successor), label
-            yield label, successor, succ_key
+        for move in expand(state, key):
+            label, successor, delta, _judge = move
+            assert successor_key(checker, key, successor, delta) \
+                == expected_key(successor), label
+            yield move
 
     checker._expand = checking
     checker.max_states = cap

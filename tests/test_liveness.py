@@ -90,9 +90,10 @@ def test_symmetry_reaches_the_pinned_verdict(row):
 
 def test_the_pins_hold_the_starvation_kills():
     # 13 line deletions in stache.tea that pass safety checking and
-    # strand a thread; the dropped DelSharer at line 140 survives both.
+    # strand a thread; the dropped DelSharer at line 140 survives both
+    # and is killed by data presence (tests/test_checker.py).
     kinds = {row: PINS[row]["kind"] for row in PINS if ":" in row}
-    assert kinds.pop("stache.tea:140") is None
+    assert kinds.pop("stache.tea:140") == "error"
     assert len(kinds) == 13 and set(kinds.values()) == {"starvation"}
 
 

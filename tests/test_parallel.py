@@ -60,7 +60,7 @@ class TestFingerprint:
         state = initial_state_of("stache")
         encodings = {encode_state(state)}
         seen = {state}
-        for _label, successor in checker._successors(state):
+        for _label, successor, *_move in checker._successors(state):
             if successor in seen:
                 continue
             seen.add(successor)
@@ -87,7 +87,7 @@ class TestFingerprint:
         checker._named_invariants = []
         state = initial_state_of("lcm")
         for _ in range(6):
-            _label, state = next(iter(checker._successors(state)))
+            _label, state, *_move = next(iter(checker._successors(state)))
             restored = state_from_jsonable(
                 json.loads(json.dumps(state_to_jsonable(state))))
             assert restored == state

@@ -171,6 +171,30 @@ class TestPhaseAccounting:
         assert (profile.result["states"] == result.states_explored
                 == profile.timeline[-1]["states"])
 
+    def test_full_suite_states_count_the_whole_judgements(self):
+        # The whole suite judges the initial state and every state where
+        # a fact at a slot its move wrote changed: some states, not all,
+        # the same count at one worker; printed beside the phase.
+        serial = make_serial("lcm_mcc", reorder=1,
+                             profiler=CheckProfiler()).run()
+        judged = serial.profile.full_suite_states
+        assert 0 < judged < serial.states_explored
+        assert f"(full suite on {judged} of {serial.states_explored} " \
+            "states)" in format_profile(serial.profile)
+        assert make_parallel("lcm_mcc", reorder=1, workers=1,
+                             profiler=CheckProfiler()).run() \
+            .profile.full_suite_states == judged
+        # A plain-function invariant has no facts: every state in full.
+        def plain(state, protocol):
+            return None
+
+        factless = ModelChecker(
+            compile_named_protocol("lcm_mcc"), reorder_bound=1,
+            events=events_for_protocol("lcm_mcc"), invariants=[plain],
+            profiler=CheckProfiler()).run()
+        assert factless.profile.full_suite_states \
+            == factless.states_explored
+
     def test_serial_dispatch_counts_match_handler_fires(self):
         result = make_serial("lcm_mcc", reorder=1,
                              profiler=CheckProfiler()).run()
@@ -423,15 +447,16 @@ class TestProfilerUnit:
         assert profiler.phases["visited"] > 0
         assert profiler.out_degree == {2: 1}
 
-        def failing(kind):
-            raise _LabelledViolation("<stuck>", "no rule enabled", kind)
+        def failing():
+            raise _LabelledViolation("n0: read b0", "boom")
             yield
 
-        for kind in ("deadlock", "error"):
-            with pytest.raises(_LabelledViolation):
-                list(profiler.timed(failing(kind)))
-        # A deadlocked state is expanded at out-degree 0; an error rule
-        # cuts its state's expansion short, which is not counted.
+        with pytest.raises(_LabelledViolation):
+            list(profiler.timed(failing()))
+        assert list(profiler.timed(iter([]))) == []
+        # A deadlocked state, with no moves, is expanded at out-degree 0;
+        # an error rule cuts its state's expansion short, which is not
+        # counted.
         assert profiler.out_degree == {2: 1, 0: 1}
 
     def test_dispatch_skips_anonymous(self):
@@ -445,11 +470,12 @@ class TestProfilerUnit:
     def test_merge_worker_accumulates(self):
         profiler = CheckProfiler()
         payload = {"phases": {"successors": 1.0},
-                   "dispatch": {"Home.GET": [3, 0.5]}}
+                   "dispatch": {"Home.GET": [3, 0.5]}, "full_suites": 7}
         profiler.merge_worker(payload)
         profiler.merge_worker(payload)
         assert profiler.phases["successors"] == pytest.approx(2.0)
         assert profiler.dispatch["Home.GET"] == [6, 1.0]
+        assert profiler.full_suites == 14
         # The visited set and the out-degrees are the master's to record.
         assert profiler.visited_stats == {} and profiler.out_degree == {}
 

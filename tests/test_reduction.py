@@ -408,7 +408,7 @@ def _reachable_states(name, cap=200):
     seen, frontier, order = {initial}, [initial], [initial]
     while frontier and len(order) < cap:
         state = frontier.pop(0)
-        for _, successor in checker._successors(state):
+        for _, successor, *_move in checker._successors(state):
             if successor not in seen:
                 seen.add(successor)
                 order.append(successor)

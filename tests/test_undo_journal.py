@@ -46,7 +46,7 @@ def reachable(name, limit=40, reorder=1):
                 successors = list(checker._successors(current))
             except Exception:
                 continue
-            for _label, successor in successors:
+            for _label, successor, *_move in successors:
                 if successor in seen:
                     continue
                 seen.add(successor)
@@ -171,7 +171,7 @@ def test_freeze_matches_incremental_replay(index, node, ops):
         (), None, (node * checker.n_blocks,
                    checker._chan0 + node * checker.n_nodes))
     frozen = freeze(scratch, state)
-    replayed = checker._build_successor(state, node, effects,
-                                        _KEEP_GEN, None)
+    _label, replayed, _delta, _judge = checker._build_successor(
+        state, node, effects, _KEEP_GEN, None)
     assert replayed == frozen
     assert hash(replayed) == hash(frozen)
