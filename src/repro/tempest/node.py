@@ -14,10 +14,12 @@ from heapq import heappush
 from typing import Optional
 
 from repro.lang.errors import RuntimeProtocolError
+from repro.protocols import entry_declaring
 from repro.runtime.context import Message, ProtocolContext, home_node
 from repro.runtime.engine import CompiledEngine
 from repro.tempest.memory import (
     ACCESS_CHANGE_RESULT,
+    AccessTag,
     BlockStore,
     fault_event_for,
 )
@@ -36,6 +38,15 @@ WATCHDOG_BACKOFF = 2.0
 WATCHDOG_RETRIES = 5
 DEDUP_CACHE = 65536
 
+# Data presence: a cache gains a block's data only by RecvData, so an
+# AccessChange that upgrades an invalid block grants access to data the
+# node does not hold -- an error, unless the protocol's registry entry
+# relaxes coherence (coherent=False: Buffered-Write's buffered write
+# takes write access without a fetch).
+_UPGRADES = frozenset(mode for mode in ACCESS_CHANGE_RESULT
+                      if mode.startswith("Blk_Upgrade"))
+_INVALID = AccessTag.INVALID
+
 
 class NodeContext(ProtocolContext):
     """ProtocolContext implementation backed by a simulator node."""
@@ -43,6 +54,8 @@ class NodeContext(ProtocolContext):
     def __init__(self, node: "Node"):
         self._node = node
         self.node = node.node_id
+        entry = entry_declaring(node.protocol.name)
+        self.data_presence = entry is None or entry.coherent
         self.current_message: Optional[Message] = None
         self._record = None     # the current message's BlockRecord
         self.now = 0
@@ -96,12 +109,18 @@ class NodeContext(ProtocolContext):
             node.record_output(message)
         machine.inject(message, self.now)
 
-    def access_change(self, block: int, mode: str) -> None:
+    def access_change(self, block: int, mode: str,
+                      fetched: bool = False) -> None:
         tag = ACCESS_CHANGE_RESULT.get(mode)
         if tag is None:
             self.error(f"unknown access mode {mode!r}")
             return
-        self._node.store.record(block).access = tag
+        record = self._node.store.record(block)
+        if (not fetched and mode in _UPGRADES and record.access is _INVALID
+                and self.data_presence):
+            self.error(f"AccessChange({mode}) on block {block} without data")
+            return
+        record.access = tag
 
     def recv_data(self, block: int, mode: str) -> None:
         message = self.current_message
@@ -111,7 +130,7 @@ class NodeContext(ProtocolContext):
             return
         record = self._node.store.record(block)
         record.data = message.data
-        self.access_change(block, mode)
+        self.access_change(block, mode, True)
 
     def read_word(self, block: int, addr: int):
         data = self._node.store.record(block).data

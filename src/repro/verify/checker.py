@@ -10,10 +10,11 @@ failure.  Exploration is exhaustive up to ``max_states``.
 from __future__ import annotations
 
 import re
+import sys
 import time
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain, compress, islice
 from typing import IO, NamedTuple, Optional
 
 from repro.runtime.context import Message, home_node
@@ -55,9 +56,6 @@ from repro.verify.model import (
     fault_for_access,
     initial_global_state,
 )
-
-# Sentinel: "leave the app generator alone" for _build_successor.
-_KEEP_GEN = object()
 
 # The effects of an action that touched nothing (an application hit:
 # only the event generator advances).
@@ -473,9 +471,9 @@ class ModelChecker:
             lambda cid: tuple([f(cid) for f in chans]))
         self._appended = Memo(lambda key: (APPENDED[key],
                                            cf[key[0]] != cf[APPENDED[key]]))
-        # (channel slot, channel id, index) -> that delivery's (label,
-        # dst, block, message id, channel id afterwards):
-        self._delivery_cache = Memo(self._delivery)
+        # Each channel slot with its sender and receiver, in state order:
+        self._channel_slots = [(slot, *divmod(slot - self._chan0, n_nodes))
+                               for slot in range(self._chan0, self._end)]
         # The run counters and the named invariant suite:
         self._begin_run()
 
@@ -489,30 +487,26 @@ class ModelChecker:
     # reads and writes the acting node's records only (ActionScratch).
     # So the checker journals an action once (ActionScratch +
     # ActionContext), distils it to an ActionEffects cached under that
-    # 4-tuple of ids, with the invariant verdict of the views it writes,
-    # and replays it as one id stored per touched slot of a copy of the
-    # parent's ids.  (The copy-the-world path this replaced is the
-    # differential oracle, tests/reference_checker.py.)
+    # 4-tuple of ids, with the invariant verdict of the views it writes.
+    # A move is a template over those effects, tabled per run under the
+    # ids it reads (_successors), and played (_play) as one id stored per
+    # patched slot of a copy of the parent's ids, plus its sends.  (The
+    # copy-the-world path this replaced is the differential oracle,
+    # tests/reference_checker.py.)
 
     def _action_effects(self, state: GlobalState, node: int, block: int,
                         mid: int, blocked_before) -> ActionEffects:
         """Cached outcome of dispatching message ``mid`` (about
-        ``block``) on ``node``; bumps ``handler_fires`` by the recorded
-        fire sequence, as executing the action would."""
+        ``block``) on ``node``; :meth:`_play` counts its fires."""
         key = (node, state[node * self.n_blocks + block], mid,
                blocked_before)
-        cache = self._action_cache
-        effects = cache.get(key)
+        effects = self._action_cache.get(key)
         if effects is None:
             effects = self._record_action(state, node, MESSAGES[mid],
                                           blocked_before, self.profiler)
-            if self._canon is None:
-                cache[key] = effects
-            else:
-                cache.update(self._certify(state, key, effects))
-        fires = self._handler_fires
-        for fire in effects.fires:
-            fires[fire] = fires.get(fire, 0) + 1
+            self._action_cache.update(
+                {key: effects} if self._canon is None
+                else self._certify(state, key, effects))
         return effects
 
     def _certify(self, state: GlobalState, key: tuple,
@@ -534,15 +528,22 @@ class ModelChecker:
             if theirs is None:
                 theirs = certified[image] = self._record_action(
                     renamed, image[0], MESSAGES[image[2]], key[3])
-            if ((effects.error is None, effects.fires, canon.permute(
-                    self._build_successor(state, key[0], effects)[1], mapping))
-                    != (theirs.error is None, theirs.fires,
-                        self._build_successor(renamed, image[0], theirs)[1])):
+            ours = effects.error is None and canon.permute(
+                self._replayed(state, key[0], effects), mapping)
+            if (ours, effects.fires) != (theirs.error is None and (
+                    self._replayed(renamed, image[0], theirs)), theirs.fires):
                 raise _asymmetric(
                     f"{MESSAGES[key[2]].tag} on node {key[0]} in state "
                     f"{VIEWS[key[1]].state_name} and its image differ",
                     mapping)
         return certified
+
+    def _replayed(self, state: GlobalState, node: int,
+                  effects: ActionEffects) -> GlobalState:
+        """``state`` after ``node`` did the error-free ``effects``."""
+        gen = APPS[state[self._app0 + node]].gen
+        return next(self._play(
+            state, [self._template(state, node, effects, gen)], {}))[1]
 
     def _record_action(self, state: GlobalState, node: int,
                        message: Message, blocked_before,
@@ -587,99 +588,130 @@ class ModelChecker:
                             for slot, vid in effects.views)
         return effects
 
-    def _build_successor(self, state: GlobalState, node: int,
-                         effects: ActionEffects, gen=_KEEP_GEN,
-                         removed=None, label=None) -> tuple:
-        """Replay recorded effects onto ``state``: copy its ids and
-        store one per slot the action touched.  ``removed`` is the
-        delivered message's ``(channel slot, channel id afterwards, the
-        two's terms XORed, whether a channel fact changed)``.  Returns
-        the move: ``label``, the successor, its key delta (the stored
-        slots' terms swapped; None without term tables), ``judge``."""
-        ids = list(state)
-        for slot, vid in effects.views:
-            ids[slot] = vid
+    def _template(self, state: GlobalState, node: int,
+                  effects: ActionEffects, gen: tuple, label=None,
+                  popped=None) -> tuple:
+        """The move ``effects`` make on ``node`` out of ``state`` (or any
+        state with its ids at the slots the move reads): ``(label, fires,
+        error, patch, sends, sent slots, judge, key delta)``.  The patch
+        stores the written views, the app status after (generator
+        ``gen``) and ``popped``: (channel slot, channel id after)."""
+        patch, judge = list(effects.views), effects.judge
         at = self._app0 + node
-        app = APPS[ids[at]]
-        new_gen = app.gen if gen is _KEEP_GEN else gen
-        if new_gen != app.gen or effects.blocked_after != app.blocked_on:
-            key = (effects.blocked_after, new_gen)
+        app = APPS[state[at]]
+        if gen != app.gen or effects.blocked_after != app.blocked_on:
+            key = (effects.blocked_after, gen)
             # An equal plain tuple finds an AppView's id; only a new
             # status builds the record.
             aid = APP_IDS.get(key)
-            ids[at] = APP_IDS[AppView(*key)] if aid is None else aid
-        judge = effects.judge
-        if removed is not None:
+            patch.append((at, APP_IDS[AppView(*key)] if aid is None else aid))
+        if popped is not None:
             # Before the sends: an action may refill the very channel it
             # was delivered from (a node messaging itself).
-            ids[removed[0]] = removed[1]
-            judge = judge or removed[3]
-        appended = self._appended
-        for slot, mid in effects.sends:
-            ids[slot], grew = appended[ids[slot], mid]
-            judge = judge or grew
+            patch.append(popped)
+            facts = self._channel_facts
+            judge = judge or facts[state[popped[0]]] != facts[popped[1]]
         terms, delta = self._slot_terms, None
         if terms is not None:
             # Each stored slot's old term out and new term in, once a
-            # slot (a refilled channel is not as the delivery left it).
+            # slot: a channel the sends refill is swapped where they are.
             delta = 0
-            if removed is not None and ids[removed[0]] == removed[1]:
-                delta = removed[2]
-            if ids[at] != state[at]:
-                delta ^= terms[at][state[at]] ^ terms[at][ids[at]]
-            for slot, vid in effects.views:
-                delta ^= terms[slot][state[slot]] ^ terms[slot][vid]
-            for slot in effects.sent:
-                delta ^= terms[slot][state[slot]] ^ terms[slot][ids[slot]]
-        return label, tuple.__new__(GlobalState, ids), delta, judge
+            for slot, ident in patch:
+                if slot not in effects.sent:
+                    delta ^= terms[slot][state[slot]] ^ terms[slot][ident]
+        return (label, effects.fires, effects.error, tuple(patch),
+                effects.sends, effects.sent, judge, delta)
 
-    def _congested(self, state: GlobalState) -> bool:
-        """Whether any channel or deferred queue sits at the channel
-        cap: asked once per expanded state, answered from the per-id
-        length tables."""
-        cap = self.channel_cap
-        return (max(map(QUEUE_LEN.__getitem__, state[:self._app0])) >= cap
-                or max(map(CHANNEL_LEN.__getitem__,
-                           state[self._chan0:self._end])) >= cap)
+    def _play(self, state: GlobalState, templates, fires: dict):
+        """The one successor builder: yield each template's move out of
+        ``state``, its fires counted into ``fires``, its error raised."""
+        terms, appended = self._slot_terms, self._appended
+        for label, fired, error, patch, sends, sent, judge, delta \
+                in templates:
+            for fire in fired:
+                fires[fire] = fires.get(fire, 0) + 1
+            if error is not None:
+                raise _LabelledViolation(label, error)
+            if not patch and not sends:     # a hit leaving the generator
+                yield label, state, delta, judge
+                continue
+            ids = list(state)
+            for slot, ident in patch:
+                ids[slot] = ident
+            for slot, mid in sends:
+                ids[slot], grew = appended[ids[slot], mid]
+                judge = judge or grew
+            if sent and terms is not None:
+                for slot in sent:
+                    delta ^= terms[slot][state[slot]] ^ terms[slot][ids[slot]]
+            yield label, tuple.__new__(GlobalState, ids), delta, judge
 
-    def _apply_app_op(self, state: GlobalState, node: int, choice) -> tuple:
-        """Issue an application choice; returns its move as
-        :meth:`_build_successor` does."""
-        op, new_gen, label = choice.op, choice.new_gen, choice.label
-        kind = op[0]
-        if kind in ("read", "write"):
-            block = op[1]
-            access = VIEWS[state[node * self.n_blocks + block]].access
-            tag = _ACCESS_FAULTS[access, kind]
-            if tag is None:
-                # Hit: only the generator advanced.  With an unchanged
-                # generator the successor IS the parent (a self-loop).
-                if new_gen == APPS[state[self._app0 + node]].gen:
-                    return label, state, 0, False
-                return self._build_successor(state, node, _NO_EFFECTS,
-                                             new_gen, label=label)
-            payload = ()
-        else:  # program event (CAS, sync, LCM enter/exit, ...)
-            tag, block = op[1], op[2]
-            payload = op[3] if len(op) > 3 else ()
-        effects = self._action_effects(
-            state, node, block, _OP_MESSAGES[node, tag, block, payload],
-            block)
-        if effects.error is not None:
-            raise CheckerViolation(effects.error)
-        return self._build_successor(state, node, effects, new_gen,
-                                     label=label)
+    def _app_moves_of(self, state: GlobalState, node: int) -> tuple:
+        """The application table's entry for ``node`` in ``state``: the
+        templates of its choices (none while it is blocked)."""
+        templates = []
+        for choice in self._choice_cache[node, state[self._app0 + node]]:
+            op = choice.op
+            if op[0] in ("read", "write"):
+                block, payload = op[1], ()
+                tag = _ACCESS_FAULTS[VIEWS[
+                    state[node * self.n_blocks + block]].access, op[0]]
+            else:  # program event (CAS, sync, LCM enter/exit, ...)
+                tag, block = op[1], op[2]
+                payload = op[3] if len(op) > 3 else ()
+            # A hit: only the generator advances.  With an unchanged
+            # generator the successor IS the parent (a self-loop).
+            effects = _NO_EFFECTS if tag is None else self._action_effects(
+                state, node, block, _OP_MESSAGES[node, tag, block, payload],
+                block)
+            templates.append(self._template(state, node, effects,
+                                            choice.new_gen, choice.label))
+        return tuple(templates)
 
-    def _delivery(self, key: tuple) -> tuple:
-        slot, cid, index = key
-        src, dst = divmod(slot - self._chan0, self.n_nodes)
-        after, mid = REMOVED[cid, index]
-        message = MESSAGES[mid]
-        terms, facts = self._slot_terms, self._channel_facts
-        swap = 0 if terms is None else terms[slot][cid] ^ terms[slot][after]
-        return (_message_label("deliver", message, src, dst, index), dst,
-                message.block, mid,
-                (slot, after, swap, facts[cid] != facts[after]))
+    def _deliveries_of(self, state: GlobalState, slot: int, src: int,
+                       dst: int) -> tuple:
+        """The delivery table's entry for ``state``'s channel ``slot``:
+        whether it sits at the cap, and the reorder window's templates."""
+        cid, app = state[slot], APPS[state[self._app0 + dst]]
+        templates = []
+        for index in range(min(CHANNEL_LEN[cid], self.reorder_bound + 1)):
+            after, mid = REMOVED[cid, index]
+            message = MESSAGES[mid]
+            effects = self._action_effects(state, dst, message.block, mid,
+                                           app.blocked_on)
+            # (One string per label, whatever receiver the entry is for.)
+            templates.append(self._template(
+                state, dst, effects, app.gen, sys.intern(_message_label(
+                    "deliver", message, src, dst, index)), (slot, after)))
+        return CHANNEL_LEN[cid] >= self.channel_cap, tuple(templates)
+
+    def _faults_of(self, state: GlobalState) -> list:
+        """Fault transitions: lose or duplicate any in-flight message,
+        while budget remains.  Pure edits of two slots, a channel and a
+        budget -- no handler runs -- so they cannot raise.  Note these
+        never fire on an empty network, so fault budgets cannot mask a
+        real deadlock (a state with all nodes blocked and no messages in
+        flight still has no successor)."""
+        terms, facts, delta, templates = (self._slot_terms,
+                                          self._channel_facts, None, [])
+        for slot, src, dst in self._channel_slots:
+            cid = state[slot]
+            for index in range(CHANNEL_LEN[cid]):
+                dropped, mid = REMOVED[cid, index]
+                for kind, budget in (("drop", -4), ("dup", -3)):
+                    if not state[budget]:
+                        continue
+                    after = dropped if kind == "drop" else APPENDED[cid, mid]
+                    spent = state[budget] - 1
+                    if terms is not None:
+                        delta = (terms[slot][cid] ^ terms[slot][after]
+                                 ^ terms[budget][state[budget]]
+                                 ^ terms[budget][spent])
+                    templates.append((
+                        _message_label(kind, MESSAGES[mid], src, dst, index),
+                        (), None, ((slot, after), (budget, spent)), (), (),
+                        facts[cid] != facts[after], delta))
+        return templates
 
     def _choices(self, key: tuple) -> tuple:
         node, app = key[0], APPS[key[1]]
@@ -712,43 +744,42 @@ class ModelChecker:
 
     def _successors(self, state: GlobalState):
         """Yield ``(label, successor, key delta, judge)`` for the moves
-        out of ``state`` (:meth:`_build_successor`); a protocol error
-        surfaces as :class:`_LabelledViolation`.
+        out of ``state`` (:meth:`_play`); a protocol error surfaces as
+        :class:`_LabelledViolation`.
 
         The one enumeration of a state's moves -- application choices
         while uncongested, then deliveries inside the reorder window,
         then fault transitions -- behind exploration and trace replay."""
-        app0 = self._app0
-        # Application events (gated while the network or a deferred queue
-        # is congested, to keep the model finite -- see channel_cap).
-        if not self._congested(state):
-            choices = self._choice_cache
-            for node in range(self.n_nodes):
-                for choice in choices[node, state[app0 + node]]:
-                    try:
-                        move = self._apply_app_op(state, node, choice)
-                    except CheckerViolation as violation:
-                        raise _LabelledViolation(choice.label,
-                                                 violation.message)
-                    yield move
-        # Message deliveries (with bounded reordering).
-        window = self.reorder_bound + 1
-        deliveries = self._delivery_cache
-        for slot in range(self._chan0, self._end):
-            cid = state[slot]
-            if not cid:
-                continue
-            for index in range(min(CHANNEL_LEN[cid], window)):
-                label, dst, block, mid, removed = deliveries[slot, cid, index]
-                effects = self._action_effects(
-                    state, dst, block, mid,
-                    APPS[state[app0 + dst]].blocked_on)
-                if effects.error is not None:
-                    raise _LabelledViolation(label, effects.error)
-                yield self._build_successor(state, dst, effects,
-                                            removed=removed, label=label)
+        app0, chan0, blocks = self._app0, self._chan0, self.n_blocks
+        # Each node's key, (node, app id, its view ids):
+        nodes = list(zip(range(self.n_nodes), state[app0:chan0], *[
+            state[block:app0:blocks] for block in range(blocks)]))
+        # Application events are gated while a deferred queue or (as its
+        # delivery entry says) a channel sits at the cap, to keep the
+        # model finite -- see channel_cap.
+        congested = max(map(QUEUE_LEN.__getitem__,
+                            state[:app0])) >= self.channel_cap
+        groups, table = [], self._delivery_moves
+        for slot, src, dst in compress(self._channel_slots,
+                                       state[chan0:self._end]):
+            key = (slot, state[slot]) + nodes[dst]
+            entry = table.get(key)
+            if entry is None:
+                entry = table[key] = self._deliveries_of(state, slot, src,
+                                                         dst)
+            congested = congested or entry[0]
+            groups.append(entry[1])
+        if not congested:
+            table = self._app_moves
+            for node, key in enumerate(nodes):
+                group = table.get(key)
+                if group is None:
+                    group = table[key] = self._app_moves_of(state, node)
+                groups.insert(node, group)
         if state[-4] or state[-3]:
-            yield from self._fault_successors(state)
+            groups.append(self._faults_of(state))
+        yield from self._play(state, chain.from_iterable(groups),
+                              self._handler_fires)
 
     def _fire_key(self, at: tuple) -> Optional[str]:
         """Coverage accounting: the arm key (``"State.MESSAGE"``) of the
@@ -758,35 +789,6 @@ class ModelChecker:
         state = self.protocol.states.get(at[0])
         return state.dispatch(at[1]) if state is not None else None
 
-    def _fault_successors(self, state: GlobalState):
-        """Fault transitions: lose or duplicate any in-flight message,
-        while budget remains.  Pure edits of two slots, a channel and a
-        budget -- no handler runs -- so they cannot raise.  Note these
-        never fire on an empty network, so fault budgets cannot mask a
-        real deadlock (a state with all nodes blocked and no messages in
-        flight still has no successor)."""
-        terms, facts, delta = self._slot_terms, self._channel_facts, None
-        for slot in range(self._chan0, self._end):
-            src, dst = divmod(slot - self._chan0, self.n_nodes)
-            cid = state[slot]
-            for index in range(CHANNEL_LEN[cid]):
-                dropped, mid = REMOVED[cid, index]
-                message = MESSAGES[mid]
-                for kind, budget in (("drop", -4), ("dup", -3)):
-                    if not state[budget]:
-                        continue
-                    ids = list(state)
-                    ids[slot] = (dropped if kind == "drop"
-                                 else APPENDED[cid, mid])
-                    ids[budget] -= 1
-                    if terms is not None:
-                        delta = (terms[slot][cid] ^ terms[slot][ids[slot]]
-                                 ^ terms[budget][state[budget]]
-                                 ^ terms[budget][ids[budget]])
-                    yield (_message_label(kind, message, src, dst, index),
-                           tuple.__new__(GlobalState, ids), delta,
-                           facts[cid] != facts[ids[slot]])
-
     # -- search -------------------------------------------------------------
 
     def _begin_run(self) -> None:
@@ -794,9 +796,10 @@ class ModelChecker:
         Also runs at construction, so a fresh checker (a replay clone)
         can step and judge states at once."""
         # (node, view id, message id, blocked_on) -> the ActionEffects
-        # this run recorded (under symmetry, certified with its images):
-        # every run records its own and drops them when it ends.
-        self._action_cache = {}
+        # this run recorded (under symmetry, certified with its images),
+        # and the move tables over them (_successors): every run records
+        # its own and drops them when it ends.
+        self._action_cache, self._app_moves, self._delivery_moves = {}, {}, {}
         self._invariant_evals = {}
         self._handler_fires = {}
         self._max_depth = 0
@@ -910,10 +913,9 @@ class ModelChecker:
         self._max_depth = cut.max_depth
         self._invariant_evals = cut.invariant_evals
         self._handler_fires = cut.handler_fires
-        # The visited set and parent pointers are keyed either by the
-        # state itself or, in fingerprint mode, by its 64-bit digest.
-        visited: set = cut.visited
-        parents: dict = cut.parents
+        # The parent pointers, keyed either by the state itself or, in
+        # fingerprint mode, by its 64-bit digest, are the visited set.
+        visited = parents = cut.parents
         seeds = replay_frontier(self, parents, cut.frontier, cut.states,
                                 self.resume)
         # (state, key, depth) entries: accepted, awaiting expansion.
@@ -940,8 +942,7 @@ class ModelChecker:
                     entries=len(visited),
                     mode=("fingerprint" if self.fingerprint_states
                           else "state"),
-                    container_bytes=visited_container_bytes(
-                        visited, parents))
+                    container_bytes=visited_container_bytes(parents))
             result = self._finish(
                 violation, policy=policy, states=len(visited),
                 frontier=len(frontier), transitions=transitions,
@@ -959,7 +960,6 @@ class ModelChecker:
         def take(state, key, pkey, label, d, judge=True) -> Optional[str]:
             """Take a fresh state into the search: bookkeeping, the accept
             step and, unless an invariant failed, a frontier slot."""
-            visited.add(key)
             parents[key] = (pkey, label)
             if graph is not None:
                 graph.state(key, sum(
@@ -997,8 +997,8 @@ class ModelChecker:
                 invariant_evals={
                     name: max(0, count - len(pending))
                     for name, count in self._invariant_evals.items()},
-                handler_fires=self._handler_fires, visited=visited,
-                parents=parents, frontier=pending, states={},
+                handler_fires=self._handler_fires, parents=parents,
+                frontier=pending, states={},
                 ).write(self, durable)
 
         # The top of the loop is a clean cut (see CutPolicy): every

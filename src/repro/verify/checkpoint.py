@@ -77,10 +77,11 @@ PERIODIC_SPACING_RATIO = 19.0
 PROGRESS_SPACING_SECONDS = 1.0
 
 
-def visited_container_bytes(visited, parents) -> int:
+def visited_container_bytes(parents) -> int:
     """The profiler's ``visited_bytes`` stat: the container overhead of
-    the visited set and parent table (the memory budget measures RSS)."""
-    return sys.getsizeof(visited) + sys.getsizeof(parents)
+    the parent table, which is the visited set (the memory budget
+    measures RSS)."""
+    return sys.getsizeof(parents)
 
 
 def peak_rss_mb() -> float:
@@ -410,12 +411,13 @@ def _edge(record) -> tuple:
 
 @dataclass
 class Cut:
-    """The exploration at a clean cut: ``visited`` is fully expanded,
-    ``frontier`` waits unaccepted (before dedupe and invariants, one
-    canonical edge per state), the counters are what reaching the cut
-    cost.  A run starts from one (:func:`starting_cut`: a decoded
-    checkpoint or the initial state), and every checkpoint is one
-    written out (:meth:`write`).  Fingerprints are ints."""
+    """The exploration at a clean cut: ``parents`` holds the visited
+    states, fully expanded, ``frontier`` waits unaccepted (before
+    dedupe and invariants, one canonical edge per state), the counters
+    are what reaching the cut cost.  A run starts from one
+    (:func:`starting_cut`: a decoded checkpoint or the initial state),
+    and every checkpoint is one written out (:meth:`write`).
+    Fingerprints are ints."""
 
     wave: int
     transitions: int
@@ -423,17 +425,17 @@ class Cut:
     elapsed: float
     invariant_evals: dict
     handler_fires: dict
-    visited: set
     parents: dict    # fp -> (parent fp | None, label), expanded states
     frontier: dict   # fp -> (parent fp | None, label, depth), unaccepted
     states: dict     # fp -> concrete frontier state, where stored inline
 
     def encode(self, echo: dict) -> dict:
         """The v2 payload, its containers as generators of their JSON
-        (:func:`_json_batches`).  ``visited`` and ``parents`` may be a
-        writer's live containers, already holding the frontier (the
-        serial loop accepts a state when it queues it): frontier keys
-        are skipped there, so no writer copies a container."""
+        (:func:`_json_batches`); ``visited`` lists the keys of
+        ``parents``.  That may be a writer's live container, already
+        holding the frontier (the serial loop accepts a state when it
+        queues it): frontier keys are skipped there, so no writer copies
+        a container."""
         frontier, parents = self.frontier, self.parents
         return {
             **echo,
@@ -442,7 +444,7 @@ class Cut:
             **{key: getattr(self, key) for key in _COUNTED},
             "visited": _json_batches(
                 "[]", lambda fps: [f"{fp:016x}" for fp in fps],
-                (fp for fp in self.visited if fp not in frontier)),
+                (fp for fp in parents if fp not in frontier)),
             # Sorted as the seal's canonical JSON sorts keys: 64-bit
             # fingerprints' 16-digit hex sorts as the ints do.
             "parents": _json_batches(
@@ -482,13 +484,15 @@ def decode_checkpoint(payload: dict, echo: dict, path: str) -> Cut:
         raise CheckpointError(
             f"{path}: checkpoint is for a different configuration "
             f"({diffs})")
-    visited = {int(fp, 16) for fp in payload["visited"]}
+    # ``visited`` lists the keys of ``parents``, which is read instead.
+    parents = {int(fp, 16): (_unhex(pfp), label)
+               for fp, (pfp, label) in payload["parents"].items()}
     # The frontier is pre-acceptance in the on-disk format: a state may
     # be proposed by several senders, or already be visited at its owner.
     frontier = min_edge_fold(
         ((int(fp, 16), _unhex(pfp), label, depth, state)
          for fp, state, pfp, label, depth in payload["frontier"]),
-        visited)
+        parents)
     return Cut(
         wave=payload["wave"],
         transitions=payload["transitions"],
@@ -496,9 +500,7 @@ def decode_checkpoint(payload: dict, echo: dict, path: str) -> Cut:
         elapsed=payload["elapsed"],
         invariant_evals=dict(payload["invariant_evals"]),
         handler_fires=dict(payload["handler_fires"]),
-        visited=visited,
-        parents={int(fp, 16): (_unhex(pfp), label)
-                 for fp, (pfp, label) in payload["parents"].items()},
+        parents=parents,
         frontier={fp: (pfp, label, depth)
                   for fp, pfp, label, depth, _state in frontier.values()},
         states={fp: state_from_jsonable(record[4])
@@ -517,7 +519,7 @@ def starting_cut(checker) -> Cut:
     key = (checker.fingerprint_fn(initial) if checker.fingerprint_states
            else initial)
     return Cut(wave=0, transitions=0, max_depth=0, elapsed=0.0,
-               invariant_evals={}, handler_fires={}, visited=set(),
+               invariant_evals={}, handler_fires={},
                parents={}, frontier={key: (None, "<initial>", 0)},
                states={key: initial})
 

@@ -170,7 +170,7 @@ SLOT_TERMS = Memo(_slot_terms)
 def fingerprint(state: GlobalState) -> int:
     """Stable 64-bit fingerprint of a global state: the XOR of its
     slots' terms, one C-level pass.  This is the definition; the checker
-    derives a successor's from its parent's (``_build_successor``)."""
+    derives a successor's from its parent's (``ModelChecker._play``)."""
     return reduce(xor, map(getitem, SLOT_TERMS[state[-2:]], state))
 
 

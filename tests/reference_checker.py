@@ -339,7 +339,8 @@ class ReferenceChecker(ModelChecker):
                         raise _LabelledViolation(label, violation.message)
                     yield label, successor, None, True
         if state.faults != (0, 0):
-            for label, successor, *_move in self._fault_successors(state):
+            for label, successor, *_move in self._play(
+                    state, self._faults_of(state), {}):
                 yield label, successor, None, True
 
 

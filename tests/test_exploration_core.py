@@ -24,6 +24,7 @@ import io
 import json
 import re
 import warnings
+from collections import Counter
 from contextlib import contextmanager
 from functools import partial
 from pathlib import Path
@@ -42,6 +43,7 @@ from repro.api import (
 )
 from repro.compiler.pipeline import compile_source
 from repro.faults import FaultBudget
+from repro.obs.profile import CheckProfiler
 from repro.runtime.context import Message
 from repro.verify import CheckpointError, WorkerLostError, load_checkpoint
 from repro.verify.checkpoint import (
@@ -54,7 +56,12 @@ from repro.verify.checkpoint import (
     write_checkpoint,
 )
 from repro.verify import checkpoint, model
-from repro.verify.checker import ModelChecker, _LabelledViolation
+from repro.verify.checker import (
+    _OP_MESSAGES,
+    ModelChecker,
+    _LabelledViolation,
+    parse_label,
+)
 from repro.verify.fingerprint import SymmetryCanonicalizer, fingerprint
 from repro.verify.model import (
     ActionEffects,
@@ -262,7 +269,6 @@ def sample_cut():
     return Cut(
         wave=2, transitions=17, max_depth=1, elapsed=0.25,
         invariant_evals={"swmr": 3}, handler_fires={"Home_Idle.GET": 2},
-        visited={1, 2, 2 ** 64 - 1},
         parents={1: (None, "<initial>"), 2: (1, "a"),
                  2 ** 64 - 1: (1, "b")},
         frontier={7: (2, "c", 2), 9: (2 ** 64 - 1, "d", 2)},
@@ -560,7 +566,11 @@ def test_engine_tables_hold_no_per_transition_entries():
                                      **check_setup("lcm"), **options)
         result = model_checker.run()
         assert result.transitions > 3 * result.states_explored
-        assert 0 < len(model_checker._action_cache) <= result.states_explored
+        # Effects per action, move templates per ids a node's moves read:
+        for table in (model_checker._action_cache,
+                      model_checker._app_moves,
+                      model_checker._delivery_moves):
+            assert 0 < len(table) <= result.states_explored
         return result.states_explored
 
     concrete_states = run()
@@ -589,6 +599,48 @@ def test_engine_tables_hold_no_per_transition_entries():
     assert table_sizes() == sizes
 
 
+def test_move_tables_record_what_the_engine_recorded():
+    """The move tables sit over the action-effects cache and record
+    through it: a run records the same actions, and executes (and
+    times) the same dispatches, as recording per move did -- keyed by
+    state, by fingerprint or by orbit."""
+    protocol = api.compile_protocol("lcm", CheckOptions().compile)
+    for options, states, executed in (({}, 7658, 1563),
+                                      ({"fingerprint_states": True}, 7658,
+                                       1563),
+                                      ({"symmetry": True}, 3882, 786)):
+        profiler = CheckProfiler()
+        checker = ModelChecker(protocol, n_nodes=3, profiler=profiler,
+                               **check_setup("lcm"), **options)
+        result = checker.run()
+        assert result.states_explored == states
+        assert len(checker._action_cache) == 945
+        assert sum(count for count, _seconds
+                   in profiler.dispatch.values()) == executed
+        assert {key: entry["count"] for key, entry
+                in result.profile.dispatch.items()} == result.handler_fires
+
+
+@pytest.mark.parametrize("symmetry", [False, True])
+def test_a_congested_state_builds_no_application_moves(symmetry):
+    """At the cap, application moves are gated before their table is
+    read: a congested state records, and certifies, deliveries only."""
+    congested = [state for state in reachable(checker_for(
+        ModelChecker, "stache", nodes=3, channel_cap=1), 200)
+        if state.messages_in_flight()]
+    assert congested
+    checker = checker_for(ModelChecker, "stache", nodes=3, channel_cap=1,
+                          symmetry=symmetry)
+    for state in congested:
+        labels = [label for label, *_move in checker._successors(state)]
+        assert labels and all(label.startswith("deliver")
+                              for label in labels)
+    assert checker._app_moves == {} and len(checker._choice_cache) == 0
+    assert checker._delivery_moves and checker._action_cache
+    assert not ({mid for _node, _view, mid, _blocked in checker._action_cache}
+                & set(_OP_MESSAGES.values()))
+
+
 # ---------------------------------------------------------------------------
 # (vii) the state records: a flat tuple of component ids, keyword-
 #       constructible, and the congestion gate is a recount
@@ -605,8 +657,19 @@ def _channel(src, dst, length):
 
 
 def _view(queue_len):
-    return BlockView("Cache_Invalid", (), (), "Invalid",
+    return BlockView("Cache_Invalid", (), (), "inv",
                      _channel(0, 0, queue_len))
+
+
+class _Inert:
+    """An engine whose handlers do nothing: a delivery only takes its
+    message out of the channel, an application miss only blocks."""
+
+    def __init__(self, _protocol, _ctx):
+        pass
+
+    def dispatch(self):
+        pass
 
 
 @settings(max_examples=200, deadline=None)
@@ -616,53 +679,60 @@ def _view(queue_len):
        send_to=st.lists(st.integers(0, N - 1), max_size=3),
        remove=st.none() | st.tuples(st.integers(0, N - 1),
                                     st.integers(0, CAP)))
-def test_carried_congestion_count_equals_a_recount(
+def test_application_moves_exactly_where_the_recount_is_zero(
         fills, queues, node, queue_after, send_to, remove):
     """Every way a channel or queue can cross ``channel_cap`` in one
     action -- the delivered message leaving a full channel, sends
     refilling that same channel (``node`` to itself), two sends to one
     destination, a deferred queue growing or draining past the cap --
-    and on both sides of it the gate the engine reads off the per-id
-    length tables equals a recount over the decoded lists, and the key
-    delta the builder leaves is the one between the two fingerprints."""
+    and on both sides of it: a move template played builds the expected
+    successor, its key delta is the one between the two fingerprints,
+    and ``_successors`` offers application moves exactly where a
+    recount over the decoded lists finds nothing at the cap (and every
+    delivery either way)."""
     checker = ModelChecker(api.compile_protocol("stache"), n_nodes=N,
-                           channel_cap=CAP, fingerprint_states=True)
+                           channel_cap=CAP, fingerprint_states=True,
+                           interpreter_factory=_Inert)
     parent = GlobalState(
         blocks=tuple((_view(queues[n]),) for n in range(N)),
         apps=tuple(AppView(None, ()) for _ in range(N)),
         channels=tuple(tuple(_channel(s, d, fills[s * N + d])
                              for d in range(N)) for s in range(N)))
     expected = [[list(channel) for channel in row] for row in parent.channels]
-    removed = None
+    popped = None
     if remove is not None and remove[1] < len(parent.channels[remove[0]][node]):
         slot = N * (1 + 1 + remove[0]) + node
-        label, dst, block, mid, removed = checker._delivery_cache[
-            slot, parent[slot], remove[1]]
+        after, mid = model.REMOVED[parent[slot], remove[1]]
+        popped = (slot, after)
         taken = expected[remove[0]][node].pop(remove[1])
-        assert (dst, block, model.MESSAGES[mid]) == (node, 0, taken)
-        assert label == f"deliver REQ {remove[0]}->{node}[{remove[1]}] blk=0"
+        assert model.MESSAGES[mid] == taken
     sends = tuple(_MSG(src=node, dst=dst, payload=(9,)) for dst in send_to)
     for message in sends:
         expected[node][message.dst].append(message)
     views = () if queue_after is None else ((0, _view(queue_after)),)
     effects = ActionEffects(views, sends, None, (), None,
                             (node, N * (1 + 1 + node)))
+    template = checker._template(parent, node, effects, (), "move", popped)
+    [(_label, successor, delta, _judge)] = checker._play(
+        parent, [template], {})
+    assert successor.channels == tuple(
+        tuple(tuple(channel) for channel in row) for row in expected)
+    if queue_after is not None:
+        assert len(successor.blocks[node][0].queue) == queue_after
+    # The same stores, as the key delta the template carries with them.
+    assert fingerprint(parent) ^ delta == fingerprint(successor)
 
     def recount(state):
         return (sum(len(channel) >= CAP
                     for row in state.channels for channel in row)
                 + sum(len(row[0].queue) >= CAP for row in state.blocks))
 
-    assert checker._congested(parent) == (recount(parent) > 0)
-    _label, successor, delta, _judge = checker._build_successor(
-        parent, node, effects, removed=removed)
-    assert successor.channels == tuple(
-        tuple(tuple(channel) for channel in row) for row in expected)
-    if queue_after is not None:
-        assert len(successor.blocks[node][0].queue) == queue_after
-    assert checker._congested(successor) == (recount(successor) > 0)
-    # The same stores, as the key delta the builder returns with them.
-    assert fingerprint(parent) ^ delta == fingerprint(successor)
+    for state in (parent, successor):
+        kinds = Counter(parse_label(label).kind
+                        for label, *_move in checker._successors(state))
+        assert (kinds["app"] > 0) == (recount(state) == 0)
+        assert kinds["deliver"] == sum(
+            1 for row in state.channels for channel in row if channel)
 
 
 def test_state_records_take_keywords_and_print_their_fields():

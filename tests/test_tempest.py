@@ -292,3 +292,55 @@ class TestMachine:
             return machine.run().cycles
 
         assert run_once() == run_once()
+
+
+class TestSimulatedDataPresence:
+    """The simulator's own data-presence rule: a cache gains a block's
+    data only by RecvData, so an AccessChange that upgrades an invalid
+    block fails the run -- unless the registry relaxes coherence."""
+
+    RUNS = [(seed, jitter) for seed in range(4) for jitter in (0, 50)]
+
+    @staticmethod
+    def simulate(target, seed, jitter):
+        from repro import api
+        from repro.api import SimOptions
+        from repro.workloads.table1 import mp3d_programs
+
+        return api.simulate(target, programs=mp3d_programs(
+            n_nodes=4, seed=seed), options=SimOptions(nodes=4, jitter=jitter))
+
+    @pytest.mark.parametrize("seed,jitter", RUNS)
+    def test_stache_upgrade_of_a_forgotten_sharer_fails(self, seed, jitter):
+        # stache.tea:140, as the checker's TestDataPresence plants it:
+        # the home grants write access to a cache it has invalidated.
+        from repro.protocols import load_protocol_source
+
+        source = load_protocol_source("stache")
+        mutant = source.replace("      DelSharer(info, src);\n", "", 1)
+        assert mutant != source
+        with pytest.raises(RuntimeProtocolError, match=(
+                r"AccessChange\(Blk_Upgrade_RW\) on block \d+ without data")):
+            self.simulate(mutant, seed, jitter)
+
+    @pytest.mark.parametrize("name", ["stache", "stache_sm", "stache_cas",
+                                      "stache_evict", "stache_nack", "dash",
+                                      "buffered_write"])
+    def test_registered_protocols_keep_their_data(self, name):
+        for seed, jitter in self.RUNS:
+            assert self.simulate(name, seed, jitter).cycles > 0
+
+    def test_buffered_write_is_exempt_by_its_registry_entry(self, monkeypatch):
+        # Its buffered write takes access without a fetch: with the rule
+        # forced on, the same run fails.
+        from repro.tempest import node
+
+        init = node.NodeContext.__init__
+
+        def presence_on(ctx, owner):
+            init(ctx, owner)
+            ctx.data_presence = True
+
+        monkeypatch.setattr(node.NodeContext, "__init__", presence_on)
+        with pytest.raises(RuntimeProtocolError, match="without data"):
+            self.simulate("buffered_write", 0, 0)

@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 from repro.protocols import compile_named_protocol
 from repro.runtime.context import Message
 from repro.tempest.memory import AccessTag
-from repro.verify.checker import _KEEP_GEN, ModelChecker
+from repro.verify.checker import ModelChecker
 from repro.verify.fingerprint import state_to_jsonable
 from repro.verify.model import (
     ActionEffects,
@@ -161,7 +161,8 @@ def test_mutations_never_leak_into_parent(index, node, ops):
        node=NODES, ops=OPS)
 def test_freeze_matches_incremental_replay(index, node, ops):
     """:func:`freeze` (the slow reference) and the checker's tuple-surgery
-    replay of the distilled effects must build the same successor."""
+    replay of the distilled effects, a move template played, must build
+    the same successor."""
     checker, state = POOL[index]
     scratch = ActionScratch(state, node)
     for op in ops:
@@ -171,7 +172,6 @@ def test_freeze_matches_incremental_replay(index, node, ops):
         (), None, (node * checker.n_blocks,
                    checker._chan0 + node * checker.n_nodes))
     frozen = freeze(scratch, state)
-    _label, replayed, _delta, _judge = checker._build_successor(
-        state, node, effects, _KEEP_GEN, None)
+    replayed = checker._replayed(state, node, effects)
     assert replayed == frozen
     assert hash(replayed) == hash(frozen)
