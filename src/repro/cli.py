@@ -29,6 +29,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import warnings
 
 from repro import api
 from repro.api import CheckOptions, CompileOptions, FaultOptions, SimOptions
@@ -175,7 +176,10 @@ def cmd_verify(args) -> int:
                                       atlas=bool(args.atlas_out)),
     )
     try:
-        result = api.check(protocol, options)
+        # A warning (the symmetry fallback's) is a note line, too.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", RuntimeWarning)
+            result = api.check(protocol, options)
     except (verify.CheckpointError, verify.WorkerLostError,
             ValueError) as error:
         # Bad checkpoint files, dead workers and rejected option
@@ -185,6 +189,9 @@ def cmd_verify(args) -> int:
         # verify.parallel for WorkerLostError.)
         print(f"error: {error}", file=sys.stderr)
         return 1
+    finally:
+        for warning in caught:
+            print(f"note: {warning.message}", file=sys.stderr)
     print(result.summary())
     stop = result.stop_reason
     # Starvation is judged over the whole explored graph, so a run that

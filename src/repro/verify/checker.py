@@ -800,7 +800,6 @@ class ModelChecker:
         # and the move tables over them (_successors): every run records
         # its own and drops them when it ends.
         self._action_cache, self._app_moves, self._delivery_moves = {}, {}, {}
-        self._invariant_evals = {}
         self._handler_fires = {}
         self._max_depth = 0
         # (name, invariant, whether it has facts): a successor whose
@@ -830,7 +829,7 @@ class ModelChecker:
             elapsed_seconds=elapsed, violation=violation,
             n_nodes=self.n_nodes, n_blocks=self.n_blocks,
             reorder_bound=self.reorder_bound, hit_state_limit=hit_limit,
-            invariant_evals=dict(invariant_evals),
+            invariant_evals=invariant_evals,
             handler_fires=dict(handler_fires),
             exhausted=stopped is None,
             fault_budget=self.fault_budget,
@@ -881,21 +880,22 @@ class ModelChecker:
                 policy: CutPolicy, frontier: int, **counts) -> CheckResult:
         """The end of every run: replay-validate a counterexample built
         from fingerprints, take the timeline's final point (and progress
-        line) from ``policy``, and build the :class:`CheckResult`
-        (``counts`` are :meth:`_result`'s keywords; ``elapsed`` includes
-        a resumed checkpoint's) with the profile."""
+        line) from ``policy``, and build the :class:`CheckResult` and its
+        evaluation counts (``counts`` are :meth:`_result`'s keywords;
+        ``elapsed`` includes a resumed checkpoint's) with the profile."""
         if (violation is not None and self.fingerprint_states
                 and violation.kind != "starvation"):
             # Collision guard: the trace came from fingerprint-keyed
             # parent pointers; make sure it actually replays (_starvation
             # replayed its own witness).
             self.verify_violation(violation)
+        evals = self._invariant_counts(counts["states"], violation)
         timeline = policy.finish(
             counts["states"], frontier, counts["max_depth"],
-            counts["transitions"], counts["invariant_evals"],
-            counts["elapsed"])
+            counts["transitions"], sum(evals.values()), counts["elapsed"])
         result = self._result(ok=violation is None, violation=violation,
-                              timeline=timeline, **counts)
+                              timeline=timeline, invariant_evals=evals,
+                              **counts)
         if self.profiler is not None:
             result.profile = self.profiler.build(result)
         return result
@@ -910,14 +910,11 @@ class ModelChecker:
         # Asked at every clean cut; it keeps the run's clock and timeline.
         policy = self._policy = CutPolicy(self, start_time, cut.elapsed)
         transitions = cut.transitions
-        self._max_depth = cut.max_depth
-        self._invariant_evals = cut.invariant_evals
         self._handler_fires = cut.handler_fires
         # The parent pointers, keyed either by the state itself or, in
         # fingerprint mode, by its 64-bit digest, are the visited set.
         visited = parents = cut.parents
-        seeds = replay_frontier(self, parents, cut.frontier, cut.states,
-                                self.resume)
+        seeds = replay_frontier(self, parents, cut.frontier, self.resume)
         # (state, key, depth) entries: accepted, awaiting expansion.
         frontier: deque = deque()
         # The explored graph over these same keys, for liveness (with
@@ -947,7 +944,6 @@ class ModelChecker:
                 violation, policy=policy, states=len(visited),
                 frontier=len(frontier), transitions=transitions,
                 max_depth=self._max_depth, elapsed=policy.elapsed(),
-                invariant_evals=self._invariant_evals,
                 handler_fires=self._handler_fires, stopped=stopped)
             if self.atlas:
                 from repro.verify.atlas import build_atlas
@@ -972,10 +968,9 @@ class ModelChecker:
                 frontier.append((state, key, d))
             return message
 
-        # Seeds are taken exactly as the loop takes every later state.
-        # A checkpoint frontier is pre-acceptance in the on-disk format
-        # (the decoder already picked each state's canonical parent
-        # edge), so its invariants run here.
+        # Seeds are taken exactly as the loop takes every later state:
+        # a checkpoint frontier is pre-acceptance on disk, so its
+        # invariants run (and its deepest row sets the depth) here.
         for key, (pkey, label, d) in cut.frontier.items():
             message = take(seeds[key], key, pkey, label, d)
             if message is not None:
@@ -985,28 +980,18 @@ class ModelChecker:
                     seeds[key]))
 
         def write_ckpt(durable: bool) -> None:
-            pending = {key: (*parents[key], d) for _state, key, d in frontier}
-            # Frontier states are accepted (and invariant-checked) in
-            # this loop but pre-acceptance in the on-disk format; every
-            # accepted passing state contributed exactly one evaluation
-            # per invariant, so subtracting the frontier size converts
-            # the counters to the cut's pre-acceptance semantics.  The
-            # live containers hold the frontier too; the encoder skips it.
-            Cut(wave=frontier[0][2], transitions=transitions,
-                max_depth=self._max_depth, elapsed=policy.elapsed(),
-                invariant_evals={
-                    name: max(0, count - len(pending))
-                    for name, count in self._invariant_evals.items()},
+            # The live parent table holds the frontier; the encoder skips it.
+            Cut(transitions=transitions, elapsed=policy.elapsed(),
                 handler_fires=self._handler_fires, parents=parents,
-                frontier=pending, states={},
+                frontier={key: (*parents[key], d)
+                          for _state, key, d in frontier},
                 ).write(self, durable)
 
         # The top of the loop is a clean cut (see CutPolicy): every
         # non-frontier visited state is fully expanded.
-        evals = self._invariant_evals
         while frontier:
             stopped = policy.at_cut(len(visited), len(frontier),
-                                    frontier[0][2], transitions, evals,
+                                    frontier[0][2], transitions,
                                     interrupt_cell[0], write_ckpt)
             if stopped is not None:
                 return finish()
@@ -1123,13 +1108,26 @@ class ModelChecker:
             return qualname.split(".")[0]
         return type(invariant).__name__
 
+    def _invariant_counts(self, states: int,
+                          violation: Optional[Violation]) -> dict:
+        """``CheckResult.invariant_evals``: each of the ``states``
+        accepted states was judged by the suite in order (an invariant
+        that passes by facts counts too), up to the invariant a failing
+        state failed, found again on the violation's state."""
+        failing = violation and violation.kind == "invariant" and (
+            violation.state)
+        evals: dict = {}
+        for name, invariant, _facts in self._named_invariants:
+            evals[name] = evals.get(name, 0) + states
+            if failing and invariant(failing, self.protocol) is not None:
+                failing, states = None, states - 1
+        return evals
+
     def _check_invariants(self, state: GlobalState,
                           full=True) -> Optional[str]:
-        """The suite in order, each invariant counted as judging
-        ``state``; unless ``full``, those with facts pass unrun."""
-        evals = self._invariant_evals
-        for name, invariant, has_facts in self._named_invariants:
-            evals[name] = evals.get(name, 0) + 1
+        """The suite in order, up to the first failure's message (or
+        None); unless ``full``, those with facts pass unrun."""
+        for _name, invariant, has_facts in self._named_invariants:
             if full or not has_facts:
                 message = invariant(state, self.protocol)
                 if message is not None:

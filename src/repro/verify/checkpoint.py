@@ -1,11 +1,15 @@
 """The checkpoint format, one for every run at any worker count.
 
-A checkpoint is pure JSON (kind ``teapot-parallel-checkpoint``, v2 --
-the name is historical; v1 had the same shape but keyed states by a
-BLAKE2b over the whole encoding, so its keys mean nothing to this build
-and a v1 file is refused).  This module is the single owner of that
-format -- a :class:`Cut` is the exploration at a clean cut, every
-writer goes through :meth:`Cut.write`, every resume through
+A checkpoint is pure JSON (kind ``teapot-parallel-checkpoint``, v3 --
+the name is historical).  It holds what a resume reads and nothing
+else: the configuration echo, the cut's ``transitions``, ``elapsed``
+and ``handler_fires``, the expanded states' parent edges and the
+frontier's ``[fp, parent fp, label, depth]`` rows; the rest (the state
+count, the depth, the invariant evaluations) follows from those.  v1
+keyed states by a BLAKE2b over the whole encoding and v2 carried
+fields no resume read, so both are refused.  This module is the single
+owner of that format -- a :class:`Cut` is the exploration at a clean
+cut, every writer goes through :meth:`Cut.write`, every resume through
 :func:`decode_checkpoint` and :func:`replay_frontier` -- and of the
 on-disk concerns every run shares:
 
@@ -15,9 +19,9 @@ on-disk concerns every run shares:
   parseable-but-partial file, nor a write hold the whole encoding.
 * **A payload seal** -- a BLAKE2b digest over the canonical JSON of the
   payload (excluding the ``seal`` field itself and the volatile
-  ``elapsed`` wall-clock).  :func:`load_checkpoint` verifies it, turning
-  bit-flips and truncation into a one-line :class:`CheckpointError`.
-  (A payload with no ``seal`` key loads unverified.)
+  ``elapsed`` wall-clock).  :func:`load_checkpoint` requires and
+  verifies it, turning bit-flips and truncation into a one-line
+  :class:`CheckpointError`.
 * **Rotation** -- ``keep_last`` > 1 shifts ``path`` -> ``path.1`` ->
   ``path.2`` ... before each write, keeping a bounded history of the
   newest checkpoints.
@@ -48,14 +52,12 @@ from types import GeneratorType
 from _blake2 import blake2b     # hashlib's, without its OpenSSL load
 
 from repro.ioutil import atomic_write_text, check_envelope, read_json
-from repro.verify.fingerprint import state_from_jsonable
 
 CHECKPOINT_KIND = "teapot-parallel-checkpoint"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 # A cut's counting fields, by their names in a Cut and on disk.
-_COUNTED = ("wave", "transitions", "max_depth", "elapsed",
-            "invariant_evals", "handler_fires")
+_COUNTED = ("transitions", "elapsed", "handler_fires")
 
 # Keys excluded from the seal: the seal itself, and the one field two
 # byte-identical explorations legitimately disagree on (wall time).
@@ -130,7 +132,7 @@ class CutPolicy:
         return time.perf_counter() - self._origin
 
     def at_cut(self, states: int, frontier: int, depth: int,
-               transitions: int, evals: dict, interrupted: bool,
+               transitions: int, interrupted: bool,
                write) -> "str | None":
         """Why the run stops at this cut, or None: ``state_limit`` (a
         plain ``max_states`` truncation, not a
@@ -138,8 +140,7 @@ class CutPolicy:
         ``memory`` -- the checker's peak RSS (``_rss_mb``), read once per
         layer, past the budget.  ``depth`` is the layer the cut opens;
         the first cut at a new one adds a timeline point of ``states``,
-        ``frontier`` and ``transitions`` (``evals``, the invariant
-        evaluation counts, are for its progress line).  With a
+        ``frontier`` and ``transitions``.  With a
         checkpoint path the cut is written through ``write(durable)``,
         the run's writer: durably at a stop, otherwise when a snapshot
         is due (:meth:`_due`)."""
@@ -147,7 +148,7 @@ class CutPolicy:
         if new_layer:
             self._depth = depth
             self._point(states, frontier, depth, transitions,
-                        self.elapsed(), evals)
+                        self.elapsed())
         if states >= self._max_states:
             reason = "state_limit"
         elif interrupted:
@@ -172,19 +173,20 @@ class CutPolicy:
         return reason
 
     def finish(self, states: int, frontier: int, depth: int,
-               transitions: int, evals: dict, elapsed: float) -> list:
-        """The run's final point, at the result's counts and ``elapsed``
-        (so its rate is the result's); returns the timeline."""
-        self._point(states, frontier, depth, transitions, elapsed, evals,
-                    final=True)
+               transitions: int, evals: int, elapsed: float) -> list:
+        """The run's final point, at the result's counts, invariant
+        evaluations and ``elapsed`` (so its rate is the result's);
+        returns the timeline."""
+        self._point(states, frontier, depth, transitions, elapsed, evals)
         return self.timeline
 
     def _point(self, states: int, frontier: int, depth: int,
-               transitions: int, t: float, evals: dict,
-               final: bool = False) -> None:
+               transitions: int, t: float, final_evals=None) -> None:
         """Add a timeline point; print it as a progress line when it is
-        the first, the last, or PROGRESS_SPACING_SECONDS after the last
-        line printed."""
+        the first, the last (the one with ``final_evals``), or
+        PROGRESS_SPACING_SECONDS after the last line printed.  Before
+        the last, every state was judged by the whole suite."""
+        final = final_evals is not None
         point = {"t": round(t, 6), "states": states, "frontier": frontier,
                  "depth": depth, "transitions": transitions,
                  "states_per_s": round(states / t, 1) if t > 0 else 0.0}
@@ -207,9 +209,11 @@ class CutPolicy:
                 eta = (self._max_states - states) / rolling
                 detail += f", eta<={_fmt_eta(eta)} to state cap"
             detail += ")"
+        evals = (final_evals if final
+                 else states * len(self.checker.invariants))
         print(f"[verify {self.checker.protocol.name}] states={states} "
               f"frontier={frontier} depth={depth} "
-              f"transitions={transitions} inv_evals={sum(evals.values())} "
+              f"transitions={transitions} inv_evals={evals} "
               f"{rate:.0f} states/s{detail} "
               f"{'done' if final else '...'}", file=stream, flush=True)
 
@@ -321,58 +325,44 @@ def load_checkpoint(path: str) -> dict:
 
     Every failure mode is a one-line :class:`CheckpointError`: not
     JSON (truncated or binary-corrupted), wrong kind, unknown version,
-    or a seal mismatch (bit-flipped payload)."""
+    a missing field (the seal included), or a seal mismatch (bit-flipped
+    payload)."""
     payload = check_envelope(
         read_json(path, CheckpointError, "checkpoint"), path,
         CheckpointError, "checkpoint", "verify --checkpoint-out",
         CHECKPOINT_KIND, CHECKPOINT_VERSION, version_key="v")
-    stored_seal = payload.get("seal")
-    if stored_seal is not None:
-        seal = blake2b(digest_size=16)
-        deque(_sealed_text(payload, seal), maxlen=0)
-        computed = seal.hexdigest()
-        if stored_seal != computed:
-            raise CheckpointError(
-                f"{path}: seal mismatch (stored {stored_seal[:12]}..., "
-                f"computed {computed[:12]}...); the checkpoint was "
-                "corrupted or edited after it was written")
-    for key in (*_COUNTED, "visited", "parents", "frontier"):
+    for key in ("seal", *_COUNTED, "parents", "frontier"):
         if key not in payload:
             raise CheckpointError(
                 f"{path}: checkpoint is missing the {key!r} field")
+    seal = blake2b(digest_size=16)
+    deque(_sealed_text(payload, seal), maxlen=0)
+    stored, computed = payload["seal"], seal.hexdigest()
+    if stored != computed:
+        raise CheckpointError(
+            f"{path}: seal mismatch (stored {str(stored)[:12]}..., "
+            f"computed {computed[:12]}...); the checkpoint was "
+            "corrupted or edited after it was written")
     return payload
 
 
 def config_echo(checker) -> dict:
     """The configuration fingerprint embedded in every checkpoint.
 
-    ``checker`` is the run's :class:`~repro.verify.checker.ModelChecker`."""
-    echo = {
+    ``checker`` is the run's :class:`~repro.verify.checker.ModelChecker`.
+    A symmetry-reduced run's visited set is keyed by canonical
+    fingerprints, so its checkpoints must never resume an unreduced run
+    (or vice versa)."""
+    return {
         "protocol": checker.protocol.name,
         "n_nodes": checker.n_nodes,
         "n_blocks": checker.n_blocks,
         "reorder_bound": checker.reorder_bound,
         "channel_cap": checker.channel_cap,
         "events": type(checker.events).__name__,
+        "faults": list(checker.fault_budget),
+        "symmetry": checker.symmetry,
     }
-    # Included only when nonzero so fault-free checkpoints written
-    # before fault budgets existed still validate against the same
-    # configuration today.
-    if checker.fault_budget != (0, 0):
-        echo["faults"] = list(checker.fault_budget)
-    # Same back-compat shape: a symmetry-reduced run's visited set is
-    # keyed by canonical fingerprints, so its checkpoints must never
-    # resume an unreduced run (or vice versa).
-    if checker.symmetry:
-        echo["symmetry"] = True
-    return echo
-
-
-# Echo keys that are present only when their feature is on.  A resume
-# must compare them whenever *either* side carries one: a checkpoint
-# with ``symmetry`` resumed by a run without it would dedupe concrete
-# states against canonical fingerprints and silently skip states.
-_OPTIONAL_ECHO_KEYS = ("faults", "symmetry")
 
 
 def _hex(fp) -> "str | None":
@@ -383,68 +373,33 @@ def _unhex(text) -> "int | None":
     return None if text is None else int(text, 16)
 
 
-def min_edge_fold(records, visited) -> dict:
-    """The canonical parent edge for each freshly proposed state.
-
-    ``records`` are ``(fp, parent fp, label, depth, ...)`` proposals.
-    States already in ``visited`` are dropped; a state proposed by
-    several edges keeps the record with the minimum ``(depth, parent fp,
-    label)`` (a missing parent sorts first): a frontier written by an
-    earlier build may list a state once per proposing edge, and the
-    shallowest edge is BFS's.  Returns ``{fp: record}`` in
-    first-proposal order."""
-    best: dict = {}
-    for record in records:
-        fp = record[0]
-        if fp in visited:
-            continue
-        current = best.get(fp)
-        if current is None or _edge(record) < _edge(current):
-            best[fp] = record
-    return best
-
-
-def _edge(record) -> tuple:
-    return (record[3], record[1] if record[1] is not None else -1,
-            record[2] or "")
-
-
 @dataclass
 class Cut:
     """The exploration at a clean cut: ``parents`` holds the visited
     states, fully expanded, ``frontier`` waits unaccepted (before
-    dedupe and invariants, one canonical edge per state), the counters
-    are what reaching the cut cost.  A run starts from one
-    (:func:`starting_cut`: a decoded checkpoint or the initial state),
-    and every checkpoint is one written out (:meth:`write`).
-    Fingerprints are ints."""
+    invariants, one BFS edge per state), the counters are what reaching
+    the cut cost.  A run starts from one (:func:`starting_cut`: a
+    decoded checkpoint or the initial state), and every checkpoint is
+    one written out (:meth:`write`).  Fingerprints are ints."""
 
-    wave: int
     transitions: int
-    max_depth: int
     elapsed: float
-    invariant_evals: dict
     handler_fires: dict
     parents: dict    # fp -> (parent fp | None, label), expanded states
     frontier: dict   # fp -> (parent fp | None, label, depth), unaccepted
-    states: dict     # fp -> concrete frontier state, where stored inline
 
     def encode(self, echo: dict) -> dict:
-        """The v2 payload, its containers as generators of their JSON
-        (:func:`_json_batches`); ``visited`` lists the keys of
-        ``parents``.  That may be a writer's live container, already
-        holding the frontier (the serial loop accepts a state when it
-        queues it): frontier keys are skipped there, so no writer copies
-        a container."""
+        """The v3 payload, its containers as generators of their JSON
+        (:func:`_json_batches`).  ``parents`` may be a writer's live
+        container, already holding the frontier (the serial loop
+        accepts a state when it queues it): frontier keys are skipped
+        there, so no writer copies a container."""
         frontier, parents = self.frontier, self.parents
         return {
             **echo,
             "kind": CHECKPOINT_KIND,
             "v": CHECKPOINT_VERSION,
             **{key: getattr(self, key) for key in _COUNTED},
-            "visited": _json_batches(
-                "[]", lambda fps: [f"{fp:016x}" for fp in fps],
-                (fp for fp in parents if fp not in frontier)),
             # Sorted as the seal's canonical JSON sorts keys: 64-bit
             # fingerprints' 16-digit hex sorts as the ints do.
             "parents": _json_batches(
@@ -452,12 +407,11 @@ class Cut:
                                    for fp in fps
                                    for pfp, label in [parents[fp]]},
                 sorted(fp for fp in parents if fp not in frontier)),
-            # Frontier states are stored by reference (null state slot):
-            # the (parent fp, label) chain rebuilds each one at resume by
-            # replay, a few bytes where the state would be hundreds.
+            # A frontier state is stored by reference: the (parent fp,
+            # label) chain rebuilds it at resume by replay, a few bytes
+            # where the state would be hundreds.
             "frontier": _json_batches(
-                "[]", lambda rows: [[f"{fp:016x}", None, _hex(pfp), label,
-                                     depth]
+                "[]", lambda rows: [[f"{fp:016x}", _hex(pfp), label, depth]
                                     for fp, (pfp, label, depth) in rows],
                 frontier.items()),
         }
@@ -473,39 +427,30 @@ class Cut:
 
 def decode_checkpoint(payload: dict, echo: dict, path: str) -> Cut:
     """Validate a loaded payload against the resuming run's ``echo`` and
-    decode it.  A configuration mismatch is a one-line
+    decode it.  A configuration mismatch, and a frontier that lists a
+    state twice or lists an expanded one, is a one-line
     :class:`CheckpointError`."""
-    keys = list(echo) + [key for key in _OPTIONAL_ECHO_KEYS
-                         if key in payload and key not in echo]
     diffs = ", ".join(
-        f"{key}: checkpoint={payload.get(key)!r} run={echo.get(key)!r}"
-        for key in keys if payload.get(key) != echo.get(key))
+        f"{key}: checkpoint={payload.get(key)!r} run={value!r}"
+        for key, value in echo.items() if payload.get(key) != value)
     if diffs:
         raise CheckpointError(
             f"{path}: checkpoint is for a different configuration "
             f"({diffs})")
-    # ``visited`` lists the keys of ``parents``, which is read instead.
     parents = {int(fp, 16): (_unhex(pfp), label)
                for fp, (pfp, label) in payload["parents"].items()}
-    # The frontier is pre-acceptance in the on-disk format: a state may
-    # be proposed by several senders, or already be visited at its owner.
-    frontier = min_edge_fold(
-        ((int(fp, 16), _unhex(pfp), label, depth, state)
-         for fp, state, pfp, label, depth in payload["frontier"]),
-        parents)
-    return Cut(
-        wave=payload["wave"],
-        transitions=payload["transitions"],
-        max_depth=payload["max_depth"],
-        elapsed=payload["elapsed"],
-        invariant_evals=dict(payload["invariant_evals"]),
-        handler_fires=dict(payload["handler_fires"]),
-        parents=parents,
-        frontier={fp: (pfp, label, depth)
-                  for fp, pfp, label, depth, _state in frontier.values()},
-        states={fp: state_from_jsonable(record[4])
-                for fp, record in frontier.items()
-                if record[4] is not None})
+    frontier: dict = {}
+    for fp, pfp, label, depth in payload["frontier"]:
+        key = int(fp, 16)
+        if key in frontier or key in parents:
+            raise CheckpointError(
+                f"{path}: frontier state {fp} is listed twice or was "
+                "already expanded")
+        frontier[key] = (_unhex(pfp), label, depth)
+    return Cut(transitions=payload["transitions"],
+               elapsed=payload["elapsed"],
+               handler_fires=dict(payload["handler_fires"]),
+               parents=parents, frontier=frontier)
 
 
 def starting_cut(checker) -> Cut:
@@ -518,34 +463,28 @@ def starting_cut(checker) -> Cut:
     initial = checker.initial_state()
     key = (checker.fingerprint_fn(initial) if checker.fingerprint_states
            else initial)
-    return Cut(wave=0, transitions=0, max_depth=0, elapsed=0.0,
-               invariant_evals={}, handler_fires={},
-               parents={}, frontier={key: (None, "<initial>", 0)},
-               states={key: initial})
+    return Cut(transitions=0, elapsed=0.0, handler_fires={}, parents={},
+               frontier={key: (None, "<initial>", 0)})
 
 
-def replay_frontier(checker, parents: dict, frontier: dict, states: dict,
+def replay_frontier(checker, parents: dict, frontier: dict,
                     where: str) -> dict:
     """Concrete states for frontier records stored by reference.
 
-    ``frontier`` maps fp -> ``(parent fp, label, ...)``, ``parents``
-    holds the expanded states' edges, and ``states`` the frontier states
-    already on hand; the rest are rebuilt by replaying each record's
-    parent-label chain from the initial state -- the same deterministic
-    replay that validates counterexample traces, so a chain that fails
-    to replay is a real integrity error.  ``checker`` is the resuming
-    run's checker."""
+    ``frontier`` maps fp -> ``(parent fp, label, ...)`` and ``parents``
+    holds the expanded states' edges; each state is rebuilt by replaying
+    its record's parent-label chain from the initial state -- the same
+    deterministic replay that validates counterexample traces, so a
+    chain that fails to replay is a real integrity error.  ``checker``
+    is the resuming run's checker."""
     from repro.verify.checker import TraceReplayError, replay_step
 
-    replayer = checker.fresh_clone()
-    found = dict(states)
+    replayer, found = None, {}
     # Sibling frontier states share almost their whole chain, so
     # replayed ancestors are cached by fingerprint: each chain replays
     # only the suffix below its deepest cached one (None roots them all).
     cache: dict = {None: checker.initial_state()}
     for fp, record in frontier.items():
-        if fp in found:
-            continue
         chain = [(fp, record[0], record[1])]
         cursor = record[0]
         while cursor not in cache:
@@ -561,6 +500,7 @@ def replay_frontier(checker, parents: dict, frontier: dict, states: dict,
         state = cache[cursor]
         for node_fp, up, label in reversed(chain):
             if up is not None:      # the root's edge is a marker, not a rule
+                replayer = replayer or checker.fresh_clone()
                 try:
                     state = replay_step(replayer, state, label)
                 except TraceReplayError as error:

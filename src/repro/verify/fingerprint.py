@@ -18,9 +18,9 @@ n visited states).  The violation path therefore re-validates traces by
 replay (:func:`repro.verify.checker.replay_labels`); a collision that
 corrupts a counterexample is detected, not silently reported.
 
-The module also provides a pure-JSON codec for states
-(:func:`state_to_jsonable` / :func:`state_from_jsonable`) used by the
-checkpoint format, so checkpoints contain no pickles.
+The module also provides a pure-JSON, pickle-free codec for states
+(:func:`state_to_jsonable` / :func:`state_from_jsonable`).  Checkpoints
+store frontier states by reference and do not use it.
 """
 
 from __future__ import annotations
@@ -412,12 +412,12 @@ class SymmetryCanonicalizer:
         return state if mapping is None else self.permute(state, mapping)
 
 
-# -- JSON codec (checkpoints) ---------------------------------------------------
+# -- JSON codec ---------------------------------------------------------------
 #
 # Tagged arrays keep tuples, sets, messages, and continuation records
 # apart from plain JSON lists; scalars pass through unchanged.  The
-# format is deliberately pickle-free so loading a checkpoint never
-# executes anything.
+# format is deliberately pickle-free so loading a state never executes
+# anything.
 
 def _to_jsonable(value):
     if value is None or isinstance(value, (bool, int, str)):
@@ -457,7 +457,7 @@ def _from_jsonable(value):
 
 
 def state_to_jsonable(state: GlobalState) -> dict:
-    """A pure-JSON rendering of a state (checkpoint frontier entries)."""
+    """A pure-JSON rendering of a state."""
     return {
         "blocks": [
             [
@@ -481,7 +481,7 @@ def state_to_jsonable(state: GlobalState) -> dict:
             for row in state.channels
         ],
         # Fault budget is written only when nonzero: fault-free
-        # checkpoints keep the pre-fault schema exactly.
+        # states keep the pre-fault schema exactly.
         **({"faults": list(state.faults)}
            if state.faults != (0, 0) else {}),
     }

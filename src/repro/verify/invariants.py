@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
+from repro.runtime.continuation import ContinuationRecord
 from repro.runtime.protocol import CompiledProtocol, weak_protocol_entry
 from repro.tempest.memory import AccessTag
 from repro.verify.model import (
@@ -113,6 +114,7 @@ def bounded_channels(limit: int = 16) -> Invariant:
 
 # protocol -> {view id -> whether that view parks a continuation in a
 # stable state}: a fact about one view, asked once per distinct view.
+# Other state arguments (a node id, a count) are the state's own data.
 _LEAKS: dict = {}
 
 
@@ -122,15 +124,15 @@ def _leaks(protocol: CompiledProtocol) -> Memo:
     def leaks(vid: int) -> bool:
         view = VIEWS[vid]
         info = states.get(view.state_name)
-        return bool(info is not None and not info.transient
-                    and view.state_args)
+        return bool(info is not None and not info.transient and any(
+            isinstance(arg, ContinuationRecord) for arg in view.state_args))
 
     return weak_protocol_entry(_LEAKS, protocol, lambda: Memo(leaks))
 
 
 def no_parked_continuation_leak(state: GlobalState,
                                 protocol: CompiledProtocol) -> Optional[str]:
-    """A stable (non-transient) state must not hold continuation args.
+    """A stable (non-transient) state must not hold a continuation.
 
     Catches forgotten Resumes: returning to a stable state while a
     captured continuation is still parked would leak it (the paper's

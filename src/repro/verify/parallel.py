@@ -16,20 +16,19 @@ which.  A worker expands its states in order with the serial expand
 step, proposes each successor key once (its own seen set), runs the
 serial accept step on what it proposes, with the move's judge flag, and
 stashes the successor, until the next dispatch.  Its reply gives, per
-state: the ``(label, key, verdict)`` list, the number of repeats, the
-handler fires, and any error or symmetry failure at its position.
+state: the ``(label, key, verdict)`` list (the verdict is the accept
+step's failure message, or None), the number of repeats, the handler
+fires, and any error or symmetry failure at its position.
 
 **Play-back.**  The master's expand step hands a reply to the loop: the
 proposals, each judged by its proposer and verdict, then each repeat as
 a move to the expanded state's own key (a key this worker proposed
 before, visited by now, as the expanded state is), then the error.  Its
-accept step counts the invariant evaluations a verdict stands for and
-queues the key.  So the
-verdict, counts, coverage, counterexample trace, the state count of a
-run stopped by ``max_states``, a budget or Ctrl-C, and every checkpoint
-are the serial run's at any worker count.  Only keys, labels and
-verdicts cross a pipe; a state only as a seed (the initial state, a
-resumed frontier).
+accept step queues the key.  So the verdict, counts, coverage,
+counterexample trace, the state count of a run stopped by
+``max_states``, a budget or Ctrl-C, and every checkpoint are the serial
+run's at any worker count.  Only keys, labels and verdicts cross a
+pipe; a state only as a seed (the initial state, a resumed frontier).
 
 **Supervision.**  A barrier polls the pipes with liveness checks, so a
 dead worker raises :class:`WorkerLostError` -- one line naming it, the
@@ -218,14 +217,7 @@ class ParallelChecker(ModelChecker):
         else:
             if depth > self._max_depth:
                 self._max_depth = depth
-            held, verdict = judge             # see _expand
-            judged = self._named_invariants
-            if verdict is not None:           # (evaluated, message)
-                judged = judged[:verdict[0]]
-            evals = self._invariant_evals
-            for name, *_invariant in judged:
-                evals[name] = evals.get(name, 0) + 1
-            message = verdict and verdict[1]
+            held, message = judge             # see _expand
         if message is None:
             self._pending.append((key, held))
         return message
@@ -331,13 +323,8 @@ class ParallelChecker(ModelChecker):
                                 continue
                             seen.add(succ_key)
                             stash[succ_key] = successor
-                            # The verdict: None, or the number of
-                            # invariants evaluated and the message.
-                            self._invariant_evals = evals = {}
-                            message = accept(successor, succ_key, 0, judge)
-                            proposals.append((label, succ_key, None if (
-                                message is None) else (
-                                    sum(evals.values()), message)))
+                            proposals.append((label, succ_key, accept(
+                                successor, succ_key, 0, judge)))
                     except (_LabelledViolation, SymmetryError) as stop:
                         error = stop
                     expanded.append((proposals, repeats, fires, error))

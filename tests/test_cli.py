@@ -112,6 +112,22 @@ class TestVerify:
         assert "FAIL" in out
         assert "trace:" in out
 
+    def test_symmetry_fallback_is_one_note_line(self, capsys):
+        """lcm_mcc fails symmetry certification: the run says so in one
+        note line (no warning's source path or category) and checks the
+        model unreduced."""
+        assert main(["verify", "lcm_mcc", "--nodes", "3",
+                     "--symmetry"]) == 0
+        out, err = capsys.readouterr()
+        assert "states=23911 " in out
+        lines = err.splitlines()
+        assert len(lines) == 1, err
+        assert lines[0].startswith(
+            "note: symmetry certification failed: GET_LCM_COPY_REQ on "
+            "node 0 ")
+        assert lines[0].endswith("; re-running without symmetry reduction")
+        assert "RuntimeWarning" not in err and ".py:" not in err
+
 
 class TestBadTopology:
     """A node, address or reorder count outside the model's domain, or
@@ -537,21 +553,25 @@ class TestArtifactEnvelope:
         if "sort_keys" not in keywords:
             assert path.read_text().lstrip("{ \n").startswith('"kind"')
 
-    def test_checkpoint_round_trip(self, tmp_path):
+    def test_checkpoint_round_trip(self, tmp_path, capsys):
         from repro.verify.checkpoint import load_checkpoint, write_checkpoint
 
-        with open(os.path.join(GOLDEN, "checkpoint_v2_parent.json")) as f:
+        written = str(tmp_path / "written.json")
+        assert main(["verify", "lcm", "--reorder", "1", "--max-states",
+                     "100", "--checkpoint-out", written]) == 0
+        capsys.readouterr()
+        with open(written) as f:
             parent = json.load(f)
-        path = str(tmp_path / "ck.json")
+        (tmp_path / "out").mkdir()
+        path = str(tmp_path / "out" / "ck.json")
         write_checkpoint(path, {k: v for k, v in parent.items()
                                 if k != "seal"})
         assert load_checkpoint(path) == parent      # same seal, too
-        assert os.listdir(tmp_path) == ["ck.json"]
+        assert os.listdir(tmp_path / "out") == ["ck.json"]
 
     def test_files_written_by_the_parent_commit_still_load(self):
         from repro.faults import FaultPlan
         from repro.obs.analyze import load_coverage
-        from repro.verify.checkpoint import load_checkpoint
 
         plan = FaultPlan.load(os.path.join(GOLDEN,
                                            "fault_plan_v1_parent.json"))
@@ -560,19 +580,18 @@ class TestArtifactEnvelope:
                                             "coverage_v1_parent.json"))
         assert report.protocol == "Stache" and report.covered == 24
         assert report.config["states"] == 47
-        checkpoint = load_checkpoint(
-            os.path.join(GOLDEN, "checkpoint_v2_parent.json"))
-        assert len(checkpoint["frontier"]) == 22
 
-    def test_v1_checkpoint_is_refused_in_one_line(self, capsys):
-        """Its keys are another fingerprint's: exit 1, both versions
-        named, no traceback."""
-        path = os.path.join(GOLDEN, "checkpoint_v1_parent.json")
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_earlier_checkpoint_is_refused_in_one_line(self, capsys,
+                                                       version):
+        """v1's keys are another fingerprint's and v2 holds fields no
+        resume reads: exit 1, both versions named, no traceback."""
+        path = os.path.join(GOLDEN, f"checkpoint_v{version}_parent.json")
         assert main(["verify", "lcm", "--reorder", "1",
                      "--resume", path]) == 1
         captured = capsys.readouterr()
         assert captured.err == (
-            f"error: {path}: checkpoint version 1, expected 2 -- "
+            f"error: {path}: checkpoint version {version}, expected 3 -- "
             "regenerate with `verify --checkpoint-out`\n")
         assert "states=" not in captured.out
 
@@ -795,7 +814,7 @@ class TestExitWithoutFinalisation:
             assert list(tmp_path.iterdir()) == []
             return
         cut = load_checkpoint(str(tmp_path / "ck.json"))
-        assert 0 < len(cut["visited"]) < 7658 and cut["frontier"]
+        assert 0 < len(cut["parents"]) < 7658 and cut["frontier"]
         resumed, out, err = _teapot("verify", "lcm", "--nodes", "3",
                                     "--resume", "ck.json", cwd=tmp_path)
         assert resumed.returncode == 0, err

@@ -131,12 +131,12 @@ def snapshot_only_at(wave):
     ``wave`` (the policy's pacing, patched)."""
     at_cut, written = CutPolicy.at_cut, []
 
-    def snapshot_at_wave(policy, states, frontier, at, transitions, evals,
+    def snapshot_at_wave(policy, states, frontier, at, transitions,
                          interrupted, write, *rest):
         if at == wave and not written:
             written.append(at)
             policy._write(write, False)
-        return at_cut(policy, states, frontier, at, transitions, evals,
+        return at_cut(policy, states, frontier, at, transitions,
                       interrupted, write, *rest)
 
     with pytest.MonkeyPatch.context() as patch:
@@ -173,11 +173,12 @@ def test_three_writers_agree_on_one_cut(three_cuts):
     serial, workers2, killed = (cuts[who] for who in (
         "serial", "workers2", "killed"))
     for payload in payloads.values():
-        assert payload["wave"] == CUT_WAVE and payload["v"] == 2
-        assert all(state is None
-                   for _fp, state, *_edge in payload["frontier"])
+        assert payload["v"] == 3
+        # [fp, parent fp, label, depth], the cut's layer first.
+        assert {len(row) for row in payload["frontier"]} == {4}
+        assert payload["frontier"][0][3] == CUT_WAVE
     # A run that loses a worker after its write leaves the cut an
-    # undisturbed run writes there, its proposals folded on disk.
+    # undisturbed run writes there.
     assert workers2 == Cut(**{**vars(killed), "elapsed": workers2.elapsed})
     assert len(payloads["workers2"]["frontier"]) == len(workers2.frontier)
     # A worker run writes its cut with the serial writer, at the
@@ -207,7 +208,7 @@ def test_mid_layer_serial_cut_resumes_at_bfs_depth(tmp_path, workers):
     path = str(tmp_path / "ck.json")
     api.check("lcm", CheckOptions(nodes=3, max_states=3000,
                                   checkpoint=CheckpointOptions(out=path)))
-    assert len({row[4] for row in load_checkpoint(path)["frontier"]}) == 2
+    assert len({row[3] for row in load_checkpoint(path)["frontier"]}) == 2
     resumed = api.check("lcm", CheckOptions(
         nodes=3, workers=workers, checkpoint=CheckpointOptions(resume=path)))
     assert (resumed.states_explored, resumed.transitions,
@@ -251,28 +252,20 @@ ECHO = {"protocol": "P", "n_nodes": 2, "n_blocks": 1, "reorder_bound": 0,
         "channel_cap": 4, "events": "StacheEvents"}
 
 
-def encode(cut, frontier=None):
-    """``cut``'s payload; ``frontier`` replaces its rows with raw
-    ``(fp, parent fp, label, depth)`` proposals, duplicates and all --
-    what a writer that does not fold leaves on disk.  The containers,
-    which the encoder streams, are parsed back as a loader sees them."""
-    payload = {key: json.loads("".join(value))
-               if isinstance(value, GeneratorType) else value
-               for key, value in cut.encode(ECHO).items()}
-    if frontier is not None:
-        payload["frontier"] = [[f"{fp:016x}", None, f"{pfp:016x}", label, d]
-                               for fp, pfp, label, d in frontier]
-    return payload
+def encode(cut):
+    """``cut``'s payload, its containers, which the encoder streams,
+    parsed back as a loader sees them."""
+    return {key: json.loads("".join(value))
+            if isinstance(value, GeneratorType) else value
+            for key, value in cut.encode(ECHO).items()}
 
 
 def sample_cut():
     return Cut(
-        wave=2, transitions=17, max_depth=1, elapsed=0.25,
-        invariant_evals={"swmr": 3}, handler_fires={"Home_Idle.GET": 2},
+        transitions=17, elapsed=0.25, handler_fires={"Home_Idle.GET": 2},
         parents={1: (None, "<initial>"), 2: (1, "a"),
                  2 ** 64 - 1: (1, "b")},
-        frontier={7: (2, "c", 2), 9: (2 ** 64 - 1, "d", 2)},
-        states={})
+        frontier={7: (2, "c", 2), 9: (2 ** 64 - 1, "d", 2)})
 
 
 def test_codec_round_trips(tmp_path):
@@ -281,27 +274,13 @@ def test_codec_round_trips(tmp_path):
     path = str(tmp_path / "ck.json")
     write_checkpoint(path, encode(cut))
     assert decode_checkpoint(load_checkpoint(path), ECHO, path) == cut
-    assert CHECKPOINT_VERSION == 2
-
-
-def test_decoder_keeps_the_minimum_edge():
-    cut = sample_cut()
-    payload = encode(cut, frontier=[
-        (7, 2 ** 64 - 1, "z", 2), (9, 2, "d", 2), (7, 2, "y", 2),
-        (2, 1, "back-edge", 2),        # already visited at its owner
-        (7, 2, "c", 2), (7, 2, "x", 2),
-        (9, 1, "a", 3)])               # a lesser parent, one layer deeper
-    decoded = decode_checkpoint(payload, ECHO, "mem")
-    # Minimum (depth, parent fp, label) wins; first-proposal order is
-    # kept; proposals for visited states are dropped, not re-accepted.
-    assert decoded.frontier == {7: (2, "c", 2), 9: (2, "d", 2)}
-    assert list(decoded.frontier) == [7, 9]
+    assert CHECKPOINT_VERSION == 3
 
 
 def test_broken_parent_chain_is_a_one_line_error():
     checker = make_serial("stache")
     with pytest.raises(CheckpointError) as caught:
-        replay_frontier(checker, {5: (4, "x")}, {7: (5, "y", 2)}, {},
+        replay_frontier(checker, {5: (4, "x")}, {7: (5, "y", 2)},
                         "ck.json")
     message = str(caught.value)
     assert "\n" not in message
@@ -314,61 +293,30 @@ def test_foreign_chain_is_a_one_line_error():
     with pytest.raises(CheckpointError) as caught:
         replay_frontier(checker, {}, {7: (None, "<initial>", 0),
                                       8: (7, "no such rule", 1)},
-                        {}, "ck.json")
+                        "ck.json")
     assert "\n" not in str(caught.value)
     assert "does not match this protocol build" in str(caught.value)
 
 
 # ---------------------------------------------------------------------------
-# (iv) committed checkpoints: the previous format is refused, this one resumes
+# (iv) committed checkpoints: the previous formats are refused
 # ---------------------------------------------------------------------------
-
-V1_CHECKPOINT = str(GOLDEN / "checkpoint_v1_parent.json")
-V2_CHECKPOINT = str(GOLDEN / "checkpoint_v2_parent.json")
 
 
 @pytest.mark.parametrize("workers", [0, 2])
-def test_v1_checkpoint_is_refused(workers):
-    """v1 keyed states by a digest of the whole encoding: resuming one
-    would dedupe against keys no state of this build has."""
+@pytest.mark.parametrize("version", [1, 2])
+def test_earlier_checkpoint_versions_are_refused(workers, version):
+    """v1 keyed states by a digest of the whole encoding (resuming one
+    would dedupe against keys no state of this build has); v2 carried
+    fields no resume reads and a frontier that may list a state twice."""
+    path = str(GOLDEN / f"checkpoint_v{version}_parent.json")
     make = (partial(make_parallel, "lcm", workers) if workers
             else partial(make_serial, "lcm"))
     with pytest.raises(CheckpointError) as caught:
-        make(reorder=1, resume=V1_CHECKPOINT).run()
+        make(reorder=1, resume=path).run()
     assert str(caught.value) == (
-        f"{V1_CHECKPOINT}: checkpoint version 1, expected 2 -- regenerate "
+        f"{path}: checkpoint version {version}, expected 3 -- regenerate "
         "with `verify --checkpoint-out`")
-
-
-def _resume_matches_full_run(workers, path):
-    full = make_serial("lcm", reorder=1, fingerprint_states=True).run()
-    make = (partial(make_parallel, "lcm", workers) if workers
-            else partial(make_serial, "lcm"))
-    assert outcome(make(reorder=1, resume=path).run()) == outcome(full)
-
-
-@pytest.mark.parametrize("workers", [0, 2])
-def test_parent_checkpoint_resumes_undisturbed(workers):
-    _resume_matches_full_run(workers, V2_CHECKPOINT)
-
-
-@pytest.mark.parametrize("workers", [0, 2])
-def test_unfolded_frontier_resumes_undisturbed(tmp_path, workers):
-    """The shape v1 writers left (33 proposals for 26 states in the v1
-    golden): several proposals for one state, and proposals for states
-    their owners had already visited -- a master that re-pended those
-    hung in the resulting parent-chain cycle.  The decoder folds both
-    away."""
-    payload = load_checkpoint(V2_CHECKPOINT)
-    first, depth = payload["frontier"][0], payload["frontier"][0][4]
-    payload["frontier"] += [
-        [first[0], None, "f" * 16, "zz: a greater edge", depth],
-        *([fp, None, *payload["parents"][fp], depth]
-          for fp in sorted(payload["visited"])[:4])]
-    path = str(tmp_path / "unfolded.json")
-    write_checkpoint(path, {key: value for key, value in payload.items()
-                            if key != "seal"})
-    _resume_matches_full_run(workers, path)
 
 
 @pytest.mark.parametrize("workers", [0, 2])
@@ -458,11 +406,11 @@ def test_resumed_timeline_continues_the_uninterrupted_one(tmp_path,
     # The resumed run's first point opens its resume layer (mid-layer,
     # so its counts are the cut's); from the next layer on its points
     # are the uninterrupted run's, on the whole run's clock.
-    first = resumed.timeline[0]
-    assert first["depth"] == saved["wave"]
+    first, layer = resumed.timeline[0], saved["frontier"][0][3]
+    assert first["depth"] == layer
     assert first["t"] >= saved["elapsed"]
     full = untimed(lcm_timelines["plain"].timeline)
-    assert untimed(resumed.timeline)[1:] == full[saved["wave"] + 1:]
+    assert untimed(resumed.timeline)[1:] == full[layer + 1:]
 
 
 def test_parallel_timeline_has_one_point_per_wave(lcm_timelines):
@@ -511,11 +459,11 @@ def test_progress_lines_are_spaced_by_the_timeline_clock(monkeypatch,
 
 FLAGS = {
     "symmetry": ({"reduction": ReductionOptions(symmetry=True)},
-                 "symmetry: checkpoint=True run=None",
-                 "symmetry: checkpoint=None run=True"),
+                 "symmetry: checkpoint=True run=False",
+                 "symmetry: checkpoint=False run=True"),
     "faults": ({"faults": FaultBudget(1, 0)},
-               "faults: checkpoint=[1, 0] run=None",
-               "faults: checkpoint=None run=[1, 0]"),
+               "faults: checkpoint=[1, 0] run=[0, 0]",
+               "faults: checkpoint=[0, 0] run=[1, 0]"),
 }
 
 

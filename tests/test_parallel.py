@@ -265,10 +265,10 @@ class TestCheckpointResume:
         payload = load_checkpoint(path)
         assert payload["kind"] == "teapot-parallel-checkpoint"
         assert payload["protocol"] == "Stache"
-        assert payload["visited"]
+        assert payload["parents"]
         assert payload["frontier"]
         # Every fingerprint is a 16-digit hex string, not binary.
-        assert all(len(fp) == 16 for fp in payload["visited"])
+        assert all(len(fp) == 16 for fp in payload["parents"])
 
     def test_resume_rejects_mismatched_config(self, tmp_path):
         path = str(tmp_path / "check.json")

@@ -40,6 +40,7 @@ from repro.verify import (
     events_for_protocol,
     load_checkpoint,
 )
+from repro.verify.checkpoint import write_checkpoint
 from repro.verify.invariants import standard_invariants
 from repro.verify.parallel import _Fleet
 
@@ -154,7 +155,7 @@ class TestWorkerLoss:
             make_parallel("lcm", 2, reorder=1, checkpoint_out=path).run()
         assert str(lost.value) == lost_line("expand", path)
         assert not any(proc.is_alive() for proc in hook.procs)
-        assert 0 <= load_checkpoint(path)["wave"] <= wave
+        assert 0 <= load_checkpoint(path)["frontier"][0][3] <= wave
         full = outcome(make_serial("lcm", reorder=1,
                                    fingerprint_states=True).run())
         assert outcome(make_serial("lcm", reorder=1,
@@ -197,7 +198,8 @@ class TestCheckpointCorruption:
         lambda blob: bytes(range(256)) * 4,
         lambda blob: blob.replace(b"teapot-parallel-checkpoint",
                                   b"teapot-mystery-checkpoint", 1),
-        lambda blob: blob.replace(b'"wave":', b'"wave":9990', 1),
+        lambda blob: blob.replace(b'"transitions":',
+                                  b'"transitions":9990', 1),
     ], ids=["truncated_half", "truncated_tail", "empty", "binary",
             "wrong_kind", "edited_sealed_field"])
     def test_damage_is_refused_with_one_line_error(self, checkpoint_blob,
@@ -234,6 +236,37 @@ class TestCheckpointCorruption:
                         resume=path).run()
         with pytest.raises(CheckpointError, match="configuration"):
             make_parallel("stache", 2, reorder=1, resume=path).run()
+
+    # Re-sealed, so only the v3 check itself can catch each one.
+    @pytest.mark.parametrize("edit,expected", [
+        (lambda payload: payload.pop("seal"),
+         "checkpoint is missing the 'seal' field"),
+        (lambda payload: payload["frontier"].append(payload["frontier"][0]),
+         "is listed twice or was already expanded"),
+        (lambda payload: payload["frontier"].append(
+            [min(payload["parents"]), *payload["parents"][min(
+                payload["parents"])], payload["frontier"][0][3]]),
+         "is listed twice or was already expanded"),
+    ], ids=["no_seal", "repeated_frontier_key", "frontier_key_in_parents"])
+    def test_v3_refusal_is_one_line(self, checkpoint_blob, capsys, edit,
+                                    expected):
+        tmp_path, blob = checkpoint_blob
+        payload = json.loads(blob)
+        edit(payload)
+        victim = str(tmp_path / "edited.json")
+        if "seal" in payload:
+            del payload["seal"]
+            write_checkpoint(victim, payload)
+        else:
+            with open(victim, "w") as handle:
+                json.dump(payload, handle)
+        with pytest.raises(CheckpointError, match=re.escape(expected)):
+            make_serial("lcm", reorder=1, resume=victim).run()
+        assert main(["verify", "lcm", "--reorder", "1",
+                     "--resume", victim]) == 1
+        out, err = capsys.readouterr()
+        assert err.startswith(f"error: {victim}: ") and expected in err
+        assert err.count("\n") == 1 and "states=" not in out
 
 
 class TestBudgets:
@@ -421,7 +454,7 @@ class TestCheckpointHygiene:
 
         for states in range(1, 300_000):
             clock.now += 30e-6
-            assert policy.at_cut(states, 0, 0, 0, {}, False, write) is None
+            assert policy.at_cut(states, 0, 0, 0, False, write) is None
         assert at[0] == 1 and at[-1] == last
         assert sum(spent) <= clock.now / 20
 
@@ -431,15 +464,14 @@ class TestCheckpointHygiene:
                     checkpoint_keep_last=3, max_states=100).run()
         # At least the final write plus the first cut's snapshot (the
         # cost-based spacing decides how many more a run this small
-        # gets); never more than keep_last files; waves monotone
-        # non-decreasing from oldest to newest.
+        # gets); never more than keep_last files; the layers they cut
+        # monotone non-decreasing from oldest to newest.
         assert os.path.exists(path)
         assert os.path.exists(path + ".1")
         assert not os.path.exists(path + ".3")
-        waves = [load_checkpoint(path)["wave"],
-                 load_checkpoint(path + ".1")["wave"]]
-        if os.path.exists(path + ".2"):
-            waves.append(load_checkpoint(path + ".2")["wave"])
+        waves = [load_checkpoint(name)["frontier"][0][3]
+                 for name in (path, path + ".1", path + ".2")
+                 if os.path.exists(name)]
         assert waves == sorted(waves, reverse=True)
 
     def test_no_partial_tmp_left_behind(self, tmp_path):
