@@ -10,7 +10,7 @@ block storage, cost accounting -- goes through a
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from repro.lang.errors import RuntimeProtocolError
 
@@ -23,22 +23,7 @@ MAX_OPS_PER_ACTION = 200_000
 INFO_HANDLE = "<info>"
 
 
-def declared_fields(self) -> dict:
-    """``__getstate__`` for the frozen dataclasses that cache derived
-    values (``_hash`` and the checker's per-state memos) in ``__dict__``:
-    pickle the declared fields only.  A cached hash is valid only under
-    the hash seed of the process that computed it, and every cache
-    attribute would otherwise ride each state the parallel checker
-    ships between workers."""
-    state = self.__dict__
-    return {name: state[name] for name in self.__dataclass_fields__}
-
-
-_bind_setattr = object.__setattr__.__get__
-
-
-@dataclass(frozen=True, init=False)
-class Message:
+class Message(NamedTuple):
     """A protocol message in flight (or being handled).
 
     ``data`` carries block contents for SendBlk-style transfers; control
@@ -51,6 +36,12 @@ class Message:
     ``(src, seq)`` to absorb duplicates.  It is identity metadata, not
     protocol state: excluded from repr, checker fingerprints, and the
     JSON state codec.
+
+    A message is an immutable tuple of its seven fields, so hashing and
+    equality are the tuple's over all seven, and a hot sender may build
+    one with ``tuple.__new__(Message, fields)``.  A tuple that is not a
+    Message compares equal to one with the same fields: encoders that
+    branch on ``tuple`` test ``Message`` first.
     """
 
     tag: str
@@ -60,36 +51,6 @@ class Message:
     payload: tuple = ()
     data: Optional[tuple] = None
     seq: Optional[int] = None
-
-    def __init__(self, tag, block, src, dst, payload=(), data=None,
-                 seq=None):
-        # The generated constructor looks ``object.__setattr__`` up once
-        # per field; the simulator builds a Message per send and per
-        # fault, so bind it once.  Plain attribute stores in declaration
-        # order keep ``__dict__`` key-sharing (a ``__dict__.update``
-        # would double the instance's size).
-        put = _bind_setattr(self)
-        put("tag", tag)
-        put("block", block)
-        put("src", src)
-        put("dst", dst)
-        put("payload", payload)
-        put("data", data)
-        put("seq", seq)
-
-    __getstate__ = declared_fields
-
-    def __hash__(self):
-        # Messages sit inside channel tuples and deferred queues, so the
-        # checker hashes each one many times (visited-set inserts, intern
-        # tables, fingerprint caches).  Same basis as the dataclass-
-        # generated hash, computed once.
-        cached = self.__dict__.get("_hash")
-        if cached is None:
-            cached = hash((self.tag, self.block, self.src, self.dst,
-                           self.payload, self.data, self.seq))
-            object.__setattr__(self, "_hash", cached)
-        return cached
 
     def __repr__(self) -> str:
         parts = [f"{self.tag} blk={self.block} {self.src}->{self.dst}"]
@@ -181,7 +142,9 @@ class ProtocolContext:
     A context is positioned at one (node, block) pair while a handler
     runs; the engine reads the node id from ``node`` and the message
     being handled from ``current_message`` (attributes or properties,
-    as the host prefers).
+    as the host prefers).  The block's state is not read here: the
+    host already holds the block's record, and hands the state name
+    and arguments to the engine's ``dispatch``.
     """
 
     # -- identity ------------------------------------------------------------
@@ -193,10 +156,6 @@ class ProtocolContext:
         raise NotImplementedError
 
     # -- block record --------------------------------------------------------
-
-    def get_state(self) -> tuple[str, tuple]:
-        """Current (state name, state argument tuple) of the block."""
-        raise NotImplementedError
 
     def set_state(self, state_name: str, args: tuple) -> None:
         raise NotImplementedError

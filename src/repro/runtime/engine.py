@@ -92,11 +92,11 @@ class CompiledEngine:
 
     # -- dispatch ---------------------------------------------------------
 
-    def dispatch(self) -> None:
-        """Handle the context's current message as one atomic action."""
+    def dispatch(self, state_name: str, state_args: tuple) -> None:
+        """Handle the context's current message as one atomic action of
+        its block, which is in state ``state_name{state_args}``."""
         ctx = self.ctx
         msg = ctx.current_message
-        state_name, state_args = ctx.get_state()
         fn = self._code.by_tag.get((state_name, msg.tag))
         if fn is None:
             fn = self._resolve(state_name, msg)

@@ -54,10 +54,10 @@ class HandlerInterpreter:
 
     # -- dispatch ---------------------------------------------------------
 
-    def dispatch(self) -> None:
-        """Handle the context's current message as one atomic action."""
+    def dispatch(self, state_name: str, state_args: tuple) -> None:
+        """Handle the context's current message as one atomic action of
+        its block, which is in state ``state_name{state_args}``."""
         msg = self.ctx.current_message
-        state_name, state_args = self.ctx.get_state()
         state = self.protocol.states.get(state_name)
         if state is None:
             self.ctx.error(

@@ -131,11 +131,23 @@ class Machine:
         return self._wire_seq
 
     def inject(self, message: Message, send_time: int) -> None:
-        """Called by node contexts to transmit a protocol message."""
+        """Transmit ``message`` at ``send_time``: the one way onto the
+        wire, for sends, watchdog retries and replayed replies alike."""
         network = self.network
         obs = self.obs
         if network.plan is None:
-            arrival = network.arrival_time(message, send_time)
+            # Network.arrival_time, inline (tests hold the two equal).
+            config = network.config
+            arrival = send_time + config.latency
+            if config.jitter > 0:
+                arrival += network._rng.randrange(config.jitter + 1)
+            if config.fifo:
+                channel = (message.src, message.dst)
+                clamp = network._last_arrival.get(channel, 0) + 1
+                if clamp > arrival:
+                    arrival = clamp
+                network._last_arrival[channel] = arrival
+            network.messages_carried += 1
             self._seq = seq = self._seq + 1
             heapq.heappush(self._events, (arrival, seq, "deliver", message))
             if obs is not None:
@@ -165,11 +177,11 @@ class Machine:
         if obs is not None and len(self._events) > self._event_queue_hwm:
             self._event_queue_hwm = len(self._events)
 
-    def schedule_app(self, node_id: int, at_time: int) -> None:
-        self._seq += 1
-        heapq.heappush(self._events, (at_time, self._seq, "app", node_id))
-
     # -- barriers ----------------------------------------------------------------
+    #
+    # The barrier group is the unfinished nodes: a barrier is released
+    # once every node still running a program waits at it, whether its
+    # last member arrived or finished its program instead.
 
     def barrier_arrive(self, node_id: int, at_time: int) -> bool:
         """Returns True if this arrival releases the barrier (caller
@@ -177,25 +189,43 @@ class Machine:
         self._barrier_waiting.append((node_id, at_time))
         if len(self._barrier_waiting) < self.unfinished:
             return False
-        release_time = max(t for _n, t in self._barrier_waiting)
-        for waiting_id, arrive_time in self._barrier_waiting:
+        self._release_barrier(at_time, node_id)
+        return True
+
+    def leave_barrier_group(self, at_time: int) -> None:
+        """A node's program ended at ``at_time``: the barrier group
+        shrinks, which releases the nodes waiting at a barrier if they
+        were waiting for that node alone."""
+        self.unfinished -= 1
+        if self._barrier_waiting and (
+                len(self._barrier_waiting) == self.unfinished):
+            self._release_barrier(at_time, None)
+
+    def _release_barrier(self, at_time: int, arriving) -> None:
+        """Release every waiting node at the later of ``at_time`` and the
+        last arrival.  The node ``arriving``, whose arrival completed the
+        barrier, continues synchronously; the others are scheduled."""
+        waiting, self._barrier_waiting = self._barrier_waiting, []
+        release_time = at_time
+        for _n, arrive_time in waiting:
+            if arrive_time > release_time:
+                release_time = arrive_time
+        for waiting_id, arrive_time in waiting:
             node = self.nodes[waiting_id]
             node.at_barrier = False
             node.stats.barrier_wait_cycles += release_time - arrive_time
-            if waiting_id != node_id:
-                node.busy_until = max(node.busy_until, release_time)
-                self.schedule_app(waiting_id, release_time)
-        self._barrier_waiting = []
-        self.nodes[node_id].busy_until = max(
-            self.nodes[node_id].busy_until, release_time)
-        return True
+            node.busy_until = max(node.busy_until, release_time)
+            if waiting_id != arriving:
+                self._seq = seq = self._seq + 1
+                heapq.heappush(self._events,
+                               (release_time, seq, "app", waiting_id))
 
     # -- main loop -----------------------------------------------------------------
 
     def run(self) -> SimResult:
         """Run to completion; raises on protocol error or deadlock."""
         for node_id in range(self.config.n_nodes):
-            self.schedule_app(node_id, 0)
+            self._push(0, "app", node_id)
 
         processed = 0
         obs = self.obs

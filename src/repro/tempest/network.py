@@ -31,7 +31,8 @@ class Network:
     the plan's own RNG, never this network's jitter RNG) and may drop,
     duplicate, delay, or stall-defer each message.  Without a plan,
     ``arrival_time`` is the whole story and behaviour is bit-for-bit
-    what it was before fault injection existed.
+    what it was before fault injection existed; the machine's
+    ``inject``, which every message passes, runs it inline then.
     """
 
     def __init__(self, config: NetworkConfig, plan=None):

@@ -15,7 +15,7 @@ from typing import Optional
 
 from repro.lang.errors import RuntimeProtocolError
 from repro.protocols import entry_declaring
-from repro.runtime.context import Message, ProtocolContext, home_node
+from repro.runtime.context import Message, ProtocolContext
 from repro.runtime.engine import CompiledEngine
 from repro.tempest.memory import (
     ACCESS_CHANGE_RESULT,
@@ -46,6 +46,11 @@ DEDUP_CACHE = 65536
 _UPGRADES = frozenset(mode for mode in ACCESS_CHANGE_RESULT
                       if mode.startswith("Blk_Upgrade"))
 _INVALID = AccessTag.INVALID
+_READ_WRITE = AccessTag.READ_WRITE
+
+# Message's own constructor is a Python frame; the send and fault paths,
+# which build a message per send and per trap, fill the tuple directly.
+_new_message = tuple.__new__
 
 
 class NodeContext(ProtocolContext):
@@ -65,13 +70,9 @@ class NodeContext(ProtocolContext):
         self._n_nodes = node.machine.config.n_nodes
 
     def home_node(self, block: int) -> int:
-        return home_node(block, self._n_nodes)
+        return block % self._n_nodes      # context.home_node, inline
 
     # -- block record --------------------------------------------------------
-
-    def get_state(self) -> tuple[str, tuple]:
-        record = self._record
-        return record.state_name, record.state_args
 
     def set_state(self, state_name: str, args: tuple) -> None:
         record = self._record
@@ -98,13 +99,13 @@ class NodeContext(ProtocolContext):
         counters = self.counters
         data = None
         if with_data:
-            data = node.store.record(block).data
+            data = node.store[block].data
             counters.data_messages_sent += 1
         counters.messages_sent += 1
         machine = node.machine
-        message = Message(tag, block, node.node_id, dst, payload, data,
-                          machine.next_wire_seq() if machine._stamp_seqs
-                          else None)
+        message = _new_message(Message, (
+            tag, block, node.node_id, dst, payload, data,
+            machine.next_wire_seq() if machine._stamp_seqs else None))
         if node.watchdog:
             node.record_output(message)
         machine.inject(message, self.now)
@@ -115,7 +116,7 @@ class NodeContext(ProtocolContext):
         if tag is None:
             self.error(f"unknown access mode {mode!r}")
             return
-        record = self._node.store.record(block)
+        record = self._node.store[block]
         if (not fetched and mode in _UPGRADES and record.access is _INVALID
                 and self.data_presence):
             self.error(f"AccessChange({mode}) on block {block} without data")
@@ -128,19 +129,19 @@ class NodeContext(ProtocolContext):
             self.error(
                 f"RecvData but message {message.tag} carries no data")
             return
-        record = self._node.store.record(block)
+        record = self._node.store[block]
         record.data = message.data
         self.access_change(block, mode, True)
 
     def read_word(self, block: int, addr: int):
-        data = self._node.store.record(block).data
+        data = self._node.store[block].data
         if not (0 <= addr < len(data)):
             self.error(f"ReadWord offset {addr} out of block bounds")
             return 0
         return data[addr]
 
     def write_word(self, block: int, addr: int, value) -> None:
-        record = self._node.store.record(block)
+        record = self._node.store[block]
         if not (0 <= addr < len(record.data)):
             self.error(f"WriteWord offset {addr} out of block bounds")
             return
@@ -159,7 +160,7 @@ class NodeContext(ProtocolContext):
                             len(record.deferred), self.now)
 
     def retry_queued(self, block: int) -> None:
-        self._node.store.record(block).state_changed = True
+        self._node.store[block].state_changed = True
 
     def wakeup(self, block: int) -> None:
         self._node.request_wakeup(block, self.now)
@@ -225,21 +226,52 @@ class Node:
 
     # -- protocol-side execution ----------------------------------------------
 
-    def handle_message(self, message: Message, arrive_time: int) -> None:
-        """Run one delivered message (plus any queue redelivery) atomically."""
+    def handle_message(self, message: Message, arrive_time: int) -> int:
+        """Run one protocol action atomically: dispatch ``message`` (a
+        delivery, or an access fault or program event trapped at
+        ``arrive_time``), then redeliver the deferred messages each state
+        change re-enables.  The node's processor is busy from the later
+        of ``arrive_time`` and ``busy_until`` to the returned finishing
+        time."""
         if self.watchdog and message.seq is not None:
             key = (message.src, message.seq)
             cached = self._reply_cache.get(key)
             if cached is not None:
                 self._absorb_duplicate(cached, arrive_time)
-                return
+                return self.busy_until
             self._remember(key)
         start = self.busy_until
         if arrive_time > start:
             start = arrive_time
-        end = self._protocol_action(message, start)
-        self.busy_until = end
-        self.stats.protocol_cycles += end - start
+        record = self.store[message.block]
+        record.state_changed = False
+        ctx = self.ctx
+        ctx.current_message = message
+        ctx._record = record
+        ctx.now = start
+        engine = self.engine
+        engine.dispatch(record.state_name, record.state_args)
+        now = ctx.now
+
+        # Queue redelivery: each state change re-enables the deferred
+        # messages queued while the block sat in an intermediate state.
+        while record.state_changed and record.deferred:
+            record.state_changed = False
+            for deferred in record.drain_deferred():
+                self.stats.counters.queue_frees += 1
+                now += self.machine.config.costs.queue_free
+                obs = ctx.obs
+                if obs is not None:
+                    obs.queue_replay(self.node_id, deferred.block,
+                                     deferred.tag, deferred.src, now)
+                ctx.current_message = deferred
+                ctx._record = record
+                ctx.now = now
+                engine.dispatch(record.state_name, record.state_args)
+                now = ctx.now
+        self.busy_until = now
+        self.stats.protocol_cycles += now - start
+        return now
 
     def _remember(self, key: tuple[int, int]) -> None:
         """Register a first delivery; its outputs accumulate under ``key``
@@ -293,7 +325,7 @@ class Node:
         if attempt > WATCHDOG_RETRIES:
             self.retries_exhausted = True
             return
-        state_name = self.store.record(block).state_name
+        state_name = self.store[block].state_name
         for message in self._fault_requests.get(block, ()):
             self.stats.counters.retries += 1
             if obs is not None:
@@ -303,36 +335,6 @@ class Node:
         delay = int(WATCHDOG_TIMEOUT * (WATCHDOG_BACKOFF ** attempt))
         self.machine._push(now + delay, "watchdog",
                            (self.node_id, block, epoch, attempt + 1))
-
-    def _protocol_action(self, message: Message, start: int) -> int:
-        """Dispatch ``message`` then redeliver deferred messages enabled by
-        any state change.  Returns the finishing time."""
-        record = self.store.record(message.block)
-        record.state_changed = False
-        ctx = self.ctx
-        ctx.current_message = message
-        ctx._record = record
-        ctx.now = start
-        self.engine.dispatch()
-        now = ctx.now
-
-        # Queue redelivery: each state change re-enables the deferred
-        # messages queued while the block sat in an intermediate state.
-        while record.state_changed and record.deferred:
-            record.state_changed = False
-            for deferred in record.drain_deferred():
-                self.stats.counters.queue_frees += 1
-                now += self.machine.config.costs.queue_free
-                obs = ctx.obs
-                if obs is not None:
-                    obs.queue_replay(self.node_id, deferred.block,
-                                     deferred.tag, deferred.src, now)
-                ctx.current_message = deferred
-                ctx._record = record
-                ctx.now = now
-                self.engine.dispatch()
-                now = ctx.now
-        return now
 
     def request_wakeup(self, block: int, at_time: int) -> None:
         """Protocol called WakeUp(block): unblock the app thread if it is
@@ -346,26 +348,26 @@ class Node:
         # the restarted load/store succeeds at this instant.  (Deferring
         # it to the app event would open an unbounded re-fault window when
         # an invalidation lands in between -- a livelock the real Blizzard
-        # avoids the same way.)
-        self._complete_pending_access(block)
+        # avoids the same way.)  An access still insufficient re-faults.
+        op = self._pending_access
+        if op is not None:
+            record = self.store[block]
+            access = record.access
+            if (access is _READ_WRITE if op[0] == "write"
+                    else access is not _INVALID):   # as run_app's hit test
+                self._pending_access = None
+                self._hit(op, record)
         if not self._in_app_fault:
             # Woken by a later message handler: resume the app thread via
             # the event queue.  (Synchronous wakes continue inline.)
-            self.machine.schedule_app(self.node_id, at_time)
-
-    def _complete_pending_access(self, block: int) -> None:
-        op = self._pending_access
-        if op is None:
-            return
-        record = self.store.record(block)
-        if fault_event_for(record.access, op[0] == "write") is not None:
-            return  # access still insufficient: the op will re-fault
-        self._pending_access = None
-        self._hit(op, record)
+            machine = self.machine
+            machine._seq = seq = machine._seq + 1
+            heappush(machine._events, (at_time, seq, "app", self.node_id))
 
     def _hit(self, op: tuple, record) -> None:
         """A load or store its access tag allows: count it, store or log
-        word 0 where the op asks for that, and advance the program."""
+        word 0 where the op asks for that, and advance the program
+        (``run_app`` does the same inline)."""
         if op[0] == "write":
             self.stats.write_hits += 1
             if len(op) > 2:  # ('write', block, value): store word 0
@@ -397,10 +399,13 @@ class Node:
                 obs.fault_end(self.node_id, self.fault_block,
                               self.fault_start, now)
 
-        config = self.machine.config
-        costs = config.costs
-        while self.pc < len(self.program):
-            op = self.program[self.pc]
+        costs = self.machine.config.costs
+        program = self.program
+        n_ops = len(program)
+        stats = self.stats
+        store = self.store
+        while self.pc < n_ops:
+            op = program[self.pc]
             kind = op[0]
             if kind == "compute":
                 # Yield to the event queue for the duration: messages
@@ -410,7 +415,7 @@ class Node:
                 # simulated time).  busy_until stays put, so protocol
                 # handlers interleave with the computation and push the
                 # resumption point out by the time they consume.
-                self.stats.app_cycles += op[1]
+                stats.app_cycles += op[1]
                 self.pc += 1
                 self.busy_until = now
                 machine = self.machine
@@ -420,14 +425,30 @@ class Node:
                 return
             elif kind in ("read", "write"):
                 block = op[1]
-                record = self.store.record(block)
-                fault = fault_event_for(record.access, kind == "write")
-                if fault is None:
-                    now += costs.write_hit if kind == "write" else costs.read_hit
-                    self._hit(op, record)
+                record = store[block]
+                # The hit path, inline; _hit is the same for a faulted
+                # access completed at its wakeup.
+                if kind == "read":
+                    if record.access is not _INVALID:
+                        now += costs.read_hit
+                        stats.read_hits += 1
+                        if len(op) > 2 and op[2] == "log":
+                            self.observed.append((block, record.data[0]))
+                        self.pc += 1
+                        continue
+                elif record.access is _READ_WRITE:
+                    now += costs.write_hit
+                    stats.write_hits += 1
+                    if len(op) > 2:  # ('write', block, value): store word 0
+                        data = list(record.data)
+                        data[0] = op[2]
+                        record.data = tuple(data)
+                    self.pc += 1
                     continue
                 self._pending_access = op
-                now = self._take_fault(fault, block, (), now)
+                now = self._take_fault(
+                    fault_event_for(record.access, kind == "write"), block,
+                    (), now)
                 if self.blocked_on is not None:
                     self.busy_until = now
                     return
@@ -453,9 +474,9 @@ class Node:
                 raise RuntimeProtocolError(
                     f"unknown application operation {op!r}")
         self.finished = True
-        self.machine.unfinished -= 1
         self.busy_until = now
-        self.stats.finish_time = now
+        stats.finish_time = now
+        self.machine.leave_barrier_group(now)
 
     def _take_fault(self, tag: str, block: int, payload: tuple,
                     now: int) -> int:
@@ -477,14 +498,15 @@ class Node:
         obs = self.machine.obs
         if obs is not None:
             obs.fault_begin(self.node_id, block, tag, now)
-        message = Message(tag, block, src=self.node_id, dst=self.node_id,
-                          payload=payload)
+        node_id = self.node_id
+        message = _new_message(Message, (tag, block, node_id, node_id,
+                                         payload, None, None))
         self._in_app_fault = True
         try:
-            end = self._protocol_action(message, now)
+            # The app thread ran up to ``now``, so the action starts there.
+            end = self.handle_message(message, now)
         finally:
             self._in_app_fault = False
-        self.stats.protocol_cycles += end - now
         if self.blocked_on is None and self.wake_pending:
             # Satisfied without suspending: no fault wait time.
             self.wake_pending = False

@@ -561,16 +561,16 @@ class ModelChecker:
             while batch:
                 record["state_changed"] = False
                 for delivered in batch:
-                    key = self._fire_keys[record["state_name"],
-                                          delivered.tag]
+                    state_name = record["state_name"]
+                    key = self._fire_keys[state_name, delivered.tag]
                     if key is not None:
                         fires.append(key)
                     ctx.begin(delivered)
                     if prof is None:
-                        interp.dispatch()
+                        interp.dispatch(state_name, record["state_args"])
                     else:
                         t0 = time.perf_counter()
-                        interp.dispatch()
+                        interp.dispatch(state_name, record["state_args"])
                         prof.add_dispatch(key, time.perf_counter() - t0)
                 batch = []
                 if record["state_changed"] and record["queue"]:

@@ -72,6 +72,10 @@ def _encode_value(value, out: bytearray) -> None:
         raw = value.encode("utf-8")
         out += b"s%d:" % len(raw)
         out += raw
+    elif isinstance(value, Message):     # a tuple too: before tuple
+        out += b"m"
+        _encode_value((value.tag, value.block, value.src, value.dst,
+                       value.payload, value.data), out)
     elif isinstance(value, tuple):
         out += b"(%d:" % len(value)
         for item in value:
@@ -81,10 +85,6 @@ def _encode_value(value, out: bytearray) -> None:
         # Canonical order: sort members by their own encoding.
         parts = sorted(_encoded(b"", item) for item in value)
         out += b"{%d:" % len(parts) + b"".join(parts) + b"}"
-    elif isinstance(value, Message):
-        out += b"m"
-        _encode_value((value.tag, value.block, value.src, value.dst,
-                       value.payload, value.data), out)
     elif isinstance(value, ContinuationRecord):
         out += b"c"
         _encode_value((value.handler, value.site_id, value.saved,
@@ -422,15 +422,15 @@ class SymmetryCanonicalizer:
 def _to_jsonable(value):
     if value is None or isinstance(value, (bool, int, str)):
         return value
+    if isinstance(value, Message):          # a tuple too: before tuple
+        return ["m", value.tag, value.block, value.src, value.dst,
+                _to_jsonable(value.payload), _to_jsonable(value.data)]
     if isinstance(value, tuple):
         return ["t", [_to_jsonable(item) for item in value]]
     if isinstance(value, frozenset):
         items = [_to_jsonable(item) for item in value]
         items.sort(key=repr)
         return ["fs", items]
-    if isinstance(value, Message):
-        return ["m", value.tag, value.block, value.src, value.dst,
-                _to_jsonable(value.payload), _to_jsonable(value.data)]
     if isinstance(value, ContinuationRecord):
         return ["c", value.handler, value.site_id,
                 _to_jsonable(value.saved), value.is_static]

@@ -348,10 +348,6 @@ class ActionContext(ProtocolContext):
     def _record(self) -> dict:
         return self.scratch.record(self._message.block)
 
-    def get_state(self) -> tuple[str, tuple]:
-        record = self._record()
-        return record["state_name"], record["state_args"]
-
     def set_state(self, state_name: str, args: tuple) -> None:
         record = self._record()
         if (state_name, args) != (record["state_name"], record["state_args"]):

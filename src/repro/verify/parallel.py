@@ -16,14 +16,16 @@ which.  A worker expands its states in order with the serial expand
 step, proposes each successor key once (its own seen set), runs the
 serial accept step on what it proposes, with the move's judge flag, and
 stashes the successor, until the next dispatch.  Its reply gives, per
-state: the ``(label, key, verdict)`` list (the verdict is the accept
-step's failure message, or None), the number of repeats, the handler
+state: the ``(repeats, label, key, verdict)`` list (the repeats met
+since the previous proposal; the verdict is the accept step's failure
+message, or None), the repeats after the last proposal, the handler
 fires, and any error or symmetry failure at its position.
 
-**Play-back.**  The master's expand step hands a reply to the loop: the
-proposals, each judged by its proposer and verdict, then each repeat as
-a move to the expanded state's own key (a key this worker proposed
-before, visited by now, as the expanded state is), then the error.  Its
+**Play-back.**  The master's expand step hands a reply to the loop in
+move order: each proposal, judged by its proposer and verdict, after
+the repeats that came before it, each as a move to the expanded state's
+own key (a key this worker proposed before, visited by now, as the
+expanded state is), then the trailing repeats, then the error.  Its
 accept step queues the key.  So the verdict, counts, coverage,
 counterexample trace, the state count of a run stopped by
 ``max_states``, a budget or Ctrl-C, and every checkpoint are the serial
@@ -203,13 +205,16 @@ class ParallelChecker(ModelChecker):
         handler_fires = self._handler_fires
         for fire, count in fires.items():
             handler_fires[fire] = handler_fires.get(fire, 0) + count
-        for label, succ_key, verdict in proposals:
+        moves = repeats
+        for before, label, succ_key, verdict in proposals:
+            yield from [(None, None, 0, None)] * before
             yield label, None, key ^ succ_key, (worker, verdict)
+            moves += before + 1
         yield from [(None, None, 0, None)] * repeats
         if error is not None:
             raise error
         if self.profiler is not None:     # as the serial expand step does
-            self.profiler.add_out_degree(len(proposals) + repeats)
+            self.profiler.add_out_degree(moves)
 
     def _accept(self, state, key, depth: int, judge=True):
         if state is not None:                 # a seed, judged here
@@ -262,7 +267,7 @@ class ParallelChecker(ModelChecker):
                 if plays[key] == worker:
                     self._expanded[key] = (worker, *expansion)
                     played[worker] += 1
-                for _label, succ_key, _verdict in expansion[0]:
+                for _before, _label, succ_key, _verdict in expansion[0]:
                     self._holders.setdefault(succ_key, []).append(worker)
         if prof is not None:
             prof.record_wave(time.perf_counter() - began, [
@@ -323,8 +328,10 @@ class ParallelChecker(ModelChecker):
                                 continue
                             seen.add(succ_key)
                             stash[succ_key] = successor
-                            proposals.append((label, succ_key, accept(
-                                successor, succ_key, 0, judge)))
+                            proposals.append((repeats, label, succ_key,
+                                              accept(successor, succ_key, 0,
+                                                     judge)))
+                            repeats = 0
                     except (_LabelledViolation, SymmetryError) as stop:
                         error = stop
                     expanded.append((proposals, repeats, fires, error))

@@ -200,9 +200,6 @@ class FakeContext(ProtocolContext):
     def home_node(self, block: int) -> int:
         return 0
 
-    def get_state(self):
-        return self.state
-
     def set_state(self, name, args):
         self.state = (name, args)
 
@@ -256,7 +253,7 @@ class FakeContext(ProtocolContext):
     def deliver(self, interp, tag, block=0, src=1, payload=(), data=None):
         self.msg = Message(tag, block, src=src, dst=self._node,
                            payload=payload, data=data)
-        interp.dispatch()
+        interp.dispatch(*self.state)
 
 
 def random_sharing_programs(n_nodes: int, n_blocks: int, ops_per_node: int,

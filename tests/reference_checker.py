@@ -138,10 +138,6 @@ class CheckerContext(ProtocolContext):
     def _record(self) -> dict:
         return self.state.record(self._node, self.current_message.block)
 
-    def get_state(self) -> tuple[str, tuple]:
-        record = self._record()
-        return record["state_name"], record["state_args"]
-
     def set_state(self, state_name: str, args: tuple) -> None:
         record = self._record()
         if (state_name, args) != (record["state_name"], record["state_args"]):
@@ -247,10 +243,10 @@ class ReferenceChecker(ModelChecker):
         key = self._count_fire(record["state_name"], message.tag)
         ctx.begin(message)
         if prof is None:
-            interp.dispatch()
+            interp.dispatch(record["state_name"], record["state_args"])
         else:
             t0 = time.perf_counter()
-            interp.dispatch()
+            interp.dispatch(record["state_name"], record["state_args"])
             prof.add_dispatch(key, time.perf_counter() - t0)
         while record["state_changed"] and record["queue"]:
             record["state_changed"] = False
@@ -260,10 +256,10 @@ class ReferenceChecker(ModelChecker):
                 key = self._count_fire(record["state_name"], deferred.tag)
                 ctx.begin(deferred)
                 if prof is None:
-                    interp.dispatch()
+                    interp.dispatch(record["state_name"], record["state_args"])
                 else:
                     t0 = time.perf_counter()
-                    interp.dispatch()
+                    interp.dispatch(record["state_name"], record["state_args"])
                     prof.add_dispatch(key, time.perf_counter() - t0)
         return ctx
 

@@ -458,8 +458,8 @@ class ClockedContext(FakeContext):
     which no host gives a notion of time -- so any charge made on the
     wrong side of one shows."""
 
-    CLOCKED = ("get_state", "set_state", "send", "access_change",
-               "recv_data", "read_word", "write_word", "enqueue_current",
+    CLOCKED = ("set_state", "send", "access_change", "recv_data",
+               "read_word", "write_word", "enqueue_current",
                "retry_queued", "wakeup", "error", "debug_print",
                "support_call", "support_const")
 
@@ -614,7 +614,7 @@ def test_errors_after_uncharged_operations(engine_factory, body, message):
     costs = PRIME_COSTS
     assert ctx.now == (costs.dispatch + costs.indirect_call
                            + 3 * costs.statement)
-    assert ctx.log == [("get_state", 0), ("error", ctx.now)]
+    assert ctx.log == [("error", ctx.now)]
 
 
 @pytest.mark.parametrize("engine_factory", ENGINES)

@@ -616,7 +616,7 @@ class _Inert:
     def __init__(self, _protocol, _ctx):
         pass
 
-    def dispatch(self):
+    def dispatch(self, _state_name, _state_args):
         pass
 
 

@@ -61,15 +61,15 @@ def ref_value(value) -> bytes:
     if isinstance(value, str):
         raw = value.encode("utf-8")
         return f"s{len(raw)}:".encode() + raw
+    if isinstance(value, Message):          # a tuple too: before tuple
+        return b"m" + ref_value((value.tag, value.block, value.src,
+                                 value.dst, value.payload, value.data))
     if isinstance(value, tuple):
         return (f"({len(value)}:".encode()
                 + b"".join(ref_value(item) for item in value) + b")")
     if isinstance(value, frozenset):
         members = sorted(ref_value(item) for item in value)
         return f"{{{len(members)}:".encode() + b"".join(members) + b"}"
-    if isinstance(value, Message):
-        return b"m" + ref_value((value.tag, value.block, value.src,
-                                 value.dst, value.payload, value.data))
     if isinstance(value, ContinuationRecord):
         return b"c" + ref_value((value.handler, value.site_id, value.saved,
                                  value.is_static))
@@ -168,6 +168,42 @@ def test_codec_round_trip_encodes_identically(name, engine, index):
                for mine, theirs in zip(restored.blocks, state.blocks))
     assert restored == state
     assert encode_state(restored) == ref_state(state)
+
+
+# -- the message record -----------------------------------------------------
+#
+# A Message is a tuple of its seven fields, so an encoder that tested
+# ``tuple`` first would write it as a plain 7-tuple, seq included.
+
+@pytest.mark.parametrize("message,encoding", [
+    (Message("GET", 3, src=1, dst=0, payload=(2,), seq=17),
+     b"m(6:s3:GETi3;i1;i0;(1:i2;)N)"),
+    (Message("PUT", 3, src=0, dst=1, data=(5, 0, 0, 0)),
+     b"m(6:s3:PUTi3;i0;i1;(0:)(4:i5;i0;i0;i0;))"),
+], ids=["seq", "data"])
+def test_a_message_encodes_as_a_message(message, encoding):
+    from repro.verify.fingerprint import (
+        _encode_value,
+        _from_jsonable,
+        _to_jsonable,
+    )
+
+    out = bytearray()
+    _encode_value(message, out)
+    assert bytes(out) == encoding == ref_value(message)
+    jsonable = _to_jsonable(message)
+    assert jsonable[0] == "m"
+    # The JSON codec drops seq, as the fingerprint does; pickle keeps it.
+    restored = _from_jsonable(json.loads(json.dumps(jsonable)))
+    assert type(restored) is Message
+    assert restored == message._replace(seq=None)
+    shipped = pickle.loads(pickle.dumps(message))
+    assert type(shipped) is Message
+    assert shipped == message and shipped.seq == message.seq
+    assert repr(shipped) == repr(message)
+    for field in Message._fields:
+        with pytest.raises(AttributeError):
+            setattr(message, field, None)
 
 
 # -- symmetry renamings --------------------------------------------------------

@@ -14,11 +14,18 @@ from repro.verify import (
     fingerprint,
     replay_labels,
 )
+from repro.verify.events import events_for_protocol
 from repro.verify.fingerprint import (
     StateCodecError,
     encode_state,
     state_from_jsonable,
     state_to_jsonable,
+)
+from repro.verify.invariants import (
+    bounded_channels,
+    bounded_queues,
+    no_parked_continuation_leak,
+    single_writer,
 )
 from repro.verify.model import initial_global_state
 from repro.verify.parallel import CheckpointError, load_checkpoint
@@ -211,6 +218,32 @@ class TestParallelDeterminism:
             assert (result.violation.kind, result.violation.message,
                     result.violation.trace,
                     result.violation.state) == expected
+
+    @pytest.mark.parametrize("name,invariants,transitions", [
+        ("stache", [single_writer, bounded_channels(1), bounded_queues(),
+                    no_parked_continuation_leak], 36),
+        ("lcm", [bounded_queues(1), single_writer, bounded_channels(),
+                 no_parked_continuation_leak], 752),
+    ])
+    def test_a_violation_counts_the_serial_transitions(
+            self, name, invariants, transitions):
+        # A worker's repeats play back where its expansion met them, so
+        # the transitions counted before the violating move are the
+        # serial run's.
+        counts = []
+        for workers in (0, 2):
+            protocol = compile_named_protocol(name)
+            options = dict(n_nodes=3, n_blocks=1, reorder_bound=1,
+                           events=events_for_protocol(name),
+                           invariants=invariants)
+            checker = (ParallelChecker(protocol, workers=workers, **options)
+                       if workers else ModelChecker(protocol, **options))
+            result = checker.run()
+            assert not result.ok
+            counts.append((result.transitions, result.states_explored,
+                           result.violation.message))
+        assert counts[0] == counts[1]
+        assert counts[0][0] == transitions
 
     def test_reduced_violations_are_worker_count_independent(self):
         # Under symmetry a key is an orbit: a worker may expand only the

@@ -1,9 +1,12 @@
 """Unit tests for the Tempest substrate: memory, network, machine."""
 
+import sys
+
 import pytest
 
 from repro.compiler.pipeline import compile_source
 from repro.lang.errors import RuntimeProtocolError
+from repro.protocols import compile_named_protocol
 from repro.runtime.context import Message, home_node
 from repro.tempest.machine import Machine, MachineConfig
 from repro.tempest.memory import (
@@ -14,6 +17,7 @@ from repro.tempest.memory import (
 from repro.tempest.network import Network, NetworkConfig
 from repro.verify.checker import ModelChecker
 from repro.verify.fingerprint import SymmetryCanonicalizer
+from repro.workloads import gauss_programs
 
 from helpers import MINI_SOURCE, compile_mini, random_sharing_programs
 
@@ -81,6 +85,30 @@ class TestNetwork:
         network.arrival_time(self._msg(), 1)
         assert network.messages_carried == 2
 
+    @pytest.mark.parametrize("config", [
+        NetworkConfig(latency=100),
+        NetworkConfig(latency=10, jitter=200, fifo=False, seed=3),
+        NetworkConfig(latency=10, jitter=50, fifo=True, seed=5),
+    ], ids=["fifo", "jitter", "jitter-fifo"])
+    def test_inject_times_messages_as_arrival_time_does(self, config):
+        # Without a fault plan the machine computes arrivals inline: it
+        # must queue each message where Network.arrival_time puts it.
+        machine = Machine(compile_mini(), [[], [], []], MachineConfig(
+            n_nodes=3, n_blocks=1, network=config))
+        reference = Network(config)
+        expected = []
+        for send_time in range(0, 40, 3):
+            for src in range(3):
+                for dst in range(3):
+                    message = self._msg(src, dst)
+                    machine.inject(message, send_time)
+                    expected.append(
+                        reference.arrival_time(message, send_time))
+        queued = sorted(machine._events, key=lambda event: event[1])
+        assert [event[0] for event in queued] == expected
+        assert (machine.network.messages_carried
+                == reference.messages_carried == len(expected))
+
 
 class TestMachine:
     def test_simple_token_passing(self):
@@ -121,6 +149,8 @@ class TestMachine:
                                    n_blocks=n_blocks)
             homes = [home_node(block, n_nodes) for block in range(n_blocks)]
             assert [machine.home_of(b) for b in range(n_blocks)] == homes
+            ctx = machine.nodes[0].ctx
+            assert [ctx.home_node(b) for b in range(n_blocks)] == homes
             assert [checker.home_of(b) for b in range(n_blocks)] == homes
             canon = SymmetryCanonicalizer(protocol, n_nodes, n_blocks)
             assert canon.free_nodes == [
@@ -186,6 +216,22 @@ class TestMachine:
         assert [s.finish_time for s in stats] == [0, 350, 2265, 1000]
         # Released at 300 (node 1 arrives last), then at 1000 (node 2).
         assert [s.barrier_wait_cycles for s in stats] == [0, 0, 200, 940]
+
+    @pytest.mark.parametrize("hits,finish,release", [(0, 10, 10), (5, 5, 10)])
+    def test_a_finish_releases_the_barrier_it_was_awaited_at(
+            self, hits, finish, release):
+        # Node 0 reaches the barrier after ``hits`` local reads (2 cycles
+        # each); node 1 ends its program at ``finish`` instead of
+        # arriving.  Node 0 is released at the later of the two.
+        programs = [[("read", 0)] * hits + [("barrier",), ("read", 0)],
+                    [("compute", finish)]]
+        machine = Machine(compile_mini(), programs,
+                          MachineConfig(n_nodes=2, n_blocks=1))
+        assert machine.run().cycles == release + 2
+        stats = [node.stats for node in machine.nodes]
+        assert [s.finish_time for s in stats] == [release + 2, finish]
+        assert [s.barrier_wait_cycles for s in stats] == [
+            release - 2 * hits, 0]
 
     def test_a_lone_unfinished_node_passes_its_barrier_at_once(self):
         machine = Machine(compile_mini(), [[], [("barrier",)], []],
@@ -344,3 +390,34 @@ class TestSimulatedDataPresence:
         monkeypatch.setattr(node.NodeContext, "__init__", presence_on)
         with pytest.raises(RuntimeProtocolError, match="without data"):
             self.simulate("buffered_write", 0, 0)
+
+
+class TestPerMessagePath:
+    # Python frames entered, counted by sys.setprofile, over a small
+    # Table-1 gauss run once the per-message path had one frame per
+    # layer: 1,909 calls for 132 handler dispatches, 114 protocol actions
+    # and 76 sends.  A frame added back per dispatch or per action
+    # passes the 5 % allowed; one per send alone stays inside it.
+    CALLS, DISPATCHES = 1909, 132
+
+    def test_calls_per_dispatch_do_not_creep(self):
+        protocol = compile_named_protocol("stache")
+        programs = gauss_programs(n_nodes=8, iterations=4, seed=11)
+        # The first run compiles the handlers the counted run executes.
+        Machine(protocol, programs, MachineConfig(n_nodes=8)).run()
+        machine = Machine(protocol, programs, MachineConfig(n_nodes=8))
+        calls = 0
+
+        def count(_frame, event, _arg):
+            nonlocal calls
+            if event == "call":
+                calls += 1
+
+        sys.setprofile(count)
+        try:
+            result = machine.run()
+        finally:
+            sys.setprofile(None)
+        dispatches = result.stats.counters.handler_dispatches
+        assert dispatches == self.DISPATCHES
+        assert calls / dispatches <= 1.05 * self.CALLS / self.DISPATCHES
