@@ -113,8 +113,7 @@ def test_fig11_simulation_under_jitter(benchmark, report):
             ]
             config = MachineConfig(
                 n_nodes=2, n_blocks=1,
-                network=NetworkConfig(latency=100, jitter=400,
-                                      fifo=False, seed=seed))
+                network=NetworkConfig(latency=100, jitter=400, seed=seed))
             machine = Machine(protocol, programs, config)
             machine.run()
             machine.assert_quiescent()

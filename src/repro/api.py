@@ -447,7 +447,6 @@ def simulate(target: Target,
 
     network = NetworkConfig(
         jitter=options.jitter,
-        fifo=options.jitter == 0,
         seed=options.seed if options.seed is not None else 12345,
     )
     check_output_paths(ValueError, options.trace, options.metrics)

@@ -141,7 +141,7 @@ class Machine:
             arrival = send_time + config.latency
             if config.jitter > 0:
                 arrival += network._rng.randrange(config.jitter + 1)
-            if config.fifo:
+            else:
                 channel = (message.src, message.dst)
                 clamp = network._last_arrival.get(channel, 0) + 1
                 if clamp > arrival:

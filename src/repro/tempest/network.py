@@ -18,8 +18,7 @@ from repro.runtime.context import Message
 @dataclass
 class NetworkConfig:
     latency: int = 220       # base transit cycles
-    jitter: int = 0          # max extra random delay (enables reordering)
-    fifo: bool = True        # enforce per-channel FIFO delivery
+    jitter: int = 0          # max extra random delay; 0: FIFO channels
     seed: int = 12345
 
 
@@ -45,11 +44,10 @@ class Network:
 
     def arrival_time(self, message: Message, send_time: int) -> int:
         """When ``message``, injected at ``send_time``, reaches its target."""
-        delay = self.config.latency
+        arrival = send_time + self.config.latency
         if self.config.jitter > 0:
-            delay += self._rng.randrange(self.config.jitter + 1)
-        arrival = send_time + delay
-        if self.config.fifo:
+            arrival += self._rng.randrange(self.config.jitter + 1)
+        else:
             channel = (message.src, message.dst)
             clamp = self._last_arrival.get(channel, 0) + 1
             if clamp > arrival:
@@ -63,7 +61,7 @@ class Network:
         kind ``"deliver"`` or ``"dup"``; an empty list means dropped.
 
         A dropped message still travels the wire (it consumes a jitter
-        draw and advances the FIFO clamp) -- it is lost at the receiver,
+        draw or advances the FIFO clamp) -- it is lost at the receiver,
         so the timing of every *other* message is unchanged whether or
         not the drop happened.
         """

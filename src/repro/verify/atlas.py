@@ -4,10 +4,10 @@ This module is the measurement layer for the explored graph's
 structure, the same way :mod:`repro.obs.profile` is for hot-loop time:
 
 - :func:`build_atlas` -- reads the atlas off the graph a serial run
-  records over its own keys (:class:`repro.verify.starvation.KeyGraph`,
-  the one ``--liveness`` reads): every explored transition and every
-  visited state's BFS depth, per-node protocol-state vector and
-  nonzero fault budget.
+  records over the indices of its visited keys
+  (:class:`repro.verify.starvation.KeyGraph`, the one ``--liveness``
+  reads): every explored transition and every visited state's BFS
+  depth, per-node protocol-state vector and nonzero fault budget.
 - :class:`StateAtlas` -- the schema-versioned JSON artifact (kind
   ``teapot-state-atlas`` v3; ``teapot verify --atlas-out``), rendered by
   ``teapot analyze atlas``, diffable with ``teapot analyze diff``, and
@@ -39,35 +39,35 @@ from repro.ioutil import atomic_write_json, check_envelope, read_json
 from repro.obs.analyze.trace import TraceError
 from repro.verify.checker import parse_label
 from repro.verify.fingerprint import fingerprint
-from repro.verify.model import VIEWS
+from repro.verify.model import VIEWS, Memo
 
 ATLAS_KIND = "teapot-state-atlas"
 ATLAS_VERSION = 3
 
 
-def build_atlas(result, graph, protocol) -> "StateAtlas":
+def build_atlas(result, graph, index, protocol) -> "StateAtlas":
     """The :class:`StateAtlas` of a finished serial run's ``result``,
-    read off the labelled KeyGraph it recorded: a state is named by its
-    key's hex (a full-state key is fingerprinted here), its depth comes
-    from its acceptance index (BFS accepts layer by layer; the timeline's
-    first point per depth counts the states up to there), and the rows
+    read off the labelled KeyGraph it recorded over ``index``, its
+    visited keys in acceptance order: a state is named by its key's hex
+    (a full-state key is fingerprinted here), its depth comes from its
+    acceptance index (BFS accepts layer by layer; the timeline's first
+    point per depth counts the states up to there), and the rows
     :meth:`KeyGraph.end` never closed are the frontier."""
     names = [f"{key if isinstance(key, int) else fingerprint(key):016x}"
-             for key in graph.index]
+             for key in index]
     ends: dict[int, int] = {}           # depth -> states up to its end
     for point in result.timeline:
         ends.setdefault(point["depth"], point["states"])
     bounds = list(ends.values())
     # One (vector, fault budget) per distinct note -- block view ids,
     # node-major, then the budget -- shared by the states carrying it.
-    width = result.n_blocks
-    notes = [([[VIEWS[view].state_name for view in note[at:at + width]]
-               for at in range(0, len(note) - 2, width)], note[-2:])
-             for note in graph.note_ids]
+    width, span = result.n_blocks, result.n_nodes * result.n_blocks + 2
+    notes = Memo(lambda note: ([[VIEWS[view].state_name for view in note[
+        at:at + width]] for at in range(0, span - 2, width)], note[-2:]))
     expanded = len(graph.offsets) - 1
     states = {}
     for k, name in enumerate(names):
-        vector, faults = notes[graph.notes[k]]
+        vector, faults = notes[tuple(graph.notes[k * span:(k + 1) * span])]
         annotation = {"depth": bisect_right(bounds, k), "vector": vector}
         if faults != (0, 0):
             annotation["faults"] = list(faults)

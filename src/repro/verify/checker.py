@@ -13,8 +13,8 @@ import re
 import sys
 import time
 from collections import Counter, deque
-from dataclasses import dataclass, field
-from itertools import chain, compress, islice
+from dataclasses import dataclass, field, replace
+from itertools import chain, compress
 from typing import IO, NamedTuple, Optional
 
 from repro.runtime.context import Message, home_node
@@ -27,7 +27,6 @@ from repro.verify.checkpoint import (
     peak_rss_mb,
     replay_frontier,
     starting_cut,
-    visited_container_bytes,
 )
 from repro.verify.events import EventGenerator, StacheEvents
 from repro.verify.fingerprint import (
@@ -382,7 +381,7 @@ class ModelChecker:
         # Progress lines: the run's timeline points, printed there as
         # they are taken, about one a second (checkpoint.CutPolicy).
         self.progress_stream = progress_stream
-        # Hash compaction: key the visited set and parent pointers by
+        # Hash compaction: key the visited set (the run's key index) by
         # 64-bit fingerprints (repro.verify.fingerprint); a violation
         # trace is replay-validated against collisions.
         self.fingerprint_states = fingerprint_states
@@ -405,13 +404,16 @@ class ModelChecker:
         else:
             self._canon = None
         # Liveness under symmetry also reads each state's argmin renaming
-        # (starvation.KeyGraph), memoised with its key.
+        # (starvation.KeyGraph), memoised with its key, by its position
+        # in the group (None, the state itself, is the identity's).
         self._renaming = None
         if symmetry and liveness:
             least = Memo(lambda state: self._canon.least(
                 state, fingerprint(state)))
+            position = {None: 0, **{g: k for k, g in enumerate(
+                self._canon.perms, 1)}}
             self.fingerprint_fn = lambda state: least[state][0]
-            self._renaming = lambda state: least[state][1]
+            self._renaming = lambda state: position[least[state][1]]
         # Where the visited key is the state's own fingerprint (not a
         # minimum over renamings) a successor's is its parent's with the
         # terms of the slots the move stored swapped: the per-slot term
@@ -860,7 +862,7 @@ class ModelChecker:
         invariant suite -- in full where ``judge`` (a fact changed at a
         slot the move wrote; a seed), else those without facts; returns
         the first failure's message, or None.  The caller owns the
-        containers: visited set, parent pointers, frontier, graph."""
+        containers: the record of visited keys, frontier, graph."""
         if depth > self._max_depth:
             self._max_depth = depth
         prof = self.profiler
@@ -886,7 +888,7 @@ class ModelChecker:
         if (violation is not None and self.fingerprint_states
                 and violation.kind != "starvation"):
             # Collision guard: the trace came from fingerprint-keyed
-            # parent pointers; make sure it actually replays (_starvation
+            # parent indices; make sure it actually replays (_starvation
             # replayed its own witness).
             self.verify_violation(violation)
         evals = self._invariant_counts(counts["states"], violation)
@@ -911,13 +913,17 @@ class ModelChecker:
         policy = self._policy = CutPolicy(self, start_time, cut.elapsed)
         transitions = cut.transitions
         self._handler_fires = cut.handler_fires
-        # The parent pointers, keyed either by the state itself or, in
-        # fingerprint mode, by its 64-bit digest, are the visited set.
-        visited = parents = cut.parents
-        seeds = replay_frontier(self, parents, cut.frontier, self.resume)
-        # (state, key, depth) entries: accepted, awaiting expansion.
+        # The run explores into the cut's one record: its index (each key
+        # -- the state itself or, in fingerprint mode, its 64-bit digest
+        # -- to its acceptance index) is the visited set, and per index
+        # it holds the parent's index and the edge's label id.
+        index, parent_of, label_of, labels = (cut.index, cut.parent,
+                                              cut.label, cut.labels)
+        setdefault = index.setdefault
+        seeds = replay_frontier(self, cut, self.resume)
+        # (state, key, index, depth) entries: accepted, to be expanded.
         frontier: deque = deque()
-        # The explored graph over these same keys, for liveness (with
+        # The explored graph over these same indices, for liveness (with
         # renamings under symmetry) and the atlas (with each edge's
         # label and each state's block views and fault budget).
         graph = None
@@ -936,66 +942,63 @@ class ModelChecker:
         def finish(violation: Optional[Violation] = None) -> CheckResult:
             if prof is not None:
                 prof.set_visited(
-                    entries=len(visited),
+                    entries=len(index),
                     mode=("fingerprint" if self.fingerprint_states
                           else "state"),
-                    container_bytes=visited_container_bytes(parents))
+                    # The record's containers (the budget measures RSS):
+                    container_bytes=sum(map(sys.getsizeof, (
+                        index, parent_of, label_of, labels))))
             result = self._finish(
-                violation, policy=policy, states=len(visited),
+                violation, policy=policy, states=len(index),
                 frontier=len(frontier), transitions=transitions,
                 max_depth=self._max_depth, elapsed=policy.elapsed(),
                 handler_fires=self._handler_fires, stopped=stopped)
             if self.atlas:
                 from repro.verify.atlas import build_atlas
-                result.atlas = build_atlas(result, graph, self.protocol)
+                result.atlas = build_atlas(result, graph, index,
+                                           self.protocol)
             return result
 
-        def trace_to(key, last_label: str) -> list[str]:
-            return self._trace_via_parents(key, parents) + [last_label]
-
-        def take(state, key, pkey, label, d, judge=True) -> Optional[str]:
-            """Take a fresh state into the search: bookkeeping, the accept
-            step and, unless an invariant failed, a frontier slot."""
-            parents[key] = (pkey, label)
+        def take(state, key, at, d, judge=True) -> Optional[str]:
+            """Take a recorded state into the search: its graph row, the
+            accept step and, unless an invariant failed, a frontier slot."""
             if graph is not None:
-                graph.state(key, sum(
+                graph.state(sum(
                     1 << node for node, aid in enumerate(
                         state[self._app0:self._chan0])
                     if APPS[aid].blocked_on is not None), renaming(state),
                     note(state))
             message = self._accept(state, key, d, judge)
             if message is None:
-                frontier.append((state, key, d))
+                frontier.append((state, key, at, d))
             return message
 
         # Seeds are taken exactly as the loop takes every later state:
         # a checkpoint frontier is pre-acceptance on disk, so its
         # invariants run (and its deepest row sets the depth) here.
-        for key, (pkey, label, d) in cut.frontier.items():
-            message = take(seeds[key], key, pkey, label, d)
+        for key, d in cut.frontier.items():
+            message = take(seeds[key], key, index[key], d)
             if message is not None:
                 return finish(Violation(
                     "invariant", message,
-                    self._trace_via_parents(key, parents) or ["<initial>"],
-                    seeds[key]))
+                    cut.trace(index[key]) or ["<initial>"], seeds[key]))
+        fresh = len(index)      # the index the next new key gets
 
         def write_ckpt(durable: bool) -> None:
-            # The live parent table holds the frontier; the encoder skips it.
-            Cut(transitions=transitions, elapsed=policy.elapsed(),
-                handler_fires=self._handler_fires, parents=parents,
-                frontier={key: (*parents[key], d)
-                          for _state, key, d in frontier},
-                ).write(self, durable)
+            replace(cut, transitions=transitions, elapsed=policy.elapsed(),
+                    handler_fires=self._handler_fires,
+                    frontier={key: d for _state, key, _at, d in frontier},
+                    ).write(self, durable)
 
         # The top of the loop is a clean cut (see CutPolicy): every
         # non-frontier visited state is fully expanded.
         while frontier:
-            stopped = policy.at_cut(len(visited), len(frontier),
-                                    frontier[0][2], transitions,
+            stopped = policy.at_cut(len(index), len(frontier),
+                                    frontier[0][3], transitions,
                                     interrupt_cell[0], write_ckpt)
             if stopped is not None:
                 return finish()
-            state, key, d = frontier.popleft()
+            state, key, here, d = frontier.popleft()
             violation, before = None, transitions
             try:
                 for label, successor, delta, judge in self._expand(state, key):
@@ -1004,22 +1007,27 @@ class ModelChecker:
                     # or its fingerprint from scratch:
                     succ_key = (successor if fp is None else fp(successor)
                                 if delta is None else key ^ delta)
+                    at = setdefault(succ_key, fresh)
                     if graph is not None:
-                        graph.edge(succ_key, renaming(successor), label)
-                    if succ_key in visited:
+                        graph.edge(at, renaming(successor), label)
+                    if at < fresh:
                         continue
-                    message = take(successor, succ_key, key, label, d + 1,
-                                   judge)
+                    fresh += 1
+                    parent_of.append(here)
+                    label_of.append(labels.setdefault(label, len(labels)))
+                    message = take(successor, succ_key, at, d + 1, judge)
                     if message is not None:
-                        violation = Violation("invariant", message,
-                                              trace_to(key, label), successor)
+                        violation = Violation(
+                            "invariant", message, cut.trace(here) + [label],
+                            successor)
                         break
                 if transitions == before:
                     violation = Violation("deadlock", _DEADLOCK_MESSAGE,
-                                          trace_to(key, "<stuck>"), state)
+                                          cut.trace(here) + ["<stuck>"], state)
             except _LabelledViolation as found:
                 violation = Violation("error", found.message,
-                                      trace_to(key, found.label), state)
+                                      cut.trace(here) + [found.label],
+                                      state)
             # Cut short by a violation or not, the state was expanded.
             if graph is not None:
                 graph.end()
@@ -1027,7 +1035,7 @@ class ModelChecker:
                 return finish(violation)
 
         stuck = graph.stuck(self.n_nodes) if self.liveness else None
-        return finish(stuck and self._starvation(*stuck, graph, parents))
+        return finish(stuck and self._starvation(*stuck, cut))
 
     # -- trace replay -------------------------------------------------------
 
@@ -1049,7 +1057,7 @@ class ModelChecker:
         the claimed violation actually occurs at its end.  Returns the
         final replayed state; raises :class:`FingerprintCollisionError`
         if the trace diverges (the signature of a fingerprint collision
-        having corrupted the parent pointers)."""
+        having corrupted the parent indices)."""
         replayer = self.fresh_clone()
         try:
             final = replay_labels(replayer, violation.trace)
@@ -1067,16 +1075,13 @@ class ModelChecker:
             violation.state = final
         return final
 
-    def _starvation(self, node: int, index: int, graph,
-                    parents) -> Violation:
+    def _starvation(self, node: int, at: int, cut: Cut) -> Violation:
         """The verdict for the analysis's stuck ``(node, index)``: the
-        trace to that key by its parent pointers.  A keyed witness is
-        replayed (the collision guard) to the state whose named node
+        trace to index ``at`` by its parent indices, replayed (for a
+        keyed run, the collision guard) to the state whose named node
         must be blocked."""
-        key = next(islice(graph.index, index, None))
-        trace = self._trace_via_parents(key, parents) + ["<thread lost>"]
-        witness = (self.verify_violation(Violation("starvation", "", trace))
-                   if self.fingerprint_states else key)
+        trace = cut.trace(at) + ["<thread lost>"]
+        witness = self.verify_violation(Violation("starvation", "", trace))
         blocked_on = witness.apps[node].blocked_on
         if blocked_on is None:
             raise FingerprintCollisionError(
@@ -1086,18 +1091,6 @@ class ModelChecker:
             "starvation", f"node {node} is blocked on block {blocked_on} "
             "and no reachable continuation of the run ever wakes it",
             trace, witness)
-
-    @staticmethod
-    def _trace_via_parents(state, parents) -> list[str]:
-        labels: list[str] = []
-        cursor = state
-        while cursor is not None:
-            parent, label = parents[cursor]
-            if parent is not None:
-                labels.append(label)
-            cursor = parent
-        labels.reverse()
-        return labels
 
     @staticmethod
     def _invariant_name(invariant: Invariant) -> str:

@@ -40,12 +40,12 @@ import json
 import os
 import resource
 import signal
-import sys
 import threading
 import time
+from array import array
 from collections import deque
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain, islice
 from types import GeneratorType
 
@@ -77,13 +77,6 @@ PERIODIC_SPACING_RATIO = 19.0
 # Progress lines print the run's timeline: its first point, its last,
 # and in between a point at least this many seconds after the last line.
 PROGRESS_SPACING_SECONDS = 1.0
-
-
-def visited_container_bytes(parents) -> int:
-    """The profiler's ``visited_bytes`` stat: the container overhead of
-    the parent table, which is the visited set (the memory budget
-    measures RSS)."""
-    return sys.getsizeof(parents)
 
 
 def peak_rss_mb() -> float:
@@ -365,36 +358,58 @@ def config_echo(checker) -> dict:
     }
 
 
-def _hex(fp) -> "str | None":
-    return None if fp is None else f"{fp:016x}"
-
-
-def _unhex(text) -> "int | None":
-    return None if text is None else int(text, 16)
-
-
 @dataclass
 class Cut:
-    """The exploration at a clean cut: ``parents`` holds the visited
-    states, fully expanded, ``frontier`` waits unaccepted (before
-    invariants, one BFS edge per state), the counters are what reaching
-    the cut cost.  A run starts from one (:func:`starting_cut`: a
-    decoded checkpoint or the initial state), and every checkpoint is
-    one written out (:meth:`write`).  Fingerprints are ints."""
+    """The exploration at a clean cut, and the one record of what a run
+    explored: a run starts from a cut (:func:`starting_cut`: a decoded
+    checkpoint or the initial state) and explores into its containers,
+    and every checkpoint is one written out (:meth:`write`).
 
-    transitions: int
-    elapsed: float
-    handler_fires: dict
-    parents: dict    # fp -> (parent fp | None, label), expanded states
-    frontier: dict   # fp -> (parent fp | None, label, depth), unaccepted
+    ``index`` maps each visited key to its index: it is the visited set,
+    the frontier included, in acceptance order (a resumed run's decoded
+    states first).  Per index, ``parent`` holds the parent's index (-1:
+    the root) and ``label`` the id of the edge's label in ``labels``,
+    the run's distinct labels (label -> id).  ``frontier`` maps each key
+    that waits unaccepted (before invariants) to its depth; the counters
+    are what reaching the cut cost.  Checkpoint keys are fingerprints
+    (ints)."""
+
+    transitions: int = 0
+    elapsed: float = 0.0
+    handler_fires: dict = field(default_factory=dict)
+    index: dict = field(default_factory=dict)
+    parent: array = field(default_factory=lambda: array("q"))
+    label: array = field(default_factory=lambda: array("I"))
+    labels: dict = field(default_factory=dict)
+    frontier: dict = field(default_factory=dict)
+
+    def add(self, key, parent: int, label: str) -> None:
+        """Record ``key``, reached from index ``parent`` by ``label``."""
+        self.index[key] = len(self.index)
+        self.parent.append(parent)
+        self.label.append(self.labels.setdefault(label, len(self.labels)))
+
+    def trace(self, at: int) -> list[str]:
+        """The rule labels from the root to index ``at``."""
+        names, trace = list(self.labels), []
+        while self.parent[at] >= 0:
+            trace.append(names[self.label[at]])
+            at = self.parent[at]
+        return trace[::-1]
 
     def encode(self, echo: dict) -> dict:
         """The v3 payload, its containers as generators of their JSON
-        (:func:`_json_batches`).  ``parents`` may be a writer's live
-        container, already holding the frontier (the serial loop
-        accepts a state when it queues it): frontier keys are skipped
-        there, so no writer copies a container."""
-        frontier, parents = self.frontier, self.parents
+        (:func:`_json_batches`): each state's edge, ``[parent fp | None,
+        label]``, read off the record, whose keys in index order name the
+        parents; the expanded states are the ones not in the frontier."""
+        index, parent, label, frontier = (self.index, self.parent,
+                                          self.label, self.frontier)
+        keys, names = list(index), list(self.labels)
+
+        def edge(at: int) -> list:
+            up = parent[at]
+            return [None if up < 0 else f"{keys[up]:016x}", names[label[at]]]
+
         return {
             **echo,
             "kind": CHECKPOINT_KIND,
@@ -403,17 +418,15 @@ class Cut:
             # Sorted as the seal's canonical JSON sorts keys: 64-bit
             # fingerprints' 16-digit hex sorts as the ints do.
             "parents": _json_batches(
-                "{}", lambda fps: {f"{fp:016x}": [_hex(pfp), label]
-                                   for fp in fps
-                                   for pfp, label in [parents[fp]]},
-                sorted(fp for fp in parents if fp not in frontier)),
+                "{}", lambda fps: {f"{fp:016x}": edge(index[fp])
+                                   for fp in fps},
+                sorted(fp for fp in index if fp not in frontier)),
             # A frontier state is stored by reference: the (parent fp,
             # label) chain rebuilds it at resume by replay, a few bytes
             # where the state would be hundreds.
             "frontier": _json_batches(
-                "[]", lambda rows: [[f"{fp:016x}", _hex(pfp), label, depth]
-                                    for fp, (pfp, label, depth) in rows],
-                frontier.items()),
+                "[]", lambda fps: [[f"{fp:016x}", *edge(index[fp]),
+                                    frontier[fp]] for fp in fps], frontier),
         }
 
     def write(self, checker, durable: bool = True) -> None:
@@ -437,20 +450,28 @@ def decode_checkpoint(payload: dict, echo: dict, path: str) -> Cut:
         raise CheckpointError(
             f"{path}: checkpoint is for a different configuration "
             f"({diffs})")
-    parents = {int(fp, 16): (_unhex(pfp), label)
-               for fp, (pfp, label) in payload["parents"].items()}
-    frontier: dict = {}
-    for fp, pfp, label, depth in payload["frontier"]:
-        key = int(fp, 16)
-        if key in frontier or key in parents:
+    cut = Cut(transitions=payload["transitions"], elapsed=payload["elapsed"],
+              handler_fires=dict(payload["handler_fires"]))
+    # The expanded states, then the frontier, each indexed before any
+    # parent is looked up: the expanded rows are sorted by key.
+    edges = [*([fp, *edge] for fp, edge in payload["parents"].items()),
+             *(row[:3] for row in payload["frontier"])]
+    index = cut.index
+    for fp, _pfp, _label in edges:
+        if index.setdefault(int(fp, 16), len(index)) < len(index) - 1:
             raise CheckpointError(
                 f"{path}: frontier state {fp} is listed twice or was "
                 "already expanded")
-        frontier[key] = (_unhex(pfp), label, depth)
-    return Cut(transitions=payload["transitions"],
-               elapsed=payload["elapsed"],
-               handler_fires=dict(payload["handler_fires"]),
-               parents=parents, frontier=frontier)
+    for fp, pfp, label in edges:
+        up = -1 if pfp is None else index.get(int(pfp, 16))
+        if up is None:
+            raise CheckpointError(
+                f"{path}: state {fp} has a broken parent chain (missing "
+                f"ancestor {pfp})")
+        cut.parent.append(up)
+        cut.label.append(cut.labels.setdefault(label, len(cut.labels)))
+    cut.frontier = {int(row[0], 16): row[3] for row in payload["frontier"]}
+    return cut
 
 
 def starting_cut(checker) -> Cut:
@@ -463,51 +484,42 @@ def starting_cut(checker) -> Cut:
     initial = checker.initial_state()
     key = (checker.fingerprint_fn(initial) if checker.fingerprint_states
            else initial)
-    return Cut(transitions=0, elapsed=0.0, handler_fires={}, parents={},
-               frontier={key: (None, "<initial>", 0)})
+    cut = Cut(frontier={key: 0})
+    cut.add(key, -1, "<initial>")
+    return cut
 
 
-def replay_frontier(checker, parents: dict, frontier: dict,
-                    where: str) -> dict:
-    """Concrete states for frontier records stored by reference.
-
-    ``frontier`` maps fp -> ``(parent fp, label, ...)`` and ``parents``
-    holds the expanded states' edges; each state is rebuilt by replaying
-    its record's parent-label chain from the initial state -- the same
-    deterministic replay that validates counterexample traces, so a
-    chain that fails to replay is a real integrity error.  ``checker``
-    is the resuming run's checker."""
+def replay_frontier(checker, cut: Cut, where: str) -> dict:
+    """Concrete states for ``cut``'s frontier keys, which a checkpoint
+    stores by reference: each is rebuilt by replaying its parent-label
+    chain from the initial state -- the same deterministic replay that
+    validates counterexample traces, so a chain that fails to replay is
+    a real integrity error.  ``checker`` is the resuming run's
+    checker."""
     from repro.verify.checker import TraceReplayError, replay_step
 
+    parent, label, names = cut.parent, cut.label, list(cut.labels)
     replayer, found = None, {}
     # Sibling frontier states share almost their whole chain, so
-    # replayed ancestors are cached by fingerprint: each chain replays
-    # only the suffix below its deepest cached one (None roots them all).
-    cache: dict = {None: checker.initial_state()}
-    for fp, record in frontier.items():
-        chain = [(fp, record[0], record[1])]
-        cursor = record[0]
-        while cursor not in cache:
-            try:
-                up, label = parents[cursor]
-            except KeyError:
-                raise CheckpointError(
-                    f"{where}: frontier state {fp:016x} has a broken "
-                    f"parent chain (missing ancestor {cursor:016x})"
-                ) from None
-            chain.append((cursor, up, label))
-            cursor = up
-        state = cache[cursor]
-        for node_fp, up, label in reversed(chain):
-            if up is not None:      # the root's edge is a marker, not a rule
+    # replayed ancestors are cached by index: each chain replays only
+    # the suffix below its deepest cached one (-1 roots them all).
+    cache: dict = {-1: checker.initial_state()}
+    for key in cut.frontier:
+        chain, at = [], cut.index[key]
+        while at not in cache:
+            chain.append(at)
+            at = parent[at]
+        state = cache[at]
+        for at in reversed(chain):
+            if parent[at] >= 0:     # the root's edge is a marker, not a rule
                 replayer = replayer or checker.fresh_clone()
                 try:
-                    state = replay_step(replayer, state, label)
+                    state = replay_step(replayer, state, names[label[at]])
                 except TraceReplayError as error:
                     raise CheckpointError(
                         f"{where}: frontier replay failed ({error}); the "
                         "checkpoint does not match this protocol build"
                     ) from None
-            cache[node_fp] = state
-        found[fp] = state
+            cache[at] = state
+        found[key] = state
     return found

@@ -6,7 +6,9 @@ state.  Additional assertions can be verified as needed."  Unexpected
 messages and explicit ``Error`` calls surface through the handler itself
 (as :class:`~repro.verify.model.CheckerViolation`); deadlock is detected
 by the search.  This module supplies the *additional* assertions:
-access-tag coherence and resource-boundedness.
+access-tag coherence and resource-boundedness.  A continuation parked
+in a stable state (a forgotten Resume) needs none: the type checker
+makes every state that takes a ``CONT`` Transient.
 
 Each is a function of per-id facts and declares them:
 ``check.facts(protocol)`` is ``(view fact, channel fact)``, each ``id ->
@@ -18,8 +20,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from repro.runtime.continuation import ContinuationRecord
-from repro.runtime.protocol import CompiledProtocol, weak_protocol_entry
+from repro.runtime.protocol import CompiledProtocol
 from repro.tempest.memory import AccessTag
 from repro.verify.model import (
     CHANNEL_LEN,
@@ -112,48 +113,6 @@ def bounded_channels(limit: int = 16) -> Invariant:
     return check
 
 
-# protocol -> {view id -> whether that view parks a continuation in a
-# stable state}: a fact about one view, asked once per distinct view.
-# Other state arguments (a node id, a count) are the state's own data.
-_LEAKS: dict = {}
-
-
-def _leaks(protocol: CompiledProtocol) -> Memo:
-    states = protocol.states    # (not the protocol: the entry is weak)
-
-    def leaks(vid: int) -> bool:
-        view = VIEWS[vid]
-        info = states.get(view.state_name)
-        return bool(info is not None and not info.transient and any(
-            isinstance(arg, ContinuationRecord) for arg in view.state_args))
-
-    return weak_protocol_entry(_LEAKS, protocol, lambda: Memo(leaks))
-
-
-def no_parked_continuation_leak(state: GlobalState,
-                                protocol: CompiledProtocol) -> Optional[str]:
-    """A stable (non-transient) state must not hold a continuation.
-
-    Catches forgotten Resumes: returning to a stable state while a
-    captured continuation is still parked would leak it (the paper's
-    footnote: "all Suspends must eventually be Resumed ... to prevent
-    memory leaks").
-    """
-    leaks = _leaks(protocol)
-    n_blocks = state[-1]
-    vids = view_ids(state)
-    if not any(map(leaks.__getitem__, vids)):
-        return None
-    slot = next(slot for slot, vid in enumerate(vids) if leaks[vid])
-    view = VIEWS[vids[slot]]
-    return (f"node {slot // n_blocks} block {slot % n_blocks}: stable state "
-            f"{view.state_name} holds arguments {view.state_args!r}")
-
-
-no_parked_continuation_leak.facts = lambda protocol: (
-    _leaks(protocol).__getitem__, None)
-
-
 def standard_invariants(coherent: bool = True) -> list[Invariant]:
     """The default invariant suite.
 
@@ -163,7 +122,6 @@ def standard_invariants(coherent: bool = True) -> list[Invariant]:
     invariants: list[Invariant] = [
         bounded_queues(),
         bounded_channels(),
-        no_parked_continuation_leak,
     ]
     if coherent:
         invariants.insert(0, single_writer)

@@ -5,8 +5,8 @@
 snapshot policy (:class:`~repro.verify.checkpoint.CutPolicy`), its
 checkpoint writer and its trace walk -- with the expand and accept
 steps overridden so that N forked worker processes expand states and
-judge their successors.  The master keeps the visited set, the parent
-pointers and the frontier, by key; the workers keep the states.
+judge their successors.  The master keeps the run's record of visited
+keys and the frontier; the workers keep the states.
 
 **Dispatch.**  When the loop pops a state whose expansion the master
 does not hold, the master sends every pending frontier key (one BFS

@@ -1,11 +1,12 @@
 """Starvation analysis over the explored graph (``--liveness``).
 
 From every reachable state, each node blocked there must reach a state
-where it runs.  The exploration loop records the graph over the keys
-the run already uses -- states, fingerprints, or canonical fingerprints
-under symmetry -- as arrays indexed in acceptance order
-(:class:`KeyGraph`; the state atlas, ``--atlas-out``, is read off the
-same record), and :func:`stuck_thread` runs backward
+where it runs.  The exploration loop records the graph over the indices
+of its one record of the keys it visited -- states, fingerprints, or
+canonical fingerprints under symmetry (``checkpoint.Cut.index``, the
+visited set) -- as arrays in acceptance order (:class:`KeyGraph`; the
+state atlas, ``--atlas-out``, is read off the same record), and
+:func:`stuck_thread` runs backward
 reachability over (index, node) pairs.  Under symmetry each edge names
 the renaming that maps its concrete successor's node ids onto those of
 the orbit's explored representative; blocked-ness is equivariant under
@@ -70,58 +71,52 @@ def stuck_thread(n_nodes: int, blocked, offsets, targets, renamings=None,
 
 
 class KeyGraph:
-    """The graph one run explores, as :func:`stuck_thread` and
+    """The graph one run explores, over the acceptance indices of the
+    run's record of its visited keys, as :func:`stuck_thread` and
     :func:`repro.verify.atlas.build_atlas` read it.
 
     The loop calls :meth:`state` as it accepts each key, :meth:`edge`
-    for each transition out of the state it expands and :meth:`end`
-    after its last one; BFS expands in acceptance order, so the edges
-    are CSR as they grow, and a state whose row :meth:`end` never
-    closed was not expanded.  ``group`` (symmetry) lists the node
-    renamings, identity first; :meth:`state` and :meth:`edge` then name
-    the one (None: the identity) taking their state onto its orbit's
-    canonical image.  ``labelled`` (the atlas) also keeps each edge's
-    label and, per index, the id of the ``note`` :meth:`state` is given
-    (its position in ``note_ids``)."""
+    with the target's index for each transition out of the state it
+    expands and :meth:`end` after its last one; BFS expands in
+    acceptance order, so the edges are CSR as they grow, and a state
+    whose row :meth:`end` never closed was not expanded.  ``group``
+    (symmetry) lists the node renamings, identity first; :meth:`state`
+    and :meth:`edge` then name, by its position there, the one taking
+    their state onto its orbit's canonical image.  ``labelled`` (the
+    atlas) also keeps each edge's label and each state's ``note``, a
+    tuple of ints of one width for every state, flat in ``notes``."""
 
     def __init__(self, group=None, labelled: bool = False):
-        self.index: dict = {}           # key -> acceptance index
         self.blocked = array("q")
         self.offsets = array("q", [0])
         self.targets = array("q")
         self.labels = [] if labelled else None
         self.notes = array("q") if labelled else None
-        self.note_ids: dict = {}        # note -> id, in first-seen order
         self.group = group
         self.renamings = None
         if group is not None:
-            self._position = {None: 0, **{g: k for k, g in enumerate(group)}}
+            position = {g: k for k, g in enumerate(group)}
             self.renamings = array("B" if len(group) <= 256 else "H")
             self._canonical = array(self.renamings.typecode)  # per index
             # _relabel[a][b]: a successor whose canonical renaming is
             # group[b], onto a representative whose is group[a].
-            self._relabel = [[self._position[tuple(map(rep.index, image))]
+            self._relabel = [[position[tuple(map(rep.index, image))]
                               for image in group] for rep in group]
 
-    def state(self, key, blocked: int, renaming=None, note=None) -> None:
-        # A successor's key already has the index its edge gave it.
-        self.index.setdefault(key, len(self.index))
+    def state(self, blocked: int, renaming: int = 0, note=()) -> None:
         self.blocked.append(blocked)
         if self.renamings is not None:
-            self._canonical.append(self._position[renaming])
+            self._canonical.append(renaming)
         if self.notes is not None:
-            self.notes.append(self.note_ids.setdefault(
-                note, len(self.note_ids)))
+            self.notes.extend(note)
 
-    def edge(self, key, renaming=None, label=None) -> None:
-        target = self.index.setdefault(key, len(self.index))
+    def edge(self, target: int, renaming: int = 0, label=None) -> None:
         self.targets.append(target)
         if self.renamings is not None:
-            mine = self._position[renaming]
             # A fresh target is this successor, accepted next.
             rep = (self._canonical[target]
-                   if target < len(self._canonical) else mine)
-            self.renamings.append(self._relabel[rep][mine])
+                   if target < len(self._canonical) else renaming)
+            self.renamings.append(self._relabel[rep][renaming])
         if self.labels is not None:
             self.labels.append(label)
 

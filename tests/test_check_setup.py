@@ -119,14 +119,13 @@ class TestRegistry:
 
 class TestFallbackAndOverrides:
 
-    def test_unregistered_gets_stache_events_and_four_invariants(self):
+    def test_unregistered_gets_stache_events_and_three_invariants(self):
         # LCM's source under another name: the Stache loop never enters
         # a phase (the 33 states of stache), and single_writer is on.
         lcm = api.check(unlisted("lcm"))
         assert outcome(lcm) == BY_NAME["stache"]
         assert list(lcm.invariant_evals) == [
-            "single_writer", "bounded_queues", "bounded_channels",
-            "no_parked_continuation_leak"]
+            "single_writer", "bounded_queues", "bounded_channels"]
         # Buffered-write's write-allocate without a fetch then breaks
         # data presence at its first write, before its multiple writers
         # can break single_writer.

@@ -16,11 +16,9 @@ from repro.verify.events import (
 )
 from repro.verify.invariants import (
     bounded_queues,
-    no_parked_continuation_leak,
     single_writer,
     standard_invariants,
 )
-from repro.runtime.continuation import ContinuationRecord
 from repro.verify.model import initial_global_state
 
 from helpers import MINI_SOURCE, check_setup, compile_mini
@@ -317,40 +315,9 @@ class TestInvariants:
             Message("GET_REQ", 0, 1, 0)] * 20
         assert bounded_queues(16)(mutable.freeze(), protocol) is not None
 
-    def test_continuation_leak_detected(self):
-        protocol = compile_mini()
-        state = initial_global_state(protocol, 2, 1, lambda n: ())
-        mutable = MutableState(state, 2, 1)
-        mutable.record(0, 0)["state_args"] = (
-            ContinuationRecord("Home_Idle.GET_REQ", 0, ()),)
-        message = no_parked_continuation_leak(mutable.freeze(), protocol)
-        assert message is not None and "Home_Idle" in message
-
-    def test_stable_state_data_is_no_leak(self):
-        """A stable state's own arguments (a node, a count) are data, not
-        a parked continuation: only a ContinuationRecord leaks."""
-        protocol = compile_mini()
-        state = initial_global_state(protocol, 2, 1, lambda n: ())
-        mutable = MutableState(state, 2, 1)
-        mutable.record(0, 0)["state_args"] = (1,)
-        assert no_parked_continuation_leak(mutable.freeze(), protocol) is None
-        # Stache's exclusive home state remembering its owner as an
-        # argument, not in the block's owner variable.
-        source = load_protocol_source("stache")
-        for old, new in (
-                ("State Home_Excl {};", "State Home_Excl { o : NODE };"),
-                ("State Stache.Home_Excl{}",
-                 "State Stache.Home_Excl{o : NODE}"),
-                ("SetState(info, Home_Excl{});",
-                 "SetState(info, Home_Excl{src});")):
-            assert old in source
-            source = source.replace(old, new)
-        result = api.check(source, CheckOptions(nodes=2))
-        assert result.ok, result.violation
-
     def test_standard_suite_composition(self):
-        assert len(standard_invariants(coherent=True)) == 4
-        assert len(standard_invariants(coherent=False)) == 3
+        assert len(standard_invariants(coherent=True)) == 3
+        assert len(standard_invariants(coherent=False)) == 2
 
 
 class TestDeterminism:

@@ -84,7 +84,7 @@ class TestBarrierConsistency:
     @pytest.mark.parametrize("seed", [11, 12, 13])
     def test_consistent_under_network_jitter(self, seed):
         programs = phase_programs(3, 2, 2, seed=seed)
-        network = NetworkConfig(latency=80, jitter=300, fifo=False,
+        network = NetworkConfig(latency=80, jitter=300,
                                 seed=seed)
         machine = run("stache", [list(p) for p in programs], 2,
                       network=network)

@@ -30,7 +30,6 @@ from repro.verify.events import events_for_protocol
 from repro.verify.invariants import (
     bounded_channels,
     bounded_queues,
-    no_parked_continuation_leak,
     single_writer,
     standard_invariants,
 )
@@ -122,18 +121,3 @@ def test_a_dropped_resume_is_judged_alike():
         partial(checker, "stache", protocol=api.compile_protocol(mutant)),
         standard_invariants())
     assert judged["violation"][0] == "deadlock"
-
-
-def test_the_leak_fact_fails_on_a_parked_continuation():
-    """Stache (compiled from its text: a private copy) with
-    Home_Await_Put marked stable: every Suspend into it parks a
-    continuation in a stable state, which the leak fact of the written
-    view must catch."""
-    protocol = api.compile_protocol(load_protocol_source("stache"))
-    protocol.states["Home_Await_Put"].transient = False
-    judged = assert_judged_alike(
-        partial(checker, "stache", protocol=protocol),
-        [single_writer, no_parked_continuation_leak])
-    kind, message, _trace, _state = judged["violation"]
-    assert kind == "invariant"
-    assert "stable state Home_Await_Put holds arguments" in message

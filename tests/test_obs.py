@@ -448,7 +448,7 @@ class TestCheckerObservability:
         assert len(lines) == 2
         assert lines[0].startswith(
             f"[verify Stache] states={first['states']} frontier=1 "
-            "depth=0 transitions=0 inv_evals=4 ")
+            "depth=0 transitions=0 inv_evals=3 ")
         assert lines[0].endswith(" ...")
         assert (f"states={result.states_explored} frontier=0 "
                 f"depth={result.max_depth} "

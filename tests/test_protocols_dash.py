@@ -112,7 +112,7 @@ class TestBehaviour:
                 program.append(("compute", rng.randrange(50)))
             program.append(("barrier",))
             programs.append(program)
-        network = NetworkConfig(latency=60, jitter=250, fifo=False,
+        network = NetworkConfig(latency=60, jitter=250,
                                 seed=seed)
         machine, _ = run(programs, n_blocks=2, network=network)
         machine.assert_coherent()

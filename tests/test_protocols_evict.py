@@ -83,7 +83,7 @@ class TestEviction:
                 program.append(("compute", rng.randrange(60)))
             program.append(("barrier",))
             programs.append(program)
-        network = NetworkConfig(latency=70, jitter=280, fifo=False,
+        network = NetworkConfig(latency=70, jitter=280,
                                 seed=seed)
         machine = run(programs, n_blocks=2, network=network)
         machine.assert_coherent()

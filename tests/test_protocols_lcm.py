@@ -114,7 +114,7 @@ class TestOwnerFlush:
     def test_flush_races_recall(self):
         """The owner flushes exactly as the home recalls (jittered
         network): Home_Await_Put accepts PUT_ACCUM as the response."""
-        network = NetworkConfig(latency=100, jitter=500, fifo=False, seed=4)
+        network = NetworkConfig(latency=100, jitter=500, seed=4)
         for seed in range(5):
             network.seed = seed
             programs = [

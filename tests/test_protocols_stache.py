@@ -201,7 +201,7 @@ class TestReorderingTolerance:
     def test_correct_under_network_jitter(self, seed):
         programs = random_sharing_programs(4, 3, 20, seed=seed,
                                            log_reads=True)
-        network = NetworkConfig(latency=80, jitter=300, fifo=False,
+        network = NetworkConfig(latency=80, jitter=300,
                                 seed=seed)
         machine, _ = run("stache", programs, n_blocks=3, network=network)
         machine.assert_coherent()
@@ -213,7 +213,7 @@ class TestReorderingTolerance:
             [("write", 0, 1), ("barrier",), ("read", 0, "log")],
             [("barrier",), ("write", 0, 2), ("barrier",)],
         ]
-        network = NetworkConfig(latency=50, jitter=400, fifo=False, seed=5)
+        network = NetworkConfig(latency=50, jitter=400, seed=5)
         machine, _ = run("stache", programs, network=network)
         assert machine.nodes[0].observed[0][1] in (1, 2)
 

@@ -50,7 +50,7 @@ class TestNetwork:
         assert network.arrival_time(self._msg(), 50) == 150
 
     def test_fifo_clamping(self):
-        network = Network(NetworkConfig(latency=100, jitter=0, fifo=True))
+        network = Network(NetworkConfig(latency=100, jitter=0))
         first = network.arrival_time(self._msg(), 0)
         # A message sent later but that would arrive at the same time is
         # pushed behind the first.
@@ -58,15 +58,14 @@ class TestNetwork:
         assert second > first
 
     def test_fifo_is_per_channel(self):
-        network = Network(NetworkConfig(latency=100, jitter=0, fifo=True))
+        network = Network(NetworkConfig(latency=100, jitter=0))
         a = network.arrival_time(self._msg(0, 1), 0)
         b = network.arrival_time(self._msg(0, 2), 0)
         assert a == b  # different channels do not clamp each other
 
     def test_jitter_is_deterministic_per_seed(self):
         def arrivals(seed):
-            network = Network(NetworkConfig(latency=10, jitter=50,
-                                            fifo=False, seed=seed))
+            network = Network(NetworkConfig(latency=10, jitter=50, seed=seed))
             return [network.arrival_time(self._msg(), t)
                     for t in range(10)]
 
@@ -74,8 +73,7 @@ class TestNetwork:
         assert arrivals(1) != arrivals(2)
 
     def test_jitter_can_reorder_without_fifo(self):
-        network = Network(NetworkConfig(latency=10, jitter=200,
-                                        fifo=False, seed=3))
+        network = Network(NetworkConfig(latency=10, jitter=200, seed=3))
         times = [network.arrival_time(self._msg(), t) for t in range(20)]
         assert any(b < a for a, b in zip(times, times[1:]))
 
@@ -87,9 +85,8 @@ class TestNetwork:
 
     @pytest.mark.parametrize("config", [
         NetworkConfig(latency=100),
-        NetworkConfig(latency=10, jitter=200, fifo=False, seed=3),
-        NetworkConfig(latency=10, jitter=50, fifo=True, seed=5),
-    ], ids=["fifo", "jitter", "jitter-fifo"])
+        NetworkConfig(latency=10, jitter=200, seed=3),
+    ], ids=["fifo", "jitter"])
     def test_inject_times_messages_as_arrival_time_does(self, config):
         # Without a fault plan the machine computes arrivals inline: it
         # must queue each message where Network.arrival_time puts it.

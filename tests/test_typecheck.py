@@ -5,6 +5,7 @@ import pytest
 from repro.lang.errors import CheckError
 from repro.lang.parser import parse_program
 from repro.lang.typecheck import check_program
+from repro.protocols import load_protocol_source
 
 from helpers import MINI_SOURCE
 
@@ -86,7 +87,7 @@ class TestDeclarations:
         assert checked.states["Home_Wait"].is_subroutine
 
     def test_all_registered_protocols_check(self):
-        from repro.protocols import PROTOCOLS, load_protocol_source
+        from repro.protocols import PROTOCOLS
         for name in PROTOCOLS:
             checked = check(load_protocol_source(name))
             assert checked.states, name
@@ -113,11 +114,22 @@ class TestDeclarations:
         with pytest.raises(CheckError, match="parameters"):
             check(source)
 
-    def test_cont_param_requires_transient(self):
-        source = make_program().replace(
-            "State W { C : CONT } Transient;", "State W { C : CONT };")
-        with pytest.raises(CheckError, match="Transient"):
-            check(source)
+    @pytest.mark.parametrize("protocol,state", [
+        ("T", "W"), ("stache", "Home_Await_Put")])
+    def test_cont_param_requires_transient(self, protocol, state):
+        """A forgotten Resume cannot leave a continuation in a stable
+        state, so the checker keeps no invariant for one: a state that
+        takes a CONT must be Transient, and a CONT is no payload
+        (test_cont_cannot_be_payload).  Stache with the home's
+        put-wait state declared stable is refused too."""
+        source = (make_program() if protocol == "T"
+                  else load_protocol_source(protocol))
+        old = f"State {state} {{ C : CONT }} Transient;"
+        assert old in source
+        with pytest.raises(CheckError, match=(
+                f"'{state}' takes a CONT parameter and must be declared "
+                "Transient")):
+            check(source.replace(old, f"State {state} {{ C : CONT }};"))
 
     def test_wrong_protocol_qualifier(self):
         source = make_program().replace("State T.S{}", "State Other.S{}")
