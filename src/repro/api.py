@@ -17,7 +17,7 @@ or an already-compiled :class:`~repro.runtime.protocol.CompiledProtocol`
 takes, ``check`` explores it with the event loop and invariants of the
 registry entry whose source declares it
 (:func:`~repro.protocols.entry_declaring`); an unregistered protocol
-gets the Stache loop and all four invariants.
+gets the Stache loop and all three invariants.
 
 ``check`` dispatches on :attr:`CheckOptions.workers`: ``0`` (the
 default) runs the in-process serial
@@ -314,7 +314,7 @@ def check(target: Target,
     # The check setup belongs to the registry entry whose source declares
     # this protocol, however the target was given (name, path, source
     # text, compiled object, an edited copy of a registered source); an
-    # unregistered protocol gets the Stache loop and all four invariants.
+    # unregistered protocol gets the Stache loop and all three invariants.
     entry = entry_declaring(protocol.name)
     events = options.events
     if events is None:

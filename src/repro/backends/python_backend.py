@@ -17,14 +17,15 @@ The function carries the interpreter's whole semantics (DESIGN.md,
 and ``BUILTIN_COSTS`` charges are summed and added to the clock
 (``ctx.now += ...``) ahead of the next *timed* point -- whatever can
 read ``ctx.now`` or end the action: a context call other than
-``get_info`` / ``set_info`` / ``home_node``, a builtin or operator that
-can reach ``ctx.error``, a support call, ``Resume``, ``Suspend``, the
-guard's trip -- or at the block's end.  Names are resolved when the text
-is emitted; a prelude routine that is one context call is emitted as
-that call, and in a protocol with one ``SharerList`` variable the
-sharer-set reads and updates as ``get_info`` / ``set_info``
-expressions.  What every handler shares (dispatch, suspend, resume:
-charges, counters, observer hooks) lives in
+``home_node``, a builtin or operator that can reach ``ctx.error``, a
+support call, ``Resume``, ``Suspend``, the guard's trip -- or at the
+block's end.  Names are resolved when the text is emitted: the
+handler's ``INFO`` parameter is the block's info dict (``ctx.info``),
+so an info field is ``v_info['f']``; a prelude routine that is one
+context call is emitted as that call, and in a protocol with one
+``SharerList`` variable the sharer-set reads and updates as
+expressions over ``v_info``.  What every handler shares (dispatch,
+suspend, resume: charges, counters, observer hooks) lives in
 :class:`~repro.runtime.engine.CompiledEngine`.
 
 Cost values are per machine, so the emitted code never contains one: it
@@ -110,20 +111,18 @@ class _BlockEmitter:
         self.protocol = protocol
         self.handler = handler
         self.frame = set(handler.frame_vars)
+        self.info = f"v_{handler.params[1]}"   # the block's info dict
         self.direct = _DIRECT
         self.untimed = _UNTIMED
         if len(protocol.sharer_vars) == 1:
-            var = repr(protocol.sharer_vars[0])
-            get = f"ctx.get_info({var})"
+            get = f"{self.info}[{protocol.sharer_vars[0]!r}]"
             self.direct = {
                 **_DIRECT,
                 "CountSharers": lambda a: f"len({get})",
                 "IsEmptySharers": lambda a: f"(len({get}) == 0)",
                 "HasSharer": lambda a: f"(int({a[1]}) in {get})",
-                "AddSharer": lambda a: (
-                    f"ctx.set_info({var}, {get} | {{int({a[1]})}})"),
-                "DelSharer": lambda a: (
-                    f"ctx.set_info({var}, {get} - {{int({a[1]})}})")}
+                "AddSharer": lambda a: f"{get} = {get} | {{int({a[1]})}}",
+                "DelSharer": lambda a: f"{get} = {get} - {{int({a[1]})}}"}
             self.untimed = _UNTIMED | _UNTIMED_SHARERS
         self.lines: list[str] = []
         self.statements = 0          # ``statement`` charges owed
@@ -227,7 +226,7 @@ class _BlockEmitter:
         if name in self.frame:
             return f"v_{name}"
         if name in self.protocol.info_vars:
-            return f"ctx.get_info({name!r})"
+            return f"{self.info}[{name!r}]"
         if name in self.protocol.consts:
             return repr(self.protocol.consts[name])
         if name == "MyNode":
@@ -254,7 +253,7 @@ class _BlockEmitter:
             if op.target in self.frame:
                 self.line(f"v_{op.target} = {value}")
             elif op.target in self.protocol.info_vars:
-                self.line(f"ctx.set_info({op.target!r}, {value})")
+                self.line(f"{self.info}[{op.target!r}] = {value}")
             else:
                 raise CompileError(
                     f"assignment to unknown variable {op.target!r} in "
@@ -306,8 +305,11 @@ class _BlockEmitter:
             self.lines.append("return ops")
         elif isinstance(term, TSuspend):
             site = handler.suspend_sites[term.site_id]
+            # The info record is bound afresh at the resume (``_prologue``):
+            # an -O0 save set keeps its word, not the dict.
+            kept = self.frame - {handler.params[1]}
             saved = _tuple([
-                f"({name!r}, {f'v_{name}' if name in self.frame else None})"
+                f"({name!r}, {f'v_{name}' if name in kept else None})"
                 for name in site.save_set])
             static = site.is_static and not site.save_set
             self.lines += [
@@ -332,7 +334,7 @@ def _prologue(handler: HandlerIR) -> list[str]:
     lines = [f"{' = '.join(names)} = {default}"
              for default, names in by_default.items()]
     block, info, src = (f"v_{name}" for name in handler.params[:3])
-    rebound = [f"    {block} = msg.block", f"    {info} = INFO_HANDLE"]
+    rebound = [f"    {block} = msg.block", f"    {info} = ctx.info"]
     lines += ["if site is None:", f"    pc = {handler.entry}"]
     if handler.state_params:
         params = _tuple([f"v_{name}" for name in handler.state_params])
@@ -344,13 +346,15 @@ def _prologue(handler: HandlerIR) -> list[str]:
         lines += [f"    v_{name} = payload[{index}] if n > {index} else None"
                   for index, name in enumerate(handler.params[3:])]
     for site in handler.suspend_sites:
-        # The block id and info handle are re-derived from context rather
+        # The block id and info record are re-derived from context rather
         # than captured: a continuation is always resumed by a handler
         # positioned at the same block.
         lines += [f"elif site == {site.site_id}:",
                   f"    pc = {site.resume_block}"] + rebound
         if site.save_set:
-            pairs = _tuple([f"(_, v_{name})" for name in site.save_set])
+            # The saved info word holds no value: ``info`` stays bound.
+            pairs = _tuple(["(_, _)" if name == handler.params[1]
+                            else f"(_, v_{name})" for name in site.save_set])
             lines.append(f"    {pairs} = bound")
     return lines + ["else:", "    raise RuntimeError(f'bad site {site}')"]
 
@@ -389,7 +393,7 @@ def emit_header(protocol: CompiledProtocol) -> str:
         '"""',
         "",
         "from repro.runtime.builtins import BUILTIN_IMPLS, div, mod",
-        "from repro.runtime.context import INFO_HANDLE, MAX_OPS_PER_ACTION",
+        "from repro.runtime.context import MAX_OPS_PER_ACTION",
         "from repro.runtime.protocol import NOBODY, StateValue",
         "",
     ]

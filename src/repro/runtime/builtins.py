@@ -10,7 +10,6 @@ frame, so each engine handles them itself.
 
 from __future__ import annotations
 
-from repro.runtime.context import INFO_HANDLE
 from repro.runtime.protocol import NOBODY, StateValue
 
 
@@ -22,14 +21,6 @@ def _sharer_var(interp) -> str:
             "sharer-set builtins need exactly one SharerList protocol "
             f"variable; {interp.protocol.name} has {len(names)}")
     return names[0]
-
-
-def _get_sharers(interp) -> frozenset:
-    return interp.ctx.get_info(_sharer_var(interp))
-
-
-def _set_sharers(interp, sharers: frozenset) -> None:
-    interp.ctx.set_info(_sharer_var(interp), sharers)
 
 
 # -- integer division ---------------------------------------------------------
@@ -117,8 +108,8 @@ def bi_enqueue(interp, args):
 
 
 def bi_retry_queued(interp, args):
-    # The conventional argument is the info handle; the context knows
-    # which block the action is positioned at.
+    # The conventional argument is the block's info record; the context
+    # knows which block the action is positioned at.
     interp.ctx.retry_queued(interp.ctx.current_message.block)
 
 
@@ -174,35 +165,40 @@ def bi_msg_word(interp, args):
 
 
 # -- sharer sets ----------------------------------------------------------------
+# Each takes the block's info record (the handler's INFO) first.
 
 
 def bi_is_empty_sharers(interp, args):
-    return len(_get_sharers(interp)) == 0
+    (info,) = args
+    return len(info[_sharer_var(interp)]) == 0
 
 
 def bi_count_sharers(interp, args):
-    return len(_get_sharers(interp))
+    (info,) = args
+    return len(info[_sharer_var(interp)])
 
 
 def bi_has_sharer(interp, args):
-    _info, node = args
-    return int(node) in _get_sharers(interp)
+    info, node = args
+    return int(node) in info[_sharer_var(interp)]
 
 
 def bi_pop_sharer(interp, args):
-    sharers = _get_sharers(interp)
+    (info,) = args
+    var = _sharer_var(interp)
+    sharers = info[var]
     if not sharers:
         interp.ctx.error("PopSharer on an empty sharer set")
         return NOBODY
     # Deterministic choice keeps simulation and model checking stable.
     node = min(sharers)
-    _set_sharers(interp, sharers - {node})
+    info[var] = sharers - {node}
     return node
 
 
 def bi_nth_sharer(interp, args):
-    _info, index = args
-    sharers = sorted(_get_sharers(interp))
+    info, index = args
+    sharers = sorted(info[_sharer_var(interp)])
     if not (0 <= int(index) < len(sharers)):
         interp.ctx.error(
             f"NthSharer({index}) out of range for {len(sharers)} sharers")
@@ -211,23 +207,21 @@ def bi_nth_sharer(interp, args):
 
 
 def bi_add_sharer(interp, args):
-    _info, node = args
-    _set_sharers(interp, _get_sharers(interp) | {int(node)})
+    info, node = args
+    var = _sharer_var(interp)
+    info[var] = info[var] | {int(node)}
 
 
 def bi_del_sharer(interp, args):
-    _info, node = args
-    _set_sharers(interp, _get_sharers(interp) - {int(node)})
+    info, node = args
+    var = _sharer_var(interp)
+    info[var] = info[var] - {int(node)}
 
 
 def bi_clear_sharers(interp, args):
-    _set_sharers(interp, frozenset())
+    (info,) = args
+    info[_sharer_var(interp)] = frozenset()
 
-
-# Routines whose first argument is the INFO handle; the host has already
-# positioned the context at the right block, so the handle itself
-# carries no information.
-_ = INFO_HANDLE
 
 BUILTIN_IMPLS = {
     "Send": bi_send,

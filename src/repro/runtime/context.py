@@ -17,11 +17,6 @@ from repro.lang.errors import RuntimeProtocolError
 # Safety net against diverging While loops in protocol code.
 MAX_OPS_PER_ACTION = 200_000
 
-# Sentinel bound to a handler's INFO parameter.  Expressions only pass it
-# to builtins (SetState, Enqueue, sharer operations), which operate on
-# the context's current block instead.
-INFO_HANDLE = "<info>"
-
 
 class Message(NamedTuple):
     """A protocol message in flight (or being handled).
@@ -140,17 +135,20 @@ class ProtocolContext:
     (:class:`repro.verify.model.ActionContext`).
 
     A context is positioned at one (node, block) pair while a handler
-    runs; the engine reads the node id from ``node`` and the message
+    runs; the engine reads the node id from ``node``, the message
     being handled from ``current_message`` (attributes or properties,
-    as the host prefers).  The block's state is not read here: the
-    host already holds the block's record, and hands the state name
-    and arguments to the engine's ``dispatch``.
+    as the host prefers) and the block's info record from ``info``,
+    the dict itself, which handlers bind to their ``INFO`` parameter
+    and read and write in place.  The block's state is not read here:
+    the host already holds the block's record, and hands the state
+    name and arguments to the engine's ``dispatch``.
     """
 
     # -- identity ------------------------------------------------------------
 
     node: int
     current_message: Message
+    info: dict
 
     def home_node(self, block: int) -> int:
         raise NotImplementedError
@@ -158,12 +156,6 @@ class ProtocolContext:
     # -- block record --------------------------------------------------------
 
     def set_state(self, state_name: str, args: tuple) -> None:
-        raise NotImplementedError
-
-    def get_info(self, name: str):
-        raise NotImplementedError
-
-    def set_info(self, name: str, value) -> None:
         raise NotImplementedError
 
     # -- Tempest mechanisms ----------------------------------------------------

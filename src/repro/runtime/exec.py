@@ -31,7 +31,6 @@ from repro.compiler.ir import (
 )
 from repro.runtime.builtins import BUILTIN_COSTS, BUILTIN_IMPLS, div, mod
 from repro.runtime.context import (
-    INFO_HANDLE,
     MAX_OPS_PER_ACTION,  # re-exported: the limit lives with the context
     ProtocolContext,
 )
@@ -103,7 +102,7 @@ class HandlerInterpreter:
                              msg, is_default: bool) -> None:
         params = handler.params
         env[params[0]] = msg.block
-        env[params[1]] = INFO_HANDLE
+        env[params[1]] = self.ctx.info
         env[params[2]] = msg.src
         payload_params = params[3:]
         if is_default:
@@ -151,7 +150,7 @@ class HandlerInterpreter:
             if op.target in env:
                 env[op.target] = value
             elif op.target in self.protocol.info_vars:
-                self.ctx.set_info(op.target, value)
+                env[handler.params[1]][op.target] = value
             else:
                 self.ctx.error(
                     f"assignment to unknown variable {op.target!r} in "
@@ -206,12 +205,13 @@ class HandlerInterpreter:
         target_handler, site = self.protocol.suspend_site(
             record.handler, record.site_id)
         renv = target_handler.frame_template.copy()
-        # The block id and info handle are re-derived from context rather
+        # The block id and info record are re-derived from context rather
         # than captured: a continuation is always resumed by a handler
-        # positioned at the same block.
+        # positioned at the same block (an -O0 record's info word holds
+        # no value).
         renv[target_handler.params[0]] = self.ctx.current_message.block
-        renv[target_handler.params[1]] = INFO_HANDLE
         renv.update(record.environment())
+        renv[target_handler.params[1]] = self.ctx.info
         # The resumed fragment runs like a call: when it finishes (or
         # suspends again), control returns here.
         self._run(target_handler, renv, site.resume_block)
@@ -223,7 +223,11 @@ class HandlerInterpreter:
         counters = self.ctx.counters
         counters.suspends += 1
 
-        saved = tuple((name, env.get(name)) for name in site.save_set)
+        # The info record is bound afresh at the resume: an -O0 save set
+        # keeps its word, not the dict.
+        info = handler.params[1]
+        saved = tuple((name, None if name == info else env.get(name))
+                      for name in site.save_set)
         is_static = site.is_static and not saved
         if is_static:
             counters.static_cont_uses += 1
@@ -272,7 +276,7 @@ class HandlerInterpreter:
         if name in env:
             return env[name]
         if name in self.protocol.info_vars:
-            return self.ctx.get_info(name)
+            return env[handler.params[1]][name]
         if name in self.protocol.consts:
             return self.protocol.consts[name]
         if name == "MyNode":

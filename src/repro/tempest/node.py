@@ -63,6 +63,7 @@ class NodeContext(ProtocolContext):
         self.data_presence = entry is None or entry.coherent
         self.current_message: Optional[Message] = None
         self._record = None     # the current message's BlockRecord
+        self.info = None        # and its info dict
         self.now = 0
         self.counters = node.stats.counters
         self.costs = node.machine.config.costs
@@ -84,12 +85,6 @@ class NodeContext(ProtocolContext):
                                  state_name, args, self.now)
         record.state_name = state_name
         record.state_args = args
-
-    def get_info(self, name: str):
-        return self._record.info[name]
-
-    def set_info(self, name: str, value) -> None:
-        self._record.info[name] = value
 
     # -- Tempest mechanisms ------------------------------------------------------
 
@@ -248,6 +243,7 @@ class Node:
         ctx = self.ctx
         ctx.current_message = message
         ctx._record = record
+        ctx.info = record.info
         ctx.now = start
         engine = self.engine
         engine.dispatch(record.state_name, record.state_args)
@@ -266,6 +262,7 @@ class Node:
                                      deferred.tag, deferred.src, now)
                 ctx.current_message = deferred
                 ctx._record = record
+                ctx.info = record.info
                 ctx.now = now
                 engine.dispatch(record.state_name, record.state_args)
                 now = ctx.now

@@ -86,21 +86,6 @@ class MachineStats:
             f"fault_time={self.fault_time_fraction:.1%}"
         )
 
-    def to_metrics(self, protocol: str = ""):
-        """Export these stats as a :class:`~repro.obs.MetricsRegistry`.
-
-        The registry *delegates* to the same counters ``summary()``
-        reads, so the exported totals always match the Table 1/2
-        numbers; per-handler breakdowns are only present when a run was
-        observed with a metrics-carrying Observer (the machine fills
-        those in directly).
-        """
-        from repro.obs.metrics import MetricsRegistry
-
-        registry = MetricsRegistry(protocol)
-        self.write_metrics(registry)
-        return registry
-
     def write_metrics(self, registry) -> None:
         """Write the run totals -- counters and the Table 1/2 gauges --
         into ``registry``."""

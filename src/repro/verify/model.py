@@ -236,8 +236,9 @@ class ActionScratch:
     The checker distils it into an :class:`ActionEffects` that replays
     onto any parent sharing the action's inputs.  Handlers read and
     write only the acting node's records and application status (the
-    ``ProtocolContext`` accessors take the current message's block),
-    which makes the journal and the effect cache built on it sound.
+    ``ProtocolContext`` accessors and ``info`` take the current
+    message's block), which makes the journal and the effect cache
+    built on it sound.
     """
 
     __slots__ = ("node", "records", "blocked_on", "sends",
@@ -332,6 +333,7 @@ class ActionContext(ProtocolContext):
 
     def begin(self, message: Message) -> None:
         self._message = message
+        self.info = self.scratch.record(message.block)["info"]
 
     @property
     def node(self) -> int:
@@ -354,12 +356,6 @@ class ActionContext(ProtocolContext):
             record["state_changed"] = True
         record["state_name"] = state_name
         record["state_args"] = args
-
-    def get_info(self, name: str):
-        return self._record()["info"][name]
-
-    def set_info(self, name: str, value) -> None:
-        self._record()["info"][name] = value
 
     def send(self, dst: int, tag: str, block: int, payload: tuple,
              with_data: bool) -> None:

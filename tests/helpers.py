@@ -203,12 +203,6 @@ class FakeContext(ProtocolContext):
     def set_state(self, name, args):
         self.state = (name, args)
 
-    def get_info(self, name):
-        return self.info[name]
-
-    def set_info(self, name, value):
-        self.info[name] = value
-
     def send(self, dst, tag, block, payload, with_data):
         self.sent.append((dst, tag, block, payload, with_data))
 

@@ -120,6 +120,7 @@ class CheckerContext(ProtocolContext):
 
     def begin(self, message: Message) -> None:
         self._message = message
+        self.info = self.state.record(self._node, message.block)["info"]
 
     @property
     def node(self) -> int:
@@ -144,12 +145,6 @@ class CheckerContext(ProtocolContext):
             record["state_changed"] = True
         record["state_name"] = state_name
         record["state_args"] = args
-
-    def get_info(self, name: str):
-        return self._record()["info"][name]
-
-    def set_info(self, name: str, value) -> None:
-        self._record()["info"][name] = value
 
     # -- Tempest mechanisms ------------------------------------------------------
 

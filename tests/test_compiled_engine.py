@@ -23,12 +23,13 @@ from repro.protocols import (
     compile_named_protocol,
     load_protocol_source,
 )
-from repro.runtime.context import CostModel
+from repro.runtime.context import CostModel, Message
 from repro.runtime.exec import MAX_OPS_PER_ACTION, HandlerInterpreter
 from repro.runtime.engine import _PROTOCOL_CODE, CompiledEngine, compiled_handler
 from repro.runtime.protocol import OptLevel
 from repro.tempest.machine import Machine, MachineConfig
 from repro.verify import ModelChecker
+from repro.verify.model import VIEWS
 from repro.workloads import LCM_WORKLOADS, STACHE_WORKLOADS
 
 from helpers import MINI_SOURCE, FakeContext, check_setup
@@ -454,9 +455,9 @@ PRIME_COSTS = CostModel(
 
 class ClockedContext(FakeContext):
     """Logs ``(method, ctx.now)`` at every context call that may read
-    the clock -- all but ``get_info`` / ``set_info`` / ``home_node``,
-    which no host gives a notion of time -- so any charge made on the
-    wrong side of one shows."""
+    the clock -- all but ``home_node``, which no host gives a notion of
+    time; info fields are items of ``ctx.info``, not calls -- so any
+    charge made on the wrong side of one shows."""
 
     CLOCKED = ("set_state", "send", "access_change", "recv_data",
                "read_word", "write_word", "enqueue_current",
@@ -666,3 +667,35 @@ End;
     # R's two operations, then branch + assignment per iteration, the
     # last branch being operation MAX_OPS_PER_ACTION itself.
     assert ctx.info["count"] == -1 + (MAX_OPS_PER_ACTION - 2) // 2
+
+
+# ---------------------------------------------------------------------------
+# A handler's INFO is the block's own info record
+# ---------------------------------------------------------------------------
+
+# A sharer-set update (emitted as a dict expression) and an assignment to
+# an info field, each received by block 0's home from node 1.
+INFO_WRITES = (("GET_RO_REQ", "sharers", frozenset({1})),
+               ("GET_RW_REQ", "owner", 1))
+
+
+@pytest.mark.parametrize("tag, field, written", INFO_WRITES)
+def test_info_writes_land_in_the_blocks_record(tag, field, written):
+    """Both hosts bind ``ctx.info`` to the record's dict, not a copy of
+    it: a handler's write to an info field is in the record after the
+    action, in the simulator and in the checker's journalled view."""
+    protocol = compile_named_protocol("stache")
+    message = Message(tag, 0, src=1, dst=0)
+
+    machine = Machine(protocol, [[], []], MachineConfig(n_nodes=2))
+    home = machine.nodes[0]
+    home.handle_message(message, 0)
+    assert home.store[0].info[field] == written
+
+    checker = ModelChecker(protocol, n_nodes=2, n_blocks=1,
+                           **check_setup("stache"))
+    effects = checker._record_action(checker.initial_state(), 0, message,
+                                     None)
+    assert effects.error is None
+    ((_slot, view),) = effects.views
+    assert dict(VIEWS[view].info)[field] == written

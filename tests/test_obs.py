@@ -212,9 +212,10 @@ class TestMetrics:
         assert registry.totals["messages_sent"] == 42
         assert set(registry.totals) == set(counters.__dataclass_fields__)
 
-    def test_stats_to_metrics_matches_summary(self):
+    def test_stats_write_metrics_matches_summary(self):
         result = run_golden_scenario(None, None)
-        registry = result.stats.to_metrics("stache")
+        registry = MetricsRegistry("stache")
+        result.stats.write_metrics(registry)
         assert registry.totals["messages_sent"] == \
             result.stats.counters.messages_sent
         assert registry.gauges["execution_cycles"] == \

@@ -391,11 +391,12 @@ class TestSimulatedDataPresence:
 
 class TestPerMessagePath:
     # Python frames entered, counted by sys.setprofile, over a small
-    # Table-1 gauss run once the per-message path had one frame per
-    # layer: 1,909 calls for 132 handler dispatches, 114 protocol actions
-    # and 76 sends.  A frame added back per dispatch or per action
-    # passes the 5 % allowed; one per send alone stays inside it.
-    CALLS, DISPATCHES = 1909, 132
+    # Table-1 gauss run once handlers read and write the block's info
+    # dict directly: 1,843 calls for 132 handler dispatches, 114
+    # protocol actions and 76 sends (1,909 while every info-field access
+    # was a context call).  A frame added back per dispatch or per
+    # action passes the 5 % allowed; one per send alone stays inside it.
+    CALLS, DISPATCHES = 1843, 132
 
     def test_calls_per_dispatch_do_not_creep(self):
         protocol = compile_named_protocol("stache")

@@ -80,7 +80,7 @@ OPS = st.lists(
                   st.sampled_from(["Home_Idle", "Cache_Invalid", "X_Test"]),
                   st.tuples(st.integers(min_value=0, max_value=3))),
         st.tuples(st.just("set_access"), BLOCKS, ACCESS),
-        st.tuples(st.just("set_info"), BLOCKS,
+        st.tuples(st.just("write_info"), BLOCKS,
                   st.sampled_from(["owner", "pending", "count"]), SCALARS),
         st.tuples(st.just("queue_push"), BLOCKS, MESSAGES),
         st.tuples(st.just("queue_pop"), BLOCKS),
@@ -99,7 +99,7 @@ def apply_op(scratch, op):
         record["state_changed"] = True
     elif kind == "set_access":
         scratch.record(op[1])["access"] = op[2]
-    elif kind == "set_info":
+    elif kind == "write_info":
         scratch.record(op[1])["info"][op[2]] = op[3]
     elif kind == "queue_push":
         scratch.record(op[1])["queue"].append(op[2])
