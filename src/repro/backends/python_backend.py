@@ -79,11 +79,12 @@ _DIRECT = {
     "Enqueue": lambda a: "ctx.enqueue_current()",
     "HomeNode": lambda a: f"ctx.home_node({a[0]})",
 }
-# Builtins that are not timed points; the sharer-set ones only in a
-# protocol with exactly one SharerList variable (``_sharer_var``).
-_UNTIMED = {"HomeNode", "IsHome", "Msg_To_Str", "NodeToInt", "IntToNode"}
-_UNTIMED_SHARERS = {"IsEmptySharers", "CountSharers", "HasSharer",
-                    "AddSharer", "DelSharer", "ClearSharers"}
+# Builtins that are not timed points.  The type checker admits the
+# sharer-set ones only in a protocol with one SharerList variable, so
+# those that cannot find their set empty never reach ``ctx.error``.
+_UNTIMED = {"HomeNode", "IsHome", "Msg_To_Str", "NodeToInt", "IntToNode",
+            "IsEmptySharers", "CountSharers", "HasSharer", "AddSharer",
+            "DelSharer", "ClearSharers"}
 
 
 def _fn_name(handler: HandlerIR) -> str:
@@ -113,8 +114,7 @@ class _BlockEmitter:
         self.frame = set(handler.frame_vars)
         self.info = f"v_{handler.params[1]}"   # the block's info dict
         self.direct = _DIRECT
-        self.untimed = _UNTIMED
-        if len(protocol.sharer_vars) == 1:
+        if protocol.sharer_vars:
             get = f"{self.info}[{protocol.sharer_vars[0]!r}]"
             self.direct = {
                 **_DIRECT,
@@ -123,7 +123,6 @@ class _BlockEmitter:
                 "HasSharer": lambda a: f"(int({a[1]}) in {get})",
                 "AddSharer": lambda a: f"{get} = {get} | {{int({a[1]})}}",
                 "DelSharer": lambda a: f"{get} = {get} - {{int({a[1]})}}"}
-            self.untimed = _UNTIMED | _UNTIMED_SHARERS
         self.lines: list[str] = []
         self.statements = 0          # ``statement`` charges owed
         self.extras: list[str] = []  # BUILTIN_COSTS attributes owed
@@ -199,7 +198,7 @@ class _BlockEmitter:
             elif name == "SetState" and isinstance(args[1], ast.StateExpr):
                 # A literal state needs no StateValue to be taken apart.
                 text = f"ctx.set_state({self.state(args[1])})"
-        if name not in self.untimed:
+        if name not in _UNTIMED:
             self.timed = True
         return text
 

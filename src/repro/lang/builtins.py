@@ -153,6 +153,11 @@ BUILTIN_PROCEDURES = {
     ]
 }
 
+# The routines over the protocol's one SharerList (a type-checker rule).
+SHARER_BUILTINS = frozenset({
+    "IsEmptySharers", "CountSharers", "HasSharer", "PopSharer", "NthSharer",
+    "AddSharer", "DelSharer", "ClearSharers"})
+
 # Fault events delivered by Tempest access control rather than by another
 # node.  These arrive "from" the local node and may be raised by the
 # simulator when an application load/store traps.

@@ -11,6 +11,8 @@ Checks performed (Sections 3-5 of the paper define the language rules):
   handlers for the same message agree on the payload signature;
 - ``Suspend`` targets a transient state and passes the freshly captured
   continuation to it; ``Resume`` is applied to a ``CONT`` value;
+- the sharer-set routines are called only in a protocol that declares
+  exactly one ``SharerList`` variable, the set they act on;
 - names resolve (locals -> state params -> protocol vars/consts ->
   prelude) and expressions are simply typed.
 
@@ -30,6 +32,7 @@ from repro.lang.builtins import (
     BuiltinSignature,
     FAULT_EVENTS,
     HANDLER_PARAM_TYPES,
+    SHARER_BUILTINS,
 )
 from repro.lang.errors import CheckError
 from repro.lang.symbols import Scope, Symbol, SymbolKind
@@ -40,6 +43,7 @@ from repro.lang.types import (
     T_BOOL,
     T_CONT,
     T_INT,
+    T_SHARERS,
     T_STRING,
     types_compatible,
 )
@@ -162,6 +166,14 @@ class _HandlerChecker:
                 f"{name} expects {len(fixed)} arguments, got {len(args)}",
                 node,
             )
+        if name in SHARER_BUILTINS:
+            count = list(self.checked.info_vars.values()).count(T_SHARERS)
+            if count != 1:
+                raise self.error(
+                    f"{name} needs exactly one SharerList protocol "
+                    f"variable; {self.checked.protocol_name} has {count}",
+                    node,
+                )
         for index, expected in enumerate(fixed):
             actual = self.type_of(args[index])
             if expected == "STATE":

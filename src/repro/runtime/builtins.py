@@ -13,16 +13,6 @@ from __future__ import annotations
 from repro.runtime.protocol import NOBODY, StateValue
 
 
-def _sharer_var(interp) -> str:
-    """Name of the protocol's (unique) SharerList info variable."""
-    names = interp.protocol.sharer_vars
-    if len(names) != 1:
-        interp.ctx.error(
-            "sharer-set builtins need exactly one SharerList protocol "
-            f"variable; {interp.protocol.name} has {len(names)}")
-    return names[0]
-
-
 # -- integer division ---------------------------------------------------------
 # C's pair, on integers only: the quotient truncates toward zero and the
 # remainder takes the dividend's sign, so (a / b) * b + a % b = a.
@@ -165,27 +155,28 @@ def bi_msg_word(interp, args):
 
 
 # -- sharer sets ----------------------------------------------------------------
-# Each takes the block's info record (the handler's INFO) first.
+# Each takes the block's info record (the handler's INFO) first; the type
+# checker admits them only in a protocol with exactly one SharerList.
 
 
 def bi_is_empty_sharers(interp, args):
     (info,) = args
-    return len(info[_sharer_var(interp)]) == 0
+    return len(info[interp.protocol.sharer_vars[0]]) == 0
 
 
 def bi_count_sharers(interp, args):
     (info,) = args
-    return len(info[_sharer_var(interp)])
+    return len(info[interp.protocol.sharer_vars[0]])
 
 
 def bi_has_sharer(interp, args):
     info, node = args
-    return int(node) in info[_sharer_var(interp)]
+    return int(node) in info[interp.protocol.sharer_vars[0]]
 
 
 def bi_pop_sharer(interp, args):
     (info,) = args
-    var = _sharer_var(interp)
+    var = interp.protocol.sharer_vars[0]
     sharers = info[var]
     if not sharers:
         interp.ctx.error("PopSharer on an empty sharer set")
@@ -198,7 +189,7 @@ def bi_pop_sharer(interp, args):
 
 def bi_nth_sharer(interp, args):
     info, index = args
-    sharers = sorted(info[_sharer_var(interp)])
+    sharers = sorted(info[interp.protocol.sharer_vars[0]])
     if not (0 <= int(index) < len(sharers)):
         interp.ctx.error(
             f"NthSharer({index}) out of range for {len(sharers)} sharers")
@@ -208,19 +199,19 @@ def bi_nth_sharer(interp, args):
 
 def bi_add_sharer(interp, args):
     info, node = args
-    var = _sharer_var(interp)
+    var = interp.protocol.sharer_vars[0]
     info[var] = info[var] | {int(node)}
 
 
 def bi_del_sharer(interp, args):
     info, node = args
-    var = _sharer_var(interp)
+    var = interp.protocol.sharer_vars[0]
     info[var] = info[var] - {int(node)}
 
 
 def bi_clear_sharers(interp, args):
     (info,) = args
-    info[_sharer_var(interp)] = frozenset()
+    info[interp.protocol.sharer_vars[0]] = frozenset()
 
 
 BUILTIN_IMPLS = {

@@ -4,17 +4,19 @@ A continuation captures "the program position, as well as local
 variables" (Section 3).  After splitting, the program position is simply
 (handler, suspend-site); the locals are the suspend site's save set.
 
-Records are immutable so the model checker can hash protocol states that
-contain suspended continuations.
+A record is a plain tuple of those values, so it hashes and compares in
+C, by value, like the protocol state that holds it.  Whether it is
+static is the cost model's business alone.  A tuple that is not a
+record compares equal to one with the same fields: encoders that branch
+on ``tuple`` test ``ContinuationRecord`` first.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class ContinuationRecord:
+class ContinuationRecord(NamedTuple):
     """The runtime value bound by ``Suspend`` and consumed by ``Resume``.
 
     - ``handler``: qualified name ``State.Message`` of the suspended
@@ -31,35 +33,7 @@ class ContinuationRecord:
     saved: tuple[tuple[str, object], ...]
     is_static: bool = False
 
-    def environment(self) -> dict[str, object]:
-        return dict(self.saved)
-
-    @property
-    def key(self) -> str:
-        """Identity string ``Handler.Message#site`` used by trace events:
-        the same key appears at the Suspend that parks this record and
-        the Resume that consumes it."""
-        return f"{self.handler}#{self.site_id}"
-
     def __repr__(self) -> str:
         kind = "static" if self.is_static else "heap"
-        return f"<cont {self.key} {kind} {dict(self.saved)!r}>"
-
-
-# Statically allocated continuations are shared: one record per suspend
-# site, interned here so identity comparisons and hashing are cheap.
-_STATIC_CACHE: dict[tuple[str, int], ContinuationRecord] = {}
-
-
-def make_continuation(handler: str, site_id: int,
-                      saved: tuple[tuple[str, object], ...],
-                      is_static: bool) -> ContinuationRecord:
-    """Create (or reuse, for static sites) a continuation record."""
-    if is_static and not saved:
-        key = (handler, site_id)
-        record = _STATIC_CACHE.get(key)
-        if record is None:
-            record = ContinuationRecord(handler, site_id, (), True)
-            _STATIC_CACHE[key] = record
-        return record
-    return ContinuationRecord(handler, site_id, saved, is_static)
+        return (f"<cont {self.handler}#{self.site_id} {kind} "
+                f"{dict(self.saved)!r}>")

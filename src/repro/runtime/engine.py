@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from repro.lang.errors import RuntimeProtocolError
 from repro.runtime.context import MAX_OPS_PER_ACTION, ProtocolContext
-from repro.runtime.continuation import ContinuationRecord, make_continuation
+from repro.runtime.continuation import ContinuationRecord
 from repro.runtime.protocol import (
     CompiledProtocol,
     Flavor,
@@ -156,7 +156,9 @@ class CompiledEngine:
             costs = ctx.costs
             counters.cont_allocs += 1
             ctx.now += costs.cont_alloc + costs.save_restore_word * len(saved)
-        record = make_continuation(qualified, site_id, saved, is_static)
+        # The record's own constructor is a Python frame: fill the tuple.
+        record = tuple.__new__(ContinuationRecord,
+                               (qualified, site_id, saved, is_static))
         obs = ctx.obs
         if obs is not None:
             obs.suspend(ctx.node, ctx.current_message.block, qualified,

@@ -34,7 +34,7 @@ from repro.runtime.context import (
     MAX_OPS_PER_ACTION,  # re-exported: the limit lives with the context
     ProtocolContext,
 )
-from repro.runtime.continuation import ContinuationRecord, make_continuation
+from repro.runtime.continuation import ContinuationRecord
 from repro.runtime.protocol import (
     CompiledProtocol,
     Flavor,
@@ -210,7 +210,7 @@ class HandlerInterpreter:
         # positioned at the same block (an -O0 record's info word holds
         # no value).
         renv[target_handler.params[0]] = self.ctx.current_message.block
-        renv.update(record.environment())
+        renv.update(record.saved)
         renv[target_handler.params[1]] = self.ctx.info
         # The resumed fragment runs like a call: when it finishes (or
         # suspends again), control returns here.
@@ -236,7 +236,7 @@ class HandlerInterpreter:
             self.ctx.now += costs.cont_alloc
             self.ctx.now += costs.save_restore_word * len(saved)
 
-        record = make_continuation(
+        record = ContinuationRecord(
             handler.qualified_name, site.site_id, saved, is_static)
         env[site.cont_name] = record
         obs = self.ctx.obs

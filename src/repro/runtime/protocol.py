@@ -196,8 +196,8 @@ class CompiledProtocol:
 
     @cached_property
     def sharer_vars(self) -> tuple[str, ...]:
-        """The SharerList info variables (the sharer-set builtins need
-        exactly one)."""
+        """The SharerList info variables: exactly one wherever a
+        sharer-set builtin is called (a type-checker rule)."""
         return tuple(name for name, type_name in self.info_vars.items()
                      if type_name == T_SHARERS)
 

@@ -76,6 +76,10 @@ def _encode_value(value, out: bytearray) -> None:
         out += b"m"
         _encode_value((value.tag, value.block, value.src, value.dst,
                        value.payload, value.data), out)
+    elif isinstance(value, ContinuationRecord):  # a tuple too: before tuple
+        out += b"c"
+        _encode_value((value.handler, value.site_id, value.saved,
+                       value.is_static), out)
     elif isinstance(value, tuple):
         out += b"(%d:" % len(value)
         for item in value:
@@ -85,10 +89,6 @@ def _encode_value(value, out: bytearray) -> None:
         # Canonical order: sort members by their own encoding.
         parts = sorted(_encoded(b"", item) for item in value)
         out += b"{%d:" % len(parts) + b"".join(parts) + b"}"
-    elif isinstance(value, ContinuationRecord):
-        out += b"c"
-        _encode_value((value.handler, value.site_id, value.saved,
-                       value.is_static), out)
     else:
         raise StateCodecError(
             f"cannot fingerprint value of type {type(value).__name__}: "
@@ -297,10 +297,7 @@ class SymmetryCanonicalizer:
         saved = tuple(
             (name, self._remap_typed(mapping, value, kinds.get(name)))
             for name, value in record.saved)
-        if saved == record.saved:
-            return record
-        return ContinuationRecord(record.handler, record.site_id, saved,
-                                  record.is_static)
+        return record if saved == record.saved else record._replace(saved=saved)
 
     def _remap_typed(self, mapping: tuple, value, kind: Optional[str]):
         if kind == "node":
@@ -425,15 +422,15 @@ def _to_jsonable(value):
     if isinstance(value, Message):          # a tuple too: before tuple
         return ["m", value.tag, value.block, value.src, value.dst,
                 _to_jsonable(value.payload), _to_jsonable(value.data)]
+    if isinstance(value, ContinuationRecord):  # a tuple too: before tuple
+        return ["c", value.handler, value.site_id,
+                _to_jsonable(value.saved), value.is_static]
     if isinstance(value, tuple):
         return ["t", [_to_jsonable(item) for item in value]]
     if isinstance(value, frozenset):
         items = [_to_jsonable(item) for item in value]
         items.sort(key=repr)
         return ["fs", items]
-    if isinstance(value, ContinuationRecord):
-        return ["c", value.handler, value.site_id,
-                _to_jsonable(value.saved), value.is_static]
     raise StateCodecError(
         f"cannot serialise value of type {type(value).__name__}: {value!r}")
 

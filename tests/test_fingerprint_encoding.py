@@ -64,15 +64,15 @@ def ref_value(value) -> bytes:
     if isinstance(value, Message):          # a tuple too: before tuple
         return b"m" + ref_value((value.tag, value.block, value.src,
                                  value.dst, value.payload, value.data))
+    if isinstance(value, ContinuationRecord):  # a tuple too: before tuple
+        return b"c" + ref_value((value.handler, value.site_id, value.saved,
+                                 value.is_static))
     if isinstance(value, tuple):
         return (f"({len(value)}:".encode()
                 + b"".join(ref_value(item) for item in value) + b")")
     if isinstance(value, frozenset):
         members = sorted(ref_value(item) for item in value)
         return f"{{{len(members)}:".encode() + b"".join(members) + b"}"
-    if isinstance(value, ContinuationRecord):
-        return b"c" + ref_value((value.handler, value.site_id, value.saved,
-                                 value.is_static))
     raise TypeError(type(value).__name__)
 
 
@@ -204,6 +204,31 @@ def test_a_message_encodes_as_a_message(message, encoding):
     for field in Message._fields:
         with pytest.raises(AttributeError):
             setattr(message, field, None)
+
+
+# A continuation record is a tuple of its four fields: decoded as a plain
+# tuple it would still compare equal, so the round trip checks its type.
+
+@pytest.mark.parametrize("record", [
+    ContinuationRecord("Home_Idle.GET_RW_REQ", 0, (), True),
+    ContinuationRecord("Home_Idle.GET_RW_REQ", 1,
+                       (("n", 2), ("rest", frozenset({1, 3}))), False),
+], ids=["static", "heap"])
+def test_a_continuation_encodes_as_a_continuation(record):
+    from repro.verify.fingerprint import (
+        _encode_value,
+        _from_jsonable,
+        _to_jsonable,
+    )
+
+    out = bytearray()
+    _encode_value(record, out)
+    assert bytes(out).startswith(b"c(4:")
+    assert bytes(out) == ref_value(record)
+    restored = _from_jsonable(json.loads(json.dumps(_to_jsonable(record))))
+    assert type(restored) is ContinuationRecord
+    assert restored == record and repr(restored) == repr(record)
+    assert type(pickle.loads(pickle.dumps(record))) is ContinuationRecord
 
 
 # -- symmetry renamings --------------------------------------------------------

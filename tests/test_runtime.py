@@ -4,7 +4,7 @@ import pytest
 
 from repro.compiler.pipeline import compile_source
 from repro.lang.errors import RuntimeProtocolError
-from repro.runtime.continuation import ContinuationRecord, make_continuation
+from repro.runtime.continuation import ContinuationRecord
 from repro.runtime.exec import HandlerInterpreter
 from repro.runtime.protocol import NOBODY, OptLevel, StateValue
 
@@ -270,28 +270,31 @@ class TestDispatch:
 
 
 class TestContinuationRecords:
-    def test_static_records_are_interned(self):
-        a = make_continuation("S.M", 0, (), True)
-        b = make_continuation("S.M", 0, (), True)
-        assert a is b
+    def test_static_records_built_apart_are_one_value(self):
+        a = ContinuationRecord("S.M", 0, (), True)
+        b = ContinuationRecord("S.M", 0, (), True)
+        assert a == b and hash(a) == hash(b)
+        assert a != ContinuationRecord("S.M", 0, (), False)
 
-    def test_heap_records_are_distinct(self):
-        a = make_continuation("S.M", 0, (("x", 1),), False)
-        b = make_continuation("S.M", 0, (("x", 1),), False)
+    def test_heap_records_are_equal_by_value(self):
+        a = ContinuationRecord("S.M", 0, (("x", 1),), False)
+        b = ContinuationRecord("S.M", 0, (("x", 1),), False)
         assert a is not b
-        assert a == b  # but structurally equal (for state hashing)
+        assert a == b  # structurally equal (for state hashing)
+        assert a != ContinuationRecord("S.M", 0, (("x", 2),), False)
 
     def test_environment_restoration(self):
-        record = make_continuation("S.M", 1, (("x", 1), ("y", "z")), False)
-        assert record.environment() == {"x": 1, "y": "z"}
+        record = ContinuationRecord("S.M", 1, (("x", 1), ("y", "z")))
+        assert dict(record.saved) == {"x": 1, "y": "z"}
 
     def test_records_are_hashable(self):
-        record = make_continuation("S.M", 0, (("x", 1),), False)
+        record = ContinuationRecord("S.M", 0, (("x", 1),), False)
         assert {record: 1}[record] == 1
 
     def test_repr_mentions_kind(self):
-        assert "static" in repr(make_continuation("S.M", 0, (), True))
-        assert "heap" in repr(make_continuation("S.M", 0, (("a", 2),), False))
+        assert repr(ContinuationRecord("S.M", 0, (), True)) == (
+            "<cont S.M#0 static {}>")
+        assert "heap" in repr(ContinuationRecord("S.M", 0, (("a", 2),)))
 
 
 class TestStateValue:

@@ -131,6 +131,27 @@ class TestDeclarations:
                 "Transient")):
             check(source.replace(old, f"State {state} {{ C : CONT }};"))
 
+    def test_sharer_builtins_need_exactly_one_sharer_list(self, tmp_path):
+        """The sharer-set routines act on the protocol's one SharerList:
+        stache with a second one is refused before it runs, at the first
+        call, where it once checked "OK" and failed at run time."""
+        from repro import api
+
+        source = load_protocol_source("stache")
+        old = "  Var sharers    : SharerList;"
+        assert old in source
+        path = tmp_path / "two_sharer_lists.tea"
+        path.write_text(source.replace(
+            old, old + "\n  Var others : SharerList;", 1))
+        with pytest.raises(CheckError, match=(
+                "needs exactly one SharerList protocol variable; "
+                "Stache has 2")) as caught:
+            api.compile_protocol(str(path))
+        line = caught.value.location.line
+        assert str(caught.value).startswith(f"{path}:{line}:")
+        called = caught.value.message.split(": ")[1].split()[0]
+        assert f"{called}(" in path.read_text().splitlines()[line - 1]
+
     def test_wrong_protocol_qualifier(self):
         source = make_program().replace("State T.S{}", "State Other.S{}")
         with pytest.raises(CheckError, match="belongs to protocol"):
