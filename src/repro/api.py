@@ -27,8 +27,10 @@ search with its states expanded in that many worker processes
 :class:`~repro.verify.checker.CheckResult`.
 
 The option records are frozen on purpose: a configuration is a value
-you can build once, share, and trust not to drift mid-run.  Derive
-variants with :func:`dataclasses.replace`.
+you can build once, share, and trust not to drift mid-run.  Each is a
+:class:`typing.NamedTuple`, whose class costs far less to create at
+import than a frozen dataclass (DESIGN.md, "Cold start"); derive
+variants with ``_replace``.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import IO, TYPE_CHECKING, Optional, Union
+from typing import IO, TYPE_CHECKING, NamedTuple, Optional, Union
 
 from repro import _lazy_exports
 from repro.compile_cache import compile_file
@@ -62,8 +64,7 @@ __getattr__, __dir__ = _lazy_exports(__name__, {
 })
 
 
-@dataclass(frozen=True)
-class CompileOptions:
+class CompileOptions(NamedTuple):
     """How to turn a target into a :class:`CompiledProtocol`."""
 
     opt_level: OptLevel = OptLevel.O2
@@ -74,8 +75,7 @@ class CompileOptions:
     filename: str = "<string>"
 
 
-@dataclass(frozen=True)
-class FaultOptions:
+class FaultOptions(NamedTuple):
     """Fault injection and recovery for :func:`simulate`.
 
     Builds a rate-based :class:`~repro.faults.FaultPlan` (every message
@@ -110,8 +110,7 @@ class FaultOptions:
         return FaultPlan(rules=tuple(rules), seed=self.seed)
 
 
-@dataclass(frozen=True)
-class ReductionOptions:
+class ReductionOptions(NamedTuple):
     """State-space reduction (docs/VERIFICATION.md, "State-space
     reduction").
 
@@ -126,8 +125,7 @@ class ReductionOptions:
     symmetry: bool = False
 
 
-@dataclass(frozen=True)
-class CheckpointOptions:
+class CheckpointOptions(NamedTuple):
     """Resumable JSON checkpoints, on either engine (docs/ROBUSTNESS.md,
     "Resilient checking").
 
@@ -144,8 +142,7 @@ class CheckpointOptions:
     keep_last: int = 1
 
 
-@dataclass(frozen=True)
-class BudgetOptions:
+class BudgetOptions(NamedTuple):
     """Resource budgets for a check (docs/ROBUSTNESS.md).
 
     When a budget trips, the run stops at its next clean cut (before
@@ -163,8 +160,7 @@ class BudgetOptions:
     max_rss_mb: Optional[float] = None
 
 
-@dataclass(frozen=True)
-class ArtifactOptions:
+class ArtifactOptions(NamedTuple):
     """Optional run artifacts attached to the :class:`CheckResult`.
 
     ``profile`` arms an exploration profiler (repro.obs.profile) and
@@ -181,16 +177,15 @@ class ArtifactOptions:
     atlas: bool = False
 
 
-@dataclass(frozen=True)
-class CheckOptions:
+class CheckOptions(NamedTuple):
     """Model-checking configuration (one Table 3 cell).
 
     The auxiliary knobs live in grouped sub-records -- ``reduction``,
-    ``checkpoint``, ``budget``, ``artifacts`` -- each a frozen
-    dataclass of its own.  ``progress`` is a stream: every run records a
-    timeline (``CheckResult.timeline``), and with a stream its points
-    are printed there as progress lines, about one a second (the CLI's
-    ``--progress`` passes stderr); None keeps the run quiet.
+    ``checkpoint``, ``budget``, ``artifacts`` -- each a NamedTuple of
+    its own, as this record is.  ``progress`` is a stream: every run
+    records a timeline (``CheckResult.timeline``), and with a stream its
+    points are printed there as progress lines, about one a second (the
+    CLI's ``--progress`` passes stderr); None keeps the run quiet.
     """
 
     nodes: int = 2
@@ -224,8 +219,7 @@ class CheckOptions:
     compile: CompileOptions = CompileOptions()
 
 
-@dataclass(frozen=True)
-class SimOptions:
+class SimOptions(NamedTuple):
     """Simulator configuration (Table 1/2 runs)."""
 
     nodes: int = 16

@@ -40,7 +40,7 @@ from repro.lang.errors import (
     format_error_with_context,
 )
 from repro.runtime.protocol import OptLevel
-from repro.protocols import PROTOCOLS
+from repro.protocols import PROTOCOLS, source_path
 
 # A subcommand imports what it runs, inside its function: every
 # invocation is a fresh process, and the parser, the checkers, the
@@ -77,12 +77,21 @@ def _top(text: str) -> int:
     return _count(text, 1)
 
 
-def _parse_checked(path: str):
-    """check/fmt: the file's checked program, or None after printing
+def _source_file(target: str) -> str:
+    """check/fmt: the ``.tea`` file ``target`` names.  A registered
+    protocol name is its packaged source, as compile, verify and run
+    resolve one; anything else is a path."""
+    entry = PROTOCOLS.get(target)
+    return target if entry is None else source_path(entry)
+
+
+def _parse_checked(target: str):
+    """check/fmt: the target's checked program, or None after printing
     the front end's error with its source line."""
     from repro.lang.parser import parse_program
     from repro.lang.typecheck import check_program
 
+    path = _source_file(target)
     _data, source = read_source(path)
     try:
         program = parse_program(source, path)
@@ -118,6 +127,10 @@ def cmd_compile(args) -> int:
 def cmd_fmt(args) -> int:
     from repro.lang.pretty import format_program
 
+    if args.in_place and args.file in PROTOCOLS:
+        raise TeapotError(
+            f"{args.file}: a registered protocol's source is not rewritten "
+            "in place; format a copy of its .tea file")
     program = _parse_checked(args.file)
     if program is None:
         return 1
@@ -505,8 +518,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    p = subparsers.add_parser("check", help="parse and type-check a file")
-    p.add_argument("file")
+    p = subparsers.add_parser("check", help="parse and type-check a protocol")
+    p.add_argument("file", help="registered protocol name or .tea path")
     p.set_defaults(fn=cmd_check)
 
     p = subparsers.add_parser("compile", help="generate code")
@@ -519,7 +532,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subparsers.add_parser(
         "fmt", help="pretty-print a protocol to canonical form")
-    p.add_argument("file")
+    p.add_argument("file", help="registered protocol name or .tea path "
+                                "(--in-place: a path)")
     p.add_argument("-i", "--in-place", action="store_true")
     p.set_defaults(fn=cmd_fmt)
 

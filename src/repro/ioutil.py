@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import contextlib
 import errno
-import json
 import os
 
 from repro.lang.errors import TeapotError
@@ -61,6 +60,8 @@ def read_source(path: str) -> tuple[bytes, str]:
 def parse_json_object(text: str, path: str, error, what: str) -> dict:
     """The JSON object ``text`` (the content of ``path``) holds; ``what``
     names the artifact expected there ("check profile")."""
+    import json     # here, not at the top: a plain verify reads and writes none
+
     if not text.strip():
         raise error(f"{path}: empty file")
     try:
@@ -113,6 +114,8 @@ def atomic_write_json(path: str, payload, **dumps) -> None:
     (``indent``, ``sort_keys``, ``separators``).  Serialized before the
     temp file is opened, so a payload that does not serialize touches
     nothing on disk."""
+    import json
+
     atomic_write_text(path, json.dumps(payload, **dumps) + "\n")
 
 

@@ -7,11 +7,10 @@ compiler pipeline) can render ``file:line:column`` diagnostics uniformly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class SourceLocation:
+class SourceLocation(NamedTuple):
     """A position in a Teapot source file (1-based line and column)."""
 
     line: int

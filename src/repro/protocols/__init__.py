@@ -17,16 +17,14 @@ which the test suite exploits for differential testing.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from repro.compile_cache import compile_file
 from repro.ioutil import read_source
 from repro.runtime.protocol import CompiledProtocol, Flavor, OptLevel
 
 
-@dataclass(frozen=True)
-class ProtocolEntry:
+class ProtocolEntry(NamedTuple):
     """Registry entry for a named protocol: its source, how it compiles,
     and how it is checked."""
 
@@ -123,7 +121,8 @@ def entry_declaring(protocol_name: str) -> Optional[ProtocolEntry]:
                  if entry.declares == protocol_name), None)
 
 
-def _source_path(entry: ProtocolEntry) -> str:
+def source_path(entry: ProtocolEntry) -> str:
+    """The packaged ``.tea`` file of a registry entry."""
     return os.path.join(os.path.dirname(__file__), entry.filename)
 
 
@@ -133,7 +132,7 @@ def load_protocol_source(name: str) -> str:
     if entry is None:
         known = ", ".join(sorted(PROTOCOLS))
         raise KeyError(f"unknown protocol {name!r}; known: {known}")
-    return read_source(_source_path(entry))[1]
+    return read_source(source_path(entry))[1]
 
 
 def compile_named_protocol(
@@ -152,6 +151,6 @@ def compile_named_protocol(
     """
     entry = PROTOCOLS[name]
     return compile_file(
-        _source_path(entry), opt_level,
+        source_path(entry), opt_level,
         flavor if flavor is not None else entry.flavor,
         entry.initial_states)

@@ -4,12 +4,15 @@ Compiled handlers run identically under the multiprocessor simulator
 (:mod:`repro.tempest`) and the model checker (:mod:`repro.verify`); all
 environment-specific behaviour -- message transmission, access control,
 block storage, cost accounting -- goes through a
-:class:`ProtocolContext`.
+:class:`ProtocolContext`.  The vocabulary both hosts share lives here
+too: :class:`Message` and the access-control tags, so a checker run
+imports no simulator module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from enum import Enum, unique
 from typing import NamedTuple, Optional
 
 from repro.lang.errors import RuntimeProtocolError
@@ -54,6 +57,43 @@ class Message(NamedTuple):
         if self.data is not None:
             parts.append("+data")
         return f"<msg {' '.join(parts)}>"
+
+
+# -- Tempest access control (Section 2) ------------------------------------
+#
+# Each node tags every shared block with one of three access levels, and
+# loads and stores trap into the protocol on a mismatch.  The simulator's
+# block records and the checker's block views hold these tags.
+
+@unique
+class AccessTag(Enum):
+    """Per-block access-control tag."""
+
+    INVALID = "inv"
+    READ_ONLY = "ro"
+    READ_WRITE = "rw"
+
+
+# AccessChange request constants (the Blk_* builtins) -> resulting tag.
+ACCESS_CHANGE_RESULT = {
+    "Blk_Invalidate": AccessTag.INVALID,
+    "Blk_Upgrade_RO": AccessTag.READ_ONLY,
+    "Blk_Upgrade_RW": AccessTag.READ_WRITE,
+    "Blk_Downgrade_RO": AccessTag.READ_ONLY,
+}
+
+
+def fault_event_for(tag: AccessTag, is_write: bool) -> Optional[str]:
+    """The Tempest fault raised by an access, or None if it hits."""
+    if is_write:
+        if tag is AccessTag.READ_WRITE:
+            return None
+        if tag is AccessTag.READ_ONLY:
+            return "WR_RO_FAULT"
+        return "WR_FAULT"
+    if tag is AccessTag.INVALID:
+        return "RD_FAULT"
+    return None
 
 
 @dataclass

@@ -13,7 +13,8 @@ from repro import _lazy_exports
 __getattr__, __dir__ = _lazy_exports(__name__, {
     "repro.tempest.machine": ("Machine", "MachineConfig", "SimResult"),
     "repro.tempest.network": ("Network", "NetworkConfig"),
-    "repro.tempest.memory": ("AccessTag", "BlockStore"),
+    "repro.runtime.context": ("AccessTag",),
+    "repro.tempest.memory": ("BlockStore",),
     "repro.tempest.stats": ("MachineStats", "NodeStats"),
 })
 

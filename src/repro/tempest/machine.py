@@ -13,9 +13,8 @@ from typing import TYPE_CHECKING, Optional
 
 from repro.lang.errors import RuntimeProtocolError, SimulationLimitError
 from repro.obs import Observer
-from repro.runtime.context import CostModel, Message, home_node
+from repro.runtime.context import AccessTag, CostModel, Message, home_node
 from repro.runtime.protocol import CompiledProtocol
-from repro.tempest.memory import AccessTag
 from repro.tempest.network import Network, NetworkConfig
 from repro.tempest.node import Node
 from repro.tempest.stats import MachineStats

@@ -4,51 +4,28 @@ Tempest's first mechanism (Section 2): "access control allows the system
 to control access to memory by permitting read and write accesses only
 for valid, cached data".  Each node tags every shared block with one of
 three access levels; loads and stores check the tag and trap into the
-protocol on a mismatch.
+protocol on a mismatch.  The tags, the AccessChange table and the fault
+rule are the checker's too, so they live beside :class:`Message` in
+:mod:`repro.runtime.context`; this module re-exports them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum, unique
-from typing import Optional
 
 from repro.lang.errors import RuntimeProtocolError
-from repro.runtime.context import Message
+from repro.runtime.context import (
+    ACCESS_CHANGE_RESULT,
+    AccessTag,
+    Message,
+    fault_event_for,
+)
+
+__all__ = ["ACCESS_CHANGE_RESULT", "BLOCK_WORDS", "AccessTag", "BlockRecord",
+           "BlockStore", "fault_event_for"]
 
 # Words per shared block: every record's data is this many words.
 BLOCK_WORDS = 4
-
-
-@unique
-class AccessTag(Enum):
-    """Per-block access-control tag."""
-
-    INVALID = "inv"
-    READ_ONLY = "ro"
-    READ_WRITE = "rw"
-
-
-# AccessChange request constants (the Blk_* builtins) -> resulting tag.
-ACCESS_CHANGE_RESULT = {
-    "Blk_Invalidate": AccessTag.INVALID,
-    "Blk_Upgrade_RO": AccessTag.READ_ONLY,
-    "Blk_Upgrade_RW": AccessTag.READ_WRITE,
-    "Blk_Downgrade_RO": AccessTag.READ_ONLY,
-}
-
-# Which fault event a load/store raises given the current tag.
-def fault_event_for(tag: AccessTag, is_write: bool) -> Optional[str]:
-    """The Tempest fault raised by an access, or None if it hits."""
-    if is_write:
-        if tag is AccessTag.READ_WRITE:
-            return None
-        if tag is AccessTag.READ_ONLY:
-            return "WR_RO_FAULT"
-        return "WR_FAULT"
-    if tag is AccessTag.INVALID:
-        return "RD_FAULT"
-    return None
 
 
 @dataclass

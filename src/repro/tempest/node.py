@@ -15,14 +15,15 @@ from typing import Optional
 
 from repro.lang.errors import RuntimeProtocolError
 from repro.protocols import entry_declaring
-from repro.runtime.context import Message, ProtocolContext
-from repro.runtime.engine import CompiledEngine
-from repro.tempest.memory import (
+from repro.runtime.context import (
     ACCESS_CHANGE_RESULT,
     AccessTag,
-    BlockStore,
+    Message,
+    ProtocolContext,
     fault_event_for,
 )
+from repro.runtime.engine import CompiledEngine
+from repro.tempest.memory import BlockStore
 from repro.tempest.stats import NodeStats
 
 # The watchdog (``MachineConfig.watchdog``): an application thread

@@ -29,11 +29,7 @@ from repro.verify.checkpoint import (
     starting_cut,
 )
 from repro.verify.events import EventGenerator, StacheEvents
-from repro.verify.fingerprint import (
-    SLOT_TERMS,
-    SymmetryCanonicalizer,
-    fingerprint,
-)
+from repro.verify.fingerprint import SLOT_TERMS, fingerprint
 from repro.verify.invariants import Invariant, standard_invariants
 from repro.verify.model import (
     APP_IDS,
@@ -388,11 +384,13 @@ class ModelChecker:
         self.fingerprint_fn = fingerprint
         # Symmetry reduction: key the visited set by the minimum
         # fingerprint over the home-fixing node permutations
-        # (fingerprint.SymmetryCanonicalizer), one representative per
+        # (symmetry.SymmetryCanonicalizer), one representative per
         # orbit.  Exploration stays concrete, so parent chains are real
         # paths and witnesses replay unreduced (fresh_clone).
         self.symmetry = symmetry
         if symmetry:
+            from repro.verify.symmetry import SymmetryCanonicalizer
+
             # (Memoised by state, which hashes in C: a repeat is one
             # dict hit.)
             self._canon = SymmetryCanonicalizer(protocol, n_nodes, n_blocks)

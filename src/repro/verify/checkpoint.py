@@ -36,7 +36,6 @@ on-disk concerns every run shares:
 
 from __future__ import annotations
 
-import json
 import os
 import resource
 import signal
@@ -265,6 +264,8 @@ def _sealed_text(payload: dict, seal):
     keys, compact separators, no unsealed fields) fed to the BLAKE2b
     ``seal`` as it goes, then the seal and ``elapsed``.  A generator
     value yields its own encoding (:func:`_json_batches`)."""
+    import json     # here, not at the top: a plain verify writes no checkpoint
+
     opening = "{"
     for key in sorted(payload.keys() - set(_UNSEALED_KEYS)):
         value = payload[key]
@@ -286,6 +287,8 @@ def _json_batches(brackets: str, encode, items):
     """A JSON array or object (``brackets`` ``"[]"`` / ``"{}"``) of
     ``items``, 4,096 at a time, ``encode(batch)`` the list or dict of
     their entries."""
+    import json
+
     items = iter(items)
     yield brackets[0]
     comma = ""

@@ -19,7 +19,7 @@ stay small and bounded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.protocols import PROTOCOLS
 
@@ -28,8 +28,7 @@ from repro.protocols import PROTOCOLS
 Op = tuple
 
 
-@dataclass(frozen=True)
-class GenChoice:
+class GenChoice(NamedTuple):
     """One possible next event for a node."""
 
     label: str

@@ -20,8 +20,8 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
+from repro.runtime.context import AccessTag
 from repro.runtime.protocol import CompiledProtocol
-from repro.tempest.memory import AccessTag
 from repro.verify.model import (
     CHANNEL_LEN,
     QUEUE_LEN,

@@ -22,9 +22,9 @@ from typing import NamedTuple, Optional
 
 from repro.protocols import entry_declaring
 from repro.runtime.context import (
-    Message, ProtocolContext, RuntimeCounters, ZERO_COSTS, home_node)
+    ACCESS_CHANGE_RESULT, AccessTag, Message, ProtocolContext,
+    RuntimeCounters, ZERO_COSTS, fault_event_for, home_node)
 from repro.runtime.protocol import CompiledProtocol
-from repro.tempest.memory import ACCESS_CHANGE_RESULT, AccessTag, fault_event_for
 
 
 class BlockView(NamedTuple):

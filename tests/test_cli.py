@@ -10,6 +10,7 @@ import time
 import pytest
 
 from repro.cli import main
+from repro.protocols import PROTOCOLS, load_protocol_source
 
 from helpers import MINI_SOURCE
 
@@ -35,6 +36,13 @@ class TestCheck:
     def test_missing_file(self, capsys):
         assert main(["check", "/nonexistent.tea"]) == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", sorted(PROTOCOLS))
+    def test_registered_name(self, name, capsys):
+        # A name is its packaged source, as compile, verify and run
+        # resolve it.
+        assert main(["check", name]) == 0
+        assert capsys.readouterr().out == f"{name}: OK\n"
 
 
 class TestCompile:
@@ -346,6 +354,24 @@ class TestFmt:
         path = tmp_path / "bad.tea"
         path.write_text("Protocol ;")
         assert main(["fmt", str(path)]) == 1
+
+    def test_fmt_registered_name(self, capsys):
+        from repro.lang.parser import parse_program
+        from repro.lang.pretty import format_program
+
+        assert main(["fmt", "stache"]) == 0
+        assert capsys.readouterr().out == format_program(
+            parse_program(load_protocol_source("stache")))
+
+    def test_fmt_in_place_refuses_a_registered_name(self, capsys):
+        source = load_protocol_source("stache")
+        assert main(["fmt", "stache", "--in-place"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: stache: ")
+        assert "in place" in captured.err
+        assert captured.err.count("\n") == 1
+        assert load_protocol_source("stache") == source
 
 
 class TestVerifyParallelFlags:

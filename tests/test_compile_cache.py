@@ -25,7 +25,7 @@ from repro.backends import emit_c, emit_murphi, emit_python
 from repro.cli import main
 from repro.compile_cache import compile_file
 from repro.compiler import pipeline
-from repro.protocols import PROTOCOLS, _source_path
+from repro.protocols import PROTOCOLS, source_path
 from repro.runtime.exec import HandlerInterpreter
 from repro.runtime.protocol import Flavor, OptLevel, ProtocolIR
 from repro.workloads import LCM_WORKLOADS, STACHE_WORKLOADS
@@ -46,7 +46,7 @@ class Cache:
     def __init__(self, tmp_path, monkeypatch, name="stache"):
         self.entry = PROTOCOLS[name]
         self.path = str(tmp_path / self.entry.filename)
-        shutil.copy(_source_path(self.entry), self.path)
+        shutil.copy(source_path(self.entry), self.path)
         self.directory = tmp_path / "__pycache__"
         self.monkeypatch = monkeypatch
         self.rebuilds = 0
@@ -366,7 +366,7 @@ def test_two_processes_racing_on_one_entry(cache):
 # What a subcommand may not load (ISSUE 17's counts): the import budget
 # of a cache-hit verify, and the heaviest strangers of run and list.
 _REPORT = """
-import builtins, json, sys
+import builtins, sys
 compiled = []
 real_compile = builtins.compile
 def recording(source, filename, *args, **kwargs):
@@ -375,7 +375,9 @@ def recording(source, filename, *args, **kwargs):
 builtins.compile = recording
 from repro.cli import main
 status = main(sys.argv[1:])
-print(json.dumps({"status": status, "modules": sorted(sys.modules),
+modules = sorted(sys.modules)       # before this script imports json
+import json
+print(json.dumps({"status": status, "modules": modules,
                   "compiled": compiled}), file=sys.stderr)
 """
 VERIFY = ["verify", "lcm_mcc", "--nodes", "2", "--reorder", "1"]
@@ -404,9 +406,13 @@ def test_cache_hit_verify_import_budget():
             if name == "repro" or name.startswith("repro.")]
     # 63 before the imports were lazy, 37 while the engine imported the
     # reference interpreter for one constant, 36 while a hit unpickled
-    # the AST and the handler IR.
-    assert len(ours) <= 27, ours
+    # the AST and the handler IR, 27 while the checker imported the
+    # access tags from the simulator and the canonicalizer and the JSON
+    # state codec with the fingerprints.
+    assert len(ours) <= 25, ours
     for stranger in (
+            "repro.tempest", "repro.tempest.memory", "repro.verify.symmetry",
+            "repro.verify.statejson", "json",
             "repro.tempest.machine", "repro.tempest.node",
             "repro.verify.parallel", "repro.verify.atlas",
             "repro.obs.profile", "repro.obs.metrics",
@@ -420,20 +426,46 @@ def test_cache_hit_verify_import_budget():
         assert stranger not in report["modules"], stranger
 
 
-@pytest.mark.parametrize("argv", [
-    ["verify", "lcm", "--nodes", "3", "--symmetry"],
-    ["run", "stache", "gauss", "--nodes", "4"],
+@pytest.mark.parametrize("argv,own", [
+    (["verify", "lcm", "--nodes", "3", "--symmetry"],
+     "repro.verify.symmetry"),
+    (["run", "stache", "gauss", "--nodes", "4"], "repro.tempest.memory"),
 ], ids=["verify-symmetry", "run"])
-def test_cache_hit_loads_no_front_end(argv):
+def test_cache_hit_loads_no_front_end(argv, own):
     """Symmetry renames continuation frames by their typed names, and
     the simulator dispatches through the same tables: both from the run
-    tables alone."""
+    tables alone.  Each loads its own module, which a plain verify
+    does not."""
     _report(argv)
     report = _report(argv)
     assert not [name for name in report["compiled"]
                 if name.startswith("<") and name.endswith(".py>")]
     for stranger in NOT_ON_A_HIT:
         assert stranger not in report["modules"], stranger
+    assert own in report["modules"]
+
+
+def test_lazy_homes_re_export_the_same_objects():
+    """A name that moved out of a module a plain verify loads is still
+    importable from its old home, as the very same object."""
+    import importlib
+
+    # Not `import repro.verify.fingerprint as ...`: that binds the
+    # function the package re-exports under the module's name.
+    symmetry = importlib.import_module("repro.verify.symmetry")
+    statejson = importlib.import_module("repro.verify.statejson")
+    fingerprint = importlib.import_module("repro.verify.fingerprint")
+    context = importlib.import_module("repro.runtime.context")
+    memory = importlib.import_module("repro.tempest.memory")
+    tempest = importlib.import_module("repro.tempest")
+    for name in ("SymmetryCanonicalizer", "_node_kind"):
+        assert getattr(fingerprint, name) is getattr(symmetry, name)
+    for name in ("state_to_jsonable", "state_from_jsonable",
+                 "_to_jsonable", "_from_jsonable"):
+        assert getattr(fingerprint, name) is getattr(statejson, name)
+    for name in ("AccessTag", "ACCESS_CHANGE_RESULT", "fault_event_for"):
+        assert getattr(memory, name) is getattr(context, name)
+    assert tempest.AccessTag is context.AccessTag
 
 
 @pytest.mark.parametrize("argv,strangers", [
