@@ -36,13 +36,7 @@ def _lazy_exports(package: str, homes: dict):
     """PEP 562 ``(__getattr__, __dir__)`` for ``package``.  ``homes``
     maps a home module to the names re-exported from it; a name is
     imported from its home on first access and then bound on the
-    package, so it resolves once.
-
-    A name that is also a submodule of ``package`` (``repro.verify``'s
-    ``fingerprint``) cannot be served this way: importing the submodule
-    binds the *module* under that name and ``__getattr__`` is never
-    asked.  Such names are imported eagerly by their package instead.
-    """
+    package, so it resolves once."""
     namespace = vars(sys.modules[package])
     home_of = {name: home for home, names in homes.items() for name in names}
 

@@ -23,10 +23,6 @@ hash-partitioned across worker processes, with checkpoint/resume).
 """
 
 from repro import _lazy_exports
-# Eager on purpose: ``fingerprint`` is both this submodule and the
-# function re-exported from it, so the function must be bound after the
-# submodule is imported (see repro._lazy_exports).
-from repro.verify.fingerprint import encode_state, fingerprint
 
 __getattr__, __dir__ = _lazy_exports(__name__, {
     "repro.verify.atlas": ("StateAtlas", "load_atlas"),
@@ -53,8 +49,6 @@ __all__ = [
     "CheckpointError",
     "WorkerLostError",
     "load_checkpoint",
-    "fingerprint",
-    "encode_state",
     "StateAtlas",
     "load_atlas",
     "EventGenerator",

@@ -12,10 +12,11 @@ structure, the same way :mod:`repro.obs.profile` is for hot-loop time:
   ``teapot-state-atlas`` v3; ``teapot verify --atlas-out``), rendered by
   ``teapot analyze atlas``, diffable with ``teapot analyze diff``, and
   exportable as filtered DOT/GraphML for small configs.
-- analysis -- SCC decomposition with terminal-SCC (deadlock-basin)
-  identification, depth/diameter profile, in/out-degree distributions
-  and a per-(node, protocol-state) residence heatmap split
-  transient-vs-stable.
+- analysis -- SCC decomposition by the Tarjan the starvation check
+  runs (:func:`repro.verify.starvation.components`) with terminal-SCC
+  (deadlock-basin) identification, depth/diameter profile, in/out-degree
+  distributions and a per-(node, protocol-state) residence heatmap
+  split transient-vs-stable.
 
 The atlas is exact at every size and estimates no symmetry collapse
 (``verify --symmetry`` measures it).  ``--max-states`` and
@@ -30,6 +31,7 @@ results; unarmed, the graph keeps no labels or notes
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -40,6 +42,7 @@ from repro.obs.analyze.trace import TraceError
 from repro.verify.checker import parse_label
 from repro.verify.fingerprint import fingerprint
 from repro.verify.model import VIEWS, Memo
+from repro.verify.starvation import components
 
 ATLAS_KIND = "teapot-state-atlas"
 ATLAS_VERSION = 3
@@ -153,58 +156,21 @@ def load_atlas(path: str) -> StateAtlas:
 # -- structural analysis --------------------------------------------------------
 
 def scc_decomposition(atlas: StateAtlas) -> list[list[str]]:
-    """Strongly connected components of the recorded graph (iterative
-    Tarjan; returned in reverse topological order, members sorted)."""
-    nodes = set(atlas.states)
-    adjacency: dict[str, list[str]] = defaultdict(list)
+    """Strongly connected components of the recorded graph, in reverse
+    topological order, members sorted: :func:`components` over the
+    states in name order, each one's edges in record order."""
+    names = sorted(atlas.states)
+    number = {name: k for k, name in enumerate(names)}
+    rows: list[list[int]] = [[] for _ in names]
     for record in atlas.edges:
-        if record[0] in nodes and record[1] in nodes:
-            adjacency[record[0]].append(record[1])
-
-    index: dict[str, int] = {}
-    low: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
-    sccs: list[list[str]] = []
-    counter = 0
-    for root in sorted(nodes):
-        if root in index:
-            continue
-        work: list[list] = [[root, 0]]
-        while work:
-            node, _ = work[-1]
-            if work[-1][1] == 0 and node not in index:
-                index[node] = low[node] = counter
-                counter += 1
-                stack.append(node)
-                on_stack.add(node)
-            advanced = False
-            successors = adjacency.get(node, ())
-            while work[-1][1] < len(successors):
-                successor = successors[work[-1][1]]
-                work[-1][1] += 1
-                if successor not in index:
-                    work.append([successor, 0])
-                    advanced = True
-                    break
-                if successor in on_stack:
-                    low[node] = min(low[node], index[successor])
-            if advanced:
-                continue
-            work.pop()
-            if low[node] == index[node]:
-                component = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.append(member)
-                    if member == node:
-                        break
-                sccs.append(sorted(component))
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-    return sccs
+        if record[0] in number and record[1] in number:
+            rows[number[record[0]]].append(number[record[1]])
+    offsets, targets = array("I", [0]), array("I")
+    for row in rows:
+        targets.extend(row)
+        offsets.append(len(targets))
+    return [[names[k] for k in sorted(members)]
+            for members in components(offsets, targets)]
 
 
 def analyze_structure(atlas: StateAtlas) -> dict:

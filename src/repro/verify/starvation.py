@@ -1,95 +1,118 @@
-"""Starvation analysis over the explored graph (``--liveness``).
-
-From every reachable state, each node blocked there must reach a state
-where it runs.  The exploration loop records the graph over the indices
-of its one record of the keys it visited -- states, fingerprints, or
-canonical fingerprints under symmetry (``checkpoint.Cut.index``, the
-visited set) -- as arrays in acceptance order (:class:`KeyGraph`; the
-state atlas, ``--atlas-out``, is read off the same record), and
-:func:`stuck_thread` runs backward
-reachability over (index, node) pairs.  Under symmetry each edge names
-the renaming that maps its concrete successor's node ids onto those of
-the orbit's explored representative; blocked-ness is equivariant under
-a certified quotient, so a pair is stuck exactly when its concrete
-counterparts are (docs/VERIFICATION.md, "Progress checking").
-"""
+"""Starvation analysis over the explored graph (``--liveness``): from
+every reachable state, each node blocked there must reach a state where
+it runs.  :func:`components`, the one SCC routine (the atlas's too),
+completes components sinks first, so :func:`stuck_thread` folds one
+final wake mask per component over the graph :class:`KeyGraph` records
+(docs/VERIFICATION.md, "Progress checking")."""
 
 from array import array
+
+from repro.verify.model import Memo
+
+DONE = 0xFFFFFFFF       # above every visit number, mask and frame
+
+
+def components(offsets, targets):
+    """Tarjan's strongly connected components of the graph whose state
+    ``k`` has successors ``targets[offsets[k]:offsets[k + 1]]``, rooted
+    in index order, each state's edges in order.  Yields each one's
+    members (its root, then the rest in visit order) sinks first."""
+    number = array("I", [0]) * (len(offsets) - 1)  # visit order from 1
+    low = array("I", number)
+    path, stack = array("I"), array("I")  # (state, next edge); open states
+    count = 0
+    for root in range(len(number)):
+        if number[root]:
+            continue
+        node, edge = root, offsets[root]
+        while True:
+            if edge == offsets[node]:                   # first visit
+                count = number[node] = low[node] = count + 1
+                stack.append(node)
+            end, least = offsets[node + 1], low[node]
+            while edge < end:
+                seen = number[targets[edge]]
+                if not seen:
+                    break
+                least = seen if seen < least else least
+                edge += 1
+            low[node] = least
+            if edge < end:                              # descend
+                path.extend((node, edge + 1))
+                node, edge = targets[edge], offsets[targets[edge]]
+                continue
+            if least == number[node]:                   # its root: pop
+                at = len(stack)
+                while number[node] != DONE:
+                    at -= 1
+                    number[stack[at]] = DONE
+                yield stack[at:]
+                del stack[at:]
+            if not path:
+                break
+            child, edge, node = node, path.pop(), path.pop()
+            low[node] = min(low[node], low[child])
 
 
 def stuck_thread(n_nodes: int, blocked, offsets, targets, renamings=None,
                  group=None):
-    """The first ``(node, index)`` whose blocked thread no continuation
-    of the run ever wakes, lowest node first, then lowest index; None
-    when every thread can always run again.
-
-    ``blocked[k]`` is the bitmask of the nodes blocked in state ``k``;
-    state ``k``'s successors are ``targets[offsets[k]:offsets[k + 1]]``.
-    With ``group`` (node renamings, each a tuple mapping old node to
-    new), ``renamings[e]`` indexes edge ``e``'s; without, none renames."""
-    size = len(blocked)
-    width = 1 if group is None else len(group)
-    # Predecessors in CSR form, a counting sort of the edges by target;
-    # each entry is ``source * width + renaming``.
-    starts = array("q", [0]) * (size + 1)
-    for target in targets:
-        starts[target + 1] += 1
-    for k in range(size):
-        starts[k + 1] += starts[k]
-    fill = array("q", starts)
-    preds = array("q", [0]) * len(targets)
-    for source in range(size):
-        base = source * width
-        for edge in range(offsets[source], offsets[source + 1]):
-            target = targets[edge]
-            preds[fill[target]] = base + (renamings[edge] if group else 0)
-            fill[target] += 1
-    # inverse[g][j]: the successor's node that renaming g maps onto j.
-    inverse = [[renaming.index(j) for j in range(n_nodes)]
-               for renaming in (group or [tuple(range(n_nodes))])]
-    # wakes[k * n_nodes + node]: node runs in k or in a state k reaches.
-    wakes = bytearray(size * n_nodes)
-    work = array("q")
-    for k, mask in enumerate(blocked):
-        for node in range(n_nodes):
-            if not mask >> node & 1:
-                wakes[k * n_nodes + node] = 1
-                work.append(k * n_nodes + node)
-    while work:
-        k, node = divmod(work.pop(), n_nodes)
-        for entry in preds[starts[k]:starts[k + 1]]:
-            source, renaming = divmod(entry, width)
-            pair = source * n_nodes + inverse[renaming][node]
-            if not wakes[pair]:
-                wakes[pair] = 1
-                work.append(pair)
-    for node in range(n_nodes):
-        index = wakes[node::n_nodes].find(0)
-        if index >= 0:
-            return node, index
-    return None
+    """The first ``(node, index)``, lowest node then index, whose blocked
+    thread no continuation of the run wakes, else None.  ``blocked[k]``
+    masks the nodes blocked in state ``k``; ``group`` (symmetry) lists
+    renamings, identity first and closed under composition, and
+    ``renamings[e]`` indexes the one edge ``e`` applies to node ids.
+    Inside a component each edge's constraint is an equality: a member's
+    mask is the component's one mask under the renaming its visit path
+    composes (its frame), closed under those the other edges close."""
+    group = group or [tuple(range(n_nodes))]
+    at = {g: k for k, g in enumerate(group)}
+    full = (1 << n_nodes) - 1
+    # product[a][b]: group[a] after group[b]; pull[g][mask]: bit i is bit
+    # g[i] of mask; step[f][g]: the frame across renaming g from frame f.
+    product = [[at[tuple(a[j] for j in b)] for b in group] for a in group]
+    inverse = [row.index(0) for row in product]
+    pull = [Memo(lambda mask, g=g: sum((mask >> j & 1) << i for i, j in
+                                       enumerate(g))) for g in group]
+    step = [[row[g] for g in inverse] for row in product]
+    # wake[k]: the nodes that run in state k or after it, DONE until its
+    # component is; bit i of it is bit group[frame[k]][i] of the mask.
+    wake = array("I", [DONE]) * len(blocked)
+    frame = array("I", wake)
+    for members in components(offsets, targets):
+        mask, cycles = 0, set()
+        frame[members[0]] = 0
+        for source in members:
+            own, row = full & ~blocked[source], step[frame[source]]
+            for edge in range(offsets[source], offsets[source + 1]):
+                target, g = targets[edge], renamings[edge] if renamings else 0
+                if wake[target] != DONE:
+                    own |= pull[g][wake[target]]
+                elif frame[target] == DONE:
+                    frame[target] = row[g]
+                elif frame[target] != row[g]:
+                    cycles.add(product[frame[target]][inverse[row[g]]])
+            mask |= pull[inverse[frame[source]]][own]
+        for _ in range(n_nodes):        # each pass adds a bit or none
+            for g in cycles:
+                mask |= pull[g][mask]
+        for member in members:
+            wake[member] = pull[frame[member]][mask]
+    return min(((node, k) for k, mask in enumerate(wake) if mask != full
+                for node in range(n_nodes) if not mask >> node & 1),
+               default=None)
 
 
 class KeyGraph:
-    """The graph one run explores, over the acceptance indices of the
-    run's record of its visited keys, as :func:`stuck_thread` and
-    :func:`repro.verify.atlas.build_atlas` read it.
-
-    The loop calls :meth:`state` as it accepts each key, :meth:`edge`
-    with the target's index for each transition out of the state it
-    expands and :meth:`end` after its last one; BFS expands in
-    acceptance order, so the edges are CSR as they grow, and a state
-    whose row :meth:`end` never closed was not expanded.  ``group``
-    (symmetry) lists the node renamings, identity first; :meth:`state`
-    and :meth:`edge` then name, by its position there, the one taking
-    their state onto its orbit's canonical image.  ``labelled`` (the
-    atlas) also keeps each edge's label and each state's ``note``, a
-    tuple of ints of one width for every state, flat in ``notes``."""
+    """The graph one run explores, over its acceptance indices, in CSR
+    arrays: a row :meth:`end` never closed was not expanded.  With
+    ``group`` (symmetry) :meth:`state` and :meth:`edge` name the renaming
+    taking their state onto its orbit's canonical image; ``labelled``
+    (the atlas) keeps edge labels and flat state notes."""
 
     def __init__(self, group=None, labelled: bool = False):
         self.blocked = array("q")
         self.offsets = array("q", [0])
-        self.targets = array("q")
+        self.targets = array("I")
         self.labels = [] if labelled else None
         self.notes = array("q") if labelled else None
         self.group = group
@@ -98,8 +121,7 @@ class KeyGraph:
             position = {g: k for k, g in enumerate(group)}
             self.renamings = array("B" if len(group) <= 256 else "H")
             self._canonical = array(self.renamings.typecode)  # per index
-            # _relabel[a][b]: a successor whose canonical renaming is
-            # group[b], onto a representative whose is group[a].
+            # _relabel[a][b]: group[b]'s image, onto group[a]'s.
             self._relabel = [[position[tuple(map(rep.index, image))]
                               for image in group] for rep in group]
 

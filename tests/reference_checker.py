@@ -14,11 +14,17 @@ counters, observers -- which treats ``_successors`` as a black box.
 Its moves name no written slots, so each successor is keyed from
 scratch and judged by the whole invariant suite: the stock engine's
 slot-local judging is pinned against it.
+
+It also keeps the starvation check's original analysis,
+:func:`backward_stuck_thread`: backward reachability from "node *i*
+runs" over a predecessor list, the oracle ``tests/test_liveness.py``
+pins the forward component pass of ``repro.verify.starvation`` against.
 """
 
 from __future__ import annotations
 
 import time
+from array import array
 from typing import Optional
 
 from repro.protocols import compile_named_protocol, entry_declaring
@@ -392,3 +398,50 @@ def record_expansions(checker: ModelChecker) -> list:
 
     checker._expand = recording
     return log
+
+
+def backward_stuck_thread(n_nodes: int, blocked, offsets, targets,
+                          renamings=None, group=None):
+    """``repro.verify.starvation.stuck_thread`` by backward reachability
+    over (index, node) pairs: the same arguments and the same answer."""
+    size = len(blocked)
+    width = 1 if group is None else len(group)
+    # Predecessors in CSR form, a counting sort of the edges by target;
+    # each entry is ``source * width + renaming``.
+    starts = array("q", [0]) * (size + 1)
+    for target in targets:
+        starts[target + 1] += 1
+    for k in range(size):
+        starts[k + 1] += starts[k]
+    fill = array("q", starts)
+    preds = array("q", [0]) * len(targets)
+    for source in range(size):
+        base = source * width
+        for edge in range(offsets[source], offsets[source + 1]):
+            target = targets[edge]
+            preds[fill[target]] = base + (renamings[edge] if group else 0)
+            fill[target] += 1
+    # inverse[g][j]: the successor's node that renaming g maps onto j.
+    inverse = [[renaming.index(j) for j in range(n_nodes)]
+               for renaming in (group or [tuple(range(n_nodes))])]
+    # wakes[k * n_nodes + node]: node runs in k or in a state k reaches.
+    wakes = bytearray(size * n_nodes)
+    work = array("q")
+    for k, mask in enumerate(blocked):
+        for node in range(n_nodes):
+            if not mask >> node & 1:
+                wakes[k * n_nodes + node] = 1
+                work.append(k * n_nodes + node)
+    while work:
+        k, node = divmod(work.pop(), n_nodes)
+        for entry in preds[starts[k]:starts[k + 1]]:
+            source, renaming = divmod(entry, width)
+            pair = source * n_nodes + inverse[renaming][node]
+            if not wakes[pair]:
+                wakes[pair] = 1
+                work.append(pair)
+    for node in range(n_nodes):
+        index = wakes[node::n_nodes].find(0)
+        if index >= 0:
+            return node, index
+    return None

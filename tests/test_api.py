@@ -271,9 +271,8 @@ def test_lazy_reexports_are_the_home_objects(package_name):
     """Every package re-exports lazily (PEP 562): each name in ``__all__``
     must still resolve to the very object a module below the package
     holds under that name -- never to a submodule that happens to share
-    the name, as ``repro.verify.fingerprint`` would if it were served
-    lazily -- and ``dir()`` and ``import *`` must list what they always
-    listed."""
+    the name -- and ``dir()`` and ``import *`` must list what they
+    always listed."""
     import importlib
     import pkgutil
     import types

@@ -31,7 +31,6 @@ from repro.verify import (
     ModelChecker,
     StateAtlas,
     events_for_protocol,
-    fingerprint,
     load_atlas,
 )
 from repro.verify.atlas import (
@@ -46,7 +45,7 @@ from repro.verify.atlas import (
     scc_decomposition,
 )
 from repro.verify.checker import Label, parse_label
-from repro.verify.fingerprint import SymmetryCanonicalizer
+from repro.verify.fingerprint import SymmetryCanonicalizer, fingerprint
 from repro.verify.invariants import standard_invariants
 from repro.verify.model import initial_global_state
 
@@ -153,6 +152,29 @@ class TestExactRecording:
             artifacts=ArtifactOptions(atlas=True), **options)).atlas
         text = json.dumps(atlas.to_json(), separators=(",", ":"))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("options,structure,report", [
+        (dict(nodes=2, reorder=1),
+         "72ad2f7ac085748db793bc64efb61f73841d13aa391026cdfbc58eedbdf29278",
+         "031782c62094ca2bb1e95ef1a91f2d7d12b2f76df4f5323980d9adf4c0d4e35b"),
+        (dict(nodes=3, faults=FaultBudget(drop=1)),
+         "466bc870bc0d40fdd10f91b0bfc3e9c9a9afc07e02dce363d8fd36a32b50da4c",
+         "fc1def39dde5a1a5f7c6883ef8673024522c02749c4fccde7761997723d5335b"),
+        (dict(nodes=3, liveness=True,
+              reduction=ReductionOptions(symmetry=True)),
+         "ab3d5aa59cc25b1d21c6dcaa5ce3e921e06b07cae9b8b6645320d70b502c6f24",
+         "13b0149d5b25378970372a7843c6ec470ec0e50c734ef7eeb8900e703207f639"),
+    ], ids=["reorder1", "drop1-frontier", "symmetry-liveness"])
+    def test_structure_pinned(self, options, structure, report):
+        """The analysis of the pinned artifacts, byte for byte: the SCC
+        order, ``terminal_members`` and the rendered report (the
+        failing run has 551 components)."""
+        atlas = check("stache", CheckOptions(
+            artifacts=ArtifactOptions(atlas=True), **options)).atlas
+        text = json.dumps(analyze_structure(atlas))
+        assert hashlib.sha256(text.encode()).hexdigest() == structure
+        text = format_atlas(atlas)
+        assert hashlib.sha256(text.encode()).hexdigest() == report
 
 
 class TestArtifact:

@@ -9,7 +9,10 @@ symmetry reduction (``repro.verify.starvation``).  Pinned here:
   fingerprint runs reproduce every row byte for byte, and symmetry runs
   reach the same verdict over the state count symmetry explores without
   liveness;
-* the analysis function on hand-built graphs;
+* the analysis function on hand-built graphs, and against the backward
+  reachability it replaced (``reference_checker.backward_stuck_thread``)
+  on random ones;
+* the starvation witness ``lcm_mcc`` reaches at 3 nodes;
 * a keyed witness that does not replay to a blocked node is a collision;
 * a run that stops early says the starvation check did not run.
 """
@@ -18,9 +21,11 @@ import json
 import warnings
 from array import array
 from functools import lru_cache
+from itertools import permutations
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import api
 from repro.api import CheckOptions, ReductionOptions
@@ -28,7 +33,9 @@ from repro.cli import main
 from repro.protocols import load_protocol_source
 from repro.verify import starvation
 from repro.verify.checker import FingerprintCollisionError
-from repro.verify.starvation import stuck_thread
+from repro.verify.starvation import components, stuck_thread
+
+from reference_checker import backward_stuck_thread
 
 PINS = json.loads(
     (Path(__file__).parent / "golden" / "liveness_pins.json").read_text())
@@ -101,7 +108,7 @@ def test_the_pins_hold_the_starvation_kills():
 
 def graph(*successors):
     """CSR arrays for a graph given as one successor list per state."""
-    offsets, targets = array("q", [0]), array("q")
+    offsets, targets = array("q", [0]), array("I")
     for out in successors:
         targets.extend(out)
         offsets.append(len(targets))
@@ -144,6 +151,66 @@ def test_the_lowest_stuck_index_is_reported():
                         *graph([1, 3, 2], [4], [2], [3], [4])) == (0, 2)
     assert stuck_thread(1, array("q", [0, 1, 0]),
                         *graph([1], [2], [2])) is None
+
+
+def test_a_renaming_cycle_inside_one_component():
+    # One state blocks node 0 and runs node 1; its only edge loops back.
+    # Across the swap, node 0's thread comes back as node 1, which runs.
+    blocked = array("q", [1])
+    offsets, targets = graph([0])
+    assert stuck_thread(2, blocked, offsets, targets,
+                        array("B", [1]), SWAP) is None
+    assert stuck_thread(2, blocked, offsets, targets,
+                        array("B", [0]), SWAP) == (0, 0)
+
+
+def test_components_come_sinks_first_root_first():
+    # 0 <-> 1 -> 2 -> 2, and 3 -> 0.
+    found = [list(members) for members in components(
+        *graph([1], [0, 2], [2], [0]))]
+    assert found == [[2], [0, 1], [3]]
+
+
+@st.composite
+def random_graphs(draw):
+    """Up to 4 nodes over up to 5 states; the renamings, when drawn,
+    are the full group and each edge names one at random."""
+    n_nodes, size = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    blocked = array("q", draw(st.lists(
+        st.integers(0, (1 << n_nodes) - 1), min_size=size, max_size=size)))
+    offsets, targets = graph(*draw(st.lists(
+        st.lists(st.integers(0, size - 1), max_size=3),
+        min_size=size, max_size=size)))
+    if not draw(st.booleans()):
+        return n_nodes, blocked, offsets, targets, None, None
+    group = list(permutations(range(n_nodes)))
+    renamings = array("B", draw(st.lists(
+        st.integers(0, len(group) - 1),
+        min_size=len(targets), max_size=len(targets))))
+    return n_nodes, blocked, offsets, targets, renamings, group
+
+
+@settings(max_examples=300, deadline=None)
+@given(random_graphs())
+def test_the_component_pass_agrees_with_backward_reachability(case):
+    assert stuck_thread(*case) == backward_stuck_thread(*case)
+
+
+@pytest.mark.parametrize("symmetry", [False, True],
+                         ids=["plain", "symmetry"])
+def test_the_lcm_mcc_starvation_witness(symmetry):
+    # lcm_mcc fails symmetry certification, so --symmetry reruns it
+    # unreduced and reaches the same witness.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        result = api.check("lcm_mcc", CheckOptions(
+            nodes=3, reorder=0, liveness=True,
+            reduction=ReductionOptions(symmetry=symmetry)))
+    violation = result.violation
+    assert (result.ok, violation.kind, result.states_explored) == (
+        False, "starvation", 23_911)
+    assert violation.message.startswith("node 1 is blocked")
+    assert violation.trace[-1] == "<thread lost>"
 
 
 # -- keyed witnesses and early stops ------------------------------------------

@@ -11,13 +11,13 @@ from repro.verify import (
     ModelChecker,
     ParallelChecker,
     TraceReplayError,
-    fingerprint,
     replay_labels,
 )
 from repro.verify.events import events_for_protocol
 from repro.verify.fingerprint import (
     StateCodecError,
     encode_state,
+    fingerprint,
     state_from_jsonable,
     state_to_jsonable,
 )
