@@ -134,12 +134,10 @@ class CheckpointOptions(NamedTuple):
     an interrupt -- and, while it runs, as snapshots at clean cuts paced
     to under 5% of wall time, so a killed run leaves one too.
     ``resume`` continues from one (written at any worker count, serial
-    included; the formats are identical), and ``keep_last`` rotates
-    that many most-recent files (``out``, ``out.1``, ...)."""
+    included; the formats are identical)."""
 
     out: Optional[str] = None
     resume: Optional[str] = None
-    keep_last: int = 1
 
 
 class BudgetOptions(NamedTuple):
@@ -325,8 +323,6 @@ def check(target: Target,
                         ("max_states", 1)):
         if getattr(options, name) < floor:
             raise ValueError(f"CheckOptions.{name} must be >= {floor}")
-    if options.checkpoint.keep_last < 1:
-        raise ValueError("CheckpointOptions.keep_last must be >= 1")
     for name in ("deadline_seconds", "max_rss_mb"):
         budget = getattr(options.budget, name)
         # A NaN or infinite budget compares false with every reading,
@@ -362,7 +358,6 @@ def check(target: Target,
             liveness=options.liveness,
             checkpoint_out=options.checkpoint.out,
             resume=options.checkpoint.resume,
-            checkpoint_keep_last=options.checkpoint.keep_last,
             deadline_seconds=options.budget.deadline_seconds,
             max_rss_mb=options.budget.max_rss_mb,
         )

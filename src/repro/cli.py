@@ -180,8 +180,7 @@ def cmd_verify(args) -> int:
         progress=sys.stderr if args.progress else None,
         checkpoint=api.CheckpointOptions(
             out=args.checkpoint_out,
-            resume=args.resume,
-            keep_last=args.checkpoint_keep),
+            resume=args.resume),
         budget=api.BudgetOptions(deadline_seconds=args.deadline,
                                  max_rss_mb=args.max_rss_mb),
         faults=_parse_fault_budget(args.faults),
@@ -588,10 +587,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="continue from a checkpoint (written serially "
                         "or at any worker count; the final verdict and "
                         "state count match an uninterrupted run)")
-    p.add_argument("--checkpoint-keep", type=int, default=1,
-                   metavar="N",
-                   help="keep the last N checkpoints, rotating older "
-                        "ones to PATH.1, PATH.2, ... (default 1)")
     p.add_argument("--deadline", type=float, default=None,
                    metavar="SECONDS",
                    help="wall-clock budget: stop gracefully after this "

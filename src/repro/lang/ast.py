@@ -346,12 +346,6 @@ class StateDef:
     handlers: list[Handler]
     location: SourceLocation = field(default=_NOWHERE)
 
-    def handler_for(self, message_name: str) -> Optional[Handler]:
-        for handler in self.handlers:
-            if handler.message_name == message_name:
-                return handler
-        return None
-
 
 @dataclass
 class Program:

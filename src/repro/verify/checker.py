@@ -12,9 +12,11 @@ from __future__ import annotations
 import re
 import sys
 import time
+from bisect import bisect_right
 from collections import Counter, deque
 from dataclasses import dataclass, field, replace
 from itertools import chain, compress
+from operator import itemgetter
 from typing import IO, NamedTuple, Optional
 
 from repro.runtime.context import Message, home_node
@@ -344,7 +346,6 @@ class ModelChecker:
         symmetry: bool = False,
         checkpoint_out: Optional[str] = None,
         resume: Optional[str] = None,
-        checkpoint_keep_last: int = 1,
         deadline_seconds: Optional[float] = None,
         max_rss_mb: Optional[float] = None,
     ):
@@ -440,7 +441,6 @@ class ModelChecker:
         # any worker count or serially; the format is fingerprint-keyed.
         self.checkpoint_out = checkpoint_out
         self.resume = resume
-        self.checkpoint_keep_last = checkpoint_keep_last
         if (checkpoint_out or resume) and not self.fingerprint_states:
             raise ValueError(
                 "serial checkpoint/resume requires fingerprint_states="
@@ -974,19 +974,23 @@ class ModelChecker:
         # Seeds are taken exactly as the loop takes every later state:
         # a checkpoint frontier is pre-acceptance on disk, so its
         # invariants run (and its deepest row sets the depth) here.
-        for key, d in cut.frontier.items():
-            message = take(seeds[key], key, index[key], d)
+        for key, state in seeds.items():
+            at = index[key]
+            message = take(state, key, at, cut.depth + (at >= cut.deeper))
             if message is not None:
                 return finish(Violation(
-                    "invariant", message,
-                    cut.trace(index[key]) or ["<initial>"], seeds[key]))
+                    "invariant", message, cut.trace(at) or ["<initial>"],
+                    state))
         fresh = len(index)      # the index the next new key gets
 
         def write_ckpt(durable: bool) -> None:
+            # The frontier is the index suffix from its first entry, at
+            # most two layers deep; the deeper one starts at ``deeper``.
+            _state, _key, first, d = frontier[0]
+            deeper = first + bisect_right(frontier, d, key=itemgetter(3))
             replace(cut, transitions=transitions, elapsed=policy.elapsed(),
-                    handler_fires=self._handler_fires,
-                    frontier={key: d for _state, key, _at, d in frontier},
-                    ).write(self, durable)
+                    handler_fires=self._handler_fires, expanded=first,
+                    depth=d, deeper=deeper).write(self, durable)
 
         # The top of the loop is a clean cut (see CutPolicy): every
         # non-frontier visited state is fully expanded.

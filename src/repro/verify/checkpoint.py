@@ -1,30 +1,29 @@
 """The checkpoint format, one for every run at any worker count.
 
-A checkpoint is pure JSON (kind ``teapot-parallel-checkpoint``, v3 --
-the name is historical).  It holds what a resume reads and nothing
-else: the configuration echo, the cut's ``transitions``, ``elapsed``
-and ``handler_fires``, the expanded states' parent edges and the
-frontier's ``[fp, parent fp, label, depth]`` rows; the rest (the state
-count, the depth, the invariant evaluations) follows from those.  v1
-keyed states by a BLAKE2b over the whole encoding and v2 carried
-fields no resume read, so both are refused.  This module is the single
-owner of that format -- a :class:`Cut` is the exploration at a clean
-cut, every writer goes through :meth:`Cut.write`, every resume through
-:func:`decode_checkpoint` and :func:`replay_frontier` -- and of the
-on-disk concerns every run shares:
+A checkpoint is JSON (kind ``teapot-parallel-checkpoint``, v4 -- the
+name is historical) holding a :class:`Cut` in the form the run keeps
+it: the visited keys in acceptance order, each index's parent index and
+label id -- three arrays, each stored as base64 of its little-endian
+bytes -- the label table, how many indices were expanded (the frontier
+is the rest), the two numbers that give every frontier row's depth,
+the configuration echo and the cut's ``transitions``, ``elapsed`` and
+``handler_fires``; the rest (the state count, the depth, the invariant
+evaluations) follows from those.  v1 keyed states by a BLAKE2b over
+the whole encoding, v2 carried fields no resume read and v3 wrote a
+JSON row per state, so all three are refused.  This module is the
+single owner of that format -- a :class:`Cut` is the exploration at a
+clean cut, every writer goes through :meth:`Cut.write`, every resume
+through :func:`decode_checkpoint` and :func:`replay_frontier` -- and of
+the on-disk concerns every run shares:
 
-* **Atomic, streamed writes** -- every checkpoint goes through
-  :func:`repro.ioutil.atomic_write_text` (tmp + fsync + rename) a batch
-  of states at a time, so a crash mid-write can never leave a
-  parseable-but-partial file, nor a write hold the whole encoding.
+* **Atomic writes** -- every checkpoint goes through
+  :func:`repro.ioutil.atomic_write_text` (tmp + fsync + rename), so a
+  crash mid-write can never leave a parseable-but-partial file.
 * **A payload seal** -- a BLAKE2b digest over the canonical JSON of the
   payload (excluding the ``seal`` field itself and the volatile
   ``elapsed`` wall-clock).  :func:`load_checkpoint` requires and
   verifies it, turning bit-flips and truncation into a one-line
   :class:`CheckpointError`.
-* **Rotation** -- ``keep_last`` > 1 shifts ``path`` -> ``path.1`` ->
-  ``path.2`` ... before each write, keeping a bounded history of the
-  newest checkpoints.
 * **Config echo** -- the configuration fingerprint embedded in every
   checkpoint so a resume against a different protocol/topology fails
   loudly rather than exploring nonsense.
@@ -36,27 +35,37 @@ on-disk concerns every run shares:
 
 from __future__ import annotations
 
-import os
 import resource
 import signal
+import sys
 import threading
 import time
 from array import array
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import chain, islice
-from types import GeneratorType
+from itertools import islice
+from operator import ge
 
 from _blake2 import blake2b     # hashlib's, without its OpenSSL load
 
 from repro.ioutil import atomic_write_text, check_envelope, read_json
 
 CHECKPOINT_KIND = "teapot-parallel-checkpoint"
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 # A cut's counting fields, by their names in a Cut and on disk.
 _COUNTED = ("transitions", "elapsed", "handler_fires")
+
+# A cut's arrays on disk, by name and type code: the keys (``Cut.index``'s,
+# in index order), ``Cut.parent`` and ``Cut.label``.
+_ARRAYS = (("keys", "Q"), ("parent", "q"), ("label", "I"))
+
+# Where a cut's frontier starts and what depths it spans (Cut).
+_FRONTIER = ("expanded", "depth", "deeper")
+
+# The arrays are stored little-endian; a big-endian host swaps them.
+_SWAP = sys.byteorder == "big"
 
 # Keys excluded from the seal: the seal itself, and the one field two
 # byte-identical explorations legitimately disagree on (wall time).
@@ -262,17 +271,14 @@ def flag_sigint():
 def _sealed_text(payload: dict, seal):
     """The file text of ``payload`` in pieces: its canonical JSON (sorted
     keys, compact separators, no unsealed fields) fed to the BLAKE2b
-    ``seal`` as it goes, then the seal and ``elapsed``.  A generator
-    value yields its own encoding (:func:`_json_batches`)."""
+    ``seal`` as it goes, then the seal and ``elapsed``.  A piece is one
+    key or one value, so a write holds one encoded array, not the file."""
     import json     # here, not at the top: a plain verify writes no checkpoint
 
     opening = "{"
     for key in sorted(payload.keys() - set(_UNSEALED_KEYS)):
-        value = payload[key]
-        for piece in chain([f"{opening}{json.dumps(key)}:"], value
-                           if isinstance(value, GeneratorType) else
-                           [json.dumps(value, sort_keys=True,
-                                       separators=(",", ":"))]):
+        for piece in (f"{opening}{json.dumps(key)}:", json.dumps(
+                payload[key], sort_keys=True, separators=(",", ":"))):
             seal.update(piece.encode())
             yield piece
         opening = ","
@@ -283,37 +289,13 @@ def _sealed_text(payload: dict, seal):
     yield "}\n"
 
 
-def _json_batches(brackets: str, encode, items):
-    """A JSON array or object (``brackets`` ``"[]"`` / ``"{}"``) of
-    ``items``, 4,096 at a time, ``encode(batch)`` the list or dict of
-    their entries."""
-    import json
-
-    items = iter(items)
-    yield brackets[0]
-    comma = ""
-    while batch := list(islice(items, 4096)):
-        yield comma + json.dumps(encode(batch), separators=(",", ":"))[1:-1]
-        comma = ","
-    yield brackets[1]
-
-
-def write_checkpoint(path: str, payload: dict, keep_last: int = 1,
-                     durable: bool = True) -> None:
-    """Seal and atomically write a checkpoint, rotating prior files.
-
-    With ``keep_last=N`` the previous checkpoint survives as
-    ``path.1`` (and older ones as ``path.2`` ... ``path.N-1``).
-
-    The canonical JSON the seal is computed over *is* the file body,
-    streamed (:func:`_sealed_text`).  ``durable=False`` skips the fsync
-    (rename atomicity is kept), for snapshots."""
-    for age in range(keep_last - 1, 0, -1):
-        older = path if age == 1 else f"{path}.{age - 1}"
-        if os.path.exists(older):
-            os.replace(older, f"{path}.{age}")
-    atomic_write_text(path, _sealed_text(payload, blake2b(
-        digest_size=16)), fsync=durable)
+def write_checkpoint(path: str, payload: dict, durable: bool = True) -> None:
+    """Seal and atomically write a checkpoint: the canonical JSON the
+    seal is computed over *is* the file body (:func:`_sealed_text`).
+    ``durable=False`` skips the fsync (rename atomicity is kept), for
+    snapshots."""
+    atomic_write_text(path, _sealed_text(payload, blake2b(digest_size=16)),
+                      fsync=durable)
 
 
 def load_checkpoint(path: str) -> dict:
@@ -327,7 +309,7 @@ def load_checkpoint(path: str) -> dict:
         read_json(path, CheckpointError, "checkpoint"), path,
         CheckpointError, "checkpoint", "verify --checkpoint-out",
         CHECKPOINT_KIND, CHECKPOINT_VERSION, version_key="v")
-    for key in ("seal", *_COUNTED, "parents", "frontier"):
+    for key in ("seal", *_COUNTED, *dict(_ARRAYS), "labels", *_FRONTIER):
         if key not in payload:
             raise CheckpointError(
                 f"{path}: checkpoint is missing the {key!r} field")
@@ -369,13 +351,14 @@ class Cut:
     and every checkpoint is one written out (:meth:`write`).
 
     ``index`` maps each visited key to its index: it is the visited set,
-    the frontier included, in acceptance order (a resumed run's decoded
-    states first).  Per index, ``parent`` holds the parent's index (-1:
-    the root) and ``label`` the id of the edge's label in ``labels``,
-    the run's distinct labels (label -> id).  ``frontier`` maps each key
-    that waits unaccepted (before invariants) to its depth; the counters
-    are what reaching the cut cost.  Checkpoint keys are fingerprints
-    (ints)."""
+    the frontier included, in acceptance order.  Per index, ``parent``
+    holds the parent's index (-1: the root) and ``label`` the id of the
+    edge's label in ``labels``, the run's distinct labels (label -> id).
+    BFS expands states in acceptance order, so the first ``expanded``
+    indices are expanded and the rest, the frontier, wait unaccepted
+    (before invariants): at ``depth`` before index ``deeper``, one
+    deeper from it.  The counters are what reaching the cut cost.
+    Checkpoint keys are fingerprints (64-bit ints)."""
 
     transitions: int = 0
     elapsed: float = 0.0
@@ -384,7 +367,9 @@ class Cut:
     parent: array = field(default_factory=lambda: array("q"))
     label: array = field(default_factory=lambda: array("I"))
     labels: dict = field(default_factory=dict)
-    frontier: dict = field(default_factory=dict)
+    expanded: int = 0
+    depth: int = 0
+    deeper: int = 0
 
     def add(self, key, parent: int, label: str) -> None:
         """Record ``key``, reached from index ``parent`` by ``label``."""
@@ -401,51 +386,42 @@ class Cut:
         return trace[::-1]
 
     def encode(self, echo: dict) -> dict:
-        """The v3 payload, its containers as generators of their JSON
-        (:func:`_json_batches`): each state's edge, ``[parent fp | None,
-        label]``, read off the record, whose keys in index order name the
-        parents; the expanded states are the ones not in the frontier."""
-        index, parent, label, frontier = (self.index, self.parent,
-                                          self.label, self.frontier)
-        keys, names = list(index), list(self.labels)
+        """The v4 payload: the record's arrays as base64 of their
+        little-endian bytes, the keys in index order."""
+        import base64
 
-        def edge(at: int) -> list:
-            up = parent[at]
-            return [None if up < 0 else f"{keys[up]:016x}", names[label[at]]]
+        def text(values: array) -> str:
+            if _SWAP:
+                values = array(values.typecode, values)
+                values.byteswap()
+            return base64.b64encode(values).decode("ascii")
 
         return {
             **echo,
             "kind": CHECKPOINT_KIND,
             "v": CHECKPOINT_VERSION,
-            **{key: getattr(self, key) for key in _COUNTED},
-            # Sorted as the seal's canonical JSON sorts keys: 64-bit
-            # fingerprints' 16-digit hex sorts as the ints do.
-            "parents": _json_batches(
-                "{}", lambda fps: {f"{fp:016x}": edge(index[fp])
-                                   for fp in fps},
-                sorted(fp for fp in index if fp not in frontier)),
-            # A frontier state is stored by reference: the (parent fp,
-            # label) chain rebuilds it at resume by replay, a few bytes
-            # where the state would be hundreds.
-            "frontier": _json_batches(
-                "[]", lambda fps: [[f"{fp:016x}", *edge(index[fp]),
-                                    frontier[fp]] for fp in fps], frontier),
+            **{key: getattr(self, key) for key in (*_COUNTED, *_FRONTIER)},
+            "keys": text(array("Q", self.index)),
+            "parent": text(self.parent),
+            "label": text(self.label),
+            "labels": list(self.labels),
         }
 
     def write(self, checker, durable: bool = True) -> None:
-        """Write this cut as ``checker``'s checkpoint (its path,
-        rotation depth and configuration echo): the one writer behind
-        every checkpoint."""
+        """Write this cut as ``checker``'s checkpoint (its path and
+        configuration echo): the one writer behind every checkpoint."""
         write_checkpoint(checker.checkpoint_out,
-                         self.encode(config_echo(checker)),
-                         checker.checkpoint_keep_last, durable=durable)
+                         self.encode(config_echo(checker)), durable)
 
 
 def decode_checkpoint(payload: dict, echo: dict, path: str) -> Cut:
     """Validate a loaded payload against the resuming run's ``echo`` and
-    decode it.  A configuration mismatch, and a frontier that lists a
-    state twice or lists an expanded one, is a one-line
-    :class:`CheckpointError`."""
+    decode it.  A configuration mismatch, an array that is not base64,
+    arrays of unequal length, a repeated key, a parent that is not an
+    earlier index, a label id out of range and a frontier outside the
+    record are each a one-line :class:`CheckpointError`."""
+    import base64
+
     diffs = ", ".join(
         f"{key}: checkpoint={payload.get(key)!r} run={value!r}"
         for key, value in echo.items() if payload.get(key) != value)
@@ -453,28 +429,38 @@ def decode_checkpoint(payload: dict, echo: dict, path: str) -> Cut:
         raise CheckpointError(
             f"{path}: checkpoint is for a different configuration "
             f"({diffs})")
-    cut = Cut(transitions=payload["transitions"], elapsed=payload["elapsed"],
-              handler_fires=dict(payload["handler_fires"]))
-    # The expanded states, then the frontier, each indexed before any
-    # parent is looked up: the expanded rows are sorted by key.
-    edges = [*([fp, *edge] for fp, edge in payload["parents"].items()),
-             *(row[:3] for row in payload["frontier"])]
-    index = cut.index
-    for fp, _pfp, _label in edges:
-        if index.setdefault(int(fp, 16), len(index)) < len(index) - 1:
-            raise CheckpointError(
-                f"{path}: frontier state {fp} is listed twice or was "
-                "already expanded")
-    for fp, pfp, label in edges:
-        up = -1 if pfp is None else index.get(int(pfp, 16))
-        if up is None:
-            raise CheckpointError(
-                f"{path}: state {fp} has a broken parent chain (missing "
-                f"ancestor {pfp})")
-        cut.parent.append(up)
-        cut.label.append(cut.labels.setdefault(label, len(cut.labels)))
-    cut.frontier = {int(row[0], 16): row[3] for row in payload["frontier"]}
-    return cut
+    arrays = []
+    for name, code in _ARRAYS:
+        values = array(code)
+        try:
+            values.frombytes(base64.b64decode(payload[name], validate=True))
+        except (TypeError, ValueError):
+            raise CheckpointError(f"{path}: the {name!r} field is not "
+                                  f"base64 of {code!r} items") from None
+        if _SWAP:
+            values.byteswap()
+        arrays.append(values)
+    keys, parent, label = arrays
+    n, names = len(keys), payload["labels"]
+    index = dict(zip(keys, range(n)))
+    labels = dict(zip(names, range(len(names))))
+    expanded, depth, deeper = (payload[key] for key in _FRONTIER)
+    for wrong, what in (
+            (len(parent) != n or len(label) != n,
+             "its arrays are of unequal length"),
+            (len(index) < n, "a key is listed twice"),
+            (min(parent, default=-1) < -1 or any(map(ge, parent, range(n))),
+             "a parent is not an earlier index"),
+            (len(labels) < len(names) or max(label, default=0) >= len(names),
+             "a label id is out of range"),
+            (not 0 <= expanded <= deeper <= n,
+             "its frontier is outside its record")):
+        if wrong:
+            raise CheckpointError(f"{path}: checkpoint is corrupt: {what}")
+    return Cut(transitions=payload["transitions"], elapsed=payload["elapsed"],
+               handler_fires=dict(payload["handler_fires"]), index=index,
+               parent=parent, label=label, labels=labels,
+               expanded=expanded, depth=depth, deeper=deeper)
 
 
 def starting_cut(checker) -> Cut:
@@ -487,18 +473,18 @@ def starting_cut(checker) -> Cut:
     initial = checker.initial_state()
     key = (checker.fingerprint_fn(initial) if checker.fingerprint_states
            else initial)
-    cut = Cut(frontier={key: 0})
+    cut = Cut(deeper=1)
     cut.add(key, -1, "<initial>")
     return cut
 
 
 def replay_frontier(checker, cut: Cut, where: str) -> dict:
-    """Concrete states for ``cut``'s frontier keys, which a checkpoint
-    stores by reference: each is rebuilt by replaying its parent-label
-    chain from the initial state -- the same deterministic replay that
-    validates counterexample traces, so a chain that fails to replay is
-    a real integrity error.  ``checker`` is the resuming run's
-    checker."""
+    """Concrete states for ``cut``'s frontier keys, in index order, which
+    a checkpoint stores by reference: each is rebuilt by replaying its
+    parent-label chain from the initial state -- the same deterministic
+    replay that validates counterexample traces, so a chain that fails
+    to replay is a real integrity error.  ``checker`` is the resuming
+    run's checker."""
     from repro.verify.checker import TraceReplayError, replay_step
 
     parent, label, names = cut.parent, cut.label, list(cut.labels)
@@ -507,8 +493,8 @@ def replay_frontier(checker, cut: Cut, where: str) -> dict:
     # replayed ancestors are cached by index: each chain replays only
     # the suffix below its deepest cached one (-1 roots them all).
     cache: dict = {-1: checker.initial_state()}
-    for key in cut.frontier:
-        chain, at = [], cut.index[key]
+    for key, at in islice(cut.index.items(), cut.expanded, None):
+        chain = []
         while at not in cache:
             chain.append(at)
             at = parent[at]

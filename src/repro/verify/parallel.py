@@ -59,14 +59,9 @@ from repro.verify.checker import (
     _LabelledViolation,
     refuse_graph_modes,
 )
-from repro.verify.checkpoint import (
-    CheckpointError,
-    load_checkpoint,
-    peak_rss_mb,
-)
+from repro.verify.checkpoint import peak_rss_mb
 
-__all__ = ["CheckpointError", "ParallelChecker", "WorkerLostError",
-           "load_checkpoint"]
+__all__ = ["ParallelChecker", "WorkerLostError"]
 
 # How long a worker pipe may stay silent before the master re-checks the
 # worker is alive: a dead one is noticed within a fraction of a second.

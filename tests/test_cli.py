@@ -145,7 +145,7 @@ class TestBadTopology:
 
     # Where the refusal names the option's API field, not the flag.
     FIELDS = {"--max-states": "max_states", "--deadline": "deadline_seconds",
-              "--max-rss-mb": "max_rss_mb", "--checkpoint-keep": "keep_last"}
+              "--max-rss-mb": "max_rss_mb"}
 
     @pytest.mark.parametrize("argv", [
         ["verify", "stache", "--nodes", "0"],
@@ -156,7 +156,6 @@ class TestBadTopology:
         ["verify", "stache", "--deadline", "-1"],
         ["verify", "stache", "--max-rss-mb", "-5"],
         ["verify", "stache", "--max-states", "0"],
-        ["verify", "stache", "--checkpoint-keep", "0"],
         ["verify", "stache", "--deadline", "nan"],
         ["verify", "stache", "--max-rss-mb", "nan"],
     ], ids=lambda argv: f"{argv[0]}{argv[-2]}"
@@ -607,17 +606,18 @@ class TestArtifactEnvelope:
         assert report.protocol == "Stache" and report.covered == 24
         assert report.config["states"] == 47
 
-    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("version", [1, 2, 3])
     def test_earlier_checkpoint_is_refused_in_one_line(self, capsys,
                                                        version):
-        """v1's keys are another fingerprint's and v2 holds fields no
-        resume reads: exit 1, both versions named, no traceback."""
+        """v1's keys are another fingerprint's, v2 holds fields no
+        resume reads and v3 a JSON row per state: exit 1, both versions
+        named, no traceback."""
         path = os.path.join(GOLDEN, f"checkpoint_v{version}_parent.json")
         assert main(["verify", "lcm", "--reorder", "1",
                      "--resume", path]) == 1
         captured = capsys.readouterr()
         assert captured.err == (
-            f"error: {path}: checkpoint version {version}, expected 3 -- "
+            f"error: {path}: checkpoint version {version}, expected 4 -- "
             "regenerate with `verify --checkpoint-out`\n")
         assert "states=" not in captured.out
 
@@ -818,6 +818,7 @@ class TestExitWithoutFinalisation:
     ], ids=["serial", "serial-checkpoint", "workers2-checkpoint"])
     def test_sigint_stops_at_a_clean_cut(self, tmp_path, flags):
         from repro.verify import load_checkpoint
+        from repro.verify.checkpoint import decode_checkpoint
 
         run = _start_teapot(
             "verify", "lcm", "--nodes", "3", *flags, "--progress",
@@ -839,8 +840,9 @@ class TestExitWithoutFinalisation:
         if "--checkpoint-out" not in flags:
             assert list(tmp_path.iterdir()) == []
             return
-        cut = load_checkpoint(str(tmp_path / "ck.json"))
-        assert 0 < len(cut["parents"]) < 7658 and cut["frontier"]
+        path = str(tmp_path / "ck.json")
+        cut = decode_checkpoint(load_checkpoint(path), {}, path)
+        assert 0 < cut.expanded < len(cut.index) < 7658
         resumed, out, err = _teapot("verify", "lcm", "--nodes", "3",
                                     "--resume", "ck.json", cwd=tmp_path)
         assert resumed.returncode == 0, err

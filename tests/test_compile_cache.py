@@ -412,7 +412,7 @@ def test_cache_hit_verify_import_budget():
     assert len(ours) <= 25, ours
     for stranger in (
             "repro.tempest", "repro.tempest.memory", "repro.verify.symmetry",
-            "repro.verify.statejson", "json",
+            "repro.verify.statejson", "json", "base64",
             "repro.tempest.machine", "repro.tempest.node",
             "repro.verify.parallel", "repro.verify.atlas",
             "repro.obs.profile", "repro.obs.metrics",

@@ -11,15 +11,17 @@ not move:
 * one cut written three ways (serial, ``workers=2``, and a
   ``workers=2`` run that lost a worker after writing) decodes to the
   same exploration state;
-* the codec round-trips, folds duplicate proposals to the minimum
-  edge, and reports a broken parent chain in one line;
-* a checkpoint written by the previous release resumes on both engines;
+* the codec round-trips in index order at a cost that does not grow
+  with the cut, and reports a corrupt record in one line;
+* the committed v4 checkpoint is written as it was and resumes on both
+  engines, and earlier versions are refused;
 * a checkpoint never resumes under a different reduction/fault
   configuration;
 * every run records one timeline at its clean cuts, whatever it
   observes, and progress lines print its points.
 """
 
+import cProfile
 import io
 import json
 import re
@@ -28,7 +30,6 @@ from collections import Counter
 from contextlib import contextmanager
 from functools import partial
 from pathlib import Path
-from types import GeneratorType
 
 import pytest
 from hypothesis import given, settings
@@ -74,6 +75,7 @@ from reference_checker import ReferenceChecker, checker_for, reachable
 from test_resilience import (
     KillWorker,
     before_expand,
+    edit_array,
     make_parallel,
     make_serial,
     outcome,
@@ -173,17 +175,19 @@ def test_three_writers_agree_on_one_cut(three_cuts):
     serial, workers2, killed = (cuts[who] for who in (
         "serial", "workers2", "killed"))
     for payload in payloads.values():
-        assert payload["v"] == 3
-        # [fp, parent fp, label, depth], the cut's layer first.
-        assert {len(row) for row in payload["frontier"]} == {4}
-        assert payload["frontier"][0][3] == CUT_WAVE
+        assert payload["v"] == 4
+        assert payload["depth"] == CUT_WAVE     # the cut's layer first
     # A run that loses a worker after its write leaves the cut an
     # undisturbed run writes there.
     assert workers2 == Cut(**{**vars(killed), "elapsed": workers2.elapsed})
-    assert len(payloads["workers2"]["frontier"]) == len(workers2.frontier)
     # A worker run writes its cut with the serial writer, at the
     # serial run's cut: only the wall-clock field differs.
     assert serial == Cut(**{**vars(workers2), "elapsed": serial.elapsed})
+    # The files hold the keys in index order: all three runs accepted
+    # the states in the same order.
+    for payload in payloads.values():
+        del payload["elapsed"]
+    assert payloads["serial"] == payloads["workers2"] == payloads["killed"]
 
 
 @pytest.mark.parametrize("workers", [0, 2])
@@ -208,7 +212,8 @@ def test_mid_layer_serial_cut_resumes_at_bfs_depth(tmp_path, workers):
     path = str(tmp_path / "ck.json")
     api.check("lcm", CheckOptions(nodes=3, max_states=3000,
                                   checkpoint=CheckpointOptions(out=path)))
-    assert len({row[3] for row in load_checkpoint(path)["frontier"]}) == 2
+    cut = decode_checkpoint(load_checkpoint(path), {}, path)
+    assert cut.expanded < cut.deeper < len(cut.index)   # two depths
     resumed = api.check("lcm", CheckOptions(
         nodes=3, workers=workers, checkpoint=CheckpointOptions(resume=path)))
     assert (resumed.states_explored, resumed.transitions,
@@ -253,35 +258,33 @@ ECHO = {"protocol": "P", "n_nodes": 2, "n_blocks": 1, "reorder_bound": 0,
 
 
 def encode(cut):
-    """``cut``'s payload, its containers, which the encoder streams,
-    parsed back as a loader sees them."""
-    return {key: json.loads("".join(value))
-            if isinstance(value, GeneratorType) else value
-            for key, value in cut.encode(ECHO).items()}
+    """``cut``'s payload as a loader sees it."""
+    return json.loads(json.dumps(cut.encode(ECHO)))
 
 
-def cut_of(edges, frontier, **counters):
+def cut_of(edges, **fields):
     """A cut recording ``edges``, ``(key, parent index, label)`` in
-    index order, with ``frontier`` (key -> depth)."""
-    cut = Cut(frontier=frontier, **counters)
+    index order, with ``fields`` (the frontier's and the counters)."""
+    cut = Cut(**fields)
     for key, parent, label in edges:
         cut.add(key, parent, label)
     return cut
 
 
 def sample_cut():
-    # Expanded states in key order, then the frontier: as decoded.
-    return cut_of([(1, -1, "<initial>"), (2, 0, "a"), (2 ** 64 - 1, 0, "b"),
-                   (7, 1, "c"), (9, 2, "d")], {7: 2, 9: 2},
-                  transitions=17, elapsed=0.25,
-                  handler_fires={"Home_Idle.GET": 2})
+    # Keys out of numeric order, as a run accepts them; a frontier of
+    # two depths.
+    return cut_of([(1, -1, "<initial>"), (2 ** 64 - 1, 0, "a"), (2, 0, "b"),
+                   (9, 1, "c"), (7, 2, "d"), (8, 2, "a")],
+                  expanded=3, depth=1, deeper=5, transitions=17,
+                  elapsed=0.25, handler_fires={"Home_Idle.GET": 2})
 
 
 def test_cut_keeps_each_label_once_and_traces_by_index():
     """The record stores a label id per state, each distinct label once,
     and walks parent indices back to the root."""
     cut = cut_of([(10, -1, "<initial>"), (11, 0, "a"), (12, 0, "b"),
-                  (13, 1, "b"), (14, 3, "a")], {})
+                  (13, 1, "b"), (14, 3, "a")])
     assert cut.index == {10: 0, 11: 1, 12: 2, 13: 3, 14: 4}
     assert list(cut.labels) == ["<initial>", "a", "b"]
     assert list(cut.parent) == [-1, 0, 0, 1, 3]
@@ -296,60 +299,104 @@ def test_codec_round_trips(tmp_path):
     assert decode_checkpoint(encode(cut), ECHO, "mem") == cut
     path = str(tmp_path / "ck.json")
     write_checkpoint(path, encode(cut))
-    assert decode_checkpoint(load_checkpoint(path), ECHO, path) == cut
-    assert CHECKPOINT_VERSION == 3
+    decoded = decode_checkpoint(load_checkpoint(path), ECHO, path)
+    assert decoded == cut
+    # Dicts compare unordered: the decoded cut keeps the writer's order.
+    assert list(decoded.index) == list(cut.index)
+    assert list(decoded.labels) == list(cut.labels)
+    assert CHECKPOINT_VERSION == 4
 
 
-def test_broken_parent_chain_is_a_one_line_error():
-    payload = {**ECHO, "transitions": 0, "elapsed": 0.0,
-               "handler_fires": {},
-               "parents": {f"{5:016x}": [f"{4:016x}", "x"]},
-               "frontier": [[f"{7:016x}", f"{5:016x}", "y", 2]]}
+def test_codec_cost_does_not_grow_with_the_cut(tmp_path):
+    """Encoding and decoding are array calls, so cProfile counts as many
+    calls for a 10,000-state cut as for a 1,000-state one."""
+    def calls(n):
+        cut = cut_of([(1, -1, "<initial>"), *(
+            (key, key - 2, f"r{key % 7}") for key in range(2, n + 1))],
+            expanded=n // 2, depth=3, deeper=n * 3 // 4)
+        path = str(tmp_path / f"{n}.json")
+        counts = []
+        for step in (lambda: write_checkpoint(path, cut.encode(ECHO)),
+                     lambda: decode_checkpoint(load_checkpoint(path), ECHO,
+                                               path)):
+            profiler = cProfile.Profile()
+            profiler.runcall(step)
+            counts.append(sum(entry.callcount
+                              for entry in profiler.getstats()))
+        return counts
+
+    calls(1000)     # the codec's first imports
+    assert calls(1000) == calls(10_000)
+
+
+# The record's refusals a re-sealed file reaches through `--resume`
+# (a repeated key, a later parent, unequal lengths) are
+# tests/test_resilience.py's; these are the rest.
+@pytest.mark.parametrize("edit,expected", [
+    (lambda payload: payload.update(keys="not base64!"),
+     "the 'keys' field is not base64"),
+    (lambda payload: payload.update(parent="AAAA"),    # 3 of 8 bytes
+     "the 'parent' field is not base64"),
+    (edit_array("parent", "q", lambda parent: parent.__setitem__(0, -2)),
+     "a parent is not an earlier index"),
+    (edit_array("label", "I", lambda label: label.__setitem__(0, 5)),
+     "a label id is out of range"),
+    (lambda payload: payload["labels"].__setitem__(2, "a"),
+     "a label id is out of range"),
+    (lambda payload: payload.update(deeper=7),
+     "its frontier is outside its record"),
+    (lambda payload: payload.update(expanded=6),
+     "its frontier is outside its record"),
+], ids=["base64", "partial_item", "negative_parent", "label_id",
+        "repeated_label", "deeper_past_end", "expanded_past_deeper"])
+def test_corrupt_record_is_a_one_line_error(edit, expected):
+    payload = encode(sample_cut())
+    edit(payload)
     with pytest.raises(CheckpointError) as caught:
         decode_checkpoint(payload, ECHO, "ck.json")
     message = str(caught.value)
     assert "\n" not in message
-    assert message.startswith("ck.json: ")
-    assert "broken parent chain" in message and f"{4:016x}" in message
+    assert message.startswith("ck.json: ") and expected in message
 
 
 def test_foreign_chain_is_a_one_line_error():
     checker = make_serial("stache")
     with pytest.raises(CheckpointError) as caught:
         replay_frontier(checker, cut_of(
-            [(7, -1, "<initial>"), (8, 0, "no such rule")], {7: 0, 8: 1}),
+            [(7, -1, "<initial>"), (8, 0, "no such rule")], deeper=1),
             "ck.json")
     assert "\n" not in str(caught.value)
     assert "does not match this protocol build" in str(caught.value)
 
 
 # ---------------------------------------------------------------------------
-# (iv) committed checkpoints: the previous formats are refused, v3 is
+# (iv) committed checkpoints: the previous formats are refused, v4 is
 # written as its golden was
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("workers", [0, 2])
-@pytest.mark.parametrize("version", [1, 2])
+@pytest.mark.parametrize("version", [1, 2, 3])
 def test_earlier_checkpoint_versions_are_refused(workers, version):
     """v1 keyed states by a digest of the whole encoding (resuming one
     would dedupe against keys no state of this build has); v2 carried
-    fields no resume reads and a frontier that may list a state twice."""
+    fields no resume reads and a frontier that may list a state twice;
+    v3 wrote a JSON row per state."""
     path = str(GOLDEN / f"checkpoint_v{version}_parent.json")
     make = (partial(make_parallel, "lcm", workers) if workers
             else partial(make_serial, "lcm"))
     with pytest.raises(CheckpointError) as caught:
         make(reorder=1, resume=path).run()
     assert str(caught.value) == (
-        f"{path}: checkpoint version {version}, expected 3 -- regenerate "
+        f"{path}: checkpoint version {version}, expected 4 -- regenerate "
         "with `verify --checkpoint-out`")
 
 
-def test_v3_checkpoint_is_written_as_the_parent_wrote_it(tmp_path):
-    """checkpoint_v3_parent.json (tests/golden/README): the same command
+def test_v4_checkpoint_is_written_as_the_parent_wrote_it(tmp_path):
+    """checkpoint_v4_parent.json (tests/golden/README): the same command
     writes the same payload, bar the wall clock (so the seal agrees
     too)."""
-    golden = str(GOLDEN / "checkpoint_v3_parent.json")
+    golden = str(GOLDEN / "checkpoint_v4_parent.json")
     path = str(tmp_path / "ck.json")
     api.check("lcm", CheckOptions(nodes=3, fingerprints=True,
                                   max_states=3000,
@@ -360,10 +407,10 @@ def test_v3_checkpoint_is_written_as_the_parent_wrote_it(tmp_path):
 
 
 @pytest.mark.parametrize("workers", [0, 2])
-def test_v3_golden_resumes_to_the_full_count(workers):
+def test_v4_golden_resumes_to_the_full_count(workers):
     """Either engine decodes the golden into its record and replays its
     frontier to the uninterrupted run's counts."""
-    golden = str(GOLDEN / "checkpoint_v3_parent.json")
+    golden = str(GOLDEN / "checkpoint_v4_parent.json")
     resumed = api.check("lcm", CheckOptions(
         nodes=3, workers=workers,
         checkpoint=CheckpointOptions(resume=golden)))
@@ -458,7 +505,7 @@ def test_resumed_timeline_continues_the_uninterrupted_one(tmp_path,
     # The resumed run's first point opens its resume layer (mid-layer,
     # so its counts are the cut's); from the next layer on its points
     # are the uninterrupted run's, on the whole run's clock.
-    first, layer = resumed.timeline[0], saved["frontier"][0][3]
+    first, layer = resumed.timeline[0], saved["depth"]
     assert first["depth"] == layer
     assert first["t"] >= saved["elapsed"]
     full = untimed(lcm_timelines["plain"].timeline)

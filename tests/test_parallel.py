@@ -1,5 +1,6 @@
 """Tests for state fingerprinting and the parallel checker."""
 
+import base64
 import json
 
 import pytest
@@ -27,7 +28,11 @@ from repro.verify.invariants import (
     single_writer,
 )
 from repro.verify.model import initial_global_state
-from repro.verify.parallel import CheckpointError, load_checkpoint
+from repro.verify.checkpoint import (
+    CheckpointError,
+    decode_checkpoint,
+    load_checkpoint,
+)
 
 from helpers import check_setup
 
@@ -296,10 +301,11 @@ class TestCheckpointResume:
         payload = load_checkpoint(path)
         assert payload["kind"] == "teapot-parallel-checkpoint"
         assert payload["protocol"] == "Stache"
-        assert payload["parents"]
-        assert payload["frontier"]
-        # Every fingerprint is a 16-digit hex string, not binary.
-        assert all(len(fp) == 16 for fp in payload["parents"])
+        # Expanded states and a frontier, the record's arrays as base64
+        # text, not binary: an 8-byte key per state.
+        cut = decode_checkpoint(payload, {}, path)
+        assert 0 < cut.expanded < len(cut.index)
+        assert len(base64.b64decode(payload["keys"])) == 8 * len(cut.index)
 
     def test_resume_rejects_mismatched_config(self, tmp_path):
         path = str(tmp_path / "check.json")

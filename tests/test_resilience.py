@@ -20,11 +20,13 @@ The parallel cases disturb the fleet through :func:`before_expand`, a
 seam on the one way the master talks to its workers.
 """
 
+import base64
 import itertools
 import json
 import os
 import re
 import signal
+from array import array
 from contextlib import contextmanager
 from unittest import mock
 
@@ -155,7 +157,7 @@ class TestWorkerLoss:
             make_parallel("lcm", 2, reorder=1, checkpoint_out=path).run()
         assert str(lost.value) == lost_line("expand", path)
         assert not any(proc.is_alive() for proc in hook.procs)
-        assert 0 <= load_checkpoint(path)["frontier"][0][3] <= wave
+        assert 0 <= load_checkpoint(path)["depth"] <= wave
         full = outcome(make_serial("lcm", reorder=1,
                                    fingerprint_states=True).run())
         assert outcome(make_serial("lcm", reorder=1,
@@ -180,6 +182,16 @@ class TestWorkerLoss:
         assert not any(proc.is_alive() for proc in hook.procs)
         assert main([*argv, "--resume", path]) == 0
         assert verdict in capsys.readouterr().out
+
+
+def edit_array(name, code, change):
+    """An edit of a checkpoint payload's ``name`` array (type ``code``):
+    decoded, changed in place by ``change``, encoded again."""
+    def edit(payload):
+        values = array(code, base64.b64decode(payload[name]))
+        change(values)
+        payload[name] = base64.b64encode(values).decode()
+    return edit
 
 
 class TestCheckpointCorruption:
@@ -237,18 +249,19 @@ class TestCheckpointCorruption:
         with pytest.raises(CheckpointError, match="configuration"):
             make_parallel("stache", 2, reorder=1, resume=path).run()
 
-    # Re-sealed, so only the v3 check itself can catch each one.
+    # Re-sealed, so only decoding can catch each one.
     @pytest.mark.parametrize("edit,expected", [
         (lambda payload: payload.pop("seal"),
          "checkpoint is missing the 'seal' field"),
-        (lambda payload: payload["frontier"].append(payload["frontier"][0]),
-         "is listed twice or was already expanded"),
-        (lambda payload: payload["frontier"].append(
-            [min(payload["parents"]), *payload["parents"][min(
-                payload["parents"])], payload["frontier"][0][3]]),
-         "is listed twice or was already expanded"),
-    ], ids=["no_seal", "repeated_frontier_key", "frontier_key_in_parents"])
-    def test_v3_refusal_is_one_line(self, checkpoint_blob, capsys, edit,
+        (edit_array("keys", "Q", lambda keys: keys.__setitem__(
+            -1, keys[0])),
+         "a key is listed twice"),
+        (edit_array("parent", "q", lambda parent: parent.__setitem__(
+            -1, len(parent) - 1)), "a parent is not an earlier index"),
+        (edit_array("label", "I", lambda label: label.pop()),
+         "its arrays are of unequal length"),
+    ], ids=["no_seal", "repeated_key", "later_parent", "unequal_lengths"])
+    def test_v4_refusal_is_one_line(self, checkpoint_blob, capsys, edit,
                                     expected):
         tmp_path, blob = checkpoint_blob
         payload = json.loads(blob)
@@ -457,22 +470,6 @@ class TestCheckpointHygiene:
             assert policy.at_cut(states, 0, 0, 0, False, write) is None
         assert at[0] == 1 and at[-1] == last
         assert sum(spent) <= clock.now / 20
-
-    def test_rotation_keeps_last_n(self, tmp_path):
-        path = str(tmp_path / "ck.json")
-        make_serial("lcm", reorder=1, checkpoint_out=path,
-                    checkpoint_keep_last=3, max_states=100).run()
-        # At least the final write plus the first cut's snapshot (the
-        # cost-based spacing decides how many more a run this small
-        # gets); never more than keep_last files; the layers they cut
-        # monotone non-decreasing from oldest to newest.
-        assert os.path.exists(path)
-        assert os.path.exists(path + ".1")
-        assert not os.path.exists(path + ".3")
-        waves = [load_checkpoint(name)["frontier"][0][3]
-                 for name in (path, path + ".1", path + ".2")
-                 if os.path.exists(name)]
-        assert waves == sorted(waves, reverse=True)
 
     def test_no_partial_tmp_left_behind(self, tmp_path):
         path = str(tmp_path / "ck.json")
