@@ -134,7 +134,8 @@ class CheckpointOptions(NamedTuple):
     an interrupt -- and, while it runs, as snapshots at clean cuts paced
     to under 5% of wall time, so a killed run leaves one too.
     ``resume`` continues from one (written at any worker count, serial
-    included; the formats are identical)."""
+    included: one format, which carries a ``liveness`` or ``atlas``
+    run's explored graph, so those modes resume too)."""
 
     out: Optional[str] = None
     resume: Optional[str] = None
@@ -166,7 +167,8 @@ class ArtifactOptions(NamedTuple):
     attaches the explored state graph (repro.verify.atlas) as
     ``CheckResult.atlas``, exactly: every visited state and explored
     transition, bounded by the run's own bounds.  Read off the graph
-    ``liveness`` reads, it refuses ``workers`` and ``resume`` too.  Both
+    ``liveness`` reads, it refuses ``workers`` too; a resumed run writes
+    the uninterrupted run's atlas (CheckpointOptions).  Both
     are observably free when off: the checkers run their uninstrumented
     code paths.
     """

@@ -207,9 +207,11 @@ def cmd_verify(args) -> int:
     print(result.summary())
     stop = result.stop_reason
     # Starvation is judged over the whole explored graph, so a run that
-    # ends early never asks it.
-    skipped = ("; the starvation check (--liveness) did not run"
-               if args.liveness and not result.exhausted else "")
+    # ends early never asks it; its checkpoint carries the graph on.
+    skipped = ("" if not args.liveness or result.exhausted else
+               "; the starvation check (--liveness) " + (
+                   "runs when the resumed run completes"
+                   if args.checkpoint_out else "did not run"))
     if stop is not None:
         reason = {
             "interrupted": "interrupted (SIGINT) at the next clean cut",
@@ -556,7 +558,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--liveness", action="store_true",
                    help="also check liveness: every blocked thread can "
                         "reach a wake-up (catches starvation); serial, in "
-                        "any reduction mode, not with checkpoints")
+                        "any reduction mode, across checkpoints")
     p.add_argument("--workers", type=int, default=0, metavar="N",
                    help="expand states in N worker processes (0 = "
                         "serial, the default); the search, its stops "

@@ -120,8 +120,8 @@ def atomic_write_json(path: str, payload, **dumps) -> None:
 
 
 def atomic_write_text(path: str, text, fsync: bool = True) -> None:
-    """Write ``text`` -- a string, or an iterable of pieces written as
-    they come -- to ``path`` atomically (tmp + fsync + rename).  The
+    """Write ``text`` -- a string, or an iterable of byte pieces written
+    as they come -- to ``path`` atomically (tmp + fsync + rename).  The
     temp file lives next to the target so the rename never crosses a
     filesystem boundary, and is removed if the write raises.
 
@@ -132,8 +132,9 @@ def atomic_write_text(path: str, text, fsync: bool = True) -> None:
     third of a write's cost."""
     tmp = f"{path}.tmp"
     try:
-        with open(tmp, "w", encoding="utf-8") as handle:
-            handle.writelines([text] if isinstance(text, str) else text)
+        with open(tmp, "wb") as handle:
+            handle.writelines([text.encode()] if isinstance(text, str)
+                              else text)
             handle.flush()
             if fsync:
                 os.fsync(handle.fileno())

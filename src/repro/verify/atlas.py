@@ -4,8 +4,8 @@ This module is the measurement layer for the explored graph's
 structure, the same way :mod:`repro.obs.profile` is for hot-loop time:
 
 - :func:`build_atlas` -- reads the atlas off the graph a serial run
-  records over the indices of its visited keys
-  (:class:`repro.verify.starvation.KeyGraph`, the one ``--liveness``
+  records over the indices of its visited keys, in its one record
+  (:class:`repro.verify.checkpoint.Cut`, the graph ``--liveness``
   reads): every explored transition and every visited state's BFS
   depth, per-node protocol-state vector and nonzero fault budget.
 - :class:`StateAtlas` -- the schema-versioned JSON artifact (kind
@@ -23,16 +23,15 @@ The atlas is exact at every size and estimates no symmetry collapse
 ``--max-rss-mb`` bound it as they bound the exploration; a state that
 was visited but never expanded -- the frontier of a bounded or failing
 run -- carries ``"frontier": true`` and is never counted a deadlock.
-Like liveness it reads one process's whole run, so it is serial-only
-and never resumes.  Armed, it never changes exploration order or
-results; unarmed, the graph keeps no labels or notes
+Like liveness it reads the graph one process records (serial-only),
+which checkpoints carry.  Armed, it never changes exploration order or
+results; unarmed, the record keeps no edge labels or vectors
 (``tests/test_atlas.py`` pins both).
 """
 
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Optional
@@ -41,46 +40,42 @@ from repro.ioutil import atomic_write_json, check_envelope, read_json
 from repro.obs.analyze.trace import TraceError
 from repro.verify.checker import parse_label
 from repro.verify.fingerprint import fingerprint
-from repro.verify.model import VIEWS, Memo
 from repro.verify.starvation import components
 
 ATLAS_KIND = "teapot-state-atlas"
 ATLAS_VERSION = 3
 
 
-def build_atlas(result, graph, index, protocol) -> "StateAtlas":
+def build_atlas(result, cut, protocol) -> "StateAtlas":
     """The :class:`StateAtlas` of a finished serial run's ``result``,
-    read off the labelled KeyGraph it recorded over ``index``, its
-    visited keys in acceptance order: a state is named by its key's hex
-    (a full-state key is fingerprinted here), its depth comes from its
-    acceptance index (BFS accepts layer by layer; the timeline's first
-    point per depth counts the states up to there), and the rows
-    :meth:`KeyGraph.end` never closed are the frontier."""
+    read off the graph its record ``cut`` holds (checkpoint.Cut), over
+    its visited keys in acceptance order: a state is named by its key's
+    hex (a full-state key is fingerprinted here), its depth is its
+    parent's plus one, and the rows never expanded are the frontier."""
     names = [f"{key if isinstance(key, int) else fingerprint(key):016x}"
-             for key in index]
-    ends: dict[int, int] = {}           # depth -> states up to its end
-    for point in result.timeline:
-        ends.setdefault(point["depth"], point["states"])
-    bounds = list(ends.values())
-    # One (vector, fault budget) per distinct note -- block view ids,
-    # node-major, then the budget -- shared by the states carrying it.
-    width, span = result.n_blocks, result.n_nodes * result.n_blocks + 2
-    notes = Memo(lambda note: ([[VIEWS[view].state_name for view in note[
-        at:at + width]] for at in range(0, span - 2, width)], note[-2:]))
-    expanded = len(graph.offsets) - 1
+             for key in cut.index]
+    depth = array("I")
+    for parent in cut.parent:
+        depth.append(depth[parent] + 1 if parent >= 0 else 0)
+    # Each distinct vector -- protocol-state names, node-major, then the
+    # fault budget -- once, shared by the states carrying it.
+    width = result.n_blocks
+    vectors = [([list(entry[at:at + width]) for at in range(
+        0, len(entry) - 2, width)], entry[-2:]) for entry in cut.vectors]
+    expanded = len(cut.offsets) - 1
     states = {}
     for k, name in enumerate(names):
-        vector, faults = notes[tuple(graph.notes[k * span:(k + 1) * span])]
-        annotation = {"depth": bisect_right(bounds, k), "vector": vector}
+        vector, faults = vectors[cut.vector[k]]
+        annotation = {"depth": depth[k], "vector": vector}
         if faults != (0, 0):
             annotation["faults"] = list(faults)
         if k >= expanded:
             annotation["frontier"] = True
         states[name] = annotation
-    offsets, targets, labels = graph.offsets, graph.targets, graph.labels
+    offsets, targets, labels = cut.offsets, cut.targets, list(cut.labels)
     # Fixed-width hex sorts as the fingerprints do; an edge sorts by
     # (src, dst, label), its own fields in order.
-    edges = sorted([names[k], names[targets[e]], labels[e]]
+    edges = sorted([names[k], names[targets[e]], labels[cut.edge_label[e]]]
                    for k in range(expanded)
                    for e in range(offsets[k], offsets[k + 1]))
     return StateAtlas(

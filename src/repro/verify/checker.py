@@ -260,7 +260,7 @@ class CheckResult:
     fault_budget: tuple = (0, 0)
     # A profiled run's CheckProfile (repro.obs.profile), else None.
     profile: Optional[object] = None
-    # A recorded atlas (repro.verify.atlas, off the KeyGraph), else None.
+    # A recorded atlas (repro.verify.atlas, off the run's Cut), else None.
     atlas: Optional[object] = None
     # Under symmetry, the orbit representatives explored (equals
     # states_explored: the visited set *is* canonical), else None.
@@ -299,23 +299,6 @@ class CheckResult:
         )
 
 
-def refuse_graph_modes(*, workers: int = 0, liveness: bool = False,
-                       atlas: bool = False, checkpoint_out=None, resume=None,
-                       **_options) -> None:
-    """Refuse, in one line, liveness checking or the state atlas where
-    the explored graph (starvation.KeyGraph) would not be one process's
-    record of one whole run: with workers, or resumed (or, for
-    liveness, written) across a checkpoint, which carries no edges."""
-    mode = "liveness checking" if liveness else "the state atlas"
-    if (liveness or atlas) and workers:
-        raise ValueError(f"{mode} reads the graph one process explored and "
-                         "is serial-only (CheckOptions.workers must be 0)")
-    if liveness and (checkpoint_out or resume) or atlas and resume:
-        keyed = "checkpoint/resume" if liveness else "resume"
-        raise ValueError(f"{mode} cannot run with {keyed}: a checkpoint "
-                         "does not carry the explored graph")
-
-
 class ModelChecker:
     """Exhaustively checks a compiled protocol.
 
@@ -323,7 +306,7 @@ class ModelChecker:
     of shared addresses, and the network reordering bound (0 = FIFO
     channels; k allows a message to be delivered ahead of up to k
     earlier messages on its channel).  ``liveness`` and ``atlas`` read
-    the one graph the run records (:func:`refuse_graph_modes`).
+    the graph the run records in its one record (checkpoint.Cut).
     """
 
     def __init__(
@@ -373,8 +356,6 @@ class ModelChecker:
         # The state atlas (repro.verify.atlas), read off the same graph
         # at the end of the run.
         self.atlas = atlas
-        refuse_graph_modes(liveness=liveness, atlas=atlas,
-                           checkpoint_out=checkpoint_out, resume=resume)
         # Progress lines: the run's timeline points, printed there as
         # they are taken, about one a second (checkpoint.CutPolicy).
         self.progress_stream = progress_stream
@@ -403,14 +384,14 @@ class ModelChecker:
         else:
             self._canon = None
         # Liveness under symmetry also reads each state's argmin renaming
-        # (starvation.KeyGraph), memoised with its key, by its position
-        # in the group (None, the state itself, is the identity's).
-        self._renaming = None
+        # (Cut.canonical), memoised with its key, by its position in the
+        # group (None, the state itself, is the identity's).
+        self._renaming = self._group = None
         if symmetry and liveness:
             least = Memo(lambda state: self._canon.least(
                 state, fingerprint(state)))
-            position = {None: 0, **{g: k for k, g in enumerate(
-                self._canon.perms, 1)}}
+            self._group = [self._canon.identity, *self._canon.perms]
+            position = {None: 0, **{g: k for k, g in enumerate(self._group)}}
             self.fingerprint_fn = lambda state: least[state][0]
             self._renaming = lambda state: position[least[state][1]]
         # Where the visited key is the state's own fingerprint (not a
@@ -921,20 +902,15 @@ class ModelChecker:
         seeds = replay_frontier(self, cut, self.resume)
         # (state, key, index, depth) entries: accepted, to be expanded.
         frontier: deque = deque()
-        # The explored graph over these same indices, for liveness (with
-        # renamings under symmetry) and the atlas (with each edge's
-        # label and each state's block views and fault budget).
-        graph = None
-        if self.liveness or self.atlas:
-            from repro.verify.starvation import KeyGraph
-            graph = KeyGraph(
-                [self._canon.identity, *self._canon.perms]
-                if self.liveness and self._canon else None,
-                labelled=self.atlas)
-        renaming = self._renaming or (lambda _state: None)
+        # The explored graph, in the record's arrays over these same
+        # indices (Cut; starting_cut armed those the run reads).
+        graph = cut if cut.offsets is not None else None
         fp = self.fingerprint_fn if self.fingerprint_states else None
-        note = ((lambda state: state[:self._app0] + state[-4:-2])
-                if self.atlas else (lambda _state: None))
+        # A state's vector id: its block views' protocol states,
+        # node-major, then its fault budget (the slots after the queues').
+        vector = Memo(lambda note: cut.vectors.setdefault((*(
+            VIEWS[view].state_name for view in note[:-2]), *note[-2:]),
+            len(cut.vectors)))
         stopped: Optional[str] = None    # see _result
 
         def finish(violation: Optional[Violation] = None) -> CheckResult:
@@ -953,19 +929,22 @@ class ModelChecker:
                 handler_fires=self._handler_fires, stopped=stopped)
             if self.atlas:
                 from repro.verify.atlas import build_atlas
-                result.atlas = build_atlas(result, graph, index,
-                                           self.protocol)
+                result.atlas = build_atlas(result, cut, self.protocol)
             return result
 
         def take(state, key, at, d, judge=True) -> Optional[str]:
             """Take a recorded state into the search: its graph row, the
             accept step and, unless an invariant failed, a frontier slot."""
             if graph is not None:
-                graph.state(sum(
+                graph.blocked.append(sum(
                     1 << node for node, aid in enumerate(
                         state[self._app0:self._chan0])
-                    if APPS[aid].blocked_on is not None), renaming(state),
-                    note(state))
+                    if APPS[aid].blocked_on is not None))
+                if graph.canonical is not None:
+                    graph.canonical.append(self._renaming(state))
+                if graph.vector is not None:
+                    graph.vector.append(
+                        vector[state[:self._app0] + state[-4:-2]])
             message = self._accept(state, key, d, judge)
             if message is None:
                 frontier.append((state, key, at, d))
@@ -1011,7 +990,12 @@ class ModelChecker:
                                 if delta is None else key ^ delta)
                     at = setdefault(succ_key, fresh)
                     if graph is not None:
-                        graph.edge(at, renaming(successor), label)
+                        graph.targets.append(at)
+                        if graph.renaming is not None:
+                            graph.renaming.append(self._renaming(successor))
+                        if graph.edge_label is not None:
+                            graph.edge_label.append(
+                                labels.setdefault(label, len(labels)))
                     if at < fresh:
                         continue
                     fresh += 1
@@ -1032,11 +1016,16 @@ class ModelChecker:
                                       state)
             # Cut short by a violation or not, the state was expanded.
             if graph is not None:
-                graph.end()
+                graph.offsets.append(len(graph.targets))
             if violation is not None:
                 return finish(violation)
 
-        stuck = graph.stuck(self.n_nodes) if self.liveness else None
+        stuck = None
+        if self.liveness:
+            from repro.verify import starvation
+            stuck = starvation.stuck_thread(
+                self.n_nodes, cut.blocked, cut.offsets, cut.targets,
+                cut.renaming, self._group, cut.canonical)
         return finish(stuck and self._starvation(*stuck, cut))
 
     # -- trace replay -------------------------------------------------------

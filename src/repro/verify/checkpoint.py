@@ -7,14 +7,15 @@ label id -- three arrays, each stored as base64 of its little-endian
 bytes -- the label table, how many indices were expanded (the frontier
 is the rest), the two numbers that give every frontier row's depth,
 the configuration echo and the cut's ``transitions``, ``elapsed`` and
-``handler_fires``; the rest (the state count, the depth, the invariant
-evaluations) follows from those.  v1 keyed states by a BLAKE2b over
-the whole encoding, v2 carried fields no resume read and v3 wrote a
-JSON row per state, so all three are refused.  This module is the
-single owner of that format -- a :class:`Cut` is the exploration at a
-clean cut, every writer goes through :meth:`Cut.write`, every resume
-through :func:`decode_checkpoint` and :func:`replay_frontier` -- and of
-the on-disk concerns every run shares:
+``handler_fires`` (and any explored graph's expanded rows); the rest
+(the state count, the depth, the invariant evaluations) follows.  v1
+keyed states by a BLAKE2b over the whole encoding, v2 carried fields no
+resume read and v3 wrote a JSON row per state, so all three are
+refused.  This module is the single owner of that format -- a
+:class:`Cut` is the exploration at a clean cut, every writer goes
+through :meth:`Cut.write`, every resume through
+:func:`decode_checkpoint` and :func:`replay_frontier` -- and of the
+on-disk concerns every run shares:
 
 * **Atomic writes** -- every checkpoint goes through
   :func:`repro.ioutil.atomic_write_text` (tmp + fsync + rename), so a
@@ -44,8 +45,8 @@ from array import array
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import islice
-from operator import ge
+from itertools import chain, islice
+from operator import ge, gt
 
 from _blake2 import blake2b     # hashlib's, without its OpenSSL load
 
@@ -57,9 +58,22 @@ CHECKPOINT_VERSION = 4
 # A cut's counting fields, by their names in a Cut and on disk.
 _COUNTED = ("transitions", "elapsed", "handler_fires")
 
-# A cut's arrays on disk, by name and type code: the keys (``Cut.index``'s,
-# in index order), ``Cut.parent`` and ``Cut.label``.
-_ARRAYS = (("keys", "Q"), ("parent", "q"), ("label", "I"))
+# A cut's arrays on disk, by name, type code and length (one per index,
+# per expanded row, per row plus one, per edge): the keys (``Cut.index``'s
+# in index order), ``Cut.parent`` and ``Cut.label``, then the explored
+# graph's, in the parts liveness or the atlas, liveness under symmetry
+# and the atlas read.
+_ARRAYS = (("keys", "Q", "n"), ("parent", "q", "n"), ("label", "I", "n"))
+_GRAPH = (("the explored graph --liveness and --atlas-out read",
+           ("offsets", "q", "ends"), ("targets", "I", "edges"),
+           ("blocked", "q", "expanded")),
+          ("the renamings --liveness --symmetry reads",
+           ("renaming", "H", "edges"), ("canonical", "H", "expanded")),
+          ("the edge labels and state vectors --atlas-out reads",
+           ("edge_label", "I", "edges"), ("vector", "I", "expanded")))
+_ALL = sum((arrays for _part, *arrays in _GRAPH), list(_ARRAYS))
+_CODES = {name: code for name, code, _size in _ALL}
+_CHUNK = 3 << 19    # the bytes an array is written in: 3 and 8 divide it
 
 # Where a cut's frontier starts and what depths it spans (Cut).
 _FRONTIER = ("expanded", "depth", "deeper")
@@ -268,25 +282,44 @@ def flag_sigint():
         signal.signal(signal.SIGINT, previous)
 
 
+def _base64(values, count: int):
+    """Base64 of the first ``count`` items of ``values`` (an array, or an
+    iterator of keys stored as 'Q'), little-endian, a chunk at a time."""
+    import base64
+
+    step = _CHUNK // getattr(values, "itemsize", 8)
+    for at in range(0, count, step):
+        chunk = (memoryview(values)[at:min(at + step, count)]
+                 if isinstance(values, array)
+                 else array("Q", islice(values, step)))
+        if _SWAP:       # swap a copy
+            chunk = array(getattr(chunk, "format", "Q"), chunk)
+            chunk.byteswap()
+        yield base64.b64encode(chunk)
+
+
 def _sealed_text(payload: dict, seal):
-    """The file text of ``payload`` in pieces: its canonical JSON (sorted
-    keys, compact separators, no unsealed fields) fed to the BLAKE2b
-    ``seal`` as it goes, then the seal and ``elapsed``.  A piece is one
-    key or one value, so a write holds one encoded array, not the file."""
+    """The file's bytes for ``payload`` in pieces: its canonical JSON
+    (sorted keys, compact separators, no unsealed fields) fed to the
+    BLAKE2b ``seal`` as it goes, then the seal and ``elapsed``.  A piece
+    is one key, one value or one chunk of a :func:`_base64` stream."""
     import json     # here, not at the top: a plain verify writes no checkpoint
 
     opening = "{"
     for key in sorted(payload.keys() - set(_UNSEALED_KEYS)):
-        for piece in (f"{opening}{json.dumps(key)}:", json.dumps(
-                payload[key], sort_keys=True, separators=(",", ":"))):
-            seal.update(piece.encode())
+        value = payload[key]
+        value = (chain((b'"',), value, (b'"',)) if key in _CODES
+                 and not isinstance(value, str) else (json.dumps(
+                     value, sort_keys=True, separators=(",", ":")).encode(),))
+        for piece in chain((f"{opening}{json.dumps(key)}:".encode(),), value):
+            seal.update(piece)
             yield piece
         opening = ","
     seal.update(b"}")
-    yield f',"seal":"{seal.hexdigest()}"'
+    yield f',"seal":"{seal.hexdigest()}"'.encode()
     if "elapsed" in payload:
-        yield f',"elapsed":{json.dumps(payload["elapsed"])}'
-    yield "}\n"
+        yield f',"elapsed":{json.dumps(payload["elapsed"])}'.encode()
+    yield b"}\n"
 
 
 def write_checkpoint(path: str, payload: dict, durable: bool = True) -> None:
@@ -309,7 +342,8 @@ def load_checkpoint(path: str) -> dict:
         read_json(path, CheckpointError, "checkpoint"), path,
         CheckpointError, "checkpoint", "verify --checkpoint-out",
         CHECKPOINT_KIND, CHECKPOINT_VERSION, version_key="v")
-    for key in ("seal", *_COUNTED, *dict(_ARRAYS), "labels", *_FRONTIER):
+    for key in ("seal", *_COUNTED, "keys", "parent", "label", "labels",
+                *_FRONTIER):
         if key not in payload:
             raise CheckpointError(
                 f"{path}: checkpoint is missing the {key!r} field")
@@ -358,7 +392,14 @@ class Cut:
     indices are expanded and the rest, the frontier, wait unaccepted
     (before invariants): at ``depth`` before index ``deeper``, one
     deeper from it.  The counters are what reaching the cut cost.
-    Checkpoint keys are fingerprints (64-bit ints)."""
+    Checkpoint keys are fingerprints (64-bit ints).  The explored graph's
+    arrays are None unless the run reads them (:func:`starting_cut`):
+    expanded index ``k``'s edges are ``offsets[k]:offsets[k + 1]`` into
+    ``targets``, ``edge_label`` (ids in ``labels``) and ``renaming`` (the
+    group position taking a successor onto its canonical image, as
+    ``canonical[t]`` takes index ``t``'s state); per index, ``blocked``
+    masks the nodes blocked there and ``vector`` is an id in ``vectors``
+    (per-node protocol-state names, node-major, then drops and dups)."""
 
     transitions: int = 0
     elapsed: float = 0.0
@@ -370,6 +411,14 @@ class Cut:
     expanded: int = 0
     depth: int = 0
     deeper: int = 0
+    offsets: array | None = None
+    targets: array | None = None
+    blocked: array | None = None
+    renaming: array | None = None
+    canonical: array | None = None
+    edge_label: array | None = None
+    vector: array | None = None
+    vectors: dict | None = None
 
     def add(self, key, parent: int, label: str) -> None:
         """Record ``key``, reached from index ``parent`` by ``label``."""
@@ -386,25 +435,21 @@ class Cut:
         return trace[::-1]
 
     def encode(self, echo: dict) -> dict:
-        """The v4 payload: the record's arrays as base64 of their
-        little-endian bytes, the keys in index order."""
-        import base64
-
-        def text(values: array) -> str:
-            if _SWAP:
-                values = array(values.typecode, values)
-                values.byteswap()
-            return base64.b64encode(values).decode("ascii")
-
+        """The v4 payload, its arrays as :func:`_base64` streams: the
+        keys in index order, and the graph's expanded rows."""
+        n = self.expanded
+        size = {"n": len(self.index), "expanded": n, "ends": n + 1,
+                "edges": self.offsets[n] if self.offsets is not None else 0}
+        arrays = {**vars(self), "keys": iter(self.index)}
         return {
             **echo,
             "kind": CHECKPOINT_KIND,
             "v": CHECKPOINT_VERSION,
             **{key: getattr(self, key) for key in (*_COUNTED, *_FRONTIER)},
-            "keys": text(array("Q", self.index)),
-            "parent": text(self.parent),
-            "label": text(self.label),
+            **{name: _base64(arrays[name], size[kind])
+               for name, _code, kind in _ALL if arrays[name] is not None},
             "labels": list(self.labels),
+            **({} if self.vectors is None else {"vectors": [*self.vectors]}),
         }
 
     def write(self, checker, durable: bool = True) -> None:
@@ -416,10 +461,8 @@ class Cut:
 
 def decode_checkpoint(payload: dict, echo: dict, path: str) -> Cut:
     """Validate a loaded payload against the resuming run's ``echo`` and
-    decode it.  A configuration mismatch, an array that is not base64,
-    arrays of unequal length, a repeated key, a parent that is not an
-    earlier index, a label id out of range and a frontier outside the
-    record are each a one-line :class:`CheckpointError`."""
+    decode it: a configuration mismatch, an array that is not base64 and
+    each fault of the record below is a one-line :class:`CheckpointError`."""
     import base64
 
     diffs = ", ".join(
@@ -429,8 +472,9 @@ def decode_checkpoint(payload: dict, echo: dict, path: str) -> Cut:
         raise CheckpointError(
             f"{path}: checkpoint is for a different configuration "
             f"({diffs})")
-    arrays = []
-    for name, code in _ARRAYS:
+    arrays = {}
+    for name in _CODES.keys() & payload.keys():     # the graph's if read
+        code = _CODES[name]
         values = array(code)
         try:
             values.frombytes(base64.b64decode(payload[name], validate=True))
@@ -439,42 +483,75 @@ def decode_checkpoint(payload: dict, echo: dict, path: str) -> Cut:
                                   f"base64 of {code!r} items") from None
         if _SWAP:
             values.byteswap()
-        arrays.append(values)
-    keys, parent, label = arrays
-    n, names = len(keys), payload["labels"]
+        arrays[name] = values
+    keys, parent, label = arrays.pop("keys"), arrays["parent"], arrays["label"]
+    n, names, table = len(keys), payload["labels"], payload.get("vectors", ())
     index = dict(zip(keys, range(n)))
-    labels = dict(zip(names, range(len(names))))
+    try:
+        labels = dict(zip(names, range(len(names))))
+        vectors = dict(zip(map(tuple, table), range(len(table))))
+    except TypeError:       # an entry that is a list, or not a list
+        raise CheckpointError(f"{path}: checkpoint is corrupt: its label "
+                              "or vector table is malformed") from None
     expanded, depth, deeper = (payload[key] for key in _FRONTIER)
+    offsets = arrays.get("offsets") or array("q", [0])
+    size = {"n": n, "expanded": expanded, "ends": expanded + 1,
+            "edges": offsets[-1]}
     for wrong, what in (
-            (len(parent) != n or len(label) != n,
+            (not 0 <= expanded <= deeper <= n,
+             "its frontier is outside its record"),
+            (any(len(arrays[name]) != size[kind]
+                 for name, _code, kind in _ALL if name in arrays),
              "its arrays are of unequal length"),
             (len(index) < n, "a key is listed twice"),
             (min(parent, default=-1) < -1 or any(map(ge, parent, range(n))),
              "a parent is not an earlier index"),
-            (len(labels) < len(names) or max(label, default=0) >= len(names),
+            (len(labels) < len(names) or max(label, default=0) >= len(names)
+             or max(arrays.get("edge_label", ()), default=-1) >= len(names),
              "a label id is out of range"),
-            (not 0 <= expanded <= deeper <= n,
-             "its frontier is outside its record")):
+            (len(vectors) < len(table)
+             or max(arrays.get("vector", ()), default=-1) >= len(vectors),
+             "a vector id is out of range"),
+            (offsets[0] != 0
+             or any(map(gt, offsets, islice(offsets, 1, None))),
+             "its offsets do not start at 0 and rise"),
+            (max(arrays.get("targets", ()), default=-1) >= n,
+             "an edge target is outside its record")):
         if wrong:
             raise CheckpointError(f"{path}: checkpoint is corrupt: {what}")
     return Cut(transitions=payload["transitions"], elapsed=payload["elapsed"],
                handler_fires=dict(payload["handler_fires"]), index=index,
-               parent=parent, label=label, labels=labels,
-               expanded=expanded, depth=depth, deeper=deeper)
+               labels=labels, expanded=expanded, depth=depth, deeper=deeper,
+               **arrays, vectors=vectors if "vector" in arrays else None)
 
 
 def starting_cut(checker) -> Cut:
     """The cut ``checker``'s run starts from: its decoded ``resume``
     checkpoint, or the trivial cut whose frontier is the initial state
-    -- so a fresh run and a resumed one enter the search the same way."""
-    if checker.resume:
-        return decode_checkpoint(load_checkpoint(checker.resume),
-                                 config_echo(checker), checker.resume)
-    initial = checker.initial_state()
-    key = (checker.fingerprint_fn(initial) if checker.fingerprint_states
-           else initial)
-    cut = Cut(deeper=1)
-    cut.add(key, -1, "<initial>")
+    -- so a fresh run and a resumed one enter the search the same way.
+    The graph arrays the run reads are armed, the rest dropped: a fresh
+    run's empty, a resumed one's from its file, which must have them."""
+    path = checker.resume
+    if path:
+        cut = decode_checkpoint(load_checkpoint(path), config_echo(checker),
+                                path)
+    else:
+        initial = checker.initial_state()
+        cut = Cut(deeper=1)
+        cut.add(checker.fingerprint_fn(initial) if checker.fingerprint_states
+                else initial, -1, "<initial>")
+    live, atlas = checker.liveness, checker.atlas
+    for (part, *arrays), reads in zip(_GRAPH, (
+            live or atlas, live and checker.symmetry, atlas)):
+        for name, code, _size in arrays:
+            values = getattr(cut, name)
+            if reads and values is None and path:
+                raise CheckpointError(
+                    f"{path}: the checkpoint does not carry {part}")
+            if reads and values is None:
+                values = array(code, [0] * (name == "offsets"))
+            setattr(cut, name, values if reads else None)
+    cut.vectors = None if cut.vector is None else cut.vectors or {}
     return cut
 
 

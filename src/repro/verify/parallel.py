@@ -57,7 +57,6 @@ from repro.verify.checker import (
     ModelChecker,
     SymmetryError,
     _LabelledViolation,
-    refuse_graph_modes,
 )
 from repro.verify.checkpoint import peak_rss_mb
 
@@ -178,7 +177,10 @@ class ParallelChecker(ModelChecker):
                  **checker_options):
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        refuse_graph_modes(workers=workers, **checker_options)
+        if checker_options.get("liveness") or checker_options.get("atlas"):
+            raise ValueError("liveness checking and the state atlas read the "
+                             "graph one process explores, so each is "
+                             "serial-only (CheckOptions.workers must be 0)")
         super().__init__(protocol, fingerprint_states=True,
                          **checker_options)
         self.workers = workers

@@ -2,8 +2,8 @@
 every reachable state, each node blocked there must reach a state where
 it runs.  :func:`components`, the one SCC routine (the atlas's too),
 completes components sinks first, so :func:`stuck_thread` folds one
-final wake mask per component over the graph :class:`KeyGraph` records
-(docs/VERIFICATION.md, "Progress checking")."""
+final wake mask per component over the graph the run's record
+(checkpoint.Cut) holds (docs/VERIFICATION.md, "Progress checking")."""
 
 from array import array
 
@@ -55,12 +55,14 @@ def components(offsets, targets):
 
 
 def stuck_thread(n_nodes: int, blocked, offsets, targets, renamings=None,
-                 group=None):
+                 group=None, canonical=None):
     """The first ``(node, index)``, lowest node then index, whose blocked
     thread no continuation of the run wakes, else None.  ``blocked[k]``
     masks the nodes blocked in state ``k``; ``group`` (symmetry) lists
     renamings, identity first and closed under composition, and
-    ``renamings[e]`` indexes the one edge ``e`` applies to node ids.
+    ``renamings[e]`` indexes the one edge ``e`` applies to node ids, or,
+    given ``canonical``, the one taking its successor onto the canonical
+    image ``canonical[k]`` takes state ``k`` onto: the two compose.
     Inside a component each edge's constraint is an equality: a member's
     mask is the component's one mask under the renaming its visit path
     composes (its frame), closed under those the other edges close."""
@@ -85,6 +87,8 @@ def stuck_thread(n_nodes: int, blocked, offsets, targets, renamings=None,
             own, row = full & ~blocked[source], step[frame[source]]
             for edge in range(offsets[source], offsets[source + 1]):
                 target, g = targets[edge], renamings[edge] if renamings else 0
+                if canonical:
+                    g = product[inverse[canonical[target]]][g]
                 if wake[target] != DONE:
                     own |= pull[g][wake[target]]
                 elif frame[target] == DONE:
@@ -100,51 +104,3 @@ def stuck_thread(n_nodes: int, blocked, offsets, targets, renamings=None,
     return min(((node, k) for k, mask in enumerate(wake) if mask != full
                 for node in range(n_nodes) if not mask >> node & 1),
                default=None)
-
-
-class KeyGraph:
-    """The graph one run explores, over its acceptance indices, in CSR
-    arrays: a row :meth:`end` never closed was not expanded.  With
-    ``group`` (symmetry) :meth:`state` and :meth:`edge` name the renaming
-    taking their state onto its orbit's canonical image; ``labelled``
-    (the atlas) keeps edge labels and flat state notes."""
-
-    def __init__(self, group=None, labelled: bool = False):
-        self.blocked = array("q")
-        self.offsets = array("q", [0])
-        self.targets = array("I")
-        self.labels = [] if labelled else None
-        self.notes = array("q") if labelled else None
-        self.group = group
-        self.renamings = None
-        if group is not None:
-            position = {g: k for k, g in enumerate(group)}
-            self.renamings = array("B" if len(group) <= 256 else "H")
-            self._canonical = array(self.renamings.typecode)  # per index
-            # _relabel[a][b]: group[b]'s image, onto group[a]'s.
-            self._relabel = [[position[tuple(map(rep.index, image))]
-                              for image in group] for rep in group]
-
-    def state(self, blocked: int, renaming: int = 0, note=()) -> None:
-        self.blocked.append(blocked)
-        if self.renamings is not None:
-            self._canonical.append(renaming)
-        if self.notes is not None:
-            self.notes.extend(note)
-
-    def edge(self, target: int, renaming: int = 0, label=None) -> None:
-        self.targets.append(target)
-        if self.renamings is not None:
-            # A fresh target is this successor, accepted next.
-            rep = (self._canonical[target]
-                   if target < len(self._canonical) else renaming)
-            self.renamings.append(self._relabel[rep][renaming])
-        if self.labels is not None:
-            self.labels.append(label)
-
-    def end(self) -> None:
-        self.offsets.append(len(self.targets))
-
-    def stuck(self, n_nodes: int):
-        return stuck_thread(n_nodes, self.blocked, self.offsets,
-                            self.targets, self.renamings, self.group)

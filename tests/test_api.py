@@ -131,16 +131,15 @@ class TestCheck:
         assert resumed.states_explored == full.states_explored
 
     @pytest.mark.parametrize("mode,options", [
-        ("checkpoint/resume", dict(checkpoint=CheckpointOptions(out="c"))),
-        ("checkpoint/resume", dict(checkpoint=CheckpointOptions(resume="c"))),
         ("workers", dict(workers=2)),
-    ], ids=["checkpoint-out", "resume", "workers"])
+    ], ids=["workers"])
     def test_liveness_refuses_every_keyed_mode(self, tmp_path, monkeypatch,
                                                 mode, options):
         # Liveness runs on the keys of every serial mode
-        # (tests/golden/liveness_pins.json) but not across checkpoints,
-        # which carry no edges, or worker processes: those are refused
-        # before any state is explored, in one line that names both.
+        # (tests/golden/liveness_pins.json), and checkpoints carry its
+        # graph (tests/test_cli.py::TestGraphResumes), but worker
+        # processes do not record it: that is refused before any state
+        # is explored, in one line that names both.
         monkeypatch.chdir(tmp_path)
         with pytest.raises(ValueError) as caught:
             check("stache", CheckOptions(liveness=True, **options))

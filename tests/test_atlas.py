@@ -4,12 +4,15 @@ The atlas contract has three legs:
 
 1. **Off is free.**  A run with the atlas armed and one without
    explore the identical state space: verdict, counts, handler fires,
-   the exact fingerprint stream, and checkpoint bytes all match.
+   the exact fingerprint stream, and the checkpoint's record all match
+   (an armed checkpoint adds the graph; the plain one's bytes stay).
 2. **Exact and pinned.**  The atlas, read off the graph the serial run
-   records (starvation.KeyGraph), holds every visited state and every
-   explored transition; its bytes are pinned on three configurations.
-   Like liveness it reads one process's whole run, so ``--workers``
-   and ``--resume`` are refused (``test_cli.py::TestRefusedModes``).
+   records in its one record (checkpoint.Cut), holds every visited
+   state and every explored transition; its bytes are pinned on three
+   configurations.  Like liveness it reads the graph one process
+   records, so ``--workers`` is refused
+   (``test_cli.py::TestRefusedModes``), and a resumed run writes the
+   uninterrupted run's atlas (``test_cli.py::TestGraphResumes``).
 3. **The analysis is right.**  SCC/terminal/deadlock structure, the
    depth profile and the residence heatmap are pinned on graphs small
    enough to verify by hand.
@@ -45,6 +48,7 @@ from repro.verify.atlas import (
     scc_decomposition,
 )
 from repro.verify.checker import Label, parse_label
+from repro.verify.checkpoint import decode_checkpoint, load_checkpoint
 from repro.verify.fingerprint import SymmetryCanonicalizer, fingerprint
 from repro.verify.invariants import standard_invariants
 from repro.verify.model import initial_global_state
@@ -59,6 +63,13 @@ def make_serial(name="stache", nodes=2, reorder=0, atlas=False, **kwargs):
         events=events_for_protocol(name),
         invariants=standard_invariants(coherent=True),
         atlas=atlas, **kwargs)
+
+
+# sha256 of the plain checkpoint test_armed_checkpoint_adds_only_the_graph
+# writes, "elapsed" zeroed: the bytes the unarmed layout has written
+# since checkpoint v4.
+PLAIN_CHECKPOINT = (
+    "30d49d5be0d8a0709c39776b153fe8094eb2250dda3efca511a235b54078a232")
 
 
 def outcome(result):
@@ -87,17 +98,38 @@ class TestOffModeIsFree:
         assert plain_log == armed_log          # same stream, same order
         assert len(plain_log) == plain.transitions
 
-    def test_checkpoint_bytes_identical(self, tmp_path):
-        def checkpoint(atlas, path):
+    def test_armed_checkpoint_adds_only_the_graph(self, tmp_path):
+        """The plain file's bytes are those the unarmed layout always
+        wrote (pinned, bar the wall clock); the armed file decodes to
+        the same keys, parents, labels and counters, plus the graph of
+        its expanded rows."""
+        def checkpoint(atlas):
+            path = str(tmp_path / f"{atlas}.json")
             make_serial("lcm_mcc", reorder=1, max_states=100, atlas=atlas,
-                        fingerprint_states=True,
-                        checkpoint_out=str(path)).run()
-            text = path.read_text()
-            return re.sub(r'"elapsed":\s*[0-9.e-]+', '"elapsed":0', text)
+                        fingerprint_states=True, checkpoint_out=path).run()
+            return path
 
-        plain = checkpoint(False, tmp_path / "plain.json")
-        armed = checkpoint(True, tmp_path / "armed.json")
-        assert plain == armed
+        def record(cut):
+            names = list(cut.labels)
+            return (list(cut.index), list(cut.parent),
+                    [names[k] for k in cut.label], cut.transitions,
+                    cut.handler_fires, cut.expanded, cut.depth, cut.deeper)
+
+        plain_path = checkpoint(False)
+        with open(plain_path) as handle:
+            text = re.sub(r'"elapsed":\s*[0-9.e-]+', '"elapsed":0',
+                          handle.read())
+        assert hashlib.sha256(text.encode()).hexdigest() == PLAIN_CHECKPOINT
+        plain, armed = (decode_checkpoint(load_checkpoint(path), {}, path)
+                        for path in (plain_path, checkpoint(True)))
+        assert record(plain) == record(armed)
+        assert plain.offsets is None and plain.vectors is None
+        assert armed.renaming is None       # liveness under symmetry's
+        assert len(armed.offsets) == armed.expanded + 1
+        assert (len(armed.targets) == len(armed.edge_label)
+                == armed.offsets[-1] == armed.transitions)
+        assert len(armed.blocked) == len(armed.vector) == armed.expanded
+        assert max(armed.vector) < len(armed.vectors)
 
     @settings(max_examples=8, deadline=None)
     @given(reorder=st.integers(min_value=0, max_value=1),

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -170,14 +171,93 @@ class TestBadTopology:
         assert f"{field} must be >" in err
 
 
+class TestGraphResumes:
+    """A liveness or atlas run's checkpoints carry the explored graph: a
+    run stopped at two --max-states cuts with --checkpoint-out and
+    resumed to the end prints what the uninterrupted run prints (the
+    verdict line bar time=, the witness trace) and writes its atlas."""
+
+    @staticmethod
+    def verify(capsys, argv):
+        status = main(["verify", *argv])
+        out, _err = capsys.readouterr()
+        return status, re.sub(r" time=\S+", "", out)
+
+    def resumed(self, tmp_path, capsys, argv, cuts):
+        """``argv`` stopped at each of ``cuts`` and resumed to the end."""
+        path = str(tmp_path / "ck.json")
+        resume = []
+        for cut in cuts:
+            status, out = self.verify(capsys, [
+                *argv, "--max-states", str(cut), "--checkpoint-out", path,
+                *resume])
+            assert status == 0 and "(state limit reached)" in out
+            if "--liveness" in argv:
+                assert ("the starvation check (--liveness) runs when the "
+                        "resumed run completes") in out
+            resume = ["--resume", path]
+        return self.verify(capsys, [*argv, *resume])
+
+    @pytest.mark.parametrize("argv,cuts,line", [
+        ("lcm_mcc --nodes 3 --liveness", (5000, 15000),
+         "FAIL  states=23911 "),
+        ("lcm --nodes 3 --reorder 1 --liveness", (30000, 60000),
+         "PASS  states=112723 transitions=582132 depth=41 "),
+        ("lcm --nodes 3 --reorder 1 --liveness --symmetry", (20000, 40000),
+         "PASS  states=56584 "),
+    ], ids=["lcm_mcc", "lcm", "lcm-symmetry"])
+    def test_liveness_resumes_to_the_uninterrupted_verdict(
+            self, tmp_path, capsys, argv, cuts, line):
+        whole = self.verify(capsys, argv.split())
+        assert line in whole[1]
+        assert self.resumed(tmp_path, capsys, argv.split(), cuts) == whole
+        if "FAIL" in line:
+            assert "STARVATION: node 1 is blocked" in whole[1]
+
+    def test_atlas_resumes_to_the_uninterrupted_bytes(self, tmp_path,
+                                                      capsys):
+        argv = "stache --nodes 3 --reorder 1 --atlas-out".split()
+        whole = self.verify(capsys, [*argv, str(tmp_path / "whole.json")])
+        assert self.resumed(tmp_path, capsys, [
+            *argv, str(tmp_path / "resumed.json")], (500, 1200)) == whole
+        reports = []
+        for name in ("whole", "resumed"):
+            atlas = tmp_path / f"{name}.json"
+            assert main(["analyze", "atlas", str(atlas)]) == 0
+            reports.append((atlas.read_bytes(), capsys.readouterr().out))
+        assert reports[0] == reports[1]
+
+    def test_a_resumed_cut_is_the_uninterrupted_one(self, tmp_path, capsys):
+        """Every graph array armed (liveness under symmetry, the atlas):
+        a cut reached through a resume is written as the uninterrupted
+        run writes it, bar the wall clock."""
+        from repro.verify.checkpoint import load_checkpoint
+
+        argv = ["lcm", "--nodes", "3", "--liveness", "--symmetry",
+                "--atlas-out", str(tmp_path / "a.json")]
+        whole, legs = (str(tmp_path / name) for name in ("w.json", "l.json"))
+        for tail in (["--max-states", "2500", "--checkpoint-out", whole],
+                     ["--max-states", "1000", "--checkpoint-out", legs],
+                     ["--max-states", "2500", "--checkpoint-out", legs,
+                      "--resume", legs]):
+            assert "(state limit reached)" in self.verify(
+                capsys, [*argv, *tail])[1]
+        payloads = [load_checkpoint(path) for path in (whole, legs)]
+        for payload in payloads:
+            del payload["elapsed"]
+        assert payloads[0] == payloads[1]
+        assert {"renaming", "canonical", "vector", "vectors"} <= set(
+            payloads[0])
+
+
 class TestRefusedModes:
     @pytest.mark.parametrize("flags,mode", [
-        (["--checkpoint-out", "c.json"], "checkpoint/resume"),
-        (["--resume", "c.json"], "checkpoint/resume"),
         (["--workers", "2"], "workers"),
-    ], ids=["checkpoint-out", "resume", "workers"])
+    ], ids=["workers"])
     def test_liveness_with_a_keyed_mode_is_one_error_line(
             self, tmp_path, monkeypatch, capsys, flags, mode):
+        """Checkpoints carry the graph (TestGraphResumes); worker
+        processes do not record it."""
         monkeypatch.chdir(tmp_path)
         assert main(["verify", "stache", "--liveness", *flags]) == 1
         out, err = capsys.readouterr()
@@ -187,14 +267,12 @@ class TestRefusedModes:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("flags,mode", [
-        (["--resume", "c.json"], "resume"),
         (["--workers", "2"], "workers"),
-    ], ids=["resume", "workers"])
+    ], ids=["workers"])
     def test_atlas_with_a_keyed_mode_is_one_error_line(
             self, tmp_path, monkeypatch, capsys, flags, mode):
-        """The atlas reads the graph liveness reads, so it refuses what
-        liveness refuses but writing a checkpoint: a run resumed from
-        one would record only its own part."""
+        """The atlas reads the graph liveness reads, which one process
+        records: the master of a worker run holds keys, not states."""
         monkeypatch.chdir(tmp_path)
         assert main(["verify", "stache", "--nodes", "3",
                      "--atlas-out", "a.json", *flags]) == 1

@@ -22,10 +22,12 @@ not move:
 """
 
 import cProfile
+import hashlib
 import io
 import json
 import re
 import warnings
+from array import array
 from collections import Counter
 from contextlib import contextmanager
 from functools import partial
@@ -258,8 +260,10 @@ ECHO = {"protocol": "P", "n_nodes": 2, "n_blocks": 1, "reorder_bound": 0,
 
 
 def encode(cut):
-    """``cut``'s payload as a loader sees it."""
-    return json.loads(json.dumps(cut.encode(ECHO)))
+    """``cut``'s payload as a loader sees it: the text the writer writes
+    (its arrays are streams until then), parsed."""
+    return json.loads(b"".join(checkpoint._sealed_text(
+        cut.encode(ECHO), hashlib.blake2b(digest_size=16))))
 
 
 def cut_of(edges, **fields):
@@ -273,11 +277,19 @@ def cut_of(edges, **fields):
 
 def sample_cut():
     # Keys out of numeric order, as a run accepts them; a frontier of
-    # two depths.
+    # two depths; the graph's three expanded rows, every array armed.
     return cut_of([(1, -1, "<initial>"), (2 ** 64 - 1, 0, "a"), (2, 0, "b"),
                    (9, 1, "c"), (7, 2, "d"), (8, 2, "a")],
                   expanded=3, depth=1, deeper=5, transitions=17,
-                  elapsed=0.25, handler_fires={"Home_Idle.GET": 2})
+                  elapsed=0.25, handler_fires={"Home_Idle.GET": 2},
+                  offsets=array("q", [0, 2, 4, 7]),
+                  targets=array("I", [1, 2, 3, 0, 4, 5, 2]),
+                  blocked=array("q", [0, 1, 2]),
+                  renaming=array("H", [0, 0, 1, 0, 0, 0, 1]),
+                  canonical=array("H", [0, 1, 0]),
+                  edge_label=array("I", [1, 2, 3, 2, 4, 1, 2]),
+                  vector=array("I", [0, 1, 0]),
+                  vectors={("I", "S", 0, 0): 0, ("S", "I", 1, 0): 1})
 
 
 def test_cut_keeps_each_label_once_and_traces_by_index():
@@ -347,8 +359,31 @@ def test_codec_cost_does_not_grow_with_the_cut(tmp_path):
      "its frontier is outside its record"),
     (lambda payload: payload.update(expanded=6),
      "its frontier is outside its record"),
+    (edit_array("offsets", "q", lambda offsets: offsets.__setitem__(0, 1)),
+     "its offsets do not start at 0 and rise"),
+    (edit_array("offsets", "q", lambda offsets: offsets.__setitem__(2, 1)),
+     "its offsets do not start at 0 and rise"),
+    (edit_array("targets", "I", lambda targets: targets.__setitem__(3, 6)),
+     "an edge target is outside its record"),
+    (edit_array("blocked", "q", lambda blocked: blocked.append(0)),
+     "its arrays are of unequal length"),
+    (edit_array("renaming", "H", lambda renaming: renaming.pop()),
+     "its arrays are of unequal length"),
+    (edit_array("edge_label", "I", lambda label: label.__setitem__(0, 5)),
+     "a label id is out of range"),
+    (edit_array("vector", "I", lambda vector: vector.__setitem__(2, 2)),
+     "a vector id is out of range"),
+    (lambda payload: payload["vectors"].append(payload["vectors"][0]),
+     "a vector id is out of range"),
+    (lambda payload: payload["labels"].__setitem__(1, ["a"]),
+     "its label or vector table is malformed"),
+    (lambda payload: payload["vectors"].__setitem__(0, 7),
+     "its label or vector table is malformed"),
 ], ids=["base64", "partial_item", "negative_parent", "label_id",
-        "repeated_label", "deeper_past_end", "expanded_past_deeper"])
+        "repeated_label", "deeper_past_end", "expanded_past_deeper",
+        "offsets_from_one", "offsets_falling", "target_past_end",
+        "long_state_array", "short_edge_array", "edge_label_id",
+        "vector_id", "repeated_vector", "list_label", "scalar_vector"])
 def test_corrupt_record_is_a_one_line_error(edit, expected):
     payload = encode(sample_cut())
     edit(payload)

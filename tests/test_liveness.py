@@ -25,7 +25,7 @@ from itertools import permutations
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from repro import api
 from repro.api import CheckOptions, ReductionOptions
@@ -196,6 +196,26 @@ def test_the_component_pass_agrees_with_backward_reachability(case):
     assert stuck_thread(*case) == backward_stuck_thread(*case)
 
 
+@settings(max_examples=200, deadline=None)
+@given(random_graphs(), st.data())
+def test_canonical_renamings_compose_to_the_edge_ones(case, data):
+    """A run's record keeps each successor's renaming onto its canonical
+    image and each state's (Cut.renaming, Cut.canonical): given both,
+    the pass applies the edge renaming they compose to."""
+    n_nodes, blocked, offsets, targets, renamings, group = case
+    assume(group is not None)
+    canonical = array("H", data.draw(st.lists(
+        st.integers(0, len(group) - 1),
+        min_size=len(blocked), max_size=len(blocked))))
+    position = {g: k for k, g in enumerate(group)}
+    # The edge renames by canonical[t]'s inverse after the successor's.
+    successors = array("H", (
+        position[tuple(group[canonical[t]][j] for j in group[g])]
+        for t, g in zip(targets, renamings)))
+    assert stuck_thread(n_nodes, blocked, offsets, targets, successors,
+                        group, canonical) == stuck_thread(*case)
+
+
 @pytest.mark.parametrize("symmetry", [False, True],
                          ids=["plain", "symmetry"])
 def test_the_lcm_mcc_starvation_witness(symmetry):
@@ -218,8 +238,8 @@ def test_the_lcm_mcc_starvation_witness(symmetry):
 def test_a_keyed_witness_that_runs_its_node_is_a_collision(monkeypatch):
     # The analysis names the initial state, where every node runs: the
     # replayed witness disagrees, as after a fingerprint collision.
-    monkeypatch.setattr(starvation.KeyGraph, "stuck",
-                        lambda _graph, _nodes: (0, 0))
+    monkeypatch.setattr(starvation, "stuck_thread",
+                        lambda *_graph: (0, 0))
     with pytest.raises(FingerprintCollisionError, match="runs node 0"):
         api.check("stache", CheckOptions(liveness=True, fingerprints=True))
 

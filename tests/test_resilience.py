@@ -249,21 +249,50 @@ class TestCheckpointCorruption:
         with pytest.raises(CheckpointError, match="configuration"):
             make_parallel("stache", 2, reorder=1, resume=path).run()
 
-    # Re-sealed, so only decoding can catch each one.
-    @pytest.mark.parametrize("edit,expected", [
-        (lambda payload: payload.pop("seal"),
+    # Re-sealed, so only decoding can catch each one.  A file written
+    # in the ``written`` modes (the plain fixture's without) is resumed
+    # in the ``reads`` ones: each of the explored graph's three parts a
+    # mode reads must be in the file.
+    @pytest.mark.parametrize("written,edit,reads,expected", [
+        ({}, lambda payload: payload.pop("seal"), {},
          "checkpoint is missing the 'seal' field"),
-        (edit_array("keys", "Q", lambda keys: keys.__setitem__(
-            -1, keys[0])),
+        ({}, edit_array("keys", "Q", lambda keys: keys.__setitem__(
+            -1, keys[0])), {},
          "a key is listed twice"),
-        (edit_array("parent", "q", lambda parent: parent.__setitem__(
-            -1, len(parent) - 1)), "a parent is not an earlier index"),
-        (edit_array("label", "I", lambda label: label.pop()),
+        ({}, edit_array("parent", "q", lambda parent: parent.__setitem__(
+            -1, len(parent) - 1)), {}, "a parent is not an earlier index"),
+        ({}, edit_array("label", "I", lambda label: label.pop()), {},
          "its arrays are of unequal length"),
-    ], ids=["no_seal", "repeated_key", "later_parent", "unequal_lengths"])
-    def test_v4_refusal_is_one_line(self, checkpoint_blob, capsys, edit,
-                                    expected):
+        ({}, lambda payload: None, {"liveness": True},
+         "the checkpoint does not carry the explored graph"),
+        ({"liveness": True}, lambda payload: None, {"atlas": True},
+         "the checkpoint does not carry the edge labels and state vectors "
+         "--atlas-out reads"),
+        ({"atlas": True, "symmetry": True}, lambda payload: None,
+         {"liveness": True, "symmetry": True},
+         "the checkpoint does not carry the renamings --liveness "
+         "--symmetry reads"),
+        ({"liveness": True}, edit_array("offsets", "q", lambda offsets: (
+            offsets.__setitem__(1, offsets[2] + 1))), {"liveness": True},
+         "its offsets do not start at 0 and rise"),
+        ({"liveness": True}, edit_array("targets", "I", lambda targets: (
+            targets.__setitem__(0, 10 ** 6))), {"liveness": True},
+         "an edge target is outside its record"),
+        ({"atlas": True}, edit_array("vector", "I", lambda vector: (
+            vector.pop())), {"atlas": True},
+         "its arrays are of unequal length"),
+    ], ids=["no_seal", "repeated_key", "later_parent", "unequal_lengths",
+            "liveness_from_plain", "atlas_from_liveness",
+            "symmetric_liveness_from_atlas", "offsets_falling",
+            "target_past_end", "short_vector"])
+    def test_v4_refusal_is_one_line(self, checkpoint_blob, capsys, written,
+                                    edit, reads, expected):
         tmp_path, blob = checkpoint_blob
+        if written:
+            path = tmp_path / "written.json"
+            make_serial("lcm", reorder=1, max_states=100,
+                        checkpoint_out=str(path), **written).run()
+            blob = path.read_bytes()
         payload = json.loads(blob)
         edit(payload)
         victim = str(tmp_path / "edited.json")
@@ -274,9 +303,11 @@ class TestCheckpointCorruption:
             with open(victim, "w") as handle:
                 json.dump(payload, handle)
         with pytest.raises(CheckpointError, match=re.escape(expected)):
-            make_serial("lcm", reorder=1, resume=victim).run()
-        assert main(["verify", "lcm", "--reorder", "1",
-                     "--resume", victim]) == 1
+            make_serial("lcm", reorder=1, resume=victim, **reads).run()
+        flags = {"liveness": ["--liveness"], "symmetry": ["--symmetry"],
+                 "atlas": ["--atlas-out", str(tmp_path / "atlas.json")]}
+        assert main(["verify", "lcm", "--reorder", "1", "--resume", victim,
+                     *(flag for mode in reads for flag in flags[mode])]) == 1
         out, err = capsys.readouterr()
         assert err.startswith(f"error: {victim}: ") and expected in err
         assert err.count("\n") == 1 and "states=" not in out
