@@ -167,6 +167,13 @@ def cmd_verify(args) -> int:
     # refuse (API callers set it too).
     check_output_paths(TeapotError, args.profile_out, args.atlas_out,
                        args.coverage_out, args.trace_out, args.fault_plan_out)
+    named = {}      # each output's real path -> the first flag naming it
+    for flag in ("--checkpoint-out", "--profile-out", "--atlas-out",
+                 "--coverage-out", "--trace-out", "--fault-plan-out"):
+        path = getattr(args, flag[2:].replace("-", "_"))
+        first = path and named.setdefault(os.path.realpath(path), flag)
+        if first and first != flag:
+            raise TeapotError(f"{first} and {flag} name one file: {path}")
     protocol = _load(args.protocol, _opt_level(args))
     options = CheckOptions(
         nodes=args.nodes,
@@ -419,20 +426,20 @@ def cmd_analyze_check_profile(args) -> int:
 
 def cmd_analyze_atlas(args) -> int:
     from repro.verify.atlas import (
+        StateAtlas,
         atlas_to_dot,
         atlas_to_graphml,
         format_atlas,
-        load_atlas,
     )
 
     if not (args.dot or args.graphml) and (
             args.max_depth is not None or args.protocol_state is not None):
         args.usage_error("--max-depth and --protocol-state filter an "
                          "export: add --dot or --graphml")
-    atlas = load_atlas(args.atlas)
-    if args.protocol_state not in (None, *atlas.state_meta):
+    atlas = StateAtlas.read(args.atlas)
+    if args.protocol_state not in (None, *atlas.header["transient"]):
         raise TeapotError(
-            f"{args.atlas}: {atlas.protocol} has no protocol state "
+            f"{args.atlas}: {atlas.echo['protocol']} has no protocol state "
             f"{args.protocol_state!r}")
     if args.dot or args.graphml:
         render = atlas_to_dot if args.dot else atlas_to_graphml
@@ -452,7 +459,8 @@ def _read_artifact(path: str):
     from repro.obs.analyze.coverage import COVERAGE_KIND, CoverageReport
     from repro.obs.analyze.trace import parse_events
     from repro.obs.profile import PROFILE_KIND, CheckProfile
-    from repro.verify.atlas import ATLAS_KIND, StateAtlas
+    from repro.verify.atlas import StateAtlas
+    from repro.verify.checkpoint import CHECKPOINT_KIND
 
     text = read_text(path, TraceError)
     try:
@@ -462,13 +470,16 @@ def _read_artifact(path: str):
     kind = payload.get("kind")
     if not (isinstance(kind, str) and kind.startswith("teapot-")):
         return "trace", Trace(parse_events(text, path), path)
-    kinds = {COVERAGE_KIND: CoverageReport, PROFILE_KIND: CheckProfile,
-             ATLAS_KIND: StateAtlas}
+    kinds = {COVERAGE_KIND: ("coverage", CoverageReport.from_json),
+             PROFILE_KIND: ("check-profile", CheckProfile.from_json),
+             CHECKPOINT_KIND: ("state-atlas", lambda payload, path:
+                               StateAtlas.read(path, payload))}
     if kind not in kinds:
         raise TraceError(
             f"{path}: unrecognised artifact kind {kind!r}; analyze reads "
             "traces, coverage reports, check profiles, and state atlases")
-    return kind.removeprefix("teapot-"), kinds[kind].from_json(payload, path)
+    name, read = kinds[kind]
+    return name, read(payload, path)
 
 
 def cmd_analyze_diff(args) -> int:
@@ -624,10 +635,10 @@ def build_parser() -> argparse.ArgumentParser:
                         "diff`); off = zero overhead")
     p.add_argument("--atlas-out", metavar="PATH",
                    help="record every explored state and transition and "
-                        "write the state-atlas JSON (render with "
-                        "`teapot analyze atlas`: SCC/deadlock-basin "
-                        "structure, depth profile, residence "
-                        "heatmap); off = zero overhead")
+                        "write the state atlas, the run's final checkpoint "
+                        "(render with `teapot analyze atlas`: "
+                        "SCC/deadlock-basin structure, depth profile, "
+                        "residence heatmap); off = zero overhead")
     _add_opt_flags(p)
     p.set_defaults(fn=cmd_verify)
 
@@ -731,7 +742,7 @@ def build_parser() -> argparse.ArgumentParser:
                       "deadlock basins, depth/degree profiles and the "
                       "residence heatmap; or export the explored graph "
                       "as DOT/GraphML")
-    q.add_argument("atlas", help="JSON file from verify --atlas-out")
+    q.add_argument("atlas", help="checkpoint file from verify --atlas-out")
     q.add_argument("--top", type=_top, default=10, metavar="N",
                    help="rows in the report tables (default 10)")
     export = q.add_mutually_exclusive_group()

@@ -4,12 +4,12 @@ lists the JSON kinds, their version keys and ``json.dumps`` keywords).
 
 Reading.  One strict read (bytes -> UTF-8) sits under
 :func:`read_source` (Teapot sources), :func:`read_json` (check profile,
-state atlas, coverage report, metrics export, fault plan, checkpoint)
-and :func:`read_text` (the JSONL trace loader's lines).  Each failure --
-missing, a directory, no permission, not UTF-8, empty, not JSON, not an
-object and, through :func:`check_envelope`, a wrong ``kind`` or version
--- is one ``"<path>: ..."`` line of the error class the caller passes
-in, so this module imports none of theirs.
+coverage report, metrics export, fault plan, checkpoint -- the state
+atlas is one) and :func:`read_text` (the JSONL trace loader's lines).
+Each failure -- missing, a directory, no permission, not UTF-8, empty,
+not JSON, not an object and, through :func:`check_envelope`, a wrong
+``kind`` or version -- is one ``"<path>: ..."`` line of the error class
+the caller passes in, so this module imports none of theirs.
 
 Writing.  Every artifact goes through :func:`atomic_write_json` (or
 :func:`atomic_write_text`, for a caller that holds the text): a sibling

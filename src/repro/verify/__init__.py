@@ -25,7 +25,7 @@ hash-partitioned across worker processes, with checkpoint/resume).
 from repro import _lazy_exports
 
 __getattr__, __dir__ = _lazy_exports(__name__, {
-    "repro.verify.atlas": ("StateAtlas", "load_atlas"),
+    "repro.verify.atlas": ("StateAtlas",),
     "repro.verify.checker": ("CheckResult", "FingerprintCollisionError",
                              "ModelChecker", "SymmetryError",
                              "TraceReplayError", "Violation",
@@ -50,7 +50,6 @@ __all__ = [
     "WorkerLostError",
     "load_checkpoint",
     "StateAtlas",
-    "load_atlas",
     "EventGenerator",
     "StacheEvents",
     "CasEvents",

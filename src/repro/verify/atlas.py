@@ -1,269 +1,213 @@
 """The state-space atlas: what the explored graph *looks like*.
 
-This module is the measurement layer for the explored graph's
-structure, the same way :mod:`repro.obs.profile` is for hot-loop time:
-
-- :func:`build_atlas` -- reads the atlas off the graph a serial run
-  records over the indices of its visited keys, in its one record
-  (:class:`repro.verify.checkpoint.Cut`, the graph ``--liveness``
-  reads): every explored transition and every visited state's BFS
-  depth, per-node protocol-state vector and nonzero fault budget.
-- :class:`StateAtlas` -- the schema-versioned JSON artifact (kind
-  ``teapot-state-atlas`` v3; ``teapot verify --atlas-out``), rendered by
-  ``teapot analyze atlas``, diffable with ``teapot analyze diff``, and
-  exportable as filtered DOT/GraphML for small configs.
-- analysis -- SCC decomposition by the Tarjan the starvation check
-  runs (:func:`repro.verify.starvation.components`) with terminal-SCC
-  (deadlock-basin) identification, depth/diameter profile, in/out-degree
-  distributions and a per-(node, protocol-state) residence heatmap
-  split transient-vs-stable.
-
-The atlas is exact at every size and estimates no symmetry collapse
-(``verify --symmetry`` measures it).  ``--max-states`` and
-``--max-rss-mb`` bound it as they bound the exploration; a state that
-was visited but never expanded -- the frontier of a bounded or failing
-run -- carries ``"frontier": true`` and is never counted a deadlock.
-Like liveness it reads the graph one process records (serial-only),
-which checkpoints carry.  Armed, it never changes exploration order or
-results; unarmed, the record keeps no edge labels or vectors
-(``tests/test_atlas.py`` pins both).
+``teapot verify --atlas-out`` arms the graph arrays of the serial run's
+one record (:class:`repro.verify.checkpoint.Cut`: the graph liveness
+reads, each edge's label id and each state's vector id) and writes its
+final cut as a checkpoint, with a sealed ``atlas`` header of what only
+the atlas reads: ``ok``, ``exhausted``, ``max_depth`` and each protocol
+state's ``transient`` flag.  The analysis runs on the cut's integer
+arrays, by the Tarjan the starvation check runs; a state is named by its
+key's 16 hex digits only where one is printed.  The atlas is exact at
+every size; a frontier state (never expanded) is never a deadlock.
 """
 
 from __future__ import annotations
 
 from array import array
-from collections import defaultdict
-from dataclasses import dataclass, field
-from typing import Optional
+from collections import Counter
+from functools import cached_property
+from itertools import islice
+from operator import sub
 
-from repro.ioutil import atomic_write_json, check_envelope, read_json
+from repro.ioutil import check_envelope, read_json
 from repro.obs.analyze.trace import TraceError
 from repro.verify.checker import parse_label
+from repro.verify.checkpoint import (
+    CHECKPOINT_KIND, CHECKPOINT_VERSION, CheckpointError, config_echo,
+    decode_checkpoint, load_checkpoint, write_checkpoint)
 from repro.verify.fingerprint import fingerprint
 from repro.verify.starvation import components
 
-ATLAS_KIND = "teapot-state-atlas"
-ATLAS_VERSION = 3
+# The configuration a report prints, by its names in the echo.
+_CONFIG = ("protocol", "n_nodes", "n_blocks", "reorder_bound", "faults")
 
 
-def build_atlas(result, cut, protocol) -> "StateAtlas":
-    """The :class:`StateAtlas` of a finished serial run's ``result``,
-    read off the graph its record ``cut`` holds (checkpoint.Cut), over
-    its visited keys in acceptance order: a state is named by its key's
-    hex (a full-state key is fingerprinted here), its depth is its
-    parent's plus one, and the rows never expanded are the frontier."""
-    names = [f"{key if isinstance(key, int) else fingerprint(key):016x}"
-             for key in cut.index]
-    depth = array("I")
-    for parent in cut.parent:
-        depth.append(depth[parent] + 1 if parent >= 0 else 0)
-    # Each distinct vector -- protocol-state names, node-major, then the
-    # fault budget -- once, shared by the states carrying it.
-    width = result.n_blocks
-    vectors = [([list(entry[at:at + width]) for at in range(
-        0, len(entry) - 2, width)], entry[-2:]) for entry in cut.vectors]
-    expanded = len(cut.offsets) - 1
-    states = {}
-    for k, name in enumerate(names):
-        vector, faults = vectors[cut.vector[k]]
-        annotation = {"depth": depth[k], "vector": vector}
-        if faults != (0, 0):
-            annotation["faults"] = list(faults)
-        if k >= expanded:
-            annotation["frontier"] = True
-        states[name] = annotation
-    offsets, targets, labels = cut.offsets, cut.targets, list(cut.labels)
-    # Fixed-width hex sorts as the fingerprints do; an edge sorts by
-    # (src, dst, label), its own fields in order.
-    edges = sorted([names[k], names[targets[e]], labels[cut.edge_label[e]]]
-                   for k in range(expanded)
-                   for e in range(offsets[k], offsets[k + 1]))
-    return StateAtlas(
-        protocol=result.protocol_name, nodes=result.n_nodes,
-        addresses=width, reorder=result.reorder_bound,
-        workers=result.workers,
-        result={"ok": result.ok, "states": result.states_explored,
-                "transitions": result.transitions,
-                "max_depth": result.max_depth,
-                "exhausted": result.exhausted},
-        state_meta={name: {"transient": bool(info.transient)}
-                    for name, info in protocol.states.items()},
-        states={name: states[name] for name in sorted(states)},
-        edges=edges, fault_budget=tuple(result.fault_budget))
-
-
-@dataclass(eq=False)
 class StateAtlas:
-    """The schema-versioned JSON atlas artifact; the fields are the
-    payload's keys after the ``kind``/``version`` header, in order."""
+    """A finished serial run's configuration echo, ``atlas`` header and
+    final cut; each per-state view is built when first read."""
 
-    protocol: str = "?"
-    nodes: int = 0
-    addresses: int = 0
-    reorder: int = 0
-    workers: int = 0
-    result: dict = field(default_factory=dict)
-    state_meta: dict = field(default_factory=dict)
-    states: dict = field(default_factory=dict)   # fp hex -> annotation
-    # Each edge: [src, dst, label]; parse_label reads the label.
-    edges: list = field(default_factory=list)
-    fault_budget: tuple = (0, 0)        # omitted from fault-free atlases
-
-    def __post_init__(self):
-        self.fault_budget = tuple(self.fault_budget)
-
-    def config_line(self) -> str:
-        engine = ("serial" if self.workers <= 1
-                  else f"{self.workers} workers")
-        text = (f"{self.protocol}  (nodes={self.nodes} "
-                f"addresses={self.addresses} reorder={self.reorder} "
-                f"engine={engine}")
-        if self.fault_budget != (0, 0):
-            text += (f" faults=drop:{self.fault_budget[0]}"
-                     f"+dup:{self.fault_budget[1]}")
-        return text + ")"
-
-    def to_json(self) -> dict:
-        payload = {"kind": ATLAS_KIND, "version": ATLAS_VERSION,
-                   **vars(self), "fault_budget": list(self.fault_budget)}
-        if self.fault_budget == (0, 0):
-            del payload["fault_budget"]
-        return payload
-
-    def save(self, path: str) -> None:
-        # Compact separators: an atlas can hold 10^5 edges.
-        atomic_write_json(path, self.to_json(), separators=(",", ":"))
+    def __init__(self, echo: dict, header: dict, cut):
+        self.echo, self.header, self.cut = echo, header, cut
+        self.transient = {name for name, flag in header["transient"].items()
+                          if flag}
 
     @classmethod
-    def from_json(cls, payload: dict, path: str = "<atlas>") -> "StateAtlas":
+    def of_run(cls, checker, result, cut) -> "StateAtlas":
+        states = checker.protocol.states.items()
+        return cls(config_echo(checker), {
+            "ok": result.ok, "exhausted": result.exhausted,
+            "max_depth": result.max_depth, "transient": {
+                name: bool(info.transient) for name, info in states}}, cut)
+
+    @classmethod
+    def read(cls, path: str, payload: dict | None = None) -> "StateAtlas":
+        """The atlas a ``verify --atlas-out`` file holds (``payload``: its
+        JSON object, if read already); each fault is one line."""
+        if payload is None:
+            payload = read_json(path, TraceError, "state atlas")
         check_envelope(payload, path, TraceError, "state atlas",
-                       "verify --atlas-out", ATLAS_KIND, ATLAS_VERSION)
-        return cls(**{name: payload[name] for name in cls.__dataclass_fields__
-                      if name in payload})
+                       "verify --atlas-out", CHECKPOINT_KIND,
+                       CHECKPOINT_VERSION, version_key="v")
+        try:
+            load_checkpoint(path, payload)
+            if not {"atlas", "vector"} <= payload.keys():
+                raise CheckpointError(
+                    f"{path}: a checkpoint without the state atlas; write "
+                    "one with `teapot verify --atlas-out`")
+            cut = decode_checkpoint(payload, {}, path)
+        except CheckpointError as error:
+            raise TraceError(str(error)) from None
+        return cls({k: payload[k] for k in _CONFIG}, payload["atlas"], cut)
 
+    def save(self, path: str) -> None:
+        """Write the cut as a sealed checkpoint, with the header."""
+        write_checkpoint(path, {**self.cut.encode(self.echo, self.keys),
+                                "atlas": self.header})
 
-def load_atlas(path: str) -> StateAtlas:
-    """Read a saved state atlas, with friendly one-line errors."""
-    return StateAtlas.from_json(
-        read_json(path, TraceError, "state atlas"), path)
+    def config_line(self) -> str:
+        protocol, nodes, addresses, reorder, faults = map(self.echo.get,
+                                                          _CONFIG)
+        extra = " faults=drop:{}+dup:{}".format(*faults) if any(faults) else ""
+        return (f"{protocol}  (nodes={nodes} addresses={addresses} "
+                f"reorder={reorder} engine=serial{extra})")
+
+    @cached_property
+    def keys(self) -> array:
+        """Each index's 64-bit key; a full-state key's fingerprint."""
+        index = self.cut.index
+        full = not isinstance(next(iter(index)), int)
+        return array("Q", map(fingerprint, index) if full else index)
+
+    @cached_property
+    def depth(self) -> array:
+        """Each index's BFS depth: its parent's plus one."""
+        depth = array("I")
+        for parent in self.cut.parent:
+            depth.append(depth[parent] + 1 if parent >= 0 else 0)
+        return depth
+
+    @cached_property
+    def offsets(self) -> array:
+        """``cut.offsets`` with a row, empty, for each frontier index."""
+        offsets = self.cut.offsets
+        return offsets + offsets[-1:] * (len(self.depth) - len(offsets) + 1)
+
+    @cached_property
+    def vectors(self) -> list:
+        """Per vector id: per-node protocol-state names, faults left."""
+        width = self.echo["n_blocks"]
+        return [([list(entry[at:at + width])
+                  for at in range(0, len(entry) - 2, width)], entry[-2:])
+                for entry in self.cut.vectors]
+
+    def vector(self, k: int) -> list:
+        return self.vectors[self.cut.vector[k]][0]
+
+    def edge_list(self, kept=None) -> list:
+        """The (src key, dst key, label) of each explored edge in record
+        order, or of each between indices in ``kept``."""
+        keys, offsets, targets = self.keys, self.offsets, self.cut.targets
+        labels, edge_label = list(self.cut.labels), self.cut.edge_label
+        return [(keys[k], keys[targets[e]], labels[edge_label[e]])
+                for k in (range(len(keys)) if kept is None else kept)
+                for e in range(offsets[k], offsets[k + 1])
+                if kept is None or targets[e] in kept]
+
+    @cached_property
+    def states(self) -> dict:
+        """name -> {"depth", "vector"[, "faults"][, "frontier"]}, in name
+        order: the per-state view."""
+        states = {}
+        for k, key in enumerate(self.keys):
+            vector, faults = self.vectors[self.cut.vector[k]]
+            states[f"{key:016x}"] = {
+                "depth": self.depth[k], "vector": vector,
+                **({"faults": list(faults)} if any(faults) else {}),
+                **({"frontier": True} if k >= self.cut.expanded else {})}
+        return dict(sorted(states.items()))
+
+    @cached_property
+    def edges(self) -> list:
+        """[src, dst, label] per explored edge, sorted: the edge view."""
+        return [[f"{src:016x}", f"{dst:016x}", label]
+                for src, dst, label in sorted(self.edge_list())]
 
 
 # -- structural analysis --------------------------------------------------------
 
-def scc_decomposition(atlas: StateAtlas) -> list[list[str]]:
-    """Strongly connected components of the recorded graph, in reverse
-    topological order, members sorted: :func:`components` over the
-    states in name order, each one's edges in record order."""
-    names = sorted(atlas.states)
-    number = {name: k for k, name in enumerate(names)}
-    rows: list[list[int]] = [[] for _ in names]
-    for record in atlas.edges:
-        if record[0] in number and record[1] in number:
-            rows[number[record[0]]].append(number[record[1]])
-    offsets, targets = array("I", [0]), array("I")
-    for row in rows:
-        targets.extend(row)
-        offsets.append(len(targets))
-    return [[names[k] for k in sorted(members)]
-            for members in components(offsets, targets)]
-
-
 def analyze_structure(atlas: StateAtlas) -> dict:
     """SCC/terminal/deadlock/degree/depth summary of the recorded graph.
+    A *terminal* SCC has no edge leaving it: a deadlock basin (one state,
+    no successors) or a recurrent class the run never leaves.  A frontier
+    state was never expanded: it is neither a deadlock nor terminal."""
+    n, offsets, targets = len(atlas.depth), atlas.offsets, atlas.cut.targets
+    expanded = atlas.cut.expanded
+    in_count = Counter(targets)
+    in_degree = Counter(in_count.values()) + Counter({0: n - len(in_count)})
+    component = array("I", [0]) * n
+    sizes, terminal = [], []
+    for number, members in enumerate(components(offsets, targets), 1):
+        for member in members:
+            component[member] = number
+        sizes.append(len(members))
+        # A frontier state has no out-edges, so its SCC is itself alone.
+        if members[0] < expanded and all(
+                component[targets[e]] == number for member in members
+                for e in range(offsets[member], offsets[member + 1])):
+            terminal.append(len(members))
+    depths = Counter(atlas.depth)
+    diameter = max(depths)
 
-    A *terminal* SCC has no edge leaving it: once entered, the run
-    stays there forever, so terminal SCCs are the exploration's
-    deadlock basins (singleton, no successors) and recurrent classes
-    (everything else).  An unexpanded ``frontier`` state has no
-    recorded successors because it was never expanded, not because it
-    has none: it is neither a deadlock nor a terminal SCC.
-    """
-    nodes = set(atlas.states)
-    out_degree = {node: 0 for node in nodes}
-    in_degree = {node: 0 for node in nodes}
-    for record in atlas.edges:
-        if record[0] in nodes:
-            out_degree[record[0]] += 1
-        if record[1] in nodes:
-            in_degree[record[1]] += 1
-
-    sccs = scc_decomposition(atlas)
-    component_of = {member: i for i, component in enumerate(sccs)
-                    for member in component}
-    has_exit = [False] * len(sccs)
-    for record in atlas.edges:
-        src, dst = record[0], record[1]
-        # An edge out of the recorded states (to a successor a bounded
-        # parallel run routed but never accepted) leaves its SCC too.
-        if src in component_of and component_of[src] != component_of.get(
-                dst):
-            has_exit[component_of[src]] = True
-    frontier = {node for node, annotation in atlas.states.items()
-                if annotation.get("frontier")}
-    # A frontier state has no out-edges, so its SCC is itself alone.
-    terminal = [sccs[i] for i in range(len(sccs))
-                if not has_exit[i] and sccs[i][0] not in frontier]
-    deadlocks = sorted(node for node, degree in out_degree.items()
-                       if degree == 0 and node not in frontier)
-
-    depths = defaultdict(int)
-    for annotation in atlas.states.values():
-        depths[annotation["depth"]] += 1
-    depth_profile = [depths[d] for d in range(max(depths) + 1)] \
-        if depths else []
-
-    def histogram(degrees: dict) -> dict[int, int]:
-        out: dict[int, int] = defaultdict(int)
-        for degree in degrees.values():
-            out[degree] += 1
-        return dict(sorted(out.items()))
-
-    def mean(degrees: dict) -> float:
-        return (sum(degrees.values()) / len(degrees)) if degrees else 0.0
+    def degrees(histogram: Counter) -> dict:
+        return {"mean": len(targets) / n, "max": max(histogram),
+                "histogram": dict(sorted(histogram.items()))}
 
     return {
-        "sccs": len(sccs),
-        "largest_scc": max((len(c) for c in sccs), default=0),
+        "sccs": len(sizes),
+        "largest_scc": max(sizes),
         "terminal_sccs": len(terminal),
-        "terminal_sizes": sorted((len(c) for c in terminal), reverse=True),
-        "terminal_members": terminal,
-        "deadlock_states": deadlocks,
-        "frontier_states": len(frontier),
-        "out_degree": {"mean": mean(out_degree),
-                       "max": max(out_degree.values(), default=0),
-                       "histogram": histogram(out_degree)},
-        "in_degree": {"mean": mean(in_degree),
-                      "max": max(in_degree.values(), default=0),
-                      "histogram": histogram(in_degree)},
-        "diameter": max(depths) if depths else 0,
-        "depth_profile": depth_profile,
+        "terminal_sizes": sorted(terminal, reverse=True),
+        "deadlock_states": [f"{key:016x}" for key in sorted(
+            atlas.keys[k] for k in range(expanded)
+            if offsets[k] == offsets[k + 1])],
+        "frontier_states": n - expanded,
+        "out_degree": degrees(Counter(map(sub, islice(offsets, 1, None),
+                                          offsets))),
+        "in_degree": degrees(in_degree),
+        "diameter": diameter,
+        "depth_profile": [depths[d] for d in range(diameter + 1)],
     }
 
 
 def residence_heatmap(atlas: StateAtlas) -> dict:
     """Per-(node, protocol-state) residence counts over recorded states,
-    split transient vs stable via the embedded state metadata."""
-    counts: dict[tuple[int, str], int] = defaultdict(int)
-    for annotation in atlas.states.values():
-        for node, names in enumerate(annotation["vector"]):
+    split transient vs stable via the header's state flags."""
+    counts: Counter = Counter()
+    for vector, count in Counter(atlas.cut.vector).items():
+        for node, names in enumerate(atlas.vectors[vector][0]):
             for name in names:
-                counts[(node, name)] += 1
-    transient = {name for name, meta in atlas.state_meta.items()
-                 if meta.get("transient")}
-    by_state: dict[str, list[int]] = {}
+                counts[node, name] += count
+    rows: dict[str, list[int]] = {}
     for (node, name), count in counts.items():
-        row = by_state.setdefault(name, [0] * atlas.nodes)
-        row[node] = count
-    total = len(atlas.states)
-    transient_residence = sum(
-        count for (node, name), count in counts.items()
-        if name in transient)
-    all_residence = sum(counts.values()) or 1
+        rows.setdefault(name, [0] * atlas.echo["n_nodes"])[node] = count
+    transient = atlas.transient
     return {
-        "states": total,
-        "rows": dict(sorted(by_state.items())),
+        "states": len(atlas.depth),
+        "rows": dict(sorted(rows.items())),
         "transient_states": sorted(transient),
-        "transient_fraction": transient_residence / all_residence,
+        "transient_fraction": sum(
+            count for (_node, name), count in counts.items()
+            if name in transient) / (sum(counts.values()) or 1),
     }
 
 
@@ -271,73 +215,50 @@ def residence_heatmap(atlas: StateAtlas) -> dict:
 
 def format_atlas(atlas: StateAtlas, top: int = 10) -> str:
     """The ``teapot analyze atlas`` structural report."""
-    result = atlas.result
-    verdict = "PASS" if result.get("ok") else "FAIL"
-    if not result.get("exhausted", True):
-        verdict += " (state limit reached)"
-    lines = [
-        f"state atlas: {atlas.config_line()}",
-        f"verdict: {verdict}  states={result.get('states')} "
-        f"transitions={result.get('transitions')} "
-        f"depth={result.get('max_depth')}",
-    ]
-    lines.append(
-        f"coverage: exact -- {len(atlas.states)} states, "
-        f"{len(atlas.edges)} edges recorded")
-
+    header, states = atlas.header, len(atlas.depth)
+    verdict = ("PASS" if header["ok"] else "FAIL") + (
+        "" if header["exhausted"] else " (state limit reached)")
     structure = analyze_structure(atlas)
     profile = structure["depth_profile"]
-    if profile:
-        peak = max(profile)
-        lines.append(
-            f"depth: diameter={structure['diameter']}, frontier width "
-            f"peaks at {peak} (depth {profile.index(peak)})")
-        if len(profile) <= 2 * top:
-            widths = " ".join(map(str, profile))
-        else:
-            widths = (" ".join(map(str, profile[:2 * top - 1]))
-                      + f" ... {profile[-1]}")
-        lines.append(f"  states per depth: {widths}")
+    peak = max(profile)
+    widths = " ".join(map(str, profile if len(profile) <= 2 * top else [
+        *profile[:2 * top - 1], "...", profile[-1]]))
     out_deg, in_deg = structure["out_degree"], structure["in_degree"]
-    lines.append(
-        f"degrees: out mean {out_deg['mean']:.2f} max {out_deg['max']}; "
-        f"in mean {in_deg['mean']:.2f} max {in_deg['max']}")
     terminal_sizes = structure["terminal_sizes"]
-    sizes = ", ".join(str(size) for size in terminal_sizes[:top])
-    if len(terminal_sizes) > top:
-        sizes += ", ..."
-    lines.append(
+    sizes = ", ".join(map(str, terminal_sizes[:top])) + (
+        ", ..." if len(terminal_sizes) > top else "")
+    deadlocks = structure["deadlock_states"]
+    lines = [
+        f"state atlas: {atlas.config_line()}",
+        f"verdict: {verdict}  states={states} "
+        f"transitions={atlas.cut.transitions} depth={header['max_depth']}",
+        f"coverage: exact -- {states} states, {len(atlas.cut.targets)} "
+        "edges recorded",
+        f"depth: diameter={structure['diameter']}, frontier width peaks "
+        f"at {peak} (depth {profile.index(peak)})",
+        f"  states per depth: {widths}",
+        f"degrees: out mean {out_deg['mean']:.2f} max {out_deg['max']}; "
+        f"in mean {in_deg['mean']:.2f} max {in_deg['max']}",
         f"SCCs: {structure['sccs']} total (largest "
         f"{structure['largest_scc']} states); terminal "
         f"{structure['terminal_sccs']} [{sizes}]"
-        " -- a terminal SCC is a basin the run can never leave")
-    deadlocks = structure["deadlock_states"]
-    if deadlocks:
-        shown = " ".join(deadlocks[:top])
-        lines.append(
-            f"deadlock states (out-degree 0): {len(deadlocks)}: {shown}")
-    else:
-        lines.append("deadlock states (out-degree 0): none")
+        " -- a terminal SCC is a basin the run can never leave",
+        "deadlock states (out-degree 0): " + (
+            f"{len(deadlocks)}: {' '.join(deadlocks[:top])}" if deadlocks
+            else "none")]
     if structure["frontier_states"]:
-        lines.append(
-            f"unexpanded frontier: {structure['frontier_states']}")
+        lines.append(f"unexpanded frontier: {structure['frontier_states']}")
 
-    heat = residence_heatmap(atlas)
-    lines.append(
-        f"residence heatmap (% of {heat['states']} kept states per "
-        f"(node, protocol-state); * = transient):")
-    header = "  " + " " * 26 + "".join(
-        f"{'n' + str(node):>7s}" for node in range(atlas.nodes))
-    lines.append(header)
-    transient = set(heat["transient_states"])
+    heat, nodes = residence_heatmap(atlas), range(atlas.echo["n_nodes"])
+    lines += [f"residence heatmap (% of {states} kept states per "
+              "(node, protocol-state); * = transient):",
+              " " * 28 + "".join(f"{f'n{node}':>7s}" for node in nodes)]
     rows = sorted(heat["rows"].items(),
                   key=lambda item: -sum(item[1]))[:max(top, 4)]
     for name, row in rows:
-        marker = "*" if name in transient else " "
-        cells = "".join(
-            f"{100 * count / heat['states']:6.1f}%" if heat["states"]
-            else f"{0:6.1f}%" for count in row)
-        lines.append(f"  {marker}{name:<25.25s}{cells}")
+        cells = "".join(f"{100 * count / states:6.1f}%" for count in row)
+        lines.append(f"  {'*' if name in atlas.transient else ' '}"
+                     f"{name:<25.25s}{cells}")
     if len(heat["rows"]) > len(rows):
         lines.append(f"  ... {len(heat['rows']) - len(rows)} more states")
     lines.append(
@@ -351,114 +272,79 @@ def diff_atlases(a: StateAtlas, b: StateAtlas, top: int = 5) -> str:
     """Compare two atlases (``teapot analyze diff a b``): which states
     and edges appeared or vanished, plus structural deltas."""
     lines = [f"a: {a.config_line()}", f"b: {b.config_line()}"]
-    if (a.protocol, a.nodes, a.addresses, a.reorder) != (
-            b.protocol, b.nodes, b.addresses, b.reorder):
+    if [a.echo[key] for key in _CONFIG[:4]] != [
+            b.echo[key] for key in _CONFIG[:4]]:
         lines.append("note: configurations differ; deltas compare "
                      "different explorations")
-
-    states_a, states_b = set(a.states), set(b.states)
-    appeared = sorted(states_b - states_a)
-    vanished = sorted(states_a - states_b)
+    states_a, states_b = set(a.keys), set(b.keys)
+    appeared, vanished = (sorted(states_b - states_a),
+                          sorted(states_a - states_b))
     lines.append(
         f"states: {len(states_a)} -> {len(states_b)}  "
         f"(+{len(appeared)} appeared, -{len(vanished)} vanished)")
-
-    def describe(atlas: StateAtlas, fp: str) -> str:
-        annotation = atlas.states[fp]
-        vector = " ".join(
-            f"n{node}:" + "/".join(names)
-            for node, names in enumerate(annotation["vector"]))
-        return f"    {fp}  depth={annotation['depth']}  {vector}"
-
-    for label, fps, atlas in (("appeared", appeared, b),
-                              ("vanished", vanished, a)):
-        for fp in fps[:top]:
-            lines.append(describe(atlas, fp))
-        if len(fps) > top:
-            lines.append(f"    ... {len(fps) - top} more {label}")
-
-    edges_a = set(map(tuple, a.edges))
-    edges_b = set(map(tuple, b.edges))
+    for label, keys, atlas in (("appeared", appeared, b),
+                               ("vanished", vanished, a)):
+        for key in keys[:top]:
+            k = atlas.keys.index(key)
+            vector = " ".join(f"n{node}:" + "/".join(names)
+                              for node, names in enumerate(atlas.vector(k)))
+            lines.append(f"    {key:016x}  depth={atlas.depth[k]}  {vector}")
+        if len(keys) > top:
+            lines.append(f"    ... {len(keys) - top} more {label}")
+    edges_a, edges_b = set(a.edge_list()), set(b.edge_list())
     lines.append(
         f"edges: {len(edges_a)} -> {len(edges_b)}  "
         f"(+{len(edges_b - edges_a)} appeared, "
         f"-{len(edges_a - edges_b)} vanished)")
-
-    structure_a, structure_b = analyze_structure(a), analyze_structure(b)
-    lines.append(
-        f"terminal SCCs: {structure_a['terminal_sccs']} -> "
-        f"{structure_b['terminal_sccs']}; deadlock states "
-        f"{len(structure_a['deadlock_states'])} -> "
-        f"{len(structure_b['deadlock_states'])}; diameter "
-        f"{structure_a['diameter']} -> {structure_b['diameter']}")
+    (terminal_a, dead_a, wide_a), (terminal_b, dead_b, wide_b) = (
+        (s["terminal_sccs"], len(s["deadlock_states"]), s["diameter"])
+        for s in map(analyze_structure, (a, b)))
+    lines.append(f"terminal SCCs: {terminal_a} -> {terminal_b}; deadlock "
+                 f"states {dead_a} -> {dead_b}; diameter {wide_a} -> "
+                 f"{wide_b}")
     return "\n".join(lines) + "\n"
 
 
 # -- graph export ---------------------------------------------------------------
 
-def _filtered_states(atlas: StateAtlas, max_depth: Optional[int] = None,
-                     protocol_state: Optional[str] = None) -> dict:
-    kept = {}
-    for fp, annotation in atlas.states.items():
-        if max_depth is not None and annotation["depth"] > max_depth:
-            continue
-        if protocol_state is not None and not any(
-                name == protocol_state
-                for names in annotation["vector"] for name in names):
-            continue
-        kept[fp] = annotation
-    return kept
-
-
-def _export_graph(atlas: StateAtlas, max_depth: Optional[int],
-                  protocol_state: Optional[str]):
-    """The (nodes, edges) the DOT and GraphML exports share."""
-    kept = _filtered_states(atlas, max_depth, protocol_state)
-    transient = {name for name, meta in atlas.state_meta.items()
-                 if meta.get("transient")}
-
-    def is_transient(annotation: dict) -> bool:
-        return any(name in transient
-                   for names in annotation["vector"] for name in names)
-
-    nodes = []
-    for fp in sorted(kept):
-        annotation = kept[fp]
-        attrs = {
-            "label": f"d{annotation['depth']}  " + " | ".join(
-                "/".join(names) for names in annotation["vector"]),
-            "depth": annotation["depth"],
-            "shape": "box" if is_transient(annotation) else "ellipse",
-        }
-        if annotation["depth"] == 0:
-            attrs["peripheries"] = 2
-        nodes.append((fp, attrs))
-    edges = []
-    for record in atlas.edges:
-        if record[0] not in kept or record[1] not in kept:
-            continue
-        kind, tag, *_rest = parse_label(record[2])
-        attrs = {"label": tag, "kind": kind}
-        if kind in ("drop", "dup"):
-            attrs["style"] = "dashed"
-        edges.append((record[0], record[1], attrs))
+def _export_graph(atlas: StateAtlas, max_depth: int | None,
+                  protocol_state: str | None):
+    """The (nodes, edges) the DOT and GraphML exports share, in name
+    order: the states the filters keep, and the edges between them."""
+    kept = {k for k in range(len(atlas.depth))
+            if (max_depth is None or atlas.depth[k] <= max_depth)
+            and (protocol_state is None or any(
+                protocol_state in names for names in atlas.vector(k)))}
+    nodes, edges = [], []
+    for key, k in sorted((atlas.keys[k], k) for k in kept):
+        vector, depth = atlas.vector(k), atlas.depth[k]
+        nodes.append((f"{key:016x}", {
+            "label": f"d{depth}  " + " | ".join(map("/".join, vector)),
+            "depth": depth, "shape": "box" if any(map(
+                atlas.transient.intersection, vector)) else "ellipse",
+            **({"peripheries": 2} if depth == 0 else {})}))
+    for src, dst, label in sorted(atlas.edge_list(kept)):
+        kind, tag, *_rest = parse_label(label)
+        edges.append((f"{src:016x}", f"{dst:016x}", {
+            "label": tag, "kind": kind,
+            **({"style": "dashed"} if kind in ("drop", "dup") else {})}))
     return nodes, edges
 
 
-def atlas_to_dot(atlas: StateAtlas, max_depth: Optional[int] = None,
-                 protocol_state: Optional[str] = None) -> str:
+def atlas_to_dot(atlas: StateAtlas, max_depth: int | None = None,
+                 protocol_state: str | None = None) -> str:
     """Filtered Graphviz export of the explored graph (small configs)."""
     from repro.analysis.graphio import dot_graph
 
-    nodes, edges = _export_graph(atlas, max_depth, protocol_state)
-    return dot_graph(f"{atlas.protocol} atlas", nodes, edges,
-                     extra_lines=("node [fontsize=10];",))
+    return dot_graph(f"{atlas.echo['protocol']} atlas", *_export_graph(
+        atlas, max_depth, protocol_state), extra_lines=(
+            "node [fontsize=10];",))
 
 
-def atlas_to_graphml(atlas: StateAtlas, max_depth: Optional[int] = None,
-                     protocol_state: Optional[str] = None) -> str:
+def atlas_to_graphml(atlas: StateAtlas, max_depth: int | None = None,
+                     protocol_state: str | None = None) -> str:
     """Filtered GraphML export (yEd / Gephi / NetworkX importable)."""
     from repro.analysis.graphio import graphml_graph
 
-    nodes, edges = _export_graph(atlas, max_depth, protocol_state)
-    return graphml_graph(f"{atlas.protocol} atlas", nodes, edges)
+    return graphml_graph(f"{atlas.echo['protocol']} atlas", *_export_graph(
+        atlas, max_depth, protocol_state))

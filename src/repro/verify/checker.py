@@ -913,6 +913,17 @@ class ModelChecker:
             len(cut.vectors)))
         stopped: Optional[str] = None    # see _result
 
+        def at_cut(first: int) -> Cut:
+            # The record now, its frontier the index suffix from
+            # ``first``, at most two layers deep; the deeper one starts
+            # at ``deeper``.
+            d = frontier[0][3] if frontier else self._max_depth
+            deeper = first + bisect_right(frontier, d, key=itemgetter(3))
+            return replace(cut, transitions=transitions,
+                           elapsed=policy.elapsed(),
+                           handler_fires=self._handler_fires,
+                           expanded=first, depth=d, deeper=deeper)
+
         def finish(violation: Optional[Violation] = None) -> CheckResult:
             if prof is not None:
                 prof.set_visited(
@@ -928,8 +939,9 @@ class ModelChecker:
                 max_depth=self._max_depth, elapsed=policy.elapsed(),
                 handler_fires=self._handler_fires, stopped=stopped)
             if self.atlas:
-                from repro.verify.atlas import build_atlas
-                result.atlas = build_atlas(result, cut, self.protocol)
+                from repro.verify.atlas import StateAtlas
+                result.atlas = StateAtlas.of_run(
+                    self, result, at_cut(len(graph.offsets) - 1))
             return result
 
         def take(state, key, at, d, judge=True) -> Optional[str]:
@@ -942,7 +954,8 @@ class ModelChecker:
                     if APPS[aid].blocked_on is not None))
                 if graph.canonical is not None:
                     graph.canonical.append(self._renaming(state))
-                if graph.vector is not None:
+                # (A resumed frontier's vectors are on file already.)
+                if graph.vector is not None and at == len(graph.vector):
                     graph.vector.append(
                         vector[state[:self._app0] + state[-4:-2]])
             message = self._accept(state, key, d, judge)
@@ -963,13 +976,7 @@ class ModelChecker:
         fresh = len(index)      # the index the next new key gets
 
         def write_ckpt(durable: bool) -> None:
-            # The frontier is the index suffix from its first entry, at
-            # most two layers deep; the deeper one starts at ``deeper``.
-            _state, _key, first, d = frontier[0]
-            deeper = first + bisect_right(frontier, d, key=itemgetter(3))
-            replace(cut, transitions=transitions, elapsed=policy.elapsed(),
-                    handler_fires=self._handler_fires, expanded=first,
-                    depth=d, deeper=deeper).write(self, durable)
+            at_cut(frontier[0][2]).write(self, durable)
 
         # The top of the loop is a clean cut (see CutPolicy): every
         # non-frontier visited state is fully expanded.

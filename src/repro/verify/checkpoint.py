@@ -7,13 +7,15 @@ label id -- three arrays, each stored as base64 of its little-endian
 bytes -- the label table, how many indices were expanded (the frontier
 is the rest), the two numbers that give every frontier row's depth,
 the configuration echo and the cut's ``transitions``, ``elapsed`` and
-``handler_fires`` (and any explored graph's expanded rows); the rest
-(the state count, the depth, the invariant evaluations) follows.  v1
+``handler_fires`` (and any explored graph's rows; the ``--atlas-out``
+file is the run's final cut, with a sealed header of its own); the
+rest (the state count, the depth, the invariant evaluations) follows.  v1
 keyed states by a BLAKE2b over the whole encoding, v2 carried fields no
 resume read and v3 wrote a JSON row per state, so all three are
 refused.  This module is the single owner of that format -- a
-:class:`Cut` is the exploration at a clean cut, every writer goes
-through :meth:`Cut.write`, every resume through
+:class:`Cut` is the exploration at a clean cut, every writer encodes
+through :meth:`Cut.encode` (a run's checkpoints through
+:meth:`Cut.write`), every resume through
 :func:`decode_checkpoint` and :func:`replay_frontier` -- and of the
 on-disk concerns every run shares:
 
@@ -62,7 +64,8 @@ _COUNTED = ("transitions", "elapsed", "handler_fires")
 # per expanded row, per row plus one, per edge): the keys (``Cut.index``'s
 # in index order), ``Cut.parent`` and ``Cut.label``, then the explored
 # graph's, in the parts liveness or the atlas, liveness under symmetry
-# and the atlas read.
+# and the atlas read.  A vector is stored per index, the frontier's too:
+# the atlas file is the run's final cut.
 _ARRAYS = (("keys", "Q", "n"), ("parent", "q", "n"), ("label", "I", "n"))
 _GRAPH = (("the explored graph --liveness and --atlas-out read",
            ("offsets", "q", "ends"), ("targets", "I", "edges"),
@@ -70,7 +73,7 @@ _GRAPH = (("the explored graph --liveness and --atlas-out read",
           ("the renamings --liveness --symmetry reads",
            ("renaming", "H", "edges"), ("canonical", "H", "expanded")),
           ("the edge labels and state vectors --atlas-out reads",
-           ("edge_label", "I", "edges"), ("vector", "I", "expanded")))
+           ("edge_label", "I", "edges"), ("vector", "I", "n")))
 _ALL = sum((arrays for _part, *arrays in _GRAPH), list(_ARRAYS))
 _CODES = {name: code for name, code, _size in _ALL}
 _CHUNK = 3 << 19    # the bytes an array is written in: 3 and 8 divide it
@@ -331,15 +334,18 @@ def write_checkpoint(path: str, payload: dict, durable: bool = True) -> None:
                       fsync=durable)
 
 
-def load_checkpoint(path: str) -> dict:
-    """Read, seal-verify, and structurally validate a checkpoint.
+def load_checkpoint(path: str, payload: dict | None = None) -> dict:
+    """Read (unless ``payload``, the file's JSON object, is given),
+    seal-verify, and structurally validate a checkpoint.
 
     Every failure mode is a one-line :class:`CheckpointError`: not
     JSON (truncated or binary-corrupted), wrong kind, unknown version,
     a missing field (the seal included), or a seal mismatch (bit-flipped
     payload)."""
-    payload = check_envelope(
-        read_json(path, CheckpointError, "checkpoint"), path,
+    if payload is None:
+        payload = read_json(path, CheckpointError, "checkpoint")
+    check_envelope(
+        payload, path,
         CheckpointError, "checkpoint", "verify --checkpoint-out",
         CHECKPOINT_KIND, CHECKPOINT_VERSION, version_key="v")
     for key in ("seal", *_COUNTED, "keys", "parent", "label", "labels",
@@ -434,13 +440,15 @@ class Cut:
             at = self.parent[at]
         return trace[::-1]
 
-    def encode(self, echo: dict) -> dict:
+    def encode(self, echo: dict, keys=None) -> dict:
         """The v4 payload, its arrays as :func:`_base64` streams: the
-        keys in index order, and the graph's expanded rows."""
+        keys in index order (``keys``, where they are not ints: their
+        fingerprints), and the graph's rows."""
         n = self.expanded
         size = {"n": len(self.index), "expanded": n, "ends": n + 1,
                 "edges": self.offsets[n] if self.offsets is not None else 0}
-        arrays = {**vars(self), "keys": iter(self.index)}
+        arrays = {**vars(self), "keys": iter(self.index) if keys is None
+                  else keys}
         return {
             **echo,
             "kind": CHECKPOINT_KIND,
@@ -533,8 +541,11 @@ def starting_cut(checker) -> Cut:
     run's empty, a resumed one's from its file, which must have them."""
     path = checker.resume
     if path:
-        cut = decode_checkpoint(load_checkpoint(path), config_echo(checker),
-                                path)
+        payload = load_checkpoint(path)
+        if not payload.get("atlas", {}).get("ok", True):
+            raise CheckpointError(f"{path}: the run that wrote it stopped "
+                                  "at a violation; there is nothing to resume")
+        cut = decode_checkpoint(payload, config_echo(checker), path)
     else:
         initial = checker.initial_state()
         cut = Cut(deeper=1)

@@ -6,11 +6,11 @@ The atlas contract has three legs:
    explore the identical state space: verdict, counts, handler fires,
    the exact fingerprint stream, and the checkpoint's record all match
    (an armed checkpoint adds the graph; the plain one's bytes stay).
-2. **Exact and pinned.**  The atlas, read off the graph the serial run
-   records in its one record (checkpoint.Cut), holds every visited
-   state and every explored transition; its bytes are pinned on three
-   configurations.  Like liveness it reads the graph one process
-   records, so ``--workers`` is refused
+2. **Exact and pinned.**  The atlas is the serial run's final record
+   (checkpoint.Cut) plus a small header, written as a checkpoint: it
+   holds every visited state and every explored transition, and its
+   renderings are pinned on three configurations.  Like liveness it
+   reads the graph one process records, so ``--workers`` is refused
    (``test_cli.py::TestRefusedModes``), and a resumed run writes the
    uninterrupted run's atlas (``test_cli.py::TestGraphResumes``).
 3. **The analysis is right.**  SCC/terminal/deadlock structure, the
@@ -21,6 +21,7 @@ The atlas contract has three legs:
 import hashlib
 import json
 import re
+from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,25 +31,23 @@ from repro.cli import main
 from repro.faults import FaultBudget
 from repro.obs.analyze import TraceError
 from repro.protocols import PROTOCOLS, compile_named_protocol
-from repro.verify import (
-    ModelChecker,
-    StateAtlas,
-    events_for_protocol,
-    load_atlas,
-)
+from repro.verify import ModelChecker, events_for_protocol
 from repro.verify.atlas import (
-    ATLAS_KIND,
-    ATLAS_VERSION,
+    StateAtlas,
     analyze_structure,
     atlas_to_dot,
     atlas_to_graphml,
     diff_atlases,
     format_atlas,
     residence_heatmap,
-    scc_decomposition,
 )
 from repro.verify.checker import Label, parse_label
-from repro.verify.checkpoint import decode_checkpoint, load_checkpoint
+from repro.verify.checkpoint import (
+    CHECKPOINT_KIND,
+    Cut,
+    decode_checkpoint,
+    load_checkpoint,
+)
 from repro.verify.fingerprint import SymmetryCanonicalizer, fingerprint
 from repro.verify.invariants import standard_invariants
 from repro.verify.model import initial_global_state
@@ -128,7 +127,8 @@ class TestOffModeIsFree:
         assert len(armed.offsets) == armed.expanded + 1
         assert (len(armed.targets) == len(armed.edge_label)
                 == armed.offsets[-1] == armed.transitions)
-        assert len(armed.blocked) == len(armed.vector) == armed.expanded
+        assert len(armed.blocked) == armed.expanded
+        assert len(armed.vector) == len(armed.index)     # the frontier's too
         assert max(armed.vector) < len(armed.vectors)
 
     @settings(max_examples=8, deadline=None)
@@ -167,40 +167,53 @@ class TestExactRecording:
         assert structure["deadlock_states"] == []
         assert structure["terminal_sccs"] == 0
 
-    @pytest.mark.parametrize("options,digest", [
+    @pytest.mark.parametrize("options,report,dot,graphml", [
         (dict(nodes=2, reorder=1),
-         "7385a2223ead1576a65d3a32eca94ca38e480b0b7156c6dcc9ca52173e257757"),
+         "031782c62094ca2bb1e95ef1a91f2d7d12b2f76df4f5323980d9adf4c0d4e35b",
+         "d0e317c78c60b8569d3cb3df3a0699570953d03ee86b620c821628f3e53afc86",
+         "c52e58da9d314fd8b14d5fc2f4748f946bb436edf0a49be620da4b11e840cf73"),
         (dict(nodes=3, faults=FaultBudget(drop=1)),
-         "739c2f046a4f930e8203aba44ac3d719c2e6a9c7e2057278fcbfc9a3d83dc7f2"),
+         "fc1def39dde5a1a5f7c6883ef8673024522c02749c4fccde7761997723d5335b",
+         "2d6ad8436b24d039f51f6491c06930a74fac927a4cfcac6658d1c471ac52034f",
+         "518e906ccdb6a2d1301bdc94fcf6b8b66c3ad5fc306ccdc1ca7fbb1eb8596bd1"),
         (dict(nodes=3, liveness=True,
               reduction=ReductionOptions(symmetry=True)),
-         "967b03b4f0cee5ffe65689dbfecfe8998f5bf48c0e846d217e310a39b0ecbc52"),
+         "13b0149d5b25378970372a7843c6ec470ec0e50c734ef7eeb8900e703207f639",
+         "0c9b6aaed245249f3c1f785503b1f468d6f6de4aa3a7a250ec022dfbcbb192f8",
+         "c7ceddac6480951b5a40d76c9a50fd819b8ea2d9169baf47999a05fe6746eb6c"),
     ], ids=["reorder1", "drop1-frontier", "symmetry-liveness"])
-    def test_artifact_bytes_pinned(self, options, digest):
-        """The whole v3 payload, byte for byte: a passing run, a
+    def test_renderings_pinned(self, options, report, dot, graphml,
+                               tmp_path):
+        """What a saved atlas renders, byte for byte -- the report and
+        the whole DOT and GraphML exports -- for a passing run, a
         failing one with a frontier, and a canonical-keyed run whose
         graph liveness reads too."""
-        atlas = check("stache", CheckOptions(
-            artifacts=ArtifactOptions(atlas=True), **options)).atlas
-        text = json.dumps(atlas.to_json(), separators=(",", ":"))
-        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        path = str(tmp_path / "atlas.json")
+        check("stache", CheckOptions(
+            artifacts=ArtifactOptions(atlas=True), **options)).atlas.save(
+                path)
+        atlas = StateAtlas.read(path)
+        for text, digest in ((format_atlas(atlas), report),
+                             (atlas_to_dot(atlas), dot),
+                             (atlas_to_graphml(atlas), graphml)):
+            assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("options,structure,report", [
         (dict(nodes=2, reorder=1),
-         "72ad2f7ac085748db793bc64efb61f73841d13aa391026cdfbc58eedbdf29278",
+         "00dd53de53f7af1fbffb9b76e02ed94a4c05f68403e8c41313026f0b666f372a",
          "031782c62094ca2bb1e95ef1a91f2d7d12b2f76df4f5323980d9adf4c0d4e35b"),
         (dict(nodes=3, faults=FaultBudget(drop=1)),
-         "466bc870bc0d40fdd10f91b0bfc3e9c9a9afc07e02dce363d8fd36a32b50da4c",
+         "28c9e65d1fcdf141857d300acd315dac2c88a90783f141d33750afad2a322c27",
          "fc1def39dde5a1a5f7c6883ef8673024522c02749c4fccde7761997723d5335b"),
         (dict(nodes=3, liveness=True,
               reduction=ReductionOptions(symmetry=True)),
-         "ab3d5aa59cc25b1d21c6dcaa5ce3e921e06b07cae9b8b6645320d70b502c6f24",
+         "7ef2e1d95db2ddb7d3fe753fe10a93e84407c147044af7a52ab83e4d2b78c363",
          "13b0149d5b25378970372a7843c6ec470ec0e50c734ef7eeb8900e703207f639"),
     ], ids=["reorder1", "drop1-frontier", "symmetry-liveness"])
     def test_structure_pinned(self, options, structure, report):
-        """The analysis of the pinned artifacts, byte for byte: the SCC
-        order, ``terminal_members`` and the rendered report (the
-        failing run has 551 components)."""
+        """The analysis of the pinned runs, byte for byte: the structure
+        summary and the rendered report (the failing run has 551
+        components)."""
         atlas = check("stache", CheckOptions(
             artifacts=ArtifactOptions(atlas=True), **options)).atlas
         text = json.dumps(analyze_structure(atlas))
@@ -219,14 +232,24 @@ class TestArtifact:
         return result.atlas, path
 
     def test_round_trip(self, tmp_path):
+        """The file is a sealed checkpoint of the run's final cut plus
+        the header: it reads back to the same cut and views, and a
+        second save seals the same payload (``elapsed`` is unsealed)."""
         atlas, path = self.build(tmp_path)
-        loaded = load_atlas(str(path))
-        assert loaded.to_json() == atlas.to_json()
-        payload = json.loads(path.read_text())
-        assert payload["kind"] == ATLAS_KIND
-        assert payload["version"] == ATLAS_VERSION
-        # The kind header sits in the first bytes for diff's sniffer.
-        assert path.read_text(encoding="utf-8")[:40].find(ATLAS_KIND) > 0
+        loaded = StateAtlas.read(str(path))
+        assert loaded.header == atlas.header
+        assert list(loaded.cut.index) == list(atlas.keys)
+        for name in ("parent", "label", "offsets", "targets", "blocked",
+                     "edge_label", "vector"):
+            assert getattr(loaded.cut, name) == getattr(atlas.cut, name)
+        assert (loaded.cut.labels, loaded.cut.vectors) == (
+            atlas.cut.labels, atlas.cut.vectors)
+        assert (loaded.states, loaded.edges) == (atlas.states, atlas.edges)
+        payload = load_checkpoint(str(path))
+        assert (payload["kind"], payload["v"]) == (CHECKPOINT_KIND, 4)
+        again = tmp_path / "again.json"
+        atlas.save(str(again))
+        assert load_checkpoint(str(again))["seal"] == payload["seal"]
 
     def test_annotations_present(self, tmp_path):
         atlas, _path = self.build(tmp_path)
@@ -245,15 +268,13 @@ class TestArtifact:
                 "app", "deliver", "drop", "dup", "other")
 
     def test_fault_budget_annotations(self):
-        from repro.faults import FaultBudget
-
         result = check("stache", CheckOptions(
             reorder=0, artifacts=ArtifactOptions(atlas=True),
             faults=FaultBudget(drop=1)))
         assert not result.ok                      # drop=1 deadlocks stache
         atlas = result.atlas
         assert atlas is not None
-        assert atlas.fault_budget == (1, 0)
+        assert atlas.echo["faults"] == [1, 0]
         assert any("faults" in ann for ann in atlas.states.values())
         assert any(parse_label(record[2]).kind == "drop"
                    for record in atlas.edges)
@@ -263,78 +284,136 @@ class TestArtifact:
         path = tmp_path / "bad.json"
         path.write_text('{"kind": "something-else", "version": 1}')
         with pytest.raises(TraceError, match="not a state atlas"):
-            load_atlas(str(path))
+            StateAtlas.read(str(path))
 
-    @pytest.mark.parametrize("version", [1, 2])
-    def test_rejects_old_version_in_one_line(self, tmp_path, capsys,
-                                             version):
-        path = tmp_path / f"v{version}.json"
-        path.write_text(json.dumps({"kind": ATLAS_KIND,
-                                    "version": version}))
+    @pytest.mark.parametrize("payload,needle", [
+        ({"kind": "teapot-state-atlas", "version": 3},
+         "not a state atlas (kind='teapot-state-atlas')"),
+        ({"kind": CHECKPOINT_KIND, "v": 3},
+         "state atlas version 3, expected 4"),
+    ], ids=["json-v3", "checkpoint-v3"])
+    def test_rejects_old_files_in_one_line(self, tmp_path, capsys, payload,
+                                           needle):
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(payload))
         assert main(["analyze", "atlas", str(path)]) == 1
         err = capsys.readouterr().err
-        assert f"state atlas version {version}, expected 3" in err
+        assert needle in err and "--atlas-out" in err
         assert err.count("\n") == 1
 
     def test_rejects_wrong_version(self, tmp_path):
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps(
-            {"kind": ATLAS_KIND, "version": ATLAS_VERSION + 1}))
+        path.write_text(json.dumps({"kind": CHECKPOINT_KIND, "v": 5}))
         with pytest.raises(TraceError, match="version"):
-            load_atlas(str(path))
+            StateAtlas.read(str(path))
 
     def test_friendly_load_errors(self, tmp_path):
         with pytest.raises(TraceError, match="no such file"):
-            load_atlas(str(tmp_path / "missing.json"))
+            StateAtlas.read(str(tmp_path / "missing.json"))
         empty = tmp_path / "empty.json"
         empty.write_text("")
         with pytest.raises(TraceError, match="empty"):
-            load_atlas(str(empty))
+            StateAtlas.read(str(empty))
         garbage = tmp_path / "garbage.json"
         garbage.write_text("not json")
         with pytest.raises(TraceError, match="not valid JSON"):
-            load_atlas(str(garbage))
-        array = tmp_path / "array.json"
-        array.write_text("[1, 2]")
+            StateAtlas.read(str(garbage))
+        array_file = tmp_path / "array.json"
+        array_file.write_text("[1, 2]")
         with pytest.raises(TraceError, match="not an object"):
-            load_atlas(str(array))
+            StateAtlas.read(str(array_file))
 
 
-def synthetic_atlas(depths, edges, nodes=1, state_name="S"):
-    """A hand-built atlas over single-letter state ids for pinning the
-    structural analysis: ``depths`` maps id -> BFS depth, ``edges`` is
-    (src, dst, label) triples."""
-    states = {}
-    for ident, depth in depths.items():
-        states[ident] = {"depth": depth,
-                         "vector": [[state_name]] * nodes}
-    records = [list(edge) for edge in edges]
-    return StateAtlas(
-        protocol="Synthetic", nodes=nodes, addresses=1, reorder=0,
-        workers=1,
-        result={"ok": True, "states": len(states),
-                "transitions": len(records), "max_depth":
-                max(depths.values(), default=0), "exhausted": True},
-        state_meta={state_name: {"transient": False}},
-        states=states, edges=records)
+class TestReaderRefusals:
+    """Each file the atlas readers cannot use is one ``error:`` line,
+    exit 1, no traceback."""
+
+    @staticmethod
+    def refused(capsys, argv, needle):
+        capsys.readouterr()
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert needle in err, err
+
+    @pytest.mark.parametrize("flags", [[], ["--liveness"]],
+                             ids=["plain", "liveness"])
+    def test_checkpoint_without_the_atlas(self, tmp_path, capsys, flags):
+        path = str(tmp_path / "ck.json")
+        main(["verify", "stache", "--max-states", "20", *flags,
+              "--checkpoint-out", path])
+        self.refused(capsys, ["analyze", "atlas", path], "--atlas-out")
+
+    def test_diff_against_a_plain_checkpoint_or_a_profile(self, tmp_path,
+                                                          capsys):
+        atlas, plain, profile = (str(tmp_path / name) for name in (
+            "a.json", "ck.json", "p.json"))
+        main(["verify", "stache", "--atlas-out", atlas,
+              "--profile-out", profile])
+        main(["verify", "stache", "--checkpoint-out", plain])
+        self.refused(capsys, ["analyze", "diff", atlas, plain],
+                     f"{plain}: a checkpoint without the state atlas")
+        self.refused(capsys, ["analyze", "diff", atlas, profile],
+                     "cannot diff a state-atlas")
+
+    def test_truncated_or_bit_flipped(self, tmp_path, capsys):
+        path = tmp_path / "a.json"
+        main(["verify", "stache", "--atlas-out", str(path)])
+        blob = path.read_bytes()
+        damaged = tmp_path / "damaged.json"
+        damaged.write_bytes(blob[:len(blob) // 2])
+        self.refused(capsys, ["analyze", "atlas", str(damaged)],
+                     "not valid JSON")
+        flipped = bytearray(blob)
+        flipped[blob.index(b'"transient":') + 15] ^= 0x01
+        damaged.write_bytes(bytes(flipped))
+        self.refused(capsys, ["analyze", "atlas", str(damaged)],
+                     "seal mismatch")
+
+
+def synthetic_atlas(parents, edges=(), nodes=1, state_name="S"):
+    """A hand-built atlas for pinning the structural analysis: state
+    ``k`` has key ``k`` and parent index ``parents[k]`` (-1: a root),
+    ``edges`` are (src, dst, label) by index, every state is expanded
+    and every node is in ``state_name``."""
+    n = len(parents)
+    cut = Cut(expanded=n, deeper=n, offsets=array("q", [0]),
+              targets=array("I"), edge_label=array("I"),
+              blocked=array("q", [0]) * n, vector=array("I", [0]) * n,
+              vectors={(state_name,) * nodes + (0, 0): 0})
+    for k, parent in enumerate(parents):
+        cut.add(k, parent, "<initial>")
+    for k in range(n):
+        for src, dst, label in edges:
+            if src == k:
+                cut.targets.append(dst)
+                cut.edge_label.append(
+                    cut.labels.setdefault(label, len(cut.labels)))
+        cut.offsets.append(len(cut.targets))
+    cut.transitions = len(cut.targets)
+    echo = {"protocol": "Synthetic", "n_nodes": nodes, "n_blocks": 1,
+            "reorder_bound": 0, "faults": [0, 0]}
+    return StateAtlas(echo, {"ok": True, "exhausted": True, "max_depth": 0,
+                             "transient": {state_name: False}}, cut)
 
 
 class TestStructuralAnalysis:
     def test_scc_and_terminal_decomposition(self):
-        # d -> a -> b -> c -> a (cycle), plus isolated e.
+        # d -> a -> b -> c -> a (cycle), plus isolated e: by index d, e,
+        # a, b, c.
+        d, e, a, b, c = range(5)
         atlas = synthetic_atlas(
-            {"a": 1, "b": 2, "c": 3, "d": 0, "e": 0},
-            [("d", "a", "n0: read b0"), ("a", "b", "n0: read b0"),
-             ("b", "c", "n0: read b0"), ("c", "a", "n0: read b0")])
-        sccs = scc_decomposition(atlas)
-        assert sorted(len(c) for c in sccs) == [1, 1, 3]
+            [-1, -1, d, a, b],
+            [(d, a, "n0: read b0"), (a, b, "n0: read b0"),
+             (b, c, "n0: read b0"), (c, a, "n0: read b0")])
         structure = analyze_structure(atlas)
         assert structure["sccs"] == 3
         assert structure["largest_scc"] == 3
         # The cycle and the isolated state have no exits; d does.
         assert structure["terminal_sccs"] == 2
         assert sorted(structure["terminal_sizes"]) == [1, 3]
-        assert structure["deadlock_states"] == ["e"]
+        assert structure["deadlock_states"] == [f"{e:016x}"]
         assert structure["diameter"] == 3
         assert structure["depth_profile"] == [2, 1, 1, 1]
         assert structure["out_degree"]["max"] == 1
@@ -350,7 +429,7 @@ class TestStructuralAnalysis:
         assert structure["deadlock_states"] == []
         assert structure["sccs"] == 1
         assert structure["terminal_sccs"] == 1
-        assert structure["diameter"] == atlas.result["max_depth"]
+        assert structure["diameter"] == atlas.header["max_depth"]
         assert sum(structure["depth_profile"]) == len(atlas.states)
 
     def test_residence_heatmap_transient_split(self):
@@ -521,9 +600,12 @@ class TestFormat:
     def test_depth_profile_keeps_last_layer(self, layers, widths):
         """Up to ``2 * top`` layers every width prints; past that the
         first ``2 * top - 1`` and then ``... last``."""
-        # Layer d holds d + 1 states, so every width is distinct.
-        depths = {f"{d}.{i}": d for d in range(layers) for i in range(d + 1)}
-        text = format_atlas(synthetic_atlas(depths, []))
+        # Layer d holds d + 1 states, so every width is distinct; each
+        # one's parent is the first state of the layer above.
+        parents = [-1]
+        for d in range(1, layers):
+            parents += [d * (d - 1) // 2] * (d + 1)
+        text = format_atlas(synthetic_atlas(parents))
         assert f"  states per depth: {widths}\n" in text
 
 

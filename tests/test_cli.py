@@ -214,18 +214,55 @@ class TestGraphResumes:
         if "FAIL" in line:
             assert "STARVATION: node 1 is blocked" in whole[1]
 
-    def test_atlas_resumes_to_the_uninterrupted_bytes(self, tmp_path,
-                                                      capsys):
+    @staticmethod
+    def seal_and_report(capsys, path):
+        """An atlas file's seal (``elapsed`` is unsealed) and report."""
+        from repro.verify.checkpoint import load_checkpoint
+
+        assert main(["analyze", "atlas", path]) == 0
+        return load_checkpoint(path)["seal"], capsys.readouterr().out
+
+    def test_atlas_resumes_to_the_uninterrupted_seal(self, tmp_path,
+                                                     capsys):
         argv = "stache --nodes 3 --reorder 1 --atlas-out".split()
         whole = self.verify(capsys, [*argv, str(tmp_path / "whole.json")])
         assert self.resumed(tmp_path, capsys, [
             *argv, str(tmp_path / "resumed.json")], (500, 1200)) == whole
-        reports = []
-        for name in ("whole", "resumed"):
-            atlas = tmp_path / f"{name}.json"
-            assert main(["analyze", "atlas", str(atlas)]) == 0
-            reports.append((atlas.read_bytes(), capsys.readouterr().out))
-        assert reports[0] == reports[1]
+        assert (self.seal_and_report(capsys, str(tmp_path / "whole.json"))
+                == self.seal_and_report(capsys,
+                                        str(tmp_path / "resumed.json")))
+
+    @pytest.mark.parametrize("modes", [[], ["--symmetry", "--liveness"]],
+                             ids=["plain", "symmetry-liveness"])
+    def test_an_atlas_file_resumes(self, tmp_path, capsys, modes):
+        """The atlas file is the run's final cut: a bounded run's
+        resumes straight to the uninterrupted run's counts and seal,
+        each frontier vector stored once."""
+        argv = ["stache", "--nodes", "3", "--reorder", "1", *modes]
+        paths = [str(tmp_path / name) for name in ("w.json", "r.json",
+                                                   "r2.json")]
+        whole = self.verify(capsys, [*argv, "--atlas-out", paths[0]])
+        bounded = self.verify(capsys, [*argv, "--max-states", "800",
+                                       "--atlas-out", paths[1]])
+        assert "(state limit reached)" in bounded[1]
+        assert self.verify(capsys, [*argv, "--resume", paths[1],
+                                    "--atlas-out", paths[2]]) == whole
+        assert (self.seal_and_report(capsys, paths[0])
+                == self.seal_and_report(capsys, paths[2]))
+
+    def test_a_failing_atlas_file_does_not_resume(self, tmp_path, capsys):
+        """A failing run's file is no clean cut: the state it stopped in
+        may be half expanded, so nothing resumes from it."""
+        path = str(tmp_path / "a.json")
+        assert main(["verify", "stache", "--faults", "drop=1",
+                     "--atlas-out", path]) == 1
+        capsys.readouterr()
+        assert main(["verify", "stache", "--faults", "drop=1",
+                     "--resume", path]) == 1
+        out, err = capsys.readouterr()
+        assert err == (f"error: {path}: the run that wrote it stopped at a "
+                       "violation; there is nothing to resume\n")
+        assert "states=" not in out
 
     def test_a_resumed_cut_is_the_uninterrupted_one(self, tmp_path, capsys):
         """Every graph array armed (liveness under symmetry, the atlas):
@@ -539,7 +576,7 @@ ARTIFACT_READERS = {
     "check-profile": (lambda p, good: ["analyze", "check-profile", p],
                       {"kind": "teapot-check-profile", "version": 99}),
     "atlas": (lambda p, good: ["analyze", "atlas", p],
-              {"kind": "teapot-state-atlas", "version": 99}),
+              {"kind": "teapot-parallel-checkpoint", "v": 99}),
     "diff-a": (lambda p, good: ["analyze", "diff", p, good],
                {"kind": "teapot-coverage", "version": 99}),
     "diff-b": (lambda p, good: ["analyze", "diff", good, p],
@@ -614,23 +651,16 @@ class TestArtifactEnvelope:
         from repro.obs.analyze import coverage_from_checker, load_coverage
         from repro.obs.metrics import MetricsRegistry, load_metrics
         from repro.obs.profile import load_profile
-        from repro.verify.atlas import load_atlas
 
         protocol = api.compile_protocol("lcm_mcc")
         result = api.check(protocol, api.CheckOptions(
             faults=api.FaultBudget(drop=1), workers=2,
             artifacts=api.ArtifactOptions(profile=True)))
-        # The atlas is serial-only.
-        atlas = api.check(protocol, api.CheckOptions(
-            faults=api.FaultBudget(drop=1),
-            artifacts=api.ArtifactOptions(atlas=True))).atlas
         registry = MetricsRegistry("lcm_mcc")
         registry.record_dispatch("Home", "GET", 12)
         plan = FaultPlan(rules=(FaultRule(action="drop", tag="A"),), seed=3)
         return {
             "profile": (result.profile, load_profile, {"indent": 2}),
-            "atlas": (atlas, load_atlas,
-                      {"separators": (",", ":")}),
             "coverage": (coverage_from_checker(protocol, result),
                          load_coverage, {"indent": 2, "sort_keys": True}),
             "plan": (plan, FaultPlan.load, {"indent": 2, "sort_keys": True}),
@@ -638,7 +668,7 @@ class TestArtifactEnvelope:
         }
 
     @pytest.mark.parametrize(
-        "kind", ["profile", "atlas", "coverage", "plan", "metrics"])
+        "kind", ["profile", "coverage", "plan", "metrics"])
     def test_save_bytes_and_round_trip(self, artifacts, kind, tmp_path):
         artifact, load, keywords = artifacts[kind]
         path = tmp_path / f"{kind}.json"
@@ -755,6 +785,28 @@ class TestOutputLocations:
         assert capsys.readouterr().err == (
             f"error: {path}: Permission denied\n")
 
+    @pytest.mark.parametrize("first,second", [
+        ("--checkpoint-out", "--atlas-out"),
+        ("--profile-out", "--coverage-out"),
+        ("--trace-out", "--fault-plan-out"),
+    ])
+    def test_two_outputs_naming_one_file(self, tmp_path, monkeypatch,
+                                         capsys, first, second):
+        """One file for two outputs is refused before exploring, by its
+        real path; resuming from the file a run writes is not."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "d").mkdir()
+        assert main(["verify", "stache", "--nodes", "2", first, "f.json",
+                     second, "d/../f.json"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and list(tmp_path.iterdir()) == [tmp_path / "d"]
+        assert err == (f"error: {first} and {second} name one file: "
+                       "d/../f.json\n")
+        assert main(["verify", "stache", "--max-states", "20",
+                     "--checkpoint-out", "f.json"]) == 0
+        assert main(["verify", "stache", "--resume", "f.json",
+                     "--checkpoint-out", "f.json"]) == 0
+
     def test_a_directory_is_no_destination(self, tmp_path, capsys):
         assert main(["verify", "stache", "--atlas-out", str(tmp_path)]) == 1
         assert capsys.readouterr().err == (
@@ -831,7 +883,7 @@ class TestExitWithoutFinalisation:
         assert done.returncode == 0, err
         assert json.loads((tmp_path / "c.json").read_text())["fired"]
         assert json.loads((tmp_path / "p.json").read_text())["phases"]
-        assert json.loads((tmp_path / "a.json").read_text())["states"]
+        assert json.loads((tmp_path / "a.json").read_text())["atlas"]
         # The last stderr line is there too.
         assert "wrote state atlas to a.json" in err
 

@@ -277,7 +277,8 @@ def cut_of(edges, **fields):
 
 def sample_cut():
     # Keys out of numeric order, as a run accepts them; a frontier of
-    # two depths; the graph's three expanded rows, every array armed.
+    # two depths; the graph's three expanded rows, every array armed,
+    # and every index's vector.
     return cut_of([(1, -1, "<initial>"), (2 ** 64 - 1, 0, "a"), (2, 0, "b"),
                    (9, 1, "c"), (7, 2, "d"), (8, 2, "a")],
                   expanded=3, depth=1, deeper=5, transitions=17,
@@ -288,7 +289,7 @@ def sample_cut():
                   renaming=array("H", [0, 0, 1, 0, 0, 0, 1]),
                   canonical=array("H", [0, 1, 0]),
                   edge_label=array("I", [1, 2, 3, 2, 4, 1, 2]),
-                  vector=array("I", [0, 1, 0]),
+                  vector=array("I", [0, 1, 0, 1, 1, 0]),
                   vectors={("I", "S", 0, 0): 0, ("S", "I", 1, 0): 1})
 
 

@@ -281,10 +281,15 @@ class TestCheckpointCorruption:
         ({"atlas": True}, edit_array("vector", "I", lambda vector: (
             vector.pop())), {"atlas": True},
          "its arrays are of unequal length"),
+        # Earlier builds stored the expanded rows' vectors only.
+        ({"atlas": True}, lambda payload: edit_array(
+            "vector", "I", lambda vector: vector.__delitem__(
+                slice(payload["expanded"], None)))(payload), {"atlas": True},
+         "its arrays are of unequal length"),
     ], ids=["no_seal", "repeated_key", "later_parent", "unequal_lengths",
             "liveness_from_plain", "atlas_from_liveness",
             "symmetric_liveness_from_atlas", "offsets_falling",
-            "target_past_end", "short_vector"])
+            "target_past_end", "short_vector", "expanded_rows_vector"])
     def test_v4_refusal_is_one_line(self, checkpoint_blob, capsys, written,
                                     edit, reads, expected):
         tmp_path, blob = checkpoint_blob

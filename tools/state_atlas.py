@@ -94,8 +94,9 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("-o", "--output", default="STATE_ATLAS.json")
     parser.add_argument("--atlas-dir", default=None,
-                        help="also write each protocol's full atlas "
-                             "JSON into this directory (CI artifacts)")
+                        help="also write each protocol's atlas file "
+                             "(a checkpoint) into this directory (CI "
+                             "artifacts)")
     parser.add_argument("--max-states", type=int, default=25_000,
                         help="exploration bound per protocol; rows "
                              "that hit it say exhausted: false")
